@@ -1,10 +1,11 @@
 //! Bounded per-leaf admission queues for the streaming ingress path.
 //!
 //! When a round is full, `Session::try_ingest` / `Cluster::try_ingest` park
-//! the offered update here instead of erroring: each leaf aggregator owns a
-//! bounded queue whose slot and byte budgets are enforced by a pool-backed
-//! [`PooledBacklog`], so a million clients hammering a full round cost
-//! O(queue caps) memory, never O(clients). When the next round opens, queued
+//! the offered update here (through the park rule of `crate::ingress`)
+//! instead of erroring: each leaf aggregator owns a bounded queue whose slot
+//! and byte budgets are enforced by a pool-backed [`PooledBacklog`], so a
+//! million clients hammering a full round cost O(queue caps) memory, never
+//! O(clients). When the next round opens, queued
 //! offers are drained in Oort-utility order — the highest-utility clients
 //! win admission under pressure, ties broken by arrival order — and their
 //! payloads move into the shared-memory store without a copy.
@@ -51,7 +52,8 @@ pub struct AdmissionStats {
     /// Offers drained into a round.
     pub drained: u64,
     /// Offers dropped without admission (departed clients, discarded
-    /// backlogs, queue re-bucketing overflow).
+    /// backlogs, queue re-bucketing overflow, offers that failed to enter
+    /// the round they were drained for).
     pub dropped: u64,
     /// High-water mark of parked offers across all queues.
     pub peak_queued: usize,
@@ -204,6 +206,17 @@ impl AdmissionQueues {
         queue.backlog.withdraw(offer.payload.len());
         self.stats.drained += 1;
         Some(offer)
+    }
+
+    /// Reclassifies the offer [`AdmissionQueues::take_best`] just handed out
+    /// as dropped rather than drained: it failed to enter a round. Its
+    /// buffer, when the caller still holds it, goes back to the pool.
+    pub(crate) fn drop_taken(&mut self, payload: Option<Vec<u8>>) {
+        self.stats.drained = self.stats.drained.saturating_sub(1);
+        self.stats.dropped += 1;
+        if let Some(buffer) = payload {
+            self.pool.checkin_bytes(buffer);
+        }
     }
 
     /// Drops every parked offer from `client` (mid-round churn: a departed

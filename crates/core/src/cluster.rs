@@ -14,9 +14,10 @@
 //!   remaining levels as its own [`Session`] (placed into the global tree via
 //!   [`SessionBuilder::tree_position`], so per-position codec streams match a
 //!   single session over the whole tree bit-for-bit).
-//! * [`Cluster::ingest`] routes each leaf ingest to the owning node with the
-//!   same round-robin rule a single session uses, applying per-client
-//!   error-feedback encoding once at the cluster ingress.
+//! * [`Cluster::try_ingest`] (and its strict wrapper [`Cluster::ingest`])
+//!   routes each leaf ingest to the owning node with the same round-robin
+//!   rule a single session uses, applying per-client error-feedback encoding
+//!   once at the cluster ingress.
 //! * [`Cluster::drive`] drives every node subtree, exports each merged
 //!   update as wire bytes ([`Session::drive_to_wire`] — zero-copy, no
 //!   intermediate `DenseModel`), ships it to the parent session's gateway as
@@ -42,6 +43,7 @@
 use crate::admission::AdmissionQueues;
 use crate::heartbeat::HeartbeatMonitor;
 use crate::hierarchy::EwmaEstimator;
+use crate::ingress::Ingress;
 use crate::recovery::{RecoveryManager, RecoveryOutcome};
 use crate::session::{Session, SessionBuilder, Update, WireExport};
 use lifl_dataplane::{CostModel, DataPlaneKind, TransferCost};
@@ -53,6 +55,48 @@ use lifl_types::{
     AdmissionConfig, AdmissionOutcome, ClientId, CodecKind, FoldPolicy, LiflError, NodeId, Result,
     RoundClose, SimDuration, SimTime, Topology,
 };
+
+/// Everything a cluster's sessions are built alike with: each differs only
+/// in its tree, its node and where that tree sits in the global one.
+#[derive(Debug, Clone)]
+struct SessionTemplate {
+    codec: CodecKind,
+    shards: usize,
+    seed: u64,
+    policy: FoldPolicy,
+    pool: BufferPool,
+    /// Whether the cluster closes rounds on a quorum. The quorum itself is
+    /// checked once, cluster-wide; the sessions only need to drive whatever
+    /// share of a partial round reached them, so they close on "anything
+    /// non-empty". They own no admission queues either way.
+    quorum: bool,
+}
+
+impl SessionTemplate {
+    /// Builds the session driving `topology` on `node`, placed at
+    /// (`level_offset`, `branch`) of the global tree.
+    fn build(
+        &self,
+        topology: Topology,
+        node: usize,
+        level_offset: usize,
+        branch: usize,
+    ) -> Result<Session> {
+        let mut builder = SessionBuilder::new()
+            .topology(topology)
+            .codec(self.codec)
+            .shards(self.shards)
+            .seed(self.seed)
+            .fold_policy(self.policy)
+            .node(NodeId::new(node as u64))
+            .tree_position(level_offset, branch)
+            .pool(self.pool.clone());
+        if self.quorum {
+            builder = builder.round_close(RoundClose::Quorum { min_updates: 1 });
+        }
+        builder.build()
+    }
+}
 
 /// How a [`Cluster`] chooses the node hosting the global top aggregator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -481,53 +525,25 @@ impl ClusterBuilder {
             config.validate()?;
         }
         let pool = BufferPool::new();
-        // Under a quorum close, partially filled node subtrees (and a
-        // partially fed global top) must still drive: the quorum — relaxed
-        // to "anything non-empty" — propagates into every child session.
-        let child_admission = match &self.admission {
-            Some(config) if matches!(config.round_close, RoundClose::Quorum { .. }) => {
-                Some(AdmissionConfig {
-                    round_close: RoundClose::Quorum { min_updates: 1 },
-                    ..*config
-                })
-            }
-            _ => None,
+        let sessions = SessionTemplate {
+            codec: self.codec,
+            shards: self.shards,
+            seed: self.seed,
+            policy: self.policy,
+            pool: pool.clone(),
+            quorum: self
+                .admission
+                .is_some_and(|c| matches!(c.round_close, RoundClose::Quorum { .. })),
         };
         let children = (0..nodes)
-            .map(|k| {
-                let mut builder = SessionBuilder::new()
-                    .topology(subtree.clone())
-                    .codec(self.codec)
-                    .shards(self.shards)
-                    .seed(self.seed)
-                    .fold_policy(self.policy)
-                    .node(NodeId::new(k as u64))
-                    .tree_position(0, k)
-                    .pool(pool.clone());
-                if let Some(config) = child_admission {
-                    builder = builder.admission(config);
-                }
-                builder.build()
-            })
+            .map(|k| sessions.build(subtree.clone(), k, 0, k))
             .collect::<Result<Vec<Session>>>()?;
-        let mut parent_builder = SessionBuilder::new()
-            .topology(Topology::flat(nodes))
-            .codec(self.codec)
-            .shards(self.shards)
-            .seed(self.seed)
-            .fold_policy(self.policy)
-            .node(NodeId::new(top_node as u64))
-            .tree_position(subtree.levels(), 0)
-            .pool(pool.clone());
-        if let Some(config) = child_admission {
-            parent_builder = parent_builder.admission(config);
-        }
-        let parent = parent_builder.build()?;
+        let parent = sessions.build(Topology::flat(nodes), top_node, subtree.levels(), 0)?;
         let faults = match self.faults {
             Some(config) => Some(FaultState::new(config, nodes)?),
             None => None,
         };
-        let admission = self
+        let queues = self
             .admission
             .map(|config| AdmissionQueues::new(config, nodes, pool.clone()));
         let fleet = match self.fleet {
@@ -540,7 +556,6 @@ impl ClusterBuilder {
         Ok(Cluster {
             topology: self.topology,
             subtree,
-            codec: self.codec,
             placement: self.placement,
             top_node,
             estimators: vec![EwmaEstimator::new(alpha); nodes],
@@ -550,19 +565,10 @@ impl ClusterBuilder {
             dataplane: self.dataplane,
             children,
             parent,
-            feedback,
-            pool,
-            policy: self.policy,
-            shards: self.shards,
-            seed: self.seed,
+            ingress: Ingress::new(feedback, pool, queues),
+            sessions,
             faults,
-            admission,
-            child_admission,
             fleet,
-            vacancies: Vec::new(),
-            ingested: 0,
-            route_cursor: 0,
-            lifetime_ingested: 0,
         })
     }
 }
@@ -705,7 +711,6 @@ impl ClusterReport {
 pub struct Cluster {
     topology: Topology,
     subtree: Topology,
-    codec: CodecKind,
     placement: TopPlacement,
     top_node: usize,
     estimators: Vec<EwmaEstimator>,
@@ -715,30 +720,16 @@ pub struct Cluster {
     dataplane: DataPlaneKind,
     children: Vec<Session>,
     parent: Session,
-    feedback: ErrorFeedback,
-    pool: BufferPool,
-    policy: FoldPolicy,
-    shards: usize,
-    seed: u64,
+    /// Offer → slot state at the cluster ingress: error feedback (applied
+    /// once, here), the round's fill and routing position (slots are nodes)
+    /// and the per-node bounded queues of the streaming admission path.
+    ingress: Ingress,
+    /// What node sessions are (re)built from when the fleet re-splits.
+    sessions: SessionTemplate,
     faults: Option<FaultState>,
-    /// The per-node bounded ingress queues (streaming admission path).
-    admission: Option<AdmissionQueues>,
-    /// The admission configuration child sessions are (re)built with under a
-    /// quorum close, so partially filled subtrees still drive.
-    child_admission: Option<AdmissionConfig>,
     /// The KPA fleet controller re-splitting node subtrees at round
     /// boundaries, when fleet scaling is enabled.
     fleet: Option<FleetController>,
-    /// Nodes with a reclaimed slot from mid-round churn: refilled before the
-    /// round-robin cursor advances, so survivors keep their assignment.
-    vacancies: Vec<usize>,
-    ingested: u64,
-    /// The round-robin position normal ingests route by. Tracks `ingested`
-    /// exactly until a node failure: refilling a restarted node's lost slots
-    /// routes directly to that node without consuming round-robin positions,
-    /// so the survivors' leaf assignment is unchanged.
-    route_cursor: u64,
-    lifetime_ingested: u64,
 }
 
 impl Cluster {
@@ -754,7 +745,7 @@ impl Cluster {
 
     /// The wire codec in use.
     pub fn codec(&self) -> CodecKind {
-        self.codec
+        self.sessions.codec
     }
 
     /// Number of nodes (child sessions) in the cluster.
@@ -763,7 +754,7 @@ impl Cluster {
     }
 
     /// The per-node child sessions, in node order (read-only observability;
-    /// ingests must go through [`Cluster::ingest`] so routing and
+    /// ingests must go through [`Cluster::try_ingest`] so routing and
     /// error-feedback state stay consistent).
     pub fn node_sessions(&self) -> &[Session] {
         &self.children
@@ -771,7 +762,7 @@ impl Cluster {
 
     /// The scratch-buffer pool shared by every session's codecs.
     pub fn pool(&self) -> &BufferPool {
-        &self.pool
+        &self.sessions.pool
     }
 
     /// The placement policy deciding which node hosts the global top.
@@ -808,7 +799,7 @@ impl Cluster {
 
     /// Updates ingested into the current (not yet driven) round.
     pub fn pending_updates(&self) -> u64 {
-        self.ingested
+        self.ingress.ingested()
     }
 
     /// Updates one round aggregates across every node subtree. Equals the
@@ -847,113 +838,32 @@ impl Cluster {
     /// The node the round-robin cursor routes to next.
     fn cursor_node(&self) -> usize {
         let total: usize = self.children.iter().map(|c| c.topology().leaves()).sum();
-        let leaf = (self.route_cursor as usize) % total.max(1);
+        let leaf = (self.ingress.cursor() as usize) % total.max(1);
         self.node_of_leaf(leaf)
     }
 
-    /// The cluster-wide ingress: routes the update to the node owning the
-    /// next leaf, with the exact round-robin rule a single session over the
-    /// global tree applies (update *k* of a round feeds global leaf
-    /// `k % leaves`, and each node owns a contiguous block of leaves).
-    ///
-    /// Under a lossy codec, dense ingests are encoded once here — with
-    /// per-client error feedback seeded like a single session's ingress — so
-    /// child sessions store the compressed form as-is and the cluster stays
-    /// bit-exact with its single-session equivalent.
+    /// Whether the open round can still take an update.
+    fn has_room(&self) -> bool {
+        (self.ingress.ingested() as usize) < self.round_capacity()
+    }
+
+    /// The strict cluster ingress: [`Cluster::try_ingest`], with
+    /// backpressure the caller did not ask for turned into an error.
+    /// `Admitted` and `Queued` are both `Ok` — with a
+    /// [`ClusterBuilder::admission`] configuration, overflow parks for the
+    /// next round instead of failing.
     ///
     /// # Errors
-    /// Same conditions as [`Session::ingest`]. A failed ingest counts
-    /// nothing toward the round.
+    /// Everything [`Cluster::try_ingest`] fails on, plus
+    /// [`LiflError::RoundFull`] when the round is full and the offer could
+    /// not be parked (no admission queues, or their budget is exhausted).
     pub fn ingest(&mut self, update: Update) -> Result<()> {
-        if self.ingested as usize >= self.round_capacity() {
-            if self.admission.is_some() {
-                // Streaming path configured: overflow routes through the
-                // bounded backpressure queues instead of erroring outright.
-                return match self.queue_offer(update)? {
-                    AdmissionOutcome::Rejected { .. } => Err(LiflError::InvalidConfig(
-                        "cluster round is full and the admission queue budget is exhausted"
-                            .to_string(),
-                    )),
-                    _ => Ok(()),
-                };
-            }
-            return Err(LiflError::InvalidConfig(format!(
-                "cluster round is full: topology aggregates {} updates",
-                self.round_capacity()
-            )));
+        match self.try_ingest(update)? {
+            AdmissionOutcome::Rejected { .. } => Err(LiflError::RoundFull {
+                capacity: self.round_capacity(),
+            }),
+            _ => Ok(()),
         }
-        // Refill slots of a restarted node take priority over round-robin:
-        // re-sent updates route straight to the node that lost them, so the
-        // survivors' leaf assignment is untouched by the failure. Vacancies
-        // reclaimed by mid-round churn refill next, for the same reason.
-        let refill_slot = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.refill.iter().position(|&r| r > 0));
-        let vacancy = match refill_slot {
-            Some(_) => None,
-            None => self.vacancies.pop(),
-        };
-        let node = match (refill_slot, vacancy) {
-            (Some(node), _) => node,
-            (None, Some(node)) => node,
-            (None, None) => self.cursor_node(),
-        };
-        // One attribution rule for every representation and node: anonymous
-        // updates take the *cluster*-lifetime arrival index, so residual
-        // slots and fallback ids match the single-session equivalent.
-        let fallback = ClientId::new(self.lifetime_ingested);
-        let tracked: ClientId;
-        let update = match update {
-            Update::Dense(mut dense) => {
-                tracked = *dense.client.get_or_insert(fallback);
-                if self.codec.is_lossless() {
-                    Update::Dense(dense)
-                } else {
-                    let samples = dense.samples;
-                    self.feedback.encode_update(tracked, dense.model, samples)
-                }
-            }
-            Update::Encoded {
-                client,
-                update,
-                samples,
-            } => {
-                tracked = client.unwrap_or(fallback);
-                Update::Encoded {
-                    client: Some(tracked),
-                    update,
-                    samples,
-                }
-            }
-            other => {
-                tracked = fallback;
-                other
-            }
-        };
-        let outcome = self.children[node].ingest(update);
-        match &outcome {
-            Ok(()) => {
-                self.ingested += 1;
-                self.lifetime_ingested += 1;
-                self.node_pending[node] += 1;
-                if refill_slot.is_none() && vacancy.is_none() {
-                    self.route_cursor += 1;
-                }
-                if let Some(f) = &mut self.faults {
-                    if refill_slot.is_some() {
-                        f.refill[node] -= 1;
-                    }
-                    f.node_clients[node].push(tracked);
-                }
-            }
-            Err(_) => {
-                if let Some(v) = vacancy {
-                    self.vacancies.push(v);
-                }
-            }
-        }
-        outcome
     }
 
     /// Ingests a batch of updates in order (see [`Cluster::ingest`]).
@@ -968,149 +878,84 @@ impl Cluster {
         Ok(())
     }
 
-    /// The streaming cluster ingress: offers one update and answers with
-    /// typed backpressure. While the round has room the update is admitted
-    /// exactly as [`Cluster::ingest`] would; once the round is full the
-    /// update is parked in the owning node's bounded queue
+    /// The cluster-wide ingress — the only ingest implementation: offers one
+    /// update and answers with typed backpressure, by the same normalise →
+    /// admit-or-park pipeline as [`Session::try_ingest`].
+    ///
+    /// Normalising happens once, here: anonymous updates take the
+    /// *cluster*-lifetime arrival index and, under a lossy codec, dense
+    /// updates are encoded with per-client error feedback seeded like a
+    /// single session's ingress — so child sessions store the compressed
+    /// form as-is and the cluster stays bit-exact with its single-session
+    /// equivalent.
+    ///
+    /// While the round has room the update is admitted on the node owning
+    /// the next leaf, with the exact round-robin rule a single session over
+    /// the global tree applies (update *k* of a round feeds global leaf
+    /// `k % leaves`, and each node owns a contiguous block of leaves); once
+    /// the round is full it is parked in the owning node's bounded queue
     /// (`Queued{depth}`) or, when that queue's slot/byte budget is
     /// exhausted, turned away (`Rejected{retry_after}`). Queued clients win
     /// admission into the next round in Oort-utility order. Without a
     /// [`ClusterBuilder::admission`] configuration there is no backlog and
-    /// overflow is rejected with a zero retry hint.
+    /// overflow is rejected, untouched, with a zero retry hint.
     ///
     /// # Errors
-    /// Fails only on store/codec errors; a full round is an outcome, not an
-    /// error.
+    /// Fails only on store/codec errors, exactly as [`Session::try_ingest`];
+    /// a full round is an outcome, not an error. A failed offer counts
+    /// nothing toward the round and parks nothing.
     pub fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
-        if (self.ingested as usize) < self.round_capacity() {
-            self.ingest(update)?;
-            return Ok(AdmissionOutcome::Admitted);
+        if !self.has_room() {
+            return self.ingress.park(update);
         }
-        if self.admission.is_none() {
-            return Ok(AdmissionOutcome::Rejected {
-                retry_after: SimDuration::ZERO,
-            });
-        }
-        self.queue_offer(update)
+        let update = self.ingress.normalise(update)?;
+        let admitted = self.admit(&update, update.client());
+        self.ingress.recycle(update);
+        admitted.map(|()| AdmissionOutcome::Admitted)
     }
 
-    /// Normalises an overflow update to wire form and parks it in the
-    /// per-node admission queues (the round is full).
-    fn queue_offer(&mut self, update: Update) -> Result<AdmissionOutcome> {
-        // Same attribution and lossy-encode rules as the admitted path, so a
-        // queued-then-drained update flows exactly as a direct ingest would.
-        let fallback = ClientId::new(self.lifetime_ingested);
-        let update = match update {
-            Update::Dense(mut dense) => {
-                let client = *dense.client.get_or_insert(fallback);
-                if self.codec.is_lossless() {
-                    Update::Dense(dense)
-                } else {
-                    let samples = dense.samples;
-                    self.feedback.encode_update(client, dense.model, samples)
+    /// Admits one normalised update on the routed node — through the node
+    /// session's own `admit`, never its public door — and counts it into the
+    /// round: the step both the direct path and [`Cluster::drain_backlog`]
+    /// end in.
+    ///
+    /// Refill slots of a restarted node take priority over round-robin:
+    /// re-sent updates route straight to the node that lost them, so the
+    /// survivors' leaf assignment is untouched by the failure. Vacancies
+    /// reclaimed by mid-round churn refill next, for the same reason.
+    fn admit(&mut self, update: &Update, producer: Option<ClientId>) -> Result<()> {
+        let refill = self
+            .faults
+            .as_ref()
+            .and_then(|f| f.refill.iter().position(|&r| r > 0));
+        let cursor_node = self.cursor_node();
+        let route = self.ingress.route(refill, cursor_node);
+        let node = route.slot;
+        let admitted = self.children[node].admit(update, producer);
+        if admitted.is_ok() {
+            self.node_pending[node] += 1;
+            if let Some(f) = &mut self.faults {
+                if refill.is_some() {
+                    f.refill[node] -= 1;
                 }
+                f.node_clients[node].push(self.ingress.tracked(producer));
             }
-            other => other,
-        };
-        let outcome = match &update {
-            Update::Dense(dense) => {
-                let mut wire = self.pool.checkout_bytes(dense.model.dim() * 4);
-                for v in dense.model.as_slice() {
-                    wire.extend_from_slice(&v.to_le_bytes());
-                }
-                let outcome = match self.admission.as_mut() {
-                    Some(queues) => queues.offer(dense.client, &wire, dense.samples, false),
-                    None => AdmissionOutcome::Rejected {
-                        retry_after: SimDuration::ZERO,
-                    },
-                };
-                self.pool.checkin_bytes(wire);
-                outcome
-            }
-            Update::Encoded {
-                client,
-                update: encoded,
-                samples,
-            } => {
-                let wire = encoded.to_bytes();
-                match self.admission.as_mut() {
-                    Some(queues) => queues.offer(*client, &wire, *samples, true),
-                    None => AdmissionOutcome::Rejected {
-                        retry_after: SimDuration::ZERO,
-                    },
-                }
-            }
-            Update::RemoteBytes {
-                wire,
-                weight,
-                encoded,
-            } => match self.admission.as_mut() {
-                Some(queues) => queues.offer(None, wire, *weight, *encoded),
-                None => AdmissionOutcome::Rejected {
-                    retry_after: SimDuration::ZERO,
-                },
-            },
-        };
-        self.feedback.recycle_update(update);
-        Ok(outcome)
+        }
+        self.ingress.settle(route, admitted.is_ok());
+        admitted
     }
 
-    /// Drains queued offers into the open round — globally best first
+    /// Drains parked offers into the open round — globally best first
     /// (utility desc, arrival asc) — until the round is full or the backlog
-    /// is empty. Called automatically when a driven round opens the next
-    /// one.
+    /// is empty. An offer that fails to admit is dropped and the next one is
+    /// tried. Called automatically when a driven round opens the next one.
     fn drain_backlog(&mut self) {
-        while (self.ingested as usize) < self.round_capacity() {
-            let Some(offer) = self.admission.as_mut().and_then(AdmissionQueues::take_best) else {
+        while self.has_room() {
+            let Some((update, producer)) = self.ingress.take_parked() else {
                 break;
             };
-            if self
-                .ingest_prepared(offer.client, offer.payload, offer.weight, offer.encoded)
-                .is_err()
-            {
-                break;
-            }
-        }
-    }
-
-    /// Admits a payload already in wire form into the round, preserving its
-    /// client attribution (the drain half of the admission path). Routing
-    /// follows the same vacancy-then-round-robin rule as
-    /// [`Cluster::ingest`].
-    fn ingest_prepared(
-        &mut self,
-        client: Option<ClientId>,
-        payload: Vec<u8>,
-        weight: u64,
-        encoded: bool,
-    ) -> Result<()> {
-        if self.ingested as usize >= self.round_capacity() {
-            return Err(LiflError::InvalidConfig(format!(
-                "cluster round is full: topology aggregates {} updates",
-                self.round_capacity()
-            )));
-        }
-        let vacancy = self.vacancies.pop();
-        let node = vacancy.unwrap_or_else(|| self.cursor_node());
-        let tracked = client.unwrap_or(ClientId::new(self.lifetime_ingested));
-        match self.children[node].ingest_prepared(client, payload, weight, encoded) {
-            Ok(()) => {
-                self.ingested += 1;
-                self.lifetime_ingested += 1;
-                self.node_pending[node] += 1;
-                if vacancy.is_none() {
-                    self.route_cursor += 1;
-                }
-                if let Some(f) = &mut self.faults {
-                    f.node_clients[node].push(tracked);
-                }
-                Ok(())
-            }
-            Err(e) => {
-                if let Some(v) = vacancy {
-                    self.vacancies.push(v);
-                }
-                Err(e)
+            if self.admit(&update, producer).is_err() {
+                self.ingress.drop_parked();
             }
         }
     }
@@ -1123,10 +968,7 @@ impl Cluster {
     /// position. Returns `true` if anything (slot or queued offer) was
     /// reclaimed.
     pub fn depart_client(&mut self, client: ClientId) -> bool {
-        let mut departed = self
-            .admission
-            .as_mut()
-            .is_some_and(|queues| queues.remove_client(client) > 0);
+        let mut departed = self.ingress.remove_parked(client);
         for node in 0..self.children.len() {
             let before = self.children[node].pending_updates();
             if !self.children[node].depart_client(client) {
@@ -1137,10 +979,9 @@ impl Cluster {
                 continue;
             }
             departed = true;
-            self.ingested = self.ingested.saturating_sub(removed);
             self.node_pending[node] = self.node_pending[node].saturating_sub(removed);
             for _ in 0..removed {
-                self.vacancies.push(node);
+                self.ingress.vacate(node);
             }
             if let Some(f) = &mut self.faults {
                 let mut to_drop = removed;
@@ -1162,38 +1003,29 @@ impl Cluster {
     /// Records a client's Oort utility score for admission priority (no-op
     /// without an admission configuration).
     pub fn record_client_utility(&mut self, client: ClientId, utility: f64) {
-        if let Some(queues) = self.admission.as_mut() {
-            queues.record_utility(client, utility);
-        }
+        self.ingress.record_utility(client, utility);
     }
 
     /// The admission configuration, when the streaming path is enabled.
     pub fn admission_config(&self) -> Option<&AdmissionConfig> {
-        self.admission.as_ref().map(AdmissionQueues::config)
+        self.ingress.config()
     }
 
     /// Occupancy of every per-node admission queue, in node order (empty
     /// without an admission configuration).
     pub fn queue_depths(&self) -> Vec<usize> {
-        self.admission
-            .as_ref()
-            .map_or_else(Vec::new, |q| q.depths())
+        self.ingress.depths()
     }
 
     /// Total updates parked in the admission queues.
     pub fn queued_updates(&self) -> usize {
-        self.admission
-            .as_ref()
-            .map_or(0, AdmissionQueues::total_queued)
+        self.ingress.queued()
     }
 
     /// Lifetime admission counters (zero-default without an admission
     /// configuration).
     pub fn admission_stats(&self) -> crate::admission::AdmissionStats {
-        self.admission
-            .as_ref()
-            .map(AdmissionQueues::stats)
-            .unwrap_or_default()
+        self.ingress.stats()
     }
 
     /// Whether KPA fleet scaling is enabled.
@@ -1260,10 +1092,8 @@ impl Cluster {
         match self.drive_hops() {
             Ok(mut report) => {
                 report.replacement = replacement;
-                self.ingested = 0;
-                self.route_cursor = 0;
+                self.ingress.reset_round();
                 self.node_pending.fill(0);
-                self.vacancies.clear();
                 // Next move's handoff ships the warm global intermediate.
                 self.handoff_bytes = report.update.model.dim() as u64 * 4;
                 if let Some(f) = &mut self.faults {
@@ -1300,21 +1130,22 @@ impl Cluster {
     /// configured quorum under a [`RoundClose::Quorum`] admission close.
     fn validate_round(&self) -> Result<()> {
         let capacity = self.round_capacity();
+        let ingested = self.ingress.ingested() as usize;
         let close = self
-            .admission
-            .as_ref()
-            .map_or(RoundClose::Exact, |q| q.config().round_close);
+            .ingress
+            .config()
+            .map_or(RoundClose::Exact, |config| config.round_close);
         match close {
             RoundClose::Exact => {
                 if capacity == self.topology.total_updates() {
-                    self.topology.validate(self.ingested as usize)
-                } else if self.ingested as usize != capacity {
+                    self.topology.validate(ingested)
+                } else if ingested != capacity {
                     // Fleet scaling has re-split a subtree: the built
                     // topology's error message would mislead, so report
                     // against the live capacity.
                     Err(LiflError::InvalidConfig(format!(
-                        "cluster round incomplete: the scaled fleet aggregates {} updates, got {}",
-                        capacity, self.ingested
+                        "cluster round incomplete: the scaled fleet aggregates {capacity} \
+                         updates, got {ingested}"
                     )))
                 } else {
                     Ok(())
@@ -1322,22 +1153,14 @@ impl Cluster {
             }
             quorum @ RoundClose::Quorum { .. } => {
                 let required = quorum.required_updates(capacity);
-                if (self.ingested as usize) < required {
+                if ingested < required {
                     return Err(LiflError::InvalidConfig(format!(
-                        "quorum not met: round has {} of {} required updates",
-                        self.ingested, required
+                        "quorum not met: round has {ingested} of {required} required updates"
                     )));
                 }
                 Ok(())
             }
         }
-    }
-
-    /// Whether the admission close lets partially filled subtrees drive.
-    fn quorum_close(&self) -> bool {
-        self.admission
-            .as_ref()
-            .is_some_and(|q| matches!(q.config().round_close, RoundClose::Quorum { .. }))
     }
 
     /// Applies the KPA fleet decisions of one round boundary: every node
@@ -1349,10 +1172,8 @@ impl Cluster {
         if self.fleet.is_none() {
             return Vec::new();
         }
-        let depths: Vec<f64> = match self.admission.as_ref() {
-            Some(queues) => queues.depths().iter().map(|&d| d as f64).collect(),
-            None => vec![0.0; self.children.len()],
-        };
+        let mut depths: Vec<f64> = self.queue_depths().iter().map(|&d| d as f64).collect();
+        depths.resize(self.children.len(), 0.0);
         let current: Vec<u32> = self
             .children
             .iter()
@@ -1388,19 +1209,7 @@ impl Cluster {
     fn resize_node(&mut self, node: usize, desired_leaves: usize) -> Result<()> {
         let fan_in = self.children[node].topology().fan_in(0);
         let topology = Topology::two_level(desired_leaves.max(1), fan_in);
-        let mut builder = SessionBuilder::new()
-            .topology(topology)
-            .codec(self.codec)
-            .shards(self.shards)
-            .seed(self.seed)
-            .fold_policy(self.policy)
-            .node(NodeId::new(node as u64))
-            .tree_position(0, node)
-            .pool(self.pool.clone());
-        if let Some(config) = self.child_admission {
-            builder = builder.admission(config);
-        }
-        self.children[node] = builder.build()?;
+        self.children[node] = self.sessions.build(topology, node, 0, node)?;
         Ok(())
     }
 
@@ -1476,7 +1285,7 @@ impl Cluster {
                     }
                 }
             }
-            if self.children[k].pending_updates() == 0 && self.quorum_close() {
+            if self.children[k].pending_updates() == 0 && self.sessions.quorum {
                 // A quorum round can leave whole subtrees empty: no export,
                 // no hop, nothing for the top to fold from this node.
                 continue;
@@ -1538,10 +1347,8 @@ impl Cluster {
             child.discard_round();
         }
         self.parent.discard_round();
-        self.ingested = 0;
-        self.route_cursor = 0;
+        self.ingress.reset_round();
         self.node_pending.fill(0);
-        self.vacancies.clear();
         if let Some(f) = &mut self.faults {
             f.clear_round();
         }
@@ -1549,7 +1356,7 @@ impl Cluster {
 
     /// The fold policy every aggregator in the cluster applies.
     pub fn fold_policy(&self) -> FoldPolicy {
-        self.policy
+        self.sessions.policy
     }
 
     /// Whether the failure-handling machinery is enabled.
@@ -1697,7 +1504,7 @@ impl Cluster {
     fn kill_checked(&mut self, node: usize) -> Result<NodeKill> {
         let top_host = node == self.top_node;
         let lost_updates = if top_host {
-            self.ingested
+            self.ingress.ingested()
         } else {
             self.node_pending[node]
         };
@@ -1722,7 +1529,7 @@ impl Cluster {
         // The crashed process takes its subtree's in-flight round with it;
         // the restarted (stateless) session starts from an empty round.
         self.children[node].discard_round();
-        self.ingested -= lost;
+        self.ingress.forfeit(lost);
         self.node_pending[node] = 0;
         // lifl-lint: allow(panic) — node kills are only injectable through
         // the fault harness, which populates `self.faults` at construction.
@@ -1746,7 +1553,7 @@ impl Cluster {
     /// replacement runtime restores the latest checkpoint, priced as a
     /// network transfer from the persistent store.
     fn kill_top(&mut self, node: usize) -> LiflError {
-        let lost = self.ingested;
+        let lost = self.ingress.ingested();
         let lost_clients: u64 = self
             .faults
             .as_ref()
@@ -1796,7 +1603,7 @@ impl lifl_fl::Ingest for Cluster {
     }
 
     fn ingress_codec(&self) -> CodecKind {
-        self.codec
+        self.sessions.codec
     }
 
     fn aggregate_round(&mut self) -> Result<lifl_fl::RoundAggregate> {
@@ -2329,14 +2136,9 @@ mod tests {
         cluster
             .ingest_all(batch.iter().take(8).cloned().map(Update::Dense))
             .unwrap();
-        // The strict path still fails loudly with the historical message…
+        // The strict path still fails loudly, now with the typed error…
         let overflow = cluster.ingest(Update::Dense(batch[8].clone()));
-        match overflow {
-            Err(LiflError::InvalidConfig(message)) => {
-                assert!(message.contains("cluster round is full"), "{message}");
-            }
-            other => panic!("expected the legacy full-round error, got {other:?}"),
-        }
+        assert_eq!(overflow, Err(LiflError::RoundFull { capacity: 8 }));
         // …and the streaming path reports it as backpressure, not an error.
         let outcome = cluster.try_ingest(Update::Dense(batch[8].clone())).unwrap();
         assert_eq!(
@@ -2346,6 +2148,75 @@ mod tests {
             }
         );
         assert_eq!(cluster.drive().unwrap().updates_ingested(), 8);
+    }
+
+    #[test]
+    fn malformed_offer_is_refused_not_parked_and_the_backlog_still_drains() {
+        let mut cluster = ClusterBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .admission(AdmissionConfig::bounded(4, 1 << 20))
+            .build()
+            .unwrap();
+        let batch = updates(10, 16);
+        cluster
+            .ingest_all(batch.iter().take(8).cloned().map(Update::Dense))
+            .unwrap();
+        // The round is full. A malformed encoded payload is refused with the
+        // same codec error a session gives — before anything is parked.
+        let poisoned = || Update::remote_bytes(vec![1u8, 2], 1, true);
+        let refused = cluster.try_ingest(poisoned()).unwrap_err();
+        let mut session = SessionBuilder::new()
+            .two_level(1, 1)
+            .admission(AdmissionConfig::bounded(4, 1 << 20))
+            .build()
+            .unwrap();
+        session.ingest(Update::Dense(batch[0].clone())).unwrap();
+        assert_eq!(refused, session.try_ingest(poisoned()).unwrap_err());
+        assert!(matches!(refused, LiflError::Codec(_)));
+        assert_eq!(cluster.queued_updates(), 0);
+        // Two valid offers park behind it and both drain at the boundary.
+        for update in &batch[8..] {
+            assert!(cluster
+                .try_ingest(Update::Dense(update.clone()))
+                .unwrap()
+                .is_queued());
+        }
+        cluster.drive().unwrap();
+        assert_eq!(cluster.queued_updates(), 0);
+        assert_eq!(cluster.pending_updates(), 2);
+        let stats = cluster.admission_stats();
+        assert_eq!((stats.queued, stats.drained, stats.dropped), (2, 2, 0));
+    }
+
+    #[test]
+    fn drain_drops_an_offer_that_fails_to_admit_and_keeps_draining() {
+        let mut cluster = ClusterBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .admission(AdmissionConfig::bounded(4, 1 << 20))
+            .build()
+            .unwrap();
+        let batch = updates(10, 16);
+        cluster
+            .ingest_all(batch.iter().take(8).cloned().map(Update::Dense))
+            .unwrap();
+        // A poisoned payload parked behind the cluster's back, ahead of two
+        // valid offers: the hardening that does not rely on try_ingest
+        // having refused it.
+        let queues = cluster.ingress.queues_mut().expect("admission is on");
+        assert!(queues.offer(None, &[1u8, 2], 1, true).is_queued());
+        for update in &batch[8..] {
+            assert!(cluster
+                .try_ingest(Update::Dense(update.clone()))
+                .unwrap()
+                .is_queued());
+        }
+        let idle_before = cluster.pool().stats().idle_buffers;
+        cluster.drive().unwrap();
+        assert_eq!(cluster.queued_updates(), 0);
+        assert_eq!(cluster.pending_updates(), 2);
+        let stats = cluster.admission_stats();
+        assert_eq!((stats.drained, stats.dropped), (2, 1));
+        assert!(cluster.pool().stats().idle_buffers > idle_before);
     }
 
     #[test]

@@ -2,15 +2,28 @@
 //! component in LIFL. It ingests model updates from remote clients or peer
 //! gateways, performs the one-time payload processing, writes the payload into
 //! the local shared-memory store and enqueues the object key to the consuming
-//! aggregator's in-place queue. On the transmit side it reads a local object
-//! and ships it to a remote node's gateway.
+//! aggregator's in-place queue. It has one door ([`Gateway::ingest`]) over
+//! one store-and-deliver primitive; the transmit half of a hop reads the
+//! store directly (`Session::drive_to_wire`).
 
-use lifl_fl::codec::{EncodedUpdate, EncodedView};
+use lifl_fl::codec::EncodedView;
 use lifl_fl::update::Update;
 use lifl_shmem::queue::QueuedUpdate;
 use lifl_shmem::{InPlaceQueue, ObjectStore};
 use lifl_types::{AggregatorId, ClientId, NodeId, Result};
 use std::collections::BTreeMap;
+
+/// Header-validates an encoded wire string in place (no body copy) and
+/// returns the bytes its dense `f32` form would occupy. The one check every
+/// offered encoded payload passes, whether it is about to be stored or
+/// parked.
+///
+/// # Errors
+/// Returns [`lifl_types::LiflError::Codec`] on a truncated or malformed
+/// buffer.
+pub(crate) fn encoded_dense_bytes(wire: &[u8]) -> Result<u64> {
+    Ok(EncodedView::parse(wire)?.dim() as u64 * 4)
+}
 
 /// The per-node gateway.
 #[derive(Debug)]
@@ -18,9 +31,10 @@ pub struct Gateway {
     node: NodeId,
     store: ObjectStore,
     inboxes: BTreeMap<AggregatorId, InPlaceQueue>,
-    ingested_updates: u64,
+    /// Updates delivered so far: the arrival index an anonymous update is
+    /// attributed to.
+    arrivals: u64,
     ingested_bytes: u64,
-    forwarded_bytes: u64,
 }
 
 impl Gateway {
@@ -30,9 +44,8 @@ impl Gateway {
             node,
             store,
             inboxes: BTreeMap::new(),
-            ingested_updates: 0,
+            arrivals: 0,
             ingested_bytes: 0,
-            forwarded_bytes: 0,
         }
     }
 
@@ -46,237 +59,90 @@ impl Gateway {
         self.inboxes.entry(aggregator).or_default().clone()
     }
 
-    /// The single polymorphic ingress: accepts a model update in whatever
+    /// The gateway's one door: accepts a model update in whatever
     /// representation it arrived ([`Update`]) and performs the matching
     /// one-time payload processing — dense parameters and encoded payloads
     /// are written to shared memory as-is, encoded remote wire bytes have
     /// their descriptor validated in place (dense remote bytes are stored
     /// as-is; a dimension mismatch surfaces at fold time) — before the
-    /// object key is queued for `target`.
+    /// object key is queued for `target` (in-place message queuing, §4.2).
+    /// Arriving `Bytes` are stored without a model-sized copy.
     ///
-    /// The representation-specific methods below remain as typed shortcuts;
-    /// this entry point is what `Session::ingest` and other
-    /// representation-agnostic callers use. A dense or encoded update with
-    /// no client id is attributed to its arrival index.
+    /// A dense or encoded update with no client id is attributed to its
+    /// arrival index; remote bytes are an intermediate and carry no
+    /// producer.
     ///
     /// # Errors
     /// Fails if the shared-memory store cannot hold the payload or a remote
     /// encoded payload is malformed.
     pub fn ingest(&mut self, target: AggregatorId, update: &Update) -> Result<QueuedUpdate> {
-        let fallback = ClientId::new(self.ingested_updates);
-        match update {
-            Update::Dense(dense) => {
-                let client = dense.client.unwrap_or(fallback);
-                self.ingest_client_update(client, target, dense.model.as_slice(), dense.samples)
-            }
-            Update::Encoded {
-                client,
-                update,
-                samples,
-            } => {
-                let client = client.unwrap_or(fallback);
-                self.ingest_encoded_update(client, target, update, *samples)
-            }
+        let producer = match update {
+            Update::RemoteBytes { .. } => None,
+            _ => Some(update.client().unwrap_or(ClientId::new(self.arrivals))),
+        };
+        self.store_and_deliver(target, update, producer)
+    }
+
+    /// The store-and-deliver primitive behind [`Gateway::ingest`]: one put
+    /// into shared memory, one key into `target`'s queue, attributed to
+    /// `producer`. Sessions call it directly so that a drained backlog offer
+    /// — remote bytes on the outside — keeps the client that produced it,
+    /// which mid-round churn needs to find and reclaim the slot.
+    pub(crate) fn store_and_deliver(
+        &mut self,
+        target: AggregatorId,
+        update: &Update,
+        producer: Option<ClientId>,
+    ) -> Result<QueuedUpdate> {
+        // (key, bytes landed in shared memory, encoded marker). The stored
+        // form of an encoded update includes its 16-byte descriptor.
+        let (key, stored_bytes, encoded) = match update {
+            Update::Dense(dense) => (
+                self.store.put_f32(dense.model.as_slice())?,
+                dense.byte_size(),
+                false,
+            ),
+            Update::Encoded { update, .. } => (
+                self.store
+                    .put_encoded(update.to_bytes(), update.dense_bytes())?,
+                update.stored_bytes(),
+                true,
+            ),
             Update::RemoteBytes {
                 wire,
-                weight,
-                encoded,
-            } => {
-                if *encoded {
-                    self.ingest_remote_encoded(target, wire.clone(), *weight)
-                } else {
-                    // Headerless dense little-endian `f32` bytes, stored
-                    // as-is (byte-identical to `put_f32` of the decoded
-                    // values, with no intermediate decode).
-                    let key = self.store.put(wire.clone())?;
-                    let queued = QueuedUpdate::intermediate(key, *weight);
-                    self.deliver(target, queued);
-                    self.ingested_updates += 1;
-                    self.ingested_bytes += wire.len() as u64;
-                    Ok(queued)
-                }
+                encoded: true,
+                ..
+            } => (
+                self.store
+                    .put_encoded(wire.clone(), encoded_dense_bytes(wire)?)?,
+                wire.len() as u64,
+                true,
+            ),
+            // Headerless dense little-endian `f32` bytes: byte-identical to
+            // `put_f32` of the decoded values, with no intermediate decode.
+            Update::RemoteBytes { wire, .. } => {
+                (self.store.put(wire.clone())?, wire.len() as u64, false)
             }
-        }
-    }
-
-    /// Ingests a raw client update: writes the payload into shared memory and
-    /// enqueues the key for `target` (in-place message queuing, §4.2).
-    ///
-    /// # Errors
-    /// Fails if the shared-memory store cannot hold the payload.
-    pub fn ingest_client_update(
-        &mut self,
-        client: ClientId,
-        target: AggregatorId,
-        payload: &[f32],
-        samples: u64,
-    ) -> Result<QueuedUpdate> {
-        let key = self.store.put_f32(payload)?;
-        let mut queued = QueuedUpdate::from_client(client, key);
-        queued.weight = samples;
-        self.deliver(target, queued);
-        self.ingested_updates += 1;
-        self.ingested_bytes += (payload.len() * 4) as u64;
-        Ok(queued)
-    }
-
-    /// Ingests a codec-encoded client update: the compressed self-describing
-    /// form is written to shared memory as-is (one-time payload processing,
-    /// no re-expansion) and the key is queued for `target` with the encoded
-    /// marker set.
-    ///
-    /// [`Gateway::ingested_bytes`] counts what lands in shared memory — the
-    /// stored form, 16-byte descriptor included. Data-plane *wire*
-    /// accounting (payload only, [`EncodedUpdate::wire_bytes`]) is tracked by
-    /// the callers that price transfers.
-    ///
-    /// # Errors
-    /// Fails if the shared-memory store cannot hold the payload.
-    pub fn ingest_encoded_update(
-        &mut self,
-        client: ClientId,
-        target: AggregatorId,
-        encoded: &EncodedUpdate,
-        samples: u64,
-    ) -> Result<QueuedUpdate> {
-        let wire = encoded.to_bytes();
-        let wire_len = wire.len() as u64;
-        let key = self.store.put_encoded(wire, encoded.dense_bytes())?;
-        let mut queued = QueuedUpdate::from_client(client, key).encoded();
-        queued.weight = samples;
-        self.deliver(target, queued);
-        self.ingested_updates += 1;
-        self.ingested_bytes += wire_len;
-        Ok(queued)
-    }
-
-    /// Ingests a codec-encoded intermediate arriving from a remote gateway.
-    /// The arriving buffer is stored as-is: pass shared `Bytes` (as a
-    /// cluster hop does) and zero model-sized copies are made.
-    ///
-    /// # Errors
-    /// Fails if the shared-memory store cannot hold the payload.
-    pub fn ingest_remote_encoded(
-        &mut self,
-        target: AggregatorId,
-        wire: impl Into<bytes::Bytes>,
-        weight: u64,
-    ) -> Result<QueuedUpdate> {
-        let wire = wire.into();
-        // Only the 16-byte descriptor needs parsing here; the payload is
-        // validated in place (no body copy) and stored as-is.
-        let dense_bytes = EncodedView::parse(&wire)?.dim() as u64 * 4;
-        let wire_len = wire.len() as u64;
-        let key = self.store.put_encoded(wire, dense_bytes)?;
-        let queued = QueuedUpdate::intermediate(key, weight).encoded();
-        self.deliver(target, queued);
-        self.ingested_updates += 1;
-        self.ingested_bytes += wire_len;
-        Ok(queued)
-    }
-
-    /// Ingests an intermediate update arriving from a remote node's gateway.
-    ///
-    /// # Errors
-    /// Fails if the shared-memory store cannot hold the payload.
-    pub fn ingest_remote_update(
-        &mut self,
-        target: AggregatorId,
-        payload: &[f32],
-        weight: u64,
-    ) -> Result<QueuedUpdate> {
-        let key = self.store.put_f32(payload)?;
-        let queued = QueuedUpdate::intermediate(key, weight);
-        self.deliver(target, queued);
-        self.ingested_updates += 1;
-        self.ingested_bytes += (payload.len() * 4) as u64;
-        Ok(queued)
-    }
-
-    /// Admission-drain ingress: stores a payload that is already in wire
-    /// form (headerless dense `f32` bytes, or a self-describing encoded
-    /// string) and delivers it attributed to `producer`. The polymorphic
-    /// [`Gateway::ingest`] loses client attribution for remote bytes; a
-    /// drained backlog offer must keep its producer so mid-round churn can
-    /// find and reclaim the client's slot.
-    ///
-    /// # Errors
-    /// Fails if the shared-memory store cannot hold the payload or an
-    /// encoded payload is malformed.
-    pub fn ingest_prepared(
-        &mut self,
-        target: AggregatorId,
-        producer: Option<ClientId>,
-        wire: Vec<u8>,
-        weight: u64,
-        encoded: bool,
-    ) -> Result<QueuedUpdate> {
-        let wire_len = wire.len() as u64;
-        let key = if encoded {
-            let dense_bytes = EncodedView::parse(&wire)?.dim() as u64 * 4;
-            self.store.put_encoded(wire, dense_bytes)?
-        } else {
-            self.store.put(wire)?
         };
-        let mut queued = QueuedUpdate {
+        let queued = QueuedUpdate {
             producer,
             key,
-            weight,
-            encoded: false,
+            weight: update.weight(),
+            encoded,
         };
-        if encoded {
-            queued = queued.encoded();
-        }
-        self.deliver(target, queued);
-        self.ingested_updates += 1;
-        self.ingested_bytes += wire_len;
-        Ok(queued)
-    }
-
-    /// Delivers an already-stored update key to a local aggregator's queue
-    /// (the SKMSG redirect path).
-    pub fn deliver(&mut self, target: AggregatorId, queued: QueuedUpdate) {
         self.inboxes.entry(target).or_default().enqueue(queued);
-    }
-
-    /// Transmit path: reads a local object and returns the payload to ship to
-    /// a remote gateway (which will call [`Gateway::ingest_remote_update`]).
-    ///
-    /// # Errors
-    /// Fails if the object key is unknown.
-    pub fn forward_remote(&mut self, update: &QueuedUpdate) -> Result<Vec<f32>> {
-        let object = self.store.get(&update.key)?;
-        self.forwarded_bytes += object.len() as u64;
-        Ok(object.as_f32_vec())
-    }
-
-    /// Transmit path for codec-encoded updates: ships the raw wire bytes (the
-    /// compressed representation crosses the network, never the dense form).
-    /// The returned handle shares the store's buffer — no copy is made.
-    ///
-    /// # Errors
-    /// Fails if the object key is unknown.
-    pub fn forward_remote_bytes(&mut self, update: &QueuedUpdate) -> Result<bytes::Bytes> {
-        let object = self.store.get(&update.key)?;
-        self.forwarded_bytes += object.len() as u64;
-        Ok(object.bytes())
-    }
-
-    /// Number of updates ingested.
-    pub fn ingested_updates(&self) -> u64 {
-        self.ingested_updates
+        self.arrivals += 1;
+        self.ingested_bytes += stored_bytes;
+        Ok(queued)
     }
 
     /// Bytes written into shared memory by this gateway (stored form: for
     /// encoded updates this includes the 16-byte codec descriptor, which is
-    /// metadata rather than data-plane payload).
+    /// metadata rather than data-plane payload; wire accounting — payload
+    /// only, [`Update::wire_bytes`] — is tracked by the callers that price
+    /// transfers).
     pub fn ingested_bytes(&self) -> u64 {
         self.ingested_bytes
-    }
-
-    /// Bytes shipped to remote gateways.
-    pub fn forwarded_bytes(&self) -> u64 {
-        self.forwarded_bytes
     }
 
     /// The shared-memory store backing this gateway.
@@ -288,141 +154,115 @@ impl Gateway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lifl_fl::codec::UpdateCodec;
+    use lifl_fl::{DenseModel, ModelUpdate};
+    use lifl_types::CodecKind;
 
-    #[test]
-    fn ingest_lands_key_in_target_queue() {
-        let store = ObjectStore::new();
-        let mut gw = Gateway::new(NodeId::new(0), store.clone());
-        let agg = AggregatorId::new(1);
-        let inbox = gw.register_aggregator(agg);
-        gw.ingest_client_update(ClientId::new(7), agg, &[1.0, 2.0], 5)
-            .unwrap();
-        assert_eq!(inbox.len(), 1);
-        let queued = inbox.dequeue().unwrap();
-        assert_eq!(queued.weight, 5);
-        assert_eq!(store.get(&queued.key).unwrap().as_f32_vec(), vec![1.0, 2.0]);
-        assert_eq!(gw.ingested_updates(), 1);
-        assert_eq!(gw.ingested_bytes(), 8);
+    /// What one row of the table must leave behind.
+    struct Expect {
+        stored: Vec<u8>,
+        producer: Option<ClientId>,
+        weight: u64,
+        encoded: bool,
     }
 
+    /// Every representation through the one door: stored bytes, producer,
+    /// weight, encoded flag, inbox delivery and `ingested_bytes`, plus the
+    /// malformed payload that must leave no trace.
     #[test]
-    fn forward_reads_payload_for_remote_shipping() {
-        let store = ObjectStore::new();
-        let mut gw_a = Gateway::new(NodeId::new(0), store.clone());
-        let mut gw_b = Gateway::new(NodeId::new(1), ObjectStore::new());
-        let agg_local = AggregatorId::new(1);
-        let agg_remote = AggregatorId::new(2);
-        gw_a.register_aggregator(agg_local);
-        let remote_inbox = gw_b.register_aggregator(agg_remote);
-
-        let queued = gw_a
-            .ingest_client_update(ClientId::new(1), agg_local, &[3.0, 4.0], 2)
-            .unwrap();
-        let payload = gw_a.forward_remote(&queued).unwrap();
-        gw_b.ingest_remote_update(agg_remote, &payload, queued.weight)
-            .unwrap();
-        assert_eq!(remote_inbox.len(), 1);
-        assert_eq!(gw_a.forwarded_bytes(), 8);
-        assert!(gw_b.store().stats().live_objects > 0);
-        assert_eq!(gw_a.node(), NodeId::new(0));
-    }
-
-    #[test]
-    fn encoded_ingest_keeps_payload_compressed_end_to_end() {
-        use lifl_fl::codec::UpdateCodec;
-        use lifl_fl::DenseModel;
-        use lifl_types::CodecKind;
-
-        let store_a = ObjectStore::new();
-        let mut gw_a = Gateway::new(NodeId::new(0), store_a.clone());
-        let mut gw_b = Gateway::new(NodeId::new(1), ObjectStore::new());
-        let agg_a = AggregatorId::new(1);
-        let agg_b = AggregatorId::new(2);
-        gw_a.register_aggregator(agg_a);
-        let inbox_b = gw_b.register_aggregator(agg_b);
-
-        let model = DenseModel::from_vec((0..64).map(|i| i as f32 * 0.1).collect());
-        let mut codec = UpdateCodec::new(CodecKind::Uniform8);
-        let encoded = codec.encode(&model);
-        let queued = gw_a
-            .ingest_encoded_update(ClientId::new(3), agg_a, &encoded, 5)
-            .unwrap();
-        assert!(queued.encoded);
-        assert_eq!(gw_a.ingested_bytes(), encoded.stored_bytes());
-        assert!(store_a.stats().bytes_saved() > 0);
-
-        // Cross-node: the compressed bytes travel, the remote store stays compressed.
-        let wire = gw_a.forward_remote_bytes(&queued).unwrap();
-        assert_eq!(wire.len() as u64, encoded.stored_bytes());
-        let remote = gw_b.ingest_remote_encoded(agg_b, wire.clone(), 5).unwrap();
-        assert!(remote.encoded);
-        assert_eq!(inbox_b.len(), 1);
-        assert!(gw_b.store().stats().encoded_puts > 0);
-    }
-
-    #[test]
-    fn polymorphic_ingest_covers_every_representation() {
-        use lifl_fl::codec::UpdateCodec;
-        use lifl_fl::{DenseModel, ModelUpdate, Update};
-        use lifl_types::CodecKind;
-
-        let store = ObjectStore::new();
-        let mut gw = Gateway::new(NodeId::new(0), store.clone());
-        let agg = AggregatorId::new(1);
-        let inbox = gw.register_aggregator(agg);
-
+    fn ingest_stores_and_delivers_every_representation() {
         let model = DenseModel::from_vec((0..32).map(|i| i as f32 * 0.5).collect());
-        // Dense without a client id: attributed to the arrival index.
-        let dense = gw
-            .ingest(
-                agg,
-                &Update::Dense(ModelUpdate::intermediate(model.clone(), 3)),
-            )
-            .unwrap();
-        assert_eq!(dense.producer, Some(ClientId::new(0)));
-        assert_eq!(dense.weight, 3);
-        assert!(!dense.encoded);
-
-        let mut codec = UpdateCodec::new(CodecKind::Uniform8);
-        let encoded = codec.encode(&model);
-        let wire = encoded.to_bytes();
-        let queued = gw
-            .ingest(agg, &Update::encoded(ClientId::new(9), encoded, 4))
-            .unwrap();
-        assert!(queued.encoded);
-
-        let remote = gw
-            .ingest(agg, &Update::remote_bytes(wire, 7, true))
-            .unwrap();
-        assert!(remote.encoded);
-        assert_eq!(remote.weight, 7);
-
-        // Remote dense bytes land byte-identical to put_f32.
-        let raw: Vec<u8> = model
+        let dense_le: Vec<u8> = model
             .as_slice()
             .iter()
             .flat_map(|v| v.to_le_bytes())
             .collect();
-        let dense_remote = gw
-            .ingest(agg, &Update::remote_bytes(raw, 2, false))
-            .unwrap();
-        assert!(!dense_remote.encoded);
-        assert_eq!(
-            store.get(&dense_remote.key).unwrap().as_f32_vec(),
-            model.as_slice()
-        );
+        let encoded = UpdateCodec::new(CodecKind::Uniform8).encode(&model);
+        let wire = encoded.to_bytes();
+        assert_eq!(wire.len() as u64, encoded.stored_bytes());
 
-        assert_eq!(inbox.len(), 4);
-        assert_eq!(gw.ingested_updates(), 4);
-        assert!(gw
-            .ingest(agg, &Update::remote_bytes(vec![1u8, 2], 1, true))
-            .is_err());
-    }
+        let rows = [
+            (
+                "dense from a client",
+                Update::dense(ClientId::new(7), model.clone(), 5),
+                Expect {
+                    stored: dense_le.clone(),
+                    producer: Some(ClientId::new(7)),
+                    weight: 5,
+                    encoded: false,
+                },
+            ),
+            (
+                "anonymous dense takes the arrival index",
+                Update::Dense(ModelUpdate::intermediate(model.clone(), 3)),
+                Expect {
+                    stored: dense_le.clone(),
+                    producer: Some(ClientId::new(1)),
+                    weight: 3,
+                    encoded: false,
+                },
+            ),
+            (
+                "encoded stays compressed",
+                Update::encoded(ClientId::new(9), encoded, 4),
+                Expect {
+                    stored: wire.clone(),
+                    producer: Some(ClientId::new(9)),
+                    weight: 4,
+                    encoded: true,
+                },
+            ),
+            (
+                "encoded remote bytes",
+                Update::remote_bytes(wire.clone(), 7, true),
+                Expect {
+                    stored: wire.clone(),
+                    producer: None,
+                    weight: 7,
+                    encoded: true,
+                },
+            ),
+            (
+                "dense remote bytes land byte-identical to put_f32",
+                Update::remote_bytes(dense_le.clone(), 2, false),
+                Expect {
+                    stored: dense_le.clone(),
+                    producer: None,
+                    weight: 2,
+                    encoded: false,
+                },
+            ),
+        ];
 
-    #[test]
-    fn forward_unknown_key_fails() {
-        let mut gw = Gateway::new(NodeId::new(0), ObjectStore::new());
-        let bogus = QueuedUpdate::intermediate(lifl_types::ObjectKey::from_words(1, 2), 1);
-        assert!(gw.forward_remote(&bogus).is_err());
+        let store = ObjectStore::new();
+        let mut gw = Gateway::new(NodeId::new(0), store.clone());
+        assert_eq!(gw.node(), NodeId::new(0));
+        let agg = AggregatorId::new(1);
+        let inbox = gw.register_aggregator(agg);
+        let mut expected_bytes = 0u64;
+        for (name, update, expect) in &rows {
+            let queued = gw.ingest(agg, update).unwrap();
+            assert_eq!(queued.producer, expect.producer, "{name}");
+            assert_eq!(queued.weight, expect.weight, "{name}");
+            assert_eq!(queued.encoded, expect.encoded, "{name}");
+            let object = gw.store().get(&queued.key).unwrap();
+            assert_eq!(object.as_slice(), expect.stored.as_slice(), "{name}");
+            // Delivered to the target's queue, key and all.
+            assert_eq!(inbox.dequeue(), Some(queued), "{name}");
+            expected_bytes += expect.stored.len() as u64;
+            assert_eq!(gw.ingested_bytes(), expected_bytes, "{name}");
+        }
+        // Encoded forms are accounted compressed, dense forms are not.
+        let stats = store.stats();
+        assert_eq!(stats.encoded_puts, 2);
+        assert!(stats.bytes_saved() > 0);
+        assert_eq!(stats.live_objects, rows.len());
+
+        // A malformed encoded payload is refused and leaves nothing behind.
+        let refused = gw.ingest(agg, &Update::remote_bytes(vec![1u8, 2], 1, true));
+        assert!(matches!(refused, Err(lifl_types::LiflError::Codec(_))));
+        assert!(inbox.is_empty());
+        assert_eq!(gw.ingested_bytes(), expected_bytes);
+        assert_eq!(store.stats().live_objects, rows.len());
     }
 }

@@ -54,6 +54,7 @@ pub mod gateway;
 pub mod gateway_scaler;
 pub mod heartbeat;
 pub mod hierarchy;
+mod ingress;
 pub mod metric_server;
 pub mod placement;
 pub mod platform;

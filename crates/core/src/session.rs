@@ -8,11 +8,12 @@
 //! error-feedback encoder and the aggregator tree described by a
 //! [`Topology`] — behind exactly two operations:
 //!
-//! * [`Session::ingest`] — the single polymorphic ingress. Every
-//!   representation an update can arrive in ([`Update::Dense`],
-//!   [`Update::Encoded`], [`Update::RemoteBytes`]) goes through the same
-//!   call; under a lossy codec, dense updates are transparently encoded with
-//!   per-client error feedback before they enter shared memory.
+//! * [`Session::try_ingest`] — the single polymorphic ingress (and
+//!   [`Session::ingest`], its strict wrapper). Every representation an
+//!   update can arrive in ([`Update::Dense`], [`Update::Encoded`],
+//!   [`Update::RemoteBytes`]) goes through the same call; under a lossy
+//!   codec, dense updates are transparently encoded with per-client error
+//!   feedback before they enter shared memory.
 //! * [`Session::drive`] — runs the configured tree to completion (leaves on
 //!   their own threads, every interior level folding child intermediates in
 //!   deterministic child order) and returns a [`SessionReport`].
@@ -27,6 +28,7 @@
 use crate::admission::AdmissionQueues;
 use crate::aggregator::AggregatorRuntime;
 use crate::gateway::Gateway;
+use crate::ingress::Ingress;
 use lifl_fl::aggregate::ModelUpdate;
 use lifl_fl::codec::{EncodedView, ErrorFeedback, UpdateCodec};
 use lifl_fl::DenseModel;
@@ -34,7 +36,7 @@ use lifl_shmem::queue::QueuedUpdate;
 use lifl_shmem::{BufferPool, InPlaceQueue, ObjectStore, StoreStats};
 use lifl_types::{
     AdmissionConfig, AdmissionOutcome, ClientId, CodecKind, FoldPolicy, LiflError, NodeId, Result,
-    RoundClose, SimDuration, Topology, WIRE_HEADER_BYTES,
+    RoundClose, Topology,
 };
 
 pub use lifl_fl::update::Update;
@@ -71,6 +73,7 @@ pub struct SessionBuilder {
     store: Option<ObjectStore>,
     pool: Option<BufferPool>,
     admission: Option<AdmissionConfig>,
+    round_close: Option<RoundClose>,
 }
 
 impl Default for SessionBuilder {
@@ -96,6 +99,7 @@ impl SessionBuilder {
             store: None,
             pool: None,
             admission: None,
+            round_close: None,
         }
     }
 
@@ -217,6 +221,14 @@ impl SessionBuilder {
         self
     }
 
+    /// Sets the rule [`Session::drive`] closes a round by without giving the
+    /// session admission queues: how a cluster lets its queue-less node
+    /// subtrees (and its top) drive partially filled under a quorum close.
+    pub(crate) fn round_close(mut self, close: RoundClose) -> Self {
+        self.round_close = Some(close);
+        self
+    }
+
     /// Builds the session: registers one gateway inbox per leaf aggregator
     /// and wires the error-feedback encoder to the scratch pool.
     ///
@@ -251,7 +263,11 @@ impl SessionBuilder {
         let feedback = ErrorFeedback::new(
             UpdateCodec::with_seed(self.codec, self.seed).with_pool(pool.clone()),
         );
-        let admission = self
+        let round_close = self
+            .round_close
+            .or(self.admission.map(|config| config.round_close))
+            .unwrap_or(RoundClose::Exact);
+        let queues = self
             .admission
             .map(|config| AdmissionQueues::new(config, leaves, pool.clone()));
         Ok(Session {
@@ -262,18 +278,14 @@ impl SessionBuilder {
             level_offset: self.level_offset,
             branch: self.branch,
             store,
+            ingress: Ingress::new(feedback, pool.clone(), queues),
             pool,
             gateway,
             leaf_inboxes,
-            feedback,
-            admission,
-            ingested: 0,
-            lifetime_ingested: 0,
+            round_close,
             ingress_wire_bytes: 0,
             round_keys: Vec::new(),
             round_entries: Vec::new(),
-            route_cursor: 0,
-            vacancies: Vec::new(),
         })
     }
 }
@@ -327,7 +339,8 @@ impl WireExport {
 
 /// One in-process aggregation session: the gateway, the shared-memory store,
 /// the codec state and an N-level aggregator tree behind a single ingress
-/// ([`Session::ingest`]) and a single driver ([`Session::drive`]).
+/// ([`Session::try_ingest`], with [`Session::ingest`] as its strict wrapper)
+/// and a single driver ([`Session::drive`]).
 ///
 /// A session is reusable: after [`Session::drive`] returns — successfully or
 /// with an aggregation error (which discards the failed round) — the next
@@ -366,14 +379,12 @@ pub struct Session {
     pool: BufferPool,
     gateway: Gateway,
     leaf_inboxes: Vec<InPlaceQueue>,
-    feedback: ErrorFeedback,
-    /// Bounded admission queues, when the streaming path is configured (see
-    /// [`SessionBuilder::admission`]).
-    admission: Option<AdmissionQueues>,
-    ingested: u64,
-    /// Successful ingests over the session's whole life (never reset):
-    /// the fallback client-id attribution for anonymous updates.
-    lifetime_ingested: u64,
+    /// Offer → slot state: error feedback, the round's fill and routing
+    /// position (slots are leaves), and the bounded admission queues when
+    /// the streaming path is configured ([`SessionBuilder::admission`]).
+    ingress: Ingress,
+    /// The rule [`Session::drive`] closes a round by.
+    round_close: RoundClose,
     ingress_wire_bytes: u64,
     /// Every object key the current round has put into the store (client
     /// payloads at ingest, intermediates per level): recycled when the round
@@ -383,14 +394,6 @@ pub struct Session {
     /// wire bytes, target leaf): what mid-round churn needs to reclaim a
     /// departed client's slot.
     round_entries: Vec<RoundEntry>,
-    /// Round-robin position of the next non-vacancy ingest. Equal to
-    /// `ingested` until churn opens a vacancy, so legacy routing is
-    /// bit-exact.
-    route_cursor: u64,
-    /// Leaves vacated by departed clients, refilled before the round-robin
-    /// cursor advances (so a replacement lands on the departed client's leaf
-    /// and survivors keep their assignment).
-    vacancies: Vec<usize>,
 }
 
 /// Per-ingest bookkeeping: enough to reclaim one client's slot mid-round.
@@ -442,106 +445,30 @@ impl Session {
 
     /// Updates ingested into the current (not yet driven) round.
     pub fn pending_updates(&self) -> u64 {
-        self.ingested
+        self.ingress.ingested()
     }
 
-    /// The single polymorphic ingress: accepts an update in whatever
-    /// representation it arrived and routes it to the next leaf aggregator
-    /// round-robin (update *k* of a round feeds leaf `k % leaves`, exactly
-    /// the distribution of the seed two-level runtime).
-    ///
-    /// Under a lossy codec, a [`Update::Dense`] ingest is transparently
-    /// encoded with the producing client's error-feedback residual before it
-    /// enters shared memory; [`Update::Encoded`] and [`Update::RemoteBytes`]
-    /// are stored in their arriving form (one-time payload processing). A
-    /// dense or encoded update missing a client id is attributed to its
-    /// session-lifetime arrival index (the same rule on every codec path).
+    /// Whether the open round can still take an update.
+    fn has_room(&self) -> bool {
+        (self.ingress.ingested() as usize) < self.topology.total_updates()
+    }
+
+    /// The strict ingress: [`Session::try_ingest`], with backpressure the
+    /// caller did not ask for turned into an error. `Admitted` and `Queued`
+    /// are both `Ok` — with an [`SessionBuilder::admission`] configuration,
+    /// overflow parks for the next round instead of failing.
     ///
     /// # Errors
-    /// Fails if the shared-memory store cannot hold the payload, on a codec
-    /// dimension mismatch, or if the round already holds a full tree's worth
-    /// of updates. A failed ingest counts nothing toward the round; note
-    /// that if the store rejects a lossy-encoded dense update, the client's
-    /// error-feedback residual already reflects the attempted encoding (the
-    /// standard feedback construction re-absorbs the loss only if the
-    /// client keeps sending).
+    /// Everything [`Session::try_ingest`] fails on, plus
+    /// [`LiflError::RoundFull`] when the round is full and the offer could
+    /// not be parked (no admission queues, or their budget is exhausted).
     pub fn ingest(&mut self, update: Update) -> Result<()> {
-        if self.ingested as usize >= self.topology.total_updates() {
-            if self.admission.is_some() {
-                // Streaming path configured: overflow routes through the
-                // bounded backpressure queues instead of erroring outright.
-                return match self.queue_offer(update)? {
-                    AdmissionOutcome::Rejected { .. } => Err(LiflError::InvalidConfig(
-                        "session round is full and the admission queue budget is exhausted"
-                            .to_string(),
-                    )),
-                    _ => Ok(()),
-                };
-            }
-            return Err(LiflError::InvalidConfig(format!(
-                "session round is full: topology aggregates {} updates",
-                self.topology.total_updates()
-            )));
+        match self.try_ingest(update)? {
+            AdmissionOutcome::Rejected { .. } => Err(LiflError::RoundFull {
+                capacity: self.topology.total_updates(),
+            }),
+            _ => Ok(()),
         }
-        // Vacated leaves (mid-round churn) refill before the round-robin
-        // cursor advances, so survivors keep their leaf assignment.
-        let vacancy = self.vacancies.pop();
-        let leaf = vacancy.unwrap_or((self.route_cursor as usize) % self.topology.leaves());
-        let target = self.aggregator_id(0, leaf);
-        // One attribution rule for every representation: anonymous updates
-        // take the session-lifetime arrival index, so residual slots never
-        // alias across rounds and the codec choice cannot change attribution.
-        let fallback = ClientId::new(self.lifetime_ingested);
-        let update = match update {
-            Update::Dense(mut dense) => {
-                let client = *dense.client.get_or_insert(fallback);
-                if self.codec.is_lossless() {
-                    Update::Dense(dense)
-                } else {
-                    // Lossy codec: the dense payload is encoded (with
-                    // per-client error feedback) before it enters shared
-                    // memory, so the compressed representation is what flows.
-                    let samples = dense.samples;
-                    self.feedback.encode_update(client, dense.model, samples)
-                }
-            }
-            Update::Encoded {
-                client,
-                update,
-                samples,
-            } => Update::Encoded {
-                client: Some(client.unwrap_or(fallback)),
-                update,
-                samples,
-            },
-            other => other,
-        };
-        let outcome = self.gateway.ingest(target, &update);
-        match &outcome {
-            Ok(queued) => {
-                // Account (and count) only what actually entered the round.
-                self.ingress_wire_bytes += update.wire_bytes();
-                self.ingested += 1;
-                self.lifetime_ingested += 1;
-                self.round_keys.push(queued.key);
-                self.round_entries.push(RoundEntry {
-                    client: queued.producer,
-                    key: queued.key,
-                    wire_bytes: update.wire_bytes(),
-                    leaf,
-                });
-                if vacancy.is_none() {
-                    self.route_cursor += 1;
-                }
-            }
-            Err(_) => {
-                if let Some(v) = vacancy {
-                    self.vacancies.push(v);
-                }
-            }
-        }
-        self.feedback.recycle_update(update);
-        outcome.map(|_| ())
     }
 
     /// Ingests a batch of updates in order (see [`Session::ingest`]).
@@ -556,169 +483,95 @@ impl Session {
         Ok(())
     }
 
-    /// The streaming ingress: offers one update and answers with typed
-    /// backpressure. While the round has room the update is admitted exactly
-    /// as [`Session::ingest`] would; once the round is full the update is
-    /// parked in a bounded per-leaf queue (`Queued{depth}`) or, when the
-    /// queue's slot/byte budget is exhausted, turned away
-    /// (`Rejected{retry_after}`). Queued clients win admission into the next
-    /// round in Oort-utility order (see
+    /// The single polymorphic ingress — the only ingest implementation:
+    /// offers one update in whatever representation it arrived
+    /// ([`Update::Dense`], [`Update::Encoded`], [`Update::RemoteBytes`]) and
+    /// answers with typed backpressure.
+    ///
+    /// Every offer is first normalised (one rule for every path, owned by
+    /// the crate's ingress module): a dense or encoded update missing a
+    /// client id is attributed to its session-lifetime arrival index, a
+    /// dense update under a lossy codec is encoded with the producing
+    /// client's error-feedback residual so the compressed form is what
+    /// enters shared memory, and encoded remote bytes are header-validated.
+    ///
+    /// While the round has room the update is then admitted: routed to the
+    /// next leaf aggregator round-robin (update *k* of a round feeds leaf
+    /// `k % leaves`, exactly the distribution of the seed two-level runtime;
+    /// a leaf vacated by [`Session::depart_client`] refills first) and
+    /// stored in its arriving form (one-time payload processing). Once the
+    /// round is full the update is parked in a bounded per-leaf queue
+    /// (`Queued{depth}`) or, when the queue's slot/byte budget is exhausted,
+    /// turned away (`Rejected{retry_after}`). Queued clients win admission
+    /// into the next round in Oort-utility order (see
     /// [`Session::record_client_utility`]). Without an
     /// [`SessionBuilder::admission`] configuration there is no backlog and
-    /// overflow is rejected with a zero retry hint.
+    /// overflow is rejected, untouched, with a zero retry hint.
     ///
     /// # Errors
-    /// Fails only on store/codec errors; a full round is an outcome, not an
-    /// error.
+    /// Fails only on store/codec errors (the store cannot hold the payload,
+    /// malformed encoded bytes); a full round is an outcome, not an error. A
+    /// failed offer counts nothing toward the round and parks nothing; note
+    /// that if the store rejects a lossy-encoded dense update, the client's
+    /// error-feedback residual already reflects the attempted encoding (the
+    /// standard feedback construction re-absorbs the loss only if the
+    /// client keeps sending).
     pub fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
-        if (self.ingested as usize) < self.topology.total_updates() {
-            self.ingest(update)?;
-            return Ok(AdmissionOutcome::Admitted);
+        if !self.has_room() {
+            return self.ingress.park(update);
         }
-        if self.admission.is_none() {
-            return Ok(AdmissionOutcome::Rejected {
-                retry_after: SimDuration::ZERO,
+        let update = self.ingress.normalise(update)?;
+        let admitted = self.admit(&update, update.client());
+        self.ingress.recycle(update);
+        admitted.map(|()| AdmissionOutcome::Admitted)
+    }
+
+    /// Stores one normalised update in the routed leaf's inbox and counts it
+    /// into the round, attributed to `producer`: the admit step both the
+    /// direct path and [`Session::drain_backlog`] end in, and the door a
+    /// cluster uses for the node it picked.
+    ///
+    /// # Errors
+    /// [`LiflError::RoundFull`] if the round has no room (never parks), or
+    /// the gateway's store/codec error; either way the route is rolled back
+    /// and nothing is counted.
+    pub(crate) fn admit(&mut self, update: &Update, producer: Option<ClientId>) -> Result<()> {
+        if !self.has_room() {
+            return Err(LiflError::RoundFull {
+                capacity: self.topology.total_updates(),
             });
         }
-        self.queue_offer(update)
+        let cursor_leaf = (self.ingress.cursor() as usize) % self.topology.leaves();
+        let route = self.ingress.route(None, cursor_leaf);
+        let target = self.aggregator_id(0, route.slot);
+        let stored = self.gateway.store_and_deliver(target, update, producer);
+        if let Ok(queued) = &stored {
+            // Account only what actually entered the round.
+            let wire_bytes = update.wire_bytes();
+            self.ingress_wire_bytes += wire_bytes;
+            self.round_keys.push(queued.key);
+            self.round_entries.push(RoundEntry {
+                client: queued.producer,
+                key: queued.key,
+                wire_bytes,
+                leaf: route.slot,
+            });
+        }
+        self.ingress.settle(route, stored.is_ok());
+        stored.map(|_| ())
     }
 
-    /// Normalises an overflow update to wire form and parks it in the
-    /// admission queues (the round is full).
-    fn queue_offer(&mut self, update: Update) -> Result<AdmissionOutcome> {
-        // Same attribution and lossy-encode rules as the admitted path, so a
-        // queued-then-drained update flows exactly as a direct ingest would.
-        let fallback = ClientId::new(self.lifetime_ingested);
-        let update = match update {
-            Update::Dense(mut dense) => {
-                let client = *dense.client.get_or_insert(fallback);
-                if self.codec.is_lossless() {
-                    Update::Dense(dense)
-                } else {
-                    let samples = dense.samples;
-                    self.feedback.encode_update(client, dense.model, samples)
-                }
-            }
-            other => other,
-        };
-        let outcome = match &update {
-            Update::Dense(dense) => {
-                let mut wire = self.pool.checkout_bytes(dense.model.dim() * 4);
-                for v in dense.model.as_slice() {
-                    wire.extend_from_slice(&v.to_le_bytes());
-                }
-                let outcome = match self.admission.as_mut() {
-                    Some(queues) => queues.offer(dense.client, &wire, dense.samples, false),
-                    None => AdmissionOutcome::Rejected {
-                        retry_after: SimDuration::ZERO,
-                    },
-                };
-                self.pool.checkin_bytes(wire);
-                outcome
-            }
-            Update::Encoded {
-                client,
-                update: encoded,
-                samples,
-            } => {
-                let wire = encoded.to_bytes();
-                match self.admission.as_mut() {
-                    Some(queues) => queues.offer(*client, &wire, *samples, true),
-                    None => AdmissionOutcome::Rejected {
-                        retry_after: SimDuration::ZERO,
-                    },
-                }
-            }
-            Update::RemoteBytes {
-                wire,
-                weight,
-                encoded,
-            } => {
-                if *encoded {
-                    // Malformed encoded payloads are refused up front, just
-                    // as the direct ingress refuses them.
-                    EncodedView::parse(wire)?;
-                }
-                match self.admission.as_mut() {
-                    Some(queues) => queues.offer(None, wire, *weight, *encoded),
-                    None => AdmissionOutcome::Rejected {
-                        retry_after: SimDuration::ZERO,
-                    },
-                }
-            }
-        };
-        self.feedback.recycle_update(update);
-        Ok(outcome)
-    }
-
-    /// Drains queued offers into the open round — globally best first
+    /// Drains parked offers into the open round — globally best first
     /// (utility desc, arrival asc) — until the round is full or the backlog
-    /// is empty. Called automatically when a driven round opens the next
-    /// one.
+    /// is empty. An offer that fails to admit is dropped and the next one is
+    /// tried. Called automatically when a driven round opens the next one.
     fn drain_backlog(&mut self) {
-        while (self.ingested as usize) < self.topology.total_updates() {
-            let Some(offer) = self.admission.as_mut().and_then(AdmissionQueues::take_best) else {
+        while self.has_room() {
+            let Some((update, producer)) = self.ingress.take_parked() else {
                 break;
             };
-            if self
-                .ingest_prepared(offer.client, offer.payload, offer.weight, offer.encoded)
-                .is_err()
-            {
-                break;
-            }
-        }
-    }
-
-    /// Ingests a payload that is already in wire form, preserving its client
-    /// attribution (the drain half of the admission path; also the cluster's
-    /// re-offer path). Routing follows the same vacancy-then-round-robin
-    /// rule as [`Session::ingest`].
-    pub(crate) fn ingest_prepared(
-        &mut self,
-        client: Option<ClientId>,
-        payload: Vec<u8>,
-        weight: u64,
-        encoded: bool,
-    ) -> Result<()> {
-        if self.ingested as usize >= self.topology.total_updates() {
-            return Err(LiflError::InvalidConfig(format!(
-                "session round is full: topology aggregates {} updates",
-                self.topology.total_updates()
-            )));
-        }
-        let vacancy = self.vacancies.pop();
-        let leaf = vacancy.unwrap_or((self.route_cursor as usize) % self.topology.leaves());
-        let target = self.aggregator_id(0, leaf);
-        let wire_bytes = if encoded {
-            (payload.len() as u64).saturating_sub(WIRE_HEADER_BYTES)
-        } else {
-            payload.len() as u64
-        };
-        match self
-            .gateway
-            .ingest_prepared(target, client, payload, weight, encoded)
-        {
-            Ok(queued) => {
-                self.ingress_wire_bytes += wire_bytes;
-                self.ingested += 1;
-                self.lifetime_ingested += 1;
-                self.round_keys.push(queued.key);
-                self.round_entries.push(RoundEntry {
-                    client: queued.producer,
-                    key: queued.key,
-                    wire_bytes,
-                    leaf,
-                });
-                if vacancy.is_none() {
-                    self.route_cursor += 1;
-                }
-                Ok(())
-            }
-            Err(e) => {
-                if let Some(v) = vacancy {
-                    self.vacancies.push(v);
-                }
-                Err(e)
+            if self.admit(&update, producer).is_err() {
+                self.ingress.drop_parked();
             }
         }
     }
@@ -731,10 +584,7 @@ impl Session {
     /// position and the surviving fold stays bit-exact. Returns `true` if
     /// anything (slot or queued offer) was reclaimed.
     pub fn depart_client(&mut self, client: ClientId) -> bool {
-        let mut departed = false;
-        if let Some(queues) = self.admission.as_mut() {
-            departed = queues.remove_client(client) > 0;
-        }
+        let mut departed = self.ingress.remove_parked(client);
         while let Some(pos) = self
             .round_entries
             .iter()
@@ -752,9 +602,8 @@ impl Session {
             if let Some(kpos) = self.round_keys.iter().position(|k| *k == entry.key) {
                 self.round_keys.remove(kpos);
             }
-            self.ingested = self.ingested.saturating_sub(1);
             self.ingress_wire_bytes = self.ingress_wire_bytes.saturating_sub(entry.wire_bytes);
-            self.vacancies.push(entry.leaf);
+            self.ingress.vacate(entry.leaf);
             departed = true;
         }
         // Refill vacated slots from the backlog (highest utility first).
@@ -765,9 +614,7 @@ impl Session {
     /// Records a client's Oort utility score for admission priority (no-op
     /// without an admission configuration).
     pub fn record_client_utility(&mut self, client: ClientId, utility: f64) {
-        if let Some(queues) = self.admission.as_mut() {
-            queues.record_utility(client, utility);
-        }
+        self.ingress.record_utility(client, utility);
     }
 
     /// The producing clients of the current round's updates, in arrival
@@ -778,31 +625,24 @@ impl Session {
 
     /// The admission configuration, when the streaming path is enabled.
     pub fn admission_config(&self) -> Option<&AdmissionConfig> {
-        self.admission.as_ref().map(AdmissionQueues::config)
+        self.ingress.config()
     }
 
     /// Occupancy of every per-leaf admission queue (empty without an
     /// admission configuration).
     pub fn queue_depths(&self) -> Vec<usize> {
-        self.admission
-            .as_ref()
-            .map_or_else(Vec::new, |q| q.depths())
+        self.ingress.depths()
     }
 
     /// Total updates parked in the admission queues.
     pub fn queued_updates(&self) -> usize {
-        self.admission
-            .as_ref()
-            .map_or(0, AdmissionQueues::total_queued)
+        self.ingress.queued()
     }
 
     /// Lifetime admission counters (zero-default without an admission
     /// configuration).
     pub fn admission_stats(&self) -> crate::admission::AdmissionStats {
-        self.admission
-            .as_ref()
-            .map(AdmissionQueues::stats)
-            .unwrap_or_default()
+        self.ingress.stats()
     }
 
     /// Drives the configured tree to completion over the ingested updates and
@@ -827,7 +667,7 @@ impl Session {
             update: ModelUpdate::intermediate(model, weight),
             store_stats: self.store.stats(),
             ingress_wire_bytes: self.ingress_wire_bytes,
-            updates_ingested: self.ingested,
+            updates_ingested: self.ingress.ingested(),
             topology: self.topology.clone(),
         });
         // Success or aggregation failure, the round is over: free its store
@@ -839,21 +679,17 @@ impl Session {
         report
     }
 
-    /// Checks the round may close: an exact fill under the legacy policy, or
-    /// the configured quorum under partial participation.
+    /// Checks the round may close: an exact fill by default, or the
+    /// configured quorum under partial participation.
     fn validate_round(&self) -> Result<()> {
-        let close = self
-            .admission
-            .as_ref()
-            .map_or(RoundClose::Exact, |q| q.config().round_close);
-        match close {
-            RoundClose::Exact => self.topology.validate(self.ingested as usize),
-            RoundClose::Quorum { .. } => {
+        let ingested = self.ingress.ingested() as usize;
+        match self.round_close {
+            RoundClose::Exact => self.topology.validate(ingested),
+            close @ RoundClose::Quorum { .. } => {
                 let required = close.required_updates(self.topology.total_updates());
-                if (self.ingested as usize) < required {
+                if ingested < required {
                     return Err(LiflError::InvalidConfig(format!(
-                        "quorum not met: round has {} of {} required updates",
-                        self.ingested, required
+                        "quorum not met: round has {ingested} of {required} required updates"
                     )));
                 }
                 Ok(())
@@ -880,7 +716,7 @@ impl Session {
                 update: Update::remote_bytes(object.bytes(), result.weight, result.encoded),
                 store_stats: self.store.stats(),
                 ingress_wire_bytes: self.ingress_wire_bytes,
-                updates_ingested: self.ingested,
+                updates_ingested: self.ingress.ingested(),
             })
         });
         self.reset_round();
@@ -915,7 +751,7 @@ impl Session {
     /// bit-exact.
     fn drive_tree(&mut self) -> Result<QueuedUpdate> {
         let levels = self.topology.levels();
-        let full = self.ingested as usize == self.topology.total_updates();
+        let full = !self.has_room();
         let mut stations: Vec<(usize, InPlaceQueue)> = self
             .leaf_inboxes
             .iter()
@@ -990,11 +826,9 @@ impl Session {
         for key in self.round_keys.drain(..) {
             let _ = self.store.recycle(&key);
         }
-        self.ingested = 0;
+        self.ingress.reset_round();
         self.ingress_wire_bytes = 0;
         self.round_entries.clear();
-        self.route_cursor = 0;
-        self.vacancies.clear();
     }
 
     /// Runs every listed station (position, inbox) of one level on its own
@@ -1110,6 +944,7 @@ impl lifl_fl::Ingest for Session {
 mod tests {
     use super::*;
     use lifl_fl::aggregate::fedavg;
+    use lifl_types::SimDuration;
 
     fn updates(n: usize, dim: usize) -> Vec<ModelUpdate> {
         (0..n)
@@ -1459,13 +1294,74 @@ mod tests {
                 retry_after: SimDuration::from_millis(250.0)
             }
         );
-        // The legacy strict ingress reports budget exhaustion as an error.
-        let err = session
-            .ingest(Update::Dense(batch[6].clone()))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("admission queue budget is exhausted"), "{err}");
+        // The strict ingress reports budget exhaustion as the typed error.
+        assert_eq!(
+            session.ingest(Update::Dense(batch[6].clone())),
+            Err(LiflError::RoundFull { capacity: 4 })
+        );
         assert_eq!(session.admission_stats().rejected, 2);
+    }
+
+    #[test]
+    fn drain_drops_an_offer_that_fails_to_admit_and_keeps_draining() {
+        let batch = updates(7, 8);
+        let mut session = SessionBuilder::new()
+            .two_level(2, 2)
+            .admission(AdmissionConfig::bounded(8, 1 << 20))
+            .build()
+            .unwrap();
+        for u in &batch[..4] {
+            session.ingest(Update::Dense(u.clone())).unwrap();
+        }
+        // A poisoned encoded payload slipped into the backlog behind the
+        // session's back (try_ingest itself refuses it), ahead of two valid
+        // offers.
+        let queues = session.ingress.queues_mut().expect("admission is on");
+        assert!(queues.offer(None, &[1u8, 2], 1, true).is_queued());
+        for u in &batch[4..6] {
+            assert!(session
+                .try_ingest(Update::Dense(u.clone()))
+                .unwrap()
+                .is_queued());
+        }
+        let idle_before = session.pool().stats().idle_buffers;
+        session.drive().unwrap();
+        // The poisoned offer was dropped — never counted as drained, its
+        // buffer back in the pool — and both valid offers behind it drained.
+        assert_eq!(session.pending_updates(), 2);
+        assert_eq!(session.queued_updates(), 0);
+        let stats = session.admission_stats();
+        assert_eq!((stats.drained, stats.dropped), (2, 1));
+        assert!(session.pool().stats().idle_buffers > idle_before);
+        session.ingest(Update::Dense(batch[6].clone())).unwrap();
+        assert_eq!(session.round_clients().len(), 3);
+    }
+
+    #[test]
+    fn a_failed_admit_hands_its_vacancy_back() {
+        // Room for the round's four 32-byte updates and little else.
+        let mut session = SessionBuilder::new()
+            .two_level(2, 2)
+            .store(ObjectStore::with_capacity(140))
+            .build()
+            .unwrap();
+        session
+            .ingest_all(updates(4, 8).into_iter().map(Update::Dense))
+            .unwrap();
+        assert!(session.depart_client(ClientId::new(1)));
+        // Routed into client 1's vacancy on leaf 1, then refused by the
+        // store: the vacancy must reopen and the cursor must not move.
+        let too_big = Update::dense(ClientId::new(8), DenseModel::from_vec(vec![0.5; 32]), 1);
+        assert!(matches!(
+            session.try_ingest(too_big),
+            Err(LiflError::OutOfSharedMemory { .. })
+        ));
+        assert_eq!(session.pending_updates(), 3);
+        assert_eq!(session.ingress.cursor(), 4);
+        let fits = Update::dense(ClientId::new(9), DenseModel::from_vec(vec![0.5; 8]), 1);
+        assert!(session.try_ingest(fits).unwrap().is_admitted());
+        assert_eq!(session.round_entries.last().map(|e| e.leaf), Some(1));
+        assert_eq!(session.ingress.cursor(), 4);
     }
 
     #[test]

@@ -21,9 +21,9 @@ use lifl_fl::metrics::accuracy_percent;
 use lifl_fl::model::DenseModel;
 use lifl_fl::population::Population;
 use lifl_fl::trainer::{LocalTrainer, TrainerConfig};
-use lifl_fl::{Ingest, Update};
+use lifl_fl::{Ingest, RoundAggregate, Update};
 use lifl_simcore::SimRng;
-use lifl_types::{ClientId, CodecKind, LiflError, Result, SimDuration, SimTime};
+use lifl_types::{AdmissionOutcome, ClientId, CodecKind, LiflError, Result, SimDuration, SimTime};
 use std::collections::BTreeSet;
 
 /// Configuration of the backend-generic training driver.
@@ -96,6 +96,16 @@ pub struct TrainingRound {
     /// the *next* round (always zero outside
     /// [`TrainingConfig::streaming`] mode).
     pub queued: u64,
+}
+
+/// What the first half of a round (select → train → deliver) hands to the
+/// second (adopt → evaluate → record).
+#[derive(Debug, Default)]
+struct Delivery {
+    loss_sum: f64,
+    trained: usize,
+    dropped: u64,
+    queued: u64,
 }
 
 /// Runs synchronous multi-round FedAvg over any [`Ingest`] backend.
@@ -244,7 +254,31 @@ impl<B: Ingest> TrainingDriver<B> {
     /// *every* failure path — including an aggregation failure — so the
     /// driver stays reusable.
     pub fn run_round(&mut self, rng: &mut SimRng) -> Result<TrainingRound> {
-        let round = self.history.len() + 1;
+        let delivery = self.deliver_round(rng, |_, _, _| {})?;
+        match self.backend.aggregate_round() {
+            Ok(aggregate) => Ok(self.adopt_round(aggregate, delivery)),
+            Err(error) => {
+                // The documented contract: a failed round never leaks
+                // backend state into the next one.
+                self.backend.discard_round();
+                Err(error)
+            }
+        }
+    }
+
+    /// The first half of a round: select participants, train each locally
+    /// and deliver every update through the backend's ingress. `on_trained`
+    /// sees each trained update (client, model, samples) before it is handed
+    /// to the backend.
+    ///
+    /// # Errors
+    /// Fails if the selection cannot fill the backend's tree or an ingest
+    /// fails; the backend's round is discarded either way.
+    fn deliver_round(
+        &mut self,
+        rng: &mut SimRng,
+        mut on_trained: impl FnMut(ClientId, &DenseModel, u64),
+    ) -> Result<Delivery> {
         let participants = self.population.select_round(rng);
         let capacity = self.backend.round_capacity();
         let stragglers = std::mem::take(&mut self.stragglers);
@@ -280,10 +314,8 @@ impl<B: Ingest> TrainingDriver<B> {
         for client in &participants {
             monitor.register(client.id, round_start);
         }
-        let mut loss_sum = 0.0;
-        let mut trained = 0usize;
+        let mut delivery = Delivery::default();
         let mut delivered = 0usize;
-        let mut queued = 0u64;
         for client in &participants {
             if !self.config.streaming && delivered == capacity {
                 // The tree is full: the remaining spares stay idle.
@@ -296,74 +328,70 @@ impl<B: Ingest> TrainingDriver<B> {
             }
             let shard = self.dataset.shard(client.id);
             let (local, loss) = self.trainer.train(&self.global, shard, rng);
-            loss_sum += loss;
-            trained += 1;
+            delivery.loss_sum += loss;
+            delivery.trained += 1;
             let samples = shard.len().max(1) as u64;
+            on_trained(client.id, &local, samples);
             let update = Update::dense(client.id, local, samples);
-            if self.config.streaming {
-                match self.backend.try_ingest(update) {
-                    Ok(lifl_types::AdmissionOutcome::Admitted) => {
-                        monitor.complete(client.id);
-                        delivered += 1;
-                    }
-                    Ok(lifl_types::AdmissionOutcome::Queued { .. }) => {
-                        // Parked for the next round; not a straggler.
-                        monitor.complete(client.id);
-                        queued += 1;
-                    }
-                    Ok(lifl_types::AdmissionOutcome::Rejected { .. }) => {
-                        // Queue budget exhausted: the delivery is turned
-                        // away and the client is cut off at the timeout.
-                    }
-                    Err(error) => {
-                        self.backend.discard_round();
-                        return Err(error);
-                    }
-                }
+            let outcome = if self.config.streaming {
+                self.backend.try_ingest(update)
             } else {
-                if let Err(error) = self.backend.ingest_update(update) {
+                self.backend
+                    .ingest_update(update)
+                    .map(|()| AdmissionOutcome::Admitted)
+            };
+            match outcome {
+                Ok(AdmissionOutcome::Admitted) => {
+                    monitor.complete(client.id);
+                    delivered += 1;
+                }
+                Ok(AdmissionOutcome::Queued { .. }) => {
+                    // Parked for the next round; not a straggler.
+                    monitor.complete(client.id);
+                    delivery.queued += 1;
+                }
+                Ok(AdmissionOutcome::Rejected { .. }) => {
+                    // Queue budget exhausted: the delivery is turned
+                    // away and the client is cut off at the timeout.
+                }
+                Err(error) => {
                     self.backend.discard_round();
                     return Err(error);
                 }
-                monitor.complete(client.id);
-                delivered += 1;
             }
         }
         let cutoff = round_start + self.config.straggler_timeout + SimDuration::from_secs(1.0);
-        let dropped = monitor.take_failed(cutoff).len() as u64;
+        delivery.dropped = monitor.take_failed(cutoff).len() as u64;
         if !self.config.streaming && delivered < capacity {
             self.backend.discard_round();
             return Err(LiflError::InvalidConfig(format!(
                 "only {delivered} of {capacity} updates arrived before the \
-                 straggler timeout ({dropped} clients cut off)"
+                 straggler timeout ({} clients cut off)",
+                delivery.dropped
             )));
         }
-        let aggregate = match self.backend.aggregate_round() {
-            Ok(aggregate) => aggregate,
-            Err(error) => {
-                // The documented contract: a failed round never leaks
-                // backend state into the next one.
-                self.backend.discard_round();
-                return Err(error);
-            }
-        };
+        Ok(delivery)
+    }
+
+    /// The second half of a round: adopt the backend's aggregate as the
+    /// global model, evaluate if this round is due, and record the outcome.
+    fn adopt_round(&mut self, aggregate: RoundAggregate, delivery: Delivery) -> TrainingRound {
+        let round = self.history.len() + 1;
         self.global = aggregate.update.model;
-        let accuracy = if round.is_multiple_of(self.config.eval_every.max(1)) {
-            Some(self.evaluate())
-        } else {
-            None
-        };
+        let accuracy = round
+            .is_multiple_of(self.config.eval_every.max(1))
+            .then(|| self.evaluate());
         let outcome = TrainingRound {
             round,
             updates: aggregate.updates_ingested,
             accuracy,
-            train_loss: loss_sum / trained.max(1) as f64,
+            train_loss: delivery.loss_sum / delivery.trained.max(1) as f64,
             ingress_wire_bytes: aggregate.ingress_wire_bytes,
-            dropped,
-            queued,
+            dropped: delivery.dropped,
+            queued: delivery.queued,
         };
         self.history.push(outcome.clone());
-        Ok(outcome)
+        outcome
     }
 
     /// Runs all configured rounds and returns the history.
@@ -398,39 +426,21 @@ impl TrainingDriver<Cluster> {
     /// undisturbed round, so the aggregate matches a failure-free round to
     /// floating-point tolerance, not bit-exactly.
     ///
+    /// The round itself is [`TrainingDriver::run_round`]'s — same selection,
+    /// training, delivery and adoption — with every trained update cached
+    /// and the retry/restore policy above wrapped around the aggregation.
+    ///
     /// # Errors
     /// Same conditions as [`TrainingDriver::run_round`], plus
     /// [`LiflError::AggregatorFailure`] after a top-host kill (with the
     /// global model already restored from the checkpoint).
     pub fn run_round_resilient(&mut self, rng: &mut SimRng) -> Result<TrainingRound> {
-        let round = self.history.len() + 1;
-        let participants = self.population.select_round(rng);
-        let capacity = self.backend.round_capacity();
-        if participants.len() != capacity {
-            return Err(LiflError::InvalidConfig(format!(
-                "round selected {} participants but the backend tree \
-                 aggregates exactly {capacity}",
-                participants.len()
-            )));
-        }
         // Cache every trained update so a node kill only costs a re-send,
         // not a re-train.
-        let mut cached: Vec<(ClientId, DenseModel, u64)> = Vec::with_capacity(participants.len());
-        let mut loss_sum = 0.0;
-        for client in &participants {
-            let shard = self.dataset.shard(client.id);
-            let (local, loss) = self.trainer.train(&self.global, shard, rng);
-            loss_sum += loss;
-            let samples = shard.len().max(1) as u64;
-            cached.push((client.id, local.clone(), samples));
-            if let Err(error) = self
-                .backend
-                .ingest_update(Update::dense(client.id, local, samples))
-            {
-                self.backend.discard_round();
-                return Err(error);
-            }
-        }
+        let mut cached: Vec<(ClientId, DenseModel, u64)> = Vec::new();
+        let delivery = self.deliver_round(rng, |client, model, samples| {
+            cached.push((client, model.clone(), samples));
+        })?;
         let mut attempts = 0usize;
         let aggregate = loop {
             match self.backend.aggregate_round() {
@@ -472,23 +482,7 @@ impl TrainingDriver<Cluster> {
                 }
             }
         };
-        self.global = aggregate.update.model;
-        let accuracy = if round.is_multiple_of(self.config.eval_every.max(1)) {
-            Some(self.evaluate())
-        } else {
-            None
-        };
-        let outcome = TrainingRound {
-            round,
-            updates: aggregate.updates_ingested,
-            accuracy,
-            train_loss: loss_sum / participants.len().max(1) as f64,
-            ingress_wire_bytes: aggregate.ingress_wire_bytes,
-            dropped: 0,
-            queued: 0,
-        };
-        self.history.push(outcome.clone());
-        Ok(outcome)
+        Ok(self.adopt_round(aggregate, delivery))
     }
 }
 

@@ -39,8 +39,9 @@ pub trait Ingest {
     /// it arrived.
     ///
     /// # Errors
-    /// Fails if the round is already full, or on any store/codec error. A
-    /// failed ingest counts nothing toward the round.
+    /// Fails with [`LiflError::RoundFull`](lifl_types::LiflError::RoundFull)
+    /// if the round is already full, or on any store/codec error. A failed
+    /// ingest counts nothing toward the round.
     fn ingest_update(&mut self, update: Update) -> Result<()>;
 
     /// Offers one update under admission control, answering with typed
@@ -57,11 +58,9 @@ pub trait Ingest {
     fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
         match self.ingest_update(update) {
             Ok(()) => Ok(AdmissionOutcome::Admitted),
-            Err(lifl_types::LiflError::InvalidConfig(msg)) if msg.contains("round is full") => {
-                Ok(AdmissionOutcome::Rejected {
-                    retry_after: lifl_types::SimDuration::ZERO,
-                })
-            }
+            Err(lifl_types::LiflError::RoundFull { .. }) => Ok(AdmissionOutcome::Rejected {
+                retry_after: lifl_types::SimDuration::ZERO,
+            }),
             Err(e) => Err(e),
         }
     }

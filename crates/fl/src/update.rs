@@ -54,9 +54,9 @@ pub enum Update {
         samples: u64,
     },
     /// Raw wire bytes forwarded from a remote node's gateway, exactly as
-    /// `Gateway::forward_remote_bytes` shipped them: the self-describing
-    /// encoded form when `encoded`, headerless little-endian `f32`
-    /// parameters otherwise.
+    /// `Session::drive_to_wire` exported them from the node's store: the
+    /// self-describing encoded form when `encoded`, headerless little-endian
+    /// `f32` parameters otherwise.
     RemoteBytes {
         /// The forwarded payload.
         wire: bytes::Bytes,

@@ -23,7 +23,7 @@ pub const HOT_PATH_CRATES: [&str; 5] = [
 /// Modules whose bit-exact determinism the `it`/`faults` tiers prove (R5):
 /// the fold kernels and everything that routes updates into them. Entries
 /// ending in `/` cover a directory.
-pub const FOLD_MODULES: [&str; 15] = [
+pub const FOLD_MODULES: [&str; 16] = [
     "crates/types/src/fold.rs",
     "crates/fl/src/aggregate.rs",
     "crates/fl/src/sharded.rs",
@@ -37,6 +37,7 @@ pub const FOLD_MODULES: [&str; 15] = [
     "crates/core/src/gateway.rs",
     "crates/core/src/aggregator.rs",
     "crates/core/src/admission.rs",
+    "crates/core/src/ingress.rs",
     "crates/serverless/src/fleet.rs",
     "crates/shmem/src/backlog.rs",
 ];
@@ -652,11 +653,21 @@ pub fn determinism(files: &[SourceFile]) -> Vec<Finding> {
 // R6: the legacy runtime stays deleted.
 // ---------------------------------------------------------------------------
 
+/// The representation-specific gateway doors PR 12 folded into the one
+/// polymorphic `Gateway::ingest`.
+const DELETED_GATEWAY_DOORS: [&str; 4] = [
+    "ingest_client_update",
+    "ingest_encoded_update",
+    "ingest_remote_encoded",
+    "ingest_remote_update",
+];
+
 /// R6: the legacy runtime deleted in PR 6 (`crates/core/src/runtime.rs`, the
 /// `run_hierarchical*` entry points and their `#[allow(deprecated)]` escape
-/// hatches) must stay deleted. Unlike the shell guard this replaces, the
-/// check runs on code tokens, so prose in comments and string literals can
-/// mention the old names freely.
+/// hatches) and the per-representation gateway doors deleted in PR 12
+/// (`DELETED_GATEWAY_DOORS`) must stay deleted. Unlike the shell guard
+/// this replaces, the check runs on code tokens, so prose in comments and
+/// string literals can mention the old names freely.
 pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     if root.join("crates/core/src/runtime.rs").exists() {
@@ -684,6 +695,17 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
                     format!(
                         "`{}` references the legacy runtime deleted in PR 6; port \
                          the call site onto Session/Cluster (see MIGRATION.md)",
+                        t.text
+                    ),
+                ));
+            } else if DELETED_GATEWAY_DOORS.contains(&t.text.as_str()) {
+                out.push(finding(
+                    f,
+                    t.line,
+                    Rule::LegacyRuntime,
+                    format!(
+                        "`{}` is one of the per-representation gateway doors deleted \
+                         in PR 12; go through `Gateway::ingest` (see MIGRATION.md)",
                         t.text
                     ),
                 ));

@@ -133,6 +133,15 @@ fn r6_fail_flags_file_path_call_and_deprecated_allow() {
     assert!(found.iter().any(|f| f.contains("`run_hierarchical`")));
     assert!(found.iter().any(|f| f.contains("`runtime::` path")));
     assert!(found.iter().any(|f| f.contains("`#[allow(deprecated)]`")));
+    // The gateway doors deleted in PR 12: definition and call site both.
+    let doors: Vec<&String> = found
+        .iter()
+        .filter(|f| f.contains("`ingest_client_update`") && f.contains("deleted in PR 12"))
+        .collect();
+    assert_eq!(doors.len(), 2, "{found:#?}");
+    assert!(doors
+        .iter()
+        .any(|f| f.contains("crates/core/src/gateway.rs:4")));
 }
 
 #[test]

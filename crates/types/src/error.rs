@@ -65,6 +65,13 @@ pub enum LiflError {
         /// Index of the failed node within the cluster.
         node: u64,
     },
+    /// A strict ingest found the round already holding every update its tree
+    /// aggregates, with no admission queue (or no queue budget) left to park
+    /// the offer in.
+    RoundFull {
+        /// Updates one round of the backend's tree aggregates.
+        capacity: usize,
+    },
 }
 
 impl fmt::Display for LiflError {
@@ -106,6 +113,11 @@ impl fmt::Display for LiflError {
             LiflError::AggregatorFailure { node } => {
                 write!(f, "top aggregator host node {node} failed, round lost")
             }
+            LiflError::RoundFull { capacity } => write!(
+                f,
+                "round is full: it already holds the {capacity} updates its tree aggregates \
+                 and no admission queue budget is left to park the offer"
+            ),
         }
     }
 }
@@ -128,6 +140,13 @@ mod tests {
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<LiflError>();
+    }
+
+    #[test]
+    fn round_full_keeps_its_wording_and_capacity() {
+        let text = LiflError::RoundFull { capacity: 8 }.to_string();
+        assert!(text.contains("round is full"), "{text}");
+        assert!(text.contains('8'), "{text}");
     }
 
     #[test]

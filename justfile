@@ -8,7 +8,7 @@
 default: ci
 
 # Everything CI runs, in CI order.
-ci: lint-lifl lint doc build test alloc faults test-scalar scale bench-check bench-baseline-check bench-ingest-check smoke
+ci: lint-lifl lint doc build test alloc faults test-scalar scale bench-check bench-baseline-check bench-ingest-check benchmark-check smoke
 
 # Repo invariants (unsafe containment, SAFETY comments, kernel parity,
 # panic freedom, fold determinism, no legacy runtime, justfile↔CI sync) as
@@ -86,6 +86,13 @@ bench-ingest:
 bench-ingest-check:
     cargo run --release -p lifl-bench --bin bench_ingest -- --quick --out target/bench_ingest_quick.json
     cargo run --release -p lifl-bench --bin bench_ingest -- --check BENCH_ingest.json
+
+# CI gate for the whole-round benchmark (benchmark/, BENCHMARK.json): builds
+# its engine adapter against the current engine API — the package is outside
+# the root workspace, so nothing else compiles it — then validates the spec;
+# prints `BENCHMARK.json: ok`.
+benchmark-check:
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check BENCHMARK.json
 
 # CI smoke steps: the quickstart and cluster-federation examples run end to
 # end (the latter asserts cluster/session bit-exactness inline).
