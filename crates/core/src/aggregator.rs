@@ -315,10 +315,14 @@ impl AggregatorRuntime {
         let queued = match &mut self.codec {
             Some(codec) if !codec.kind().is_lossless() => {
                 let encoded = codec.encode(&result.model);
-                let key = self
+                let put = self
                     .store
-                    .put_encoded(encoded.to_bytes(), encoded.dense_bytes())?;
-                QueuedUpdate::intermediate(key, result.samples).encoded()
+                    .put_encoded(encoded.to_bytes(), encoded.dense_bytes());
+                // The store holds its own copy: the encode body goes back to
+                // the pool for the next re-encode, whether or not the put
+                // succeeded.
+                codec.recycle(encoded);
+                QueuedUpdate::intermediate(put?, result.samples).encoded()
             }
             _ => {
                 let key = self.store.put_f32(result.model.as_slice())?;
@@ -488,13 +492,14 @@ mod tests {
 
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
+        let pool = lifl_shmem::BufferPool::new();
         let mut agg = AggregatorRuntime::with_codec(
             AggregatorId::new(1),
             AggregatorRole::Leaf,
             2,
             store.clone(),
             inbox.clone(),
-            UpdateCodec::new(CodecKind::Uniform8),
+            UpdateCodec::new(CodecKind::Uniform8).with_pool(pool.clone()),
         )
         .unwrap();
         // Client updates arrive already encoded (as the gateway stores them);
@@ -520,6 +525,8 @@ mod tests {
         // Weighted mean is 3.5 * (1 + d/32), within quantization error.
         assert!((decoded.as_slice()[0] - 3.5).abs() < 0.3);
         assert!((decoded.as_slice()[63] - 3.5 * (1.0 + 63.0 / 32.0)).abs() < 0.3);
+        // The re-encode body went back to the pool for the next send.
+        assert_eq!(pool.stats().idle_buffers, 1);
         // The store really held compressed payloads.
         assert!(store.stats().encoded_puts >= 3);
         assert!(store.stats().bytes_saved() > 0);

@@ -202,8 +202,8 @@ impl SessionBuilder {
         self
     }
 
-    /// Injects the scratch-buffer pool the codecs draw encode bodies and
-    /// compensation buffers from, instead of creating a fresh one.
+    /// Injects the scratch-buffer pool the codecs draw encode bodies from,
+    /// instead of creating a fresh one.
     pub fn pool(mut self, pool: BufferPool) -> Self {
         self.pool = Some(pool);
         self

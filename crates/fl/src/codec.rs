@@ -12,7 +12,9 @@
 //!   rounds is not systematically dragged; the worst-case per-element error is
 //!   one quantization step (`scale`), half a step in expectation.
 //! * **TopK** — magnitude sparsification; only the largest-magnitude
-//!   coordinates travel as `(index, value)` pairs.
+//!   coordinates travel as `(index, value)` pairs, sorted by index. Which
+//!   ones is an exact selection under the total order documented at
+//!   [`kernels::select_topk`].
 //!
 //! [`ErrorFeedback`] keeps a per-client residual (the part of each update the
 //! codec dropped) and folds it into the client's next transmission, the
@@ -39,7 +41,7 @@ use crate::model::DenseModel;
 use crate::update::Update;
 use lifl_shmem::BufferPool;
 use lifl_types::{ClientId, CodecKind, LiflError, Result, WIRE_HEADER_BYTES};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Codec tags used in byte 0 of the wire header.
 const TAG_IDENTITY: u8 = 0;
@@ -198,6 +200,11 @@ impl<'a> EncodedView<'a> {
             TAG_TOPK => CodecKind::TopK { permille },
             other => return Err(LiflError::Codec(format!("unknown codec tag {other}"))),
         };
+        if matches!(codec, CodecKind::TopK { .. }) && kept > dim {
+            return Err(LiflError::Codec(format!(
+                "top-k header keeps {kept} of {dim} parameters"
+            )));
+        }
         let body = &bytes[WIRE_HEADER_BYTES as usize..];
         let expected = match codec {
             CodecKind::Identity => dim as usize * 4,
@@ -247,6 +254,12 @@ impl<'a> EncodedView<'a> {
     /// The per-tensor quantization scale (0 for `Identity` and `TopK`).
     pub fn scale(&self) -> f32 {
         self.scale
+    }
+
+    /// Payload bytes behind this view (what [`EncodedUpdate::wire_bytes`]
+    /// reports for the owned form).
+    pub fn wire_bytes(&self) -> usize {
+        self.body.len()
     }
 
     /// Copies the view into an owned [`EncodedUpdate`].
@@ -339,11 +352,10 @@ impl<'a> EncodedView<'a> {
         }
     }
 
-    /// Whether this is a `TopK` view whose indices are sorted ascending (the
-    /// form [`UpdateCodec::encode`] produces). Sorted `TopK` payloads can be
-    /// folded block-by-block with a resumable cursor
-    /// ([`EncodedView::fold_topk_window`]) instead of rescanning the whole
-    /// body per block.
+    /// Whether this is a `TopK` view whose indices are strictly ascending (the
+    /// form [`UpdateCodec::encode`] produces; a payload off the wire may be
+    /// unsorted or repeat an index). Only such a payload may be split by
+    /// index range with a binary search, as `ShardedFedAvg` does per shard.
     pub fn topk_indices_sorted(&self) -> bool {
         if !matches!(self.codec, CodecKind::TopK { .. }) {
             return false;
@@ -359,27 +371,19 @@ impl<'a> EncodedView<'a> {
         true
     }
 
-    /// Cursor-resumed `TopK` window fold for callers that walk blocks in
-    /// ascending order over a sorted payload (see
-    /// [`EncodedView::topk_indices_sorted`]): `cursor` is a pair offset that
-    /// only ever advances, so a whole walk costs `O(kept + blocks)` instead
-    /// of `O(kept × blocks)`. Folds exactly the pairs `fold_range_into`
-    /// would, in the same order.
-    pub fn fold_topk_window(&self, cursor: &mut usize, weight: f32, start: usize, acc: &mut [f32]) {
-        let dim = self.dim as usize;
-        let len = acc.len().min(dim.saturating_sub(start));
-        let end = start + len;
-        while let Some(pair) = self.body.get(*cursor * 8..*cursor * 8 + 8) {
-            let index = u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]) as usize;
-            if index >= end {
-                break;
-            }
-            if index >= start {
-                let value = f32::from_le_bytes([pair[4], pair[5], pair[6], pair[7]]);
-                acc[index - start] += weight * value;
-            }
-            *cursor += 1;
-        }
+    /// [`EncodedView::fold_range_into`] for a `TopK` view that passed
+    /// [`EncodedView::topk_indices_sorted`]: two binary searches on the range
+    /// bounds cut out the pairs whose index lies in
+    /// `[start, start + acc.len())`, and only those are walked — the same
+    /// pairs in the same order, without reading the rest of the payload.
+    pub(crate) fn fold_sorted_topk_range(&self, weight: f32, start: usize, acc: &mut [f32]) {
+        let (pairs, _) = self.body.as_chunks::<8>();
+        let end = start + acc.len();
+        let index = |pair: &[u8; 8]| u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]);
+        let first = pairs.partition_point(|pair| (index(pair) as usize) < start);
+        let count = pairs[first..].partition_point(|pair| (index(pair) as usize) < end);
+        let range = pairs[first..first + count].as_flattened();
+        kernels::fold_topk(acc, range, start, end, weight);
     }
 }
 
@@ -414,11 +418,6 @@ impl UpdateCodec {
     pub fn with_pool(mut self, pool: BufferPool) -> Self {
         self.pool = pool;
         self
-    }
-
-    /// The scratch-buffer pool this codec draws encode bodies from.
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
     }
 
     /// Checks a retired update's body buffer back into the pool so the next
@@ -482,36 +481,13 @@ impl UpdateCodec {
             }
             CodecKind::TopK { permille } => {
                 let kept = CodecKind::top_k_kept(params.len() as u64, permille) as usize;
-                // The index scratch is pooled like the body: steady-state
-                // top-k encoding touches the allocator zero times.
-                let mut order = self.pool.checkout_u32(params.len());
-                order.extend(0..params.len() as u32);
-                let by_magnitude_desc = |a: &u32, b: &u32| {
-                    params[*b as usize]
-                        .abs()
-                        .partial_cmp(&params[*a as usize].abs())
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(b))
-                };
-                // Linear-time selection of the top-k set; only the kept
-                // prefix needs ordering (and only by index, for the wire).
-                if kept < order.len() {
-                    order.select_nth_unstable_by(kept, by_magnitude_desc);
-                    order.truncate(kept);
-                }
-                order.sort_unstable();
-                let mut body = self.pool.checkout_bytes(order.len() * 8);
-                for index in &order {
-                    body.extend_from_slice(&index.to_le_bytes());
-                    body.extend_from_slice(&params[*index as usize].to_le_bytes());
-                }
-                let kept = order.len() as u32;
-                self.pool.checkin_u32(order);
+                let mut body = self.pool.checkout_bytes(kept * 8);
+                kernels::select_topk(params, kept, &mut body);
                 EncodedUpdate {
                     codec: self.kind,
                     dim,
                     scale: 0.0,
-                    kept,
+                    kept: kept as u32,
                     body,
                 }
             }
@@ -561,41 +537,30 @@ impl ErrorFeedback {
     /// Encodes `model` for `client`, compensating with the client's stored
     /// residual and retaining the new residual for the next round.
     ///
-    /// The compensation scratch is drawn from the codec's [`BufferPool`] and
-    /// the residual is updated in place via the fused decode-fold kernel, so
-    /// steady-state encoding performs no model-sized heap allocation.
+    /// The stored residual *is* the compensation buffer: the model is added
+    /// into it, the update is encoded from it, and what the codec kept is
+    /// folded back out (`residual -= decode(encoded)`) by the fused
+    /// decode-fold kernel. Apart from a client's first residual nothing
+    /// model-sized is allocated or copied.
     ///
     /// # Errors
     /// Returns [`LiflError::DimensionMismatch`] if the client's model changes
-    /// dimension between rounds.
+    /// dimension between rounds; the stored residual is left as it was.
     pub fn encode(&mut self, client: ClientId, model: &DenseModel) -> Result<EncodedUpdate> {
-        let dim = model.dim();
-        if let Some(residual) = self.residuals.get(&client) {
-            if residual.dim() != dim {
-                return Err(LiflError::DimensionMismatch {
-                    expected: dim,
-                    actual: residual.dim(),
-                });
-            }
-        }
-        let pool = self.codec.pool().clone();
-        let mut compensated = pool.checkout_f32(dim);
-        compensated.copy_from_slice(model.as_slice());
-        if let Some(residual) = self.residuals.get(&client) {
-            for (c, r) in compensated.iter_mut().zip(residual.as_slice()) {
-                *c += r;
-            }
-        }
-        let encoded = self.codec.encode_slice(&compensated);
         if self.codec.kind().is_lossless() {
-            self.residuals.remove(&client);
-        } else {
-            // residual = compensated - decode(encoded), computed in place.
-            let residual = self.residuals.entry(client).or_default();
-            residual.copy_from_slice(&compensated);
-            encoded.view().fold_into(-1.0, residual.as_mut_slice())?;
+            // Nothing is dropped, so there is no residual to carry.
+            return Ok(self.codec.encode(model));
         }
-        pool.checkin_f32(compensated);
+        let residual = match self.residuals.entry(client) {
+            Entry::Occupied(stored) => {
+                let residual = stored.into_mut();
+                residual.axpy(1.0, model)?;
+                residual
+            }
+            Entry::Vacant(first) => first.insert(model.clone()),
+        };
+        let encoded = self.codec.encode_slice(residual.as_slice());
+        encoded.view().fold_into(-1.0, residual.as_mut_slice())?;
         Ok(encoded)
     }
 
@@ -741,6 +706,35 @@ mod tests {
     }
 
     #[test]
+    fn topk_header_keeping_more_than_dim_is_rejected() {
+        let m = model(&[0.5, -2.0, 0.0, 1.5]);
+        // kept == dim round-trips...
+        let full = UpdateCodec::new(CodecKind::TopK { permille: 1000 }).encode(&m);
+        assert_eq!(full.wire_bytes(), 4 * 8);
+        let parsed = EncodedUpdate::from_bytes(&full.to_bytes()).unwrap();
+        assert_eq!(parsed, full);
+        assert_eq!(parsed.decode(), m);
+        // ...and so does kept == 0, from the encoder (an empty model) and as
+        // a header over a non-empty one.
+        let empty = UpdateCodec::new(CodecKind::TopK { permille: 50 }).encode(&model(&[]));
+        assert_eq!(EncodedUpdate::from_bytes(&empty.to_bytes()).unwrap(), empty);
+        let mut none_kept = full.to_bytes();
+        none_kept.truncate(WIRE_HEADER_BYTES as usize);
+        none_kept[12..16].copy_from_slice(&0u32.to_le_bytes());
+        let parsed = EncodedView::parse(&none_kept).unwrap();
+        assert_eq!(parsed.decode(), DenseModel::zeros(4));
+        // kept > dim is refused on the header alone, even when the payload
+        // length agrees with it.
+        let mut overfull = full.to_bytes();
+        overfull[12..16].copy_from_slice(&5u32.to_le_bytes());
+        overfull.extend_from_slice(&[0u8; 8]);
+        assert!(matches!(
+            EncodedView::parse(&overfull),
+            Err(LiflError::Codec(_))
+        ));
+    }
+
+    #[test]
     fn uniform_error_is_bounded_by_one_step() {
         let values: Vec<f32> = (0..257)
             .map(|i| ((i * 37) % 101) as f32 * 0.13 - 6.5)
@@ -802,6 +796,87 @@ mod tests {
         lossless.encode(client, &m).unwrap();
         assert!(lossless.residual(client).is_none());
         lossless.reset();
+    }
+
+    #[test]
+    fn in_place_feedback_equals_the_copy_based_formula() {
+        // The formula the in-place encoder replaced: compensate a copy of
+        // the model, encode the copy, store copy - decode(encoded).
+        fn copy_based(
+            codec: &mut UpdateCodec,
+            residual: &mut Option<Vec<f32>>,
+            model: &DenseModel,
+        ) -> EncodedUpdate {
+            let mut compensated = model.as_slice().to_vec();
+            if let Some(residual) = residual {
+                for (c, r) in compensated.iter_mut().zip(residual.iter()) {
+                    *c += r;
+                }
+            }
+            let encoded = codec.encode_slice(&compensated);
+            encoded.view().fold_into(-1.0, &mut compensated).unwrap();
+            *residual = Some(compensated);
+            encoded
+        }
+        let client = ClientId::new(3);
+        let rounds: Vec<DenseModel> = (0..3)
+            .map(|r| {
+                let values = (0..1001).map(|d| ((d * 37 + r * 11) % 101) as f32 * 0.013 - 0.65);
+                DenseModel::from_vec(values.collect())
+            })
+            .collect();
+        for kind in [
+            CodecKind::Uniform8,
+            CodecKind::Uniform4,
+            CodecKind::TopK { permille: 50 },
+        ] {
+            let mut feedback = ErrorFeedback::new(UpdateCodec::with_seed(kind, 99));
+            let mut reference_codec = UpdateCodec::with_seed(kind, 99);
+            let mut reference_residual = None;
+            for m in &rounds {
+                let encoded = feedback.encode(client, m).unwrap();
+                let expected = copy_based(&mut reference_codec, &mut reference_residual, m);
+                assert_eq!(encoded.to_bytes(), expected.to_bytes(), "{kind}");
+                let carried = feedback.residual(client).unwrap().as_slice();
+                let carried: Vec<u32> = carried.iter().map(|v| v.to_bits()).collect();
+                let expected: Vec<u32> = reference_residual
+                    .iter()
+                    .flatten()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(carried, expected, "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn feedback_resets_when_the_model_changes_dimension() {
+        let client = ClientId::new(1);
+        let mut feedback = ErrorFeedback::new(UpdateCodec::new(CodecKind::Uniform4));
+        feedback
+            .encode(client, &model(&[1.0, -0.4, 0.03, 0.8]))
+            .unwrap();
+        feedback
+            .encode(ClientId::new(2), &model(&[0.5; 4]))
+            .unwrap();
+        let before = feedback.residual(client).unwrap().clone();
+        // A direct encode refuses the new shape and leaves the residual be.
+        let wider = model(&[0.3, 0.2, -0.1, 0.9, 0.7]);
+        assert!(matches!(
+            feedback.encode(client, &wider),
+            Err(LiflError::DimensionMismatch { .. })
+        ));
+        assert_eq!(feedback.residual(client), Some(&before));
+        // The envelope path drops every residual and encodes afresh.
+        let update = feedback.encode_update(client, wider.clone(), 1);
+        let Update::Encoded { update, .. } = update else {
+            panic!("lossy codecs travel encoded");
+        };
+        assert_eq!(update.dim(), 5);
+        assert_eq!(feedback.residual(client).unwrap().dim(), 5);
+        assert!(feedback.residual(ClientId::new(2)).is_none());
+        let fresh = UpdateCodec::new(CodecKind::Uniform4).encode(&wider);
+        assert_eq!(update.scale(), fresh.scale());
     }
 
     #[test]

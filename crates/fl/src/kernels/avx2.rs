@@ -177,6 +177,139 @@ pub(super) unsafe fn decode_u4(out: &mut [f32], nibbles: &[u8], scale: f32) {
 
 /// Safety: caller must have verified AVX2 support at runtime.
 // SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
+// `super` calls this only after `is_x86_feature_detected!("avx2")`, and the
+// 8-lane loads at `i` stay in bounds while `i + 8 <= n`.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn magnitude_histogram(
+    params: &[f32],
+    prefix: u32,
+    hi: u32,
+    lo: u32,
+    counts: &mut [u32; super::TOPK_BINS],
+) {
+    let n = params.len();
+    let abs_mask = _mm256_set1_epi32(0x7FFF_FFFF);
+    let bin_mask = _mm256_set1_epi32(((1u32 << (hi - lo)) - 1) as i32);
+    let want = _mm256_set1_epi32(prefix as i32);
+    let hi_count = _mm_cvtsi32_si128(hi as i32);
+    let lo_count = _mm_cvtsi32_si128(lo as i32);
+    let mut bins = [0u32; 8];
+    let mut i = 0usize;
+    while i + 8 <= n {
+        let m = _mm256_and_si256(
+            _mm256_loadu_si256(params.as_ptr().add(i) as *const __m256i),
+            abs_mask,
+        );
+        let hit = _mm256_cmpeq_epi32(_mm256_srl_epi32(m, hi_count), want);
+        let mut lanes = _mm256_movemask_ps(_mm256_castsi256_ps(hit)) as u32;
+        i += 8;
+        // Below the first level almost no lane carries the prefix: skip.
+        if lanes == 0 {
+            continue;
+        }
+        let keys = _mm256_and_si256(_mm256_srl_epi32(m, lo_count), bin_mask);
+        _mm256_storeu_si256(bins.as_mut_ptr() as *mut __m256i, keys);
+        // At the first level every lane carries the (empty) prefix.
+        if lanes == 0xFF {
+            for bin in bins {
+                counts[bin as usize] += 1;
+            }
+            continue;
+        }
+        while lanes != 0 {
+            counts[bins[lanes.trailing_zeros() as usize] as usize] += 1;
+            lanes &= lanes - 1;
+        }
+    }
+    scalar::magnitude_histogram(&params[i..], prefix, hi, lo, counts);
+}
+
+/// `COMPRESS_LANES[mask]` lists the set bits of `mask`, lowest first, padded
+/// with zeros: as a `permutevar8x32` control it moves the selected lanes to
+/// the front in lane order.
+static COMPRESS_LANES: [[u32; 8]; 256] = {
+    let mut table = [[0u32; 8]; 256];
+    let mut mask = 0usize;
+    while mask < 256 {
+        let (mut lane, mut out) = (0usize, 0usize);
+        while lane < 8 {
+            if mask >> lane & 1 == 1 {
+                table[mask][out] = lane as u32;
+                out += 1;
+            }
+            lane += 1;
+        }
+        mask += 1;
+    }
+    table
+};
+
+/// Safety: caller must have verified AVX2 support at runtime.
+///
+/// Branch-free per block: the kept lanes of 8 elements are moved to the
+/// front, interleaved with their indices into wire pairs, and stored as one
+/// whole 64-byte block; only `8 * kept lanes` of it become part of `body`.
+/// The block store needs [`super::TOPK_BODY_SLACK`] spare bytes past the last
+/// pair — without that room the rest of the sweep takes the scalar arm.
+// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw block
+// stores; the dispatcher in `super` calls this only after
+// `is_x86_feature_detected!("avx2")`. The 8-lane loads at `i` stay in bounds
+// while `i + 8 <= n`; each 64-byte store at `len` is preceded by the loop's
+// `len + 64 <= body.capacity()` check; and `set_len(len)` only ever covers
+// bytes those stores initialised, because `len` advances by at most 64 per
+// store, and the bytes before `body.len()` were initialised by the caller.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn compact_topk(
+    params: &[f32],
+    first_index: u32,
+    threshold: u32,
+    ties: usize,
+    body: &mut Vec<u8>,
+) -> usize {
+    let n = params.len();
+    let abs_mask = _mm256_set1_epi32(0x7FFF_FFFF);
+    // Keys are at most 0x7FFF_FFFF, so the signed compares order them.
+    let cut = _mm256_set1_epi32(threshold as i32);
+    let eight = _mm256_set1_epi32(8);
+    let mut indices = _mm256_add_epi32(
+        _mm256_set1_epi32(first_index as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    );
+    let mut ties = ties;
+    let mut len = body.len();
+    let mut i = 0usize;
+    while i + 8 <= n && len + super::TOPK_BODY_SLACK <= body.capacity() {
+        let x = _mm256_loadu_si256(params.as_ptr().add(i) as *const __m256i);
+        let m = _mm256_and_si256(x, abs_mask);
+        let above = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(m, cut))) as u32;
+        let mut equal = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(m, cut))) as u32;
+        // The tie budget goes to the lowest lanes first, as in the scalar arm.
+        let mut keep = above;
+        while equal != 0 && ties != 0 {
+            keep |= equal & equal.wrapping_neg();
+            equal &= equal - 1;
+            ties -= 1;
+        }
+        let front = _mm256_loadu_si256(COMPRESS_LANES[keep as usize].as_ptr() as *const __m256i);
+        let index = _mm256_permutevar8x32_epi32(indices, front);
+        let value = _mm256_permutevar8x32_epi32(x, front);
+        // unpack interleaves within 128-bit halves; permute2x128 restores
+        // pair order 0..3 | 4..7 across them.
+        let low = _mm256_unpacklo_epi32(index, value);
+        let high = _mm256_unpackhi_epi32(index, value);
+        let out = body.as_mut_ptr().add(len) as *mut __m256i;
+        _mm256_storeu_si256(out, _mm256_permute2x128_si256::<0x20>(low, high));
+        _mm256_storeu_si256(out.add(1), _mm256_permute2x128_si256::<0x31>(low, high));
+        len += 8 * keep.count_ones() as usize;
+        indices = _mm256_add_epi32(indices, eight);
+        i += 8;
+    }
+    body.set_len(len);
+    scalar::compact_topk(&params[i..], first_index + i as u32, threshold, ties, body)
+}
+
+/// Safety: caller must have verified AVX2 support at runtime.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
 // `super` calls this only after `is_x86_feature_detected!("avx2")`, and all
 // loads/stores stay inside the slice bounds checked by the loop condition.
 #[target_feature(enable = "avx2")]

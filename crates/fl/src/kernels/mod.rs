@@ -280,6 +280,110 @@ pub fn decode_topk(out: &mut [f32], pairs: &[u8]) {
 }
 
 // ---------------------------------------------------------------------------
+// Top-k selection.
+// ---------------------------------------------------------------------------
+
+/// Bins of one top-k histogram level: a 12-bit slice of the magnitude key.
+const TOPK_BINS: usize = 4096;
+
+/// Spare capacity [`select_topk`] keeps past the `8 * kept` wire bytes: the
+/// AVX2 sweep stores whole 64-byte blocks.
+const TOPK_BODY_SLACK: usize = 64;
+
+/// The radix levels `(hi, lo)` the 31-bit magnitude key is refined through:
+/// exponent plus four mantissa bits first, then the remaining mantissa.
+const TOPK_LEVELS: [(u32, u32); 3] = [(31, 19), (19, 7), (7, 0)];
+
+/// Exact top-k sparsification: writes into `body` (cleared first) the
+/// little-endian `(u32 index, f32 value)` wire pairs of the `kept` largest
+/// elements of `params`, sorted by index.
+///
+/// "Largest" is a documented **total order**: the magnitude key — the bit
+/// pattern of `|x|` — descending, then index ascending. On finite inputs that
+/// is magnitude descending with ties (`±0.0` included) going to the lower
+/// index. Non-finite values are not rejected here — that belongs to ingress
+/// validation (ROADMAP 4b) — but they cannot make the output ambiguous: as
+/// keys, infinities sort above every finite value and NaNs above infinities,
+/// so the result is deterministic and identical on both dispatch arms for
+/// every input.
+///
+/// No element is ever moved or sorted. A histogram over the top 12 key bits
+/// finds the bin holding the `kept`-th largest key, up to two more histograms
+/// restricted to that bin pin the key down to the last bit, and one
+/// compare-and-compact sweep in index order emits everything above that
+/// threshold key plus the lowest-index ties at it. Refinement stops as soon
+/// as the boundary bin is kept whole. `kept` is clamped to `params.len()`.
+pub fn select_topk(params: &[f32], kept: usize, body: &mut Vec<u8>) {
+    select_topk_with(params, kept, body, simd_active());
+}
+
+fn select_topk_with(params: &[f32], kept: usize, body: &mut Vec<u8>, simd: bool) {
+    body.clear();
+    let kept = kept.min(params.len());
+    if kept == 0 {
+        return;
+    }
+    body.reserve_exact(kept * 8 + TOPK_BODY_SLACK);
+    let (threshold, ties) = topk_cut(params, kept, simd);
+    compact_topk_with(params, threshold, ties, body, simd);
+}
+
+/// The cut of an exact top-`kept` selection (`1 <= kept <= params.len()`):
+/// `(threshold, ties)` such that the selection is every element whose key
+/// exceeds `threshold` plus the first `ties` elements, in index order, at it.
+fn topk_cut(params: &[f32], kept: usize, simd: bool) -> (u32, usize) {
+    let (mut prefix, mut ties) = (0u32, kept);
+    for (hi, lo) in TOPK_LEVELS {
+        let mut counts = [0u32; TOPK_BINS];
+        magnitude_histogram_with(params, prefix, hi, lo, &mut counts, simd);
+        // At least `ties` elements carry `prefix`, so the walk ends in range.
+        let mut bin = (1usize << (hi - lo)) - 1;
+        while (counts[bin] as usize) < ties {
+            ties -= counts[bin] as usize;
+            bin -= 1;
+        }
+        prefix = (prefix << (hi - lo)) | bin as u32;
+        if counts[bin] as usize == ties {
+            // The whole bin is kept: its lowest key is the threshold, and
+            // every element at that key goes too.
+            return (prefix << lo, usize::MAX);
+        }
+    }
+    (prefix, ties)
+}
+
+fn magnitude_histogram_with(
+    params: &[f32],
+    prefix: u32,
+    hi: u32,
+    lo: u32,
+    counts: &mut [u32; TOPK_BINS],
+    simd: bool,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        // SAFETY: `simd` is only true after runtime AVX2 detection.
+        unsafe { avx2::magnitude_histogram(params, prefix, hi, lo, counts) };
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = simd;
+    scalar::magnitude_histogram(params, prefix, hi, lo, counts);
+}
+
+fn compact_topk_with(params: &[f32], threshold: u32, ties: usize, body: &mut Vec<u8>, simd: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        // SAFETY: `simd` is only true after runtime AVX2 detection.
+        unsafe { avx2::compact_topk(params, 0, threshold, ties, body) };
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = simd;
+    scalar::compact_topk(params, 0, threshold, ties, body);
+}
+
+// ---------------------------------------------------------------------------
 // Dense axpy family (model accumulation, sharded batch folds).
 // ---------------------------------------------------------------------------
 
@@ -584,6 +688,96 @@ mod proptests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Finite vectors seasoned with signed zeros, subnormals and huge values;
+    /// lengths sweep every vector-width remainder.
+    fn finite_params() -> impl Strategy<Value = Vec<f32>> {
+        proptest::collection::vec((0u8..12, -100.0f32..100.0), 0..130).prop_map(|items| {
+            items
+                .into_iter()
+                .map(|(tag, v)| match tag {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => v * 1e30,
+                    3 => v * 1e-40,
+                    _ => v,
+                })
+                .collect()
+        })
+    }
+
+    /// Heavy ties: a handful of distinct magnitudes, among them `±0.0`,
+    /// subnormals, and neighbours of 1.0 that part only in the second
+    /// (`0x80`) or third (`0x01`) histogram level.
+    fn tied_params() -> impl Strategy<Value = Vec<f32>> {
+        let palette = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f32::from_bits(0x3F80_0001),
+            -f32::from_bits(0x3F80_0080),
+            1e-40,
+            -1e-40,
+            3e-40,
+            0.5,
+        ];
+        proptest::collection::vec(0usize..palette.len(), 0..300)
+            .prop_map(move |picks| picks.into_iter().map(|p| palette[p]).collect())
+    }
+
+    /// The top-k wire body as the encoder built it before `select_topk`:
+    /// every index ordered by the old comparator (`|x|` descending by float
+    /// compare, index ascending), the first `kept` emitted in index order.
+    fn reference_topk(params: &[f32], kept: usize) -> Vec<u8> {
+        let mut order: Vec<u32> = (0..params.len() as u32).collect();
+        order.sort_by(|a, b| {
+            params[*b as usize]
+                .abs()
+                .partial_cmp(&params[*a as usize].abs())
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(b))
+        });
+        order.truncate(kept);
+        order.sort_unstable();
+        let mut body = Vec::new();
+        for index in order {
+            body.extend_from_slice(&index.to_le_bytes());
+            body.extend_from_slice(&params[index as usize].to_le_bytes());
+        }
+        body
+    }
+
+    /// Runs `select_topk` on one arm over a body holding stale bytes.
+    fn topk_body(params: &[f32], kept: usize, simd: bool) -> Vec<u8> {
+        let mut body = vec![0xAB; 5];
+        select_topk_with(params, kept, &mut body, simd);
+        body
+    }
+
+    /// Scalar ≡ AVX2 ≡ the old comparator, byte for byte, at the edge values
+    /// of `kept` and at `pick` (any value; clamped like the kernel clamps).
+    fn check_topk_against_reference(params: &[f32], pick: usize) -> Result<(), String> {
+        let len = params.len();
+        for kept in [0, 1, len.saturating_sub(1), len, len + 3, pick] {
+            let expected = reference_topk(params, kept.min(len));
+            prop_assert_eq!(
+                &topk_body(params, kept, false),
+                &expected,
+                "scalar, kept {}",
+                kept
+            );
+            if avx2_testable() {
+                prop_assert_eq!(
+                    &topk_body(params, kept, true),
+                    &expected,
+                    "avx2, kept {}",
+                    kept
+                );
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         /// Dense fold and decode: AVX2 output is bit-identical to scalar.
         #[test]
@@ -744,5 +938,57 @@ mod proptests {
                 prop_assert_eq!(&simd_bytes, &simd_again);
             }
         }
+
+        /// Top-k selection over random finite inputs: both arms emit exactly
+        /// the bytes the old index-sorting encoder emitted.
+        #[test]
+        fn select_topk_matches_reference(params in finite_params(), pick in 0usize..130) {
+            check_topk_against_reference(&params, pick)?;
+        }
+
+        /// The same under heavy ties, where the cut falls inside a run of
+        /// equal keys and every histogram level is needed.
+        #[test]
+        fn select_topk_matches_reference_under_ties(params in tied_params(), pick in 0usize..300) {
+            check_topk_against_reference(&params, pick)?;
+        }
+    }
+
+    /// Non-finite inputs have no float order, but they have a key order:
+    /// NaNs above infinities above every finite value, ties to the lower
+    /// index — the same on both arms for every `kept`.
+    #[test]
+    fn select_topk_orders_non_finite_by_key_on_both_arms() {
+        let params = [
+            1.0,
+            f32::NAN,
+            -3.0,
+            f32::INFINITY,
+            -f32::NAN,
+            0.0,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7FC0_0001),
+            2.5,
+            -0.0,
+            f32::MAX,
+        ];
+        for kept in 0..=params.len() {
+            let scalar_body = topk_body(&params, kept, false);
+            assert_eq!(scalar_body.len(), kept * 8);
+            if avx2_testable() {
+                assert_eq!(topk_body(&params, kept, true), scalar_body, "kept {kept}");
+            }
+        }
+        let indices = |body: &[u8]| -> Vec<u32> {
+            body.chunks_exact(8)
+                .map(|pair| u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]))
+                .collect()
+        };
+        // The payload-carrying NaN has the largest key, then the two default
+        // NaNs (lower index first), then the infinities, then `f32::MAX`.
+        assert_eq!(indices(&topk_body(&params, 1, false)), [7]);
+        assert_eq!(indices(&topk_body(&params, 2, false)), [1, 7]);
+        assert_eq!(indices(&topk_body(&params, 3, false)), [1, 4, 7]);
+        assert_eq!(indices(&topk_body(&params, 6, false)), [1, 3, 4, 6, 7, 10]);
     }
 }

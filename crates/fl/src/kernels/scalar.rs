@@ -102,6 +102,61 @@ pub(super) fn decode_topk(out: &mut [f32], pairs: &[u8]) {
     }
 }
 
+/// The magnitude key top-k selection orders by: the bit pattern of `x` with
+/// the sign cleared. For finite values, comparing keys as integers is exactly
+/// comparing `|x|` as floats (`+0.0` and `-0.0` share key 0).
+#[inline]
+fn magnitude(x: f32) -> u32 {
+    x.to_bits() & 0x7FFF_FFFF
+}
+
+/// One level of the top-k radix histogram: over the elements whose magnitude
+/// key `m` satisfies `m >> hi == prefix`, counts how many fall in each bin
+/// `(m >> lo) & ((1 << (hi - lo)) - 1)` — the next `hi - lo` (at most 12) key
+/// bits below the prefix. `counts` is added to, not cleared.
+pub(super) fn magnitude_histogram(
+    params: &[f32],
+    prefix: u32,
+    hi: u32,
+    lo: u32,
+    counts: &mut [u32; super::TOPK_BINS],
+) {
+    let bin_mask = (1u32 << (hi - lo)) - 1;
+    for x in params {
+        let m = magnitude(*x);
+        if m >> hi == prefix {
+            counts[((m >> lo) & bin_mask) as usize] += 1;
+        }
+    }
+}
+
+/// The top-k compare-and-compact sweep: appends the little-endian
+/// `(u32 index, f32 value)` wire pair of every element whose magnitude key
+/// exceeds `threshold`, and of the first `ties` elements whose key equals it,
+/// in index order. `params[0]` has wire index `first_index`. Returns the tie
+/// budget left over.
+pub(super) fn compact_topk(
+    params: &[f32],
+    first_index: u32,
+    threshold: u32,
+    ties: usize,
+    body: &mut Vec<u8>,
+) -> usize {
+    let mut ties = ties;
+    for (index, x) in (first_index..).zip(params) {
+        let m = magnitude(*x);
+        if m < threshold || (m == threshold && ties == 0) {
+            continue;
+        }
+        if m == threshold {
+            ties -= 1;
+        }
+        body.extend_from_slice(&index.to_le_bytes());
+        body.extend_from_slice(&x.to_le_bytes());
+    }
+    ties
+}
+
 /// `acc += w * src`, elementwise.
 pub(super) fn axpy(acc: &mut [f32], src: &[f32], w: f32) {
     for (a, b) in acc.iter_mut().zip(src) {

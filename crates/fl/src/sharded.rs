@@ -24,16 +24,33 @@
 //!
 //! Encoded batches go through the same machinery with the fused
 //! decode-fold kernels of [`EncodedView`], so interior aggregators drain
-//! their queue without ever materialising a dense intermediate.
+//! their queue without ever materialising a dense intermediate. A sparse
+//! `TopK` update is not cache-blocked — it touches a few percent of each
+//! block — but split once per shard: its wire pairs are sorted by index, so
+//! two binary searches hand every shard exactly its own pairs.
+//!
+//! **Break-even:** spawning and joining the shard workers costs more than
+//! folding a small batch does in total, so a batch whose payload is below
+//! `SPAWN_BREAK_EVEN_BYTES` folds on the calling thread, whatever the shard
+//! count.
 
 use crate::aggregate::{CumulativeFedAvg, ModelUpdate};
 use crate::codec::EncodedView;
 use crate::model::DenseModel;
-use lifl_types::{LiflError, Result};
+use lifl_types::{CodecKind, LiflError, Result};
 
 /// Elements per cache block (8 KiB of `f32`: the block of the accumulator
 /// and the matching slice of one update together fit comfortably in L1).
 const BLOCK_ELEMS: usize = 2048;
+
+/// Batch payload bytes below which the shard workers are not worth spawning.
+/// Measured on the 2-vCPU reference box with both worker counts forced: a
+/// two-worker `thread::scope` adds 80-200 us to a fold (spawn, wake-up, join),
+/// and one thread folds 4 MiB of payload in 250-700 us depending on the codec.
+/// Two workers lost to one on every batch up to 2 MiB (`TopK` 0.2 and
+/// 0.8 MiB, `Uniform8` 0.5 and 2 MiB, dense 2 MiB), won on every batch from
+/// 8 MiB of `Uniform8` or 32 MiB of dense up, and went either way between.
+const SPAWN_BREAK_EVEN_BYTES: usize = 4 << 20;
 
 /// A batch-oriented, sharded FedAvg accumulator wrapping the same running
 /// state as [`CumulativeFedAvg`] (and interoperable with it: `shards == 1`
@@ -114,7 +131,14 @@ impl ShardedFedAvg {
                 });
             }
         }
-        self.run_sharded(dim, |start, chunk| {
+        self.fold_models_across(updates, self.workers(updates.len() * dim * 4));
+        Ok(())
+    }
+
+    /// Folds validated dense updates into the accumulator cut into `workers`
+    /// chunks, cache-blocked within each.
+    fn fold_models_across(&mut self, updates: &[ModelUpdate], workers: usize) {
+        self.run_sharded(workers, |start, chunk| {
             for block_off in (0..chunk.len()).step_by(BLOCK_ELEMS) {
                 let block_len = BLOCK_ELEMS.min(chunk.len() - block_off);
                 let block = &mut chunk[block_off..block_off + block_len];
@@ -144,7 +168,6 @@ impl ShardedFedAvg {
             self.acc.total_samples += update.samples;
         }
         self.acc.updates_folded += updates.len() as u64;
-        Ok(())
     }
 
     /// Folds a batch of *encoded* updates (`(view, samples)` pairs) across the
@@ -171,33 +194,53 @@ impl ShardedFedAvg {
                 });
             }
         }
-        // Sorted TopK payloads get a resumable cursor per update (the block
-        // walk is ascending), so a chunk costs O(kept + blocks) instead of
-        // rescanning every (index, value) pair once per block.
-        let sorted_topk: Vec<bool> = updates
+        let payload: usize = updates.iter().map(|(view, _)| view.wire_bytes()).sum();
+        self.fold_views_across(updates, self.workers(payload));
+        Ok(())
+    }
+
+    /// Folds validated views into the accumulator cut into `workers`
+    /// chunks. Within every element the adds happen in batch order: a `TopK`
+    /// update folds into the whole chunk at once, and each run of other
+    /// updates between two of them is cache-blocked across the chunk.
+    fn fold_views_across(&mut self, updates: &[(EncodedView<'_>, u64)], workers: usize) {
+        let is_topk = |view: &EncodedView<'_>| matches!(view.codec(), CodecKind::TopK { .. });
+        // Only a payload with strictly ascending indices may be cut at a
+        // chunk boundary by binary search; anything else (unsorted, or an
+        // index sent twice) is rescanned by every chunk. One chunk takes
+        // every pair either way, so the check is skipped.
+        let split_once: Vec<bool> = updates
             .iter()
-            .map(|(view, _)| view.topk_indices_sorted())
+            .map(|(view, _)| workers > 1 && view.topk_indices_sorted())
             .collect();
-        self.run_sharded(dim, |start, chunk| {
-            let mut cursors = vec![0usize; updates.len()];
-            for block_off in (0..chunk.len()).step_by(BLOCK_ELEMS) {
-                let block_len = BLOCK_ELEMS.min(chunk.len() - block_off);
-                let block = &mut chunk[block_off..block_off + block_len];
-                let abs = start + block_off;
-                for (k, (view, samples)) in updates.iter().enumerate() {
-                    if sorted_topk[k] {
-                        view.fold_topk_window(&mut cursors[k], *samples as f32, abs, block);
+        self.run_sharded(workers, |start, chunk| {
+            let mut next = 0;
+            while let Some((view, samples)) = updates.get(next) {
+                if is_topk(view) {
+                    if split_once[next] {
+                        view.fold_sorted_topk_range(*samples as f32, start, chunk);
                     } else {
-                        view.fold_range_into(*samples as f32, abs, block);
+                        view.fold_range_into(*samples as f32, start, chunk);
+                    }
+                    next += 1;
+                    continue;
+                }
+                let run = &updates[next..];
+                let run = &run[..run.iter().take_while(|(view, _)| !is_topk(view)).count()];
+                for block_off in (0..chunk.len()).step_by(BLOCK_ELEMS) {
+                    let block_len = BLOCK_ELEMS.min(chunk.len() - block_off);
+                    let block = &mut chunk[block_off..block_off + block_len];
+                    for (view, samples) in run {
+                        view.fold_range_into(*samples as f32, start + block_off, block);
                     }
                 }
+                next += run.len();
             }
         });
         for (_, samples) in updates {
             self.acc.total_samples += samples;
         }
         self.acc.updates_folded += updates.len() as u64;
-        Ok(())
     }
 
     /// Produces the aggregated model as an intermediate update, leaving the
@@ -232,20 +275,29 @@ impl ShardedFedAvg {
         Ok(dim)
     }
 
-    /// Runs `work(shard_start, shard_chunk)` over every shard partition.
+    /// Worker threads a batch of `payload_bytes` folds across: one per shard,
+    /// capped by `available_parallelism` — oversubscribing a small machine
+    /// only adds scheduler noise — and a single one, the calling thread,
+    /// below [`SPAWN_BREAK_EVEN_BYTES`].
+    fn workers(&self, payload_bytes: usize) -> usize {
+        if payload_bytes < SPAWN_BREAK_EVEN_BYTES {
+            return 1;
+        }
+        self.shards
+            .min(std::thread::available_parallelism().map_or(1, usize::from))
+    }
+
+    /// Runs `work(chunk_start, chunk)` over the accumulator cut into
+    /// `workers` contiguous chunks, each on its own scoped thread (a single
+    /// chunk runs on the calling thread).
     ///
-    /// Partitions are distributed over at most `available_parallelism` scoped
-    /// worker threads — oversubscribing a small machine only adds scheduler
-    /// noise. The partitioning has no numeric effect (per-element fold order
-    /// is batch order regardless), so any worker count produces bit-identical
+    /// The partitioning has no numeric effect (per-element fold order is
+    /// batch order regardless), so any worker count produces bit-identical
     /// results.
-    fn run_sharded(&mut self, dim: usize, work: impl Fn(usize, &mut [f32]) + Sync) {
-        let workers = self
-            .shards
-            .min(std::thread::available_parallelism().map_or(1, usize::from));
-        let chunk_len = dim.div_ceil(workers).max(1);
+    fn run_sharded(&mut self, workers: usize, work: impl Fn(usize, &mut [f32]) + Sync) {
         let sum = self.acc.weighted_sum.as_mut_slice();
-        if workers == 1 || dim <= chunk_len {
+        let chunk_len = sum.len().div_ceil(workers).max(1);
+        if sum.len() <= chunk_len {
             work(0, sum);
             return;
         }
@@ -305,9 +357,11 @@ mod tests {
             sequential.fold(u).unwrap();
         }
         let expected = sequential.finalize().unwrap();
+        // The public entry points keep a batch this small on one thread, so
+        // the chunk counts are forced through the inner fold.
         for shards in [1, 2, 3, 8, 64] {
             let mut sharded = ShardedFedAvg::new(10_000, shards);
-            sharded.fold_batch(&updates).unwrap();
+            sharded.fold_models_across(&updates, shards);
             assert_eq!(sharded.updates_folded(), 6);
             let got = sharded.finalize().unwrap();
             assert_eq!(got.samples, expected.samples, "{shards} shards");
@@ -337,7 +391,7 @@ mod tests {
         for shards in [1, 4] {
             let mut sharded = ShardedFedAvg::new(3000, shards);
             let views: Vec<_> = encoded.iter().map(|(e, s)| (e.view(), *s)).collect();
-            sharded.fold_encoded_batch(&views).unwrap();
+            sharded.fold_views_across(&views, shards);
             let got = sharded.finalize().unwrap();
             assert_eq!(got.samples, expected.samples);
             for (a, b) in got.model.as_slice().iter().zip(expected.model.as_slice()) {
@@ -349,10 +403,41 @@ mod tests {
         }
     }
 
+    /// Sequential reference: every view folded whole, in batch order.
+    fn folded_sequentially(dim: usize, views: &[(EncodedView<'_>, u64)]) -> Vec<u32> {
+        let mut reference = CumulativeFedAvg::new(dim);
+        for (view, samples) in views {
+            reference.fold_encoded_view(view, *samples).unwrap();
+        }
+        let model = reference.finalize().unwrap().model;
+        model.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The same views folded across `chunks` forced chunks.
+    fn folded_across(dim: usize, views: &[(EncodedView<'_>, u64)], chunks: usize) -> Vec<u32> {
+        let mut sharded = ShardedFedAvg::new(dim, chunks);
+        sharded.fold_views_across(views, chunks);
+        assert_eq!(sharded.updates_folded(), views.len() as u64);
+        let model = sharded.finalize().unwrap().model;
+        model.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A hand-built `TopK` wire buffer: pairs go out exactly as given.
+    fn topk_wire(dim: u32, pairs: &[(u32, f32)]) -> Vec<u8> {
+        let mut wire = vec![3, 0, 50, 0];
+        wire.extend_from_slice(&dim.to_le_bytes());
+        wire.extend_from_slice(&0.0f32.to_le_bytes());
+        wire.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+        for (index, value) in pairs {
+            wire.extend_from_slice(&index.to_le_bytes());
+            wire.extend_from_slice(&value.to_le_bytes());
+        }
+        wire
+    }
+
     #[test]
-    fn topk_batch_uses_the_cursor_path_and_matches_fold_into() {
-        // dim spans many cache blocks so the resumable-cursor window path is
-        // genuinely exercised across block boundaries.
+    fn sorted_topk_splits_once_per_shard_and_matches_fold_encoded() {
+        // Many cache blocks and every chunk count, through the encoder.
         let dim = 20_000;
         let updates = batch(3, dim);
         let mut codec = UpdateCodec::new(CodecKind::TopK { permille: 100 });
@@ -361,20 +446,87 @@ mod tests {
             .map(|u| (codec.encode(&u.model), u.samples))
             .collect();
         assert!(encoded.iter().all(|(e, _)| e.view().topk_indices_sorted()));
-        let mut reference = CumulativeFedAvg::new(dim);
-        for (e, samples) in &encoded {
-            reference.fold_encoded(e, *samples).unwrap();
-        }
-        let expected = reference.finalize().unwrap();
         let views: Vec<_> = encoded.iter().map(|(e, s)| (e.view(), *s)).collect();
-        for shards in [1usize, 3] {
-            let mut sharded = ShardedFedAvg::new(dim, shards);
-            sharded.fold_encoded_batch(&views).unwrap();
-            let got = sharded.finalize().unwrap();
-            for (a, b) in got.model.as_slice().iter().zip(expected.model.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "topk cursor path diverged");
-            }
+        let expected = folded_sequentially(dim, &views);
+        for chunks in [1usize, 2, 3, 8] {
+            assert_eq!(
+                folded_across(dim, &views, chunks),
+                expected,
+                "{chunks} chunks"
+            );
         }
+
+        // dim 24 cuts at 12 (2 chunks), at 8 and 16 (3) and every 3 (8):
+        // kept indices sit on a cut (8, 12), right before one (7, 11) and
+        // right after one (9, 13); the first update has no pair at or past
+        // 16, so the last of three chunks, and five of eight, get none of it.
+        let dim = 24;
+        let first = topk_wire(24, &[(7, 1.5), (8, -2.25), (9, 0.75), (12, 3.5)]);
+        let second = topk_wire(24, &[(0, -0.5), (11, 1.25), (13, -4.0), (23, 2.0)]);
+        let views = [
+            (EncodedView::parse(&first).unwrap(), 3),
+            (EncodedView::parse(&second).unwrap(), 5),
+        ];
+        assert!(views.iter().all(|(view, _)| view.topk_indices_sorted()));
+        let expected = folded_sequentially(dim, &views);
+        for chunks in [1usize, 2, 3, 8] {
+            assert_eq!(
+                folded_across(dim, &views, chunks),
+                expected,
+                "{chunks} chunks"
+            );
+        }
+    }
+
+    #[test]
+    fn unsorted_and_duplicate_topk_payloads_take_the_rescan() {
+        // Binary search on either payload would hand a chunk the wrong
+        // pairs; the sortedness gate must send both to the rescan.
+        let dim = 24;
+        let unsorted = topk_wire(24, &[(20, 1.0), (3, -2.0), (12, 0.5), (7, 4.0)]);
+        let duplicate = topk_wire(24, &[(2, 1.0), (9, 0.25), (9, 0.125), (17, -3.0)]);
+        let sorted = topk_wire(24, &[(1, 2.0), (9, -1.0), (20, 0.5)]);
+        let views = [
+            (EncodedView::parse(&unsorted).unwrap(), 2),
+            (EncodedView::parse(&duplicate).unwrap(), 7),
+            (EncodedView::parse(&sorted).unwrap(), 1),
+        ];
+        assert!(!views[0].0.topk_indices_sorted());
+        assert!(!views[1].0.topk_indices_sorted());
+        let expected = folded_sequentially(dim, &views);
+        for chunks in [1usize, 2, 3, 8] {
+            assert_eq!(
+                folded_across(dim, &views, chunks),
+                expected,
+                "{chunks} chunks"
+            );
+        }
+    }
+
+    #[test]
+    fn batches_on_either_side_of_the_break_even_fold_the_same_bits() {
+        let dim = 150_000;
+        let updates = batch(5, dim);
+        for (permille, spawns) in [(10u16, false), (1000, true)] {
+            let mut codec = UpdateCodec::new(CodecKind::TopK { permille });
+            let encoded: Vec<_> = updates
+                .iter()
+                .map(|u| (codec.encode(&u.model), u.samples))
+                .collect();
+            let views: Vec<_> = encoded.iter().map(|(e, s)| (e.view(), *s)).collect();
+            let payload: usize = views.iter().map(|(view, _)| view.wire_bytes()).sum();
+            assert_eq!(payload >= SPAWN_BREAK_EVEN_BYTES, spawns);
+            let mut sharded = ShardedFedAvg::new(dim, 2);
+            assert_eq!(sharded.workers(payload) > 1, spawns && cores() > 1);
+            sharded.fold_encoded_batch(&views).unwrap();
+            let model = sharded.finalize().unwrap().model;
+            let got: Vec<u32> = model.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, folded_sequentially(dim, &views), "permille {permille}");
+        }
+    }
+
+    fn cores() -> usize {
+        std::thread::available_parallelism().map_or(1, usize::from)
     }
 
     #[test]
@@ -409,7 +561,7 @@ mod tests {
                 .map(|(e, u)| (e.view(), u.samples)),
         );
         let mut sharded = ShardedFedAvg::new(512, 2);
-        sharded.fold_encoded_batch(&mixed).unwrap();
+        sharded.fold_views_across(&mixed, 2);
         let got = sharded.finalize().unwrap();
         let expected = crate::aggregate::fedavg(&updates).unwrap();
         assert_eq!(got.samples, expected.samples);
@@ -510,7 +662,7 @@ mod proptests {
             for shards in [1usize, 2, 8] {
                 let run = |_: usize| {
                     let mut s = ShardedFedAvg::new(dim, shards);
-                    s.fold_batch(&updates).unwrap();
+                    s.fold_models_across(&updates, shards);
                     s.finalize().unwrap()
                 };
                 let first = run(0);
@@ -555,7 +707,7 @@ mod proptests {
                 let views: Vec<_> = encoded.iter().map(|(e, s)| (e.view(), *s)).collect();
                 for shards in [1usize, 4] {
                     let mut sharded = ShardedFedAvg::new(dim, shards);
-                    sharded.fold_encoded_batch(&views).unwrap();
+                    sharded.fold_views_across(&views, shards);
                     let got = sharded.finalize().unwrap();
                     prop_assert_eq!(got.samples, expected.samples);
                     let step = encoded.iter().map(|(e, _)| e.scale()).fold(0.0f32, f32::max);

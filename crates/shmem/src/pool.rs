@@ -5,9 +5,9 @@
 //! the allocator on the Recv+Agg critical path (§5.4). [`BufferPool`] keeps
 //! checked-in `Vec<f32>` / `Vec<u8>` buffers alive between uses so a
 //! steady-state round performs **zero** model-sized heap allocations after
-//! warm-up: the codec draws its encode body from the pool, `ErrorFeedback`
-//! draws its compensation scratch, and decode sites draw their dequantization
-//! scratch.
+//! warm-up: the codec draws its encode bodies from the pool, ingress and
+//! admission draw their wire buffers, and decode sites draw their
+//! dequantization scratch.
 //!
 //! The pool is deliberately simple — a LIFO stack per element type, behind one
 //! mutex, shared by `Clone` (an `Arc` bump) like [`crate::ObjectStore`]. A
@@ -50,24 +50,18 @@ impl PoolStats {
 struct PoolInner {
     f32s: Vec<Vec<f32>>,
     bytes: Vec<Vec<u8>>,
-    u32s: Vec<Vec<u32>>,
     stats: PoolStats,
 }
 
 impl PoolInner {
     fn recount(&mut self) {
-        self.stats.idle_buffers = self.f32s.len() + self.bytes.len() + self.u32s.len();
+        self.stats.idle_buffers = self.f32s.len() + self.bytes.len();
         self.stats.idle_bytes = self
             .f32s
             .iter()
             .map(|b| b.capacity() as u64 * 4)
             .sum::<u64>()
-            + self.bytes.iter().map(|b| b.capacity() as u64).sum::<u64>()
-            + self
-                .u32s
-                .iter()
-                .map(|b| b.capacity() as u64 * 4)
-                .sum::<u64>();
+            + self.bytes.iter().map(|b| b.capacity() as u64).sum::<u64>();
         self.stats.peak_idle_buffers = self.stats.peak_idle_buffers.max(self.stats.idle_buffers);
         self.stats.peak_idle_bytes = self.stats.peak_idle_bytes.max(self.stats.idle_bytes);
     }
@@ -160,42 +154,12 @@ impl BufferPool {
         inner.recount();
     }
 
-    /// Checks out an empty `u32` buffer with at least `capacity` elements of
-    /// capacity (index scratch for the top-k encoder). Reuses a pooled buffer
-    /// when one is large enough; allocates otherwise.
-    pub fn checkout_u32(&self, capacity: usize) -> Vec<u32> {
-        let mut inner = self.inner.lock();
-        let slot = inner.u32s.iter().rposition(|b| b.capacity() >= capacity);
-        let mut buf = match slot {
-            Some(i) => {
-                inner.stats.hits += 1;
-                inner.u32s.swap_remove(i)
-            }
-            None => {
-                inner.stats.misses += 1;
-                Vec::with_capacity(capacity)
-            }
-        };
-        inner.recount();
-        drop(inner);
-        buf.clear();
-        buf
-    }
-
-    /// Returns a `u32` buffer to the pool for reuse.
-    pub fn checkin_u32(&self, buf: Vec<u32>) {
-        let mut inner = self.inner.lock();
-        inner.u32s.push(buf);
-        inner.recount();
-    }
-
     /// Drops every idle buffer (e.g. when the model dimension changes and the
     /// resident capacities no longer fit the workload).
     pub fn shrink(&self) {
         let mut inner = self.inner.lock();
         inner.f32s.clear();
         inner.bytes.clear();
-        inner.u32s.clear();
         inner.recount();
     }
 
@@ -278,25 +242,6 @@ mod tests {
         pool.shrink();
         assert_eq!(pool.stats().idle_buffers, 0);
         assert_eq!(pool.stats().idle_bytes, 0);
-    }
-
-    #[test]
-    fn u32_checkout_reuses_and_clears() {
-        let pool = BufferPool::new();
-        let mut idx = pool.checkout_u32(64);
-        assert!(idx.is_empty());
-        assert!(idx.capacity() >= 64);
-        idx.extend(0..64u32);
-        let ptr = idx.as_ptr();
-        pool.checkin_u32(idx);
-        assert_eq!(pool.stats().idle_buffers, 1);
-        let again = pool.checkout_u32(32);
-        assert_eq!(again.as_ptr(), ptr, "same slab came back");
-        assert!(again.is_empty(), "checked-out u32 buffers arrive cleared");
-        assert_eq!(pool.stats().hits, 1);
-        pool.checkin_u32(again);
-        pool.shrink();
-        assert_eq!(pool.stats().idle_buffers, 0);
     }
 
     #[test]

@@ -76,14 +76,17 @@ fn model_sized_allocs() -> u64 {
 }
 
 /// One steady-state aggregation round over the pooled hot path: every client
-/// encodes with error feedback (pooled compensation scratch + pooled encode
-/// body), the aggregator folds each encoded update fused, the round drains
-/// in place, and the encode bodies are checked back in.
+/// encodes with error feedback (in place on its residual, pooled encode
+/// body), the aggregator folds each encoded update fused, the round drains in
+/// place, and the aggregate is re-encoded the way an interior
+/// `AggregatorRuntime::send` re-encodes it — body out of the pool, back into
+/// it once the wire form is taken.
 fn run_round(
     clients: &[(ClientId, DenseModel)],
     feedback: &mut ErrorFeedback,
     accumulator: &mut CumulativeFedAvg,
     global: &mut DenseModel,
+    interior: &mut UpdateCodec,
 ) {
     for (client, model) in clients {
         let encoded = feedback.encode(*client, model).expect("encode");
@@ -93,6 +96,9 @@ fn run_round(
         feedback.recycle(encoded);
     }
     accumulator.drain_into(global).expect("drain");
+    let intermediate = interior.encode(global);
+    assert!(intermediate.wire_bytes() > 0);
+    interior.recycle(intermediate);
 }
 
 // Both phases live in ONE #[test]: the harness runs tests in parallel
@@ -103,6 +109,7 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     let pool = BufferPool::new();
     let codec = UpdateCodec::with_seed(CodecKind::Uniform8, 0xA110C).with_pool(pool.clone());
     let mut feedback = ErrorFeedback::new(codec);
+    let mut interior = UpdateCodec::with_seed(CodecKind::Uniform8, 0x5E4D).with_pool(pool.clone());
     let mut accumulator = CumulativeFedAvg::new(DIM);
     let mut global = DenseModel::zeros(DIM);
     let clients: Vec<(ClientId, DenseModel)> = (0..4u64)
@@ -117,12 +124,24 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     // Warm-up: first rounds size the pool slab, the per-client residuals and
     // the accumulator.
     for _ in 0..2 {
-        run_round(&clients, &mut feedback, &mut accumulator, &mut global);
+        run_round(
+            &clients,
+            &mut feedback,
+            &mut accumulator,
+            &mut global,
+            &mut interior,
+        );
     }
 
     let before = model_sized_allocs();
     for _ in 0..10 {
-        run_round(&clients, &mut feedback, &mut accumulator, &mut global);
+        run_round(
+            &clients,
+            &mut feedback,
+            &mut accumulator,
+            &mut global,
+            &mut interior,
+        );
     }
     let after = model_sized_allocs();
     assert_eq!(
@@ -137,8 +156,8 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     // The pool did real work: scratch checkouts were served from the slab...
     let stats = pool.stats();
     assert!(stats.hits > 0, "pool never reused a buffer: {stats:?}");
-    // ...and its resident footprint stayed bounded (compensation scratch +
-    // encode body, not one buffer per round).
+    // ...and its resident footprint stayed bounded (the clients' and the
+    // interior encode bodies, not one buffer per round).
     assert!(
         stats.peak_idle_buffers <= 4,
         "pool slab grew unexpectedly: {stats:?}"
@@ -175,13 +194,14 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     );
     assert!(out.l2_norm() > 0.0);
 
-    // Phase 3: top-k encoding is equally allocation-free — its
-    // index-selection scratch (one u32 per parameter, 2 MiB here) is drawn
-    // from the pool alongside the encode body and compensation buffer.
+    // Phase 3: top-k encoding is equally allocation-free — selection needs
+    // no scratch, so the pooled encode body (1 MiB here) is all it touches,
+    // at the clients and at the interior re-encode alike.
     let topk_pool = BufferPool::new();
-    let topk_codec = UpdateCodec::with_seed(CodecKind::TopK { permille: 250 }, 0x70CF)
-        .with_pool(topk_pool.clone());
+    let topk = CodecKind::TopK { permille: 250 };
+    let topk_codec = UpdateCodec::with_seed(topk, 0x70CF).with_pool(topk_pool.clone());
     let mut topk_feedback = ErrorFeedback::new(topk_codec);
+    let mut topk_interior = UpdateCodec::with_seed(topk, 0x1A7E).with_pool(topk_pool.clone());
     let mut topk_accumulator = CumulativeFedAvg::new(DIM);
     let mut topk_global = DenseModel::zeros(DIM);
     for _ in 0..2 {
@@ -190,6 +210,7 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
             &mut topk_feedback,
             &mut topk_accumulator,
             &mut topk_global,
+            &mut topk_interior,
         );
     }
     let before = model_sized_allocs();
@@ -199,12 +220,13 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
             &mut topk_feedback,
             &mut topk_accumulator,
             &mut topk_global,
+            &mut topk_interior,
         );
     }
     assert_eq!(
         model_sized_allocs() - before,
         0,
-        "steady-state top-k encode must draw its index scratch from the pool"
+        "steady-state top-k encode and re-encode must allocate nothing model-sized"
     );
     let topk_stats = topk_pool.stats();
     assert!(
