@@ -8,7 +8,9 @@
 //! O(clients). When the next round opens, queued
 //! offers are drained in Oort-utility order — the highest-utility clients
 //! win admission under pressure, ties broken by arrival order — and their
-//! payloads move into the shared-memory store without a copy.
+//! payloads move into the shared-memory store without a copy: the pooled
+//! backlog buffer becomes the stored object and returns to the pool when the
+//! object is recycled.
 //!
 //! Everything here is deterministic (covered by `lifl-lint` R5): offers are
 //! sequence-numbered, utilities live in a [`BTreeMap`], and drain order is a
@@ -209,14 +211,11 @@ impl AdmissionQueues {
     }
 
     /// Reclassifies the offer [`AdmissionQueues::take_best`] just handed out
-    /// as dropped rather than drained: it failed to enter a round. Its
-    /// buffer, when the caller still holds it, goes back to the pool.
-    pub(crate) fn drop_taken(&mut self, payload: Option<Vec<u8>>) {
+    /// as dropped rather than drained: it failed to enter a round. (Its
+    /// buffer travels behind a pool-returning owner and is already home.)
+    pub(crate) fn drop_taken(&mut self) {
         self.stats.drained = self.stats.drained.saturating_sub(1);
         self.stats.dropped += 1;
-        if let Some(buffer) = payload {
-            self.pool.checkin_bytes(buffer);
-        }
     }
 
     /// Drops every parked offer from `client` (mid-round churn: a departed

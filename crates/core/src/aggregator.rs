@@ -219,8 +219,9 @@ impl AggregatorRuntime {
         let object = self.store.get(&queued.key)?;
         // Fused decode-fold straight off the shared-memory bytes: no
         // intermediate `DenseModel` (or payload copy) is materialised.
-        self.accumulator
-            .fold_encoded_view(&payload_view(&object, &queued)?, queued.weight)?;
+        let view = payload_view(&object, &queued)?;
+        self.warm_accumulator(view.dim());
+        self.accumulator.fold_encoded_view(&view, queued.weight)?;
         self.aggregated += 1;
         if self.goal_met() {
             self.step = AggregatorStep::Send;
@@ -296,14 +297,32 @@ impl AggregatorRuntime {
                 entry.weight,
             ));
         }
+        if let Some((first, _)) = views.first() {
+            self.warm_accumulator(first.dim());
+        }
         self.accumulator
             .fold_encoded_batch(&views, self.shards)
             .map_err(|e| (None, e))?;
         Ok(views.len())
     }
 
-    /// Runs the Send step: finalises the aggregate, writes it into shared
-    /// memory and returns the queue entry to hand to the consumer.
+    /// Draws the round's accumulator from the codec's pool when the runtime
+    /// has one and the accumulator holds no buffer yet: in steady state that
+    /// is the vector a previous round's `send` moved into the store, come
+    /// home when the object was recycled.
+    fn warm_accumulator(&mut self, dim: usize) {
+        if let Some(codec) = &self.codec {
+            self.accumulator.warm_from(codec.pool(), dim);
+        }
+    }
+
+    /// Runs the Send step: finalises the aggregate, moves it into shared
+    /// memory and returns the queue entry to hand to the consumer. The
+    /// finalised model's own vector (or, under a lossy codec, the one pooled
+    /// buffer it was re-encoded into) becomes the stored object; a pooled
+    /// buffer returns to the codec's pool when the object is recycled, or at
+    /// once if the store refuses it, and so does the accumulator a lossy
+    /// codec has finished reading.
     ///
     /// # Errors
     /// Returns an error if the goal has not been met or the store is full.
@@ -315,17 +334,17 @@ impl AggregatorRuntime {
         let queued = match &mut self.codec {
             Some(codec) if !codec.kind().is_lossless() => {
                 let encoded = codec.encode(&result.model);
-                let put = self
-                    .store
-                    .put_encoded(encoded.to_bytes(), encoded.dense_bytes());
-                // The store holds its own copy: the encode body goes back to
-                // the pool for the next re-encode, whether or not the put
-                // succeeded.
-                codec.recycle(encoded);
-                QueuedUpdate::intermediate(put?, result.samples).encoded()
+                codec.pool().checkin_f32(result.model.into_vec());
+                let dense_bytes = encoded.dense_bytes();
+                let key = self.store.put_encoded(encoded.into_wire(), dense_bytes)?;
+                QueuedUpdate::intermediate(key, result.samples).encoded()
             }
-            _ => {
-                let key = self.store.put_f32(result.model.as_slice())?;
+            Some(codec) => {
+                let wire = result.model.into_pooled_wire(codec.pool());
+                QueuedUpdate::intermediate(self.store.put(wire)?, result.samples)
+            }
+            None => {
+                let key = self.store.put(result.model.into_wire())?;
                 QueuedUpdate::intermediate(key, result.samples)
             }
         };
@@ -525,11 +544,61 @@ mod tests {
         // Weighted mean is 3.5 * (1 + d/32), within quantization error.
         assert!((decoded.as_slice()[0] - 3.5).abs() < 0.3);
         assert!((decoded.as_slice()[63] - 3.5 * (1.0 + 63.0 / 32.0)).abs() < 0.3);
-        // The re-encode body went back to the pool for the next send.
+        // The re-encode buffer *is* the stored object (wire form at offset
+        // 0, nothing copied): it is out of the pool while the object lives
+        // and comes home for the next send when the store recycles it. The
+        // accumulator is home already — the encode was its last reader.
         assert_eq!(pool.stats().idle_buffers, 1);
+        drop(object);
+        store.recycle(&out.key).unwrap();
+        assert_eq!(pool.stats().idle_buffers, 2);
         // The store really held compressed payloads.
         assert!(store.stats().encoded_puts >= 3);
         assert!(store.stats().bytes_saved() > 0);
+    }
+
+    #[test]
+    fn a_lossless_runtime_folds_every_round_into_the_same_pooled_accumulator() {
+        use lifl_types::CodecKind;
+
+        let store = ObjectStore::new();
+        let inbox = InPlaceQueue::new();
+        let pool = lifl_shmem::BufferPool::new();
+        let mut agg = AggregatorRuntime::with_codec(
+            AggregatorId::new(1),
+            AggregatorRole::Leaf,
+            2,
+            store.clone(),
+            inbox.clone(),
+            UpdateCodec::new(CodecKind::Identity).with_pool(pool.clone()),
+        )
+        .unwrap();
+        let mut addresses = Vec::new();
+        for round in 0..3u64 {
+            queue_client_update(&store, &inbox, 1, &[2.0, 4.0], 1);
+            queue_client_update(&store, &inbox, 2, &[4.0, 8.0 + round as f32], 3);
+            let out = agg.run_to_completion().unwrap();
+            let object = store.get(&out.key).unwrap();
+            // A reused accumulator starts from zero like a fresh one.
+            assert_eq!(
+                object.as_f32_vec(),
+                vec![3.5, 7.0 + 0.75 * round as f32],
+                "round {round}"
+            );
+            // The stored intermediate *is* the accumulator: out of the pool
+            // while the object lives, home once the store lets go of it.
+            addresses.push(object.as_slice().as_ptr());
+            assert_eq!(pool.stats().idle_buffers, 0);
+            drop(object);
+            store.recycle(&out.key).unwrap();
+            assert_eq!(pool.stats().idle_buffers, 1);
+        }
+        assert!(
+            addresses.iter().all(|a| *a == addresses[0]),
+            "{addresses:?}"
+        );
+        let stats = pool.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 2));
     }
 
     #[test]

@@ -909,21 +909,21 @@ impl Cluster {
             return self.ingress.park(update);
         }
         let update = self.ingress.normalise(update)?;
-        let admitted = self.admit(&update, update.client());
-        self.ingress.recycle(update);
-        admitted.map(|()| AdmissionOutcome::Admitted)
+        let producer = update.client();
+        self.admit(update, producer)?;
+        Ok(AdmissionOutcome::Admitted)
     }
 
-    /// Admits one normalised update on the routed node — through the node
-    /// session's own `admit`, never its public door — and counts it into the
-    /// round: the step both the direct path and [`Cluster::drain_backlog`]
-    /// end in.
+    /// Admits one normalised update on the routed node — moved through the
+    /// node session's own `admit`, never its public door — and counts it
+    /// into the round: the step both the direct path and
+    /// [`Cluster::drain_backlog`] end in.
     ///
     /// Refill slots of a restarted node take priority over round-robin:
     /// re-sent updates route straight to the node that lost them, so the
     /// survivors' leaf assignment is untouched by the failure. Vacancies
     /// reclaimed by mid-round churn refill next, for the same reason.
-    fn admit(&mut self, update: &Update, producer: Option<ClientId>) -> Result<()> {
+    fn admit(&mut self, update: Update, producer: Option<ClientId>) -> Result<()> {
         let refill = self
             .faults
             .as_ref()
@@ -954,7 +954,7 @@ impl Cluster {
             let Some((update, producer)) = self.ingress.take_parked() else {
                 break;
             };
-            if self.admit(&update, producer).is_err() {
+            if self.admit(update, producer).is_err() {
                 self.ingress.drop_parked();
             }
         }
@@ -2217,6 +2217,97 @@ mod tests {
         let stats = cluster.admission_stats();
         assert_eq!((stats.drained, stats.dropped), (2, 1));
         assert!(cluster.pool().stats().idle_buffers > idle_before);
+    }
+
+    /// Rebuilds every node session of `cluster` over a store capped at
+    /// `capacity` bytes (same tree position, codec and shared pool), so a
+    /// test can make a node's store refuse a payload.
+    fn cap_node_stores(cluster: &mut Cluster, capacity: u64) {
+        let subtree = cluster.subtree.clone();
+        for (k, child) in cluster.children.iter_mut().enumerate() {
+            *child = SessionBuilder::new()
+                .topology(subtree.clone())
+                .codec(cluster.sessions.codec)
+                .seed(cluster.sessions.seed)
+                .node(NodeId::new(k as u64))
+                .tree_position(0, k)
+                .pool(cluster.sessions.pool.clone())
+                .store(lifl_shmem::ObjectStore::with_capacity(capacity))
+                .build()
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn a_refused_ingress_encode_leaves_the_cluster_pool_as_it_was() {
+        let mut cluster = ClusterBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .codec(CodecKind::Uniform8)
+            .build()
+            .unwrap();
+        cap_node_stores(&mut cluster, 100);
+        let refuse = |cluster: &mut Cluster| {
+            let too_big = Update::Dense(updates(1, 256).pop().unwrap());
+            assert!(matches!(
+                cluster.try_ingest(too_big),
+                Err(LiflError::OutOfSharedMemory { .. })
+            ));
+            // Rolled back by `settle` on the cluster and on the node.
+            assert_eq!(cluster.pending_updates(), 0);
+            assert_eq!(cluster.ingress.cursor(), 0);
+            assert_eq!(cluster.node_sessions()[0].pending_updates(), 0);
+        };
+        refuse(&mut cluster);
+        let before = cluster.pool().stats();
+        assert_eq!((before.idle_buffers, before.misses), (1, 1));
+        refuse(&mut cluster);
+        let after = cluster.pool().stats();
+        assert_eq!(after.idle_buffers, before.idle_buffers);
+        assert_eq!(after.idle_bytes, before.idle_bytes);
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
+        let fits = Update::Dense(updates(1, 32).pop().unwrap());
+        assert!(cluster.try_ingest(fits).unwrap().is_admitted());
+        assert_eq!(cluster.node_sessions()[0].pending_updates(), 1);
+    }
+
+    #[test]
+    fn a_refused_drained_offer_is_dropped_and_its_buffer_comes_home() {
+        let mut cluster = ClusterBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .admission(AdmissionConfig::bounded(4, 1 << 20))
+            .build()
+            .unwrap();
+        // Each node: room for a driven [2, 2] round of 32-byte objects (four
+        // updates, three intermediates), not for a 256-byte one.
+        cap_node_stores(&mut cluster, 240);
+        cluster
+            .ingest_all(updates(8, 8).into_iter().map(Update::Dense))
+            .unwrap();
+        let oversized = Update::dense(ClientId::new(20), DenseModel::from_vec(vec![0.5; 64]), 1);
+        assert!(cluster.try_ingest(oversized).unwrap().is_queued());
+        let small = Update::dense(ClientId::new(21), DenseModel::from_vec(vec![0.5; 8]), 1);
+        assert!(cluster.try_ingest(small).unwrap().is_queued());
+        assert_eq!(cluster.pool().stats().misses, 2);
+        cluster.drive().unwrap();
+        // The oversized offer drained first, node 0's store refused it, and
+        // the offer behind it took the slot.
+        assert_eq!(cluster.pending_updates(), 1);
+        assert_eq!(cluster.node_sessions()[0].pending_updates(), 1);
+        let stats = cluster.admission_stats();
+        assert_eq!((stats.queued, stats.drained, stats.dropped), (2, 1, 1));
+        // The refused backlog buffer is home: the next checkout of its size
+        // is a hit. The admitted one is node 0's stored object until the
+        // round ends. The drive's seven positions (three a node, the top)
+        // shared four accumulators: node 1 and the top found their
+        // predecessors' back in the pool — three hits — and all four are
+        // idle now.
+        let pool = cluster.pool().stats();
+        assert_eq!((pool.idle_buffers, pool.hits), (1 + 4, 3));
+        let again = cluster.pool().checkout_bytes(256);
+        assert_eq!(cluster.pool().stats().hits, 3 + 1);
+        cluster.pool().checkin_bytes(again);
+        cluster.discard_round();
+        assert_eq!(cluster.pool().stats().idle_buffers, 2 + 4);
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! aggregator's in-place queue. It has one door ([`Gateway::ingest`]) over
 //! one store-and-deliver primitive; the transmit half of a hop reads the
 //! store directly (`Session::drive_to_wire`).
+//!
+//! The payload is written once, by whoever produced it, and **moved** into
+//! the store: a dense model's `Vec<f32>` becomes the stored object
+//! (`DenseModel::into_wire`), an encoded update's one wire buffer does
+//! (`EncodedUpdate::into_wire`), arriving `Bytes` stay the handle they are.
+//! Nothing model-sized is copied here.
 
 use lifl_fl::codec::EncodedView;
 use lifl_fl::update::Update;
@@ -66,7 +72,11 @@ impl Gateway {
     /// their descriptor validated in place (dense remote bytes are stored
     /// as-is; a dimension mismatch surfaces at fold time) — before the
     /// object key is queued for `target` (in-place message queuing, §4.2).
-    /// Arriving `Bytes` are stored without a model-sized copy.
+    ///
+    /// This borrowing door leaves the caller's update intact: it clones the
+    /// update once (a handle bump for remote `Bytes`, one payload copy for
+    /// dense and encoded updates) and moves the clone into the store exactly
+    /// as a session moves the original.
     ///
     /// A dense or encoded update with no client id is attributed to its
     /// arrival index; remote bytes are an intermediate and carry no
@@ -80,54 +90,67 @@ impl Gateway {
             Update::RemoteBytes { .. } => None,
             _ => Some(update.client().unwrap_or(ClientId::new(self.arrivals))),
         };
-        self.store_and_deliver(target, update, producer)
+        // lifl-lint: allow(no-legacy-runtime) — the public door only holds a
+        // borrow; this is its one payload copy, and engine callers own their
+        // update and call `store_and_deliver` directly.
+        self.store_and_deliver(target, update.clone(), producer)
     }
 
     /// The store-and-deliver primitive behind [`Gateway::ingest`]: one put
     /// into shared memory, one key into `target`'s queue, attributed to
-    /// `producer`. Sessions call it directly so that a drained backlog offer
-    /// — remote bytes on the outside — keeps the client that produced it,
-    /// which mid-round churn needs to find and reclaim the slot.
+    /// `producer`. Sessions call it directly — handing over the update they
+    /// own, so its buffer moves into the store — and so that a drained
+    /// backlog offer (remote bytes on the outside) keeps the client that
+    /// produced it, which mid-round churn needs to find and reclaim the slot.
+    ///
+    /// A refused put drops the payload where it stands: a pooled buffer is
+    /// back in its pool before this returns, anything else is freed.
     pub(crate) fn store_and_deliver(
         &mut self,
         target: AggregatorId,
-        update: &Update,
+        update: Update,
         producer: Option<ClientId>,
     ) -> Result<QueuedUpdate> {
+        let weight = update.weight();
         // (key, bytes landed in shared memory, encoded marker). The stored
         // form of an encoded update includes its 16-byte descriptor.
         let (key, stored_bytes, encoded) = match update {
-            Update::Dense(dense) => (
-                self.store.put_f32(dense.model.as_slice())?,
-                dense.byte_size(),
-                false,
-            ),
-            Update::Encoded { update, .. } => (
-                self.store
-                    .put_encoded(update.to_bytes(), update.dense_bytes())?,
-                update.stored_bytes(),
-                true,
-            ),
+            Update::Dense(dense) => {
+                let stored_bytes = dense.byte_size();
+                (
+                    self.store.put(dense.model.into_wire())?,
+                    stored_bytes,
+                    false,
+                )
+            }
+            Update::Encoded { update, .. } => {
+                let (stored_bytes, dense_bytes) = (update.stored_bytes(), update.dense_bytes());
+                let key = self.store.put_encoded(update.into_wire(), dense_bytes)?;
+                (key, stored_bytes, true)
+            }
             Update::RemoteBytes {
                 wire,
                 encoded: true,
                 ..
-            } => (
-                self.store
-                    .put_encoded(wire.clone(), encoded_dense_bytes(wire)?)?,
-                wire.len() as u64,
-                true,
-            ),
+            } => {
+                let (stored_bytes, dense_bytes) = (wire.len() as u64, encoded_dense_bytes(&wire)?);
+                (
+                    self.store.put_encoded(wire, dense_bytes)?,
+                    stored_bytes,
+                    true,
+                )
+            }
             // Headerless dense little-endian `f32` bytes: byte-identical to
-            // `put_f32` of the decoded values, with no intermediate decode.
+            // a moved dense model, with no intermediate decode.
             Update::RemoteBytes { wire, .. } => {
-                (self.store.put(wire.clone())?, wire.len() as u64, false)
+                let stored_bytes = wire.len() as u64;
+                (self.store.put(wire)?, stored_bytes, false)
             }
         };
         let queued = QueuedUpdate {
             producer,
             key,
-            weight: update.weight(),
+            weight,
             encoded,
         };
         self.inboxes.entry(target).or_default().enqueue(queued);
@@ -166,9 +189,22 @@ mod tests {
         encoded: bool,
     }
 
+    /// The address a moved update's stored bytes must start at: the dense
+    /// model's own vector, an encoded update's wire buffer at offset 0, the
+    /// remote handle's bytes.
+    fn payload_address(update: &Update) -> *const u8 {
+        match update {
+            Update::Dense(dense) => dense.model.as_slice().as_ptr().cast(),
+            Update::Encoded { update, .. } => update.wire().as_ptr(),
+            Update::RemoteBytes { wire, .. } => wire.as_ptr(),
+        }
+    }
+
     /// Every representation through the one door: stored bytes, producer,
-    /// weight, encoded flag, inbox delivery and `ingested_bytes`, plus the
-    /// malformed payload that must leave no trace.
+    /// weight, encoded flag, inbox delivery and `ingested_bytes`, the
+    /// caller's update left intact by the borrowing door, the payload's
+    /// address kept by the moving primitive, plus the malformed payload that
+    /// must leave no trace.
     #[test]
     fn ingest_stores_and_delivers_every_representation() {
         let model = DenseModel::from_vec((0..32).map(|i| i as f32 * 0.5).collect());
@@ -241,7 +277,12 @@ mod tests {
         let inbox = gw.register_aggregator(agg);
         let mut expected_bytes = 0u64;
         for (name, update, expect) in &rows {
+            let pristine = update.clone();
             let queued = gw.ingest(agg, update).unwrap();
+            assert_eq!(
+                *update, pristine,
+                "{name}: the borrowing door took something"
+            );
             assert_eq!(queued.producer, expect.producer, "{name}");
             assert_eq!(queued.weight, expect.weight, "{name}");
             assert_eq!(queued.encoded, expect.encoded, "{name}");
@@ -264,5 +305,24 @@ mod tests {
         assert!(inbox.is_empty());
         assert_eq!(gw.ingested_bytes(), expected_bytes);
         assert_eq!(store.stats().live_objects, rows.len());
+
+        // The same rows by value, as a session hands them over: the stored
+        // object *is* the update's buffer — same address, nothing copied.
+        let moved = rows.len();
+        for (name, update, expect) in rows {
+            let origin = payload_address(&update);
+            let queued = gw.store_and_deliver(agg, update, expect.producer).unwrap();
+            assert_eq!(queued.producer, expect.producer, "{name}");
+            assert_eq!(queued.encoded, expect.encoded, "{name}");
+            let object = gw.store().get(&queued.key).unwrap();
+            assert_eq!(object.as_slice(), expect.stored.as_slice(), "{name}");
+            assert_eq!(
+                object.as_slice().as_ptr(),
+                origin,
+                "{name}: moved, not copied"
+            );
+            assert_eq!(inbox.dequeue(), Some(queued), "{name}");
+        }
+        assert_eq!(store.stats().live_objects, 2 * moved);
     }
 }

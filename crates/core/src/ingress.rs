@@ -11,8 +11,15 @@
 //! * **route** — a fault-refill slot first, then a vacancy opened by
 //!   mid-round churn, then the round-robin cursor; committed when the slot
 //!   took the update, rolled back when it did not.
-//! * **park** — the normalised update's wire form (built in pool scratch)
-//!   goes to the bounded [`AdmissionQueues`].
+//! * **park** — the normalised update's wire form, borrowed in place, is
+//!   copied once into a pooled backlog buffer of the bounded
+//!   [`AdmissionQueues`]; drained, that buffer *is* the stored object.
+//!
+//! Updates travel by value from here on: `admit` hands the normalised update
+//! to the store, which keeps its buffer. Nobody has to return anything — a
+//! buffer the ingress encoded into (or a drained backlog buffer) goes back to
+//! the pool when the store recycles the object, or at once if the store
+//! refuses it.
 //!
 //! A slot is a leaf aggregator for a session and a node for a cluster; the
 //! backends supply only their `admit` (store into the routed slot). The
@@ -22,8 +29,9 @@
 use crate::admission::{AdmissionQueues, AdmissionStats};
 use crate::gateway::encoded_dense_bytes;
 use lifl_fl::codec::ErrorFeedback;
+use lifl_fl::kernels::le_bytes;
 use lifl_fl::update::Update;
-use lifl_shmem::BufferPool;
+use lifl_shmem::{BufferPool, PooledBuf};
 use lifl_types::{AdmissionConfig, AdmissionOutcome, ClientId, Result, SimDuration};
 
 /// What a backend without admission queues answers to an offer it has no
@@ -137,11 +145,6 @@ impl Ingress {
         normalise(&mut self.feedback, self.lifetime, update)
     }
 
-    /// Returns a retired update's encode body to the scratch pool.
-    pub(crate) fn recycle(&self, update: Update) {
-        self.feedback.recycle_update(update);
-    }
-
     /// The route rule: picks the slot for the next update. `refill` is the
     /// backend's fault-refill slot, if a killed node is owed updates;
     /// `cursor_slot` is where the round-robin cursor points.
@@ -202,6 +205,12 @@ impl Ingress {
     /// `Rejected{retry_after}` when the budget is exhausted. Without queues
     /// the offer is turned away untouched (no encode, no residual change).
     ///
+    /// The wire form is borrowed where it lies (a dense model through its
+    /// little-endian view, an encoded update through its one buffer), so the
+    /// queues' copy into a pooled backlog buffer is the only one and nothing
+    /// is allocated; the normalised update is dropped on the way out, which
+    /// returns an ingress-encoded buffer to the pool.
+    ///
     /// # Errors
     /// Returns [`lifl_types::LiflError::Codec`] for malformed encoded remote
     /// bytes; nothing is parked.
@@ -210,54 +219,52 @@ impl Ingress {
             return Ok(NO_BACKLOG);
         };
         let update = normalise(&mut self.feedback, self.lifetime, update)?;
-        let outcome = match &update {
+        Ok(match &update {
             Update::Dense(dense) => {
-                let mut wire = self.pool.checkout_bytes(dense.model.dim() * 4);
-                for v in dense.model.as_slice() {
-                    wire.extend_from_slice(&v.to_le_bytes());
-                }
-                let outcome = queues.offer(dense.client, &wire, dense.samples, false);
-                self.pool.checkin_bytes(wire);
-                outcome
+                let wire = le_bytes(dense.model.as_slice());
+                queues.offer(dense.client, wire, dense.samples, false)
             }
             Update::Encoded {
                 client,
                 update: encoded,
                 samples,
-            } => queues.offer(*client, &encoded.to_bytes(), *samples, true),
+            } => queues.offer(*client, encoded.wire(), *samples, true),
             Update::RemoteBytes {
                 wire,
                 weight,
                 encoded,
             } => queues.offer(None, wire, *weight, *encoded),
-        };
-        self.feedback.recycle_update(update);
-        Ok(outcome)
+        })
     }
 
     /// Takes the best parked offer (utility desc, arrival asc) for the
-    /// backend's `admit`: its payload moves into remote-bytes form without a
-    /// copy, and its producer rides alongside. A parked payload that no
+    /// backend's `admit`: its pooled backlog buffer moves into remote-bytes
+    /// form behind the pool-returning owner — so the drained buffer *is* the
+    /// object the store will hold, and comes home when that object is
+    /// recycled — and its producer rides alongside. A parked payload that no
     /// longer header-validates is dropped here — buffer back to the pool —
     /// and the next offer is taken instead.
     pub(crate) fn take_parked(&mut self) -> Option<(Update, Option<ClientId>)> {
         let queues = self.queues.as_mut()?;
         loop {
             let offer = queues.take_best()?;
-            if offer.encoded && encoded_dense_bytes(&offer.payload).is_err() {
-                queues.drop_taken(Some(offer.payload));
+            let payload = PooledBuf::adopt(offer.payload, &self.pool);
+            if offer.encoded && encoded_dense_bytes(payload.as_slice()).is_err() {
+                queues.drop_taken();
                 continue;
             }
-            let update = Update::remote_bytes(offer.payload, offer.weight, offer.encoded);
+            let wire = bytes::Bytes::from_owner(payload);
+            let update = Update::remote_bytes(wire, offer.weight, offer.encoded);
             return Some((update, offer.client));
         }
     }
 
     /// Records that the offer [`Ingress::take_parked`] handed out was not
-    /// admitted after all (its payload was consumed by the failed store).
+    /// admitted after all: it counts as dropped, not drained. Its buffer
+    /// needs no attention — the refused store dropped it back into the pool.
     pub(crate) fn drop_parked(&mut self) {
         if let Some(queues) = self.queues.as_mut() {
-            queues.drop_taken(None);
+            queues.drop_taken();
         }
     }
 

@@ -511,7 +511,8 @@ impl Session {
     /// # Errors
     /// Fails only on store/codec errors (the store cannot hold the payload,
     /// malformed encoded bytes); a full round is an outcome, not an error. A
-    /// failed offer counts nothing toward the round and parks nothing; note
+    /// failed offer counts nothing toward the round, parks nothing and leaves
+    /// the scratch pool as it was (the refused buffer is already back); note
     /// that if the store rejects a lossy-encoded dense update, the client's
     /// error-feedback residual already reflects the attempted encoding (the
     /// standard feedback construction re-absorbs the loss only if the
@@ -521,21 +522,23 @@ impl Session {
             return self.ingress.park(update);
         }
         let update = self.ingress.normalise(update)?;
-        let admitted = self.admit(&update, update.client());
-        self.ingress.recycle(update);
-        admitted.map(|()| AdmissionOutcome::Admitted)
+        let producer = update.client();
+        self.admit(update, producer)?;
+        Ok(AdmissionOutcome::Admitted)
     }
 
-    /// Stores one normalised update in the routed leaf's inbox and counts it
-    /// into the round, attributed to `producer`: the admit step both the
-    /// direct path and [`Session::drain_backlog`] end in, and the door a
-    /// cluster uses for the node it picked.
+    /// Moves one normalised update into the store behind the routed leaf's
+    /// inbox and counts it into the round, attributed to `producer`: the
+    /// admit step both the direct path and [`Session::drain_backlog`] end in,
+    /// and the door a cluster uses for the node it picked. The update's
+    /// buffer becomes the stored object; nothing is copied.
     ///
     /// # Errors
     /// [`LiflError::RoundFull`] if the round has no room (never parks), or
-    /// the gateway's store/codec error; either way the route is rolled back
-    /// and nothing is counted.
-    pub(crate) fn admit(&mut self, update: &Update, producer: Option<ClientId>) -> Result<()> {
+    /// the gateway's store/codec error; either way the route is rolled back,
+    /// nothing is counted, and the update is dropped — a pooled buffer is
+    /// back in the pool by the time this returns.
+    pub(crate) fn admit(&mut self, update: Update, producer: Option<ClientId>) -> Result<()> {
         if !self.has_room() {
             return Err(LiflError::RoundFull {
                 capacity: self.topology.total_updates(),
@@ -544,10 +547,10 @@ impl Session {
         let cursor_leaf = (self.ingress.cursor() as usize) % self.topology.leaves();
         let route = self.ingress.route(None, cursor_leaf);
         let target = self.aggregator_id(0, route.slot);
+        let wire_bytes = update.wire_bytes();
         let stored = self.gateway.store_and_deliver(target, update, producer);
         if let Ok(queued) = &stored {
             // Account only what actually entered the round.
-            let wire_bytes = update.wire_bytes();
             self.ingress_wire_bytes += wire_bytes;
             self.round_keys.push(queued.key);
             self.round_entries.push(RoundEntry {
@@ -570,7 +573,7 @@ impl Session {
             let Some((update, producer)) = self.ingress.take_parked() else {
                 break;
             };
-            if self.admit(&update, producer).is_err() {
+            if self.admit(update, producer).is_err() {
                 self.ingress.drop_parked();
             }
         }
@@ -1362,6 +1365,162 @@ mod tests {
         assert!(session.try_ingest(fits).unwrap().is_admitted());
         assert_eq!(session.round_entries.last().map(|e| e.leaf), Some(1));
         assert_eq!(session.ingress.cursor(), 4);
+    }
+
+    #[test]
+    fn pre_encoded_clients_cannot_grow_the_pool() {
+        // Regression: every admitted `Update::Encoded` used to be checked
+        // into the session pool on the way out of `try_ingest`, and nothing
+        // at the ingress ever checks a buffer out — 4 more idle buffers a
+        // round, forever (40 after ten rounds, 200 after fifty).
+        let mut session = SessionBuilder::new()
+            .two_level(2, 2)
+            .codec(CodecKind::Uniform8)
+            .build()
+            .unwrap();
+        let batch = updates(4, 256);
+        let mut client_codec = UpdateCodec::with_seed(CodecKind::Uniform8, 11);
+        let mut idle = Vec::new();
+        for _ in 0..50 {
+            for update in &batch {
+                // A client-side encode: its buffer is not the session's.
+                let encoded = client_codec.encode(&update.model);
+                let client = update.client.expect("client update");
+                session
+                    .ingest(Update::encoded(client, encoded, update.samples))
+                    .unwrap();
+            }
+            session.drive().unwrap();
+            idle.push(session.pool().stats().idle_buffers);
+        }
+        // The pool holds what the session itself checks out — the three
+        // aggregators' re-encode buffers and their accumulators (a lossy
+        // `send` returns its accumulator at once, so the top reuses a
+        // leaf's and there are two only if both leaves ever overlapped) —
+        // and not one buffer more.
+        assert!(idle.windows(2).all(|w| w[0] <= w[1]), "{idle:?}");
+        assert!((4..=5).contains(&idle[49]), "pool grew: {idle:?}");
+        assert_eq!(session.pool().stats().peak_idle_buffers, idle[49]);
+    }
+
+    #[test]
+    fn a_refused_ingress_encode_leaves_the_pool_as_it_was() {
+        // A lossy session over a store too small for the encoded update.
+        let mut session = SessionBuilder::new()
+            .two_level(2, 2)
+            .codec(CodecKind::Uniform8)
+            .store(ObjectStore::with_capacity(100))
+            .build()
+            .unwrap();
+        let too_big = || Update::Dense(updates(1, 256).pop().unwrap());
+        let refuse = |session: &mut Session| {
+            assert!(matches!(
+                session.try_ingest(too_big()),
+                Err(LiflError::OutOfSharedMemory { .. })
+            ));
+            // Rolled back by `settle`: nothing counted, cursor unmoved.
+            assert_eq!(session.pending_updates(), 0);
+            assert_eq!(session.ingress.cursor(), 0);
+            assert_eq!(session.store().stats().live_objects, 0);
+        };
+        // The first refusal allocates the encode buffer and sends it home.
+        refuse(&mut session);
+        let before = session.pool().stats();
+        assert_eq!((before.idle_buffers, before.misses), (1, 1));
+        // From then on a refusal is pool-neutral: the encode is served from
+        // the slab and the refused buffer is back before `try_ingest` returns.
+        refuse(&mut session);
+        let after = session.pool().stats();
+        assert_eq!(after.idle_buffers, before.idle_buffers);
+        assert_eq!(after.idle_bytes, before.idle_bytes);
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
+        // A fitting update still takes the first leaf.
+        let fits = Update::Dense(updates(1, 32).pop().unwrap());
+        assert!(session.try_ingest(fits).unwrap().is_admitted());
+        assert_eq!(session.round_entries.last().map(|e| e.leaf), Some(0));
+    }
+
+    #[test]
+    fn a_refused_drained_offer_is_dropped_and_its_buffer_comes_home() {
+        // Room for a driven round of 32-byte objects (four updates, three
+        // intermediates), not for a 256-byte one.
+        let mut session = SessionBuilder::new()
+            .two_level(2, 2)
+            .store(ObjectStore::with_capacity(240))
+            .admission(AdmissionConfig::bounded(4, 1 << 20))
+            .build()
+            .unwrap();
+        session
+            .ingest_all(updates(4, 8).into_iter().map(Update::Dense))
+            .unwrap();
+        let oversized = Update::dense(ClientId::new(9), DenseModel::from_vec(vec![0.5; 64]), 1);
+        assert!(session.try_ingest(oversized).unwrap().is_queued());
+        let small = Update::dense(ClientId::new(10), DenseModel::from_vec(vec![0.5; 8]), 1);
+        assert!(session.try_ingest(small).unwrap().is_queued());
+        // Parking copied each wire form once, into pooled backlog buffers.
+        assert_eq!(session.pool().stats().misses, 2);
+        assert_eq!(session.pool().stats().idle_buffers, 0);
+        session.drive().unwrap();
+        // The drain tried the oversized offer first (arrival order), the
+        // store refused it, and the next one went in.
+        assert_eq!(session.pending_updates(), 1);
+        assert_eq!(session.round_clients(), vec![Some(ClientId::new(10))]);
+        let stats = session.admission_stats();
+        assert_eq!((stats.queued, stats.drained, stats.dropped), (2, 1, 1));
+        // The refused backlog buffer is home — the next checkout of its
+        // size is a hit — while the admitted one is the stored object. The
+        // other three idle buffers are the driven round's accumulators.
+        let pool = session.pool().stats();
+        assert_eq!((pool.idle_buffers, pool.hits), (1 + 3, 0));
+        let again = session.pool().checkout_bytes(256);
+        assert!(again.capacity() >= 256);
+        assert_eq!(session.pool().stats().hits, 1);
+        session.pool().checkin_bytes(again);
+        // …and comes home too once its round is over.
+        session.discard_round();
+        assert_eq!(session.pool().stats().idle_buffers, 2 + 3);
+    }
+
+    #[test]
+    fn a_hop_buffer_returns_to_the_pool_after_the_last_store_lets_go() {
+        // Child and parent share one pool, as the sessions of a cluster do.
+        let pool = BufferPool::new();
+        let mut child = SessionBuilder::new()
+            .topology(Topology::flat(2))
+            .codec(CodecKind::Uniform8)
+            .pool(pool.clone())
+            .build()
+            .unwrap();
+        let mut parent = SessionBuilder::new()
+            .topology(Topology::flat(1))
+            .codec(CodecKind::Uniform8)
+            .tree_position(1, 0)
+            .pool(pool.clone())
+            .build()
+            .unwrap();
+        child
+            .ingest_all(updates(2, 128).into_iter().map(Update::Dense))
+            .unwrap();
+        let export = child.drive_to_wire().unwrap();
+        // The child's round is over and its store is empty: both ingress
+        // encode buffers are home (and the accumulator its lossy `send` was
+        // done with), the exported top intermediate is not — the export
+        // still shares it.
+        assert_eq!(child.store().stats().live_objects, 0);
+        assert_eq!(pool.stats().idle_buffers, 2 + 1);
+        let Update::RemoteBytes { wire, .. } = &export.update else {
+            panic!("a lossy session exports wire bytes");
+        };
+        let address = wire.as_ptr();
+        parent.ingest(export.update).unwrap();
+        // Moved into the parent's store as it is: still one buffer, still out.
+        assert_eq!(parent.store().stats().live_objects, 1);
+        assert_eq!(pool.stats().idle_buffers, 2 + 1);
+        // The last store recycles it: now it comes home.
+        parent.discard_round();
+        assert_eq!(pool.stats().idle_buffers, 3 + 1);
+        let home: Vec<Vec<u8>> = (0..3).map(|_| pool.checkout_bytes(1)).collect();
+        assert!(home.iter().any(|buf| buf.as_ptr() == address));
     }
 
     #[test]

@@ -69,6 +69,16 @@ impl CumulativeFedAvg {
         }
     }
 
+    /// Backs an accumulator that holds no buffer yet (fresh, or emptied by
+    /// [`CumulativeFedAvg::finalize`]) with one checked out of `pool`, so
+    /// the first fold of a round writes into memory a previous round already
+    /// touched instead of allocating. A no-op once a buffer is in place.
+    pub fn warm_from(&mut self, pool: &lifl_shmem::BufferPool, dim: usize) {
+        if self.weighted_sum.is_empty() && dim > 0 {
+            self.weighted_sum = DenseModel::from_vec(pool.checkout_f32(dim));
+        }
+    }
+
     /// Folds one update into the accumulator (eager aggregation step).
     ///
     /// # Errors

@@ -22,11 +22,12 @@
 //! even under aggressive compression.
 //!
 //! The wire form [`EncodedUpdate`] is a self-describing byte string (16-byte
-//! header + payload) so it can be stored zero-copy in the `lifl-shmem` object
-//! store and re-parsed by any aggregator without side-channel metadata. Its
-//! size always equals [`CodecKind::encoded_bytes`] applied to the dense size,
-//! keeping the simulator's cost accounting and the in-process runtime's real
-//! byte counters consistent.
+//! header + payload) kept in one buffer, so it moves into the `lifl-shmem`
+//! object store as it is ([`EncodedUpdate::into_wire`]) and is re-parsed by
+//! any aggregator without side-channel metadata. Its payload size always
+//! equals [`CodecKind::encoded_bytes`] applied to the dense size, keeping the
+//! simulator's cost accounting and the in-process runtime's real byte
+//! counters consistent.
 //!
 //! The per-codec encode, decode and fused decode-fold inner loops all live in
 //! [`crate::kernels`], which dispatches between an AVX2 arm and a bit-exact
@@ -39,7 +40,7 @@ use crate::kernels;
 use crate::kernels::StochasticRng;
 use crate::model::DenseModel;
 use crate::update::Update;
-use lifl_shmem::BufferPool;
+use lifl_shmem::{BufferPool, PooledBuf};
 use lifl_types::{ClientId, CodecKind, LiflError, Result, WIRE_HEADER_BYTES};
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -53,15 +54,47 @@ const TAG_TOPK: u8 = 3;
 const U8_LEVELS: f32 = 127.0;
 const U4_LEVELS: f32 = 7.0;
 
+/// Length of the wire descriptor as a slice index.
+const HEADER: usize = WIRE_HEADER_BYTES as usize;
+
+/// The 16-byte self-describing wire descriptor: codec tag, a reserved byte,
+/// the top-k permille, then `dim`, `scale` and `kept`, all little-endian.
+fn descriptor(codec: CodecKind, dim: u32, scale: f32, kept: u32) -> [u8; HEADER] {
+    let (tag, permille) = match codec {
+        CodecKind::Identity => (TAG_IDENTITY, 0u16),
+        CodecKind::Uniform8 => (TAG_UNIFORM8, 0),
+        CodecKind::Uniform4 => (TAG_UNIFORM4, 0),
+        CodecKind::TopK { permille } => (TAG_TOPK, permille),
+    };
+    let mut out = [0u8; HEADER];
+    out[0] = tag;
+    out[2..4].copy_from_slice(&permille.to_le_bytes());
+    out[4..8].copy_from_slice(&dim.to_le_bytes());
+    out[8..12].copy_from_slice(&scale.to_le_bytes());
+    out[12..16].copy_from_slice(&kept.to_le_bytes());
+    out
+}
+
 /// A model update in its on-wire representation: a self-describing header
 /// followed by the codec-specific payload.
+///
+/// Descriptor and payload live **contiguously in one buffer**
+/// (`[16-byte descriptor | body]`, the encoders writing the body at offset
+/// 16), so the wire form *is* the buffer: [`EncodedUpdate::wire`] borrows it
+/// and [`EncodedUpdate::into_wire`] moves it — into the shared-memory store,
+/// typically — without serializing anything. An update encoded by a pooled
+/// [`UpdateCodec`] carries its way home with it: wherever the buffer is
+/// finally dropped (the update itself, the store object it became, a refused
+/// put), it goes back to the codec's [`BufferPool`]. Clones and parsed copies
+/// are plain heap buffers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncodedUpdate {
     codec: CodecKind,
     dim: u32,
     scale: f32,
     kept: u32,
-    body: Vec<u8>,
+    /// `[descriptor | body]`; the descriptor restates the fields above.
+    wire: PooledBuf,
 }
 
 impl EncodedUpdate {
@@ -85,7 +118,7 @@ impl EncodedUpdate {
     /// object key and weight, so it is excluded here — this always equals
     /// [`CodecKind::encoded_bytes`] of the dense size.
     pub fn wire_bytes(&self) -> u64 {
-        self.body.len() as u64
+        self.stored_bytes() - WIRE_HEADER_BYTES
     }
 
     /// Bytes the self-describing form occupies in shared memory (descriptor
@@ -94,7 +127,7 @@ impl EncodedUpdate {
     /// type, so every `EncodedUpdate` — `Identity` included — carries the
     /// header and round-trips through [`EncodedUpdate::from_bytes`].
     pub fn stored_bytes(&self) -> u64 {
-        WIRE_HEADER_BYTES + self.body.len() as u64
+        self.wire.as_slice().len() as u64
     }
 
     /// Bytes of the dense `f32` representation of the same model.
@@ -102,29 +135,29 @@ impl EncodedUpdate {
         u64::from(self.dim) * 4
     }
 
-    /// Serializes header + payload into one byte string for shared memory or
-    /// the wire; [`EncodedUpdate::from_bytes`] is its exact inverse for every
+    /// The self-describing wire form (descriptor + payload), borrowed in
+    /// place; [`EncodedUpdate::from_bytes`] is its exact inverse for every
     /// codec.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(WIRE_HEADER_BYTES as usize + self.body.len());
-        let (tag, permille) = match self.codec {
-            CodecKind::Identity => (TAG_IDENTITY, 0u16),
-            CodecKind::Uniform8 => (TAG_UNIFORM8, 0),
-            CodecKind::Uniform4 => (TAG_UNIFORM4, 0),
-            CodecKind::TopK { permille } => (TAG_TOPK, permille),
-        };
-        out.push(tag);
-        out.push(0);
-        out.extend_from_slice(&permille.to_le_bytes());
-        out.extend_from_slice(&self.dim.to_le_bytes());
-        out.extend_from_slice(&self.scale.to_le_bytes());
-        out.extend_from_slice(&self.kept.to_le_bytes());
-        out.extend_from_slice(&self.body);
-        out
+    pub fn wire(&self) -> &[u8] {
+        self.wire.as_slice()
     }
 
-    /// Parses a wire byte string produced by [`EncodedUpdate::to_bytes`] into
-    /// an owned update (the body is copied). The zero-copy alternative is
+    /// Moves the wire form out as a shared handle — no copy: the handle
+    /// *is* this update's buffer, and dropping its last clone returns a
+    /// pooled buffer to its pool.
+    pub fn into_wire(self) -> bytes::Bytes {
+        bytes::Bytes::from_owner(self.wire)
+    }
+
+    /// Copies the wire form into a fresh vector. A convenience for callers
+    /// that need an owned, unpooled byte string; [`EncodedUpdate::wire`]
+    /// borrows the same bytes and [`EncodedUpdate::into_wire`] moves them.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.wire().to_vec()
+    }
+
+    /// Parses a wire byte string (see [`EncodedUpdate::wire`]) into an owned
+    /// update (the bytes are copied). The zero-copy alternative is
     /// [`EncodedView::parse`], which borrows the payload in place.
     ///
     /// # Errors
@@ -141,7 +174,7 @@ impl EncodedUpdate {
             dim: self.dim,
             scale: self.scale,
             kept: self.kept,
-            body: &self.body,
+            body: &self.wire.as_slice()[HEADER..],
         }
     }
 
@@ -159,10 +192,13 @@ impl EncodedUpdate {
         self.view().decode_into(out)
     }
 
-    /// Consumes the update and returns its body buffer so it can be checked
-    /// back into a [`BufferPool`] (see [`UpdateCodec::recycle`]).
+    /// Consumes the update and returns its payload alone, descriptor
+    /// stripped (the payload slides down 16 bytes within the same
+    /// allocation). The buffer no longer returns to a pool by itself.
     pub fn into_body(self) -> Vec<u8> {
-        self.body
+        let mut wire = self.wire.into_vec();
+        wire.drain(..HEADER);
+        wire
     }
 }
 
@@ -264,12 +300,15 @@ impl<'a> EncodedView<'a> {
 
     /// Copies the view into an owned [`EncodedUpdate`].
     pub fn to_update(&self) -> EncodedUpdate {
+        let mut wire = Vec::with_capacity(HEADER + self.body.len());
+        wire.extend_from_slice(&descriptor(self.codec, self.dim, self.scale, self.kept));
+        wire.extend_from_slice(self.body);
         EncodedUpdate {
             codec: self.codec,
             dim: self.dim,
             scale: self.scale,
             kept: self.kept,
-            body: self.body.to_vec(),
+            wire: PooledBuf::detached(wire),
         }
     }
 
@@ -420,10 +459,18 @@ impl UpdateCodec {
         self
     }
 
-    /// Checks a retired update's body buffer back into the pool so the next
-    /// [`UpdateCodec::encode`] reuses it instead of allocating.
+    /// The scratch slab this codec draws from — where an aggregator that
+    /// encodes with it also keeps its accumulator between rounds.
+    pub fn pool(&self) -> &BufferPool {
+        &self.pool
+    }
+
+    /// Checks a retired update's buffer into this codec's pool so the next
+    /// [`UpdateCodec::encode`] reuses it instead of allocating. For an update
+    /// this codec encoded that is what dropping it does anyway; the explicit
+    /// form also donates a buffer that came from somewhere else.
     pub fn recycle(&self, encoded: EncodedUpdate) {
-        self.pool.checkin_bytes(encoded.into_body());
+        self.pool.checkin_bytes(encoded.wire.into_vec());
     }
 
     /// The configured codec kind.
@@ -438,59 +485,35 @@ impl UpdateCodec {
 
     /// Encodes a raw parameter slice into its wire representation (the
     /// `DenseModel`-free entry point used by pooled scratch buffers). The
-    /// body buffer is checked out of the codec's pool.
+    /// one buffer — descriptor first, the body written straight behind it —
+    /// is checked out of the codec's pool and returns there when dropped.
     pub fn encode_slice(&mut self, params: &[f32]) -> EncodedUpdate {
         let dim = params.len() as u32;
-        match self.kind {
-            CodecKind::Identity => {
-                let mut body = self.pool.checkout_bytes(params.len() * 4);
-                for v in params {
-                    body.extend_from_slice(&v.to_le_bytes());
-                }
-                EncodedUpdate {
-                    codec: self.kind,
-                    dim,
-                    scale: 0.0,
-                    kept: dim,
-                    body,
-                }
-            }
-            CodecKind::Uniform8 => {
-                let scale = tensor_scale(params, U8_LEVELS);
-                let mut body = self.pool.checkout_bytes(params.len());
-                kernels::encode_u8(params, scale, U8_LEVELS, &mut self.rng, &mut body);
-                EncodedUpdate {
-                    codec: self.kind,
-                    dim,
-                    scale,
-                    kept: dim,
-                    body,
-                }
-            }
-            CodecKind::Uniform4 => {
-                let scale = tensor_scale(params, U4_LEVELS);
-                let mut body = self.pool.checkout_bytes(params.len().div_ceil(2));
-                kernels::encode_u4(params, scale, U4_LEVELS, &mut self.rng, &mut body);
-                EncodedUpdate {
-                    codec: self.kind,
-                    dim,
-                    scale,
-                    kept: dim,
-                    body,
-                }
-            }
+        let (scale, kept) = match self.kind {
+            CodecKind::Identity => (0.0, dim),
+            CodecKind::Uniform8 => (tensor_scale(params, U8_LEVELS), dim),
+            CodecKind::Uniform4 => (tensor_scale(params, U4_LEVELS), dim),
             CodecKind::TopK { permille } => {
-                let kept = CodecKind::top_k_kept(params.len() as u64, permille) as usize;
-                let mut body = self.pool.checkout_bytes(kept * 8);
-                kernels::select_topk(params, kept, &mut body);
-                EncodedUpdate {
-                    codec: self.kind,
-                    dim,
-                    scale: 0.0,
-                    kept: kept as u32,
-                    body,
-                }
+                let kept = CodecKind::top_k_kept(params.len() as u64, permille);
+                (0.0, kept as u32)
             }
+        };
+        let body_bytes = self.kind.encoded_bytes(u64::from(dim) * 4) as usize;
+        let mut wire = PooledBuf::checkout(&self.pool, HEADER + body_bytes);
+        let out = wire.as_mut_vec();
+        out.extend_from_slice(&descriptor(self.kind, dim, scale, kept));
+        match self.kind {
+            CodecKind::Identity => out.extend_from_slice(kernels::le_bytes(params)),
+            CodecKind::Uniform8 => kernels::append_u8(params, scale, U8_LEVELS, &mut self.rng, out),
+            CodecKind::Uniform4 => kernels::append_u4(params, scale, U4_LEVELS, &mut self.rng, out),
+            CodecKind::TopK { .. } => kernels::append_topk(params, kept as usize, out),
+        }
+        EncodedUpdate {
+            codec: self.kind,
+            dim,
+            scale,
+            kept,
+            wire,
         }
     }
 
@@ -564,7 +587,8 @@ impl ErrorFeedback {
         Ok(encoded)
     }
 
-    /// Checks a retired update's body back into the shared scratch pool.
+    /// Checks a retired update's buffer into the shared scratch pool (see
+    /// [`UpdateCodec::recycle`]).
     pub fn recycle(&self, encoded: EncodedUpdate) {
         self.codec.recycle(encoded);
     }
@@ -593,7 +617,7 @@ impl ErrorFeedback {
         Update::encoded(client, encoded, samples)
     }
 
-    /// Returns a retired envelope's encode-body buffer to the shared scratch
+    /// Returns a retired envelope's encode buffer to the shared scratch
     /// pool (a no-op for non-encoded variants).
     pub fn recycle_update(&self, update: Update) {
         if let Update::Encoded { update, .. } = update {
@@ -690,6 +714,87 @@ mod tests {
             let parsed = EncodedUpdate::from_bytes(&encoded.to_bytes()).unwrap();
             assert_eq!(parsed, encoded);
             assert_eq!(parsed.decode(), encoded.decode());
+        }
+    }
+
+    /// The wire string as the pre-contiguous layout serialized it: the
+    /// descriptor pushed field by field, then a separately encoded body.
+    fn parent_wire(kind: CodecKind, seed: u64, params: &[f32]) -> (Vec<u8>, Vec<u8>) {
+        let mut rng = StochasticRng::from_seed(seed);
+        let mut body = Vec::new();
+        let (tag, permille, scale, kept) = match kind {
+            CodecKind::Identity => {
+                body.extend(params.iter().flat_map(|v| v.to_le_bytes()));
+                (TAG_IDENTITY, 0u16, 0.0, params.len())
+            }
+            CodecKind::Uniform8 => {
+                let scale = tensor_scale(params, U8_LEVELS);
+                kernels::encode_u8(params, scale, U8_LEVELS, &mut rng, &mut body);
+                (TAG_UNIFORM8, 0, scale, params.len())
+            }
+            CodecKind::Uniform4 => {
+                let scale = tensor_scale(params, U4_LEVELS);
+                kernels::encode_u4(params, scale, U4_LEVELS, &mut rng, &mut body);
+                (TAG_UNIFORM4, 0, scale, params.len())
+            }
+            CodecKind::TopK { permille } => {
+                let kept = CodecKind::top_k_kept(params.len() as u64, permille) as usize;
+                kernels::select_topk(params, kept, &mut body);
+                (TAG_TOPK, permille, 0.0, kept)
+            }
+        };
+        let mut wire = vec![tag, 0];
+        wire.extend_from_slice(&permille.to_le_bytes());
+        wire.extend_from_slice(&(params.len() as u32).to_le_bytes());
+        wire.extend_from_slice(&scale.to_le_bytes());
+        wire.extend_from_slice(&(kept as u32).to_le_bytes());
+        wire.extend_from_slice(&body);
+        (wire, body)
+    }
+
+    #[test]
+    fn one_buffer_layout_is_byte_identical_to_the_serialized_one() {
+        let full: Vec<f32> = (0..257)
+            .map(|i| ((i * 37) % 101) as f32 * 0.13 - 6.5)
+            .collect();
+        let kinds = [
+            CodecKind::Identity,
+            CodecKind::Uniform8,
+            CodecKind::Uniform4,
+            CodecKind::TopK { permille: 50 },
+            CodecKind::TopK { permille: 1000 }, // kept == dim
+        ];
+        for kind in kinds {
+            // Lengths cover the empty model (kept == 0), odd nibble tails
+            // and a body longer than one RNG block would need padding for.
+            for len in [0usize, 1, 2, 33, 257] {
+                let params = &full[..len];
+                let pool = BufferPool::new();
+                let mut codec = UpdateCodec::with_seed(kind, 77).with_pool(pool.clone());
+                let encoded = codec.encode_slice(params);
+                let (wire, body) = parent_wire(kind, 77, params);
+                assert_eq!(encoded.wire(), wire.as_slice(), "{kind} len {len}");
+                assert_eq!(encoded.to_bytes(), wire, "{kind} len {len}");
+                assert_eq!(encoded.stored_bytes(), wire.len() as u64);
+                assert_eq!(encoded.wire_bytes(), body.len() as u64);
+                let view = encoded.view();
+                assert_eq!(view, EncodedView::parse(&wire).unwrap(), "{kind} len {len}");
+                let parsed = EncodedUpdate::from_bytes(&wire).unwrap();
+                assert_eq!(parsed, encoded, "{kind} len {len}");
+                assert_eq!(parsed.decode(), encoded.decode(), "{kind} len {len}");
+                assert_eq!(view.to_update().wire(), wire.as_slice());
+                // The moved wire form is the same buffer at offset 0, and it
+                // finds its way back to the codec's pool when dropped.
+                let address = encoded.wire().as_ptr();
+                let moved = encoded.clone();
+                assert_eq!(moved.into_body(), body, "{kind} len {len}");
+                let shared = encoded.into_wire();
+                assert_eq!(shared.as_ptr(), address);
+                assert_eq!(&*shared, wire.as_slice());
+                assert_eq!(pool.stats().idle_buffers, 0);
+                drop(shared);
+                assert_eq!(pool.stats().idle_buffers, 1, "{kind} len {len}");
+            }
         }
     }
 

@@ -46,6 +46,7 @@
 mod avx2;
 mod scalar;
 
+use lifl_shmem::BufferPool;
 use std::sync::OnceLock;
 
 /// Number of elements whose random rounding words are drawn per block in the
@@ -135,6 +136,78 @@ impl StochasticRng {
         if let [tail] = pairs.into_remainder() {
             *tail = self.next_u64() as u32;
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Little-endian byte views of dense parameters.
+// ---------------------------------------------------------------------------
+
+// The stored and wire format of dense parameters is little-endian `f32` by
+// contract; the views below hand out the in-memory representation as that
+// format, which is only the same thing on a little-endian target.
+const _: () = assert!(
+    cfg!(target_endian = "little"),
+    "dense payloads are viewed in place as little-endian f32 bytes"
+);
+
+/// The little-endian wire bytes of `values`, viewed in place: byte-identical
+/// to `values.iter().flat_map(|v| v.to_le_bytes())` for every bit pattern
+/// (NaN payloads and signed zeros included), without copying anything.
+pub fn le_bytes(values: &[f32]) -> &[u8] {
+    // SAFETY: `values` is a live, initialised `[f32]`, so the same region
+    // read as `4 * len` bytes is in bounds and initialised (`f32` has no
+    // padding), `u8` has alignment 1, and the returned slice borrows
+    // `values`, so the region stays immutable and alive for as long as the
+    // bytes are. The byte order matches the wire format by the assertion
+    // above.
+    unsafe {
+        std::slice::from_raw_parts(values.as_ptr().cast::<u8>(), std::mem::size_of_val(values))
+    }
+}
+
+/// A dense parameter vector owned as its little-endian wire bytes: the owner
+/// a model is **moved** into the shared-memory store behind
+/// (`Bytes::from_owner(DenseLe::new(values))`), so the stored object *is* the
+/// vector its producer wrote — no encode pass, no second buffer. A vector a
+/// client handed over is freed when the store recycles the object and the
+/// last handle is gone; one the engine checked out of a [`BufferPool`]
+/// ([`DenseLe::pooled`] — an aggregator's accumulator) is checked back in
+/// there instead, on whichever thread that happens, so the next round's
+/// accumulator is the same warm memory and not a fresh page-faulting one.
+#[derive(Debug)]
+pub struct DenseLe {
+    values: Vec<f32>,
+    home: Option<BufferPool>,
+}
+
+impl DenseLe {
+    /// Takes ownership of `values`; dropping the owner frees them.
+    pub fn new(values: Vec<f32>) -> Self {
+        DenseLe { values, home: None }
+    }
+
+    /// Takes ownership of a vector checked out of `pool`; dropping the owner
+    /// checks it back in.
+    pub fn pooled(values: Vec<f32>, pool: &BufferPool) -> Self {
+        DenseLe {
+            values,
+            home: Some(pool.clone()),
+        }
+    }
+}
+
+impl Drop for DenseLe {
+    fn drop(&mut self) {
+        if let Some(pool) = self.home.take() {
+            pool.checkin_f32(std::mem::take(&mut self.values));
+        }
+    }
+}
+
+impl AsRef<[u8]> for DenseLe {
+    fn as_ref(&self) -> &[u8] {
+        le_bytes(&self.values)
     }
 }
 
@@ -314,11 +387,18 @@ const TOPK_LEVELS: [(u32, u32); 3] = [(31, 19), (19, 7), (7, 0)];
 /// threshold key plus the lowest-index ties at it. Refinement stops as soon
 /// as the boundary bin is kept whole. `kept` is clamped to `params.len()`.
 pub fn select_topk(params: &[f32], kept: usize, body: &mut Vec<u8>) {
-    select_topk_with(params, kept, body, simd_active());
+    body.clear();
+    append_topk(params, kept, body);
 }
 
-fn select_topk_with(params: &[f32], kept: usize, body: &mut Vec<u8>, simd: bool) {
-    body.clear();
+/// [`select_topk`] without the clear: the pairs are appended behind whatever
+/// `body` already holds (an update's descriptor, when the wire form is built
+/// in one buffer).
+pub fn append_topk(params: &[f32], kept: usize, body: &mut Vec<u8>) {
+    append_topk_with(params, kept, body, simd_active());
+}
+
+fn append_topk_with(params: &[f32], kept: usize, body: &mut Vec<u8>, simd: bool) {
     let kept = kept.min(params.len());
     if kept == 0 {
         return;
@@ -481,11 +561,31 @@ pub fn encode_u8(
     body: &mut Vec<u8>,
 ) {
     body.clear();
-    body.resize(params.len(), 0);
+    append_u8(params, scale, levels, rng, body);
+}
+
+/// [`encode_u8`] without the clear: the `params.len()` level bytes are
+/// appended behind whatever `body` already holds.
+pub fn append_u8(
+    params: &[f32],
+    scale: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    body: &mut Vec<u8>,
+) {
+    let start = body.len();
+    body.resize(start + params.len(), 0);
     if scale <= 0.0 {
         return;
     }
-    encode_u8_with(params, scale, levels, rng, body, simd_active());
+    encode_u8_with(
+        params,
+        scale,
+        levels,
+        rng,
+        &mut body[start..],
+        simd_active(),
+    );
 }
 
 fn encode_u8_with(
@@ -525,11 +625,31 @@ pub fn encode_u4(
     body: &mut Vec<u8>,
 ) {
     body.clear();
-    body.resize(params.len().div_ceil(2), 0);
+    append_u4(params, scale, levels, rng, body);
+}
+
+/// [`encode_u4`] without the clear: the `params.len().div_ceil(2)` nibble
+/// bytes are appended behind whatever `body` already holds.
+pub fn append_u4(
+    params: &[f32],
+    scale: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    body: &mut Vec<u8>,
+) {
+    let start = body.len();
+    body.resize(start + params.len().div_ceil(2), 0);
     if scale <= 0.0 {
         return;
     }
-    encode_u4_with(params, scale, levels, rng, body, simd_active());
+    encode_u4_with(
+        params,
+        scale,
+        levels,
+        rng,
+        &mut body[start..],
+        simd_active(),
+    );
 }
 
 fn encode_u4_with(
@@ -747,11 +867,14 @@ mod proptests {
         body
     }
 
-    /// Runs `select_topk` on one arm over a body holding stale bytes.
+    /// Runs the top-k selection on one arm behind a 5-byte prefix (an odd
+    /// offset, as a descriptor-prefixed wire buffer would give it), checks
+    /// the prefix survived and returns the pairs alone.
     fn topk_body(params: &[f32], kept: usize, simd: bool) -> Vec<u8> {
         let mut body = vec![0xAB; 5];
-        select_topk_with(params, kept, &mut body, simd);
-        body
+        append_topk_with(params, kept, &mut body, simd);
+        assert_eq!(body[..5], [0xAB; 5], "append must not touch the prefix");
+        body.split_off(5)
     }
 
     /// Scalar ≡ AVX2 ≡ the old comparator, byte for byte, at the edge values
@@ -778,7 +901,51 @@ mod proptests {
         Ok(())
     }
 
+    #[test]
+    fn a_pooled_dense_owner_checks_its_vector_back_in_when_dropped() {
+        let pool = BufferPool::new();
+        let values = pool.checkout_f32(64);
+        let address = values.as_ptr();
+        let owned = DenseLe::pooled(values, &pool);
+        assert_eq!(owned.as_ref().as_ptr(), address.cast::<u8>());
+        assert_eq!(pool.stats().idle_buffers, 0);
+        // Dropped wherever the last handle goes away — another thread here.
+        std::thread::spawn(move || drop(owned)).join().unwrap();
+        assert_eq!(pool.stats().idle_buffers, 1);
+        let again = pool.checkout_f32(64);
+        assert_eq!(again.as_ptr(), address);
+        // An unpooled owner frees its vector and leaves the pool alone.
+        drop(DenseLe::new(vec![1.0; 64]));
+        assert_eq!(pool.stats().idle_buffers, 0);
+    }
+
     proptest! {
+        /// The in-place LE view (borrowed and owned) equals the per-element
+        /// `to_le_bytes` encoding for arbitrary bit patterns — NaN payloads,
+        /// signed zeros and subnormals among them — at every small length.
+        #[test]
+        fn le_view_equals_per_element_le_bytes(
+            patterns in proptest::collection::vec((0u8..8, any::<u32>()), 0..300),
+        ) {
+            let values: Vec<f32> = patterns
+                .into_iter()
+                .map(|(tag, raw)| match tag {
+                    0 => f32::from_bits(0x7FC0_0000 | (raw & 0x003F_FFFF)), // quiet NaN payload
+                    1 => f32::from_bits(0xFF80_0001 | (raw & 0x003F_FFFF)), // signalling, negative
+                    2 => -0.0,
+                    3 => 0.0,
+                    4 => f32::from_bits(raw & 0x007F_FFFF),                 // subnormal
+                    _ => f32::from_bits(raw),
+                })
+                .collect();
+            let expected: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+            prop_assert_eq!(le_bytes(&values), expected.as_slice());
+            let ptr = values.as_ptr().cast::<u8>();
+            let owned = DenseLe::new(values);
+            prop_assert_eq!(owned.as_ref(), expected.as_slice());
+            prop_assert_eq!(owned.as_ref().as_ptr(), ptr, "the owner views, never copies");
+        }
+
         /// Dense fold and decode: AVX2 output is bit-identical to scalar.
         #[test]
         fn dense_kernels_match(acc in arbitrary_params(), body in arbitrary_bytes(520), w in -3.0f32..3.0) {

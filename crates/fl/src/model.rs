@@ -48,6 +48,22 @@ impl DenseModel {
         self.params
     }
 
+    /// Moves the model out as its headerless little-endian wire bytes — no
+    /// copy: the handle *is* the parameter vector (behind
+    /// [`DenseLe`](crate::kernels::DenseLe)), freed when the last clone of
+    /// the handle is dropped. The dense counterpart of
+    /// [`EncodedUpdate::into_wire`](crate::codec::EncodedUpdate::into_wire).
+    pub fn into_wire(self) -> bytes::Bytes {
+        bytes::Bytes::from_owner(crate::kernels::DenseLe::new(self.params))
+    }
+
+    /// [`DenseModel::into_wire`] for a model whose vector was checked out of
+    /// `pool` (an aggregator's accumulator): dropping the last clone of the
+    /// handle checks the vector back in instead of freeing it.
+    pub fn into_pooled_wire(self, pool: &lifl_shmem::BufferPool) -> bytes::Bytes {
+        bytes::Bytes::from_owner(crate::kernels::DenseLe::pooled(self.params, pool))
+    }
+
     /// Euclidean norm of the parameters.
     pub fn l2_norm(&self) -> f64 {
         self.params

@@ -222,6 +222,15 @@ impl PolicyFold {
         }
     }
 
+    /// Backs the FedAvg accumulator with a `pool` buffer when it holds none
+    /// (see [`CumulativeFedAvg::warm_from`]); robust policies buffer whole
+    /// updates instead of accumulating and ignore it.
+    pub fn warm_from(&mut self, pool: &lifl_shmem::BufferPool, dim: usize) {
+        if let PolicyFold::FedAvg(acc) = self {
+            acc.warm_from(pool, dim);
+        }
+    }
+
     /// Folds one update off its zero-copy wire view.
     ///
     /// # Errors

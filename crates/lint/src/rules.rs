@@ -662,12 +662,79 @@ const DELETED_GATEWAY_DOORS: [&str; 4] = [
     "ingest_remote_update",
 ];
 
+/// The engine's data-plane files: every payload here is written once by its
+/// producer and *moved* into the store (PR 21), so the copying conveniences
+/// below have no business in their non-test code.
+const MOVE_ONLY_FILES: [&str; 5] = [
+    "crates/core/src/gateway.rs",
+    "crates/core/src/ingress.rs",
+    "crates/core/src/session.rs",
+    "crates/core/src/cluster.rs",
+    "crates/core/src/aggregator.rs",
+];
+
+/// Calls that copy a whole payload, as code-token sequences, with what to do
+/// instead. Scoped to [`MOVE_ONLY_FILES`]; everywhere else they stay the
+/// conveniences they are.
+const PAYLOAD_COPIES: [(&[&str], &str); 4] = [
+    (
+        &[".", "to_bytes", "(", ")"],
+        "`.to_bytes()` serializes a second buffer; borrow `wire()` or move `into_wire()`",
+    ),
+    (
+        &["put_f32", "("],
+        "`put_f32(` re-encodes the model into a fresh buffer; move the model in with `into_wire()`",
+    ),
+    (
+        &["encode_f32", "("],
+        "`encode_f32(` copies the model element by element; view it with `kernels::le_bytes`",
+    ),
+    (
+        &["update", ".", "clone", "(", ")"],
+        "`update.clone()` copies the payload; hand the update over by value",
+    ),
+];
+
+/// R6's move-only half: the payload-copying calls of [`PAYLOAD_COPIES`] in
+/// non-test code of the [`MOVE_ONLY_FILES`].
+fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
+    if !MOVE_ONLY_FILES.contains(&f.rel.as_str()) {
+        return;
+    }
+    for w in 0..code.len() {
+        if f.is_test(code[w]) {
+            continue;
+        }
+        for (pattern, advice) in PAYLOAD_COPIES {
+            let matches = pattern.iter().enumerate().all(|(k, text)| {
+                code.get(w + k).is_some_and(|&i| {
+                    let t = &f.toks[i];
+                    matches!(t.kind, TokKind::Ident | TokKind::Punct) && t.text == *text
+                })
+            });
+            if matches {
+                out.push(finding(
+                    f,
+                    f.toks[code[w]].line,
+                    Rule::LegacyRuntime,
+                    format!(
+                        "payload copy on the engine's move-only path (the copying put \
+                         path deleted in PR 21): {advice}"
+                    ),
+                ));
+            }
+        }
+    }
+}
+
 /// R6: the legacy runtime deleted in PR 6 (`crates/core/src/runtime.rs`, the
 /// `run_hierarchical*` entry points and their `#[allow(deprecated)]` escape
-/// hatches) and the per-representation gateway doors deleted in PR 12
-/// (`DELETED_GATEWAY_DOORS`) must stay deleted. Unlike the shell guard
-/// this replaces, the check runs on code tokens, so prose in comments and
-/// string literals can mention the old names freely.
+/// hatches), the per-representation gateway doors deleted in PR 12
+/// (`DELETED_GATEWAY_DOORS`) and the copying put path deleted in PR 21
+/// (`PAYLOAD_COPIES` in non-test code of `MOVE_ONLY_FILES`) must stay
+/// deleted. Unlike the shell guard this replaces, the check runs on code
+/// tokens, so prose in comments and string literals can mention the old
+/// names freely.
 pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     if root.join("crates/core/src/runtime.rs").exists() {
@@ -682,6 +749,7 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
     }
     for f in files {
         let code = code_indices(f);
+        payload_copies(f, &code, &mut out);
         for w in 0..code.len() {
             let t = &f.toks[code[w]];
             if t.kind != TokKind::Ident {

@@ -145,6 +145,29 @@ fn r6_fail_flags_file_path_call_and_deprecated_allow() {
 }
 
 #[test]
+fn r6_fail_flags_payload_copies_on_the_move_only_path() {
+    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
+    let copies: Vec<&String> = found
+        .iter()
+        .filter(|f| f.contains("crates/core/src/session.rs") && f.contains("deleted in PR 21"))
+        .collect();
+    assert_eq!(copies.len(), 4, "{found:#?}");
+    for (line, token) in [
+        (5, "`put_f32(`"),
+        (6, "`.to_bytes()`"),
+        (7, "`encode_f32(`"),
+        (8, "`update.clone()`"),
+    ] {
+        assert!(
+            copies
+                .iter()
+                .any(|f| f.contains(&format!("session.rs:{line}:")) && f.contains(token)),
+            "{token} at line {line}: {found:#?}"
+        );
+    }
+}
+
+#[test]
 fn r6_pass_allows_prose_and_string_mentions() {
     assert_eq!(
         lint("r6_pass", &[Rule::LegacyRuntime]),

@@ -15,7 +15,9 @@
 //! * [`checkpoint::CheckpointStore`] emulates the external persistent storage
 //!   service the LIFL agent checkpoints global models to (Appendix B).
 //! * [`pool::BufferPool`] keeps model-sized scratch buffers alive between
-//!   uses so the codec/fold hot path runs at zero steady-state heap growth.
+//!   uses so the codec/fold hot path runs at zero steady-state heap growth;
+//!   a [`pool::PooledBuf`] moved into the store returns to its pool when the
+//!   object is recycled.
 //!
 //! ```
 //! use lifl_shmem::ObjectStore;
@@ -42,6 +44,6 @@ pub mod store;
 pub use backlog::{BacklogStats, PooledBacklog};
 pub use checkpoint::CheckpointStore;
 pub use object::{PayloadEncoding, SharedObject};
-pub use pool::{BufferPool, PoolStats};
+pub use pool::{BufferPool, PoolStats, PooledBuf};
 pub use queue::InPlaceQueue;
 pub use store::{ObjectStore, StoreStats};

@@ -101,11 +101,15 @@ impl SharedObject {
             .collect()
     }
 
-    /// Encodes `values` as a little-endian `f32` payload.
+    /// Encodes `values` as a little-endian `f32` payload (a copy; an owner
+    /// of the vector can have it viewed in place instead, see
+    /// `lifl_fl::kernels::DenseLe`).
     pub fn encode_f32(values: &[f32]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            out.extend_from_slice(&v.to_le_bytes());
+        // Fixed-width chunk stores over a zeroed buffer compile to a
+        // vectorised copy; pushing four bytes at a time does not.
+        let mut out = vec![0u8; values.len() * 4];
+        for (chunk, v) in out.chunks_exact_mut(4).zip(values) {
+            chunk.copy_from_slice(&v.to_le_bytes());
         }
         out
     }

@@ -13,7 +13,9 @@
 //! mutex, shared by `Clone` (an `Arc` bump) like [`crate::ObjectStore`]. A
 //! checkout *moves* the buffer out (no lifetime coupling to the pool), so a
 //! buffer can be embedded in an `EncodedUpdate`, shipped across a queue, and
-//! checked back in by whoever retires it.
+//! checked back in by whoever retires it — or wrapped in a [`PooledBuf`],
+//! which checks itself back in when dropped, so a payload moved into the
+//! object store comes home when the store recycles it.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -46,25 +48,69 @@ impl PoolStats {
     }
 }
 
-#[derive(Default)]
-struct PoolInner {
-    f32s: Vec<Vec<f32>>,
-    bytes: Vec<Vec<u8>>,
-    stats: PoolStats,
+/// One element type's half of the pool: the idle stack plus how many of its
+/// buffers are out with callers.
+struct Slab<T> {
+    idle: Vec<Vec<T>>,
+    /// Checkouts not yet matched by a check-in: the most buffers this slab
+    /// may take back (the conservation rule).
+    outstanding: usize,
 }
 
-impl PoolInner {
-    fn recount(&mut self) {
-        self.stats.idle_buffers = self.f32s.len() + self.bytes.len();
-        self.stats.idle_bytes = self
-            .f32s
-            .iter()
-            .map(|b| b.capacity() as u64 * 4)
-            .sum::<u64>()
-            + self.bytes.iter().map(|b| b.capacity() as u64).sum::<u64>();
-        self.stats.peak_idle_buffers = self.stats.peak_idle_buffers.max(self.stats.idle_buffers);
-        self.stats.peak_idle_bytes = self.stats.peak_idle_bytes.max(self.stats.idle_bytes);
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            idle: Vec::new(),
+            outstanding: 0,
+        }
     }
+}
+
+fn capacity_bytes<T>(buf: &Vec<T>) -> u64 {
+    (buf.capacity() * std::mem::size_of::<T>()) as u64
+}
+
+impl<T> Slab<T> {
+    /// Takes the most recently returned buffer holding at least `capacity`
+    /// elements, or allocates one; either way one more buffer is out.
+    fn checkout(&mut self, capacity: usize, stats: &mut PoolStats) -> Vec<T> {
+        self.outstanding += 1;
+        match self.idle.iter().rposition(|b| b.capacity() >= capacity) {
+            Some(i) => {
+                stats.hits += 1;
+                let buf = self.idle.swap_remove(i);
+                stats.idle_buffers -= 1;
+                stats.idle_bytes -= capacity_bytes(&buf);
+                buf
+            }
+            None => {
+                stats.misses += 1;
+                Vec::with_capacity(capacity)
+            }
+        }
+    }
+
+    /// Takes `buf` back if a checkout is still unmatched; hands it back to
+    /// the caller (to be freed outside the lock) otherwise.
+    fn checkin(&mut self, buf: Vec<T>, stats: &mut PoolStats) -> Option<Vec<T>> {
+        if self.outstanding == 0 {
+            return Some(buf);
+        }
+        self.outstanding -= 1;
+        stats.idle_buffers += 1;
+        stats.idle_bytes += capacity_bytes(&buf);
+        stats.peak_idle_buffers = stats.peak_idle_buffers.max(stats.idle_buffers);
+        stats.peak_idle_bytes = stats.peak_idle_bytes.max(stats.idle_bytes);
+        self.idle.push(buf);
+        None
+    }
+}
+
+#[derive(Default)]
+struct PoolInner {
+    f32s: Slab<f32>,
+    bytes: Slab<u8>,
+    stats: PoolStats,
 }
 
 /// A shared checkout/checkin pool of `Vec<f32>` and `Vec<u8>` scratch buffers.
@@ -72,6 +118,13 @@ impl PoolInner {
 /// Cloning the pool shares the same slab (an `Arc` bump), so a codec, an
 /// error-feedback encoder and an aggregator runtime can all recycle through
 /// one slab.
+///
+/// **Conservation:** the pool never retains more buffers of an element type
+/// than it has handed out and not yet got back. A check-in beyond that — a
+/// buffer somebody else allocated, with nothing of the pool's outstanding to
+/// stand in for — is dropped, so feeding the pool foreign buffers cannot grow
+/// it. The idle counters in [`PoolStats`] are maintained incrementally; no
+/// call walks the idle list except the checkout's best-fit scan.
 #[derive(Clone, Default)]
 pub struct BufferPool {
     inner: Arc<Mutex<PoolInner>>,
@@ -99,73 +152,169 @@ impl BufferPool {
     /// unspecified but initialised). Reuses a pooled buffer when one with
     /// sufficient capacity exists; allocates otherwise.
     pub fn checkout_f32(&self, len: usize) -> Vec<f32> {
-        let mut inner = self.inner.lock();
-        let slot = inner.f32s.iter().rposition(|b| b.capacity() >= len);
-        let mut buf = match slot {
-            Some(i) => {
-                inner.stats.hits += 1;
-                inner.f32s.swap_remove(i)
-            }
-            None => {
-                inner.stats.misses += 1;
-                Vec::with_capacity(len)
-            }
+        let mut buf = {
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
+            inner.f32s.checkout(len, &mut inner.stats)
         };
-        inner.recount();
-        drop(inner);
         buf.clear();
         buf.resize(len, 0.0);
         buf
     }
 
-    /// Returns an `f32` buffer to the pool for reuse.
+    /// Returns an `f32` buffer to the pool for reuse (dropped instead when
+    /// no `f32` checkout is outstanding — see the conservation rule).
     pub fn checkin_f32(&self, buf: Vec<f32>) {
-        let mut inner = self.inner.lock();
-        inner.f32s.push(buf);
-        inner.recount();
+        let surplus = {
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
+            inner.f32s.checkin(buf, &mut inner.stats)
+        };
+        drop(surplus);
     }
 
     /// Checks out an empty byte buffer with at least `capacity` bytes of
     /// capacity. Reuses a pooled buffer when one is large enough; allocates
     /// otherwise.
     pub fn checkout_bytes(&self, capacity: usize) -> Vec<u8> {
-        let mut inner = self.inner.lock();
-        let slot = inner.bytes.iter().rposition(|b| b.capacity() >= capacity);
-        let mut buf = match slot {
-            Some(i) => {
-                inner.stats.hits += 1;
-                inner.bytes.swap_remove(i)
-            }
-            None => {
-                inner.stats.misses += 1;
-                Vec::with_capacity(capacity)
-            }
+        let mut buf = {
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
+            inner.bytes.checkout(capacity, &mut inner.stats)
         };
-        inner.recount();
-        drop(inner);
         buf.clear();
         buf
     }
 
-    /// Returns a byte buffer to the pool for reuse.
+    /// Returns a byte buffer to the pool for reuse (dropped instead when no
+    /// byte checkout is outstanding — see the conservation rule).
     pub fn checkin_bytes(&self, buf: Vec<u8>) {
-        let mut inner = self.inner.lock();
-        inner.bytes.push(buf);
-        inner.recount();
+        let surplus = {
+            let mut guard = self.inner.lock();
+            let inner = &mut *guard;
+            inner.bytes.checkin(buf, &mut inner.stats)
+        };
+        drop(surplus);
     }
 
     /// Drops every idle buffer (e.g. when the model dimension changes and the
     /// resident capacities no longer fit the workload).
     pub fn shrink(&self) {
-        let mut inner = self.inner.lock();
-        inner.f32s.clear();
-        inner.bytes.clear();
-        inner.recount();
+        let (f32s, bytes) = {
+            let mut inner = self.inner.lock();
+            inner.stats.idle_buffers = 0;
+            inner.stats.idle_bytes = 0;
+            (
+                std::mem::take(&mut inner.f32s.idle),
+                std::mem::take(&mut inner.bytes.idle),
+            )
+        };
+        drop((f32s, bytes));
     }
 
     /// Current pool statistics.
     pub fn stats(&self) -> PoolStats {
         self.inner.lock().stats
+    }
+
+    /// The idle counters recomputed by walking both idle lists: what the
+    /// incremental accounting in [`BufferPool::stats`] must always equal.
+    #[cfg(test)]
+    fn recounted(&self) -> (usize, u64) {
+        let inner = self.inner.lock();
+        let buffers = inner.f32s.idle.len() + inner.bytes.idle.len();
+        let bytes = inner.f32s.idle.iter().map(capacity_bytes).sum::<u64>()
+            + inner.bytes.idle.iter().map(capacity_bytes).sum::<u64>();
+        (buffers, bytes)
+    }
+}
+
+/// A byte buffer that knows where it came from: dropping it checks the
+/// buffer back into its home [`BufferPool`], wherever and on whichever thread
+/// the drop happens. It is the owner a pooled payload is moved into the
+/// object store behind (`Bytes::from_owner`), so the store recycling the
+/// object — or refusing it in the first place — is what returns the buffer;
+/// no exit path has to remember to.
+///
+/// A *detached* buffer has no home and is simply freed: the form a payload
+/// somebody else allocated (a client's pre-encoded update, a parsed copy)
+/// travels in. Cloning always yields a detached copy.
+pub struct PooledBuf {
+    buf: Vec<u8>,
+    home: Option<BufferPool>,
+}
+
+impl PooledBuf {
+    /// Checks an empty buffer of at least `capacity` bytes out of `pool`,
+    /// to be returned there when dropped.
+    pub fn checkout(pool: &BufferPool, capacity: usize) -> PooledBuf {
+        PooledBuf::adopt(pool.checkout_bytes(capacity), pool)
+    }
+
+    /// Wraps a buffer that was checked out of `pool` earlier (e.g. a drained
+    /// backlog payload) so that dropping it returns it there.
+    pub fn adopt(buf: Vec<u8>, pool: &BufferPool) -> PooledBuf {
+        PooledBuf {
+            buf,
+            home: Some(pool.clone()),
+        }
+    }
+
+    /// Wraps a buffer no pool is waiting for; dropping it frees it.
+    pub fn detached(buf: Vec<u8>) -> PooledBuf {
+        PooledBuf { buf, home: None }
+    }
+
+    /// The bytes written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// The underlying vector, for whoever writes the payload.
+    pub fn as_mut_vec(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
+    /// Takes the vector out, leaving nothing to return to the pool (the
+    /// caller now owns the allocation and may check it in by hand).
+    pub fn into_vec(mut self) -> Vec<u8> {
+        self.home = None;
+        std::mem::take(&mut self.buf)
+    }
+}
+
+impl Drop for PooledBuf {
+    fn drop(&mut self) {
+        if let Some(pool) = self.home.take() {
+            pool.checkin_bytes(std::mem::take(&mut self.buf));
+        }
+    }
+}
+
+impl AsRef<[u8]> for PooledBuf {
+    fn as_ref(&self) -> &[u8] {
+        &self.buf
+    }
+}
+
+impl Clone for PooledBuf {
+    fn clone(&self) -> PooledBuf {
+        PooledBuf::detached(self.buf.clone())
+    }
+}
+
+impl PartialEq for PooledBuf {
+    fn eq(&self, other: &PooledBuf) -> bool {
+        self.buf == other.buf
+    }
+}
+
+impl std::fmt::Debug for PooledBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PooledBuf")
+            .field("len", &self.buf.len())
+            .field("pooled", &self.home.is_some())
+            .finish()
     }
 }
 
@@ -195,11 +344,12 @@ mod tests {
     #[test]
     fn undersized_buffers_are_not_reused_for_larger_requests() {
         let pool = BufferPool::new();
-        pool.checkin_f32(Vec::with_capacity(8));
+        let small = pool.checkout_f32(8);
+        pool.checkin_f32(small);
         let big = pool.checkout_f32(1024);
         assert_eq!(big.len(), 1024);
         let stats = pool.stats();
-        assert_eq!(stats.misses, 1);
+        assert_eq!(stats.misses, 2);
         // The small buffer stays pooled for a later small request.
         assert_eq!(stats.idle_buffers, 1);
     }
@@ -220,8 +370,10 @@ mod tests {
     #[test]
     fn stats_track_high_water_marks() {
         let pool = BufferPool::new();
-        pool.checkin_f32(vec![0.0; 100]);
-        pool.checkin_bytes(vec![0u8; 50]);
+        let floats = pool.checkout_f32(100);
+        let bytes = pool.checkout_bytes(50);
+        pool.checkin_f32(floats);
+        pool.checkin_bytes(bytes);
         let stats = pool.stats();
         assert_eq!(stats.idle_buffers, 2);
         assert_eq!(stats.peak_idle_buffers, 2);
@@ -232,13 +384,15 @@ mod tests {
         assert_eq!(after.idle_buffers, 0);
         assert_eq!(after.peak_idle_buffers, 2);
         assert!(after.peak_idle_bytes >= 450);
-        assert!((after.hit_rate() - 1.0).abs() < 1e-12);
+        assert!((after.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn shrink_empties_the_slab() {
         let pool = BufferPool::new();
-        pool.checkin_f32(vec![0.0; 10]);
+        let buf = pool.checkout_f32(10);
+        pool.checkin_f32(buf);
+        assert_eq!(pool.stats().idle_buffers, 1);
         pool.shrink();
         assert_eq!(pool.stats().idle_buffers, 0);
         assert_eq!(pool.stats().idle_bytes, 0);
@@ -248,7 +402,8 @@ mod tests {
     fn pool_is_clone_shared() {
         let pool = BufferPool::new();
         let alias = pool.clone();
-        pool.checkin_bytes(vec![0u8; 16]);
+        let buf = alias.checkout_bytes(16);
+        pool.checkin_bytes(buf);
         assert_eq!(alias.stats().idle_buffers, 1);
         let _ = alias.checkout_bytes(4);
         assert_eq!(pool.stats().hits, 1);
@@ -257,5 +412,109 @@ mod tests {
     #[test]
     fn empty_pool_hit_rate_is_zero() {
         assert_eq!(BufferPool::new().stats().hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn foreign_check_ins_cannot_grow_the_pool() {
+        let pool = BufferPool::new();
+        // Nothing is out: a buffer somebody else allocated is dropped.
+        pool.checkin_bytes(vec![0u8; 64]);
+        pool.checkin_f32(vec![0.0; 64]);
+        assert_eq!(pool.stats().idle_buffers, 0);
+        // One byte buffer out: exactly one check-in is retained, whoever
+        // allocated it, and the surplus is dropped. The f32 half keeps its
+        // own count.
+        let out = pool.checkout_bytes(32);
+        pool.checkin_bytes(vec![0u8; 64]);
+        pool.checkin_f32(vec![0.0; 64]);
+        pool.checkin_bytes(out);
+        let stats = pool.stats();
+        assert_eq!((stats.idle_buffers, stats.peak_idle_buffers), (1, 1));
+        assert_eq!(stats.idle_bytes, 64);
+    }
+
+    #[test]
+    fn a_pooled_buf_comes_home_when_dropped_and_a_detached_one_does_not() {
+        let pool = BufferPool::new();
+        let mut buf = PooledBuf::checkout(&pool, 128);
+        buf.as_mut_vec().extend_from_slice(&[1, 2, 3]);
+        let ptr = buf.as_slice().as_ptr();
+        assert_eq!(buf.as_ref(), &[1, 2, 3]);
+        // A clone is a detached copy: dropping it returns nothing.
+        let copy = buf.clone();
+        assert_eq!(copy, buf);
+        drop(copy);
+        assert_eq!(pool.stats().idle_buffers, 0);
+        // The original goes home from whichever thread drops it.
+        std::thread::spawn(move || drop(buf)).join().unwrap();
+        assert_eq!(pool.stats().idle_buffers, 1);
+        let again = PooledBuf::checkout(&pool, 64);
+        assert_eq!(again.as_slice().as_ptr(), ptr, "the same allocation");
+        assert!(again.as_slice().is_empty());
+        // Taking the vector out disarms the return.
+        let taken = again.into_vec();
+        assert_eq!(pool.stats().idle_buffers, 0);
+        pool.checkin_bytes(taken);
+        assert_eq!(pool.stats().idle_buffers, 1);
+        drop(PooledBuf::detached(vec![0u8; 16]));
+        assert_eq!(pool.stats().idle_buffers, 1);
+        // Adopting a buffer checked out by hand returns it on drop.
+        let by_hand = pool.checkout_bytes(8);
+        drop(PooledBuf::adopt(by_hand, &pool));
+        assert_eq!(pool.stats().idle_buffers, 1);
+        assert_eq!(pool.stats().hits, 2);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Over any checkout/check-in sequence (pooled buffers coming back,
+        /// foreign buffers arriving, shrinks) the incrementally maintained
+        /// idle counters equal a recount of the idle lists, the pool never
+        /// holds more than it handed out, and the peaks bound the present.
+        #[test]
+        fn incremental_stats_equal_recomputed_ones(
+            ops in proptest::collection::vec((0u8..7, 1usize..200), 1..120),
+        ) {
+            let pool = BufferPool::new();
+            let mut out_f32: Vec<Vec<f32>> = Vec::new();
+            let mut out_bytes: Vec<Vec<u8>> = Vec::new();
+            let mut handed_out = 0usize;
+            for (op, size) in ops {
+                match op {
+                    0 => {
+                        out_f32.push(pool.checkout_f32(size));
+                        handed_out += 1;
+                    }
+                    1 => {
+                        out_bytes.push(pool.checkout_bytes(size));
+                        handed_out += 1;
+                    }
+                    2 => {
+                        if let Some(buf) = out_f32.pop() {
+                            pool.checkin_f32(buf);
+                        }
+                    }
+                    3 => {
+                        if let Some(buf) = out_bytes.pop() {
+                            pool.checkin_bytes(buf);
+                        }
+                    }
+                    4 => pool.checkin_f32(vec![0.0; size]),
+                    5 => pool.checkin_bytes(vec![0u8; size]),
+                    _ => pool.shrink(),
+                }
+                let stats = pool.stats();
+                prop_assert_eq!((stats.idle_buffers, stats.idle_bytes), pool.recounted());
+                prop_assert!(stats.idle_buffers <= handed_out);
+                prop_assert!(stats.peak_idle_buffers >= stats.idle_buffers);
+                prop_assert!(stats.peak_idle_bytes >= stats.idle_bytes);
+                prop_assert_eq!(stats.hits + stats.misses, handed_out as u64);
+            }
+        }
     }
 }

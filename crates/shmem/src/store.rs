@@ -97,6 +97,13 @@ impl ObjectStore {
 
     /// Stores `data` under a freshly generated 16-byte key and returns the key.
     ///
+    /// The payload is **moved**, never copied: a `Vec<u8>` keeps its
+    /// allocation, and a `Bytes::from_owner` handle keeps whatever buffer its
+    /// owner exposes (a dense `Vec<f32>` seen as little-endian bytes, a
+    /// [`PooledBuf`](crate::PooledBuf) that returns to its pool). The owner is
+    /// dropped when the object is recycled and the last outside handle is
+    /// gone — or right here, if the store refuses the payload.
+    ///
     /// # Errors
     /// Returns [`LiflError::OutOfSharedMemory`] if the store has a capacity
     /// limit and the allocation would exceed it.
@@ -157,6 +164,11 @@ impl ObjectStore {
 
     /// Stores a model-parameter vector, encoding it as little-endian `f32`.
     ///
+    /// A copying convenience for callers that only hold a borrow. Whoever
+    /// owns the model moves it in instead (`put(model.into_wire())`, the
+    /// vector behind `lifl_fl::kernels::DenseLe`), which is what the engine
+    /// does.
+    ///
     /// # Errors
     /// Same as [`ObjectStore::put`].
     pub fn put_f32(&self, values: &[f32]) -> Result<ObjectKey> {
@@ -186,27 +198,32 @@ impl ObjectStore {
     /// # Errors
     /// Returns [`LiflError::ObjectNotFound`] if the key is unknown.
     pub fn recycle(&self, key: &ObjectKey) -> Result<()> {
-        let mut inner = self.inner.lock();
-        match inner.objects.remove(key) {
-            Some(obj) => {
+        let removed = {
+            let mut inner = self.inner.lock();
+            let removed = inner.objects.remove(key);
+            if let Some(obj) = &removed {
                 inner.stats.allocated_bytes =
                     inner.stats.allocated_bytes.saturating_sub(obj.len() as u64);
                 inner.stats.live_objects = inner.objects.len();
                 inner.stats.total_recycled += 1;
-                Ok(())
             }
-            None => Err(LiflError::ObjectNotFound(*key)),
-        }
+            removed
+        };
+        // The payload is released outside the lock: its owner may free a
+        // model-sized allocation or check a buffer back into its pool.
+        removed.map(drop).ok_or(LiflError::ObjectNotFound(*key))
     }
 
     /// Removes every object, as when an aggregation round completes.
     pub fn recycle_all(&self) {
-        let mut inner = self.inner.lock();
-        let count = inner.objects.len() as u64;
-        inner.objects.clear();
-        inner.stats.allocated_bytes = 0;
-        inner.stats.live_objects = 0;
-        inner.stats.total_recycled += count;
+        let objects = {
+            let mut inner = self.inner.lock();
+            inner.stats.allocated_bytes = 0;
+            inner.stats.live_objects = 0;
+            inner.stats.total_recycled += inner.objects.len() as u64;
+            std::mem::take(&mut inner.objects)
+        };
+        drop(objects);
     }
 
     /// Current store statistics.

@@ -1,5 +1,8 @@
 //! Allocation-counting tier: proves the buffer-pooled aggregation hot path
-//! runs at **zero model-sized heap allocations** per steady-state round.
+//! runs at **zero model-sized heap allocations** per steady-state round, and
+//! that a whole session round does too — ingest, store puts, every
+//! aggregator position's accumulator, `send`, park and drain included; the
+//! model `drive()` hands its caller is the one allocation left.
 //!
 //! A counting [`GlobalAlloc`] shim wraps the system allocator and counts
 //! every allocation (and growing reallocation) of at least
@@ -101,7 +104,22 @@ fn run_round(
     interior.recycle(intermediate);
 }
 
-// Both phases live in ONE #[test]: the harness runs tests in parallel
+/// Model-sized allocations of one session round — its offers, then `close`
+/// — and the weight `close` reports.
+fn round_allocs(
+    session: &mut lifl_core::session::Session,
+    round: Vec<lifl_fl::Update>,
+    close: &dyn Fn(&mut lifl_core::session::Session) -> u64,
+) -> (u64, u64) {
+    let before = model_sized_allocs();
+    for update in round {
+        session.try_ingest(update).expect("offer");
+    }
+    let weight = close(session);
+    (model_sized_allocs() - before, weight)
+}
+
+// All phases live in ONE #[test]: the harness runs tests in parallel
 // threads, and two tests sampling the same global counter would race.
 #[test]
 fn steady_state_rounds_make_zero_model_sized_allocations() {
@@ -253,8 +271,9 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     let sender = ObjectStore::new();
     let mut hop_codec = UpdateCodec::with_seed(CodecKind::Uniform8, 0xC10B);
     let encoded = hop_codec.encode(&DenseModel::from_vec(values.clone()));
+    let dense_bytes = encoded.dense_bytes();
     let encoded_key = sender
-        .put_encoded(encoded.to_bytes(), encoded.dense_bytes())
+        .put_encoded(encoded.into_wire(), dense_bytes)
         .expect("sender put encoded");
     let dense_key = sender.put_f32(&values).expect("sender put dense");
 
@@ -287,4 +306,125 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         "steady-state cluster hops must share the sender's buffer, not copy it"
     );
     assert_eq!(receiver_store.stats().live_objects, 0);
+
+    // Phases 5-7: whole sessions, puts included. The payload is written
+    // once by its producer and moved — a dense model's vector becomes the
+    // stored object, an encoded update's pooled buffer does, `send` moves
+    // the finalised model, a parked update is copied once into a pooled
+    // backlog buffer that the drain moves into the store, and each
+    // aggregator position's accumulator is the pooled vector a previous
+    // round's `send` moved into the store, home again since the recycle —
+    // so a steady-state round allocates nothing model-sized. `drive()` adds
+    // the one model it returns; `drive_to_wire()` adds nothing.
+    use lifl_core::session::{Session, SessionBuilder};
+    use lifl_types::AdmissionConfig;
+
+    const POSITIONS: u64 = 3; // two_level(2, 2): two leaves and the top
+    const WARM_UP: usize = 3;
+    const MEASURED: usize = 5;
+    // Owned updates for every round, built before the window opens.
+    let rounds = |count: usize| -> Vec<Vec<Update>> {
+        (0..count)
+            .map(|_| {
+                clients
+                    .iter()
+                    .map(|(client, model)| {
+                        Update::dense(*client, model.clone(), 1 + client.index())
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let to_wire = |session: &mut Session| -> u64 {
+        session
+            .drive_to_wire()
+            .expect("drive_to_wire")
+            .update
+            .weight()
+    };
+    let to_model = |session: &mut Session| -> u64 {
+        let report = session.drive().expect("drive");
+        assert!(report.update.model.l2_norm() > 0.0);
+        report.update.samples
+    };
+
+    for codec in [CodecKind::Identity, CodecKind::Uniform8] {
+        let mut session = SessionBuilder::new()
+            .two_level(2, 2)
+            .codec(codec)
+            .build()
+            .expect("session");
+        for round in rounds(WARM_UP) {
+            round_allocs(&mut session, round, &to_wire);
+        }
+        for round in rounds(MEASURED) {
+            let (allocs, weight) = round_allocs(&mut session, round, &to_wire);
+            assert_eq!(weight, 1 + 2 + 3 + 4);
+            assert_eq!(
+                allocs, 0,
+                "{codec}: try_ingest x capacity + drive_to_wire must allocate \
+                 nothing model-sized, accumulators included"
+            );
+        }
+        for round in rounds(2) {
+            let (allocs, _) = round_allocs(&mut session, round, &to_model);
+            assert_eq!(
+                allocs, 1,
+                "{codec}: drive() adds exactly the model it returns"
+            );
+        }
+        assert_eq!(session.store().stats().live_objects, 0);
+        if codec == CodecKind::Uniform8 {
+            // Ingress encodes and interior re-encodes were all served from
+            // the slab once it was warm.
+            let stats = session.pool().stats();
+            assert!(stats.hits >= 10 * MEASURED as u64, "{stats:?}");
+            // A lossy `send` checks its accumulator back in at once, so the
+            // top reuses a leaf's, and the second leaf does too unless the
+            // two leaves overlapped in the first round.
+            assert!(
+                (7 + 1..=7 + 2).contains(&stats.misses),
+                "4 ingress + 3 interior buffers, one or two accumulators: {stats:?}"
+            );
+        } else {
+            let stats = session.pool().stats();
+            assert_eq!(stats.misses, POSITIONS, "the accumulators: {stats:?}");
+        }
+    }
+
+    // Phase 7: bounded admission. Once the backlog is primed every round's
+    // offers find the round already full (the previous drive drained four
+    // parked updates into it) and park; the drive folds the drained round and
+    // drains the next. Park is one copy into a pooled backlog buffer, drain
+    // moves that buffer into the store.
+    let mut session = SessionBuilder::new()
+        .two_level(2, 2)
+        .admission(AdmissionConfig::bounded(4, 4 * DIM * 4))
+        .build()
+        .expect("admission session");
+    for update in rounds(1).remove(0) {
+        // Primes the pipeline: this round is admitted, every later one parks.
+        assert!(session.try_ingest(update).expect("prime").is_admitted());
+    }
+    for round in rounds(WARM_UP) {
+        round_allocs(&mut session, round, &to_wire);
+    }
+    for round in rounds(MEASURED) {
+        assert_eq!(session.pending_updates(), 4, "the drain filled the round");
+        let (allocs, _) = round_allocs(&mut session, round, &to_wire);
+        assert_eq!(
+            allocs, 0,
+            "park -> drain -> drive must allocate nothing model-sized"
+        );
+        assert_eq!(session.queued_updates(), 0);
+    }
+    let admission = session.admission_stats();
+    assert_eq!(admission.rejected + admission.dropped, 0);
+    assert!(admission.drained >= 4 * MEASURED as u64);
+    let stats = session.pool().stats();
+    assert_eq!(
+        stats.misses,
+        8 + POSITIONS,
+        "4 parked + 4 stored backlog buffers, one accumulator per position: {stats:?}"
+    );
 }
