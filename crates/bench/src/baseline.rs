@@ -3,7 +3,8 @@
 //! Criterion's output is ephemeral, so until now no PR could *prove* a
 //! speedup against its predecessor. This module measures the aggregation hot
 //! path — dense fold, decode-then-fold, fused decode-fold, in-place decode,
-//! codec encode, and sequential-versus-sharded batch folding — at the
+//! codec encode (plain and with error feedback), and sequential-versus-sharded
+//! batch folding — at the
 //! ResNet-18/34/152 parameter counts and produces a schema-versioned JSON
 //! report (`BENCH_aggregation.json` at the repo root) that is committed, so
 //! this and every future perf PR has a before/after record.
@@ -12,7 +13,7 @@
 //! validates the committed file's schema (`just bench-baseline-check`).
 
 use lifl_fl::aggregate::{CumulativeFedAvg, ModelUpdate};
-use lifl_fl::codec::UpdateCodec;
+use lifl_fl::codec::{ErrorFeedback, UpdateCodec};
 use lifl_fl::sharded::ShardedFedAvg;
 use lifl_fl::DenseModel;
 use lifl_types::{ClientId, CodecKind, ModelKind};
@@ -22,8 +23,10 @@ use std::time::Instant;
 /// Schema tag of the persisted report; bump when entry names or fields
 /// change so CI flags a stale committed baseline. v2 added the
 /// `encode/uniform4`, `encode/topk50` and `decode_into/uniform4` entries
-/// alongside the SIMD kernel layer.
-pub const SCHEMA: &str = "lifl.bench.aggregation/v2";
+/// alongside the SIMD kernel layer; v3 added `feedback_encode/uniform8|4`
+/// and the `feedback_over_encode_uniform8_resnet18` cost ratio with the
+/// fused error-feedback encoder.
+pub const SCHEMA: &str = "lifl.bench.aggregation/v3";
 
 /// Updates per batch in the sequential-versus-sharded comparison.
 pub const BATCH_UPDATES: usize = 8;
@@ -51,12 +54,15 @@ pub struct BenchEntry {
     pub gb_per_s: f64,
 }
 
-/// A named before/after ratio derived from two entries.
+/// A named ratio derived from two entries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DerivedRatio {
-    /// Stable ratio name.
+    /// Stable ratio name, `<numerator>_over_<denominator>_…`.
     pub name: String,
-    /// Speedup factor (>1 means the optimised path is faster).
+    /// For the `fused_…` and `sharded…` ratios a speedup factor (>1 means the
+    /// optimised path is faster); for `feedback_over_encode_…` a cost factor
+    /// — time of an error-feedback encode over a plain one, target ≤ 1.35:
+    /// the add sweep is all feedback should cost.
     pub ratio: f64,
 }
 
@@ -108,6 +114,8 @@ pub fn required_entry_names() -> Vec<String> {
         "encode/uniform8",
         "encode/uniform4",
         "encode/topk50",
+        "feedback_encode/uniform8",
+        "feedback_encode/uniform4",
         "sequential_batch_fold",
     ]
     .iter()
@@ -124,6 +132,7 @@ pub fn required_ratio_names() -> Vec<&'static str> {
         "fused_over_decode_then_fold_uniform8_resnet152",
         "sharded4_over_sequential_resnet152",
         "sharded8_over_sequential_resnet152",
+        "feedback_over_encode_uniform8_resnet18",
     ]
 }
 
@@ -271,6 +280,18 @@ pub fn run(quick: bool) -> BaselineReport {
             let out = codec_topk.encode(&dense);
             codec_topk.recycle(out);
         });
+        // One client, residual warm (the recorder's untimed first run
+        // installs it): every timed encode is add + fused quantize.
+        for (name, kind) in [
+            ("feedback_encode/uniform8", CodecKind::Uniform8),
+            ("feedback_encode/uniform4", CodecKind::Uniform4),
+        ] {
+            let mut feedback = ErrorFeedback::new(UpdateCodec::new(kind));
+            rec.record(name, model, 1, || {
+                let out = feedback.encode(ClientId::new(0), &dense).expect("encode");
+                feedback.recycle(out);
+            });
+        }
 
         let batch: Vec<ModelUpdate> = (0..BATCH_UPDATES)
             .map(|i| {
@@ -333,6 +354,14 @@ pub fn run(quick: bool) -> BaselineReport {
             name: "sharded8_over_sequential_resnet152".to_string(),
             ratio: report_ns(&rec.entries, "sequential_batch_fold", ModelKind::ResNet152)
                 / report_ns(&rec.entries, "sharded_fold/8", ModelKind::ResNet152),
+        },
+        DerivedRatio {
+            name: "feedback_over_encode_uniform8_resnet18".to_string(),
+            ratio: report_ns(
+                &rec.entries,
+                "feedback_encode/uniform8",
+                ModelKind::ResNet18,
+            ) / report_ns(&rec.entries, "encode/uniform8", ModelKind::ResNet18),
         },
     ];
     BaselineReport {

@@ -42,6 +42,7 @@ use crate::model::DenseModel;
 use crate::update::Update;
 use lifl_shmem::{BufferPool, PooledBuf};
 use lifl_types::{ClientId, CodecKind, LiflError, Result, WIRE_HEADER_BYTES};
+use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Codec tags used in byte 0 of the wire header.
@@ -498,16 +499,24 @@ impl UpdateCodec {
                 (0.0, kept as u32)
             }
         };
-        let body_bytes = self.kind.encoded_bytes(u64::from(dim) * 4) as usize;
-        let mut wire = PooledBuf::checkout(&self.pool, HEADER + body_bytes);
-        let out = wire.as_mut_vec();
-        out.extend_from_slice(&descriptor(self.kind, dim, scale, kept));
+        let mut encoded = self.checkout(dim, scale, kept);
+        let out = encoded.wire.as_mut_vec();
         match self.kind {
             CodecKind::Identity => out.extend_from_slice(kernels::le_bytes(params)),
             CodecKind::Uniform8 => kernels::append_u8(params, scale, U8_LEVELS, &mut self.rng, out),
             CodecKind::Uniform4 => kernels::append_u4(params, scale, U4_LEVELS, &mut self.rng, out),
             CodecKind::TopK { .. } => kernels::append_topk(params, kept as usize, out),
         }
+        encoded
+    }
+
+    /// An update of this codec with its one wire buffer checked out of the
+    /// pool and the descriptor written; the body goes straight behind it.
+    fn checkout(&self, dim: u32, scale: f32, kept: u32) -> EncodedUpdate {
+        let body_bytes = self.kind.encoded_bytes(u64::from(dim) * 4) as usize;
+        let mut wire = PooledBuf::checkout(&self.pool, HEADER + body_bytes);
+        wire.as_mut_vec()
+            .extend_from_slice(&descriptor(self.kind, dim, scale, kept));
         EncodedUpdate {
             codec: self.kind,
             dim,
@@ -525,13 +534,21 @@ impl UpdateCodec {
 
 /// Per-tensor scale so the largest magnitude maps to the outermost level.
 fn tensor_scale(params: &[f32], levels: f32) -> f32 {
-    let max_abs = kernels::max_abs_finite(params);
+    scale_for(kernels::max_abs_finite(params), levels)
+}
+
+/// [`tensor_scale`] of a tensor whose largest finite magnitude is `max_abs`.
+fn scale_for(max_abs: f32, levels: f32) -> f32 {
     if max_abs == 0.0 {
         0.0
     } else {
         max_abs / levels
     }
 }
+
+/// A fused error-feedback body encoder of the kernel layer
+/// ([`kernels::feedback_append_u8`] / [`kernels::feedback_append_u4`]).
+type FeedbackAppend = fn(&mut [f32], f32, f32, &mut StochasticRng, &mut Vec<u8>);
 
 /// Client-side error feedback: each client remembers the residual its codec
 /// dropped last round and adds it back before encoding the next update, so the
@@ -560,31 +577,87 @@ impl ErrorFeedback {
     /// Encodes `model` for `client`, compensating with the client's stored
     /// residual and retaining the new residual for the next round.
     ///
-    /// The stored residual *is* the compensation buffer: the model is added
-    /// into it, the update is encoded from it, and what the codec kept is
-    /// folded back out (`residual -= decode(encoded)`) by the fused
-    /// decode-fold kernel. Apart from a client's first residual nothing
-    /// model-sized is allocated or copied.
+    /// The stored residual *is* the compensation buffer, and a quantized
+    /// update costs two sweeps over it: [`kernels::add_max`] adds the model
+    /// in and finds the magnitude the scale derives from, and one fused
+    /// encoder ([`kernels::feedback_append_u8`] / `_u4`) writes the level
+    /// bytes behind the descriptor of a pooled wire buffer while it replaces
+    /// each element by what the quantizer dropped of it. Bytes and residual
+    /// are bit for bit those of the three-pass formula — compensate, encode,
+    /// `residual -= decode(encoded)` — which the tests keep as the oracle.
+    /// Nothing model-sized is allocated, and a client's first model is copied
+    /// once, to become its residual ([`ErrorFeedback::encode_update`] moves
+    /// it instead).
+    ///
+    /// `TopK` keeps the separate steps — [`kernels::axpy`], top-k selection,
+    /// fold-back — because none of them can be fused away: selection needs
+    /// every compensated value before it can emit the first pair, so the add
+    /// must be a finished, DRAM-bound sweep of its own; the selection that
+    /// follows is two thirds of the encode; and the fold-back only touches
+    /// the kept 5 % of the elements.
     ///
     /// # Errors
     /// Returns [`LiflError::DimensionMismatch`] if the client's model changes
     /// dimension between rounds; the stored residual is left as it was.
     pub fn encode(&mut self, client: ClientId, model: &DenseModel) -> Result<EncodedUpdate> {
-        if self.codec.kind().is_lossless() {
-            // Nothing is dropped, so there is no residual to carry.
-            return Ok(self.codec.encode(model));
-        }
-        let residual = match self.residuals.entry(client) {
-            Entry::Occupied(stored) => {
-                let residual = stored.into_mut();
-                residual.axpy(1.0, model)?;
-                residual
+        if let Some(stored) = self.residuals.get(&client) {
+            if stored.dim() != model.dim() {
+                return Err(LiflError::DimensionMismatch {
+                    expected: stored.dim(),
+                    actual: model.dim(),
+                });
             }
-            Entry::Vacant(first) => first.insert(model.clone()),
+        }
+        Ok(self.compensate(client, Cow::Borrowed(model)))
+    }
+
+    /// The one encode path behind [`ErrorFeedback::encode`] (which lends the
+    /// model) and [`ErrorFeedback::encode_update`] (which gives it away, so a
+    /// first model *becomes* the residual). A stored residual of another
+    /// shape is replaced like a missing one.
+    fn compensate(&mut self, client: ClientId, model: Cow<'_, DenseModel>) -> EncodedUpdate {
+        let quantizer: Option<(f32, FeedbackAppend)> = match self.codec.kind {
+            // Nothing is dropped, so there is no residual to carry.
+            CodecKind::Identity => return self.codec.encode(&model),
+            CodecKind::Uniform8 => Some((U8_LEVELS, kernels::feedback_append_u8)),
+            CodecKind::Uniform4 => Some((U4_LEVELS, kernels::feedback_append_u4)),
+            CodecKind::TopK { .. } => None,
         };
-        let encoded = self.codec.encode_slice(residual.as_slice());
-        encoded.view().fold_into(-1.0, residual.as_mut_slice())?;
-        Ok(encoded)
+        // `carried` is the model still to be added into a residual that was
+        // stored; a first (or reshaped) model is the residual already.
+        let (residual, carried) = match self.residuals.entry(client) {
+            Entry::Occupied(stored) if stored.get().dim() == model.dim() => {
+                (stored.into_mut(), Some(model))
+            }
+            Entry::Occupied(stale) => {
+                let residual = stale.into_mut();
+                *residual = model.into_owned();
+                (residual, None)
+            }
+            Entry::Vacant(first) => (first.insert(model.into_owned()), None),
+        };
+        let residual = residual.as_mut_slice();
+        match quantizer {
+            Some((levels, feedback_append)) => {
+                let scale = match carried {
+                    Some(model) => scale_for(kernels::add_max(residual, model.as_slice()), levels),
+                    None => tensor_scale(residual, levels),
+                };
+                let dim = residual.len() as u32;
+                let mut encoded = self.codec.checkout(dim, scale, dim);
+                let body = encoded.wire.as_mut_vec();
+                feedback_append(residual, scale, levels, &mut self.codec.rng, body);
+                encoded
+            }
+            None => {
+                if let Some(model) = carried {
+                    kernels::axpy(residual, model.as_slice(), 1.0);
+                }
+                let encoded = self.codec.encode_slice(residual);
+                encoded.view().fold_range_into(-1.0, 0, residual);
+                encoded
+            }
+        }
     }
 
     /// Checks a retired update's buffer into the shared scratch pool (see
@@ -596,25 +669,18 @@ impl ErrorFeedback {
     /// Wraps `model` in the codec-transparent [`Update`] envelope the data
     /// plane carries: `Dense` under a lossless codec (bit-exact, no residual
     /// bookkeeping), `Encoded` otherwise, with this client's error-feedback
-    /// compensation applied. If the stored residual no longer matches the
-    /// model's dimension (the model changed shape mid-run), every residual is
-    /// dropped and the update is re-encoded compensation-free.
+    /// compensation applied. The model is consumed: a client's first one is
+    /// moved in as its residual, not copied. If the stored residual no longer
+    /// matches the model's dimension, **that client's** residual is dropped
+    /// and the update is encoded compensation-free, the model becoming the
+    /// new residual; every other client's compensation is untouched (after a
+    /// genuine change of model shape each residual is replaced this way at
+    /// its own client's next encode).
     pub fn encode_update(&mut self, client: ClientId, model: DenseModel, samples: u64) -> Update {
         if self.kind().is_lossless() {
             return Update::dense(client, model, samples);
         }
-        let encoded = match self.encode(client, &model) {
-            Ok(encoded) => encoded,
-            Err(_) => {
-                self.reset();
-                self.encode(client, &model)
-                    // lifl-lint: allow(panic) — encode only fails on a
-                    // residual-dimension mismatch, and `reset()` above just
-                    // cleared every residual.
-                    .expect("encode without a residual is infallible")
-            }
-        };
-        Update::encoded(client, encoded, samples)
+        Update::encoded(client, self.compensate(client, Cow::Owned(model)), samples)
     }
 
     /// Returns a retired envelope's encode buffer to the shared scratch
@@ -961,10 +1027,14 @@ mod tests {
         feedback
             .encode(client, &model(&[1.0, -0.4, 0.03, 0.8]))
             .unwrap();
-        feedback
-            .encode(ClientId::new(2), &model(&[0.5; 4]))
-            .unwrap();
+        let bystander = ClientId::new(2);
+        feedback.encode(bystander, &model(&[0.5; 4])).unwrap();
         let before = feedback.residual(client).unwrap().clone();
+        let bits_of = |feedback: &ErrorFeedback, client| -> Vec<u32> {
+            let residual = feedback.residual(client).unwrap().as_slice();
+            residual.iter().map(|v| v.to_bits()).collect()
+        };
+        let bystander_before = bits_of(&feedback, bystander);
         // A direct encode refuses the new shape and leaves the residual be.
         let wider = model(&[0.3, 0.2, -0.1, 0.9, 0.7]);
         assert!(matches!(
@@ -972,14 +1042,15 @@ mod tests {
             Err(LiflError::DimensionMismatch { .. })
         ));
         assert_eq!(feedback.residual(client), Some(&before));
-        // The envelope path drops every residual and encodes afresh.
+        // The envelope path drops this client's residual — nobody else's —
+        // and encodes afresh.
         let update = feedback.encode_update(client, wider.clone(), 1);
         let Update::Encoded { update, .. } = update else {
             panic!("lossy codecs travel encoded");
         };
         assert_eq!(update.dim(), 5);
         assert_eq!(feedback.residual(client).unwrap().dim(), 5);
-        assert!(feedback.residual(ClientId::new(2)).is_none());
+        assert_eq!(bits_of(&feedback, bystander), bystander_before, "kept");
         let fresh = UpdateCodec::new(CodecKind::Uniform4).encode(&wider);
         assert_eq!(update.scale(), fresh.scale());
     }

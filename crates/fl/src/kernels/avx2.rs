@@ -19,12 +19,48 @@
 //! Each kernel handles the vector-width remainder by delegating the tail to
 //! the scalar reference, so odd lengths take the same path in both arms.
 //!
+//! # Counter-mode draws
+//!
+//! The stochastic encoders need one `u32` rounding word per element, and the
+//! scalar arm defines which: [`StochasticRng::fill`] over a stack block.
+//! Here no block exists. splitmix64 is a pure function of an additive
+//! counter, so `draw8` holds the counters of the next four draws,
+//! `state + {1, 2, 3, 4} * gamma`, in the four `u64` lanes of one register,
+//! mixes all four at once and steps the counters by `4 * gamma`:
+//!
+//! * **lane ↔ stream word.** `fill` stores each 64-bit draw low half first,
+//!   and a little-endian `u64` lane *is* its low `u32` lane followed by its
+//!   high one — so `u32` lane `j` of the `i`-th `draw8` is stream word
+//!   `8 * i + j`, the word `fill` would have stored for element `8 * i + j`,
+//!   with no shuffle.
+//! * **the 64-bit multiplies are exact.** AVX2 has no 64 × 64 multiply;
+//!   `mul64` builds `a * b mod 2^64` as `lo(a) * lo(b) + ((hi(a) * lo(b) +
+//!   lo(a) * hi(b)) << 32)` from three `_mm256_mul_epu32` (32 × 32 → 64, no
+//!   rounding anywhere) and wrapping 64-bit adds; the dropped `hi * hi` term
+//!   and every carry out of bit 63 are multiples of `2^64`. The xor-shifts
+//!   are `_mm256_srli_epi64`, lane for lane `z ^ (z >> s)`.
+//! * **the odd-tail rule.** A vector loop only ever consumes whole groups of
+//!   8 (or 16) words, i.e. whole draws. When it stops at element `i` it
+//!   moves the generator on by `i / 2` draws (`StochasticRng::skip`) and
+//!   hands the rest — fewer than one vector of elements — to the scalar
+//!   kernel *with the generator*, whose `fill` of the remainder discards the
+//!   high half of an odd last draw exactly once. The position afterwards is
+//!   `fill(len)`'s by construction.
+//!
+//! **How to add a stochastic kernel:** write the scalar arm over
+//! `rng.fill(block)`; in the AVX2 arm take `first_counters(rng)` once, call
+//! `draw8` once per 8 elements *in element order*, `rng.skip(i / 2)` after
+//! the loop, and pass `rng` on to the scalar arm for the tail — never call
+//! `fill` or keep a word buffer here. Then add the kernel to
+//! `stochastic_kernels_draw_the_fill_stream` in the parent module's
+//! proptests, which checks the bytes and the generator's next words.
+//!
 //! All functions are `unsafe` because they require AVX2; the dispatcher in
 //! the parent module only calls them after `is_x86_feature_detected!`.
 
 use core::arch::x86_64::*;
 
-use super::scalar;
+use super::{scalar, StochasticRng, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2};
 
 /// Builds the sign-magnitude nibble lookup table in a register: lane `i`
 /// holds `scalar::NIBBLE_F32[i]` as an `i8`.
@@ -418,6 +454,120 @@ pub(super) unsafe fn max_abs_finite(params: &[f32]) -> f32 {
     best.max(scalar::max_abs_finite(&params[i..]))
 }
 
+/// Safety: caller must have verified AVX2 support at runtime; `src` must be
+/// at least as long as `acc`.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
+// `super` calls this only after `is_x86_feature_detected!("avx2")` with both
+// slices cut to one length, so the loads/stores at `i..i+8` stay in bounds
+// while `i + 8 <= n`.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn add_max(acc: &mut [f32], src: &[f32]) -> f32 {
+    let n = acc.len();
+    let one = _mm256_set1_ps(1.0);
+    let abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFF_FFFF));
+    let inf = _mm256_set1_ps(f32::INFINITY);
+    let mut m = _mm256_setzero_ps();
+    let mut i = 0usize;
+    while i + 8 <= n {
+        let a = _mm256_loadu_ps(acc.as_ptr().add(i));
+        let s = _mm256_loadu_ps(src.as_ptr().add(i));
+        // The multiply by one stays: it is what `axpy(1.0)` executes.
+        let sum = _mm256_add_ps(a, _mm256_mul_ps(one, s));
+        _mm256_storeu_ps(acc.as_mut_ptr().add(i), sum);
+        let abs = _mm256_and_ps(sum, abs_mask);
+        // NaN compares unordered, so non-finite sums contribute 0.
+        let finite = _mm256_cmp_ps::<_CMP_LT_OQ>(abs, inf);
+        m = _mm256_max_ps(m, _mm256_and_ps(abs, finite));
+        i += 8;
+    }
+    let mut lanes = [0.0f32; 8];
+    _mm256_storeu_ps(lanes.as_mut_ptr(), m);
+    let best = lanes.iter().fold(0.0f32, |acc, v| acc.max(*v));
+    // max over non-negative finite values is exact and order-independent,
+    // so combining lane maxima with the scalar tail matches the reference.
+    best.max(scalar::add_max(&mut acc[i..], &src[i..]))
+}
+
+/// `a * b mod 2^64` in each `u64` lane, for a constant `b` whose high halves
+/// the caller passes pre-shifted as `b_hi`. Exact: see "Counter-mode draws".
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; pure register
+// arithmetic with no memory access, gated by the dispatcher's CPUID check.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn mul64(a: __m256i, b: __m256i, b_hi: __m256i) -> __m256i {
+    let cross = _mm256_add_epi64(
+        _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), b),
+        _mm256_mul_epu32(a, b_hi),
+    );
+    _mm256_add_epi64(_mm256_mul_epu32(a, b), _mm256_slli_epi64::<32>(cross))
+}
+
+/// The counters of the next four draws of `rng`: `state + {1, 2, 3, 4} *
+/// gamma`, one per `u64` lane, in draw order.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; pure register
+// arithmetic with no memory access, gated by the dispatcher's CPUID check.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn first_counters(rng: &StochasticRng) -> __m256i {
+    let g = SPLITMIX_GAMMA;
+    _mm256_add_epi64(
+        _mm256_set1_epi64x(rng.state as i64),
+        _mm256_setr_epi64x(
+            g as i64,
+            g.wrapping_mul(2) as i64,
+            g.wrapping_mul(3) as i64,
+            g.wrapping_mul(4) as i64,
+        ),
+    )
+}
+
+/// The next eight words of the stream `counters` stands at — four splitmix64
+/// draws mixed in registers, `u32` lane `j` being the `j`-th word
+/// [`StochasticRng::fill`] would store — and `counters` stepped four draws
+/// on.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; pure register
+// arithmetic with no memory access, gated by the dispatcher's CPUID check.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn draw8(counters: &mut __m256i) -> __m256i {
+    let mut z = *counters;
+    *counters = _mm256_add_epi64(z, _mm256_set1_epi64x(SPLITMIX_GAMMA.wrapping_mul(4) as i64));
+    z = mul64(
+        _mm256_xor_si256(z, _mm256_srli_epi64::<30>(z)),
+        _mm256_set1_epi64x(SPLITMIX_MUL1 as i64),
+        _mm256_set1_epi64x((SPLITMIX_MUL1 >> 32) as i64),
+    );
+    z = mul64(
+        _mm256_xor_si256(z, _mm256_srli_epi64::<27>(z)),
+        _mm256_set1_epi64x(SPLITMIX_MUL2 as i64),
+        _mm256_set1_epi64x((SPLITMIX_MUL2 >> 32) as i64),
+    );
+    _mm256_xor_si256(z, _mm256_srli_epi64::<31>(z))
+}
+
+/// [`StochasticRng::fill`] through the in-register draws, so the proptests
+/// can compare the two streams word for word: whole groups of eight words
+/// from [`draw8`], the remainder — with the generator — from `fill` itself,
+/// exactly as the encoders split their elements.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; the test calls this
+// only after `is_x86_feature_detected!("avx2")`, and the 8-word stores at
+// `i` stay in bounds while `i + 8 <= words.len()`.
+#[cfg(test)]
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn fill_in_registers(rng: &mut StochasticRng, words: &mut [u32]) {
+    let mut counters = first_counters(rng);
+    let mut i = 0usize;
+    while i + 8 <= words.len() {
+        _mm256_storeu_si256(
+            words.as_mut_ptr().add(i) as *mut __m256i,
+            draw8(&mut counters),
+        );
+        i += 8;
+    }
+    rng.skip((i / 2) as u64);
+    rng.fill(&mut words[i..]);
+}
+
 /// Vector counterpart of [`scalar::quantize_one`] for 8 lanes: same operation
 /// sequence (multiply, floor, subtract, compare against the 24-bit random
 /// fraction, add, min/max clamp, convert), with non-finite lanes zeroed by an
@@ -446,28 +596,41 @@ unsafe fn quantize8(v: __m256, inv: __m256, hi: __m256, lo: __m256, w: __m256i) 
     _mm256_and_si256(_mm256_cvtps_epi32(level), _mm256_castps_si256(finite))
 }
 
-/// Safety: caller must have verified AVX2 support at runtime; `rand` and
-/// `out` must be at least as long as `params`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
-// AVX2 first and sizes `rand`/`out` to `params.len()`, so the vector loads
-// and the 8-byte stores at `i` stay in bounds while `i + 8 <= n`.
+/// The one `Uniform8` inner loop: quantizes the whole groups of 8 among the
+/// `n` elements at `values` into `out`, drawing their rounding words in
+/// registers, and returns how many elements that was; `rng` is left past
+/// exactly their draws. With `FEEDBACK`, each element is also replaced by what
+/// the quantizer dropped of it, `v + f32(level) * k` — [`fold_u8`]'s
+/// expression over the level just stored.
+///
+/// Safety: caller must have verified AVX2 support at runtime; `values` must
+/// be valid for reads of `n` elements — and for writes, when `FEEDBACK` — and
+/// `out` at least `n` bytes long.
+// SAFETY: `unsafe` for `target_feature(avx2)` and the raw element pointer,
+// which lets the plain and feedback encoders share this body: the two
+// wrappers below derive it from a slice of `n` elements (a `&mut` one when
+// `FEEDBACK`; nothing is written through it otherwise), and the loads, the
+// stores and the 8-byte level stores at `i` stay inside `n` while
+// `i + 8 <= n`.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn encode_u8(
-    params: &[f32],
+unsafe fn quantize_u8<const FEEDBACK: bool>(
+    values: *mut f32,
+    n: usize,
     inv: f32,
+    k: f32,
     levels: f32,
-    rand: &[u32],
+    rng: &mut StochasticRng,
     out: &mut [u8],
-) {
-    let n = params.len();
+) -> usize {
     let invv = _mm256_set1_ps(inv);
+    let kv = _mm256_set1_ps(k);
     let hi = _mm256_set1_ps(levels);
     let lo = _mm256_set1_ps(-levels);
+    let mut counters = first_counters(rng);
     let mut i = 0usize;
     while i + 8 <= n {
-        let v = _mm256_loadu_ps(params.as_ptr().add(i));
-        let w = _mm256_loadu_si256(rand.as_ptr().add(i) as *const __m256i);
-        let li = quantize8(v, invv, hi, lo, w);
+        let v = _mm256_loadu_ps(values.add(i));
+        let li = quantize8(v, invv, hi, lo, draw8(&mut counters));
         // Saturating packs are the identity for levels in [-127, 127], and
         // the low byte of each i32 level is exactly the scalar `as u8`.
         let p16 = _mm_packs_epi32(
@@ -476,9 +639,52 @@ pub(super) unsafe fn encode_u8(
         );
         let p8 = _mm_packs_epi16(p16, p16);
         _mm_storel_epi64(out.as_mut_ptr().add(i) as *mut __m128i, p8);
+        if FEEDBACK {
+            // `f32(level)` is what `fold_u8` reads back out of the byte.
+            let kept = _mm256_mul_ps(_mm256_cvtepi32_ps(li), kv);
+            _mm256_storeu_ps(values.add(i), _mm256_add_ps(v, kept));
+        }
         i += 8;
     }
-    scalar::encode_u8(&params[i..], inv, levels, &rand[i..], &mut out[i..]);
+    rng.skip((i / 2) as u64);
+    i
+}
+
+/// Safety: caller must have verified AVX2 support at runtime; `out` must be
+/// at least as long as `params`.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
+// AVX2 first and sizes `out` to `params.len()`; `quantize_u8::<false>` only
+// reads through the pointer, which covers `params`.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn encode_u8(
+    params: &[f32],
+    inv: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    out: &mut [u8],
+) {
+    let values = params.as_ptr().cast_mut();
+    let i = quantize_u8::<false>(values, params.len(), inv, 0.0, levels, rng, out);
+    scalar::encode_u8(&params[i..], inv, levels, rng, &mut out[i..]);
+}
+
+/// Safety: caller must have verified AVX2 support at runtime; `out` must be
+/// at least as long as `residual`.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
+// AVX2 first and sizes `out` to `residual.len()`; the pointer comes from the
+// exclusive borrow of `residual`, so `quantize_u8::<true>` may write it.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn feedback_append_u8(
+    residual: &mut [f32],
+    inv: f32,
+    k: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    out: &mut [u8],
+) {
+    let values = residual.as_mut_ptr();
+    let i = quantize_u8::<true>(values, residual.len(), inv, k, levels, rng, out);
+    scalar::feedback_append_u8(&mut residual[i..], inv, k, levels, rng, &mut out[i..]);
 }
 
 /// Maps 8 signed levels in `[-7, 7]` to sign-magnitude nibbles:
@@ -494,36 +700,46 @@ unsafe fn nibble8(levels: __m256i) -> __m256i {
     )
 }
 
-/// Safety: caller must have verified AVX2 support at runtime; `rand` must be
-/// at least as long as `params` and `out` at least `params.len()/2` rounded
-/// up.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
-// AVX2 first, `rand` covers `params` and `out` covers the packed nibble
-// count, so reads at `i..i+16` and the 8-byte store at `i/2` stay in bounds
-// while `i + 16 <= n`.
+/// The one `Uniform4` inner loop, as [`quantize_u8`] over whole groups of 16
+/// elements packed into 8 nibble bytes; with `FEEDBACK`, each element becomes
+/// `v + f32(level) * k` — [`fold_u4_aligned`]'s expression, the nibble of an
+/// integral level decoding back to exactly that level.
+///
+/// Safety: caller must have verified AVX2 support at runtime; `values` must
+/// be valid for reads of `n` elements — and for writes, when `FEEDBACK` — and
+/// `out` at least `n.div_ceil(2)` bytes long.
+// SAFETY: `unsafe` for `target_feature(avx2)` and the raw element pointer
+// shared by the plain and feedback encoders: the two wrappers below derive
+// it from a slice of `n` elements (a `&mut` one when `FEEDBACK`; nothing is
+// written through it otherwise), and the reads and writes at `i..i+16` and
+// the 8-byte store at `i/2` stay in bounds while `i + 16 <= n`.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn encode_u4(
-    params: &[f32],
+unsafe fn quantize_u4<const FEEDBACK: bool>(
+    values: *mut f32,
+    n: usize,
     inv: f32,
+    k: f32,
     levels: f32,
-    rand: &[u32],
+    rng: &mut StochasticRng,
     out: &mut [u8],
-) {
-    let n = params.len();
+) -> usize {
     let invv = _mm256_set1_ps(inv);
+    let kv = _mm256_set1_ps(k);
     let hi = _mm256_set1_ps(levels);
     let lo = _mm256_set1_ps(-levels);
     // As two i16 words: low word 1, high word 16 — madd then computes
     // n_even + (n_odd << 4) for each output byte.
     let pair_mul = _mm_set1_epi32(0x0010_0001);
+    let mut counters = first_counters(rng);
     let mut i = 0usize;
     while i + 16 <= n {
-        let va = _mm256_loadu_ps(params.as_ptr().add(i));
-        let wa = _mm256_loadu_si256(rand.as_ptr().add(i) as *const __m256i);
-        let vb = _mm256_loadu_ps(params.as_ptr().add(i + 8));
-        let wb = _mm256_loadu_si256(rand.as_ptr().add(i + 8) as *const __m256i);
-        let na = nibble8(quantize8(va, invv, hi, lo, wa));
-        let nb = nibble8(quantize8(vb, invv, hi, lo, wb));
+        let va = _mm256_loadu_ps(values.add(i));
+        let vb = _mm256_loadu_ps(values.add(i + 8));
+        // Element order: the first eight words go to the first eight lanes.
+        let la = quantize8(va, invv, hi, lo, draw8(&mut counters));
+        let lb = quantize8(vb, invv, hi, lo, draw8(&mut counters));
+        let na = nibble8(la);
+        let nb = nibble8(lb);
         let pa = _mm_packs_epi32(
             _mm256_castsi256_si128(na),
             _mm256_extracti128_si256::<1>(na),
@@ -536,7 +752,53 @@ pub(super) unsafe fn encode_u4(
         let bb = _mm_madd_epi16(pb, pair_mul);
         let t8 = _mm_packus_epi16(_mm_packs_epi32(ba, bb), _mm_setzero_si128());
         _mm_storel_epi64(out.as_mut_ptr().add(i / 2) as *mut __m128i, t8);
+        if FEEDBACK {
+            let kept_a = _mm256_mul_ps(_mm256_cvtepi32_ps(la), kv);
+            let kept_b = _mm256_mul_ps(_mm256_cvtepi32_ps(lb), kv);
+            _mm256_storeu_ps(values.add(i), _mm256_add_ps(va, kept_a));
+            _mm256_storeu_ps(values.add(i + 8), _mm256_add_ps(vb, kept_b));
+        }
         i += 16;
     }
-    scalar::encode_u4(&params[i..], inv, levels, &rand[i..], &mut out[i / 2..]);
+    rng.skip((i / 2) as u64);
+    i
+}
+
+/// Safety: caller must have verified AVX2 support at runtime; `out` must be
+/// at least `params.len()/2` rounded up.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
+// AVX2 first and sizes `out` to the packed nibble count;
+// `quantize_u4::<false>` only reads through the pointer, which covers
+// `params`.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn encode_u4(
+    params: &[f32],
+    inv: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    out: &mut [u8],
+) {
+    let values = params.as_ptr().cast_mut();
+    let i = quantize_u4::<false>(values, params.len(), inv, 0.0, levels, rng, out);
+    scalar::encode_u4(&params[i..], inv, levels, rng, &mut out[i / 2..]);
+}
+
+/// Safety: caller must have verified AVX2 support at runtime; `out` must be
+/// at least `residual.len()/2` rounded up.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
+// AVX2 first and sizes `out` to the packed nibble count; the pointer comes
+// from the exclusive borrow of `residual`, so `quantize_u4::<true>` may
+// write it.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn feedback_append_u4(
+    residual: &mut [f32],
+    inv: f32,
+    k: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    out: &mut [u8],
+) {
+    let values = residual.as_mut_ptr();
+    let i = quantize_u4::<true>(values, residual.len(), inv, k, levels, rng, out);
+    scalar::feedback_append_u4(&mut residual[i..], inv, k, levels, rng, &mut out[i / 2..]);
 }

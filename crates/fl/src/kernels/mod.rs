@@ -16,8 +16,10 @@
 //!
 //! The SIMD arm of every kernel must be **bit-exact** with its scalar
 //! reference for all inputs — including NaN/infinity payloads and, for the
-//! stochastic encoder, the random stream: the same [`StochasticRng`] seed
-//! produces the same wire bytes on both arms. This is what lets the
+//! stochastic encoders, the random stream: the same [`StochasticRng`] seed
+//! produces the same wire bytes on both arms and leaves the generator at the
+//! same position (the scalar arm draws through [`StochasticRng::fill`], the
+//! AVX2 arm computes the same words in registers). This is what lets the
 //! session/cluster exactness tiers assert bit-identical aggregation results
 //! regardless of which arm a given host picks. The proptests at the bottom
 //! of this module run both arms in one process (the dispatch decision is
@@ -41,6 +43,11 @@
 //!    private `*_with(..., simd: bool)` dispatcher.
 //! 4. Add a proptest below asserting bitwise equality of the two arms over
 //!    odd lengths and non-finite inputs.
+//!
+//! A kernel that consumes rounding words additionally follows "How to add a
+//! stochastic kernel" in `avx2.rs`: the scalar arm draws through `fill`, the
+//! AVX2 arm draws in registers, and both leave the generator where `fill` of
+//! the element count would.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -49,9 +56,10 @@ mod scalar;
 use lifl_shmem::BufferPool;
 use std::sync::OnceLock;
 
-/// Number of elements whose random rounding words are drawn per block in the
-/// stochastic encoders. Even, so the nibble pairing of `Uniform4` stays
-/// aligned across block boundaries, and small enough for a stack buffer.
+/// Number of elements whose random rounding words the scalar arm of the
+/// stochastic encoders draws per block. Even, so the nibble pairing of
+/// `Uniform4` stays aligned and no half-draw is discarded across block
+/// boundaries, and small enough for a stack buffer.
 const RAND_BLOCK: usize = 4096;
 
 static SIMD_ACTIVE: OnceLock<bool> = OnceLock::new();
@@ -92,13 +100,35 @@ pub fn active_kernel_arm() -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
-// Block RNG for the stochastic encoders.
+// Counter-mode RNG for the stochastic encoders.
 // ---------------------------------------------------------------------------
 
-/// Deterministic counter-style generator (splitmix64) that the stochastic
-/// encoders draw rounding words from in blocks, rather than one expensive
-/// high-level sample per element. One `u32` word is consumed per encoded
+/// splitmix64's additive counter step and its two mixing multipliers.
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+const SPLITMIX_MUL1: u64 = 0xBF58_476D_1CE4_E5B9;
+const SPLITMIX_MUL2: u64 = 0x94D0_49BB_1331_11EB;
+
+/// Deterministic counter-mode generator (splitmix64) the stochastic encoders
+/// draw their rounding words from. One `u32` word is consumed per encoded
 /// element; the 24 high bits of each word form the rounding threshold.
+///
+/// # The stream and the position contract
+///
+/// Draw `k` (counting from 1) is a pure function of the additive counter:
+/// `mix(state + k * gamma)`. The word stream is those 64-bit draws split low
+/// half first, so words `2k - 2` and `2k - 1` are the halves of draw `k` —
+/// which is what lets the AVX2 encoders compute the words of eight elements
+/// in registers from four counters instead of reading them from a buffer
+/// [`StochasticRng::fill`] stored (see "Counter-mode draws" in `avx2.rs`).
+///
+/// Consuming `n` words advances the generator by exactly `n.div_ceil(2)`
+/// draws: an odd `n` discards the high half of its last draw, once, at the
+/// end. [`StochasticRng::fill`] defines that position and every encoder, on
+/// either arm, leaves the generator exactly where `fill` of its element count
+/// would — so what is encoded next draws the same words whichever arm ran
+/// before it. Splitting a fill at even word counts changes nothing; splitting
+/// it at an odd count discards a half-draw at the split and shifts the rest
+/// of the stream.
 #[derive(Debug, Clone)]
 pub struct StochasticRng {
     state: u64,
@@ -115,11 +145,18 @@ impl StochasticRng {
         // splitmix64: a full-period mix of an additive counter. Cheap,
         // statistically solid for rounding thresholds, and trivially
         // deterministic across arms.
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(SPLITMIX_GAMMA);
         let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z = (z ^ (z >> 30)).wrapping_mul(SPLITMIX_MUL1);
+        z = (z ^ (z >> 27)).wrapping_mul(SPLITMIX_MUL2);
         z ^ (z >> 31)
+    }
+
+    /// Moves the generator past `draws` 64-bit draws without computing them:
+    /// how an arm that drew in registers leaves the position `fill` defines.
+    #[cfg(target_arch = "x86_64")]
+    fn skip(&mut self, draws: u64) {
+        self.state = self.state.wrapping_add(SPLITMIX_GAMMA.wrapping_mul(draws));
     }
 
     /// Fills `words` with random `u32`s, two per underlying `u64` draw
@@ -543,15 +580,38 @@ fn max_abs_finite_with(params: &[f32], simd: bool) -> f32 {
     scalar::max_abs_finite(params)
 }
 
+/// `acc += 1.0 * src` over the common prefix — the same multiply-then-add,
+/// bit for bit, as [`axpy`] with weight 1 — returning the largest finite
+/// `|x|` of the sums (0 when there is none) from the same sweep: what
+/// [`max_abs_finite`] would find in `acc[..n]` afterwards, without walking
+/// it again.
+pub fn add_max(acc: &mut [f32], src: &[f32]) -> f32 {
+    let n = acc.len().min(src.len());
+    add_max_with(&mut acc[..n], &src[..n], simd_active())
+}
+
+fn add_max_with(acc: &mut [f32], src: &[f32], simd: bool) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        // SAFETY: `simd` is only true after runtime AVX2 detection; the
+        // wrapper cut both slices to one length.
+        return unsafe { avx2::add_max(acc, src) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = simd;
+    scalar::add_max(acc, src)
+}
+
 // ---------------------------------------------------------------------------
-// Stochastic block encoders.
+// Stochastic encoders.
 // ---------------------------------------------------------------------------
 
 /// Quantizes `params` to `Uniform8` levels (one byte per element, two's
 /// complement in `[-levels, levels]`) with stochastic rounding, writing the
-/// wire body into `body` (cleared and resized). Random words are drawn from
-/// `rng` in fixed-size blocks and 8 lanes quantize at a time on the
-/// AVX2 arm; the same seed yields the same bytes on both arms. A
+/// wire body into `body` (cleared and resized). One rounding word per element
+/// is drawn from `rng` — in registers on the AVX2 arm, 8 lanes quantizing at
+/// a time, through [`StochasticRng::fill`] on the scalar arm; the same seed
+/// yields the same bytes and leaves the same generator position on both. A
 /// non-positive `scale` produces an all-zero body without consuming `rng`.
 pub fn encode_u8(
     params: &[f32],
@@ -597,25 +657,21 @@ fn encode_u8_with(
     simd: bool,
 ) {
     let inv = 1.0 / scale;
-    let mut rand = [0u32; RAND_BLOCK];
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        // SAFETY: `simd` is only true after runtime AVX2 detection; `body`
+        // is sized to `params.len()` by the wrapper.
+        unsafe { avx2::encode_u8(params, inv, levels, rng, body) };
+        return;
+    }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = simd;
-    for (p, o) in params.chunks(RAND_BLOCK).zip(body.chunks_mut(RAND_BLOCK)) {
-        let words = &mut rand[..p.len()];
-        rng.fill(words);
-        #[cfg(target_arch = "x86_64")]
-        if simd {
-            // SAFETY: `simd` is only true after runtime AVX2 detection.
-            unsafe { avx2::encode_u8(p, inv, levels, words, o) };
-            continue;
-        }
-        scalar::encode_u8(p, inv, levels, words, o);
-    }
+    scalar::encode_u8(params, inv, levels, rng, body);
 }
 
 /// Quantizes `params` to packed `Uniform4` sign-magnitude nibbles (low
 /// nibble = even element) with stochastic rounding, writing into `body`
-/// (cleared and resized to `params.len().div_ceil(2)`). Same blocked-RNG and
+/// (cleared and resized to `params.len().div_ceil(2)`). Same draw and
 /// bit-exactness contract as [`encode_u8`].
 pub fn encode_u4(
     params: &[f32],
@@ -661,25 +717,119 @@ fn encode_u4_with(
     simd: bool,
 ) {
     let inv = 1.0 / scale;
-    let mut rand = [0u32; RAND_BLOCK];
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        // SAFETY: `simd` is only true after runtime AVX2 detection; `body`
+        // is sized to the packed nibble count by the wrapper.
+        unsafe { avx2::encode_u4(params, inv, levels, rng, body) };
+        return;
+    }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = simd;
-    // RAND_BLOCK is even, so each output chunk covers whole input pairs and
-    // the nibble packing stays aligned across block boundaries.
-    for (p, o) in params
-        .chunks(RAND_BLOCK)
-        .zip(body.chunks_mut(RAND_BLOCK / 2))
-    {
-        let words = &mut rand[..p.len()];
-        rng.fill(words);
-        #[cfg(target_arch = "x86_64")]
-        if simd {
-            // SAFETY: `simd` is only true after runtime AVX2 detection.
-            unsafe { avx2::encode_u4(p, inv, levels, words, o) };
-            continue;
-        }
-        scalar::encode_u4(p, inv, levels, words, o);
+    scalar::encode_u4(params, inv, levels, rng, body);
+}
+
+// ---------------------------------------------------------------------------
+// Fused error-feedback encoders.
+// ---------------------------------------------------------------------------
+
+/// [`append_u8`] over an error-feedback residual, with the fold-back fused
+/// into the same sweep: appends the level bytes of `residual` behind whatever
+/// `body` holds and leaves in `residual` what the quantizer dropped,
+/// `residual[i] += f32(level) * (-1.0 * scale)` — the expression, bit for
+/// bit, that [`fold_u8`] with `k = -1.0 * scale` evaluates over the appended
+/// bytes. Same words drawn, same generator position afterwards. A
+/// non-positive `scale` appends zeros, leaves `residual` as it is and
+/// consumes nothing from `rng`.
+pub fn feedback_append_u8(
+    residual: &mut [f32],
+    scale: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    body: &mut Vec<u8>,
+) {
+    let start = body.len();
+    body.resize(start + residual.len(), 0);
+    if scale <= 0.0 {
+        return;
     }
+    feedback_u8_with(
+        residual,
+        scale,
+        levels,
+        rng,
+        &mut body[start..],
+        simd_active(),
+    );
+}
+
+fn feedback_u8_with(
+    residual: &mut [f32],
+    scale: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    body: &mut [u8],
+    simd: bool,
+) {
+    // `k` is `-1.0 * scale`, the factor `fold_into(-1.0, ..)` hands the fold.
+    let (inv, k) = (1.0 / scale, -scale);
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        // SAFETY: `simd` is only true after runtime AVX2 detection; `body`
+        // is sized to `residual.len()` by the wrapper.
+        unsafe { avx2::feedback_append_u8(residual, inv, k, levels, rng, body) };
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = simd;
+    scalar::feedback_append_u8(residual, inv, k, levels, rng, body);
+}
+
+/// [`append_u4`] over an error-feedback residual with the fold-back fused in,
+/// as [`feedback_append_u8`]: `residual` ends up exactly as [`fold_u4`] with
+/// `k = -1.0 * scale` over the appended nibbles would leave it.
+pub fn feedback_append_u4(
+    residual: &mut [f32],
+    scale: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    body: &mut Vec<u8>,
+) {
+    let start = body.len();
+    body.resize(start + residual.len().div_ceil(2), 0);
+    if scale <= 0.0 {
+        return;
+    }
+    feedback_u4_with(
+        residual,
+        scale,
+        levels,
+        rng,
+        &mut body[start..],
+        simd_active(),
+    );
+}
+
+fn feedback_u4_with(
+    residual: &mut [f32],
+    scale: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    body: &mut [u8],
+    simd: bool,
+) {
+    // `k` is `-1.0 * scale`, the factor `fold_into(-1.0, ..)` hands the fold.
+    let (inv, k) = (1.0 / scale, -scale);
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        // SAFETY: `simd` is only true after runtime AVX2 detection; `body`
+        // is sized to the packed nibble count by the wrapper.
+        unsafe { avx2::feedback_append_u4(residual, inv, k, levels, rng, body) };
+        return;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = simd;
+    scalar::feedback_append_u4(residual, inv, k, levels, rng, body);
 }
 
 #[cfg(test)]
@@ -901,6 +1051,166 @@ mod proptests {
         Ok(())
     }
 
+    /// The arms this process can run: scalar always, AVX2 when detected.
+    fn arms() -> Vec<bool> {
+        if avx2_testable() {
+            vec![false, true]
+        } else {
+            vec![false]
+        }
+    }
+
+    /// A long deterministic vector with non-finite, signed-zero and
+    /// subnormal lanes sprinkled in, for the lengths around `RAND_BLOCK`.
+    fn long_params(len: usize, seed: u64) -> Vec<f32> {
+        let mut words = vec![0u32; len];
+        StochasticRng::from_seed(seed ^ 0x5EED).fill(&mut words);
+        let value = |(i, w): (usize, &u32)| match (i as u64).wrapping_add(seed) % 97 {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => -0.0,
+            4 => 1e-40,
+            _ => (*w >> 8) as f32 * (1.0 / 16_777_216.0) - 0.5,
+        };
+        words.iter().enumerate().map(value).collect()
+    }
+
+    /// The next words `rng` would draw: two generators stand at the same
+    /// position exactly when these agree.
+    fn next_words(rng: &StochasticRng) -> [u32; 5] {
+        let mut words = [0u32; 5];
+        rng.clone().fill(&mut words);
+        words
+    }
+
+    /// The oracle of a stochastic encode, from first principles: **one**
+    /// contiguous `fill` of `params.len()` words, word `i` rounding element
+    /// `i` through `quantize_one`, packed as the wire format says. Returns
+    /// the body and the generator where that one `fill` left it.
+    fn reference_encode(
+        params: &[f32],
+        scale: f32,
+        levels: f32,
+        seed: u64,
+    ) -> (Vec<u8>, StochasticRng) {
+        let mut rng = StochasticRng::from_seed(seed);
+        let wide = levels > 7.0;
+        let bytes = if wide {
+            params.len()
+        } else {
+            params.len().div_ceil(2)
+        };
+        if scale <= 0.0 {
+            return (vec![0u8; bytes], rng);
+        }
+        let mut words = vec![0u32; params.len()];
+        rng.fill(&mut words);
+        let inv = 1.0 / scale;
+        let level = |i: usize| scalar::quantize_one(params[i], inv, levels, words[i]);
+        let body = if wide {
+            (0..params.len()).map(|i| level(i) as u8).collect()
+        } else {
+            let nibble = |i: usize| match i < params.len() {
+                true => scalar::nibble(level(i)),
+                false => 0,
+            };
+            (0..bytes)
+                .map(|j| nibble(2 * j) | (nibble(2 * j + 1) << 4))
+                .collect()
+        };
+        (body, rng)
+    }
+
+    /// Plain and feedback encoders of both widths, on every arm this process
+    /// can run, against the old formula: the bytes are the oracle's, the
+    /// generator stands where one `fill` of the element count leaves it, and
+    /// the feedback residual is what `fold_u8` / `fold_u4` with
+    /// `k = -1.0 * scale` over those bytes leaves — bit for bit. The feedback
+    /// body is written behind an odd-length prefix, as behind a descriptor.
+    /// A non-positive scale never reaches an arm: the wrappers append zeros,
+    /// leave the residual untouched and draw nothing.
+    fn check_stochastic_kernels(params: &[f32], scale: f32, seed: u64) -> Result<(), String> {
+        for levels in [127.0f32, 7.0] {
+            let wide = levels > 7.0;
+            let (body, end) = reference_encode(params, scale, levels, seed);
+            if scale <= 0.0 {
+                let mut rng = StochasticRng::from_seed(seed);
+                let mut residual = params.to_vec();
+                let mut wire = vec![0xABu8; 5];
+                if wide {
+                    feedback_append_u8(&mut residual, scale, levels, &mut rng, &mut wire);
+                } else {
+                    feedback_append_u4(&mut residual, scale, levels, &mut rng, &mut wire);
+                }
+                prop_assert_eq!(wire[..5], [0xAB; 5], "the prefix is not touched");
+                prop_assert_eq!(&wire[5..], &body[..], "zero body, levels {}", levels);
+                prop_assert_eq!(bits(&residual), bits(params), "residual untouched");
+                prop_assert_eq!(next_words(&rng), next_words(&end), "no draw consumed");
+                continue;
+            }
+            let mut folded = params.to_vec();
+            if wide {
+                fold_u8_with(&mut folded, &body, -scale, false);
+            } else {
+                fold_u4_with(&mut folded, &body, 0, -scale, false);
+            }
+            for simd in arms() {
+                let arm = format!("levels {levels} simd {simd}");
+                let mut rng = StochasticRng::from_seed(seed);
+                let mut plain = vec![0u8; body.len()];
+                if wide {
+                    encode_u8_with(params, scale, levels, &mut rng, &mut plain, simd);
+                } else {
+                    encode_u4_with(params, scale, levels, &mut rng, &mut plain, simd);
+                }
+                prop_assert_eq!(&plain, &body, "plain bytes, {}", arm);
+                prop_assert_eq!(
+                    next_words(&rng),
+                    next_words(&end),
+                    "plain position, {}",
+                    arm
+                );
+
+                let mut rng = StochasticRng::from_seed(seed);
+                let mut residual = params.to_vec();
+                let mut wire = vec![0xABu8; 5 + body.len()];
+                let out = &mut wire[5..];
+                if wide {
+                    feedback_u8_with(&mut residual, scale, levels, &mut rng, out, simd);
+                } else {
+                    feedback_u4_with(&mut residual, scale, levels, &mut rng, out, simd);
+                }
+                prop_assert_eq!(wire[..5], [0xAB; 5], "the prefix is not touched");
+                prop_assert_eq!(&wire[5..], &body[..], "feedback bytes, {}", arm);
+                prop_assert_eq!(bits(&residual), bits(&folded), "residual, {}", arm);
+                prop_assert_eq!(
+                    next_words(&rng),
+                    next_words(&end),
+                    "feedback position, {}",
+                    arm
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// `add_max` on one arm against `axpy(1.0)` then `max_abs_finite`, both
+    /// on the scalar arm: the sums and the maximum, bit for bit.
+    fn check_add_max(acc: &[f32], src: &[f32]) -> Result<(), String> {
+        let n = acc.len().min(src.len());
+        let mut expected = acc[..n].to_vec();
+        axpy_with(&mut expected, &src[..n], 1.0, false);
+        let max = max_abs_finite_with(&expected, false);
+        for simd in arms() {
+            let mut got = acc[..n].to_vec();
+            let got_max = add_max_with(&mut got, &src[..n], simd);
+            prop_assert_eq!(bits(&got), bits(&expected), "sums, simd {}", simd);
+            prop_assert_eq!(got_max.to_bits(), max.to_bits(), "max, simd {}", simd);
+        }
+        Ok(())
+    }
+
     #[test]
     fn a_pooled_dense_owner_checks_its_vector_back_in_when_dropped() {
         let pool = BufferPool::new();
@@ -1106,6 +1416,41 @@ mod proptests {
             }
         }
 
+        /// The in-register draws are `fill`'s stream word for word, from any
+        /// seed, and leave the generator where `fill` leaves it — an odd
+        /// length discarding the high half of its last draw once.
+        #[test]
+        fn in_register_draws_equal_fill(seed in any::<u64>(), len in 0usize..300) {
+            check_in_register_draws(seed, len)?;
+        }
+
+        /// Plain and fused-feedback encoders ≡ the old formula on both arms,
+        /// across non-finite inputs, tiny/huge/non-positive scales and every
+        /// vector-width remainder.
+        #[test]
+        fn stochastic_kernels_draw_the_fill_stream(
+            params in arbitrary_params(),
+            seed in any::<u64>(),
+            scale_tag in 0u8..6,
+        ) {
+            let scale = match scale_tag {
+                0 => 1e-40f32, // subnormal: 1/scale overflows to infinity
+                1 => 1e30,
+                2 => 0.125,
+                3 => 0.0,
+                4 => -2.0,
+                _ => 3.7,
+            };
+            check_stochastic_kernels(&params, scale, seed)?;
+        }
+
+        /// `add_max` ≡ `axpy(1.0)` then `max_abs_finite`, bitwise, with NaN,
+        /// ±inf, −0.0, huge and subnormal lanes on either side.
+        #[test]
+        fn add_max_matches_axpy_then_max(acc in arbitrary_params(), src in arbitrary_params()) {
+            check_add_max(&acc, &src)?;
+        }
+
         /// Top-k selection over random finite inputs: both arms emit exactly
         /// the bytes the old index-sorting encoder emitted.
         #[test]
@@ -1118,6 +1463,36 @@ mod proptests {
         #[test]
         fn select_topk_matches_reference_under_ties(params in tied_params(), pick in 0usize..300) {
             check_topk_against_reference(&params, pick)?;
+        }
+    }
+
+    /// `fill_in_registers` against `fill`: the words and the position after.
+    fn check_in_register_draws(seed: u64, len: usize) -> Result<(), String> {
+        let mut reference = StochasticRng::from_seed(seed);
+        let mut expected = vec![0u32; len];
+        reference.fill(&mut expected);
+        #[cfg(target_arch = "x86_64")]
+        if avx2_testable() {
+            let mut rng = StochasticRng::from_seed(seed);
+            let mut words = vec![0u32; len];
+            // SAFETY: AVX2 was detected just above.
+            unsafe { avx2::fill_in_registers(&mut rng, &mut words) };
+            prop_assert_eq!(&words, &expected, "seed {:#x} len {}", seed, len);
+            prop_assert_eq!(next_words(&rng), next_words(&reference), "position");
+        }
+        Ok(())
+    }
+
+    /// The lengths where a block-at-a-time draw could go wrong: one short
+    /// of, at, and one past `RAND_BLOCK`, and an odd length spanning two
+    /// blocks (the half-draw is discarded once, at the very end).
+    #[test]
+    fn stochastic_kernels_hold_around_the_block_length() {
+        for (len, seed) in [(4095, 1u64), (4096, 2), (4097, 3), (8191, u64::MAX - 4)] {
+            check_in_register_draws(seed, len).unwrap();
+            let params = long_params(len, seed);
+            check_stochastic_kernels(&params, 0.004, seed).unwrap();
+            check_add_max(&params, &long_params(len, seed ^ 7)).unwrap();
         }
     }
 

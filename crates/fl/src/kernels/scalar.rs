@@ -7,6 +7,8 @@
 //! parent module's docs explain which floating-point operations are safe to
 //! vectorise without changing results.
 
+use super::{StochasticRng, RAND_BLOCK};
+
 /// `f32::from(nibble_to_i8(n))` for every sign-magnitude nibble, as a
 /// branch-free table for the scalar dequantize kernels (index 8, "negative
 /// zero", decodes to `0.0`). The AVX2 arm holds the same table in a register
@@ -203,6 +205,21 @@ pub(super) fn max_abs_finite(params: &[f32]) -> f32 {
         .fold(0.0f32, |acc, v| acc.max(v.abs()))
 }
 
+/// `acc += 1.0 * src` — [`axpy`]'s multiply-then-add with weight 1 — and, in
+/// the same sweep, the largest finite `|x|` of the sums (0 when there is
+/// none), as [`max_abs_finite`] would find it afterwards.
+pub(super) fn add_max(acc: &mut [f32], src: &[f32]) -> f32 {
+    let w = 1.0f32;
+    let mut max = 0.0f32;
+    for (a, b) in acc.iter_mut().zip(src) {
+        *a += w * b;
+        if a.is_finite() {
+            max = max.max(a.abs());
+        }
+    }
+    max
+}
+
 /// Stochastically rounds `v / scale` (as `v * inv`) to an integer level in
 /// `[-levels, levels]` using the 24 high bits of the random word `w` as the
 /// rounding threshold; non-finite values map to level 0. The exact operation
@@ -223,11 +240,46 @@ pub(super) fn quantize_one(v: f32, inv: f32, levels: f32, w: u32) -> i32 {
     (f + up).min(levels).max(-levels) as i32
 }
 
-/// `Uniform8` quantization of `params` into `out` (one byte per element),
-/// drawing rounding bits from `rand` (one word per element).
-pub(super) fn encode_u8(params: &[f32], inv: f32, levels: f32, rand: &[u32], out: &mut [u8]) {
-    for ((o, v), w) in out.iter_mut().zip(params).zip(rand) {
-        *o = quantize_one(*v, inv, levels, *w) as u8;
+/// `Uniform8` quantization of `params` into `out` (one byte per element).
+/// The rounding words — one per element — are drawn from `rng` a block at a
+/// time through [`StochasticRng::fill`]: this loop *is* the definition of
+/// which word rounds which element and of where the generator stands
+/// afterwards, and the AVX2 arm's in-register draws reproduce it.
+pub(super) fn encode_u8(
+    params: &[f32],
+    inv: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    out: &mut [u8],
+) {
+    let mut rand = [0u32; RAND_BLOCK];
+    for (p, o) in params.chunks(RAND_BLOCK).zip(out.chunks_mut(RAND_BLOCK)) {
+        let words = &mut rand[..p.len()];
+        rng.fill(words);
+        for ((o, v), w) in o.iter_mut().zip(p).zip(words.iter()) {
+            *o = quantize_one(*v, inv, levels, *w) as u8;
+        }
+    }
+}
+
+/// [`encode_u8`] of an error-feedback residual with the fold-back fused in,
+/// a block at a time: the block is quantized into `out`, then what was kept
+/// is folded back out of it with [`fold_u8`] (`k` is `-1.0 * scale`), so the
+/// residual is walked once, while it is cache-resident.
+pub(super) fn feedback_append_u8(
+    residual: &mut [f32],
+    inv: f32,
+    k: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    out: &mut [u8],
+) {
+    for (r, o) in residual
+        .chunks_mut(RAND_BLOCK)
+        .zip(out.chunks_mut(RAND_BLOCK))
+    {
+        encode_u8(r, inv, levels, rng, o);
+        fold_u8(r, o, k);
     }
 }
 
@@ -245,17 +297,52 @@ pub(super) fn nibble(level: i32) -> u8 {
 }
 
 /// `Uniform4` quantization of `params` into packed nibbles (low nibble =
-/// even element), drawing rounding bits from `rand` (one word per element).
-pub(super) fn encode_u4(params: &[f32], inv: f32, levels: f32, rand: &[u32], out: &mut [u8]) {
-    let n = params.len();
-    for (j, o) in out.iter_mut().enumerate() {
-        let e = 2 * j;
-        let low = nibble(quantize_one(params[e], inv, levels, rand[e]));
-        let high = if e + 1 < n {
-            nibble(quantize_one(params[e + 1], inv, levels, rand[e + 1]))
-        } else {
-            0
-        };
-        *o = low | (high << 4);
+/// even element), drawing one rounding word per element from `rng` exactly
+/// as [`encode_u8`] does.
+pub(super) fn encode_u4(
+    params: &[f32],
+    inv: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    out: &mut [u8],
+) {
+    let mut rand = [0u32; RAND_BLOCK];
+    // RAND_BLOCK is even, so each output chunk covers whole input pairs and
+    // the nibble packing stays aligned across block boundaries.
+    for (p, o) in params
+        .chunks(RAND_BLOCK)
+        .zip(out.chunks_mut(RAND_BLOCK / 2))
+    {
+        let words = &mut rand[..p.len()];
+        rng.fill(words);
+        for (j, o) in o.iter_mut().enumerate() {
+            let e = 2 * j;
+            let low = nibble(quantize_one(p[e], inv, levels, words[e]));
+            let high = if e + 1 < p.len() {
+                nibble(quantize_one(p[e + 1], inv, levels, words[e + 1]))
+            } else {
+                0
+            };
+            *o = low | (high << 4);
+        }
+    }
+}
+
+/// [`encode_u4`] of an error-feedback residual with the fold-back fused in,
+/// block by block as [`feedback_append_u8`], through [`fold_u4_aligned`].
+pub(super) fn feedback_append_u4(
+    residual: &mut [f32],
+    inv: f32,
+    k: f32,
+    levels: f32,
+    rng: &mut StochasticRng,
+    out: &mut [u8],
+) {
+    for (r, o) in residual
+        .chunks_mut(RAND_BLOCK)
+        .zip(out.chunks_mut(RAND_BLOCK / 2))
+    {
+        encode_u4(r, inv, levels, rng, o);
+        fold_u4_aligned(r, o, k);
     }
 }

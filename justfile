@@ -48,8 +48,11 @@ faults:
 
 # The integration and fault tiers again with the SIMD kernels forced onto
 # their scalar reference arm (LIFL_FORCE_SCALAR), so the fallback path keeps
-# full end-to-end coverage on every CI run.
+# full end-to-end coverage on every CI run; `lifl-fl`'s own tests first, so
+# the dispatcher-level paths (`ErrorFeedback::encode`, `encode_slice`, the
+# three-round oracle) run on the reference arm too.
 test-scalar:
+    LIFL_FORCE_SCALAR=1 cargo test -p lifl-fl
     LIFL_FORCE_SCALAR=1 cargo test -p lifl-integration --test it
     LIFL_FORCE_SCALAR=1 cargo test -p lifl-integration --test faults
 

@@ -386,6 +386,20 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
                 (7 + 1..=7 + 2).contains(&stats.misses),
                 "4 ingress + 3 interior buffers, one or two accumulators: {stats:?}"
             );
+            // First contact: a client the session has never seen hands over
+            // an owned update, and the moved vector *is* its first residual —
+            // nothing model-sized is allocated beyond the wire buffer, which
+            // the warm pool serves.
+            let model = clients[0].1.clone();
+            let newcomer = Update::dense(ClientId::new(99), model, 1);
+            let before = model_sized_allocs();
+            session.try_ingest(newcomer).expect("first contact");
+            assert_eq!(
+                model_sized_allocs() - before,
+                0,
+                "a first-contact lossy offer must move its model in, not clone it"
+            );
+            assert_eq!(session.pool().stats().misses, stats.misses);
         } else {
             let stats = session.pool().stats();
             assert_eq!(stats.misses, POSITIONS, "the accumulators: {stats:?}");

@@ -230,3 +230,61 @@ fn store_reports_real_savings_for_lossy_codecs() {
         );
     }
 }
+
+/// Regression: one client's shape change costs *that* client its
+/// error-feedback residual and nobody else's. Client 0, known to the session
+/// at 64 parameters, offers 65 (all zero, so the quantizers draw nothing for
+/// it) and the operator discards that round; the next round of honest
+/// clients must then be byte for byte what a control session that never saw
+/// the bad offer produces — same compensation, same wire bytes, same model.
+/// It used to wipe every residual, silently biasing everybody's next round.
+#[test]
+fn a_wrong_dimension_offer_leaves_other_clients_compensation_alone() {
+    let all = updates(5, 64);
+    let offer = |session: &mut Session, update: &ModelUpdate| {
+        let outcome = session.try_ingest(Update::Dense(update.clone()));
+        assert!(outcome.expect("offer").is_admitted());
+    };
+    for codec in [
+        CodecKind::Uniform8,
+        CodecKind::Uniform4,
+        CodecKind::TopK { permille: 125 },
+    ] {
+        let mut reports = Vec::new();
+        for bad_offer in [false, true] {
+            let mut session = SessionBuilder::new()
+                .two_level(2, 2)
+                .codec(codec)
+                .build()
+                .expect("session");
+            for update in &all[..4] {
+                offer(&mut session, update);
+            }
+            session.drive().expect("round 1");
+            if bad_offer {
+                let wider = ModelUpdate::from_client(ClientId::new(0), DenseModel::zeros(65), 1);
+                offer(&mut session, &wider);
+                session.discard_round();
+            }
+            // Clients 1..=3 carry a residual from round 1; client 4 is new.
+            for update in &all[1..] {
+                offer(&mut session, update);
+            }
+            reports.push(session.drive().expect("round 2"));
+        }
+        let (control, disturbed) = (&reports[0], &reports[1]);
+        assert_eq!(
+            disturbed.ingress_wire_bytes, control.ingress_wire_bytes,
+            "{codec}"
+        );
+        let bits = |report: &SessionReport| -> Vec<u32> {
+            let model = report.update.model.as_slice();
+            model.iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(disturbed),
+            bits(control),
+            "{codec}: the honest clients' round changed"
+        );
+    }
+}
