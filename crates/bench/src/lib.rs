@@ -1,18 +1,12 @@
 //! # lifl-bench
 //!
-//! Criterion benchmark targets, one per table/figure of the paper's
-//! evaluation plus micro-benchmarks of the shared-memory store and FedAvg.
-//! Run `cargo bench --workspace`; each target prints the rows/series it
-//! regenerates before measuring.
-//!
-//! [`baseline`] is the *persisted* counterpart: the `bench_baseline` binary
-//! measures the aggregation hot path and writes the schema-versioned
-//! `BENCH_aggregation.json` committed at the repo root. [`ingest`] does the
-//! same for the streaming admission path (`bench_ingest` writes
-//! `BENCH_ingest.json`).
+//! The persisted kernel baseline: [`baseline`] measures the aggregation hot
+//! path (codec encode, fused fold, sharded fold) and the `bench_baseline`
+//! binary writes — or schema-checks — the versioned `BENCH_aggregation.json`
+//! committed at the repo root. Whole rounds are measured by `benchmark/`
+//! (`BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod ingest;

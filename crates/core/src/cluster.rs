@@ -41,8 +41,8 @@
 //! priced like every other hop through [`CostModel::hop_transfer`].
 
 use crate::admission::AdmissionQueues;
+use crate::ewma::EwmaEstimator;
 use crate::heartbeat::HeartbeatMonitor;
-use crate::hierarchy::EwmaEstimator;
 use crate::ingress::Ingress;
 use crate::recovery::{RecoveryManager, RecoveryOutcome};
 use crate::session::{Session, SessionBuilder, Update, WireExport};

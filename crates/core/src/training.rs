@@ -3,16 +3,16 @@
 //! [`Session`](crate::session::Session) tree or a multi-node federated
 //! [`Cluster`] — with identical results.
 //!
-//! The algorithm-level [`FlDriver`](lifl_fl::FlDriver) folds client updates
-//! through a flat in-loop accumulator; this driver instead pushes every
-//! locally trained update through the backend's polymorphic ingress
-//! ([`Ingest::ingest_update`]) and lets the backend aggregate the round over
-//! its tree — stores, codecs, per-client error feedback and (for a cluster)
-//! priced inter-node hops all engaged. Because both backends apply the same
+//! The flat [`FlatFedAvg`](lifl_fl::FlatFedAvg) backend folds client updates
+//! through one accumulator; the tree backends instead take every locally
+//! trained update through their polymorphic ingress
+//! ([`Ingest::ingest_update`]) and aggregate the round over their tree —
+//! stores, codecs, per-client error feedback and (for a cluster) priced
+//! inter-node hops all engaged. Because both tree backends apply the same
 //! ingress rules with the same seeds, the driver's loss/accuracy curve is
-//! **bit-exact** across backends for every [`CodecKind`] × shard count
+//! **bit-exact** across them for every [`CodecKind`] × shard count
 //! (enforced by the `tests/it/driver.rs` tier), and matches the flat
-//! [`FlDriver`](lifl_fl::FlDriver) under a lossless codec.
+//! [`FlatFedAvg`](lifl_fl::FlatFedAvg) under a lossless codec.
 
 use crate::cluster::Cluster;
 use crate::heartbeat::{over_provisioned_selection, HeartbeatMonitor};

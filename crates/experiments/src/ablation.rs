@@ -7,8 +7,8 @@
 //! choice so a downstream user can re-tune them for their own cluster.
 
 use crate::report::format_table;
-use lifl_core::hierarchy::EwmaEstimator;
-use lifl_core::platform::{LiflPlatform, PlatformProfile, RoundSpec};
+use lifl_core::ewma::EwmaEstimator;
+use lifl_sim::platform::{LiflPlatform, PlatformProfile, RoundSpec};
 use lifl_types::{ClusterConfig, LiflConfig, ModelKind, PlacementPolicy, SimTime};
 use serde::Serialize;
 

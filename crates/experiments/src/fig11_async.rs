@@ -50,8 +50,8 @@ pub struct Fig11Result {
 }
 
 fn semantics_check() -> bool {
-    use lifl_core::async_round::AsyncAggregator;
     use lifl_fl::aggregate::ModelUpdate;
+    use lifl_fl::async_driver::AsyncAggregator;
     use lifl_fl::DenseModel;
     use lifl_types::{AggregationTiming, ClientId, SimTime};
 
@@ -68,8 +68,11 @@ fn semantics_check() -> bool {
     let mut lazy = AsyncAggregator::new(4, AggregationTiming::Lazy).expect("goal > 0");
     for (k, update) in updates.iter().enumerate() {
         let at = SimTime::from_secs(k as f64);
-        eager.submit(update.clone(), 0, at).expect("eager submit");
-        lazy.submit(update.clone(), 0, at).expect("lazy submit");
+        eager
+            .submit(update.clone().into(), 0, at)
+            .expect("eager submit");
+        lazy.submit(update.clone().into(), 0, at)
+            .expect("lazy submit");
     }
     if eager.versions().len() != lazy.versions().len() {
         return false;

@@ -4,8 +4,8 @@
 //! ResNet-152.
 
 use crate::report::format_table;
-use lifl_baselines::no_hierarchy_profile;
-use lifl_core::platform::{LiflPlatform, PlatformProfile, RoundSpec};
+use lifl_sim::no_hierarchy_profile;
+use lifl_sim::platform::{LiflPlatform, PlatformProfile, RoundSpec};
 use lifl_simcore::Gantt;
 use lifl_types::{ClusterConfig, ModelKind, SimTime};
 use serde::Serialize;

@@ -6,8 +6,8 @@
 //! 8 trainers, ResNet-152).
 
 use crate::report::format_table;
-use lifl_core::platform::{LiflPlatform, RoundSpec};
 use lifl_dataplane::{CostModel, DataPlaneKind};
+use lifl_sim::platform::{LiflPlatform, RoundSpec};
 use lifl_simcore::Gantt;
 use lifl_types::{ClusterConfig, LiflConfig, ModelKind, SimTime};
 use serde::Serialize;

@@ -5,7 +5,7 @@
 //! nodes with MC_i = 20.
 
 use crate::report::format_table;
-use lifl_core::platform::{LiflPlatform, PlatformProfile, RoundSpec};
+use lifl_sim::platform::{LiflPlatform, PlatformProfile, RoundSpec};
 use lifl_types::{
     AggregationTiming, ClusterConfig, LiflConfig, ModelKind, PlacementPolicy, SimTime, SystemKind,
 };

@@ -6,14 +6,14 @@
 //! aggregators and per-round CPU cost for the same runs.
 
 use crate::report::format_table;
-use lifl_baselines::{
-    serverful_with_codec, serverless_with_codec, WorkloadDriver, WorkloadOutcome, WorkloadSetup,
-};
 use lifl_core::cluster::ClusterBuilder;
-use lifl_core::platform::{LiflPlatform, PlatformProfile};
 use lifl_core::session::{SessionBuilder, Update};
 use lifl_fl::aggregate::ModelUpdate;
 use lifl_fl::DenseModel;
+use lifl_sim::platform::{LiflPlatform, PlatformProfile};
+use lifl_sim::{
+    serverful_with_codec, serverless_with_codec, WorkloadDriver, WorkloadOutcome, WorkloadSetup,
+};
 use lifl_types::{ClientId, ClusterConfig, CodecKind, LiflConfig, ModelKind, Topology};
 use serde::Serialize;
 

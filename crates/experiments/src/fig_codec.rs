@@ -11,13 +11,14 @@
 //! rounds, at a small accuracy cost that error feedback keeps bounded.
 
 use crate::report::format_table;
-use lifl_baselines::no_hierarchy_profile;
-use lifl_core::platform::{LiflPlatform, PlatformProfile, RoundSpec};
+use lifl_core::training::{TrainingConfig, TrainingDriver};
 use lifl_fl::client::ClientAvailability;
 use lifl_fl::dataset::{DatasetConfig, FederatedDataset};
 use lifl_fl::population::{Population, PopulationConfig};
-use lifl_fl::rounds::{FlDriver, FlDriverConfig};
 use lifl_fl::trainer::TrainerConfig;
+use lifl_fl::FlatFedAvg;
+use lifl_sim::no_hierarchy_profile;
+use lifl_sim::platform::{LiflPlatform, PlatformProfile, RoundSpec};
 use lifl_simcore::SimRng;
 use lifl_types::{ClusterConfig, CodecKind, LiflConfig, ModelKind, SimTime};
 use serde::Serialize;
@@ -103,7 +104,7 @@ fn transport_profiles(cluster: &ClusterConfig) -> Vec<(String, PlatformProfile)>
     ]
 }
 
-fn tta_driver(codec: CodecKind, rounds: usize) -> (FlDriver, SimRng) {
+fn tta_driver(codec: CodecKind, rounds: usize) -> (TrainingDriver<FlatFedAvg>, SimRng) {
     let mut rng = SimRng::from_seed(0xF16C0DEC);
     let dataset = FederatedDataset::generate(
         DatasetConfig {
@@ -127,18 +128,18 @@ fn tta_driver(codec: CodecKind, rounds: usize) -> (FlDriver, SimRng) {
         },
         &mut rng,
     );
-    let driver = FlDriver::new(
+    let driver = TrainingDriver::new(
+        FlatFedAvg::new(population.active_per_round(), codec),
         dataset,
         population,
-        FlDriverConfig {
+        TrainingConfig {
             trainer: TrainerConfig {
                 batch_size: 16,
                 learning_rate: 0.05,
                 local_epochs: 2,
             },
             rounds,
-            eval_every: 1,
-            codec,
+            ..TrainingConfig::default()
         },
     );
     (driver, rng)
@@ -206,7 +207,7 @@ pub fn run() -> FigCodecResult {
     // Target the paper-style "both reach it" level: a band the Identity run
     // comfortably crosses so quantized runs can be compared against it.
     let (mut probe, mut probe_rng) = tta_driver(CodecKind::Identity, rounds);
-    probe.run_all(&mut probe_rng);
+    probe.run_all(&mut probe_rng).expect("flat rounds drive");
     let identity_final = probe.evaluate();
     let target_accuracy = (identity_final - 8.0).max(30.0);
 
@@ -221,7 +222,7 @@ pub fn run() -> FigCodecResult {
             .aggregation_completion_time
             .as_secs();
         let (mut driver, mut rng) = tta_driver(codec, rounds);
-        driver.run_all(&mut rng);
+        driver.run_all(&mut rng).expect("flat rounds drive");
         let rounds_to_target = driver
             .accuracy_curve()
             .iter()

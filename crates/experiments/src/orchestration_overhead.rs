@@ -5,8 +5,8 @@
 //! implementation, not simulated quantities.
 
 use crate::report::format_table;
-use lifl_core::hierarchy::EwmaEstimator;
-use lifl_core::placement::{NodeCapacity, PlacementEngine};
+use lifl_core::ewma::EwmaEstimator;
+use lifl_sim::placement::{NodeCapacity, PlacementEngine};
 use lifl_types::{NodeId, PlacementPolicy};
 use serde::Serialize;
 use std::time::Instant;

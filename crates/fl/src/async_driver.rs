@@ -1,24 +1,183 @@
-//! Algorithm-level asynchronous FL driver (FedBuff-style buffered async).
+//! Buffered asynchronous FL (FedBuff-style; Fig. 11, §7 future work).
 //!
-//! The paper's platform currently supports synchronous FL and lists
-//! asynchronous FL as future work (§6, §7); Fig. 11 sketches the intended
-//! semantics. This driver provides the *algorithm* half of that extension:
-//! clients continuously train against whatever global version they last
-//! pulled, updates arrive in completion-time order, and the server commits a
-//! new version every `buffer_goal` accepted updates, down-weighting stale
-//! updates with a [`StalenessPolicy`]. The platform half (how those commits
-//! map onto the aggregation hierarchy) lives in `lifl-core::async_round`.
+//! The paper's platform supports synchronous FL and lists asynchronous FL as
+//! future work (§6, §7); Fig. 11 sketches the intended semantics (Huba et
+//! al., 2022; Nguyen et al., 2022): the global model advances every time
+//! `goal` updates have been aggregated, regardless of which version a client
+//! trained against, and updates keep streaming in while versions advance.
+//!
+//! [`AsyncAggregator`] is that rule, once: it buffers accepted updates — in
+//! their codec-transparent [`Update`] envelope, so lossy updates fold fused —
+//! and commits a [`ModelVersion`] every `goal` of them, under eager
+//! (fold on arrival, Fig. 11(a)) or lazy (fold at commit, Fig. 11(b))
+//! timing. [`AsyncFlDriver`] is the loop that feeds it: clients continuously
+//! train against whatever global version they last pulled, updates arrive in
+//! completion-time order and stale ones are down-weighted with a
+//! [`StalenessPolicy`] before they are submitted.
 
 use crate::aggregate::CumulativeFedAvg;
-use crate::codec::{ErrorFeedback, UpdateCodec};
+use crate::codec::{EncodedView, ErrorFeedback, UpdateCodec};
 use crate::dataset::FederatedDataset;
 use crate::metrics::accuracy_percent;
 use crate::model::DenseModel;
 use crate::population::Population;
 use crate::staleness::{StalenessPolicy, StalenessTracker};
 use crate::trainer::{LocalTrainer, TrainerConfig};
+use crate::update::Update;
 use lifl_simcore::SimRng;
-use lifl_types::{CodecKind, LiflError, ModelKind, Result, SimTime};
+use lifl_types::{AggregationTiming, CodecKind, LiflError, ModelKind, Result, RoundId, SimTime};
+
+/// One committed global-model version.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ModelVersion {
+    /// Version number (starts at 1 for the first committed aggregate).
+    pub version: RoundId,
+    /// The committed global model.
+    pub model: DenseModel,
+    /// Total samples folded into this version's window.
+    pub samples: u64,
+    /// Simulated time at which the version was committed.
+    pub committed_at: SimTime,
+    /// Updates folded into this version's window (the aggregation goal).
+    pub updates: u64,
+    /// Number of updates whose base model was stale (trained against an older version).
+    pub stale_updates: u64,
+    /// Sum over the window's updates of how many versions behind each was.
+    pub staleness_sum: u64,
+}
+
+/// The buffered asynchronous aggregator: commits a new global model every
+/// `goal` *accepted* updates (Fig. 11's "Aggregation Goal = 2" pattern).
+///
+/// An update is validated when it is submitted, under both timings, and a
+/// refused submit changes nothing — so eager and lazy timing commit
+/// identical versions for any submit sequence, refused ones included.
+#[derive(Debug, Clone)]
+pub struct AsyncAggregator {
+    goal: u64,
+    timing: AggregationTiming,
+    accumulator: CumulativeFedAvg,
+    buffered: Vec<Update>,
+    versions: Vec<ModelVersion>,
+    /// Updates accepted into the open window.
+    received: u64,
+    /// Model dimension of the open window's first update.
+    window_dim: Option<usize>,
+    stale_in_window: u64,
+    staleness_sum: u64,
+}
+
+/// The model dimension an update folds at.
+fn update_dim(update: &Update) -> Result<usize> {
+    Ok(match update {
+        Update::Dense(dense) => dense.model.dim(),
+        Update::Encoded { update, .. } => update.view().dim(),
+        Update::RemoteBytes {
+            wire,
+            encoded: true,
+            ..
+        } => EncodedView::parse(wire)?.dim(),
+        Update::RemoteBytes { wire, .. } => EncodedView::identity_over(wire).dim(),
+    })
+}
+
+impl AsyncAggregator {
+    /// Creates an asynchronous aggregator committing every `goal` updates.
+    ///
+    /// # Errors
+    /// Returns [`LiflError::InvalidAggregationGoal`] if `goal` is zero.
+    pub fn new(goal: u64, timing: AggregationTiming) -> Result<Self> {
+        if goal == 0 {
+            return Err(LiflError::InvalidAggregationGoal(0));
+        }
+        Ok(AsyncAggregator {
+            goal,
+            timing,
+            accumulator: CumulativeFedAvg::default(),
+            buffered: Vec::new(),
+            versions: Vec::new(),
+            received: 0,
+            window_dim: None,
+            stale_in_window: 0,
+            staleness_sum: 0,
+        })
+    }
+
+    /// The aggregation goal per committed version.
+    pub fn goal(&self) -> u64 {
+        self.goal
+    }
+
+    /// Committed versions so far.
+    pub fn versions(&self) -> &[ModelVersion] {
+        &self.versions
+    }
+
+    /// The latest committed global model, if any version has been committed.
+    pub fn latest(&self) -> Option<&ModelVersion> {
+        self.versions.last()
+    }
+
+    /// Submits one client update trained against `base_version` (0 = initial
+    /// model), arriving at `now`. Returns the newly committed version if this
+    /// update completed a window.
+    ///
+    /// # Errors
+    /// Refuses an update carrying zero samples
+    /// ([`LiflError::InvalidAggregationGoal`]), one whose dimension differs
+    /// from the open window's first update
+    /// ([`LiflError::DimensionMismatch`]) and malformed remote bytes. A
+    /// refused update counts nothing toward the goal and leaves the window
+    /// exactly as it was.
+    pub fn submit(
+        &mut self,
+        update: Update,
+        base_version: u64,
+        now: SimTime,
+    ) -> Result<Option<ModelVersion>> {
+        if update.weight() == 0 {
+            return Err(LiflError::InvalidAggregationGoal(0));
+        }
+        let dim = update_dim(&update)?;
+        let expected = self.window_dim.unwrap_or(dim);
+        if dim != expected {
+            return Err(LiflError::DimensionMismatch {
+                expected,
+                actual: dim,
+            });
+        }
+        match self.timing {
+            // Fold immediately (Fig. 11(a)).
+            AggregationTiming::Eager => self.accumulator.fold_update(&update)?,
+            // Queue until the window is complete (Fig. 11(b)).
+            AggregationTiming::Lazy => self.buffered.push(update),
+        }
+        self.window_dim = Some(dim);
+        self.received += 1;
+        let tau = (self.versions.len() as u64).saturating_sub(base_version);
+        self.stale_in_window += u64::from(tau > 0);
+        self.staleness_sum += tau;
+        if self.received < self.goal {
+            return Ok(None);
+        }
+        for buffered in self.buffered.drain(..) {
+            self.accumulator.fold_update(&buffered)?;
+        }
+        let aggregate = self.accumulator.finalize()?;
+        let version = ModelVersion {
+            version: RoundId::new(self.versions.len() as u64 + 1),
+            model: aggregate.model,
+            samples: aggregate.samples,
+            committed_at: now,
+            updates: std::mem::take(&mut self.received),
+            stale_updates: std::mem::take(&mut self.stale_in_window),
+            staleness_sum: std::mem::take(&mut self.staleness_sum),
+        };
+        self.window_dim = None;
+        self.versions.push(version.clone());
+        Ok(Some(version))
+    }
+}
 
 /// Configuration of the asynchronous driver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,6 +279,7 @@ pub struct AsyncFlDriver {
     history: Vec<AsyncVersionOutcome>,
     tracker: StalenessTracker,
     feedback: ErrorFeedback,
+    aggregator: AsyncAggregator,
 }
 
 impl AsyncFlDriver {
@@ -136,6 +296,7 @@ impl AsyncFlDriver {
         let trainer = LocalTrainer::new(dataset.num_features, dataset.num_classes, config.trainer);
         let global = dataset.initial_model();
         let feedback = ErrorFeedback::new(UpdateCodec::with_seed(config.codec, 0xA51C));
+        let aggregator = AsyncAggregator::new(config.buffer_goal as u64, AggregationTiming::Eager)?;
         Ok(AsyncFlDriver {
             dataset,
             population,
@@ -145,6 +306,7 @@ impl AsyncFlDriver {
             history: Vec::new(),
             tracker: StalenessTracker::new(),
             feedback,
+            aggregator,
         })
     }
 
@@ -171,10 +333,11 @@ impl AsyncFlDriver {
     /// Runs the configured number of versions and returns the history.
     ///
     /// The event loop keeps `concurrency` clients training at all times: when
-    /// a client finishes, its update is weighted by staleness and folded into
-    /// the buffer, the client immediately pulls the latest global model and
-    /// starts the next local round, and every `buffer_goal` accepted updates a
-    /// new version is committed.
+    /// a client finishes, its update is weighted by staleness and submitted to
+    /// the [`AsyncAggregator`], the client immediately pulls the latest global
+    /// model and starts the next local round, and every version the
+    /// aggregator commits (one per `buffer_goal` accepted updates) becomes the
+    /// global model.
     pub fn run(&mut self, rng: &mut SimRng) -> Vec<AsyncVersionOutcome> {
         let clients = self.population.clients().to_vec();
         if clients.is_empty() {
@@ -194,10 +357,6 @@ impl AsyncFlDriver {
                 finish_at,
             });
         }
-        let mut buffer = CumulativeFedAvg::new(self.dataset.model_dim());
-        let mut buffered = 0usize;
-        let mut stale_in_window = 0usize;
-        let mut staleness_sum = 0u64;
 
         while self.history.len() < self.config.target_versions {
             // Pop the earliest completion.
@@ -214,10 +373,6 @@ impl AsyncFlDriver {
             let now = finished.finish_at;
             let tau = (self.history.len() - finished.base_version) as u64;
             self.tracker.record(tau);
-            staleness_sum += tau;
-            if tau > 0 {
-                stale_in_window += 1;
-            }
 
             // Local training against the version the client based on. We train
             // against the *current* global as an approximation of keeping a
@@ -233,34 +388,21 @@ impl AsyncFlDriver {
             let update = self
                 .feedback
                 .encode_update(client.id, local, weighted_samples);
-            if buffer.fold_update(&update).is_ok() {
-                buffered += 1;
-            }
-            self.feedback.recycle_update(update);
-
-            // Commit when the buffer goal is reached.
-            if buffered >= self.config.buffer_goal {
-                if let Ok(aggregate) = buffer.finalize() {
-                    self.global = aggregate.model;
-                }
+            let base_version = finished.base_version as u64;
+            if let Ok(Some(committed)) = self.aggregator.submit(update, base_version, now) {
+                self.global = committed.model;
                 let version = self.history.len() + 1;
-                let accuracy = if version.is_multiple_of(self.config.eval_every.max(1)) {
-                    Some(self.evaluate())
-                } else {
-                    None
-                };
+                let accuracy = version
+                    .is_multiple_of(self.config.eval_every.max(1))
+                    .then(|| self.evaluate());
                 self.history.push(AsyncVersionOutcome {
                     version,
-                    committed_at: now,
-                    updates: buffered,
-                    stale_updates: stale_in_window,
-                    mean_staleness: staleness_sum as f64 / buffered as f64,
+                    committed_at: committed.committed_at,
+                    updates: committed.updates as usize,
+                    stale_updates: committed.stale_updates as usize,
+                    mean_staleness: committed.staleness_sum as f64 / committed.updates as f64,
                     accuracy,
                 });
-                buffer = CumulativeFedAvg::new(self.dataset.model_dim());
-                buffered = 0;
-                stale_in_window = 0;
-                staleness_sum = 0;
             }
 
             // The finished client immediately starts the next local round
@@ -287,9 +429,134 @@ impl AsyncFlDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::{fedavg, ModelUpdate};
     use crate::client::ClientAvailability;
     use crate::dataset::DatasetConfig;
     use crate::population::PopulationConfig;
+    use lifl_types::ClientId;
+
+    fn update(i: u64, values: Vec<f32>, samples: u64) -> Update {
+        Update::dense(ClientId::new(i), DenseModel::from_vec(values), samples)
+    }
+
+    #[test]
+    fn commits_every_goal_updates() {
+        let mut agg = AsyncAggregator::new(2, AggregationTiming::Eager).unwrap();
+        assert!(agg
+            .submit(update(1, vec![1.0, 1.0], 1), 0, SimTime::from_secs(1.0))
+            .unwrap()
+            .is_none());
+        let v1 = agg
+            .submit(update(2, vec![3.0, 3.0], 1), 0, SimTime::from_secs(2.0))
+            .unwrap()
+            .expect("first version");
+        assert_eq!(v1.version, RoundId::new(1));
+        assert_eq!(v1.model.as_slice(), &[2.0, 2.0]);
+        assert_eq!(v1.stale_updates, 0);
+        // Next window: a client still training against version 0 is stale.
+        agg.submit(update(3, vec![0.0, 0.0], 1), 0, SimTime::from_secs(3.0))
+            .unwrap();
+        let v2 = agg
+            .submit(update(4, vec![4.0, 4.0], 3), 1, SimTime::from_secs(4.0))
+            .unwrap()
+            .expect("second version");
+        assert_eq!(v2.version, RoundId::new(2));
+        assert_eq!(v2.stale_updates, 1);
+        assert_eq!(agg.versions().len(), 2);
+        assert_eq!(agg.latest().unwrap().version, RoundId::new(2));
+    }
+
+    #[test]
+    fn eager_and_lazy_commit_identical_models() {
+        let updates: Vec<ModelUpdate> = (1..=6)
+            .map(|i| {
+                let model = DenseModel::from_vec(vec![i as f32, (i * i) as f32]);
+                ModelUpdate::from_client(ClientId::new(i), model, i)
+            })
+            .collect();
+        let mut eager = AsyncAggregator::new(3, AggregationTiming::Eager).unwrap();
+        let mut lazy = AsyncAggregator::new(3, AggregationTiming::Lazy).unwrap();
+        for (k, u) in updates.iter().enumerate() {
+            let t = SimTime::from_secs(k as f64);
+            eager.submit(u.clone().into(), 0, t).unwrap();
+            lazy.submit(u.clone().into(), 0, t).unwrap();
+        }
+        assert_eq!(eager.versions().len(), 2);
+        assert_eq!(lazy.versions().len(), 2);
+        for (a, b) in eager.versions().iter().zip(lazy.versions()) {
+            for (x, y) in a.model.as_slice().iter().zip(b.model.as_slice()) {
+                assert!((x - y).abs() < 1e-5);
+            }
+        }
+        // Each window matches the batch FedAvg of its updates.
+        let first_window = fedavg(&updates[..3]).unwrap();
+        for (x, y) in eager.versions()[0]
+            .model
+            .as_slice()
+            .iter()
+            .zip(first_window.model.as_slice())
+        {
+            assert!((x - y).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn zero_goal_is_rejected() {
+        assert!(AsyncAggregator::new(0, AggregationTiming::Eager).is_err());
+    }
+
+    #[test]
+    fn goal_one_commits_every_update() {
+        let mut agg = AsyncAggregator::new(1, AggregationTiming::Lazy).unwrap();
+        for i in 1..=4u64 {
+            let committed = agg
+                .submit(
+                    update(i, vec![i as f32], 1),
+                    i - 1,
+                    SimTime::from_secs(i as f64),
+                )
+                .unwrap();
+            assert!(committed.is_some());
+        }
+        assert_eq!(agg.versions().len(), 4);
+        assert_eq!(agg.goal(), 1);
+    }
+
+    #[test]
+    fn refused_submit_changes_nothing_under_either_timing() {
+        // Refused, good, good, good at goal 2: exactly one version, of the
+        // first two good updates, committed by the second of them.
+        let mut committed = Vec::new();
+        for timing in [AggregationTiming::Eager, AggregationTiming::Lazy] {
+            let mut agg = AsyncAggregator::new(2, timing).unwrap();
+            let at = SimTime::from_secs;
+            assert!(agg
+                .submit(update(9, vec![7.0, 7.0], 0), 0, at(0.0))
+                .is_err());
+            assert_eq!(
+                agg.submit(update(1, vec![1.0, 1.0], 1), 0, at(1.0)),
+                Ok(None),
+                "{timing:?}"
+            );
+            // A mismatched dimension mid-window is refused the same way.
+            assert!(agg.submit(update(8, vec![5.0], 1), 0, at(1.5)).is_err());
+            let version = agg
+                .submit(update(2, vec![3.0, 3.0], 1), 0, at(2.0))
+                .unwrap()
+                .expect("the second good update completes the window");
+            assert_eq!(version.updates, 2, "{timing:?}");
+            assert_eq!(version.samples, 2, "{timing:?}");
+            assert_eq!(version.model.as_slice(), &[2.0, 2.0], "{timing:?}");
+            assert_eq!(
+                agg.submit(update(3, vec![5.0, 5.0], 1), 1, at(3.0)),
+                Ok(None),
+                "{timing:?}"
+            );
+            assert_eq!(agg.versions().len(), 1, "{timing:?}");
+            committed.push(version);
+        }
+        assert_eq!(committed[0], committed[1]);
+    }
 
     fn setup(seed: u64, config: AsyncDriverConfig) -> (AsyncFlDriver, SimRng) {
         let mut rng = SimRng::from_seed(seed);

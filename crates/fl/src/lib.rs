@@ -3,7 +3,9 @@
 //! The federated-learning substrate: FedAvg aggregation (including the
 //! cumulative/eager formulation LIFL relies on, §2.1 and §5.4), a synthetic
 //! non-IID federated dataset, local SGD trainers, a client population with
-//! realistic availability dynamics (§6.2) and a round driver that produces
+//! realistic availability dynamics (§6.2) and the [`Ingest`] backend contract
+//! the one round loop (`lifl_core::training::TrainingDriver`) drives —
+//! [`FlatFedAvg`] being the flat backend that produces the
 //! accuracy-versus-round curves.
 //!
 //! The training workload is a softmax-regression classifier over a synthetic
@@ -45,7 +47,6 @@ pub mod model;
 pub mod oort;
 pub mod population;
 pub mod robust;
-pub mod rounds;
 pub mod selector;
 pub mod server_opt;
 pub mod sharded;
@@ -64,10 +65,9 @@ pub use model::DenseModel;
 pub use oort::{OortConfig, OortSelector};
 pub use population::{Population, PopulationConfig};
 pub use robust::{PolicyFold, RobustFold};
-pub use rounds::{FlDriver, FlDriverConfig, RoundOutcome};
 pub use server_opt::{ServerOptConfig, ServerOptKind, ServerOptimizer};
 pub use sharded::ShardedFedAvg;
-pub use sink::{Ingest, RoundAggregate};
+pub use sink::{FlatFedAvg, Ingest, RoundAggregate};
 pub use staleness::{StalenessPolicy, StalenessTracker};
 pub use trainer::{LocalTrainer, TrainerConfig};
 pub use update::Update;

@@ -7,13 +7,15 @@
 //! backend accepts updates in any representation through one polymorphic
 //! ingress, aggregates exactly one tree's worth of them per round, and
 //! returns the global aggregate with its wire accounting. `lifl-core`
-//! implements it for both `Session` and `Cluster`, so the same training
-//! loop — codec handling, error feedback, metrics — runs bit-exactly over
-//! either.
+//! implements it for both `Session` and `Cluster`, and [`FlatFedAvg`] here is
+//! the degenerate backend with no tree at all, so the same training loop —
+//! codec handling, error feedback, metrics — runs bit-exactly over any of
+//! them.
 
-use crate::aggregate::ModelUpdate;
+use crate::aggregate::{CumulativeFedAvg, ModelUpdate};
+use crate::codec::{ErrorFeedback, UpdateCodec};
 use crate::update::Update;
-use lifl_types::{AdmissionOutcome, CodecKind, Result};
+use lifl_types::{AdmissionOutcome, CodecKind, LiflError, Result};
 
 /// What one aggregated round produced, in backend-agnostic form.
 #[derive(Debug, Clone)]
@@ -39,7 +41,7 @@ pub trait Ingest {
     /// it arrived.
     ///
     /// # Errors
-    /// Fails with [`LiflError::RoundFull`](lifl_types::LiflError::RoundFull)
+    /// Fails with [`LiflError::RoundFull`]
     /// if the round is already full, or on any store/codec error. A failed
     /// ingest counts nothing toward the round.
     fn ingest_update(&mut self, update: Update) -> Result<()>;
@@ -58,7 +60,7 @@ pub trait Ingest {
     fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
         match self.ingest_update(update) {
             Ok(()) => Ok(AdmissionOutcome::Admitted),
-            Err(lifl_types::LiflError::RoundFull { .. }) => Ok(AdmissionOutcome::Rejected {
+            Err(LiflError::RoundFull { .. }) => Ok(AdmissionOutcome::Rejected {
                 retry_after: lifl_types::SimDuration::ZERO,
             }),
             Err(e) => Err(e),
@@ -82,4 +84,113 @@ pub trait Ingest {
     /// Discards the current (not yet aggregated) round, returning the
     /// backend to an empty round. Per-client codec state is kept.
     fn discard_round(&mut self);
+}
+
+/// The flat backend: every update is encoded with its client's error
+/// feedback and folded into one [`CumulativeFedAvg`] — no tree, no store, no
+/// hops. This is the algorithm-level FedAvg round (the accuracy-versus-round
+/// curve behind Fig. 9) expressed as an [`Ingest`] backend, bit-exact with a
+/// `Session` over `Topology::flat(n)` under a lossless codec.
+#[derive(Debug, Clone)]
+pub struct FlatFedAvg {
+    capacity: usize,
+    feedback: ErrorFeedback,
+    accumulator: CumulativeFedAvg,
+    wire_bytes: u64,
+}
+
+impl FlatFedAvg {
+    /// A backend whose rounds hold up to `capacity` updates, each travelling
+    /// through `codec` (default codec seed).
+    pub fn new(capacity: usize, codec: CodecKind) -> Self {
+        FlatFedAvg {
+            capacity,
+            feedback: ErrorFeedback::new(UpdateCodec::new(codec)),
+            accumulator: CumulativeFedAvg::default(),
+            wire_bytes: 0,
+        }
+    }
+
+    /// The per-client error-feedback state (residuals persist across rounds).
+    pub fn feedback(&self) -> &ErrorFeedback {
+        &self.feedback
+    }
+}
+
+impl Ingest for FlatFedAvg {
+    fn ingest_update(&mut self, update: Update) -> Result<()> {
+        if self.accumulator.updates_folded() >= self.capacity as u64 {
+            return Err(LiflError::RoundFull {
+                capacity: self.capacity,
+            });
+        }
+        // A client's dense update is encoded here, like at a session's
+        // ingress; every other representation folds as it arrived.
+        let update = match update {
+            Update::Dense(ModelUpdate {
+                client: Some(client),
+                model,
+                samples,
+            }) => self.feedback.encode_update(client, model, samples),
+            other => other,
+        };
+        self.accumulator.fold_update(&update)?;
+        self.wire_bytes += update.wire_bytes();
+        self.feedback.recycle_update(update);
+        Ok(())
+    }
+
+    fn round_capacity(&self) -> usize {
+        self.capacity
+    }
+
+    fn ingress_codec(&self) -> CodecKind {
+        self.feedback.kind()
+    }
+
+    /// A flat fold has no tree to fill: any non-empty round aggregates.
+    fn aggregate_round(&mut self) -> Result<RoundAggregate> {
+        let updates_ingested = self.accumulator.updates_folded();
+        let update = self.accumulator.finalize()?;
+        Ok(RoundAggregate {
+            update,
+            ingress_wire_bytes: std::mem::take(&mut self.wire_bytes),
+            updates_ingested,
+        })
+    }
+
+    fn discard_round(&mut self) {
+        self.accumulator = CumulativeFedAvg::default();
+        self.wire_bytes = 0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::DenseModel;
+    use lifl_types::ClientId;
+
+    #[test]
+    fn flat_backend_refuses_overflow_and_keeps_residuals_across_discard() {
+        let mut flat = FlatFedAvg::new(2, CodecKind::Uniform8);
+        let update =
+            |i: u64| Update::dense(ClientId::new(i), DenseModel::from_vec(vec![0.3; 16]), 1);
+        flat.ingest_update(update(1)).unwrap();
+        flat.ingest_update(update(2)).unwrap();
+        assert_eq!(
+            flat.ingest_update(update(3)).unwrap_err(),
+            LiflError::RoundFull { capacity: 2 }
+        );
+        let residual = flat.feedback().residual(ClientId::new(1)).cloned();
+        assert!(residual.is_some());
+        flat.discard_round();
+        assert_eq!(
+            flat.feedback().residual(ClientId::new(1)).cloned(),
+            residual
+        );
+        // The discarded round left nothing behind: the next one starts empty.
+        flat.ingest_update(update(1)).unwrap();
+        assert_eq!(flat.aggregate_round().unwrap().updates_ingested, 1);
+    }
 }

@@ -662,6 +662,47 @@ const DELETED_GATEWAY_DOORS: [&str; 4] = [
     "ingest_remote_update",
 ];
 
+/// Files whose deletion must stick, with the PR that deleted them and where
+/// their content went.
+const DELETED_FILES: [(&str, &str); 2] = [
+    (
+        "crates/core/src/runtime.rs",
+        "the legacy runtime module is back; it was deleted in PR 6 \
+         (see MIGRATION.md) and must stay gone",
+    ),
+    (
+        "crates/core/src/platform.rs",
+        "the paper simulator is back inside the engine crate; it moved to \
+         `crates/sim` in PR 24 (see MIGRATION.md) and `lifl-core` stays engine-only",
+    ),
+];
+
+/// Names PR 24 retired when the second round loop, the second async buffer,
+/// the baselines crate and the superseded ingest harness were deleted, with
+/// where each one's users go now.
+const RETIRED_IN_PR24: [(&str, &str); 5] = [
+    (
+        "FlDriver",
+        "run `TrainingDriver` over the flat `lifl_fl::FlatFedAvg` backend",
+    ),
+    (
+        "FlDriverConfig",
+        "use `TrainingConfig`; the codec belongs to the `FlatFedAvg` backend",
+    ),
+    (
+        "async_round",
+        "the one `AsyncAggregator` lives in `lifl_fl::async_driver`",
+    ),
+    (
+        "lifl_baselines",
+        "the baseline profiles and `WorkloadDriver` live in `lifl_sim`",
+    ),
+    (
+        "bench_ingest",
+        "`benchmark/`'s `stream_burst` workload measures the streaming ingress",
+    ),
+];
+
 /// The engine's data-plane files: every payload here is written once by its
 /// producer and *moved* into the store (PR 21), so the copying conveniences
 /// below have no business in their non-test code.
@@ -730,22 +771,24 @@ fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
 /// R6: the legacy runtime deleted in PR 6 (`crates/core/src/runtime.rs`, the
 /// `run_hierarchical*` entry points and their `#[allow(deprecated)]` escape
 /// hatches), the per-representation gateway doors deleted in PR 12
-/// (`DELETED_GATEWAY_DOORS`) and the copying put path deleted in PR 21
-/// (`PAYLOAD_COPIES` in non-test code of `MOVE_ONLY_FILES`) must stay
+/// (`DELETED_GATEWAY_DOORS`), the copying put path deleted in PR 21
+/// (`PAYLOAD_COPIES` in non-test code of `MOVE_ONLY_FILES`) and the
+/// duplicates collapsed in PR 24 (`RETIRED_IN_PR24`, and the simulator's
+/// `crates/core/src/platform.rs` among the `DELETED_FILES`) must stay
 /// deleted. Unlike the shell guard this replaces, the check runs on code
 /// tokens, so prose in comments and string literals can mention the old
 /// names freely.
 pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
-    if root.join("crates/core/src/runtime.rs").exists() {
-        out.push(Finding {
-            file: "crates/core/src/runtime.rs".to_string(),
-            line: 1,
-            rule: Rule::LegacyRuntime,
-            message: "the legacy runtime module is back; it was deleted in PR 6 \
-                      (see MIGRATION.md) and must stay gone"
-                .to_string(),
-        });
+    for (file, message) in DELETED_FILES {
+        if root.join(file).exists() {
+            out.push(Finding {
+                file: file.to_string(),
+                line: 1,
+                rule: Rule::LegacyRuntime,
+                message: message.to_string(),
+            });
+        }
     }
     for f in files {
         let code = code_indices(f);
@@ -776,6 +819,15 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
                          in PR 12; go through `Gateway::ingest` (see MIGRATION.md)",
                         t.text
                     ),
+                ));
+            } else if let Some((name, advice)) =
+                RETIRED_IN_PR24.iter().find(|(name, _)| t.text == *name)
+            {
+                out.push(finding(
+                    f,
+                    t.line,
+                    Rule::LegacyRuntime,
+                    format!("`{name}` was retired in PR 24; {advice} (see MIGRATION.md)"),
                 ));
             } else if t.text == "runtime"
                 && code.get(w + 1).is_some_and(|&a| f.toks[a].is_punct(":"))

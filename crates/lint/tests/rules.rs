@@ -168,6 +168,30 @@ fn r6_fail_flags_payload_copies_on_the_move_only_path() {
 }
 
 #[test]
+fn r6_fail_flags_the_names_and_the_file_retired_in_pr_24() {
+    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
+    assert!(found.iter().any(
+        |f| f.contains("crates/core/src/platform.rs:1") && f.contains("moved to `crates/sim`")
+    ));
+    for (line, name) in [
+        (4, "`lifl_baselines`"),
+        (5, "`async_round`"),
+        (6, "`FlDriver`"),
+        (6, "`FlDriverConfig`"),
+        (7, "`bench_ingest`"),
+    ] {
+        assert!(
+            found.iter().any(|f| {
+                f.contains(&format!("crates/experiments/src/lib.rs:{line}:"))
+                    && f.contains(name)
+                    && f.contains("retired in PR 24")
+            }),
+            "{name} at line {line}: {found:#?}"
+        );
+    }
+}
+
+#[test]
 fn r6_pass_allows_prose_and_string_mentions() {
     assert_eq!(
         lint("r6_pass", &[Rule::LegacyRuntime]),

@@ -7,7 +7,7 @@
 //! service, container sidecars and a fixed serverful deployment.
 //!
 //! LIFL itself replaces most of these components; they are implemented here so
-//! the baseline systems (`lifl-baselines`) are real systems rather than
+//! the baseline systems (`lifl_sim::systems`) are real systems rather than
 //! hard-coded numbers.
 //!
 //! The substrate covers both the coarse behaviour the Fig. 8/9 experiments

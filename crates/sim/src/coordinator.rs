@@ -4,9 +4,10 @@
 //! reuse. It is the interface between the FL job designer and the serverless
 //! control plane.
 
-use crate::hierarchy::{EwmaEstimator, HierarchyPlan};
+use crate::hierarchy::HierarchyPlan;
 use crate::metric_server::MetricServer;
 use crate::placement::{NodeCapacity, PlacementEngine, PlacementOutcome};
+use lifl_core::ewma::EwmaEstimator;
 use lifl_types::{ClusterConfig, LiflConfig, NodeId, SimTime};
 use std::collections::HashMap;
 

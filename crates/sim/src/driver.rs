@@ -1,15 +1,18 @@
 //! The FL workload driver: combines the algorithm-level FedAvg training loop
-//! (`lifl-fl`) with a simulated aggregation system (`lifl-core` /
-//! `lifl-baselines`) to produce the system-level curves of Fig. 9 and Fig. 10:
+//! (`lifl_core`'s `TrainingDriver` over the flat `lifl_fl::FlatFedAvg`
+//! backend) with a simulated aggregation system ([`crate::platform`] under
+//! one of the [`crate::systems`] profiles) to produce the system-level curves
+//! of Fig. 9 and Fig. 10:
 //! accuracy versus wall-clock time, accuracy versus cumulative CPU time,
 //! update arrival rate, active aggregators and per-round CPU cost.
 
-use lifl_core::platform::RoundSpec;
-use lifl_core::AggregationSystem;
+use crate::platform::RoundSpec;
+use crate::system::AggregationSystem;
+use lifl_core::training::{TrainingConfig, TrainingDriver};
 use lifl_fl::dataset::DatasetConfig;
-use lifl_fl::{FederatedDataset, FlDriver, FlDriverConfig, Population, PopulationConfig};
+use lifl_fl::{FederatedDataset, FlatFedAvg, Population, PopulationConfig};
 use lifl_simcore::{SimRng, TimeSeries};
-use lifl_types::{ModelKind, SimDuration, SimTime};
+use lifl_types::{CodecKind, ModelKind, SimDuration, SimTime};
 
 /// Configuration of one end-to-end FL workload (§6.2).
 #[derive(Debug, Clone)]
@@ -21,7 +24,10 @@ pub struct WorkloadSetup {
     /// Synthetic dataset configuration.
     pub dataset: DatasetConfig,
     /// Algorithm-level driver configuration (rounds, trainer hyper-parameters).
-    pub fl: FlDriverConfig,
+    pub fl: TrainingConfig,
+    /// Codec every client update travels through before aggregation
+    /// (client-side error feedback keeps the long-run signal unbiased).
+    pub codec: CodecKind,
     /// Random seed.
     pub seed: u64,
 }
@@ -47,10 +53,11 @@ impl WorkloadSetup {
                 test_samples: 1500,
                 noise_std: 0.5,
             },
-            fl: FlDriverConfig {
+            fl: TrainingConfig {
                 rounds,
-                ..FlDriverConfig::default()
+                ..TrainingConfig::default()
             },
+            codec: CodecKind::Identity,
             seed: 42,
         }
     }
@@ -58,8 +65,8 @@ impl WorkloadSetup {
     /// Returns the setup with every client update travelling `codec`
     /// (algorithm-level error-feedback encoding; pair it with a platform
     /// profile carrying the same codec so system costs match).
-    pub fn with_codec(mut self, codec: lifl_types::CodecKind) -> Self {
-        self.fl.codec = codec;
+    pub fn with_codec(mut self, codec: CodecKind) -> Self {
+        self.codec = codec;
         self
     }
 
@@ -81,10 +88,11 @@ impl WorkloadSetup {
                 test_samples: 1500,
                 noise_std: 0.5,
             },
-            fl: FlDriverConfig {
+            fl: TrainingConfig {
                 rounds,
-                ..FlDriverConfig::default()
+                ..TrainingConfig::default()
             },
+            codec: CodecKind::Identity,
             seed: 42,
         }
     }
@@ -142,7 +150,11 @@ impl WorkloadDriver {
         let mut rng = SimRng::from_seed(self.setup.seed);
         let dataset = FederatedDataset::generate(self.setup.dataset, &mut rng);
         let population = Population::generate(self.setup.population, &mut rng);
-        let mut fl = FlDriver::new(dataset, population.clone(), self.setup.fl);
+        let backend = FlatFedAvg::new(
+            population.active_per_round().min(population.len()),
+            self.setup.codec,
+        );
+        let mut fl = TrainingDriver::new(backend, dataset, population.clone(), self.setup.fl);
 
         let label = system.label().to_string();
         let mut accuracy_vs_time = TimeSeries::new(label.clone());
@@ -158,13 +170,15 @@ impl WorkloadDriver {
 
         for _ in 0..self.setup.fl.rounds {
             // 1. Algorithm level: who participates and what accuracy results.
-            let outcome = fl.run_round(&mut rng);
+            let outcome = fl
+                .run_round(&mut rng)
+                .expect("a flat round over exactly its own selection cannot fail");
             let participants = population.select_round(&mut rng);
 
             // 2. System level: when does each participant's update arrive.
             let arrivals: Vec<SimTime> = participants
                 .iter()
-                .take(outcome.updates)
+                .take(outcome.updates as usize)
                 .map(|c| c.update_arrival(wall, self.setup.model, upload, &mut rng))
                 .collect();
             let spec = RoundSpec::new(self.setup.model, arrivals.clone());
@@ -203,8 +217,8 @@ impl WorkloadDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::LiflPlatform;
     use crate::systems;
-    use lifl_core::platform::LiflPlatform;
     use lifl_types::{ClusterConfig, LiflConfig};
 
     fn tiny_setup() -> WorkloadSetup {

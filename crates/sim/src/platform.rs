@@ -329,8 +329,8 @@ impl LiflPlatform {
         for node in &node_ids {
             let node = *node;
             let node_arrivals = &per_node[&node];
-            // lifl-lint: allow(panic) — per_node is keyed by the plan's own
-            // placement, so every node iterated here is planned.
+            // per_node is keyed by the plan's own placement, so every node
+            // iterated here is planned.
             let hierarchy = plan.on_node(node).expect("planned node");
             // The node's subtree shape as the shared Topology vocabulary:
             // leaf chunking and the middle level both derive from it.
@@ -406,9 +406,9 @@ impl LiflPlatform {
                             if self.profile.reuse_runtimes {
                                 // Reuse the earliest-finished child of this
                                 // aggregator's chunk on this node (§5.3).
-                                // lifl-lint: allow(panic) — inputs and
-                                // prev_finish have equal length, so the
-                                // zipped chunks are never empty.
+                                // inputs and prev_finish have equal
+                                // length, so the zipped chunks are never
+                                // empty.
                                 let earliest = *finish_chunk.iter().min().expect("child finished");
                                 (earliest, false, true)
                             } else {
@@ -461,8 +461,8 @@ impl LiflPlatform {
                     inputs = outputs;
                     prev_finish = finishes;
                 }
-                // lifl-lint: allow(panic) — the level loop always breaks on
-                // last_level with `done_at` set.
+                // The level loop always breaks on last_level with `done_at`
+                // set.
                 done_at.expect("subtree has a final level")
             } else {
                 leaf_outputs[0]
@@ -501,8 +501,7 @@ impl LiflPlatform {
         let top_done = if top_inputs.is_empty() {
             round_start
         } else {
-            // lifl-lint: allow(panic) — guarded by the `top_inputs.is_empty()`
-            // branch above.
+            // Guarded by the `top_inputs.is_empty()` branch above.
             let first_input = *top_inputs.iter().min().expect("non-empty");
             let (instance_ready, was_created, was_reused) = if self.profile.reuse_runtimes
                 && node_outputs.iter().any(|(n, _, _)| *n == top_node)
@@ -512,8 +511,8 @@ impl LiflPlatform {
                     .iter()
                     .find(|(n, _, _)| *n == top_node)
                     .map(|(_, d, _)| *d)
-                    // lifl-lint: allow(panic) — the `any()` in this branch's
-                    // condition guarantees a matching node output.
+                    // The `any()` in this branch's condition guarantees a
+                    // matching node output.
                     .expect("own node output");
                 (own_done, false, true)
             } else {

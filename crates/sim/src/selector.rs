@@ -11,8 +11,8 @@
 //! producing the per-node pending counts the hierarchy planner consumes.
 
 use crate::fleet::NodeFleet;
-use crate::heartbeat::over_provisioned_selection;
 use crate::placement::PlacementEngine;
+use lifl_core::heartbeat::over_provisioned_selection;
 use lifl_fl::client::Client;
 use lifl_fl::selector::{select_clients, SelectionStrategy};
 use lifl_simcore::SimRng;

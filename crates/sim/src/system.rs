@@ -6,7 +6,7 @@ use lifl_types::SystemKind;
 
 /// An aggregation system that can execute FL rounds in the cluster simulator.
 ///
-/// Implemented by the LIFL platform and by every baseline in `lifl-baselines`,
+/// Implemented by the LIFL platform and by every baseline profile in [`crate::systems`],
 /// so the figure harnesses can drive them uniformly.
 pub trait AggregationSystem {
     /// Which system this is (drives labels in tables and plots).

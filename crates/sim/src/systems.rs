@@ -1,6 +1,6 @@
 //! Constructors for the baseline aggregation systems.
 
-use lifl_core::platform::{LiflPlatform, PlatformProfile};
+use crate::platform::{LiflPlatform, PlatformProfile};
 use lifl_dataplane::DataPlaneKind;
 use lifl_types::{AggregationTiming, ClusterConfig, CodecKind, PlacementPolicy, SystemKind};
 
@@ -57,8 +57,8 @@ pub fn no_hierarchy_profile(mut cluster: ClusterConfig) -> PlatformProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lifl_core::platform::RoundSpec;
-    use lifl_core::AggregationSystem;
+    use crate::platform::RoundSpec;
+    use crate::system::AggregationSystem;
     use lifl_types::{ModelKind, SimTime};
 
     #[test]

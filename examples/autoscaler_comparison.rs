@@ -8,10 +8,11 @@
 //!
 //! Run with: `cargo run -p lifl-examples --example autoscaler_comparison`
 
-use lifl_core::hierarchy::{EwmaEstimator, HierarchyPlan};
+use lifl_core::ewma::EwmaEstimator;
 use lifl_dataplane::CostModel;
 use lifl_serverless::chain::{ChainScaling, FunctionChain};
 use lifl_serverless::kpa::{KpaAutoscaler, KpaConfig};
+use lifl_sim::hierarchy::HierarchyPlan;
 use lifl_types::{NodeId, SimTime, SystemKind};
 
 fn main() {

@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run -p lifl-examples --example control_plane_loop`
 
-use lifl_core::agent::LiflAgent;
-use lifl_core::coordinator::LiflCoordinator;
+use lifl_sim::agent::LiflAgent;
+use lifl_sim::coordinator::LiflCoordinator;
 use lifl_types::{AggregatorId, ClusterConfig, LiflConfig, NodeId, SimDuration, SimTime};
 
 fn main() {

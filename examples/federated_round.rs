@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run -p lifl-examples --example federated_round`
 
-use lifl_baselines::{serverless, WorkloadDriver, WorkloadSetup};
-use lifl_core::platform::LiflPlatform;
+use lifl_sim::platform::LiflPlatform;
+use lifl_sim::{serverless, WorkloadDriver, WorkloadSetup};
 use lifl_types::{ClusterConfig, LiflConfig};
 
 fn main() {

@@ -4,11 +4,11 @@
 //!
 //! Run with: `cargo run -p lifl-examples --example heterogeneous_cluster`
 
-use lifl_core::fleet::{estimate_max_capacity, NodeFleet};
-use lifl_core::hierarchy::HierarchyPlan;
-use lifl_core::selector::{SelectorConfig, SelectorService};
 use lifl_fl::client::ClientAvailability;
 use lifl_fl::population::{Population, PopulationConfig};
+use lifl_sim::fleet::{estimate_max_capacity, NodeFleet};
+use lifl_sim::hierarchy::HierarchyPlan;
+use lifl_sim::selector::{SelectorConfig, SelectorService};
 use lifl_simcore::SimRng;
 use lifl_types::{NodeConfig, SimDuration};
 

@@ -6,10 +6,10 @@
 //! Run with: `cargo run -p lifl-examples --example hierarchical_aggregation`
 
 use lifl_core::session::{SessionBuilder, Update};
-use lifl_core::tag::{Role, TopologyAbstractionGraph};
-use lifl_core::RoutingTable;
 use lifl_dataplane::{CostModel, DataPlaneKind};
 use lifl_examples::demo_updates;
+use lifl_sim::tag::{Role, TopologyAbstractionGraph};
+use lifl_sim::RoutingTable;
 use lifl_types::{AggregatorId, AggregatorRole, CodecKind, ModelKind, NodeId, Topology};
 
 fn main() {

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run -p lifl-examples --example placement_policies`
 
-use lifl_core::platform::{LiflPlatform, PlatformProfile, RoundSpec};
+use lifl_sim::platform::{LiflPlatform, PlatformProfile, RoundSpec};
 use lifl_types::{ClusterConfig, LiflConfig, ModelKind, PlacementPolicy, SimTime};
 
 fn main() {

@@ -3,9 +3,9 @@
 //!
 //! Run with: `cargo run -p lifl-examples --example quickstart`
 
-use lifl_core::platform::{LiflPlatform, RoundSpec};
 use lifl_core::session::{SessionBuilder, Update};
 use lifl_examples::demo_updates;
+use lifl_sim::platform::{LiflPlatform, RoundSpec};
 use lifl_types::{ClusterConfig, CodecKind, LiflConfig, ModelKind, SimTime, Topology};
 
 fn main() {

@@ -8,7 +8,7 @@
 default: ci
 
 # Everything CI runs, in CI order.
-ci: lint-lifl lint doc build test alloc faults test-scalar scale bench-check bench-baseline-check bench-ingest-check benchmark-check smoke
+ci: lint-lifl lint doc build test alloc faults test-scalar scale bench-baseline-check benchmark-check smoke
 
 # Repo invariants (unsafe containment, SAFETY comments, kernel parity,
 # panic freedom, fold determinism, no legacy runtime, justfile↔CI sync) as
@@ -62,14 +62,6 @@ test-scalar:
 scale:
     LIFL_SCALE_FULL=1 cargo test -p lifl-integration --test scale
 
-# Ensure every criterion bench target still compiles.
-bench-check:
-    cargo bench --no-run
-
-# Actually run the benchmark suite (slow).
-bench:
-    cargo bench
-
 # Regenerate the committed aggregation-path baseline (BENCH_aggregation.json).
 bench-baseline:
     cargo run --release -p lifl-bench --bin bench_baseline
@@ -79,16 +71,6 @@ bench-baseline:
 bench-baseline-check:
     cargo run --release -p lifl-bench --bin bench_baseline -- --quick --out target/bench_quick.json
     cargo run --release -p lifl-bench --bin bench_baseline -- --check BENCH_aggregation.json
-
-# Regenerate the committed streaming-ingress baseline (BENCH_ingest.json).
-bench-ingest:
-    cargo run --release -p lifl-bench --bin bench_ingest
-
-# CI gate: the ingest runner works in --quick mode and the committed
-# ingress baseline parses with the current schema (fails if missing or stale).
-bench-ingest-check:
-    cargo run --release -p lifl-bench --bin bench_ingest -- --quick --out target/bench_ingest_quick.json
-    cargo run --release -p lifl-bench --bin bench_ingest -- --check BENCH_ingest.json
 
 # CI gate for the whole-round benchmark (benchmark/, BENCHMARK.json): builds
 # its engine adapter against the current engine API — the package is outside

@@ -4,7 +4,6 @@
 //! weighting feeding the cumulative accumulator, and the algorithm-level async
 //! driver agreeing with the platform-level async aggregator on semantics.
 
-use lifl_core::async_round::AsyncAggregator;
 use lifl_fl::aggregate::{fedavg, CumulativeFedAvg, ModelUpdate};
 use lifl_fl::async_driver::{AsyncDriverConfig, AsyncFlDriver};
 use lifl_fl::client::ClientAvailability;
@@ -17,7 +16,7 @@ use lifl_fl::staleness::StalenessPolicy;
 use lifl_fl::trainer::{LocalTrainer, TrainerConfig};
 use lifl_fl::DenseModel;
 use lifl_simcore::SimRng;
-use lifl_types::{AggregationTiming, ClientId, CodecKind, ModelKind, SimTime};
+use lifl_types::{ClientId, CodecKind, ModelKind};
 
 fn small_dataset(rng: &mut SimRng) -> FederatedDataset {
     FederatedDataset::generate(
@@ -140,28 +139,10 @@ fn staleness_weighting_shifts_the_aggregate_toward_fresh_updates() {
 
 #[test]
 fn algorithm_level_async_driver_matches_platform_async_semantics() {
-    // Platform-level: the AsyncAggregator commits every `goal` updates under
-    // either timing. Algorithm-level: the AsyncFlDriver does the same across a
-    // real training run. Both must agree on the version count for the same
-    // number of accepted updates.
+    // The driver owns no buffer of its own: the one `AsyncAggregator` commits
+    // a version every `goal` accepted updates, and the driver's history must
+    // show exactly that across a real training run.
     let goal = 6u64;
-    let updates: Vec<ModelUpdate> = (1..=18u64)
-        .map(|i| {
-            ModelUpdate::from_client(ClientId::new(i), DenseModel::from_vec(vec![i as f32]), i)
-        })
-        .collect();
-    let mut platform_agg = AsyncAggregator::new(goal, AggregationTiming::Eager).unwrap();
-    let mut committed = 0;
-    for (k, u) in updates.iter().enumerate() {
-        if platform_agg
-            .submit(u.clone(), 0, SimTime::from_secs(k as f64))
-            .unwrap()
-            .is_some()
-        {
-            committed += 1;
-        }
-    }
-    assert_eq!(committed, 3);
 
     let mut rng = SimRng::from_seed(13);
     let dataset = small_dataset(&mut rng);

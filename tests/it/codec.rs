@@ -5,10 +5,10 @@
 //! monotonically Identity → Uniform8 → Uniform4) — all through the unified
 //! `Session` API.
 
-use lifl_core::platform::{LiflPlatform, RoundSpec};
 use lifl_core::session::{Session, SessionBuilder, SessionReport, Update};
 use lifl_fl::aggregate::{fedavg, CumulativeFedAvg, ModelUpdate};
 use lifl_fl::DenseModel;
+use lifl_sim::platform::{LiflPlatform, RoundSpec};
 use lifl_types::{ClientId, ClusterConfig, CodecKind, LiflConfig, ModelKind, SimTime, Topology};
 
 fn updates(n: usize, dim: usize) -> Vec<ModelUpdate> {

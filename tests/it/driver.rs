@@ -1,8 +1,8 @@
 //! The multi-round training-driver tier: one `TrainingDriver` loop runs over
-//! either `Ingest` backend — a single-process `Session` or a federated
-//! `Cluster` — with bit-exact results for every codec × shard count, and
-//! live top placement re-places the global top between rounds without
-//! touching the aggregate.
+//! any `Ingest` backend — a single-process `Session`, a federated `Cluster`
+//! or the flat `FlatFedAvg` — with bit-exact results for every codec × shard
+//! count, and live top placement re-places the global top between rounds
+//! without touching the aggregate.
 
 use lifl_core::cluster::{Cluster, ClusterBuilder, TopPlacement};
 use lifl_core::session::{Session, SessionBuilder, Update};
@@ -12,7 +12,7 @@ use lifl_fl::client::ClientAvailability;
 use lifl_fl::dataset::{DatasetConfig, FederatedDataset};
 use lifl_fl::population::{Population, PopulationConfig};
 use lifl_fl::trainer::TrainerConfig;
-use lifl_fl::{DenseModel, Ingest};
+use lifl_fl::{DenseModel, FlatFedAvg, Ingest};
 use lifl_simcore::SimRng;
 use lifl_types::{ClientId, CodecKind, NodeId, Topology};
 
@@ -254,4 +254,143 @@ fn top_replacement_between_rounds_is_bit_exact_with_not_moving() {
         }
     }
     assert_eq!(live.top_node(), NodeId::new(1));
+}
+
+/// The sentence in `training.rs`'s module doc, as a test: under a lossless
+/// codec the flat backend and a session over `Topology::flat(n)` are the
+/// same round — global model bit for bit, every round.
+#[test]
+fn flat_backend_is_bit_exact_with_a_flat_session_under_identity() {
+    let config = TrainingConfig {
+        trainer: TrainerConfig {
+            batch_size: 16,
+            learning_rate: 0.05,
+            local_epochs: 2,
+        },
+        ..TrainingConfig::default()
+    };
+    let (dataset, population, mut flat_rng) = fixtures(42);
+    let n = population.active_per_round();
+    let mut over_flat = TrainingDriver::new(
+        FlatFedAvg::new(n, CodecKind::Identity),
+        dataset,
+        population,
+        config,
+    );
+    let (dataset, population, mut session_rng) = fixtures(42);
+    let flat_session = SessionBuilder::new()
+        .topology(Topology::flat(n))
+        .build()
+        .expect("session");
+    let mut over_session = TrainingDriver::new(flat_session, dataset, population, config);
+    for round in 1..=4 {
+        let f = over_flat.run_round(&mut flat_rng).expect("flat round");
+        let s = over_session
+            .run_round(&mut session_rng)
+            .expect("session round");
+        assert_eq!(f, s, "round {round}");
+        for (a, b) in over_flat
+            .global_model()
+            .as_slice()
+            .iter()
+            .zip(over_session.global_model().as_slice())
+        {
+            assert_eq!(a.to_bits(), b.to_bits(), "round {round}: {a} vs {b}");
+        }
+    }
+}
+
+/// The algorithm-level round loop's own tests (formerly `lifl_fl::rounds`),
+/// on the one driver over the flat backend.
+mod flat_rounds {
+    use super::*;
+
+    fn small_driver(seed: u64, codec: CodecKind) -> (TrainingDriver<FlatFedAvg>, SimRng) {
+        let mut rng = SimRng::from_seed(seed);
+        let dataset = FederatedDataset::generate(
+            DatasetConfig {
+                num_clients: 30,
+                num_features: 12,
+                num_classes: 6,
+                mean_samples_per_client: 40,
+                dirichlet_alpha: 0.5,
+                test_samples: 300,
+                noise_std: 0.4,
+            },
+            &mut rng,
+        );
+        let population = Population::generate(
+            PopulationConfig {
+                total_clients: 30,
+                active_per_round: 10,
+                availability: ClientAvailability::AlwaysOn,
+                mean_samples: 40,
+                speed_spread: 0.3,
+            },
+            &mut rng,
+        );
+        let driver = TrainingDriver::new(
+            FlatFedAvg::new(population.active_per_round(), codec),
+            dataset,
+            population,
+            TrainingConfig {
+                trainer: TrainerConfig {
+                    batch_size: 16,
+                    learning_rate: 0.05,
+                    local_epochs: 2,
+                },
+                rounds: 15,
+                eval_every: 1,
+                ..TrainingConfig::default()
+            },
+        );
+        (driver, rng)
+    }
+
+    #[test]
+    fn accuracy_improves_over_rounds() {
+        let (mut driver, mut rng) = small_driver(42, CodecKind::Identity);
+        let initial = driver.evaluate();
+        driver.run_all(&mut rng).unwrap();
+        let final_acc = driver.evaluate();
+        assert!(
+            final_acc > initial + 10.0,
+            "accuracy should improve noticeably: {initial} -> {final_acc}"
+        );
+        assert_eq!(driver.history().len(), 15);
+        let curve = driver.accuracy_curve();
+        assert_eq!(curve.len(), 15);
+        assert!(curve.last().unwrap().1 >= curve.first().unwrap().1 - 5.0);
+    }
+
+    #[test]
+    fn rounds_record_participants() {
+        let (mut driver, mut rng) = small_driver(7, CodecKind::Identity);
+        let outcome = driver.run_round(&mut rng).unwrap();
+        assert_eq!(outcome.round, 1);
+        assert_eq!(outcome.updates, 10);
+        assert_eq!(outcome.dropped, 0);
+        assert!(outcome.accuracy.is_some());
+    }
+
+    #[test]
+    fn quantized_driver_still_learns() {
+        let (mut driver, mut rng) = small_driver(42, CodecKind::Uniform8);
+        let initial = driver.evaluate();
+        driver.run_all(&mut rng).unwrap();
+        let final_acc = driver.evaluate();
+        assert!(
+            final_acc > initial + 10.0,
+            "uniform8 driver should still learn: {initial} -> {final_acc}"
+        );
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let (mut d1, mut r1) = small_driver(9, CodecKind::Identity);
+        let (mut d2, mut r2) = small_driver(9, CodecKind::Identity);
+        d1.run_round(&mut r1).unwrap();
+        d2.run_round(&mut r2).unwrap();
+        assert_eq!(d1.global_model(), d2.global_model());
+    }
 }

@@ -1,8 +1,8 @@
 //! End-to-end: real FedAvg training combined with the LIFL cluster simulation.
 
-use lifl_baselines::{WorkloadDriver, WorkloadSetup};
-use lifl_core::platform::LiflPlatform;
-use lifl_core::AggregationSystem;
+use lifl_sim::platform::LiflPlatform;
+use lifl_sim::AggregationSystem;
+use lifl_sim::{WorkloadDriver, WorkloadSetup};
 use lifl_types::{ClusterConfig, LiflConfig};
 
 fn tiny_setup(rounds: usize) -> WorkloadSetup {

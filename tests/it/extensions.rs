@@ -2,12 +2,12 @@
 //! asynchronous aggregation (Fig. 11 / future work) and heartbeat-based
 //! failure handling, combined with the core platform.
 
-use lifl_core::async_round::AsyncAggregator;
 use lifl_core::heartbeat::{over_provisioned_selection, HeartbeatMonitor};
-use lifl_core::platform::{LiflPlatform, RoundSpec};
 use lifl_fl::aggregate::ModelUpdate;
+use lifl_fl::async_driver::AsyncAggregator;
 use lifl_fl::selector::{select_clients, SelectionStrategy};
 use lifl_fl::{DenseModel, Population, PopulationConfig};
+use lifl_sim::platform::{LiflPlatform, RoundSpec};
 use lifl_simcore::SimRng;
 use lifl_types::{
     AggregationTiming, ClientId, ClusterConfig, LiflConfig, ModelKind, SimDuration, SimTime,
@@ -65,7 +65,7 @@ fn asynchronous_aggregation_advances_versions_under_streaming_updates() {
         );
         let base_version = i / 6; // some clients train against stale versions
         if agg
-            .submit(update, base_version, SimTime::from_secs(i as f64))
+            .submit(update.into(), base_version, SimTime::from_secs(i as f64))
             .unwrap()
             .is_some()
         {

@@ -1,9 +1,9 @@
 //! Failure injection: stateless aggregator restart from a checkpoint, client
 //! drop-out (over-provisioning), and shared-memory exhaustion handling.
 
-use lifl_core::agent::LiflAgent;
-use lifl_core::platform::{LiflPlatform, RoundSpec};
 use lifl_shmem::ObjectStore;
+use lifl_sim::agent::LiflAgent;
+use lifl_sim::platform::{LiflPlatform, RoundSpec};
 use lifl_types::{ClusterConfig, LiflConfig, LiflError, ModelKind, NodeId, RoundId, SimTime};
 
 #[test]

@@ -1,9 +1,9 @@
 //! Consistency between placement, the hierarchy plan, the TAG and routing.
 
-use lifl_core::hierarchy::HierarchyPlan;
-use lifl_core::placement::{NodeCapacity, PlacementEngine};
-use lifl_core::tag::{Role, TopologyAbstractionGraph};
-use lifl_core::RoutingTable;
+use lifl_sim::hierarchy::HierarchyPlan;
+use lifl_sim::placement::{NodeCapacity, PlacementEngine};
+use lifl_sim::tag::{Role, TopologyAbstractionGraph};
+use lifl_sim::RoutingTable;
 use lifl_types::{AggregatorId, AggregatorRole, NodeId, PlacementPolicy};
 
 #[test]
@@ -73,9 +73,9 @@ fn placement_feeds_hierarchy_plan_and_routes() {
         table.apply_tag(&tag);
         let hop = table.next_hop(*mid, top_agg).expect("route to top");
         if *node == top {
-            assert!(matches!(hop, lifl_core::routing::NextHop::Local(_)));
+            assert!(matches!(hop, lifl_sim::routing::NextHop::Local(_)));
         } else {
-            assert!(matches!(hop, lifl_core::routing::NextHop::Remote { .. }));
+            assert!(matches!(hop, lifl_sim::routing::NextHop::Remote { .. }));
         }
     }
     // Intra-node channels never cross the gateway.

@@ -2,9 +2,9 @@
 //! aggregation faster and cheaper than the serverless baseline, and never uses
 //! more nodes than SL-H for the same load.
 
-use lifl_baselines::{serverless, sl_hierarchical};
-use lifl_core::platform::{LiflPlatform, RoundSpec};
 use lifl_integration::spread_arrivals;
+use lifl_sim::platform::{LiflPlatform, RoundSpec};
+use lifl_sim::{serverless, sl_hierarchical};
 use lifl_types::{ClusterConfig, LiflConfig, ModelKind, SimTime};
 
 fn lifl() -> LiflPlatform {

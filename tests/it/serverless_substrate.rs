@@ -4,14 +4,14 @@
 //! gateway's vertical scaling under the paper's two workload setups, and
 //! heterogeneous-fleet placement feeding the hierarchy planner.
 
-use lifl_core::fleet::NodeFleet;
-use lifl_core::gateway_scaler::{GatewayScaler, GatewayScalerConfig};
-use lifl_core::hierarchy::HierarchyPlan;
-use lifl_core::placement::PlacementEngine;
 use lifl_dataplane::CostModel;
 use lifl_serverless::chain::{ChainScaling, FunctionChain};
 use lifl_serverless::kpa::{KpaAutoscaler, KpaConfig};
 use lifl_serverless::revision::Revision;
+use lifl_sim::fleet::NodeFleet;
+use lifl_sim::gateway_scaler::{GatewayScaler, GatewayScalerConfig};
+use lifl_sim::hierarchy::HierarchyPlan;
+use lifl_sim::placement::PlacementEngine;
 use lifl_types::{ModelKind, NodeConfig, PlacementPolicy, SimTime, SystemKind};
 
 #[test]

@@ -1,8 +1,8 @@
 //! Workspace smoke test: guards the headline API flow shown in the
-//! `lifl_core` crate-level doc example with a named test, so the example
+//! `lifl_sim` crate-level doc example with a named test, so the example
 //! contract holds even when doctests are skipped.
 
-use lifl_core::platform::{LiflPlatform, RoundSpec};
+use lifl_sim::platform::{LiflPlatform, RoundSpec};
 use lifl_types::{ClusterConfig, LiflConfig, ModelKind, SimTime};
 
 #[test]
