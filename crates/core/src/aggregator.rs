@@ -111,6 +111,25 @@ impl AggregatorRuntime {
                 "aggregator position (level {level}, index {index}) outside {topology}"
             )));
         }
+        let id = position_id(level, index);
+        Self::station(topology, level, id, store, inbox, codec)
+    }
+
+    /// The warm runtime serving level `level` of `topology` as `id` (the
+    /// position's identity inside whatever tree encloses it): role and goal
+    /// from the level, like [`AggregatorRuntime::for_level`]. A session keeps
+    /// one per position for its whole life and re-arms it every round.
+    ///
+    /// # Errors
+    /// Returns [`LiflError::InvalidAggregationGoal`] for a zero fan-in.
+    pub(crate) fn station(
+        topology: &Topology,
+        level: usize,
+        id: AggregatorId,
+        store: ObjectStore,
+        inbox: InPlaceQueue,
+        codec: UpdateCodec,
+    ) -> Result<Self> {
         let role = if level + 1 == topology.levels() {
             AggregatorRole::Top
         } else if level == 0 {
@@ -118,8 +137,29 @@ impl AggregatorRuntime {
         } else {
             AggregatorRole::Middle
         };
-        let id = position_id(level, index);
         Self::with_codec(id, role, topology.fan_in(level) as u64, store, inbox, codec)
+    }
+
+    /// Opens a round with aggregation goal `goal`: the runtime is left in
+    /// exactly the state a freshly built one is in — empty accumulator under
+    /// the same policy, nothing aggregated, and its codec stream restarted at
+    /// the position seed (the aggregator id) — whatever the previous round
+    /// left behind, a failed or panicked one included.
+    ///
+    /// # Errors
+    /// Returns [`LiflError::InvalidAggregationGoal`] if `goal` is zero.
+    pub(crate) fn rearm(&mut self, goal: u64) -> Result<()> {
+        if goal == 0 {
+            return Err(LiflError::InvalidAggregationGoal(0));
+        }
+        self.goal = goal;
+        self.aggregated = 0;
+        self.step = AggregatorStep::Recv;
+        self.accumulator = PolicyFold::new(self.accumulator.policy())?;
+        if let Some(codec) = &mut self.codec {
+            codec.reseed(self.id.index());
+        }
+        Ok(())
     }
 
     /// Sets the number of parameter-vector shards batch drains fold across
@@ -378,9 +418,9 @@ impl AggregatorRuntime {
 }
 
 /// The aggregator identity at position (`level`, `index`) of a topology tree
-/// — the one packing shared by [`AggregatorRuntime::for_level`] and the
-/// session's gateway inbox registration, so routing ids always match
-/// aggregator identities.
+/// — the one packing shared by [`AggregatorRuntime::for_level`] and a
+/// session's stations (which register the same id for their gateway inbox),
+/// so routing ids always match aggregator identities.
 pub(crate) fn position_id(level: usize, index: usize) -> AggregatorId {
     AggregatorId::new(((level as u64) << 32) | index as u64)
 }

@@ -46,6 +46,7 @@ use crate::heartbeat::HeartbeatMonitor;
 use crate::ingress::Ingress;
 use crate::recovery::{RecoveryManager, RecoveryOutcome};
 use crate::session::{Session, SessionBuilder, Update, WireExport};
+use crate::stations::Workers;
 use lifl_dataplane::{CostModel, DataPlaneKind, TransferCost};
 use lifl_fl::aggregate::ModelUpdate;
 use lifl_fl::codec::{ErrorFeedback, UpdateCodec};
@@ -65,6 +66,9 @@ struct SessionTemplate {
     seed: u64,
     policy: FoldPolicy,
     pool: BufferPool,
+    /// The one worker set every node session and the top run their stations
+    /// on — a re-split node's rebuilt session included.
+    workers: Workers,
     /// Whether the cluster closes rounds on a quorum. The quorum itself is
     /// checked once, cluster-wide; the sessions only need to drive whatever
     /// share of a partial round reached them, so they close on "anything
@@ -90,7 +94,8 @@ impl SessionTemplate {
             .fold_policy(self.policy)
             .node(NodeId::new(node as u64))
             .tree_position(level_offset, branch)
-            .pool(self.pool.clone());
+            .pool(self.pool.clone())
+            .workers(self.workers.clone());
         if self.quorum {
             builder = builder.round_close(RoundClose::Quorum { min_updates: 1 });
         }
@@ -531,6 +536,7 @@ impl ClusterBuilder {
             seed: self.seed,
             policy: self.policy,
             pool: pool.clone(),
+            workers: Workers::new(),
             quorum: self
                 .admission
                 .is_some_and(|c| matches!(c.round_close, RoundClose::Quorum { .. })),
@@ -1654,6 +1660,24 @@ mod tests {
     }
 
     #[test]
+    fn every_station_identity_is_unique_and_is_its_inbox_registration() {
+        // Regression: each node's stations used to report their *local*
+        // position, so every node's leaf 0 was the same aggregator.
+        let topology = Topology::new(vec![8, 4, 4]).unwrap();
+        let mut cluster = ClusterBuilder::new()
+            .topology(topology.clone())
+            .build()
+            .unwrap();
+        let mut ids = std::collections::BTreeSet::new();
+        for session in cluster.children.iter_mut().chain([&mut cluster.parent]) {
+            for id in session.station_ids() {
+                assert!(ids.insert(id), "{id} serves two positions");
+            }
+        }
+        assert_eq!(ids.len(), topology.aggregators());
+    }
+
+    #[test]
     fn live_placement_moves_top_to_most_loaded_node() {
         let mut cluster = ClusterBuilder::new()
             .topology(Topology::new(vec![2, 2, 2]).unwrap())
@@ -2232,6 +2256,7 @@ mod tests {
                 .node(NodeId::new(k as u64))
                 .tree_position(0, k)
                 .pool(cluster.sessions.pool.clone())
+                .workers(cluster.sessions.workers.clone())
                 .store(lifl_shmem::ObjectStore::with_capacity(capacity))
                 .build()
                 .unwrap();

@@ -12,7 +12,8 @@
 //! * bounded **admission queues** with typed backpressure ([`admission`]),
 //! * the **unified session API** ([`session`]): a builder-driven,
 //!   codec-transparent in-process runtime that aggregates updates through
-//!   shared memory over an N-level aggregation tree,
+//!   shared memory over an N-level aggregation tree of warm, session-lifetime
+//!   aggregator stations (§5.3) run by the caller beside parked workers,
 //! * **multi-node session federation** ([`cluster`]): N sessions composed
 //!   gateway-to-gateway over `Update::RemoteBytes`, bit-exact with the
 //!   single-session round, every hop priced through the `lifl-dataplane`
@@ -60,6 +61,7 @@ pub mod heartbeat;
 mod ingress;
 pub mod recovery;
 pub mod session;
+mod stations;
 pub mod training;
 
 pub use admission::{AdmissionQueues, AdmissionStats, QueuedOffer};

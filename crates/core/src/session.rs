@@ -14,9 +14,11 @@
 //!   [`Update::RemoteBytes`]) goes through the same call; under a lossy
 //!   codec, dense updates are transparently encoded with per-client error
 //!   feedback before they enter shared memory.
-//! * [`Session::drive`] — runs the configured tree to completion (leaves on
-//!   their own threads, every interior level folding child intermediates in
-//!   deterministic child order) and returns a [`SessionReport`].
+//! * [`Session::drive`] — runs the configured tree to completion on the
+//!   session's warm stations (the stations of a level shared between the
+//!   calling thread and a session-lifetime worker set, every interior level
+//!   folding child intermediates in deterministic child order) and returns a
+//!   [`SessionReport`].
 //!
 //! With [`CodecKind::Identity`] and a two-level topology the session is
 //! bit-exact with the seed two-level fold semantics (enforced by the
@@ -26,14 +28,14 @@
 #![deny(missing_docs)]
 
 use crate::admission::AdmissionQueues;
-use crate::aggregator::AggregatorRuntime;
 use crate::gateway::Gateway;
 use crate::ingress::Ingress;
+use crate::stations::{Stations, Workers};
 use lifl_fl::aggregate::ModelUpdate;
 use lifl_fl::codec::{EncodedView, ErrorFeedback, UpdateCodec};
 use lifl_fl::DenseModel;
 use lifl_shmem::queue::QueuedUpdate;
-use lifl_shmem::{BufferPool, InPlaceQueue, ObjectStore, StoreStats};
+use lifl_shmem::{BufferPool, ObjectStore, StoreStats};
 use lifl_types::{
     AdmissionConfig, AdmissionOutcome, ClientId, CodecKind, FoldPolicy, LiflError, NodeId, Result,
     RoundClose, Topology,
@@ -74,6 +76,7 @@ pub struct SessionBuilder {
     pool: Option<BufferPool>,
     admission: Option<AdmissionConfig>,
     round_close: Option<RoundClose>,
+    workers: Option<Workers>,
 }
 
 impl Default for SessionBuilder {
@@ -100,6 +103,7 @@ impl SessionBuilder {
             pool: None,
             admission: None,
             round_close: None,
+            workers: None,
         }
     }
 
@@ -229,8 +233,17 @@ impl SessionBuilder {
         self
     }
 
-    /// Builds the session: registers one gateway inbox per leaf aggregator
-    /// and wires the error-feedback encoder to the scratch pool.
+    /// Sets the worker set the session's stations run on instead of a fresh
+    /// one: how a cluster runs every node session and its top on one set.
+    pub(crate) fn workers(mut self, workers: Workers) -> Self {
+        self.workers = Some(workers);
+        self
+    }
+
+    /// Builds the session: one warm station per tree position (registering
+    /// a gateway inbox per leaf) and the error-feedback encoder wired to the
+    /// scratch pool. The worker threads start at the first drive that has a
+    /// level of two or more stations to share.
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidConfig`] for an invalid codec or fold
@@ -251,15 +264,16 @@ impl SessionBuilder {
         let store = self.store.unwrap_or_default();
         let pool = self.pool.unwrap_or_default();
         let mut gateway = Gateway::new(self.node, store.clone());
+        let stations = Stations::new(
+            &self.topology,
+            (self.level_offset, self.branch),
+            &mut gateway,
+            &UpdateCodec::new(self.codec).with_pool(pool.clone()),
+            self.shards,
+            self.policy,
+            self.workers.unwrap_or_else(Workers::new),
+        )?;
         let leaves = self.topology.leaves();
-        let leaf_inboxes: Vec<InPlaceQueue> = (0..leaves)
-            .map(|j| {
-                gateway.register_aggregator(crate::aggregator::position_id(
-                    self.level_offset,
-                    self.branch * leaves + j,
-                ))
-            })
-            .collect();
         let feedback = ErrorFeedback::new(
             UpdateCodec::with_seed(self.codec, self.seed).with_pool(pool.clone()),
         );
@@ -273,15 +287,12 @@ impl SessionBuilder {
         Ok(Session {
             topology: self.topology,
             codec: self.codec,
-            shards: self.shards,
             policy: self.policy,
-            level_offset: self.level_offset,
-            branch: self.branch,
             store,
             ingress: Ingress::new(feedback, pool.clone(), queues),
             pool,
             gateway,
-            leaf_inboxes,
+            stations,
             round_close,
             ingress_wire_bytes: 0,
             round_keys: Vec::new(),
@@ -369,16 +380,13 @@ impl WireExport {
 pub struct Session {
     topology: Topology,
     codec: CodecKind,
-    shards: usize,
     policy: FoldPolicy,
-    /// The session's position inside a larger cluster-spanning tree (see
-    /// [`SessionBuilder::tree_position`]); `(0, 0)` for standalone sessions.
-    level_offset: usize,
-    branch: usize,
     store: ObjectStore,
     pool: BufferPool,
     gateway: Gateway,
-    leaf_inboxes: Vec<InPlaceQueue>,
+    /// One warm aggregator runtime per tree position (identities placed by
+    /// [`SessionBuilder::tree_position`]) and the workers they run on.
+    stations: Stations,
     /// Offer → slot state: error feedback, the round's fill and routing
     /// position (slots are leaves), and the bounded admission queues when
     /// the streaming path is configured ([`SessionBuilder::admission`]).
@@ -406,18 +414,6 @@ struct RoundEntry {
 }
 
 impl Session {
-    /// The aggregator identity at local position (`level`, `index`) of this
-    /// session's tree, mapped into the enclosing cluster-spanning tree via
-    /// the configured [`SessionBuilder::tree_position`] (identity for
-    /// standalone sessions; the packing is shared with
-    /// [`AggregatorRuntime::for_level`]).
-    fn aggregator_id(&self, level: usize, index: usize) -> lifl_types::AggregatorId {
-        crate::aggregator::position_id(
-            level + self.level_offset,
-            self.branch * self.topology.width(level) + index,
-        )
-    }
-
     /// The tree this session aggregates over.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -546,7 +542,7 @@ impl Session {
         }
         let cursor_leaf = (self.ingress.cursor() as usize) % self.topology.leaves();
         let route = self.ingress.route(None, cursor_leaf);
-        let target = self.aggregator_id(0, route.slot);
+        let target = self.stations.id(0, route.slot);
         let wire_bytes = update.wire_bytes();
         let stored = self.gateway.store_and_deliver(target, update, producer);
         if let Ok(queued) = &stored {
@@ -595,8 +591,8 @@ impl Session {
         {
             let entry = self.round_entries.remove(pos);
             let removed = self
-                .leaf_inboxes
-                .get(entry.leaf)
+                .stations
+                .leaf_inbox(entry.leaf)
                 .and_then(|inbox| inbox.remove_first(|q| q.key == entry.key));
             if removed.is_none() {
                 continue;
@@ -651,11 +647,13 @@ impl Session {
     /// Drives the configured tree to completion over the ingested updates and
     /// returns the aggregated global model with the round's accounting.
     ///
-    /// Every aggregator of a level runs on its own thread; intermediates are
+    /// The tree runs on the session's warm stations, one runtime per
+    /// position for the session's life: the calling thread folds a level's
+    /// stations beside the session's parked workers, and intermediates are
     /// handed to the next level in child-index order (not completion order),
-    /// so results are bit-identical run-to-run regardless of thread
-    /// scheduling — and, for `Identity`, bit-identical to the seed two-level
-    /// path.
+    /// so results are bit-identical run-to-run whichever thread ran which
+    /// station — and, for `Identity`, bit-identical to the seed two-level
+    /// path. No thread is started per round.
     ///
     /// # Errors
     /// Fails if the ingested updates do not exactly fill the tree
@@ -744,67 +742,12 @@ impl Session {
         Ok((model, result.weight))
     }
 
-    /// Runs the tree level by level, returning the top's intermediate.
-    ///
-    /// A full round runs every position; a partial (quorum) round skips
-    /// positions whose inboxes are empty — each station aggregates exactly
-    /// what arrived, and parents fold only the children that produced
-    /// output, in child order. On a full round the two paths are
-    /// identical position for position, so exact-fill results stay
-    /// bit-exact.
+    /// Runs the tree on the stations, returning the top's intermediate: a
+    /// full round runs every position, a partial (quorum) one only those
+    /// with something to aggregate (see `Stations::run`).
     fn drive_tree(&mut self) -> Result<QueuedUpdate> {
-        let levels = self.topology.levels();
         let full = !self.has_room();
-        let mut stations: Vec<(usize, InPlaceQueue)> = self
-            .leaf_inboxes
-            .iter()
-            .cloned()
-            .enumerate()
-            .filter(|(_, inbox)| full || !inbox.is_empty())
-            .collect();
-        let mut outputs: Vec<(usize, QueuedUpdate)> = Vec::new();
-        for level in 0..levels {
-            // Record every successful sibling's intermediate key before
-            // surfacing a failure, so a failed level's survivors are still
-            // recycled by reset_round instead of leaking in the store.
-            let mut first_error = None;
-            let results = self.run_level(level, &stations, full);
-            outputs = Vec::with_capacity(stations.len());
-            for ((index, _), result) in stations.iter().zip(results) {
-                match result {
-                    Ok(output) => {
-                        self.round_keys.push(output.key);
-                        outputs.push((*index, output));
-                    }
-                    Err(error) if first_error.is_none() => first_error = Some(error),
-                    Err(_) => {}
-                }
-            }
-            if let Some(error) = first_error {
-                return Err(error);
-            }
-            if level + 1 < levels {
-                // Group this level's outputs onto the next level's inboxes in
-                // child order: parent j consumes children j·f .. (j+1)·f
-                // (the children that exist, in a partial round).
-                let fan_in = self.topology.fan_in(level + 1);
-                let mut next: Vec<(usize, InPlaceQueue)> = Vec::new();
-                for (pos, output) in &outputs {
-                    let parent = pos / fan_in;
-                    if next.last().map(|(p, _)| *p) != Some(parent) {
-                        next.push((parent, InPlaceQueue::new()));
-                    }
-                    if let Some((_, inbox)) = next.last() {
-                        inbox.enqueue(*output);
-                    }
-                }
-                stations = next;
-            }
-        }
-        outputs
-            .pop()
-            .map(|(_, output)| output)
-            .ok_or_else(|| LiflError::Simulation("top level produced no output".to_string()))
+        self.stations.run(full, &mut self.round_keys)
     }
 
     /// Discards the current (not yet driven) round: every ingested update is
@@ -819,13 +762,11 @@ impl Session {
     }
 
     /// Returns the session to an empty round: drains whatever a failed (or
-    /// finished) round left in the leaf inboxes, recycles every store object
-    /// the round created (only this round's keys — an injected shared store's
-    /// other objects are untouched) and zeroes the counters.
+    /// finished) round left in the station inboxes, recycles every store
+    /// object the round created (only this round's keys — an injected shared
+    /// store's other objects are untouched) and zeroes the counters.
     fn reset_round(&mut self) {
-        for inbox in &self.leaf_inboxes {
-            while inbox.dequeue().is_some() {}
-        }
+        self.stations.clear();
         for key in self.round_keys.drain(..) {
             let _ = self.store.recycle(&key);
         }
@@ -834,77 +775,10 @@ impl Session {
         self.round_entries.clear();
     }
 
-    /// Runs every listed station (position, inbox) of one level on its own
-    /// thread, returning each position's outcome in station order (no
-    /// short-circuiting: the caller needs every survivor's key even when a
-    /// sibling fails). A full round uses the topology's fan-in as every
-    /// station's goal; a partial round aggregates exactly what each inbox
-    /// holds.
-    fn run_level(
-        &self,
-        level: usize,
-        stations: &[(usize, InPlaceQueue)],
-        full: bool,
-    ) -> Vec<Result<QueuedUpdate>> {
-        let codec = self.codec;
-        let shards = self.shards;
-        let policy = self.policy;
-        let topology = &self.topology;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = stations
-                .iter()
-                .map(|(index, inbox)| {
-                    let index = *index;
-                    let store = self.store.clone();
-                    let inbox = inbox.clone();
-                    // Deterministic, position-unique codec stream (the same
-                    // (level, index) packing as the aggregator identity,
-                    // mapped into the enclosing cluster tree): leaves of a
-                    // standalone session draw from seed = index, exactly the
-                    // streams of the pre-redesign codec path.
-                    let seed = self.aggregator_id(level, index).index();
-                    let agg_codec =
-                        UpdateCodec::with_seed(codec, seed).with_pool(self.pool.clone());
-                    let goal = if full { 0 } else { inbox.len() as u64 };
-                    scope.spawn(move || -> Result<QueuedUpdate> {
-                        let mut aggregator = if goal == 0 {
-                            AggregatorRuntime::for_level(
-                                topology, level, index, store, inbox, agg_codec,
-                            )?
-                        } else {
-                            let role = if level + 1 == topology.levels() {
-                                lifl_types::AggregatorRole::Top
-                            } else if level == 0 {
-                                lifl_types::AggregatorRole::Leaf
-                            } else {
-                                lifl_types::AggregatorRole::Middle
-                            };
-                            AggregatorRuntime::with_codec(
-                                crate::aggregator::position_id(level, index),
-                                role,
-                                goal,
-                                store,
-                                inbox,
-                                agg_codec,
-                            )?
-                        };
-                        aggregator.set_shards(shards);
-                        aggregator.set_policy(policy)?;
-                        aggregator.run_to_completion()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| {
-                    handle.join().unwrap_or_else(|_| {
-                        Err(LiflError::Simulation(
-                            "aggregator thread panicked".to_string(),
-                        ))
-                    })
-                })
-                .collect()
-        })
+    /// Every station's identity (see `Stations::checked_ids`).
+    #[cfg(test)]
+    pub(crate) fn station_ids(&mut self) -> Vec<lifl_types::AggregatorId> {
+        self.stations.checked_ids(&mut self.gateway)
     }
 }
 

@@ -460,6 +460,13 @@ impl UpdateCodec {
         self
     }
 
+    /// Restarts the stochastic-rounding stream at `seed`: the codec then
+    /// encodes exactly as a fresh `with_seed(kind, seed)` codec over the same
+    /// pool would.
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = StochasticRng::from_seed(seed);
+    }
+
     /// The scratch slab this codec draws from — where an aggregator that
     /// encodes with it also keeps its accumulator between rounds.
     pub fn pool(&self) -> &BufferPool {

@@ -15,7 +15,7 @@
 //! | R3   | `kernel-parity`     | every public fn in `kernels/scalar.rs` has a matching-signature AVX2 counterpart and a dispatch site in `kernels/mod.rs` |
 //! | R4   | `panic`             | no `unwrap()`/`expect(`/`panic!`/`todo!`/`unimplemented!` in non-test code of the hot-path crates |
 //! | R5   | `determinism`       | no `HashMap`/`HashSet`, `Instant::now` or `SystemTime` in the fold/aggregation modules |
-//! | R6   | `no-legacy-runtime` | the legacy runtime deleted in PR 6, the per-representation gateway doors deleted in PR 12, the payload-copying put path deleted in PR 21 and the duplicates collapsed in PR 24 (`FlDriver`, `async_round`, `lifl_baselines`, `bench_ingest`, the simulator inside `lifl-core`) stay deleted |
+//! | R6   | `no-legacy-runtime` | the legacy runtime deleted in PR 6, the per-representation gateway doors deleted in PR 12, the payload-copying put path deleted in PR 21 and the duplicates collapsed in PR 24 (`FlDriver`, `async_round`, `lifl_baselines`, `bench_ingest`, the simulator inside `lifl-core`) stay deleted, and no code in `crates/core/src/` but the station executor (`stations.rs`) starts a thread |
 //! | R7   | `ci-sync`           | the justfile `ci` recipe and `.github/workflows/ci.yml` run the same commands |
 //!
 //! Diagnostics are machine readable (`file:line: rule-id: message`) and the
@@ -58,7 +58,8 @@ pub enum Rule {
     /// R5: determinism of the fold/aggregation modules.
     Determinism,
     /// R6: the legacy runtime, the deleted gateway doors, the copying put
-    /// path and the duplicates collapsed in PR 24 stay deleted.
+    /// path and the duplicates collapsed in PR 24 stay deleted, and the
+    /// engine starts threads in its station executor only.
     LegacyRuntime,
     /// R7: justfile ↔ ci.yml command sync.
     CiSync,

@@ -23,7 +23,7 @@ pub const HOT_PATH_CRATES: [&str; 5] = [
 /// Modules whose bit-exact determinism the `it`/`faults` tiers prove (R5):
 /// the fold kernels and everything that routes updates into them. Entries
 /// ending in `/` cover a directory.
-pub const FOLD_MODULES: [&str; 16] = [
+pub const FOLD_MODULES: [&str; 17] = [
     "crates/types/src/fold.rs",
     "crates/fl/src/aggregate.rs",
     "crates/fl/src/sharded.rs",
@@ -38,6 +38,7 @@ pub const FOLD_MODULES: [&str; 16] = [
     "crates/core/src/aggregator.rs",
     "crates/core/src/admission.rs",
     "crates/core/src/ingress.rs",
+    "crates/core/src/stations.rs",
     "crates/serverless/src/fleet.rs",
     "crates/shmem/src/backlog.rs",
 ];
@@ -736,6 +737,58 @@ const PAYLOAD_COPIES: [(&[&str], &str); 4] = [
     ),
 ];
 
+/// The one engine module that may start a thread (PR 25): a session's
+/// stations run on its session-lifetime worker set, never on threads started
+/// per round.
+pub const THREAD_MODULE: &str = "crates/core/src/stations.rs";
+
+/// Thread starts, as code-token sequences (`::` lexes as two `:`): a scope,
+/// a bare spawn, and a `Builder` in either spelling.
+const THREAD_STARTS: [&[&str]; 4] = [
+    &["thread", ":", ":", "scope"],
+    &["thread", ":", ":", "spawn"],
+    &["thread", ":", ":", "Builder"],
+    &["Builder", ":", ":", "spawn"],
+];
+
+/// Whether the code tokens from `code[w]` on spell `pattern`.
+fn spells(f: &SourceFile, code: &[usize], w: usize, pattern: &[&str]) -> bool {
+    pattern.iter().enumerate().all(|(k, text)| {
+        code.get(w + k).is_some_and(|&i| {
+            let t = &f.toks[i];
+            matches!(t.kind, TokKind::Ident | TokKind::Punct) && t.text == *text
+        })
+    })
+}
+
+/// R6's one-thread-site half: the [`THREAD_STARTS`] in non-test code of
+/// `crates/core/src/` outside [`THREAD_MODULE`].
+fn thread_starts(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
+    if !f.rel.starts_with("crates/core/src/") || f.rel == THREAD_MODULE {
+        return;
+    }
+    for w in 0..code.len() {
+        if f.is_test(code[w]) {
+            continue;
+        }
+        for pattern in THREAD_STARTS {
+            if spells(f, code, w, pattern) {
+                out.push(finding(
+                    f,
+                    f.toks[code[w]].line,
+                    Rule::LegacyRuntime,
+                    format!(
+                        "`{}` starts a thread outside {THREAD_MODULE}: the per-drive \
+                         thread scope was retired in PR 25; run the work on the \
+                         session's `Workers`",
+                        pattern.concat()
+                    ),
+                ));
+            }
+        }
+    }
+}
+
 /// R6's move-only half: the payload-copying calls of [`PAYLOAD_COPIES`] in
 /// non-test code of the [`MOVE_ONLY_FILES`].
 fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
@@ -747,13 +800,7 @@ fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
             continue;
         }
         for (pattern, advice) in PAYLOAD_COPIES {
-            let matches = pattern.iter().enumerate().all(|(k, text)| {
-                code.get(w + k).is_some_and(|&i| {
-                    let t = &f.toks[i];
-                    matches!(t.kind, TokKind::Ident | TokKind::Punct) && t.text == *text
-                })
-            });
-            if matches {
+            if spells(f, code, w, pattern) {
                 out.push(finding(
                     f,
                     f.toks[code[w]].line,
@@ -772,10 +819,11 @@ fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
 /// `run_hierarchical*` entry points and their `#[allow(deprecated)]` escape
 /// hatches), the per-representation gateway doors deleted in PR 12
 /// (`DELETED_GATEWAY_DOORS`), the copying put path deleted in PR 21
-/// (`PAYLOAD_COPIES` in non-test code of `MOVE_ONLY_FILES`) and the
+/// (`PAYLOAD_COPIES` in non-test code of `MOVE_ONLY_FILES`), the
 /// duplicates collapsed in PR 24 (`RETIRED_IN_PR24`, and the simulator's
-/// `crates/core/src/platform.rs` among the `DELETED_FILES`) must stay
-/// deleted. Unlike the shell guard this replaces, the check runs on code
+/// `crates/core/src/platform.rs` among the `DELETED_FILES`) and the
+/// per-drive thread scope retired in PR 25 (`THREAD_STARTS` outside
+/// `THREAD_MODULE`) must stay deleted. Unlike the shell guard this replaces, the check runs on code
 /// tokens, so prose in comments and string literals can mention the old
 /// names freely.
 pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
@@ -793,6 +841,7 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
     for f in files {
         let code = code_indices(f);
         payload_copies(f, &code, &mut out);
+        thread_starts(f, &code, &mut out);
         for w in 0..code.len() {
             let t = &f.toks[code[w]];
             if t.kind != TokKind::Ident {

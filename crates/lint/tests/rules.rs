@@ -192,6 +192,29 @@ fn r6_fail_flags_the_names_and_the_file_retired_in_pr_24() {
 }
 
 #[test]
+fn r6_fail_flags_threads_started_outside_the_station_executor() {
+    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
+    let starts: Vec<&String> = found
+        .iter()
+        .filter(|f| f.contains("crates/core/src/cluster.rs") && f.contains("retired in PR 25"))
+        .collect();
+    assert_eq!(starts.len(), 4, "{found:#?}");
+    for (line, token) in [
+        (4, "`thread::scope`"),
+        (7, "`thread::spawn`"),
+        (8, "`thread::Builder`"),
+        (9, "`Builder::spawn`"),
+    ] {
+        assert!(
+            starts
+                .iter()
+                .any(|f| f.contains(&format!("cluster.rs:{line}:")) && f.contains(token)),
+            "{token} at line {line}: {found:#?}"
+        );
+    }
+}
+
+#[test]
 fn r6_pass_allows_prose_and_string_mentions() {
     assert_eq!(
         lint("r6_pass", &[Rule::LegacyRuntime]),

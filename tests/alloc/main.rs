@@ -441,4 +441,151 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         8 + POSITIONS,
         "4 parked + 4 stored backlog buffers, one accumulator per position: {stats:?}"
     );
+
+    // Phase 8: no thread per round. A session's stations run on one worker
+    // set that lives as long as the session (a cluster's sessions share
+    // one), started at the first level with stations to share and parked
+    // between levels. So after round 1 the process keeps exactly the same
+    // threads — the same ids, not just as many — round after round and
+    // across a fleet re-split, and the set's named workers are among them
+    // (a drive that started and joined its own threads would leave none).
+    use lifl_core::cluster::ClusterBuilder;
+    use lifl_serverless::FleetConfig;
+    use lifl_types::Topology;
+
+    /// The process's threads as `(tid, name)`, in tid order.
+    fn threads() -> Vec<(u64, String)> {
+        let mut out: Vec<(u64, String)> = std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task")
+            .filter_map(|entry| {
+                let entry = entry.ok()?;
+                let tid = entry.file_name().to_str()?.parse().ok()?;
+                let name = std::fs::read_to_string(entry.path().join("comm")).ok()?;
+                Some((tid, name.trim().to_string()))
+            })
+            .collect();
+        out.sort();
+        out
+    }
+    fn workers(threads: &[(u64, String)]) -> usize {
+        threads
+            .iter()
+            .filter(|(_, name)| name.starts_with("lifl-station-"))
+            .count()
+    }
+    let per_set = std::thread::available_parallelism().map_or(1, |n| n.get()) - 1;
+    let small = |count: usize| -> Vec<Update> {
+        (0..count as u64)
+            .map(|c| {
+                let values = (0..64).map(|d| ((c + d) % 13) as f32 * 0.1).collect();
+                Update::dense(ClientId::new(c), DenseModel::from_vec(values), 1 + c % 3)
+            })
+            .collect()
+    };
+    // Builds a backend, runs `rounds` rounds of `round` on it, checks the
+    // threads after round 1 against the pre-build ones and every later
+    // round, then drops it: the last handle joins the set.
+    fn hold_threads<B>(
+        what: &str,
+        per_set: usize,
+        build: impl FnOnce() -> B,
+        rounds: usize,
+        mut round: impl FnMut(&mut B),
+    ) {
+        let before = threads();
+        let mut backend = build();
+        round(&mut backend);
+        let warm = threads();
+        assert!(
+            warm.len() <= before.len() + per_set,
+            "{what}: {} -> {} threads",
+            before.len(),
+            warm.len()
+        );
+        assert_eq!(
+            workers(&warm),
+            workers(&before) + per_set,
+            "{what}: one worker set, parked between rounds: {warm:?}"
+        );
+        for k in 1..rounds {
+            round(&mut backend);
+            assert_eq!(threads(), warm, "{what}: round {k} changed the threads");
+        }
+        drop(backend);
+        // A joined thread leaves /proc shortly after its join returns.
+        for _ in 0..200 {
+            if workers(&threads()) == workers(&before) {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(
+            workers(&threads()),
+            workers(&before),
+            "{what}: dropping the last handle joins the workers"
+        );
+    }
+
+    hold_threads(
+        "session [8, 16]",
+        per_set,
+        || {
+            SessionBuilder::new()
+                .topology(Topology::new(vec![8, 16]).expect("topology"))
+                .build()
+                .expect("session")
+        },
+        101,
+        |session: &mut Session| {
+            session.ingest_all(small(128)).expect("ingest");
+            session.drive().expect("drive");
+        },
+    );
+    hold_threads(
+        "cluster [8, 4, 4]",
+        per_set,
+        || {
+            ClusterBuilder::new()
+                .topology(Topology::new(vec![8, 4, 4]).expect("topology"))
+                .codec(CodecKind::Uniform8)
+                .build()
+                .expect("cluster")
+        },
+        101,
+        |cluster| {
+            cluster.ingest_all(small(128)).expect("ingest");
+            cluster.drive().expect("drive");
+        },
+    );
+    // A fleet re-split rebuilds node sessions on the cluster's worker set.
+    let mut spawned = 0;
+    hold_threads(
+        "re-split fleet",
+        per_set,
+        || {
+            ClusterBuilder::new()
+                .topology(Topology::new(vec![2, 2, 2]).expect("topology"))
+                .admission(AdmissionConfig::bounded(64, 1 << 24).with_quorum(1))
+                .fleet_scaling(
+                    FleetConfig::default()
+                        .with_target_depth(1.0)
+                        .with_leaf_bounds(2, 16),
+                )
+                .build()
+                .expect("fleet")
+        },
+        12,
+        |fleet| {
+            for update in small(24) {
+                fleet.try_ingest(update).expect("offer");
+            }
+            let report = fleet.drive().expect("fleet drive");
+            spawned += report
+                .scaling
+                .iter()
+                .map(|a| a.decision.spawned())
+                .sum::<u32>();
+        },
+    );
+    assert!(spawned > 0, "the spike must re-split node subtrees");
 }
