@@ -140,38 +140,50 @@ impl AdmissionQueues {
         weight: u64,
         encoded: bool,
     ) -> AdmissionOutcome {
-        let seq = self.seq;
-        self.seq += 1;
         let utility = self.utility_of(client);
+        let seq = self.seq;
         let leaf = (seq as usize) % self.queues.len();
         let Some(queue) = self.queues.get_mut(leaf) else {
-            self.stats.rejected += 1;
-            return AdmissionOutcome::Rejected {
-                retry_after: self.config.retry_after,
-            };
+            return self.refuse();
         };
-        match queue.backlog.try_store(payload) {
-            Some(stored) => {
-                queue.offers.push_back(QueuedOffer {
-                    client,
-                    payload: stored,
-                    weight,
-                    encoded,
-                    utility,
-                    seq,
-                });
-                let depth = queue.offers.len();
-                self.stats.queued += 1;
-                self.stats.peak_queued = self.stats.peak_queued.max(self.total_queued());
-                self.stats.peak_bytes = self.stats.peak_bytes.max(self.total_bytes());
-                AdmissionOutcome::Queued { depth }
-            }
-            None => {
-                self.stats.rejected += 1;
-                AdmissionOutcome::Rejected {
-                    retry_after: self.config.retry_after,
-                }
-            }
+        let Some(stored) = queue.backlog.try_store(payload) else {
+            return self.refuse();
+        };
+        self.seq += 1;
+        queue.offers.push_back(QueuedOffer {
+            client,
+            payload: stored,
+            weight,
+            encoded,
+            utility,
+            seq,
+        });
+        let depth = queue.offers.len();
+        self.stats.queued += 1;
+        self.stats.peak_queued = self.stats.peak_queued.max(self.total_queued());
+        self.stats.peak_bytes = self.stats.peak_bytes.max(self.total_bytes());
+        AdmissionOutcome::Queued { depth }
+    }
+
+    /// Whether the next offer, `len` payload bytes long, fits its leaf
+    /// queue's slot and byte budgets — the decision [`AdmissionQueues::offer`]
+    /// makes, taken before the payload exists (a lossy offer is encoded
+    /// only once it is known to fit).
+    pub(crate) fn would_queue(&self, len: usize) -> bool {
+        let leaf = (self.seq as usize) % self.queues.len();
+        self.queues
+            .get(leaf)
+            .is_some_and(|queue| queue.backlog.would_admit(len))
+    }
+
+    /// Turns the next offer away, as [`AdmissionQueues::offer`] does when its
+    /// budget is exhausted: it takes its arrival number and counts as
+    /// rejected.
+    pub(crate) fn refuse(&mut self) -> AdmissionOutcome {
+        self.seq += 1;
+        self.stats.rejected += 1;
+        AdmissionOutcome::Rejected {
+            retry_after: self.config.retry_after,
         }
     }
 

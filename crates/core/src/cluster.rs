@@ -43,13 +43,12 @@
 use crate::admission::AdmissionQueues;
 use crate::ewma::EwmaEstimator;
 use crate::heartbeat::HeartbeatMonitor;
-use crate::ingress::Ingress;
+use crate::ingress::{self, Backend, Ingress, Target};
 use crate::recovery::{RecoveryManager, RecoveryOutcome};
 use crate::session::{Session, SessionBuilder, Update, WireExport};
 use crate::stations::Workers;
 use lifl_dataplane::{CostModel, DataPlaneKind, TransferCost};
 use lifl_fl::aggregate::ModelUpdate;
-use lifl_fl::codec::{ErrorFeedback, UpdateCodec};
 use lifl_serverless::{FleetConfig, FleetController, FleetDecision};
 use lifl_shmem::{BufferPool, CheckpointStore, StoreStats};
 use lifl_types::{
@@ -504,6 +503,13 @@ impl ClusterBuilder {
     /// [`ClusterBuilder::for_load`]) produced an invalid configuration, or
     /// the codec, fold-policy or fault-tolerance configuration is invalid.
     pub fn build(self) -> Result<Cluster> {
+        self.build_on(Workers::new())
+    }
+
+    /// [`ClusterBuilder::build`] over a given worker set, which the
+    /// cluster's ingress encodes and every node's stations run on (the
+    /// crate's tests pin worker counts with it).
+    pub(crate) fn build_on(self, workers: Workers) -> Result<Cluster> {
         if let Some(deferred) = self.deferred_error {
             return Err(LiflError::InvalidConfig(deferred));
         }
@@ -536,7 +542,7 @@ impl ClusterBuilder {
             seed: self.seed,
             policy: self.policy,
             pool: pool.clone(),
-            workers: Workers::new(),
+            workers,
             quorum: self
                 .admission
                 .is_some_and(|c| matches!(c.round_close, RoundClose::Quorum { .. })),
@@ -556,8 +562,12 @@ impl ClusterBuilder {
             Some(config) => Some(FleetController::new(config, nodes)?),
             None => None,
         };
-        let feedback = ErrorFeedback::new(
-            UpdateCodec::with_seed(self.codec, self.seed).with_pool(pool.clone()),
+        let ingress = Ingress::new(
+            self.codec,
+            self.seed,
+            pool,
+            queues,
+            sessions.workers.clone(),
         );
         Ok(Cluster {
             topology: self.topology,
@@ -571,7 +581,7 @@ impl ClusterBuilder {
             dataplane: self.dataplane,
             children,
             parent,
-            ingress: Ingress::new(feedback, pool, queues),
+            ingress,
             sessions,
             faults,
             fleet,
@@ -906,62 +916,72 @@ impl Cluster {
     /// [`ClusterBuilder::admission`] configuration there is no backlog and
     /// overflow is rejected, untouched, with a zero retry hint.
     ///
+    /// A lossy dense offer is answered at once — routed and counted on its
+    /// node — and encoded on the cluster's workers, landing in its node's
+    /// store in offer order (see [`Session::try_ingest`]); until the next
+    /// other operation settles it, the stores of [`Cluster::node_sessions`]
+    /// may not show it yet.
+    ///
     /// # Errors
     /// Fails only on store/codec errors, exactly as [`Session::try_ingest`];
     /// a full round is an outcome, not an error. A failed offer counts
-    /// nothing toward the round and parks nothing.
+    /// nothing toward the round, parks nothing and touches nothing — no
+    /// residual, no rounding-stream position, no pool buffer: a lossy
+    /// offer is refused from its encoded size before it is encoded.
     pub fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
-        if !self.has_room() {
-            return self.ingress.park(update);
-        }
-        let update = self.ingress.normalise(update)?;
-        let producer = update.client();
-        self.admit(update, producer)?;
-        Ok(AdmissionOutcome::Admitted)
+        ingress::offer(self, update)
+    }
+
+    /// The node owed an update by a fault refill, if any.
+    fn refill_node(&self) -> Option<usize> {
+        self.faults
+            .as_ref()
+            .and_then(|f| f.refill.iter().position(|&r| r > 0))
     }
 
     /// Admits one normalised update on the routed node — moved through the
     /// node session's own `admit`, never its public door — and counts it
-    /// into the round: the step both the direct path and
-    /// [`Cluster::drain_backlog`] end in.
+    /// into the round: the step both the direct path and the backlog drain
+    /// end in.
     ///
     /// Refill slots of a restarted node take priority over round-robin:
     /// re-sent updates route straight to the node that lost them, so the
     /// survivors' leaf assignment is untouched by the failure. Vacancies
     /// reclaimed by mid-round churn refill next, for the same reason.
     fn admit(&mut self, update: Update, producer: Option<ClientId>) -> Result<()> {
-        let refill = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.refill.iter().position(|&r| r > 0));
-        let cursor_node = self.cursor_node();
-        let route = self.ingress.route(refill, cursor_node);
+        let refill = self.refill_node();
+        let route = self.ingress.route(refill, self.cursor_node());
         let node = route.slot;
         let admitted = self.children[node].admit(update, producer);
         if admitted.is_ok() {
-            self.node_pending[node] += 1;
-            if let Some(f) = &mut self.faults {
-                if refill.is_some() {
-                    f.refill[node] -= 1;
-                }
-                f.node_clients[node].push(self.ingress.tracked(producer));
-            }
+            self.count_in(node, refill.is_some(), producer);
         }
         self.ingress.settle(route, admitted.is_ok());
         admitted
     }
 
-    /// Drains parked offers into the open round — globally best first
-    /// (utility desc, arrival asc) — until the round is full or the backlog
-    /// is empty. An offer that fails to admit is dropped and the next one is
-    /// tried. Called automatically when a driven round opens the next one.
-    fn drain_backlog(&mut self) {
-        while self.has_room() {
-            let Some((update, producer)) = self.ingress.take_parked() else {
-                break;
-            };
-            if self.admit(update, producer).is_err() {
-                self.ingress.drop_parked();
+    /// Books an update admitted on `node` (before its route settles):
+    /// the node's pending count, a refill it paid back, the client it must
+    /// re-send should the node die.
+    fn count_in(&mut self, node: usize, refilled: bool, producer: Option<ClientId>) {
+        self.node_pending[node] += 1;
+        if let Some(f) = &mut self.faults {
+            if refilled {
+                f.refill[node] -= 1;
+            }
+            f.node_clients[node].push(self.ingress.tracked(producer));
+        }
+    }
+
+    /// Commits every in-flight encode; one that failed aborts the round on
+    /// every node and is returned, as any drive failure is.
+    fn settle(&mut self) -> Result<()> {
+        ingress::settle(self);
+        match self.ingress.take_failure() {
+            None => Ok(()),
+            Some(error) => {
+                self.abort_round();
+                Err(error)
             }
         }
     }
@@ -974,6 +994,7 @@ impl Cluster {
     /// position. Returns `true` if anything (slot or queued offer) was
     /// reclaimed.
     pub fn depart_client(&mut self, client: ClientId) -> bool {
+        ingress::settle(self);
         let mut departed = self.ingress.remove_parked(client);
         for node in 0..self.children.len() {
             let before = self.children[node].pending_updates();
@@ -1002,7 +1023,7 @@ impl Cluster {
             }
         }
         // Refill reclaimed slots from the backlog (highest utility first).
-        self.drain_backlog();
+        ingress::drain(self);
         departed
     }
 
@@ -1081,6 +1102,7 @@ impl Cluster {
     /// [`LiflError::AggregatorFailure`]: the round is lost wholesale and the
     /// latest checkpoint is restored ([`Cluster::take_recovery`]).
     pub fn drive(&mut self) -> Result<ClusterReport> {
+        self.settle()?;
         if let Some(f) = &self.faults {
             if let Some(node) = f.refill.iter().position(|&r| r > 0) {
                 return Err(LiflError::NodeFailure {
@@ -1112,7 +1134,7 @@ impl Cluster {
                 // the (possibly resized) fresh round.
                 report.queue_depths = self.queue_depths();
                 report.scaling = self.apply_fleet_scaling();
-                self.drain_backlog();
+                ingress::drain(self);
                 Ok(report)
             }
             Err(error) => {
@@ -1341,8 +1363,10 @@ impl Cluster {
 
     /// Discards the current (not yet driven) round on every node, returning
     /// the cluster to an empty round. Per-client error-feedback residuals
-    /// and the load estimators persist.
+    /// (encodes still in flight finish first) and the load estimators
+    /// persist.
     pub fn discard_round(&mut self) {
+        ingress::settle(self);
         self.abort_round();
     }
 
@@ -1508,6 +1532,8 @@ impl Cluster {
     /// Kills `node` (bounds already checked), translating the resulting
     /// error into the [`NodeKill`] report the injection APIs return.
     fn kill_checked(&mut self, node: usize) -> Result<NodeKill> {
+        // What was offered before the kill has landed when it strikes.
+        ingress::settle(self);
         let top_host = node == self.top_node;
         let lost_updates = if top_host {
             self.ingress.ingested()
@@ -1590,6 +1616,41 @@ impl Cluster {
     }
 }
 
+/// The cluster's side of the one ingest implementation: its slots are its
+/// nodes, each behind its own session and store.
+impl Backend for Cluster {
+    fn ingress(&mut self) -> &mut Ingress {
+        &mut self.ingress
+    }
+
+    fn has_room(&self) -> bool {
+        Cluster::has_room(self)
+    }
+
+    fn admit(&mut self, update: Update, producer: Option<ClientId>) -> Result<()> {
+        Cluster::admit(self, update, producer)
+    }
+
+    fn reserve(&mut self, client: ClientId, stored: u64) -> Result<Target> {
+        let refill = self.refill_node();
+        let route = self.ingress.route(refill, self.cursor_node());
+        let node = route.slot;
+        // The node's store sees the encodes in flight to it only when they
+        // are committed.
+        let pending = self.ingress.in_flight_bytes(Some(node));
+        let leaf = self.children[node].reserve(pending, stored);
+        if leaf.is_ok() {
+            self.count_in(node, refill.is_some(), Some(client));
+        }
+        self.ingress.settle(route, leaf.is_ok());
+        leaf.map(|leaf| Target { slot: node, leaf })
+    }
+
+    fn commit(&mut self, target: Target, update: Update) -> Result<()> {
+        self.children[target.slot].commit(target.leaf, update)
+    }
+}
+
 /// A cluster is an [`Ingest`](lifl_fl::Ingest) backend: the federated,
 /// multi-node target the multi-round training driver
 /// ([`crate::training::TrainingDriver`]) runs over — bit-exact with the
@@ -1623,6 +1684,25 @@ impl lifl_fl::Ingest for Cluster {
 
     fn discard_round(&mut self) {
         Cluster::discard_round(self);
+    }
+}
+
+#[cfg(test)]
+impl Cluster {
+    /// Settles, then the stored bytes of every update of the open round,
+    /// node by node in arrival order.
+    pub(crate) fn stored_wires(&mut self) -> Vec<Vec<u8>> {
+        ingress::settle(self);
+        self.children
+            .iter_mut()
+            .flat_map(Session::stored_wires)
+            .collect()
+    }
+
+    /// Settles, then `client`'s residual at the cluster ingress as bits.
+    pub(crate) fn residual_bits(&mut self, client: ClientId) -> Option<Vec<u32>> {
+        ingress::settle(self);
+        self.ingress.residual_bits(client)
     }
 }
 
@@ -2265,34 +2345,44 @@ mod tests {
 
     #[test]
     fn a_refused_ingress_encode_leaves_the_cluster_pool_as_it_was() {
-        let mut cluster = ClusterBuilder::new()
-            .topology(Topology::new(vec![2, 2, 2]).unwrap())
-            .codec(CodecKind::Uniform8)
-            .build()
-            .unwrap();
-        cap_node_stores(&mut cluster, 100);
-        let refuse = |cluster: &mut Cluster| {
-            let too_big = Update::Dense(updates(1, 256).pop().unwrap());
+        // Node stores with room for a driven [2, 2] round of 64-parameter
+        // encoded objects (seven of 80 bytes), not for a 1 024-parameter one.
+        let build = || {
+            let mut cluster = ClusterBuilder::new()
+                .topology(Topology::new(vec![2, 2, 2]).unwrap())
+                .codec(CodecKind::Uniform8)
+                .build()
+                .unwrap();
+            cap_node_stores(&mut cluster, 600);
+            cluster
+        };
+        let (mut cluster, mut control) = (build(), build());
+        let outsider = ClientId::new(50);
+        for _ in 0..2 {
+            let too_big = Update::dense(outsider, DenseModel::from_vec(vec![0.5; 1024]), 1);
             assert!(matches!(
                 cluster.try_ingest(too_big),
                 Err(LiflError::OutOfSharedMemory { .. })
             ));
-            // Rolled back by `settle` on the cluster and on the node.
+            // Rolled back on the cluster and never reached the node…
             assert_eq!(cluster.pending_updates(), 0);
             assert_eq!(cluster.ingress.cursor(), 0);
             assert_eq!(cluster.node_sessions()[0].pending_updates(), 0);
+            // …and never encoded: no residual, no pool buffer.
+            assert_eq!(cluster.ingress.residual_bits(outsider), None);
+            assert_eq!(cluster.pool().stats(), control.pool().stats());
+        }
+        // Nor did the refusals move the rounding stream: the next round is
+        // the control's, bit for bit.
+        let round = |cluster: &mut Cluster| {
+            cluster
+                .ingest_all(updates(8, 64).into_iter().map(Update::Dense))
+                .unwrap();
+            let report = cluster.drive().unwrap();
+            let model = report.update.model.as_slice();
+            model.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
         };
-        refuse(&mut cluster);
-        let before = cluster.pool().stats();
-        assert_eq!((before.idle_buffers, before.misses), (1, 1));
-        refuse(&mut cluster);
-        let after = cluster.pool().stats();
-        assert_eq!(after.idle_buffers, before.idle_buffers);
-        assert_eq!(after.idle_bytes, before.idle_bytes);
-        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
-        let fits = Update::Dense(updates(1, 32).pop().unwrap());
-        assert!(cluster.try_ingest(fits).unwrap().is_admitted());
-        assert_eq!(cluster.node_sessions()[0].pending_updates(), 1);
+        assert_eq!(round(&mut cluster), round(&mut control));
     }
 
     #[test]

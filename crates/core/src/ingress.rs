@@ -1,19 +1,35 @@
 //! The one way in: every update offered to a [`Session`](crate::session)
 //! or a [`Cluster`](crate::cluster) — directly or drained from the backlog —
-//! goes offer → slot through the three rules this module owns, each written
-//! once:
+//! goes offer → slot through the rules this module owns, each written once
+//! ([`offer`] is the one ingest implementation both backends call):
 //!
 //! * **normalise** — an anonymous update is attributed to the backend's
-//!   lifetime arrival index, a dense update is lossy-encoded with its
-//!   client's error-feedback residual, and encoded remote bytes are
-//!   header-validated: before anything is stored *or* parked, so a parked
-//!   then drained update flows exactly as a direct ingest would.
+//!   lifetime arrival index, a dense update under a lossy codec becomes an
+//!   error-feedback encode of its client's residual, and encoded remote
+//!   bytes are header-validated: before anything is stored *or* parked, so
+//!   a parked then drained update flows exactly as a direct ingest would.
 //! * **route** — a fault-refill slot first, then a vacancy opened by
 //!   mid-round churn, then the round-robin cursor; committed when the slot
 //!   took the update, rolled back when it did not.
+//! * **encode off the offering thread** — a lossy dense offer is answered
+//!   at once, in O(1): its wire length is a function of codec and `dim`
+//!   only, so whether the slot takes it is decided against the store *and
+//!   everything still in flight* before its encode starts, and the route is
+//!   settled then. The encode runs as a job on the backend's
+//!   [`Workers`]; its result is committed — put into the store, queued for
+//!   the slot, its residual put back — strictly in offer order, so keys,
+//!   inbox order, store accounting and every fold see the sequence an
+//!   inline encode would have produced. The encodes share one rounding
+//!   stream, handed from job to job in offer order ([`Turnstile`]) between
+//!   their two sweeps: how far each one moves it is known only once its
+//!   first sweep has found the scale (a zero scale draws nothing). Every
+//!   other update, and every other operation on the backend, settles the
+//!   in-flight encodes first ([`settle`]).
 //! * **park** — the normalised update's wire form, borrowed in place, is
 //!   copied once into a pooled backlog buffer of the bounded
-//!   [`AdmissionQueues`]; drained, that buffer *is* the stored object.
+//!   [`AdmissionQueues`]; drained, that buffer *is* the stored object. A
+//!   lossy offer's fit is decided from its wire length before it is encoded,
+//!   so an offer turned away touches no residual and no stream position.
 //!
 //! Updates travel by value from here on: `admit` hands the normalised update
 //! to the store, which keeps its buffer. Nobody has to return anything — a
@@ -22,17 +38,24 @@
 //! refuses it.
 //!
 //! A slot is a leaf aggregator for a session and a node for a cluster; the
-//! backends supply only their `admit` (store into the routed slot). The
-//! state is deterministic (covered by `lifl-lint` R5): the same offer trace
-//! always lands the same updates on the same slots.
+//! backends supply only what differs ([`Backend`]). The state is
+//! deterministic (covered by `lifl-lint` R5): the same offer trace always
+//! lands the same updates on the same slots, whichever thread encoded them.
 
 use crate::admission::{AdmissionQueues, AdmissionStats};
 use crate::gateway::encoded_dense_bytes;
-use lifl_fl::codec::ErrorFeedback;
-use lifl_fl::kernels::le_bytes;
+use crate::stations::{Job, Turn, Turnstile, Workers};
+use lifl_fl::codec::{EncodedUpdate, ErrorFeedback, FeedbackJob, Residual, UpdateCodec};
+use lifl_fl::kernels::{le_bytes, StochasticRng};
 use lifl_fl::update::Update;
+use lifl_fl::DenseModel;
 use lifl_shmem::{BufferPool, PooledBuf};
-use lifl_types::{AdmissionConfig, AdmissionOutcome, ClientId, Result, SimDuration};
+use lifl_types::{
+    AdmissionConfig, AdmissionOutcome, ClientId, CodecKind, LiflError, Result, SimDuration,
+    WIRE_HEADER_BYTES,
+};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// What a backend without admission queues answers to an offer it has no
 /// room for: nothing will drain, so there is nothing to wait for.
@@ -57,11 +80,158 @@ pub(crate) struct Route {
     origin: Origin,
 }
 
-/// The ingress state of one backend: codec feedback, the open round's fill
-/// and routing position, and the bounded backlog.
+/// What a backend — a session, whose slots are its leaves, or a cluster,
+/// whose slots are its nodes — supplies to the one ingest implementation.
+pub(crate) trait Backend {
+    fn ingress(&mut self) -> &mut Ingress;
+
+    /// Whether the open round can take one more update (counting the ones
+    /// still in flight).
+    fn has_room(&self) -> bool;
+
+    /// Routes one update and stores it now, attributed to `producer`; a
+    /// refusal rolls the route back.
+    fn admit(&mut self, update: Update, producer: Option<ClientId>) -> Result<()>;
+
+    /// Routes `client`'s update of `stored` bytes, whose encode is still to
+    /// run, and counts it into the round — or refuses it, touching nothing,
+    /// exactly when `admit` would refuse it once everything in flight has
+    /// landed. Returns where [`Backend::commit`] stores it.
+    fn reserve(&mut self, client: ClientId, stored: u64) -> Result<Target>;
+
+    /// Stores an update [`Backend::reserve`] routed to `target`.
+    fn commit(&mut self, target: Target, update: Update) -> Result<()>;
+}
+
+/// Where a reserved update lands: the slot it was routed to and the leaf
+/// under it (a cluster node's session routes too; a session's slot *is*
+/// the leaf).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Target {
+    pub(crate) slot: usize,
+    pub(crate) leaf: usize,
+}
+
+/// The one ingest implementation behind `Session::try_ingest` and
+/// `Cluster::try_ingest`: normalise, then admit while the round has room
+/// and park once it is full. A lossy dense offer is only routed and counted
+/// here; its encode runs on the workers and lands in offer order.
+///
+/// # Errors
+/// Store refusals and malformed encoded bytes, before anything is counted,
+/// parked or encoded.
+pub(crate) fn offer(backend: &mut impl Backend, update: Update) -> Result<AdmissionOutcome> {
+    if !backend.has_room() {
+        settle(backend);
+        return backend.ingress().park(update);
+    }
+    match backend.ingress().normalise(update)? {
+        Normalised::Ready(update) => {
+            settle(backend);
+            let producer = update.client();
+            backend.admit(update, producer)?;
+        }
+        Normalised::Encode(offer) => {
+            if backend.ingress().awaits(offer.client) {
+                // Its residual is out with the encode still in flight.
+                settle(backend);
+            }
+            let stored = backend.ingress().stored_bytes(&offer);
+            let target = backend.reserve(offer.client, stored)?;
+            backend.ingress().defer(offer, target, stored);
+            commit(backend, false);
+        }
+    }
+    Ok(AdmissionOutcome::Admitted)
+}
+
+/// Commits every in-flight encode, in offer order, waiting for the ones
+/// still running: what every operation but a lossy offer does first. A
+/// failed encode (or a refused commit) is kept for the backend's next drive
+/// to report ([`Ingress::take_failure`]).
+pub(crate) fn settle(backend: &mut impl Backend) {
+    commit(backend, true);
+}
+
+/// Commits the in-flight encodes at the head of the line — all of them
+/// when `wait`, else only those already finished.
+fn commit(backend: &mut impl Backend, wait: bool) {
+    while let Some((target, update)) = backend.ingress().finished(wait) {
+        if let Err(error) = update.and_then(|update| backend.commit(target, update)) {
+            backend.ingress().fail(error);
+        }
+    }
+}
+
+/// Drains parked offers into the open round — globally best first (utility
+/// desc, arrival asc) — until the round is full or the backlog is empty. An
+/// offer that fails to admit is dropped and the next one is tried.
+pub(crate) fn drain(backend: &mut impl Backend) {
+    while backend.has_room() {
+        let Some((update, producer)) = backend.ingress().take_parked() else {
+            break;
+        };
+        if backend.admit(update, producer).is_err() {
+            backend.ingress().drop_parked();
+        }
+    }
+}
+
+/// An offer after the normalise rule.
+enum Normalised {
+    /// Stored (or parked) as it is.
+    Ready(Update),
+    /// A dense model to encode under a lossy codec.
+    Encode(LossyOffer),
+}
+
+/// A lossy dense offer: the model, its client (attributed) and its weight.
+struct LossyOffer {
+    client: ClientId,
+    model: DenseModel,
+    samples: u64,
+}
+
+/// One deferred encode, from offer to commit.
+#[derive(Debug)]
+struct InFlight {
+    /// Where the offer was routed.
+    target: Target,
+    client: ClientId,
+    samples: u64,
+    /// Bytes the encoded form will occupy in the store.
+    stored: u64,
+    job: Job<Result<(EncodedUpdate, Residual)>>,
+}
+
+/// A client's encode, on whichever thread runs it: the first sweep, the
+/// stream turn (skipped by top-k, which draws nothing), the second sweep.
+fn encode(
+    job: FeedbackJob<'static>,
+    turn: Option<Turn<StochasticRng>>,
+) -> Result<(EncodedUpdate, Residual)> {
+    let job = job.compensate();
+    let mut rng = match turn {
+        Some(turn) => turn.take(|stream| job.claim(stream))?,
+        None => StochasticRng::from_seed(0),
+    };
+    Ok(job.finish(&mut rng))
+}
+
+/// The ingress state of one backend: codec feedback and the encodes in
+/// flight, the open round's fill and routing position, and the bounded
+/// backlog.
 #[derive(Debug)]
 pub(crate) struct Ingress {
     feedback: ErrorFeedback,
+    /// The rounding stream every encode draws from, handed on in offer
+    /// order.
+    stream: Arc<Turnstile<StochasticRng>>,
+    workers: Workers,
+    /// Deferred encodes, oldest first: committed in this order.
+    in_flight: VecDeque<InFlight>,
+    /// The first encode (or commit) that failed since the round opened.
+    failure: Option<LiflError>,
     pool: BufferPool,
     queues: Option<AdmissionQueues>,
     /// Updates admitted into the open round.
@@ -81,12 +251,21 @@ pub(crate) struct Ingress {
 }
 
 /// The normalise rule (see the module docs).
-fn normalise(feedback: &mut ErrorFeedback, lifetime: u64, update: Update) -> Result<Update> {
+fn normalise(kind: CodecKind, lifetime: u64, update: Update) -> Result<Normalised> {
     let fallback = ClientId::new(lifetime);
-    Ok(match update {
-        // Lossless codecs pass the dense model through untouched.
+    Ok(Normalised::Ready(match update {
         Update::Dense(dense) => {
-            feedback.encode_update(dense.client.unwrap_or(fallback), dense.model, dense.samples)
+            let client = dense.client.unwrap_or(fallback);
+            if kind.is_lossless() {
+                // Lossless codecs pass the dense model through untouched.
+                Update::dense(client, dense.model, dense.samples)
+            } else {
+                return Ok(Normalised::Encode(LossyOffer {
+                    client,
+                    model: dense.model,
+                    samples: dense.samples,
+                }));
+            }
         }
         Update::Encoded {
             client,
@@ -106,17 +285,29 @@ fn normalise(feedback: &mut ErrorFeedback, lifetime: u64, update: Update) -> Res
             update
         }
         dense_remote => dense_remote,
-    })
+    }))
 }
 
 impl Ingress {
+    /// An ingress whose encodes run on `workers`, with error feedback under
+    /// `kind` whose rounding stream starts at `seed`.
     pub(crate) fn new(
-        feedback: ErrorFeedback,
+        kind: CodecKind,
+        seed: u64,
         pool: BufferPool,
         queues: Option<AdmissionQueues>,
+        workers: Workers,
     ) -> Ingress {
+        // Every encode claims its place in `stream`; the feedback's own
+        // generator is never drawn from.
         Ingress {
-            feedback,
+            feedback: ErrorFeedback::new(
+                UpdateCodec::with_seed(kind, seed).with_pool(pool.clone()),
+            ),
+            stream: Turnstile::new(StochasticRng::from_seed(seed)),
+            workers,
+            in_flight: VecDeque::new(),
+            failure: None,
             pool,
             queues,
             ingested: 0,
@@ -141,8 +332,102 @@ impl Ingress {
     /// # Errors
     /// Returns [`lifl_types::LiflError::Codec`] for malformed encoded remote
     /// bytes.
-    pub(crate) fn normalise(&mut self, update: Update) -> Result<Update> {
-        normalise(&mut self.feedback, self.lifetime, update)
+    fn normalise(&self, update: Update) -> Result<Normalised> {
+        normalise(self.feedback.kind(), self.lifetime, update)
+    }
+
+    /// The bytes `offer`'s encoded form will occupy in the store: a
+    /// function of codec and `dim` alone (descriptor plus body).
+    fn stored_bytes(&self, offer: &LossyOffer) -> u64 {
+        let dense = offer.model.dim() as u64 * 4;
+        WIRE_HEADER_BYTES + self.feedback.kind().encoded_bytes(dense)
+    }
+
+    /// Takes the offer's residual out and gives its encode the next place
+    /// in the stream order (top-k draws nothing, so it takes none): the
+    /// encode, ready to run on any thread.
+    fn job(
+        &mut self,
+        offer: LossyOffer,
+    ) -> impl FnOnce() -> Result<(EncodedUpdate, Residual)> + Send + 'static {
+        let job = self.feedback.take_job(offer.client, offer.model);
+        let turn = job.draws_rounding_words().then(|| self.stream.ticket());
+        move || encode(job, turn)
+    }
+
+    /// Starts `offer`'s encode on the workers, routed to `target`, its
+    /// `stored` bytes counted as in flight until it is committed.
+    fn defer(&mut self, offer: LossyOffer, target: Target, stored: u64) {
+        let (client, samples) = (offer.client, offer.samples);
+        let job = self.job(offer);
+        let job = self.workers.submit(job);
+        self.in_flight.push_back(InFlight {
+            target,
+            client,
+            samples,
+            stored,
+            job,
+        });
+    }
+
+    /// Whether `client` has an encode in flight (its residual is out).
+    fn awaits(&self, client: ClientId) -> bool {
+        self.in_flight.iter().any(|f| f.client == client)
+    }
+
+    /// The bytes the encodes in flight to `slot` (to any slot: `None`) will
+    /// store.
+    pub(crate) fn in_flight_bytes(&self, slot: Option<usize>) -> u64 {
+        self.in_flight
+            .iter()
+            .filter(|f| slot.is_none_or(|slot| f.target.slot == slot))
+            .map(|f| f.stored)
+            .sum()
+    }
+
+    /// The clients of the encodes in flight, in offer order.
+    pub(crate) fn in_flight_clients(&self) -> impl Iterator<Item = ClientId> + '_ {
+        self.in_flight.iter().map(|f| f.client)
+    }
+
+    /// The oldest in-flight encode once it has run — waiting for it
+    /// (running waiting jobs meanwhile) when `wait` — with its client's
+    /// residual back in place: where it was routed and the update to store
+    /// there, or why there is none. `None` when nothing is in flight or,
+    /// not waiting, the oldest has not finished.
+    fn finished(&mut self, wait: bool) -> Option<(Target, Result<Update>)> {
+        if !wait && !self.in_flight.front()?.job.is_done() {
+            return None;
+        }
+        let InFlight {
+            target,
+            client,
+            samples,
+            job,
+            ..
+        } = self.in_flight.pop_front()?;
+        let encoded = self.workers.join(job).and_then(|encoded| encoded);
+        let update = encoded.map(|(encoded, residual)| {
+            self.feedback.restore(residual);
+            Update::encoded(client, encoded, samples)
+        });
+        if self.in_flight.is_empty() {
+            // Every job has run: a turn a failed job left untaken no longer
+            // blocks anyone.
+            self.stream.reopen();
+        }
+        Some((target, update))
+    }
+
+    /// Records a failed encode or commit; the first one is what the
+    /// backend's next drive reports.
+    fn fail(&mut self, error: LiflError) {
+        self.failure.get_or_insert(error);
+    }
+
+    /// The failure recorded since the round opened, if any (clearing it).
+    pub(crate) fn take_failure(&mut self) -> Option<LiflError> {
+        self.failure.take()
     }
 
     /// The route rule: picks the slot for the next update. `refill` is the
@@ -193,17 +478,22 @@ impl Ingress {
     }
 
     /// Opens an empty round: no fill, cursor at the first slot, no
-    /// vacancies. Residuals, the lifetime index and the backlog persist.
+    /// vacancies, no failure. Residuals, the lifetime index and the backlog
+    /// persist. The backend settles first: nothing is in flight.
     pub(crate) fn reset_round(&mut self) {
         self.ingested = 0;
         self.cursor = 0;
         self.vacancies.clear();
+        self.failure = None;
     }
 
     /// The park rule: the round is full, so the update is normalised and its
     /// wire form offered to the bounded queues — `Queued{depth}`, or
     /// `Rejected{retry_after}` when the budget is exhausted. Without queues
     /// the offer is turned away untouched (no encode, no residual change).
+    /// A lossy dense offer is encoded — here, on the calling thread, after
+    /// the backend settled — only once its wire length is known to fit, so
+    /// a rejected one touches no residual, stream position or pool.
     ///
     /// The wire form is borrowed where it lies (a dense model through its
     /// little-endian view, an encoded update through its one buffer), so the
@@ -214,11 +504,28 @@ impl Ingress {
     /// # Errors
     /// Returns [`lifl_types::LiflError::Codec`] for malformed encoded remote
     /// bytes; nothing is parked.
-    pub(crate) fn park(&mut self, update: Update) -> Result<AdmissionOutcome> {
+    fn park(&mut self, update: Update) -> Result<AdmissionOutcome> {
+        if self.queues.is_none() {
+            return Ok(NO_BACKLOG);
+        }
+        let update = match self.normalise(update)? {
+            Normalised::Ready(update) => update,
+            Normalised::Encode(offer) => {
+                let stored = self.stored_bytes(&offer) as usize;
+                if let Some(queues) = self.queues.as_mut() {
+                    if !queues.would_queue(stored) {
+                        return Ok(queues.refuse());
+                    }
+                }
+                let (client, samples) = (offer.client, offer.samples);
+                let (encoded, residual) = self.job(offer)()?;
+                self.feedback.restore(residual);
+                Update::encoded(client, encoded, samples)
+            }
+        };
         let Some(queues) = self.queues.as_mut() else {
             return Ok(NO_BACKLOG);
         };
-        let update = normalise(&mut self.feedback, self.lifetime, update)?;
         Ok(match &update {
             Update::Dense(dense) => {
                 let wire = le_bytes(dense.model.as_slice());
@@ -244,7 +551,7 @@ impl Ingress {
     /// recycled — and its producer rides alongside. A parked payload that no
     /// longer header-validates is dropped here — buffer back to the pool —
     /// and the next offer is taken instead.
-    pub(crate) fn take_parked(&mut self) -> Option<(Update, Option<ClientId>)> {
+    fn take_parked(&mut self) -> Option<(Update, Option<ClientId>)> {
         let queues = self.queues.as_mut()?;
         loop {
             let offer = queues.take_best()?;
@@ -262,7 +569,7 @@ impl Ingress {
     /// Records that the offer [`Ingress::take_parked`] handed out was not
     /// admitted after all: it counts as dropped, not drained. Its buffer
     /// needs no attention — the refused store dropped it back into the pool.
-    pub(crate) fn drop_parked(&mut self) {
+    fn drop_parked(&mut self) {
         if let Some(queues) = self.queues.as_mut() {
             queues.drop_taken();
         }
@@ -272,6 +579,30 @@ impl Ingress {
     #[cfg(test)]
     pub(crate) fn queues_mut(&mut self) -> Option<&mut AdmissionQueues> {
         self.queues.as_mut()
+    }
+
+    /// `client`'s residual as bits, for tests (settle first: an encode in
+    /// flight has it out).
+    #[cfg(test)]
+    pub(crate) fn residual_bits(&self, client: ClientId) -> Option<Vec<u32>> {
+        let residual = self.feedback.residual(client)?;
+        Some(residual.as_slice().iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// Defers a job that panics in place of an encode routed to `target`,
+    /// for the failure-path tests.
+    #[cfg(test)]
+    pub(crate) fn defer_panicking(&mut self, target: Target) {
+        let job = self
+            .workers
+            .submit(|| -> Result<(EncodedUpdate, Residual)> { panic!("ingress encode blew up") });
+        self.in_flight.push_back(InFlight {
+            target,
+            client: ClientId::new(u64::MAX),
+            samples: 1,
+            stored: 0,
+            job,
+        });
     }
 
     /// Drops every offer `client` has parked; `true` if there were any.
@@ -318,12 +649,10 @@ impl Ingress {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lifl_fl::codec::UpdateCodec;
-    use lifl_types::CodecKind;
 
     fn ingress() -> Ingress {
-        let feedback = ErrorFeedback::new(UpdateCodec::new(CodecKind::Identity));
-        Ingress::new(feedback, BufferPool::new(), None)
+        let workers = Workers::with_count(0);
+        Ingress::new(CodecKind::Identity, 0, BufferPool::new(), None, workers)
     }
 
     #[test]

@@ -29,10 +29,10 @@
 
 use crate::admission::AdmissionQueues;
 use crate::gateway::Gateway;
-use crate::ingress::Ingress;
+use crate::ingress::{self, Backend, Ingress, Target};
 use crate::stations::{Stations, Workers};
 use lifl_fl::aggregate::ModelUpdate;
-use lifl_fl::codec::{EncodedView, ErrorFeedback, UpdateCodec};
+use lifl_fl::codec::{EncodedView, UpdateCodec};
 use lifl_fl::DenseModel;
 use lifl_shmem::queue::QueuedUpdate;
 use lifl_shmem::{BufferPool, ObjectStore, StoreStats};
@@ -263,6 +263,7 @@ impl SessionBuilder {
         }
         let store = self.store.unwrap_or_default();
         let pool = self.pool.unwrap_or_default();
+        let workers = self.workers.unwrap_or_else(Workers::new);
         let mut gateway = Gateway::new(self.node, store.clone());
         let stations = Stations::new(
             &self.topology,
@@ -271,12 +272,9 @@ impl SessionBuilder {
             &UpdateCodec::new(self.codec).with_pool(pool.clone()),
             self.shards,
             self.policy,
-            self.workers.unwrap_or_else(Workers::new),
+            workers.clone(),
         )?;
         let leaves = self.topology.leaves();
-        let feedback = ErrorFeedback::new(
-            UpdateCodec::with_seed(self.codec, self.seed).with_pool(pool.clone()),
-        );
         let round_close = self
             .round_close
             .or(self.admission.map(|config| config.round_close))
@@ -289,7 +287,7 @@ impl SessionBuilder {
             codec: self.codec,
             policy: self.policy,
             store,
-            ingress: Ingress::new(feedback, pool.clone(), queues),
+            ingress: Ingress::new(self.codec, self.seed, pool.clone(), queues, workers),
             pool,
             gateway,
             stations,
@@ -504,30 +502,32 @@ impl Session {
     /// [`SessionBuilder::admission`] configuration there is no backlog and
     /// overflow is rejected, untouched, with a zero retry hint.
     ///
+    /// A lossy dense offer is answered at once: its error-feedback encode
+    /// runs on the session's workers (the calling thread runs the oldest
+    /// waiting encode itself when more wait than there are workers) and
+    /// lands in the store in offer order at the latest when the next other
+    /// operation — [`Session::drive`] or any non-lossy offer among them —
+    /// starts. Until then [`Session::store`] and [`Session::pool`] may not
+    /// show it yet; keys, fold order and every bit are those of an inline
+    /// encode.
+    ///
     /// # Errors
     /// Fails only on store/codec errors (the store cannot hold the payload,
     /// malformed encoded bytes); a full round is an outcome, not an error. A
-    /// failed offer counts nothing toward the round, parks nothing and leaves
-    /// the scratch pool as it was (the refused buffer is already back); note
-    /// that if the store rejects a lossy-encoded dense update, the client's
-    /// error-feedback residual already reflects the attempted encoding (the
-    /// standard feedback construction re-absorbs the loss only if the
-    /// client keeps sending).
+    /// failed offer counts nothing toward the round, parks nothing and
+    /// touches nothing: a lossy offer's encoded size is a function of codec
+    /// and dimension alone, so the store refuses it — counting every encode
+    /// still in flight — before it is encoded, and the client's residual,
+    /// the rounding stream and the scratch pool stay exactly as they were.
     pub fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
-        if !self.has_room() {
-            return self.ingress.park(update);
-        }
-        let update = self.ingress.normalise(update)?;
-        let producer = update.client();
-        self.admit(update, producer)?;
-        Ok(AdmissionOutcome::Admitted)
+        ingress::offer(self, update)
     }
 
     /// Moves one normalised update into the store behind the routed leaf's
     /// inbox and counts it into the round, attributed to `producer`: the
-    /// admit step both the direct path and [`Session::drain_backlog`] end in,
-    /// and the door a cluster uses for the node it picked. The update's
-    /// buffer becomes the stored object; nothing is copied.
+    /// admit step both the direct path and the backlog drain end in, and
+    /// the door a cluster uses for the node it picked. The update's buffer
+    /// becomes the stored object; nothing is copied.
     ///
     /// # Errors
     /// [`LiflError::RoundFull`] if the round has no room (never parks), or
@@ -535,42 +535,82 @@ impl Session {
     /// nothing is counted, and the update is dropped — a pooled buffer is
     /// back in the pool by the time this returns.
     pub(crate) fn admit(&mut self, update: Update, producer: Option<ClientId>) -> Result<()> {
-        if !self.has_room() {
-            return Err(LiflError::RoundFull {
-                capacity: self.topology.total_updates(),
-            });
-        }
-        let cursor_leaf = (self.ingress.cursor() as usize) % self.topology.leaves();
-        let route = self.ingress.route(None, cursor_leaf);
-        let target = self.stations.id(0, route.slot);
-        let wire_bytes = update.wire_bytes();
-        let stored = self.gateway.store_and_deliver(target, update, producer);
-        if let Ok(queued) = &stored {
-            // Account only what actually entered the round.
-            self.ingress_wire_bytes += wire_bytes;
-            self.round_keys.push(queued.key);
-            self.round_entries.push(RoundEntry {
-                client: queued.producer,
-                key: queued.key,
-                wire_bytes,
-                leaf: route.slot,
-            });
-        }
+        self.room()?;
+        let route = self.ingress.route(None, self.cursor_leaf());
+        let stored = self.store_into(route.slot, update, producer);
         self.ingress.settle(route, stored.is_ok());
-        stored.map(|_| ())
+        stored
     }
 
-    /// Drains parked offers into the open round — globally best first
-    /// (utility desc, arrival asc) — until the round is full or the backlog
-    /// is empty. An offer that fails to admit is dropped and the next one is
-    /// tried. Called automatically when a driven round opens the next one.
-    fn drain_backlog(&mut self) {
-        while self.has_room() {
-            let Some((update, producer)) = self.ingress.take_parked() else {
-                break;
-            };
-            if self.admit(update, producer).is_err() {
-                self.ingress.drop_parked();
+    /// [`LiflError::RoundFull`] unless the open round can take an update.
+    fn room(&self) -> Result<()> {
+        if self.has_room() {
+            return Ok(());
+        }
+        Err(LiflError::RoundFull {
+            capacity: self.topology.total_updates(),
+        })
+    }
+
+    /// The leaf the round-robin cursor points at.
+    fn cursor_leaf(&self) -> usize {
+        (self.ingress.cursor() as usize) % self.topology.leaves()
+    }
+
+    /// Stores `update` behind `leaf`'s inbox and books it into the round.
+    fn store_into(
+        &mut self,
+        leaf: usize,
+        update: Update,
+        producer: Option<ClientId>,
+    ) -> Result<()> {
+        let target = self.stations.id(0, leaf);
+        let wire_bytes = update.wire_bytes();
+        let queued = self.gateway.store_and_deliver(target, update, producer)?;
+        // Account only what actually entered the round.
+        self.ingress_wire_bytes += wire_bytes;
+        self.round_keys.push(queued.key);
+        self.round_entries.push(RoundEntry {
+            client: queued.producer,
+            key: queued.key,
+            wire_bytes,
+            leaf,
+        });
+        Ok(())
+    }
+
+    /// [`Session::admit`] for an update whose payload does not exist yet (a
+    /// lossy encode still to run): routes it and counts it into the round
+    /// now — or refuses it, touching nothing, exactly when `admit` would
+    /// refuse an update of `stored` bytes after `pending` bytes routed
+    /// ahead of it have landed. Returns the leaf [`Session::commit`] stores
+    /// it behind.
+    pub(crate) fn reserve(&mut self, pending: u64, stored: u64) -> Result<usize> {
+        self.room()?;
+        self.store.fits(pending, stored)?;
+        let route = self.ingress.route(None, self.cursor_leaf());
+        let leaf = route.slot;
+        self.ingress.settle(route, true);
+        Ok(leaf)
+    }
+
+    /// Stores an update [`Session::reserve`] routed to `leaf`.
+    pub(crate) fn commit(&mut self, leaf: usize, update: Update) -> Result<()> {
+        let producer = update.client();
+        self.store_into(leaf, update, producer)
+    }
+
+    /// Commits every in-flight encode; one that failed discards the round
+    /// (reopening it from the backlog) and is returned, as any drive
+    /// failure is.
+    fn settle(&mut self) -> Result<()> {
+        ingress::settle(self);
+        match self.ingress.take_failure() {
+            None => Ok(()),
+            Some(error) => {
+                self.reset_round();
+                ingress::drain(self);
+                Err(error)
             }
         }
     }
@@ -583,6 +623,7 @@ impl Session {
     /// position and the surviving fold stays bit-exact. Returns `true` if
     /// anything (slot or queued offer) was reclaimed.
     pub fn depart_client(&mut self, client: ClientId) -> bool {
+        ingress::settle(self);
         let mut departed = self.ingress.remove_parked(client);
         while let Some(pos) = self
             .round_entries
@@ -606,7 +647,7 @@ impl Session {
             departed = true;
         }
         // Refill vacated slots from the backlog (highest utility first).
-        self.drain_backlog();
+        ingress::drain(self);
         departed
     }
 
@@ -617,9 +658,13 @@ impl Session {
     }
 
     /// The producing clients of the current round's updates, in arrival
-    /// order (`None` for anonymous remote forwards).
+    /// order (`None` for anonymous remote forwards) — lossy offers whose
+    /// encode is still in flight included, last, as they will land.
     pub fn round_clients(&self) -> Vec<Option<ClientId>> {
-        self.round_entries.iter().map(|e| e.client).collect()
+        let stored = self.round_entries.iter().map(|e| e.client);
+        stored
+            .chain(self.ingress.in_flight_clients().map(Some))
+            .collect()
     }
 
     /// The admission configuration, when the streaming path is enabled.
@@ -658,10 +703,12 @@ impl Session {
     /// # Errors
     /// Fails if the ingested updates do not exactly fill the tree
     /// ([`Topology::validate`] — the round is kept and can be topped up) or
-    /// on any store/codec/aggregation error — in which case the partially
-    /// folded round cannot be resumed, so its remaining updates are
-    /// discarded and the session is reset to an empty round.
+    /// on any store/codec/aggregation error, an ingress encode that failed
+    /// included — in which case the partially folded round cannot be
+    /// resumed, so its remaining updates are discarded and the session is
+    /// reset to an empty round.
     pub fn drive(&mut self) -> Result<SessionReport> {
+        self.settle()?;
         self.validate_round()?;
         let outcome = self.drive_and_decode();
         let report = outcome.map(|(model, weight)| SessionReport {
@@ -676,7 +723,7 @@ impl Session {
         self.reset_round();
         // The next round opens immediately: queued clients win admission in
         // utility order.
-        self.drain_backlog();
+        ingress::drain(self);
         report
     }
 
@@ -710,6 +757,7 @@ impl Session {
     /// # Errors
     /// Same conditions as [`Session::drive`].
     pub fn drive_to_wire(&mut self) -> Result<WireExport> {
+        self.settle()?;
         self.validate_round()?;
         let outcome = self.drive_tree().and_then(|result| {
             let object = self.store.get(&result.key)?;
@@ -721,7 +769,7 @@ impl Session {
             })
         });
         self.reset_round();
-        self.drain_backlog();
+        ingress::drain(self);
         outcome
     }
 
@@ -755,16 +803,19 @@ impl Session {
     /// leaving the session ready for a fresh round. Per-client
     /// error-feedback residuals are kept — the discarded round's loss is
     /// re-absorbed if the clients keep sending, exactly as after a failed
-    /// [`Session::drive`]. Used by a cluster coordinator to abort sibling
-    /// nodes' rounds when one node's drive fails.
+    /// [`Session::drive`] (encodes still in flight finish first). Used by a
+    /// cluster coordinator to abort sibling nodes' rounds when one node's
+    /// drive fails.
     pub fn discard_round(&mut self) {
+        ingress::settle(self);
         self.reset_round();
     }
 
     /// Returns the session to an empty round: drains whatever a failed (or
     /// finished) round left in the station inboxes, recycles every store
     /// object the round created (only this round's keys — an injected shared
-    /// store's other objects are untouched) and zeroes the counters.
+    /// store's other objects are untouched) and zeroes the counters. Nothing
+    /// is in flight: every caller has settled.
     fn reset_round(&mut self) {
         self.stations.clear();
         for key in self.round_keys.drain(..) {
@@ -779,6 +830,51 @@ impl Session {
     #[cfg(test)]
     pub(crate) fn station_ids(&mut self) -> Vec<lifl_types::AggregatorId> {
         self.stations.checked_ids(&mut self.gateway)
+    }
+
+    /// Settles, then the stored bytes of every update of the open round, in
+    /// arrival order.
+    #[cfg(test)]
+    pub(crate) fn stored_wires(&mut self) -> Vec<Vec<u8>> {
+        ingress::settle(self);
+        let stored = |e: &RoundEntry| self.store.get(&e.key).map(|o| o.as_slice().to_vec());
+        self.round_entries
+            .iter()
+            .map(|e| stored(e).unwrap_or_default())
+            .collect()
+    }
+
+    /// Settles, then `client`'s residual as bits.
+    #[cfg(test)]
+    pub(crate) fn residual_bits(&mut self, client: ClientId) -> Option<Vec<u32>> {
+        ingress::settle(self);
+        self.ingress.residual_bits(client)
+    }
+}
+
+/// The session's side of the one ingest implementation: its slots are its
+/// leaves, all behind one store.
+impl Backend for Session {
+    fn ingress(&mut self) -> &mut Ingress {
+        &mut self.ingress
+    }
+
+    fn has_room(&self) -> bool {
+        Session::has_room(self)
+    }
+
+    fn admit(&mut self, update: Update, producer: Option<ClientId>) -> Result<()> {
+        Session::admit(self, update, producer)
+    }
+
+    fn reserve(&mut self, _client: ClientId, stored: u64) -> Result<Target> {
+        let pending = self.ingress.in_flight_bytes(None);
+        let leaf = Session::reserve(self, pending, stored)?;
+        Ok(Target { slot: leaf, leaf })
+    }
+
+    fn commit(&mut self, target: Target, update: Update) -> Result<()> {
+        Session::commit(self, target.leaf, update)
     }
 }
 
@@ -1279,39 +1375,93 @@ mod tests {
 
     #[test]
     fn a_refused_ingress_encode_leaves_the_pool_as_it_was() {
-        // A lossy session over a store too small for the encoded update.
+        // Lossy sessions over a store with room for one 64-parameter
+        // encoded update (16 + 64 bytes), not for two; the control is never
+        // refused anything.
+        let build = || {
+            SessionBuilder::new()
+                .two_level(2, 2)
+                .codec(CodecKind::Uniform8)
+                .store(ObjectStore::with_capacity(100))
+                .build()
+                .unwrap()
+        };
+        let (mut session, mut control) = (build(), build());
+        let client = ClientId::new(3);
+        let offer = |session: &mut Session, round: usize| {
+            let values = (0..64)
+                .map(|d| ((d * 7 + round * 13) % 29) as f32 * 0.1 - 1.4)
+                .collect();
+            session.try_ingest(Update::dense(client, DenseModel::from_vec(values), 1))
+        };
+        for session in [&mut session, &mut control] {
+            assert!(offer(session, 0).unwrap().is_admitted());
+            ingress::settle(session);
+        }
+        let pool = session.pool().stats();
+        let residual = session.ingress.residual_bits(client);
+        assert!(residual.is_some());
+        for _ in 0..2 {
+            assert!(matches!(
+                offer(&mut session, 1),
+                Err(LiflError::OutOfSharedMemory { .. })
+            ));
+            // Rolled back: nothing counted, cursor unmoved, nothing stored…
+            assert_eq!(session.pending_updates(), 1);
+            assert_eq!(session.ingress.cursor(), 1);
+            assert_eq!(session.store().stats().live_objects, 1);
+            // …and nothing encoded: the residual and the pool are exactly
+            // as they were before the offer.
+            ingress::settle(&mut session);
+            assert_eq!(session.ingress.residual_bits(client), residual);
+            assert_eq!(session.pool().stats(), pool);
+        }
+        // Nor did the refusals move the rounding stream: the client's next
+        // admitted update is the control's, bit for bit, on the first leaf.
+        let next = |session: &mut Session| {
+            session.discard_round();
+            assert!(offer(session, 1).unwrap().is_admitted());
+            ingress::settle(session);
+            let entry = *session.round_entries.last().unwrap();
+            let stored = session.store().get(&entry.key).unwrap();
+            (entry.leaf, stored.as_slice().to_vec())
+        };
+        let admitted = next(&mut session);
+        assert_eq!(admitted.0, 0);
+        assert_eq!(admitted, next(&mut control));
+        assert_eq!(
+            session.ingress.residual_bits(client),
+            control.ingress.residual_bits(client)
+        );
+    }
+
+    #[test]
+    fn a_panicking_ingress_encode_fails_the_drive_and_the_workers_serve_on() {
+        let offers = |session: &mut Session, n: usize| {
+            for update in updates(n, 64) {
+                session.try_ingest(Update::Dense(update)).unwrap();
+            }
+        };
         let mut session = SessionBuilder::new()
             .two_level(2, 2)
             .codec(CodecKind::Uniform8)
-            .store(ObjectStore::with_capacity(100))
+            .workers(Workers::with_count(1))
             .build()
             .unwrap();
-        let too_big = || Update::Dense(updates(1, 256).pop().unwrap());
-        let refuse = |session: &mut Session| {
-            assert!(matches!(
-                session.try_ingest(too_big()),
-                Err(LiflError::OutOfSharedMemory { .. })
-            ));
-            // Rolled back by `settle`: nothing counted, cursor unmoved.
-            assert_eq!(session.pending_updates(), 0);
-            assert_eq!(session.ingress.cursor(), 0);
-            assert_eq!(session.store().stats().live_objects, 0);
-        };
-        // The first refusal allocates the encode buffer and sends it home.
-        refuse(&mut session);
-        let before = session.pool().stats();
-        assert_eq!((before.idle_buffers, before.misses), (1, 1));
-        // From then on a refusal is pool-neutral: the encode is served from
-        // the slab and the refused buffer is back before `try_ingest` returns.
-        refuse(&mut session);
-        let after = session.pool().stats();
-        assert_eq!(after.idle_buffers, before.idle_buffers);
-        assert_eq!(after.idle_bytes, before.idle_bytes);
-        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
-        // A fitting update still takes the first leaf.
-        let fits = Update::Dense(updates(1, 32).pop().unwrap());
-        assert!(session.try_ingest(fits).unwrap().is_admitted());
-        assert_eq!(session.round_entries.last().map(|e| e.leaf), Some(0));
+        // Three real encodes and, in the fourth slot, a job that panics.
+        offers(&mut session, 3);
+        let slot = Backend::reserve(&mut session, ClientId::new(99), 0).unwrap();
+        session.ingress.defer_panicking(slot);
+        assert_eq!(
+            session.drive().unwrap_err(),
+            LiflError::Simulation("ingress job panicked".to_string())
+        );
+        // The failed round is discarded, nothing leaks, and the next round
+        // runs on the same worker set.
+        assert_eq!(session.pending_updates(), 0);
+        assert_eq!(session.store().stats().live_objects, 0);
+        offers(&mut session, 4);
+        assert_eq!(session.drive().unwrap().updates_ingested, 4);
     }
 
     #[test]

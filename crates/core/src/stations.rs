@@ -14,6 +14,14 @@
 //! which thread ran which station, or on whether a worker woke at all — a
 //! late worker only means the caller did more of the level. This module is
 //! the only place in the engine that starts a thread (`lifl-lint` R6).
+//!
+//! Beside its levels a worker set keeps a FIFO of owned jobs — the
+//! ingress's error-feedback encodes ([`Workers::submit`]). Workers claim the
+//! oldest; the submitting thread runs the oldest itself whenever more jobs
+//! wait than there are workers, so with no workers every job runs inline,
+//! and no bound exists beyond the worker count. A [`Turnstile`] hands one
+//! value from job to job in submission order — the rounding stream the
+//! encodes share.
 
 use crate::aggregator::{position_id, AggregatorRuntime};
 use crate::gateway::Gateway;
@@ -21,6 +29,7 @@ use lifl_fl::codec::UpdateCodec;
 use lifl_shmem::queue::QueuedUpdate;
 use lifl_shmem::InPlaceQueue;
 use lifl_types::{AggregatorId, FoldPolicy, LiflError, ObjectKey, Result, Topology};
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -100,6 +109,195 @@ impl Workers {
         }
         outputs
     }
+
+    /// Queues `job` behind every job already waiting and returns the handle
+    /// its output comes back through ([`Workers::join`]). Workers claim jobs
+    /// oldest first; once more jobs wait than the set has workers, the
+    /// calling thread runs the oldest waiting one itself before returning —
+    /// so with no workers every job runs right here, inline.
+    pub(crate) fn submit<T, F>(&self, job: F) -> Job<T>
+    where
+        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
+    {
+        let outcome = Arc::new(Mutex::new(None));
+        let filled = Arc::clone(&outcome);
+        let task: Task = Box::new(move || {
+            let output = catch_unwind(AssertUnwindSafe(job))
+                .map_err(|_| LiflError::Simulation("ingress job panicked".to_string()));
+            *lock(&filled) = Some(output);
+        });
+        let workers = self.set.threads().len();
+        let mut state = lock(&self.set.board.state);
+        state.jobs.push_back(task);
+        let oldest = if state.jobs.len() > workers {
+            state.jobs.pop_front()
+        } else {
+            None
+        };
+        drop(state);
+        if workers > 0 {
+            self.set.board.wake.notify_one();
+        }
+        if let Some(task) = oldest {
+            task();
+        }
+        Job { outcome }
+    }
+
+    /// Waits for `job`'s output, running waiting jobs (oldest first) on the
+    /// calling thread for as long as any are left. A job that panicked
+    /// yields [`LiflError::Simulation`]; the thread that ran it goes on
+    /// serving.
+    ///
+    /// With nothing left to run, `job` is running on a worker — it was
+    /// claimed, and every job it can wait on is older, so claimed earlier —
+    /// and the caller, with nothing else to do, yields its CPU until it
+    /// finishes rather than park: the wait is at most one job's remainder,
+    /// and waking a parked thread on an idle vCPU can cost milliseconds.
+    pub(crate) fn join<T>(&self, job: Job<T>) -> Result<T> {
+        loop {
+            if let Some(output) = lock(&job.outcome).take() {
+                return output;
+            }
+            let waiting = lock(&self.set.board.state).jobs.pop_front();
+            match waiting {
+                Some(task) => task(),
+                None => thread::yield_now(),
+            }
+        }
+    }
+}
+
+/// A job as the board holds it: runs the work and fills its outcome.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// A submitted job ([`Workers::submit`]); its output comes back through
+/// [`Workers::join`].
+pub(crate) struct Job<T> {
+    /// Where the output lands, from whichever thread ran the job.
+    outcome: Arc<Mutex<Option<Result<T>>>>,
+}
+
+impl<T> Job<T> {
+    /// Whether some thread has run the job, so that joining it returns at
+    /// once.
+    pub(crate) fn is_done(&self) -> bool {
+        lock(&self.outcome).is_some()
+    }
+}
+
+impl<T> fmt::Debug for Job<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Job")
+            .field("done", &self.is_done())
+            .finish()
+    }
+}
+
+/// An in-order hand-off of one value between jobs that run on any thread:
+/// the job holding turn *k* gets the value only after turn *k − 1* passed it
+/// on. Turns are handed out by [`Turnstile::ticket`], in the order the
+/// submitting thread asks for them; since jobs are claimed oldest first, a
+/// turn only ever waits on a turn some thread is already running — briefly,
+/// yielding its CPU, as [`Workers::join`] waits.
+pub(crate) struct Turnstile<S> {
+    gate: Mutex<Gate<S>>,
+}
+
+struct Gate<S> {
+    value: S,
+    /// Turns handed out so far.
+    issued: u64,
+    /// The turn that may take the value next.
+    next: u64,
+    /// A turn was dropped untaken (its job panicked, or never ran): every
+    /// turn behind it fails until [`Turnstile::reopen`].
+    broken: bool,
+}
+
+impl<S> Turnstile<S> {
+    pub(crate) fn new(value: S) -> Arc<Self> {
+        Arc::new(Turnstile {
+            gate: Mutex::new(Gate {
+                value,
+                issued: 0,
+                next: 0,
+                broken: false,
+            }),
+        })
+    }
+
+    /// The next turn.
+    pub(crate) fn ticket(self: &Arc<Self>) -> Turn<S> {
+        let mut gate = lock(&self.gate);
+        let number = gate.issued;
+        gate.issued += 1;
+        Turn {
+            turnstile: Arc::clone(self),
+            number,
+            taken: false,
+        }
+    }
+
+    /// Clears a broken gate once no turn is outstanding: the next ticket's
+    /// turn is the next one.
+    pub(crate) fn reopen(&self) {
+        let mut gate = lock(&self.gate);
+        gate.next = gate.issued;
+        gate.broken = false;
+    }
+}
+
+impl<S> fmt::Debug for Turnstile<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let gate = lock(&self.gate);
+        f.debug_struct("Turnstile")
+            .field("issued", &gate.issued)
+            .field("next", &gate.next)
+            .finish()
+    }
+}
+
+/// One turn at a [`Turnstile`]. Dropped untaken, it breaks the gate rather
+/// than leave the turns behind it waiting forever.
+pub(crate) struct Turn<S> {
+    turnstile: Arc<Turnstile<S>>,
+    number: u64,
+    taken: bool,
+}
+
+impl<S> Turn<S> {
+    /// Waits for this turn, lets `take` have the value, then passes it on.
+    ///
+    /// # Errors
+    /// [`LiflError::Simulation`] if an earlier turn was dropped untaken.
+    pub(crate) fn take<R>(mut self, take: impl FnOnce(&mut S) -> R) -> Result<R> {
+        loop {
+            let mut gate = lock(&self.turnstile.gate);
+            if gate.broken {
+                return Err(LiflError::Simulation(
+                    "an earlier ingress encode failed".to_string(),
+                ));
+            }
+            if gate.next == self.number {
+                let out = take(&mut gate.value);
+                gate.next += 1;
+                self.taken = true;
+                return Ok(out);
+            }
+            drop(gate);
+            thread::yield_now();
+        }
+    }
+}
+
+impl<S> Drop for Turn<S> {
+    fn drop(&mut self) {
+        if !self.taken {
+            lock(&self.turnstile.gate).broken = true;
+        }
+    }
 }
 
 /// The threads behind [`Workers`] and the board they wait on.
@@ -110,12 +308,9 @@ struct WorkerSet {
 }
 
 impl WorkerSet {
-    /// Opens `level` to the workers and wakes up to `wanted` of them;
-    /// returns whether it was opened (not when the set has no threads). A
-    /// caller claims every index nobody else did, so a level no worker ever
-    /// sees still completes.
-    fn publish(&self, level: Arc<dyn Claim>, wanted: usize) -> bool {
-        let threads = self.threads.get_or_init(|| {
+    /// The worker threads, spawned on first use.
+    fn threads(&self) -> &[JoinHandle<()>] {
+        self.threads.get_or_init(|| {
             (0..self.count)
                 .filter_map(|k| {
                     let board = Arc::clone(&self.board);
@@ -125,7 +320,15 @@ impl WorkerSet {
                         .ok()
                 })
                 .collect()
-        });
+        })
+    }
+
+    /// Opens `level` to the workers and wakes up to `wanted` of them;
+    /// returns whether it was opened (not when the set has no threads). A
+    /// caller claims every index nobody else did, so a level no worker ever
+    /// sees still completes.
+    fn publish(&self, level: Arc<dyn Claim>, wanted: usize) -> bool {
+        let threads = self.threads();
         if threads.is_empty() {
             return false;
         }
@@ -166,16 +369,25 @@ struct BoardState {
     /// and waits — rather than re-checking — while its last one is still
     /// open.
     epoch: u64,
+    /// Submitted jobs nobody has claimed yet, oldest first.
+    jobs: VecDeque<Task>,
     shutdown: bool,
 }
 
+/// What a woken worker found to do.
+enum Work {
+    Level(Arc<dyn Claim>),
+    Job(Task),
+}
+
 impl Board {
-    /// A worker's life: wait for a level it has not joined, claim stations
-    /// until none is left, repeat until shutdown.
+    /// A worker's life: wait for a level it has not joined or a waiting
+    /// job, claim stations until none is left or run the oldest job, repeat
+    /// until shutdown.
     fn serve(&self) {
         let mut joined = 0;
         loop {
-            let level = {
+            let work = {
                 let mut state = lock(&self.state);
                 loop {
                     if state.shutdown {
@@ -184,8 +396,11 @@ impl Board {
                     if state.epoch != joined {
                         joined = state.epoch;
                         if let Some(level) = &state.level {
-                            break Arc::clone(level);
+                            break Work::Level(Arc::clone(level));
                         }
+                    }
+                    if let Some(task) = state.jobs.pop_front() {
+                        break Work::Job(task);
                     }
                     state = self
                         .wake
@@ -193,7 +408,10 @@ impl Board {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             };
-            level.claim_all();
+            match work {
+                Work::Level(level) => level.claim_all(),
+                Work::Job(task) => task(),
+            }
         }
     }
 }
@@ -628,6 +846,270 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One round as either backend left it, bit for bit: the bytes stored
+    /// for every update, the model and its weight, every store's accounting.
+    #[derive(Debug, PartialEq)]
+    struct Landed {
+        wires: Vec<Vec<u8>>,
+        model: Vec<u32>,
+        weight: u64,
+        stores: Vec<lifl_shmem::StoreStats>,
+    }
+
+    enum Door {
+        Session(Box<crate::session::Session>),
+        Cluster(Box<crate::cluster::Cluster>),
+    }
+
+    impl Door {
+        fn build(cluster: bool, topology: &Topology, codec: CodecKind, workers: usize) -> Door {
+            use lifl_types::AdmissionConfig;
+            let quorum = topology.total_updates() as u32 - 1;
+            let admission = AdmissionConfig::bounded(4, 1 << 20).with_quorum(quorum);
+            let workers = Workers::with_count(workers);
+            if cluster {
+                let cluster = crate::cluster::ClusterBuilder::new()
+                    .topology(topology.clone())
+                    .codec(codec)
+                    .admission(admission)
+                    .build_on(workers)
+                    .unwrap();
+                Door::Cluster(Box::new(cluster))
+            } else {
+                let session = crate::session::SessionBuilder::new()
+                    .topology(topology.clone())
+                    .codec(codec)
+                    .admission(admission)
+                    .workers(workers)
+                    .build()
+                    .unwrap();
+                Door::Session(Box::new(session))
+            }
+        }
+
+        fn offer(&mut self, update: crate::session::Update) -> lifl_types::AdmissionOutcome {
+            match self {
+                Door::Session(s) => s.try_ingest(update),
+                Door::Cluster(c) => c.try_ingest(update),
+            }
+            .unwrap()
+        }
+
+        fn depart(&mut self, client: lifl_types::ClientId) -> bool {
+            match self {
+                Door::Session(s) => s.depart_client(client),
+                Door::Cluster(c) => c.depart_client(client),
+            }
+        }
+
+        fn land(&mut self) -> Landed {
+            let bits = |model: &lifl_fl::DenseModel| {
+                model.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            match self {
+                Door::Session(s) => {
+                    let wires = s.stored_wires();
+                    let report = s.drive().unwrap();
+                    Landed {
+                        wires,
+                        model: bits(&report.update.model),
+                        weight: report.update.samples,
+                        stores: vec![report.store_stats],
+                    }
+                }
+                Door::Cluster(c) => {
+                    let wires = c.stored_wires();
+                    let report = c.drive().unwrap();
+                    let mut stores: Vec<_> = report.nodes.iter().map(|n| n.store_stats).collect();
+                    stores.push(report.top_store_stats);
+                    Landed {
+                        wires,
+                        model: bits(&report.update.model),
+                        weight: report.update.samples,
+                        stores,
+                    }
+                }
+            }
+        }
+
+        fn residual_bits(&mut self, client: lifl_types::ClientId) -> Option<Vec<u32>> {
+            match self {
+                Door::Session(s) => s.residual_bits(client),
+                Door::Cluster(c) => c.residual_bits(client),
+            }
+        }
+    }
+
+    /// Three rounds of lossy offers over `workers` workers, through every
+    /// path a deferred encode takes: an all-zero compensated update in mid
+    /// batch (its encode draws nothing), a client offering twice in a round,
+    /// a departure while encodes are in flight, lossy offers parked and
+    /// drained into a quorum round, and a change of model dimension. Returns
+    /// each round's landing, then every client's residual.
+    fn deferred_rounds(
+        cluster: bool,
+        topology: &Topology,
+        codec: CodecKind,
+        workers: usize,
+    ) -> (Vec<Landed>, Vec<Option<Vec<u32>>>) {
+        use lifl_types::ClientId;
+
+        let total = topology.total_updates() as u64;
+        let mut door = Door::build(cluster, topology, codec, workers);
+        let mut landed = Vec::new();
+        // Round 0: client 1 offers again halfway through, client 2 departs
+        // before anything settled, 1000 takes its slot and 1001..1003 park.
+        for k in 0..total {
+            let client = if k == total / 2 { 1 } else { k };
+            assert!(door.offer(dense(client, 0, DEFERRED_DIM)).is_admitted());
+        }
+        assert!(door.depart(ClientId::new(2)));
+        assert!(door.offer(dense(1000, 0, DEFERRED_DIM)).is_admitted());
+        for client in 1001..1003 {
+            assert!(door.offer(dense(client, 0, DEFERRED_DIM)).is_queued());
+        }
+        landed.push(door.land());
+        // Round 1: the two parked offers drained in; a quorum closes it one
+        // short of full.
+        for client in 2000..2000 + total - 3 {
+            assert!(door.offer(dense(client, 1, DEFERRED_DIM)).is_admitted());
+        }
+        landed.push(door.land());
+        // Round 2: every model changes dimension.
+        for client in 0..total {
+            assert!(door.offer(dense(client, 2, DEFERRED_DIM + 8)).is_admitted());
+        }
+        landed.push(door.land());
+        let residuals = deferred_clients(total)
+            .map(|c| door.residual_bits(ClientId::new(c)))
+            .collect();
+        (landed, residuals)
+    }
+
+    /// Model dimension before round 2 changes it.
+    const DEFERRED_DIM: usize = 48;
+
+    /// Client `client`'s dense update of round `round`: all zeros for
+    /// client 5's first.
+    fn dense(client: u64, round: u64, dim: usize) -> crate::session::Update {
+        let values = (0..dim as u64)
+            .map(|d| {
+                if client == 5 && round == 0 {
+                    0.0
+                } else {
+                    ((client * 37 + round * 53 + d * 11) % 101) as f32 * 0.03 - 1.4
+                }
+            })
+            .collect();
+        let model = lifl_fl::DenseModel::from_vec(values);
+        crate::session::Update::dense(lifl_types::ClientId::new(client), model, 1 + client % 7)
+    }
+
+    /// Every client [`deferred_rounds`] offers for.
+    fn deferred_clients(total: u64) -> impl Iterator<Item = u64> {
+        (0..total).chain(1000..1003).chain(2000..2000 + total - 3)
+    }
+
+    /// The residuals [`deferred_rounds`] must leave: its offers, in offer
+    /// order, through the sequential `ErrorFeedback::encode_update` at the
+    /// ingress seed.
+    fn sequential_residuals(total: u64, codec: CodecKind) -> Vec<Option<Vec<u32>>> {
+        use lifl_fl::codec::{ErrorFeedback, UpdateCodec};
+        let offers = (0..total)
+            .map(|k| (if k == total / 2 { 1 } else { k }, 0, DEFERRED_DIM))
+            .chain((1000..1003).map(|c| (c, 0, DEFERRED_DIM)))
+            .chain((2000..2000 + total - 3).map(|c| (c, 1, DEFERRED_DIM)))
+            .chain((0..total).map(|c| (c, 2, DEFERRED_DIM + 8)));
+        let mut feedback = ErrorFeedback::new(UpdateCodec::with_seed(codec, 0x5EED));
+        for (client, round, dim) in offers {
+            let crate::session::Update::Dense(dense) = dense(client, round, dim) else {
+                unreachable!("dense() builds dense updates");
+            };
+            let client = lifl_types::ClientId::new(client);
+            feedback.encode_update(client, dense.model, dense.samples);
+        }
+        deferred_clients(total)
+            .map(|c| {
+                let residual = feedback.residual(lifl_types::ClientId::new(c))?;
+                Some(residual.as_slice().iter().map(|v| v.to_bits()).collect())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_deferred_encode_never_changes_a_bit() {
+        let backends = [
+            (false, Topology::new(vec![8, 16]).unwrap()),
+            (false, Topology::new(vec![2, 2, 2]).unwrap()),
+            (true, Topology::new(vec![8, 4, 4]).unwrap()),
+        ];
+        let codecs = [
+            CodecKind::Uniform8,
+            CodecKind::Uniform4,
+            CodecKind::TopK { permille: 250 },
+        ];
+        for (cluster, topology) in &backends {
+            for codec in codecs {
+                let inline = deferred_rounds(*cluster, topology, codec, 0);
+                let total = topology.total_updates() as u64;
+                assert_eq!(
+                    inline.1,
+                    sequential_residuals(total, codec),
+                    "{topology} {codec} cluster={cluster}: not the sequential encode"
+                );
+                assert!(inline.1.iter().all(Option::is_some));
+                for workers in [1, 3] {
+                    assert_eq!(
+                        deferred_rounds(*cluster, topology, codec, workers),
+                        inline,
+                        "{topology} {codec} cluster={cluster}: {workers} workers diverged \
+                         from encoding inline"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn jobs_come_back_in_submission_order_and_a_panic_is_a_typed_error() {
+        for count in [0, 1, 3] {
+            let workers = Workers::with_count(count);
+            let panicking = workers.submit(|| -> usize { panic!("job blew up") });
+            let jobs: Vec<Job<usize>> = (0..16).map(|i| workers.submit(move || i * i)).collect();
+            assert_eq!(
+                workers.join(panicking),
+                Err(LiflError::Simulation("ingress job panicked".to_string()))
+            );
+            let squares: Vec<usize> = jobs.into_iter().map(|j| workers.join(j).unwrap()).collect();
+            assert_eq!(squares, (0..16).map(|i| i * i).collect::<Vec<_>>());
+            // The same threads serve on; with none, the caller ran it all.
+            assert_eq!(workers.set.threads.get().map(Vec::len), Some(count));
+        }
+    }
+
+    #[test]
+    fn a_turnstile_hands_its_value_on_in_ticket_order() {
+        let workers = Workers::with_count(3);
+        let gate = Turnstile::new(Vec::new());
+        let jobs: Vec<Job<Result<()>>> = (0..12)
+            .map(|k| {
+                let turn = gate.ticket();
+                workers.submit(move || turn.take(|seen: &mut Vec<usize>| seen.push(k)))
+            })
+            .collect();
+        for job in jobs {
+            workers.join(job).unwrap().unwrap();
+        }
+        assert_eq!(lock(&gate.gate).value, (0..12).collect::<Vec<_>>());
+        // A turn dropped untaken fails the turns behind it — nobody waits
+        // forever — until the gate is reopened.
+        let (dropped, behind) = (gate.ticket(), gate.ticket());
+        drop(dropped);
+        assert!(behind.take(|_| ()).is_err());
+        gate.reopen();
+        assert_eq!(gate.ticket().take(|seen| seen.len()), Ok(12));
     }
 
     #[test]

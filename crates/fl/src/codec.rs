@@ -43,7 +43,7 @@ use crate::update::Update;
 use lifl_shmem::{BufferPool, PooledBuf};
 use lifl_types::{ClientId, CodecKind, LiflError, Result, WIRE_HEADER_BYTES};
 use std::borrow::Cow;
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 
 /// Codec tags used in byte 0 of the wire header.
 const TAG_IDENTITY: u8 = 0;
@@ -496,46 +496,57 @@ impl UpdateCodec {
     /// one buffer — descriptor first, the body written straight behind it —
     /// is checked out of the codec's pool and returns there when dropped.
     pub fn encode_slice(&mut self, params: &[f32]) -> EncodedUpdate {
-        let dim = params.len() as u32;
-        let (scale, kept) = match self.kind {
-            CodecKind::Identity => (0.0, dim),
-            CodecKind::Uniform8 => (tensor_scale(params, U8_LEVELS), dim),
-            CodecKind::Uniform4 => (tensor_scale(params, U4_LEVELS), dim),
-            CodecKind::TopK { permille } => {
-                let kept = CodecKind::top_k_kept(params.len() as u64, permille);
-                (0.0, kept as u32)
-            }
-        };
-        let mut encoded = self.checkout(dim, scale, kept);
-        let out = encoded.wire.as_mut_vec();
-        match self.kind {
-            CodecKind::Identity => out.extend_from_slice(kernels::le_bytes(params)),
-            CodecKind::Uniform8 => kernels::append_u8(params, scale, U8_LEVELS, &mut self.rng, out),
-            CodecKind::Uniform4 => kernels::append_u4(params, scale, U4_LEVELS, &mut self.rng, out),
-            CodecKind::TopK { .. } => kernels::append_topk(params, kept as usize, out),
-        }
-        encoded
-    }
-
-    /// An update of this codec with its one wire buffer checked out of the
-    /// pool and the descriptor written; the body goes straight behind it.
-    fn checkout(&self, dim: u32, scale: f32, kept: u32) -> EncodedUpdate {
-        let body_bytes = self.kind.encoded_bytes(u64::from(dim) * 4) as usize;
-        let mut wire = PooledBuf::checkout(&self.pool, HEADER + body_bytes);
-        wire.as_mut_vec()
-            .extend_from_slice(&descriptor(self.kind, dim, scale, kept));
-        EncodedUpdate {
-            codec: self.kind,
-            dim,
-            scale,
-            kept,
-            wire,
-        }
+        encode_params(self.kind, &self.pool, &mut self.rng, params)
     }
 
     /// Convenience: encode then immediately decode (what an aggregator sees).
     pub fn roundtrip(&mut self, model: &DenseModel) -> DenseModel {
         self.encode(model).decode()
+    }
+}
+
+/// [`UpdateCodec::encode_slice`] for a codec of `kind` drawing buffers from
+/// `pool` and rounding words from `rng`.
+fn encode_params(
+    kind: CodecKind,
+    pool: &BufferPool,
+    rng: &mut StochasticRng,
+    params: &[f32],
+) -> EncodedUpdate {
+    let dim = params.len() as u32;
+    let (scale, kept) = match kind {
+        CodecKind::Identity => (0.0, dim),
+        CodecKind::Uniform8 => (tensor_scale(params, U8_LEVELS), dim),
+        CodecKind::Uniform4 => (tensor_scale(params, U4_LEVELS), dim),
+        CodecKind::TopK { permille } => {
+            let kept = CodecKind::top_k_kept(params.len() as u64, permille);
+            (0.0, kept as u32)
+        }
+    };
+    let mut encoded = checkout(kind, pool, dim, scale, kept);
+    let out = encoded.wire.as_mut_vec();
+    match kind {
+        CodecKind::Identity => out.extend_from_slice(kernels::le_bytes(params)),
+        CodecKind::Uniform8 => kernels::append_u8(params, scale, U8_LEVELS, rng, out),
+        CodecKind::Uniform4 => kernels::append_u4(params, scale, U4_LEVELS, rng, out),
+        CodecKind::TopK { .. } => kernels::append_topk(params, kept as usize, out),
+    }
+    encoded
+}
+
+/// An update of codec `kind` with its one wire buffer checked out of `pool`
+/// and the descriptor written; the body goes straight behind it.
+fn checkout(kind: CodecKind, pool: &BufferPool, dim: u32, scale: f32, kept: u32) -> EncodedUpdate {
+    let body_bytes = kind.encoded_bytes(u64::from(dim) * 4) as usize;
+    let mut wire = PooledBuf::checkout(pool, HEADER + body_bytes);
+    wire.as_mut_vec()
+        .extend_from_slice(&descriptor(kind, dim, scale, kept));
+    EncodedUpdate {
+        codec: kind,
+        dim,
+        scale,
+        kept,
+        wire,
     }
 }
 
@@ -556,6 +567,159 @@ fn scale_for(max_abs: f32, levels: f32) -> f32 {
 /// A fused error-feedback body encoder of the kernel layer
 /// ([`kernels::feedback_append_u8`] / [`kernels::feedback_append_u4`]).
 type FeedbackAppend = fn(&mut [f32], f32, f32, &mut StochasticRng, &mut Vec<u8>);
+
+/// The levels and fused body encoder of a stochastic quantizer; `None` for
+/// the codecs whose encode draws no rounding words.
+fn quantizer(kind: CodecKind) -> Option<(f32, FeedbackAppend)> {
+    match kind {
+        CodecKind::Uniform8 => Some((U8_LEVELS, kernels::feedback_append_u8)),
+        CodecKind::Uniform4 => Some((U4_LEVELS, kernels::feedback_append_u4)),
+        CodecKind::Identity | CodecKind::TopK { .. } => None,
+    }
+}
+
+/// One client's error-feedback encode, taken out of its [`ErrorFeedback`]
+/// ([`ErrorFeedback::take_job`]) so that it can run on any thread: the
+/// client's residual, moved out of the map, and the model still to be added
+/// into it. Its steps — [`FeedbackJob::compensate`] (sweep 1),
+/// [`CompensatedJob::finish`] (sweep 2) and [`ErrorFeedback::restore`] — are
+/// the one encode behind [`ErrorFeedback::encode`] too. The only thing a job
+/// shares with other clients' jobs is the rounding stream, which it reads
+/// between its two sweeps ([`CompensatedJob::claim`]).
+#[derive(Debug)]
+pub struct FeedbackJob<'a> {
+    client: ClientId,
+    kind: CodecKind,
+    pool: BufferPool,
+    residual: DenseModel,
+    /// The model still to be added into a stored residual; `None` when the
+    /// model is the residual already (a client's first, or reshaped, model).
+    carried: Option<Cow<'a, DenseModel>>,
+}
+
+impl FeedbackJob<'_> {
+    /// Whether the encode draws from the shared rounding stream. Every
+    /// stochastic quantizer does, so its place in the stream's order is
+    /// fixed when the job is taken — even though how many words it draws is
+    /// known only after [`FeedbackJob::compensate`] (none at a zero scale).
+    /// Top-k never draws.
+    pub fn draws_rounding_words(&self) -> bool {
+        quantizer(self.kind).is_some()
+    }
+
+    /// Sweep 1: adds the carried model into the residual and, for a
+    /// quantizer, derives the scale in the same pass ([`kernels::add_max`]).
+    /// Top-k's add ([`kernels::axpy`]) is a finished sweep of its own, since
+    /// selection needs every compensated value before it emits a pair.
+    pub fn compensate(self) -> CompensatedJob {
+        let FeedbackJob {
+            client,
+            kind,
+            pool,
+            residual,
+            carried,
+        } = self;
+        // The sum lands in a buffer the job owns outright: an owned model
+        // takes the stored residual in and becomes the residual, releasing
+        // the older buffer rather than the freshly offered one (whose free
+        // can hand the top of the heap back mid-round); a lent model is
+        // added into the stored residual. Addition commutes: same bits.
+        let (mut sum, addend) = match carried {
+            Some(Cow::Owned(model)) => (model, Some(Cow::Owned(residual))),
+            lent @ Some(Cow::Borrowed(_)) => (residual, lent),
+            None => (residual, None),
+        };
+        let values = sum.as_mut_slice();
+        let scale = match (quantizer(kind), addend.as_deref()) {
+            (Some((levels, _)), Some(addend)) => {
+                scale_for(kernels::add_max(values, addend.as_slice()), levels)
+            }
+            (Some((levels, _)), None) => tensor_scale(values, levels),
+            (None, Some(addend)) => {
+                kernels::axpy(values, addend.as_slice(), 1.0);
+                0.0
+            }
+            (None, None) => 0.0,
+        };
+        CompensatedJob {
+            client,
+            kind,
+            pool,
+            residual: sum,
+            scale,
+        }
+    }
+}
+
+/// A [`FeedbackJob`] after its first sweep: the compensated residual and,
+/// for a quantizer, the scale, which fixes how many rounding words the
+/// second sweep draws.
+#[derive(Debug)]
+pub struct CompensatedJob {
+    client: ClientId,
+    kind: CodecKind,
+    pool: BufferPool,
+    residual: DenseModel,
+    scale: f32,
+}
+
+impl CompensatedJob {
+    /// Claims this encode's share of the rounding stream in O(1): returns
+    /// the generator position its words start at and moves `stream` past
+    /// every one of them — `dim.div_ceil(2)` draws, none at a zero scale or
+    /// for top-k. Jobs that claim in the order they were taken each start
+    /// where a sequential encode would have, so [`CompensatedJob::finish`]
+    /// from the claimed position writes the same bytes.
+    pub fn claim(&self, stream: &mut StochasticRng) -> StochasticRng {
+        let start = stream.clone();
+        if quantizer(self.kind).is_some() {
+            stream.skip(kernels::feedback_draws(self.residual.dim(), self.scale));
+        }
+        start
+    }
+
+    /// Sweep 2: writes the wire form behind the descriptor of a pooled
+    /// buffer, drawing rounding words from `rng`, and leaves in the residual
+    /// what the codec dropped — fused into the quantizer's pass
+    /// ([`kernels::feedback_append_u8`] / `_u4`), a fold-back over the kept
+    /// pairs for top-k.
+    pub fn finish(self, rng: &mut StochasticRng) -> (EncodedUpdate, Residual) {
+        let CompensatedJob {
+            client,
+            kind,
+            pool,
+            mut residual,
+            scale,
+        } = self;
+        let values = residual.as_mut_slice();
+        let encoded = match quantizer(kind) {
+            Some((levels, feedback_append)) => {
+                let dim = values.len() as u32;
+                let mut encoded = checkout(kind, &pool, dim, scale, dim);
+                feedback_append(values, scale, levels, rng, encoded.wire.as_mut_vec());
+                encoded
+            }
+            None => {
+                let encoded = encode_params(kind, &pool, rng, values);
+                encoded.view().fold_range_into(-1.0, 0, values);
+                encoded
+            }
+        };
+        let residual = Residual {
+            client,
+            model: residual,
+        };
+        (encoded, residual)
+    }
+}
+
+/// What an error-feedback encode leaves for its client's next one: the
+/// residual [`ErrorFeedback::restore`] puts back.
+#[derive(Debug)]
+pub struct Residual {
+    client: ClientId,
+    model: DenseModel,
+}
 
 /// Client-side error feedback: each client remembers the residual its codec
 /// dropped last round and adds it back before encoding the next update, so the
@@ -594,7 +758,8 @@ impl ErrorFeedback {
     /// `residual -= decode(encoded)` — which the tests keep as the oracle.
     /// Nothing model-sized is allocated, and a client's first model is copied
     /// once, to become its residual ([`ErrorFeedback::encode_update`] moves
-    /// it instead).
+    /// it instead — and moves every later model in too, the stored residual
+    /// added into it and released).
     ///
     /// `TopK` keeps the separate steps — [`kernels::axpy`], top-k selection,
     /// fold-back — because none of them can be fused away: selection needs
@@ -620,50 +785,57 @@ impl ErrorFeedback {
 
     /// The one encode path behind [`ErrorFeedback::encode`] (which lends the
     /// model) and [`ErrorFeedback::encode_update`] (which gives it away, so a
-    /// first model *becomes* the residual). A stored residual of another
-    /// shape is replaced like a missing one.
+    /// first model *becomes* the residual): a job's three steps run in
+    /// place, drawing straight from this feedback's own stream.
     fn compensate(&mut self, client: ClientId, model: Cow<'_, DenseModel>) -> EncodedUpdate {
-        let quantizer: Option<(f32, FeedbackAppend)> = match self.codec.kind {
+        if self.kind().is_lossless() {
             // Nothing is dropped, so there is no residual to carry.
-            CodecKind::Identity => return self.codec.encode(&model),
-            CodecKind::Uniform8 => Some((U8_LEVELS, kernels::feedback_append_u8)),
-            CodecKind::Uniform4 => Some((U4_LEVELS, kernels::feedback_append_u4)),
-            CodecKind::TopK { .. } => None,
+            return self.codec.encode(&model);
+        }
+        let job = self.take(client, model).compensate();
+        let (encoded, residual) = job.finish(&mut self.codec.rng);
+        self.restore(residual);
+        encoded
+    }
+
+    /// Step 1 of an encode that runs somewhere else: takes `client`'s
+    /// residual out of the map — [`ErrorFeedback::restore`] puts it back —
+    /// and hands it, with `model`, to a job that owns everything the encode
+    /// touches. A stored residual of another shape is dropped, as
+    /// [`ErrorFeedback::encode_update`] drops it. `encode_update` is exactly
+    /// this, [`FeedbackJob::compensate`], [`CompensatedJob::finish`] from
+    /// this feedback's own stream, and `restore`; a job that runs elsewhere
+    /// claims its stream position instead ([`CompensatedJob::claim`]).
+    ///
+    /// Under a lossless codec nothing is dropped, so nothing is taken: the
+    /// job encodes `model` as it is and `restore` keeps nothing
+    /// (`encode_update` sends such a model dense instead).
+    pub fn take_job(&mut self, client: ClientId, model: DenseModel) -> FeedbackJob<'static> {
+        self.take(client, Cow::Owned(model))
+    }
+
+    /// [`ErrorFeedback::take_job`] over a lent or owned model.
+    fn take<'a>(&mut self, client: ClientId, model: Cow<'a, DenseModel>) -> FeedbackJob<'a> {
+        let (residual, carried) = match self.residuals.remove(&client) {
+            Some(stored) if stored.dim() == model.dim() => (stored, Some(model)),
+            // A first model — or one of a new shape, whose stale residual
+            // goes — is the residual already.
+            _ => (model.into_owned(), None),
         };
-        // `carried` is the model still to be added into a residual that was
-        // stored; a first (or reshaped) model is the residual already.
-        let (residual, carried) = match self.residuals.entry(client) {
-            Entry::Occupied(stored) if stored.get().dim() == model.dim() => {
-                (stored.into_mut(), Some(model))
-            }
-            Entry::Occupied(stale) => {
-                let residual = stale.into_mut();
-                *residual = model.into_owned();
-                (residual, None)
-            }
-            Entry::Vacant(first) => (first.insert(model.into_owned()), None),
-        };
-        let residual = residual.as_mut_slice();
-        match quantizer {
-            Some((levels, feedback_append)) => {
-                let scale = match carried {
-                    Some(model) => scale_for(kernels::add_max(residual, model.as_slice()), levels),
-                    None => tensor_scale(residual, levels),
-                };
-                let dim = residual.len() as u32;
-                let mut encoded = self.codec.checkout(dim, scale, dim);
-                let body = encoded.wire.as_mut_vec();
-                feedback_append(residual, scale, levels, &mut self.codec.rng, body);
-                encoded
-            }
-            None => {
-                if let Some(model) = carried {
-                    kernels::axpy(residual, model.as_slice(), 1.0);
-                }
-                let encoded = self.codec.encode_slice(residual);
-                encoded.view().fold_range_into(-1.0, 0, residual);
-                encoded
-            }
+        FeedbackJob {
+            client,
+            kind: self.kind(),
+            pool: self.codec.pool.clone(),
+            residual,
+            carried,
+        }
+    }
+
+    /// Step 3: puts a finished job's residual back as its client's (none
+    /// under a lossless codec).
+    pub fn restore(&mut self, residual: Residual) {
+        if !self.kind().is_lossless() {
+            self.residuals.insert(residual.client, residual.model);
         }
     }
 
@@ -1023,6 +1195,86 @@ mod tests {
                     .map(|v| v.to_bits())
                     .collect();
                 assert_eq!(carried, expected, "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn jobs_run_out_of_order_but_claimed_in_order_match_the_sequential_encode() {
+        // Client 2 sends an all-zero model on its first round: a zero scale,
+        // so its encode draws nothing and the stream must not move for it.
+        let rounds: Vec<Vec<DenseModel>> = (0..3)
+            .map(|r| {
+                (0..5)
+                    .map(|c| {
+                        let values = (0..257).map(|d| {
+                            if c == 2 && r == 0 {
+                                0.0
+                            } else {
+                                ((d * 31 + c * 17 + r * 7) % 97) as f32 * 0.02 - 0.9
+                            }
+                        });
+                        DenseModel::from_vec(values.collect())
+                    })
+                    .collect()
+            })
+            .collect();
+        for kind in [
+            CodecKind::Uniform8,
+            CodecKind::Uniform4,
+            CodecKind::TopK { permille: 50 },
+        ] {
+            let mut sequential = ErrorFeedback::new(UpdateCodec::with_seed(kind, 21));
+            let mut deferred = ErrorFeedback::new(UpdateCodec::with_seed(kind, 21));
+            let mut stream = StochasticRng::from_seed(21);
+            for round in &rounds {
+                let clients = (0..round.len() as u64).map(ClientId::new);
+                let expected: Vec<Vec<u8>> = clients
+                    .clone()
+                    .zip(round)
+                    .map(|(c, m)| sequential.encode(c, m).unwrap().to_bytes())
+                    .collect();
+                // Take in offer order; run the first sweeps last-first; claim
+                // in offer order; finish last-first again.
+                let jobs: Vec<FeedbackJob> = clients
+                    .clone()
+                    .zip(round)
+                    .map(|(c, m)| deferred.take_job(c, m.clone()))
+                    .collect();
+                assert!(jobs.iter().all(
+                    |j| j.draws_rounding_words() == (kind != CodecKind::TopK { permille: 50 })
+                ));
+                let mut compensated: Vec<CompensatedJob> = jobs
+                    .into_iter()
+                    .rev()
+                    .map(FeedbackJob::compensate)
+                    .collect();
+                compensated.reverse();
+                let starts: Vec<StochasticRng> =
+                    compensated.iter().map(|j| j.claim(&mut stream)).collect();
+                let mut got: Vec<Vec<u8>> = compensated
+                    .into_iter()
+                    .zip(starts)
+                    .rev()
+                    .map(|(job, mut start)| {
+                        let (encoded, residual) = job.finish(&mut start);
+                        deferred.restore(residual);
+                        encoded.to_bytes()
+                    })
+                    .collect();
+                got.reverse();
+                assert_eq!(got, expected, "{kind}");
+                for c in clients {
+                    let bits = |f: &ErrorFeedback| -> Vec<u32> {
+                        f.residual(c)
+                            .unwrap()
+                            .as_slice()
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect()
+                    };
+                    assert_eq!(bits(&deferred), bits(&sequential), "{kind} {c:?}");
+                }
             }
         }
     }

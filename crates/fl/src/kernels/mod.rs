@@ -129,6 +129,14 @@ const SPLITMIX_MUL2: u64 = 0x94D0_49BB_1331_11EB;
 /// before it. Splitting a fill at even word counts changes nothing; splitting
 /// it at an odd count discards a half-draw at the split and shifts the rest
 /// of the stream.
+///
+/// A stochastic encode at a non-positive scale draws nothing at all (see
+/// [`feedback_append_u8`]): an all-zero compensated update leaves the
+/// generator where it found it. So how far one error-feedback encode moves
+/// the stream is known only after its first sweep has derived the scale,
+/// never at offer time — which is why an ingress that runs encodes
+/// concurrently hands the stream from one encode to the next in offer
+/// order instead of reserving fixed windows of it.
 #[derive(Debug, Clone)]
 pub struct StochasticRng {
     state: u64,
@@ -153,9 +161,10 @@ impl StochasticRng {
     }
 
     /// Moves the generator past `draws` 64-bit draws without computing them:
-    /// how an arm that drew in registers leaves the position `fill` defines.
-    #[cfg(target_arch = "x86_64")]
-    fn skip(&mut self, draws: u64) {
+    /// how an arm that drew in registers leaves the position `fill` defines,
+    /// and how an error-feedback encode claims its share of the stream
+    /// before drawing it.
+    pub(crate) fn skip(&mut self, draws: u64) {
         self.state = self.state.wrapping_add(SPLITMIX_GAMMA.wrapping_mul(draws));
     }
 
@@ -733,6 +742,16 @@ fn encode_u4_with(
 // Fused error-feedback encoders.
 // ---------------------------------------------------------------------------
 
+/// The 64-bit draws [`feedback_append_u8`] / [`feedback_append_u4`] take
+/// from the generator for `len` elements at `scale`: one rounding word per
+/// element, so `len.div_ceil(2)` draws, and none at a non-positive scale.
+pub(crate) fn feedback_draws(len: usize, scale: f32) -> u64 {
+    if scale <= 0.0 {
+        return 0;
+    }
+    len.div_ceil(2) as u64
+}
+
 /// [`append_u8`] over an error-feedback residual, with the fold-back fused
 /// into the same sweep: appends the level bytes of `residual` behind whatever
 /// `body` holds and leaves in `residual` what the quantizer dropped,
@@ -895,6 +914,27 @@ mod tests {
         assert_eq!(body, vec![0u8; 2]);
         let mut untouched = StochasticRng::from_seed(9);
         assert_eq!(rng.next_u64(), untouched.next_u64());
+    }
+
+    #[test]
+    fn feedback_draws_is_where_the_encoders_leave_the_stream() {
+        type Append = fn(&mut [f32], f32, f32, &mut StochasticRng, &mut Vec<u8>);
+        let encoders: [(f32, Append); 2] = [(127.0, feedback_append_u8), (7.0, feedback_append_u4)];
+        for len in [0usize, 1, 7, 64, 1001] {
+            // A zero (or negative) scale draws nothing; a positive one draws
+            // a word per element, whichever arm runs.
+            for scale in [0.0f32, -1.0, 0.25] {
+                for (levels, append) in encoders {
+                    let mut residual: Vec<f32> =
+                        (0..len).map(|i| (i % 13) as f32 * 0.1 - 0.6).collect();
+                    let mut drawn = StochasticRng::from_seed(5);
+                    append(&mut residual, scale, levels, &mut drawn, &mut Vec::new());
+                    let mut skipped = StochasticRng::from_seed(5);
+                    skipped.skip(feedback_draws(len, scale));
+                    assert_eq!(drawn.state, skipped.state, "{len} elements at {scale}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -39,6 +39,19 @@ impl StoreStats {
     }
 }
 
+/// The capacity rule: `size` more bytes, after `pending` others, must stay
+/// within a bounded store's capacity.
+fn refusal(stats: &StoreStats, pending: u64, size: u64) -> Result<()> {
+    let used = stats.allocated_bytes + pending;
+    if stats.capacity_bytes > 0 && used + size > stats.capacity_bytes {
+        return Err(LiflError::OutOfSharedMemory {
+            requested: size,
+            available: stats.capacity_bytes.saturating_sub(used),
+        });
+    }
+    Ok(())
+}
+
 struct Inner {
     objects: HashMap<ObjectKey, ArcObject>,
     stats: StoreStats,
@@ -126,17 +139,22 @@ impl ObjectStore {
         self.put_object(data.into(), Some(dense_bytes))
     }
 
+    /// Whether a put of `size` bytes would fit once `pending` more bytes
+    /// have been put first: `Ok`, or the [`LiflError::OutOfSharedMemory`]
+    /// that put would then return. How an ingress refuses an update whose
+    /// payload does not exist yet (a lossy encode still to run) exactly when
+    /// the store would refuse it after everything ahead of it has landed.
+    ///
+    /// # Errors
+    /// [`LiflError::OutOfSharedMemory`] when the capacity would be exceeded.
+    pub fn fits(&self, pending: u64, size: u64) -> Result<()> {
+        refusal(&self.inner.lock().stats, pending, size)
+    }
+
     fn put_object(&self, data: bytes::Bytes, dense_bytes: Option<u64>) -> Result<ObjectKey> {
         let mut inner = self.inner.lock();
         let size = data.len() as u64;
-        if inner.stats.capacity_bytes > 0
-            && inner.stats.allocated_bytes + size > inner.stats.capacity_bytes
-        {
-            return Err(LiflError::OutOfSharedMemory {
-                requested: size,
-                available: inner.stats.capacity_bytes - inner.stats.allocated_bytes,
-            });
-        }
+        refusal(&inner.stats, 0, size)?;
         let key = loop {
             let mut bytes = [0u8; 16];
             inner.rng.fill_bytes(&mut bytes);
@@ -270,6 +288,22 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn fits_counts_pending_bytes_like_an_earlier_put() {
+        let store = ObjectStore::with_capacity(150);
+        store.put(vec![0u8; 50]).unwrap();
+        assert_eq!(store.fits(60, 40), Ok(()));
+        // After 60 pending bytes, a 41-byte put is what the store refuses.
+        assert_eq!(
+            store.fits(60, 41),
+            Err(LiflError::OutOfSharedMemory {
+                requested: 41,
+                available: 40
+            })
+        );
+        assert_eq!(ObjectStore::new().fits(u64::MAX / 2, 1 << 40), Ok(()));
     }
 
     #[test]

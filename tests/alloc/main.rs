@@ -390,10 +390,13 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
             // an owned update, and the moved vector *is* its first residual —
             // nothing model-sized is allocated beyond the wire buffer, which
             // the warm pool serves.
+            // Its encode may run on a worker after the offer returns;
+            // discarding the round settles it inside the window.
             let model = clients[0].1.clone();
             let newcomer = Update::dense(ClientId::new(99), model, 1);
             let before = model_sized_allocs();
             session.try_ingest(newcomer).expect("first contact");
+            session.discard_round();
             assert_eq!(
                 model_sized_allocs() - before,
                 0,
@@ -588,4 +591,56 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         },
     );
     assert!(spawned > 0, "the spike must re-split node subtrees");
+
+    // Phase 9: a steady-state lossy cluster round on the deferred ingress
+    // path, with model-sized updates. Each offer only routes and counts its
+    // update; the error-feedback encode runs as a job on the cluster's
+    // worker set (or inline, when more jobs wait than there are workers)
+    // and lands in offer order. The round allocates nothing model-sized but
+    // the model `drive()` returns, and runs on exactly the threads the first
+    // round left — the same ids, the same names.
+    let before = threads();
+    let mut cluster = ClusterBuilder::new()
+        .topology(Topology::new(vec![2, 2, 2]).expect("topology"))
+        .codec(CodecKind::Uniform8)
+        .build()
+        .expect("cluster");
+    let cluster_rounds = |count: usize| -> Vec<Vec<Update>> {
+        (0..count)
+            .map(|_| {
+                (0..8u64)
+                    .map(|c| {
+                        let model = clients[c as usize % clients.len()].1.clone();
+                        Update::dense(ClientId::new(100 + c), model, 1 + c)
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let mut cluster_round = |round: Vec<Update>| -> u64 {
+        let before = model_sized_allocs();
+        for update in round {
+            assert!(cluster.try_ingest(update).expect("offer").is_admitted());
+        }
+        let report = cluster.drive().expect("cluster drive");
+        assert_eq!(report.update.samples, (1..=8).sum::<u64>());
+        model_sized_allocs() - before
+    };
+    for round in cluster_rounds(WARM_UP) {
+        cluster_round(round);
+    }
+    let warm = threads();
+    assert_eq!(
+        workers(&warm),
+        workers(&before) + per_set,
+        "one more worker set: {warm:?}"
+    );
+    for round in cluster_rounds(MEASURED) {
+        assert_eq!(
+            cluster_round(round),
+            1,
+            "deferred encodes + drive() must allocate only the returned model"
+        );
+        assert_eq!(threads(), warm, "a deferred round changed the threads");
+    }
 }

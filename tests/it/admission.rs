@@ -29,6 +29,71 @@ fn update(client: u64, dim: usize) -> ModelUpdate {
     )
 }
 
+/// Regression: a lossy offer the full round's queue turns away used to be
+/// encoded before the budget was checked — its client's residual moved and
+/// the shared rounding stream advanced, shifting every later client's bits.
+/// Now the fit is decided from the wire length first and a rejected offer
+/// touches nothing: the session matches one that never saw it, bit for bit.
+#[test]
+fn a_budget_rejected_lossy_offer_changes_no_later_bit() {
+    let bits = |session: &mut Session| -> Vec<u32> {
+        let report = session.drive().unwrap();
+        report
+            .update
+            .model
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    for codec in [CodecKind::Uniform8, CodecKind::Uniform4] {
+        let build = || {
+            // One queue slot per leaf: two offers park, the third is turned
+            // away.
+            SessionBuilder::new()
+                .two_level(2, 2)
+                .codec(codec)
+                .admission(AdmissionConfig::bounded(1, 1 << 20))
+                .build()
+                .unwrap()
+        };
+        let (mut disturbed, mut control) = (build(), build());
+        let mut models = Vec::new();
+        for (session, reject) in [(&mut disturbed, true), (&mut control, false)] {
+            let mut rounds = Vec::new();
+            for client in 0..4 {
+                session.ingest(Update::Dense(update(client, 64))).unwrap();
+            }
+            rounds.push(bits(session));
+            for client in 0..4 {
+                session
+                    .ingest(Update::Dense(update(client + 10, 64)))
+                    .unwrap();
+            }
+            for client in 20..22 {
+                let parked = session.try_ingest(Update::Dense(update(client, 64)));
+                assert!(parked.unwrap().is_queued(), "{codec}");
+            }
+            if reject {
+                // Client 0 carries a residual from round 1.
+                let refused = session.try_ingest(Update::Dense(update(0, 64)));
+                assert!(refused.unwrap().is_rejected(), "{codec}");
+            }
+            rounds.push(bits(session));
+            // The two parked offers drained in; clients 0 and 1 top it up.
+            for client in 0..2 {
+                session.ingest(Update::Dense(update(client, 64))).unwrap();
+            }
+            rounds.push(bits(session));
+            models.push(rounds);
+        }
+        assert_eq!(
+            models[0], models[1],
+            "{codec}: a rejected offer moved a bit"
+        );
+    }
+}
+
 proptest! {
     /// Conservation: however many updates are offered, in whatever order,
     /// every one is accounted for exactly once — admitted into the round,
