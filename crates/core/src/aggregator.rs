@@ -155,10 +155,12 @@ impl AggregatorRuntime {
         self.goal = goal;
         self.aggregated = 0;
         self.step = AggregatorStep::Recv;
-        self.accumulator = PolicyFold::new(self.accumulator.policy())?;
         if let Some(codec) = &mut self.codec {
+            // A failed round's half-folded accumulator goes home, not away.
+            self.accumulator.release_to(codec.pool());
             codec.reseed(self.id.index());
         }
+        self.accumulator = PolicyFold::new(self.accumulator.policy())?;
         Ok(())
     }
 

@@ -18,11 +18,12 @@
 //!   routes each leaf ingest to the owning node with the same round-robin
 //!   rule a single session uses, applying per-client error-feedback encoding
 //!   once at the cluster ingress.
-//! * [`Cluster::drive`] drives every node subtree, exports each merged
-//!   update as wire bytes ([`Session::drive_to_wire`] — zero-copy, no
-//!   intermediate `DenseModel`), ships it to the parent session's gateway as
-//!   [`Update::RemoteBytes`] (header-only parsing on arrival) and prices the
-//!   hop through the `lifl-dataplane` transport cost models.
+//! * [`Cluster::drive`] drives every node subtree as one forest on the
+//!   shared workers, exports each merged update as wire bytes (what
+//!   [`Session::drive_to_wire`] returns — zero-copy, no intermediate
+//!   `DenseModel`), ships the exports to the parent session's gateway in
+//!   node order as [`Update::RemoteBytes`] (header-only parsing on arrival)
+//!   and prices each hop through the `lifl-dataplane` transport cost models.
 //!
 //! A cluster round is **bit-exact** with the equivalent single-session
 //! [`Session::drive`] for every codec (enforced by the `tests/it/cluster.rs`
@@ -45,7 +46,7 @@ use crate::ewma::EwmaEstimator;
 use crate::heartbeat::HeartbeatMonitor;
 use crate::ingress::{self, Backend, Ingress, Target};
 use crate::recovery::{RecoveryManager, RecoveryOutcome};
-use crate::session::{Session, SessionBuilder, Update, WireExport};
+use crate::session::{Session, SessionBuilder, Update};
 use crate::stations::Workers;
 use lifl_dataplane::{CostModel, DataPlaneKind, TransferCost};
 use lifl_fl::aggregate::ModelUpdate;
@@ -55,6 +56,7 @@ use lifl_types::{
     AdmissionConfig, AdmissionOutcome, ClientId, CodecKind, FoldPolicy, LiflError, NodeId, Result,
     RoundClose, SimDuration, SimTime, Topology,
 };
+use std::mem::take;
 
 /// Everything a cluster's sessions are built alike with: each differs only
 /// in its tree, its node and where that tree sits in the global one.
@@ -273,9 +275,7 @@ impl FaultState {
         self.partial_hops.clear();
         self.partial_nodes.clear();
         self.refill.fill(0);
-        for clients in &mut self.node_clients {
-            clients.clear();
-        }
+        self.node_clients.iter_mut().for_each(Vec::clear);
         self.lost_clients.clear();
     }
 
@@ -998,9 +998,7 @@ impl Cluster {
         let mut departed = self.ingress.remove_parked(client);
         for node in 0..self.children.len() {
             let before = self.children[node].pending_updates();
-            if !self.children[node].depart_client(client) {
-                continue;
-            }
+            self.children[node].depart_client(client);
             let removed = before.saturating_sub(self.children[node].pending_updates());
             if removed == 0 {
                 continue;
@@ -1065,13 +1063,15 @@ impl Cluster {
         self.fleet.as_ref().map(FleetController::config)
     }
 
-    /// Drives the round across every node: each child session drives its
-    /// subtree and exports the merged update as codec-tagged wire bytes
-    /// ([`Session::drive_to_wire`] — no intermediate `DenseModel`); the
-    /// parent gateway ingests each export via [`Update::RemoteBytes`]
-    /// (header-only parsing, the arriving buffer is stored as-is) and the
-    /// global top folds them in node order, so results are deterministic —
-    /// and bit-exact with a single session over the global tree.
+    /// Drives the round across every node as one tree: the node subtrees run
+    /// as one forest on the cluster's workers — level ℓ of every node is one
+    /// claim set — and each exports its merged update as codec-tagged wire
+    /// bytes (what [`Session::drive_to_wire`] returns, no intermediate
+    /// `DenseModel`); the parent gateway then ingests the exports in node
+    /// order via [`Update::RemoteBytes`] (header-only parsing, the arriving
+    /// buffer is stored as-is) and the global top folds them in node order,
+    /// so results are deterministic — and bit-exact with a single session
+    /// over the global tree, and with driving the nodes one at a time.
     ///
     /// Every hop is priced through the cluster's [`CostModel`]: a network
     /// transfer for remote nodes, a shared-memory transfer for the node
@@ -1098,18 +1098,19 @@ impl Cluster {
     /// Re-ingest the lost clients' updates ([`Cluster::take_lost_clients`])
     /// and call `drive` again — the retry re-ships only the hops that never
     /// arrived, skipping (and counting, see [`FaultStats::deduped_hops`])
-    /// the survivors'. A kill of the top-hosting node surfaces as
+    /// the survivors'. A [`Cluster::schedule_node_failure`] kill strikes
+    /// where a node-at-a-time walk would, once the hops before it landed. A
+    /// kill of the top-hosting node surfaces as
     /// [`LiflError::AggregatorFailure`]: the round is lost wholesale and the
     /// latest checkpoint is restored ([`Cluster::take_recovery`]).
     pub fn drive(&mut self) -> Result<ClusterReport> {
         self.settle()?;
-        if let Some(f) = &self.faults {
-            if let Some(node) = f.refill.iter().position(|&r| r > 0) {
-                return Err(LiflError::NodeFailure {
-                    node: node as u64,
-                    lost_updates: f.refill[node],
-                });
-            }
+        if let (Some(node), Some(f)) = (self.refill_node(), &self.faults) {
+            let lost_updates = f.refill[node];
+            return Err(LiflError::NodeFailure {
+                node: node as u64,
+                lost_updates,
+            });
         }
         self.validate_round()?;
         let resuming = self.faults.as_ref().is_some_and(|f| f.placed);
@@ -1197,20 +1198,13 @@ impl Cluster {
     /// fan-in, priced as a warm-state transfer per changed leaf. Returns
     /// one action per node (resize or hold) so scaling traces are complete.
     fn apply_fleet_scaling(&mut self) -> Vec<ScalingAction> {
-        if self.fleet.is_none() {
+        let Some(fleet) = self.fleet.as_mut() else {
             return Vec::new();
-        }
-        let mut depths: Vec<f64> = self.queue_depths().iter().map(|&d| d as f64).collect();
-        depths.resize(self.children.len(), 0.0);
-        let current: Vec<u32> = self
-            .children
-            .iter()
-            .map(|c| c.topology().leaves() as u32)
-            .collect();
-        let decisions = match self.fleet.as_mut() {
-            Some(fleet) => fleet.observe_round(&depths, &current),
-            None => return Vec::new(),
         };
+        let mut depths: Vec<f64> = self.ingress.depths().iter().map(|&d| d as f64).collect();
+        depths.resize(self.children.len(), 0.0);
+        let current = self.children.iter().map(|c| c.topology().leaves() as u32);
+        let decisions = fleet.observe_round(&depths, &current.collect::<Vec<u32>>());
         let handoff = self.handoff_bytes;
         let mut actions = Vec::with_capacity(decisions.len());
         for decision in decisions {
@@ -1275,56 +1269,62 @@ impl Cluster {
         })
     }
 
-    /// Runs the export → hop → parent-fold pipeline over every node,
-    /// resuming a partially shipped round (and firing any scheduled kill)
-    /// when fault tolerance is enabled.
-    fn drive_hops(&mut self) -> Result<ClusterReport> {
-        let mut hops;
-        let mut nodes;
-        if let Some(f) = &mut self.faults {
-            hops = std::mem::take(&mut f.partial_hops);
-            nodes = std::mem::take(&mut f.partial_nodes);
-        } else {
-            hops = Vec::with_capacity(self.children.len());
-            nodes = Vec::with_capacity(self.children.len());
-        }
-        for k in 0..self.children.len() {
-            if let Some(f) = &self.faults {
-                if f.hop_done[k] {
-                    // Retry-with-dedup: this node's intermediate already
-                    // reached the global top on an earlier attempt; never
-                    // re-ship (or re-price) the hop.
-                    // lifl-lint: allow(panic) — re-borrow mutably inside the
-                    // enclosing `if let Some(f) = &self.faults` guard.
-                    let f = self.faults.as_mut().expect("checked above");
-                    f.stats.deduped_hops += 1;
-                    continue;
-                }
-                if let Some((victim, after_hops)) = f.scheduled {
-                    let completed = f.hop_done.iter().filter(|&&d| d).count() as u64;
-                    if completed >= after_hops {
-                        // lifl-lint: allow(panic) — re-borrow mutably inside
-                        // the enclosing `if let Some(f) = &self.faults` guard.
-                        let f = self.faults.as_mut().expect("checked above");
-                        f.scheduled = None;
-                        f.partial_hops = hops;
-                        f.partial_nodes = nodes;
-                        return Err(self.kill_node(victim));
-                    }
-                }
-            }
-            if self.children[k].pending_updates() == 0 && self.sessions.quorum {
+    /// Plans a drive attempt exactly as a node-at-a-time walk would take
+    /// it: every node passed in order as `(node, ships)` — `false` for a hop
+    /// an earlier attempt already folded (dedup) — up to the victim of a
+    /// scheduled kill that strikes once as many hops are done (earlier
+    /// attempts' and this plan's). The kill is checked before an empty
+    /// quorum subtree is skipped, so an empty node at the kill point fires.
+    fn plan(&self) -> (Vec<(usize, bool)>, Option<usize>) {
+        let done = |k: usize| self.faults.as_ref().is_some_and(|f| f.hop_done[k]);
+        let scheduled = self.faults.as_ref().and_then(|f| f.scheduled);
+        let mut hopped = (0..self.children.len()).filter(|&k| done(k)).count() as u64;
+        let mut steps = Vec::with_capacity(self.children.len());
+        for (k, child) in self.children.iter().enumerate() {
+            if done(k) {
+                steps.push((k, false));
+            } else if let Some((victim, _)) = scheduled.filter(|&(_, after)| hopped >= after) {
+                return (steps, Some(victim));
+            } else if child.pending_updates() > 0 || !self.sessions.quorum {
                 // A quorum round can leave whole subtrees empty: no export,
                 // no hop, nothing for the top to fold from this node.
-                continue;
+                steps.push((k, true));
+                hopped += 1;
             }
-            let node = NodeId::new(k as u64);
-            let export: WireExport = self.children[k].drive_to_wire()?;
-            let wire_bytes = export.wire_bytes();
-            let same_node = k == self.top_node;
-            let cost = self
-                .cost
-                .hop_transfer(same_node, self.dataplane, wire_bytes);
+        }
+        (steps, None)
+    }
+
+    /// One drive attempt as one tree: **plan** it in node order, **run**
+    /// every planned node subtree as one forest, **commit** the hops into
+    /// the parent in node order, then **fire** the scheduled kill or drive
+    /// the global top. Resumes a partially shipped round when fault
+    /// tolerance is enabled.
+    fn drive_hops(&mut self) -> Result<ClusterReport> {
+        let (mut hops, mut nodes) = match &mut self.faults {
+            Some(f) => (take(&mut f.partial_hops), take(&mut f.partial_nodes)),
+            None => (Vec::new(), Vec::new()),
+        };
+        let (steps, kill) = self.plan();
+        let mut planned: Vec<&mut Session> = (self.children.iter_mut().enumerate())
+            .filter(|(k, _)| steps.contains(&(*k, true)))
+            .map(|(_, child)| child)
+            .collect();
+        let mut exports = Session::drive_forest_to_wire(&mut planned).into_iter();
+        for (k, ships) in steps {
+            // Retry-with-dedup: a node whose intermediate already reached
+            // the global top on an earlier attempt never re-ships (or
+            // re-prices) its hop.
+            let Some(export) = ships.then(|| exports.next()).flatten() else {
+                if let Some(f) = &mut self.faults {
+                    f.stats.deduped_hops += 1;
+                }
+                continue;
+            };
+            // The first failure in node order is the drive's; the round is
+            // aborted, the later nodes' exports with it.
+            let export = export?;
+            let (node, wire_bytes) = (NodeId::new(k as u64), export.wire_bytes());
             nodes.push(NodeRoundReport {
                 node,
                 store_stats: export.store_stats,
@@ -1332,11 +1332,14 @@ impl Cluster {
                 updates_ingested: export.updates_ingested,
             });
             self.parent.ingest(export.update)?;
+            let same_node = k == self.top_node;
             hops.push(ClusterHop {
                 node,
                 wire_bytes,
                 same_node,
-                cost,
+                cost: self
+                    .cost
+                    .hop_transfer(same_node, self.dataplane, wire_bytes),
             });
             // The export is safely folded at the top: from here on a kill of
             // this node loses nothing of the round.
@@ -1346,6 +1349,12 @@ impl Cluster {
                 f.node_clients[k].clear();
                 f.recovery.record_fold();
             }
+        }
+        if let (Some(victim), Some(f)) = (kill, &mut self.faults) {
+            f.scheduled = None;
+            f.partial_hops = hops;
+            f.partial_nodes = nodes;
+            return Err(self.kill_node(victim));
         }
         let report = self.parent.drive()?;
         Ok(ClusterReport {
@@ -1419,13 +1428,7 @@ impl Cluster {
     /// Returns [`LiflError::InvalidConfig`] when fault tolerance is not
     /// enabled or the node is outside the cluster.
     pub fn node_heartbeat(&mut self, node: NodeId, now: SimTime) -> Result<()> {
-        let nodes = self.children.len();
-        let f = self.require_faults()?;
-        if node.index() as usize >= nodes {
-            return Err(LiflError::InvalidConfig(format!(
-                "node {node:?} outside the cluster's {nodes} nodes"
-            )));
-        }
+        let f = self.require_faults(Some(node))?;
         f.advance_clock(now);
         f.monitor.heartbeat(ClientId::new(node.index()), now);
         Ok(())
@@ -1442,7 +1445,7 @@ impl Cluster {
     /// enabled, or a checkpoint-restore error when a top-host kill finds a
     /// corrupt checkpoint.
     pub fn detect_failed_nodes(&mut self, now: SimTime) -> Result<Vec<NodeKill>> {
-        let f = self.require_faults()?;
+        let f = self.require_faults(None)?;
         f.advance_clock(now);
         let overdue: Vec<usize> = f
             .monitor
@@ -1473,15 +1476,8 @@ impl Cluster {
     /// enabled or the node is outside the cluster, and a checkpoint-restore
     /// error when a top-host kill finds a corrupt checkpoint.
     pub fn inject_node_failure(&mut self, node: NodeId) -> Result<NodeKill> {
-        let nodes = self.children.len();
-        self.require_faults()?;
-        let index = node.index() as usize;
-        if index >= nodes {
-            return Err(LiflError::InvalidConfig(format!(
-                "node {node:?} outside the cluster's {nodes} nodes"
-            )));
-        }
-        self.kill_checked(index)
+        self.require_faults(Some(node))?;
+        self.kill_checked(node.index() as usize)
     }
 
     /// Schedules a node kill that fires *inside* the next drive, once
@@ -1492,13 +1488,7 @@ impl Cluster {
     /// Returns [`LiflError::InvalidConfig`] when fault tolerance is not
     /// enabled or the node is outside the cluster.
     pub fn schedule_node_failure(&mut self, node: NodeId, after_hops: u64) -> Result<()> {
-        let nodes = self.children.len();
-        let f = self.require_faults()?;
-        if node.index() as usize >= nodes {
-            return Err(LiflError::InvalidConfig(format!(
-                "node {node:?} outside the cluster's {nodes} nodes"
-            )));
-        }
+        let f = self.require_faults(Some(node))?;
         f.scheduled = Some((node.index() as usize, after_hops));
         Ok(())
     }
@@ -1519,14 +1509,23 @@ impl Cluster {
         self.faults.as_mut().and_then(|f| f.last_recovery.take())
     }
 
-    fn require_faults(&mut self) -> Result<&mut FaultState> {
-        self.faults.as_mut().ok_or_else(|| {
-            LiflError::InvalidConfig(
+    /// The failure-handling state, once `node` (when given) is checked to
+    /// lie inside the cluster.
+    fn require_faults(&mut self, node: Option<NodeId>) -> Result<&mut FaultState> {
+        let nodes = self.children.len();
+        let Some(f) = self.faults.as_mut() else {
+            return Err(LiflError::InvalidConfig(
                 "fault tolerance is not enabled on this cluster \
                  (see ClusterBuilder::fault_tolerance)"
                     .to_string(),
-            )
-        })
+            ));
+        };
+        match node {
+            Some(node) if node.index() as usize >= nodes => Err(LiflError::InvalidConfig(format!(
+                "node {node:?} outside the cluster's {nodes} nodes"
+            ))),
+            _ => Ok(f),
+        }
     }
 
     /// Kills `node` (bounds already checked), translating the resulting
@@ -1703,6 +1702,61 @@ impl Cluster {
     pub(crate) fn residual_bits(&mut self, client: ClientId) -> Option<Vec<u32>> {
         ingress::settle(self);
         self.ingress.residual_bits(client)
+    }
+
+    /// Re-splits `node`'s subtree to `leaves` leaves, as fleet scaling does.
+    pub(crate) fn resplit(&mut self, node: usize, leaves: usize) {
+        self.resize_node(node, leaves).unwrap();
+    }
+
+    /// [`Cluster::drive`] the way it was before node subtrees ran as one
+    /// forest — each node driven alone through [`Session::drive_to_wire`]
+    /// and its hop shipped, node after node — for a cluster without fault
+    /// tolerance or fleet scaling: the twin the forest is checked against.
+    pub(crate) fn drive_one_node_at_a_time(&mut self) -> Result<ClusterReport> {
+        ingress::settle(self);
+        self.validate_round()?;
+        let replacement = self.place_top();
+        let (mut hops, mut nodes) = (Vec::new(), Vec::new());
+        for k in 0..self.children.len() {
+            if self.children[k].pending_updates() == 0 && self.sessions.quorum {
+                continue;
+            }
+            let export = self.children[k].drive_to_wire()?;
+            let (node, wire_bytes) = (NodeId::new(k as u64), export.wire_bytes());
+            nodes.push(NodeRoundReport {
+                node,
+                store_stats: export.store_stats,
+                ingress_wire_bytes: export.ingress_wire_bytes,
+                updates_ingested: export.updates_ingested,
+            });
+            self.parent.ingest(export.update)?;
+            let same_node = k == self.top_node;
+            hops.push(ClusterHop {
+                node,
+                wire_bytes,
+                same_node,
+                cost: self
+                    .cost
+                    .hop_transfer(same_node, self.dataplane, wire_bytes),
+            });
+        }
+        let report = self.parent.drive()?;
+        self.ingress.reset_round();
+        self.node_pending.fill(0);
+        self.handoff_bytes = report.update.model.dim() as u64 * 4;
+        ingress::drain(self);
+        Ok(ClusterReport {
+            update: report.update,
+            topology: self.topology.clone(),
+            nodes,
+            hops,
+            top_node: NodeId::new(self.top_node as u64),
+            replacement,
+            top_store_stats: report.store_stats,
+            queue_depths: Vec::new(),
+            scaling: Vec::new(),
+        })
     }
 }
 
@@ -2413,16 +2467,17 @@ mod tests {
         // The refused backlog buffer is home: the next checkout of its size
         // is a hit. The admitted one is node 0's stored object until the
         // round ends. The drive's seven positions (three a node, the top)
-        // shared four accumulators: node 1 and the top found their
-        // predecessors' back in the pool — three hits — and all four are
-        // idle now.
+        // drew six accumulators: both nodes' subtrees run as one forest, so
+        // each level's stations fold side by side and only the global top,
+        // which runs once both node rounds closed, found one back in the
+        // pool — one hit — and all six are idle now.
         let pool = cluster.pool().stats();
-        assert_eq!((pool.idle_buffers, pool.hits), (1 + 4, 3));
+        assert_eq!((pool.idle_buffers, pool.hits), (1 + 6, 1));
         let again = cluster.pool().checkout_bytes(256);
-        assert_eq!(cluster.pool().stats().hits, 3 + 1);
+        assert_eq!(cluster.pool().stats().hits, 1 + 1);
         cluster.pool().checkin_bytes(again);
         cluster.discard_round();
-        assert_eq!(cluster.pool().stats().idle_buffers, 2 + 4);
+        assert_eq!(cluster.pool().stats().idle_buffers, 2 + 6);
     }
 
     #[test]

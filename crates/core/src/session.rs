@@ -30,7 +30,7 @@
 use crate::admission::AdmissionQueues;
 use crate::gateway::Gateway;
 use crate::ingress::{self, Backend, Ingress, Target};
-use crate::stations::{Stations, Workers};
+use crate::stations::{Stations, Tree, Workers};
 use lifl_fl::aggregate::ModelUpdate;
 use lifl_fl::codec::{EncodedView, UpdateCodec};
 use lifl_fl::DenseModel;
@@ -708,23 +708,77 @@ impl Session {
     /// resumed, so its remaining updates are discarded and the session is
     /// reset to an empty round.
     pub fn drive(&mut self) -> Result<SessionReport> {
-        self.settle()?;
-        self.validate_round()?;
-        let outcome = self.drive_and_decode();
-        let report = outcome.map(|(model, weight)| SessionReport {
-            update: ModelUpdate::intermediate(model, weight),
-            store_stats: self.store.stats(),
-            ingress_wire_bytes: self.ingress_wire_bytes,
-            updates_ingested: self.ingress.ingested(),
-            topology: self.topology.clone(),
-        });
-        // Success or aggregation failure, the round is over: free its store
-        // objects and counters so the session stays bounded over its life.
-        self.reset_round();
-        // The next round opens immediately: queued clients win admission in
-        // utility order.
-        ingress::drain(self);
+        self.open()?;
+        let top = self.run_tree();
+        let report = top
+            .and_then(|top| self.decode(top))
+            .map(|(model, weight)| SessionReport {
+                update: ModelUpdate::intermediate(model, weight),
+                store_stats: self.store.stats(),
+                ingress_wire_bytes: self.ingress_wire_bytes,
+                updates_ingested: self.ingress.ingested(),
+                topology: self.topology.clone(),
+            });
+        self.close();
         report
+    }
+
+    /// A drive's first step: commits every in-flight encode, then checks
+    /// the round may close. A failure here leaves nothing to close.
+    fn open(&mut self) -> Result<()> {
+        self.settle()?;
+        self.validate_round()
+    }
+
+    /// An opened round's tree, as a forest drive runs it
+    /// ([`Stations::run`]): a full round runs every position, a partial
+    /// (quorum) one only those with something to aggregate.
+    fn tree(&mut self) -> Tree<'_> {
+        let full = !self.has_room();
+        Tree {
+            stations: &self.stations,
+            full,
+            round_keys: &mut self.round_keys,
+        }
+    }
+
+    /// Runs the opened round's tree as a forest of one.
+    fn run_tree(&mut self) -> Result<QueuedUpdate> {
+        let top = Stations::run(&mut [self.tree()]).pop();
+        top.unwrap_or_else(|| Err(LiflError::Simulation("the tree did not run".to_string())))
+    }
+
+    /// A drive's last step, success or aggregation failure: the round is
+    /// over, so its store objects and counters are freed and the session
+    /// stays bounded over its life; the next round opens at once, queued
+    /// clients winning admission in utility order.
+    fn close(&mut self) {
+        self.reset_round();
+        ingress::drain(self);
+    }
+
+    /// Drives every session of `sessions` to its wire export — the cluster
+    /// round's node subtrees — as one forest on the first session's workers
+    /// ([`Stations::run`]): each session is opened, the opened trees run
+    /// level by level together, and each is closed to its export. Returns
+    /// each session's outcome in order, exactly what
+    /// [`Session::drive_to_wire`] on each in turn returns.
+    pub(crate) fn drive_forest_to_wire(sessions: &mut [&mut Session]) -> Vec<Result<WireExport>> {
+        let opened: Vec<Result<()>> = sessions.iter_mut().map(|session| session.open()).collect();
+        let mut forest: Vec<Tree<'_>> = (sessions.iter_mut().zip(&opened))
+            .filter(|(_, open)| open.is_ok())
+            .map(|(session, _)| session.tree())
+            .collect();
+        let mut tops = Stations::run(&mut forest).into_iter();
+        (sessions.iter_mut().zip(opened))
+            .map(|(session, open)| {
+                open?;
+                let top = tops.next().unwrap_or_else(|| {
+                    Err(LiflError::Simulation("the tree did not run".to_string()))
+                });
+                session.export(top)
+            })
+            .collect()
     }
 
     /// Checks the round may close: an exact fill by default, or the
@@ -757,9 +811,15 @@ impl Session {
     /// # Errors
     /// Same conditions as [`Session::drive`].
     pub fn drive_to_wire(&mut self) -> Result<WireExport> {
-        self.settle()?;
-        self.validate_round()?;
-        let outcome = self.drive_tree().and_then(|result| {
+        self.open()?;
+        let top = self.run_tree();
+        self.export(top)
+    }
+
+    /// The close step of a drive to wire: the top's intermediate as a
+    /// zero-copy export, then [`Session::close`].
+    fn export(&mut self, top: Result<QueuedUpdate>) -> Result<WireExport> {
+        let export = top.and_then(|result| {
             let object = self.store.get(&result.key)?;
             Ok(WireExport {
                 update: Update::remote_bytes(object.bytes(), result.weight, result.encoded),
@@ -768,14 +828,12 @@ impl Session {
                 updates_ingested: self.ingress.ingested(),
             })
         });
-        self.reset_round();
-        ingress::drain(self);
-        outcome
+        self.close();
+        export
     }
 
-    /// Runs the tree to completion and decodes the top's intermediate.
-    fn drive_and_decode(&mut self) -> Result<(DenseModel, u64)> {
-        let result = self.drive_tree()?;
+    /// Decodes the top's intermediate into the model a drive returns.
+    fn decode(&self, result: QueuedUpdate) -> Result<(DenseModel, u64)> {
         let object = self.store.get(&result.key)?;
         let model = if result.encoded {
             // The one remaining full-decode site: parse the header in place
@@ -788,14 +846,6 @@ impl Session {
             DenseModel::from_vec(object.as_f32_vec())
         };
         Ok((model, result.weight))
-    }
-
-    /// Runs the tree on the stations, returning the top's intermediate: a
-    /// full round runs every position, a partial (quorum) one only those
-    /// with something to aggregate (see `Stations::run`).
-    fn drive_tree(&mut self) -> Result<QueuedUpdate> {
-        let full = !self.has_room();
-        self.stations.run(full, &mut self.round_keys)
     }
 
     /// Discards the current (not yet driven) round: every ingested update is
@@ -1503,6 +1553,57 @@ mod tests {
         // …and comes home too once its round is over.
         session.discard_round();
         assert_eq!(session.pool().stats().idle_buffers, 2 + 3);
+    }
+
+    #[test]
+    fn a_failed_fold_returns_its_accumulator_to_the_pool() {
+        // Regression: a leaf that failed mid-fold kept the pooled
+        // accumulator it had half filled, and re-arming it for the next
+        // round dropped that buffer — one pool miss a failed round, and a
+        // checkout the pool counted as out for good.
+        let build = || {
+            SessionBuilder::new()
+                .two_level(1, 2)
+                .codec(CodecKind::Uniform8)
+                .workers(Workers::with_count(0))
+                .build()
+                .unwrap()
+        };
+        let rounds = |session: &mut Session| {
+            for _ in 0..3 {
+                session
+                    .ingest_all(updates(2, 64).into_iter().map(Update::Dense))
+                    .unwrap();
+                session.drive().unwrap();
+            }
+        };
+        let (mut session, mut control) = (build(), build());
+        // Client 0's update fills the accumulator; a 16-parameter one from
+        // an outsider cannot fold into it.
+        let batch = updates(1, 64);
+        session.ingest(Update::Dense(batch[0].clone())).unwrap();
+        let short = Update::dense(ClientId::new(99), DenseModel::from_vec(vec![0.5; 16]), 1);
+        session.ingest(short).unwrap();
+        assert!(matches!(
+            session.drive(),
+            Err(LiflError::DimensionMismatch { .. })
+        ));
+        rounds(&mut session);
+        rounds(&mut control);
+        // The failed round checked out three buffers: two ingress encodes
+        // and the accumulator. Only the short update's encode buffer costs a
+        // miss more than never running it — home and idle since, too small
+        // for anything after it — while client 0's and the accumulator serve
+        // later rounds.
+        let (pool, reference) = (session.pool().stats(), control.pool().stats());
+        assert_eq!(
+            (pool.hits, pool.misses, pool.idle_buffers),
+            (
+                reference.hits + 2,
+                reference.misses + 1,
+                reference.idle_buffers + 1
+            )
+        );
     }
 
     #[test]

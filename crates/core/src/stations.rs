@@ -12,8 +12,12 @@
 //! it woke claim the rest. Each output lands in its station's slot and is
 //! handed upward in child-index order, so the result does not depend on
 //! which thread ran which station, or on whether a worker woke at all — a
-//! late worker only means the caller did more of the level. This module is
-//! the only place in the engine that starts a thread (`lifl-lint` R6).
+//! late worker only means the caller did more of the level. Several trees
+//! on one worker set — a cluster's node subtrees — run as one forest
+//! ([`Stations::run`]): level ℓ of every tree is one claim set, so a round
+//! wakes the workers once per tree depth, not once per level per tree. This
+//! module is the only place in the engine that starts a thread
+//! (`lifl-lint` R6).
 //!
 //! Beside its levels a worker set keeps a FIFO of owned jobs — the
 //! ingress's error-feedback encodes ([`Workers::submit`]). Workers claim the
@@ -508,6 +512,14 @@ pub(crate) struct Stations {
     workers: Workers,
 }
 
+/// One tree of a forest drive ([`Stations::run`]): a session's stations,
+/// whether its round is full, and where the keys of its intermediates go.
+pub(crate) struct Tree<'a> {
+    pub(crate) stations: &'a Stations,
+    pub(crate) full: bool,
+    pub(crate) round_keys: &'a mut Vec<ObjectKey>,
+}
+
 impl Stations {
     /// Builds one station per position of `topology`, placed at
     /// `(level_offset, branch)` of the enclosing tree (see
@@ -580,70 +592,109 @@ impl Stations {
         self.levels.first()?.inboxes.get(leaf)
     }
 
-    /// Runs the tree level by level over what the inboxes hold and returns
-    /// the top's output; every intermediate's key is pushed to `round_keys`,
-    /// those of a failed level's survivors included, before a failure is
-    /// surfaced.
+    /// Runs a forest — trees that share one worker set, a session's own tree
+    /// alone or every node subtree of a cluster — level by level over what
+    /// the inboxes hold, and returns each tree's top output in tree order.
+    ///
+    /// Level ℓ of every tree that has one runs as **one** claim set on the
+    /// first tree's workers, indexed in (tree, station) order. Each tree
+    /// hands its outputs to its own parents in child order and pushes every
+    /// intermediate's key to its own `round_keys`, those of a failed level's
+    /// survivors included; a tree whose level failed stops there with the
+    /// level's first error, and the others run on. So a station sees the
+    /// same inbox, goal and codec seed whatever else shares its level, and a
+    /// tree's result does not depend on which thread ran which station, or
+    /// on what else is in the forest.
     ///
     /// A full round runs every station to its fan-in. A partial (quorum)
     /// round runs only the stations whose inbox holds something, each to
     /// what it holds, so parents fold only the children that produced
     /// output, in child order; on a full round the two coincide, so
     /// exact-fill results stay bit-exact.
-    pub(crate) fn run(&self, full: bool, round_keys: &mut Vec<ObjectKey>) -> Result<QueuedUpdate> {
-        let mut top = None;
-        for (level, stations) in self.levels.iter().enumerate() {
-            let armed: Vec<(usize, u64)> = stations
-                .inboxes
+    pub(crate) fn run(forest: &mut [Tree<'_>]) -> Vec<Result<QueuedUpdate>> {
+        let Some(workers) = forest.first().map(|tree| tree.stations.workers.clone()) else {
+            return Vec::new();
+        };
+        let depth = forest.iter().map(|tree| tree.stations.levels.len());
+        let depth = depth.max().unwrap_or(0);
+        let mut tops: Vec<Option<Result<QueuedUpdate>>> = forest.iter().map(|_| None).collect();
+        // Stations each tree put in the current level's claim set.
+        let mut armed_per_tree = vec![0; forest.len()];
+        for level in 0..depth {
+            let width = forest
                 .iter()
-                .enumerate()
-                .filter_map(|(index, inbox)| {
-                    let goal = if full {
-                        self.topology.fan_in(level)
+                .filter_map(|tree| tree.stations.levels.get(level));
+            let mut armed = Vec::with_capacity(width.map(|stations| stations.inboxes.len()).sum());
+            for ((tree, top), count) in forest.iter().zip(&tops).zip(&mut armed_per_tree) {
+                *count = 0;
+                let Some(stations) = tree.stations.levels.get(level).filter(|_| top.is_none())
+                else {
+                    continue;
+                };
+                for (index, inbox) in stations.inboxes.iter().enumerate() {
+                    let goal = if tree.full {
+                        tree.stations.topology.fan_in(level)
                     } else {
                         inbox.len()
                     };
-                    (goal > 0).then_some((index, goal as u64))
-                })
-                .collect();
-            let runtimes = Arc::clone(&stations.runtimes);
-            let results = self.workers.run(armed.len(), move |k| {
-                let (index, goal) = armed[k];
-                let mut runtime = lock(&runtimes[index]);
-                runtime.rearm(goal)?;
-                Ok((index, runtime.run_to_completion()?))
-            });
-            let mut first_error = None;
-            let mut outputs = Vec::with_capacity(results.len());
-            for result in results {
-                match result {
-                    Ok((index, output)) => {
-                        round_keys.push(output.key);
-                        outputs.push((index, output));
-                    }
-                    Err(error) => {
-                        first_error.get_or_insert(error);
+                    if goal > 0 {
+                        armed.push((Arc::clone(&stations.runtimes), index, goal as u64));
+                        *count += 1;
                     }
                 }
             }
-            if let Some(error) = first_error {
-                return Err(error);
-            }
-            match self.levels.get(level + 1) {
-                // Parent j consumes children j·f .. (j+1)·f, in child order.
-                Some(parents) => {
-                    let fan_in = self.topology.fan_in(level + 1);
-                    for (index, output) in outputs {
-                        if let Some(inbox) = parents.inboxes.get(index / fan_in) {
-                            inbox.enqueue(output);
+            let mut results = workers
+                .run(armed.len(), move |k| {
+                    let (runtimes, index, goal) = &armed[k];
+                    let mut runtime = lock(&runtimes[*index]);
+                    runtime.rearm(*goal)?;
+                    Ok((*index, runtime.run_to_completion()?))
+                })
+                .into_iter();
+            for ((tree, top), count) in forest.iter_mut().zip(&mut tops).zip(&armed_per_tree) {
+                if top.is_some() || level >= tree.stations.levels.len() {
+                    continue;
+                }
+                let parents = (tree.stations.levels.get(level + 1))
+                    .map(|parents| (parents, tree.stations.topology.fan_in(level + 1)));
+                let mut first_error = None;
+                let mut output_of_top = None;
+                for result in results.by_ref().take(*count) {
+                    match result {
+                        Ok((index, output)) => {
+                            tree.round_keys.push(output.key);
+                            match parents {
+                                // Parent j consumes children j·f .. (j+1)·f,
+                                // in child order.
+                                Some((parents, fan_in)) => {
+                                    if let Some(inbox) = parents.inboxes.get(index / fan_in) {
+                                        inbox.enqueue(output);
+                                    }
+                                }
+                                None => output_of_top = Some(output),
+                            }
+                        }
+                        Err(error) => {
+                            first_error.get_or_insert(error);
                         }
                     }
                 }
-                None => top = outputs.pop(),
+                // A failed tree's parents never run: what it handed them is
+                // cleared with its round.
+                if let Some(error) = first_error {
+                    *top = Some(Err(error));
+                } else if parents.is_none() {
+                    *top = Some(output_of_top.ok_or_else(|| {
+                        LiflError::Simulation("top level produced no output".to_string())
+                    }));
+                }
             }
         }
-        top.map(|(_, output)| output)
-            .ok_or_else(|| LiflError::Simulation("top level produced no output".to_string()))
+        tops.into_iter()
+            .map(|top| {
+                top.unwrap_or_else(|| Err(LiflError::Simulation("tree has no levels".to_string())))
+            })
+            .collect()
     }
 
     /// Empties every station's inbox — what a failed or finished round left
@@ -1066,6 +1117,123 @@ mod tests {
                         inline,
                         "{topology} {codec} cluster={cluster}: {workers} workers diverged \
                          from encoding inline"
+                    );
+                }
+            }
+        }
+    }
+
+    /// One cluster round as a drive left it, bit for bit: the model and its
+    /// weight, the top's host, every hop and node report (printed, costs
+    /// included), the top store's and every node store's accounting.
+    #[derive(Debug, PartialEq)]
+    struct Shipped {
+        model: Vec<u32>,
+        weight: u64,
+        top_node: lifl_types::NodeId,
+        hops: String,
+        nodes: String,
+        top_store: lifl_shmem::StoreStats,
+        node_stores: Vec<lifl_shmem::StoreStats>,
+    }
+
+    /// Four rounds on a cluster of `topology` — node `resplit.0` re-split
+    /// to `resplit.1` leaves first, when given — over `workers` workers,
+    /// driven as one forest or, for the `twin`, one node at a time: a full
+    /// round with a departure refilled from the backlog, a partial quorum
+    /// round, a three-update round that leaves every node but the first
+    /// empty, and a full round. Returns each round, then every residual.
+    fn forest_rounds(
+        topology: &Topology,
+        resplit: Option<(usize, usize)>,
+        codec: CodecKind,
+        workers: usize,
+        twin: bool,
+    ) -> (Vec<Shipped>, Vec<Option<Vec<u32>>>) {
+        use lifl_types::{AdmissionConfig, ClientId};
+
+        let mut cluster = crate::cluster::ClusterBuilder::new()
+            .topology(topology.clone())
+            .codec(codec)
+            .admission(AdmissionConfig::bounded(4, 1 << 20).with_quorum(3))
+            .build_on(Workers::with_count(workers))
+            .unwrap();
+        if let Some((node, leaves)) = resplit {
+            cluster.resplit(node, leaves);
+        }
+        let capacity = cluster.round_capacity() as u64;
+        let rounds = [
+            (0..capacity + 2, Some(1)),
+            (1000..1000 + capacity - 3, None),
+            (2000..2003, None),
+            (3000..3000 + capacity, None),
+        ];
+        let mut shipped = Vec::new();
+        let mut clients = Vec::new();
+        for (round, (offers, departs)) in rounds.into_iter().enumerate() {
+            for client in offers {
+                cluster
+                    .try_ingest(dense(client, round as u64, DEFERRED_DIM))
+                    .unwrap();
+                clients.push(client);
+            }
+            if let Some(client) = departs {
+                assert!(cluster.depart_client(ClientId::new(client)));
+            }
+            let report = if twin {
+                cluster.drive_one_node_at_a_time()
+            } else {
+                cluster.drive()
+            };
+            let report = report.unwrap();
+            shipped.push(Shipped {
+                model: report
+                    .update
+                    .model
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect(),
+                weight: report.update.samples,
+                top_node: report.top_node,
+                hops: format!("{:?}", report.hops),
+                nodes: format!("{:?}", report.nodes),
+                top_store: report.top_store_stats,
+                node_stores: (cluster.node_sessions().iter())
+                    .map(|s| s.store().stats())
+                    .collect(),
+            });
+        }
+        let residuals = clients
+            .into_iter()
+            .map(|c| cluster.residual_bits(ClientId::new(c)))
+            .collect();
+        (shipped, residuals)
+    }
+
+    #[test]
+    fn a_forest_drive_never_changes_a_bit() {
+        let shapes = [
+            (Topology::new(vec![8, 4, 4]).unwrap(), None),
+            // Node 1's [2, 2, 2] subtree re-split to a two-level one: the
+            // forest's trees differ in depth.
+            (Topology::new(vec![2, 2, 2, 2]).unwrap(), Some((1, 3))),
+        ];
+        let codecs = [
+            CodecKind::Identity,
+            CodecKind::Uniform8,
+            CodecKind::TopK { permille: 250 },
+        ];
+        for (topology, resplit) in &shapes {
+            for codec in codecs {
+                let twin = forest_rounds(topology, *resplit, codec, 0, true);
+                assert_eq!(twin.0[2].hops.matches("ClusterHop").count(), 1);
+                for workers in [0, 1, 3] {
+                    assert_eq!(
+                        forest_rounds(topology, *resplit, codec, workers, false),
+                        twin,
+                        "{topology} {codec} re-split {resplit:?}: {workers} workers' forest \
+                         diverged from driving one node at a time"
                     );
                 }
             }

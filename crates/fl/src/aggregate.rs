@@ -79,6 +79,16 @@ impl CumulativeFedAvg {
         }
     }
 
+    /// Empties the accumulator, checking a buffer it still holds (a round
+    /// that failed mid-fold left one) back into `pool`, so the buffer
+    /// [`CumulativeFedAvg::warm_from`] drew is reused rather than dropped.
+    pub fn release_to(&mut self, pool: &lifl_shmem::BufferPool) {
+        let stale = std::mem::take(self);
+        if !stale.weighted_sum.is_empty() {
+            pool.checkin_f32(stale.weighted_sum.into_vec());
+        }
+    }
+
     /// Folds one update into the accumulator (eager aggregation step).
     ///
     /// # Errors

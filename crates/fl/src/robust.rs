@@ -231,6 +231,14 @@ impl PolicyFold {
         }
     }
 
+    /// Hands a FedAvg accumulator's buffer back to `pool` (see
+    /// [`CumulativeFedAvg::release_to`]); robust policies hold none.
+    pub fn release_to(&mut self, pool: &lifl_shmem::BufferPool) {
+        if let PolicyFold::FedAvg(acc) = self {
+            acc.release_to(pool);
+        }
+    }
+
     /// Folds one update off its zero-copy wire view.
     ///
     /// # Errors

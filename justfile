@@ -82,11 +82,14 @@ bench-baseline-check:
 benchmark-check:
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check BENCHMARK.json
 
-# CI smoke steps: the quickstart and cluster-federation examples run end to
-# end (the latter asserts cluster/session bit-exactness inline).
+# CI smoke steps: the quickstart, cluster-federation and failure-recovery
+# examples run end to end (the latter two assert bit-exactness inline:
+# cluster against session, a survived node kill against the undisturbed
+# cluster).
 smoke:
     cargo run --release -p lifl-examples --example quickstart
     cargo run --release -p lifl-examples --example cluster_federation
+    cargo run --release -p lifl-examples --example failure_recovery
 
 # Run the multi-node cluster federation demo (sessions composed
 # gateway-to-gateway over Update::RemoteBytes, bit-exactness asserted inline).

@@ -605,10 +605,11 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         .codec(CodecKind::Uniform8)
         .build()
         .expect("cluster");
-    let cluster_rounds = |count: usize| -> Vec<Vec<Update>> {
+    // `size` offers of model-sized updates, every round of `count`.
+    let cluster_rounds = |count: usize, size: u64| -> Vec<Vec<Update>> {
         (0..count)
             .map(|_| {
-                (0..8u64)
+                (0..size)
                     .map(|c| {
                         let model = clients[c as usize % clients.len()].1.clone();
                         Update::dense(ClientId::new(100 + c), model, 1 + c)
@@ -617,17 +618,18 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
             })
             .collect()
     };
-    let mut cluster_round = |round: Vec<Update>| -> u64 {
+    let cluster_round = |cluster: &mut lifl_core::cluster::Cluster, round: Vec<Update>| -> u64 {
         let before = model_sized_allocs();
+        let size = round.len() as u64;
         for update in round {
             assert!(cluster.try_ingest(update).expect("offer").is_admitted());
         }
         let report = cluster.drive().expect("cluster drive");
-        assert_eq!(report.update.samples, (1..=8).sum::<u64>());
+        assert_eq!(report.update.samples, (1..=size).sum::<u64>());
         model_sized_allocs() - before
     };
-    for round in cluster_rounds(WARM_UP) {
-        cluster_round(round);
+    for round in cluster_rounds(WARM_UP, 8) {
+        cluster_round(&mut cluster, round);
     }
     let warm = threads();
     assert_eq!(
@@ -635,12 +637,43 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         workers(&before) + per_set,
         "one more worker set: {warm:?}"
     );
-    for round in cluster_rounds(MEASURED) {
+    for round in cluster_rounds(MEASURED, 8) {
         assert_eq!(
-            cluster_round(round),
+            cluster_round(&mut cluster, round),
             1,
             "deferred encodes + drive() must allocate only the returned model"
         );
         assert_eq!(threads(), warm, "a deferred round changed the threads");
     }
+    drop(cluster);
+
+    // …and across a fleet re-split. Under leaf bounds (3, 3) every node's
+    // [2, 2] subtree is re-split to three leaves at the first round
+    // boundary, on the cluster's worker set. The first round of the new
+    // shape sizes its new positions' accumulators; from the next one on,
+    // the node subtrees' one-forest drive is back to the one model it
+    // returns, on exactly the threads the first round left.
+    let mut fleet = ClusterBuilder::new()
+        .topology(Topology::new(vec![2, 2, 2]).expect("topology"))
+        .codec(CodecKind::Uniform8)
+        .fleet_scaling(FleetConfig::default().with_leaf_bounds(3, 3))
+        .build()
+        .expect("fleet");
+    for round in cluster_rounds(1, 8) {
+        cluster_round(&mut fleet, round);
+    }
+    let warm = threads();
+    assert_eq!(fleet.node_leaves(), vec![3, 3], "the boundary re-split");
+    for round in cluster_rounds(1, 12) {
+        cluster_round(&mut fleet, round);
+    }
+    for round in cluster_rounds(MEASURED, 12) {
+        assert_eq!(
+            cluster_round(&mut fleet, round),
+            1,
+            "a re-split fleet's drive must allocate only the returned model"
+        );
+        assert_eq!(threads(), warm, "a re-split changed the threads");
+    }
+    assert_eq!(fleet.node_leaves(), vec![3, 3]);
 }

@@ -7,7 +7,7 @@ use crate::util::{assert_bit_exact, assert_close, updates};
 use lifl_core::cluster::{Cluster, ClusterBuilder, FaultToleranceConfig};
 use lifl_core::session::Update;
 use lifl_fl::aggregate::ModelUpdate;
-use lifl_types::{NodeId, Topology};
+use lifl_types::{AdmissionConfig, ClientId, LiflError, NodeId, Topology};
 
 const DIM: usize = 16;
 
@@ -90,6 +90,221 @@ fn kill_at_every_hop_boundary_survives_bit_exact() {
             &format!("kill after {after_hops} hops"),
         );
         assert_eq!(report.update.samples, clean.samples);
+    }
+}
+
+/// What one scripted round left behind, recorded from the node-at-a-time
+/// drive loop the fault timing is defined by: each drive attempt's outcome,
+/// the fault counters, the clients reported lost, the completed round's hops
+/// and a fingerprint of its model's bits (or of the checkpoint a top kill
+/// restored).
+#[derive(Debug, Clone, PartialEq)]
+struct Plan {
+    /// `NodeFailure`s as `(node, lost)`, `AggregatorFailure`s as
+    /// `(node, u64::MAX)`, in attempt order.
+    attempts: Vec<(u64, u64)>,
+    /// `[node_restarts, top_recoveries, deduped_hops, lost_updates]`.
+    stats: [u64; 4],
+    /// `take_lost_clients` after every node failure, concatenated.
+    lost: Vec<u64>,
+    /// The completed round's hops as `(node, wire_bytes, same_node)`.
+    hops: Vec<(u64, u64, bool)>,
+    /// The completed round's model fingerprint.
+    model: u64,
+    /// Every restored checkpoint's fingerprint and its lost in-progress
+    /// folds, in attempt order.
+    restored: Vec<(u64, u64)>,
+}
+
+/// FNV-1a over a model's bits.
+fn fingerprint(model: &lifl_fl::DenseModel) -> u64 {
+    model
+        .as_slice()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, v| {
+            (hash ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// One scripted round on a fresh fault-tolerant [2, 2, 3] cluster whose
+/// first, full round is committed: `ingest` updates offered (then the
+/// `depart`ed clients' withdrawn) and driven until the round completes, with
+/// `kills[k]` scheduled before attempt `k`. A node failure re-sends its lost
+/// clients; a top kill re-offers the round.
+#[derive(Debug, Clone, Copy)]
+struct Script {
+    quorum: bool,
+    ingest: usize,
+    depart: &'static [u64],
+    kills: &'static [(u64, u64)],
+}
+
+/// A full round, killed as `kills` says.
+fn full(kills: &'static [(u64, u64)]) -> Script {
+    Script {
+        quorum: false,
+        ingest: 12,
+        depart: &[],
+        kills,
+    }
+}
+
+fn run_plan(script: Script) -> Plan {
+    let batch = updates(topology().total_updates(), DIM);
+    let mut builder = ClusterBuilder::new()
+        .topology(topology())
+        .fault_tolerance(FaultToleranceConfig::default());
+    if script.quorum {
+        builder = builder.admission(AdmissionConfig::bounded(4, 1 << 20).with_quorum(4));
+    }
+    let mut cluster = builder.build().expect("cluster");
+    cluster
+        .ingest_all(batch.iter().cloned().map(Update::Dense))
+        .unwrap();
+    cluster.drive().unwrap();
+    let offer = |cluster: &mut Cluster| {
+        let round = batch.iter().take(script.ingest).cloned();
+        cluster.ingest_all(round.map(Update::Dense)).unwrap();
+        for client in script.depart {
+            assert!(cluster.depart_client(ClientId::new(*client)));
+        }
+    };
+    offer(&mut cluster);
+    let (mut attempts, mut lost, mut restored) = (Vec::new(), Vec::new(), Vec::new());
+    let mut kills = script.kills.iter();
+    let report = loop {
+        if let Some((node, after_hops)) = kills.next() {
+            cluster
+                .schedule_node_failure(NodeId::new(*node), *after_hops)
+                .unwrap();
+        }
+        match cluster.drive() {
+            Ok(report) => break report,
+            Err(LiflError::NodeFailure { node, lost_updates }) => {
+                attempts.push((node, lost_updates));
+                let clients = cluster.take_lost_clients();
+                lost.extend(clients.iter().map(|c| c.index()));
+                for client in clients {
+                    let update = batch.iter().find(|u| u.client == Some(client)).unwrap();
+                    cluster.ingest(Update::Dense(update.clone())).unwrap();
+                }
+            }
+            Err(LiflError::AggregatorFailure { node }) => {
+                attempts.push((node, u64::MAX));
+                let outcome = cluster.take_recovery().expect("a restore").outcome;
+                let model = outcome.recovered_model.expect("round 1 checkpointed");
+                restored.push((fingerprint(&model), outcome.lost_in_progress_updates));
+                offer(&mut cluster);
+            }
+            Err(other) => panic!("unexpected drive error {other:?}"),
+        }
+    };
+    let stats = cluster.fault_stats().unwrap();
+    Plan {
+        attempts,
+        stats: [
+            stats.node_restarts,
+            stats.top_recoveries,
+            stats.deduped_hops,
+            stats.lost_updates,
+        ],
+        lost,
+        hops: (report.hops.iter())
+            .map(|h| (h.node.index(), h.wire_bytes, h.same_node))
+            .collect(),
+        model: fingerprint(&report.update.model),
+        restored,
+    }
+}
+
+/// Where a scheduled kill fires, what it loses, which hops a retry dedups
+/// and what the completed round ships are those of the loop that drives one
+/// node at a time: every value below was recorded from that loop. A kill is
+/// checked before a node is skipped as empty, so an empty node at the kill
+/// point still fires it, and a kill scheduled after every hop never fires.
+#[test]
+fn the_fault_plan_is_the_node_order_loop() {
+    const TOP: u64 = u64::MAX;
+    const FULL: u64 = 2_666_025_012_422_958_992;
+    const NODE1: [u64; 4] = [2, 3, 8, 9];
+    const NODE2: [u64; 4] = [4, 5, 10, 11];
+    let plan = |attempts: &[(u64, u64)], stats: [u64; 4], lost: &[u64]| Plan {
+        attempts: attempts.to_vec(),
+        stats,
+        lost: lost.to_vec(),
+        hops: vec![(0, 64, true), (1, 64, false), (2, 64, false)],
+        model: FULL,
+        restored: Vec::new(),
+    };
+    let restored = |in_progress: u64| Plan {
+        restored: vec![(FULL, in_progress)],
+        ..plan(&[(0, TOP)], [0, 1, 0, 12], &[])
+    };
+    let untouched = || plan(&[], [0; 4], &[]);
+    // Quorum rounds of four updates, node 2 never getting one, or of six
+    // with node 1's two clients departed.
+    let empty = |node: u64, kills: &'static [(u64, u64)]| Script {
+        quorum: true,
+        ingest: if node == 2 { 4 } else { 6 },
+        depart: if node == 2 { &[] } else { &[2, 3] },
+        kills,
+    };
+    let partial = |node: u64, attempts: &[(u64, u64)], stats: [u64; 4], lost: &[u64]| {
+        let (model, shipped) = if node == 2 {
+            (3_856_688_636_497_844_979, 1)
+        } else {
+            (12_411_146_996_539_985_318, 2)
+        };
+        Plan {
+            hops: vec![(0, 64, true), (shipped, 64, false)],
+            model,
+            ..plan(attempts, stats, lost)
+        }
+    };
+    let scripts = [
+        // Node 0 hosts the top: its kill loses the round at any point, with
+        // as many folds in progress as hops completed.
+        (full(&[(0, 0)]), restored(0)),
+        (full(&[(0, 1)]), restored(1)),
+        (full(&[(0, 2)]), restored(2)),
+        (full(&[(0, 3)]), untouched()),
+        (full(&[(1, 0)]), plan(&[(1, 4)], [1, 0, 0, 4], &NODE1)),
+        (full(&[(1, 1)]), plan(&[(1, 4)], [1, 0, 1, 4], &NODE1)),
+        // Node 1's hop already reached the top: nothing lost.
+        (full(&[(1, 2)]), plan(&[(1, 0)], [1, 0, 2, 0], &[])),
+        (full(&[(1, 3)]), untouched()),
+        (full(&[(2, 0)]), plan(&[(2, 4)], [1, 0, 0, 4], &NODE2)),
+        (full(&[(2, 1)]), plan(&[(2, 4)], [1, 0, 1, 4], &NODE2)),
+        (full(&[(2, 2)]), plan(&[(2, 4)], [1, 0, 2, 4], &NODE2)),
+        (full(&[(2, 3)]), untouched()),
+        // Dedup retries: the second kill counts the deduped hops as done.
+        (
+            full(&[(2, 1), (1, 1)]),
+            plan(&[(2, 4), (1, 4)], [2, 0, 2, 8], &[4, 5, 10, 11, 2, 3, 8, 9]),
+        ),
+        (
+            full(&[(1, 2), (2, 2)]),
+            plan(&[(1, 0), (2, 4)], [2, 0, 4, 4], &NODE2),
+        ),
+        // The kill point sits on the empty node, and fires.
+        (
+            empty(2, &[(1, 2)]),
+            partial(2, &[(1, 0)], [1, 0, 2, 0], &[]),
+        ),
+        (
+            empty(2, &[(2, 2)]),
+            partial(2, &[(2, 0)], [1, 0, 2, 0], &[]),
+        ),
+        (
+            empty(1, &[(2, 1)]),
+            partial(1, &[(2, 2)], [1, 0, 1, 2], &[4, 5]),
+        ),
+        // The empty node is skipped before the kill point is reached, and
+        // no node is left to reach it.
+        (empty(1, &[(2, 2)]), partial(1, &[], [0; 4], &[])),
+    ];
+    for (script, expected) in scripts {
+        assert_eq!(run_plan(script), expected, "{script:?}");
     }
 }
 
