@@ -1,18 +1,20 @@
-//! Model-quality metrics.
+//! Model-quality metrics, on the trainer's class-lane logits path: the
+//! model's weight block is transposed once per call, not once per sample.
 
 use crate::dataset::Sample;
 use crate::model::DenseModel;
-use crate::trainer::LocalTrainer;
+use crate::trainer::{at_least, LocalTrainer};
 
 /// Top-1 accuracy (in percent) of `model` on `samples`.
 pub fn accuracy_percent(trainer: &LocalTrainer, model: &DenseModel, samples: &[Sample]) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
+    let mut lanes = trainer.lanes(model);
     let correct = samples
         .iter()
         .filter(|s| {
-            let probs = trainer.predict(model, &s.features);
+            let probs = lanes.probabilities(&s.features);
             let predicted = probs
                 .iter()
                 .enumerate()
@@ -25,16 +27,18 @@ pub fn accuracy_percent(trainer: &LocalTrainer, model: &DenseModel, samples: &[S
     100.0 * correct as f64 / samples.len() as f64
 }
 
-/// Average cross-entropy loss of `model` on `samples`.
+/// Average cross-entropy loss of `model` on `samples` (NaN for a model
+/// holding a NaN).
 pub fn cross_entropy(trainer: &LocalTrainer, model: &DenseModel, samples: &[Sample]) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
+    let mut lanes = trainer.lanes(model);
     let total: f64 = samples
         .iter()
         .map(|s| {
-            let probs = trainer.predict(model, &s.features);
-            -(probs[s.label].max(1e-7) as f64).ln()
+            let probs = lanes.probabilities(&s.features);
+            -(at_least(probs[s.label], 1e-7) as f64).ln()
         })
         .sum();
     total / samples.len() as f64

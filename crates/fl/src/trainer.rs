@@ -1,5 +1,31 @@
 //! Local SGD training of the softmax-regression workload (§6.2: SGD,
 //! batch size 32, learning rate 0.01).
+//!
+//! # Class lanes
+//!
+//! A model is `[W (classes × features) | b (classes)]`, flattened row-major
+//! into a [`DenseModel`]. Logit `c` of a sample `x` is `b[c] + Σ_j W[c][j]·x[j]`,
+//! its products summed in feature order starting from `-0.0` (the identity
+//! `Sum for f32` starts from) and the bias added last. Each class is one chain
+//! of dependent f32 adds that the compiler may not reassociate, so walking `W`
+//! row by row runs the chains one after another at add latency.
+//!
+//! The logits path therefore transposes `W` into a block `wt[j·classes + c]`
+//! and runs the feature loop outermost and the class loop innermost. Every
+//! class still adds its products in feature order from `-0.0`, so every
+//! logit — and with it every probability, gradient, loss, model and
+//! accuracy — is bit-identical to the row-major sum; only the independent
+//! chains now advance side by side, and the inner loop vectorizes. The model
+//! changes only at the end of a mini-batch, so [`LocalTrainer::train`]
+//! transposes once per batch and an evaluation
+//! ([`accuracy_percent`](crate::metrics::accuracy_percent),
+//! [`cross_entropy`](crate::metrics::cross_entropy)) once per call. The
+//! transposed block, the probabilities and the gradient are allocated once
+//! per `train` or evaluation call.
+//!
+//! A NaN anywhere in the model propagates into the loss: the clamps below
+//! floor only numbers, never a NaN, so a diverged client reports a NaN loss
+//! instead of a finite one.
 
 use crate::dataset::Sample;
 use crate::model::DenseModel;
@@ -29,7 +55,10 @@ impl Default for TrainerConfig {
 /// A local trainer for the softmax-regression model.
 ///
 /// The model layout is `[W (classes x features) | b (classes)]`, flattened
-/// row-major into a [`DenseModel`].
+/// row-major into a [`DenseModel`]. Logits are computed in class lanes over
+/// a transposed copy of `W`, taken once per mini-batch, with every class
+/// summing its products in feature order (see the [module docs](self)), so
+/// the results are bit-identical to one row-major dot product per class.
 #[derive(Debug, Clone)]
 pub struct LocalTrainer {
     num_features: usize,
@@ -64,6 +93,8 @@ impl LocalTrainer {
         if shard.is_empty() {
             return (model, 0.0);
         }
+        let mut lanes = ClassLanes::new(self.num_features, self.num_classes);
+        let mut grad = vec![0.0f32; model.dim()];
         let mut order: Vec<usize> = (0..shard.len()).collect();
         let mut last_loss = 0.0;
         for _ in 0..self.config.local_epochs.max(1) {
@@ -71,7 +102,7 @@ impl LocalTrainer {
             let mut epoch_loss = 0.0f64;
             let mut batches = 0.0f64;
             for batch in order.chunks(self.config.batch_size.max(1)) {
-                epoch_loss += self.sgd_step(&mut model, shard, batch);
+                epoch_loss += self.sgd_step(&mut lanes, &mut grad, &mut model, shard, batch);
                 batches += 1.0;
             }
             last_loss = epoch_loss / batches.max(1.0);
@@ -81,31 +112,39 @@ impl LocalTrainer {
 
     /// Computes class probabilities for one sample under `model`.
     pub fn predict(&self, model: &DenseModel, features: &[f32]) -> Vec<f32> {
-        let params = model.as_slice();
-        let f = self.num_features;
-        let mut logits = vec![0.0f32; self.num_classes];
-        for (c, logit) in logits.iter_mut().enumerate() {
-            let row = &params[c * f..(c + 1) * f];
-            let bias = params[self.num_classes * f + c];
-            *logit = bias + row.iter().zip(features).map(|(w, x)| w * x).sum::<f32>();
-        }
-        softmax(&logits)
+        self.lanes(model).probabilities(features).to_vec()
     }
 
-    fn sgd_step(&self, model: &mut DenseModel, shard: &[Sample], batch: &[usize]) -> f64 {
+    /// The class-lane logits path over `model`, its weight block transposed.
+    pub(crate) fn lanes(&self, model: &DenseModel) -> ClassLanes {
+        let mut lanes = ClassLanes::new(self.num_features, self.num_classes);
+        lanes.load(model);
+        lanes
+    }
+
+    /// One mini-batch: re-transposes `model` (the previous batch changed
+    /// it), accumulates the batch's gradient into `grad` and applies it.
+    fn sgd_step(
+        &self,
+        lanes: &mut ClassLanes,
+        grad: &mut [f32],
+        model: &mut DenseModel,
+        shard: &[Sample],
+        batch: &[usize],
+    ) -> f64 {
         let f = self.num_features;
         let k = self.num_classes;
         let lr = self.config.learning_rate;
         let scale = lr / batch.len() as f32;
         let mut loss = 0.0f64;
-        // Accumulate gradient over the batch, then apply.
-        let mut grad = vec![0.0f32; model.dim()];
+        lanes.load(model);
+        grad.fill(0.0);
         for &idx in batch {
             let sample = &shard[idx];
-            let probs = self.predict(model, &sample.features);
-            loss -= (probs[sample.label].max(1e-7) as f64).ln();
-            for c in 0..k {
-                let err = probs[c] - if c == sample.label { 1.0 } else { 0.0 };
+            let probs = lanes.probabilities(&sample.features);
+            loss -= (at_least(probs[sample.label], 1e-7) as f64).ln();
+            for (c, p) in probs.iter().enumerate() {
+                let err = p - if c == sample.label { 1.0 } else { 0.0 };
                 let row = &mut grad[c * f..(c + 1) * f];
                 for (g, x) in row.iter_mut().zip(&sample.features) {
                     *g += err * x;
@@ -114,29 +153,103 @@ impl LocalTrainer {
             }
         }
         let params = model.as_mut_slice();
-        for (p, g) in params.iter_mut().zip(&grad) {
+        for (p, g) in params.iter_mut().zip(grad.iter()) {
             *p -= scale * g;
         }
         loss / batch.len() as f64
     }
 }
 
-fn softmax(logits: &[f32]) -> Vec<f32> {
-    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|l| (l - max).exp()).collect();
-    let sum: f32 = exps.iter().sum::<f32>().max(1e-12);
-    exps.iter().map(|e| e / sum).collect()
+/// One model's logits path in class lanes: `W` transposed into
+/// `wt[j * classes + c]`, the bias, and the probability buffer the current
+/// sample's logits are turned into in place.
+#[derive(Debug)]
+pub(crate) struct ClassLanes {
+    features: usize,
+    classes: usize,
+    wt: Vec<f32>,
+    bias: Vec<f32>,
+    probs: Vec<f32>,
+}
+
+impl ClassLanes {
+    fn new(features: usize, classes: usize) -> Self {
+        ClassLanes {
+            features,
+            classes,
+            wt: vec![0.0; classes * features],
+            bias: vec![0.0; classes],
+            probs: vec![0.0; classes],
+        }
+    }
+
+    /// Transposes `model`'s weight block into the lanes and copies its bias.
+    fn load(&mut self, model: &DenseModel) {
+        let (f, k) = (self.features, self.classes);
+        let params = model.as_slice();
+        for c in 0..k {
+            for j in 0..f {
+                self.wt[j * k + c] = params[c * f + j];
+            }
+        }
+        self.bias.copy_from_slice(&params[k * f..k * f + k]);
+    }
+
+    /// Class probabilities of one sample under the loaded model. Every class
+    /// sums `W[c][j]·x[j]` in feature order from `-0.0`, then adds its bias,
+    /// exactly as the row-major `bias + row·x` does (an f32 add commutes).
+    pub(crate) fn probabilities(&mut self, features: &[f32]) -> &[f32] {
+        let k = self.classes;
+        let logits = &mut self.probs;
+        logits.fill(-0.0);
+        for (j, x) in features.iter().take(self.features).enumerate() {
+            for (acc, w) in logits.iter_mut().zip(&self.wt[j * k..(j + 1) * k]) {
+                *acc += w * x;
+            }
+        }
+        for (logit, b) in logits.iter_mut().zip(&self.bias) {
+            *logit += b;
+        }
+        softmax(logits);
+        logits
+    }
+}
+
+/// `value` floored at `floor`, a NaN kept NaN (`f32::max` would return
+/// `floor` and so turn a diverged model's loss finite).
+pub(crate) fn at_least(value: f32, floor: f32) -> f32 {
+    if value < floor {
+        floor
+    } else {
+        value
+    }
+}
+
+/// Softmax in place. The largest logit contributes `exp(0) = 1`, so the
+/// normaliser is at least 1 — or NaN, which then reaches every probability.
+fn softmax(logits: &mut [f32]) {
+    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    for l in logits.iter_mut() {
+        *l = (*l - max).exp();
+    }
+    let sum: f32 = logits.iter().sum();
+    for e in logits.iter_mut() {
+        *e /= sum;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::{DatasetConfig, FederatedDataset};
+    use crate::metrics::{accuracy_percent, cross_entropy};
     use lifl_types::ClientId;
+    use proptest::prelude::*;
 
     #[test]
     fn softmax_sums_to_one() {
-        let probs = softmax(&[1.0, 2.0, 3.0]);
+        let mut probs = [1.0, 2.0, 3.0];
+        softmax(&mut probs);
         assert!((probs.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         assert!(probs[2] > probs[0]);
     }
@@ -182,5 +295,202 @@ mod tests {
         let (model, loss) = trainer.train(&global, &[], &mut rng);
         assert_eq!(model, global);
         assert_eq!(loss, 0.0);
+    }
+
+    /// A diverged model must say so: one NaN weight reaches the training
+    /// loss, the trained model and the evaluation loss as NaN. (`f32::max`
+    /// used to floor the NaN softmax normaliser at 1e-12 and the NaN
+    /// label probability at 1e-7, reporting a finite — even negative — loss.)
+    #[test]
+    fn a_nan_weight_reports_a_nan_loss() {
+        let (f, k) = (3, 4);
+        let trainer = LocalTrainer::new(f, k, TrainerConfig::default());
+        let mut global = DenseModel::zeros(trainer.model_dim());
+        global.as_mut_slice()[f + 1] = f32::NAN;
+        let shard: Vec<Sample> = (0..8)
+            .map(|i| Sample {
+                features: vec![1.0, -0.5 * i as f32, 0.25],
+                label: i % k,
+            })
+            .collect();
+        let (model, loss) = trainer.train(&global, &shard, &mut SimRng::from_seed(3));
+        assert!(loss.is_nan(), "training loss {loss}");
+        assert!(model.as_slice().iter().all(|w| w.is_nan()));
+        let eval = cross_entropy(&trainer, &global, &shard);
+        assert!(eval.is_nan(), "evaluation loss {eval}");
+        assert!(trainer.predict(&global, &shard[0].features)[0].is_nan());
+    }
+
+    // ---------------------------------------------------------------------
+    // The row-major reference: the trainer as it was before class lanes,
+    // one serial dot product per class and one `predict` per sample.
+    // ---------------------------------------------------------------------
+
+    fn reference_softmax(logits: &[f32]) -> Vec<f32> {
+        let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let exps: Vec<f32> = logits.iter().map(|l| (l - max).exp()).collect();
+        let sum: f32 = exps.iter().sum::<f32>().max(1e-12);
+        exps.iter().map(|e| e / sum).collect()
+    }
+
+    fn reference_predict(t: &LocalTrainer, model: &DenseModel, features: &[f32]) -> Vec<f32> {
+        let params = model.as_slice();
+        let f = t.num_features;
+        let mut logits = vec![0.0f32; t.num_classes];
+        for (c, logit) in logits.iter_mut().enumerate() {
+            let row = &params[c * f..(c + 1) * f];
+            let bias = params[t.num_classes * f + c];
+            *logit = bias + row.iter().zip(features).map(|(w, x)| w * x).sum::<f32>();
+        }
+        reference_softmax(&logits)
+    }
+
+    fn reference_sgd_step(
+        t: &LocalTrainer,
+        model: &mut DenseModel,
+        shard: &[Sample],
+        batch: &[usize],
+    ) -> f64 {
+        let f = t.num_features;
+        let k = t.num_classes;
+        let scale = t.config.learning_rate / batch.len() as f32;
+        let mut loss = 0.0f64;
+        let mut grad = vec![0.0f32; model.dim()];
+        for &idx in batch {
+            let sample = &shard[idx];
+            let probs = reference_predict(t, model, &sample.features);
+            loss -= (probs[sample.label].max(1e-7) as f64).ln();
+            for c in 0..k {
+                let err = probs[c] - if c == sample.label { 1.0 } else { 0.0 };
+                let row = &mut grad[c * f..(c + 1) * f];
+                for (g, x) in row.iter_mut().zip(&sample.features) {
+                    *g += err * x;
+                }
+                grad[k * f + c] += err;
+            }
+        }
+        for (p, g) in model.as_mut_slice().iter_mut().zip(&grad) {
+            *p -= scale * g;
+        }
+        loss / batch.len() as f64
+    }
+
+    fn reference_train(
+        t: &LocalTrainer,
+        global: &DenseModel,
+        shard: &[Sample],
+        rng: &mut SimRng,
+    ) -> (DenseModel, f64) {
+        let mut model = global.clone();
+        if shard.is_empty() {
+            return (model, 0.0);
+        }
+        let mut order: Vec<usize> = (0..shard.len()).collect();
+        let mut last_loss = 0.0;
+        for _ in 0..t.config.local_epochs.max(1) {
+            rng.shuffle(&mut order);
+            let mut epoch_loss = 0.0f64;
+            let mut batches = 0.0f64;
+            for batch in order.chunks(t.config.batch_size.max(1)) {
+                epoch_loss += reference_sgd_step(t, &mut model, shard, batch);
+                batches += 1.0;
+            }
+            last_loss = epoch_loss / batches.max(1.0);
+        }
+        (model, last_loss)
+    }
+
+    fn reference_accuracy(t: &LocalTrainer, model: &DenseModel, samples: &[Sample]) -> f64 {
+        let correct = samples
+            .iter()
+            .filter(|s| {
+                let probs = reference_predict(t, model, &s.features);
+                let predicted = probs
+                    .iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                    .map(|(i, _)| i)
+                    .unwrap_or(0);
+                predicted == s.label
+            })
+            .count();
+        100.0 * correct as f64 / samples.len() as f64
+    }
+
+    fn reference_cross_entropy(t: &LocalTrainer, model: &DenseModel, samples: &[Sample]) -> f64 {
+        let total: f64 = samples
+            .iter()
+            .map(|s| -(reference_predict(t, model, &s.features)[s.label].max(1e-7) as f64).ln())
+            .sum();
+        total / samples.len() as f64
+    }
+
+    fn samples(rng: &mut SimRng, n: usize, f: usize, k: usize) -> Vec<Sample> {
+        (0..n)
+            .map(|_| Sample {
+                features: (0..f).map(|_| rng.normal(0.0, 1.0) as f32).collect(),
+                label: rng.index(k),
+            })
+            .collect()
+    }
+
+    fn assert_same_bits(a: &[f32], b: &[f32]) -> std::result::Result<(), String> {
+        prop_assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            prop_assert_eq!(x.to_bits(), y.to_bits(), "element {}: {} vs {}", i, x, y);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Class lanes are the row-major trainer, bit for bit: the trained
+        /// model, the reported loss, the generator's position, every
+        /// probability, the accuracy and the evaluation loss — over feature
+        /// counts that are and are not multiples of the vector width, batch
+        /// sizes from 1 to beyond the shard, several epochs, and zero or
+        /// random starting models. A transpose taken once per `train`
+        /// instead of once per batch trains on a stale model and fails here.
+        #[test]
+        fn class_lanes_are_the_row_major_trainer_bit_for_bit(
+            (f, k, n) in (1usize..=130, 1usize..=70, 1usize..=48),
+            (batch, epochs, zero_model) in (0usize..4, 1usize..=3, any::<bool>()),
+            lr in 0.01f32..1.0,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = SimRng::from_seed(seed);
+            let shard = samples(&mut rng, n, f, k);
+            let tests = samples(&mut rng, 16, f, k);
+            let batch_size = [1, 7, 32, n + 1][batch];
+            let trainer = LocalTrainer::new(
+                f,
+                k,
+                TrainerConfig { batch_size, learning_rate: lr, local_epochs: epochs },
+            );
+            let global = if zero_model {
+                DenseModel::zeros(trainer.model_dim())
+            } else {
+                DenseModel::from_vec(
+                    (0..trainer.model_dim()).map(|_| rng.normal(0.0, 0.5) as f32).collect(),
+                )
+            };
+            let mut lane_rng = rng.clone();
+            let (model, loss) = trainer.train(&global, &shard, &mut lane_rng);
+            let (expected, expected_loss) = reference_train(&trainer, &global, &shard, &mut rng);
+            assert_same_bits(model.as_slice(), expected.as_slice())?;
+            prop_assert_eq!(loss.to_bits(), expected_loss.to_bits(), "{} vs {}", loss, expected_loss);
+            prop_assert_eq!(lane_rng.index(1 << 30), rng.index(1 << 30));
+            for s in &tests {
+                assert_same_bits(
+                    &trainer.predict(&model, &s.features),
+                    &reference_predict(&trainer, &model, &s.features),
+                )?;
+            }
+            let accuracy = accuracy_percent(&trainer, &model, &tests);
+            let expected_accuracy = reference_accuracy(&trainer, &model, &tests);
+            prop_assert_eq!(accuracy.to_bits(), expected_accuracy.to_bits());
+            let eval = cross_entropy(&trainer, &model, &tests);
+            let expected_eval = reference_cross_entropy(&trainer, &model, &tests);
+            prop_assert_eq!(eval.to_bits(), expected_eval.to_bits(), "{} vs {}", eval, expected_eval);
+        }
     }
 }

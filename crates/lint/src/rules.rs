@@ -21,9 +21,10 @@ pub const HOT_PATH_CRATES: [&str; 5] = [
 ];
 
 /// Modules whose bit-exact determinism the `it`/`faults` tiers prove (R5):
-/// the fold kernels and everything that routes updates into them. Entries
-/// ending in `/` cover a directory.
-pub const FOLD_MODULES: [&str; 17] = [
+/// the fold kernels, everything that routes updates into them, and the local
+/// trainer and metrics whose losses, models and accuracies the driver tier
+/// pins. Entries ending in `/` cover a directory.
+pub const FOLD_MODULES: [&str; 19] = [
     "crates/types/src/fold.rs",
     "crates/fl/src/aggregate.rs",
     "crates/fl/src/sharded.rs",
@@ -31,6 +32,8 @@ pub const FOLD_MODULES: [&str; 17] = [
     "crates/fl/src/update.rs",
     "crates/fl/src/codec.rs",
     "crates/fl/src/kernels/",
+    "crates/fl/src/trainer.rs",
+    "crates/fl/src/metrics.rs",
     "crates/core/src/session.rs",
     "crates/core/src/cluster.rs",
     "crates/core/src/training.rs",

@@ -119,6 +119,23 @@ fn r5_fail_flags_hash_collections_and_clocks() {
 }
 
 #[test]
+fn r5_fail_covers_the_local_trainer_and_metrics() {
+    let found = lint("r5_fail", &[Rule::Determinism]);
+    assert!(
+        found
+            .iter()
+            .any(|f| f.contains("crates/fl/src/trainer.rs:3:") && f.contains("`HashMap`")),
+        "{found:#?}"
+    );
+    assert!(
+        found
+            .iter()
+            .any(|f| f.contains("crates/fl/src/metrics.rs:4:") && f.contains("`Instant::now`")),
+        "{found:#?}"
+    );
+}
+
+#[test]
 fn r5_pass_accepts_btree_and_test_hash() {
     assert_eq!(lint("r5_pass", &[Rule::Determinism]), Vec::<String>::new());
 }

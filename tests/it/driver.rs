@@ -300,6 +300,51 @@ fn flat_backend_is_bit_exact_with_a_flat_session_under_identity() {
     }
 }
 
+/// FNV-1a over a model's bits.
+fn fingerprint(model: &DenseModel) -> u64 {
+    model
+        .as_slice()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, v| {
+            (hash ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Every round's `(train_loss` bits, accuracy`)` and the final global
+/// model's fingerprint.
+fn curve<B: Ingest>(driver: &TrainingDriver<B>) -> (Vec<(u64, f64)>, u64) {
+    let rounds = (driver.history().iter())
+        .map(|r| (r.train_loss.to_bits(), r.accuracy.expect("evaluated")))
+        .collect();
+    (rounds, fingerprint(driver.global_model()))
+}
+
+/// Local training and evaluation are part of the driver's bit contract: every
+/// round's loss bits and accuracy and the final global model's fingerprint
+/// below were recorded from the row-major trainer (one serial dot product per
+/// logit), before logits moved to class lanes over a transposed weight block.
+#[test]
+fn the_training_curve_is_the_row_major_trainers() {
+    let over_cluster = curve(&run_driver(cluster(CodecKind::Uniform8, 1), 42, 5));
+    let over_session = curve(&run_driver(session(CodecKind::Identity, 1), 42, 5));
+    let cluster_rounds = vec![
+        (4_608_562_285_415_642_012, 85.0),
+        (4_607_479_344_048_292_771, 95.333_333_333_333_33),
+        (4_606_486_208_434_270_898, 99.0),
+        (4_604_560_073_398_317_644, 100.0),
+        (4_603_797_807_146_419_713, 98.666_666_666_666_67),
+    ];
+    let session_rounds = vec![
+        (4_608_562_285_415_642_012, 85.0),
+        (4_607_482_800_447_036_243, 94.333_333_333_333_33),
+        (4_606_492_159_453_095_196, 98.666_666_666_666_67),
+        (4_604_564_225_724_823_289, 99.666_666_666_666_67),
+        (4_603_788_337_747_039_552, 98.0),
+    ];
+    assert_eq!(over_cluster, (cluster_rounds, 4_608_363_320_522_766_025));
+    assert_eq!(over_session, (session_rounds, 16_195_215_856_438_018_314));
+}
+
 /// The algorithm-level round loop's own tests (formerly `lifl_fl::rounds`),
 /// on the one driver over the flat backend.
 mod flat_rounds {
