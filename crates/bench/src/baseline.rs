@@ -13,9 +13,9 @@
 //! validates the committed file's schema (`just bench-baseline-check`).
 
 use lifl_fl::aggregate::{CumulativeFedAvg, ModelUpdate};
-use lifl_fl::codec::{ErrorFeedback, UpdateCodec};
+use lifl_fl::codec::{EncodedView, ErrorFeedback, UpdateCodec};
 use lifl_fl::sharded::ShardedFedAvg;
-use lifl_fl::DenseModel;
+use lifl_fl::{kernels, DenseModel};
 use lifl_types::{ClientId, CodecKind, ModelKind};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -25,8 +25,10 @@ use std::time::Instant;
 /// `encode/uniform4`, `encode/topk50` and `decode_into/uniform4` entries
 /// alongside the SIMD kernel layer; v3 added `feedback_encode/uniform8|4`
 /// and the `feedback_over_encode_uniform8_resnet18` cost ratio with the
-/// fused error-feedback encoder.
-pub const SCHEMA: &str = "lifl.bench.aggregation/v3";
+/// fused error-feedback encoder; v4 re-based `sharded_fold/N` on the
+/// station's fold (identity views through `fold_encoded_batch`) when the
+/// dense `ModelUpdate` batch fold was deleted.
+pub const SCHEMA: &str = "lifl.bench.aggregation/v4";
 
 /// Updates per batch in the sequential-versus-sharded comparison.
 pub const BATCH_UPDATES: usize = 8;
@@ -308,6 +310,15 @@ pub fn run(quick: bool) -> BaselineReport {
                 acc.fold(u).expect("fold");
             }
         });
+        // The station's fold: the same batch as identity views over its
+        // little-endian bytes, through the one batch fold the engine runs.
+        let views: Vec<_> = batch
+            .iter()
+            .map(|u| {
+                let bytes = kernels::le_bytes(u.model.as_slice());
+                (EncodedView::identity_over(bytes), u.samples)
+            })
+            .collect();
         for shards in SHARD_COUNTS {
             let mut sharded = ShardedFedAvg::new(dim, shards);
             rec.record(
@@ -315,7 +326,7 @@ pub fn run(quick: bool) -> BaselineReport {
                 model,
                 BATCH_UPDATES as u64,
                 || {
-                    sharded.fold_batch(&batch).expect("fold_batch");
+                    sharded.fold_encoded_batch(&views).expect("fold");
                 },
             );
         }

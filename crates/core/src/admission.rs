@@ -21,8 +21,8 @@ use lifl_shmem::{BufferPool, PooledBacklog};
 use lifl_types::{AdmissionConfig, AdmissionOutcome, ClientId};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Utility assigned to a client that has never reported feedback — matching
-/// the Oort selector's optimistic prior for unexplored clients.
+/// Utility assigned to a client that has never reported feedback: Oort's
+/// optimistic prior, so unexplored clients are not starved.
 const UNEXPLORED_UTILITY: f64 = 1.0;
 
 /// One parked offer: a client update in wire form, waiting for the next

@@ -36,7 +36,7 @@ pub struct AggregatorRuntime {
     /// When set (and lossy), outgoing intermediates are re-encoded with this
     /// codec and stored compressed (the decode-fold-encode interior path).
     codec: Option<UpdateCodec>,
-    /// Parameter-vector partitions for batch folding (1 = sequential).
+    /// Threads a large batch drain splits its fold across.
     shards: usize,
 }
 
@@ -156,19 +156,28 @@ impl AggregatorRuntime {
         self.aggregated = 0;
         self.step = AggregatorStep::Recv;
         if let Some(codec) = &mut self.codec {
-            // A failed round's half-folded accumulator goes home, not away.
-            self.accumulator.release_to(codec.pool());
             codec.reseed(self.id.index());
         }
-        self.accumulator = PolicyFold::new(self.accumulator.policy())?;
+        self.replace_accumulator(self.accumulator.policy())
+    }
+
+    /// Swaps in an empty accumulator for `policy`; the old one's buffer — a
+    /// failed round's half-folded sum, or one warmed and never folded into —
+    /// goes home to the codec's pool, not away.
+    fn replace_accumulator(&mut self, policy: FoldPolicy) -> Result<()> {
+        let fresh = PolicyFold::new(policy)?;
+        if let Some(codec) = &self.codec {
+            self.accumulator.release_to(codec.pool());
+        }
+        self.accumulator = fresh;
         Ok(())
     }
 
-    /// Sets the number of parameter-vector shards batch drains fold across
-    /// (`LiflConfig.aggregation_shards`; clamped to at least 1). With more
-    /// than one shard, [`AggregatorRuntime::run_to_completion`] drains the
-    /// inbox in batches through the sharded cache-blocked fold instead of
-    /// polling one update at a time.
+    /// Sets how many threads a batch drain splits its fold across
+    /// (`LiflConfig.aggregation_shards`; clamped to at least 1). Only a
+    /// batch of at least 4 MiB of payload (`ShardedFedAvg`'s spawn
+    /// break-even) is split; smaller batches fold on the calling thread. The
+    /// fold, and every bit of its result, is the same for any shard count.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = shards.max(1);
     }
@@ -192,8 +201,7 @@ impl AggregatorRuntime {
                 "cannot change fold policy mid-round".to_string(),
             ));
         }
-        self.accumulator = PolicyFold::new(policy)?;
-        Ok(())
+        self.replace_accumulator(policy)
     }
 
     /// The fold policy in use.
@@ -212,22 +220,23 @@ impl AggregatorRuntime {
     }
 
     /// Promotes the runtime to a higher role (opportunistic reuse, §5.3),
-    /// optionally adopting a new aggregation goal. The runtime is stateless
-    /// between rounds, so no other change is required.
+    /// adopting a new aggregation goal. The runtime is stateless between
+    /// rounds, so it then opens a round exactly as a re-armed one does: any
+    /// half-folded accumulator goes home to the codec's pool and the codec
+    /// stream restarts at the position seed.
+    ///
+    /// # Errors
+    /// Returns [`LiflError::InvalidConfig`] for a top aggregator and
+    /// [`LiflError::InvalidAggregationGoal`] if `new_goal` is zero; either
+    /// way the runtime is left unchanged.
     pub fn promote(&mut self, new_goal: u64) -> Result<()> {
         let Some(next) = self.role.promoted() else {
             return Err(LiflError::InvalidConfig(
                 "top aggregator cannot be promoted further".to_string(),
             ));
         };
-        if new_goal == 0 {
-            return Err(LiflError::InvalidAggregationGoal(0));
-        }
+        self.rearm(new_goal)?;
         self.role = next;
-        self.goal = new_goal;
-        self.accumulator = PolicyFold::new(self.accumulator.policy())?;
-        self.aggregated = 0;
-        self.step = AggregatorStep::Recv;
         Ok(())
     }
 
@@ -273,9 +282,10 @@ impl AggregatorRuntime {
         Ok(true)
     }
 
-    /// Drains queued updates up to the aggregation goal in one batch, folding
-    /// the batch across the configured shard partitions (cache-blocked,
-    /// parallel when `shards > 1`). Returns the number of updates folded.
+    /// Drains queued updates up to the aggregation goal in one batch and
+    /// folds it cache-blocked — the station's one fold path, split across
+    /// the configured shard threads when the batch is large enough. Returns
+    /// the number of updates folded.
     ///
     /// The result is bit-identical to polling the same updates one at a time:
     /// the sharded fold applies updates in queue order within every element,
@@ -395,20 +405,19 @@ impl AggregatorRuntime {
         Ok(queued)
     }
 
-    /// Drives the runtime until the goal is met and the result is sent
-    /// (a convenience for tests and the in-process runtime; lazy aggregation
-    /// simply calls this after all inputs are queued).
+    /// Drives the runtime until the goal is met and the result is sent: the
+    /// inbox drains as batches through [`AggregatorRuntime::drain_batch`],
+    /// whatever the shard count (lazy aggregation simply calls this after
+    /// all inputs are queued). The result is bit-identical to a
+    /// [`AggregatorRuntime::poll`] loop over the same inbox.
     ///
     /// # Errors
-    /// Propagates the errors of [`AggregatorRuntime::poll`] and [`AggregatorRuntime::send`].
+    /// Propagates the errors of [`AggregatorRuntime::drain_batch`] and
+    /// [`AggregatorRuntime::send`], and reports starvation when the inbox
+    /// runs dry before the goal.
     pub fn run_to_completion(&mut self) -> Result<QueuedUpdate> {
         while !self.goal_met() {
-            let progressed = if self.shards > 1 {
-                self.drain_batch()? > 0
-            } else {
-                self.poll()?
-            };
-            if !progressed {
+            if self.drain_batch()? == 0 {
                 return Err(LiflError::Simulation(format!(
                     "aggregator {} starved: {}/{} updates received",
                     self.id, self.aggregated, self.goal
@@ -515,6 +524,42 @@ mod tests {
         assert_eq!(agg.role(), AggregatorRole::Top);
         assert!(agg.promote(2).is_err());
         assert!(agg.promote(0).is_err());
+    }
+
+    #[test]
+    fn promotion_mid_round_hands_the_accumulator_back_to_the_pool() {
+        use lifl_types::CodecKind;
+
+        let store = ObjectStore::new();
+        let inbox = InPlaceQueue::new();
+        let pool = lifl_shmem::BufferPool::new();
+        let mut agg = AggregatorRuntime::with_codec(
+            AggregatorId::new(1),
+            AggregatorRole::Leaf,
+            2,
+            store.clone(),
+            inbox.clone(),
+            UpdateCodec::new(CodecKind::Identity).with_pool(pool.clone()),
+        )
+        .unwrap();
+        for round in 0..3u64 {
+            agg.rearm(2).unwrap();
+            queue_client_update(&store, &inbox, 1, &[2.0, 4.0], 1);
+            assert!(agg.poll().unwrap());
+            if round == 1 {
+                // The half-folded accumulator must go home, not away.
+                agg.promote(2).unwrap();
+                queue_client_update(&store, &inbox, 1, &[2.0, 4.0], 1);
+                assert!(agg.poll().unwrap());
+            }
+            queue_client_update(&store, &inbox, 2, &[4.0, 8.0], 3);
+            assert!(agg.poll().unwrap());
+            let out = agg.send().unwrap();
+            assert_eq!(store.get(&out.key).unwrap().as_f32_vec(), vec![3.5, 7.0]);
+            store.recycle(&out.key).unwrap();
+        }
+        let stats = pool.stats();
+        assert_eq!((stats.hits, stats.misses), (3, 1));
     }
 
     #[test]
@@ -645,40 +690,82 @@ mod tests {
 
     #[test]
     fn drain_batch_is_bit_identical_to_eager_polling() {
+        use lifl_fl::DenseModel;
+        use lifl_types::CodecKind;
+
         let dim = 9000;
         let values = |i: usize| -> Vec<f32> {
             (0..dim)
-                .map(|d| ((i * 13 + d) % 59) as f32 * 0.03)
+                .map(|d| ((i * 13 + d) % 59) as f32 * 0.03 - 0.8)
                 .collect()
         };
-        let run = |shards: usize| -> Vec<f32> {
+        // Four client updates in the representation the gateway stores, then
+        // one round to `goal` — by an explicit `poll` loop (the §5.4 single
+        // step, `None`) or by `run_to_completion` at a shard count. Returns
+        // the sent object's bytes, its queue entry's weight and flag, and
+        // what the round left queued.
+        let run = |kind: CodecKind, policy: FoldPolicy, goal: u64, shards: Option<usize>| {
             let store = ObjectStore::new();
             let inbox = InPlaceQueue::new();
-            let mut agg = AggregatorRuntime::new(
+            let mut agg = AggregatorRuntime::with_codec(
                 AggregatorId::new(1),
                 AggregatorRole::Leaf,
-                4,
+                goal,
                 store.clone(),
                 inbox.clone(),
+                UpdateCodec::new(kind),
             )
             .unwrap();
-            agg.set_shards(shards);
-            assert_eq!(agg.shards(), shards);
+            agg.set_policy(policy).unwrap();
+            let mut client = UpdateCodec::new(kind);
             for i in 0..4 {
-                queue_client_update(&store, &inbox, i as u64, &values(i), i as u64 + 1);
+                let producer = ClientId::new(i as u64);
+                let mut queued = if kind.is_lossless() {
+                    QueuedUpdate::from_client(producer, store.put_f32(&values(i)).unwrap())
+                } else {
+                    let encoded = client.encode(&DenseModel::from_vec(values(i)));
+                    let wire = encoded.to_bytes();
+                    let key = store.put_encoded(wire, encoded.dense_bytes()).unwrap();
+                    QueuedUpdate::from_client(producer, key).encoded()
+                };
+                queued.weight = i as u64 + 1;
+                inbox.enqueue(queued);
             }
-            let out = agg.run_to_completion().unwrap();
-            store.get(&out.key).unwrap().as_f32_vec()
+            let out = match shards {
+                Some(shards) => {
+                    agg.set_shards(shards);
+                    assert_eq!(agg.shards(), shards);
+                    agg.run_to_completion().unwrap()
+                }
+                None => {
+                    while !agg.goal_met() {
+                        assert!(agg.poll().unwrap());
+                    }
+                    agg.send().unwrap()
+                }
+            };
+            let bytes = store.get(&out.key).unwrap().as_slice().to_vec();
+            (bytes, out.weight, out.encoded, inbox.len())
         };
-        let eager = run(1);
-        for shards in [2usize, 4] {
-            let batched = run(shards);
-            for (a, b) in eager.iter().zip(&batched) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{shards}-shard drain diverged: {a} vs {b}"
-                );
+        for kind in [
+            CodecKind::Identity,
+            CodecKind::Uniform8,
+            CodecKind::Uniform4,
+            CodecKind::TopK { permille: 50 },
+        ] {
+            for policy in [FoldPolicy::FedAvg, FoldPolicy::Median] {
+                // A full goal, and a quorum-sized one that leaves an update
+                // queued.
+                for goal in [4, 3] {
+                    let polled = run(kind, policy, goal, None);
+                    assert_eq!(polled.3, 4 - goal as usize);
+                    for shards in [1usize, 2, 4] {
+                        assert!(
+                            run(kind, policy, goal, Some(shards)) == polled,
+                            "{kind}/{policy:?}/goal {goal}: {shards}-shard drain diverged"
+                        );
+                    }
+                }
             }
         }
     }

@@ -400,8 +400,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets the per-aggregator shard count on every node (see
-    /// [`SessionBuilder::shards`]).
+    /// Sets how many threads every node's aggregators split a large batch
+    /// fold across (see [`SessionBuilder::shards`]).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self

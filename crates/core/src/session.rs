@@ -128,9 +128,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets the number of parameter-vector shards every aggregator folds
-    /// batches across (`LiflConfig.aggregation_shards`; clamped to ≥ 1,
-    /// where 1 is the sequential eager fold).
+    /// Sets how many threads every aggregator's batch fold splits across
+    /// (`LiflConfig.aggregation_shards`; clamped to ≥ 1). Every station
+    /// drains its inbox as one cache-blocked batch whatever the value; only
+    /// a batch of at least 4 MiB of payload is split, and any value folds
+    /// the same bits.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self

@@ -371,35 +371,6 @@ pub(super) unsafe fn axpy(acc: &mut [f32], src: &[f32], w: f32) {
 // AVX2 first and asserts every source covers `acc`, so the unaligned
 // loads/stores at `i..i+8` stay in bounds for all slices.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn axpy4(acc: &mut [f32], srcs: [&[f32]; 4], w: [f32; 4]) {
-    let n = acc.len();
-    let wv: [__m256; 4] = [
-        _mm256_set1_ps(w[0]),
-        _mm256_set1_ps(w[1]),
-        _mm256_set1_ps(w[2]),
-        _mm256_set1_ps(w[3]),
-    ];
-    let mut i = 0usize;
-    while i + 8 <= n {
-        // The adds chain in source order so the result is bit-identical to
-        // four sequential axpy passes (each lane is independent).
-        let mut v = _mm256_loadu_ps(acc.as_ptr().add(i));
-        for (src, wk) in srcs.iter().zip(wv) {
-            v = _mm256_add_ps(v, _mm256_mul_ps(wk, _mm256_loadu_ps(src.as_ptr().add(i))));
-        }
-        _mm256_storeu_ps(acc.as_mut_ptr().add(i), v);
-        i += 8;
-    }
-    let tails = [&srcs[0][i..], &srcs[1][i..], &srcs[2][i..], &srcs[3][i..]];
-    scalar::axpy4(&mut acc[i..], tails, w);
-}
-
-/// Safety: caller must have verified AVX2 support at runtime, and every
-/// source must be at least as long as `acc`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
-// AVX2 first and asserts every source covers `acc`, so the unaligned
-// loads/stores at `i..i+8` stay in bounds for all slices.
-#[target_feature(enable = "avx2")]
 pub(super) unsafe fn axpy8(acc: &mut [f32], srcs: [&[f32]; 8], w: [f32; 8]) {
     let n = acc.len();
     let mut wv = [_mm256_setzero_ps(); 8];

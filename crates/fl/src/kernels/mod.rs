@@ -510,7 +510,7 @@ fn compact_topk_with(params: &[f32], threshold: u32, ties: usize, body: &mut Vec
 }
 
 // ---------------------------------------------------------------------------
-// Dense axpy family (model accumulation, sharded batch folds).
+// Dense axpy family (model accumulation).
 // ---------------------------------------------------------------------------
 
 /// `acc += w * src`, elementwise over the common prefix.
@@ -531,28 +531,12 @@ fn axpy_with(acc: &mut [f32], src: &[f32], w: f32, simd: bool) {
     scalar::axpy(acc, src, w);
 }
 
-/// Four-source batched fold: one accumulator load/store per element, adds
-/// chained in source order so the result is bit-identical to four sequential
-/// [`axpy`] passes. Every source must be at least as long as `acc`.
-pub fn axpy4(acc: &mut [f32], srcs: [&[f32]; 4], w: [f32; 4]) {
-    assert!(srcs.iter().all(|s| s.len() >= acc.len()));
-    axpy4_with(acc, srcs, w, simd_active());
-}
-
-fn axpy4_with(acc: &mut [f32], srcs: [&[f32]; 4], w: [f32; 4], simd: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection; lengths
-        // checked by the wrapper.
-        unsafe { avx2::axpy4(acc, srcs, w) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
-    scalar::axpy4(acc, srcs, w);
-}
-
-/// Eight-source variant of [`axpy4`] (same ordering guarantee).
+/// Eight-source batched fold: one accumulator load/store per element, adds
+/// chained in source order so the result is bit-identical to eight
+/// sequential [`axpy`] passes. Every source must be at least as long as
+/// `acc`. No engine fold calls it (a station folds one source at a time,
+/// cache-blocked); it stays because the whole-round benchmark times it as
+/// the kernel layer's dense-throughput reference (`kernels.axpy8_gbps`).
 pub fn axpy8(acc: &mut [f32], srcs: [&[f32]; 8], w: [f32; 8]) {
     assert!(srcs.iter().all(|s| s.len() >= acc.len()));
     axpy8_with(acc, srcs, w, simd_active());
@@ -1357,8 +1341,8 @@ mod proptests {
             prop_assert_eq!(bits(&d_scalar), bits(&d_simd));
         }
 
-        /// axpy / axpy4 / axpy8: AVX2 matches scalar bitwise, and the batched
-        /// variants match sequential single-source passes bitwise.
+        /// axpy / axpy8: AVX2 matches scalar bitwise, and the batched variant
+        /// matches sequential single-source passes bitwise.
         #[test]
         fn axpy_kernels_match(data in arbitrary_params(), srcs_seed in 1u64..1000, w in -3.0f32..3.0) {
             if !avx2_testable() {
@@ -1383,19 +1367,6 @@ mod proptests {
             axpy_with(&mut a_scalar, &srcs[0], w, false);
             axpy_with(&mut a_simd, &srcs[0], w, true);
             prop_assert_eq!(bits(&a_scalar), bits(&a_simd));
-
-            let quad: [&[f32]; 4] = std::array::from_fn(|i| srcs[i].as_slice());
-            let quad_w: [f32; 4] = std::array::from_fn(|i| weights[i]);
-            let mut q_scalar = data.clone();
-            let mut q_simd = data.clone();
-            let mut q_seq = data.clone();
-            axpy4_with(&mut q_scalar, quad, quad_w, false);
-            axpy4_with(&mut q_simd, quad, quad_w, true);
-            for i in 0..4 {
-                axpy_with(&mut q_seq, quad[i], quad_w[i], false);
-            }
-            prop_assert_eq!(bits(&q_scalar), bits(&q_simd));
-            prop_assert_eq!(bits(&q_scalar), bits(&q_seq));
 
             let oct: [&[f32]; 8] = std::array::from_fn(|i| srcs[i].as_slice());
             let mut o_scalar = data.clone();

@@ -166,21 +166,9 @@ pub(super) fn axpy(acc: &mut [f32], src: &[f32], w: f32) {
     }
 }
 
-/// Four-source fold with one accumulator load/store per element; the adds
-/// chain serially in source order, bit-identical to four sequential
+/// Eight-source fold with one accumulator load/store per element; the adds
+/// chain serially in source order, bit-identical to eight sequential
 /// [`axpy`] calls.
-pub(super) fn axpy4(acc: &mut [f32], srcs: [&[f32]; 4], w: [f32; 4]) {
-    for (i, a) in acc.iter_mut().enumerate() {
-        let mut v = *a;
-        v += w[0] * srcs[0][i];
-        v += w[1] * srcs[1][i];
-        v += w[2] * srcs[2][i];
-        v += w[3] * srcs[3][i];
-        *a = v;
-    }
-}
-
-/// Eight-source variant of [`axpy4`] (same ordering guarantee).
 pub(super) fn axpy8(acc: &mut [f32], srcs: [&[f32]; 8], w: [f32; 8]) {
     for (i, a) in acc.iter_mut().enumerate() {
         let mut v = *a;

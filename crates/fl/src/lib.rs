@@ -18,8 +18,7 @@
 //! algorithm-level extensions the paper's related-work section points at so
 //! that LIFL can act as their substrate: server-side adaptive federated
 //! optimizers ([`server_opt`]), FedProx local training ([`fedprox`]),
-//! Oort-style guided participant selection ([`oort`]), buffered
-//! asynchronous FL with staleness weighting ([`async_driver`], [`staleness`])
+//! buffered asynchronous FL with staleness weighting ([`async_driver`], [`staleness`])
 //! and quantized/sparsified update codecs with per-client error feedback
 //! ([`codec`]), plus robust coordinate-wise aggregation folds against
 //! corrupted or adversarial updates ([`robust`]).
@@ -44,7 +43,6 @@ pub mod fedprox;
 pub mod kernels;
 pub mod metrics;
 pub mod model;
-pub mod oort;
 pub mod population;
 pub mod robust;
 pub mod selector;
@@ -62,7 +60,6 @@ pub use codec::{EncodedUpdate, EncodedView, ErrorFeedback, UpdateCodec};
 pub use dataset::{FederatedDataset, Sample};
 pub use fedprox::{FedProxConfig, FedProxTrainer};
 pub use model::DenseModel;
-pub use oort::{OortConfig, OortSelector};
 pub use population::{Population, PopulationConfig};
 pub use robust::{PolicyFold, RobustFold};
 pub use server_opt::{ServerOptConfig, ServerOptKind, ServerOptimizer};

@@ -19,7 +19,6 @@ use crate::aggregate::{CumulativeFedAvg, ModelUpdate};
 use crate::codec::EncodedView;
 use crate::model::DenseModel;
 use crate::sharded::ShardedFedAvg;
-use crate::update::Update;
 use lifl_types::{FoldPolicy, LiflError, Result};
 
 /// A buffering accumulator computing a coordinate-wise robust statistic
@@ -82,33 +81,6 @@ impl RobustFold {
     /// mismatch with the buffered rows.
     pub fn fold_encoded_view(&mut self, view: &EncodedView<'_>, samples: u64) -> Result<()> {
         self.push(view.decode(), samples)
-    }
-
-    /// Buffers one update in whatever representation its [`Update`] envelope
-    /// carries (the robust counterpart of
-    /// [`CumulativeFedAvg::fold_update`]).
-    ///
-    /// # Errors
-    /// Same conditions as [`RobustFold::fold_encoded_view`], plus codec parse
-    /// failures for malformed remote bytes.
-    pub fn fold_update(&mut self, update: &Update) -> Result<()> {
-        match update {
-            Update::Dense(dense) => self.push(dense.model.clone(), dense.samples),
-            Update::Encoded {
-                update, samples, ..
-            } => self.fold_encoded_view(&update.view(), *samples),
-            Update::RemoteBytes {
-                wire,
-                weight,
-                encoded,
-            } => {
-                if *encoded {
-                    self.fold_encoded_view(&EncodedView::parse(wire)?, *weight)
-                } else {
-                    self.fold_encoded_view(&EncodedView::identity_over(wire), *weight)
-                }
-            }
-        }
     }
 
     fn push(&mut self, model: DenseModel, samples: u64) -> Result<()> {
@@ -250,17 +222,6 @@ impl PolicyFold {
         }
     }
 
-    /// Folds one update in whatever representation its envelope carries.
-    ///
-    /// # Errors
-    /// Propagates the underlying fold's errors.
-    pub fn fold_update(&mut self, update: &Update) -> Result<()> {
-        match self {
-            PolicyFold::FedAvg(acc) => acc.fold_update(update),
-            PolicyFold::Robust(robust) => robust.fold_update(update),
-        }
-    }
-
     /// Folds a drained batch of wire views, all-or-nothing. The FedAvg arm
     /// folds through the cache-blocked [`ShardedFedAvg`] across `shards`
     /// partitions, exactly like the pre-policy path; robust arms buffer the
@@ -317,26 +278,25 @@ mod tests {
     use super::*;
     use lifl_types::ClientId;
 
-    fn dense(values: Vec<f32>, samples: u64) -> Update {
-        Update::dense(
-            ClientId::new(samples),
-            DenseModel::from_vec(values),
-            samples,
-        )
+    /// Folds `values` into `fold` off their little-endian bytes, as a
+    /// station folds a dense payload.
+    fn fold_dense(fold: &mut RobustFold, values: &[f32], samples: u64) -> Result<()> {
+        let view = EncodedView::identity_over(crate::kernels::le_bytes(values));
+        fold.fold_encoded_view(&view, samples)
     }
 
     #[test]
     fn median_of_odd_and_even_counts() {
         let mut fold = RobustFold::new(FoldPolicy::Median).unwrap();
         for (v, s) in [(1.0f32, 1), (100.0, 7), (3.0, 2)] {
-            fold.fold_update(&dense(vec![v, -v], s)).unwrap();
+            fold_dense(&mut fold, &[v, -v], s).unwrap();
         }
         let odd = fold.finalize().unwrap();
         assert_eq!(odd.model.as_slice(), &[3.0, -3.0]);
         assert_eq!(odd.samples, 10);
 
         for (v, s) in [(1.0f32, 1), (2.0, 1), (7.0, 1), (100.0, 1)] {
-            fold.fold_update(&dense(vec![v], s)).unwrap();
+            fold_dense(&mut fold, &[v], s).unwrap();
         }
         let even = fold.finalize().unwrap();
         assert_eq!(even.model.as_slice(), &[4.5]);
@@ -347,7 +307,7 @@ mod tests {
         let mut fold = RobustFold::new(FoldPolicy::TrimmedMean { trim_permille: 200 }).unwrap();
         // 5 updates, 200‰ per side trims exactly one from each tail.
         for v in [1.0f32, 2.0, 3.0, 4.0, 1000.0] {
-            fold.fold_update(&dense(vec![v], 1)).unwrap();
+            fold_dense(&mut fold, &[v], 1).unwrap();
         }
         let agg = fold.finalize().unwrap();
         assert_eq!(agg.model.as_slice(), &[3.0]);
@@ -357,9 +317,9 @@ mod tests {
     fn robust_statistics_ignore_reported_sample_counts() {
         // The outlier claims a huge sample count; the median must not care.
         let mut fold = RobustFold::new(FoldPolicy::Median).unwrap();
-        fold.fold_update(&dense(vec![1.0], 1)).unwrap();
-        fold.fold_update(&dense(vec![2.0], 1)).unwrap();
-        fold.fold_update(&dense(vec![1e9], 1_000_000)).unwrap();
+        fold_dense(&mut fold, &[1.0], 1).unwrap();
+        fold_dense(&mut fold, &[2.0], 1).unwrap();
+        fold_dense(&mut fold, &[1e9], 1_000_000).unwrap();
         let agg = fold.finalize().unwrap();
         assert_eq!(agg.model.as_slice(), &[2.0]);
     }
@@ -368,7 +328,7 @@ mod tests {
     fn nans_sort_into_the_trimmed_tail() {
         let mut fold = RobustFold::new(FoldPolicy::TrimmedMean { trim_permille: 250 }).unwrap();
         for v in [1.0f32, 2.0, 3.0, f32::NAN] {
-            fold.fold_update(&dense(vec![v], 1)).unwrap();
+            fold_dense(&mut fold, &[v], 1).unwrap();
         }
         let agg = fold.finalize().unwrap();
         // 250‰ per side over 4 rows trims one from each tail: the NaN (which
@@ -383,21 +343,27 @@ mod tests {
         assert!(RobustFold::new(FoldPolicy::TrimmedMean { trim_permille: 500 }).is_err());
         let mut fold = RobustFold::new(FoldPolicy::Median).unwrap();
         assert!(fold.finalize().is_err());
-        assert!(fold.fold_update(&dense(vec![1.0], 0)).is_err());
-        fold.fold_update(&dense(vec![1.0, 2.0], 1)).unwrap();
-        assert!(fold.fold_update(&dense(vec![1.0], 1)).is_err());
+        assert!(fold_dense(&mut fold, &[1.0], 0).is_err());
+        fold_dense(&mut fold, &[1.0, 2.0], 1).unwrap();
+        assert!(fold_dense(&mut fold, &[1.0], 1).is_err());
     }
 
     #[test]
     fn policy_fold_fedavg_is_bit_exact_with_cumulative() {
-        let updates: Vec<Update> = (1..=5u64)
-            .map(|i| dense(vec![i as f32 * 0.7, -(i as f32) * 1.3, 0.25], i))
+        let updates: Vec<ModelUpdate> = (1..=5u64)
+            .map(|i| {
+                let values = vec![i as f32 * 0.7, -(i as f32) * 1.3, 0.25];
+                ModelUpdate::from_client(ClientId::new(i), DenseModel::from_vec(values), i)
+            })
             .collect();
         let mut reference = CumulativeFedAvg::default();
         let mut policy = PolicyFold::new(FoldPolicy::FedAvg).unwrap();
         for u in &updates {
-            reference.fold_update(u).unwrap();
-            policy.fold_update(u).unwrap();
+            reference.fold(u).unwrap();
+            let bytes = crate::kernels::le_bytes(u.model.as_slice());
+            policy
+                .fold_encoded_view(&EncodedView::identity_over(bytes), u.samples)
+                .unwrap();
         }
         assert_eq!(policy.updates_folded(), 5);
         assert_eq!(policy.total_samples(), 15);

@@ -22,12 +22,14 @@
 //! order much stronger than the 1e-5 relative-error contract the tests
 //! assert).
 //!
-//! Encoded batches go through the same machinery with the fused
-//! decode-fold kernels of [`EncodedView`], so interior aggregators drain
-//! their queue without ever materialising a dense intermediate. A sparse
-//! `TopK` update is not cache-blocked — it touches a few percent of each
-//! block — but split once per shard: its wire pairs are sorted by index, so
-//! two binary searches hand every shard exactly its own pairs.
+//! A batch is a slice of [`EncodedView`]s folded with their fused
+//! decode-fold kernels, so aggregators drain their queue without ever
+//! materialising a dense intermediate; a dense payload joins as an identity
+//! view over its little-endian bytes ([`EncodedView::identity_over`], with
+//! [`crate::kernels::le_bytes`] for an `f32` slice). A sparse `TopK` update
+//! is not cache-blocked — it touches a few percent of each block — but split
+//! once per shard: its wire pairs are sorted by index, so two binary
+//! searches hand every shard exactly its own pairs.
 //!
 //! **Break-even:** spawning and joining the shard workers costs more than
 //! folding a small batch does in total, so a batch whose payload is below
@@ -100,79 +102,9 @@ impl ShardedFedAvg {
         self.acc.total_samples()
     }
 
-    /// Folds a single update eagerly (delegates to the sequential path; the
-    /// sharded machinery only pays off on batches).
-    ///
-    /// # Errors
-    /// Same conditions as [`CumulativeFedAvg::fold`].
-    pub fn fold(&mut self, update: &ModelUpdate) -> Result<()> {
-        self.acc.fold(update)
-    }
-
-    /// Folds a batch of dense updates across the shard workers.
-    ///
-    /// # Errors
-    /// Returns [`LiflError::DimensionMismatch`] or
-    /// [`LiflError::InvalidAggregationGoal`] (zero-sample update) before any
-    /// state is mutated; the batch is all-or-nothing.
-    pub fn fold_batch(&mut self, updates: &[ModelUpdate]) -> Result<()> {
-        if updates.is_empty() {
-            return Ok(());
-        }
-        let dim = self.ensure_dim(updates[0].model.dim())?;
-        for update in updates {
-            if update.samples == 0 {
-                return Err(LiflError::InvalidAggregationGoal(0));
-            }
-            if update.model.dim() != dim {
-                return Err(LiflError::DimensionMismatch {
-                    expected: dim,
-                    actual: update.model.dim(),
-                });
-            }
-        }
-        self.fold_models_across(updates, self.workers(updates.len() * dim * 4));
-        Ok(())
-    }
-
-    /// Folds validated dense updates into the accumulator cut into `workers`
-    /// chunks, cache-blocked within each.
-    fn fold_models_across(&mut self, updates: &[ModelUpdate], workers: usize) {
-        self.run_sharded(workers, |start, chunk| {
-            for block_off in (0..chunk.len()).step_by(BLOCK_ELEMS) {
-                let block_len = BLOCK_ELEMS.min(chunk.len() - block_off);
-                let block = &mut chunk[block_off..block_off + block_len];
-                let abs = start + block_off;
-                // Several updates per accumulator load/store: the adds chain
-                // serially in registers, so per-element fold order — and
-                // therefore bit-exactness versus the sequential fold — is
-                // preserved while the accumulator traffic is divided by the
-                // unroll width.
-                let mut octs = updates.chunks_exact(8);
-                for oct in octs.by_ref() {
-                    fold_block_octet(block, abs, block_len, oct);
-                }
-                let rest = octs.remainder();
-                let mut quads = rest.chunks_exact(4);
-                for quad in quads.by_ref() {
-                    fold_block_quad(block, abs, block_len, quad);
-                }
-                for update in quads.remainder() {
-                    let weight = update.samples as f32;
-                    let src = &update.model.as_slice()[abs..abs + block_len];
-                    crate::kernels::axpy(block, src, weight);
-                }
-            }
-        });
-        for update in updates {
-            self.acc.total_samples += update.samples;
-        }
-        self.acc.updates_folded += updates.len() as u64;
-    }
-
-    /// Folds a batch of *encoded* updates (`(view, samples)` pairs) across the
-    /// shard workers using the fused decode-fold kernels; dense payloads can
-    /// join the same batch wrapped by [`EncodedView::identity_over`].
+    /// Folds a batch of `(view, samples)` pairs across the shard workers
+    /// using the fused decode-fold kernels; dense payloads join the same
+    /// batch wrapped by [`EncodedView::identity_over`].
     ///
     /// # Errors
     /// Returns [`LiflError::DimensionMismatch`] or
@@ -310,29 +242,22 @@ impl ShardedFedAvg {
     }
 }
 
-/// Folds four updates' `[abs, abs + len)` slices into `block` with one
-/// accumulator load/store per element via the dispatched
-/// [`crate::kernels::axpy4`] kernel; the per-element add chain runs in
-/// batch order, bit-identical to four sequential folds.
-fn fold_block_quad(block: &mut [f32], abs: usize, len: usize, quad: &[ModelUpdate]) {
-    let w: [f32; 4] = std::array::from_fn(|k| quad[k].samples as f32);
-    let s: [&[f32]; 4] = std::array::from_fn(|k| &quad[k].model.as_slice()[abs..abs + len]);
-    crate::kernels::axpy4(block, s, w);
-}
-
-/// Eight-update variant of [`fold_block_quad`] (same ordering guarantee),
-/// backed by [`crate::kernels::axpy8`].
-fn fold_block_octet(block: &mut [f32], abs: usize, len: usize, oct: &[ModelUpdate]) {
-    let w: [f32; 8] = std::array::from_fn(|k| oct[k].samples as f32);
-    let s: [&[f32]; 8] = std::array::from_fn(|k| &oct[k].model.as_slice()[abs..abs + len]);
-    crate::kernels::axpy8(block, s, w);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::UpdateCodec;
     use lifl_types::{ClientId, CodecKind};
+
+    /// Dense updates as the identity views a station folds them through.
+    pub(super) fn identity_views(updates: &[ModelUpdate]) -> Vec<(EncodedView<'_>, u64)> {
+        updates
+            .iter()
+            .map(|u| {
+                let bytes = crate::kernels::le_bytes(u.model.as_slice());
+                (EncodedView::identity_over(bytes), u.samples)
+            })
+            .collect()
+    }
 
     fn batch(n: usize, dim: usize) -> Vec<ModelUpdate> {
         (0..n)
@@ -359,9 +284,10 @@ mod tests {
         let expected = sequential.finalize().unwrap();
         // The public entry points keep a batch this small on one thread, so
         // the chunk counts are forced through the inner fold.
+        let views = identity_views(&updates);
         for shards in [1, 2, 3, 8, 64] {
             let mut sharded = ShardedFedAvg::new(10_000, shards);
-            sharded.fold_models_across(&updates, shards);
+            sharded.fold_views_across(&views, shards);
             assert_eq!(sharded.updates_folded(), 6);
             let got = sharded.finalize().unwrap();
             assert_eq!(got.samples, expected.samples, "{shards} shards");
@@ -575,23 +501,30 @@ mod tests {
         let mut updates = batch(3, 64);
         let mut sharded = ShardedFedAvg::new(64, 2);
         updates[2].samples = 0;
-        assert!(sharded.fold_batch(&updates).is_err());
+        assert!(sharded
+            .fold_encoded_batch(&identity_views(&updates))
+            .is_err());
         assert_eq!(sharded.updates_folded(), 0);
         updates[2].samples = 1;
         updates[1].model = DenseModel::zeros(63);
-        assert!(sharded.fold_batch(&updates).is_err());
+        assert!(sharded
+            .fold_encoded_batch(&identity_views(&updates))
+            .is_err());
         assert_eq!(sharded.updates_folded(), 0);
         assert!(sharded.finalize().is_err());
-        sharded.fold_batch(&[]).unwrap();
+        sharded.fold_encoded_batch(&[]).unwrap();
         assert_eq!(sharded.updates_folded(), 0);
     }
 
     #[test]
     fn eager_single_fold_interoperates_with_batches() {
         let updates = batch(5, 256);
-        let mut sharded = ShardedFedAvg::new(256, 4);
-        sharded.fold(&updates[0]).unwrap();
-        sharded.fold_batch(&updates[1..]).unwrap();
+        let mut eager = CumulativeFedAvg::new(256);
+        eager.fold(&updates[0]).unwrap();
+        let mut sharded = ShardedFedAvg::around(eager, 4);
+        sharded
+            .fold_encoded_batch(&identity_views(&updates[1..]))
+            .unwrap();
         let got = sharded.finalize().unwrap();
         let expected = crate::aggregate::fedavg(&updates).unwrap();
         for (a, b) in got.model.as_slice().iter().zip(expected.model.as_slice()) {
@@ -604,8 +537,9 @@ mod tests {
         let updates = batch(4, 128);
         let mut sharded = ShardedFedAvg::new(128, 2);
         let mut out = DenseModel::zeros(128);
+        let views = identity_views(&updates);
         for _ in 0..3 {
-            sharded.fold_batch(&updates).unwrap();
+            sharded.fold_encoded_batch(&views).unwrap();
             let samples = sharded.drain_into(&mut out).unwrap();
             assert_eq!(samples, updates.iter().map(|u| u.samples).sum::<u64>());
         }
@@ -659,10 +593,11 @@ mod proptests {
                 sequential.fold(u).unwrap();
             }
             let expected = sequential.finalize().unwrap();
+            let views = super::tests::identity_views(&updates);
             for shards in [1usize, 2, 8] {
                 let run = |_: usize| {
                     let mut s = ShardedFedAvg::new(dim, shards);
-                    s.fold_models_across(&updates, shards);
+                    s.fold_views_across(&views, shards);
                     s.finalize().unwrap()
                 };
                 let first = run(0);

@@ -109,10 +109,12 @@ pub struct LiflConfig {
     /// sample-weighted FedAvg (the default, bit-exact with the pre-policy
     /// path) or a robust coordinate-wise statistic.
     pub fold_policy: FoldPolicy,
-    /// Number of parameter-vector shards the aggregation fold is split into.
-    /// `1` folds sequentially (the seed behaviour); larger values let an
-    /// aggregator fold a batch of pending updates across that many
-    /// cache-sized partitions in parallel.
+    /// Number of threads an aggregator's batch fold splits across. Every
+    /// aggregator folds its pending updates as one cache-blocked batch
+    /// whatever the value; a batch of at least 4 MiB of payload is cut into
+    /// that many contiguous partitions folded in parallel (capped at the
+    /// host's parallelism). `1` folds on the calling thread; every value
+    /// gives the same bits.
     pub aggregation_shards: u32,
     /// Cap on every *interior* aggregator's fan-in when planning a node's
     /// subtree (§5.2 plans two levels; with a cap, heavily loaded nodes grow

@@ -15,9 +15,9 @@
 // the kernel layer and only delegates to the system allocator.
 
 use lifl_fl::aggregate::CumulativeFedAvg;
-use lifl_fl::codec::{ErrorFeedback, UpdateCodec};
+use lifl_fl::codec::{EncodedView, ErrorFeedback, UpdateCodec};
 use lifl_fl::sharded::ShardedFedAvg;
-use lifl_fl::{DenseModel, ModelUpdate};
+use lifl_fl::{kernels, DenseModel, ModelUpdate};
 use lifl_shmem::BufferPool;
 use lifl_types::{ClientId, CodecKind};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -195,14 +195,21 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
             ModelUpdate::from_client(ClientId::new(c), DenseModel::from_vec(values), c + 1)
         })
         .collect();
+    let views: Vec<_> = updates
+        .iter()
+        .map(|u| {
+            let bytes = kernels::le_bytes(u.model.as_slice());
+            (EncodedView::identity_over(bytes), u.samples)
+        })
+        .collect();
     let mut sharded = ShardedFedAvg::new(DIM, 2);
     let mut out = DenseModel::zeros(DIM);
-    sharded.fold_batch(&updates).expect("warm-up fold");
+    sharded.fold_encoded_batch(&views).expect("warm-up fold");
     sharded.drain_into(&mut out).expect("warm-up drain");
 
     let before = model_sized_allocs();
     for _ in 0..10 {
-        sharded.fold_batch(&updates).expect("fold");
+        sharded.fold_encoded_batch(&views).expect("fold");
         sharded.drain_into(&mut out).expect("drain");
     }
     assert_eq!(

@@ -181,9 +181,9 @@ fn platform_round_wire_bytes_shrink_at_least_4x_for_uniform8() {
     assert!(bytes[1] > bytes[2], "uniform4 must shrink below uniform8");
 }
 
-/// Acceptance: sharded batch draining (`aggregation_shards > 1`) is
-/// bit-identical to the sequential eager fold through the whole threaded
-/// hierarchy, for both the dense and the encoded data plane.
+/// Acceptance: batch draining split across shards (`aggregation_shards > 1`)
+/// is bit-identical to one shard, the station's own thread, through the
+/// whole threaded hierarchy, for both the dense and the encoded data plane.
 #[test]
 fn sharded_hierarchy_is_bit_identical_to_sequential() {
     let updates = updates(8, 4096);
