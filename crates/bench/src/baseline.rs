@@ -3,8 +3,8 @@
 //! Criterion's output is ephemeral, so until now no PR could *prove* a
 //! speedup against its predecessor. This module measures the aggregation hot
 //! path — dense fold, decode-then-fold, fused decode-fold, in-place decode,
-//! codec encode (plain and with error feedback), and sequential-versus-sharded
-//! batch folding — at the
+//! codec encode (plain and with error feedback), the top-k wire-contract
+//! parse, and sequential-versus-sharded batch folding — at the
 //! ResNet-18/34/152 parameter counts and produces a schema-versioned JSON
 //! report (`BENCH_aggregation.json` at the repo root) that is committed, so
 //! this and every future perf PR has a before/after record.
@@ -27,8 +27,9 @@ use std::time::Instant;
 /// and the `feedback_over_encode_uniform8_resnet18` cost ratio with the
 /// fused error-feedback encoder; v4 re-based `sharded_fold/N` on the
 /// station's fold (identity views through `fold_encoded_batch`) when the
-/// dense `ModelUpdate` batch fold was deleted.
-pub const SCHEMA: &str = "lifl.bench.aggregation/v4";
+/// dense `ModelUpdate` batch fold was deleted; v5 added `parse_topk`, the
+/// wire-contract check of `EncodedView::parse` over a 5 % top-k wire.
+pub const SCHEMA: &str = "lifl.bench.aggregation/v5";
 
 /// Updates per batch in the sequential-versus-sharded comparison.
 pub const BATCH_UPDATES: usize = 8;
@@ -50,7 +51,8 @@ pub struct BenchEntry {
     /// Median wall-clock nanoseconds per iteration.
     pub median_ns: u64,
     /// Dense-equivalent payload bytes processed per iteration (`4 * params`
-    /// per update touched), the common denominator across representations.
+    /// per update touched), the common denominator across representations —
+    /// except `parse_topk`, which counts the wire bytes it scans.
     pub bytes_per_iter: u64,
     /// Derived throughput in (dense-equivalent) GB/s.
     pub gb_per_s: f64,
@@ -118,6 +120,7 @@ pub fn required_entry_names() -> Vec<String> {
         "encode/topk50",
         "feedback_encode/uniform8",
         "feedback_encode/uniform4",
+        "parse_topk",
         "sequential_batch_fold",
     ]
     .iter()
@@ -196,8 +199,13 @@ struct Recorder {
 
 impl Recorder {
     fn record(&mut self, name: &str, model: ModelKind, updates_touched: u64, op: impl FnMut()) {
-        let median = median_ns_of(self.iters, op);
         let bytes = updates_touched * model.parameters() * 4;
+        self.record_bytes(name, model, bytes, op);
+    }
+
+    /// [`Recorder::record`] with the bytes one iteration processes given.
+    fn record_bytes(&mut self, name: &str, model: ModelKind, bytes: u64, op: impl FnMut()) {
+        let median = median_ns_of(self.iters, op);
         self.entries.push(BenchEntry {
             name: name.to_string(),
             model: model.to_string(),
@@ -294,6 +302,13 @@ pub fn run(quick: bool) -> BaselineReport {
                 feedback.recycle(out);
             });
         }
+        // The wire contract's cost: every pair's index checked, at the wire
+        // bytes the scan reads.
+        let topk_wire = topk.wire();
+        rec.record_bytes("parse_topk", model, topk_wire.len() as u64, || {
+            std::hint::black_box(EncodedView::parse(std::hint::black_box(topk_wire)))
+                .expect("parse");
+        });
 
         let batch: Vec<ModelUpdate> = (0..BATCH_UPDATES)
             .map(|i| {

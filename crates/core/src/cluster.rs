@@ -22,7 +22,7 @@
 //!   shared workers, exports each merged update as wire bytes (what
 //!   [`Session::drive_to_wire`] returns — zero-copy, no intermediate
 //!   `DenseModel`), ships the exports to the parent session's gateway in
-//!   node order as [`Update::RemoteBytes`] (header-only parsing on arrival)
+//!   node order as [`Update::RemoteBytes`] (checked in place on arrival)
 //!   and prices each hop through the `lifl-dataplane` transport cost models.
 //!
 //! A cluster round is **bit-exact** with the equivalent single-session
@@ -923,11 +923,12 @@ impl Cluster {
     /// may not show it yet.
     ///
     /// # Errors
-    /// Fails only on store/codec errors, exactly as [`Session::try_ingest`];
-    /// a full round is an outcome, not an error. A failed offer counts
-    /// nothing toward the round, parks nothing and touches nothing — no
-    /// residual, no rounding-stream position, no pool buffer: a lossy
-    /// offer is refused from its encoded size before it is encoded.
+    /// Fails only on store/codec errors and a zero weight, exactly as
+    /// [`Session::try_ingest`]; a full round is an outcome, not an error. A
+    /// failed offer counts nothing toward the round, parks nothing and
+    /// touches nothing — no residual, no rounding-stream position, no pool
+    /// buffer: a lossy offer is refused from its encoded size before it is
+    /// encoded.
     pub fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
         ingress::offer(self, update)
     }
@@ -1068,10 +1069,10 @@ impl Cluster {
     /// claim set — and each exports its merged update as codec-tagged wire
     /// bytes (what [`Session::drive_to_wire`] returns, no intermediate
     /// `DenseModel`); the parent gateway then ingests the exports in node
-    /// order via [`Update::RemoteBytes`] (header-only parsing, the arriving
-    /// buffer is stored as-is) and the global top folds them in node order,
-    /// so results are deterministic — and bit-exact with a single session
-    /// over the global tree, and with driving the nodes one at a time.
+    /// order via [`Update::RemoteBytes`] (one in-place wire-contract check,
+    /// the arriving buffer is stored as-is) and the global top folds them in
+    /// node order, so results are deterministic — and bit-exact with a single
+    /// session over the global tree, and with driving the nodes one at a time.
     ///
     /// Every hop is priced through the cluster's [`CostModel`]: a network
     /// transfer for remote nodes, a shared-memory transfer for the node

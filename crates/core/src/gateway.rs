@@ -16,19 +16,28 @@ use lifl_fl::codec::EncodedView;
 use lifl_fl::update::Update;
 use lifl_shmem::queue::QueuedUpdate;
 use lifl_shmem::{InPlaceQueue, ObjectStore};
-use lifl_types::{AggregatorId, ClientId, NodeId, Result};
+use lifl_types::{AggregatorId, ClientId, LiflError, NodeId, Result};
 use std::collections::BTreeMap;
 
-/// Header-validates an encoded wire string in place (no body copy) and
-/// returns the bytes its dense `f32` form would occupy. The one check every
-/// offered encoded payload passes, whether it is about to be stored or
-/// parked.
+/// Validates remote bytes in place (no body copy) and returns the bytes
+/// their dense `f32` form occupies: an encoded wire string must pass
+/// [`EncodedView::parse`], headerless dense bytes must be a non-empty run of
+/// whole little-endian `f32`s. The one check every offered remote payload
+/// passes, whether it is about to be stored or parked.
 ///
 /// # Errors
-/// Returns [`lifl_types::LiflError::Codec`] on a truncated or malformed
-/// buffer.
-pub(crate) fn encoded_dense_bytes(wire: &[u8]) -> Result<u64> {
-    Ok(EncodedView::parse(wire)?.dim() as u64 * 4)
+/// Returns [`LiflError::Codec`] on a malformed payload.
+pub(crate) fn remote_dense_bytes(wire: &[u8], encoded: bool) -> Result<u64> {
+    if encoded {
+        return Ok(EncodedView::parse(wire)?.dim() as u64 * 4);
+    }
+    if wire.is_empty() || !wire.len().is_multiple_of(4) {
+        return Err(LiflError::Codec(format!(
+            "dense payload of {} bytes is not a non-empty run of f32s",
+            wire.len()
+        )));
+    }
+    Ok(wire.len() as u64)
 }
 
 /// The per-node gateway.
@@ -68,10 +77,11 @@ impl Gateway {
     /// The gateway's one door: accepts a model update in whatever
     /// representation it arrived ([`Update`]) and performs the matching
     /// one-time payload processing — dense parameters and encoded payloads
-    /// are written to shared memory as-is, encoded remote wire bytes have
-    /// their descriptor validated in place (dense remote bytes are stored
-    /// as-is; a dimension mismatch surfaces at fold time) — before the
-    /// object key is queued for `target` (in-place message queuing, §4.2).
+    /// are written to shared memory as-is, remote wire bytes are validated
+    /// in place ([`EncodedView::parse`] for an encoded payload, whole `f32`s
+    /// for a dense one; a dimension mismatch surfaces at fold time) — before
+    /// the object key is queued for `target` (in-place message queuing,
+    /// §4.2).
     ///
     /// This borrowing door leaves the caller's update intact: it clones the
     /// update once (a handle bump for remote `Bytes`, one payload copy for
@@ -84,7 +94,7 @@ impl Gateway {
     ///
     /// # Errors
     /// Fails if the shared-memory store cannot hold the payload or a remote
-    /// encoded payload is malformed.
+    /// payload is malformed.
     pub fn ingest(&mut self, target: AggregatorId, update: &Update) -> Result<QueuedUpdate> {
         let producer = match update {
             Update::RemoteBytes { .. } => None,
@@ -128,23 +138,17 @@ impl Gateway {
                 let key = self.store.put_encoded(update.into_wire(), dense_bytes)?;
                 (key, stored_bytes, true)
             }
-            Update::RemoteBytes {
-                wire,
-                encoded: true,
-                ..
-            } => {
-                let (stored_bytes, dense_bytes) = (wire.len() as u64, encoded_dense_bytes(&wire)?);
-                (
-                    self.store.put_encoded(wire, dense_bytes)?,
-                    stored_bytes,
-                    true,
-                )
-            }
-            // Headerless dense little-endian `f32` bytes: byte-identical to
-            // a moved dense model, with no intermediate decode.
-            Update::RemoteBytes { wire, .. } => {
-                let stored_bytes = wire.len() as u64;
-                (self.store.put(wire)?, stored_bytes, false)
+            // Headerless dense little-endian `f32` bytes land byte-identical
+            // to a moved dense model, with no intermediate decode.
+            Update::RemoteBytes { wire, encoded, .. } => {
+                let (stored_bytes, dense_bytes) =
+                    (wire.len() as u64, remote_dense_bytes(&wire, encoded)?);
+                let key = if encoded {
+                    self.store.put_encoded(wire, dense_bytes)?
+                } else {
+                    self.store.put(wire)?
+                };
+                (key, stored_bytes, encoded)
             }
         };
         let queued = QueuedUpdate {
@@ -299,9 +303,12 @@ mod tests {
         assert!(stats.bytes_saved() > 0);
         assert_eq!(stats.live_objects, rows.len());
 
-        // A malformed encoded payload is refused and leaves nothing behind.
-        let refused = gw.ingest(agg, &Update::remote_bytes(vec![1u8, 2], 1, true));
-        assert!(matches!(refused, Err(lifl_types::LiflError::Codec(_))));
+        // A malformed payload — an encoded one, a ragged or empty dense one
+        // — is refused and leaves nothing behind.
+        for (wire, encoded) in [(vec![1u8, 2], true), (vec![0u8; 9], false), (vec![], false)] {
+            let refused = gw.ingest(agg, &Update::remote_bytes(wire, 1, encoded));
+            assert!(matches!(refused, Err(LiflError::Codec(_))));
+        }
         assert!(inbox.is_empty());
         assert_eq!(gw.ingested_bytes(), expected_bytes);
         assert_eq!(store.stats().live_objects, rows.len());

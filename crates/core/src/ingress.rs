@@ -3,11 +3,13 @@
 //! goes offer → slot through the rules this module owns, each written once
 //! ([`offer`] is the one ingest implementation both backends call):
 //!
-//! * **normalise** — an anonymous update is attributed to the backend's
-//!   lifetime arrival index, a dense update under a lossy codec becomes an
-//!   error-feedback encode of its client's residual, and encoded remote
-//!   bytes are header-validated: before anything is stored *or* parked, so
-//!   a parked then drained update flows exactly as a direct ingest would.
+//! * **normalise** — an update of weight 0 is refused, an anonymous update
+//!   is attributed to the backend's lifetime arrival index, a dense update
+//!   under a lossy codec becomes an error-feedback encode of its client's
+//!   residual, and remote bytes are validated (an encoded payload against
+//!   the wire contract of `EncodedView::parse`, dense bytes as whole
+//!   `f32`s): before anything is stored *or* parked, so a parked then
+//!   drained update flows exactly as a direct ingest would.
 //! * **route** — a fault-refill slot first, then a vacancy opened by
 //!   mid-round churn, then the round-robin cursor; committed when the slot
 //!   took the update, rolled back when it did not.
@@ -43,7 +45,7 @@
 //! lands the same updates on the same slots, whichever thread encoded them.
 
 use crate::admission::{AdmissionQueues, AdmissionStats};
-use crate::gateway::encoded_dense_bytes;
+use crate::gateway::remote_dense_bytes;
 use crate::stations::{Job, Turn, Turnstile, Workers};
 use lifl_fl::codec::{EncodedUpdate, ErrorFeedback, FeedbackJob, Residual, UpdateCodec};
 use lifl_fl::kernels::{le_bytes, StochasticRng};
@@ -118,8 +120,8 @@ pub(crate) struct Target {
 /// here; its encode runs on the workers and lands in offer order.
 ///
 /// # Errors
-/// Store refusals and malformed encoded bytes, before anything is counted,
-/// parked or encoded.
+/// Store refusals, a zero weight and malformed remote bytes, before
+/// anything is counted, parked or encoded.
 pub(crate) fn offer(backend: &mut impl Backend, update: Update) -> Result<AdmissionOutcome> {
     if !backend.has_room() {
         settle(backend);
@@ -252,6 +254,10 @@ pub(crate) struct Ingress {
 
 /// The normalise rule (see the module docs).
 fn normalise(kind: CodecKind, lifetime: u64, update: Update) -> Result<Normalised> {
+    if update.weight() == 0 {
+        // A zero weight would fail the round's fold after it was admitted.
+        return Err(LiflError::InvalidAggregationGoal(0));
+    }
     let fallback = ClientId::new(lifetime);
     Ok(Normalised::Ready(match update {
         Update::Dense(dense) => {
@@ -277,14 +283,11 @@ fn normalise(kind: CodecKind, lifetime: u64, update: Update) -> Result<Normalise
             samples,
         },
         Update::RemoteBytes {
-            ref wire,
-            encoded: true,
-            ..
+            ref wire, encoded, ..
         } => {
-            encoded_dense_bytes(wire)?;
+            remote_dense_bytes(wire, encoded)?;
             update
         }
-        dense_remote => dense_remote,
     }))
 }
 
@@ -330,8 +333,8 @@ impl Ingress {
     /// Applies the normalise rule to an update about to be admitted.
     ///
     /// # Errors
-    /// Returns [`lifl_types::LiflError::Codec`] for malformed encoded remote
-    /// bytes.
+    /// Returns [`LiflError::InvalidAggregationGoal`] for a zero weight and
+    /// [`LiflError::Codec`] for malformed remote bytes.
     fn normalise(&self, update: Update) -> Result<Normalised> {
         normalise(self.feedback.kind(), self.lifetime, update)
     }
@@ -502,8 +505,7 @@ impl Ingress {
     /// returns an ingress-encoded buffer to the pool.
     ///
     /// # Errors
-    /// Returns [`lifl_types::LiflError::Codec`] for malformed encoded remote
-    /// bytes; nothing is parked.
+    /// The errors of [`Ingress::normalise`]; nothing is parked.
     fn park(&mut self, update: Update) -> Result<AdmissionOutcome> {
         if self.queues.is_none() {
             return Ok(NO_BACKLOG);
@@ -548,22 +550,13 @@ impl Ingress {
     /// backend's `admit`: its pooled backlog buffer moves into remote-bytes
     /// form behind the pool-returning owner — so the drained buffer *is* the
     /// object the store will hold, and comes home when that object is
-    /// recycled — and its producer rides alongside. A parked payload that no
-    /// longer header-validates is dropped here — buffer back to the pool —
-    /// and the next offer is taken instead.
+    /// recycled — and its producer rides alongside. The payload was
+    /// normalised before it was parked, so it is not checked again here.
     fn take_parked(&mut self) -> Option<(Update, Option<ClientId>)> {
-        let queues = self.queues.as_mut()?;
-        loop {
-            let offer = queues.take_best()?;
-            let payload = PooledBuf::adopt(offer.payload, &self.pool);
-            if offer.encoded && encoded_dense_bytes(payload.as_slice()).is_err() {
-                queues.drop_taken();
-                continue;
-            }
-            let wire = bytes::Bytes::from_owner(payload);
-            let update = Update::remote_bytes(wire, offer.weight, offer.encoded);
-            return Some((update, offer.client));
-        }
+        let offer = self.queues.as_mut()?.take_best()?;
+        let wire = bytes::Bytes::from_owner(PooledBuf::adopt(offer.payload, &self.pool));
+        let update = Update::remote_bytes(wire, offer.weight, offer.encoded);
+        Some((update, offer.client))
     }
 
     /// Records that the offer [`Ingress::take_parked`] handed out was not

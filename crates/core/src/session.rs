@@ -485,11 +485,13 @@ impl Session {
     /// answers with typed backpressure.
     ///
     /// Every offer is first normalised (one rule for every path, owned by
-    /// the crate's ingress module): a dense or encoded update missing a
-    /// client id is attributed to its session-lifetime arrival index, a
-    /// dense update under a lossy codec is encoded with the producing
-    /// client's error-feedback residual so the compressed form is what
-    /// enters shared memory, and encoded remote bytes are header-validated.
+    /// the crate's ingress module): an update of weight 0 is refused, a
+    /// dense or encoded update missing a client id is attributed to its
+    /// session-lifetime arrival index, a dense update under a lossy codec is
+    /// encoded with the producing client's error-feedback residual so the
+    /// compressed form is what enters shared memory, and remote bytes are
+    /// validated — encoded ones against the wire contract of
+    /// [`lifl_fl::codec::EncodedView::parse`], dense ones as whole `f32`s.
     ///
     /// While the round has room the update is then admitted: routed to the
     /// next leaf aggregator round-robin (update *k* of a round feeds leaf
@@ -515,12 +517,14 @@ impl Session {
     ///
     /// # Errors
     /// Fails only on store/codec errors (the store cannot hold the payload,
-    /// malformed encoded bytes); a full round is an outcome, not an error. A
-    /// failed offer counts nothing toward the round, parks nothing and
-    /// touches nothing: a lossy offer's encoded size is a function of codec
-    /// and dimension alone, so the store refuses it — counting every encode
-    /// still in flight — before it is encoded, and the client's residual,
-    /// the rounding stream and the scratch pool stay exactly as they were.
+    /// malformed remote bytes) and on a zero weight
+    /// ([`LiflError::InvalidAggregationGoal`]); a full round is an outcome,
+    /// not an error. A failed offer counts nothing toward the round, parks
+    /// nothing and touches nothing: a lossy offer's encoded size is a
+    /// function of codec and dimension alone, so the store refuses it —
+    /// counting every encode still in flight — before it is encoded, and the
+    /// client's residual, the rounding stream and the scratch pool stay
+    /// exactly as they were.
     pub fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
         ingress::offer(self, update)
     }
@@ -807,8 +811,8 @@ impl Session {
     /// [`DenseModel`] is materialised: the returned [`Update::RemoteBytes`]
     /// shares the store's top-intermediate buffer (the store's objects are
     /// immutable, so the handle stays valid after the round's objects are
-    /// recycled), and the parent gateway ingests it with header-only
-    /// parsing.
+    /// recycled), and the parent gateway ingests it after one in-place
+    /// wire-contract check.
     ///
     /// # Errors
     /// Same conditions as [`Session::drive`].

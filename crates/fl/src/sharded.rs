@@ -28,8 +28,9 @@
 //! view over its little-endian bytes ([`EncodedView::identity_over`], with
 //! [`crate::kernels::le_bytes`] for an `f32` slice). A sparse `TopK` update
 //! is not cache-blocked — it touches a few percent of each block — but split
-//! once per shard: its wire pairs are sorted by index, so two binary
-//! searches hand every shard exactly its own pairs.
+//! once per shard: every view's pairs are strictly ascending by index (the
+//! wire contract [`EncodedView::parse`] checks), so two binary searches hand
+//! every shard exactly its own pairs.
 //!
 //! **Break-even:** spawning and joining the shard workers costs more than
 //! folding a small batch does in total, so a batch whose payload is below
@@ -137,23 +138,11 @@ impl ShardedFedAvg {
     /// updates between two of them is cache-blocked across the chunk.
     fn fold_views_across(&mut self, updates: &[(EncodedView<'_>, u64)], workers: usize) {
         let is_topk = |view: &EncodedView<'_>| matches!(view.codec(), CodecKind::TopK { .. });
-        // Only a payload with strictly ascending indices may be cut at a
-        // chunk boundary by binary search; anything else (unsorted, or an
-        // index sent twice) is rescanned by every chunk. One chunk takes
-        // every pair either way, so the check is skipped.
-        let split_once: Vec<bool> = updates
-            .iter()
-            .map(|(view, _)| workers > 1 && view.topk_indices_sorted())
-            .collect();
         self.run_sharded(workers, |start, chunk| {
             let mut next = 0;
             while let Some((view, samples)) = updates.get(next) {
                 if is_topk(view) {
-                    if split_once[next] {
-                        view.fold_sorted_topk_range(*samples as f32, start, chunk);
-                    } else {
-                        view.fold_range_into(*samples as f32, start, chunk);
-                    }
+                    view.fold_range_into(*samples as f32, start, chunk);
                     next += 1;
                     continue;
                 }
@@ -348,9 +337,11 @@ mod tests {
         model.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// A hand-built `TopK` wire buffer: pairs go out exactly as given.
-    fn topk_wire(dim: u32, pairs: &[(u32, f32)]) -> Vec<u8> {
-        let mut wire = vec![3, 0, 50, 0];
+    /// A hand-built `TopK` wire buffer: pairs go out exactly as given, under
+    /// the permille that keeps that many of `dim`.
+    fn topk_wire(dim: u32, permille: u16, pairs: &[(u32, f32)]) -> Vec<u8> {
+        let mut wire = vec![3, 0];
+        wire.extend_from_slice(&permille.to_le_bytes());
         wire.extend_from_slice(&dim.to_le_bytes());
         wire.extend_from_slice(&0.0f32.to_le_bytes());
         wire.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
@@ -371,7 +362,6 @@ mod tests {
             .iter()
             .map(|u| (codec.encode(&u.model), u.samples))
             .collect();
-        assert!(encoded.iter().all(|(e, _)| e.view().topk_indices_sorted()));
         let views: Vec<_> = encoded.iter().map(|(e, s)| (e.view(), *s)).collect();
         let expected = folded_sequentially(dim, &views);
         for chunks in [1usize, 2, 3, 8] {
@@ -386,14 +376,14 @@ mod tests {
         // kept indices sit on a cut (8, 12), right before one (7, 11) and
         // right after one (9, 13); the first update has no pair at or past
         // 16, so the last of three chunks, and five of eight, get none of it.
+        // 167 permille of 24 keeps 4.
         let dim = 24;
-        let first = topk_wire(24, &[(7, 1.5), (8, -2.25), (9, 0.75), (12, 3.5)]);
-        let second = topk_wire(24, &[(0, -0.5), (11, 1.25), (13, -4.0), (23, 2.0)]);
+        let first = topk_wire(24, 167, &[(7, 1.5), (8, -2.25), (9, 0.75), (12, 3.5)]);
+        let second = topk_wire(24, 167, &[(0, -0.5), (11, 1.25), (13, -4.0), (23, 2.0)]);
         let views = [
             (EncodedView::parse(&first).unwrap(), 3),
             (EncodedView::parse(&second).unwrap(), 5),
         ];
-        assert!(views.iter().all(|(view, _)| view.topk_indices_sorted()));
         let expected = folded_sequentially(dim, &views);
         for chunks in [1usize, 2, 3, 8] {
             assert_eq!(
@@ -405,24 +395,21 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_and_duplicate_topk_payloads_take_the_rescan() {
+    fn unsorted_and_duplicate_topk_payloads_are_refused_before_the_fold() {
         // Binary search on either payload would hand a chunk the wrong
-        // pairs; the sortedness gate must send both to the rescan.
-        let dim = 24;
-        let unsorted = topk_wire(24, &[(20, 1.0), (3, -2.0), (12, 0.5), (7, 4.0)]);
-        let duplicate = topk_wire(24, &[(2, 1.0), (9, 0.25), (9, 0.125), (17, -3.0)]);
-        let sorted = topk_wire(24, &[(1, 2.0), (9, -1.0), (20, 0.5)]);
-        let views = [
-            (EncodedView::parse(&unsorted).unwrap(), 2),
-            (EncodedView::parse(&duplicate).unwrap(), 7),
-            (EncodedView::parse(&sorted).unwrap(), 1),
-        ];
-        assert!(!views[0].0.topk_indices_sorted());
-        assert!(!views[1].0.topk_indices_sorted());
-        let expected = folded_sequentially(dim, &views);
+        // pairs, so neither may become a view; the same pairs in ascending
+        // order may.
+        let unsorted = topk_wire(24, 167, &[(20, 1.0), (3, -2.0), (12, 0.5), (7, 4.0)]);
+        let duplicate = topk_wire(24, 167, &[(2, 1.0), (9, 0.25), (9, 0.125), (17, -3.0)]);
+        let sorted = topk_wire(24, 167, &[(3, -2.0), (7, 4.0), (12, 0.5), (20, 1.0)]);
+        for wire in [&unsorted, &duplicate] {
+            assert!(matches!(EncodedView::parse(wire), Err(LiflError::Codec(_))));
+        }
+        let views = [(EncodedView::parse(&sorted).unwrap(), 2)];
+        let expected = folded_sequentially(24, &views);
         for chunks in [1usize, 2, 3, 8] {
             assert_eq!(
-                folded_across(dim, &views, chunks),
+                folded_across(24, &views, chunks),
                 expected,
                 "{chunks} chunks"
             );

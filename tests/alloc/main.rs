@@ -266,9 +266,9 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     // Phase 4: the cluster hop — forwarding a node session's exported
     // intermediate to the parent gateway as `Update::RemoteBytes` — is
     // zero-copy end to end: the sending store's buffer is shared into the
-    // envelope and stored as-is by the receiving gateway (header-only
-    // parsing for encoded payloads), so a steady-state hop never allocates
-    // a model-sized buffer, encoded or dense.
+    // envelope and stored as-is by the receiving gateway (an in-place
+    // wire-contract check for encoded payloads), so a steady-state hop never
+    // allocates a model-sized buffer, encoded or dense.
     use lifl_core::gateway::Gateway;
     use lifl_fl::Update;
     use lifl_shmem::ObjectStore;

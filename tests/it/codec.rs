@@ -5,11 +5,17 @@
 //! monotonically Identity → Uniform8 → Uniform4) — all through the unified
 //! `Session` API.
 
+use lifl_core::cluster::{Cluster, ClusterBuilder};
 use lifl_core::session::{Session, SessionBuilder, SessionReport, Update};
 use lifl_fl::aggregate::{fedavg, CumulativeFedAvg, ModelUpdate};
+use lifl_fl::codec::{EncodedUpdate, EncodedView, UpdateCodec};
 use lifl_fl::DenseModel;
+use lifl_shmem::{PoolStats, StoreStats};
 use lifl_sim::platform::{LiflPlatform, RoundSpec};
-use lifl_types::{ClientId, ClusterConfig, CodecKind, LiflConfig, ModelKind, SimTime, Topology};
+use lifl_types::{
+    AdmissionOutcome, ClientId, ClusterConfig, CodecKind, LiflConfig, LiflError, ModelKind,
+    SimTime, Topology,
+};
 
 fn updates(n: usize, dim: usize) -> Vec<ModelUpdate> {
     (0..n)
@@ -287,4 +293,270 @@ fn a_wrong_dimension_offer_leaves_other_clients_compensation_alone() {
             "{codec}: the honest clients' round changed"
         );
     }
+}
+
+/// The dimension of every hostile-input model.
+const DIM: u32 = 16;
+
+/// A wire string assembled field by field, exactly as given: the 16-byte
+/// descriptor (tag, reserved byte, permille, dim, scale, kept), then `body`.
+fn wire(tag: u8, permille: u16, dim: u32, scale: f32, kept: u32, body: &[u8]) -> Vec<u8> {
+    let mut wire = vec![tag, 0];
+    wire.extend_from_slice(&permille.to_le_bytes());
+    wire.extend_from_slice(&dim.to_le_bytes());
+    wire.extend_from_slice(&scale.to_le_bytes());
+    wire.extend_from_slice(&kept.to_le_bytes());
+    wire.extend_from_slice(body);
+    wire
+}
+
+/// A top-k wire over `dim` parameters whose pairs go out as given.
+fn topk(permille: u16, dim: u32, kept: u32, pairs: &[(u32, f32)]) -> Vec<u8> {
+    let body: Vec<u8> = pairs
+        .iter()
+        .flat_map(|(index, value)| [index.to_le_bytes(), value.to_le_bytes()].concat())
+        .collect();
+    wire(3, permille, dim, 0.0, kept, &body)
+}
+
+/// A `Uniform8` wire over [`DIM`] parameters at `scale`.
+fn uniform8(scale: f32) -> Vec<u8> {
+    wire(1, 0, DIM, scale, DIM, &[3u8; DIM as usize])
+}
+
+/// Well-formed wires the hostile rows are cut from: 125 permille of 16
+/// keeps 2.
+fn well_formed_wires() -> [Vec<u8>; 2] {
+    [topk(125, DIM, 2, &[(3, 1.0), (9, 2.0)]), uniform8(0.5)]
+}
+
+/// Wire payloads that each break the contract in one way.
+fn hostile_wires() -> Vec<(&'static str, Vec<u8>)> {
+    let every_index: Vec<(u32, f32)> = (0..DIM).map(|i| (i, 1.0)).collect();
+    let mut truncated = uniform8(0.5);
+    truncated.pop();
+    vec![
+        ("unsorted indices", topk(125, DIM, 2, &[(9, 1.0), (3, 2.0)])),
+        ("duplicate index", topk(125, DIM, 2, &[(5, 1.0), (5, 2.0)])),
+        ("index == dim", topk(125, DIM, 2, &[(3, 1.0), (DIM, 2.0)])),
+        (
+            "index u32::MAX",
+            topk(125, DIM, 2, &[(3, 1.0), (u32::MAX, 2.0)]),
+        ),
+        (
+            "kept != top_k_kept",
+            topk(125, DIM, 3, &[(1, 1.0), (3, 2.0), (9, 0.5)]),
+        ),
+        ("dim u32::MAX keeping 1", topk(1, u32::MAX, 1, &[(0, 1.0)])),
+        ("permille 0", topk(0, DIM, 1, &[(3, 1.0)])),
+        ("permille 1001", topk(1001, DIM, DIM, &every_index)),
+        ("NaN scale", uniform8(f32::NAN)),
+        ("+inf scale", uniform8(f32::INFINITY)),
+        ("-inf scale", uniform8(f32::NEG_INFINITY)),
+        ("negative scale", uniform8(-0.5)),
+        ("truncated body", truncated),
+        (
+            "unknown tag",
+            wire(9, 0, DIM, 0.5, DIM, &[3u8; DIM as usize]),
+        ),
+    ]
+}
+
+/// Every hostile row is refused by the one parser and by the owned parse
+/// built on it, while the wires they were cut from parse.
+#[test]
+fn the_parser_refuses_every_hostile_wire() {
+    for wire in well_formed_wires() {
+        let view = EncodedView::parse(&wire).expect("well-formed");
+        assert_eq!(view.dim(), DIM as usize);
+        assert!(EncodedUpdate::from_bytes(&wire).is_ok());
+    }
+    for (name, wire) in hostile_wires() {
+        assert!(
+            matches!(EncodedView::parse(&wire), Err(LiflError::Codec(_))),
+            "{name}: parsed"
+        );
+        assert!(
+            matches!(EncodedUpdate::from_bytes(&wire), Err(LiflError::Codec(_))),
+            "{name}: owned parse"
+        );
+    }
+}
+
+/// The two backends behind the one ingest door, as the hostile-input tests
+/// see them.
+trait Door {
+    fn offer(&mut self, update: Update) -> lifl_types::Result<AdmissionOutcome>;
+    /// What a refused offer must leave as it was: the round's fill, every
+    /// store's counters and the pool's.
+    fn trace(&self) -> (u64, Vec<StoreStats>, PoolStats);
+    /// Drives the round; the aggregate's weight and bits.
+    fn round(&mut self) -> (u64, Vec<u32>);
+}
+
+fn bits(update: &ModelUpdate) -> (u64, Vec<u32>) {
+    let model = update.model.as_slice();
+    (update.samples, model.iter().map(|v| v.to_bits()).collect())
+}
+
+impl Door for Session {
+    fn offer(&mut self, update: Update) -> lifl_types::Result<AdmissionOutcome> {
+        self.try_ingest(update)
+    }
+
+    fn trace(&self) -> (u64, Vec<StoreStats>, PoolStats) {
+        let stores = vec![self.store().stats()];
+        (self.pending_updates(), stores, self.pool().stats())
+    }
+
+    fn round(&mut self) -> (u64, Vec<u32>) {
+        bits(&self.drive().expect("drive").update)
+    }
+}
+
+impl Door for Cluster {
+    fn offer(&mut self, update: Update) -> lifl_types::Result<AdmissionOutcome> {
+        self.try_ingest(update)
+    }
+
+    fn trace(&self) -> (u64, Vec<StoreStats>, PoolStats) {
+        let stores = self.node_sessions().iter().map(|n| n.store().stats());
+        (
+            self.pending_updates(),
+            stores.collect(),
+            self.pool().stats(),
+        )
+    }
+
+    fn round(&mut self) -> (u64, Vec<u32>) {
+        bits(&self.drive().expect("drive").update)
+    }
+}
+
+/// Eight clients, two leaves of two per node, two nodes, quantized at the
+/// ingress: residuals, the rounding stream and the pool are all in play.
+fn topology() -> Topology {
+    Topology::new(vec![2, 2, 2]).expect("topology")
+}
+
+fn session_door() -> Session {
+    SessionBuilder::new()
+        .topology(topology())
+        .codec(CodecKind::Uniform8)
+        .build()
+        .expect("session")
+}
+
+fn cluster_door() -> Cluster {
+    ClusterBuilder::new()
+        .topology(topology())
+        .codec(CodecKind::Uniform8)
+        .build()
+        .expect("cluster")
+}
+
+/// Offers `updates` densely, each of which must be admitted.
+fn offer_all(door: &mut impl Door, updates: &[ModelUpdate]) {
+    for update in updates {
+        let outcome = door.offer(Update::Dense(update.clone())).expect("offer");
+        assert!(outcome.is_admitted());
+    }
+}
+
+/// Every hostile offer — each bad wire as encoded remote bytes, ragged and
+/// empty dense remote bytes, and a zero weight in every `Update` form — is
+/// refused by `door` with nothing counted, stored or drawn from the pool,
+/// and the next honest round is bit for bit the one of a twin that never
+/// saw any of them.
+fn hostile_offers_leave_no_trace<D: Door>(make: impl Fn() -> D) {
+    let honest = updates(8, DIM as usize);
+    let mut zero = honest[2].clone();
+    zero.samples = 0;
+    let encoded = UpdateCodec::new(CodecKind::Uniform8).encode(&honest[2].model);
+    let mut offers: Vec<(String, Update, bool)> = hostile_wires()
+        .into_iter()
+        .map(|(name, wire)| (name.to_string(), Update::remote_bytes(wire, 3, true), true))
+        .collect();
+    offers.extend([
+        (
+            "ragged dense bytes".into(),
+            Update::remote_bytes(vec![0u8; 9], 3, false),
+            true,
+        ),
+        (
+            "empty dense bytes".into(),
+            Update::remote_bytes(Vec::<u8>::new(), 3, false),
+            true,
+        ),
+        ("zero-weight dense".into(), Update::Dense(zero), false),
+        (
+            "zero-weight encoded".into(),
+            Update::encoded(ClientId::new(2), encoded, 0),
+            false,
+        ),
+        (
+            "zero-weight remote bytes".into(),
+            Update::remote_bytes(well_formed_wires()[1].clone(), 0, true),
+            false,
+        ),
+    ]);
+
+    let mut twin = make();
+    let mut door = make();
+    for backend in [&mut twin, &mut door] {
+        offer_all(backend, &honest);
+        backend.round();
+    }
+    let before = door.trace();
+    for (name, update, codec) in offers {
+        let refused = door.offer(update).expect_err(&name);
+        if codec {
+            assert!(matches!(refused, LiflError::Codec(_)), "{name}: {refused}");
+        } else {
+            assert_eq!(refused, LiflError::InvalidAggregationGoal(0), "{name}");
+        }
+        assert_eq!(door.trace(), before, "{name} left a trace");
+    }
+    offer_all(&mut twin, &honest);
+    offer_all(&mut door, &honest);
+    assert_eq!(door.round(), twin.round());
+}
+
+#[test]
+fn a_session_refuses_hostile_offers_without_a_trace() {
+    hostile_offers_leave_no_trace(session_door);
+}
+
+#[test]
+fn a_cluster_refuses_hostile_offers_without_a_trace() {
+    hostile_offers_leave_no_trace(cluster_door);
+}
+
+/// Regression: a zero-weight offer mid-round was admitted, and the drive
+/// then failed the whole round (`InvalidAggregationGoal(0)`), losing every
+/// honest update in it. Refused at the door, it leaves the rest of the round
+/// to drive to the bits of a twin that never saw it.
+fn a_zero_weight_offer_keeps_the_round<D: Door>(make: impl Fn() -> D) {
+    let honest = updates(8, DIM as usize);
+    let mut zero = honest[2].clone();
+    zero.samples = 0;
+    let mut twin = make();
+    offer_all(&mut twin, &honest);
+    let mut door = make();
+    offer_all(&mut door, &honest[..2]);
+    let refused = door.offer(Update::Dense(zero)).unwrap_err();
+    assert_eq!(refused, LiflError::InvalidAggregationGoal(0));
+    assert_eq!(door.trace().0, 2);
+    offer_all(&mut door, &honest[2..]);
+    assert_eq!(door.round(), twin.round());
+}
+
+#[test]
+fn a_zero_weight_offer_keeps_the_round_of_a_session() {
+    a_zero_weight_offer_keeps_the_round(session_door);
+}
+
+#[test]
+fn a_zero_weight_offer_keeps_the_round_of_a_cluster() {
+    a_zero_weight_offer_keeps_the_round(cluster_door);
 }
