@@ -1976,10 +1976,10 @@ mod tests {
         for update in batch.iter().take(3) {
             cluster.ingest(Update::Dense(update.clone())).unwrap();
         }
-        // Wrong dimension on the last leaf: node 1's subtree fails mid-drive.
-        cluster
-            .ingest(Update::remote_bytes(vec![0u8; 8], 1, false))
-            .unwrap();
+        // Wrong dimension on the last leaf, stored past the door (which
+        // refuses it): node 1's subtree fails mid-drive.
+        let short = Update::remote_bytes(vec![0u8; 8], 1, false);
+        cluster.admit(short, None).unwrap();
         assert!(cluster.drive().is_err());
         assert_eq!(cluster.pending_updates(), 0);
         for session in cluster.node_sessions() {
@@ -2453,8 +2453,13 @@ mod tests {
         cluster
             .ingest_all(updates(8, 8).into_iter().map(Update::Dense))
             .unwrap();
-        let oversized = Update::dense(ClientId::new(20), DenseModel::from_vec(vec![0.5; 64]), 1);
-        assert!(cluster.try_ingest(oversized).unwrap().is_queued());
+        // Parked behind the cluster's back: the door refuses the other
+        // dimension in this round, but the drain opens the next one with it.
+        let queues = cluster.ingress.queues_mut().expect("admission is on");
+        let oversized = lifl_fl::kernels::le_bytes(&[0.5f32; 64]);
+        assert!(queues
+            .offer(Some(ClientId::new(20)), oversized, 1, false)
+            .is_queued());
         let small = Update::dense(ClientId::new(21), DenseModel::from_vec(vec![0.5; 8]), 1);
         assert!(cluster.try_ingest(small).unwrap().is_queued());
         assert_eq!(cluster.pool().stats().misses, 2);

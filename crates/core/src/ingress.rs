@@ -9,7 +9,11 @@
 //!   residual, and remote bytes are validated (an encoded payload against
 //!   the wire contract of `EncodedView::parse`, dense bytes as whole
 //!   `f32`s): before anything is stored *or* parked, so a parked then
-//!   drained update flows exactly as a direct ingest would.
+//!   drained update flows exactly as a direct ingest would. The round's
+//!   first admitted update pins the model dimension, and an update of
+//!   another one is refused with `DimensionMismatch` — at the door, and
+//!   when a parked one drains (it is dropped) — instead of failing the
+//!   round's fold and every honest update in it.
 //! * **route** — a fault-refill slot first, then a vacancy opened by
 //!   mid-round churn, then the round-robin cursor; committed when the slot
 //!   took the update, rolled back when it did not.
@@ -47,7 +51,9 @@
 use crate::admission::{AdmissionQueues, AdmissionStats};
 use crate::gateway::remote_dense_bytes;
 use crate::stations::{Job, Turn, Turnstile, Workers};
-use lifl_fl::codec::{EncodedUpdate, ErrorFeedback, FeedbackJob, Residual, UpdateCodec};
+use lifl_fl::codec::{
+    descriptor_dim, EncodedUpdate, ErrorFeedback, FeedbackJob, Residual, UpdateCodec,
+};
 use lifl_fl::kernels::{le_bytes, StochasticRng};
 use lifl_fl::update::Update;
 use lifl_fl::DenseModel;
@@ -120,14 +126,15 @@ pub(crate) struct Target {
 /// here; its encode runs on the workers and lands in offer order.
 ///
 /// # Errors
-/// Store refusals, a zero weight and malformed remote bytes, before
-/// anything is counted, parked or encoded.
+/// Store refusals, a zero weight, malformed remote bytes and a dimension
+/// other than the round's, before anything is counted, parked or encoded.
 pub(crate) fn offer(backend: &mut impl Backend, update: Update) -> Result<AdmissionOutcome> {
     if !backend.has_room() {
         settle(backend);
         return backend.ingress().park(update);
     }
-    match backend.ingress().normalise(update)? {
+    let (normalised, dim) = backend.ingress().normalise(update)?;
+    match normalised {
         Normalised::Ready(update) => {
             settle(backend);
             let producer = update.client();
@@ -144,6 +151,7 @@ pub(crate) fn offer(backend: &mut impl Backend, update: Update) -> Result<Admiss
             commit(backend, false);
         }
     }
+    backend.ingress().dim = Some(dim);
     Ok(AdmissionOutcome::Admitted)
 }
 
@@ -167,14 +175,18 @@ fn commit(backend: &mut impl Backend, wait: bool) {
 
 /// Drains parked offers into the open round — globally best first (utility
 /// desc, arrival asc) — until the round is full or the backlog is empty. An
-/// offer that fails to admit is dropped and the next one is tried.
+/// offer that fails to admit, or whose dimension is not the round's, is
+/// dropped and the next one is tried.
 pub(crate) fn drain(backend: &mut impl Backend) {
     while backend.has_room() {
-        let Some((update, producer)) = backend.ingress().take_parked() else {
+        let Some((update, producer, dim)) = backend.ingress().take_parked() else {
             break;
         };
-        if backend.admit(update, producer).is_err() {
-            backend.ingress().drop_parked();
+        let admitted = dim_rule(backend.ingress().dim, dim)
+            .and_then(|dim| backend.admit(update, producer).map(|()| dim));
+        match admitted {
+            Ok(dim) => backend.ingress().dim = Some(dim),
+            Err(_) => backend.ingress().drop_parked(),
         }
     }
 }
@@ -246,49 +258,23 @@ pub(crate) struct Ingress {
     /// slot nor a vacancy. Equal to `ingested` until a kill or churn, so
     /// undisturbed routing is update *k* → slot `k % slots`.
     cursor: u64,
+    /// The model dimension the open round's first admitted update pinned.
+    dim: Option<usize>,
     /// Slots vacated by departed clients, refilled before the cursor moves:
     /// a replacement lands where the departed client was and the survivors
     /// keep their assignment.
     vacancies: Vec<usize>,
 }
 
-/// The normalise rule (see the module docs).
-fn normalise(kind: CodecKind, lifetime: u64, update: Update) -> Result<Normalised> {
-    if update.weight() == 0 {
-        // A zero weight would fail the round's fold after it was admitted.
-        return Err(LiflError::InvalidAggregationGoal(0));
+/// The dim rule: an update whose model dimension is not the one `pinned`
+/// by the round's first admitted update is refused.
+fn dim_rule(pinned: Option<usize>, actual: usize) -> Result<usize> {
+    match pinned {
+        Some(expected) if expected != actual => {
+            Err(LiflError::DimensionMismatch { expected, actual })
+        }
+        _ => Ok(actual),
     }
-    let fallback = ClientId::new(lifetime);
-    Ok(Normalised::Ready(match update {
-        Update::Dense(dense) => {
-            let client = dense.client.unwrap_or(fallback);
-            if kind.is_lossless() {
-                // Lossless codecs pass the dense model through untouched.
-                Update::dense(client, dense.model, dense.samples)
-            } else {
-                return Ok(Normalised::Encode(LossyOffer {
-                    client,
-                    model: dense.model,
-                    samples: dense.samples,
-                }));
-            }
-        }
-        Update::Encoded {
-            client,
-            update,
-            samples,
-        } => Update::Encoded {
-            client: Some(client.unwrap_or(fallback)),
-            update,
-            samples,
-        },
-        Update::RemoteBytes {
-            ref wire, encoded, ..
-        } => {
-            remote_dense_bytes(wire, encoded)?;
-            update
-        }
-    }))
 }
 
 impl Ingress {
@@ -316,6 +302,7 @@ impl Ingress {
             ingested: 0,
             lifetime: 0,
             cursor: 0,
+            dim: None,
             vacancies: Vec::new(),
         }
     }
@@ -330,13 +317,58 @@ impl Ingress {
         self.cursor
     }
 
-    /// Applies the normalise rule to an update about to be admitted.
+    /// Applies the normalise rule (see the module docs) to an update about
+    /// to be admitted: the offer as it is stored or encoded, and the model
+    /// dimension it folds at.
     ///
     /// # Errors
-    /// Returns [`LiflError::InvalidAggregationGoal`] for a zero weight and
-    /// [`LiflError::Codec`] for malformed remote bytes.
-    fn normalise(&self, update: Update) -> Result<Normalised> {
-        normalise(self.feedback.kind(), self.lifetime, update)
+    /// Returns [`LiflError::InvalidAggregationGoal`] for a zero weight,
+    /// [`LiflError::Codec`] for malformed remote bytes and
+    /// [`LiflError::DimensionMismatch`] for a dimension other than the
+    /// round's.
+    fn normalise(&self, update: Update) -> Result<(Normalised, usize)> {
+        if update.weight() == 0 {
+            // A zero weight would fail the round's fold after it was admitted.
+            return Err(LiflError::InvalidAggregationGoal(0));
+        }
+        // The dimension, from what the offer already holds: remote bytes
+        // state theirs in the wire contract they are validated against.
+        let dim = match &update {
+            Update::Dense(dense) => dense.model.dim(),
+            Update::Encoded { update, .. } => update.dim(),
+            Update::RemoteBytes { wire, encoded, .. } => {
+                (remote_dense_bytes(wire, *encoded)? / 4) as usize
+            }
+        };
+        let dim = dim_rule(self.dim, dim)?;
+        let fallback = ClientId::new(self.lifetime);
+        let normalised = Normalised::Ready(match update {
+            Update::Dense(dense) => {
+                let client = dense.client.unwrap_or(fallback);
+                if self.feedback.kind().is_lossless() {
+                    // Lossless codecs pass the dense model through untouched.
+                    Update::dense(client, dense.model, dense.samples)
+                } else {
+                    let offer = LossyOffer {
+                        client,
+                        model: dense.model,
+                        samples: dense.samples,
+                    };
+                    return Ok((Normalised::Encode(offer), dim));
+                }
+            }
+            Update::Encoded {
+                client,
+                update,
+                samples,
+            } => Update::Encoded {
+                client: Some(client.unwrap_or(fallback)),
+                update,
+                samples,
+            },
+            remote @ Update::RemoteBytes { .. } => remote,
+        });
+        Ok((normalised, dim))
     }
 
     /// The bytes `offer`'s encoded form will occupy in the store: a
@@ -480,12 +512,14 @@ impl Ingress {
         self.ingested = self.ingested.saturating_sub(lost);
     }
 
-    /// Opens an empty round: no fill, cursor at the first slot, no
-    /// vacancies, no failure. Residuals, the lifetime index and the backlog
-    /// persist. The backend settles first: nothing is in flight.
+    /// Opens an empty round: no fill, cursor at the first slot, no pinned
+    /// dimension, no vacancies, no failure. Residuals, the lifetime index
+    /// and the backlog persist. The backend settles first: nothing is in
+    /// flight.
     pub(crate) fn reset_round(&mut self) {
         self.ingested = 0;
         self.cursor = 0;
+        self.dim = None;
         self.vacancies.clear();
         self.failure = None;
     }
@@ -510,7 +544,7 @@ impl Ingress {
         if self.queues.is_none() {
             return Ok(NO_BACKLOG);
         }
-        let update = match self.normalise(update)? {
+        let update = match self.normalise(update)?.0 {
             Normalised::Ready(update) => update,
             Normalised::Encode(offer) => {
                 let stored = self.stored_bytes(&offer) as usize;
@@ -550,13 +584,19 @@ impl Ingress {
     /// backend's `admit`: its pooled backlog buffer moves into remote-bytes
     /// form behind the pool-returning owner — so the drained buffer *is* the
     /// object the store will hold, and comes home when that object is
-    /// recycled — and its producer rides alongside. The payload was
-    /// normalised before it was parked, so it is not checked again here.
-    fn take_parked(&mut self) -> Option<(Update, Option<ClientId>)> {
+    /// recycled — and its producer and dimension ride alongside. The
+    /// payload was normalised before it was parked, so it is not checked
+    /// again here: its dimension is read, not parsed, and [`drain`] holds it
+    /// to the round's, which may have been pinned since.
+    fn take_parked(&mut self) -> Option<(Update, Option<ClientId>, usize)> {
         let offer = self.queues.as_mut()?.take_best()?;
+        let dim = match offer.encoded {
+            true => descriptor_dim(&offer.payload),
+            false => offer.payload.len() / 4,
+        };
         let wire = bytes::Bytes::from_owner(PooledBuf::adopt(offer.payload, &self.pool));
         let update = Update::remote_bytes(wire, offer.weight, offer.encoded);
-        Some((update, offer.client))
+        Some((update, offer.client, dim))
     }
 
     /// Records that the offer [`Ingress::take_parked`] handed out was not

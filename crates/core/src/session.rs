@@ -1159,14 +1159,14 @@ mod tests {
     fn failed_round_is_discarded_and_the_session_recovers() {
         let mut session = SessionBuilder::new().two_level(2, 2).build().unwrap();
         let batch = updates(4, 16);
-        // Three valid updates plus raw remote bytes of the wrong dimension:
-        // the fold fails mid-drive.
+        // Three valid updates plus raw remote bytes of the wrong dimension,
+        // stored past the door (which refuses them): the fold fails
+        // mid-drive.
         for update in batch.iter().take(3) {
             session.ingest(Update::Dense(update.clone())).unwrap();
         }
-        session
-            .ingest(Update::remote_bytes(vec![0u8; 8], 1, false))
-            .unwrap();
+        let short = Update::remote_bytes(vec![0u8; 8], 1, false);
+        session.admit(short, None).unwrap();
         assert!(session.drive().is_err(), "mismatched dimension must fail");
         // The corrupt round is gone: counters are zero, nothing leaked in
         // the store (surviving siblings' intermediates included), and a
@@ -1367,6 +1367,36 @@ mod tests {
     }
 
     #[test]
+    fn a_parked_offer_of_another_dimension_is_dropped_at_drain() {
+        let batch = updates(5, 8);
+        let mut session = SessionBuilder::new()
+            .two_level(2, 2)
+            .admission(AdmissionConfig::bounded(8, 1 << 20))
+            .build()
+            .unwrap();
+        for u in &batch[..4] {
+            session.ingest(Update::Dense(u.clone())).unwrap();
+        }
+        // A 3-parameter offer parked behind the session's back (the door
+        // refuses it in a round of 8-parameter updates), ahead of a valid one.
+        let queues = session.ingress.queues_mut().expect("admission is on");
+        assert!(queues.offer(None, &[0u8; 12], 1, false).is_queued());
+        let parked = Update::Dense(batch[4].clone());
+        assert!(session.try_ingest(parked).unwrap().is_queued());
+        // A departure reopens a slot in the pinned round: the short offer
+        // is dropped and the valid one drains into the slot.
+        assert!(session.depart_client(ClientId::new(0)));
+        let stats = session.admission_stats();
+        assert_eq!((stats.drained, stats.dropped), (1, 1));
+        assert_eq!(session.pending_updates(), 4);
+        let report = session.drive().unwrap();
+        let expected = fedavg(&batch[1..]).unwrap();
+        for (a, b) in (report.update.model.as_slice().iter()).zip(expected.model.as_slice()) {
+            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        }
+    }
+
+    #[test]
     fn a_failed_admit_hands_its_vacancy_back() {
         // Room for the round's four 32-byte updates and little else.
         let mut session = SessionBuilder::new()
@@ -1378,11 +1408,12 @@ mod tests {
             .ingest_all(updates(4, 8).into_iter().map(Update::Dense))
             .unwrap();
         assert!(session.depart_client(ClientId::new(1)));
-        // Routed into client 1's vacancy on leaf 1, then refused by the
-        // store: the vacancy must reopen and the cursor must not move.
+        // Routed into client 1's vacancy on leaf 1 (past the door, which
+        // refuses the other dimension first), then refused by the store:
+        // the vacancy must reopen and the cursor must not move.
         let too_big = Update::dense(ClientId::new(8), DenseModel::from_vec(vec![0.5; 32]), 1);
         assert!(matches!(
-            session.try_ingest(too_big),
+            session.admit(too_big, Some(ClientId::new(8))),
             Err(LiflError::OutOfSharedMemory { .. })
         ));
         assert_eq!(session.pending_updates(), 3);
@@ -1533,8 +1564,13 @@ mod tests {
         session
             .ingest_all(updates(4, 8).into_iter().map(Update::Dense))
             .unwrap();
-        let oversized = Update::dense(ClientId::new(9), DenseModel::from_vec(vec![0.5; 64]), 1);
-        assert!(session.try_ingest(oversized).unwrap().is_queued());
+        // Parked behind the session's back: the door refuses the other
+        // dimension in this round, but the drain opens the next one with it.
+        let queues = session.ingress.queues_mut().expect("admission is on");
+        let oversized = lifl_fl::kernels::le_bytes(&[0.5f32; 64]);
+        assert!(queues
+            .offer(Some(ClientId::new(9)), oversized, 1, false)
+            .is_queued());
         let small = Update::dense(ClientId::new(10), DenseModel::from_vec(vec![0.5; 8]), 1);
         assert!(session.try_ingest(small).unwrap().is_queued());
         // Parking copied each wire form once, into pooled backlog buffers.
@@ -1585,11 +1621,19 @@ mod tests {
         };
         let (mut session, mut control) = (build(), build());
         // Client 0's update fills the accumulator; a 16-parameter one from
-        // an outsider cannot fold into it.
+        // an outsider cannot fold into it. The door refuses that one, so it
+        // is stored past the door — encoded into the session's pool, as the
+        // ingress would have — behind client 0's.
         let batch = updates(1, 64);
         session.ingest(Update::Dense(batch[0].clone())).unwrap();
-        let short = Update::dense(ClientId::new(99), DenseModel::from_vec(vec![0.5; 16]), 1);
-        session.ingest(short).unwrap();
+        let short = lifl_fl::codec::UpdateCodec::new(CodecKind::Uniform8)
+            .with_pool(session.pool().clone())
+            .encode(&DenseModel::from_vec(vec![0.5; 16]));
+        let outsider = ClientId::new(99);
+        ingress::settle(&mut session);
+        session
+            .admit(Update::encoded(outsider, short, 1), Some(outsider))
+            .unwrap();
         assert!(matches!(
             session.drive(),
             Err(LiflError::DimensionMismatch { .. })

@@ -13,18 +13,34 @@
 //! **bit-exact** across them for every [`CodecKind`] × shard count
 //! (enforced by the `tests/it/driver.rs` tier), and matches the flat
 //! [`FlatFedAvg`](lifl_fl::FlatFedAvg) under a lossless codec.
+//!
+//! Asynchronous FL (FedBuff; Fig. 11, §7 future work) is the same driver
+//! over the same backends: [`TrainingDriver::run_async`] keeps clients
+//! training against whatever version they last pulled and commits a new
+//! global model every time the backend's round fills, so a version is a
+//! round and shares its ingress, fold, adoption and history.
 
 use crate::cluster::Cluster;
 use crate::heartbeat::{over_provisioned_selection, HeartbeatMonitor};
+use lifl_fl::client::Client;
 use lifl_fl::dataset::FederatedDataset;
 use lifl_fl::metrics::accuracy_percent;
 use lifl_fl::model::DenseModel;
 use lifl_fl::population::Population;
+use lifl_fl::staleness::{StalenessPolicy, StalenessTracker};
 use lifl_fl::trainer::{LocalTrainer, TrainerConfig};
 use lifl_fl::{Ingest, RoundAggregate, Update};
 use lifl_simcore::SimRng;
-use lifl_types::{AdmissionOutcome, ClientId, CodecKind, LiflError, Result, SimDuration, SimTime};
+use lifl_types::{
+    AdmissionOutcome, ClientId, CodecKind, LiflError, ModelKind, Result, SimDuration, SimTime,
+};
 use std::collections::BTreeSet;
+
+/// The workload an asynchronous run prices each client's local training
+/// time at: ResNet-18, the model of the paper's asynchronous setup and the
+/// only one any asynchronous run has been priced at. Only the simulated
+/// clock depends on it; the trained model is the synthetic substrate's.
+const ASYNC_MODEL: ModelKind = ModelKind::ResNet18;
 
 /// Configuration of the backend-generic training driver.
 ///
@@ -35,7 +51,8 @@ use std::collections::BTreeSet;
 pub struct TrainingConfig {
     /// Local-training configuration.
     pub trainer: TrainerConfig,
-    /// Number of rounds [`TrainingDriver::run_all`] runs.
+    /// Number of rounds [`TrainingDriver::run_all`] runs, and of versions
+    /// [`TrainingDriver::run_async`] commits.
     pub rounds: usize,
     /// Evaluate accuracy every this many rounds (1 = every round).
     pub eval_every: usize,
@@ -108,7 +125,52 @@ struct Delivery {
     queued: u64,
 }
 
-/// Runs synchronous multi-round FedAvg over any [`Ingest`] backend.
+/// One global version an asynchronous run committed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AsyncCommit {
+    /// The version as a round: its index (from 1), the updates it folded,
+    /// their mean local loss, its accuracy and its wire bytes.
+    pub round: TrainingRound,
+    /// Simulated time at which the version's last update arrived.
+    pub committed_at: SimTime,
+    /// Updates of the version trained against an older one.
+    pub stale_updates: u64,
+    /// Mean staleness (versions behind) of the version's updates.
+    pub mean_staleness: f64,
+}
+
+/// A client training asynchronously: against which version, until when.
+#[derive(Debug)]
+struct Training {
+    client: Client,
+    base_version: usize,
+    finish_at: SimTime,
+}
+
+impl Training {
+    /// `client` pulls version `base_version` at `now`; it finishes after its
+    /// hibernation and its training time.
+    fn start(client: Client, base_version: usize, now: SimTime, rng: &mut SimRng) -> Training {
+        let finish_at = now + client.hibernation(rng) + client.training_time(ASYNC_MODEL);
+        Training {
+            client,
+            base_version,
+            finish_at,
+        }
+    }
+}
+
+/// What the open version of an asynchronous run has gathered so far.
+#[derive(Debug, Default)]
+struct Window {
+    delivery: Delivery,
+    stale: u64,
+    staleness_sum: u64,
+}
+
+/// Runs synchronous multi-round FedAvg over any [`Ingest`] backend, and
+/// buffered asynchronous FedAvg over the same ones
+/// ([`TrainingDriver::run_async`]).
 ///
 /// ```
 /// use lifl_core::session::SessionBuilder;
@@ -163,6 +225,7 @@ pub struct TrainingDriver<B: Ingest> {
     global: DenseModel,
     history: Vec<TrainingRound>,
     stragglers: BTreeSet<ClientId>,
+    staleness: StalenessTracker,
 }
 
 impl<B: Ingest> TrainingDriver<B> {
@@ -189,6 +252,7 @@ impl<B: Ingest> TrainingDriver<B> {
             global,
             history: Vec::new(),
             stragglers: BTreeSet::new(),
+            staleness: StalenessTracker::new(),
         }
     }
 
@@ -222,9 +286,15 @@ impl<B: Ingest> TrainingDriver<B> {
         &self.global
     }
 
-    /// Completed round outcomes.
+    /// Completed round outcomes (an asynchronous version is a round).
     pub fn history(&self) -> &[TrainingRound] {
         &self.history
+    }
+
+    /// The staleness of every update [`TrainingDriver::run_async`] has
+    /// ingested.
+    pub fn staleness(&self) -> &StalenessTracker {
+        &self.staleness
     }
 
     /// Current test accuracy of the global model.
@@ -255,15 +325,95 @@ impl<B: Ingest> TrainingDriver<B> {
     /// driver stays reusable.
     pub fn run_round(&mut self, rng: &mut SimRng) -> Result<TrainingRound> {
         let delivery = self.deliver_round(rng, |_, _, _| {})?;
-        match self.backend.aggregate_round() {
-            Ok(aggregate) => Ok(self.adopt_round(aggregate, delivery)),
-            Err(error) => {
-                // The documented contract: a failed round never leaks
-                // backend state into the next one.
-                self.backend.discard_round();
-                Err(error)
+        let aggregate = self.aggregate()?;
+        Ok(self.adopt_round(aggregate, delivery))
+    }
+
+    /// Runs buffered asynchronous FedAvg (FedBuff; Fig. 11, §7 future work)
+    /// until [`TrainingConfig::rounds`] more versions are committed, and
+    /// returns one record per version.
+    ///
+    /// `population.active_per_round()` clients train at all times, drawn
+    /// like a synchronous round's selection. When a client finishes, its
+    /// update is down-weighted by `staleness` for the versions committed
+    /// since it pulled the global model and ingested dense through the
+    /// backend's ingress — codec, store and stations as in any round — and
+    /// the client pulls the latest version and trains again. Each time
+    /// [`Ingest::round_capacity`] updates are in, the backend aggregates and
+    /// the driver adopts the result as it adopts a round, so
+    /// [`TrainingDriver::history`], [`TrainingDriver::accuracy_curve`] and
+    /// the evaluation cadence cover versions too.
+    ///
+    /// # Errors
+    /// An invalid `staleness` policy, or the first ingest or aggregation
+    /// error, after which the backend's round is discarded; the versions
+    /// committed before it stay in the history.
+    pub fn run_async(
+        &mut self,
+        rng: &mut SimRng,
+        staleness: StalenessPolicy,
+    ) -> Result<Vec<AsyncCommit>> {
+        staleness.validate()?;
+        let goal = self.backend.round_capacity();
+        let (version, target) = (self.history.len(), self.history.len() + self.config.rounds);
+        let mut training: Vec<Training> = (self.population.select_round(rng).into_iter())
+            .map(|client| Training::start(client, version, SimTime::ZERO, rng))
+            .collect();
+        let mut commits = Vec::new();
+        let mut window = Window::default();
+        while self.history.len() < target {
+            // Pop the earliest completion.
+            let Some((next, _)) = training
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.finish_at.as_secs().total_cmp(&b.1.finish_at.as_secs()))
+            else {
+                break;
+            };
+            let finished = training.swap_remove(next);
+            let (client, now) = (finished.client, finished.finish_at);
+            let tau = (self.history.len() - finished.base_version) as u64;
+            self.staleness.record(tau);
+            // Local training against the version the client based on. We train
+            // against the *current* global as an approximation of keeping a
+            // copy of every historical version; the staleness weight encodes
+            // the trust discount.
+            let shard = self.dataset.shard(client.id);
+            let (local, loss) = self.trainer.train(&self.global, shard, rng);
+            let samples = staleness.scaled_samples(shard.len().max(1) as u64, tau);
+            window.delivery.loss_sum += loss;
+            window.delivery.trained += 1;
+            window.stale += u64::from(tau > 0);
+            window.staleness_sum += tau;
+            let update = Update::dense(client.id, local, samples);
+            self.backend
+                .ingest_update(update)
+                .inspect_err(|_| self.backend.discard_round())?;
+            if window.delivery.trained == goal {
+                let window = std::mem::take(&mut window);
+                let mean_staleness = window.staleness_sum as f64 / goal as f64;
+                let aggregate = self.aggregate()?;
+                commits.push(AsyncCommit {
+                    round: self.adopt_round(aggregate, window.delivery),
+                    committed_at: now,
+                    stale_updates: window.stale,
+                    mean_staleness,
+                });
             }
+            // The finished client immediately starts the next local round
+            // against the latest committed version.
+            training.push(Training::start(client, self.history.len(), now, rng));
         }
+        Ok(commits)
+    }
+
+    /// Aggregates the backend's round. The documented contract: a failed
+    /// round never leaks backend state into the next one, so a failure
+    /// discards it.
+    fn aggregate(&mut self) -> Result<RoundAggregate> {
+        self.backend
+            .aggregate_round()
+            .inspect_err(|_| self.backend.discard_round())
     }
 
     /// The first half of a round: select participants, train each locally
@@ -695,5 +845,333 @@ mod tests {
         let outcome = driver.run_round(&mut rng).unwrap();
         assert_eq!(outcome.updates, 8);
         assert_eq!(outcome.queued, 4);
+    }
+
+    /// The asynchronous workload: 40 hibernating clients, 16 of them
+    /// training at any time.
+    fn async_fixtures(seed: u64) -> (FederatedDataset, Population, SimRng) {
+        let mut rng = SimRng::from_seed(seed);
+        let dataset = FederatedDataset::generate(
+            DatasetConfig {
+                num_clients: 40,
+                num_features: 12,
+                num_classes: 6,
+                mean_samples_per_client: 40,
+                dirichlet_alpha: 0.5,
+                test_samples: 300,
+                noise_std: 0.4,
+            },
+            &mut rng,
+        );
+        let population = Population::generate(
+            PopulationConfig {
+                total_clients: 40,
+                active_per_round: 16,
+                availability: ClientAvailability::Hibernating { max_secs: 30.0 },
+                mean_samples: 40,
+                speed_spread: 0.5,
+            },
+            &mut rng,
+        );
+        (dataset, population, rng)
+    }
+
+    /// A driver over `backend` whose asynchronous runs commit `versions`
+    /// versions of the [`async_fixtures`] workload.
+    fn async_setup<B: Ingest>(
+        backend: B,
+        seed: u64,
+        versions: usize,
+    ) -> (TrainingDriver<B>, SimRng) {
+        let (dataset, population, rng) = async_fixtures(seed);
+        let config = TrainingConfig {
+            trainer: TrainerConfig {
+                batch_size: 16,
+                learning_rate: 0.05,
+                local_epochs: 2,
+            },
+            rounds: versions,
+            ..TrainingConfig::default()
+        };
+        (
+            TrainingDriver::new(backend, dataset, population, config),
+            rng,
+        )
+    }
+
+    /// FedBuff's buffer of `goal` updates: a flat session.
+    fn buffer(goal: usize, codec: CodecKind) -> Session {
+        SessionBuilder::new()
+            .topology(Topology::flat(goal))
+            .codec(codec)
+            .build()
+            .unwrap()
+    }
+
+    const POLY: StalenessPolicy = StalenessPolicy::Polynomial { exponent: 0.5 };
+
+    fn bits(model: &DenseModel) -> Vec<u32> {
+        model.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn commits_requested_number_of_versions() {
+        let (mut driver, mut rng) = async_setup(buffer(8, CodecKind::Identity), 5, 10);
+        let versions = driver.run_async(&mut rng, POLY).unwrap();
+        assert_eq!(versions.len(), 10);
+        for (i, v) in versions.iter().enumerate() {
+            assert_eq!(v.round.round, i + 1);
+            assert_eq!(v.round.updates, 8);
+            assert!(v.round.accuracy.is_some());
+        }
+        // Commits happen in non-decreasing time order.
+        for pair in versions.windows(2) {
+            assert!(pair[1].committed_at.as_secs() >= pair[0].committed_at.as_secs());
+        }
+        assert_eq!(driver.history().len(), 10);
+    }
+
+    #[test]
+    fn goal_one_commits_every_update() {
+        let (mut driver, mut rng) = async_setup(buffer(1, CodecKind::Identity), 3, 4);
+        let versions = driver.run_async(&mut rng, POLY).unwrap();
+        assert_eq!(versions.len(), 4);
+        assert!(versions.iter().all(|v| v.round.updates == 1));
+        assert_eq!(driver.staleness().count(), 4);
+    }
+
+    #[test]
+    fn accuracy_improves_over_versions() {
+        let (mut driver, mut rng) = async_setup(buffer(8, CodecKind::Identity), 42, 15);
+        let initial = driver.evaluate();
+        driver.run_async(&mut rng, POLY).unwrap();
+        let final_acc = driver.evaluate();
+        assert!(
+            final_acc > initial + 10.0,
+            "async training should learn: {initial} -> {final_acc}"
+        );
+        assert_eq!(driver.accuracy_curve().len(), 15);
+    }
+
+    #[test]
+    fn staleness_is_observed_and_bounded_by_version_count() {
+        let (mut driver, mut rng) = async_setup(buffer(8, CodecKind::Identity), 9, 10);
+        driver.run_async(&mut rng, POLY).unwrap();
+        let tracker = driver.staleness();
+        assert!(tracker.count() >= 10 * 8);
+        assert!(
+            tracker.max() <= 10,
+            "staleness cannot exceed committed versions"
+        );
+        // With clients continuously training across commits, some staleness
+        // must appear after the first version.
+        assert!(tracker.stale_count() > 0);
+    }
+
+    #[test]
+    fn quantized_async_single_commit_stays_within_quantization_error() {
+        // With one committed version both runs fold exactly the same updates
+        // in the same order (the sim RNG stream is untouched by the codec),
+        // so the only divergence is the per-update quantization error.
+        let (mut dense, mut rng_d) = async_setup(buffer(8, CodecKind::Identity), 23, 1);
+        let (mut quant, mut rng_q) = async_setup(buffer(8, CodecKind::Uniform8), 23, 1);
+        dense.run_async(&mut rng_d, POLY).unwrap();
+        quant.run_async(&mut rng_q, POLY).unwrap();
+        let max_abs = (dense.global_model().as_slice().iter()).fold(0.0f32, |a, v| a.max(v.abs()));
+        // One quantization step of the largest update magnitude, with slack
+        // for the weighted averaging across the buffer.
+        let tolerance = (2.0 * max_abs / 127.0).max(1e-4);
+        for (a, b) in (dense.global_model().as_slice().iter()).zip(quant.global_model().as_slice())
+        {
+            assert!(
+                (a - b).abs() <= tolerance,
+                "uniform8 async drifted: |{a} - {b}| > {tolerance}"
+            );
+        }
+    }
+
+    #[test]
+    fn quantized_async_run_still_learns() {
+        let (mut driver, mut rng) = async_setup(buffer(8, CodecKind::Uniform8), 31, 12);
+        let initial = driver.evaluate();
+        driver.run_async(&mut rng, POLY).unwrap();
+        let final_acc = driver.evaluate();
+        assert!(
+            final_acc > initial + 10.0,
+            "quantized async training should learn: {initial} -> {final_acc}"
+        );
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let (mut a, mut ra) = async_setup(buffer(8, CodecKind::Identity), 77, 10);
+        let (mut b, mut rb) = async_setup(buffer(8, CodecKind::Identity), 77, 10);
+        let va = a.run_async(&mut ra, POLY).unwrap();
+        let vb = b.run_async(&mut rb, POLY).unwrap();
+        assert_eq!(va, vb);
+        assert_eq!(a.global_model(), b.global_model());
+    }
+
+    /// The asynchronous loop moved here verbatim from the deleted
+    /// stand-alone driver, whose own fold was the flat one a flat session
+    /// is bit-exact with under a lossless codec: every version's commit
+    /// time, stale count, mean staleness and accuracy, the final model's
+    /// FNV-1a fingerprint, the staleness totals and the generator's next
+    /// draw below were recorded from that driver on this workload.
+    #[test]
+    fn the_async_run_is_the_deleted_drivers() {
+        let (mut driver, mut rng) = async_setup(buffer(8, CodecKind::Identity), 77, 10);
+        let versions = driver.run_async(&mut rng, POLY).unwrap();
+        let recorded: Vec<(u64, u64, u64, f64)> = vec![
+            (4_626_827_778_973_468_684, 0, 0, 93.333_333_333_333_33),
+            (
+                4_628_984_163_345_617_516,
+                8,
+                4_607_182_418_800_017_408,
+                97.0,
+            ),
+            (
+                4_631_535_428_486_819_636,
+                8,
+                4_610_560_118_520_545_280,
+                99.0,
+            ),
+            (
+                4_632_490_582_090_710_984,
+                6,
+                4_608_871_268_660_281_344,
+                93.0,
+            ),
+            (
+                4_634_404_463_658_929_449,
+                7,
+                4_611_686_018_427_387_904,
+                98.333_333_333_333_33,
+            ),
+            (
+                4_635_010_069_826_217_437,
+                8,
+                4_610_560_118_520_545_280,
+                98.333_333_333_333_33,
+            ),
+            (
+                4_635_638_735_184_111_395,
+                8,
+                4_612_530_443_357_519_872,
+                98.333_333_333_333_33,
+            ),
+            (
+                4_636_526_194_044_726_429,
+                7,
+                4_610_560_118_520_545_280,
+                96.0,
+            ),
+            (
+                4_636_976_279_499_698_188,
+                8,
+                4_610_560_118_520_545_280,
+                98.666_666_666_666_67,
+            ),
+            (
+                4_637_706_678_017_733_396,
+                7,
+                4_609_997_168_567_123_968,
+                99.333_333_333_333_33,
+            ),
+        ];
+        let run: Vec<(u64, u64, u64, f64)> = (versions.iter())
+            .map(|v| {
+                let accuracy = v.round.accuracy.unwrap();
+                let committed_at = v.committed_at.as_secs().to_bits();
+                (
+                    committed_at,
+                    v.stale_updates,
+                    v.mean_staleness.to_bits(),
+                    accuracy,
+                )
+            })
+            .collect();
+        assert_eq!(run, recorded);
+        let fingerprint = (driver.global_model().as_slice().iter())
+            .fold(0xcbf2_9ce4_8422_2325u64, |hash, v| {
+                (hash ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(fingerprint, 5_887_602_790_267_587_573);
+        let tracker = driver.staleness();
+        assert_eq!(
+            (tracker.count(), tracker.stale_count(), tracker.max()),
+            (80, 67, 4)
+        );
+        assert_eq!(rng.index(1_000_000_007), 137_070_512);
+    }
+
+    #[test]
+    fn invalid_configs_rejected() {
+        let (mut driver, mut rng) = async_setup(buffer(8, CodecKind::Identity), 1, 3);
+        let flat = StalenessPolicy::Polynomial { exponent: 0.0 };
+        assert!(matches!(
+            driver.run_async(&mut rng, flat),
+            Err(LiflError::InvalidConfig(_))
+        ));
+        assert!(driver.history().is_empty());
+        assert_eq!(driver.staleness().count(), 0);
+    }
+
+    /// An error mid-run is returned, not swallowed, and the backend's round
+    /// is discarded: a store that cannot hold one window of 78-parameter
+    /// models refuses the fourth update of the first version.
+    #[test]
+    fn an_async_store_failure_is_returned_and_discards_the_round() {
+        let session = SessionBuilder::new()
+            .topology(Topology::flat(8))
+            .store(lifl_shmem::ObjectStore::with_capacity(1_000))
+            .build()
+            .unwrap();
+        let (mut driver, mut rng) = async_setup(session, 5, 2);
+        let outcome = driver.run_async(&mut rng, POLY);
+        assert!(
+            matches!(outcome, Err(LiflError::OutOfSharedMemory { .. })),
+            "{outcome:?}"
+        );
+        assert_eq!(driver.backend().pending_updates(), 0);
+        assert!(driver.history().is_empty());
+        assert_eq!(driver.staleness().count(), 4);
+    }
+
+    /// Asynchronous runs over a `[2, 2, 2]` session and over the same tree
+    /// as a two-node cluster are the same run, bit for bit, for every codec,
+    /// whether the stations and encodes run on the caller alone or beside
+    /// three workers.
+    #[test]
+    fn async_over_a_cluster_is_async_over_a_session_at_any_worker_count() {
+        use crate::cluster::ClusterBuilder;
+        use crate::stations::Workers;
+
+        let tree = || Topology::new(vec![2, 2, 2]).unwrap();
+        for codec in CodecKind::ablation_set() {
+            for workers in [0, 3] {
+                let session = SessionBuilder::new()
+                    .topology(tree())
+                    .codec(codec)
+                    .workers(Workers::with_count(workers))
+                    .build()
+                    .unwrap();
+                let cluster = ClusterBuilder::new()
+                    .topology(tree())
+                    .codec(codec)
+                    .build_on(Workers::with_count(workers))
+                    .unwrap();
+                let (mut over_session, mut rng_s) = async_setup(session, 13, 3);
+                let (mut over_cluster, mut rng_c) = async_setup(cluster, 13, 3);
+                let s = over_session.run_async(&mut rng_s, POLY).unwrap();
+                let c = over_cluster.run_async(&mut rng_c, POLY).unwrap();
+                assert_eq!(s, c, "{codec} at {workers} workers");
+                assert_eq!(
+                    bits(over_session.global_model()),
+                    bits(over_cluster.global_model()),
+                    "{codec} at {workers} workers"
+                );
+            }
+        }
     }
 }

@@ -4,23 +4,28 @@
 //! intended asynchronous semantics and §7 lists async FL as future work. This
 //! experiment exercises that extension end to end:
 //!
-//! * **Semantics check** — the buffered asynchronous aggregator commits a new
-//!   global version every `goal` updates under both eager and lazy timing, and
-//!   both timings commit identical models (Fig. 11(a) vs 11(b)).
-//! * **Algorithm check** — a full asynchronous FedAvg run over the synthetic
+//! * **Semantics check** — a version is committed every `goal` updates
+//!   whether they are folded as they arrive (eager, Fig. 11(a): a
+//!   `CumulativeFedAvg`) or buffered and aggregated when the goal is reached
+//!   (lazy, Fig. 11(b): a flat session of fan-in `goal`, driven at each
+//!   fill), and both commit identical models.
+//! * **Algorithm check** — a full asynchronous FedAvg run
+//!   ([`TrainingDriver::run_async`] over a flat session) on the synthetic
 //!   non-IID workload, comparing staleness-weighting policies (constant,
 //!   polynomial, hinge) on committed versions, observed staleness and final
 //!   accuracy.
 
 use crate::report::format_table;
-use lifl_fl::async_driver::{AsyncDriverConfig, AsyncFlDriver};
+use lifl_core::session::{SessionBuilder, Update};
+use lifl_core::training::{TrainingConfig, TrainingDriver};
 use lifl_fl::client::ClientAvailability;
 use lifl_fl::dataset::{DatasetConfig, FederatedDataset};
 use lifl_fl::population::{Population, PopulationConfig};
 use lifl_fl::staleness::StalenessPolicy;
 use lifl_fl::trainer::TrainerConfig;
+use lifl_fl::{CumulativeFedAvg, DenseModel, ModelUpdate};
 use lifl_simcore::SimRng;
-use lifl_types::ModelKind;
+use lifl_types::{ClientId, Topology};
 use serde::Serialize;
 
 /// One row of the staleness-policy comparison.
@@ -50,11 +55,7 @@ pub struct Fig11Result {
 }
 
 fn semantics_check() -> bool {
-    use lifl_fl::aggregate::ModelUpdate;
-    use lifl_fl::async_driver::AsyncAggregator;
-    use lifl_fl::DenseModel;
-    use lifl_types::{AggregationTiming, ClientId, SimTime};
-
+    let goal = 4;
     let updates: Vec<ModelUpdate> = (1..=8u64)
         .map(|i| {
             ModelUpdate::from_client(
@@ -64,24 +65,21 @@ fn semantics_check() -> bool {
             )
         })
         .collect();
-    let mut eager = AsyncAggregator::new(4, AggregationTiming::Eager).expect("goal > 0");
-    let mut lazy = AsyncAggregator::new(4, AggregationTiming::Lazy).expect("goal > 0");
-    for (k, update) in updates.iter().enumerate() {
-        let at = SimTime::from_secs(k as f64);
-        eager
-            .submit(update.clone().into(), 0, at)
-            .expect("eager submit");
-        lazy.submit(update.clone().into(), 0, at)
-            .expect("lazy submit");
-    }
-    if eager.versions().len() != lazy.versions().len() {
-        return false;
-    }
-    eager.versions().iter().zip(lazy.versions()).all(|(a, b)| {
-        a.model
-            .as_slice()
-            .iter()
-            .zip(b.model.as_slice())
+    let mut eager = CumulativeFedAvg::default();
+    let mut lazy = SessionBuilder::new()
+        .topology(Topology::flat(goal))
+        .build()
+        .expect("flat session");
+    updates.chunks(goal).all(|window| {
+        for update in window {
+            eager.fold(update).expect("eager fold");
+        }
+        let eager = eager.finalize().expect("eager version");
+        let lazy = (lazy.ingest_all(window.iter().cloned().map(Update::Dense)))
+            .and_then(|()| lazy.drive())
+            .expect("lazy version");
+        (eager.model.as_slice().iter())
+            .zip(lazy.update.model.as_slice())
             .all(|(x, y)| (x - y).abs() < 1e-5)
     })
 }
@@ -110,22 +108,22 @@ fn run_policy(policy: StalenessPolicy, label: &str, seed: u64) -> AsyncPolicyRow
         },
         &mut rng,
     );
-    let config = AsyncDriverConfig {
+    // A version every 12 updates, 15 of them, 24 clients training at once.
+    let buffer = SessionBuilder::new()
+        .topology(Topology::flat(12))
+        .build()
+        .expect("flat session");
+    let config = TrainingConfig {
         trainer: TrainerConfig {
             batch_size: 16,
             learning_rate: 0.05,
             local_epochs: 2,
         },
-        buffer_goal: 12,
-        target_versions: 15,
-        concurrency: 24,
-        staleness: policy,
-        model: ModelKind::ResNet18,
-        eval_every: 1,
-        codec: lifl_types::CodecKind::Identity,
+        rounds: 15,
+        ..TrainingConfig::default()
     };
-    let mut driver = AsyncFlDriver::new(dataset, population, config).expect("valid config");
-    let versions = driver.run(&mut rng);
+    let mut driver = TrainingDriver::new(buffer, dataset, population, config);
+    let versions = driver.run_async(&mut rng, policy).expect("async run");
     let tracker = driver.staleness();
     AsyncPolicyRow {
         policy: label.to_string(),

@@ -145,8 +145,8 @@ impl CumulativeFedAvg {
     }
 
     /// Folds one update in whatever representation its [`Update`] envelope
-    /// carries — the single polymorphic fold behind the FL drivers and the
-    /// `lifl-core` session: dense updates fold exactly like
+    /// carries — the fold behind the flat backend ([`crate::FlatFedAvg`]):
+    /// dense updates fold exactly like
     /// [`CumulativeFedAvg::fold`], encoded ones fuse dequantize-and-axpy, and
     /// remote wire bytes are parsed (or wrapped) in place with no copy.
     ///
@@ -162,26 +162,13 @@ impl CumulativeFedAvg {
             Update::RemoteBytes {
                 wire,
                 weight,
-                encoded,
-            } => {
-                if *encoded {
-                    self.fold_encoded_view(&EncodedView::parse(wire)?, *weight)
-                } else {
-                    self.fold_dense_bytes(wire, *weight)
-                }
+                encoded: true,
+            } => self.fold_encoded_view(&EncodedView::parse(wire)?, *weight),
+            // Headerless dense little-endian `f32`s, folded in place.
+            Update::RemoteBytes { wire, weight, .. } => {
+                self.fold_encoded_view(&EncodedView::identity_over(wire), *weight)
             }
         }
-    }
-
-    /// Folds a headerless dense little-endian `f32` payload (the pre-codec
-    /// shared-memory representation) without materialising a `DenseModel`;
-    /// bit-exact with decoding the payload and calling
-    /// [`CumulativeFedAvg::fold`].
-    ///
-    /// # Errors
-    /// Same conditions as [`CumulativeFedAvg::fold`].
-    pub fn fold_dense_bytes(&mut self, payload: &[u8], samples: u64) -> Result<()> {
-        self.fold_encoded_view(&EncodedView::identity_over(payload), samples)
     }
 
     /// Number of updates folded so far.
@@ -192,11 +179,6 @@ impl CumulativeFedAvg {
     /// Total samples represented by the folded updates.
     pub fn total_samples(&self) -> u64 {
         self.total_samples
-    }
-
-    /// Whether at least `goal` updates have been folded (the aggregation goal n, §2.1).
-    pub fn goal_reached(&self, goal: u64) -> bool {
-        self.updates_folded >= goal
     }
 
     /// Produces the aggregated model as an intermediate update, leaving the
@@ -298,8 +280,7 @@ mod tests {
         for u in &updates {
             acc.fold(u).unwrap();
         }
-        assert!(acc.goal_reached(6));
-        assert!(!acc.goal_reached(7));
+        assert_eq!(acc.updates_folded(), 6);
         let eager = acc.finalize().unwrap();
         for (x, y) in eager.model.as_slice().iter().zip(batch.model.as_slice()) {
             assert!((x - y).abs() < 1e-5);

@@ -81,6 +81,17 @@ fn descriptor(codec: CodecKind, dim: u32, scale: f32, kept: u32) -> [u8; HEADER]
     out
 }
 
+/// The `dim` a wire string's descriptor states, read without checking
+/// anything else: for bytes that already passed [`EncodedView::parse`], such
+/// as a parked offer. 0 for bytes too short to hold a descriptor, which
+/// never parse.
+pub fn descriptor_dim(wire: &[u8]) -> usize {
+    match wire.get(..HEADER) {
+        Some(&[_, _, _, _, a, b, c, d, ..]) => u32::from_le_bytes([a, b, c, d]) as usize,
+        _ => 0,
+    }
+}
+
 /// A model update in its on-wire representation: a self-describing header
 /// followed by the codec-specific payload.
 ///
@@ -983,7 +994,9 @@ mod tests {
             let parsed = EncodedUpdate::from_bytes(&encoded.to_bytes()).unwrap();
             assert_eq!(parsed, encoded);
             assert_eq!(parsed.decode(), encoded.decode());
+            assert_eq!(descriptor_dim(encoded.wire()), parsed.dim());
         }
+        assert_eq!(descriptor_dim(&[1, 2]), 0);
     }
 
     /// The wire string as the pre-contiguous layout serialized it: the

@@ -18,7 +18,8 @@
 //! algorithm-level extensions the paper's related-work section points at so
 //! that LIFL can act as their substrate: server-side adaptive federated
 //! optimizers ([`server_opt`]), FedProx local training ([`fedprox`]),
-//! buffered asynchronous FL with staleness weighting ([`async_driver`], [`staleness`])
+//! staleness weighting for buffered asynchronous FL ([`staleness`]; the
+//! asynchronous loop is `lifl_core::training::TrainingDriver::run_async`)
 //! and quantized/sparsified update codecs with per-client error feedback
 //! ([`codec`]), plus robust coordinate-wise aggregation folds against
 //! corrupted or adversarial updates ([`robust`]).
@@ -34,7 +35,6 @@
 #![deny(missing_docs)]
 
 pub mod aggregate;
-pub mod async_driver;
 pub mod client;
 pub mod codec;
 pub mod dataset;
@@ -54,7 +54,6 @@ pub mod trainer;
 pub mod update;
 
 pub use aggregate::{CumulativeFedAvg, ModelUpdate};
-pub use async_driver::{AsyncDriverConfig, AsyncFlDriver, AsyncVersionOutcome};
 pub use client::{Client, ClientAvailability};
 pub use codec::{EncodedUpdate, EncodedView, ErrorFeedback, UpdateCodec};
 pub use dataset::{FederatedDataset, Sample};

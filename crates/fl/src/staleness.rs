@@ -7,11 +7,11 @@
 //! function `s(τ)` of the staleness `τ = current_version − base_version`.
 //!
 //! This module provides the three weighting families used in that literature
-//! plus the machinery to apply them to a [`ModelUpdate`]'s sample weight so the
-//! unchanged [`CumulativeFedAvg`](crate::aggregate::CumulativeFedAvg)
-//! accumulator can consume them.
+//! and applies them to an update's sample weight
+//! ([`StalenessPolicy::scaled_samples`]), so every fold consumes a stale
+//! update unchanged — `lifl_core::training::TrainingDriver::run_async`
+//! weights each update it ingests this way.
 
-use crate::aggregate::ModelUpdate;
 use lifl_types::{LiflError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -71,19 +71,10 @@ impl StalenessPolicy {
         }
     }
 
-    /// Applies the staleness weight to an update by scaling its sample count
-    /// (rounded, but never below 1 so the update still contributes).
-    pub fn apply(self, update: &ModelUpdate, tau: u64) -> ModelUpdate {
-        ModelUpdate {
-            client: update.client,
-            model: update.model.clone(),
-            samples: self.scaled_samples(update.samples, tau),
-        }
-    }
-
-    /// The staleness-discounted sample count on its own — the borrow-friendly
-    /// core of [`StalenessPolicy::apply`] for paths (such as the fused
-    /// encoded fold) that never need a scaled copy of the model.
+    /// The staleness-discounted sample count an update of `samples` samples
+    /// and staleness `tau` folds with (rounded, but never below 1 so the
+    /// update still contributes). The model is untouched: only its weight
+    /// changes.
     pub fn scaled_samples(self, samples: u64, tau: u64) -> u64 {
         ((samples as f64) * self.weight(tau)).round().max(1.0) as u64
     }
@@ -145,8 +136,6 @@ impl StalenessTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::DenseModel;
-    use lifl_types::ClientId;
 
     #[test]
     fn fresh_updates_keep_full_weight() {
@@ -189,15 +178,13 @@ mod tests {
 
     #[test]
     fn apply_scales_samples_but_never_to_zero() {
-        let update =
-            ModelUpdate::from_client(ClientId::new(1), DenseModel::from_vec(vec![1.0]), 10);
         let policy = StalenessPolicy::Polynomial { exponent: 2.0 };
-        let scaled = policy.apply(&update, 3);
-        assert!(scaled.samples < update.samples);
-        assert!(scaled.samples >= 1);
-        assert_eq!(scaled.model, update.model);
+        let scaled = policy.scaled_samples(10, 3);
+        assert!(scaled < 10);
+        assert!(scaled >= 1);
+        assert_eq!(policy.scaled_samples(10, 0), 10);
         // Extreme staleness still leaves at least one sample of weight.
-        assert_eq!(policy.apply(&update, 10_000).samples, 1);
+        assert_eq!(policy.scaled_samples(10, 10_000), 1);
     }
 
     #[test]

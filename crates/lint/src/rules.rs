@@ -695,7 +695,7 @@ const RETIRED_IN_PR24: [(&str, &str); 5] = [
     ),
     (
         "async_round",
-        "the one `AsyncAggregator` lives in `lifl_fl::async_driver`",
+        "asynchronous FL is `TrainingDriver::run_async`",
     ),
     (
         "lifl_baselines",
@@ -705,6 +705,17 @@ const RETIRED_IN_PR24: [(&str, &str); 5] = [
         "bench_ingest",
         "`benchmark/`'s `stream_burst` workload measures the streaming ingress",
     ),
+];
+
+/// Names retired when asynchronous FL moved onto the one training driver:
+/// its own aggregator, driver, config and outcome went, and a version
+/// became a round of the backend `TrainingDriver::run_async` drives.
+const RETIRED_WITH_ASYNC_DRIVER: [&str; 5] = [
+    "async_driver",
+    "AsyncAggregator",
+    "AsyncFlDriver",
+    "AsyncDriverConfig",
+    "AsyncVersionOutcome",
 ];
 
 /// The engine's data-plane files: every payload here is written once by its
@@ -824,11 +835,12 @@ fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
 /// (`DELETED_GATEWAY_DOORS`), the copying put path deleted in PR 21
 /// (`PAYLOAD_COPIES` in non-test code of `MOVE_ONLY_FILES`), the
 /// duplicates collapsed in PR 24 (`RETIRED_IN_PR24`, and the simulator's
-/// `crates/core/src/platform.rs` among the `DELETED_FILES`) and the
+/// `crates/core/src/platform.rs` among the `DELETED_FILES`), the
 /// per-drive thread scope retired in PR 25 (`THREAD_STARTS` outside
-/// `THREAD_MODULE`) must stay deleted. Unlike the shell guard this replaces, the check runs on code
-/// tokens, so prose in comments and string literals can mention the old
-/// names freely.
+/// `THREAD_MODULE`) and the asynchronous stack beside the training driver
+/// (`RETIRED_WITH_ASYNC_DRIVER`) must stay deleted. Unlike the shell guard
+/// this replaces, the check runs on code tokens, so prose in comments and
+/// string literals can mention the old names freely.
 pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for (file, message) in DELETED_FILES {
@@ -880,6 +892,19 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
                     t.line,
                     Rule::LegacyRuntime,
                     format!("`{name}` was retired in PR 24; {advice} (see MIGRATION.md)"),
+                ));
+            } else if RETIRED_WITH_ASYNC_DRIVER.contains(&t.text.as_str()) {
+                out.push(finding(
+                    f,
+                    t.line,
+                    Rule::LegacyRuntime,
+                    format!(
+                        "`{}` was retired when asynchronous FL moved onto the training \
+                         driver; call `TrainingDriver::run_async`, which takes the \
+                         `StalenessPolicy` and returns an `AsyncCommit` per version \
+                         (see MIGRATION.md)",
+                        t.text
+                    ),
                 ));
             } else if t.text == "runtime"
                 && code.get(w + 1).is_some_and(|&a| f.toks[a].is_punct(":"))

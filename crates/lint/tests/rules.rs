@@ -209,6 +209,28 @@ fn r6_fail_flags_the_names_and_the_file_retired_in_pr_24() {
 }
 
 #[test]
+fn r6_fail_flags_the_names_retired_with_the_async_driver() {
+    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
+    for (line, name) in [
+        (5, "`AsyncAggregator`"),
+        (8, "`async_driver`"),
+        (8, "`AsyncAggregator`"),
+        (8, "`AsyncDriverConfig`"),
+        (8, "`AsyncFlDriver`"),
+        (9, "`AsyncVersionOutcome`"),
+    ] {
+        assert!(
+            found.iter().any(|f| {
+                f.contains(&format!("crates/experiments/src/lib.rs:{line}:"))
+                    && f.contains(name)
+                    && f.contains("`TrainingDriver::run_async`")
+            }),
+            "{name} at line {line}: {found:#?}"
+        );
+    }
+}
+
+#[test]
 fn r6_fail_flags_threads_started_outside_the_station_executor() {
     let found = lint("r6_fail", &[Rule::LegacyRuntime]);
     let starts: Vec<&String> = found

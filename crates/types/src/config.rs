@@ -12,6 +12,12 @@ use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 
 /// When aggregation is triggered relative to update arrival (Fig. 1, §2.1, §5.4).
+///
+/// This is the paper simulator's eager/lazy ablation axis and nothing else:
+/// it selects how `lifl_sim::eager` times a simulated round
+/// (`LiflConfig::timing`). The engine has no timing mode — a session or
+/// cluster folds a round when it is driven, and asynchronous training
+/// commits a version each time the backend's round fills.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum AggregationTiming {
     /// Aggregate each update as soon as it arrives (LIFL's default, §5.4).

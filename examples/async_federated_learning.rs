@@ -1,17 +1,19 @@
 //! Asynchronous FL (Fig. 11 / future work): buffered async aggregation with
 //! staleness-weighted FedAvg over a heterogeneous, hibernating client
-//! population.
+//! population — the one training driver over a flat session that commits a
+//! version every time its 16 slots fill.
 //!
 //! Run with: `cargo run -p lifl-examples --example async_federated_learning`
 
-use lifl_fl::async_driver::{AsyncDriverConfig, AsyncFlDriver};
+use lifl_core::session::SessionBuilder;
+use lifl_core::training::{TrainingConfig, TrainingDriver};
 use lifl_fl::client::ClientAvailability;
 use lifl_fl::dataset::{DatasetConfig, FederatedDataset};
 use lifl_fl::population::{Population, PopulationConfig};
 use lifl_fl::staleness::StalenessPolicy;
 use lifl_fl::trainer::TrainerConfig;
 use lifl_simcore::SimRng;
-use lifl_types::ModelKind;
+use lifl_types::Topology;
 
 fn main() {
     let mut rng = SimRng::from_seed(2024);
@@ -27,6 +29,7 @@ fn main() {
         },
         &mut rng,
     );
+    // 32 clients train at once.
     let population = Population::generate(
         PopulationConfig {
             total_clients: 80,
@@ -37,32 +40,34 @@ fn main() {
         },
         &mut rng,
     );
-    let config = AsyncDriverConfig {
+    let buffer = SessionBuilder::new()
+        .topology(Topology::flat(16))
+        .build()
+        .expect("flat session");
+    let config = TrainingConfig {
         trainer: TrainerConfig {
             batch_size: 16,
             learning_rate: 0.05,
             local_epochs: 2,
         },
-        buffer_goal: 16,
-        target_versions: 12,
-        concurrency: 32,
-        staleness: StalenessPolicy::Polynomial { exponent: 0.5 },
-        model: ModelKind::ResNet18,
+        rounds: 12,
         eval_every: 1,
-        codec: lifl_types::CodecKind::Identity,
+        ..TrainingConfig::default()
     };
-    let mut driver = AsyncFlDriver::new(dataset, population, config).expect("valid config");
+    let mut driver = TrainingDriver::new(buffer, dataset, population, config);
     println!("running buffered asynchronous FedAvg (goal = 16 updates per version)...");
-    let versions = driver.run(&mut rng);
+    let versions = driver
+        .run_async(&mut rng, StalenessPolicy::Polynomial { exponent: 0.5 })
+        .expect("async run");
     println!("version  committed(s)  stale  mean-staleness  accuracy(%)");
     for v in &versions {
         println!(
             "{:>7}  {:>11.0}  {:>5}  {:>14.2}  {:>10.1}",
-            v.version,
+            v.round.round,
             v.committed_at.as_secs(),
             v.stale_updates,
             v.mean_staleness,
-            v.accuracy.unwrap_or(0.0)
+            v.round.accuracy.unwrap_or(0.0)
         );
     }
     let tracker = driver.staleness();

@@ -82,14 +82,16 @@ bench-baseline-check:
 benchmark-check:
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check BENCHMARK.json
 
-# CI smoke steps: the quickstart, cluster-federation and failure-recovery
-# examples run end to end (the latter two assert bit-exactness inline:
-# cluster against session, a survived node kill against the undisturbed
-# cluster).
+# CI smoke steps: the quickstart, cluster-federation, failure-recovery and
+# asynchronous-FL examples run end to end (cluster-federation and
+# failure-recovery assert bit-exactness inline: cluster against session, a
+# survived node kill against the undisturbed cluster; the asynchronous one
+# runs FedBuff on the training driver over a flat session).
 smoke:
     cargo run --release -p lifl-examples --example quickstart
     cargo run --release -p lifl-examples --example cluster_federation
     cargo run --release -p lifl-examples --example failure_recovery
+    cargo run --release -p lifl-examples --example async_federated_learning
 
 # Run the multi-node cluster federation demo (sessions composed
 # gateway-to-gateway over Update::RemoteBytes, bit-exactness asserted inline).

@@ -1,11 +1,12 @@
 //! Cross-crate integration of the algorithm-level extensions with the
 //! aggregation substrate: server optimizers driving the synchronous round
 //! loop, FedProx updates flowing through hierarchical FedAvg, staleness
-//! weighting feeding the cumulative accumulator, and the algorithm-level async
-//! driver agreeing with the platform-level async aggregator on semantics.
+//! weighting feeding the cumulative accumulator, and asynchronous training
+//! committing a version every `goal` updates.
 
+use lifl_core::session::SessionBuilder;
+use lifl_core::training::{TrainingConfig, TrainingDriver};
 use lifl_fl::aggregate::{fedavg, CumulativeFedAvg, ModelUpdate};
-use lifl_fl::async_driver::{AsyncDriverConfig, AsyncFlDriver};
 use lifl_fl::client::ClientAvailability;
 use lifl_fl::dataset::{DatasetConfig, FederatedDataset};
 use lifl_fl::fedprox::{FedProxConfig, FedProxTrainer};
@@ -16,7 +17,7 @@ use lifl_fl::staleness::StalenessPolicy;
 use lifl_fl::trainer::{LocalTrainer, TrainerConfig};
 use lifl_fl::DenseModel;
 use lifl_simcore::SimRng;
-use lifl_types::{ClientId, CodecKind, ModelKind};
+use lifl_types::{ClientId, Topology};
 
 fn small_dataset(rng: &mut SimRng) -> FederatedDataset {
     FederatedDataset::generate(
@@ -127,8 +128,10 @@ fn staleness_weighting_shifts_the_aggregate_toward_fresh_updates() {
     // Weighted: the stale update (tau = 5) is discounted, pulling the mean
     // toward the fresh update.
     let mut acc = CumulativeFedAvg::new(1);
-    acc.fold(&policy.apply(&fresh, 0)).unwrap();
-    acc.fold(&policy.apply(&stale, 5)).unwrap();
+    for (update, tau) in [(fresh, 0), (stale, 5)] {
+        let samples = policy.scaled_samples(update.samples, tau);
+        acc.fold(&ModelUpdate { samples, ..update }).unwrap();
+    }
     let weighted = acc.finalize().unwrap();
     assert!(
         weighted.model.as_slice()[0] > 0.5,
@@ -139,10 +142,10 @@ fn staleness_weighting_shifts_the_aggregate_toward_fresh_updates() {
 
 #[test]
 fn algorithm_level_async_driver_matches_platform_async_semantics() {
-    // The driver owns no buffer of its own: the one `AsyncAggregator` commits
-    // a version every `goal` accepted updates, and the driver's history must
-    // show exactly that across a real training run.
-    let goal = 6u64;
+    // The driver owns no buffer of its own: a flat session of fan-in `goal`
+    // commits a version every `goal` ingested updates, and the driver's
+    // history must show exactly that across a real training run.
+    let goal = 6;
 
     let mut rng = SimRng::from_seed(13);
     let dataset = small_dataset(&mut rng);
@@ -156,29 +159,27 @@ fn algorithm_level_async_driver_matches_platform_async_semantics() {
         },
         &mut rng,
     );
-    let mut driver = AsyncFlDriver::new(
-        dataset,
-        population,
-        AsyncDriverConfig {
-            trainer: TrainerConfig {
-                batch_size: 16,
-                learning_rate: 0.05,
-                local_epochs: 1,
-            },
-            buffer_goal: goal as usize,
-            target_versions: 3,
-            concurrency: 12,
-            staleness: StalenessPolicy::Constant,
-            model: ModelKind::ResNet18,
-            eval_every: 1,
-            codec: CodecKind::Identity,
+    let buffer = SessionBuilder::new()
+        .topology(Topology::flat(goal))
+        .build()
+        .unwrap();
+    let config = TrainingConfig {
+        trainer: TrainerConfig {
+            batch_size: 16,
+            learning_rate: 0.05,
+            local_epochs: 1,
         },
-    )
-    .unwrap();
-    let versions = driver.run(&mut rng);
+        rounds: 3,
+        eval_every: 1,
+        ..TrainingConfig::default()
+    };
+    let mut driver = TrainingDriver::new(buffer, dataset, population, config);
+    let versions = driver
+        .run_async(&mut rng, StalenessPolicy::Constant)
+        .unwrap();
     assert_eq!(versions.len(), 3);
     assert_eq!(driver.staleness().count(), 18);
     for v in versions {
-        assert_eq!(v.updates, goal as usize);
+        assert_eq!(v.round.updates, goal as u64);
     }
 }

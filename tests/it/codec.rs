@@ -464,61 +464,104 @@ fn offer_all(door: &mut impl Door, updates: &[ModelUpdate]) {
 }
 
 /// Every hostile offer — each bad wire as encoded remote bytes, ragged and
-/// empty dense remote bytes, and a zero weight in every `Update` form — is
-/// refused by `door` with nothing counted, stored or drawn from the pool,
-/// and the next honest round is bit for bit the one of a twin that never
-/// saw any of them.
+/// empty dense remote bytes, and a zero weight and a dimension other than
+/// the round's in every `Update` form — is refused by `door` with nothing
+/// counted, stored or drawn from the pool, and the rest of the round is bit
+/// for bit the one of a twin that never saw any of them.
 fn hostile_offers_leave_no_trace<D: Door>(make: impl Fn() -> D) {
     let honest = updates(8, DIM as usize);
     let mut zero = honest[2].clone();
     zero.samples = 0;
-    let encoded = UpdateCodec::new(CodecKind::Uniform8).encode(&honest[2].model);
-    let mut offers: Vec<(String, Update, bool)> = hostile_wires()
+    let encode = |model: &DenseModel| UpdateCodec::new(CodecKind::Uniform8).encode(model);
+    let wider = updates(1, DIM as usize + 4).remove(0);
+    let wider_le: Vec<u8> = (wider.model.as_slice().iter())
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let mismatch = Some(LiflError::DimensionMismatch {
+        expected: DIM as usize,
+        actual: DIM as usize + 4,
+    });
+    // `None`: refused by the wire contract, with a `Codec` error.
+    let mut offers: Vec<(String, Update, Option<LiflError>)> = hostile_wires()
         .into_iter()
-        .map(|(name, wire)| (name.to_string(), Update::remote_bytes(wire, 3, true), true))
+        .map(|(name, wire)| (name.to_string(), Update::remote_bytes(wire, 3, true), None))
         .collect();
     offers.extend([
         (
             "ragged dense bytes".into(),
             Update::remote_bytes(vec![0u8; 9], 3, false),
-            true,
+            None,
         ),
         (
             "empty dense bytes".into(),
             Update::remote_bytes(Vec::<u8>::new(), 3, false),
-            true,
+            None,
         ),
-        ("zero-weight dense".into(), Update::Dense(zero), false),
+        (
+            "zero-weight dense".into(),
+            Update::Dense(zero),
+            Some(LiflError::InvalidAggregationGoal(0)),
+        ),
         (
             "zero-weight encoded".into(),
-            Update::encoded(ClientId::new(2), encoded, 0),
-            false,
+            Update::encoded(ClientId::new(2), encode(&honest[2].model), 0),
+            Some(LiflError::InvalidAggregationGoal(0)),
         ),
         (
             "zero-weight remote bytes".into(),
             Update::remote_bytes(well_formed_wires()[1].clone(), 0, true),
-            false,
+            Some(LiflError::InvalidAggregationGoal(0)),
+        ),
+        (
+            "wider dense".into(),
+            Update::Dense(wider.clone()),
+            mismatch.clone(),
+        ),
+        (
+            "wider encoded".into(),
+            Update::encoded(ClientId::new(2), encode(&wider.model), 3),
+            mismatch.clone(),
+        ),
+        (
+            "wider encoded remote bytes".into(),
+            Update::remote_bytes(encode(&wider.model).wire().to_vec(), 3, true),
+            mismatch.clone(),
+        ),
+        (
+            "wider dense remote bytes".into(),
+            Update::remote_bytes(wider_le, 3, false),
+            mismatch,
         ),
     ]);
 
+    // The round's first update pins its dimension. Pre-encoded, it is
+    // stored when it is offered, so no encode is in flight while the
+    // hostile rows arrive.
+    let first = || {
+        Update::encoded(
+            ClientId::new(0),
+            encode(&honest[0].model),
+            honest[0].samples,
+        )
+    };
     let mut twin = make();
     let mut door = make();
     for backend in [&mut twin, &mut door] {
         offer_all(backend, &honest);
         backend.round();
+        assert!(backend.offer(first()).expect("first").is_admitted());
     }
     let before = door.trace();
-    for (name, update, codec) in offers {
+    for (name, update, expected) in offers {
         let refused = door.offer(update).expect_err(&name);
-        if codec {
-            assert!(matches!(refused, LiflError::Codec(_)), "{name}: {refused}");
-        } else {
-            assert_eq!(refused, LiflError::InvalidAggregationGoal(0), "{name}");
+        match expected {
+            None => assert!(matches!(refused, LiflError::Codec(_)), "{name}: {refused}"),
+            Some(expected) => assert_eq!(refused, expected, "{name}"),
         }
         assert_eq!(door.trace(), before, "{name} left a trace");
     }
-    offer_all(&mut twin, &honest);
-    offer_all(&mut door, &honest);
+    offer_all(&mut twin, &honest[1..]);
+    offer_all(&mut door, &honest[1..]);
     assert_eq!(door.round(), twin.round());
 }
 

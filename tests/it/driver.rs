@@ -2,15 +2,17 @@
 //! any `Ingest` backend — a single-process `Session`, a federated `Cluster`
 //! or the flat `FlatFedAvg` — with bit-exact results for every codec × shard
 //! count, and live top placement re-places the global top between rounds
-//! without touching the aggregate.
+//! without touching the aggregate. Asynchronous runs (`run_async`) are the
+//! same loop: over a flat session they are bit-exact with the flat backend.
 
 use lifl_core::cluster::{Cluster, ClusterBuilder, TopPlacement};
 use lifl_core::session::{Session, SessionBuilder, Update};
-use lifl_core::training::{TrainingConfig, TrainingDriver};
+use lifl_core::training::{AsyncCommit, TrainingConfig, TrainingDriver};
 use lifl_fl::aggregate::ModelUpdate;
 use lifl_fl::client::ClientAvailability;
 use lifl_fl::dataset::{DatasetConfig, FederatedDataset};
 use lifl_fl::population::{Population, PopulationConfig};
+use lifl_fl::staleness::StalenessPolicy;
 use lifl_fl::trainer::TrainerConfig;
 use lifl_fl::{DenseModel, FlatFedAvg, Ingest};
 use lifl_simcore::SimRng;
@@ -298,6 +300,47 @@ fn flat_backend_is_bit_exact_with_a_flat_session_under_identity() {
             assert_eq!(a.to_bits(), b.to_bits(), "round {round}: {a} vs {b}");
         }
     }
+}
+
+/// An asynchronous run of `versions` versions over `backend`: its commits
+/// and the global model's bits.
+fn run_async<B: Ingest>(backend: B, versions: usize) -> (Vec<AsyncCommit>, Vec<u32>) {
+    let (dataset, population, mut rng) = fixtures(42);
+    let config = TrainingConfig {
+        trainer: TrainerConfig {
+            batch_size: 16,
+            learning_rate: 0.05,
+            local_epochs: 2,
+        },
+        rounds: versions,
+        ..TrainingConfig::default()
+    };
+    let mut driver = TrainingDriver::new(backend, dataset, population, config);
+    let policy = StalenessPolicy::Polynomial { exponent: 0.5 };
+    let commits = driver.run_async(&mut rng, policy).expect("async run");
+    let model = driver.global_model().as_slice();
+    (commits, model.iter().map(|v| v.to_bits()).collect())
+}
+
+/// The asynchronous twin of the test above: `run_async` over a flat
+/// session is `run_async` over the flat backend under a lossless codec —
+/// every version's model bit for bit (a run of `k` versions is the first
+/// `k` versions of a longer one), loss bits, accuracy and commit time.
+#[test]
+fn async_over_a_flat_session_is_async_over_the_flat_backend() {
+    // Six updates a version while eight clients train: versions go stale.
+    let goal = 6;
+    for versions in 1..=4 {
+        let flat_session = SessionBuilder::new()
+            .topology(Topology::flat(goal))
+            .build()
+            .expect("session");
+        let over_session = run_async(flat_session, versions);
+        let over_flat = run_async(FlatFedAvg::new(goal, CodecKind::Identity), versions);
+        assert_eq!(over_session, over_flat, "{versions} versions");
+    }
+    let (commits, _) = run_async(FlatFedAvg::new(goal, CodecKind::Identity), 4);
+    assert!(commits.iter().any(|c| c.stale_updates > 0));
 }
 
 /// FNV-1a over a model's bits.
