@@ -1,5 +1,5 @@
 //! Station execution: every tree position's warm aggregator runtime (§5.3)
-//! and the session-lifetime worker set that runs a level's stations.
+//! and the long-lived worker set that runs a level's stations.
 //!
 //! A [`Stations`] holds one [`AggregatorRuntime`] per position of a
 //! session's tree for the session's whole life. Each reads its own inbox
@@ -26,6 +26,12 @@
 //! and no bound exists beyond the worker count. A [`Turnstile`] hands one
 //! value from job to job in submission order — the rounding stream the
 //! encodes share.
+//!
+//! A process runs one such set at a time ([`Workers::new`]): every session,
+//! cluster and training driver built while it lives shares it, and the last
+//! handle to drop joins its threads. So a driver's training level and its
+//! backend's stations and encodes take turns on the same threads instead of
+//! two sets contending for the same CPUs.
 
 use crate::aggregator::{position_id, AggregatorRuntime};
 use crate::gateway::Gateway;
@@ -37,7 +43,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 use std::thread::{self, JoinHandle};
 
 /// Locks `mutex`, recovering the guard if a panic poisoned it: a panicking
@@ -51,10 +57,18 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// is joined when the last handle drops. The threads are spawned at the
 /// first level with two or more stations and park on a condvar between
 /// levels, so an idle set costs no CPU.
+///
+/// A process has one live set of its own ([`Workers::new`]): every session,
+/// cluster and training driver built while some handle on it lives gets
+/// that set, so a driver's training levels and its backend's encode jobs
+/// share one FIFO and one set of threads, whatever wraps the backend.
 #[derive(Clone)]
 pub(crate) struct Workers {
     set: Arc<WorkerSet>,
 }
+
+/// The set [`Workers::new`] hands out while any handle on it lives.
+static SHARED: Mutex<Weak<WorkerSet>> = Mutex::new(Weak::new());
 
 impl fmt::Debug for Workers {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -65,13 +79,22 @@ impl fmt::Debug for Workers {
 }
 
 impl Workers {
-    /// One worker per available CPU beyond the caller's.
+    /// The process's shared set: the one some live session, cluster or
+    /// driver already holds, or else a new one of one worker per available
+    /// CPU beyond the caller's, shared from now on.
     pub(crate) fn new() -> Self {
+        let mut shared = lock(&SHARED);
+        if let Some(set) = shared.upgrade() {
+            return Workers { set };
+        }
         let cpus = thread::available_parallelism().map_or(1, |n| n.get());
-        Self::with_count(cpus - 1)
+        let workers = Self::with_count(cpus - 1);
+        *shared = Arc::downgrade(&workers.set);
+        workers
     }
 
-    /// A set of exactly `count` workers (0: the caller runs every station).
+    /// A private set of exactly `count` workers (0: the caller runs every
+    /// station), shared with nobody it is not handed to.
     pub(crate) fn with_count(count: usize) -> Self {
         Workers {
             set: Arc::new(WorkerSet {
@@ -80,6 +103,11 @@ impl Workers {
                 threads: OnceLock::new(),
             }),
         }
+    }
+
+    /// The threads a level runs on: the workers and the caller.
+    pub(crate) fn parallelism(&self) -> usize {
+        self.set.count + 1
     }
 
     /// Runs `job` once for every index in `0..len` — the calling thread
@@ -169,6 +197,19 @@ impl Workers {
                 Some(task) => task(),
                 None => thread::yield_now(),
             }
+        }
+    }
+
+    /// Runs every job still waiting, oldest first, on the calling thread,
+    /// and returns once none waits (claimed ones may still be running): so
+    /// the next [`Workers::submit`] finds no backlog to run inline.
+    pub(crate) fn run_waiting(&self) {
+        loop {
+            let waiting = lock(&self.set.board.state).jobs.pop_front();
+            let Some(task) = waiting else {
+                return;
+            };
+            task();
         }
     }
 }
@@ -1278,6 +1319,30 @@ mod tests {
         assert!(behind.take(|_| ()).is_err());
         gate.reopen();
         assert_eq!(gate.ticket().take(|seen| seen.len()), Ok(12));
+    }
+
+    /// `Workers::new` hands out the one set some handle still holds, and a
+    /// private set is nobody else's. (Whether the shared set is fresh depends
+    /// on what else in this process holds it, so only sharing is checked.)
+    #[test]
+    fn the_shared_set_is_the_live_one_and_a_private_set_is_not_shared() {
+        let held = Workers::new();
+        assert!(Arc::ptr_eq(&Workers::new().set, &held.set));
+        let private = Workers::with_count(held.set.count);
+        assert!(!Arc::ptr_eq(&private.set, &held.set));
+        assert!(Arc::ptr_eq(&Workers::new().set, &held.set));
+    }
+
+    #[test]
+    fn run_waiting_leaves_no_job_waiting() {
+        for count in [0, 1, 3] {
+            let workers = Workers::with_count(count);
+            let jobs: Vec<Job<usize>> = (0..16).map(|i| workers.submit(move || i + 1)).collect();
+            workers.run_waiting();
+            assert!(lock(&workers.set.board.state).jobs.is_empty());
+            let outputs: Vec<usize> = jobs.into_iter().map(|j| workers.join(j).unwrap()).collect();
+            assert_eq!(outputs, (1..=16).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -19,12 +19,20 @@
 //! training against whatever version they last pulled and commits a new
 //! global model every time the backend's round fills, so a version is a
 //! round and shares its ingress, fold, adoption and history.
+//!
+//! A synchronous round decides who trains before anyone does, draws every
+//! trainee's epoch shuffles on the caller in participant order, trains them
+//! all as one level on the process's shared worker set — the one the backend
+//! runs its stations and ingress encodes on — and ingests the updates in
+//! participant order. The result is the one-client-at-a-time loop's, bit for
+//! bit, at any worker count.
 
 use crate::cluster::Cluster;
 use crate::heartbeat::{over_provisioned_selection, HeartbeatMonitor};
+use crate::stations::Workers;
 use lifl_fl::client::Client;
 use lifl_fl::dataset::FederatedDataset;
-use lifl_fl::metrics::accuracy_percent;
+use lifl_fl::metrics::{accuracy_of_count, accuracy_percent, correct_predictions};
 use lifl_fl::model::DenseModel;
 use lifl_fl::population::Population;
 use lifl_fl::staleness::{StalenessPolicy, StalenessTracker};
@@ -35,6 +43,7 @@ use lifl_types::{
     AdmissionOutcome, ClientId, CodecKind, LiflError, ModelKind, Result, SimDuration, SimTime,
 };
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The workload an asynchronous run prices each client's local training
 /// time at: ResNet-18, the model of the paper's asynchronous setup and the
@@ -218,14 +227,18 @@ struct Window {
 #[derive(Debug)]
 pub struct TrainingDriver<B: Ingest> {
     backend: B,
-    dataset: FederatedDataset,
+    dataset: Arc<FederatedDataset>,
     population: Population,
     trainer: LocalTrainer,
     config: TrainingConfig,
-    global: DenseModel,
+    global: Arc<DenseModel>,
     history: Vec<TrainingRound>,
     stragglers: BTreeSet<ClientId>,
     staleness: StalenessTracker,
+    /// The process's shared worker set — the one the backend runs its
+    /// stations and encodes on, when it was built on the shared set — that
+    /// a round's local training and an evaluation's count run on.
+    workers: Workers,
 }
 
 impl<B: Ingest> TrainingDriver<B> {
@@ -242,10 +255,10 @@ impl<B: Ingest> TrainingDriver<B> {
         config: TrainingConfig,
     ) -> Self {
         let trainer = LocalTrainer::new(dataset.num_features, dataset.num_classes, config.trainer);
-        let global = dataset.initial_model();
+        let global = Arc::new(dataset.initial_model());
         TrainingDriver {
             backend,
-            dataset,
+            dataset: Arc::new(dataset),
             population,
             trainer,
             config,
@@ -253,6 +266,7 @@ impl<B: Ingest> TrainingDriver<B> {
             history: Vec::new(),
             stragglers: BTreeSet::new(),
             staleness: StalenessTracker::new(),
+            workers: Workers::new(),
         }
     }
 
@@ -298,8 +312,28 @@ impl<B: Ingest> TrainingDriver<B> {
     }
 
     /// Current test accuracy of the global model.
+    ///
+    /// The correct predictions are counted over contiguous chunks of the
+    /// test set, one per thread of the worker set, as one level; a count's
+    /// sum does not depend on the split, so the accuracy is
+    /// [`accuracy_percent`]'s, bit for bit.
     pub fn evaluate(&self) -> f64 {
-        accuracy_percent(&self.trainer, &self.global, self.dataset.test_set())
+        let total = self.dataset.test_set().len();
+        let chunk = total.div_ceil(self.workers.parallelism()).max(1);
+        let (dataset, global, trainer) = (
+            Arc::clone(&self.dataset),
+            Arc::clone(&self.global),
+            self.trainer.clone(),
+        );
+        let counts = self.workers.run(total.div_ceil(chunk), move |k| {
+            let tests = dataset.test_set().chunks(chunk).nth(k).unwrap_or_default();
+            Ok(correct_predictions(&trainer, &global, tests))
+        });
+        match counts.into_iter().sum::<Result<usize>>() {
+            Ok(correct) => accuracy_of_count(correct, total),
+            // A chunk that panicked on a worker panics here too.
+            Err(_) => accuracy_percent(&self.trainer, &self.global, self.dataset.test_set()),
+        }
     }
 
     /// The accuracy-versus-round curve (round index, accuracy percent).
@@ -310,8 +344,9 @@ impl<B: Ingest> TrainingDriver<B> {
             .collect()
     }
 
-    /// Runs one synchronous round: select participants, train each locally,
-    /// ingest every update dense through the backend's ingress (the backend
+    /// Runs one synchronous round: select participants, train the ones the
+    /// round takes (all at once, on the worker set), ingest every update
+    /// dense through the backend's ingress in participant order (the backend
     /// encodes at ingress under a lossy codec, with per-client error
     /// feedback), aggregate the backend's tree, adopt the global aggregate
     /// and optionally evaluate.
@@ -322,7 +357,8 @@ impl<B: Ingest> TrainingDriver<B> {
     /// [`TrainingConfig::expected_dropout`]), or on any backend
     /// ingest/aggregation error. The backend's round is discarded on
     /// *every* failure path — including an aggregation failure — so the
-    /// driver stays reusable.
+    /// driver stays reusable. A round that fails at an ingest has drawn
+    /// from `rng` exactly what a successful one draws.
     pub fn run_round(&mut self, rng: &mut SimRng) -> Result<TrainingRound> {
         let delivery = self.deliver_round(rng, |_, _, _| {})?;
         let aggregate = self.aggregate()?;
@@ -416,10 +452,14 @@ impl<B: Ingest> TrainingDriver<B> {
             .inspect_err(|_| self.backend.discard_round())
     }
 
-    /// The first half of a round: select participants, train each locally
-    /// and deliver every update through the backend's ingress. `on_trained`
-    /// sees each trained update (client, model, samples) before it is handed
-    /// to the backend.
+    /// The first half of a round: select participants, decide who trains,
+    /// draw every trainee's shuffles in participant order, train them all as
+    /// one level on the worker set, then deliver every update through the
+    /// backend's ingress in participant order — the sequence of updates,
+    /// losses and draws the one-client-at-a-time loop produced, because any
+    /// ingest error ended that loop and so never changed who trained.
+    /// `on_trained` sees each trained update (client, model, samples) before
+    /// it is handed to the backend.
     ///
     /// # Errors
     /// Fails if the selection cannot fill the backend's tree or an ingest
@@ -437,14 +477,16 @@ impl<B: Ingest> TrainingDriver<B> {
             // surplus and its close rule (exact or quorum) decides whether
             // the round can drive — no selection-size precondition here.
         } else if self.config.expected_dropout > 0.0 {
-            // Over-provisioned selection (§3): validate the rate and relax
-            // the exact-fill check — the selection only has to cover the
-            // tree after the expected drop-outs.
+            // Over-provisioned selection (§3): the rate must be valid, and
+            // the exact-fill check relaxes to "at least a full tree" — the
+            // spares are the selection's business; a drop-out too many fails
+            // the round once the stragglers are cut off.
             let target = over_provisioned_selection(capacity as u64, self.config.expected_dropout)?;
-            if (participants.len() as u64) < target.min(capacity as u64) {
+            if participants.len() < capacity {
                 return Err(LiflError::InvalidConfig(format!(
-                    "round selected {} participants but an expected dropout \
-                     of {} over a {capacity}-update tree needs {target}",
+                    "round selected {} participants, fewer than the \
+                     {capacity}-update tree takes even if none drops out (an \
+                     expected dropout of {} asks for {target})",
                     participants.len(),
                     self.config.expected_dropout
                 )));
@@ -464,25 +506,51 @@ impl<B: Ingest> TrainingDriver<B> {
         for client in &participants {
             monitor.register(client.id, round_start);
         }
+        // Decide: who trains, before anyone does. Outside streaming the tree
+        // takes the first `capacity` participants that report, and every
+        // later one is an idle spare (an ingest either admits or fails the
+        // round); under streaming everyone who reports trains. Stragglers
+        // never report and are cut off at the timeout below.
+        let mut trainees = Vec::new();
+        for client in &participants {
+            if !self.config.streaming && trainees.len() == capacity {
+                monitor.complete(client.id);
+            } else if !stragglers.contains(&client.id) {
+                trainees.push(client.id);
+            }
+        }
+        // Draw: every trainee's epoch shuffles, on the caller, in
+        // participant order — the order the generator always served them in.
+        let jobs: Vec<(ClientId, Vec<Vec<usize>>)> = (trainees.into_iter())
+            .map(|id| (id, self.trainer.shuffles(self.dataset.shard(id).len(), rng)))
+            .collect();
+        // Train: every trainee as one level on the worker set.
+        let (dataset, global, trainer) = (
+            Arc::clone(&self.dataset),
+            Arc::clone(&self.global),
+            self.trainer.clone(),
+        );
+        let trained = self.workers.run(jobs.len(), move |k| {
+            let (client, orders) = &jobs[k];
+            let (local, loss) = trainer.train_ordered(&global, dataset.shard(*client), orders);
+            Ok((*client, local, loss))
+        });
+        // Ingest, in participant order.
         let mut delivery = Delivery::default();
         let mut delivered = 0usize;
-        for client in &participants {
-            if !self.config.streaming && delivered == capacity {
-                // The tree is full: the remaining spares stay idle.
-                monitor.complete(client.id);
-                continue;
-            }
-            if stragglers.contains(&client.id) {
-                // Never reports; cut off at the timeout below.
-                continue;
-            }
-            let shard = self.dataset.shard(client.id);
-            let (local, loss) = self.trainer.train(&self.global, shard, rng);
+        for result in trained {
+            let (client, local, loss) = match result {
+                Ok(trained) => trained,
+                Err(error) => {
+                    self.backend.discard_round();
+                    return Err(error);
+                }
+            };
             delivery.loss_sum += loss;
             delivery.trained += 1;
-            let samples = shard.len().max(1) as u64;
-            on_trained(client.id, &local, samples);
-            let update = Update::dense(client.id, local, samples);
+            let samples = self.dataset.shard(client).len().max(1) as u64;
+            on_trained(client, &local, samples);
+            let update = Update::dense(client, local, samples);
             let outcome = if self.config.streaming {
                 self.backend.try_ingest(update)
             } else {
@@ -490,14 +558,17 @@ impl<B: Ingest> TrainingDriver<B> {
                     .ingest_update(update)
                     .map(|()| AdmissionOutcome::Admitted)
             };
+            // Offers come back to back now: run the encode this one queued
+            // here, so that the next offer finds no backlog to run inline.
+            self.workers.run_waiting();
             match outcome {
                 Ok(AdmissionOutcome::Admitted) => {
-                    monitor.complete(client.id);
+                    monitor.complete(client);
                     delivered += 1;
                 }
                 Ok(AdmissionOutcome::Queued { .. }) => {
                     // Parked for the next round; not a straggler.
-                    monitor.complete(client.id);
+                    monitor.complete(client);
                     delivery.queued += 1;
                 }
                 Ok(AdmissionOutcome::Rejected { .. }) => {
@@ -527,7 +598,7 @@ impl<B: Ingest> TrainingDriver<B> {
     /// global model, evaluate if this round is due, and record the outcome.
     fn adopt_round(&mut self, aggregate: RoundAggregate, delivery: Delivery) -> TrainingRound {
         let round = self.history.len() + 1;
-        self.global = aggregate.update.model;
+        self.global = Arc::new(aggregate.update.model);
         let accuracy = round
             .is_multiple_of(self.config.eval_every.max(1))
             .then(|| self.evaluate());
@@ -621,7 +692,7 @@ impl TrainingDriver<Cluster> {
                     // the global model is — from the latest checkpoint.
                     if let Some(recovery) = self.backend.take_recovery() {
                         if let Some(model) = recovery.outcome.recovered_model {
-                            self.global = model;
+                            self.global = Arc::new(model);
                         }
                     }
                     return Err(error);
@@ -633,6 +704,16 @@ impl TrainingDriver<Cluster> {
             }
         };
         Ok(self.adopt_round(aggregate, delivery))
+    }
+}
+
+#[cfg(test)]
+impl<B: Ingest> TrainingDriver<B> {
+    /// Runs the driver's training and evaluation levels on `workers` — the
+    /// private set its backend was built on — instead of the shared set.
+    pub(crate) fn on_workers(mut self, workers: Workers) -> Self {
+        self.workers = workers;
+        self
     }
 }
 
@@ -1145,7 +1226,6 @@ mod tests {
     #[test]
     fn async_over_a_cluster_is_async_over_a_session_at_any_worker_count() {
         use crate::cluster::ClusterBuilder;
-        use crate::stations::Workers;
 
         let tree = || Topology::new(vec![2, 2, 2]).unwrap();
         for codec in CodecKind::ablation_set() {
@@ -1173,5 +1253,381 @@ mod tests {
                 );
             }
         }
+    }
+
+    // ---------------------------------------------------------------------
+    // The worker-count tier: a round's trainees train as one level, so every
+    // path through `deliver_round` must be the one-client-at-a-time loop's,
+    // bit for bit, whether the caller trains alone or beside 1 or 3 workers.
+    // ---------------------------------------------------------------------
+
+    /// One round as the tier compares it — updates, drops, parks, loss bits
+    /// and accuracy — or `None` for a round that failed.
+    type Round = Option<(u64, u64, u64, u64, f64)>;
+
+    /// What a run leaves: its rounds, the global model's FNV-1a fingerprint
+    /// and the generator's next draw.
+    type Run = (Vec<Round>, u64, usize);
+
+    /// The tier's local training: the driver tier's (`tests/it/driver.rs`).
+    fn tier_config() -> TrainingConfig {
+        TrainingConfig {
+            trainer: TrainerConfig {
+                batch_size: 16,
+                learning_rate: 0.05,
+                local_epochs: 2,
+            },
+            ..TrainingConfig::default()
+        }
+    }
+
+    /// Runs `rounds` rounds of `round` over `backend`, the driver's levels on
+    /// `workers` (the set the backend was built on).
+    fn tier_run<B: Ingest>(
+        backend: B,
+        workers: &Workers,
+        (dataset, population, mut rng): (FederatedDataset, Population, SimRng),
+        config: TrainingConfig,
+        rounds: usize,
+        mut round: impl FnMut(&mut TrainingDriver<B>, &mut SimRng, usize) -> Result<TrainingRound>,
+    ) -> Run {
+        let mut driver =
+            TrainingDriver::new(backend, dataset, population, config).on_workers(workers.clone());
+        let rounds = (0..rounds)
+            .map(|k| {
+                let r = round(&mut driver, &mut rng, k).ok()?;
+                let accuracy = r.accuracy.unwrap_or(f64::NAN);
+                Some((
+                    r.updates,
+                    r.dropped,
+                    r.queued,
+                    r.train_loss.to_bits(),
+                    accuracy,
+                ))
+            })
+            .collect();
+        let fingerprint = (driver.global_model().as_slice().iter())
+            .fold(0xcbf2_9ce4_8422_2325u64, |hash, v| {
+                (hash ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3)
+            });
+        (rounds, fingerprint, rng.index(1_000_000_007))
+    }
+
+    fn tier_session(codec: CodecKind, workers: &Workers) -> SessionBuilder {
+        SessionBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .codec(codec)
+            .workers(workers.clone())
+    }
+
+    fn tier_cluster(codec: CodecKind) -> crate::cluster::ClusterBuilder {
+        crate::cluster::ClusterBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .codec(codec)
+    }
+
+    /// The five rounds `tests/it/driver.rs::the_training_curve_is_the_row_major_trainers`
+    /// pins (Identity over a session, Uniform8 over a cluster; each backend
+    /// is the other's twin), then the generator's next draw.
+    fn pinned_curve(codec: CodecKind) -> Run {
+        let (rounds, fingerprint) = if codec == CodecKind::Identity {
+            (
+                [
+                    (4_608_562_285_415_642_012, 85.0),
+                    (4_607_482_800_447_036_243, 94.333_333_333_333_33),
+                    (4_606_492_159_453_095_196, 98.666_666_666_666_67),
+                    (4_604_564_225_724_823_289, 99.666_666_666_666_67),
+                    (4_603_788_337_747_039_552, 98.0),
+                ],
+                16_195_215_856_438_018_314,
+            )
+        } else {
+            (
+                [
+                    (4_608_562_285_415_642_012, 85.0),
+                    (4_607_479_344_048_292_771, 95.333_333_333_333_33),
+                    (4_606_486_208_434_270_898, 99.0),
+                    (4_604_560_073_398_317_644, 100.0),
+                    (4_603_797_807_146_419_713, 98.666_666_666_666_67),
+                ],
+                4_608_363_320_522_766_025,
+            )
+        };
+        let rounds = (rounds.iter())
+            .map(|&(loss, accuracy)| Some((8, 0, 0, loss, accuracy)))
+            .collect();
+        (rounds, fingerprint, 180_344_594)
+    }
+
+    #[test]
+    fn every_worker_count_trains_the_pinned_curve() {
+        for codec in [CodecKind::Identity, CodecKind::Uniform8] {
+            for count in [0, 1, 3] {
+                let workers = Workers::with_count(count);
+                let session = tier_session(codec, &workers).build().unwrap();
+                let cluster = tier_cluster(codec).build_on(workers.clone()).unwrap();
+                let over_session = tier_run(
+                    session,
+                    &workers,
+                    fixtures(42),
+                    tier_config(),
+                    5,
+                    |d, rng, _| d.run_round(rng),
+                );
+                let over_cluster = tier_run(
+                    cluster,
+                    &workers,
+                    fixtures(42),
+                    tier_config(),
+                    5,
+                    |d, rng, _| d.run_round(rng),
+                );
+                assert_eq!(
+                    over_session,
+                    pinned_curve(codec),
+                    "session {codec} at {count}"
+                );
+                assert_eq!(
+                    over_cluster,
+                    pinned_curve(codec),
+                    "cluster {codec} at {count}"
+                );
+            }
+        }
+    }
+
+    /// A child node killed mid-round costs a re-send of cached updates, and
+    /// the recovered round is the undisturbed one: the pinned Identity curve.
+    #[test]
+    fn every_worker_count_recovers_a_child_kill_onto_the_pinned_curve() {
+        use crate::cluster::FaultToleranceConfig;
+        for count in [0, 1, 3] {
+            let workers = Workers::with_count(count);
+            let mut cluster = tier_cluster(CodecKind::Identity)
+                .fault_tolerance(FaultToleranceConfig {
+                    checkpoint_every: 1,
+                    ..FaultToleranceConfig::default()
+                })
+                .build_on(workers.clone())
+                .unwrap();
+            cluster
+                .schedule_node_failure(lifl_types::NodeId::new(1), 1)
+                .unwrap();
+            let run = tier_run(
+                cluster,
+                &workers,
+                fixtures(42),
+                tier_config(),
+                5,
+                |d, rng, _| d.run_round_resilient(rng),
+            );
+            assert_eq!(run, pinned_curve(CodecKind::Identity), "at {count} workers");
+        }
+    }
+
+    /// The fixtures with ten participants a round out of `total` clients.
+    fn ten_active(seed: u64, total: usize) -> (FederatedDataset, Population, SimRng) {
+        let (dataset, _, mut rng) = fixtures(seed);
+        let population = Population::generate(
+            PopulationConfig {
+                total_clients: total,
+                active_per_round: 10,
+                availability: ClientAvailability::AlwaysOn,
+                mean_samples: 40,
+                speed_spread: 0.3,
+            },
+            &mut rng,
+        );
+        (dataset, population, rng)
+    }
+
+    /// Streaming rounds of ten deliveries into an 8-update tree with a
+    /// one-deep queue per leaf: the surplus parks while there is room and is
+    /// turned away (and cut off) once there is none. Every round, model and
+    /// draw below was recorded from the one-client-at-a-time loop.
+    #[test]
+    fn every_worker_count_streams_the_recorded_surplus() {
+        let recorded = |codec| -> Run {
+            let identity = codec == CodecKind::Identity;
+            let rounds = vec![
+                Some((
+                    8,
+                    0,
+                    2,
+                    4_608_176_045_555_237_074,
+                    if identity {
+                        91.333_333_333_333_33
+                    } else {
+                        90.666_666_666_666_67
+                    },
+                )),
+                Some((
+                    8,
+                    0,
+                    4,
+                    if identity {
+                        4_605_631_687_407_882_890
+                    } else {
+                        4_605_629_176_638_833_056
+                    },
+                    if identity {
+                        96.333_333_333_333_33
+                    } else {
+                        96.0
+                    },
+                )),
+                Some((
+                    8,
+                    2,
+                    4,
+                    if identity {
+                        4_604_450_415_025_746_631
+                    } else {
+                        4_604_450_458_806_889_766
+                    },
+                    84.333_333_333_333_33,
+                )),
+            ];
+            let fingerprint = if identity {
+                3_200_472_312_565_110_265
+            } else {
+                4_792_152_253_880_534_447
+            };
+            (rounds, fingerprint, 508_978_108)
+        };
+        let config = TrainingConfig {
+            streaming: true,
+            ..tier_config()
+        };
+        for codec in [CodecKind::Identity, CodecKind::Uniform8] {
+            for count in [0, 1, 3] {
+                let workers = Workers::with_count(count);
+                let session = tier_session(codec, &workers)
+                    .admission(lifl_types::AdmissionConfig::bounded(1, 1 << 20))
+                    .build()
+                    .unwrap();
+                let run = tier_run(
+                    session,
+                    &workers,
+                    ten_active(5, 24),
+                    config,
+                    3,
+                    |d, rng, _| d.run_round(rng),
+                );
+                assert_eq!(run, recorded(codec), "{codec} at {count} workers");
+            }
+        }
+    }
+
+    /// Over-provisioned rounds of ten participants for an 8-update tree:
+    /// two stragglers cut off and replaced by the spares, a clean round,
+    /// three stragglers that exhaust the spares and fail the round, and a
+    /// straggler among the idle spares. Every round, model and draw below
+    /// was recorded from the one-client-at-a-time loop.
+    #[test]
+    fn every_worker_count_cuts_off_the_recorded_stragglers() {
+        let recorded = |codec| -> Run {
+            let identity = codec == CodecKind::Identity;
+            let rounds = vec![
+                Some((8, 2, 0, 4_608_027_115_007_069_635, 99.0)),
+                Some((
+                    8,
+                    0,
+                    0,
+                    if identity {
+                        4_606_280_891_515_763_638
+                    } else {
+                        4_606_279_613_579_736_778
+                    },
+                    99.666_666_666_666_67,
+                )),
+                None,
+                Some((
+                    8,
+                    0,
+                    0,
+                    if identity {
+                        4_605_059_380_406_086_045
+                    } else {
+                        4_605_062_239_737_676_703
+                    },
+                    99.666_666_666_666_67,
+                )),
+            ];
+            let fingerprint = if identity {
+                11_235_456_787_736_010_049
+            } else {
+                4_498_080_235_499_747_907
+            };
+            (rounds, fingerprint, 340_911_727)
+        };
+        let config = TrainingConfig {
+            expected_dropout: 0.2,
+            ..tier_config()
+        };
+        let marks: [&[u64]; 4] = [&[0, 3], &[], &[1, 2, 4], &[9]];
+        for codec in [CodecKind::Identity, CodecKind::Uniform8] {
+            for count in [0, 1, 3] {
+                let workers = Workers::with_count(count);
+                let cluster = tier_cluster(codec).build_on(workers.clone()).unwrap();
+                let run = tier_run(
+                    cluster,
+                    &workers,
+                    ten_active(11, 10),
+                    config,
+                    4,
+                    |d, rng, k| {
+                        for &id in marks[k] {
+                            d.mark_straggler(ClientId::new(id));
+                        }
+                        d.run_round(rng)
+                    },
+                );
+                assert_eq!(run, recorded(codec), "{codec} at {count} workers");
+            }
+        }
+    }
+
+    /// A synchronous round whose ingest fails mid-round — a filler leaves the
+    /// store room for three of the round's eight updates — returns the
+    /// error, discards the round and leaves the driver reusable. Its
+    /// trainees were decided, and their shuffles drawn, before anyone
+    /// trained, so it drew exactly what the same round draws when it
+    /// succeeds (the one-client-at-a-time loop stopped drawing at the
+    /// failing client).
+    #[test]
+    fn a_failed_ingest_discards_the_round_and_leaves_the_driver_reusable() {
+        const CAPACITY: u64 = 1 << 16;
+        let store = lifl_shmem::ObjectStore::with_capacity(CAPACITY);
+        let backend = SessionBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .store(store.clone())
+            .build()
+            .unwrap();
+        let (dataset, population, mut rng) = fixtures(42);
+        let mut driver = TrainingDriver::new(backend, dataset, population, tier_config());
+        let filler = store.put(vec![0u8; CAPACITY as usize - 1_000]).unwrap();
+        let outcome = driver.run_round(&mut rng);
+        assert!(
+            matches!(outcome, Err(LiflError::OutOfSharedMemory { .. })),
+            "{outcome:?}"
+        );
+        assert_eq!(driver.backend().pending_updates(), 0);
+        assert!(driver.history().is_empty());
+        let (dataset, population, mut twin_rng) = fixtures(42);
+        let mut twin = TrainingDriver::new(
+            session(CodecKind::Identity),
+            dataset,
+            population,
+            tier_config(),
+        );
+        twin.run_round(&mut twin_rng).unwrap();
+        let next = rng.clone().index(1_000_000_007);
+        assert_eq!(next, twin_rng.index(1_000_000_007));
+        assert_eq!(next, 796_631_696);
+        // With the filler gone the driver's next round goes through.
+        store.recycle(&filler).unwrap();
+        let round = driver.run_round(&mut rng).unwrap();
+        assert_eq!((round.round, round.updates), (1, 8));
     }
 }

@@ -7,11 +7,21 @@ use crate::trainer::{at_least, LocalTrainer};
 
 /// Top-1 accuracy (in percent) of `model` on `samples`.
 pub fn accuracy_percent(trainer: &LocalTrainer, model: &DenseModel, samples: &[Sample]) -> f64 {
+    accuracy_of_count(correct_predictions(trainer, model, samples), samples.len())
+}
+
+/// How many of `samples` `model` classifies correctly (top-1). A count, so
+/// the counts of any split of `samples` sum to the count of the whole.
+pub fn correct_predictions(
+    trainer: &LocalTrainer,
+    model: &DenseModel,
+    samples: &[Sample],
+) -> usize {
     if samples.is_empty() {
-        return 0.0;
+        return 0;
     }
     let mut lanes = trainer.lanes(model);
-    let correct = samples
+    samples
         .iter()
         .filter(|s| {
             let probs = lanes.probabilities(&s.features);
@@ -23,8 +33,15 @@ pub fn accuracy_percent(trainer: &LocalTrainer, model: &DenseModel, samples: &[S
                 .unwrap_or(0);
             predicted == s.label
         })
-        .count();
-    100.0 * correct as f64 / samples.len() as f64
+        .count()
+}
+
+/// `correct` of `total` samples, in percent (0 of none).
+pub fn accuracy_of_count(correct: usize, total: usize) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    100.0 * correct as f64 / total as f64
 }
 
 /// Average cross-entropy loss of `model` on `samples` (NaN for a model

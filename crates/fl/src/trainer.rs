@@ -23,6 +23,14 @@
 //! transposed block, the probabilities and the gradient are allocated once
 //! per `train` or evaluation call.
 //!
+//! # Drawing apart from training
+//!
+//! The per-epoch shuffle is the only randomness in local training.
+//! [`LocalTrainer::shuffles`] draws it and [`LocalTrainer::train_ordered`]
+//! trains on it without touching a generator; [`LocalTrainer::train`] is the
+//! two in a row. So a driver can draw every client's orders on one thread, in
+//! a fixed order, and train the clients on any threads with the same bits.
+//!
 //! A NaN anywhere in the model propagates into the loss: the clamps below
 //! floor only numbers, never a NaN, so a diverged client reports a NaN loss
 //! instead of a finite one.
@@ -82,12 +90,44 @@ impl LocalTrainer {
     }
 
     /// Runs local SGD starting from `global`, returning the locally trained
-    /// model and the average training loss of the final epoch.
+    /// model and the average training loss of the final epoch: the epoch
+    /// orders [`LocalTrainer::shuffles`] draws, trained by
+    /// [`LocalTrainer::train_ordered`].
     pub fn train(
         &self,
         global: &DenseModel,
         shard: &[Sample],
         rng: &mut SimRng,
+    ) -> (DenseModel, f64) {
+        let orders = self.shuffles(shard.len(), rng);
+        self.train_ordered(global, shard, &orders)
+    }
+
+    /// The sample order of every local epoch over a shard of `len` samples —
+    /// the only randomness in local training. Each epoch reshuffles the
+    /// previous epoch's order; an empty shard draws nothing.
+    pub fn shuffles(&self, len: usize, rng: &mut SimRng) -> Vec<Vec<usize>> {
+        if len == 0 {
+            return Vec::new();
+        }
+        let mut order: Vec<usize> = (0..len).collect();
+        (0..self.config.local_epochs.max(1))
+            .map(|_| {
+                rng.shuffle(&mut order);
+                order.clone()
+            })
+            .collect()
+    }
+
+    /// Runs local SGD starting from `global`, one epoch per order in
+    /// `orders` (from [`LocalTrainer::shuffles`]), returning the locally
+    /// trained model and the average training loss of the final epoch. It
+    /// draws nothing, so it can run on any thread.
+    pub fn train_ordered(
+        &self,
+        global: &DenseModel,
+        shard: &[Sample],
+        orders: &[Vec<usize>],
     ) -> (DenseModel, f64) {
         let mut model = global.clone();
         if shard.is_empty() {
@@ -95,10 +135,8 @@ impl LocalTrainer {
         }
         let mut lanes = ClassLanes::new(self.num_features, self.num_classes);
         let mut grad = vec![0.0f32; model.dim()];
-        let mut order: Vec<usize> = (0..shard.len()).collect();
         let mut last_loss = 0.0;
-        for _ in 0..self.config.local_epochs.max(1) {
-            rng.shuffle(&mut order);
+        for order in orders {
             let mut epoch_loss = 0.0f64;
             let mut batches = 0.0f64;
             for batch in order.chunks(self.config.batch_size.max(1)) {
@@ -443,12 +481,14 @@ mod tests {
     }
 
     proptest! {
-        /// Class lanes are the row-major trainer, bit for bit: the trained
-        /// model, the reported loss, the generator's position, every
-        /// probability, the accuracy and the evaluation loss — over feature
-        /// counts that are and are not multiples of the vector width, batch
-        /// sizes from 1 to beyond the shard, several epochs, and zero or
-        /// random starting models. A transpose taken once per `train`
+        /// Class lanes are the row-major trainer, bit for bit, whether `train`
+        /// draws its shuffles itself or they are drawn first and trained by
+        /// `train_ordered`: the trained model, the reported loss, the
+        /// generator's position, every probability, the accuracy and the
+        /// evaluation loss — over feature counts that are and are not
+        /// multiples of the vector width, batch sizes from 1 to beyond the
+        /// shard, several epochs, and zero or random starting models. A
+        /// transpose taken once per `train`
         /// instead of once per batch trains on a stale model and fails here.
         #[test]
         fn class_lanes_are_the_row_major_trainer_bit_for_bit(
@@ -474,11 +514,21 @@ mod tests {
                 )
             };
             let mut lane_rng = rng.clone();
+            let mut split_rng = rng.clone();
             let (model, loss) = trainer.train(&global, &shard, &mut lane_rng);
             let (expected, expected_loss) = reference_train(&trainer, &global, &shard, &mut rng);
             assert_same_bits(model.as_slice(), expected.as_slice())?;
             prop_assert_eq!(loss.to_bits(), expected_loss.to_bits(), "{} vs {}", loss, expected_loss);
-            prop_assert_eq!(lane_rng.index(1 << 30), rng.index(1 << 30));
+            // Drawn on one thread and trained on another: `train` is the
+            // composition of its two halves, and an empty shard draws nothing.
+            prop_assert!(trainer.shuffles(0, &mut split_rng).is_empty());
+            let orders = trainer.shuffles(shard.len(), &mut split_rng);
+            let (split, split_loss) = trainer.train_ordered(&global, &shard, &orders);
+            assert_same_bits(split.as_slice(), expected.as_slice())?;
+            prop_assert_eq!(split_loss.to_bits(), expected_loss.to_bits());
+            let next = rng.index(1 << 30);
+            prop_assert_eq!(lane_rng.index(1 << 30), next);
+            prop_assert_eq!(split_rng.index(1 << 30), next);
             for s in &tests {
                 assert_same_bits(
                     &trainer.predict(&model, &s.features),

@@ -59,7 +59,8 @@ pub enum Rule {
     Determinism,
     /// R6: the legacy runtime, the deleted gateway doors, the copying put
     /// path and the duplicates collapsed in PR 24 stay deleted, and the
-    /// engine starts threads in its station executor only.
+    /// engine starts threads, and sizes worker sets, in its station executor
+    /// only.
     LegacyRuntime,
     /// R7: justfile ↔ ci.yml command sync.
     CiSync,

@@ -775,8 +775,15 @@ fn spells(f: &SourceFile, code: &[usize], w: usize, pattern: &[&str]) -> bool {
     })
 }
 
-/// R6's one-thread-site half: the [`THREAD_STARTS`] in non-test code of
-/// `crates/core/src/` outside [`THREAD_MODULE`].
+/// A private worker set, as code tokens. Engine code outside
+/// [`THREAD_MODULE`] takes the process's shared set (`Workers::new`) or the
+/// one it is handed, so a training driver and its backend always run on one
+/// set of threads; only tests choose a worker count.
+const PRIVATE_WORKER_SET: &[&str] = &["Workers", ":", ":", "with_count"];
+
+/// R6's one-thread-site half: the [`THREAD_STARTS`] and the
+/// [`PRIVATE_WORKER_SET`]s in non-test code of `crates/core/src/` outside
+/// [`THREAD_MODULE`].
 fn thread_starts(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
     if !f.rel.starts_with("crates/core/src/") || f.rel == THREAD_MODULE {
         return;
@@ -784,6 +791,19 @@ fn thread_starts(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
     for w in 0..code.len() {
         if f.is_test(code[w]) {
             continue;
+        }
+        if spells(f, code, w, PRIVATE_WORKER_SET) {
+            out.push(finding(
+                f,
+                f.toks[code[w]].line,
+                Rule::LegacyRuntime,
+                format!(
+                    "`Workers::with_count` builds a private worker set outside \
+                     {THREAD_MODULE}: engine code takes the process's shared set \
+                     (`Workers::new`) or the one it is handed, so a driver's \
+                     training and its backend's encodes share one set of threads"
+                ),
+            ));
         }
         for pattern in THREAD_STARTS {
             if spells(f, code, w, pattern) {
@@ -837,7 +857,8 @@ fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
 /// duplicates collapsed in PR 24 (`RETIRED_IN_PR24`, and the simulator's
 /// `crates/core/src/platform.rs` among the `DELETED_FILES`), the
 /// per-drive thread scope retired in PR 25 (`THREAD_STARTS` outside
-/// `THREAD_MODULE`) and the asynchronous stack beside the training driver
+/// `THREAD_MODULE`, and with it any `PRIVATE_WORKER_SET`) and the
+/// asynchronous stack beside the training driver
 /// (`RETIRED_WITH_ASYNC_DRIVER`) must stay deleted. Unlike the shell guard
 /// this replaces, the check runs on code tokens, so prose in comments and
 /// string literals can mention the old names freely.

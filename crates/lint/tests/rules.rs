@@ -254,6 +254,20 @@ fn r6_fail_flags_threads_started_outside_the_station_executor() {
 }
 
 #[test]
+fn r6_fail_flags_private_worker_sets_outside_the_station_executor() {
+    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
+    let private: Vec<&String> = found
+        .iter()
+        .filter(|f| f.contains("`Workers::with_count` builds a private worker set"))
+        .collect();
+    assert_eq!(private.len(), 1, "{found:#?}");
+    assert!(
+        private[0].contains("crates/core/src/training.rs:4:"),
+        "{found:#?}"
+    );
+}
+
+#[test]
 fn r6_pass_allows_prose_and_string_mentions() {
     assert_eq!(
         lint("r6_pass", &[Rule::LegacyRuntime]),

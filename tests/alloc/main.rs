@@ -452,14 +452,20 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         "4 parked + 4 stored backlog buffers, one accumulator per position: {stats:?}"
     );
 
-    // Phase 8: no thread per round. A session's stations run on one worker
-    // set that lives as long as the session (a cluster's sessions share
-    // one), started at the first level with stations to share and parked
-    // between levels. So after round 1 the process keeps exactly the same
-    // threads — the same ids, not just as many — round after round and
-    // across a fleet re-split, and the set's named workers are among them
-    // (a drive that started and joined its own threads would leave none).
+    // Phase 8: no thread per round, and one worker set per process. Stations
+    // run on a worker set that lives as long as whoever holds it — every
+    // session, cluster and training driver built while one lives shares it —
+    // started at the first level with stations to share and parked between
+    // levels. So after round 1 the process keeps exactly the same threads —
+    // the same ids, not just as many — round after round and across a fleet
+    // re-split, and the set's named workers are among them (a drive that
+    // started and joined its own threads would leave none). Phase 7's
+    // session holds the set until it drops, which joins it.
     use lifl_core::cluster::ClusterBuilder;
+    use lifl_core::training::{TrainingConfig, TrainingDriver};
+    use lifl_fl::client::ClientAvailability;
+    use lifl_fl::dataset::{DatasetConfig, FederatedDataset};
+    use lifl_fl::population::{Population, PopulationConfig};
     use lifl_serverless::FleetConfig;
     use lifl_types::Topology;
 
@@ -483,7 +489,29 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
             .filter(|(_, name)| name.starts_with("lifl-station-"))
             .count()
     }
+    /// Waits until the process has `count` named workers: a joined thread
+    /// leaves /proc shortly after its join returns.
+    fn joined_down_to(count: usize, what: &str) {
+        for _ in 0..200 {
+            if workers(&threads()) == count {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(
+            workers(&threads()),
+            count,
+            "{what}: dropping the last handle joins the workers"
+        );
+    }
     let per_set = std::thread::available_parallelism().map_or(1, |n| n.get()) - 1;
+    assert_eq!(
+        workers(&threads()),
+        per_set,
+        "phase 7's session holds the set"
+    );
+    drop(session);
+    joined_down_to(0, "phase 7's session");
     let small = |count: usize| -> Vec<Update> {
         (0..count as u64)
             .map(|c| {
@@ -522,18 +550,7 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
             assert_eq!(threads(), warm, "{what}: round {k} changed the threads");
         }
         drop(backend);
-        // A joined thread leaves /proc shortly after its join returns.
-        for _ in 0..200 {
-            if workers(&threads()) == workers(&before) {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert_eq!(
-            workers(&threads()),
-            workers(&before),
-            "{what}: dropping the last handle joins the workers"
-        );
+        joined_down_to(workers(&before), what);
     }
 
     hold_threads(
@@ -598,6 +615,63 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         },
     );
     assert!(spawned > 0, "the spike must re-split node subtrees");
+
+    // Two live backends and a training driver over one of them hold one set
+    // between them, not one each: the driver's training levels and the
+    // cluster's encodes and stations all run on the session's set. Twenty
+    // driver rounds keep exactly its threads, and dropping the last handle
+    // joins them.
+    let mut rng = lifl_simcore::SimRng::from_seed(3);
+    let dataset = FederatedDataset::generate(
+        DatasetConfig {
+            num_clients: 16,
+            num_features: 8,
+            num_classes: 4,
+            mean_samples_per_client: 20,
+            dirichlet_alpha: 0.5,
+            test_samples: 64,
+            noise_std: 0.4,
+        },
+        &mut rng,
+    );
+    let population = Population::generate(
+        PopulationConfig {
+            total_clients: 16,
+            active_per_round: 8,
+            availability: ClientAvailability::AlwaysOn,
+            mean_samples: 20,
+            speed_spread: 0.3,
+        },
+        &mut rng,
+    );
+    let before = threads();
+    let mut session = SessionBuilder::new()
+        .topology(Topology::new(vec![8, 16]).expect("topology"))
+        .build()
+        .expect("session");
+    let cluster = ClusterBuilder::new()
+        .topology(Topology::new(vec![2, 2, 2]).expect("topology"))
+        .codec(CodecKind::Uniform8)
+        .build()
+        .expect("cluster");
+    let mut driver = TrainingDriver::new(cluster, dataset, population, TrainingConfig::default());
+    session.ingest_all(small(128)).expect("ingest");
+    session.drive().expect("drive");
+    driver.run_round(&mut rng).expect("driver round");
+    let warm = threads();
+    assert_eq!(
+        workers(&warm),
+        workers(&before) + per_set,
+        "two backends and a driver, one worker set: {warm:?}"
+    );
+    for k in 1..20 {
+        driver.run_round(&mut rng).expect("driver round");
+        assert_eq!(threads(), warm, "driver round {k} changed the threads");
+    }
+    drop(session);
+    assert_eq!(threads(), warm, "the driver still holds the set");
+    drop(driver);
+    joined_down_to(workers(&before), "two backends and a driver");
 
     // Phase 9: a steady-state lossy cluster round on the deferred ingress
     // path, with model-sized updates. Each offer only routes and counts its
