@@ -229,7 +229,8 @@ impl AggregatorRuntime {
     /// Returns [`LiflError::InvalidConfig`] for a top aggregator and
     /// [`LiflError::InvalidAggregationGoal`] if `new_goal` is zero; either
     /// way the runtime is left unchanged.
-    pub fn promote(&mut self, new_goal: u64) -> Result<()> {
+    #[cfg(test)]
+    pub(crate) fn promote(&mut self, new_goal: u64) -> Result<()> {
         let Some(next) = self.role.promoted() else {
             return Err(LiflError::InvalidConfig(
                 "top aggregator cannot be promoted further".to_string(),

@@ -30,33 +30,40 @@
 //! tier), so federating over machines changes where bytes live and what the
 //! hops cost — never the aggregate.
 //!
-//! **Live top placement.** The node hosting the global top is not a static
-//! wiring decision: under the default [`TopPlacement::MostLoaded`] policy the
-//! cluster keeps a per-node [`EwmaEstimator`] of observed load (each round's
-//! per-node ingest counts, plus any external queue-depth observations fed in
-//! via [`Cluster::observe_node_load`]) and re-places the top on the
-//! most-loaded node at every round boundary — the paper's §5.2 rule, so the
-//! largest intermediate never crosses machines. A move is a cheap warm-state
-//! handoff (the codec streams are tree-position-derived, so results are
-//! unchanged — enforced by the re-placement test in `tests/it/driver.rs`)
-//! priced like every other hop through [`CostModel::hop_transfer`].
+//! This module routes offers to nodes and drives the node forest into the
+//! top; each other concern of a cluster has one owner module beside it:
+//!
+//! * `placement` — live top placement (§5.2): the top moves to the node
+//!   with the highest EWMA load estimate at every round boundary
+//!   ([`TopPlacement`]);
+//! * `faults` — node kills, keep-alive heartbeats and checkpointed top
+//!   recovery (§3), and the per-round ledger a retried drive resumes from
+//!   ([`FaultToleranceConfig`]);
+//! * `scaling` — KPA fleet scaling: node subtrees re-split at round
+//!   boundaries ([`ScalingAction`]).
+
+mod faults;
+mod placement;
+mod scaling;
+
+pub use faults::{FaultStats, FaultToleranceConfig, NodeKill, TopRecovery};
+pub use placement::{TopMove, TopPlacement};
+pub use scaling::ScalingAction;
 
 use crate::admission::AdmissionQueues;
-use crate::ewma::EwmaEstimator;
-use crate::heartbeat::HeartbeatMonitor;
 use crate::ingress::{self, Backend, Ingress, Target};
-use crate::recovery::{RecoveryManager, RecoveryOutcome};
-use crate::session::{Session, SessionBuilder, Update};
+use crate::session::{Session, SessionBuilder, SessionReport, Update, WireExport};
 use crate::stations::Workers;
+use faults::Faults;
 use lifl_dataplane::{CostModel, DataPlaneKind, TransferCost};
 use lifl_fl::aggregate::ModelUpdate;
-use lifl_serverless::{FleetConfig, FleetController, FleetDecision};
-use lifl_shmem::{BufferPool, CheckpointStore, StoreStats};
+use lifl_serverless::{FleetConfig, FleetController};
+use lifl_shmem::{BufferPool, StoreStats};
 use lifl_types::{
     AdmissionConfig, AdmissionOutcome, ClientId, CodecKind, FoldPolicy, LiflError, NodeId, Result,
-    RoundClose, SimDuration, SimTime, Topology,
+    RoundClose, SimDuration, Topology,
 };
-use std::mem::take;
+use placement::Placement;
 
 /// Everything a cluster's sessions are built alike with: each differs only
 /// in its tree, its node and where that tree sits in the global one.
@@ -104,190 +111,24 @@ impl SessionTemplate {
     }
 }
 
-/// How a [`Cluster`] chooses the node hosting the global top aggregator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TopPlacement {
-    /// Pin the top to a fixed node for the cluster's whole life (the
-    /// pre-live-placement behaviour; useful as an experimental control).
-    Pinned(usize),
-    /// Live placement (§5.2): host the top on the node with the highest
-    /// EWMA-smoothed load estimate, re-evaluated at every round boundary.
-    /// Ties keep the incumbent, so a uniformly loaded cluster never churns.
-    MostLoaded {
-        /// EWMA smoothing coefficient α (the paper uses 0.7).
-        alpha: f64,
-    },
+/// How every transfer of a cluster is priced: the paper-calibrated transport
+/// cost model, and the data plane a same-node hop crosses.
+#[derive(Debug, Clone, Copy)]
+struct Pricing {
+    cost: CostModel,
+    dataplane: DataPlaneKind,
 }
 
-impl Default for TopPlacement {
-    fn default() -> Self {
-        TopPlacement::MostLoaded { alpha: 0.7 }
+impl Pricing {
+    /// The modelled cost of moving `bytes` within a node (shared memory) or
+    /// across the network.
+    fn hop(&self, same_node: bool, bytes: u64) -> TransferCost {
+        self.cost.hop_transfer(same_node, self.dataplane, bytes)
     }
 }
 
-/// A top re-placement performed at a round boundary: the warm top state (the
-/// current global intermediate) handed off from the old host to the new,
-/// most-loaded one.
-#[derive(Debug, Clone)]
-pub struct TopMove {
-    /// The node that hosted the top until this round.
-    pub from: NodeId,
-    /// The node hosting the top from this round on.
-    pub to: NodeId,
-    /// Bytes of warm top state shipped (zero before any round has produced
-    /// a global intermediate).
-    pub state_bytes: u64,
-    /// The modelled transport cost of the handoff (always a cross-machine
-    /// transfer).
-    pub cost: TransferCost,
-}
-
-/// Configuration of a cluster's failure-handling machinery (§3): keep-alive
-/// heartbeats per node, periodic checkpointing of committed global models,
-/// and the restart delay a replacement runtime needs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultToleranceConfig {
-    /// Checkpoint the committed global model every this many driven rounds
-    /// (see [`RecoveryManager::new`]). Must be at least 1.
-    pub checkpoint_every: u64,
-    /// Time a replacement aggregator runtime needs to come up after a
-    /// failure.
-    pub restart_delay: SimDuration,
-    /// A node whose last keep-alive heartbeat is older than this is declared
-    /// failed by [`Cluster::detect_failed_nodes`].
-    pub heartbeat_timeout: SimDuration,
-}
-
-impl Default for FaultToleranceConfig {
-    fn default() -> Self {
-        FaultToleranceConfig {
-            checkpoint_every: 1,
-            restart_delay: SimDuration::from_secs(1.0),
-            heartbeat_timeout: SimDuration::from_secs(30.0),
-        }
-    }
-}
-
-/// A global-top recovery: the checkpoint restore performed after the node
-/// hosting the global top aggregator failed, plus the priced transfer that
-/// ships the checkpointed model to the replacement runtime.
-#[derive(Debug, Clone)]
-pub struct TopRecovery {
-    /// What was recovered and what was lost (see
-    /// [`RecoveryManager::fail_and_recover`]).
-    pub outcome: RecoveryOutcome,
-    /// The modelled cost of shipping the checkpointed model from the
-    /// persistent store to the replacement top host (a network transfer).
-    pub transfer: TransferCost,
-}
-
-/// Running totals of the failures a fault-tolerant cluster absorbed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Child-node kills handled by discarding the node's subtree round and
-    /// refilling its lost slots (restart-and-redrive).
-    pub node_restarts: u64,
-    /// Global-top kills handled by restoring the latest checkpoint.
-    pub top_recoveries: u64,
-    /// Survivor hops *not* re-shipped on a retried drive because their
-    /// intermediates were already folded into the global top
-    /// (retry-with-dedup on the [`Update::RemoteBytes`] hop).
-    pub deduped_hops: u64,
-    /// Client updates lost to failures (each must be re-sent by its client).
-    pub lost_updates: u64,
-}
-
-/// What one injected or detected node kill cost the in-flight round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeKill {
-    /// The killed node.
-    pub node: NodeId,
-    /// Updates that were pending on the node (for a top-host kill: in the
-    /// whole round) and are lost.
-    pub lost_updates: u64,
-    /// Whether the killed node hosted the global top — in which case the
-    /// whole round is lost and recovery restores the latest checkpoint
-    /// (see [`Cluster::take_recovery`]).
-    pub top_host: bool,
-}
-
-/// The per-cluster failure-handling state behind
-/// [`ClusterBuilder::fault_tolerance`].
-#[derive(Debug)]
-struct FaultState {
-    recovery: RecoveryManager,
-    monitor: HeartbeatMonitor,
-    clock: SimTime,
-    /// A pending [`Cluster::schedule_node_failure`]: kill fires inside the
-    /// next drive once this many hops of the round have completed.
-    scheduled: Option<(usize, u64)>,
-    /// True once the round's top placement ran, so retried drives never
-    /// re-place (or double-observe load into the EWMAs) mid-round.
-    placed: bool,
-    /// Per node: this round's intermediate is already folded into the global
-    /// top, so a retried drive skips (dedups) its hop.
-    hop_done: Vec<bool>,
-    /// Hops / node reports accumulated across retries of the same round.
-    partial_hops: Vec<ClusterHop>,
-    partial_nodes: Vec<NodeRoundReport>,
-    /// Per node: lost update slots a restarted node still needs refilled
-    /// (re-ingests route here before round-robin resumes).
-    refill: Vec<u64>,
-    /// Clients whose updates are pending on each node this round.
-    node_clients: Vec<Vec<ClientId>>,
-    /// Clients whose updates were lost to kills and must re-send.
-    lost_clients: Vec<ClientId>,
-    last_recovery: Option<TopRecovery>,
-    stats: FaultStats,
-}
-
-impl FaultState {
-    fn new(config: FaultToleranceConfig, nodes: usize) -> Result<Self> {
-        let recovery = RecoveryManager::new(config.checkpoint_every, config.restart_delay)?;
-        let mut monitor = HeartbeatMonitor::new(config.heartbeat_timeout);
-        for node in 0..nodes {
-            monitor.register(ClientId::new(node as u64), SimTime::ZERO);
-        }
-        Ok(FaultState {
-            recovery,
-            monitor,
-            clock: SimTime::ZERO,
-            scheduled: None,
-            placed: false,
-            hop_done: vec![false; nodes],
-            partial_hops: Vec::new(),
-            partial_nodes: Vec::new(),
-            refill: vec![0; nodes],
-            node_clients: vec![Vec::new(); nodes],
-            lost_clients: Vec::new(),
-            last_recovery: None,
-            stats: FaultStats::default(),
-        })
-    }
-
-    /// Forgets everything scoped to the current round (a completed,
-    /// discarded or top-lost round). Heartbeats, stats, the recovery manager
-    /// and any pending [`TopRecovery`] persist.
-    fn clear_round(&mut self) {
-        self.scheduled = None;
-        self.placed = false;
-        self.hop_done.fill(false);
-        self.partial_hops.clear();
-        self.partial_nodes.clear();
-        self.refill.fill(0);
-        self.node_clients.iter_mut().for_each(Vec::clear);
-        self.lost_clients.clear();
-    }
-
-    fn advance_clock(&mut self, now: SimTime) {
-        if now > self.clock {
-            self.clock = now;
-        }
-    }
-}
-
-/// Builds a [`Cluster`]: the global tree, codec, shard count, seed, hop cost
-/// model and the top-placement policy, with working defaults.
+/// Builds a [`Cluster`]: the global tree, codec, shard count, seed, data
+/// plane and the top-placement policy, with working defaults.
 ///
 /// ```
 /// use lifl_core::cluster::ClusterBuilder;
@@ -311,7 +152,6 @@ pub struct ClusterBuilder {
     shards: usize,
     seed: u64,
     placement: TopPlacement,
-    cost: CostModel,
     dataplane: DataPlaneKind,
     policy: FoldPolicy,
     faults: Option<FaultToleranceConfig>,
@@ -329,9 +169,10 @@ impl Default for ClusterBuilder {
 impl ClusterBuilder {
     /// A builder with the session defaults: the classic 4×2 two-level tree
     /// split into 4 single-leaf nodes, [`CodecKind::Identity`], one shard,
-    /// the paper-calibrated hop cost model, LIFL's shared-memory data plane
-    /// for same-node hops, and live [`TopPlacement::MostLoaded`] placement
-    /// of the global top (which starts on node 0 until load signals differ).
+    /// hops priced by the paper-calibrated cost model, LIFL's shared-memory
+    /// data plane for same-node hops, and live [`TopPlacement::MostLoaded`]
+    /// placement of the global top (which starts on node 0 until load
+    /// signals differ).
     pub fn new() -> Self {
         ClusterBuilder {
             topology: Topology::default(),
@@ -339,7 +180,6 @@ impl ClusterBuilder {
             shards: 1,
             seed: 0x5EED,
             placement: TopPlacement::default(),
-            cost: CostModel::paper_calibrated(),
             dataplane: DataPlaneKind::LiflSharedMemory,
             policy: FoldPolicy::FedAvg,
             faults: None,
@@ -427,12 +267,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Injects the transport cost model every hop is priced through.
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// Sets the data plane same-node hops cross (remote hops always price as
     /// network transfers).
     pub fn dataplane(mut self, dataplane: DataPlaneKind) -> Self {
@@ -454,10 +288,11 @@ impl ClusterBuilder {
     /// Enables the cluster's failure-handling machinery (§3): per-node
     /// keep-alive heartbeats, a child [`Session`] killable mid-round
     /// ([`Cluster::inject_node_failure`] /
-    /// [`Cluster::schedule_node_failure`]), retry-with-dedup re-drives from
-    /// surviving subtrees, and checkpoint-based recovery of the global top
-    /// through a [`RecoveryManager`]. Without this, any failure aborts the
-    /// round exactly as before.
+    /// [`Cluster::schedule_node_failure`]), and checkpoint-based recovery of
+    /// the global top through a [`RecoveryManager`](crate::recovery::RecoveryManager).
+    /// A killed node's round survives: its lost slots are refilled and the
+    /// retried drive re-ships only the hops that never arrived. Without
+    /// this, nothing can kill a node, and a failed drive discards the round.
     pub fn fault_tolerance(mut self, config: FaultToleranceConfig) -> Self {
         self.faults = Some(config);
         self
@@ -479,11 +314,11 @@ impl ClusterBuilder {
 
     /// Enables KPA-driven aggregator-fleet scaling: at every round boundary
     /// each node's observed admission-queue depth feeds a per-node
-    /// [`FleetController`] control loop, and nodes whose desired leaf count
-    /// changed get their subtree re-split (grown or retired) before the next
-    /// round's backlog drains — each re-split priced through the cluster's
-    /// [`CostModel::hop_transfer`]. Decisions land in
-    /// [`ClusterReport::scaling`]. The controller runs on a synthetic
+    /// [`FleetController`] control loop,
+    /// and nodes whose desired leaf count changed get their subtree
+    /// re-split (grown or retired) before the next round's backlog drains —
+    /// each re-split priced as a warm-state network transfer. Decisions land
+    /// in [`ClusterReport::scaling`]. The controller runs on a synthetic
     /// per-round clock, so the same arrival trace always produces the same
     /// spawn/retire sequence.
     pub fn fleet_scaling(mut self, config: FleetConfig) -> Self {
@@ -499,7 +334,8 @@ impl ClusterBuilder {
     /// # Errors
     /// Returns [`LiflError::InvalidConfig`] if the global topology is flat
     /// (a cluster needs a top level to split off), a pinned top node lies
-    /// outside the machine count, an earlier builder step (such as
+    /// outside the machine count, a live placement's EWMA `alpha` is not a
+    /// number in `[0, 1]`, an earlier builder step (such as
     /// [`ClusterBuilder::for_load`]) produced an invalid configuration, or
     /// the codec, fold-policy or fault-tolerance configuration is invalid.
     pub fn build(self) -> Result<Cluster> {
@@ -521,17 +357,7 @@ impl ClusterBuilder {
                 self.topology
             )));
         };
-        let (top_node, alpha) = match self.placement {
-            TopPlacement::Pinned(node) => {
-                if node >= nodes {
-                    return Err(LiflError::InvalidConfig(format!(
-                        "pinned top node {node} outside the cluster's {nodes} nodes"
-                    )));
-                }
-                (node, 0.7)
-            }
-            TopPlacement::MostLoaded { alpha } => (0, alpha),
-        };
+        let placement = Placement::new(self.placement, nodes)?;
         if let Some(config) = &self.admission {
             config.validate()?;
         }
@@ -550,18 +376,14 @@ impl ClusterBuilder {
         let children = (0..nodes)
             .map(|k| sessions.build(subtree.clone(), k, 0, k))
             .collect::<Result<Vec<Session>>>()?;
-        let parent = sessions.build(Topology::flat(nodes), top_node, subtree.levels(), 0)?;
-        let faults = match self.faults {
-            Some(config) => Some(FaultState::new(config, nodes)?),
-            None => None,
-        };
+        let parent = sessions.build(Topology::flat(nodes), placement.top(), subtree.levels(), 0)?;
+        let faults = Faults::new(self.faults, nodes)?;
         let queues = self
             .admission
             .map(|config| AdmissionQueues::new(config, nodes, pool.clone()));
-        let fleet = match self.fleet {
-            Some(config) => Some(FleetController::new(config, nodes)?),
-            None => None,
-        };
+        let fleet = (self.fleet)
+            .map(|config| FleetController::new(config, nodes))
+            .transpose()?;
         let ingress = Ingress::new(
             self.codec,
             self.seed,
@@ -572,17 +394,15 @@ impl ClusterBuilder {
         Ok(Cluster {
             topology: self.topology,
             subtree,
-            placement: self.placement,
-            top_node,
-            estimators: vec![EwmaEstimator::new(alpha); nodes],
-            node_pending: vec![0; nodes],
-            handoff_bytes: 0,
-            cost: self.cost,
-            dataplane: self.dataplane,
+            pricing: Pricing {
+                cost: CostModel::paper_calibrated(),
+                dataplane: self.dataplane,
+            },
             children,
             parent,
             ingress,
             sessions,
+            placement,
             faults,
             fleet,
         })
@@ -615,19 +435,6 @@ pub struct NodeRoundReport {
     pub ingress_wire_bytes: u64,
     /// Client updates the node's subtree aggregated.
     pub updates_ingested: u64,
-}
-
-/// One fleet-scaling action applied at a round boundary: a node's subtree
-/// re-split to the controller's desired leaf count, priced as the warm-state
-/// transfer that moves aggregator state onto (or off) the node.
-#[derive(Debug, Clone)]
-pub struct ScalingAction {
-    /// The controller's decision (observed depth, current and desired
-    /// leaves, panic state).
-    pub decision: FleetDecision,
-    /// The modelled transport cost of re-splitting the subtree (zero bytes
-    /// before any round has produced warm state).
-    pub cost: TransferCost,
 }
 
 /// Everything a driven cluster round produced.
@@ -727,13 +534,7 @@ impl ClusterReport {
 pub struct Cluster {
     topology: Topology,
     subtree: Topology,
-    placement: TopPlacement,
-    top_node: usize,
-    estimators: Vec<EwmaEstimator>,
-    node_pending: Vec<u64>,
-    handoff_bytes: u64,
-    cost: CostModel,
-    dataplane: DataPlaneKind,
+    pricing: Pricing,
     children: Vec<Session>,
     parent: Session,
     /// Offer → slot state at the cluster ingress: error feedback (applied
@@ -742,9 +543,12 @@ pub struct Cluster {
     ingress: Ingress,
     /// What node sessions are (re)built from when the fleet re-splits.
     sessions: SessionTemplate,
-    faults: Option<FaultState>,
+    /// Which node hosts the top, and the load estimates that move it.
+    placement: Placement,
+    /// The per-round fault ledger, and the §3 machinery when enabled.
+    faults: Faults,
     /// The KPA fleet controller re-splitting node subtrees at round
-    /// boundaries, when fleet scaling is enabled.
+    /// boundaries, when fleet scaling is enabled (driven by `scaling`).
     fleet: Option<FleetController>,
 }
 
@@ -781,36 +585,9 @@ impl Cluster {
         &self.sessions.pool
     }
 
-    /// The placement policy deciding which node hosts the global top.
-    pub fn placement(&self) -> TopPlacement {
-        self.placement
-    }
-
-    /// The node currently hosting the global top aggregator.
-    pub fn top_node(&self) -> NodeId {
-        NodeId::new(self.top_node as u64)
-    }
-
-    /// Feeds an external load observation (e.g. a node's reported pending
-    /// queue depth, as the coordinator's metric reports do) into the node's
-    /// EWMA load estimator. Ingest routing already feeds each round's
-    /// per-node update counts automatically; this adds out-of-band signals
-    /// so placement can react to load the cluster ingress does not see.
-    pub fn observe_node_load(&mut self, node: NodeId, pending: f64) {
-        let index = node.index() as usize;
-        if index < self.estimators.len() {
-            self.estimators[index].observe(pending);
-        }
-    }
-
-    /// The smoothed per-node load estimates live placement decides over, in
-    /// node order (zero until a node has been observed).
-    pub fn load_estimates(&self) -> Vec<(NodeId, f64)> {
-        self.estimators
-            .iter()
-            .enumerate()
-            .map(|(k, e)| (NodeId::new(k as u64), e.estimate().unwrap_or(0.0)))
-            .collect()
+    /// The fold policy every aggregator in the cluster applies.
+    pub fn fold_policy(&self) -> FoldPolicy {
+        self.sessions.policy
     }
 
     /// Updates ingested into the current (not yet driven) round.
@@ -836,26 +613,20 @@ impl Cluster {
             .collect()
     }
 
-    /// The node owning global leaf `leaf`, under the live per-node shapes
-    /// (each node owns a contiguous block of leaves, exactly the built
-    /// split until fleet scaling changes a block's width).
-    fn node_of_leaf(&self, leaf: usize) -> usize {
-        let mut remaining = leaf;
-        for (node, child) in self.children.iter().enumerate() {
-            let leaves = child.topology().leaves();
-            if remaining < leaves {
+    /// The node the round-robin cursor routes to next, under the live
+    /// per-node shapes: update *k* of a round feeds global leaf
+    /// `k % leaves`, and each node owns a contiguous block of leaves —
+    /// exactly the built split until fleet scaling changes a block's width.
+    fn cursor_node(&self) -> usize {
+        let widths = self.children.iter().map(|c| c.topology().leaves());
+        let mut leaf = (self.ingress.cursor() as usize) % widths.clone().sum::<usize>().max(1);
+        for (node, width) in widths.enumerate() {
+            if leaf < width {
                 return node;
             }
-            remaining -= leaves;
+            leaf -= width;
         }
         self.children.len().saturating_sub(1)
-    }
-
-    /// The node the round-robin cursor routes to next.
-    fn cursor_node(&self) -> usize {
-        let total: usize = self.children.iter().map(|c| c.topology().leaves()).sum();
-        let leaf = (self.ingress.cursor() as usize) % total.max(1);
-        self.node_of_leaf(leaf)
     }
 
     /// Whether the open round can still take an update.
@@ -933,45 +704,37 @@ impl Cluster {
         ingress::offer(self, update)
     }
 
-    /// The node owed an update by a fault refill, if any.
-    fn refill_node(&self) -> Option<usize> {
-        self.faults
-            .as_ref()
-            .and_then(|f| f.refill.iter().position(|&r| r > 0))
+    /// Routes one update and runs `store` for it on the routed node,
+    /// booking the outcome: the step both [`Backend::admit`] and
+    /// [`Backend::reserve`] take. Refill slots of a restarted node take
+    /// priority over round-robin — re-sent updates route straight to the
+    /// node that lost them, so the survivors' leaf assignment is untouched
+    /// by the failure — and vacancies reclaimed by mid-round churn refill
+    /// next, for the same reason.
+    fn route<T>(&mut self, store: impl FnOnce(&mut Self, usize) -> Result<T>) -> Result<T> {
+        let route = self
+            .ingress
+            .route(self.faults.refill_node(), self.cursor_node());
+        let node = route.slot;
+        let stored = store(self, node);
+        if stored.is_ok() {
+            self.faults.admitted(node);
+        }
+        self.ingress.settle(route, stored.is_ok());
+        stored
     }
 
     /// Admits one normalised update on the routed node — moved through the
     /// node session's own `admit`, never its public door — and counts it
     /// into the round: the step both the direct path and the backlog drain
-    /// end in.
-    ///
-    /// Refill slots of a restarted node take priority over round-robin:
-    /// re-sent updates route straight to the node that lost them, so the
-    /// survivors' leaf assignment is untouched by the failure. Vacancies
-    /// reclaimed by mid-round churn refill next, for the same reason.
+    /// end in. The node session records it under its producer, or under
+    /// its cluster arrival index when it has none, so a kill can name every
+    /// client that must re-send.
     fn admit(&mut self, update: Update, producer: Option<ClientId>) -> Result<()> {
-        let refill = self.refill_node();
-        let route = self.ingress.route(refill, self.cursor_node());
-        let node = route.slot;
-        let admitted = self.children[node].admit(update, producer);
-        if admitted.is_ok() {
-            self.count_in(node, refill.is_some(), producer);
-        }
-        self.ingress.settle(route, admitted.is_ok());
-        admitted
-    }
-
-    /// Books an update admitted on `node` (before its route settles):
-    /// the node's pending count, a refill it paid back, the client it must
-    /// re-send should the node die.
-    fn count_in(&mut self, node: usize, refilled: bool, producer: Option<ClientId>) {
-        self.node_pending[node] += 1;
-        if let Some(f) = &mut self.faults {
-            if refilled {
-                f.refill[node] -= 1;
-            }
-            f.node_clients[node].push(self.ingress.tracked(producer));
-        }
+        self.route(|cluster, node| {
+            let tracked = cluster.ingress.tracked(producer);
+            cluster.children[node].admit(update, Some(tracked))
+        })
     }
 
     /// Commits every in-flight encode; one that failed aborts the round on
@@ -997,28 +760,12 @@ impl Cluster {
     pub fn depart_client(&mut self, client: ClientId) -> bool {
         ingress::settle(self);
         let mut departed = self.ingress.remove_parked(client);
-        for node in 0..self.children.len() {
-            let before = self.children[node].pending_updates();
-            self.children[node].depart_client(client);
-            let removed = before.saturating_sub(self.children[node].pending_updates());
-            if removed == 0 {
-                continue;
-            }
-            departed = true;
-            self.node_pending[node] = self.node_pending[node].saturating_sub(removed);
-            for _ in 0..removed {
+        for (node, child) in self.children.iter_mut().enumerate() {
+            let before = child.pending_updates();
+            child.depart_client(client);
+            for _ in child.pending_updates()..before {
                 self.ingress.vacate(node);
-            }
-            if let Some(f) = &mut self.faults {
-                let mut to_drop = removed;
-                f.node_clients[node].retain(|c| {
-                    if *c == client && to_drop > 0 {
-                        to_drop -= 1;
-                        false
-                    } else {
-                        true
-                    }
-                });
+                departed = true;
             }
         }
         // Refill reclaimed slots from the backlog (highest utility first).
@@ -1054,16 +801,6 @@ impl Cluster {
         self.ingress.stats()
     }
 
-    /// Whether KPA fleet scaling is enabled.
-    pub fn fleet_scaling_enabled(&self) -> bool {
-        self.fleet.is_some()
-    }
-
-    /// The fleet controller's configuration, when fleet scaling is enabled.
-    pub fn fleet_config(&self) -> Option<&FleetConfig> {
-        self.fleet.as_ref().map(FleetController::config)
-    }
-
     /// Drives the round across every node as one tree: the node subtrees run
     /// as one forest on the cluster's workers — level ℓ of every node is one
     /// claim set — and each exports its merged update as codec-tagged wire
@@ -1074,9 +811,9 @@ impl Cluster {
     /// node order, so results are deterministic — and bit-exact with a single
     /// session over the global tree, and with driving the nodes one at a time.
     ///
-    /// Every hop is priced through the cluster's [`CostModel`]: a network
-    /// transfer for remote nodes, a shared-memory transfer for the node
-    /// hosting the top.
+    /// Every hop is priced through the paper-calibrated transport cost
+    /// model: a network transfer for remote nodes, a shared-memory transfer
+    /// for the node hosting the top.
     ///
     /// At the round boundary (after the round's load is known, before any
     /// hop is priced) the placement policy re-evaluates which node should
@@ -1106,207 +843,73 @@ impl Cluster {
     /// latest checkpoint is restored ([`Cluster::take_recovery`]).
     pub fn drive(&mut self) -> Result<ClusterReport> {
         self.settle()?;
-        if let (Some(node), Some(f)) = (self.refill_node(), &self.faults) {
-            let lost_updates = f.refill[node];
-            return Err(LiflError::NodeFailure {
-                node: node as u64,
-                lost_updates,
-            });
-        }
+        self.faults.check_refilled()?;
         self.validate_round()?;
-        let resuming = self.faults.as_ref().is_some_and(|f| f.placed);
-        let replacement = if resuming { None } else { self.place_top() };
-        if let Some(f) = &mut self.faults {
-            f.placed = true;
-        }
-        match self.drive_hops() {
-            Ok(mut report) => {
-                report.replacement = replacement;
-                self.ingress.reset_round();
-                self.node_pending.fill(0);
-                // Next move's handoff ships the warm global intermediate.
-                self.handoff_bytes = report.update.model.dim() as u64 * 4;
-                if let Some(f) = &mut self.faults {
-                    let now = f.clock;
-                    f.recovery.commit_version(&report.update.model, now);
-                    f.clear_round();
-                }
-                // The round boundary: observe queue depths, let the fleet
-                // controller re-split subtrees, then drain the backlog into
-                // the (possibly resized) fresh round.
-                report.queue_depths = self.queue_depths();
-                report.scaling = self.apply_fleet_scaling();
-                ingress::drain(self);
-                Ok(report)
-            }
+        // A retry resumes the round its first attempt already placed.
+        let loads = self.children.iter().map(Session::pending_updates);
+        let replacement = if self.faults.first_attempt() {
+            self.placement.place(loads, self.pricing)
+        } else {
+            None
+        };
+        let top = match self.drive_hops() {
+            Ok(top) => top,
             Err(error) => {
-                // A survivable node kill keeps the partial round for retry;
-                // a top kill already cleaned up after itself. Everything
-                // else aborts the round exactly as without fault tolerance.
-                let survivable = self.faults.is_some()
-                    && matches!(
-                        error,
-                        LiflError::NodeFailure { .. } | LiflError::AggregatorFailure { .. }
-                    );
-                if !survivable {
+                // A kill keeps the partial round for its retry (a top kill
+                // already cleaned up after itself); anything else aborts it.
+                if !matches!(
+                    error,
+                    LiflError::NodeFailure { .. } | LiflError::AggregatorFailure { .. }
+                ) {
                     self.abort_round();
                 }
-                Err(error)
+                return Err(error);
             }
-        }
-    }
-
-    /// Validates the round is closable: exact fill by default, the
-    /// configured quorum under a [`RoundClose::Quorum`] admission close.
-    fn validate_round(&self) -> Result<()> {
-        let capacity = self.round_capacity();
-        let ingested = self.ingress.ingested() as usize;
-        let close = self
-            .ingress
-            .config()
-            .map_or(RoundClose::Exact, |config| config.round_close);
-        match close {
-            RoundClose::Exact => {
-                if capacity == self.topology.total_updates() {
-                    self.topology.validate(ingested)
-                } else if ingested != capacity {
-                    // Fleet scaling has re-split a subtree: the built
-                    // topology's error message would mislead, so report
-                    // against the live capacity.
-                    Err(LiflError::InvalidConfig(format!(
-                        "cluster round incomplete: the scaled fleet aggregates {capacity} \
-                         updates, got {ingested}"
-                    )))
-                } else {
-                    Ok(())
-                }
-            }
-            quorum @ RoundClose::Quorum { .. } => {
-                let required = quorum.required_updates(capacity);
-                if ingested < required {
-                    return Err(LiflError::InvalidConfig(format!(
-                        "quorum not met: round has {ingested} of {required} required updates"
-                    )));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Applies the KPA fleet decisions of one round boundary: every node
-    /// whose desired leaf count changed gets its subtree re-split to a
-    /// two-level tree of that many leaves at the node's existing leaf
-    /// fan-in, priced as a warm-state transfer per changed leaf. Returns
-    /// one action per node (resize or hold) so scaling traces are complete.
-    fn apply_fleet_scaling(&mut self) -> Vec<ScalingAction> {
-        let Some(fleet) = self.fleet.as_mut() else {
-            return Vec::new();
         };
-        let mut depths: Vec<f64> = self.ingress.depths().iter().map(|&d| d as f64).collect();
-        depths.resize(self.children.len(), 0.0);
-        let current = self.children.iter().map(|c| c.topology().leaves() as u32);
-        let decisions = fleet.observe_round(&depths, &current.collect::<Vec<u32>>());
-        let handoff = self.handoff_bytes;
-        let mut actions = Vec::with_capacity(decisions.len());
-        for decision in decisions {
-            let changed = (decision.spawned() + decision.retired()) as u64;
-            let cost = self
-                .cost
-                .hop_transfer(false, self.dataplane, changed * handoff);
-            if decision.is_resize() {
-                // A failed rebuild (impossible for in-bounds leaf counts)
-                // keeps the old subtree; the decision still lands in the
-                // trace so divergence is visible.
-                let _ = self.resize_node(decision.node, decision.desired_leaves as usize);
-            }
-            actions.push(ScalingAction { decision, cost });
-        }
-        actions
-    }
-
-    /// Re-splits one node's subtree to `desired_leaves` leaf aggregators at
-    /// the node's existing leaf fan-in (the [`Topology::split_top`]-style
-    /// re-split, applied per node). The rebuilt session keeps the node's
-    /// tree position, codec seed, fold policy and pool, so scaled rounds
-    /// stay deterministic.
-    fn resize_node(&mut self, node: usize, desired_leaves: usize) -> Result<()> {
-        let fan_in = self.children[node].topology().fan_in(0);
-        let topology = Topology::two_level(desired_leaves.max(1), fan_in);
-        self.children[node] = self.sessions.build(topology, node, 0, node)?;
-        Ok(())
-    }
-
-    /// Re-evaluates top placement at a round boundary: feeds the round's
-    /// per-node ingest counts into the EWMAs, then (under live placement)
-    /// moves the top to the most-loaded node unless the incumbent already
-    /// ties it. Returns the priced handoff when a move happened.
-    fn place_top(&mut self) -> Option<TopMove> {
-        for (estimator, pending) in self.estimators.iter_mut().zip(&self.node_pending) {
-            estimator.observe(*pending as f64);
-        }
-        if !matches!(self.placement, TopPlacement::MostLoaded { .. }) {
-            return None;
-        }
-        let estimates: Vec<f64> = self
-            .estimators
-            .iter()
-            .map(|e| e.estimate().unwrap_or(0.0))
-            .collect();
-        let best = estimates.iter().copied().fold(f64::MIN, f64::max);
-        // Incumbent-wins tie-breaking: equal load never churns the top.
-        if estimates[self.top_node] >= best {
-            return None;
-        }
-        let to = estimates.iter().position(|&e| e == best)?;
-        let from = NodeId::new(self.top_node as u64);
-        self.top_node = to;
-        Some(TopMove {
-            from,
-            to: NodeId::new(to as u64),
-            state_bytes: self.handoff_bytes,
-            cost: self
-                .cost
-                .hop_transfer(false, self.dataplane, self.handoff_bytes),
+        let (hops, nodes) = self.faults.commit(&top.update.model);
+        self.placement.committed(top.update.model.dim());
+        self.ingress.reset_round();
+        // The round boundary: observe queue depths, let the fleet controller
+        // re-split subtrees, then drain the backlog into the (possibly
+        // resized) fresh round.
+        let queue_depths = self.queue_depths();
+        let scaling = self.scale_fleet();
+        ingress::drain(self);
+        Ok(ClusterReport {
+            update: top.update,
+            topology: self.topology.clone(),
+            nodes,
+            hops,
+            top_node: self.top_node(),
+            replacement,
+            top_store_stats: top.store_stats,
+            queue_depths,
+            scaling,
         })
     }
 
-    /// Plans a drive attempt exactly as a node-at-a-time walk would take
-    /// it: every node passed in order as `(node, ships)` — `false` for a hop
-    /// an earlier attempt already folded (dedup) — up to the victim of a
-    /// scheduled kill that strikes once as many hops are done (earlier
-    /// attempts' and this plan's). The kill is checked before an empty
-    /// quorum subtree is skipped, so an empty node at the kill point fires.
-    fn plan(&self) -> (Vec<(usize, bool)>, Option<usize>) {
-        let done = |k: usize| self.faults.as_ref().is_some_and(|f| f.hop_done[k]);
-        let scheduled = self.faults.as_ref().and_then(|f| f.scheduled);
-        let mut hopped = (0..self.children.len()).filter(|&k| done(k)).count() as u64;
-        let mut steps = Vec::with_capacity(self.children.len());
-        for (k, child) in self.children.iter().enumerate() {
-            if done(k) {
-                steps.push((k, false));
-            } else if let Some((victim, _)) = scheduled.filter(|&(_, after)| hopped >= after) {
-                return (steps, Some(victim));
-            } else if child.pending_updates() > 0 || !self.sessions.quorum {
-                // A quorum round can leave whole subtrees empty: no export,
-                // no hop, nothing for the top to fold from this node.
-                steps.push((k, true));
-                hopped += 1;
-            }
-        }
-        (steps, None)
+    /// Checks the round may close: an exact fill of the live capacity by
+    /// default, the configured quorum under a [`RoundClose::Quorum`]
+    /// admission close.
+    fn validate_round(&self) -> Result<()> {
+        let close = (self.ingress.config()).map_or(RoundClose::Exact, |config| config.round_close);
+        let ingested = self.ingress.ingested() as usize;
+        close.check(&self.topology, self.round_capacity(), ingested)
     }
 
     /// One drive attempt as one tree: **plan** it in node order, **run**
-    /// every planned node subtree as one forest, **commit** the hops into
-    /// the parent in node order, then **fire** the scheduled kill or drive
-    /// the global top. Resumes a partially shipped round when fault
-    /// tolerance is enabled.
-    fn drive_hops(&mut self) -> Result<ClusterReport> {
-        let (mut hops, mut nodes) = match &mut self.faults {
-            Some(f) => (take(&mut f.partial_hops), take(&mut f.partial_nodes)),
-            None => (Vec::new(), Vec::new()),
-        };
-        let (steps, kill) = self.plan();
+    /// every planned node subtree as one forest, **ship** the hops into the
+    /// parent in node order, then **fire** the scheduled kill or drive the
+    /// global top. Resumes a partially shipped round after a kill.
+    fn drive_hops(&mut self) -> Result<SessionReport> {
+        // A quorum round can leave whole subtrees empty: no export, no hop,
+        // nothing for the top to fold from this node.
+        let quorum = self.sessions.quorum;
+        let has_hop = self
+            .children
+            .iter()
+            .map(|c| c.pending_updates() > 0 || !quorum);
+        let (steps, kill) = self.faults.plan(has_hop);
         let mut planned: Vec<&mut Session> = (self.children.iter_mut().enumerate())
             .filter(|(k, _)| steps.contains(&(*k, true)))
             .map(|(_, child)| child)
@@ -1317,58 +920,40 @@ impl Cluster {
             // the global top on an earlier attempt never re-ships (or
             // re-prices) its hop.
             let Some(export) = ships.then(|| exports.next()).flatten() else {
-                if let Some(f) = &mut self.faults {
-                    f.stats.deduped_hops += 1;
-                }
+                self.faults.deduped();
                 continue;
             };
             // The first failure in node order is the drive's; the round is
             // aborted, the later nodes' exports with it.
-            let export = export?;
-            let (node, wire_bytes) = (NodeId::new(k as u64), export.wire_bytes());
-            nodes.push(NodeRoundReport {
-                node,
-                store_stats: export.store_stats,
-                ingress_wire_bytes: export.ingress_wire_bytes,
-                updates_ingested: export.updates_ingested,
-            });
-            self.parent.ingest(export.update)?;
-            let same_node = k == self.top_node;
-            hops.push(ClusterHop {
-                node,
-                wire_bytes,
-                same_node,
-                cost: self
-                    .cost
-                    .hop_transfer(same_node, self.dataplane, wire_bytes),
-            });
-            // The export is safely folded at the top: from here on a kill of
-            // this node loses nothing of the round.
-            self.node_pending[k] = 0;
-            if let Some(f) = &mut self.faults {
-                f.hop_done[k] = true;
-                f.node_clients[k].clear();
-                f.recovery.record_fold();
-            }
+            let (hop, node) = self.ship(k, export?)?;
+            self.faults.ship(k, hop, node);
         }
-        if let (Some(victim), Some(f)) = (kill, &mut self.faults) {
-            f.scheduled = None;
-            f.partial_hops = hops;
-            f.partial_nodes = nodes;
+        if let Some(victim) = kill {
             return Err(self.kill_node(victim));
         }
-        let report = self.parent.drive()?;
-        Ok(ClusterReport {
-            update: report.update,
-            topology: self.topology.clone(),
-            nodes,
-            hops,
-            top_node: NodeId::new(self.top_node as u64),
-            replacement: None,
-            top_store_stats: report.store_stats,
-            queue_depths: Vec::new(),
-            scaling: Vec::new(),
-        })
+        self.parent.drive()
+    }
+
+    /// Ships node `k`'s export into the top's gateway: the priced hop and
+    /// the node's report.
+    fn ship(&mut self, k: usize, export: WireExport) -> Result<(ClusterHop, NodeRoundReport)> {
+        let (node, wire_bytes) = (NodeId::new(k as u64), export.wire_bytes());
+        let report = NodeRoundReport {
+            node,
+            store_stats: export.store_stats,
+            ingress_wire_bytes: export.ingress_wire_bytes,
+            updates_ingested: export.updates_ingested,
+        };
+        self.parent.ingest(export.update)?;
+        let same_node = k == self.placement.top();
+        let cost = self.pricing.hop(same_node, wire_bytes);
+        let hop = ClusterHop {
+            node,
+            wire_bytes,
+            same_node,
+            cost,
+        };
+        Ok((hop, report))
     }
 
     /// Discards the current (not yet driven) round on every node, returning
@@ -1388,231 +973,7 @@ impl Cluster {
         }
         self.parent.discard_round();
         self.ingress.reset_round();
-        self.node_pending.fill(0);
-        if let Some(f) = &mut self.faults {
-            f.clear_round();
-        }
-    }
-
-    /// The fold policy every aggregator in the cluster applies.
-    pub fn fold_policy(&self) -> FoldPolicy {
-        self.sessions.policy
-    }
-
-    /// Whether the failure-handling machinery is enabled.
-    pub fn fault_tolerance_enabled(&self) -> bool {
-        self.faults.is_some()
-    }
-
-    /// The checkpoint store the cluster's recovery manager commits global
-    /// models to, when fault tolerance is enabled.
-    pub fn checkpoint_store(&self) -> Option<&CheckpointStore> {
-        self.faults.as_ref().map(|f| f.recovery.store())
-    }
-
-    /// Running failure-handling totals, when fault tolerance is enabled.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.faults.as_ref().map(|f| f.stats)
-    }
-
-    /// Advances the cluster's fault clock (used to timestamp checkpoints and
-    /// recoveries). Heartbeats and failure detection advance it implicitly.
-    pub fn set_time(&mut self, now: SimTime) {
-        if let Some(f) = &mut self.faults {
-            f.advance_clock(now);
-        }
-    }
-
-    /// Records a keep-alive heartbeat from a node's LIFL agent.
-    ///
-    /// # Errors
-    /// Returns [`LiflError::InvalidConfig`] when fault tolerance is not
-    /// enabled or the node is outside the cluster.
-    pub fn node_heartbeat(&mut self, node: NodeId, now: SimTime) -> Result<()> {
-        let f = self.require_faults(Some(node))?;
-        f.advance_clock(now);
-        f.monitor.heartbeat(ClientId::new(node.index()), now);
-        Ok(())
-    }
-
-    /// Declares failed — and kills, exactly like
-    /// [`Cluster::inject_node_failure`] — every node whose last heartbeat is
-    /// older than the configured timeout at `now`, returning the kills in
-    /// node order. Each overdue node is reported (and killed) exactly once;
-    /// restarted nodes resume heartbeating from `now`.
-    ///
-    /// # Errors
-    /// Returns [`LiflError::InvalidConfig`] when fault tolerance is not
-    /// enabled, or a checkpoint-restore error when a top-host kill finds a
-    /// corrupt checkpoint.
-    pub fn detect_failed_nodes(&mut self, now: SimTime) -> Result<Vec<NodeKill>> {
-        let f = self.require_faults(None)?;
-        f.advance_clock(now);
-        let overdue: Vec<usize> = f
-            .monitor
-            .take_failed(now)
-            .into_iter()
-            .map(|client| client.index() as usize)
-            .collect();
-        let mut kills = Vec::with_capacity(overdue.len());
-        for node in overdue {
-            kills.push(self.kill_checked(node)?);
-        }
-        Ok(kills)
-    }
-
-    /// Kills a node *now* (the fault-injection hook): its child [`Session`]
-    /// loses the in-flight round state, exactly as a crashed process would.
-    ///
-    /// For an ordinary node the cluster round survives: the lost slots are
-    /// tracked for refill ([`Cluster::take_lost_clients`] says whose updates
-    /// must be re-sent) and the next [`Cluster::drive`] fails with
-    /// [`LiflError::NodeFailure`] until they are. A node whose intermediate
-    /// already reached the global top this round loses nothing. Killing the
-    /// top-hosting node loses the whole round and restores the latest
-    /// checkpoint ([`Cluster::take_recovery`]).
-    ///
-    /// # Errors
-    /// Returns [`LiflError::InvalidConfig`] when fault tolerance is not
-    /// enabled or the node is outside the cluster, and a checkpoint-restore
-    /// error when a top-host kill finds a corrupt checkpoint.
-    pub fn inject_node_failure(&mut self, node: NodeId) -> Result<NodeKill> {
-        self.require_faults(Some(node))?;
-        self.kill_checked(node.index() as usize)
-    }
-
-    /// Schedules a node kill that fires *inside* the next drive, once
-    /// `after_hops` gateway-to-gateway hops of the round have completed —
-    /// the mid-round fault-injection hook the fault test tier drives.
-    ///
-    /// # Errors
-    /// Returns [`LiflError::InvalidConfig`] when fault tolerance is not
-    /// enabled or the node is outside the cluster.
-    pub fn schedule_node_failure(&mut self, node: NodeId, after_hops: u64) -> Result<()> {
-        let f = self.require_faults(Some(node))?;
-        f.scheduled = Some((node.index() as usize, after_hops));
-        Ok(())
-    }
-
-    /// Clients whose updates were lost to node kills and must be re-sent
-    /// (each reported exactly once). Re-ingesting them refills the restarted
-    /// node directly, leaving the survivors' leaf assignment untouched.
-    pub fn take_lost_clients(&mut self) -> Vec<ClientId> {
-        self.faults
-            .as_mut()
-            .map(|f| std::mem::take(&mut f.lost_clients))
-            .unwrap_or_default()
-    }
-
-    /// The checkpoint restore performed for the most recent top-host kill,
-    /// if one happened since the last take.
-    pub fn take_recovery(&mut self) -> Option<TopRecovery> {
-        self.faults.as_mut().and_then(|f| f.last_recovery.take())
-    }
-
-    /// The failure-handling state, once `node` (when given) is checked to
-    /// lie inside the cluster.
-    fn require_faults(&mut self, node: Option<NodeId>) -> Result<&mut FaultState> {
-        let nodes = self.children.len();
-        let Some(f) = self.faults.as_mut() else {
-            return Err(LiflError::InvalidConfig(
-                "fault tolerance is not enabled on this cluster \
-                 (see ClusterBuilder::fault_tolerance)"
-                    .to_string(),
-            ));
-        };
-        match node {
-            Some(node) if node.index() as usize >= nodes => Err(LiflError::InvalidConfig(format!(
-                "node {node:?} outside the cluster's {nodes} nodes"
-            ))),
-            _ => Ok(f),
-        }
-    }
-
-    /// Kills `node` (bounds already checked), translating the resulting
-    /// error into the [`NodeKill`] report the injection APIs return.
-    fn kill_checked(&mut self, node: usize) -> Result<NodeKill> {
-        // What was offered before the kill has landed when it strikes.
-        ingress::settle(self);
-        let top_host = node == self.top_node;
-        let lost_updates = if top_host {
-            self.ingress.ingested()
-        } else {
-            self.node_pending[node]
-        };
-        match self.kill_node(node) {
-            LiflError::NodeFailure { .. } | LiflError::AggregatorFailure { .. } => Ok(NodeKill {
-                node: NodeId::new(node as u64),
-                lost_updates,
-                top_host,
-            }),
-            other => Err(other),
-        }
-    }
-
-    /// The kill itself: discards what the dead process held and records what
-    /// the round must get back. Returns the failure as an error value (the
-    /// mid-drive path propagates it out of [`Cluster::drive`]).
-    fn kill_node(&mut self, node: usize) -> LiflError {
-        if node == self.top_node {
-            return self.kill_top(node);
-        }
-        let lost = self.node_pending[node];
-        // The crashed process takes its subtree's in-flight round with it;
-        // the restarted (stateless) session starts from an empty round.
-        self.children[node].discard_round();
-        self.ingress.forfeit(lost);
-        self.node_pending[node] = 0;
-        // lifl-lint: allow(panic) — node kills are only injectable through
-        // the fault harness, which populates `self.faults` at construction.
-        let f = self.faults.as_mut().expect("kill paths require faults");
-        f.refill[node] += lost;
-        let clients = std::mem::take(&mut f.node_clients[node]);
-        f.lost_clients.extend(clients);
-        f.stats.node_restarts += 1;
-        f.stats.lost_updates += lost;
-        let now = f.clock;
-        // The restarted node resumes heartbeating.
-        f.monitor.register(ClientId::new(node as u64), now);
-        LiflError::NodeFailure {
-            node: node as u64,
-            lost_updates: lost,
-        }
-    }
-
-    /// A kill of the node hosting the global top: the whole round is lost
-    /// (its partially folded top state died with the process) and the
-    /// replacement runtime restores the latest checkpoint, priced as a
-    /// network transfer from the persistent store.
-    fn kill_top(&mut self, node: usize) -> LiflError {
-        let lost = self.ingress.ingested();
-        let lost_clients: u64 = self
-            .faults
-            .as_ref()
-            .map(|f| f.node_clients.iter().map(|c| c.len() as u64).sum())
-            .unwrap_or(0);
-        self.abort_round();
-        let cost = self.cost;
-        let dataplane = self.dataplane;
-        // lifl-lint: allow(panic) — top kills are only injectable through
-        // the fault harness, which populates `self.faults` at construction.
-        let f = self.faults.as_mut().expect("kill paths require faults");
-        f.stats.top_recoveries += 1;
-        f.stats.lost_updates += lost.max(lost_clients);
-        let now = f.clock;
-        match f.recovery.fail_and_recover(now) {
-            Ok(outcome) => {
-                let bytes = outcome
-                    .recovered_model
-                    .as_ref()
-                    .map_or(0, |m| m.dim() as u64 * 4);
-                let transfer = cost.hop_transfer(false, dataplane, bytes);
-                f.last_recovery = Some(TopRecovery { outcome, transfer });
-                f.monitor.register(ClientId::new(node as u64), now);
-                LiflError::AggregatorFailure { node: node as u64 }
-            }
-            Err(error) => error,
-        }
+        self.faults.clear_round();
     }
 }
 
@@ -1631,19 +992,14 @@ impl Backend for Cluster {
         Cluster::admit(self, update, producer)
     }
 
-    fn reserve(&mut self, client: ClientId, stored: u64) -> Result<Target> {
-        let refill = self.refill_node();
-        let route = self.ingress.route(refill, self.cursor_node());
-        let node = route.slot;
-        // The node's store sees the encodes in flight to it only when they
-        // are committed.
-        let pending = self.ingress.in_flight_bytes(Some(node));
-        let leaf = self.children[node].reserve(pending, stored);
-        if leaf.is_ok() {
-            self.count_in(node, refill.is_some(), Some(client));
-        }
-        self.ingress.settle(route, leaf.is_ok());
-        leaf.map(|leaf| Target { slot: node, leaf })
+    fn reserve(&mut self, _client: ClientId, stored: u64) -> Result<Target> {
+        self.route(|cluster, node| {
+            // The node's store sees the encodes in flight to it only when
+            // they are committed.
+            let pending = cluster.ingress.in_flight_bytes(Some(node));
+            let leaf = cluster.children[node].reserve(pending, stored)?;
+            Ok(Target { slot: node, leaf })
+        })
     }
 
     fn commit(&mut self, target: Target, update: Update) -> Result<()> {
@@ -1717,44 +1073,30 @@ impl Cluster {
     pub(crate) fn drive_one_node_at_a_time(&mut self) -> Result<ClusterReport> {
         ingress::settle(self);
         self.validate_round()?;
-        let replacement = self.place_top();
+        let loads = self.children.iter().map(Session::pending_updates);
+        let replacement = self.placement.place(loads, self.pricing);
         let (mut hops, mut nodes) = (Vec::new(), Vec::new());
         for k in 0..self.children.len() {
             if self.children[k].pending_updates() == 0 && self.sessions.quorum {
                 continue;
             }
             let export = self.children[k].drive_to_wire()?;
-            let (node, wire_bytes) = (NodeId::new(k as u64), export.wire_bytes());
-            nodes.push(NodeRoundReport {
-                node,
-                store_stats: export.store_stats,
-                ingress_wire_bytes: export.ingress_wire_bytes,
-                updates_ingested: export.updates_ingested,
-            });
-            self.parent.ingest(export.update)?;
-            let same_node = k == self.top_node;
-            hops.push(ClusterHop {
-                node,
-                wire_bytes,
-                same_node,
-                cost: self
-                    .cost
-                    .hop_transfer(same_node, self.dataplane, wire_bytes),
-            });
+            let (hop, node) = self.ship(k, export)?;
+            hops.push(hop);
+            nodes.push(node);
         }
-        let report = self.parent.drive()?;
+        let top = self.parent.drive()?;
         self.ingress.reset_round();
-        self.node_pending.fill(0);
-        self.handoff_bytes = report.update.model.dim() as u64 * 4;
+        self.placement.committed(top.update.model.dim());
         ingress::drain(self);
         Ok(ClusterReport {
-            update: report.update,
+            update: top.update,
             topology: self.topology.clone(),
             nodes,
             hops,
-            top_node: NodeId::new(self.top_node as u64),
+            top_node: self.top_node(),
             replacement,
-            top_store_stats: report.store_stats,
+            top_store_stats: top.store_stats,
             queue_depths: Vec::new(),
             scaling: Vec::new(),
         })
@@ -1766,6 +1108,8 @@ mod tests {
     use super::*;
     use lifl_fl::aggregate::fedavg;
     use lifl_fl::DenseModel;
+    use lifl_serverless::FleetDecision;
+    use lifl_types::SimTime;
 
     fn updates(n: usize, dim: usize) -> Vec<ModelUpdate> {
         (0..n)
@@ -2027,7 +1371,6 @@ mod tests {
     #[test]
     fn fault_apis_require_fault_tolerance() {
         let mut cluster = ClusterBuilder::new().build().unwrap();
-        assert!(!cluster.fault_tolerance_enabled());
         assert!(cluster.inject_node_failure(NodeId::new(0)).is_err());
         assert!(cluster.schedule_node_failure(NodeId::new(0), 1).is_err());
         assert!(cluster.detect_failed_nodes(SimTime::ZERO).is_err());
@@ -2657,8 +2000,6 @@ mod tests {
             .admission(admission)
             .build()
             .unwrap();
-        assert!(scaled.fleet_scaling_enabled());
-        assert!(!fixed.fleet_scaling_enabled());
         // A sustained spike: 24 arrivals per round against an 8-update tree.
         let mut spawned = 0u32;
         let mut scaled_aggregated = 0u64;
@@ -2676,7 +2017,9 @@ mod tests {
                 .map(|a| a.decision.spawned())
                 .sum::<u32>();
             scaled_aggregated += report.updates_ingested();
-            fixed_aggregated += fixed.drive().unwrap().updates_ingested();
+            let fixed_report = fixed.drive().unwrap();
+            assert!(fixed_report.scaling.is_empty(), "no fleet, no decisions");
+            fixed_aggregated += fixed_report.updates_ingested();
         }
         // The controller re-split subtrees: the fleet grew and the grown
         // capacity aggregated far more of the offered load.
@@ -2766,6 +2109,174 @@ mod tests {
             .zip(flat.model.as_slice())
         {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn placement_refuses_an_alpha_that_is_not_a_weight() {
+        for alpha in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1, 1.5] {
+            let outcome = ClusterBuilder::new()
+                .topology(Topology::new(vec![2, 2, 2]).unwrap())
+                .placement(TopPlacement::MostLoaded { alpha })
+                .build();
+            assert!(
+                matches!(outcome, Err(LiflError::InvalidConfig(_))),
+                "alpha {alpha} was accepted"
+            );
+        }
+        for alpha in [0.0, 0.7, 1.0] {
+            let placement = TopPlacement::MostLoaded { alpha };
+            assert!(ClusterBuilder::new().placement(placement).build().is_ok());
+        }
+    }
+
+    #[test]
+    fn hostile_load_signals_neither_pin_nor_stall_placement() {
+        let mut cluster = ClusterBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .build()
+            .unwrap();
+        let batch = updates(8, 16);
+        let round = |cluster: &mut Cluster| {
+            cluster
+                .ingest_all(batch.iter().cloned().map(Update::Dense))
+                .unwrap();
+            cluster.drive().unwrap()
+        };
+        // Not queue depths: ignored, so the uniform round keeps the top.
+        for hostile in [f64::INFINITY, f64::NAN, f64::NEG_INFINITY, -5.0] {
+            cluster.observe_node_load(NodeId::new(1), hostile);
+        }
+        assert!(round(&mut cluster).replacement.is_none());
+        assert_eq!(cluster.top_node(), NodeId::new(0));
+        // Every estimate stayed a number: an honest signal still moves the
+        // top, and a later one can move it back.
+        cluster.observe_node_load(NodeId::new(1), 64.0);
+        assert_eq!(round(&mut cluster).top_node, NodeId::new(1));
+        cluster.observe_node_load(NodeId::new(0), 1000.0);
+        assert_eq!(round(&mut cluster).top_node, NodeId::new(0));
+    }
+
+    #[test]
+    fn detect_failed_nodes_loses_no_overdue_node_behind_a_failed_kill() {
+        let mut cluster = ClusterBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .fault_tolerance(FaultToleranceConfig::default())
+            .build()
+            .unwrap();
+        cluster
+            .ingest_all(updates(8, 16).into_iter().map(Update::Dense))
+            .unwrap();
+        cluster.drive().unwrap();
+        // A torn checkpoint at a later round: the top host's restore fails.
+        let store = cluster.checkpoint_store().unwrap();
+        store.save(lifl_types::RoundId::new(9), vec![1u8, 2, 3], SimTime::ZERO);
+        cluster
+            .ingest_all(updates(8, 16).into_iter().map(Update::Dense))
+            .unwrap();
+        // Nodes 0 (the top host) and 1 have both been silent since start.
+        assert_eq!(cluster.top_node(), NodeId::new(0));
+        let now = SimTime::from_secs(40.0);
+        assert!(matches!(
+            cluster.detect_failed_nodes(now),
+            Err(LiflError::DimensionMismatch { .. })
+        ));
+        // Node 1 was killed then, or the next call reports it.
+        let killed = cluster.fault_stats().unwrap().node_restarts == 1;
+        let next = cluster.detect_failed_nodes(now).unwrap();
+        let reported = next.iter().any(|kill| kill.node == NodeId::new(1));
+        assert!(
+            killed != reported,
+            "node 1 lost: killed {killed}, next {next:?}"
+        );
+        assert!(cluster.detect_failed_nodes(now).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_child_kill_names_every_lost_client_whatever_the_update_form() {
+        let mut cluster = ClusterBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .codec(CodecKind::Uniform8)
+            .admission(AdmissionConfig::bounded(4, 1 << 20))
+            .fault_tolerance(FaultToleranceConfig::default())
+            .build()
+            .unwrap();
+        let model = |i: usize| updates(20, 16).swap_remove(i).model;
+        let encoded =
+            |i: usize| lifl_fl::UpdateCodec::with_seed(CodecKind::Uniform8, 7).encode(&model(i));
+        let dense = |i: u64| Update::dense(ClientId::new(i), model(i as usize), 1);
+        // Update k of the round feeds leaf k % 4: 0, 1, 4 and 5 land on
+        // node 0 (the top host), the anonymous forms on node 1.
+        let offers = [
+            dense(10),
+            Update::encoded(ClientId::new(11), encoded(1), 2),
+            Update::remote_bytes(encoded(2).to_bytes(), 3, true),
+            Update::remote_bytes(
+                lifl_fl::kernels::le_bytes(model(3).as_slice()).to_vec(),
+                4,
+                false,
+            ),
+            dense(14),
+            dense(15),
+            Update::Encoded {
+                client: None,
+                update: encoded(6),
+                samples: 5,
+            },
+            Update::Dense(ModelUpdate::intermediate(model(7), 6)),
+            // Parked, then drained into the slot a departure reclaims.
+            Update::remote_bytes(encoded(8).to_bytes(), 7, true),
+            dense(19),
+        ];
+        for offer in offers {
+            assert!(!cluster.try_ingest(offer).unwrap().is_rejected());
+        }
+        // The anonymous dense update went by its arrival index.
+        assert!(cluster.depart_client(ClientId::new(7)));
+        let kill = cluster.inject_node_failure(NodeId::new(1)).unwrap();
+        assert_eq!(kill.lost_updates, 4);
+        let lost = [2, 3, 6, 8].map(ClientId::new).to_vec();
+        assert_eq!(cluster.take_lost_clients(), lost);
+    }
+
+    #[test]
+    fn a_failure_free_cluster_is_the_same_cluster_with_or_without_fault_tolerance() {
+        let run = |workers: usize, faults: bool| {
+            let mut builder = ClusterBuilder::new()
+                .topology(Topology::new(vec![2, 2, 2]).unwrap())
+                .codec(CodecKind::Uniform8)
+                .admission(AdmissionConfig::bounded(64, 1 << 24).with_quorum(1))
+                .fleet_scaling(
+                    FleetConfig::default()
+                        .with_target_depth(1.0)
+                        .with_leaf_bounds(2, 16),
+                );
+            if faults {
+                builder = builder.fault_tolerance(FaultToleranceConfig::default());
+            }
+            let mut cluster = builder.build_on(Workers::with_count(workers)).unwrap();
+            let (mut trace, mut moved, mut resized) = (Vec::new(), false, false);
+            for round in 0..5 {
+                if round == 2 {
+                    cluster.observe_node_load(NodeId::new(1), 64.0);
+                }
+                for update in updates(12 + 4 * round, 16) {
+                    cluster.try_ingest(Update::Dense(update)).unwrap();
+                }
+                let report = cluster.drive().unwrap();
+                moved |= report.replacement.is_some();
+                resized |= report.scaling.iter().any(|a| a.decision.is_resize());
+                let (leaves, stats) = (cluster.node_leaves(), cluster.admission_stats());
+                trace.push(format!("{report:?} {leaves:?} {stats:?}"));
+            }
+            assert!(
+                moved && resized,
+                "placement moved {moved}, fleet resized {resized}"
+            );
+            trace
+        };
+        for workers in [0, 1, 3] {
+            assert_eq!(run(workers, true), run(workers, false), "{workers} workers");
         }
     }
 }

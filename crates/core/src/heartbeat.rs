@@ -41,9 +41,12 @@ impl HeartbeatMonitor {
     ///
     /// This is a non-destructive peek: a client reported here is reported
     /// again on every later poll until it heartbeats, completes or is taken
-    /// with [`HeartbeatMonitor::take_failed`]. Reactive callers (the cluster
-    /// fault wiring) want the evicting variant so each failure is acted on
-    /// exactly once.
+    /// with [`HeartbeatMonitor::take_failed`]. Reactive callers act on each
+    /// failure exactly once: they take them all, or — when acting on one can
+    /// fail, as the cluster's failure detector does — [`complete`] each one
+    /// as they act on it, so the rest are reported again.
+    ///
+    /// [`complete`]: HeartbeatMonitor::complete
     pub fn failed_clients(&self, now: SimTime) -> Vec<ClientId> {
         let mut failed: Vec<ClientId> = self
             .last_seen

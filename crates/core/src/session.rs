@@ -790,19 +790,8 @@ impl Session {
     /// Checks the round may close: an exact fill by default, or the
     /// configured quorum under partial participation.
     fn validate_round(&self) -> Result<()> {
-        let ingested = self.ingress.ingested() as usize;
-        match self.round_close {
-            RoundClose::Exact => self.topology.validate(ingested),
-            close @ RoundClose::Quorum { .. } => {
-                let required = close.required_updates(self.topology.total_updates());
-                if ingested < required {
-                    return Err(LiflError::InvalidConfig(format!(
-                        "quorum not met: round has {ingested} of {required} required updates"
-                    )));
-                }
-                Ok(())
-            }
-        }
+        let capacity = self.topology.total_updates();
+        (self.round_close).check(&self.topology, capacity, self.ingress.ingested() as usize)
     }
 
     /// Drives the configured tree to completion like [`Session::drive`], but

@@ -275,7 +275,8 @@ impl<B: Ingest> TrainingDriver<B> {
     /// must absorb its absence — over-provisioned configurations cut it off
     /// at the straggler timeout; the exact-fill default fails the round.
     /// Marks are consumed by the next round attempt.
-    pub fn mark_straggler(&mut self, client: ClientId) {
+    #[cfg(test)]
+    pub(crate) fn mark_straggler(&mut self, client: ClientId) {
         self.stragglers.insert(client);
     }
 

@@ -535,7 +535,8 @@ impl UpdateCodec {
     }
 
     /// Convenience: encode then immediately decode (what an aggregator sees).
-    pub fn roundtrip(&mut self, model: &DenseModel) -> DenseModel {
+    #[cfg(test)]
+    pub(crate) fn roundtrip(&mut self, model: &DenseModel) -> DenseModel {
         self.encode(model).decode()
     }
 }

@@ -130,8 +130,9 @@ impl FedProxTrainer {
     }
 
     /// Squared L2 distance between a local model and the global model — the
-    /// quantity the proximal term penalises. Exposed for tests and analysis.
-    pub fn drift(&self, local: &DenseModel, global: &DenseModel) -> f64 {
+    /// quantity the proximal term penalises.
+    #[cfg(test)]
+    pub(crate) fn drift(&self, local: &DenseModel, global: &DenseModel) -> f64 {
         local
             .as_slice()
             .iter()

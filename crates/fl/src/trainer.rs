@@ -149,7 +149,8 @@ impl LocalTrainer {
     }
 
     /// Computes class probabilities for one sample under `model`.
-    pub fn predict(&self, model: &DenseModel, features: &[f32]) -> Vec<f32> {
+    #[cfg(test)]
+    pub(crate) fn predict(&self, model: &DenseModel, features: &[f32]) -> Vec<f32> {
         self.lanes(model).probabilities(features).to_vec()
     }
 

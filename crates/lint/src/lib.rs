@@ -17,6 +17,7 @@
 //! | R5   | `determinism`       | no `HashMap`/`HashSet`, `Instant::now` or `SystemTime` in the fold/aggregation modules |
 //! | R6   | `no-legacy-runtime` | the legacy runtime deleted in PR 6, the per-representation gateway doors deleted in PR 12, the payload-copying put path deleted in PR 21 and the duplicates collapsed in PR 24 (`FlDriver`, `async_round`, `lifl_baselines`, `bench_ingest`, the simulator inside `lifl-core`) stay deleted, and no code in `crates/core/src/` but the station executor (`stations.rs`) starts a thread |
 //! | R7   | `ci-sync`           | the justfile `ci` recipe and `.github/workflows/ci.yml` run the same commands |
+//! | R8   | `dead-pub`          | every `pub` item of the engine crates (`types`, `shmem`, `fl`, `core`) is named somewhere outside its own file's unit tests: the workspace, `tests/`, `examples/` or `benchmark/src` |
 //!
 //! Diagnostics are machine readable (`file:line: rule-id: message`) and the
 //! binary exits nonzero on any finding. A site with a genuine reason to break
@@ -64,13 +65,15 @@ pub enum Rule {
     LegacyRuntime,
     /// R7: justfile ↔ ci.yml command sync.
     CiSync,
+    /// R8: no `pub` item of an engine crate that only tests use.
+    DeadPub,
     /// Malformed `lifl-lint: allow(...)` markers (not individually runnable).
     Marker,
 }
 
 impl Rule {
     /// Every enforceable rule, in catalog order.
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 8] = [
         Rule::UnsafeContainment,
         Rule::SafetyComment,
         Rule::KernelParity,
@@ -78,6 +81,7 @@ impl Rule {
         Rule::Determinism,
         Rule::LegacyRuntime,
         Rule::CiSync,
+        Rule::DeadPub,
     ];
 
     /// Stable diagnostic identifier, e.g. `R4-panic`.
@@ -90,6 +94,7 @@ impl Rule {
             Rule::Determinism => "R5-determinism",
             Rule::LegacyRuntime => "R6-no-legacy-runtime",
             Rule::CiSync => "R7-ci-sync",
+            Rule::DeadPub => "R8-dead-pub",
             Rule::Marker => "allow-marker",
         }
     }
@@ -104,11 +109,12 @@ impl Rule {
             Rule::Determinism => "determinism",
             Rule::LegacyRuntime => "no-legacy-runtime",
             Rule::CiSync => "ci-sync",
+            Rule::DeadPub => "dead-pub",
             Rule::Marker => "allow-marker",
         }
     }
 
-    /// Code (`R1`..`R7`) of an enforceable rule.
+    /// Code (`R1`..`R8`) of an enforceable rule.
     pub fn code(self) -> &'static str {
         match self {
             Rule::UnsafeContainment => "R1",
@@ -118,6 +124,7 @@ impl Rule {
             Rule::Determinism => "R5",
             Rule::LegacyRuntime => "R6",
             Rule::CiSync => "R7",
+            Rule::DeadPub => "R8",
             Rule::Marker => "allow-marker",
         }
     }
@@ -183,6 +190,10 @@ pub struct Report {
 /// are replaced wholesale if crates.io access ever exists.
 const SCAN_ROOTS: [&str; 3] = ["crates", "tests", "examples"];
 
+/// Directories whose sources count only as R8 references: the benchmark
+/// compiles against the engine, but no rule checks its own code.
+const REFERENCE_ROOTS: [&str; 1] = ["benchmark/src"];
+
 /// The lint's own fixture corpus: full of deliberate violations, never
 /// scanned as part of the live workspace.
 const FIXTURES_DIR: &str = "crates/lint/tests/fixtures";
@@ -216,8 +227,14 @@ fn rel_path(path: &Path, root: &Path) -> String {
 
 /// Loads every scanned source file under `root`, sorted by relative path.
 pub fn load_workspace(root: &Path) -> io::Result<Vec<SourceFile>> {
+    load(root, &SCAN_ROOTS)
+}
+
+/// Loads every `.rs` file under the `subs` directories of `root`, sorted by
+/// relative path.
+fn load(root: &Path, subs: &[&str]) -> io::Result<Vec<SourceFile>> {
     let mut paths = Vec::new();
-    for sub in SCAN_ROOTS {
+    for sub in subs {
         let dir = root.join(sub);
         if dir.is_dir() {
             walk_rs(&dir, root, &mut paths)?;
@@ -254,6 +271,10 @@ pub fn run(root: &Path, selected: &[Rule]) -> io::Result<Report> {
                 let (sync_findings, count) = sync::ci_sync(root);
                 findings.extend(sync_findings);
                 ci_sync_commands = count;
+            }
+            Rule::DeadPub => {
+                let references = load(root, &REFERENCE_ROOTS)?;
+                findings.extend(rules::dead_pub(&files, &references));
             }
             Rule::Marker => {}
         }

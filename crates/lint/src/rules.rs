@@ -1,5 +1,5 @@
-//! The token-level rules R1–R6 (R7 lives in [`crate::sync`] because it reads
-//! the justfile and CI workflow rather than Rust sources).
+//! The token-level rules R1–R6 and R8 (R7 lives in [`crate::sync`] because it
+//! reads the justfile and CI workflow rather than Rust sources).
 
 use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
@@ -24,7 +24,7 @@ pub const HOT_PATH_CRATES: [&str; 5] = [
 /// the fold kernels, everything that routes updates into them, and the local
 /// trainer and metrics whose losses, models and accuracies the driver tier
 /// pins. Entries ending in `/` cover a directory.
-pub const FOLD_MODULES: [&str; 19] = [
+pub const FOLD_MODULES: [&str; 20] = [
     "crates/types/src/fold.rs",
     "crates/fl/src/aggregate.rs",
     "crates/fl/src/sharded.rs",
@@ -36,6 +36,7 @@ pub const FOLD_MODULES: [&str; 19] = [
     "crates/fl/src/metrics.rs",
     "crates/core/src/session.rs",
     "crates/core/src/cluster.rs",
+    "crates/core/src/cluster/",
     "crates/core/src/training.rs",
     "crates/core/src/gateway.rs",
     "crates/core/src/aggregator.rs",
@@ -721,11 +722,14 @@ const RETIRED_WITH_ASYNC_DRIVER: [&str; 5] = [
 /// The engine's data-plane files: every payload here is written once by its
 /// producer and *moved* into the store (PR 21), so the copying conveniences
 /// below have no business in their non-test code.
-const MOVE_ONLY_FILES: [&str; 5] = [
+const MOVE_ONLY_FILES: [&str; 8] = [
     "crates/core/src/gateway.rs",
     "crates/core/src/ingress.rs",
     "crates/core/src/session.rs",
     "crates/core/src/cluster.rs",
+    "crates/core/src/cluster/faults.rs",
+    "crates/core/src/cluster/placement.rs",
+    "crates/core/src/cluster/scaling.rs",
     "crates/core/src/aggregator.rs",
 ];
 
@@ -953,6 +957,108 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
                     "`#[allow(deprecated)]` escape hatches went away with the \
                      legacy runtime in PR 6; port the call site instead"
                         .to_string(),
+                ));
+            }
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// R8: no dead `pub`.
+// ---------------------------------------------------------------------------
+
+/// The engine crates whose public items must each have a user (R8).
+pub const ENGINE_CRATES: [&str; 4] = [
+    "crates/types/src/",
+    "crates/shmem/src/",
+    "crates/fl/src/",
+    "crates/core/src/",
+];
+
+/// Keywords whose next identifier names the item they introduce: after one
+/// of these an identifier is a definition, never a use.
+const ITEM_KEYWORDS: [&str; 7] = ["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// The name token of the item a plain `pub` at `code[w]` introduces, if it
+/// introduces one of [`ITEM_KEYWORDS`] (`pub(crate)`, `pub mod` and
+/// `pub use` do not).
+fn pub_item_name(f: &SourceFile, code: &[usize], w: usize) -> Option<usize> {
+    let tok = |k: usize| code.get(k).map(|&i| &f.toks[i]);
+    let mut k = w + 1;
+    while let Some(t) = tok(k) {
+        let qualifier = matches!(t.text.as_str(), "unsafe" | "async" | "extern")
+            || t.kind == TokKind::Str
+            || (t.is_ident("const")
+                && tok(k + 1).is_some_and(|n| n.is_ident("fn") || n.is_ident("unsafe")));
+        if !qualifier {
+            break;
+        }
+        k += 1;
+    }
+    let keyword = tok(k)?;
+    let name = *code.get(k + 1)?;
+    (keyword.kind == TokKind::Ident
+        && ITEM_KEYWORDS.contains(&keyword.text.as_str())
+        && f.toks[name].kind == TokKind::Ident)
+        .then_some(name)
+}
+
+/// R8: every plain `pub` item (fn, type, trait, const, static, alias) in
+/// non-test code of the [`ENGINE_CRATES`] must be named by a code token that
+/// is not a definition and not in its own file's unit tests, anywhere in the
+/// scanned workspace or in `references` (the benchmark, which compiles
+/// against the engine). Integration tests, examples and the benchmark count
+/// whole; another file's unit tests count too. An item only its own file's
+/// tests name is test scaffolding: delete it, gate it on `cfg(test)`, or say
+/// why it stays public with `lifl-lint: allow(dead-pub) — <why>`. The scan
+/// is by name, so it errs toward keeping: a name any other item shares is
+/// never flagged.
+pub fn dead_pub(files: &[SourceFile], references: &[SourceFile]) -> Vec<Finding> {
+    // Per name, the files that use it: `None` for a use by code, `Some(file)`
+    // for a use by that file's unit tests only.
+    let mut uses: BTreeMap<&str, BTreeSet<Option<&str>>> = BTreeMap::new();
+    for f in files.iter().chain(references) {
+        let code = code_indices(f);
+        // Integration tests, examples and the benchmark are users whole.
+        let user = !f.rel.starts_with("crates/");
+        for (w, &i) in code.iter().enumerate() {
+            let t = &f.toks[i];
+            let defined = w > 0 && ITEM_KEYWORDS.contains(&f.toks[code[w - 1]].text.as_str());
+            if t.kind == TokKind::Ident && !defined {
+                let by = (!user && f.is_test(i)).then_some(f.rel.as_str());
+                uses.entry(&t.text).or_default().insert(by);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for f in files {
+        if !ENGINE_CRATES.iter().any(|p| f.rel.starts_with(p)) {
+            continue;
+        }
+        let code = code_indices(f);
+        for w in 0..code.len() {
+            if !f.toks[code[w]].is_ident("pub") || f.is_test(code[w]) {
+                continue;
+            }
+            let Some(name) = pub_item_name(f, &code, w) else {
+                continue;
+            };
+            let name = &f.toks[name].text;
+            let own_tests = Some(f.rel.as_str());
+            let used = uses
+                .get(name.as_str())
+                .is_some_and(|by| by.iter().any(|&by| by != own_tests));
+            if !used {
+                out.push(finding(
+                    f,
+                    f.toks[code[w]].line,
+                    Rule::DeadPub,
+                    format!(
+                        "`pub` item `{name}` has no user outside its own file's tests: delete it, \
+                         move it under `#[cfg(test)]`, or justify with \
+                         `lifl-lint: allow(dead-pub) — <why>`"
+                    ),
                 ));
             }
         }

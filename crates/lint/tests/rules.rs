@@ -297,6 +297,33 @@ fn r7_pass_counts_agreed_commands() {
 }
 
 #[test]
+fn r8_fail_flags_engine_items_only_their_own_tests_name() {
+    let found = lint("r8_fail", &[Rule::DeadPub]);
+    // `only_my_tests`, `Orphan`, `UNJUSTIFIED`, and the unjustified marker's
+    // own diagnostic; the benchmark's and the integration test's items have
+    // users, and the pub(crate) and non-engine items are never checked.
+    assert_eq!(found.len(), 4, "{found:#?}");
+    for (line, name) in [(10, "only_my_tests"), (13, "Orphan"), (20, "UNJUSTIFIED")] {
+        assert!(
+            found
+                .iter()
+                .any(|f| f.contains(&format!("crates/core/src/lib.rs:{line}:"))
+                    && f.contains("R8-dead-pub")
+                    && f.contains(&format!("`{name}`"))),
+            "{name} at line {line}: {found:#?}"
+        );
+    }
+    assert!(found
+        .iter()
+        .any(|f| f.contains("allow-marker") && f.contains("no justification")));
+}
+
+#[test]
+fn r8_pass_counts_sibling_crates_tests_the_benchmark_and_other_files_tests() {
+    assert_eq!(lint("r8_pass", &[Rule::DeadPub]), Vec::<String>::new());
+}
+
+#[test]
 fn rule_selection_runs_only_selected_rules() {
     // r1_fail also has no SAFETY comment on its unsafe block; selecting only
     // R2 must not surface the R1 findings.

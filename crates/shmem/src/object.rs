@@ -145,9 +145,10 @@ impl From<&SharedObject> for ObjectHandle {
     }
 }
 
-/// Counts the number of strong references to the payload of `obj`, exposed for
-/// tests asserting zero-copy behaviour.
-pub fn payload_is_shared(a: &SharedObject, b: &SharedObject) -> bool {
+/// Whether `a` and `b` share one payload, for tests asserting zero-copy
+/// behaviour.
+#[cfg(test)]
+pub(crate) fn payload_is_shared(a: &SharedObject, b: &SharedObject) -> bool {
     // Bytes does not expose its refcount; compare data pointers instead.
     a.data.as_ptr() == b.data.as_ptr() && a.data.len() == b.data.len()
 }

@@ -39,7 +39,8 @@ pub struct PoolStats {
 
 impl PoolStats {
     /// Fraction of checkouts that avoided a heap allocation.
-    pub fn hit_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             return 0.0;

@@ -15,6 +15,7 @@
 
 use crate::error::{LiflError, Result};
 use crate::time::SimDuration;
+use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 
 /// Answer from a bounded `try_ingest`: what happened to the offered update.
@@ -77,6 +78,32 @@ impl RoundClose {
         match *self {
             RoundClose::Exact => capacity,
             RoundClose::Quorum { min_updates } => (min_updates as usize).min(capacity).max(1),
+        }
+    }
+
+    /// Checks that a round of `ingested` updates over `topology` may close
+    /// under this rule — the one check `Session::drive` and `Cluster::drive`
+    /// make before running a round. `capacity` is what the round holds: the
+    /// topology's total, unless a fleet re-split changed a node's subtree.
+    ///
+    /// # Errors
+    /// [`LiflError::InvalidConfig`] when an exact round is not filled
+    /// ([`Topology::validate`]'s error while the built shape stands) or a
+    /// quorum is not met.
+    pub fn check(&self, topology: &Topology, capacity: usize, ingested: usize) -> Result<()> {
+        let required = self.required_updates(capacity);
+        match self {
+            RoundClose::Exact if capacity == topology.total_updates() => {
+                topology.validate(ingested)
+            }
+            RoundClose::Exact if ingested != capacity => Err(LiflError::InvalidConfig(format!(
+                "cluster round incomplete: the scaled fleet aggregates {capacity} updates, \
+                 got {ingested}"
+            ))),
+            RoundClose::Quorum { .. } if ingested < required => Err(LiflError::InvalidConfig(
+                format!("quorum not met: round has {ingested} of {required} required updates"),
+            )),
+            _ => Ok(()),
         }
     }
 }

@@ -95,16 +95,6 @@ impl CodecKind {
         (params * u64::from(permille.clamp(1, 1000)) / 1000).max(1)
     }
 
-    /// Ratio of dense to encoded bytes (>= 1 for every non-`Identity` codec on
-    /// non-trivial payloads).
-    pub fn compression_ratio(self, dense_bytes: u64) -> f64 {
-        let encoded = self.encoded_bytes(dense_bytes);
-        if encoded == 0 {
-            return 1.0;
-        }
-        dense_bytes as f64 / encoded as f64
-    }
-
     /// Whether encode→decode reproduces the input exactly.
     pub fn is_lossless(self) -> bool {
         matches!(self, CodecKind::Identity)
@@ -125,15 +115,15 @@ mod tests {
     fn identity_is_free_of_overhead() {
         assert_eq!(CodecKind::Identity.encoded_bytes(1024), 1024);
         assert!(CodecKind::Identity.is_lossless());
-        assert_eq!(CodecKind::Identity.compression_ratio(1 << 20), 1.0);
+        assert_eq!(CodecKind::Identity.encoded_bytes(1 << 20), 1 << 20);
     }
 
     #[test]
     fn uniform8_is_at_least_4x_smaller_at_scale() {
         let dense = 44 * 1024 * 1024;
-        let ratio = CodecKind::Uniform8.compression_ratio(dense);
+        let ratio = dense as f64 / CodecKind::Uniform8.encoded_bytes(dense) as f64;
         assert!(ratio >= 4.0, "uniform8 ratio {ratio}");
-        let ratio4 = CodecKind::Uniform4.compression_ratio(dense);
+        let ratio4 = dense as f64 / CodecKind::Uniform4.encoded_bytes(dense) as f64;
         assert!(ratio4 >= 8.0, "uniform4 ratio {ratio4}");
         assert!(ratio4 > ratio);
     }

@@ -8,7 +8,6 @@
 use crate::codec::CodecKind;
 use crate::fold::FoldPolicy;
 use crate::time::SimDuration;
-use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 
 /// When aggregation is triggered relative to update arrival (Fig. 1, §2.1, §5.4).
@@ -125,8 +124,9 @@ pub struct LiflConfig {
     /// Cap on every *interior* aggregator's fan-in when planning a node's
     /// subtree (§5.2 plans two levels; with a cap, heavily loaded nodes grow
     /// middle levels instead of one wide middle — see
-    /// [`Topology::for_load_capped`]). `0` (the default) leaves interior
-    /// fan-ins uncapped, reproducing the paper's two-level plans bit-exactly.
+    /// [`Topology::for_load_capped`](crate::Topology::for_load_capped)).
+    /// `0` (the default) leaves interior fan-ins uncapped, reproducing the
+    /// paper's two-level plans bit-exactly.
     pub max_interior_fan_in: u32,
 }
 
@@ -172,19 +172,6 @@ impl LiflConfig {
         steps
     }
 
-    /// The per-node aggregation tree this configuration plans for a load of
-    /// `pending_updates` client updates (§5.2): the hierarchy planner and the
-    /// simulated platform both size node subtrees through this one helper.
-    /// With [`LiflConfig::max_interior_fan_in`] set, heavily loaded nodes
-    /// grow deeper-than-two-level subtrees instead of one wide middle.
-    pub fn node_topology(&self, pending_updates: usize) -> Topology {
-        Topology::for_load_capped(
-            pending_updates,
-            self.leaf_fan_in as usize,
-            self.max_interior_fan_in as usize,
-        )
-    }
-
     /// Validates configuration invariants.
     ///
     /// # Errors
@@ -218,6 +205,7 @@ impl LiflConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Topology;
 
     #[test]
     fn defaults_match_paper() {
@@ -278,17 +266,25 @@ mod tests {
 
     #[test]
     fn node_topology_respects_interior_cap() {
+        // The per-node tree the planner sizes from a configuration (§5.2).
+        let plan = |cfg: &LiflConfig, pending: usize| {
+            Topology::for_load_capped(
+                pending,
+                cfg.leaf_fan_in as usize,
+                cfg.max_interior_fan_in as usize,
+            )
+        };
         let flat = LiflConfig::default();
-        assert_eq!(flat.node_topology(20).levels(), 2);
+        assert_eq!(plan(&flat, 20).levels(), 2);
         let capped = LiflConfig {
             max_interior_fan_in: 4,
             ..LiflConfig::default()
         };
-        let deep = capped.node_topology(40);
+        let deep = plan(&capped, 40);
         assert!(deep.levels() > 2, "capped heavy load grows middle levels");
         assert!(deep.fan_ins()[1..].iter().all(|f| *f <= 4));
         // Light loads are unaffected by the cap.
-        assert_eq!(capped.node_topology(4), flat.node_topology(4));
+        assert_eq!(plan(&capped, 4), plan(&flat, 4));
     }
 
     #[test]

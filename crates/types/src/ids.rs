@@ -84,9 +84,6 @@ index_id!(
 pub struct ObjectKey([u8; 16]);
 
 impl ObjectKey {
-    /// Number of bytes in an object key.
-    pub const LEN: usize = 16;
-
     /// Creates a key from raw bytes.
     pub fn from_bytes(bytes: [u8; 16]) -> Self {
         Self(bytes)
@@ -103,15 +100,6 @@ impl ObjectKey {
     /// Returns the raw bytes of the key.
     pub fn as_bytes(&self) -> &[u8; 16] {
         &self.0
-    }
-
-    /// Returns the key as a pair of 64-bit words.
-    pub fn to_words(self) -> (u64, u64) {
-        let mut hi = [0u8; 8];
-        let mut lo = [0u8; 8];
-        hi.copy_from_slice(&self.0[..8]);
-        lo.copy_from_slice(&self.0[8..]);
-        (u64::from_be_bytes(hi), u64::from_be_bytes(lo))
     }
 }
 
@@ -160,10 +148,9 @@ mod tests {
     #[test]
     fn object_key_words_roundtrip() {
         let key = ObjectKey::from_words(0xDEAD_BEEF, 0x1234_5678);
-        let (hi, lo) = key.to_words();
-        assert_eq!(hi, 0xDEAD_BEEF);
-        assert_eq!(lo, 0x1234_5678);
-        assert_eq!(key.as_bytes().len(), ObjectKey::LEN);
+        let (hi, lo) = key.as_bytes().split_at(8);
+        assert_eq!(hi, 0xDEAD_BEEFu64.to_be_bytes());
+        assert_eq!(lo, 0x1234_5678u64.to_be_bytes());
     }
 
     #[test]

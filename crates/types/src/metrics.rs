@@ -13,11 +13,6 @@ impl CpuCycles {
     /// Zero cycles.
     pub const ZERO: CpuCycles = CpuCycles(0.0);
 
-    /// Creates a cycle count from giga-cycles.
-    pub fn from_giga(g: f64) -> Self {
-        CpuCycles(g * 1e9)
-    }
-
     /// Cycle count in giga-cycles.
     pub fn as_giga(self) -> f64 {
         self.0 / 1e9
@@ -26,11 +21,6 @@ impl CpuCycles {
     /// CPU time these cycles occupy on a core with the given clock (GHz).
     pub fn to_duration(self, clock_ghz: f64) -> SimDuration {
         SimDuration::from_secs(self.0 / (clock_ghz.max(1e-9) * 1e9))
-    }
-
-    /// Cycles consumed by busy CPU time on a core with the given clock (GHz).
-    pub fn from_duration(d: SimDuration, clock_ghz: f64) -> Self {
-        CpuCycles(d.as_secs() * clock_ghz * 1e9)
     }
 }
 
@@ -71,20 +61,6 @@ impl ResourceUsage {
     /// Usage with every counter at zero.
     pub fn zero() -> Self {
         Self::default()
-    }
-
-    /// Adds another usage record into this one, taking the max of peak memory.
-    pub fn absorb(&mut self, other: &ResourceUsage) {
-        self.cpu_time += other.cpu_time;
-        self.cpu_cycles += other.cpu_cycles;
-        self.peak_memory_bytes = self.peak_memory_bytes.max(other.peak_memory_bytes);
-        self.network_bytes += other.network_bytes;
-    }
-
-    /// Adds busy CPU time, also accumulating the equivalent cycles at `clock_ghz`.
-    pub fn add_cpu(&mut self, busy: SimDuration, clock_ghz: f64) {
-        self.cpu_time += busy;
-        self.cpu_cycles += CpuCycles::from_duration(busy, clock_ghz);
     }
 }
 
@@ -146,26 +122,10 @@ mod tests {
 
     #[test]
     fn cycles_duration_roundtrip() {
-        let cycles = CpuCycles::from_giga(2.8);
+        let cycles = CpuCycles(2.8e9);
         let dur = cycles.to_duration(2.8);
         assert!((dur.as_secs() - 1.0).abs() < 1e-9);
-        let back = CpuCycles::from_duration(dur, 2.8);
-        assert!((back.as_giga() - 2.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn usage_absorb_accumulates() {
-        let mut a = ResourceUsage::zero();
-        a.add_cpu(SimDuration::from_secs(1.0), 2.0);
-        let mut b = ResourceUsage::zero();
-        b.add_cpu(SimDuration::from_secs(2.0), 2.0);
-        b.peak_memory_bytes = 500;
-        b.network_bytes = 100;
-        a.absorb(&b);
-        assert!((a.cpu_time.as_secs() - 3.0).abs() < 1e-12);
-        assert!((a.cpu_cycles.as_giga() - 6.0).abs() < 1e-9);
-        assert_eq!(a.peak_memory_bytes, 500);
-        assert_eq!(a.network_bytes, 100);
+        assert!((cycles.as_giga() - 2.8).abs() < 1e-9);
     }
 
     #[test]
@@ -178,7 +138,7 @@ mod tests {
 
     #[test]
     fn cycles_sum() {
-        let total: CpuCycles = [1.0, 2.0].iter().map(|g| CpuCycles::from_giga(*g)).sum();
+        let total: CpuCycles = [1.0, 2.0].iter().map(|g| CpuCycles(g * 1e9)).sum();
         assert!((total.as_giga() - 3.0).abs() < 1e-12);
     }
 }

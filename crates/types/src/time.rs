@@ -75,11 +75,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Duration in milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// Duration in hours.
     pub fn as_hours(self) -> f64 {
         self.0 / 3600.0
@@ -210,7 +205,6 @@ mod tests {
         assert_eq!(t.as_secs(), 12.5);
         let d = SimDuration::from_millis(1500.0);
         assert_eq!(d.as_secs(), 1.5);
-        assert_eq!(d.as_millis(), 1500.0);
     }
 
     #[test]

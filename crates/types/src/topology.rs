@@ -231,9 +231,9 @@ impl Topology {
         self.fan_in.iter().product()
     }
 
-    /// Checks that `provided` client updates exactly fill the tree — the one
-    /// validation `Session::drive` and `Cluster::drive` perform before
-    /// running a round.
+    /// Checks that `provided` client updates exactly fill the tree — the
+    /// exact-fill half of [`RoundClose::check`](crate::RoundClose::check),
+    /// which `Session::drive` and `Cluster::drive` run before a round.
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidConfig`] when the counts differ.

@@ -11,8 +11,9 @@ default: ci
 ci: lint-lifl lint doc build test alloc faults test-scalar scale bench-baseline-check benchmark-check smoke
 
 # Repo invariants (unsafe containment, SAFETY comments, kernel parity,
-# panic freedom, fold determinism, no legacy runtime, justfile↔CI sync) as
-# machine-checked rules R1–R7. `--list-rules` shows the catalog.
+# panic freedom, fold determinism, no legacy runtime, justfile↔CI sync, no
+# dead `pub` in the engine crates) as machine-checked rules R1–R8.
+# `--list-rules` shows the catalog.
 lint-lifl:
     cargo run --release -p lifl-lint
 
