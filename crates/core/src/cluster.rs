@@ -761,12 +761,14 @@ impl Cluster {
         ingress::settle(self);
         let mut departed = self.ingress.remove_parked(client);
         for (node, child) in self.children.iter_mut().enumerate() {
-            let before = child.pending_updates();
+            let (before, weight) = (child.pending_updates(), child.round_weight());
             child.depart_client(client);
             for _ in child.pending_updates()..before {
                 self.ingress.vacate(node);
                 departed = true;
             }
+            self.ingress
+                .release(weight.saturating_sub(child.round_weight()));
         }
         // Refill reclaimed slots from the backlog (highest utility first).
         ingress::drain(self);
@@ -2237,6 +2239,27 @@ mod tests {
         assert_eq!(kill.lost_updates, 4);
         let lost = [2, 3, 6, 8].map(ClientId::new).to_vec();
         assert_eq!(cluster.take_lost_clients(), lost);
+    }
+
+    #[test]
+    fn a_killed_nodes_weight_is_given_back_to_the_round() {
+        let mut cluster = ClusterBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).unwrap())
+            .codec(CodecKind::Uniform8)
+            .fault_tolerance(FaultToleranceConfig::default())
+            .build()
+            .unwrap();
+        let mut batch = updates(4, 16);
+        // Update 2 feeds leaf 2, on node 1 (not the top host).
+        batch[2].samples = u64::MAX - 100;
+        for update in &batch {
+            cluster.try_ingest(Update::Dense(update.clone())).unwrap();
+        }
+        let kill = cluster.inject_node_failure(NodeId::new(1)).unwrap();
+        assert_eq!(kill.lost_updates, 2);
+        // The heavy client re-sends: its lost weight no longer counts.
+        let resent = cluster.try_ingest(Update::Dense(batch[2].clone())).unwrap();
+        assert!(resent.is_admitted());
     }
 
     #[test]

@@ -424,9 +424,11 @@ impl Cluster {
         // The crashed process takes its subtree's in-flight round with it;
         // the restarted (stateless) session starts from an empty round.
         let child = &mut self.children[node];
-        let (lost, clients) = (child.pending_updates(), child.round_clients());
+        let (lost, weight) = (child.pending_updates(), child.round_weight());
+        let clients = child.round_clients();
         child.discard_round();
         self.ingress.forfeit(lost);
+        self.ingress.release(weight);
         let f = &mut self.faults;
         f.refill[node] += lost;
         f.lost_clients.extend(clients.into_iter().flatten());

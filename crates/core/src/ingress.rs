@@ -13,7 +13,12 @@
 //!   first admitted update pins the model dimension, and an update of
 //!   another one is refused with `DimensionMismatch` — at the door, and
 //!   when a parked one drains (it is dropped) — instead of failing the
-//!   round's fold and every honest update in it.
+//!   round's fold and every honest update in it. The round's admitted
+//!   weights are summed the same way: an update whose weight would
+//!   overflow that total is refused (and a parked one dropped at drain)
+//!   instead of wrapping it and scaling every folded value wrongly, and an
+//!   update that leaves the round gives its weight back. On a cluster the
+//!   cluster's ingress keeps the total, since it is round-wide.
 //! * **route** — a fault-refill slot first, then a vacancy opened by
 //!   mid-round churn, then the round-robin cursor; committed when the slot
 //!   took the update, rolled back when it did not.
@@ -133,6 +138,7 @@ pub(crate) fn offer(backend: &mut impl Backend, update: Update) -> Result<Admiss
         settle(backend);
         return backend.ingress().park(update);
     }
+    let weight = update.weight();
     let (normalised, dim) = backend.ingress().normalise(update)?;
     match normalised {
         Normalised::Ready(update) => {
@@ -151,7 +157,7 @@ pub(crate) fn offer(backend: &mut impl Backend, update: Update) -> Result<Admiss
             commit(backend, false);
         }
     }
-    backend.ingress().dim = Some(dim);
+    backend.ingress().book(dim, weight);
     Ok(AdmissionOutcome::Admitted)
 }
 
@@ -175,17 +181,20 @@ fn commit(backend: &mut impl Backend, wait: bool) {
 
 /// Drains parked offers into the open round — globally best first (utility
 /// desc, arrival asc) — until the round is full or the backlog is empty. An
-/// offer that fails to admit, or whose dimension is not the round's, is
-/// dropped and the next one is tried.
+/// offer that fails to admit, whose dimension is not the round's or whose
+/// weight would overflow the round's total, is dropped and the next one is
+/// tried.
 pub(crate) fn drain(backend: &mut impl Backend) {
     while backend.has_room() {
         let Some((update, producer, dim)) = backend.ingress().take_parked() else {
             break;
         };
-        let admitted = dim_rule(backend.ingress().dim, dim)
+        let (weight, ingress) = (update.weight(), backend.ingress());
+        let admitted = dim_rule(ingress.dim, dim)
+            .and_then(|dim| weight_rule(ingress.weight, weight).map(|_| dim))
             .and_then(|dim| backend.admit(update, producer).map(|()| dim));
         match admitted {
-            Ok(dim) => backend.ingress().dim = Some(dim),
+            Ok(dim) => backend.ingress().book(dim, weight),
             Err(_) => backend.ingress().drop_parked(),
         }
     }
@@ -260,6 +269,9 @@ pub(crate) struct Ingress {
     cursor: u64,
     /// The model dimension the open round's first admitted update pinned.
     dim: Option<usize>,
+    /// The weights of the open round's admitted updates, summed: held below
+    /// overflow by the weight rule.
+    weight: u64,
     /// Slots vacated by departed clients, refilled before the cursor moves:
     /// a replacement lands where the departed client was and the survivors
     /// keep their assignment.
@@ -275,6 +287,14 @@ fn dim_rule(pinned: Option<usize>, actual: usize) -> Result<usize> {
         }
         _ => Ok(actual),
     }
+}
+
+/// The weight rule: the round's admitted weights must sum without overflow
+/// — a wrapped total would scale every folded value by the wrong factor —
+/// so an update whose `weight` would take `total` past `u64::MAX` is
+/// refused. Returns the new total.
+fn weight_rule(total: u64, weight: u64) -> Result<u64> {
+    (total.checked_add(weight)).ok_or(LiflError::InvalidAggregationGoal(weight))
 }
 
 impl Ingress {
@@ -303,6 +323,7 @@ impl Ingress {
             lifetime: 0,
             cursor: 0,
             dim: None,
+            weight: 0,
             vacancies: Vec::new(),
         }
     }
@@ -322,15 +343,16 @@ impl Ingress {
     /// dimension it folds at.
     ///
     /// # Errors
-    /// Returns [`LiflError::InvalidAggregationGoal`] for a zero weight,
-    /// [`LiflError::Codec`] for malformed remote bytes and
-    /// [`LiflError::DimensionMismatch`] for a dimension other than the
-    /// round's.
+    /// Returns [`LiflError::InvalidAggregationGoal`] for a zero weight or one
+    /// that would overflow the round's total, [`LiflError::Codec`] for
+    /// malformed remote bytes and [`LiflError::DimensionMismatch`] for a
+    /// dimension other than the round's.
     fn normalise(&self, update: Update) -> Result<(Normalised, usize)> {
         if update.weight() == 0 {
             // A zero weight would fail the round's fold after it was admitted.
             return Err(LiflError::InvalidAggregationGoal(0));
         }
+        weight_rule(self.weight, update.weight())?;
         // The dimension, from what the offer already holds: remote bytes
         // state theirs in the wire contract they are validated against.
         let dim = match &update {
@@ -499,11 +521,24 @@ impl Ingress {
         producer.unwrap_or(ClientId::new(self.lifetime))
     }
 
+    /// Pins what an update admitted now brings into the open round: its
+    /// model dimension and its weight (already held to the weight rule).
+    fn book(&mut self, dim: usize, weight: u64) {
+        self.dim = Some(dim);
+        self.weight = self.weight.saturating_add(weight);
+    }
+
     /// Takes one admitted update back out of the round (its client
     /// departed), leaving `slot` vacant for the next arrival.
     pub(crate) fn vacate(&mut self, slot: usize) {
         self.ingested = self.ingested.saturating_sub(1);
         self.vacancies.push(slot);
+    }
+
+    /// Gives `weight` of admitted updates that left the round (departed, or
+    /// lost with their node) back to the weight rule.
+    pub(crate) fn release(&mut self, weight: u64) {
+        self.weight = self.weight.saturating_sub(weight);
     }
 
     /// Writes off `lost` admitted updates that died with their node. Their
@@ -513,13 +548,14 @@ impl Ingress {
     }
 
     /// Opens an empty round: no fill, cursor at the first slot, no pinned
-    /// dimension, no vacancies, no failure. Residuals, the lifetime index
-    /// and the backlog persist. The backend settles first: nothing is in
-    /// flight.
+    /// dimension, no weight, no vacancies, no failure. Residuals, the
+    /// lifetime index and the backlog persist. The backend settles first:
+    /// nothing is in flight.
     pub(crate) fn reset_round(&mut self) {
         self.ingested = 0;
         self.cursor = 0;
         self.dim = None;
+        self.weight = 0;
         self.vacancies.clear();
         self.failure = None;
     }

@@ -410,6 +410,7 @@ struct RoundEntry {
     client: Option<ClientId>,
     key: lifl_types::ObjectKey,
     wire_bytes: u64,
+    weight: u64,
     leaf: usize,
 }
 
@@ -571,7 +572,7 @@ impl Session {
         producer: Option<ClientId>,
     ) -> Result<()> {
         let target = self.stations.id(0, leaf);
-        let wire_bytes = update.wire_bytes();
+        let (wire_bytes, weight) = (update.wire_bytes(), update.weight());
         let queued = self.gateway.store_and_deliver(target, update, producer)?;
         // Account only what actually entered the round.
         self.ingress_wire_bytes += wire_bytes;
@@ -580,9 +581,15 @@ impl Session {
             client: queued.producer,
             key: queued.key,
             wire_bytes,
+            weight,
             leaf,
         });
         Ok(())
+    }
+
+    /// The summed weight of the updates stored in the open round.
+    pub(crate) fn round_weight(&self) -> u64 {
+        (self.round_entries.iter()).fold(0, |sum, e| sum.saturating_add(e.weight))
     }
 
     /// [`Session::admit`] for an update whose payload does not exist yet (a
@@ -650,6 +657,7 @@ impl Session {
             }
             self.ingress_wire_bytes = self.ingress_wire_bytes.saturating_sub(entry.wire_bytes);
             self.ingress.vacate(entry.leaf);
+            self.ingress.release(entry.weight);
             departed = true;
         }
         // Refill vacated slots from the backlog (highest utility first).
@@ -1383,6 +1391,33 @@ mod tests {
         for (a, b) in (report.update.model.as_slice().iter()).zip(expected.model.as_slice()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn a_parked_offer_whose_weight_would_overflow_the_round_is_dropped_at_drain() {
+        let mut batch = updates(5, 8);
+        batch[0].samples = u64::MAX - 100;
+        let mut session = SessionBuilder::new()
+            .two_level(2, 2)
+            .admission(AdmissionConfig::bounded(8, 1 << 20))
+            .build()
+            .unwrap();
+        for u in &batch[..4] {
+            session.ingest(Update::Dense(u.clone())).unwrap();
+        }
+        // A heavy offer parked behind the session's back (the door refuses
+        // it next to client 0's weight), ahead of a light one.
+        let queues = session.ingress.queues_mut().expect("admission is on");
+        assert!(queues.offer(None, &[0u8; 32], 200, false).is_queued());
+        let parked = Update::Dense(batch[4].clone());
+        assert!(session.try_ingest(parked).unwrap().is_queued());
+        // Client 1's departure reopens a slot, and gives back only its own
+        // weight: the heavy offer is dropped and the light one drains.
+        assert!(session.depart_client(ClientId::new(1)));
+        let stats = session.admission_stats();
+        assert_eq!((stats.drained, stats.dropped), (1, 1));
+        assert_eq!(session.pending_updates(), 4);
+        assert_eq!(session.round_weight(), u64::MAX - 100 + 3 + 4 + 5);
     }
 
     #[test]

@@ -72,7 +72,9 @@ impl CumulativeFedAvg {
     /// Backs an accumulator that holds no buffer yet (fresh, or emptied by
     /// [`CumulativeFedAvg::finalize`]) with one checked out of `pool`, so
     /// the first fold of a round writes into memory a previous round already
-    /// touched instead of allocating. A no-op once a buffer is in place.
+    /// touched instead of allocating. The fold starts from the zeros
+    /// [`lifl_shmem::BufferPool::checkout_f32`] guarantees, whatever the
+    /// buffer held before. A no-op once a buffer is in place.
     pub fn warm_from(&mut self, pool: &lifl_shmem::BufferPool, dim: usize) {
         if self.weighted_sum.is_empty() && dim > 0 {
             self.weighted_sum = DenseModel::from_vec(pool.checkout_f32(dim));
@@ -296,6 +298,32 @@ mod tests {
         assert_eq!(acc.updates_folded(), 0);
         assert_eq!(acc.total_samples(), 0);
         assert!(acc.finalize().is_err());
+    }
+
+    #[test]
+    fn warm_from_a_dirty_pooled_buffer_folds_like_a_fresh_accumulator() {
+        let pool = lifl_shmem::BufferPool::new();
+        let mut dirty = pool.checkout_f32(3);
+        dirty.copy_from_slice(&[f32::NAN, -7.0, 1e30]);
+        pool.checkin_f32(dirty);
+        let updates = [
+            update(1, vec![1.5, -0.25, 3.0], 4),
+            update(2, vec![-2.0, 0.5, 0.125], 9),
+        ];
+        let mut fresh = CumulativeFedAvg::new(3);
+        let mut warmed = CumulativeFedAvg::default();
+        warmed.warm_from(&pool, 3);
+        assert_eq!(pool.stats().hits, 1, "the dirty buffer was reused");
+        for u in &updates {
+            fresh.fold(u).unwrap();
+            warmed.fold(u).unwrap();
+        }
+        let (fresh, warmed) = (fresh.finalize().unwrap(), warmed.finalize().unwrap());
+        assert_eq!(fresh.samples, warmed.samples);
+        let bits = |u: &ModelUpdate| -> Vec<u32> {
+            u.model.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&warmed), bits(&fresh));
     }
 
     #[test]

@@ -425,6 +425,17 @@ impl<'a> EncodedView<'a> {
         Ok(())
     }
 
+    /// The little-endian `f32` payload of an `Identity` view from element
+    /// `start` on (empty past the end), for a fold that takes several dense
+    /// views at once ([`kernels::fold_dense_le_n`]); `None` for every other
+    /// codec.
+    pub(crate) fn dense_from(&self, start: usize) -> Option<&'a [u8]> {
+        match self.codec {
+            CodecKind::Identity => Some(self.body.get(start * 4..).unwrap_or_default()),
+            _ => None,
+        }
+    }
+
     /// Fused decode-fold over the element range `[start, start + acc.len())`
     /// of the decoded update: the shard-local kernel behind
     /// `ShardedFedAvg`. The caller guarantees the range lies inside

@@ -87,25 +87,94 @@ unsafe fn unpack_nibbles(bytes: __m128i) -> __m128i {
     _mm_shuffle_epi8(nibble_table(), _mm_unpacklo_epi8(lo, hi))
 }
 
-/// Safety: caller must have verified AVX2 support at runtime.
+/// Safety: caller must have verified AVX2 support at runtime; `srcs` and
+/// `weights` hold the same number of entries, and every source at least
+/// `4 * acc.len()` bytes.
 // SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
-// `super` calls this only after `is_x86_feature_detected!("avx2")`, and all
-// loads/stores stay inside the slice bounds checked by the loop condition.
+// `super` calls this only after `is_x86_feature_detected!("avx2")`, with
+// `acc` cut so that every source covers `4 * acc.len()` bytes, which is what
+// `fold_sources` needs. A count past eight falls through to the scalar arm.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn fold_dense_le(acc: &mut [f32], body: &[u8], weight: f32) {
+pub(super) unsafe fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32]) {
+    match srcs.len() {
+        1 => fold_sources::<1>(acc, srcs, weights),
+        2 => fold_sources::<2>(acc, srcs, weights),
+        3 => fold_sources::<3>(acc, srcs, weights),
+        4 => fold_sources::<4>(acc, srcs, weights),
+        5 => fold_sources::<5>(acc, srcs, weights),
+        6 => fold_sources::<6>(acc, srcs, weights),
+        7 => fold_sources::<7>(acc, srcs, weights),
+        8 => fold_sources::<8>(acc, srcs, weights),
+        _ => scalar::fold_dense_le_n(acc, srcs, weights),
+    }
+}
+
+/// [`fold_dense_le_n`] over exactly `N` sources: per 8 lanes, one
+/// accumulator load, `N` chained `v + w_k * s_k` in source order (the
+/// multiply and the add separate, as the scalar arm does them) and one
+/// store; the sub-vector tail goes to the scalar arm.
+///
+/// A NaN sum must end up as the canonical NaN: which payload it carries
+/// depends on operand order, and the compiler treats `addps`/`mulps` as
+/// commutative (it folds the accumulator load into the add as either
+/// operand). A blend per vector cost the single-source fold ≈ 30 % of its
+/// in-cache speed, so NaN lanes are only detected in the loop — one
+/// `cmpunord` per two vectors, true where either is NaN — and a call that
+/// produced one rewrites its NaNs afterwards.
+///
+/// Safety: caller must have verified AVX2 support at runtime; `srcs` and
+/// `weights` hold at least `N` entries, and every source at least
+/// `4 * acc.len()` bytes.
+// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw loads and
+// stores. `out` is taken from the exclusive borrow of `acc` and is not used
+// once `acc` is borrowed again; the 8-lane accumulator load/store at `i` and
+// each source's 32-byte load at byte `4 * i` stay in bounds because `fold8`
+// is only called with `i + 8 <= acc.len()`, and every source covers
+// `4 * acc.len()` bytes (the caller's contract).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn fold_sources<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32]) {
     let n = acc.len();
-    let w = _mm256_set1_ps(weight);
+    let mut w = [_mm256_setzero_ps(); N];
+    for (slot, wk) in w.iter_mut().zip(weights) {
+        *slot = _mm256_set1_ps(*wk);
+    }
+    let mut from = [std::ptr::null::<f32>(); N];
+    for (slot, src) in from.iter_mut().zip(srcs) {
+        *slot = src.as_ptr().cast();
+    }
+    let out = acc.as_mut_ptr();
+    // The 8 lanes at `i`: folded, stored, and returned for the NaN check.
+    let fold8 = |i: usize| {
+        let mut v = _mm256_loadu_ps(out.add(i));
+        for (src, wk) in from.iter().zip(w) {
+            v = _mm256_add_ps(v, _mm256_mul_ps(wk, _mm256_loadu_ps(src.add(i))));
+        }
+        _mm256_storeu_ps(out.add(i), v);
+        v
+    };
+    let mut nan = _mm256_setzero_ps();
     let mut i = 0usize;
-    while i + 8 <= n {
-        let v = _mm256_loadu_ps(body.as_ptr().add(4 * i) as *const f32);
-        let a = _mm256_loadu_ps(acc.as_ptr().add(i));
-        _mm256_storeu_ps(
-            acc.as_mut_ptr().add(i),
-            _mm256_add_ps(a, _mm256_mul_ps(w, v)),
-        );
+    while i + 16 <= n {
+        let (a, b) = (fold8(i), fold8(i + 8));
+        nan = _mm256_or_ps(nan, _mm256_cmp_ps::<_CMP_UNORD_Q>(a, b));
+        i += 16;
+    }
+    if i + 8 <= n {
+        let a = fold8(i);
+        nan = _mm256_or_ps(nan, _mm256_cmp_ps::<_CMP_UNORD_Q>(a, a));
         i += 8;
     }
-    scalar::fold_dense_le(&mut acc[i..], &body[4 * i..], weight);
+    if _mm256_movemask_ps(nan) != 0 {
+        for a in acc[..i].iter_mut().filter(|a| a.is_nan()) {
+            *a = f32::NAN;
+        }
+    }
+    let mut tails: [&[u8]; N] = [&[]; N];
+    for (tail, src) in tails.iter_mut().zip(srcs) {
+        *tail = &src[4 * i..];
+    }
+    scalar::fold_dense_le_n(&mut acc[i..], &tails, &weights[..N]);
 }
 
 /// Safety: caller must have verified AVX2 support at runtime.
@@ -342,61 +411,6 @@ pub(super) unsafe fn compact_topk(
     }
     body.set_len(len);
     scalar::compact_topk(&params[i..], first_index + i as u32, threshold, ties, body)
-}
-
-/// Safety: caller must have verified AVX2 support at runtime.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
-// `super` calls this only after `is_x86_feature_detected!("avx2")`, and all
-// loads/stores stay inside the slice bounds checked by the loop condition.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn axpy(acc: &mut [f32], src: &[f32], w: f32) {
-    let n = acc.len();
-    let wv = _mm256_set1_ps(w);
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let a = _mm256_loadu_ps(acc.as_ptr().add(i));
-        let s = _mm256_loadu_ps(src.as_ptr().add(i));
-        _mm256_storeu_ps(
-            acc.as_mut_ptr().add(i),
-            _mm256_add_ps(a, _mm256_mul_ps(wv, s)),
-        );
-        i += 8;
-    }
-    scalar::axpy(&mut acc[i..], &src[i..], w);
-}
-
-/// Safety: caller must have verified AVX2 support at runtime, and every
-/// source must be at least as long as `acc`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
-// AVX2 first and asserts every source covers `acc`, so the unaligned
-// loads/stores at `i..i+8` stay in bounds for all slices.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn axpy8(acc: &mut [f32], srcs: [&[f32]; 8], w: [f32; 8]) {
-    let n = acc.len();
-    let mut wv = [_mm256_setzero_ps(); 8];
-    for (slot, wk) in wv.iter_mut().zip(w) {
-        *slot = _mm256_set1_ps(wk);
-    }
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let mut v = _mm256_loadu_ps(acc.as_ptr().add(i));
-        for (src, wk) in srcs.iter().zip(wv) {
-            v = _mm256_add_ps(v, _mm256_mul_ps(wk, _mm256_loadu_ps(src.as_ptr().add(i))));
-        }
-        _mm256_storeu_ps(acc.as_mut_ptr().add(i), v);
-        i += 8;
-    }
-    let tails = [
-        &srcs[0][i..],
-        &srcs[1][i..],
-        &srcs[2][i..],
-        &srcs[3][i..],
-        &srcs[4][i..],
-        &srcs[5][i..],
-        &srcs[6][i..],
-        &srcs[7][i..],
-    ];
-    scalar::axpy8(&mut acc[i..], tails, w);
 }
 
 /// Safety: caller must have verified AVX2 support at runtime.

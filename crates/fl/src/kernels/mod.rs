@@ -31,7 +31,11 @@
 //! floor, compare, min/max) in the same order on both arms — in particular
 //! FMA is never used, and divisions are hoisted into a single reciprocal
 //! computed identically by both arms. See `avx2.rs` for the instruction-level
-//! argument.
+//! argument. Which payload an add or multiply of two NaNs returns is left
+//! open, though: the hardware returns its first operand's, and the compiler
+//! may swap the operands of either arm. So the dense fold, whose weights,
+//! sources and accumulator can all be NaN, stores every NaN it produces as
+//! the canonical quiet NaN ([`f32::NAN`]) on both arms.
 //!
 //! # How to add a kernel
 //!
@@ -261,22 +265,50 @@ impl AsRef<[u8]> for DenseLe {
 // Fused dequantize-axpy folds.
 // ---------------------------------------------------------------------------
 
-/// Fused fold of a dense little-endian `f32` payload: `acc += weight * body`.
-pub fn fold_dense_le(acc: &mut [f32], body: &[u8], weight: f32) {
-    let n = acc.len().min(body.len() / 4);
-    fold_dense_le_with(&mut acc[..n], &body[..4 * n], weight, simd_active());
+/// Fused fold of dense little-endian `f32` payloads over their common prefix
+/// with `acc`: `acc += w_0 * s_0 + w_1 * s_1 + …`, source `k` weighted by
+/// `weights[k]` (sources past the shorter of the two lists are ignored).
+///
+/// Each element of `acc` is loaded once and stored once, the adds chained in
+/// source order in between, and a NaN sum is stored as [`f32::NAN`] — so the
+/// result is, bit for bit, that of folding each source in turn
+/// ([`fold_dense_le`] once per source), on either arm. The AVX2 arm takes up
+/// to eight sources per call (more fold on the scalar arm). This is the
+/// one dense fold kernel: the station fold hands it up to eight consecutive
+/// dense views per accumulator block, and [`fold_dense_le`], [`axpy`] and
+/// [`axpy8`] are its one- and eight-source cases.
+pub fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32]) {
+    let count = srcs.len().min(weights.len());
+    let n = srcs.iter().fold(acc.len(), |n, src| n.min(src.len() / 4));
+    fold_dense_le_n_with(
+        &mut acc[..n],
+        &srcs[..count],
+        &weights[..count],
+        simd_active(),
+    );
 }
 
-fn fold_dense_le_with(acc: &mut [f32], body: &[u8], weight: f32, simd: bool) {
+/// One pass over sources that each cover `4 * acc.len()` bytes, paired
+/// with as many weights (the AVX2 arm takes up to eight; more fold on the
+/// scalar arm).
+fn fold_dense_le_n_with(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32], simd: bool) {
     #[cfg(target_arch = "x86_64")]
     if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection.
-        unsafe { avx2::fold_dense_le(acc, body, weight) };
+        // SAFETY: `simd` is only true after runtime AVX2 detection; the
+        // wrapper cut `acc` to what every source covers and paired the
+        // weights.
+        unsafe { avx2::fold_dense_le_n(acc, srcs, weights) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = simd;
-    scalar::fold_dense_le(acc, body, weight);
+    scalar::fold_dense_le_n(acc, srcs, weights);
+}
+
+/// Fused fold of one dense little-endian `f32` payload, `acc += weight *
+/// body` over the common prefix: [`fold_dense_le_n`] with one source.
+pub fn fold_dense_le(acc: &mut [f32], body: &[u8], weight: f32) {
+    fold_dense_le_n(acc, &[body], &[weight]);
 }
 
 /// Decode of a dense little-endian `f32` payload into `out`.
@@ -513,46 +545,21 @@ fn compact_topk_with(params: &[f32], threshold: u32, ties: usize, body: &mut Vec
 // Dense axpy family (model accumulation).
 // ---------------------------------------------------------------------------
 
-/// `acc += w * src`, elementwise over the common prefix.
+/// `acc += w * src`, elementwise over the common prefix: [`fold_dense_le_n`]
+/// with one source, viewed in place as its little-endian bytes.
 pub fn axpy(acc: &mut [f32], src: &[f32], w: f32) {
-    let n = acc.len().min(src.len());
-    axpy_with(&mut acc[..n], &src[..n], w, simd_active());
+    fold_dense_le_n(acc, &[le_bytes(src)], &[w]);
 }
 
-fn axpy_with(acc: &mut [f32], src: &[f32], w: f32, simd: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection.
-        unsafe { avx2::axpy(acc, src, w) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
-    scalar::axpy(acc, src, w);
-}
-
-/// Eight-source batched fold: one accumulator load/store per element, adds
-/// chained in source order so the result is bit-identical to eight
-/// sequential [`axpy`] passes. Every source must be at least as long as
-/// `acc`. No engine fold calls it (a station folds one source at a time,
-/// cache-blocked); it stays because the whole-round benchmark times it as
-/// the kernel layer's dense-throughput reference (`kernels.axpy8_gbps`).
+/// Eight-source fold, bit-identical to eight sequential [`axpy`] passes:
+/// [`fold_dense_le_n`] with eight sources, viewed in place as their
+/// little-endian bytes. Every source must be at least as long as `acc`. The
+/// station fold reaches the same kernel through runs of dense views; the
+/// whole-round benchmark times this entry point as the kernel layer's
+/// dense-throughput reference (`kernels.axpy8_gbps`).
 pub fn axpy8(acc: &mut [f32], srcs: [&[f32]; 8], w: [f32; 8]) {
     assert!(srcs.iter().all(|s| s.len() >= acc.len()));
-    axpy8_with(acc, srcs, w, simd_active());
-}
-
-fn axpy8_with(acc: &mut [f32], srcs: [&[f32]; 8], w: [f32; 8], simd: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection; lengths
-        // checked by the wrapper.
-        unsafe { avx2::axpy8(acc, srcs, w) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
-    scalar::axpy8(acc, srcs, w);
+    fold_dense_le_n(acc, &srcs.map(le_bytes), &w);
 }
 
 /// Largest finite `|x|` in `params`, or 0 when there is none (used to derive
@@ -574,7 +581,8 @@ fn max_abs_finite_with(params: &[f32], simd: bool) -> f32 {
 }
 
 /// `acc += 1.0 * src` over the common prefix — the same multiply-then-add,
-/// bit for bit, as [`axpy`] with weight 1 — returning the largest finite
+/// bit for bit, as [`axpy`] with weight 1 on every sum that is not NaN (a
+/// NaN sum is left as the add produced it) — returning the largest finite
 /// `|x|` of the sums (0 when there is none) from the same sweep: what
 /// [`max_abs_finite`] would find in `acc[..n]` afterwards, without walking
 /// it again.
@@ -957,21 +965,22 @@ mod proptests {
     /// f32 vectors seasoned with NaN, infinities and signed zeros; lengths
     /// sweep 0..130 so every vector-width remainder (1..15) is covered.
     fn arbitrary_params() -> impl Strategy<Value = Vec<f32>> {
-        proptest::collection::vec((0u8..16, -100.0f32..100.0), 0..130).prop_map(|items| {
-            items
-                .into_iter()
-                .map(|(tag, v)| match tag {
-                    0 => f32::NAN,
-                    1 => f32::INFINITY,
-                    2 => f32::NEG_INFINITY,
-                    3 => -0.0,
-                    4 => 0.0,
-                    5 => v * 1e30,
-                    6 => v * 1e-40,
-                    _ => v,
-                })
-                .collect()
-        })
+        proptest::collection::vec((0u8..16, -100.0f32..100.0), 0..130)
+            .prop_map(|items| items.into_iter().map(|(tag, v)| seasoned(tag, v)).collect())
+    }
+
+    /// `v`, or — by `tag` — NaN, ±∞, ±0.0, a huge or a subnormal value.
+    fn seasoned(tag: u8, v: f32) -> f32 {
+        match tag {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => -0.0,
+            4 => 0.0,
+            5 => v * 1e30,
+            6 => v * 1e-40,
+            _ => v,
+        }
     }
 
     fn arbitrary_bytes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -1219,18 +1228,70 @@ mod proptests {
         Ok(())
     }
 
-    /// `add_max` on one arm against `axpy(1.0)` then `max_abs_finite`, both
-    /// on the scalar arm: the sums and the maximum, bit for bit.
+    /// `add_max` on one arm against the formula `acc += 1.0 * src` then
+    /// `max_abs_finite` on the scalar arm: the sums and the maximum, bit for
+    /// bit.
     fn check_add_max(acc: &[f32], src: &[f32]) -> Result<(), String> {
         let n = acc.len().min(src.len());
         let mut expected = acc[..n].to_vec();
-        axpy_with(&mut expected, &src[..n], 1.0, false);
+        let w = 1.0f32;
+        for (a, b) in expected.iter_mut().zip(src) {
+            *a += w * b;
+        }
         let max = max_abs_finite_with(&expected, false);
         for simd in arms() {
             let mut got = acc[..n].to_vec();
             let got_max = add_max_with(&mut got, &src[..n], simd);
             prop_assert_eq!(bits(&got), bits(&expected), "sums, simd {}", simd);
             prop_assert_eq!(got_max.to_bits(), max.to_bits(), "max, simd {}", simd);
+        }
+        Ok(())
+    }
+
+    /// `fold_dense_le_n` over the first `n` of eight sources, for every `n`,
+    /// on every arm this process can run and through the public wrapper,
+    /// against one single-source scalar fold per source in turn (the chain
+    /// the multi-source kernel must reproduce: between two sources the
+    /// running value is stored and reloaded, which changes no bit, NaN
+    /// payloads included). Source `k` holds
+    /// `acc.len() + k` seasoned values (the wrapper folds the common prefix)
+    /// behind `offsets[k]` filler bytes.
+    fn check_fold_dense_le_n(
+        acc: &[f32],
+        seed: u64,
+        offsets: &[usize],
+        weights: &[f32],
+    ) -> Result<(), String> {
+        let len = acc.len();
+        let buffers: Vec<Vec<u8>> = (offsets.iter().enumerate())
+            .map(|(k, offset)| {
+                let mut words = vec![0u32; len + k];
+                StochasticRng::from_seed(seed.wrapping_add(k as u64)).fill(&mut words);
+                let mut bytes = vec![0xA5u8; *offset];
+                for w in words {
+                    let v = (w >> 8) as f32 * (1.0 / 65_536.0) - 128.0;
+                    bytes.extend_from_slice(&seasoned((w & 15) as u8, v).to_le_bytes());
+                }
+                bytes
+            })
+            .collect();
+        let srcs: Vec<&[u8]> = (buffers.iter().zip(offsets))
+            .map(|(bytes, offset)| &bytes[*offset..])
+            .collect();
+        let exact: Vec<&[u8]> = srcs.iter().map(|src| &src[..4 * len]).collect();
+        for n in 1..=srcs.len() {
+            let mut expected = acc.to_vec();
+            for (src, w) in exact[..n].iter().zip(weights) {
+                fold_dense_le_n_with(&mut expected, &[src], &[*w], false);
+            }
+            for simd in arms() {
+                let mut got = acc.to_vec();
+                fold_dense_le_n_with(&mut got, &exact[..n], &weights[..n], simd);
+                prop_assert_eq!(bits(&got), bits(&expected), "{} sources, simd {}", n, simd);
+            }
+            let mut got = acc.to_vec();
+            fold_dense_le_n(&mut got, &srcs[..n], &weights[..n]);
+            prop_assert_eq!(bits(&got), bits(&expected), "{} sources, wrapper", n);
         }
         Ok(())
     }
@@ -1289,8 +1350,8 @@ mod proptests {
             let n = acc.len().min(body.len() / 4);
             let mut a_scalar = acc.clone();
             let mut a_simd = acc.clone();
-            fold_dense_le_with(&mut a_scalar[..n], &body[..4 * n], w, false);
-            fold_dense_le_with(&mut a_simd[..n], &body[..4 * n], w, true);
+            fold_dense_le_n_with(&mut a_scalar[..n], &[&body[..4 * n]], &[w], false);
+            fold_dense_le_n_with(&mut a_simd[..n], &[&body[..4 * n]], &[w], true);
             prop_assert_eq!(bits(&a_scalar), bits(&a_simd));
             let mut d_scalar = vec![0.0f32; n];
             let mut d_simd = vec![1.0f32; n];
@@ -1341,44 +1402,62 @@ mod proptests {
             prop_assert_eq!(bits(&d_scalar), bits(&d_simd));
         }
 
-        /// axpy / axpy8: AVX2 matches scalar bitwise, and the batched variant
-        /// matches sequential single-source passes bitwise.
+        /// axpy / axpy8, the `f32` entry points over `fold_dense_le_n`, on
+        /// the active arm ≡ the formula they were written as: `acc += w *
+        /// src` over the common prefix, one source after another.
         #[test]
         fn axpy_kernels_match(data in arbitrary_params(), srcs_seed in 1u64..1000, w in -3.0f32..3.0) {
-            if !avx2_testable() {
-                return Ok(());
-            }
             let n = data.len();
             let mut rng = StochasticRng::from_seed(srcs_seed);
-            let mut words = vec![0u32; n * 8];
+            let mut words = vec![0u32; n * 8 + 3];
             rng.fill(&mut words);
+            // The first source is longer than `acc`, the others exactly as long.
             let srcs: Vec<Vec<f32>> = (0..8)
                 .map(|s| {
-                    words[s * n..(s + 1) * n]
+                    let end = (s + 1) * n + if s == 0 { 3 } else { 0 };
+                    words[s * n..end]
                         .iter()
                         .map(|x| (*x >> 8) as f32 * (1.0 / 16_777_216.0) - 0.5)
                         .collect()
                 })
                 .collect();
             let weights: [f32; 8] = std::array::from_fn(|i| w + i as f32 * 0.125);
+            let formula = |acc: &mut [f32], src: &[f32], w: f32| {
+                for (a, b) in acc.iter_mut().zip(src) {
+                    *a += w * b;
+                }
+            };
 
-            let mut a_scalar = data.clone();
-            let mut a_simd = data.clone();
-            axpy_with(&mut a_scalar, &srcs[0], w, false);
-            axpy_with(&mut a_simd, &srcs[0], w, true);
-            prop_assert_eq!(bits(&a_scalar), bits(&a_simd));
+            let mut one = data.clone();
+            let mut expected = data.clone();
+            axpy(&mut one, &srcs[0], w);
+            formula(&mut expected, &srcs[0], w);
+            prop_assert_eq!(bits(&one), bits(&expected));
 
             let oct: [&[f32]; 8] = std::array::from_fn(|i| srcs[i].as_slice());
-            let mut o_scalar = data.clone();
-            let mut o_simd = data.clone();
-            let mut o_seq = data.clone();
-            axpy8_with(&mut o_scalar, oct, weights, false);
-            axpy8_with(&mut o_simd, oct, weights, true);
-            for i in 0..8 {
-                axpy_with(&mut o_seq, oct[i], weights[i], false);
+            let mut eight = data.clone();
+            let mut expected = data.clone();
+            axpy8(&mut eight, oct, weights);
+            for (src, w) in oct.iter().zip(weights) {
+                formula(&mut expected, src, w);
             }
-            prop_assert_eq!(bits(&o_scalar), bits(&o_simd));
-            prop_assert_eq!(bits(&o_scalar), bits(&o_seq));
+            prop_assert_eq!(bits(&eight), bits(&expected));
+        }
+
+        /// The one dense fold kernel, for every source count 1..=8: scalar ≡
+        /// AVX2 ≡ one single-source scalar fold per source in turn, bit for
+        /// bit, over every sub-vector tail, sources that start at byte
+        /// offsets off any 32-byte boundary, and NaN, ±∞, −0.0 and
+        /// subnormals in the accumulator, the sources and the weights.
+        #[test]
+        fn fold_dense_le_n_is_sequential_single_source_folds(
+            acc in arbitrary_params(),
+            seed in any::<u64>(),
+            offsets in proptest::collection::vec(0usize..32, 8..=8),
+            weights in proptest::collection::vec((0u8..10, -3.0f32..3.0), 8..=8),
+        ) {
+            let weights: Vec<f32> = weights.into_iter().map(|(tag, w)| seasoned(tag, w)).collect();
+            check_fold_dense_le_n(&acc, seed, &offsets, &weights)?;
         }
 
         /// Scale derivation: AVX2 max-abs-over-finite matches scalar exactly

@@ -17,10 +17,20 @@ pub(super) const NIBBLE_F32: [f32; 16] = [
     0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0,
 ];
 
-/// Fused fold of a dense little-endian `f32` payload: `acc += weight * body`.
-pub(super) fn fold_dense_le(acc: &mut [f32], body: &[u8], weight: f32) {
-    for (a, c) in acc.iter_mut().zip(body.chunks_exact(4)) {
-        *a += weight * f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+/// Fused fold of dense little-endian `f32` payloads, one accumulator load and
+/// store per element: `acc[i] = (acc[i] + w_0 * s_0[i]) + w_1 * s_1[i] + …`,
+/// the adds chained in source order, and a NaN sum stored as the canonical
+/// quiet NaN ([`f32::NAN`]) — so the result is bit-identical to one
+/// single-source fold per source in turn. Every source holds at least
+/// `4 * acc.len()` bytes; sources and weights pair up in order.
+pub(super) fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32]) {
+    for (i, a) in acc.iter_mut().enumerate() {
+        let at = 4 * i;
+        let mut v = *a;
+        for (src, w) in srcs.iter().zip(weights) {
+            v += w * f32::from_le_bytes([src[at], src[at + 1], src[at + 2], src[at + 3]]);
+        }
+        *a = if v.is_nan() { f32::NAN } else { v };
     }
 }
 
@@ -159,31 +169,6 @@ pub(super) fn compact_topk(
     ties
 }
 
-/// `acc += w * src`, elementwise.
-pub(super) fn axpy(acc: &mut [f32], src: &[f32], w: f32) {
-    for (a, b) in acc.iter_mut().zip(src) {
-        *a += w * b;
-    }
-}
-
-/// Eight-source fold with one accumulator load/store per element; the adds
-/// chain serially in source order, bit-identical to eight sequential
-/// [`axpy`] calls.
-pub(super) fn axpy8(acc: &mut [f32], srcs: [&[f32]; 8], w: [f32; 8]) {
-    for (i, a) in acc.iter_mut().enumerate() {
-        let mut v = *a;
-        v += w[0] * srcs[0][i];
-        v += w[1] * srcs[1][i];
-        v += w[2] * srcs[2][i];
-        v += w[3] * srcs[3][i];
-        v += w[4] * srcs[4][i];
-        v += w[5] * srcs[5][i];
-        v += w[6] * srcs[6][i];
-        v += w[7] * srcs[7][i];
-        *a = v;
-    }
-}
-
 /// Largest finite `|x|` in `params` (0 when there is none). Exact, so the
 /// order max is taken in does not matter and the vector arm matches.
 pub(super) fn max_abs_finite(params: &[f32]) -> f32 {
@@ -193,9 +178,9 @@ pub(super) fn max_abs_finite(params: &[f32]) -> f32 {
         .fold(0.0f32, |acc, v| acc.max(v.abs()))
 }
 
-/// `acc += 1.0 * src` — [`axpy`]'s multiply-then-add with weight 1 — and, in
-/// the same sweep, the largest finite `|x|` of the sums (0 when there is
-/// none), as [`max_abs_finite`] would find it afterwards.
+/// `acc += 1.0 * src` — the multiply by one, then the add — and, in the same
+/// sweep, the largest finite `|x|` of the sums (0 when there is none), as
+/// [`max_abs_finite`] would find it afterwards.
 pub(super) fn add_max(acc: &mut [f32], src: &[f32]) -> f32 {
     let w = 1.0f32;
     let mut max = 0.0f32;

@@ -10,6 +10,12 @@
 //!   The accumulator is then read and written once per batch instead of once
 //!   per update, cutting memory traffic from `(2N + N)·dim·4` bytes to
 //!   `(2 + N)·dim·4` for an N-update batch.
+//! * **Multi-source passes** — inside a block, each run of up to eight
+//!   consecutive dense (`Identity`) views folds in one kernel call
+//!   ([`kernels::fold_dense_le_n`]) that loads and stores every accumulator
+//!   element once, the views' adds chained in batch order. For N dense
+//!   views the block makes `⌈N/8⌉` load/store passes instead of `N`; a
+//!   quantized view still makes a pass of its own.
 //! * **Sharding** — the vector is split into `shards` contiguous partitions
 //!   folded concurrently on `std::thread::scope` workers (no extra
 //!   dependencies). Partitions are disjoint, so no synchronisation or merge
@@ -39,6 +45,7 @@
 
 use crate::aggregate::{CumulativeFedAvg, ModelUpdate};
 use crate::codec::EncodedView;
+use crate::kernels;
 use crate::model::DenseModel;
 use lifl_types::{CodecKind, LiflError, Result};
 
@@ -109,17 +116,21 @@ impl ShardedFedAvg {
     ///
     /// # Errors
     /// Returns [`LiflError::DimensionMismatch`] or
-    /// [`LiflError::InvalidAggregationGoal`] (zero-sample update) before any
-    /// state is mutated; the batch is all-or-nothing.
+    /// [`LiflError::InvalidAggregationGoal`] (a zero-sample update, or one
+    /// whose samples would overflow the folded total) before any state is
+    /// mutated; the batch is all-or-nothing.
     pub fn fold_encoded_batch(&mut self, updates: &[(EncodedView<'_>, u64)]) -> Result<()> {
         if updates.is_empty() {
             return Ok(());
         }
         let dim = self.ensure_dim(updates[0].0.dim())?;
+        let mut total = self.acc.total_samples;
         for (view, samples) in updates {
             if *samples == 0 {
                 return Err(LiflError::InvalidAggregationGoal(0));
             }
+            total =
+                (total.checked_add(*samples)).ok_or(LiflError::InvalidAggregationGoal(*samples))?;
             if view.dim() != dim {
                 return Err(LiflError::DimensionMismatch {
                     expected: dim,
@@ -151,9 +162,7 @@ impl ShardedFedAvg {
                 for block_off in (0..chunk.len()).step_by(BLOCK_ELEMS) {
                     let block_len = BLOCK_ELEMS.min(chunk.len() - block_off);
                     let block = &mut chunk[block_off..block_off + block_len];
-                    for (view, samples) in run {
-                        view.fold_range_into(*samples as f32, start + block_off, block);
-                    }
+                    fold_block(run, start + block_off, block);
                 }
                 next += run.len();
             }
@@ -228,6 +237,34 @@ impl ShardedFedAvg {
                 scope.spawn(move || work(index * chunk_len, chunk));
             }
         });
+    }
+}
+
+/// Folds `run` — views of any codec but `TopK` — into `block`, the
+/// accumulator's elements from `at` on, in batch order: each group of up to
+/// eight consecutive `Identity` views in one accumulator pass
+/// ([`kernels::fold_dense_le_n`]), every other view in a pass of its own.
+fn fold_block(run: &[(EncodedView<'_>, u64)], at: usize, block: &mut [f32]) {
+    let mut rest = run;
+    while let Some((view, samples)) = rest.first() {
+        let mut srcs: [&[u8]; 8] = [&[]; 8];
+        let mut weights = [0.0f32; 8];
+        let mut dense = 0;
+        for ((view, samples), (src, weight)) in rest.iter().zip(srcs.iter_mut().zip(&mut weights)) {
+            let Some(bytes) = view.dense_from(at) else {
+                break;
+            };
+            (*src, *weight) = (bytes, *samples as f32);
+            dense += 1;
+        }
+        let folded = if dense == 0 {
+            view.fold_range_into(*samples as f32, at, block);
+            1
+        } else {
+            kernels::fold_dense_le_n(block, &srcs[..dense], &weights[..dense]);
+            dense
+        };
+        rest = &rest[folded..];
     }
 }
 
@@ -395,6 +432,36 @@ mod tests {
     }
 
     #[test]
+    fn dense_groups_across_blocks_and_codecs_fold_the_sequential_bits() {
+        // 19 dense views split into groups of 8, 8 and 3; a `Uniform8` view
+        // ends a group early, 3 dense views form a short one, a `TopK` view
+        // splits the run, and 9 dense views cross a group boundary again.
+        // Dims sit one short of, on and one past the cache block, and span
+        // several blocks; chunk cuts land inside groups and blocks.
+        for dim in [2047usize, 2048, 2049, 10_000] {
+            let updates = batch(33, dim);
+            let dense = identity_views(&updates);
+            let quantized = UpdateCodec::new(CodecKind::Uniform8).encode(&updates[19].model);
+            let sparse =
+                UpdateCodec::new(CodecKind::TopK { permille: 50 }).encode(&updates[23].model);
+            let mut views = dense[..19].to_vec();
+            views.push((quantized.view(), updates[19].samples));
+            views.extend_from_slice(&dense[20..23]);
+            views.push((sparse.view(), updates[23].samples));
+            views.extend_from_slice(&dense[24..]);
+            assert_eq!(views.len(), 33);
+            let expected = folded_sequentially(dim, &views);
+            for chunks in [1usize, 2, 3, 8] {
+                assert_eq!(
+                    folded_across(dim, &views, chunks),
+                    expected,
+                    "dim {dim}, {chunks} chunks"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn unsorted_and_duplicate_topk_payloads_are_refused_before_the_fold() {
         // Binary search on either payload would hand a chunk the wrong
         // pairs, so neither may become a view; the same pairs in ascending
@@ -501,6 +568,23 @@ mod tests {
         assert!(sharded.finalize().is_err());
         sharded.fold_encoded_batch(&[]).unwrap();
         assert_eq!(sharded.updates_folded(), 0);
+    }
+
+    #[test]
+    fn a_batch_whose_weights_overflow_is_rejected_atomically() {
+        let updates = batch(3, 64);
+        let mut sharded = ShardedFedAvg::new(64, 2);
+        sharded
+            .fold_encoded_batch(&identity_views(&updates[..1]))
+            .unwrap();
+        let mut views = identity_views(&updates[1..]);
+        views[1].1 = u64::MAX - updates[1].samples;
+        assert_eq!(
+            sharded.fold_encoded_batch(&views),
+            Err(LiflError::InvalidAggregationGoal(views[1].1))
+        );
+        assert_eq!(sharded.updates_folded(), 1);
+        assert_eq!(sharded.total_samples(), updates[0].samples);
     }
 
     #[test]

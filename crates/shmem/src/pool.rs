@@ -149,9 +149,12 @@ impl BufferPool {
         Self::default()
     }
 
-    /// Checks out an `f32` buffer of exactly `len` elements (contents
-    /// unspecified but initialised). Reuses a pooled buffer when one with
-    /// sufficient capacity exists; allocates otherwise.
+    /// Checks out an `f32` buffer of exactly `len` elements, every one `0.0`
+    /// — a reused buffer is zero-filled first, whatever was checked in. That
+    /// is a contract, not a detail: an accumulator drawn from the pool
+    /// (`CumulativeFedAvg::warm_from` in `lifl-fl`) starts its round from
+    /// these zeros. Reuses a pooled buffer when one with sufficient capacity
+    /// exists; allocates otherwise.
     pub fn checkout_f32(&self, len: usize) -> Vec<f32> {
         let mut buf = {
             let mut guard = self.inner.lock();
@@ -340,6 +343,25 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.idle_buffers, 0);
+    }
+
+    #[test]
+    fn a_dirty_f32_buffer_comes_back_out_zeroed() {
+        let pool = BufferPool::new();
+        let mut buf = pool.checkout_f32(96);
+        buf.fill(f32::NAN);
+        buf.push(7.5);
+        let ptr = buf.as_ptr();
+        pool.checkin_f32(buf);
+        for len in [64, 97] {
+            let again = pool.checkout_f32(len);
+            assert_eq!(again.as_ptr(), ptr, "the same allocation");
+            assert!(
+                again.iter().all(|v| v.to_bits() == 0),
+                "{len} elements: {again:?}"
+            );
+            pool.checkin_f32(again);
+        }
     }
 
     #[test]

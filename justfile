@@ -8,7 +8,7 @@
 default: ci
 
 # Everything CI runs, in CI order.
-ci: lint-lifl lint doc build test alloc faults test-scalar scale bench-baseline-check benchmark-check smoke
+ci: lint-lifl lint doc build test kernel-parity alloc faults test-scalar scale bench-baseline-check benchmark-check smoke
 
 # Repo invariants (unsafe containment, SAFETY comments, kernel parity,
 # panic freedom, fold determinism, no legacy runtime, justfile↔CI sync, no
@@ -35,6 +35,12 @@ build:
 # Tier-1 test suite.
 test:
     cargo test -q
+
+# The kernel-parity tier at depth: every scalar ≡ AVX2 property of
+# `lifl-fl`'s kernels (both arms run in one process, so one run covers
+# them) at 1024 cases instead of the default 64.
+kernel-parity:
+    PROPTEST_CASES=1024 cargo test -p lifl-fl --lib kernels::
 
 # The allocation tier in its own named step (a counting global allocator in
 # its own process), so allocation regressions fail with a readable name.

@@ -392,6 +392,8 @@ trait Door {
     fn trace(&self) -> (u64, Vec<StoreStats>, PoolStats);
     /// Drives the round; the aggregate's weight and bits.
     fn round(&mut self) -> (u64, Vec<u32>);
+    /// Takes `client`'s update back out of the round.
+    fn depart(&mut self, client: ClientId) -> bool;
 }
 
 fn bits(update: &ModelUpdate) -> (u64, Vec<u32>) {
@@ -412,6 +414,10 @@ impl Door for Session {
     fn round(&mut self) -> (u64, Vec<u32>) {
         bits(&self.drive().expect("drive").update)
     }
+
+    fn depart(&mut self, client: ClientId) -> bool {
+        self.depart_client(client)
+    }
 }
 
 impl Door for Cluster {
@@ -430,6 +436,10 @@ impl Door for Cluster {
 
     fn round(&mut self) -> (u64, Vec<u32>) {
         bits(&self.drive().expect("drive").update)
+    }
+
+    fn depart(&mut self, client: ClientId) -> bool {
+        self.depart_client(client)
     }
 }
 
@@ -602,4 +612,79 @@ fn a_zero_weight_offer_keeps_the_round_of_a_session() {
 #[test]
 fn a_zero_weight_offer_keeps_the_round_of_a_cluster() {
     a_zero_weight_offer_keeps_the_round(cluster_door);
+}
+
+/// Regression: the doors refused only a zero weight, so an offer whose
+/// weight took the round's total past `u64::MAX` was admitted, and the
+/// fold's sum of weights wrapped (every model value scaled by the wrong
+/// factor) or, with overflow checks on, panicked the aggregator. Refused at
+/// the door in every `Update` form, the smallest overflowing weight leaves
+/// nothing behind, and the rest of the round drives to the bits of a twin
+/// that never saw it.
+fn an_overflowing_weight_keeps_the_round<D: Door>(make: impl Fn() -> D) {
+    let honest = updates(8, DIM as usize);
+    let mut twin = make();
+    offer_all(&mut twin, &honest);
+    let mut door = make();
+    offer_all(&mut door, &honest[..2]);
+    let heavy = u64::MAX - (honest[0].samples + honest[1].samples) + 1;
+    let mut dense = honest[2].clone();
+    dense.samples = heavy;
+    let encoded = UpdateCodec::new(CodecKind::Uniform8).encode(&honest[2].model);
+    let before = door.trace();
+    for (name, update) in [
+        ("dense", Update::Dense(dense)),
+        (
+            "encoded",
+            Update::encoded(ClientId::new(2), encoded.clone(), heavy),
+        ),
+        (
+            "remote bytes",
+            Update::remote_bytes(encoded.wire().to_vec(), heavy, true),
+        ),
+    ] {
+        let refused = door.offer(update).expect_err(name);
+        assert_eq!(refused, LiflError::InvalidAggregationGoal(heavy), "{name}");
+        assert_eq!(door.trace(), before, "{name} left a trace");
+    }
+    offer_all(&mut door, &honest[2..]);
+    assert_eq!(door.round(), twin.round());
+}
+
+#[test]
+fn an_overflowing_weight_keeps_the_round_of_a_session() {
+    an_overflowing_weight_keeps_the_round(session_door);
+}
+
+#[test]
+fn an_overflowing_weight_keeps_the_round_of_a_cluster() {
+    an_overflowing_weight_keeps_the_round(cluster_door);
+}
+
+/// A client that departs gives its weight back to the round's total: a heavy
+/// first client leaves no room for a second heavy offer until it departs.
+fn a_departed_weight_is_given_back<D: Door>(make: impl Fn() -> D) {
+    let honest = updates(8, DIM as usize);
+    let mut door = make();
+    let mut heavy = honest[0].clone();
+    heavy.samples = u64::MAX - 100;
+    offer_all(&mut door, &[heavy]);
+    offer_all(&mut door, &honest[1..3]);
+    let mut second = honest[3].clone();
+    second.samples = 200;
+    let refused = door.offer(Update::Dense(second.clone())).unwrap_err();
+    assert_eq!(refused, LiflError::InvalidAggregationGoal(200));
+    assert!(door.depart(ClientId::new(0)));
+    offer_all(&mut door, &[second]);
+    assert_eq!(door.trace().0, 3);
+}
+
+#[test]
+fn a_departed_weight_is_given_back_to_a_session() {
+    a_departed_weight_is_given_back(session_door);
+}
+
+#[test]
+fn a_departed_weight_is_given_back_to_a_cluster() {
+    a_departed_weight_is_given_back(cluster_door);
 }
