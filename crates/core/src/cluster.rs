@@ -37,8 +37,8 @@
 //!   with the highest EWMA load estimate at every round boundary
 //!   ([`TopPlacement`]);
 //! * `faults` — node kills, keep-alive heartbeats and checkpointed top
-//!   recovery (§3), and the per-round ledger a retried drive resumes from
-//!   ([`FaultToleranceConfig`]);
+//!   recovery (§3): a killed node restarts and re-delivers its round from
+//!   the stored keys ([`FaultToleranceConfig`]);
 //! * `scaling` — KPA fleet scaling: node subtrees re-split at round
 //!   boundaries ([`ScalingAction`]).
 
@@ -290,9 +290,10 @@ impl ClusterBuilder {
     /// ([`Cluster::inject_node_failure`] /
     /// [`Cluster::schedule_node_failure`]), and checkpoint-based recovery of
     /// the global top through a [`RecoveryManager`](crate::recovery::RecoveryManager).
-    /// A killed node's round survives: its lost slots are refilled and the
-    /// retried drive re-ships only the hops that never arrived. Without
-    /// this, nothing can kill a node, and a failed drive discards the round.
+    /// A killed node's round survives: the node restarts and re-delivers it
+    /// from the keys its store holds, and a drive the kill struck re-plans,
+    /// shipping only the hops that never arrived. Without this, nothing can
+    /// kill a node, and a failed drive discards the round.
     pub fn fault_tolerance(mut self, config: FaultToleranceConfig) -> Self {
         self.faults = Some(config);
         self
@@ -545,7 +546,7 @@ pub struct Cluster {
     sessions: SessionTemplate,
     /// Which node hosts the top, and the load estimates that move it.
     placement: Placement,
-    /// The per-round fault ledger, and the §3 machinery when enabled.
+    /// Scheduled kills, fault totals, and the §3 machinery when enabled.
     faults: Faults,
     /// The KPA fleet controller re-splitting node subtrees at round
     /// boundaries, when fleet scaling is enabled (driven by `scaling`).
@@ -706,20 +707,12 @@ impl Cluster {
 
     /// Routes one update and runs `store` for it on the routed node,
     /// booking the outcome: the step both [`Backend::admit`] and
-    /// [`Backend::reserve`] take. Refill slots of a restarted node take
-    /// priority over round-robin — re-sent updates route straight to the
-    /// node that lost them, so the survivors' leaf assignment is untouched
-    /// by the failure — and vacancies reclaimed by mid-round churn refill
-    /// next, for the same reason.
+    /// [`Backend::reserve`] take. Vacancies reclaimed by mid-round churn
+    /// refill before round-robin resumes, so the survivors' leaf assignment
+    /// is untouched by a departure.
     fn route<T>(&mut self, store: impl FnOnce(&mut Self, usize) -> Result<T>) -> Result<T> {
-        let route = self
-            .ingress
-            .route(self.faults.refill_node(), self.cursor_node());
-        let node = route.slot;
-        let stored = store(self, node);
-        if stored.is_ok() {
-            self.faults.admitted(node);
-        }
+        let route = self.ingress.route(self.cursor_node());
+        let stored = store(self, route.slot);
         self.ingress.settle(route, stored.is_ok());
         stored
     }
@@ -728,8 +721,8 @@ impl Cluster {
     /// node session's own `admit`, never its public door — and counts it
     /// into the round: the step both the direct path and the backlog drain
     /// end in. The node session records it under its producer, or under
-    /// its cluster arrival index when it has none, so a kill can name every
-    /// client that must re-send.
+    /// its cluster arrival index when it has none, so every update of the
+    /// round can be named — and departed — by its client.
     fn admit(&mut self, update: Update, producer: Option<ClientId>) -> Result<()> {
         self.route(|cluster, node| {
             let tracked = cluster.ingress.tracked(producer);
@@ -825,50 +818,30 @@ impl Cluster {
     /// a warm-state handoff priced in [`ClusterReport::replacement`]. The
     /// aggregate is placement-invariant: only hop pricing moves.
     ///
+    /// With [`ClusterBuilder::fault_tolerance`] enabled, a child-node kill
+    /// that strikes inside the drive ([`Cluster::schedule_node_failure`],
+    /// where a node-at-a-time walk would, once the hops before it landed)
+    /// costs the round nothing: the node restarts and re-delivers its round
+    /// from the stored keys, and the same call re-plans — re-shipping only
+    /// the hops that never arrived, skipping (and counting, see
+    /// [`FaultStats::deduped_hops`]) the ones already folded into the global
+    /// top — and returns the round bit-exact with an undisturbed one.
+    ///
     /// # Errors
     /// Fails if the ingested updates do not exactly fill the global tree
     /// (the round is kept and can be topped up), or on any store, codec or
     /// aggregation error — in which case the round is discarded on every
-    /// node and the cluster is reset to an empty round.
-    ///
-    /// With [`ClusterBuilder::fault_tolerance`] enabled, a node kill instead
-    /// surfaces as [`LiflError::NodeFailure`] and the round *survives*: the
-    /// killed node's subtree restarts empty while every other node (and any
-    /// intermediate already folded into the global top) keeps its state.
-    /// Re-ingest the lost clients' updates ([`Cluster::take_lost_clients`])
-    /// and call `drive` again — the retry re-ships only the hops that never
-    /// arrived, skipping (and counting, see [`FaultStats::deduped_hops`])
-    /// the survivors'. A [`Cluster::schedule_node_failure`] kill strikes
-    /// where a node-at-a-time walk would, once the hops before it landed. A
-    /// kill of the top-hosting node surfaces as
-    /// [`LiflError::AggregatorFailure`]: the round is lost wholesale and the
-    /// latest checkpoint is restored ([`Cluster::take_recovery`]).
+    /// node and the cluster is reset to an empty round. A kill of the
+    /// top-hosting node fails with [`LiflError::AggregatorFailure`]: the
+    /// round is lost wholesale and the latest checkpoint is restored
+    /// ([`Cluster::take_recovery`]).
     pub fn drive(&mut self) -> Result<ClusterReport> {
         self.settle()?;
-        self.faults.check_refilled()?;
         self.validate_round()?;
-        // A retry resumes the round its first attempt already placed.
         let loads = self.children.iter().map(Session::pending_updates);
-        let replacement = if self.faults.first_attempt() {
-            self.placement.place(loads, self.pricing)
-        } else {
-            None
-        };
-        let top = match self.drive_hops() {
-            Ok(top) => top,
-            Err(error) => {
-                // A kill keeps the partial round for its retry (a top kill
-                // already cleaned up after itself); anything else aborts it.
-                if !matches!(
-                    error,
-                    LiflError::NodeFailure { .. } | LiflError::AggregatorFailure { .. }
-                ) {
-                    self.abort_round();
-                }
-                return Err(error);
-            }
-        };
-        let (hops, nodes) = self.faults.commit(&top.update.model);
+        let replacement = self.placement.place(loads, self.pricing);
+        let (top, hops, nodes) = self.drive_hops().inspect_err(|_| self.abort_round())?;
+        self.faults.commit(&top.update.model);
         self.placement.committed(top.update.model.dim());
         self.ingress.reset_round();
         // The round boundary: observe queue depths, let the fleet controller
@@ -899,41 +872,47 @@ impl Cluster {
         close.check(&self.topology, self.round_capacity(), ingested)
     }
 
-    /// One drive attempt as one tree: **plan** it in node order, **run**
-    /// every planned node subtree as one forest, **ship** the hops into the
-    /// parent in node order, then **fire** the scheduled kill or drive the
-    /// global top. Resumes a partially shipped round after a kill.
-    fn drive_hops(&mut self) -> Result<SessionReport> {
+    /// The round's node subtrees into the global top, as one tree: **plan**
+    /// a pass in node order, **run** every planned node subtree as one
+    /// forest, **ship** the hops into the parent in node order, then **fire**
+    /// the scheduled kill — a child restarts and the next pass resumes the
+    /// round — or drive the global top. Returns the top's report with the
+    /// round's hops and node reports, in node order.
+    fn drive_hops(&mut self) -> Result<(SessionReport, Vec<ClusterHop>, Vec<NodeRoundReport>)> {
         // A quorum round can leave whole subtrees empty: no export, no hop,
         // nothing for the top to fold from this node.
         let quorum = self.sessions.quorum;
-        let has_hop = self
-            .children
-            .iter()
-            .map(|c| c.pending_updates() > 0 || !quorum);
-        let (steps, kill) = self.faults.plan(has_hop);
-        let mut planned: Vec<&mut Session> = (self.children.iter_mut().enumerate())
-            .filter(|(k, _)| steps.contains(&(*k, true)))
-            .map(|(_, child)| child)
-            .collect();
-        let mut exports = Session::drive_forest_to_wire(&mut planned).into_iter();
-        for (k, ships) in steps {
-            // Retry-with-dedup: a node whose intermediate already reached
-            // the global top on an earlier attempt never re-ships (or
-            // re-prices) its hop.
-            let Some(export) = ships.then(|| exports.next()).flatten() else {
-                self.faults.deduped();
-                continue;
-            };
-            // The first failure in node order is the drive's; the round is
-            // aborted, the later nodes' exports with it.
-            let (hop, node) = self.ship(k, export?)?;
-            self.faults.ship(k, hop, node);
+        let mut shipped = vec![false; self.children.len()];
+        let (mut hops, mut nodes) = (Vec::new(), Vec::new());
+        loop {
+            let has_hop = (self.children.iter()).map(|c| c.pending_updates() > 0 || !quorum);
+            let (steps, kill) = self.faults.plan(&shipped, has_hop);
+            let mut planned: Vec<&mut Session> = (self.children.iter_mut().enumerate())
+                .filter(|(k, _)| steps.contains(&(*k, true)))
+                .map(|(_, child)| child)
+                .collect();
+            let mut exports = Session::drive_forest_to_wire(&mut planned).into_iter();
+            for (k, ships) in steps {
+                // Dedup: a node whose intermediate already reached the
+                // global top in an earlier pass never re-ships (or
+                // re-prices) its hop.
+                let Some(export) = ships.then(|| exports.next()).flatten() else {
+                    self.faults.deduped();
+                    continue;
+                };
+                // The first failure in node order is the drive's; the round
+                // is aborted, the later nodes' exports with it.
+                let (hop, node) = self.ship(k, export?)?;
+                self.faults.folded();
+                shipped[k] = true;
+                hops.push(hop);
+                nodes.push(node);
+            }
+            match kill {
+                Some(victim) => self.kill_node(victim)?,
+                None => return Ok((self.parent.drive()?, hops, nodes)),
+            }
         }
-        if let Some(victim) = kill {
-            return Err(self.kill_node(victim));
-        }
-        self.parent.drive()
     }
 
     /// Ships node `k`'s export into the top's gateway: the priced hop and
@@ -1042,6 +1021,11 @@ impl lifl_fl::Ingest for Cluster {
 
     fn discard_round(&mut self) {
         Cluster::discard_round(self);
+    }
+
+    /// The checkpoint a top-host kill restored ([`Cluster::take_recovery`]).
+    fn take_recovered_model(&mut self) -> Option<lifl_fl::DenseModel> {
+        self.take_recovery()?.outcome.recovered_model
     }
 }
 
@@ -1379,7 +1363,6 @@ mod tests {
         assert!(cluster
             .node_heartbeat(NodeId::new(0), SimTime::ZERO)
             .is_err());
-        assert!(cluster.take_lost_clients().is_empty());
         assert!(cluster.take_recovery().is_none());
         assert!(cluster.fault_stats().is_none());
         assert!(cluster.checkpoint_store().is_none());
@@ -1406,33 +1389,16 @@ mod tests {
         cluster
             .ingest_all(batch.iter().cloned().map(Update::Dense))
             .unwrap();
-        // Kill node 1 (not the top host) with the whole round pending.
+        // Kill node 1 (not the top host) with the whole round pending: the
+        // restarted node refills its leaf inboxes from the keys its store
+        // holds, and the next drive needs nothing re-sent.
         let kill = cluster.inject_node_failure(NodeId::new(1)).unwrap();
         assert!(!kill.top_host);
         assert_eq!(kill.lost_updates, 4);
-        // Driving before the lost slots are refilled reports the failure.
-        assert!(matches!(
-            cluster.drive(),
-            Err(LiflError::NodeFailure {
-                node: 1,
-                lost_updates: 4
-            })
-        ));
-        // The lost clients re-send; their updates refill the restarted node
-        // directly, leaving node 0's leaf assignment untouched.
-        let lost = cluster.take_lost_clients();
-        assert_eq!(lost.len(), 4);
-        assert!(cluster.take_lost_clients().is_empty(), "reported once");
-        for client in &lost {
-            let update = batch
-                .iter()
-                .find(|u| u.client == Some(*client))
-                .expect("lost client came from the batch");
-            cluster.ingest(Update::Dense(update.clone())).unwrap();
-        }
+        assert_eq!(cluster.pending_updates(), 8);
         let report = cluster.drive().unwrap();
         assert_eq!(report.updates_ingested(), 8);
-        // Same updates, same order, lossless codec: the survived round is
+        // Same keys, same leaves, same order: the survived round is
         // bit-exact with the undisturbed one.
         for (a, b) in report
             .update
@@ -1471,28 +1437,16 @@ mod tests {
             .ingest_all(batch.iter().cloned().map(Update::Dense))
             .unwrap();
         // Node 1 dies mid-drive, after node 0's intermediate already reached
-        // the global top.
+        // the global top: the same drive restarts it and re-plans.
         cluster.schedule_node_failure(NodeId::new(1), 1).unwrap();
-        assert!(matches!(
-            cluster.drive(),
-            Err(LiflError::NodeFailure {
-                node: 1,
-                lost_updates: 4
-            })
-        ));
-        for client in cluster.take_lost_clients() {
-            let update = batch
-                .iter()
-                .find(|u| u.client == Some(client))
-                .expect("lost client came from the batch");
-            cluster.ingest(Update::Dense(update.clone())).unwrap();
-        }
         let report = cluster.drive().unwrap();
         assert_eq!(report.updates_ingested(), 8);
-        // Node 0's hop was not re-shipped: the retry deduped it, and the
+        // Node 0's hop was not re-shipped: the re-plan deduped it, and the
         // report still prices exactly one hop per node.
         assert_eq!(report.hops.len(), 2);
-        assert_eq!(cluster.fault_stats().unwrap().deduped_hops, 1);
+        let stats = cluster.fault_stats().unwrap();
+        assert_eq!((stats.deduped_hops, stats.node_restarts), (1, 1));
+        assert_eq!(stats.lost_updates, 4);
         for (a, b) in report
             .update
             .model
@@ -1517,19 +1471,13 @@ mod tests {
             .ingest_all(batch.iter().cloned().map(Update::Dense))
             .unwrap();
         // Node 0 (not the top host) dies after its own hop completed: its
-        // intermediate is already safe at the top, so nothing is lost.
+        // intermediate is already safe at the top, so its restart has
+        // nothing to re-deliver and the drive completes.
         cluster.schedule_node_failure(NodeId::new(0), 1).unwrap();
-        assert!(matches!(
-            cluster.drive(),
-            Err(LiflError::NodeFailure {
-                node: 0,
-                lost_updates: 0
-            })
-        ));
-        assert!(cluster.take_lost_clients().is_empty());
-        // The retry completes without any re-sends.
         let report = cluster.drive().unwrap();
         assert_eq!(report.updates_ingested(), 8);
+        let stats = cluster.fault_stats().unwrap();
+        assert_eq!((stats.node_restarts, stats.lost_updates), (1, 0));
     }
 
     #[test]
@@ -1619,14 +1567,7 @@ mod tests {
             .detect_failed_nodes(SimTime::from_secs(45.0))
             .unwrap()
             .is_empty());
-        // The round survives once the lost updates are re-sent.
-        for client in cluster.take_lost_clients() {
-            let update = batch
-                .iter()
-                .find(|u| u.client == Some(client))
-                .expect("lost client came from the batch");
-            cluster.ingest(Update::Dense(update.clone())).unwrap();
-        }
+        // The round survives: the restarted node re-delivered its updates.
         assert_eq!(cluster.drive().unwrap().updates_ingested(), 8);
     }
 
@@ -2194,53 +2135,76 @@ mod tests {
         assert!(cluster.detect_failed_nodes(now).unwrap().is_empty());
     }
 
+    /// A restarted node re-delivers every update of its round, whatever
+    /// form it arrived in, still named by its client (or its cluster
+    /// arrival index), and the round is the undisturbed one bit for bit.
     #[test]
     fn a_child_kill_names_every_lost_client_whatever_the_update_form() {
-        let mut cluster = ClusterBuilder::new()
-            .topology(Topology::new(vec![2, 2, 2]).unwrap())
-            .codec(CodecKind::Uniform8)
-            .admission(AdmissionConfig::bounded(4, 1 << 20))
-            .fault_tolerance(FaultToleranceConfig::default())
-            .build()
-            .unwrap();
+        let build = || {
+            ClusterBuilder::new()
+                .topology(Topology::new(vec![2, 2, 2]).unwrap())
+                .codec(CodecKind::Uniform8)
+                .admission(AdmissionConfig::bounded(4, 1 << 20))
+                .fault_tolerance(FaultToleranceConfig::default())
+                .build()
+                .unwrap()
+        };
         let model = |i: usize| updates(20, 16).swap_remove(i).model;
         let encoded =
             |i: usize| lifl_fl::UpdateCodec::with_seed(CodecKind::Uniform8, 7).encode(&model(i));
         let dense = |i: u64| Update::dense(ClientId::new(i), model(i as usize), 1);
         // Update k of the round feeds leaf k % 4: 0, 1, 4 and 5 land on
         // node 0 (the top host), the anonymous forms on node 1.
-        let offers = [
-            dense(10),
-            Update::encoded(ClientId::new(11), encoded(1), 2),
-            Update::remote_bytes(encoded(2).to_bytes(), 3, true),
-            Update::remote_bytes(
-                lifl_fl::kernels::le_bytes(model(3).as_slice()).to_vec(),
-                4,
-                false,
-            ),
-            dense(14),
-            dense(15),
-            Update::Encoded {
-                client: None,
-                update: encoded(6),
-                samples: 5,
-            },
-            Update::Dense(ModelUpdate::intermediate(model(7), 6)),
-            // Parked, then drained into the slot a departure reclaims.
-            Update::remote_bytes(encoded(8).to_bytes(), 7, true),
-            dense(19),
-        ];
-        for offer in offers {
-            assert!(!cluster.try_ingest(offer).unwrap().is_rejected());
-        }
-        // The anonymous dense update went by its arrival index.
-        assert!(cluster.depart_client(ClientId::new(7)));
+        let offers = || {
+            [
+                dense(10),
+                Update::encoded(ClientId::new(11), encoded(1), 2),
+                Update::remote_bytes(encoded(2).to_bytes(), 3, true),
+                Update::remote_bytes(
+                    lifl_fl::kernels::le_bytes(model(3).as_slice()).to_vec(),
+                    4,
+                    false,
+                ),
+                dense(14),
+                dense(15),
+                Update::Encoded {
+                    client: None,
+                    update: encoded(6),
+                    samples: 5,
+                },
+                Update::Dense(ModelUpdate::intermediate(model(7), 6)),
+                // Parked, then drained into the slot a departure reclaims.
+                Update::remote_bytes(encoded(8).to_bytes(), 7, true),
+                dense(19),
+            ]
+        };
+        let round = |cluster: &mut Cluster| {
+            for offer in offers() {
+                assert!(!cluster.try_ingest(offer).unwrap().is_rejected());
+            }
+            // The anonymous dense update went by its arrival index.
+            assert!(cluster.depart_client(ClientId::new(7)));
+        };
+        let (mut cluster, mut undisturbed) = (build(), build());
+        round(&mut cluster);
+        round(&mut undisturbed);
+        let lost = [2, 3, 6, 8].map(|i| Some(ClientId::new(i))).to_vec();
+        assert_eq!(cluster.node_sessions()[1].round_clients(), lost);
         let kill = cluster.inject_node_failure(NodeId::new(1)).unwrap();
         assert_eq!(kill.lost_updates, 4);
-        let lost = [2, 3, 6, 8].map(ClientId::new).to_vec();
-        assert_eq!(cluster.take_lost_clients(), lost);
+        assert_eq!(cluster.node_sessions()[1].round_clients(), lost);
+        let bits = |cluster: &mut Cluster| {
+            let report = cluster.drive().unwrap();
+            let model = report.update.model.as_slice();
+            let bits: Vec<u32> = model.iter().map(|v| v.to_bits()).collect();
+            (report.update.samples, bits)
+        };
+        assert_eq!(bits(&mut cluster), bits(&mut undisturbed));
     }
 
+    /// A killed node gives its updates, weights included, back to the round
+    /// it restarts into: the round still holds the heavy client's weight,
+    /// so a re-send of it would overflow the total and is refused.
     #[test]
     fn a_killed_nodes_weight_is_given_back_to_the_round() {
         let mut cluster = ClusterBuilder::new()
@@ -2257,9 +2221,13 @@ mod tests {
         }
         let kill = cluster.inject_node_failure(NodeId::new(1)).unwrap();
         assert_eq!(kill.lost_updates, 2);
-        // The heavy client re-sends: its lost weight no longer counts.
-        let resent = cluster.try_ingest(Update::Dense(batch[2].clone())).unwrap();
-        assert!(resent.is_admitted());
+        assert_eq!(cluster.pending_updates(), 4);
+        let resent = cluster.try_ingest(Update::Dense(batch[2].clone()));
+        assert_eq!(
+            resent,
+            Err(LiflError::InvalidAggregationGoal(u64::MAX - 100))
+        );
+        assert_eq!(cluster.pending_updates(), 4);
     }
 
     #[test]

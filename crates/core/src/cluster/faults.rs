@@ -1,17 +1,16 @@
-//! Failure handling (§3): node kills a cluster round survives — the lost
-//! slots are refilled on the restarted node and the retried drive re-ships
-//! only the hops that never arrived — keep-alive heartbeats per node, and
-//! checkpointed recovery of the global top.
+//! Failure handling (§3): node kills a cluster round survives, keep-alive
+//! heartbeats per node, and checkpointed recovery of the global top.
 //!
-//! Every cluster keeps the per-round ledger: which nodes' hops already
-//! reached the top, the slots a restarted node is owed, the clients that
-//! must re-send, and the partial report of a round awaiting its retry. So a
-//! drive takes one path with or without fault tolerance. Heartbeats,
-//! checkpoint commits and kill injection exist only where
-//! [`ClusterBuilder::fault_tolerance`](super::ClusterBuilder::fault_tolerance)
-//! turned them on.
+//! An aggregator is a stateless runtime over its node's shared-memory store,
+//! so a kill takes a node's runtime state, never the bytes its store holds:
+//! the restarted node re-delivers its open round from the stored keys
+//! (`Session::restart`), and a kill inside a drive only makes that drive
+//! re-plan, shipping the hops that never arrived. Nothing is re-sent by a
+//! client. Heartbeats, checkpoint commits and kill injection exist only
+//! where [`ClusterBuilder::fault_tolerance`](super::ClusterBuilder::fault_tolerance)
+//! turned them on; without them nothing can kill a node.
 
-use super::{Cluster, ClusterHop, NodeRoundReport};
+use super::Cluster;
 use crate::heartbeat::HeartbeatMonitor;
 use crate::ingress;
 use crate::recovery::{RecoveryManager, RecoveryOutcome};
@@ -19,7 +18,7 @@ use lifl_dataplane::TransferCost;
 use lifl_fl::DenseModel;
 use lifl_shmem::CheckpointStore;
 use lifl_types::{ClientId, LiflError, NodeId, Result, SimDuration, SimTime};
-use std::mem::{replace, take};
+use std::collections::VecDeque;
 
 /// Configuration of a cluster's failure-handling machinery (§3): keep-alive
 /// heartbeats per node, periodic checkpointing of committed global models,
@@ -63,16 +62,18 @@ pub struct TopRecovery {
 /// Running totals of the failures a fault-tolerant cluster absorbed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Child-node kills handled by discarding the node's subtree round and
-    /// refilling its lost slots (restart-and-redrive).
+    /// Child-node kills handled by restarting the node's runtime, which
+    /// re-delivers its open round from the stored keys.
     pub node_restarts: u64,
     /// Global-top kills handled by restoring the latest checkpoint.
     pub top_recoveries: u64,
-    /// Survivor hops *not* re-shipped on a retried drive because their
-    /// intermediates were already folded into the global top
-    /// (retry-with-dedup on the `Update::RemoteBytes` hop).
+    /// Survivor hops *not* re-shipped when a drive re-planned after a kill,
+    /// because their intermediates were already folded into the global top
+    /// (dedup on the `Update::RemoteBytes` hop).
     pub deduped_hops: u64,
-    /// Client updates lost to failures (each must be re-sent by its client).
+    /// Client updates the killed runtimes held: re-delivered from the
+    /// node's store after a child kill, lost with the round after a top
+    /// kill.
     pub lost_updates: u64,
 }
 
@@ -81,8 +82,9 @@ pub struct FaultStats {
 pub struct NodeKill {
     /// The killed node.
     pub node: NodeId,
-    /// Updates that were pending on the node (for a top-host kill: in the
-    /// whole round) and are lost.
+    /// Updates of the open round the node's runtime held: re-delivered from
+    /// the node's store by its restart — for a top-host kill, the whole
+    /// round's, which are lost.
     pub lost_updates: u64,
     /// Whether the killed node hosted the global top — in which case the
     /// whole round is lost and recovery restores the latest checkpoint
@@ -90,27 +92,14 @@ pub struct NodeKill {
     pub top_host: bool,
 }
 
-/// A cluster's fault state: the per-round ledger every cluster keeps, the
-/// lifetime totals, and the machinery fault tolerance turns on.
+/// A cluster's fault state: the kills scheduled into the round, the lifetime
+/// totals, and the machinery fault tolerance turns on.
 #[derive(Debug)]
 pub(super) struct Faults {
-    /// Per node: this round's intermediate already reached the global top,
-    /// so a retried drive skips (dedups) its hop.
-    shipped: Vec<bool>,
-    /// Per node: lost update slots a restarted node is still owed (re-sent
-    /// updates route there before round-robin resumes).
-    refill: Vec<u64>,
-    /// Clients whose updates were lost to kills and must re-send.
-    lost_clients: Vec<ClientId>,
-    /// The hops and node reports the round's attempts have shipped so far.
-    hops: Vec<ClusterHop>,
-    nodes: Vec<NodeRoundReport>,
-    /// True once an attempt of the round placed the top, so a retry never
-    /// re-places (or double-observes load into the EWMAs) mid-round.
-    placed: bool,
-    /// A pending [`Cluster::schedule_node_failure`]: the victim is killed
-    /// inside the next drive once this many hops of the round are done.
-    scheduled: Option<(usize, u64)>,
+    /// The pending [`Cluster::schedule_node_failure`]s, in schedule order:
+    /// each victim is killed inside the round's drive once this many of its
+    /// hops are done.
+    scheduled: VecDeque<(usize, u64)>,
     stats: FaultStats,
     /// Heartbeats and checkpointed recovery, when enabled.
     tolerance: Option<Tolerance>,
@@ -154,66 +143,34 @@ impl Faults {
             })
         });
         Ok(Faults {
-            shipped: vec![false; nodes],
-            refill: vec![0; nodes],
-            lost_clients: Vec::new(),
-            hops: Vec::new(),
-            nodes: Vec::new(),
-            placed: false,
-            scheduled: None,
+            scheduled: VecDeque::new(),
             stats: FaultStats::default(),
             tolerance: tolerance.transpose()?,
         })
     }
 
-    /// The node owed an update by a kill, if any: where the next admitted
-    /// update routes, ahead of every other rule.
-    pub(super) fn refill_node(&self) -> Option<usize> {
-        self.refill.iter().position(|&owed| owed > 0)
-    }
-
-    /// Books an update admitted on `node`: it pays back one slot the node is
-    /// owed, if any.
-    pub(super) fn admitted(&mut self, node: usize) {
-        self.refill[node] = self.refill[node].saturating_sub(1);
-    }
-
-    /// [`LiflError::NodeFailure`] while a restarted node is owed updates:
-    /// the round cannot close until the lost clients re-sent them.
-    pub(super) fn check_refilled(&self) -> Result<()> {
-        match self.refill_node() {
-            Some(node) => Err(LiflError::NodeFailure {
-                node: node as u64,
-                lost_updates: self.refill[node],
-            }),
-            None => Ok(()),
-        }
-    }
-
-    /// Whether this drive attempt is the round's first — the one that
-    /// places the top; a retry resumes the round where the kill left it.
-    pub(super) fn first_attempt(&mut self) -> bool {
-        !replace(&mut self.placed, true)
-    }
-
-    /// Plans a drive attempt exactly as a node-at-a-time walk would take
+    /// Plans one pass of a drive exactly as a node-at-a-time walk would take
     /// it: every node passed in order as `(node, ships)` — `false` for a hop
-    /// an earlier attempt already shipped (dedup) — up to the victim of a
-    /// scheduled kill, which strikes once as many hops are done (earlier
-    /// attempts' and this plan's) and is returned, unscheduled. `has_hop`
-    /// says per node whether its subtree has anything to export; the kill
-    /// is checked first, so an empty node at the kill point fires.
+    /// an earlier pass of the drive already `shipped` (dedup) — up to the
+    /// victim of the first scheduled kill, which strikes once as many hops
+    /// are done (earlier passes' and this one's) and is returned,
+    /// unscheduled. `has_hop` says per node whether its subtree has anything
+    /// to export; the kill is checked first, so an empty node at the kill
+    /// point fires.
     pub(super) fn plan(
         &mut self,
+        shipped: &[bool],
         has_hop: impl Iterator<Item = bool>,
     ) -> (Vec<(usize, bool)>, Option<usize>) {
-        let mut hopped = self.shipped.iter().filter(|&&shipped| shipped).count() as u64;
-        let mut steps = Vec::with_capacity(self.shipped.len());
+        let mut hopped = shipped.iter().filter(|&&shipped| shipped).count() as u64;
+        let mut steps = Vec::with_capacity(shipped.len());
         for (k, has_hop) in has_hop.enumerate() {
-            if self.shipped[k] {
+            if shipped[k] {
                 steps.push((k, false));
-            } else if let Some((victim, _)) = self.scheduled.filter(|&(_, after)| hopped >= after) {
-                self.scheduled = None;
+            } else if let Some(&(victim, _)) =
+                (self.scheduled.front()).filter(|&&(_, after)| hopped >= after)
+            {
+                self.scheduled.pop_front();
                 return (steps, Some(victim));
             } else if has_hop {
                 steps.push((k, true));
@@ -223,45 +180,33 @@ impl Faults {
         (steps, None)
     }
 
-    /// Counts a hop a retried drive did not re-ship.
+    /// Counts a hop a re-planned drive did not re-ship.
     pub(super) fn deduped(&mut self) {
         self.stats.deduped_hops += 1;
     }
 
-    /// Records node `k`'s hop as folded into the global top: from here on a
-    /// kill of the node loses nothing of the round.
-    pub(super) fn ship(&mut self, k: usize, hop: ClusterHop, node: NodeRoundReport) {
-        self.shipped[k] = true;
-        self.hops.push(hop);
-        self.nodes.push(node);
+    /// Records a node's hop as folded into the global top: from here on a
+    /// kill of the node takes nothing of the round.
+    pub(super) fn folded(&mut self) {
         if let Some(t) = &mut self.tolerance {
             t.recovery.record_fold();
         }
     }
 
     /// Closes a completed round: checkpoints the committed `model` on the
-    /// fault clock when fault tolerance is on, and hands back the round's
-    /// hops and node reports, in node order.
-    pub(super) fn commit(&mut self, model: &DenseModel) -> (Vec<ClusterHop>, Vec<NodeRoundReport>) {
+    /// fault clock when fault tolerance is on.
+    pub(super) fn commit(&mut self, model: &DenseModel) {
         if let Some(t) = &mut self.tolerance {
             t.recovery.commit_version(model, t.clock);
         }
-        let shipped = (take(&mut self.hops), take(&mut self.nodes));
         self.clear_round();
-        shipped
     }
 
-    /// Forgets everything scoped to the current round (a completed,
-    /// discarded or top-lost round). Heartbeats, totals, the recovery
-    /// manager and any pending [`TopRecovery`] persist.
+    /// Forgets the kills scheduled into the current round (a completed,
+    /// discarded or top-lost one). Heartbeats, totals, the recovery manager
+    /// and any pending [`TopRecovery`] persist.
     pub(super) fn clear_round(&mut self) {
-        self.shipped.fill(false);
-        self.refill.fill(0);
-        self.lost_clients.clear();
-        self.hops.clear();
-        self.nodes.clear();
-        self.placed = false;
-        self.scheduled = None;
+        self.scheduled.clear();
     }
 }
 
@@ -328,16 +273,17 @@ impl Cluster {
         Ok(kills)
     }
 
-    /// Kills a node *now* (the fault-injection hook): its child session
-    /// loses the in-flight round state, exactly as a crashed process would.
+    /// Kills a node *now* (the fault-injection hook): its aggregator
+    /// runtimes lose whatever they held, exactly as a crashed process would,
+    /// while the node's store keeps every update it was handed.
     ///
-    /// For an ordinary node the cluster round survives: the lost slots are
-    /// tracked for refill ([`Cluster::take_lost_clients`] says whose updates
-    /// must be re-sent) and the next [`Cluster::drive`] fails with
-    /// [`LiflError::NodeFailure`] until they are. A node whose intermediate
-    /// already reached the global top this round loses nothing. Killing the
-    /// top-hosting node loses the whole round and restores the latest
-    /// checkpoint ([`Cluster::take_recovery`]).
+    /// For an ordinary node the cluster round survives untouched: the node
+    /// restarts at once and re-delivers its open round from the stored keys,
+    /// each update to the leaf it was routed to, in arrival order — nothing
+    /// is re-sent, re-normalised or re-encoded, later offers route as if no
+    /// kill had happened, and the next [`Cluster::drive`] is bit-exact with
+    /// an undisturbed round. Killing the top-hosting node loses the whole
+    /// round and restores the latest checkpoint ([`Cluster::take_recovery`]).
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidConfig`] when fault tolerance is not
@@ -350,22 +296,19 @@ impl Cluster {
 
     /// Schedules a node kill that fires *inside* the next drive, once
     /// `after_hops` gateway-to-gateway hops of the round have completed —
-    /// the mid-round fault-injection hook the fault test tier drives.
+    /// the mid-round fault-injection hook the fault test tier drives. Kills
+    /// scheduled into one round fire in schedule order; one that has not
+    /// fired when the round ends is dropped.
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidConfig`] when fault tolerance is not
     /// enabled or the node is outside the cluster.
     pub fn schedule_node_failure(&mut self, node: NodeId, after_hops: u64) -> Result<()> {
         self.tolerance(Some(node))?;
-        self.faults.scheduled = Some((node.index() as usize, after_hops));
+        self.faults
+            .scheduled
+            .push_back((node.index() as usize, after_hops));
         Ok(())
-    }
-
-    /// Clients whose updates were lost to node kills and must be re-sent
-    /// (each reported exactly once). Re-ingesting them refills the restarted
-    /// node directly, leaving the survivors' leaf assignment untouched.
-    pub fn take_lost_clients(&mut self) -> Vec<ClientId> {
-        take(&mut self.faults.lost_clients)
     }
 
     /// The checkpoint restore performed for the most recent top-host kill,
@@ -405,43 +348,35 @@ impl Cluster {
             self.children[node].pending_updates()
         };
         match self.kill_node(node) {
-            LiflError::NodeFailure { .. } | LiflError::AggregatorFailure { .. } => Ok(NodeKill {
+            Ok(()) | Err(LiflError::AggregatorFailure { .. }) => Ok(NodeKill {
                 node: NodeId::new(node as u64),
                 lost_updates,
                 top_host,
             }),
-            other => Err(other),
+            Err(other) => Err(other),
         }
     }
 
-    /// The kill itself: discards what the dead process held and records what
-    /// the round must get back. Returns the failure as an error value (the
-    /// mid-drive path propagates it out of [`Cluster::drive`]).
-    pub(super) fn kill_node(&mut self, node: usize) -> LiflError {
+    /// The kill itself: a child node restarts and re-delivers its open round
+    /// from the stored keys (`Ok`); a kill of the top host loses the round
+    /// and fails with [`LiflError::AggregatorFailure`] — or the checkpoint
+    /// restore's error — which the mid-drive path propagates out of
+    /// [`Cluster::drive`].
+    pub(super) fn kill_node(&mut self, node: usize) -> Result<()> {
         if node == self.placement.top() {
-            return self.kill_top(node);
+            return Err(self.kill_top(node));
         }
-        // The crashed process takes its subtree's in-flight round with it;
-        // the restarted (stateless) session starts from an empty round.
         let child = &mut self.children[node];
-        let (lost, weight) = (child.pending_updates(), child.round_weight());
-        let clients = child.round_clients();
-        child.discard_round();
-        self.ingress.forfeit(lost);
-        self.ingress.release(weight);
+        let redelivered = child.pending_updates();
+        child.restart();
         let f = &mut self.faults;
-        f.refill[node] += lost;
-        f.lost_clients.extend(clients.into_iter().flatten());
         f.stats.node_restarts += 1;
-        f.stats.lost_updates += lost;
+        f.stats.lost_updates += redelivered;
         if let Some(t) = &mut f.tolerance {
             // The restarted node resumes heartbeating.
             t.monitor.register(ClientId::new(node as u64), t.clock);
         }
-        LiflError::NodeFailure {
-            node: node as u64,
-            lost_updates: lost,
-        }
+        Ok(())
     }
 
     /// A kill of the node hosting the global top: the whole round is lost

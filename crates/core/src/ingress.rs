@@ -19,9 +19,9 @@
 //!   instead of wrapping it and scaling every folded value wrongly, and an
 //!   update that leaves the round gives its weight back. On a cluster the
 //!   cluster's ingress keeps the total, since it is round-wide.
-//! * **route** — a fault-refill slot first, then a vacancy opened by
-//!   mid-round churn, then the round-robin cursor; committed when the slot
-//!   took the update, rolled back when it did not.
+//! * **route** — a vacancy opened by mid-round churn first, then the
+//!   round-robin cursor; committed when the slot took the update, rolled
+//!   back when it did not.
 //! * **encode off the offering thread** — a lossy dense offer is answered
 //!   at once, in O(1): its wire length is a function of codec and `dim`
 //!   only, so whether the slot takes it is decided against the store *and
@@ -80,7 +80,6 @@ const NO_BACKLOG: AdmissionOutcome = AdmissionOutcome::Rejected {
 /// commit or roll back.
 #[derive(Debug, Clone, Copy)]
 enum Origin {
-    Refill,
     Vacancy,
     Cursor,
 }
@@ -263,9 +262,9 @@ pub(crate) struct Ingress {
     /// client id an anonymous update is attributed to, so residual slots
     /// never alias across rounds and the codec cannot change attribution.
     lifetime: u64,
-    /// Round-robin position of the next update that fills neither a refill
-    /// slot nor a vacancy. Equal to `ingested` until a kill or churn, so
-    /// undisturbed routing is update *k* → slot `k % slots`.
+    /// Round-robin position of the next update that fills no vacancy.
+    /// Equal to `ingested` until churn, so undisturbed routing is update *k*
+    /// → slot `k % slots`.
     cursor: u64,
     /// The model dimension the open round's first admitted update pinned.
     dim: Option<usize>,
@@ -487,18 +486,20 @@ impl Ingress {
         self.failure.take()
     }
 
-    /// The route rule: picks the slot for the next update. `refill` is the
-    /// backend's fault-refill slot, if a killed node is owed updates;
-    /// `cursor_slot` is where the round-robin cursor points.
-    pub(crate) fn route(&mut self, refill: Option<usize>, cursor_slot: usize) -> Route {
-        let (slot, origin) = match refill {
-            Some(slot) => (slot, Origin::Refill),
-            None => match self.vacancies.pop() {
-                Some(slot) => (slot, Origin::Vacancy),
-                None => (cursor_slot, Origin::Cursor),
+    /// The route rule: picks the slot for the next update — a vacancy left
+    /// by a departed client, else `cursor_slot`, where the round-robin
+    /// cursor points.
+    pub(crate) fn route(&mut self, cursor_slot: usize) -> Route {
+        match self.vacancies.pop() {
+            Some(slot) => Route {
+                slot,
+                origin: Origin::Vacancy,
             },
-        };
-        Route { slot, origin }
+            None => Route {
+                slot: cursor_slot,
+                origin: Origin::Cursor,
+            },
+        }
     }
 
     /// Closes a route: an admitted update counts toward the round and moves
@@ -535,16 +536,10 @@ impl Ingress {
         self.vacancies.push(slot);
     }
 
-    /// Gives `weight` of admitted updates that left the round (departed, or
-    /// lost with their node) back to the weight rule.
+    /// Gives `weight` of admitted updates whose clients departed back to the
+    /// weight rule.
     pub(crate) fn release(&mut self, weight: u64) {
         self.weight = self.weight.saturating_sub(weight);
-    }
-
-    /// Writes off `lost` admitted updates that died with their node. Their
-    /// slots come back as the backend's refill slots, not as vacancies.
-    pub(crate) fn forfeit(&mut self, lost: u64) {
-        self.ingested = self.ingested.saturating_sub(lost);
     }
 
     /// Opens an empty round: no fill, cursor at the first slot, no pinned
@@ -725,27 +720,22 @@ mod tests {
     }
 
     #[test]
-    fn route_prefers_refill_then_vacancy_then_cursor() {
+    fn route_prefers_vacancy_then_cursor() {
         let mut ingress = ingress();
         // Undisturbed: the cursor slot, and admitting advances the cursor.
-        let route = ingress.route(None, 3);
+        let route = ingress.route(3);
         assert_eq!(route.slot, 3);
         ingress.settle(route, true);
         assert_eq!((ingress.ingested, ingress.cursor), (1, 1));
-        // A departure opens a vacancy, which wins over the cursor…
+        // A departure opens a vacancy, which wins over the cursor.
         ingress.vacate(7);
         assert_eq!(ingress.ingested, 0);
-        // …but not over a refill slot, which leaves the vacancy alone.
-        let route = ingress.route(Some(5), 3);
-        assert_eq!(route.slot, 5);
-        ingress.settle(route, true);
-        assert_eq!((ingress.ingested, ingress.cursor), (1, 1));
-        let route = ingress.route(None, 3);
+        let route = ingress.route(3);
         assert_eq!(route.slot, 7);
         ingress.settle(route, true);
-        // Neither refill nor vacancy consumed a round-robin position.
-        assert_eq!((ingress.ingested, ingress.cursor), (2, 1));
-        assert_eq!(ingress.route(None, 3).slot, 3);
+        // The vacancy consumed no round-robin position.
+        assert_eq!((ingress.ingested, ingress.cursor), (1, 1));
+        assert_eq!(ingress.route(3).slot, 3);
     }
 
     #[test]
@@ -753,15 +743,15 @@ mod tests {
         let mut ingress = ingress();
         ingress.vacate(2);
         let lifetime = ingress.tracked(None);
-        let route = ingress.route(None, 0);
+        let route = ingress.route(0);
         assert_eq!(route.slot, 2);
         ingress.settle(route, false);
         // Nothing counted, the vacancy is open again, attribution unmoved.
         assert_eq!((ingress.ingested, ingress.cursor), (0, 0));
         assert_eq!(ingress.tracked(None), lifetime);
-        assert_eq!(ingress.route(None, 0).slot, 2);
+        assert_eq!(ingress.route(0).slot, 2);
         // A refused cursor route does not move the cursor either.
-        let route = ingress.route(None, 0);
+        let route = ingress.route(0);
         ingress.settle(route, false);
         assert_eq!((ingress.ingested, ingress.cursor), (0, 0));
     }

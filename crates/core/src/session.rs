@@ -398,19 +398,21 @@ pub struct Session {
     /// payloads at ingest, intermediates per level): recycled when the round
     /// ends so a long-lived session does not grow the store round over round.
     round_keys: Vec<lifl_types::ObjectKey>,
-    /// Per-ingest bookkeeping for the current round (producer, payload key,
-    /// wire bytes, target leaf): what mid-round churn needs to reclaim a
-    /// departed client's slot.
+    /// Per-ingest bookkeeping for the current round, in arrival order (what
+    /// was delivered to which leaf, and its wire bytes): what mid-round
+    /// churn needs to reclaim a departed client's slot, and what a restarted
+    /// runtime re-delivers.
     round_entries: Vec<RoundEntry>,
 }
 
-/// Per-ingest bookkeeping: enough to reclaim one client's slot mid-round.
+/// Per-ingest bookkeeping: enough to reclaim one client's slot mid-round,
+/// or to deliver its update again.
 #[derive(Debug, Clone, Copy)]
 struct RoundEntry {
-    client: Option<ClientId>,
-    key: lifl_types::ObjectKey,
+    /// What the gateway queued for the leaf: producer, payload key, weight
+    /// and form.
+    queued: QueuedUpdate,
     wire_bytes: u64,
-    weight: u64,
     leaf: usize,
 }
 
@@ -543,7 +545,7 @@ impl Session {
     /// back in the pool by the time this returns.
     pub(crate) fn admit(&mut self, update: Update, producer: Option<ClientId>) -> Result<()> {
         self.room()?;
-        let route = self.ingress.route(None, self.cursor_leaf());
+        let route = self.ingress.route(self.cursor_leaf());
         let stored = self.store_into(route.slot, update, producer);
         self.ingress.settle(route, stored.is_ok());
         stored
@@ -572,16 +574,14 @@ impl Session {
         producer: Option<ClientId>,
     ) -> Result<()> {
         let target = self.stations.id(0, leaf);
-        let (wire_bytes, weight) = (update.wire_bytes(), update.weight());
+        let wire_bytes = update.wire_bytes();
         let queued = self.gateway.store_and_deliver(target, update, producer)?;
         // Account only what actually entered the round.
         self.ingress_wire_bytes += wire_bytes;
         self.round_keys.push(queued.key);
         self.round_entries.push(RoundEntry {
-            client: queued.producer,
-            key: queued.key,
+            queued,
             wire_bytes,
-            weight,
             leaf,
         });
         Ok(())
@@ -589,7 +589,7 @@ impl Session {
 
     /// The summed weight of the updates stored in the open round.
     pub(crate) fn round_weight(&self) -> u64 {
-        (self.round_entries.iter()).fold(0, |sum, e| sum.saturating_add(e.weight))
+        (self.round_entries.iter()).fold(0, |sum, e| sum.saturating_add(e.queued.weight))
     }
 
     /// [`Session::admit`] for an update whose payload does not exist yet (a
@@ -601,7 +601,7 @@ impl Session {
     pub(crate) fn reserve(&mut self, pending: u64, stored: u64) -> Result<usize> {
         self.room()?;
         self.store.fits(pending, stored)?;
-        let route = self.ingress.route(None, self.cursor_leaf());
+        let route = self.ingress.route(self.cursor_leaf());
         let leaf = route.slot;
         self.ingress.settle(route, true);
         Ok(leaf)
@@ -641,23 +641,24 @@ impl Session {
         while let Some(pos) = self
             .round_entries
             .iter()
-            .position(|e| e.client == Some(client))
+            .position(|e| e.queued.producer == Some(client))
         {
             let entry = self.round_entries.remove(pos);
+            let key = entry.queued.key;
             let removed = self
                 .stations
                 .leaf_inbox(entry.leaf)
-                .and_then(|inbox| inbox.remove_first(|q| q.key == entry.key));
+                .and_then(|inbox| inbox.remove_first(|q| q.key == key));
             if removed.is_none() {
                 continue;
             }
-            let _ = self.store.recycle(&entry.key);
-            if let Some(kpos) = self.round_keys.iter().position(|k| *k == entry.key) {
+            let _ = self.store.recycle(&key);
+            if let Some(kpos) = self.round_keys.iter().position(|k| *k == key) {
                 self.round_keys.remove(kpos);
             }
             self.ingress_wire_bytes = self.ingress_wire_bytes.saturating_sub(entry.wire_bytes);
             self.ingress.vacate(entry.leaf);
-            self.ingress.release(entry.weight);
+            self.ingress.release(entry.queued.weight);
             departed = true;
         }
         // Refill vacated slots from the backlog (highest utility first).
@@ -675,7 +676,7 @@ impl Session {
     /// order (`None` for anonymous remote forwards) — lossy offers whose
     /// encode is still in flight included, last, as they will land.
     pub fn round_clients(&self) -> Vec<Option<ClientId>> {
-        let stored = self.round_entries.iter().map(|e| e.client);
+        let stored = self.round_entries.iter().map(|e| e.queued.producer);
         stored
             .chain(self.ingress.in_flight_clients().map(Some))
             .collect()
@@ -879,6 +880,23 @@ impl Session {
         self.round_entries.clear();
     }
 
+    /// Restarts the session's aggregator runtimes after their process died
+    /// between drives: whatever the station inboxes held is gone, and every
+    /// update of the open round is delivered again, from the key it is
+    /// stored under, to the leaf it was routed to, in arrival order — so
+    /// each leaf folds the same keys in the same order as before the crash.
+    /// The store's objects, the round's routing and its counters are the
+    /// node's, not the runtime's, and are untouched: nothing is copied,
+    /// re-normalised or re-encoded. The caller has settled.
+    pub(crate) fn restart(&mut self) {
+        self.stations.clear();
+        for entry in &self.round_entries {
+            if let Some(inbox) = self.stations.leaf_inbox(entry.leaf) {
+                inbox.enqueue(entry.queued);
+            }
+        }
+    }
+
     /// Every station's identity (see `Stations::checked_ids`).
     #[cfg(test)]
     pub(crate) fn station_ids(&mut self) -> Vec<lifl_types::AggregatorId> {
@@ -890,7 +908,8 @@ impl Session {
     #[cfg(test)]
     pub(crate) fn stored_wires(&mut self) -> Vec<Vec<u8>> {
         ingress::settle(self);
-        let stored = |e: &RoundEntry| self.store.get(&e.key).map(|o| o.as_slice().to_vec());
+        let stored =
+            |e: &RoundEntry| (self.store.get(&e.queued.key)).map(|o| o.as_slice().to_vec());
         self.round_entries
             .iter()
             .map(|e| stored(e).unwrap_or_default())
@@ -1534,7 +1553,7 @@ mod tests {
             assert!(offer(session, 1).unwrap().is_admitted());
             ingress::settle(session);
             let entry = *session.round_entries.last().unwrap();
-            let stored = session.store().get(&entry.key).unwrap();
+            let stored = session.store().get(&entry.queued.key).unwrap();
             (entry.leaf, stored.as_slice().to_vec())
         };
         let admitted = next(&mut session);

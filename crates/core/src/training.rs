@@ -1,7 +1,7 @@
 //! The backend-generic multi-round FL training driver: one training loop
 //! that runs over any [`Ingest`] aggregation backend — a single-process
 //! [`Session`](crate::session::Session) tree or a multi-node federated
-//! [`Cluster`] — with identical results.
+//! [`Cluster`](crate::cluster::Cluster) — with identical results.
 //!
 //! The flat [`FlatFedAvg`](lifl_fl::FlatFedAvg) backend folds client updates
 //! through one accumulator; the tree backends instead take every locally
@@ -27,7 +27,6 @@
 //! participant order. The result is the one-client-at-a-time loop's, bit for
 //! bit, at any worker count.
 
-use crate::cluster::Cluster;
 use crate::heartbeat::{over_provisioned_selection, HeartbeatMonitor};
 use crate::stations::Workers;
 use lifl_fl::client::Client;
@@ -352,6 +351,10 @@ impl<B: Ingest> TrainingDriver<B> {
     /// feedback), aggregate the backend's tree, adopt the global aggregate
     /// and optionally evaluate.
     ///
+    /// A fault-tolerant [`Cluster`](crate::cluster::Cluster) backend
+    /// survives a child-node kill inside its own aggregation, so the round
+    /// completes as if undisturbed.
+    ///
     /// # Errors
     /// Fails if the selection cannot fill the backend's tree (exactly, under
     /// the default configuration; after straggler cut-off, under a positive
@@ -359,9 +362,14 @@ impl<B: Ingest> TrainingDriver<B> {
     /// ingest/aggregation error. The backend's round is discarded on
     /// *every* failure path — including an aggregation failure — so the
     /// driver stays reusable. A round that fails at an ingest has drawn
-    /// from `rng` exactly what a successful one draws.
+    /// from `rng` exactly what a successful one draws. A backend that lost
+    /// the round with its top host ([`LiflError::AggregatorFailure`]) and
+    /// restored its latest checkpoint hands the checkpointed model over
+    /// ([`Ingest::take_recovered_model`]), and the driver adopts it as its
+    /// global model before returning the error, so a re-run trains against
+    /// the restored model.
     pub fn run_round(&mut self, rng: &mut SimRng) -> Result<TrainingRound> {
-        let delivery = self.deliver_round(rng, |_, _, _| {})?;
+        let delivery = self.deliver_round(rng)?;
         let aggregate = self.aggregate()?;
         Ok(self.adopt_round(aggregate, delivery))
     }
@@ -383,8 +391,9 @@ impl<B: Ingest> TrainingDriver<B> {
     ///
     /// # Errors
     /// An invalid `staleness` policy, or the first ingest or aggregation
-    /// error, after which the backend's round is discarded; the versions
-    /// committed before it stay in the history.
+    /// error, after which the backend's round is discarded (and a restored
+    /// checkpoint adopted, as in [`TrainingDriver::run_round`]); the
+    /// versions committed before it stay in the history.
     pub fn run_async(
         &mut self,
         rng: &mut SimRng,
@@ -446,11 +455,18 @@ impl<B: Ingest> TrainingDriver<B> {
 
     /// Aggregates the backend's round. The documented contract: a failed
     /// round never leaks backend state into the next one, so a failure
-    /// discards it.
+    /// discards it, and a round lost with its top host hands over the model
+    /// the backend restored from its checkpoint, which replaces the
+    /// driver's.
     fn aggregate(&mut self) -> Result<RoundAggregate> {
-        self.backend
-            .aggregate_round()
-            .inspect_err(|_| self.backend.discard_round())
+        self.backend.aggregate_round().inspect_err(|error| {
+            self.backend.discard_round();
+            if matches!(error, LiflError::AggregatorFailure { .. }) {
+                if let Some(model) = self.backend.take_recovered_model() {
+                    self.global = Arc::new(model);
+                }
+            }
+        })
     }
 
     /// The first half of a round: select participants, decide who trains,
@@ -459,17 +475,11 @@ impl<B: Ingest> TrainingDriver<B> {
     /// backend's ingress in participant order — the sequence of updates,
     /// losses and draws the one-client-at-a-time loop produced, because any
     /// ingest error ended that loop and so never changed who trained.
-    /// `on_trained` sees each trained update (client, model, samples) before
-    /// it is handed to the backend.
     ///
     /// # Errors
     /// Fails if the selection cannot fill the backend's tree or an ingest
     /// fails; the backend's round is discarded either way.
-    fn deliver_round(
-        &mut self,
-        rng: &mut SimRng,
-        mut on_trained: impl FnMut(ClientId, &DenseModel, u64),
-    ) -> Result<Delivery> {
+    fn deliver_round(&mut self, rng: &mut SimRng) -> Result<Delivery> {
         let participants = self.population.select_round(rng);
         let capacity = self.backend.round_capacity();
         let stragglers = std::mem::take(&mut self.stragglers);
@@ -550,7 +560,6 @@ impl<B: Ingest> TrainingDriver<B> {
             delivery.loss_sum += loss;
             delivery.trained += 1;
             let samples = self.dataset.shard(client).len().max(1) as u64;
-            on_trained(client, &local, samples);
             let update = Update::dense(client, local, samples);
             let outcome = if self.config.streaming {
                 self.backend.try_ingest(update)
@@ -626,85 +635,6 @@ impl<B: Ingest> TrainingDriver<B> {
             self.run_round(rng)?;
         }
         Ok(self.history.clone())
-    }
-}
-
-impl TrainingDriver<Cluster> {
-    /// Like [`TrainingDriver::run_round`], but survives node failures on a
-    /// fault-tolerant cluster (see [`crate::cluster::ClusterBuilder::fault_tolerance`]):
-    ///
-    /// * A killed *child* node fails the drive with
-    ///   [`LiflError::NodeFailure`]; the driver re-sends the lost clients'
-    ///   cached updates ([`Cluster::take_lost_clients`]) and re-drives the
-    ///   round from the surviving subtrees — intermediates already folded at
-    ///   the global top are never re-shipped.
-    /// * A killed *top-hosting* node loses the round wholesale
-    ///   ([`LiflError::AggregatorFailure`]); the driver adopts the recovered
-    ///   checkpoint ([`Cluster::take_recovery`]) as its global model —
-    ///   bit-exact with the checkpointed bytes — and returns the error so
-    ///   the caller re-runs the round against the restored model.
-    ///
-    /// Retried folds arrive at the global top in a different order than an
-    /// undisturbed round, so the aggregate matches a failure-free round to
-    /// floating-point tolerance, not bit-exactly.
-    ///
-    /// The round itself is [`TrainingDriver::run_round`]'s — same selection,
-    /// training, delivery and adoption — with every trained update cached
-    /// and the retry/restore policy above wrapped around the aggregation.
-    ///
-    /// # Errors
-    /// Same conditions as [`TrainingDriver::run_round`], plus
-    /// [`LiflError::AggregatorFailure`] after a top-host kill (with the
-    /// global model already restored from the checkpoint).
-    pub fn run_round_resilient(&mut self, rng: &mut SimRng) -> Result<TrainingRound> {
-        // Cache every trained update so a node kill only costs a re-send,
-        // not a re-train.
-        let mut cached: Vec<(ClientId, DenseModel, u64)> = Vec::new();
-        let delivery = self.deliver_round(rng, |client, model, samples| {
-            cached.push((client, model.clone(), samples));
-        })?;
-        let mut attempts = 0usize;
-        let aggregate = loop {
-            match self.backend.aggregate_round() {
-                Ok(aggregate) => break aggregate,
-                Err(LiflError::NodeFailure { .. }) => {
-                    attempts += 1;
-                    if attempts > self.backend.nodes() + 1 {
-                        self.backend.discard_round();
-                        return Err(LiflError::InvalidConfig(format!(
-                            "round did not survive {attempts} node-failure retries"
-                        )));
-                    }
-                    for id in self.backend.take_lost_clients() {
-                        let Some((_, model, samples)) =
-                            cached.iter().find(|(client, _, _)| *client == id)
-                        else {
-                            continue;
-                        };
-                        let update = Update::dense(id, model.clone(), *samples);
-                        if let Err(error) = self.backend.ingest_update(update) {
-                            self.backend.discard_round();
-                            return Err(error);
-                        }
-                    }
-                }
-                Err(error @ LiflError::AggregatorFailure { .. }) => {
-                    // The global top died: the round is unrecoverable, but
-                    // the global model is — from the latest checkpoint.
-                    if let Some(recovery) = self.backend.take_recovery() {
-                        if let Some(model) = recovery.outcome.recovered_model {
-                            self.global = Arc::new(model);
-                        }
-                    }
-                    return Err(error);
-                }
-                Err(error) => {
-                    self.backend.discard_round();
-                    return Err(error);
-                }
-            }
-        };
-        Ok(self.adopt_round(aggregate, delivery))
     }
 }
 
@@ -825,15 +755,14 @@ mod tests {
             .unwrap();
         let mut driver =
             TrainingDriver::new(cluster, dataset, population, TrainingConfig::default());
-        // A node kill mid-drive fails the round *after* every ingest went
-        // through — the exact path that used to leak the backend's partial
-        // round out of `run_round`.
-        driver
-            .backend_mut()
-            .schedule_node_failure(NodeId::new(1), 0)
-            .unwrap();
+        // A kill of the top host mid-drive fails the round *after* every
+        // ingest went through — the exact path that used to leak the
+        // backend's partial round out of `run_round`.
+        let top = driver.backend().top_node();
+        assert_eq!(top, NodeId::new(0));
+        driver.backend_mut().schedule_node_failure(top, 0).unwrap();
         let outcome = driver.run_round(&mut rng);
-        assert!(matches!(outcome, Err(LiflError::NodeFailure { .. })));
+        assert!(matches!(outcome, Err(LiflError::AggregatorFailure { .. })));
         assert!(driver.history().is_empty());
         // The documented contract: the failed round was discarded, so the
         // driver is immediately reusable with a full, fresh round.
@@ -1397,32 +1326,86 @@ mod tests {
         }
     }
 
-    /// A child node killed mid-round costs a re-send of cached updates, and
-    /// the recovered round is the undisturbed one: the pinned Identity curve.
+    /// A child node killed mid-round restarts and re-delivers its updates
+    /// from the stored keys — nothing re-sent, nothing encoded twice — so
+    /// the recovered round is the undisturbed one: the pinned curve, lossy
+    /// codec included.
     #[test]
     fn every_worker_count_recovers_a_child_kill_onto_the_pinned_curve() {
         use crate::cluster::FaultToleranceConfig;
-        for count in [0, 1, 3] {
-            let workers = Workers::with_count(count);
-            let mut cluster = tier_cluster(CodecKind::Identity)
-                .fault_tolerance(FaultToleranceConfig {
-                    checkpoint_every: 1,
-                    ..FaultToleranceConfig::default()
-                })
-                .build_on(workers.clone())
-                .unwrap();
-            cluster
-                .schedule_node_failure(lifl_types::NodeId::new(1), 1)
-                .unwrap();
-            let run = tier_run(
-                cluster,
-                &workers,
-                fixtures(42),
-                tier_config(),
-                5,
-                |d, rng, _| d.run_round_resilient(rng),
-            );
-            assert_eq!(run, pinned_curve(CodecKind::Identity), "at {count} workers");
+        for codec in [CodecKind::Identity, CodecKind::Uniform8] {
+            for count in [0, 1, 3] {
+                let workers = Workers::with_count(count);
+                let mut cluster = tier_cluster(codec)
+                    .fault_tolerance(FaultToleranceConfig {
+                        checkpoint_every: 1,
+                        ..FaultToleranceConfig::default()
+                    })
+                    .build_on(workers.clone())
+                    .unwrap();
+                cluster
+                    .schedule_node_failure(lifl_types::NodeId::new(1), 1)
+                    .unwrap();
+                let run = tier_run(
+                    cluster,
+                    &workers,
+                    fixtures(42),
+                    tier_config(),
+                    5,
+                    |d, rng, _| d.run_round(rng),
+                );
+                assert_eq!(run, pinned_curve(codec), "{codec} at {count} workers");
+            }
+        }
+    }
+
+    /// A streaming round whose node is killed while it holds an update
+    /// drained from the previous round's backlog: the restarted node
+    /// re-delivers that update — not the client's newer model — and the run
+    /// is the undisturbed cluster's, round for round, bit for bit.
+    #[test]
+    fn a_streaming_child_kill_keeps_the_drained_update() {
+        use crate::cluster::FaultToleranceConfig;
+        let config = TrainingConfig {
+            streaming: true,
+            ..tier_config()
+        };
+        for codec in [CodecKind::Identity, CodecKind::Uniform8] {
+            let run = |faults: bool| {
+                let workers = Workers::with_count(1);
+                let mut builder = crate::cluster::ClusterBuilder::new()
+                    .topology(Topology::new(vec![2, 1, 2]).unwrap())
+                    .codec(codec)
+                    .admission(lifl_types::AdmissionConfig::bounded(1, 1 << 20));
+                if faults {
+                    builder = builder.fault_tolerance(FaultToleranceConfig::default());
+                }
+                let cluster = builder.build_on(workers.clone()).unwrap();
+                tier_run(
+                    cluster,
+                    &workers,
+                    ten_active(5, 24),
+                    config,
+                    3,
+                    |d, rng, k| {
+                        if faults && k == 1 {
+                            // Node 1 holds the client drained from round 1's
+                            // backlog when it dies, after node 0's hop.
+                            let node = lifl_types::NodeId::new(1);
+                            d.backend_mut().schedule_node_failure(node, 1).unwrap();
+                        }
+                        let round = d.run_round(rng);
+                        if faults && k == 1 {
+                            let stats = d.backend().fault_stats().unwrap();
+                            assert_eq!((stats.node_restarts, stats.lost_updates), (1, 2));
+                        }
+                        round
+                    },
+                )
+            };
+            let killed = run(true);
+            assert!(killed.0.iter().all(Option::is_some), "{codec}: {killed:?}");
+            assert_eq!(killed, run(false), "{codec}");
         }
     }
 

@@ -14,6 +14,7 @@
 
 use crate::aggregate::{CumulativeFedAvg, ModelUpdate};
 use crate::codec::{ErrorFeedback, UpdateCodec};
+use crate::model::DenseModel;
 use crate::update::Update;
 use lifl_types::{AdmissionOutcome, CodecKind, LiflError, Result};
 
@@ -84,6 +85,16 @@ pub trait Ingest {
     /// Discards the current (not yet aggregated) round, returning the
     /// backend to an empty round. Per-client codec state is kept.
     fn discard_round(&mut self);
+
+    /// The global model the backend restored from its latest checkpoint
+    /// after it lost a round with the host of its top aggregator
+    /// ([`LiflError::AggregatorFailure`] from [`Ingest::aggregate_round`]),
+    /// if it restored one since the last take: what a driver adopts in place
+    /// of the model the lost round would have produced. The default backend
+    /// keeps no checkpoints.
+    fn take_recovered_model(&mut self) -> Option<DenseModel> {
+        None
+    }
 }
 
 /// The flat backend: every update is encoded with its client's error
@@ -91,6 +102,13 @@ pub trait Ingest {
 /// hops. This is the algorithm-level FedAvg round (the accuracy-versus-round
 /// curve behind Fig. 9) expressed as an [`Ingest`] backend, bit-exact with a
 /// `Session` over `Topology::flat(n)` under a lossless codec.
+///
+/// It stays beside the session backends although a flat session folds the
+/// same lossless round: it is the reference the driver tier
+/// (`tests/it/driver.rs`) compares every tree backend against, so it must
+/// not share their store, stations or ingress, and under a lossy codec its
+/// rounding stream starts at the codec's default seed (`0xC0DEC`) where a
+/// session's starts at `0x5EED`, so the two are different runs there.
 #[derive(Debug, Clone)]
 pub struct FlatFedAvg {
     capacity: usize,
@@ -168,7 +186,6 @@ impl Ingest for FlatFedAvg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::DenseModel;
     use lifl_types::ClientId;
 
     #[test]

@@ -719,6 +719,27 @@ const RETIRED_WITH_ASYNC_DRIVER: [&str; 5] = [
     "AsyncVersionOutcome",
 ];
 
+/// Names retired when a killed node began re-folding its round from the
+/// stored keys: a child kill is no drive error and nothing is re-sent, with
+/// where each one's users go now.
+const RETIRED_WITH_FAULT_RESEND: [(&str, &str); 3] = [
+    (
+        "run_round_resilient",
+        "call `TrainingDriver::run_round`, which survives a child kill and adopts a \
+         restored checkpoint after a top kill",
+    ),
+    (
+        "take_lost_clients",
+        "nothing is lost to re-send: the restarted node re-delivers its round from \
+         the stored keys (`NodeKill::lost_updates` and `FaultStats` count them)",
+    ),
+    (
+        "NodeFailure",
+        "`Cluster::drive` restarts a killed child node and completes the round; only \
+         a top-host kill fails it, with `AggregatorFailure`",
+    ),
+];
+
 /// The engine's data-plane files: every payload here is written once by its
 /// producer and *moved* into the store (PR 21), so the copying conveniences
 /// below have no business in their non-test code.
@@ -863,7 +884,8 @@ fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
 /// per-drive thread scope retired in PR 25 (`THREAD_STARTS` outside
 /// `THREAD_MODULE`, and with it any `PRIVATE_WORKER_SET`) and the
 /// asynchronous stack beside the training driver
-/// (`RETIRED_WITH_ASYNC_DRIVER`) must stay deleted. Unlike the shell guard
+/// (`RETIRED_WITH_ASYNC_DRIVER`) and the client re-send path of node
+/// failures (`RETIRED_WITH_FAULT_RESEND`) must stay deleted. Unlike the shell guard
 /// this replaces, the check runs on code tokens, so prose in comments and
 /// string literals can mention the old names freely.
 pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
@@ -929,6 +951,18 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
                          `StalenessPolicy` and returns an `AsyncCommit` per version \
                          (see MIGRATION.md)",
                         t.text
+                    ),
+                ));
+            } else if let Some((name, advice)) =
+                (RETIRED_WITH_FAULT_RESEND.iter()).find(|(name, _)| t.text == *name)
+            {
+                out.push(finding(
+                    f,
+                    t.line,
+                    Rule::LegacyRuntime,
+                    format!(
+                        "`{name}` was retired when a killed node began re-folding its \
+                         round from the stored keys; {advice} (see MIGRATION.md)"
                     ),
                 ));
             } else if t.text == "runtime"

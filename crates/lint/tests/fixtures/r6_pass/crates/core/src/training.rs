@@ -1,6 +1,8 @@
 //! Outside the move-only files the copying conveniences stay conveniences.
 //! Engine code takes the shared worker set; prose may say
-//! Workers::with_count, and tests may call it.
+//! Workers::with_count, and tests may call it. Prose may also say
+//! run_round_resilient, take_lost_clients and NodeFailure, and longer names
+//! that merely contain one are different names.
 
 pub fn checkpoint(store: &Store, model: &[f32], encoded: &Encoded, update: &Update) {
     let _ = store.put_f32(model);
@@ -11,6 +13,12 @@ pub fn checkpoint(store: &Store, model: &[f32], encoded: &Encoded, update: &Upda
 pub fn driver(backend: Backend) -> Driver {
     let _ = "no Workers::with_count here";
     Driver::new(backend, Workers::new())
+}
+
+pub fn round(driver: &mut Driver, rng: &mut Rng) -> Result<Round> {
+    let _ = "run_round_resilient, take_lost_clients and NodeFailure are gone";
+    let node_failures_seen = 0;
+    driver.run_round(rng)
 }
 
 #[cfg(test)]

@@ -231,6 +231,26 @@ fn r6_fail_flags_the_names_retired_with_the_async_driver() {
 }
 
 #[test]
+fn r6_fail_flags_the_names_retired_with_the_fault_resend_path() {
+    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
+    for (line, name, advice) in [
+        (9, "`run_round_resilient`", "`TrainingDriver::run_round`"),
+        (10, "`NodeFailure`", "`AggregatorFailure`"),
+        (10, "`take_lost_clients`", "re-delivers its round"),
+    ] {
+        assert!(
+            found.iter().any(|f| {
+                f.contains(&format!("crates/core/src/training.rs:{line}:"))
+                    && f.contains(name)
+                    && f.contains("re-folding its round from the stored keys")
+                    && f.contains(advice)
+            }),
+            "{name} at line {line}: {found:#?}"
+        );
+    }
+}
+
+#[test]
 fn r6_fail_flags_threads_started_outside_the_station_executor() {
     let found = lint("r6_fail", &[Rule::LegacyRuntime]);
     let starts: Vec<&String> = found

@@ -51,14 +51,6 @@ pub enum LiflError {
     Codec(String),
     /// A simulation invariant was violated.
     Simulation(String),
-    /// A worker node died mid-round; the updates it was holding are lost and
-    /// must be re-sent before the round can be driven again.
-    NodeFailure {
-        /// Index of the failed node within the cluster.
-        node: u64,
-        /// Client updates that were pending on the node when it died.
-        lost_updates: u64,
-    },
     /// The node hosting the top aggregator died; the whole in-progress round
     /// is lost and the global model must restart from the latest checkpoint.
     AggregatorFailure {
@@ -106,10 +98,6 @@ impl fmt::Display for LiflError {
             }
             LiflError::Codec(msg) => write!(f, "codec error: {msg}"),
             LiflError::Simulation(msg) => write!(f, "simulation error: {msg}"),
-            LiflError::NodeFailure { node, lost_updates } => write!(
-                f,
-                "node {node} failed mid-round, {lost_updates} pending updates lost"
-            ),
             LiflError::AggregatorFailure { node } => {
                 write!(f, "top aggregator host node {node} failed, round lost")
             }

@@ -461,7 +461,7 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     // re-split, and the set's named workers are among them (a drive that
     // started and joined its own threads would leave none). Phase 7's
     // session holds the set until it drops, which joins it.
-    use lifl_core::cluster::ClusterBuilder;
+    use lifl_core::cluster::{ClusterBuilder, FaultToleranceConfig};
     use lifl_core::training::{TrainingConfig, TrainingDriver};
     use lifl_fl::client::ClientAvailability;
     use lifl_fl::dataset::{DatasetConfig, FederatedDataset};
@@ -757,4 +757,45 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         assert_eq!(threads(), warm, "a re-split changed the threads");
     }
     assert_eq!(fleet.node_leaves(), vec![3, 3]);
+    drop(fleet);
+
+    // Phase 10: a child kill inside a drive, on a lossless and a lossy
+    // fault-tolerant cluster. The killed node restarts by re-delivering the
+    // keys its store already holds, and the same drive re-plans and
+    // completes: nothing is copied, cached, re-sent or re-encoded, so the
+    // round allocates nothing model-sized but the model `drive()` returns —
+    // exactly an undisturbed round. (The checkpoint period is out of reach,
+    // so no checkpoint copy falls into the measured rounds.)
+    for codec in [CodecKind::Identity, CodecKind::Uniform8] {
+        let mut cluster = ClusterBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).expect("topology"))
+            .codec(codec)
+            .fault_tolerance(FaultToleranceConfig {
+                checkpoint_every: u64::MAX,
+                ..FaultToleranceConfig::default()
+            })
+            .build()
+            .expect("fault-tolerant cluster");
+        let kill_round = |cluster: &mut lifl_core::cluster::Cluster, round| {
+            cluster
+                .schedule_node_failure(NodeId::new(1), 1)
+                .expect("schedule");
+            cluster_round(cluster, round)
+        };
+        for round in cluster_rounds(WARM_UP, 8) {
+            kill_round(&mut cluster, round);
+        }
+        for round in cluster_rounds(MEASURED, 8) {
+            assert_eq!(
+                kill_round(&mut cluster, round),
+                1,
+                "{codec}: a killed node's restart and the re-planned drive must \
+                 allocate only the returned model"
+            );
+        }
+        let stats = cluster.fault_stats().expect("fault tolerance is on");
+        let rounds = (WARM_UP + MEASURED) as u64;
+        assert_eq!((stats.node_restarts, stats.deduped_hops), (rounds, rounds));
+        assert_eq!(stats.lost_updates, 4 * rounds);
+    }
 }

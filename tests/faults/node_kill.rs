@@ -1,9 +1,10 @@
 //! Node kills at every phase of a cluster round: before the drive, at every
-//! hop boundary mid-drive, mid-ingest, and between rounds. The round must
-//! survive via refill + retry-with-dedup, and undisturbed re-sends must keep
-//! the survived aggregate bit-exact with a failure-free round.
+//! hop boundary mid-drive, mid-ingest, after churn, and between rounds. A
+//! killed node restarts and re-delivers its round from the stored keys, a
+//! drive the kill struck re-plans with dedup, and the survived aggregate is
+//! bit-exact with a failure-free round — no client re-sends anything.
 
-use crate::util::{assert_bit_exact, assert_close, updates};
+use crate::util::{assert_bit_exact, updates};
 use lifl_core::cluster::{Cluster, ClusterBuilder, FaultToleranceConfig};
 use lifl_core::session::Update;
 use lifl_fl::aggregate::ModelUpdate;
@@ -35,24 +36,10 @@ fn drive_clean(batch: &[ModelUpdate]) -> ModelUpdate {
     cluster.drive().unwrap().update
 }
 
-/// Re-sends every lost client's original update, in the order the cluster
-/// reported the loss.
-fn resend_lost(cluster: &mut Cluster, batch: &[ModelUpdate]) -> usize {
-    let lost = cluster.take_lost_clients();
-    let n = lost.len();
-    for client in lost {
-        let update = batch
-            .iter()
-            .find(|u| u.client == Some(client))
-            .expect("lost client came from the batch");
-        cluster.ingest(Update::Dense(update.clone())).unwrap();
-    }
-    n
-}
-
 /// A non-top node killed at every hop boundary — from "no hops done yet"
-/// through "every survivor already exported" — always loses exactly its own
-/// subtree, and the retried round is bit-exact with the undisturbed one.
+/// through "every survivor already exported" — restarts with exactly its own
+/// subtree's updates, and the one drive that re-plans around it is
+/// bit-exact with the undisturbed round.
 #[test]
 fn kill_at_every_hop_boundary_survives_bit_exact() {
     let batch = updates(topology().total_updates(), DIM);
@@ -67,23 +54,20 @@ fn kill_at_every_hop_boundary_survives_bit_exact() {
         cluster
             .schedule_node_failure(NodeId::new(2), after_hops)
             .unwrap();
-        match cluster.drive() {
-            Err(lifl_types::LiflError::NodeFailure { node, lost_updates }) => {
-                assert_eq!(node, 2, "after {after_hops} hops");
-                assert_eq!(lost_updates, 4, "after {after_hops} hops");
-            }
-            other => panic!("after {after_hops} hops: expected a node failure, got {other:?}"),
-        }
-        assert_eq!(resend_lost(&mut cluster, &batch), 4);
         let report = cluster.drive().unwrap();
         assert_eq!(report.updates_ingested(), 12);
-        assert_eq!(report.hops.len(), 3, "retry still prices one hop per node");
+        assert_eq!(
+            report.hops.len(),
+            3,
+            "re-plan still prices one hop per node"
+        );
         let stats = cluster.fault_stats().unwrap();
         assert_eq!(
             stats.deduped_hops, after_hops,
             "every hop completed before the kill is deduped, never re-shipped"
         );
         assert_eq!(stats.node_restarts, 1);
+        assert_eq!(stats.lost_updates, 4, "after {after_hops} hops");
         assert_bit_exact(
             &report.update.model,
             &clean.model,
@@ -94,19 +78,16 @@ fn kill_at_every_hop_boundary_survives_bit_exact() {
 }
 
 /// What one scripted round left behind, recorded from the node-at-a-time
-/// drive loop the fault timing is defined by: each drive attempt's outcome,
-/// the fault counters, the clients reported lost, the completed round's hops
-/// and a fingerprint of its model's bits (or of the checkpoint a top kill
-/// restored).
+/// drive loop the fault timing is defined by: the drive attempts a top kill
+/// failed, the fault counters, the completed round's hops and a fingerprint
+/// of its model's bits (or of the checkpoint a top kill restored).
 #[derive(Debug, Clone, PartialEq)]
 struct Plan {
-    /// `NodeFailure`s as `(node, lost)`, `AggregatorFailure`s as
-    /// `(node, u64::MAX)`, in attempt order.
+    /// `AggregatorFailure`s as `(node, u64::MAX)`, in attempt order (a child
+    /// kill is no drive error).
     attempts: Vec<(u64, u64)>,
     /// `[node_restarts, top_recoveries, deduped_hops, lost_updates]`.
     stats: [u64; 4],
-    /// `take_lost_clients` after every node failure, concatenated.
-    lost: Vec<u64>,
     /// The completed round's hops as `(node, wire_bytes, same_node)`.
     hops: Vec<(u64, u64, bool)>,
     /// The completed round's model fingerprint.
@@ -129,8 +110,8 @@ fn fingerprint(model: &lifl_fl::DenseModel) -> u64 {
 /// One scripted round on a fresh fault-tolerant [2, 2, 3] cluster whose
 /// first, full round is committed: `ingest` updates offered (then the
 /// `depart`ed clients' withdrawn) and driven until the round completes, with
-/// `kills[k]` scheduled before attempt `k`. A node failure re-sends its lost
-/// clients; a top kill re-offers the round.
+/// every kill scheduled, in order, before the first attempt. A top kill
+/// re-offers the round.
 #[derive(Debug, Clone, Copy)]
 struct Script {
     quorum: bool,
@@ -170,25 +151,15 @@ fn run_plan(script: Script) -> Plan {
         }
     };
     offer(&mut cluster);
-    let (mut attempts, mut lost, mut restored) = (Vec::new(), Vec::new(), Vec::new());
-    let mut kills = script.kills.iter();
+    for (node, after_hops) in script.kills {
+        cluster
+            .schedule_node_failure(NodeId::new(*node), *after_hops)
+            .unwrap();
+    }
+    let (mut attempts, mut restored) = (Vec::new(), Vec::new());
     let report = loop {
-        if let Some((node, after_hops)) = kills.next() {
-            cluster
-                .schedule_node_failure(NodeId::new(*node), *after_hops)
-                .unwrap();
-        }
         match cluster.drive() {
             Ok(report) => break report,
-            Err(LiflError::NodeFailure { node, lost_updates }) => {
-                attempts.push((node, lost_updates));
-                let clients = cluster.take_lost_clients();
-                lost.extend(clients.iter().map(|c| c.index()));
-                for client in clients {
-                    let update = batch.iter().find(|u| u.client == Some(client)).unwrap();
-                    cluster.ingest(Update::Dense(update.clone())).unwrap();
-                }
-            }
             Err(LiflError::AggregatorFailure { node }) => {
                 attempts.push((node, u64::MAX));
                 let outcome = cluster.take_recovery().expect("a restore").outcome;
@@ -208,7 +179,6 @@ fn run_plan(script: Script) -> Plan {
             stats.deduped_hops,
             stats.lost_updates,
         ],
-        lost,
         hops: (report.hops.iter())
             .map(|h| (h.node.index(), h.wire_bytes, h.same_node))
             .collect(),
@@ -217,7 +187,7 @@ fn run_plan(script: Script) -> Plan {
     }
 }
 
-/// Where a scheduled kill fires, what it loses, which hops a retry dedups
+/// Where a scheduled kill fires, what it takes, which hops a re-plan dedups
 /// and what the completed round ships are those of the loop that drives one
 /// node at a time: every value below was recorded from that loop. A kill is
 /// checked before a node is skipped as empty, so an empty node at the kill
@@ -226,21 +196,18 @@ fn run_plan(script: Script) -> Plan {
 fn the_fault_plan_is_the_node_order_loop() {
     const TOP: u64 = u64::MAX;
     const FULL: u64 = 2_666_025_012_422_958_992;
-    const NODE1: [u64; 4] = [2, 3, 8, 9];
-    const NODE2: [u64; 4] = [4, 5, 10, 11];
-    let plan = |attempts: &[(u64, u64)], stats: [u64; 4], lost: &[u64]| Plan {
+    let plan = |attempts: &[(u64, u64)], stats: [u64; 4]| Plan {
         attempts: attempts.to_vec(),
         stats,
-        lost: lost.to_vec(),
         hops: vec![(0, 64, true), (1, 64, false), (2, 64, false)],
         model: FULL,
         restored: Vec::new(),
     };
     let restored = |in_progress: u64| Plan {
         restored: vec![(FULL, in_progress)],
-        ..plan(&[(0, TOP)], [0, 1, 0, 12], &[])
+        ..plan(&[(0, TOP)], [0, 1, 0, 12])
     };
-    let untouched = || plan(&[], [0; 4], &[]);
+    let untouched = || plan(&[], [0; 4]);
     // Quorum rounds of four updates, node 2 never getting one, or of six
     // with node 1's two clients departed.
     let empty = |node: u64, kills: &'static [(u64, u64)]| Script {
@@ -249,7 +216,7 @@ fn the_fault_plan_is_the_node_order_loop() {
         depart: if node == 2 { &[] } else { &[2, 3] },
         kills,
     };
-    let partial = |node: u64, attempts: &[(u64, u64)], stats: [u64; 4], lost: &[u64]| {
+    let partial = |node: u64, stats: [u64; 4]| {
         let (model, shipped) = if node == 2 {
             (3_856_688_636_497_844_979, 1)
         } else {
@@ -258,7 +225,7 @@ fn the_fault_plan_is_the_node_order_loop() {
         Plan {
             hops: vec![(0, 64, true), (shipped, 64, false)],
             model,
-            ..plan(attempts, stats, lost)
+            ..plan(&[], stats)
         }
     };
     let scripts = [
@@ -268,51 +235,36 @@ fn the_fault_plan_is_the_node_order_loop() {
         (full(&[(0, 1)]), restored(1)),
         (full(&[(0, 2)]), restored(2)),
         (full(&[(0, 3)]), untouched()),
-        (full(&[(1, 0)]), plan(&[(1, 4)], [1, 0, 0, 4], &NODE1)),
-        (full(&[(1, 1)]), plan(&[(1, 4)], [1, 0, 1, 4], &NODE1)),
-        // Node 1's hop already reached the top: nothing lost.
-        (full(&[(1, 2)]), plan(&[(1, 0)], [1, 0, 2, 0], &[])),
+        (full(&[(1, 0)]), plan(&[], [1, 0, 0, 4])),
+        (full(&[(1, 1)]), plan(&[], [1, 0, 1, 4])),
+        // Node 1's hop already reached the top: nothing to re-deliver.
+        (full(&[(1, 2)]), plan(&[], [1, 0, 2, 0])),
         (full(&[(1, 3)]), untouched()),
-        (full(&[(2, 0)]), plan(&[(2, 4)], [1, 0, 0, 4], &NODE2)),
-        (full(&[(2, 1)]), plan(&[(2, 4)], [1, 0, 1, 4], &NODE2)),
-        (full(&[(2, 2)]), plan(&[(2, 4)], [1, 0, 2, 4], &NODE2)),
+        (full(&[(2, 0)]), plan(&[], [1, 0, 0, 4])),
+        (full(&[(2, 1)]), plan(&[], [1, 0, 1, 4])),
+        (full(&[(2, 2)]), plan(&[], [1, 0, 2, 4])),
         (full(&[(2, 3)]), untouched()),
-        // Dedup retries: the second kill counts the deduped hops as done.
-        (
-            full(&[(2, 1), (1, 1)]),
-            plan(&[(2, 4), (1, 4)], [2, 0, 2, 8], &[4, 5, 10, 11, 2, 3, 8, 9]),
-        ),
-        (
-            full(&[(1, 2), (2, 2)]),
-            plan(&[(1, 0), (2, 4)], [2, 0, 4, 4], &NODE2),
-        ),
+        // Dedup re-plans: the second kill counts the deduped hops as done.
+        (full(&[(2, 1), (1, 1)]), plan(&[], [2, 0, 2, 8])),
+        (full(&[(1, 2), (2, 2)]), plan(&[], [2, 0, 4, 4])),
         // The kill point sits on the empty node, and fires.
-        (
-            empty(2, &[(1, 2)]),
-            partial(2, &[(1, 0)], [1, 0, 2, 0], &[]),
-        ),
-        (
-            empty(2, &[(2, 2)]),
-            partial(2, &[(2, 0)], [1, 0, 2, 0], &[]),
-        ),
-        (
-            empty(1, &[(2, 1)]),
-            partial(1, &[(2, 2)], [1, 0, 1, 2], &[4, 5]),
-        ),
+        (empty(2, &[(1, 2)]), partial(2, [1, 0, 2, 0])),
+        (empty(2, &[(2, 2)]), partial(2, [1, 0, 2, 0])),
+        (empty(1, &[(2, 1)]), partial(1, [1, 0, 1, 2])),
         // The empty node is skipped before the kill point is reached, and
         // no node is left to reach it.
-        (empty(1, &[(2, 2)]), partial(1, &[], [0; 4], &[])),
+        (empty(1, &[(2, 2)]), partial(1, [0; 4])),
     ];
     for (script, expected) in scripts {
         assert_eq!(run_plan(script), expected, "{script:?}");
     }
 }
 
-/// A node killed halfway through ingest loses only what it held; the refill
-/// re-routes in-flight clients, so leaf assignment shifts and the survived
-/// aggregate matches the clean round to tolerance rather than bit-exactly.
+/// A node killed halfway through ingest restarts with the two updates it
+/// held and keeps its leaves, so the rest of the fleet's offers route
+/// exactly as in a failure-free round and the aggregate is bit-exact.
 #[test]
-fn mid_ingest_kill_survives_to_tolerance() {
+fn mid_ingest_kill_survives_bit_exact() {
     let batch = updates(topology().total_updates(), DIM);
     let clean = drive_clean(&batch);
     let mut cluster = fault_cluster();
@@ -323,17 +275,60 @@ fn mid_ingest_kill_survives_to_tolerance() {
     let kill = cluster.inject_node_failure(NodeId::new(1)).unwrap();
     assert!(!kill.top_host);
     assert_eq!(kill.lost_updates, 2);
-    // The rest of the fleet keeps reporting; the restarted node's slots are
-    // refilled first, so these in-flight clients land on different leaves
-    // than they would have in a failure-free round.
+    assert_eq!(cluster.pending_updates(), 6);
+    // The rest of the fleet keeps reporting, onto the leaves a failure-free
+    // round gives them.
     cluster
         .ingest_all(batch.iter().skip(6).cloned().map(Update::Dense))
         .unwrap();
-    assert_eq!(resend_lost(&mut cluster, &batch), 2);
     let report = cluster.drive().unwrap();
     assert_eq!(report.updates_ingested(), 12);
     assert_eq!(report.update.samples, clean.samples);
-    assert_close(&report.update.model, &clean.model, 1e-3, "mid-ingest kill");
+    assert_bit_exact(&report.update.model, &clean.model, "mid-ingest kill");
+}
+
+/// Churn, then a kill: a departed client's slot is refilled from the
+/// backlog, and then the node holding both is killed. The restart re-delivers
+/// what the node held after the churn — the departed client stays gone, the
+/// replacement keeps the vacated leaf — so the round is bit-exact with the
+/// same depart/refill sequence without the kill.
+#[test]
+fn a_kill_after_churn_keeps_the_departure_and_the_refill() {
+    let batch = updates(topology().total_updates() + 1, DIM);
+    let run = |kill: bool| {
+        let mut builder = ClusterBuilder::new()
+            .topology(topology())
+            .admission(AdmissionConfig::bounded(4, 1 << 20));
+        if kill {
+            builder = builder.fault_tolerance(FaultToleranceConfig::default());
+        }
+        let mut cluster = builder.build().expect("cluster");
+        for update in &batch {
+            cluster.try_ingest(Update::Dense(update.clone())).unwrap();
+        }
+        assert_eq!(cluster.queued_updates(), 1, "client 12 parks");
+        // Client 3 fed leaf 3, on node 1; client 12 drains into its slot.
+        assert!(cluster.depart_client(ClientId::new(3)));
+        assert_eq!(cluster.queued_updates(), 0);
+        let held = [2, 8, 9, 12].map(|c| Some(ClientId::new(c))).to_vec();
+        assert_eq!(cluster.node_sessions()[1].round_clients(), held);
+        if kill {
+            let kill = cluster.inject_node_failure(NodeId::new(1)).unwrap();
+            assert_eq!((kill.lost_updates, kill.top_host), (4, false));
+            assert_eq!(cluster.node_sessions()[1].round_clients(), held);
+        }
+        cluster.drive().unwrap()
+    };
+    let (killed, undisturbed) = (run(true), run(false));
+    let (departed, refilled) = (batch[3].samples, batch[12].samples);
+    let all: u64 = batch.iter().take(12).map(|u| u.samples).sum();
+    assert_eq!(killed.update.samples, all - departed + refilled);
+    assert_eq!(killed.update.samples, undisturbed.update.samples);
+    assert_bit_exact(
+        &killed.update.model,
+        &undisturbed.update.model,
+        "kill after a refilled departure",
+    );
 }
 
 /// A kill between rounds (nothing pending) loses no updates and the next
@@ -351,7 +346,6 @@ fn between_rounds_kill_loses_nothing() {
     let kill = cluster.inject_node_failure(NodeId::new(1)).unwrap();
     assert_eq!(kill.lost_updates, 0);
     assert!(!kill.top_host);
-    assert!(cluster.take_lost_clients().is_empty());
     cluster
         .ingest_all(batch.iter().cloned().map(Update::Dense))
         .unwrap();

@@ -1,6 +1,7 @@
-//! The multi-round training driver over a fault-tolerant cluster: a child
-//! kill mid-round costs only re-sends of cached updates (bit-exact with a
-//! failure-free driver), and a top-host kill restores the driver's global
+//! The multi-round training driver over a fault-tolerant cluster, through
+//! its one round entry, `run_round`: a child kill mid-round costs nothing
+//! but a restart that re-delivers the node's stored updates (bit-exact with
+//! a failure-free driver), and a top-host kill restores the driver's global
 //! model bit-exactly from the latest checkpoint.
 
 use crate::util::assert_bit_exact;
@@ -78,9 +79,10 @@ fn fault_cluster(checkpoint_every: u64) -> Cluster {
         .expect("cluster")
 }
 
-/// Acceptance: a child session killed mid-round costs the driver one retry
-/// over cached updates — no re-training — and the recovered round is
-/// bit-exact with an undisturbed driver on the same seed.
+/// Acceptance: a child session killed mid-round costs the driver nothing —
+/// no re-training, no re-send: the restarted node re-delivers its updates
+/// from the cluster's store — and the recovered round is bit-exact with an
+/// undisturbed driver on the same seed.
 #[test]
 fn child_kill_mid_round_recovers_bit_exact_from_cached_updates() {
     let seed = 42;
@@ -90,12 +92,13 @@ fn child_kill_mid_round_recovers_bit_exact_from_cached_updates() {
 
     let (mut resilient, mut rng) = driver(fault_cluster(1), seed);
     // Node 1 dies after node 0's intermediate already reached the top: the
-    // retry must dedup the surviving hop and re-send only node 1's clients.
+    // re-plan must dedup the surviving hop and re-deliver only node 1's
+    // updates.
     resilient
         .backend_mut()
         .schedule_node_failure(NodeId::new(1), 1)
         .unwrap();
-    let round = resilient.run_round_resilient(&mut rng).unwrap();
+    let round = resilient.run_round(&mut rng).unwrap();
     assert_eq!(round.updates, 8);
     assert_eq!(round.dropped, 0);
     let stats = resilient.backend().fault_stats().unwrap();
@@ -110,8 +113,8 @@ fn child_kill_mid_round_recovers_bit_exact_from_cached_updates() {
     let clean_round = &clean.history()[0];
     assert_eq!(round.train_loss, clean_round.train_loss);
     assert_eq!(round.accuracy, clean_round.accuracy);
-    // The next round needs no retries and runs clean.
-    let next = resilient.run_round_resilient(&mut rng).unwrap();
+    // The next round needs no restart and runs clean.
+    let next = resilient.run_round(&mut rng).unwrap();
     assert_eq!(next.updates, 8);
     assert_eq!(
         resilient.backend().fault_stats().unwrap().node_restarts,
@@ -127,12 +130,12 @@ fn child_kill_mid_round_recovers_bit_exact_from_cached_updates() {
 fn top_kill_restores_the_drivers_global_model_from_the_checkpoint() {
     let (mut driver, mut rng) = driver(fault_cluster(1), 7);
     // Round 1 commits and checkpoints.
-    driver.run_round_resilient(&mut rng).unwrap();
+    driver.run_round(&mut rng).unwrap();
     let committed = driver.global_model().clone();
     // Round 2 dies at the top before any hop lands.
     let top = driver.backend().top_node();
     driver.backend_mut().schedule_node_failure(top, 0).unwrap();
-    match driver.run_round_resilient(&mut rng) {
+    match driver.run_round(&mut rng) {
         Err(LiflError::AggregatorFailure { .. }) => {}
         other => panic!("expected an aggregator failure, got {other:?}"),
     }
@@ -153,7 +156,7 @@ fn top_kill_restores_the_drivers_global_model_from_the_checkpoint() {
     );
     assert_eq!(driver.backend().fault_stats().unwrap().top_recoveries, 1);
     // Re-running the round against the restored model succeeds.
-    let rerun = driver.run_round_resilient(&mut rng).unwrap();
+    let rerun = driver.run_round(&mut rng).unwrap();
     assert_eq!(rerun.updates, 8);
     assert_eq!(driver.history().len(), 2);
 }

@@ -38,23 +38,6 @@ pub fn assert_bit_exact(actual: &DenseModel, expected: &DenseModel, context: &st
     }
 }
 
-/// Asserts two models agree to a floating-point tolerance (re-driven rounds
-/// fold in a different order, so bit-exactness is not expected).
-pub fn assert_close(actual: &DenseModel, expected: &DenseModel, tol: f32, context: &str) {
-    assert_eq!(actual.dim(), expected.dim(), "{context}: dimension");
-    for (i, (a, b)) in actual
-        .as_slice()
-        .iter()
-        .zip(expected.as_slice())
-        .enumerate()
-    {
-        assert!(
-            (a - b).abs() <= tol,
-            "{context}: coordinate {i} diverged beyond {tol}: {a} vs {b}"
-        );
-    }
-}
-
 /// The per-coordinate honest envelope `[min, max]` over a set of updates.
 pub fn envelope(honest: &[ModelUpdate]) -> (Vec<f32>, Vec<f32>) {
     let dim = honest[0].model.dim();
