@@ -4,7 +4,7 @@
 //! speedup against its predecessor. This module measures the aggregation hot
 //! path — dense fold, decode-then-fold, fused decode-fold, in-place decode,
 //! codec encode (plain and with error feedback), the top-k wire-contract
-//! parse, and sequential-versus-sharded batch folding — at the
+//! parse, and one-at-a-time versus cache-blocked batch folding — at the
 //! ResNet-18/34/152 parameter counts and produces a schema-versioned JSON
 //! report (`BENCH_aggregation.json` at the repo root) that is committed, so
 //! this and every future perf PR has a before/after record.
@@ -14,7 +14,6 @@
 
 use lifl_fl::aggregate::{CumulativeFedAvg, ModelUpdate};
 use lifl_fl::codec::{EncodedView, ErrorFeedback, UpdateCodec};
-use lifl_fl::sharded::ShardedFedAvg;
 use lifl_fl::{kernels, DenseModel};
 use lifl_types::{ClientId, CodecKind, ModelKind};
 use serde::{Deserialize, Serialize};
@@ -28,14 +27,13 @@ use std::time::Instant;
 /// fused error-feedback encoder; v4 re-based `sharded_fold/N` on the
 /// station's fold (identity views through `fold_encoded_batch`) when the
 /// dense `ModelUpdate` batch fold was deleted; v5 added `parse_topk`, the
-/// wire-contract check of `EncodedView::parse` over a 5 % top-k wire.
-pub const SCHEMA: &str = "lifl.bench.aggregation/v5";
+/// wire-contract check of `EncodedView::parse` over a 5 % top-k wire; v6
+/// folded `sharded_fold/{2,4,8}` into one `batch_fold` row when the batch
+/// fold stopped starting threads (the three rows timed the same code).
+pub const SCHEMA: &str = "lifl.bench.aggregation/v6";
 
-/// Updates per batch in the sequential-versus-sharded comparison.
+/// Updates per batch in the one-at-a-time versus batch comparison.
 pub const BATCH_UPDATES: usize = 8;
-
-/// Shard counts the sharded fold is measured at.
-pub const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
 
 /// One measured benchmark.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,7 +61,7 @@ pub struct BenchEntry {
 pub struct DerivedRatio {
     /// Stable ratio name, `<numerator>_over_<denominator>_…`.
     pub name: String,
-    /// For the `fused_…` and `sharded…` ratios a speedup factor (>1 means the
+    /// For the `fused_…` and `batch_…` ratios a speedup factor (>1 means the
     /// optimised path is faster); for `feedback_over_encode_…` a cost factor
     /// — time of an error-feedback encode over a plain one, target ≤ 1.35:
     /// the add sweep is all feedback should cost.
@@ -81,7 +79,7 @@ pub struct BaselineReport {
     pub batch_updates: u64,
     /// Every measured benchmark.
     pub entries: Vec<BenchEntry>,
-    /// Headline speedups (fused vs decode-then-fold, sharded vs sequential).
+    /// Headline speedups (fused vs decode-then-fold, batch vs one at a time).
     pub derived: Vec<DerivedRatio>,
 }
 
@@ -103,11 +101,9 @@ impl BaselineReport {
     }
 }
 
-/// The stable benchmark names every report must contain (per model). The
-/// sharded entries are derived from [`SHARD_COUNTS`] so the generator and
-/// the CI validator cannot drift apart.
+/// The stable benchmark names every report must contain (per model).
 pub fn required_entry_names() -> Vec<String> {
-    let mut names: Vec<String> = [
+    [
         "fold_dense",
         "decode_then_fold/uniform8",
         "fused_fold/uniform8",
@@ -122,12 +118,11 @@ pub fn required_entry_names() -> Vec<String> {
         "feedback_encode/uniform4",
         "parse_topk",
         "sequential_batch_fold",
+        "batch_fold",
     ]
     .iter()
     .map(|n| n.to_string())
-    .collect();
-    names.extend(SHARD_COUNTS.iter().map(|s| format!("sharded_fold/{s}")));
-    names
+    .collect()
 }
 
 /// The derived-ratio names every report must contain.
@@ -135,8 +130,7 @@ pub fn required_ratio_names() -> Vec<&'static str> {
     vec![
         "fused_over_decode_then_fold_uniform8_resnet18",
         "fused_over_decode_then_fold_uniform8_resnet152",
-        "sharded4_over_sequential_resnet152",
-        "sharded8_over_sequential_resnet152",
+        "batch_over_sequential_resnet152",
         "feedback_over_encode_uniform8_resnet18",
     ]
 }
@@ -334,17 +328,10 @@ pub fn run(quick: bool) -> BaselineReport {
                 (EncodedView::identity_over(bytes), u.samples)
             })
             .collect();
-        for shards in SHARD_COUNTS {
-            let mut sharded = ShardedFedAvg::new(dim, shards);
-            rec.record(
-                &format!("sharded_fold/{shards}"),
-                model,
-                BATCH_UPDATES as u64,
-                || {
-                    sharded.fold_encoded_batch(&views).expect("fold");
-                },
-            );
-        }
+        let mut acc = CumulativeFedAvg::new(dim);
+        rec.record("batch_fold", model, BATCH_UPDATES as u64, || {
+            acc.fold_encoded_batch(&views).expect("fold");
+        });
     }
 
     let report_ns = |entries: &[BenchEntry], name: &str, model: ModelKind| -> f64 {
@@ -372,14 +359,9 @@ pub fn run(quick: bool) -> BaselineReport {
             ) / report_ns(&rec.entries, "fused_fold/uniform8", ModelKind::ResNet152),
         },
         DerivedRatio {
-            name: "sharded4_over_sequential_resnet152".to_string(),
+            name: "batch_over_sequential_resnet152".to_string(),
             ratio: report_ns(&rec.entries, "sequential_batch_fold", ModelKind::ResNet152)
-                / report_ns(&rec.entries, "sharded_fold/4", ModelKind::ResNet152),
-        },
-        DerivedRatio {
-            name: "sharded8_over_sequential_resnet152".to_string(),
-            ratio: report_ns(&rec.entries, "sequential_batch_fold", ModelKind::ResNet152)
-                / report_ns(&rec.entries, "sharded_fold/8", ModelKind::ResNet152),
+                / report_ns(&rec.entries, "batch_fold", ModelKind::ResNet152),
         },
         DerivedRatio {
             name: "feedback_over_encode_uniform8_resnet18".to_string(),
@@ -441,23 +423,25 @@ mod tests {
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back = check_report(&json).expect("valid report");
         assert_eq!(back, report);
-        assert_eq!(back.ratio("sharded4_over_sequential_resnet152"), Some(2.0));
+        assert_eq!(back.ratio("batch_over_sequential_resnet152"), Some(2.0));
         assert_eq!(back.median_ns("fold_dense", "ResNet-18"), Some(100));
     }
 
     #[test]
     fn stale_schema_is_rejected() {
-        let mut report = tiny_report();
-        report.schema = "lifl.bench.aggregation/v0".to_string();
-        let json = serde_json::to_string(&report).unwrap();
-        let err = check_report(&json).unwrap_err();
-        assert!(err.contains("stale"), "{err}");
+        for stale in ["lifl.bench.aggregation/v0", "lifl.bench.aggregation/v5"] {
+            let mut report = tiny_report();
+            report.schema = stale.to_string();
+            let json = serde_json::to_string(&report).unwrap();
+            let err = check_report(&json).unwrap_err();
+            assert!(err.contains("stale"), "{err}");
+        }
     }
 
     #[test]
     fn missing_entries_are_rejected() {
         let mut report = tiny_report();
-        report.entries.retain(|e| e.name != "sharded_fold/4");
+        report.entries.retain(|e| e.name != "batch_fold");
         let json = serde_json::to_string(&report).unwrap();
         assert!(check_report(&json).is_err());
         let mut report = tiny_report();

@@ -1,5 +1,5 @@
 //! Baseline runner for the aggregation hot path: measures fold /
-//! decode-into / fused-fold / sharded-fold / codec throughput at the
+//! decode-into / fused-fold / batch-fold / codec throughput at the
 //! ResNet-18/34/152 parameter counts and persists `BENCH_aggregation.json`
 //! so every perf PR has a committed before/after record.
 //!

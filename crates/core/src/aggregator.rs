@@ -36,8 +36,6 @@ pub struct AggregatorRuntime {
     /// When set (and lossy), outgoing intermediates are re-encoded with this
     /// codec and stored compressed (the decode-fold-encode interior path).
     codec: Option<UpdateCodec>,
-    /// Threads a large batch drain splits its fold across.
-    shards: usize,
 }
 
 impl AggregatorRuntime {
@@ -66,7 +64,6 @@ impl AggregatorRuntime {
             step: AggregatorStep::Recv,
             aggregated: 0,
             codec: None,
-            shards: 1,
         })
     }
 
@@ -173,19 +170,10 @@ impl AggregatorRuntime {
         Ok(())
     }
 
-    /// Sets how many threads a batch drain splits its fold across
-    /// (`LiflConfig.aggregation_shards`; clamped to at least 1). Only a
-    /// batch of at least 4 MiB of payload (`ShardedFedAvg`'s spawn
-    /// break-even) is split; smaller batches fold on the calling thread. The
-    /// fold, and every bit of its result, is the same for any shard count.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
+    /// Accepts a shard count and changes nothing: a station's batch fold
+    /// runs on the thread that claimed it, whatever the value. Kept only so
+    /// the whole-round benchmark's engine adapter compiles unchanged.
+    pub fn set_shards(&mut self, _shards: usize) {}
 
     /// Sets the fold policy this runtime aggregates with
     /// (`LiflConfig.fold_policy`). [`FoldPolicy::FedAvg`] keeps the seed's
@@ -284,12 +272,11 @@ impl AggregatorRuntime {
     }
 
     /// Drains queued updates up to the aggregation goal in one batch and
-    /// folds it cache-blocked — the station's one fold path, split across
-    /// the configured shard threads when the batch is large enough. Returns
-    /// the number of updates folded.
+    /// folds it cache-blocked on the calling thread — the station's one fold
+    /// path. Returns the number of updates folded.
     ///
     /// The result is bit-identical to polling the same updates one at a time:
-    /// the sharded fold applies updates in queue order within every element,
+    /// the batch fold applies updates in queue order within every element,
     /// and — like the eager poll loop — updates beyond the goal stay queued.
     ///
     /// # Errors
@@ -354,7 +341,7 @@ impl AggregatorRuntime {
             self.warm_accumulator(first.dim());
         }
         self.accumulator
-            .fold_encoded_batch(&views, self.shards)
+            .fold_encoded_batch(&views)
             .map_err(|e| (None, e))?;
         Ok(views.len())
     }
@@ -407,10 +394,10 @@ impl AggregatorRuntime {
     }
 
     /// Drives the runtime until the goal is met and the result is sent: the
-    /// inbox drains as batches through [`AggregatorRuntime::drain_batch`],
-    /// whatever the shard count (lazy aggregation simply calls this after
-    /// all inputs are queued). The result is bit-identical to a
-    /// [`AggregatorRuntime::poll`] loop over the same inbox.
+    /// inbox drains as batches through [`AggregatorRuntime::drain_batch`]
+    /// (lazy aggregation simply calls this after all inputs are queued). The
+    /// result is bit-identical to a [`AggregatorRuntime::poll`] loop over the
+    /// same inbox.
     ///
     /// # Errors
     /// Propagates the errors of [`AggregatorRuntime::drain_batch`] and
@@ -735,7 +722,6 @@ mod tests {
             let out = match shards {
                 Some(shards) => {
                     agg.set_shards(shards);
-                    assert_eq!(agg.shards(), shards);
                     agg.run_to_completion().unwrap()
                 }
                 None => {
@@ -783,7 +769,6 @@ mod tests {
             inbox.clone(),
         )
         .unwrap();
-        agg.set_shards(4);
         for i in 0..5u64 {
             queue_client_update(&store, &inbox, i, &[i as f32, 1.0], 1);
         }
@@ -810,7 +795,6 @@ mod tests {
             inbox.clone(),
         )
         .unwrap();
-        agg.set_shards(2);
         queue_client_update(&store, &inbox, 0, &[1.0, 2.0], 1);
         let corrupt = store.put(vec![1u8, 2, 3]).unwrap();
         inbox.enqueue(QueuedUpdate::from_client(ClientId::new(1), corrupt).encoded());
@@ -833,7 +817,6 @@ mod tests {
             InPlaceQueue::new(),
         )
         .unwrap();
-        agg.set_shards(4);
         assert_eq!(agg.drain_batch().unwrap(), 0);
         assert!(agg.run_to_completion().is_err());
     }

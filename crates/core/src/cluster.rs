@@ -70,7 +70,6 @@ use placement::Placement;
 #[derive(Debug, Clone)]
 struct SessionTemplate {
     codec: CodecKind,
-    shards: usize,
     seed: u64,
     policy: FoldPolicy,
     pool: BufferPool,
@@ -97,7 +96,6 @@ impl SessionTemplate {
         let mut builder = SessionBuilder::new()
             .topology(topology)
             .codec(self.codec)
-            .shards(self.shards)
             .seed(self.seed)
             .fold_policy(self.policy)
             .node(NodeId::new(node as u64))
@@ -127,8 +125,8 @@ impl Pricing {
     }
 }
 
-/// Builds a [`Cluster`]: the global tree, codec, shard count, seed, data
-/// plane and the top-placement policy, with working defaults.
+/// Builds a [`Cluster`]: the global tree, codec, seed, data plane and the
+/// top-placement policy, with working defaults.
 ///
 /// ```
 /// use lifl_core::cluster::ClusterBuilder;
@@ -149,7 +147,6 @@ impl Pricing {
 pub struct ClusterBuilder {
     topology: Topology,
     codec: CodecKind,
-    shards: usize,
     seed: u64,
     placement: TopPlacement,
     dataplane: DataPlaneKind,
@@ -168,16 +165,15 @@ impl Default for ClusterBuilder {
 
 impl ClusterBuilder {
     /// A builder with the session defaults: the classic 4×2 two-level tree
-    /// split into 4 single-leaf nodes, [`CodecKind::Identity`], one shard,
-    /// hops priced by the paper-calibrated cost model, LIFL's shared-memory
-    /// data plane for same-node hops, and live [`TopPlacement::MostLoaded`]
+    /// split into 4 single-leaf nodes, [`CodecKind::Identity`], hops priced
+    /// by the paper-calibrated cost model, LIFL's shared-memory data plane
+    /// for same-node hops, and live [`TopPlacement::MostLoaded`]
     /// placement of the global top (which starts on node 0 until load
     /// signals differ).
     pub fn new() -> Self {
         ClusterBuilder {
             topology: Topology::default(),
             codec: CodecKind::Identity,
-            shards: 1,
             seed: 0x5EED,
             placement: TopPlacement::default(),
             dataplane: DataPlaneKind::LiflSharedMemory,
@@ -240,10 +236,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Sets how many threads every node's aggregators split a large batch
-    /// fold across (see [`SessionBuilder::shards`]).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    /// Accepts a shard count and changes nothing (see
+    /// [`SessionBuilder::shards`]). Kept only so the whole-round benchmark's
+    /// engine adapter compiles unchanged.
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -365,7 +361,6 @@ impl ClusterBuilder {
         let pool = BufferPool::new();
         let sessions = SessionTemplate {
             codec: self.codec,
-            shards: self.shards,
             seed: self.seed,
             policy: self.policy,
             pool: pool.clone(),

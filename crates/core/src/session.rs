@@ -47,8 +47,8 @@ pub use lifl_fl::update::Update;
 /// value the pre-redesign codec path used).
 const DEFAULT_SEED: u64 = 0x5EED;
 
-/// Builds a [`Session`]: topology, codec, shard count, RNG seed and
-/// store/pool injection, with working defaults for all of them.
+/// Builds a [`Session`]: topology, codec, RNG seed and store/pool
+/// injection, with working defaults for all of them.
 ///
 /// ```
 /// use lifl_core::session::SessionBuilder;
@@ -57,7 +57,6 @@ const DEFAULT_SEED: u64 = 0x5EED;
 /// let session = SessionBuilder::new()
 ///     .topology(Topology::new(vec![2, 2, 2]).unwrap()) // 3-level tree
 ///     .codec(CodecKind::Uniform8)
-///     .shards(4)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(session.topology().levels(), 3);
@@ -66,7 +65,6 @@ const DEFAULT_SEED: u64 = 0x5EED;
 pub struct SessionBuilder {
     topology: Topology,
     codec: CodecKind,
-    shards: usize,
     policy: FoldPolicy,
     seed: u64,
     node: NodeId,
@@ -87,13 +85,12 @@ impl Default for SessionBuilder {
 
 impl SessionBuilder {
     /// A builder with the seed defaults: the classic 4×2 two-level tree,
-    /// [`CodecKind::Identity`], one shard (sequential fold), a fresh
-    /// shared-memory store and scratch pool.
+    /// [`CodecKind::Identity`], a fresh shared-memory store and scratch
+    /// pool.
     pub fn new() -> Self {
         SessionBuilder {
             topology: Topology::default(),
             codec: CodecKind::Identity,
-            shards: 1,
             policy: FoldPolicy::FedAvg,
             seed: DEFAULT_SEED,
             node: NodeId::new(0),
@@ -128,13 +125,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets how many threads every aggregator's batch fold splits across
-    /// (`LiflConfig.aggregation_shards`; clamped to ≥ 1). Every station
-    /// drains its inbox as one cache-blocked batch whatever the value; only
-    /// a batch of at least 4 MiB of payload is split, and any value folds
-    /// the same bits.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    /// Accepts a shard count and changes nothing: every station drains its
+    /// inbox as one cache-blocked batch on the thread that claimed it, and a
+    /// level's stations are the session's parallelism. Kept only so the
+    /// whole-round benchmark's engine adapter compiles unchanged.
+    pub fn shards(self, _shards: usize) -> Self {
         self
     }
 
@@ -272,7 +267,6 @@ impl SessionBuilder {
             (self.level_offset, self.branch),
             &mut gateway,
             &UpdateCodec::new(self.codec).with_pool(pool.clone()),
-            self.shards,
             self.policy,
             workers.clone(),
         )?;

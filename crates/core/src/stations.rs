@@ -567,7 +567,7 @@ impl Stations {
     /// [`crate::session::SessionBuilder::tree_position`]): identities are
     /// the enclosing tree's, leaf inboxes are registered with `gateway`
     /// under them, interior stations own theirs, and every runtime encodes
-    /// through a clone of `codec` and folds with `shards` and `policy`.
+    /// through a clone of `codec` and folds with `policy`.
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidConfig`] for an invalid fold policy.
@@ -576,7 +576,6 @@ impl Stations {
         place: (usize, usize),
         gateway: &mut Gateway,
         codec: &UpdateCodec,
-        shards: usize,
         policy: FoldPolicy,
         workers: Workers,
     ) -> Result<Self> {
@@ -605,7 +604,6 @@ impl Stations {
                     inbox.clone(),
                     codec.clone(),
                 )?;
-                runtime.set_shards(shards);
                 runtime.set_policy(policy)?;
                 inboxes.push(inbox);
                 runtimes.push(Mutex::new(runtime));

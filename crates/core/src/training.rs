@@ -10,8 +10,8 @@
 //! stores, codecs, per-client error feedback and (for a cluster) priced
 //! inter-node hops all engaged. Because both tree backends apply the same
 //! ingress rules with the same seeds, the driver's loss/accuracy curve is
-//! **bit-exact** across them for every [`CodecKind`] × shard count
-//! (enforced by the `tests/it/driver.rs` tier), and matches the flat
+//! **bit-exact** across them for every [`CodecKind`] (enforced by the
+//! `tests/it/driver.rs` tier), and matches the flat
 //! [`FlatFedAvg`](lifl_fl::FlatFedAvg) under a lossless codec.
 //!
 //! Asynchronous FL (FedBuff; Fig. 11, §7 future work) is the same driver

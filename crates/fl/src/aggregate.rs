@@ -95,11 +95,11 @@ impl CumulativeFedAvg {
     ///
     /// # Errors
     /// Returns [`LiflError::DimensionMismatch`] on a dimension mismatch and
-    /// [`LiflError::InvalidAggregationGoal`] for an update carrying zero samples.
+    /// [`LiflError::InvalidAggregationGoal`] for an update carrying zero
+    /// samples or samples that would overflow the folded `u64` total, before
+    /// any state changes.
     pub fn fold(&mut self, update: &ModelUpdate) -> Result<()> {
-        if update.samples == 0 {
-            return Err(LiflError::InvalidAggregationGoal(0));
-        }
+        let total = add_samples(self.total_samples, update.samples)?;
         if self.weighted_sum.is_empty() {
             self.weighted_sum = DenseModel::zeros(update.model.dim());
         }
@@ -111,7 +111,7 @@ impl CumulativeFedAvg {
         }
         self.weighted_sum
             .axpy(update.samples as f32, &update.model)?;
-        self.total_samples += update.samples;
+        self.total_samples = total;
         self.updates_folded += 1;
         Ok(())
     }
@@ -134,14 +134,12 @@ impl CumulativeFedAvg {
     /// # Errors
     /// Same conditions as [`CumulativeFedAvg::fold`].
     pub fn fold_encoded_view(&mut self, view: &EncodedView<'_>, samples: u64) -> Result<()> {
-        if samples == 0 {
-            return Err(LiflError::InvalidAggregationGoal(0));
-        }
+        let total = add_samples(self.total_samples, samples)?;
         if self.weighted_sum.is_empty() {
             self.weighted_sum = DenseModel::zeros(view.dim());
         }
         view.fold_into(samples as f32, self.weighted_sum.as_mut_slice())?;
-        self.total_samples += samples;
+        self.total_samples = total;
         self.updates_folded += 1;
         Ok(())
     }
@@ -220,6 +218,23 @@ impl CumulativeFedAvg {
         self.updates_folded = 0;
         Ok(samples)
     }
+}
+
+/// The folded sample total once an update of `samples` joins `total`: the
+/// one weight check every fold — FedAvg's single and batch folds and
+/// [`crate::RobustFold`] — makes before it changes any state.
+///
+/// # Errors
+/// Returns [`LiflError::InvalidAggregationGoal`] of 0 for an update carrying
+/// no samples, and of `samples` for one whose samples would overflow the
+/// `u64` total.
+pub(crate) fn add_samples(total: u64, samples: u64) -> Result<u64> {
+    if samples == 0 {
+        return Err(LiflError::InvalidAggregationGoal(0));
+    }
+    total
+        .checked_add(samples)
+        .ok_or(LiflError::InvalidAggregationGoal(samples))
 }
 
 /// Aggregates a batch of updates in one shot (lazy aggregation / reference result).

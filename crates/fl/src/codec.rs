@@ -437,9 +437,10 @@ impl<'a> EncodedView<'a> {
     }
 
     /// Fused decode-fold over the element range `[start, start + acc.len())`
-    /// of the decoded update: the shard-local kernel behind
-    /// `ShardedFedAvg`. The caller guarantees the range lies inside
-    /// `0..self.dim()`; out-of-range tails simply fold nothing. A `TopK`
+    /// of the decoded update: the block-local kernel behind the cache-blocked
+    /// batch fold (`CumulativeFedAvg::fold_encoded_batch`). The caller
+    /// guarantees the range lies inside `0..self.dim()`; out-of-range tails
+    /// simply fold nothing. A `TopK`
     /// payload's indices are strictly ascending (checked by
     /// [`EncodedView::parse`]), so two binary searches on the range bounds
     /// cut out exactly the pairs inside it and only those are walked.

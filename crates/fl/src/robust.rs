@@ -6,8 +6,8 @@
 //! coordinate-wise robust statistics named by [`FoldPolicy`] — trimmed mean
 //! and median — and [`PolicyFold`] is the policy-dispatched accumulator the
 //! aggregator runtime folds through: its [`FoldPolicy::FedAvg`] arm delegates
-//! to the exact [`CumulativeFedAvg`]/[`ShardedFedAvg`] calls the pre-policy
-//! path made, so the default policy stays bit-exact with the seed.
+//! to the exact [`CumulativeFedAvg`] calls the pre-policy path made, so the
+//! default policy stays bit-exact with the seed.
 //!
 //! The robust statistics are deliberately **unweighted**: an adversary
 //! controls the sample count its update reports, so weighting by it would
@@ -15,10 +15,9 @@
 //! carries the summed sample count so hierarchical weighting above a robust
 //! level stays meaningful.
 
-use crate::aggregate::{CumulativeFedAvg, ModelUpdate};
+use crate::aggregate::{add_samples, CumulativeFedAvg, ModelUpdate};
 use crate::codec::EncodedView;
 use crate::model::DenseModel;
-use crate::sharded::ShardedFedAvg;
 use lifl_types::{FoldPolicy, LiflError, Result};
 
 /// A buffering accumulator computing a coordinate-wise robust statistic
@@ -77,26 +76,33 @@ impl RobustFold {
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidAggregationGoal`] for an update carrying
-    /// zero samples and [`LiflError::DimensionMismatch`] on a dimension
-    /// mismatch with the buffered rows.
+    /// zero samples or samples that would overflow the buffered total, and
+    /// [`LiflError::DimensionMismatch`] on a dimension mismatch with the
+    /// buffered rows.
     pub fn fold_encoded_view(&mut self, view: &EncodedView<'_>, samples: u64) -> Result<()> {
-        self.push(view.decode(), samples)
+        self.fold_encoded_batch(&[(*view, samples)])
     }
 
-    fn push(&mut self, model: DenseModel, samples: u64) -> Result<()> {
-        if samples == 0 {
-            return Err(LiflError::InvalidAggregationGoal(0));
-        }
-        if let Some(first) = self.rows.first() {
-            if first.dim() != model.dim() {
+    /// Buffers a batch of views, all-or-nothing: every weight and dimension
+    /// is checked before the first row is decoded.
+    fn fold_encoded_batch(&mut self, views: &[(EncodedView<'_>, u64)]) -> Result<()> {
+        let Some((first, _)) = views.first() else {
+            return Ok(());
+        };
+        let dim = self.rows.first().map_or(first.dim(), DenseModel::dim);
+        let mut total = self.total_samples;
+        for (view, samples) in views {
+            total = add_samples(total, *samples)?;
+            if view.dim() != dim {
                 return Err(LiflError::DimensionMismatch {
-                    expected: first.dim(),
-                    actual: model.dim(),
+                    expected: dim,
+                    actual: view.dim(),
                 });
             }
         }
-        self.rows.push(model);
-        self.total_samples += samples;
+        self.rows
+            .extend(views.iter().map(|(view, _)| view.decode()));
+        self.total_samples = total;
         Ok(())
     }
 
@@ -141,8 +147,8 @@ impl RobustFold {
 }
 
 /// The policy-dispatched accumulator behind every aggregator: FedAvg folds
-/// through the seed's [`CumulativeFedAvg`] / [`ShardedFedAvg`] path
-/// unchanged (bit-exact), robust policies buffer through [`RobustFold`].
+/// through the seed's [`CumulativeFedAvg`] path unchanged (bit-exact),
+/// robust policies buffer through [`RobustFold`].
 #[derive(Debug)]
 pub enum PolicyFold {
     /// Sample-weighted eager FedAvg (the seed path).
@@ -222,41 +228,17 @@ impl PolicyFold {
         }
     }
 
-    /// Folds a drained batch of wire views, all-or-nothing. The FedAvg arm
-    /// folds through the cache-blocked [`ShardedFedAvg`] across `shards`
-    /// partitions, exactly like the pre-policy path; robust arms buffer the
-    /// decoded batch (order statistics cannot shard over partial sums, so
-    /// `shards` is ignored there).
+    /// Folds a drained batch of wire views, all-or-nothing, on the calling
+    /// thread. The FedAvg arm folds through the cache-blocked
+    /// [`CumulativeFedAvg::fold_encoded_batch`]; robust arms buffer the
+    /// decoded batch.
     ///
     /// # Errors
     /// Propagates the underlying fold's errors; on failure nothing is folded.
-    pub fn fold_encoded_batch(
-        &mut self,
-        views: &[(EncodedView<'_>, u64)],
-        shards: usize,
-    ) -> Result<()> {
+    pub fn fold_encoded_batch(&mut self, views: &[(EncodedView<'_>, u64)]) -> Result<()> {
         match self {
-            PolicyFold::FedAvg(acc) => {
-                let mut sharded = ShardedFedAvg::around(std::mem::take(acc), shards);
-                let outcome = sharded.fold_encoded_batch(views);
-                *acc = sharded.into_inner();
-                outcome
-            }
-            PolicyFold::Robust(robust) => {
-                // Decode everything before buffering anything so a corrupt
-                // view in the middle leaves the fold untouched.
-                let mut decoded = Vec::with_capacity(views.len());
-                for (view, samples) in views {
-                    if *samples == 0 {
-                        return Err(LiflError::InvalidAggregationGoal(0));
-                    }
-                    decoded.push((view.decode(), *samples));
-                }
-                for (model, samples) in decoded {
-                    robust.push(model, samples)?;
-                }
-                Ok(())
-            }
+            PolicyFold::FedAvg(acc) => acc.fold_encoded_batch(views),
+            PolicyFold::Robust(robust) => robust.fold_encoded_batch(views),
         }
     }
 
@@ -383,7 +365,48 @@ mod tests {
             (EncodedView::identity_over(&payload), 1u64),
             (EncodedView::identity_over(&payload), 0u64), // invalid weight
         ];
-        assert!(policy.fold_encoded_batch(&views, 2).is_err());
+        assert!(policy.fold_encoded_batch(&views).is_err());
         assert_eq!(policy.updates_folded(), 0);
+        // A dimension mismatch behind a valid view buffers neither.
+        let short = [3.0f32].map(f32::to_le_bytes).concat();
+        let views = [
+            (EncodedView::identity_over(&payload), 1u64),
+            (EncodedView::identity_over(&short), 1u64),
+        ];
+        assert!(matches!(
+            policy.fold_encoded_batch(&views),
+            Err(LiflError::DimensionMismatch { .. })
+        ));
+        assert_eq!(policy.updates_folded(), 0);
+        assert_eq!(policy.total_samples(), 0);
+    }
+
+    #[test]
+    fn a_weight_that_would_overflow_the_total_is_refused_before_any_state_changes() {
+        let payload = crate::kernels::le_bytes(&[1.0f32, 2.0]).to_vec();
+        let view = EncodedView::identity_over(&payload);
+        let half = 1u64 << 63;
+        for policy in [FoldPolicy::FedAvg, FoldPolicy::Median] {
+            let mut fold = PolicyFold::new(policy).unwrap();
+            fold.fold_encoded_view(&view, half).unwrap();
+            assert_eq!(
+                fold.fold_encoded_view(&view, half),
+                Err(LiflError::InvalidAggregationGoal(half)),
+                "{policy:?}"
+            );
+            // A batch refuses as a whole: its first view fits, its second
+            // does not, and neither is folded.
+            assert_eq!(
+                fold.fold_encoded_batch(&[(view, 2), (view, half)]),
+                Err(LiflError::InvalidAggregationGoal(half)),
+                "{policy:?}"
+            );
+            assert_eq!(fold.updates_folded(), 1, "{policy:?}");
+            assert_eq!(fold.total_samples(), half, "{policy:?}");
+            fold.fold_encoded_view(&view, 2).unwrap();
+            let agg = fold.finalize().unwrap();
+            assert_eq!(agg.samples, half + 2, "{policy:?}");
+            assert_eq!(agg.model.as_slice(), &[1.0, 2.0], "{policy:?}");
+        }
     }
 }

@@ -1,9 +1,9 @@
-//! Sharded, cache-blocked parallel FedAvg.
+//! The cache-blocked batch fold ([`CumulativeFedAvg::fold_encoded_batch`]).
 //!
-//! [`CumulativeFedAvg`] folds one update at a time, streaming the whole
-//! accumulator through the cache hierarchy once per update — at ResNet-152
-//! scale that is ~700 MB of memory traffic per fold. [`ShardedFedAvg`]
-//! restructures a *batch* fold along two axes:
+//! [`CumulativeFedAvg::fold_encoded_view`] folds one update at a time,
+//! streaming the whole accumulator through the cache hierarchy once per
+//! update — at ResNet-152 scale that is ~700 MB of memory traffic per fold.
+//! The batch fold restructures a *batch* along two axes:
 //!
 //! * **Cache blocking** — the parameter vector is walked in L1-sized blocks,
 //!   and every update in the batch is folded into a block before moving on.
@@ -16,34 +16,27 @@
 //!   element once, the views' adds chained in batch order. For N dense
 //!   views the block makes `⌈N/8⌉` load/store passes instead of `N`; a
 //!   quantized view still makes a pass of its own.
-//! * **Sharding** — the vector is split into `shards` contiguous partitions
-//!   folded concurrently on `std::thread::scope` workers (no extra
-//!   dependencies). Partitions are disjoint, so no synchronisation or merge
-//!   is needed.
+//!
+//! The fold runs on the calling thread only: a station's parallelism is the
+//! level it belongs to, whose stations the session's worker set folds side
+//! by side.
 //!
 //! **Determinism:** within every element, updates are folded in batch order —
-//! exactly the order sequential [`CumulativeFedAvg`] uses — regardless of
-//! shard count or thread scheduling. Results are therefore bit-identical
-//! run-to-run *and* bit-identical to the sequential fold (a fixed merge
-//! order much stronger than the 1e-5 relative-error contract the tests
-//! assert).
+//! exactly the order the one-at-a-time fold uses. Results are therefore
+//! bit-identical run-to-run *and* bit-identical to the sequential fold.
 //!
 //! A batch is a slice of [`EncodedView`]s folded with their fused
 //! decode-fold kernels, so aggregators drain their queue without ever
 //! materialising a dense intermediate; a dense payload joins as an identity
 //! view over its little-endian bytes ([`EncodedView::identity_over`], with
 //! [`crate::kernels::le_bytes`] for an `f32` slice). A sparse `TopK` update
-//! is not cache-blocked — it touches a few percent of each block — but split
-//! once per shard: every view's pairs are strictly ascending by index (the
-//! wire contract [`EncodedView::parse`] checks), so two binary searches hand
-//! every shard exactly its own pairs.
+//! is not cache-blocked — it touches a few percent of each block — but folds
+//! into the whole accumulator at its place in the batch.
 //!
-//! **Break-even:** spawning and joining the shard workers costs more than
-//! folding a small batch does in total, so a batch whose payload is below
-//! `SPAWN_BREAK_EVEN_BYTES` folds on the calling thread, whatever the shard
-//! count.
+//! [`ShardedFedAvg`] forwards to the batch fold; it exists only so the
+//! whole-round benchmark's engine adapter compiles unchanged.
 
-use crate::aggregate::{CumulativeFedAvg, ModelUpdate};
+use crate::aggregate::{add_samples, CumulativeFedAvg};
 use crate::codec::EncodedView;
 use crate::kernels;
 use crate::model::DenseModel;
@@ -53,66 +46,12 @@ use lifl_types::{CodecKind, LiflError, Result};
 /// and the matching slice of one update together fit comfortably in L1).
 const BLOCK_ELEMS: usize = 2048;
 
-/// Batch payload bytes below which the shard workers are not worth spawning.
-/// Measured on the 2-vCPU reference box with both worker counts forced: a
-/// two-worker `thread::scope` adds 80-200 us to a fold (spawn, wake-up, join),
-/// and one thread folds 4 MiB of payload in 250-700 us depending on the codec.
-/// Two workers lost to one on every batch up to 2 MiB (`TopK` 0.2 and
-/// 0.8 MiB, `Uniform8` 0.5 and 2 MiB, dense 2 MiB), won on every batch from
-/// 8 MiB of `Uniform8` or 32 MiB of dense up, and went either way between.
-const SPAWN_BREAK_EVEN_BYTES: usize = 4 << 20;
-
-/// A batch-oriented, sharded FedAvg accumulator wrapping the same running
-/// state as [`CumulativeFedAvg`] (and interoperable with it: `shards == 1`
-/// degenerates to a cache-blocked sequential fold on the calling thread).
-#[derive(Debug, Clone)]
-pub struct ShardedFedAvg {
-    shards: usize,
-    acc: CumulativeFedAvg,
-}
-
-impl ShardedFedAvg {
-    /// Creates an accumulator for models of dimension `dim` split into
-    /// `shards` partitions (clamped to at least 1).
-    pub fn new(dim: usize, shards: usize) -> Self {
-        ShardedFedAvg {
-            shards: shards.max(1),
-            acc: CumulativeFedAvg::new(dim),
-        }
-    }
-
-    /// Wraps an existing sequential accumulator (preserving any state already
-    /// folded into it) so batches can be folded sharded from here on.
-    pub fn around(acc: CumulativeFedAvg, shards: usize) -> Self {
-        ShardedFedAvg {
-            shards: shards.max(1),
-            acc,
-        }
-    }
-
-    /// Unwraps back into the sequential accumulator, keeping all folded state.
-    pub fn into_inner(self) -> CumulativeFedAvg {
-        self.acc
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Number of updates folded so far.
-    pub fn updates_folded(&self) -> u64 {
-        self.acc.updates_folded()
-    }
-
-    /// Total samples represented by the folded updates.
-    pub fn total_samples(&self) -> u64 {
-        self.acc.total_samples()
-    }
-
-    /// Folds a batch of `(view, samples)` pairs across the shard workers
-    /// using the fused decode-fold kernels; dense payloads join the same
-    /// batch wrapped by [`EncodedView::identity_over`].
+impl CumulativeFedAvg {
+    /// Folds a batch of `(view, samples)` pairs cache-blocked, with the
+    /// fused decode-fold kernels, on the calling thread; dense payloads join
+    /// the same batch wrapped by [`EncodedView::identity_over`]. Every bit of
+    /// the result is the one [`CumulativeFedAvg::fold_encoded_view`] gives
+    /// the same views in batch order.
     ///
     /// # Errors
     /// Returns [`LiflError::DimensionMismatch`] or
@@ -120,17 +59,22 @@ impl ShardedFedAvg {
     /// whose samples would overflow the folded total) before any state is
     /// mutated; the batch is all-or-nothing.
     pub fn fold_encoded_batch(&mut self, updates: &[(EncodedView<'_>, u64)]) -> Result<()> {
-        if updates.is_empty() {
+        let Some((first, _)) = updates.first() else {
             return Ok(());
+        };
+        let dim = first.dim();
+        if self.weighted_sum.is_empty() {
+            self.weighted_sum = DenseModel::zeros(dim);
         }
-        let dim = self.ensure_dim(updates[0].0.dim())?;
-        let mut total = self.acc.total_samples;
+        if self.weighted_sum.dim() != dim {
+            return Err(LiflError::DimensionMismatch {
+                expected: self.weighted_sum.dim(),
+                actual: dim,
+            });
+        }
+        let mut total = self.total_samples;
         for (view, samples) in updates {
-            if *samples == 0 {
-                return Err(LiflError::InvalidAggregationGoal(0));
-            }
-            total =
-                (total.checked_add(*samples)).ok_or(LiflError::InvalidAggregationGoal(*samples))?;
+            total = add_samples(total, *samples)?;
             if view.dim() != dim {
                 return Err(LiflError::DimensionMismatch {
                     expected: dim,
@@ -138,105 +82,28 @@ impl ShardedFedAvg {
                 });
             }
         }
-        let payload: usize = updates.iter().map(|(view, _)| view.wire_bytes()).sum();
-        self.fold_views_across(updates, self.workers(payload));
-        Ok(())
-    }
-
-    /// Folds validated views into the accumulator cut into `workers`
-    /// chunks. Within every element the adds happen in batch order: a `TopK`
-    /// update folds into the whole chunk at once, and each run of other
-    /// updates between two of them is cache-blocked across the chunk.
-    fn fold_views_across(&mut self, updates: &[(EncodedView<'_>, u64)], workers: usize) {
+        // Within every element the adds happen in batch order: a `TopK`
+        // update folds into the whole accumulator at once, and each run of
+        // other updates between two of them is cache-blocked.
         let is_topk = |view: &EncodedView<'_>| matches!(view.codec(), CodecKind::TopK { .. });
-        self.run_sharded(workers, |start, chunk| {
-            let mut next = 0;
-            while let Some((view, samples)) = updates.get(next) {
-                if is_topk(view) {
-                    view.fold_range_into(*samples as f32, start, chunk);
-                    next += 1;
-                    continue;
-                }
-                let run = &updates[next..];
-                let run = &run[..run.iter().take_while(|(view, _)| !is_topk(view)).count()];
-                for block_off in (0..chunk.len()).step_by(BLOCK_ELEMS) {
-                    let block_len = BLOCK_ELEMS.min(chunk.len() - block_off);
-                    let block = &mut chunk[block_off..block_off + block_len];
-                    fold_block(run, start + block_off, block);
-                }
-                next += run.len();
+        let sum = self.weighted_sum.as_mut_slice();
+        let mut next = 0;
+        while let Some((view, samples)) = updates.get(next) {
+            if is_topk(view) {
+                view.fold_range_into(*samples as f32, 0, sum);
+                next += 1;
+                continue;
             }
-        });
-        for (_, samples) in updates {
-            self.acc.total_samples += samples;
-        }
-        self.acc.updates_folded += updates.len() as u64;
-    }
-
-    /// Produces the aggregated model as an intermediate update, leaving the
-    /// accumulator empty for reuse.
-    ///
-    /// # Errors
-    /// Returns [`LiflError::InvalidAggregationGoal`] if nothing has been folded.
-    pub fn finalize(&mut self) -> Result<ModelUpdate> {
-        self.acc.finalize()
-    }
-
-    /// Allocation-free finalize; see [`CumulativeFedAvg::drain_into`].
-    ///
-    /// # Errors
-    /// Returns [`LiflError::InvalidAggregationGoal`] if nothing has been folded.
-    pub fn drain_into(&mut self, out: &mut DenseModel) -> Result<u64> {
-        self.acc.drain_into(out)
-    }
-
-    /// Initialises (or checks) the accumulator dimension and returns it.
-    fn ensure_dim(&mut self, dim: usize) -> Result<usize> {
-        if self.acc.weighted_sum.is_empty() {
-            self.acc.weighted_sum = DenseModel::zeros(dim);
-        }
-        let have = self.acc.weighted_sum.dim();
-        if have != dim {
-            return Err(LiflError::DimensionMismatch {
-                expected: have,
-                actual: dim,
-            });
-        }
-        Ok(dim)
-    }
-
-    /// Worker threads a batch of `payload_bytes` folds across: one per shard,
-    /// capped by `available_parallelism` — oversubscribing a small machine
-    /// only adds scheduler noise — and a single one, the calling thread,
-    /// below [`SPAWN_BREAK_EVEN_BYTES`].
-    fn workers(&self, payload_bytes: usize) -> usize {
-        if payload_bytes < SPAWN_BREAK_EVEN_BYTES {
-            return 1;
-        }
-        self.shards
-            .min(std::thread::available_parallelism().map_or(1, usize::from))
-    }
-
-    /// Runs `work(chunk_start, chunk)` over the accumulator cut into
-    /// `workers` contiguous chunks, each on its own scoped thread (a single
-    /// chunk runs on the calling thread).
-    ///
-    /// The partitioning has no numeric effect (per-element fold order is
-    /// batch order regardless), so any worker count produces bit-identical
-    /// results.
-    fn run_sharded(&mut self, workers: usize, work: impl Fn(usize, &mut [f32]) + Sync) {
-        let sum = self.acc.weighted_sum.as_mut_slice();
-        let chunk_len = sum.len().div_ceil(workers).max(1);
-        if sum.len() <= chunk_len {
-            work(0, sum);
-            return;
-        }
-        std::thread::scope(|scope| {
-            for (index, chunk) in sum.chunks_mut(chunk_len).enumerate() {
-                let work = &work;
-                scope.spawn(move || work(index * chunk_len, chunk));
+            let run = &updates[next..];
+            let run = &run[..run.iter().take_while(|(view, _)| !is_topk(view)).count()];
+            for (index, block) in sum.chunks_mut(BLOCK_ELEMS).enumerate() {
+                fold_block(run, index * BLOCK_ELEMS, block);
             }
-        });
+            next += run.len();
+        }
+        self.total_samples = total;
+        self.updates_folded += updates.len() as u64;
+        Ok(())
     }
 }
 
@@ -268,9 +135,33 @@ fn fold_block(run: &[(EncodedView<'_>, u64)], at: usize, block: &mut [f32]) {
     }
 }
 
+/// A [`CumulativeFedAvg`] that only batch-folds, kept because the
+/// whole-round benchmark's engine adapter builds one. The shard count it
+/// takes is ignored — the batch fold runs on the calling thread whatever it
+/// is — and every bit it folds is [`CumulativeFedAvg::fold_encoded_batch`]'s.
+#[derive(Debug, Clone)]
+pub struct ShardedFedAvg(CumulativeFedAvg);
+
+impl ShardedFedAvg {
+    /// An empty accumulator for models of dimension `dim`; `shards` is
+    /// accepted for compatibility and changes nothing.
+    pub fn new(dim: usize, _shards: usize) -> Self {
+        ShardedFedAvg(CumulativeFedAvg::new(dim))
+    }
+
+    /// Forwards to [`CumulativeFedAvg::fold_encoded_batch`].
+    ///
+    /// # Errors
+    /// Exactly those of [`CumulativeFedAvg::fold_encoded_batch`].
+    pub fn fold_encoded_batch(&mut self, updates: &[(EncodedView<'_>, u64)]) -> Result<()> {
+        self.0.fold_encoded_batch(updates)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::ModelUpdate;
     use crate::codec::UpdateCodec;
     use lifl_types::{ClientId, CodecKind};
 
@@ -308,18 +199,15 @@ mod tests {
             sequential.fold(u).unwrap();
         }
         let expected = sequential.finalize().unwrap();
-        // The public entry points keep a batch this small on one thread, so
-        // the chunk counts are forced through the inner fold.
-        let views = identity_views(&updates);
-        for shards in [1, 2, 3, 8, 64] {
-            let mut sharded = ShardedFedAvg::new(10_000, shards);
-            sharded.fold_views_across(&views, shards);
-            assert_eq!(sharded.updates_folded(), 6);
-            let got = sharded.finalize().unwrap();
-            assert_eq!(got.samples, expected.samples, "{shards} shards");
-            for (a, b) in got.model.as_slice().iter().zip(expected.model.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{shards} shards: {a} vs {b}");
-            }
+        let mut batched = CumulativeFedAvg::new(10_000);
+        batched
+            .fold_encoded_batch(&identity_views(&updates))
+            .unwrap();
+        assert_eq!(batched.updates_folded(), 6);
+        let got = batched.finalize().unwrap();
+        assert_eq!(got.samples, expected.samples);
+        for (a, b) in got.model.as_slice().iter().zip(expected.model.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
     }
 
@@ -340,18 +228,13 @@ mod tests {
         }
         let expected = reference.finalize().unwrap();
         let step = encoded[0].0.scale();
-        for shards in [1, 4] {
-            let mut sharded = ShardedFedAvg::new(3000, shards);
-            let views: Vec<_> = encoded.iter().map(|(e, s)| (e.view(), *s)).collect();
-            sharded.fold_views_across(&views, shards);
-            let got = sharded.finalize().unwrap();
-            assert_eq!(got.samples, expected.samples);
-            for (a, b) in got.model.as_slice().iter().zip(expected.model.as_slice()) {
-                assert!(
-                    (a - b).abs() <= step,
-                    "{shards} shards: |{a} - {b}| > {step}"
-                );
-            }
+        let mut batched = CumulativeFedAvg::new(3000);
+        let views: Vec<_> = encoded.iter().map(|(e, s)| (e.view(), *s)).collect();
+        batched.fold_encoded_batch(&views).unwrap();
+        let got = batched.finalize().unwrap();
+        assert_eq!(got.samples, expected.samples);
+        for (a, b) in got.model.as_slice().iter().zip(expected.model.as_slice()) {
+            assert!((a - b).abs() <= step, "|{a} - {b}| > {step}");
         }
     }
 
@@ -365,12 +248,12 @@ mod tests {
         model.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The same views folded across `chunks` forced chunks.
-    fn folded_across(dim: usize, views: &[(EncodedView<'_>, u64)], chunks: usize) -> Vec<u32> {
-        let mut sharded = ShardedFedAvg::new(dim, chunks);
-        sharded.fold_views_across(views, chunks);
-        assert_eq!(sharded.updates_folded(), views.len() as u64);
-        let model = sharded.finalize().unwrap().model;
+    /// The same views folded as one batch.
+    fn folded_as_batch(dim: usize, views: &[(EncodedView<'_>, u64)]) -> Vec<u32> {
+        let mut batched = CumulativeFedAvg::new(dim);
+        batched.fold_encoded_batch(views).unwrap();
+        assert_eq!(batched.updates_folded(), views.len() as u64);
+        let model = batched.finalize().unwrap().model;
         model.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
@@ -391,7 +274,7 @@ mod tests {
 
     #[test]
     fn sorted_topk_splits_once_per_shard_and_matches_fold_encoded() {
-        // Many cache blocks and every chunk count, through the encoder.
+        // Many cache blocks, through the encoder.
         let dim = 20_000;
         let updates = batch(3, dim);
         let mut codec = UpdateCodec::new(CodecKind::TopK { permille: 100 });
@@ -400,20 +283,14 @@ mod tests {
             .map(|u| (codec.encode(&u.model), u.samples))
             .collect();
         let views: Vec<_> = encoded.iter().map(|(e, s)| (e.view(), *s)).collect();
-        let expected = folded_sequentially(dim, &views);
-        for chunks in [1usize, 2, 3, 8] {
-            assert_eq!(
-                folded_across(dim, &views, chunks),
-                expected,
-                "{chunks} chunks"
-            );
-        }
+        assert_eq!(
+            folded_as_batch(dim, &views),
+            folded_sequentially(dim, &views)
+        );
 
-        // dim 24 cuts at 12 (2 chunks), at 8 and 16 (3) and every 3 (8):
-        // kept indices sit on a cut (8, 12), right before one (7, 11) and
-        // right after one (9, 13); the first update has no pair at or past
-        // 16, so the last of three chunks, and five of eight, get none of it.
-        // 167 permille of 24 keeps 4.
+        // Hand-built pairs: the first update has none at or past 16, the
+        // second starts at 0 and ends on the last element. 167 permille of
+        // 24 keeps 4.
         let dim = 24;
         let first = topk_wire(24, 167, &[(7, 1.5), (8, -2.25), (9, 0.75), (12, 3.5)]);
         let second = topk_wire(24, 167, &[(0, -0.5), (11, 1.25), (13, -4.0), (23, 2.0)]);
@@ -421,14 +298,10 @@ mod tests {
             (EncodedView::parse(&first).unwrap(), 3),
             (EncodedView::parse(&second).unwrap(), 5),
         ];
-        let expected = folded_sequentially(dim, &views);
-        for chunks in [1usize, 2, 3, 8] {
-            assert_eq!(
-                folded_across(dim, &views, chunks),
-                expected,
-                "{chunks} chunks"
-            );
-        }
+        assert_eq!(
+            folded_as_batch(dim, &views),
+            folded_sequentially(dim, &views)
+        );
     }
 
     #[test]
@@ -437,7 +310,7 @@ mod tests {
         // ends a group early, 3 dense views form a short one, a `TopK` view
         // splits the run, and 9 dense views cross a group boundary again.
         // Dims sit one short of, on and one past the cache block, and span
-        // several blocks; chunk cuts land inside groups and blocks.
+        // several blocks.
         for dim in [2047usize, 2048, 2049, 10_000] {
             let updates = batch(33, dim);
             let dense = identity_views(&updates);
@@ -450,20 +323,17 @@ mod tests {
             views.push((sparse.view(), updates[23].samples));
             views.extend_from_slice(&dense[24..]);
             assert_eq!(views.len(), 33);
-            let expected = folded_sequentially(dim, &views);
-            for chunks in [1usize, 2, 3, 8] {
-                assert_eq!(
-                    folded_across(dim, &views, chunks),
-                    expected,
-                    "dim {dim}, {chunks} chunks"
-                );
-            }
+            assert_eq!(
+                folded_as_batch(dim, &views),
+                folded_sequentially(dim, &views),
+                "dim {dim}"
+            );
         }
     }
 
     #[test]
     fn unsorted_and_duplicate_topk_payloads_are_refused_before_the_fold() {
-        // Binary search on either payload would hand a chunk the wrong
+        // Binary search on either payload would hand a block the wrong
         // pairs, so neither may become a view; the same pairs in ascending
         // order may.
         let unsorted = topk_wire(24, 167, &[(20, 1.0), (3, -2.0), (12, 0.5), (7, 4.0)]);
@@ -473,40 +343,7 @@ mod tests {
             assert!(matches!(EncodedView::parse(wire), Err(LiflError::Codec(_))));
         }
         let views = [(EncodedView::parse(&sorted).unwrap(), 2)];
-        let expected = folded_sequentially(24, &views);
-        for chunks in [1usize, 2, 3, 8] {
-            assert_eq!(
-                folded_across(24, &views, chunks),
-                expected,
-                "{chunks} chunks"
-            );
-        }
-    }
-
-    #[test]
-    fn batches_on_either_side_of_the_break_even_fold_the_same_bits() {
-        let dim = 150_000;
-        let updates = batch(5, dim);
-        for (permille, spawns) in [(10u16, false), (1000, true)] {
-            let mut codec = UpdateCodec::new(CodecKind::TopK { permille });
-            let encoded: Vec<_> = updates
-                .iter()
-                .map(|u| (codec.encode(&u.model), u.samples))
-                .collect();
-            let views: Vec<_> = encoded.iter().map(|(e, s)| (e.view(), *s)).collect();
-            let payload: usize = views.iter().map(|(view, _)| view.wire_bytes()).sum();
-            assert_eq!(payload >= SPAWN_BREAK_EVEN_BYTES, spawns);
-            let mut sharded = ShardedFedAvg::new(dim, 2);
-            assert_eq!(sharded.workers(payload) > 1, spawns && cores() > 1);
-            sharded.fold_encoded_batch(&views).unwrap();
-            let model = sharded.finalize().unwrap().model;
-            let got: Vec<u32> = model.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, folded_sequentially(dim, &views), "permille {permille}");
-        }
-    }
-
-    fn cores() -> usize {
-        std::thread::available_parallelism().map_or(1, usize::from)
+        assert_eq!(folded_as_batch(24, &views), folded_sequentially(24, &views));
     }
 
     #[test]
@@ -540,9 +377,9 @@ mod tests {
                 .zip(updates.iter().skip(2))
                 .map(|(e, u)| (e.view(), u.samples)),
         );
-        let mut sharded = ShardedFedAvg::new(512, 2);
-        sharded.fold_views_across(&mixed, 2);
-        let got = sharded.finalize().unwrap();
+        let mut batched = CumulativeFedAvg::new(512);
+        batched.fold_encoded_batch(&mixed).unwrap();
+        let got = batched.finalize().unwrap();
         let expected = crate::aggregate::fedavg(&updates).unwrap();
         assert_eq!(got.samples, expected.samples);
         for (a, b) in got.model.as_slice().iter().zip(expected.model.as_slice()) {
@@ -553,38 +390,33 @@ mod tests {
     #[test]
     fn bad_batches_are_rejected_atomically() {
         let mut updates = batch(3, 64);
-        let mut sharded = ShardedFedAvg::new(64, 2);
+        let mut acc = CumulativeFedAvg::new(64);
         updates[2].samples = 0;
-        assert!(sharded
-            .fold_encoded_batch(&identity_views(&updates))
-            .is_err());
-        assert_eq!(sharded.updates_folded(), 0);
+        assert!(acc.fold_encoded_batch(&identity_views(&updates)).is_err());
+        assert_eq!(acc.updates_folded(), 0);
         updates[2].samples = 1;
         updates[1].model = DenseModel::zeros(63);
-        assert!(sharded
-            .fold_encoded_batch(&identity_views(&updates))
-            .is_err());
-        assert_eq!(sharded.updates_folded(), 0);
-        assert!(sharded.finalize().is_err());
-        sharded.fold_encoded_batch(&[]).unwrap();
-        assert_eq!(sharded.updates_folded(), 0);
+        assert!(acc.fold_encoded_batch(&identity_views(&updates)).is_err());
+        assert_eq!(acc.updates_folded(), 0);
+        assert!(acc.finalize().is_err());
+        acc.fold_encoded_batch(&[]).unwrap();
+        assert_eq!(acc.updates_folded(), 0);
     }
 
     #[test]
     fn a_batch_whose_weights_overflow_is_rejected_atomically() {
         let updates = batch(3, 64);
-        let mut sharded = ShardedFedAvg::new(64, 2);
-        sharded
-            .fold_encoded_batch(&identity_views(&updates[..1]))
+        let mut acc = CumulativeFedAvg::new(64);
+        acc.fold_encoded_batch(&identity_views(&updates[..1]))
             .unwrap();
         let mut views = identity_views(&updates[1..]);
         views[1].1 = u64::MAX - updates[1].samples;
         assert_eq!(
-            sharded.fold_encoded_batch(&views),
+            acc.fold_encoded_batch(&views),
             Err(LiflError::InvalidAggregationGoal(views[1].1))
         );
-        assert_eq!(sharded.updates_folded(), 1);
-        assert_eq!(sharded.total_samples(), updates[0].samples);
+        assert_eq!(acc.updates_folded(), 1);
+        assert_eq!(acc.total_samples(), updates[0].samples);
     }
 
     #[test]
@@ -592,11 +424,10 @@ mod tests {
         let updates = batch(5, 256);
         let mut eager = CumulativeFedAvg::new(256);
         eager.fold(&updates[0]).unwrap();
-        let mut sharded = ShardedFedAvg::around(eager, 4);
-        sharded
+        eager
             .fold_encoded_batch(&identity_views(&updates[1..]))
             .unwrap();
-        let got = sharded.finalize().unwrap();
+        let got = eager.finalize().unwrap();
         let expected = crate::aggregate::fedavg(&updates).unwrap();
         for (a, b) in got.model.as_slice().iter().zip(expected.model.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -606,12 +437,12 @@ mod tests {
     #[test]
     fn drain_into_reuses_allocations() {
         let updates = batch(4, 128);
-        let mut sharded = ShardedFedAvg::new(128, 2);
+        let mut acc = CumulativeFedAvg::new(128);
         let mut out = DenseModel::zeros(128);
         let views = identity_views(&updates);
         for _ in 0..3 {
-            sharded.fold_encoded_batch(&views).unwrap();
-            let samples = sharded.drain_into(&mut out).unwrap();
+            acc.fold_encoded_batch(&views).unwrap();
+            let samples = acc.drain_into(&mut out).unwrap();
             assert_eq!(samples, updates.iter().map(|u| u.samples).sum::<u64>());
         }
         let expected = crate::aggregate::fedavg(&updates).unwrap();
@@ -624,7 +455,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::aggregate::fedavg;
+    use crate::aggregate::{fedavg, ModelUpdate};
     use crate::codec::UpdateCodec;
     use lifl_types::{ClientId, CodecKind};
     use proptest::prelude::*;
@@ -652,10 +483,9 @@ mod proptests {
     }
 
     proptest! {
-        /// The tentpole equivalence contract: sharded batch folding at 1, 2
-        /// and 8 shards matches the sequential `CumulativeFedAvg` within 1e-5
-        /// relative error (it is in fact bit-identical) and is bit-identical
-        /// across repeated runs at a fixed shard count.
+        /// The equivalence contract: the cache-blocked batch fold matches
+        /// the one-at-a-time `fold` within 1e-5 relative error (it is in fact
+        /// bit-identical) and is bit-identical across repeated runs.
         #[test]
         fn sharded_matches_sequential_and_is_deterministic(updates in arbitrary_batch()) {
             let dim = updates[0].model.dim();
@@ -665,28 +495,24 @@ mod proptests {
             }
             let expected = sequential.finalize().unwrap();
             let views = super::tests::identity_views(&updates);
-            for shards in [1usize, 2, 8] {
-                let run = |_: usize| {
-                    let mut s = ShardedFedAvg::new(dim, shards);
-                    s.fold_views_across(&views, shards);
-                    s.finalize().unwrap()
-                };
-                let first = run(0);
-                let second = run(1);
-                prop_assert_eq!(first.samples, expected.samples);
-                for ((a, b), c) in first
-                    .model
-                    .as_slice()
-                    .iter()
-                    .zip(second.model.as_slice())
-                    .zip(expected.model.as_slice())
-                {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(),
-                        "shards {} not deterministic: {} vs {}", shards, a, b);
-                    let tolerance = 1e-5f32 * c.abs().max(1.0);
-                    prop_assert!((a - c).abs() <= tolerance,
-                        "shards {}: {} vs sequential {}", shards, a, c);
-                }
+            let run = || {
+                let mut batched = CumulativeFedAvg::new(dim);
+                batched.fold_encoded_batch(&views).unwrap();
+                batched.finalize().unwrap()
+            };
+            let first = run();
+            let second = run();
+            prop_assert_eq!(first.samples, expected.samples);
+            for ((a, b), c) in first
+                .model
+                .as_slice()
+                .iter()
+                .zip(second.model.as_slice())
+                .zip(expected.model.as_slice())
+            {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "not deterministic: {} vs {}", a, b);
+                let tolerance = 1e-5f32 * c.abs().max(1.0);
+                prop_assert!((a - c).abs() <= tolerance, "{} vs sequential {}", a, c);
             }
         }
 
@@ -711,21 +537,19 @@ mod proptests {
                     .collect();
                 let expected = fedavg(&decoded).unwrap();
                 let views: Vec<_> = encoded.iter().map(|(e, s)| (e.view(), *s)).collect();
-                for shards in [1usize, 4] {
-                    let mut sharded = ShardedFedAvg::new(dim, shards);
-                    sharded.fold_views_across(&views, shards);
-                    let got = sharded.finalize().unwrap();
-                    prop_assert_eq!(got.samples, expected.samples);
-                    let step = encoded.iter().map(|(e, _)| e.scale()).fold(0.0f32, f32::max);
-                    for (a, b) in got.model.as_slice().iter().zip(expected.model.as_slice()) {
-                        if kind.is_lossless() {
-                            prop_assert_eq!(a.to_bits(), b.to_bits(),
-                                "identity fused fold not bit-exact: {} vs {}", a, b);
-                        } else {
-                            prop_assert!((a - b).abs() <= step.max(1e-6),
-                                "{}: fused {} vs decode-then-fold {} beyond step {}",
-                                kind, a, b, step);
-                        }
+                let mut batched = CumulativeFedAvg::new(dim);
+                batched.fold_encoded_batch(&views).unwrap();
+                let got = batched.finalize().unwrap();
+                prop_assert_eq!(got.samples, expected.samples);
+                let step = encoded.iter().map(|(e, _)| e.scale()).fold(0.0f32, f32::max);
+                for (a, b) in got.model.as_slice().iter().zip(expected.model.as_slice()) {
+                    if kind.is_lossless() {
+                        prop_assert_eq!(a.to_bits(), b.to_bits(),
+                            "identity fused fold not bit-exact: {} vs {}", a, b);
+                    } else {
+                        prop_assert!((a - b).abs() <= step.max(1e-6),
+                            "{}: fused {} vs decode-then-fold {} beyond step {}",
+                            kind, a, b, step);
                     }
                 }
             }

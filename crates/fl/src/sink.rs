@@ -210,4 +210,29 @@ mod tests {
         flat.ingest_update(update(1)).unwrap();
         assert_eq!(flat.aggregate_round().unwrap().updates_ingested, 1);
     }
+
+    #[test]
+    fn a_weight_that_would_overflow_the_round_total_is_refused_and_folds_nothing() {
+        let mut flat = FlatFedAvg::new(3, CodecKind::Identity);
+        let half = 1u64 << 63;
+        let update = |value: f32, samples: u64| {
+            Update::dense(
+                ClientId::new(0),
+                DenseModel::from_vec(vec![value; 3]),
+                samples,
+            )
+        };
+        flat.ingest_update(update(1.0, half)).unwrap();
+        assert_eq!(
+            flat.ingest_update(update(3.0, half)).unwrap_err(),
+            LiflError::InvalidAggregationGoal(half)
+        );
+        flat.ingest_update(update(5.0, 2)).unwrap();
+        let round = flat.aggregate_round().unwrap();
+        assert_eq!(round.updates_ingested, 2);
+        assert_eq!(round.update.samples, half + 2);
+        // 5 × 2 vanishes beside 1 × 2⁶³ in `f32`: the refused 3 × 2⁶³ would
+        // not have.
+        assert_eq!(round.update.model.as_slice(), &[1.0; 3]);
+    }
 }

@@ -776,9 +776,10 @@ const PAYLOAD_COPIES: [(&[&str], &str); 4] = [
     ),
 ];
 
-/// The one engine module that may start a thread (PR 25): a session's
-/// stations run on its session-lifetime worker set, never on threads started
-/// per round.
+/// The one module of the [`ENGINE_CRATES`] that may start a thread: a
+/// session's stations run on its session-lifetime worker set, never on
+/// threads started per round, and a station's fold runs on the thread that
+/// claimed it.
 pub const THREAD_MODULE: &str = "crates/core/src/stations.rs";
 
 /// Thread starts, as code-token sequences (`::` lexes as two `:`): a scope,
@@ -807,10 +808,11 @@ fn spells(f: &SourceFile, code: &[usize], w: usize, pattern: &[&str]) -> bool {
 const PRIVATE_WORKER_SET: &[&str] = &["Workers", ":", ":", "with_count"];
 
 /// R6's one-thread-site half: the [`THREAD_STARTS`] and the
-/// [`PRIVATE_WORKER_SET`]s in non-test code of `crates/core/src/` outside
+/// [`PRIVATE_WORKER_SET`]s in non-test code of the [`ENGINE_CRATES`] outside
 /// [`THREAD_MODULE`].
 fn thread_starts(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
-    if !f.rel.starts_with("crates/core/src/") || f.rel == THREAD_MODULE {
+    let engine = ENGINE_CRATES.iter().any(|c| f.rel.starts_with(c));
+    if !engine || f.rel == THREAD_MODULE {
         return;
     }
     for w in 0..code.len() {

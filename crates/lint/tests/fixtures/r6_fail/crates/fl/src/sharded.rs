@@ -1,4 +1,4 @@
-//! Outside the engine crate the rule does not apply.
+//! A fold that starts its own threads inside an engine crate.
 
 pub fn fold(chunks: &mut [Chunk]) {
     std::thread::scope(|scope| {

@@ -274,6 +274,20 @@ fn r6_fail_flags_threads_started_outside_the_station_executor() {
 }
 
 #[test]
+fn r6_fail_flags_threads_started_in_any_engine_crate() {
+    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
+    let starts: Vec<&String> = found
+        .iter()
+        .filter(|f| f.contains("crates/fl/src/sharded.rs"))
+        .collect();
+    assert_eq!(starts.len(), 1, "{found:#?}");
+    assert!(
+        starts[0].contains("sharded.rs:4:") && starts[0].contains("`thread::scope`"),
+        "{found:#?}"
+    );
+}
+
+#[test]
 fn r6_fail_flags_private_worker_sets_outside_the_station_executor() {
     let found = lint("r6_fail", &[Rule::LegacyRuntime]);
     let private: Vec<&String> = found

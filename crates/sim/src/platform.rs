@@ -624,9 +624,10 @@ impl LiflPlatform {
 }
 
 /// Modelled speedup of folding across `shards` partitions: near-linear with
-/// an Amdahl-style 85% parallel efficiency per extra shard (the real
-/// `ShardedFedAvg` is memory-bandwidth-bound, so perfect scaling is not
-/// assumed). Exactly 1.0 for one shard, keeping the seed timings bit-exact.
+/// an Amdahl-style 85% parallel efficiency per extra shard (a fold is
+/// memory-bandwidth-bound, so perfect scaling is not assumed). A modelled
+/// figure only — the engine folds a station's batch on one thread — and
+/// exactly 1.0 for one shard, keeping the seed timings bit-exact.
 fn sharded_fold_speedup(shards: u32) -> f64 {
     1.0 + 0.85 * (f64::from(shards) - 1.0)
 }

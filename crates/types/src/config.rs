@@ -114,12 +114,10 @@ pub struct LiflConfig {
     /// sample-weighted FedAvg (the default, bit-exact with the pre-policy
     /// path) or a robust coordinate-wise statistic.
     pub fold_policy: FoldPolicy,
-    /// Number of threads an aggregator's batch fold splits across. Every
-    /// aggregator folds its pending updates as one cache-blocked batch
-    /// whatever the value; a batch of at least 4 MiB of payload is cut into
-    /// that many contiguous partitions folded in parallel (capped at the
-    /// host's parallelism). `1` folds on the calling thread; every value
-    /// gives the same bits.
+    /// Parameter-vector shards the paper simulator (`lifl-sim`) models an
+    /// aggregator's fold as split across. Only the simulator reads it: the
+    /// engine folds every station's batch on the thread that claimed the
+    /// station, and a level's stations are its parallelism.
     pub aggregation_shards: u32,
     /// Cap on every *interior* aggregator's fan-in when planning a node's
     /// subtree (§5.2 plans two levels; with a cap, heavily loaded nodes grow

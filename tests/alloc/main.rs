@@ -16,7 +16,6 @@
 
 use lifl_fl::aggregate::CumulativeFedAvg;
 use lifl_fl::codec::{EncodedView, ErrorFeedback, UpdateCodec};
-use lifl_fl::sharded::ShardedFedAvg;
 use lifl_fl::{kernels, DenseModel, ModelUpdate};
 use lifl_shmem::BufferPool;
 use lifl_types::{ClientId, CodecKind};
@@ -185,7 +184,7 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     // of the (quantized) client updates, which is nonzero.
     assert!(global.l2_norm() > 1.0, "global model was never written");
 
-    // Phase 2: the sharded batch fold + in-place drain is equally
+    // Phase 2: the cache-blocked batch fold + in-place drain is equally
     // allocation-free once its accumulator is sized.
     let updates: Vec<ModelUpdate> = (0..4u64)
         .map(|c| {
@@ -202,20 +201,20 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
             (EncodedView::identity_over(bytes), u.samples)
         })
         .collect();
-    let mut sharded = ShardedFedAvg::new(DIM, 2);
+    let mut batched = CumulativeFedAvg::new(DIM);
     let mut out = DenseModel::zeros(DIM);
-    sharded.fold_encoded_batch(&views).expect("warm-up fold");
-    sharded.drain_into(&mut out).expect("warm-up drain");
+    batched.fold_encoded_batch(&views).expect("warm-up fold");
+    batched.drain_into(&mut out).expect("warm-up drain");
 
     let before = model_sized_allocs();
     for _ in 0..10 {
-        sharded.fold_encoded_batch(&views).expect("fold");
-        sharded.drain_into(&mut out).expect("drain");
+        batched.fold_encoded_batch(&views).expect("fold");
+        batched.drain_into(&mut out).expect("drain");
     }
     assert_eq!(
         model_sized_allocs() - before,
         0,
-        "sharded batch fold + drain must reuse the accumulator allocation"
+        "batch fold + drain must reuse the accumulator allocation"
     );
     assert!(out.l2_norm() > 0.0);
 
