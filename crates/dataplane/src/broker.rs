@@ -50,11 +50,6 @@ impl BrokerModel {
     pub fn buffered_bytes(&self, bytes: u64) -> u64 {
         bytes
     }
-
-    /// CPU-seconds of idle cost over a wall-clock interval.
-    pub fn idle_cpu_time(&self, wall: SimDuration) -> SimDuration {
-        wall.scaled(self.idle_cores)
-    }
 }
 
 #[cfg(test)]
@@ -76,6 +71,5 @@ mod tests {
         assert!(b.latency(100 << 20) > b.latency(1 << 20));
         assert!(b.cpu(100 << 20).0 > b.cpu(1 << 20).0);
         assert_eq!(b.buffered_bytes(123), 123);
-        assert!(b.idle_cpu_time(SimDuration::from_secs(10.0)).as_secs() > 0.0);
     }
 }

@@ -3,7 +3,8 @@
 //! [`CostModel`] combines the per-component models into the quantities the
 //! round drivers need: intra-node and inter-node transfer costs, aggregation
 //! and evaluation compute, gateway processing and runtime start-up costs.
-//! Calibration targets come from the paper (DESIGN.md §3.2).
+//! Calibration targets come from the paper (Fig. 4, Fig. 7(a,b), §6.1) and
+//! are noted beside each constant.
 
 use crate::pipeline::{DataPlaneKind, Pipeline, PipelineModels};
 use lifl_types::{CodecKind, CpuCycles, ModelKind, SimDuration, SystemKind};
@@ -179,21 +180,6 @@ impl CostModel {
         }
     }
 
-    /// Cost of one intra-node transfer of one `model` update under `codec`.
-    pub fn intra_node_transfer_encoded(
-        &self,
-        plane: DataPlaneKind,
-        model: ModelKind,
-        codec: CodecKind,
-    ) -> TransferCost {
-        self.intra_node_transfer(plane, update_wire_bytes(model, codec))
-    }
-
-    /// Cost of one inter-node transfer of one `model` update under `codec`.
-    pub fn inter_node_transfer_encoded(&self, model: ModelKind, codec: CodecKind) -> TransferCost {
-        self.inter_node_transfer(update_wire_bytes(model, codec))
-    }
-
     /// CPU time to aggregate one model update into a running accumulator.
     ///
     /// Calibrated so a ResNet-152 update (~60 M parameters) takes ~0.5 s, which
@@ -319,25 +305,22 @@ mod tests {
     fn encoded_transfers_price_off_encoded_bytes() {
         let cm = CostModel::paper_calibrated();
         let model = ModelKind::ResNet152;
-        let identity = cm.inter_node_transfer_encoded(model, CodecKind::Identity);
-        let u8c = cm.inter_node_transfer_encoded(model, CodecKind::Uniform8);
-        let u4c = cm.inter_node_transfer_encoded(model, CodecKind::Uniform4);
+        let inter = |codec| cm.inter_node_transfer(update_wire_bytes(model, codec));
+        let identity = inter(CodecKind::Identity);
+        let u8c = inter(CodecKind::Uniform8);
+        let u4c = inter(CodecKind::Uniform4);
         // Identity is bit-identical to the pre-codec pricing.
         assert_eq!(identity, cm.inter_node_transfer(model.update_bytes()));
         assert!(identity.inter_node_bytes >= 4 * u8c.inter_node_bytes - 64);
         assert!(u8c.inter_node_bytes > u4c.inter_node_bytes);
         assert!(identity.latency > u8c.latency && u8c.latency > u4c.latency);
-        let intra_id = cm.intra_node_transfer_encoded(
-            DataPlaneKind::LiflSharedMemory,
-            model,
-            CodecKind::Identity,
-        );
-        let intra_u8 = cm.intra_node_transfer_encoded(
-            DataPlaneKind::LiflSharedMemory,
-            model,
-            CodecKind::Uniform8,
-        );
-        assert!(intra_id.latency > intra_u8.latency);
+        let intra = |codec| {
+            cm.intra_node_transfer(
+                DataPlaneKind::LiflSharedMemory,
+                update_wire_bytes(model, codec),
+            )
+        };
+        assert!(intra(CodecKind::Identity).latency > intra(CodecKind::Uniform8).latency);
     }
 
     #[test]

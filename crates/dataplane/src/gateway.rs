@@ -55,23 +55,6 @@ impl GatewayModel {
     pub fn tx_cpu(&self, bytes: u64) -> CpuCycles {
         self.rx_cpu(bytes)
     }
-
-    /// Bytes buffered while the gateway holds the update (one shared-memory copy).
-    pub fn buffered_bytes(&self, bytes: u64) -> u64 {
-        bytes
-    }
-
-    /// Idle CPU time over a wall-clock interval (the stateful "tax").
-    pub fn idle_cpu_time(&self, wall: SimDuration) -> SimDuration {
-        wall.scaled(self.idle_cores)
-    }
-
-    /// Number of gateway cores needed to sustain `arrivals_per_sec` updates of
-    /// `bytes` each — LIFL scales the gateway vertically with load (§4.2).
-    pub fn cores_needed(&self, arrivals_per_sec: f64, bytes: u64) -> u32 {
-        let per_update = self.rx_latency(bytes).as_secs();
-        (arrivals_per_sec * per_update).ceil().max(1.0) as u32
-    }
 }
 
 #[cfg(test)]
@@ -93,20 +76,10 @@ mod tests {
     }
 
     #[test]
-    fn vertical_scaling_grows_with_load() {
-        let gw = GatewayModel::default();
-        let small = gw.cores_needed(0.5, 44 * 1024 * 1024);
-        let large = gw.cores_needed(20.0, 232 * 1024 * 1024);
-        assert!(small >= 1);
-        assert!(large > small);
-    }
-
-    #[test]
     fn rx_and_tx_are_symmetric() {
         let gw = GatewayModel::default();
         let b = 83 * 1024 * 1024;
         assert_eq!(gw.rx_latency(b), gw.tx_latency(b));
         assert_eq!(gw.rx_cpu(b).0, gw.tx_cpu(b).0);
-        assert_eq!(gw.buffered_bytes(b), b);
     }
 }

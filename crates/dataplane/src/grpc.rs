@@ -1,12 +1,8 @@
 //! gRPC channel model: serialization/deserialization and framing on top of
 //! kernel networking. Used by the serverful baseline (§6.1 "SF").
-//!
-//! The channel is priced off the bytes actually framed into the protobuf
-//! message — for a quantized update that is its encoded wire size (see
-//! [`GrpcChannelModel::encoded_intra_node_latency`]).
 
 use crate::kernel_net::KernelNetModel;
-use lifl_types::{CodecKind, CpuCycles, SimDuration};
+use lifl_types::{CpuCycles, SimDuration};
 
 /// Cost model of a gRPC message exchange between two co-located or remote
 /// processes: protobuf (de)serialization plus two kernel-stack traversals.
@@ -50,22 +46,12 @@ impl GrpcChannelModel {
     pub fn buffered_bytes(&self, bytes: u64) -> u64 {
         2 * bytes
     }
-
-    /// Intra-node latency for one `dense_bytes`-sized update framed under
-    /// `codec`.
-    pub fn encoded_intra_node_latency(&self, dense_bytes: u64, codec: CodecKind) -> SimDuration {
-        self.intra_node_latency(codec.encoded_bytes(dense_bytes))
-    }
-
-    /// CPU cycles for the same codec-aware exchange.
-    pub fn encoded_intra_node_cpu(&self, dense_bytes: u64, codec: CodecKind) -> CpuCycles {
-        self.intra_node_cpu(codec.encoded_bytes(dense_bytes))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lifl_types::CodecKind;
 
     #[test]
     fn resnet152_latency_close_to_calibration() {
@@ -86,13 +72,12 @@ mod tests {
     fn quantized_channel_is_cheaper() {
         let g = GrpcChannelModel::default();
         let dense = 83 * 1024 * 1024;
+        let framed = |codec: CodecKind| codec.encoded_bytes(dense);
         assert_eq!(
-            g.encoded_intra_node_latency(dense, CodecKind::Identity),
+            g.intra_node_latency(framed(CodecKind::Identity)),
             g.intra_node_latency(dense)
         );
-        assert!(
-            g.encoded_intra_node_latency(dense, CodecKind::Uniform8) < g.intra_node_latency(dense)
-        );
-        assert!(g.encoded_intra_node_cpu(dense, CodecKind::Uniform4).0 < g.intra_node_cpu(dense).0);
+        assert!(g.intra_node_latency(framed(CodecKind::Uniform8)) < g.intra_node_latency(dense));
+        assert!(g.intra_node_cpu(framed(CodecKind::Uniform4)).0 < g.intra_node_cpu(dense).0);
     }
 }

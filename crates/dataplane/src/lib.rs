@@ -12,11 +12,14 @@
 //! Each component (kernel network stack, gRPC channel, sidecar, broker,
 //! shared-memory hop, gateway) contributes latency, CPU and buffered-memory
 //! cost per hop; [`pipeline`] composes hops into the end-to-end pipelines of
-//! Fig. 5 and Fig. 7, and [`cost::CostModel`] exposes everything the cluster
-//! simulator needs (transfer costs, aggregation compute, cold starts).
+//! Fig. 5 and Fig. 7 (`lifl-experiments`' fig7 and fig13 print them), and
+//! [`cost::CostModel`] exposes everything the cluster simulator needs
+//! (transfer costs, aggregation compute, cold starts). `lifl-core`'s cluster
+//! prices its hops with the same model, and `lifl-serverless` takes its
+//! cold-start costs from it.
 //!
-//! Calibration targets are taken from the paper itself (Fig. 7(a,b), §6.1)
-//! and recorded in DESIGN.md §3.2.
+//! Calibration targets are taken from the paper itself (Fig. 4,
+//! Fig. 7(a,b), §6.1) and noted beside each constant.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,10 +30,8 @@ pub mod gateway;
 pub mod grpc;
 pub mod kernel_net;
 pub mod pipeline;
-pub mod protocol;
 pub mod sharedmem;
 pub mod sidecar;
 
 pub use cost::{update_wire_bytes, CostModel, TransferCost};
 pub use pipeline::{DataPlaneKind, HopCost, Pipeline, QueuingSetup};
-pub use protocol::{L7Protocol, ProcessingBreakdown, ProcessingStep, ProtocolModel};

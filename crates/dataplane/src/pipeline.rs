@@ -11,7 +11,7 @@ use crate::grpc::GrpcChannelModel;
 use crate::kernel_net::KernelNetModel;
 use crate::sharedmem::SharedMemoryModel;
 use crate::sidecar::ContainerSidecarModel;
-use lifl_types::{CpuCycles, SimDuration, SystemKind};
+use lifl_types::{CpuCycles, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// One hop of a data-plane pipeline.
@@ -84,17 +84,6 @@ pub enum DataPlaneKind {
 }
 
 impl DataPlaneKind {
-    /// The data plane used by each evaluated system.
-    pub fn for_system(system: SystemKind) -> DataPlaneKind {
-        match system {
-            SystemKind::Serverful | SystemKind::SfMono | SystemKind::SfMicro => {
-                DataPlaneKind::ServerfulGrpc
-            }
-            SystemKind::Serverless | SystemKind::SlBasic => DataPlaneKind::ServerlessBrokerSidecar,
-            SystemKind::Lifl | SystemKind::SlHierarchical => DataPlaneKind::LiflSharedMemory,
-        }
-    }
-
     /// Builds the intra-node aggregator-to-aggregator pipeline for an update
     /// of `bytes` (the Fig. 7 microbenchmark).
     pub fn intra_node_pipeline(self, bytes: u64, models: &PipelineModels) -> Pipeline {
@@ -344,26 +333,6 @@ mod tests {
         assert!(
             (0.7..1.3).contains(&ratio),
             "LIFL/SF-mono delay ratio {ratio}"
-        );
-    }
-
-    #[test]
-    fn system_to_dataplane_mapping() {
-        assert_eq!(
-            DataPlaneKind::for_system(SystemKind::Lifl),
-            DataPlaneKind::LiflSharedMemory
-        );
-        assert_eq!(
-            DataPlaneKind::for_system(SystemKind::SlHierarchical),
-            DataPlaneKind::LiflSharedMemory
-        );
-        assert_eq!(
-            DataPlaneKind::for_system(SystemKind::Serverful),
-            DataPlaneKind::ServerfulGrpc
-        );
-        assert_eq!(
-            DataPlaneKind::for_system(SystemKind::Serverless),
-            DataPlaneKind::ServerlessBrokerSidecar
         );
     }
 

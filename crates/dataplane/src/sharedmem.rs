@@ -1,10 +1,6 @@
 //! Shared-memory hop model: LIFL's intra-node zero-copy transfer (§4.1).
-//!
-//! All costs are priced off the bytes that actually sit in shared memory —
-//! for a codec-compressed update that is the encoded wire size, not the dense
-//! parameter count (see [`SharedMemoryModel::encoded_latency`]).
 
-use lifl_types::{CodecKind, CpuCycles, SimDuration};
+use lifl_types::{CpuCycles, SimDuration};
 
 /// Cost model of one shared-memory hand-off between two co-located
 /// aggregators: the payload stays in place; only the 16-byte object key moves
@@ -52,22 +48,12 @@ impl SharedMemoryModel {
     pub fn buffered_bytes(&self, bytes: u64) -> u64 {
         bytes
     }
-
-    /// Latency of handing off one `dense_bytes`-sized update stored under
-    /// `codec` (the consumer touches only the encoded payload).
-    pub fn encoded_latency(&self, dense_bytes: u64, codec: CodecKind) -> SimDuration {
-        self.latency(codec.encoded_bytes(dense_bytes))
-    }
-
-    /// CPU cycles of the same codec-aware hand-off.
-    pub fn encoded_cpu(&self, dense_bytes: u64, codec: CodecKind) -> CpuCycles {
-        self.cpu(codec.encoded_bytes(dense_bytes))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lifl_types::CodecKind;
 
     #[test]
     fn matches_fig7a_calibration() {
@@ -91,10 +77,11 @@ mod tests {
     fn encoded_handoff_is_cheaper_than_dense() {
         let m = SharedMemoryModel::default();
         let dense = 232 * 1024 * 1024;
-        let identity = m.encoded_latency(dense, CodecKind::Identity);
-        let quantized = m.encoded_latency(dense, CodecKind::Uniform8);
+        let stored = |codec: CodecKind| codec.encoded_bytes(dense);
+        let identity = m.latency(stored(CodecKind::Identity));
+        let quantized = m.latency(stored(CodecKind::Uniform8));
         assert_eq!(identity, m.latency(dense));
         assert!(quantized < identity);
-        assert!(m.encoded_cpu(dense, CodecKind::Uniform4).0 < m.cpu(dense).0);
+        assert!(m.cpu(stored(CodecKind::Uniform4)).0 < m.cpu(dense).0);
     }
 }

@@ -49,11 +49,6 @@ impl ContainerSidecarModel {
     pub fn buffered_bytes(&self, bytes: u64) -> u64 {
         bytes
     }
-
-    /// CPU-seconds of idle cost over a wall-clock interval, per sidecar.
-    pub fn idle_cpu_time(&self, wall: SimDuration) -> SimDuration {
-        wall.scaled(self.idle_cores)
-    }
 }
 
 #[cfg(test)]
@@ -62,8 +57,10 @@ mod tests {
 
     #[test]
     fn idle_cost_is_load_independent() {
+        // The platform charges `wall.scaled(idle_cores)` per sidecar whatever
+        // the traffic: 0.05 cores over 100 s is 5 CPU-seconds.
         let sc = ContainerSidecarModel::default();
-        let idle = sc.idle_cpu_time(SimDuration::from_secs(100.0));
+        let idle = SimDuration::from_secs(100.0).scaled(sc.idle_cores);
         assert!((idle.as_secs() - 5.0).abs() < 1e-9);
     }
 

@@ -1,44 +1,27 @@
 //! # lifl-ebpf
 //!
-//! An in-process emulation of the eBPF substrate LIFL relies on (§4.3, §4.4,
-//! Appendix A):
+//! An in-process emulation of the two eBPF maps LIFL's data plane keeps per
+//! node (§4.3, §4.4, Appendix A). `lifl-sim` uses both:
 //!
-//! * [`map::BpfMap`] — a generic, in-kernel-style key/value map
-//!   (`BPF_MAP_TYPE_HASH` semantics: bounded capacity, update/lookup/delete).
-//! * [`sockmap::SockMap`] — the special map holding references to registered
-//!   socket interfaces, used to steer an SKMSG from a source aggregator to the
-//!   destination aggregator's socket without leaving the node.
-//! * [`skmsg::SkMsgHook`] — the `send()`-triggered hook to which sidecar
-//!   programs attach; it is strictly event driven and consumes CPU only when a
-//!   message is sent, which is the property that lets LIFL drop the
-//!   container-based sidecar.
-//! * [`sidecar::EbpfSidecar`] — the metrics-collection program LIFL attaches
-//!   to every aggregator socket, writing into a [`metrics_map::MetricsMap`]
-//!   that the LIFL agent periodically drains toward the metric server.
+//! * [`sockmap::SockMap`] — the map holding references to registered socket
+//!   interfaces (`BPF_MAP_TYPE_SOCKMAP`): a local aggregator's own socket, or
+//!   the node's gateway for an aggregator on another node. The simulator's
+//!   `RoutingTable` resolves every intra-node next hop through it.
+//! * [`metrics_map::MetricsMap`] — the per-aggregator metrics the sidecar
+//!   writes in kernel space; the simulator's `LiflAgent` drains it into the
+//!   node's load report toward the metric server.
 //!
-//! The emulation reproduces the *semantics* and the *accounting* (per-event
-//! CPU cost, zero idle cost) of the kernel features; it does not load real BPF
-//! bytecode — see DESIGN.md §1 for the substitution rationale.
+//! Both sit on [`map::BpfMap`], a bounded key/value map with
+//! `BPF_MAP_TYPE_HASH` semantics. The emulation reproduces the maps'
+//! semantics; it does not load real BPF bytecode.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod array_map;
-pub mod lru_map;
 pub mod map;
 pub mod metrics_map;
-pub mod prog;
-pub mod ringbuf;
-pub mod sidecar;
-pub mod skmsg;
 pub mod sockmap;
 
-pub use array_map::{ArrayMap, PerCpuArrayMap};
-pub use lru_map::LruHashMap;
 pub use map::BpfMap;
 pub use metrics_map::{MetricSample, MetricsMap};
-pub use prog::{AttachPoint, ProgramId, ProgramInfo, ProgramRegistry, ProgramStats, ProgramType};
-pub use ringbuf::{RingBuffer, RingRecord};
-pub use sidecar::EbpfSidecar;
-pub use skmsg::{SkMsg, SkMsgHook, SkMsgVerdict};
 pub use sockmap::{SockMap, SocketRef};

@@ -41,11 +41,6 @@ impl<K: Eq + Hash + Clone, V: Clone> BpfMap<K, V> {
         self.inner.read().get(key).cloned()
     }
 
-    /// Deletes the entry for `key`, mirroring `bpf_map_delete_elem`.
-    pub fn delete_elem(&self, key: &K) -> bool {
-        self.inner.write().remove(key).is_some()
-    }
-
     /// Number of entries currently stored.
     pub fn len(&self) -> usize {
         self.inner.read().len()
@@ -74,18 +69,6 @@ impl<K: Eq + Hash + Clone, V: Clone> BpfMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn update_lookup_delete() {
-        let map: BpfMap<u32, &'static str> = BpfMap::new(0);
-        assert!(map.update_elem(1, "a"));
-        assert!(map.update_elem(2, "b"));
-        assert_eq!(map.lookup_elem(&1), Some("a"));
-        assert!(map.delete_elem(&1));
-        assert!(!map.delete_elem(&1));
-        assert_eq!(map.lookup_elem(&1), None);
-        assert_eq!(map.len(), 1);
-    }
 
     #[test]
     fn capacity_enforced_like_kernel() {

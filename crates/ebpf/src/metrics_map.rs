@@ -7,25 +7,12 @@ use lifl_types::{AggregatorId, SimDuration, SimTime};
 /// Per-aggregator metrics accumulated in kernel space by the sidecar.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MetricSample {
-    /// Number of model updates this aggregator has sent onward.
-    pub updates_sent: u64,
     /// Number of model updates received/aggregated.
     pub updates_aggregated: u64,
     /// Cumulative execution time of the aggregation task.
     pub total_exec_time: SimDuration,
     /// Time of the most recent observation.
     pub last_seen: SimTime,
-}
-
-impl MetricSample {
-    /// Average execution time per aggregated update; zero if nothing aggregated.
-    pub fn avg_exec_time(&self) -> SimDuration {
-        if self.updates_aggregated == 0 {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_secs(self.total_exec_time.as_secs() / self.updates_aggregated as f64)
-        }
-    }
 }
 
 /// The per-node metrics map.
@@ -57,35 +44,12 @@ impl MetricsMap {
         self.map.update_elem(agg, sample);
     }
 
-    /// Records that `agg` sent one update onward, at `now`.
-    pub fn record_send(&self, agg: AggregatorId, now: SimTime) {
-        let mut sample = self.map.lookup_elem(&agg).unwrap_or_default();
-        sample.updates_sent += 1;
-        sample.last_seen = now;
-        self.map.update_elem(agg, sample);
-    }
-
-    /// The current sample for `agg`.
-    pub fn sample(&self, agg: AggregatorId) -> Option<MetricSample> {
-        self.map.lookup_elem(&agg)
-    }
-
     /// Drains every sample, as the LIFL agent does on its reporting period,
     /// returning the snapshot and clearing the map.
     pub fn drain(&self) -> Vec<(AggregatorId, MetricSample)> {
         let snapshot = self.map.snapshot();
         self.map.clear();
         snapshot
-    }
-
-    /// Number of aggregators with samples.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no samples have been recorded since the last drain.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -99,27 +63,39 @@ mod tests {
         let agg = AggregatorId::new(5);
         metrics.record_aggregation(agg, SimDuration::from_secs(2.0), SimTime::from_secs(1.0));
         metrics.record_aggregation(agg, SimDuration::from_secs(4.0), SimTime::from_secs(2.0));
-        metrics.record_send(agg, SimTime::from_secs(3.0));
-        let sample = metrics.sample(agg).unwrap();
+        let drained = metrics.drain();
+        assert_eq!(drained.len(), 1);
+        let (id, sample) = drained[0];
+        assert_eq!(id, agg);
         assert_eq!(sample.updates_aggregated, 2);
-        assert_eq!(sample.updates_sent, 1);
-        assert!((sample.avg_exec_time().as_secs() - 3.0).abs() < 1e-12);
-        assert_eq!(sample.last_seen, SimTime::from_secs(3.0));
+        // The agent averages the drained sample: 6 s over 2 updates.
+        let avg = sample.total_exec_time.as_secs() / sample.updates_aggregated as f64;
+        assert!((avg - 3.0).abs() < 1e-12);
+        assert_eq!(sample.last_seen, SimTime::from_secs(2.0));
     }
 
     #[test]
     fn drain_clears() {
         let metrics = MetricsMap::new();
-        metrics.record_send(AggregatorId::new(1), SimTime::ZERO);
-        metrics.record_send(AggregatorId::new(2), SimTime::ZERO);
-        let drained = metrics.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(metrics.is_empty());
-        assert_eq!(metrics.len(), 0);
+        for agg in [1, 2] {
+            metrics.record_aggregation(AggregatorId::new(agg), SimDuration::ZERO, SimTime::ZERO);
+        }
+        assert_eq!(metrics.drain().len(), 2);
+        assert!(metrics.drain().is_empty());
     }
 
     #[test]
     fn empty_sample_average_is_zero() {
-        assert_eq!(MetricSample::default().avg_exec_time(), SimDuration::ZERO);
+        // An aggregator's first record starts from the default sample, which
+        // has aggregated nothing and accumulated no execution time.
+        let empty = MetricSample::default();
+        assert_eq!(empty.updates_aggregated, 0);
+        assert_eq!(empty.total_exec_time, SimDuration::ZERO);
+        let metrics = MetricsMap::new();
+        let agg = AggregatorId::new(1);
+        metrics.record_aggregation(agg, SimDuration::ZERO, SimTime::ZERO);
+        let (_, sample) = metrics.drain()[0];
+        assert_eq!(sample.updates_aggregated, 1);
+        assert_eq!(sample.total_exec_time, SimDuration::ZERO);
     }
 }

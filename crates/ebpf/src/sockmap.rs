@@ -37,11 +37,6 @@ impl SockMap {
         }
     }
 
-    /// The node this sockmap belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Registers a local aggregator's socket.
     pub fn register_local(&self, agg: AggregatorId) -> bool {
         self.map.update_elem(agg, SocketRef::Aggregator(agg))
@@ -60,11 +55,6 @@ impl SockMap {
     /// Whether `agg` currently resolves to a local socket.
     pub fn is_local(&self, agg: AggregatorId) -> bool {
         matches!(self.steer(agg), Some(SocketRef::Aggregator(_)))
-    }
-
-    /// Removes the entry for `agg` (for example when the hierarchy is re-planned).
-    pub fn deregister(&self, agg: AggregatorId) -> bool {
-        self.map.delete_elem(&agg)
     }
 
     /// Number of registered entries.
@@ -102,19 +92,5 @@ mod tests {
         assert!(sockmap.is_local(local));
         assert!(!sockmap.is_local(remote));
         assert_eq!(sockmap.steer(AggregatorId::new(99)), None);
-    }
-
-    #[test]
-    fn deregister_and_clear() {
-        let sockmap = SockMap::new(NodeId::new(0), 0);
-        for i in 0..10 {
-            sockmap.register_local(AggregatorId::new(i));
-        }
-        assert_eq!(sockmap.len(), 10);
-        assert!(sockmap.deregister(AggregatorId::new(3)));
-        assert!(!sockmap.deregister(AggregatorId::new(3)));
-        assert_eq!(sockmap.len(), 9);
-        sockmap.clear();
-        assert!(sockmap.is_empty());
     }
 }

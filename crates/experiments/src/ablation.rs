@@ -1,6 +1,6 @@
 //! Ablation sweeps over LIFL's design parameters.
 //!
-//! DESIGN.md calls out three design choices whose values the paper fixes from
+//! Three of LIFL's design choices have values the paper fixes from
 //! experience rather than from a reported sweep: the EWMA smoothing
 //! coefficient α = 0.7 (§5.2), the leaf fan-in I = 2 (§5.2) and the BestFit
 //! bin-packing policy (§5.1). These sweeps regenerate the evidence for each

@@ -1,4 +1,4 @@
-//! Runs every experiment in sequence (the source of EXPERIMENTS.md numbers).
+//! Runs every experiment in sequence.
 fn main() {
     println!("==== Fig. 4 ====");
     println!(

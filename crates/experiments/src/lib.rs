@@ -4,8 +4,8 @@
 //! evaluation (§4.1, §6, Appendix F), each exposing a `run()` function that
 //! regenerates the figure's rows/series from the simulation and a formatter
 //! that prints them the way the paper reports them. The binaries under
-//! `src/bin/` are thin wrappers; `all_experiments` runs everything and is what
-//! EXPERIMENTS.md records.
+//! `src/bin/` are thin wrappers; `all_experiments` runs everything in
+//! sequence.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

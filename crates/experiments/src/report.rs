@@ -35,7 +35,7 @@ pub fn format_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Serialises a result record to pretty JSON (for EXPERIMENTS.md bookkeeping).
+/// Serialises a result record to pretty JSON.
 pub fn to_json<T: Serialize>(value: &T) -> String {
     serde_json::to_string_pretty(value).unwrap_or_else(|e| format!("{{\"error\": \"{e}\"}}"))
 }

@@ -922,11 +922,6 @@ impl ErrorFeedback {
     pub fn residual(&self, client: ClientId) -> Option<&DenseModel> {
         self.residuals.get(&client)
     }
-
-    /// Drops every stored residual (e.g. when the model dimension changes).
-    pub fn reset(&mut self) {
-        self.residuals.clear();
-    }
 }
 
 #[cfg(test)]
@@ -1197,7 +1192,6 @@ mod tests {
         let mut lossless = ErrorFeedback::new(UpdateCodec::new(CodecKind::Identity));
         lossless.encode(client, &m).unwrap();
         assert!(lossless.residual(client).is_none());
-        lossless.reset();
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! accuracy-versus-round curves.
 //!
 //! The training workload is a softmax-regression classifier over a synthetic
-//! FEMNIST-like task (62 classes, Dirichlet label skew across clients). See
-//! DESIGN.md §1 for why this substitution preserves the paper's system-level
-//! claims: update *sizes* used for system costs stay at the ResNet sizes, and
-//! only the rounds→accuracy mapping comes from this substrate.
+//! FEMNIST-like task (62 classes, Dirichlet label skew across clients). The
+//! substitution preserves the paper's system-level claims: update *sizes*
+//! used for system costs stay at the ResNet sizes, and only the
+//! rounds→accuracy mapping comes from this substrate.
 //!
 //! Beyond the paper's FedAvg workload, the crate also provides the
 //! algorithm-level extensions the paper's related-work section points at so

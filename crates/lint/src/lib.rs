@@ -17,7 +17,7 @@
 //! | R5   | `determinism`       | no `HashMap`/`HashSet`, `Instant::now` or `SystemTime` in the fold/aggregation modules |
 //! | R6   | `no-legacy-runtime` | the legacy runtime, the per-representation gateway doors, the payload-copying put path and the collapsed duplicates (`FlDriver`, `async_round`, `lifl_baselines`, `bench_ingest`, the simulator inside `lifl-core`) stay deleted, and no code of the engine crates (`types`, `shmem`, `fl`, `core`) but the station executor (`crates/core/src/stations.rs`) starts a thread |
 //! | R7   | `ci-sync`           | the justfile `ci` recipe and `.github/workflows/ci.yml` run the same commands |
-//! | R8   | `dead-pub`          | every `pub` item of the engine crates (`types`, `shmem`, `fl`, `core`) is named somewhere outside its own file's unit tests: the workspace, `tests/`, `examples/` or `benchmark/src` |
+//! | R8   | `dead-pub`          | every `pub` item of every crate's `src/` is named somewhere outside its own file's unit tests: the workspace, `tests/`, `examples/` or `benchmark/src` |
 //!
 //! Diagnostics are machine readable (`file:line: rule-id: message`) and the
 //! binary exits nonzero on any finding. A site with a genuine reason to break
@@ -65,7 +65,7 @@ pub enum Rule {
     LegacyRuntime,
     /// R7: justfile ↔ ci.yml command sync.
     CiSync,
-    /// R8: no `pub` item of an engine crate that only tests use.
+    /// R8: no `pub` item of any crate that only its own file's tests use.
     DeadPub,
     /// Malformed `lifl-lint: allow(...)` markers (not individually runnable).
     Marker,
@@ -191,7 +191,7 @@ pub struct Report {
 const SCAN_ROOTS: [&str; 3] = ["crates", "tests", "examples"];
 
 /// Directories whose sources count only as R8 references: the benchmark
-/// compiles against the engine, but no rule checks its own code.
+/// compiles against the workspace, but no rule checks its own code.
 const REFERENCE_ROOTS: [&str; 1] = ["benchmark/src"];
 
 /// The lint's own fixture corpus: full of deliberate violations, never

@@ -776,6 +776,14 @@ const PAYLOAD_COPIES: [(&[&str], &str); 4] = [
     ),
 ];
 
+/// The engine crates, where only [`THREAD_MODULE`] may start a thread (R6).
+pub const ENGINE_CRATES: [&str; 4] = [
+    "crates/types/src/",
+    "crates/shmem/src/",
+    "crates/fl/src/",
+    "crates/core/src/",
+];
+
 /// The one module of the [`ENGINE_CRATES`] that may start a thread: a
 /// session's stations run on its session-lifetime worker set, never on
 /// threads started per round, and a station's fold runs on the thread that
@@ -1004,14 +1012,6 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
 // R8: no dead `pub`.
 // ---------------------------------------------------------------------------
 
-/// The engine crates whose public items must each have a user (R8).
-pub const ENGINE_CRATES: [&str; 4] = [
-    "crates/types/src/",
-    "crates/shmem/src/",
-    "crates/fl/src/",
-    "crates/core/src/",
-];
-
 /// Keywords whose next identifier names the item they introduce: after one
 /// of these an identifier is a definition, never a use.
 const ITEM_KEYWORDS: [&str; 7] = ["fn", "struct", "enum", "trait", "const", "static", "type"];
@@ -1040,8 +1040,16 @@ fn pub_item_name(f: &SourceFile, code: &[usize], w: usize) -> Option<usize> {
         .then_some(name)
 }
 
+/// Whether `rel` is a crate's own source (`crates/<name>/src/...`), the
+/// code R8 checks; a crate's `tests/` only count as users.
+fn is_crate_source(rel: &str) -> bool {
+    rel.strip_prefix("crates/")
+        .and_then(|r| r.split_once('/'))
+        .is_some_and(|(_, r)| r.starts_with("src/"))
+}
+
 /// R8: every plain `pub` item (fn, type, trait, const, static, alias) in
-/// non-test code of the [`ENGINE_CRATES`] must be named by a code token that
+/// non-test code of every crate's `src/` must be named by a code token that
 /// is not a definition and not in its own file's unit tests, anywhere in the
 /// scanned workspace or in `references` (the benchmark, which compiles
 /// against the engine). Integration tests, examples and the benchmark count
@@ -1069,7 +1077,7 @@ pub fn dead_pub(files: &[SourceFile], references: &[SourceFile]) -> Vec<Finding>
     }
     let mut out = Vec::new();
     for f in files {
-        if !ENGINE_CRATES.iter().any(|p| f.rel.starts_with(p)) {
+        if !is_crate_source(&f.rel) {
             continue;
         }
         let code = code_indices(f);
@@ -1100,14 +1108,4 @@ pub fn dead_pub(files: &[SourceFile], references: &[SourceFile]) -> Vec<Finding>
         }
     }
     out
-}
-
-/// Groups findings per file for summary-style reporting (used by the CLI's
-/// `--summary` flag; exposed for tests).
-pub fn per_file_counts(findings: &[Finding]) -> BTreeMap<String, usize> {
-    let mut map = BTreeMap::new();
-    for f in findings {
-        *map.entry(f.file.clone()).or_insert(0) += 1;
-    }
-    map
 }

@@ -1,8 +1,8 @@
-//! Fixture: a non-engine crate. Its own items are never checked, and naming
-//! Orphan in prose or a string is no use of it.
+//! Fixture: a simulator crate. Its items are checked like the engine's, and
+//! naming Orphan in prose or a string is no use of it.
 
-/// Not an engine item, so never a finding.
+/// Nothing names it: a finding, in a crate outside the engine too.
 pub fn simulator_only() {}
 
-/// Orphan, in a string literal.
+/// Orphan, in a string literal; nothing names the constant either.
 pub const NAME: &str = "Orphan";

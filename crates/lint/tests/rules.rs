@@ -333,18 +333,25 @@ fn r7_pass_counts_agreed_commands() {
 #[test]
 fn r8_fail_flags_engine_items_only_their_own_tests_name() {
     let found = lint("r8_fail", &[Rule::DeadPub]);
-    // `only_my_tests`, `Orphan`, `UNJUSTIFIED`, and the unjustified marker's
-    // own diagnostic; the benchmark's and the integration test's items have
-    // users, and the pub(crate) and non-engine items are never checked.
-    assert_eq!(found.len(), 4, "{found:#?}");
-    for (line, name) in [(10, "only_my_tests"), (13, "Orphan"), (20, "UNJUSTIFIED")] {
+    // `only_my_tests`, `Orphan`, `UNJUSTIFIED`, the unjustified marker's own
+    // diagnostic, and the simulator crate's `simulator_only` and `NAME`; the
+    // benchmark's and the integration test's items have users, and the
+    // pub(crate) item is never checked.
+    assert_eq!(found.len(), 6, "{found:#?}");
+    for (file, line, name) in [
+        ("core", 10, "only_my_tests"),
+        ("core", 13, "Orphan"),
+        ("core", 20, "UNJUSTIFIED"),
+        ("sim", 5, "simulator_only"),
+        ("sim", 8, "NAME"),
+    ] {
         assert!(
             found
                 .iter()
-                .any(|f| f.contains(&format!("crates/core/src/lib.rs:{line}:"))
+                .any(|f| f.contains(&format!("crates/{file}/src/lib.rs:{line}:"))
                     && f.contains("R8-dead-pub")
                     && f.contains(&format!("`{name}`"))),
-            "{name} at line {line}: {found:#?}"
+            "{name} at {file}:{line}: {found:#?}"
         );
     }
     assert!(found

@@ -80,16 +80,6 @@ impl FunctionChain {
         FunctionChain { stages }
     }
 
-    /// Number of stages in the chain.
-    pub fn depth(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Access to the per-stage pools (for inspecting cold-start counters).
-    pub fn stages(&self) -> &[InstancePool] {
-        &self.stages
-    }
-
     /// Scales the chain for a wave of traffic arriving at `now` and returns
     /// when each stage — and the chain as a whole — becomes ready.
     ///
@@ -135,18 +125,6 @@ impl FunctionChain {
             stages,
             chain_ready_at,
             startup_cpu,
-        }
-    }
-
-    /// Releases every stage's instance back to its warm pool at `now`
-    /// (e.g. at the end of a round), so the next wave can reuse them.
-    pub fn release_all(&mut self, now: SimTime) {
-        for pool in &mut self.stages {
-            // Release every live instance; the pool tracks them internally by
-            // re-acquiring warm instances on the next wave.
-            for id in 0..pool.live_instances() as u64 {
-                pool.release(lifl_types::InstanceId::new(id), now);
-            }
         }
     }
 }
@@ -213,29 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_chain_has_no_cold_starts_on_second_wave() {
-        let mut chain =
-            FunctionChain::aggregation_chain(SystemKind::Lifl, 3, startup(SystemKind::Lifl));
-        let first = chain.scale_for_traffic(SimTime::ZERO, ChainScaling::PrePlanned);
-        assert_eq!(first.cold_starts(), 3);
-        chain.release_all(SimTime::from_secs(20.0));
-        let second = chain.scale_for_traffic(SimTime::from_secs(30.0), ChainScaling::PrePlanned);
-        assert_eq!(
-            second.cold_starts(),
-            0,
-            "second wave should reuse warm instances"
-        );
-        // Readiness latency (relative to the wave's arrival) shrinks on reuse.
-        let first_latency = first.chain_ready_at.as_secs();
-        let second_latency = second.chain_ready_at.as_secs() - 30.0;
-        assert!(
-            second_latency <= first_latency,
-            "{second_latency} vs {first_latency}"
-        );
-        assert_eq!(second.startup_cpu, SimDuration::ZERO);
-    }
-
-    #[test]
     fn lifl_runtimes_start_faster_than_knative_containers() {
         let mut sl = FunctionChain::aggregation_chain(
             SystemKind::Serverless,
@@ -252,9 +207,9 @@ mod tests {
 
     #[test]
     fn chain_depth_is_at_least_one() {
-        let chain =
+        let mut chain =
             FunctionChain::aggregation_chain(SystemKind::Lifl, 0, startup(SystemKind::Lifl));
-        assert_eq!(chain.depth(), 1);
-        assert_eq!(chain.stages().len(), 1);
+        let ready = chain.scale_for_traffic(SimTime::ZERO, ChainScaling::PrePlanned);
+        assert_eq!(ready.stages.len(), 1);
     }
 }

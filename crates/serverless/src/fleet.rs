@@ -160,21 +160,6 @@ impl FleetController {
         })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-
-    /// Nodes under control.
-    pub fn nodes(&self) -> usize {
-        self.scalers.len()
-    }
-
-    /// Rounds observed so far.
-    pub fn rounds_observed(&self) -> u64 {
-        self.round
-    }
-
     /// The synthetic control-loop time of round boundary `round`.
     fn clock(&self, round: u64) -> SimTime {
         SimTime::from_secs(self.config.round_period.as_secs() * round as f64)

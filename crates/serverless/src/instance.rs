@@ -22,7 +22,6 @@ pub struct AcquireOutcome {
 struct Instance {
     state: InstanceState,
     idle_since: SimTime,
-    busy_until: SimTime,
 }
 
 /// A per-node pool of function instances.
@@ -32,8 +31,6 @@ pub struct InstancePool {
     startup: StartupCost,
     instances: HashMap<InstanceId, Instance>,
     next_id: u64,
-    cold_starts: u64,
-    warm_acquisitions: u64,
 }
 
 impl InstancePool {
@@ -44,14 +41,7 @@ impl InstancePool {
             startup,
             instances: HashMap::new(),
             next_id: 0,
-            cold_starts: 0,
-            warm_acquisitions: 0,
         }
-    }
-
-    /// The function spec this pool serves.
-    pub fn spec(&self) -> &FunctionSpec {
-        &self.spec
     }
 
     /// Acquires an instance at `now`: reuses a warm idle instance when one
@@ -68,7 +58,6 @@ impl InstancePool {
         if let Some(id) = warm {
             let inst = self.instances.get_mut(&id).expect("instance exists");
             inst.state = InstanceState::Busy;
-            self.warm_acquisitions += 1;
             return AcquireOutcome {
                 instance: id,
                 ready_at: now + self.startup.warm_start,
@@ -84,24 +73,13 @@ impl InstancePool {
             Instance {
                 state: InstanceState::Busy,
                 idle_since: now,
-                busy_until: now,
             },
         );
-        self.cold_starts += 1;
         AcquireOutcome {
             instance: id,
             ready_at: now + self.startup.cold_start,
             cold_start: true,
             startup_cpu: self.startup.cold_start_cpu,
-        }
-    }
-
-    /// Releases `instance` back to the warm pool at `now`.
-    pub fn release(&mut self, instance: InstanceId, now: SimTime) {
-        if let Some(inst) = self.instances.get_mut(&instance) {
-            inst.state = InstanceState::Idle;
-            inst.idle_since = now;
-            inst.busy_until = now;
         }
     }
 
@@ -117,21 +95,6 @@ impl InstancePool {
         self.instances
             .retain(|_, inst| inst.state != InstanceState::Terminated);
     }
-
-    /// Number of live (warm or busy) instances.
-    pub fn live_instances(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// Number of cold starts performed.
-    pub fn cold_starts(&self) -> u64 {
-        self.cold_starts
-    }
-
-    /// Number of warm acquisitions served.
-    pub fn warm_acquisitions(&self) -> u64 {
-        self.warm_acquisitions
-    }
 }
 
 #[cfg(test)]
@@ -145,32 +108,6 @@ mod tests {
             FunctionSpec::aggregator(system),
             CostModel::paper_calibrated().startup(system),
         )
-    }
-
-    #[test]
-    fn cold_then_warm() {
-        let mut pool = pool(SystemKind::Serverless);
-        let t0 = SimTime::from_secs(0.0);
-        let first = pool.acquire(t0);
-        assert!(first.cold_start);
-        assert!(first.ready_at.as_secs() >= 3.0);
-        pool.release(first.instance, SimTime::from_secs(10.0));
-        let second = pool.acquire(SimTime::from_secs(12.0));
-        assert!(!second.cold_start);
-        assert_eq!(second.instance, first.instance);
-        assert_eq!(pool.cold_starts(), 1);
-        assert_eq!(pool.warm_acquisitions(), 1);
-    }
-
-    #[test]
-    fn keep_alive_expires_idle_instances() {
-        let mut pool = pool(SystemKind::Serverless);
-        let first = pool.acquire(SimTime::ZERO);
-        pool.release(first.instance, SimTime::from_secs(5.0));
-        // Past keep-alive (60s), the instance is gone and we cold start again.
-        let second = pool.acquire(SimTime::from_secs(120.0));
-        assert!(second.cold_start);
-        assert_eq!(pool.cold_starts(), 2);
     }
 
     #[test]
@@ -189,6 +126,5 @@ mod tests {
         let a = pool.acquire(SimTime::ZERO);
         let b = pool.acquire(SimTime::ZERO);
         assert_ne!(a.instance, b.instance);
-        assert_eq!(pool.live_instances(), 2);
     }
 }

@@ -2,10 +2,9 @@
 //! windows.
 //!
 //! The baseline serverless systems in the paper (§2.3, §6.1) rely on Knative's
-//! concurrency-based autoscaling, which the simple
-//! [`ThresholdAutoscaler`](crate::autoscale::ThresholdAutoscaler) captures only
-//! coarsely. This module models the actual KPA control loop closely enough to
-//! study its interaction with FL's bursty arrivals (Fig. 10(a)):
+//! concurrency-based autoscaling. This module models the KPA control loop
+//! closely enough to study its interaction with FL's bursty arrivals
+//! (Fig. 10(a)):
 //!
 //! * concurrency observations are averaged over a long **stable window**
 //!   (default 60 s) and a short **panic window** (default 6 s);
@@ -96,11 +95,6 @@ impl KpaAutoscaler {
             panic_floor: 0,
             last_positive_at: None,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &KpaConfig {
-        &self.config
     }
 
     /// Records a concurrency observation (in-flight requests) at `now`.

@@ -84,11 +84,6 @@ impl Revision {
         self.stats
     }
 
-    /// All pods, in creation order.
-    pub fn pods(&self) -> impl Iterator<Item = &Pod> {
-        self.pods.values()
-    }
-
     /// Number of pods in the given phase at `now` (after applying transitions).
     pub fn count_in_phase(&mut self, now: SimTime, phase: PodPhase) -> usize {
         self.advance(now);
@@ -217,7 +212,7 @@ mod tests {
         );
         // After the grace period, terminated pods disappear entirely.
         rev.advance(SimTime::from_secs(40.0));
-        assert_eq!(rev.pods().count(), 1);
+        assert_eq!(rev.pods.len(), 1);
         assert_eq!(rev.stats().pods_terminated, 3);
     }
 
@@ -236,7 +231,7 @@ mod tests {
         rev.advance(SimTime::from_secs(30.0));
         rev.reconcile(SimTime::from_secs(30.0), 0);
         rev.advance(SimTime::from_secs(60.0));
-        assert_eq!(rev.pods().count(), 0);
+        assert_eq!(rev.pods.len(), 0);
         rev.reconcile(SimTime::from_secs(100.0), 2);
         assert_eq!(
             rev.ready_pods(SimTime::from_secs(100.0)),
@@ -251,7 +246,7 @@ mod tests {
     fn pod_ordering_is_stable_and_named() {
         let mut rev = revision();
         rev.reconcile(SimTime::ZERO, 3);
-        let ids: Vec<u64> = rev.pods().map(|p| p.id.index()).collect();
+        let ids: Vec<u64> = rev.pods.values().map(|p| p.id.index()).collect();
         assert_eq!(ids, vec![0, 1, 2]);
         assert_eq!(rev.name(), "aggregator-00001");
     }

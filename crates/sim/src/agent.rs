@@ -1,24 +1,18 @@
-//! The per-node LIFL agent (§3): owns the node's shared-memory store, manages
-//! aggregator lifecycle on instructions from the control plane, drains the
-//! eBPF metrics map toward the metric server and checkpoints the global model
-//! asynchronously (Appendix B).
+//! The per-node LIFL agent (§3): drains the eBPF metrics map toward the
+//! metric server and checkpoints the global model asynchronously
+//! (Appendix B).
 
 use crate::metric_server::NodeLoad;
 use lifl_ebpf::MetricsMap;
-use lifl_shmem::{CheckpointStore, ObjectStore};
-use lifl_types::{AggregatorId, NodeId, RoundId, SimDuration, SimTime};
-use std::collections::HashSet;
+use lifl_shmem::CheckpointStore;
+use lifl_types::{NodeId, RoundId, SimDuration, SimTime};
 
 /// The per-node agent.
 #[derive(Debug)]
 pub struct LiflAgent {
     node: NodeId,
-    store: ObjectStore,
     metrics: MetricsMap,
     checkpoints: CheckpointStore,
-    managed: HashSet<AggregatorId>,
-    created: u64,
-    terminated: u64,
     updates_seen: u64,
     window_start: SimTime,
 }
@@ -28,12 +22,8 @@ impl LiflAgent {
     pub fn new(node: NodeId) -> Self {
         LiflAgent {
             node,
-            store: ObjectStore::new(),
             metrics: MetricsMap::new(),
             checkpoints: CheckpointStore::new(),
-            managed: HashSet::new(),
-            created: 0,
-            terminated: 0,
             updates_seen: 0,
             window_start: SimTime::ZERO,
         }
@@ -44,38 +34,9 @@ impl LiflAgent {
         self.node
     }
 
-    /// The node's shared-memory object store.
-    pub fn store(&self) -> &ObjectStore {
-        &self.store
-    }
-
     /// The node's eBPF metrics map.
     pub fn metrics(&self) -> &MetricsMap {
         &self.metrics
-    }
-
-    /// Creates (registers) an aggregator runtime on this node.
-    pub fn create_aggregator(&mut self, aggregator: AggregatorId) {
-        if self.managed.insert(aggregator) {
-            self.created += 1;
-        }
-    }
-
-    /// Terminates an aggregator runtime on this node.
-    pub fn terminate_aggregator(&mut self, aggregator: AggregatorId) {
-        if self.managed.remove(&aggregator) {
-            self.terminated += 1;
-        }
-    }
-
-    /// Aggregators currently managed.
-    pub fn managed_count(&self) -> usize {
-        self.managed.len()
-    }
-
-    /// Lifetime counts of created and terminated aggregators.
-    pub fn lifecycle_counts(&self) -> (u64, u64) {
-        (self.created, self.terminated)
     }
 
     /// Records that one model update arrived at this node (for the arrival-rate report).
@@ -124,19 +85,7 @@ impl LiflAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lifecycle_management() {
-        let mut agent = LiflAgent::new(NodeId::new(2));
-        agent.create_aggregator(AggregatorId::new(1));
-        agent.create_aggregator(AggregatorId::new(2));
-        agent.create_aggregator(AggregatorId::new(1));
-        assert_eq!(agent.managed_count(), 2);
-        agent.terminate_aggregator(AggregatorId::new(1));
-        assert_eq!(agent.managed_count(), 1);
-        assert_eq!(agent.lifecycle_counts(), (2, 1));
-        assert_eq!(agent.node(), NodeId::new(2));
-    }
+    use lifl_types::AggregatorId;
 
     #[test]
     fn load_report_uses_window_and_metrics() {

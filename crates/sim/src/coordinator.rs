@@ -1,12 +1,10 @@
 //! The LIFL coordinator (§3, §5, Fig. 6): the cluster-wide control-plane
 //! component that periodically re-plans the aggregation hierarchy from the
-//! metric server's queue estimates, drives placement, and applies runtime
-//! reuse. It is the interface between the FL job designer and the serverless
-//! control plane.
+//! metric server's EWMA-smoothed queue estimates (§5.2). Placement itself is
+//! [`crate::placement`]'s, inside the simulated platform's rounds.
 
 use crate::hierarchy::HierarchyPlan;
 use crate::metric_server::MetricServer;
-use crate::placement::{NodeCapacity, PlacementEngine, PlacementOutcome};
 use lifl_core::ewma::EwmaEstimator;
 use lifl_types::{ClusterConfig, LiflConfig, NodeId, SimTime};
 use std::collections::HashMap;
@@ -14,7 +12,6 @@ use std::collections::HashMap;
 /// The cluster-wide coordinator.
 #[derive(Debug)]
 pub struct LiflCoordinator {
-    cluster: ClusterConfig,
     config: LiflConfig,
     metric_server: MetricServer,
     estimators: HashMap<NodeId, EwmaEstimator>,
@@ -24,10 +21,10 @@ pub struct LiflCoordinator {
 }
 
 impl LiflCoordinator {
-    /// Creates a coordinator for the cluster.
-    pub fn new(cluster: ClusterConfig, config: LiflConfig) -> Self {
+    /// Creates a coordinator for the cluster. It plans from the metric
+    /// server's reports alone, so `_cluster` is not read.
+    pub fn new(_cluster: ClusterConfig, config: LiflConfig) -> Self {
         LiflCoordinator {
-            cluster,
             config,
             metric_server: MetricServer::new(),
             estimators: HashMap::new(),
@@ -40,16 +37,6 @@ impl LiflCoordinator {
     /// Mutable access to the metric server (agents report through this).
     pub fn metric_server_mut(&mut self) -> &mut MetricServer {
         &mut self.metric_server
-    }
-
-    /// Places a batch of `updates` incoming model updates across the cluster
-    /// using the configured bin-packing policy (§5.1).
-    pub fn place_updates(&self, updates: u64) -> PlacementOutcome {
-        let engine = PlacementEngine::new(self.config.placement);
-        let mut caps: Vec<NodeCapacity> = (0..self.cluster.aggregation_nodes as u64)
-            .map(|i| NodeCapacity::new(NodeId::new(i), self.cluster.node.max_service_capacity))
-            .collect();
-        engine.place_batch(updates, &mut caps)
     }
 
     /// Whether a hierarchy re-plan is due at `now` (§6.1: 2-minute cycle).
@@ -72,11 +59,6 @@ impl LiflCoordinator {
         self.current_plan = HierarchyPlan::plan(&pending, self.config.leaf_fan_in);
         self.last_replan = now;
         self.replans += 1;
-        &self.current_plan
-    }
-
-    /// The most recent hierarchy plan.
-    pub fn current_plan(&self) -> &HierarchyPlan {
         &self.current_plan
     }
 
@@ -111,16 +93,5 @@ mod tests {
         assert!(!coordinator.replan_due(SimTime::from_secs(60.0)));
         assert!(coordinator.replan_due(SimTime::from_secs(131.0)));
         assert_eq!(coordinator.replans(), 1);
-        assert_eq!(coordinator.current_plan(), &plan);
-    }
-
-    #[test]
-    fn placement_respects_policy() {
-        let coordinator = LiflCoordinator::new(ClusterConfig::default(), LiflConfig::default());
-        let outcome = coordinator.place_updates(20);
-        assert_eq!(
-            outcome.nodes_used, 1,
-            "BestFit packs 20 updates on one node"
-        );
     }
 }

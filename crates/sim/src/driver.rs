@@ -35,7 +35,7 @@ pub struct WorkloadSetup {
 impl WorkloadSetup {
     /// The ResNet-18 workload of §6.2 scaled down to simulation-friendly sizes
     /// (population and activity match the paper; the training substrate is the
-    /// synthetic task described in DESIGN.md).
+    /// synthetic task described in `lifl-fl`'s crate docs).
     pub fn resnet18(rounds: usize) -> Self {
         WorkloadSetup {
             model: ModelKind::ResNet18,

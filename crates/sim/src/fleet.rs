@@ -10,7 +10,7 @@
 //! procedure of Appendix E.
 
 use crate::placement::NodeCapacity;
-use lifl_types::{ClusterConfig, LiflError, NodeConfig, NodeId, Result, SimDuration};
+use lifl_types::{LiflError, NodeConfig, NodeId, Result, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// A fleet of (possibly heterogeneous) worker nodes available for aggregation.
@@ -20,14 +20,6 @@ pub struct NodeFleet {
 }
 
 impl NodeFleet {
-    /// Builds a homogeneous fleet from the paper-style cluster description.
-    pub fn homogeneous(cluster: &ClusterConfig) -> Self {
-        let nodes = (0..cluster.aggregation_nodes as u64)
-            .map(|i| (NodeId::new(i), cluster.node))
-            .collect();
-        NodeFleet { nodes }
-    }
-
     /// Builds a heterogeneous fleet from explicit per-node configurations.
     ///
     /// # Errors
@@ -63,11 +55,6 @@ impl NodeFleet {
     /// Whether the fleet has no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Iterates over the fleet's nodes.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NodeConfig)> {
-        self.nodes.iter().map(|(id, cfg)| (*id, cfg))
     }
 
     /// The configuration of `node`.
@@ -137,7 +124,7 @@ pub fn estimate_max_capacity(base_exec_time: SimDuration, cores: u32, inflation_
 mod tests {
     use super::*;
     use crate::placement::PlacementEngine;
-    use lifl_types::PlacementPolicy;
+    use lifl_types::{ClusterConfig, PlacementPolicy};
 
     fn small_node(capacity: u32, cores: u32) -> NodeConfig {
         NodeConfig {
@@ -150,7 +137,8 @@ mod tests {
     #[test]
     fn homogeneous_fleet_matches_cluster_config() {
         let cluster = ClusterConfig::default();
-        let fleet = NodeFleet::homogeneous(&cluster);
+        let nodes = vec![cluster.node; cluster.aggregation_nodes as usize];
+        let fleet = NodeFleet::heterogeneous(nodes).unwrap();
         assert_eq!(fleet.len(), 5);
         assert!(fleet.is_homogeneous());
         assert_eq!(fleet.total_capacity(), cluster.total_capacity());
@@ -171,8 +159,6 @@ mod tests {
         assert!(!fleet.is_homogeneous());
         assert_eq!(fleet.total_capacity(), 68);
         assert_eq!(fleet.node(NodeId::new(1)).unwrap().max_service_capacity, 8);
-        let names: Vec<u64> = fleet.iter().map(|(id, _)| id.index()).collect();
-        assert_eq!(names, vec![0, 1, 2]);
     }
 
     #[test]

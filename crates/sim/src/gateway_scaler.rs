@@ -91,8 +91,6 @@ pub struct GatewayScaleDecision {
 pub struct GatewayScaler {
     config: GatewayScalerConfig,
     cores: u32,
-    scale_ups: u64,
-    scale_downs: u64,
     last_decision_at: Option<SimTime>,
 }
 
@@ -106,30 +104,8 @@ impl GatewayScaler {
         Ok(GatewayScaler {
             cores: config.min_cores,
             config,
-            scale_ups: 0,
-            scale_downs: 0,
             last_decision_at: None,
         })
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &GatewayScalerConfig {
-        &self.config
-    }
-
-    /// Cores currently assigned to the gateway.
-    pub fn cores(&self) -> u32 {
-        self.cores
-    }
-
-    /// Number of scale-up decisions taken.
-    pub fn scale_ups(&self) -> u64 {
-        self.scale_ups
-    }
-
-    /// Number of scale-down decisions taken.
-    pub fn scale_downs(&self) -> u64 {
-        self.scale_downs
     }
 
     /// The offered load in bytes per second for `arrival_rate_per_min` updates
@@ -155,12 +131,11 @@ impl GatewayScaler {
 
         let current_util = offered / (per_core * self.cores as f64);
         let previous = self.cores;
-        if needed > self.cores {
+        // Scale up at once; scale down only below the hysteresis threshold.
+        if needed > self.cores
+            || (needed < self.cores && current_util < self.config.scale_down_threshold)
+        {
             self.cores = needed;
-            self.scale_ups += 1;
-        } else if needed < self.cores && current_util < self.config.scale_down_threshold {
-            self.cores = needed;
-            self.scale_downs += 1;
         }
         self.last_decision_at = Some(now);
 
@@ -205,14 +180,14 @@ mod tests {
             "utilisation {} must respect the target head-room",
             decision.utilisation
         );
-        assert_eq!(scaler.scale_ups(), 1);
     }
 
     #[test]
     fn scale_down_requires_low_utilisation_hysteresis() {
         let mut scaler = scaler();
-        scaler.evaluate(SimTime::ZERO, ModelKind::ResNet152, 120.0);
-        let high = scaler.cores();
+        let high = scaler
+            .evaluate(SimTime::ZERO, ModelKind::ResNet152, 120.0)
+            .cores;
         // Load drops moderately: utilisation of the current assignment stays
         // above the scale-down threshold, so the assignment is kept.
         let moderate = scaler.evaluate(SimTime::from_secs(60.0), ModelKind::ResNet152, 65.0);
@@ -223,7 +198,6 @@ mod tests {
         // Load collapses: now the gateway releases cores.
         let low = scaler.evaluate(SimTime::from_secs(120.0), ModelKind::ResNet152, 5.0);
         assert!(low.cores < high);
-        assert_eq!(scaler.scale_downs(), 1);
     }
 
     #[test]

@@ -20,11 +20,6 @@ impl NodeLoad {
     pub fn queue_estimate(&self) -> f64 {
         self.arrival_rate * self.avg_exec_time.as_secs()
     }
-
-    /// Residual service capacity given the node's maximum capacity MC_i.
-    pub fn residual_capacity(&self, max_capacity: f64) -> f64 {
-        (max_capacity - self.queue_estimate()).max(0.0)
-    }
 }
 
 /// The cluster-wide metric server.
@@ -44,11 +39,6 @@ impl MetricServer {
         self.loads.insert(node, load);
     }
 
-    /// The latest load sample for `node`.
-    pub fn load(&self, node: NodeId) -> NodeLoad {
-        self.loads.get(&node).copied().unwrap_or_default()
-    }
-
     /// Queue estimates for every reporting node, sorted by node id.
     pub fn queue_estimates(&self) -> Vec<(NodeId, f64)> {
         let mut v: Vec<(NodeId, f64)> = self
@@ -58,11 +48,6 @@ impl MetricServer {
             .collect();
         v.sort_by_key(|(n, _)| *n);
         v
-    }
-
-    /// Number of nodes that have reported.
-    pub fn nodes_reporting(&self) -> usize {
-        self.loads.len()
     }
 }
 
@@ -77,8 +62,6 @@ mod tests {
             avg_exec_time: SimDuration::from_secs(3.0),
         };
         assert_eq!(load.queue_estimate(), 6.0);
-        assert_eq!(load.residual_capacity(20.0), 14.0);
-        assert_eq!(load.residual_capacity(4.0), 0.0);
     }
 
     #[test]
@@ -98,9 +81,6 @@ mod tests {
                 avg_exec_time: SimDuration::from_secs(1.0),
             },
         );
-        assert_eq!(server.nodes_reporting(), 2);
-        assert_eq!(server.load(NodeId::new(1)).queue_estimate(), 2.0);
-        assert_eq!(server.load(NodeId::new(9)).queue_estimate(), 0.0);
         let estimates = server.queue_estimates();
         assert_eq!(estimates[0].0, NodeId::new(0));
         assert_eq!(estimates[0].1, 5.0);

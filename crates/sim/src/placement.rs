@@ -58,11 +58,6 @@ impl PlacementEngine {
         PlacementEngine { policy }
     }
 
-    /// The engine's policy.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
-    }
-
     /// Places one update given the current per-node state, returning the
     /// chosen node and updating its assignment count.
     ///

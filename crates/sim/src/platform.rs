@@ -198,7 +198,6 @@ pub struct LiflPlatform {
     warm: HashMap<NodeId, u32>,
     rounds_run: u64,
     active_aggregators: u32,
-    cumulative_cpu: SimDuration,
 }
 
 impl LiflPlatform {
@@ -215,23 +214,7 @@ impl LiflPlatform {
             warm: HashMap::new(),
             rounds_run: 0,
             active_aggregators: 0,
-            cumulative_cpu: SimDuration::ZERO,
         }
-    }
-
-    /// The profile this platform runs with.
-    pub fn profile(&self) -> &PlatformProfile {
-        &self.profile
-    }
-
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// Cumulative busy CPU time over all rounds run so far.
-    pub fn cumulative_cpu(&self) -> SimDuration {
-        self.cumulative_cpu
     }
 
     /// Number of rounds simulated.
@@ -585,7 +568,6 @@ impl LiflPlatform {
         metrics.cpu_time = cpu;
         metrics.inter_node_bytes = inter_node_bytes;
         metrics.complete(top_done);
-        self.cumulative_cpu += cpu;
         self.rounds_run = round_index;
 
         RoundReport {
@@ -672,7 +654,6 @@ mod tests {
         assert!(report.eval_finished > report.metrics.completed_at);
         assert!(report.metrics.cpu_time.as_secs() > 0.0);
         assert_eq!(platform.rounds_run(), 1);
-        assert!(platform.cumulative_cpu().as_secs() > 0.0);
     }
 
     #[test]

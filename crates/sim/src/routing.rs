@@ -1,13 +1,12 @@
 //! Direct routing for hierarchical aggregation (§4.4, Appendix A).
 //!
-//! Intra-node routes live in the per-node sockmap consulted by the SKMSG
-//! program; inter-node routes live in the gateway's routing table
-//! (`source aggregator → (destination aggregator, destination node)`). The
-//! routing manager in the LIFL agent rebuilds both from the TAG every time the
-//! hierarchy is re-planned.
+//! Intra-node routes live in the per-node sockmap; inter-node routes live
+//! in the gateway's routing table (`source aggregator → (destination
+//! aggregator, destination node)`). The routing manager in the LIFL agent
+//! rebuilds both from the TAG every time the hierarchy is re-planned.
 
 use crate::tag::{ChannelKind, TopologyAbstractionGraph};
-use lifl_ebpf::{SkMsgHook, SockMap};
+use lifl_ebpf::SockMap;
 use lifl_types::{AggregatorId, LiflError, NodeId, Result};
 use std::collections::HashMap;
 
@@ -42,11 +41,6 @@ impl RoutingTable {
             sockmap: SockMap::new(node, 0),
             inter_node: HashMap::new(),
         }
-    }
-
-    /// The node this table belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Rebuilds all routes relevant to this node from the TAG (online
@@ -98,11 +92,6 @@ impl RoutingTable {
             }
         }
         Err(LiflError::RouteNotFound(destination))
-    }
-
-    /// The SKMSG hook backed by this node's sockmap (used by sidecars).
-    pub fn skmsg_hook(&self) -> SkMsgHook {
-        SkMsgHook::attach(self.sockmap.clone())
     }
 
     /// Number of local (sockmap) entries.
@@ -164,7 +153,6 @@ mod tests {
         assert!(table
             .next_hop(AggregatorId::new(1), AggregatorId::new(9))
             .is_err());
-        assert_eq!(table.node(), NodeId::new(0));
         assert!(table.local_routes() >= 2);
         assert_eq!(table.inter_node_routes(), 1);
     }
@@ -189,14 +177,5 @@ mod tests {
         assert!(table
             .next_hop(AggregatorId::new(1), AggregatorId::new(2))
             .is_err());
-    }
-
-    #[test]
-    fn skmsg_hook_sees_local_routes() {
-        let tag = tag_two_nodes();
-        let mut table = RoutingTable::new(NodeId::new(0));
-        table.apply_tag(&tag);
-        let hook = table.skmsg_hook();
-        assert!(hook.sockmap().is_local(AggregatorId::new(2)));
     }
 }

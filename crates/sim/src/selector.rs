@@ -84,14 +84,6 @@ impl RoundAssignment {
     pub fn selected(&self) -> usize {
         self.assignments.len() + self.unassigned as usize
     }
-
-    /// The node a given client reports to, if it was assigned.
-    pub fn node_of(&self, client: ClientId) -> Option<NodeId> {
-        self.assignments
-            .iter()
-            .find(|(c, _)| *c == client)
-            .map(|(_, n)| *n)
-    }
 }
 
 /// The selector service.
@@ -108,11 +100,6 @@ impl SelectorService {
     pub fn new(config: SelectorConfig) -> Result<Self> {
         config.validate()?;
         Ok(SelectorService { config })
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SelectorConfig {
-        &self.config
     }
 
     /// Selects this round's clients from `pool` and maps them onto the
@@ -171,6 +158,12 @@ mod tests {
     use lifl_fl::client::ClientAvailability;
     use lifl_types::{ClusterConfig, NodeConfig};
 
+    /// The paper's five identical nodes.
+    fn paper_fleet() -> NodeFleet {
+        let cluster = ClusterConfig::default();
+        NodeFleet::heterogeneous(vec![cluster.node; cluster.aggregation_nodes as usize]).unwrap()
+    }
+
     fn pool(n: usize) -> Vec<Client> {
         (0..n)
             .map(|i| Client {
@@ -190,7 +183,7 @@ mod tests {
             ..SelectorConfig::default()
         })
         .unwrap();
-        let fleet = NodeFleet::homogeneous(&ClusterConfig::default());
+        let fleet = paper_fleet();
         let mut rng = SimRng::from_seed(3);
         let assignment = selector.assign_round(&pool(200), &fleet, &mut rng);
         // 20 / (1 - 0.2) = 25 clients selected.
@@ -201,10 +194,6 @@ mod tests {
         assert_eq!(assignment.pending_per_node.len(), 2);
         let total: u32 = assignment.pending_per_node.iter().map(|(_, c)| c).sum();
         assert_eq!(total, 25);
-        // Every assigned client resolves to a node.
-        let (first_client, first_node) = assignment.assignments[0];
-        assert_eq!(assignment.node_of(first_client), Some(first_node));
-        assert_eq!(assignment.node_of(ClientId::new(9999)), None);
     }
 
     #[test]
@@ -215,7 +204,7 @@ mod tests {
             ..SelectorConfig::default()
         })
         .unwrap();
-        let fleet = NodeFleet::homogeneous(&ClusterConfig::default());
+        let fleet = paper_fleet();
         let mut rng = SimRng::from_seed(8);
         let assignment = selector.assign_round(&pool(300), &fleet, &mut rng);
         let plan = HierarchyPlan::plan(&assignment.pending_per_node, 2);
@@ -252,7 +241,7 @@ mod tests {
             ..SelectorConfig::default()
         })
         .unwrap();
-        let fleet = NodeFleet::homogeneous(&ClusterConfig::default());
+        let fleet = paper_fleet();
         let mut rng = SimRng::from_seed(5);
         let assignment = selector.assign_round(&pool(30), &fleet, &mut rng);
         assert_eq!(assignment.selected(), 30);

@@ -95,29 +95,6 @@ impl TopologyAbstractionGraph {
             .filter(|c| c.kind == ChannelKind::KernelNetwork)
             .count()
     }
-
-    /// The downstream consumer of an aggregator, if connected.
-    pub fn consumer_of(&self, aggregator: AggregatorId) -> Option<AggregatorId> {
-        self.channels
-            .iter()
-            .find(|c| c.from == aggregator)
-            .map(|c| c.to)
-    }
-
-    /// Aggregators grouped by their `groupBy` label.
-    pub fn groups(&self) -> HashMap<String, Vec<AggregatorId>> {
-        let mut groups: HashMap<String, Vec<AggregatorId>> = HashMap::new();
-        for role in self.roles.values() {
-            groups
-                .entry(role.group.clone())
-                .or_default()
-                .push(role.aggregator);
-        }
-        for members in groups.values_mut() {
-            members.sort();
-        }
-        groups
-    }
 }
 
 #[cfg(test)]
@@ -148,11 +125,6 @@ mod tests {
             Some(ChannelKind::KernelNetwork)
         );
         assert_eq!(tag.inter_node_channels(), 1);
-        assert_eq!(
-            tag.consumer_of(AggregatorId::new(1)),
-            Some(AggregatorId::new(2))
-        );
-        assert_eq!(tag.consumer_of(AggregatorId::new(3)), None);
     }
 
     #[test]
@@ -172,7 +144,13 @@ mod tests {
         tag.add_role(role(1, 0, AggregatorRole::Leaf));
         tag.add_role(role(2, 0, AggregatorRole::Leaf));
         tag.add_role(role(3, 1, AggregatorRole::Leaf));
-        let groups = tag.groups();
+        let mut groups: std::collections::BTreeMap<&str, Vec<AggregatorId>> = Default::default();
+        for r in tag.roles() {
+            groups.entry(&r.group).or_default().push(r.aggregator);
+        }
+        for members in groups.values_mut() {
+            members.sort();
+        }
         assert_eq!(
             groups["node-0"],
             vec![AggregatorId::new(1), AggregatorId::new(2)]

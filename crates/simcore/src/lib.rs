@@ -1,38 +1,29 @@
 //! # lifl-simcore
 //!
-//! A small discrete-event simulation engine used by the LIFL reproduction to
-//! model cluster-scale experiments: an event queue with a deterministic
-//! tie-breaking order, CPU-core and shared-channel resources, deterministic
-//! random-number helpers and statistics collectors (time series, Gantt
-//! timelines, histograms).
+//! The deterministic helpers the rest of the workspace shares:
 //!
-//! The engine is intentionally generic: the LIFL platform, the baseline
-//! systems and the experiment harness all drive their own event loops on top
-//! of these primitives.
+//! * [`SimRng`], the seeded random-number generator behind every client
+//!   population, data partition, local-training shuffle and arrival trace
+//!   (`lifl-fl`, `lifl-core`'s training driver, `lifl-sim` and the
+//!   benchmark);
+//! * [`TimeSeries`] and [`Gantt`], the collectors `lifl-sim`'s workload
+//!   driver and platform fill for the time-to-accuracy curves (Fig. 9/10)
+//!   and the round timelines (Fig. 4 / Fig. 7(c)).
 //!
 //! ```
-//! use lifl_simcore::event::EventQueue;
-//! use lifl_types::SimTime;
+//! use lifl_simcore::SimRng;
 //!
-//! let mut queue: EventQueue<&'static str> = EventQueue::new();
-//! queue.push(SimTime::from_secs(2.0), "late");
-//! queue.push(SimTime::from_secs(1.0), "early");
-//! let (t, e) = queue.pop().unwrap();
-//! assert_eq!(e, "early");
-//! assert_eq!(t.as_secs(), 1.0);
+//! let mut a = SimRng::from_seed(7);
+//! let mut b = SimRng::from_seed(7);
+//! assert_eq!(a.uniform(0.0, 1.0), b.uniform(0.0, 1.0));
+//! assert!(a.index(5) < 5);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod event;
-pub mod resource;
 pub mod rng;
 pub mod stats;
 
-pub use engine::{Engine, Scheduler};
-pub use event::EventQueue;
-pub use resource::{CpuPool, SharedChannel};
 pub use rng::SimRng;
-pub use stats::{Gantt, GanttSegment, Histogram, Summary, TimeSeries};
+pub use stats::{Gantt, GanttSegment, TimeSeries};

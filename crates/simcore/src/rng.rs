@@ -92,11 +92,6 @@ impl SimRng {
             items.swap(i, j);
         }
     }
-
-    /// Boolean with the given probability of being true.
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.inner.gen_bool(p.clamp(0.0, 1.0))
-    }
 }
 
 #[cfg(test)]

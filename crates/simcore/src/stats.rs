@@ -1,6 +1,6 @@
-//! Statistics collectors: time series, Gantt timelines, histograms and summaries.
+//! Statistics collectors: time series and Gantt timelines.
 
-use lifl_types::{SimDuration, SimTime};
+use lifl_types::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// A named series of `(time, value)` samples, used for Fig. 9 and Fig. 10.
@@ -21,11 +21,6 @@ impl TimeSeries {
         }
     }
 
-    /// Appends a sample.
-    pub fn push(&mut self, time: SimTime, value: f64) {
-        self.points.push((time.as_secs(), value));
-    }
-
     /// Appends a raw `(x, y)` sample (for series whose x-axis is not time).
     pub fn push_xy(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
@@ -39,11 +34,6 @@ impl TimeSeries {
     /// Whether the series is empty.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Last value, if any.
-    pub fn last_value(&self) -> Option<f64> {
-        self.points.last().map(|(_, v)| *v)
     }
 
     /// The first x at which the series reaches at least `threshold`, if ever.
@@ -103,15 +93,6 @@ impl Gantt {
         self.segments.iter().map(|s| s.end).fold(0.0, f64::max)
     }
 
-    /// Total busy time of one row.
-    pub fn row_busy(&self, row: &str) -> f64 {
-        self.segments
-            .iter()
-            .filter(|s| s.row == row)
-            .map(|s| s.end - s.start)
-            .sum()
-    }
-
     /// Distinct row labels in insertion order.
     pub fn rows(&self) -> Vec<String> {
         let mut rows = Vec::new();
@@ -145,97 +126,6 @@ impl Gantt {
     }
 }
 
-/// A fixed-width histogram over `[low, high)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Histogram {
-    low: f64,
-    high: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[low, high)`.
-    ///
-    /// # Panics
-    /// Panics if `bins` is zero or `high <= low`.
-    pub fn new(low: f64, high: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(high > low, "histogram range must be non-empty");
-        Histogram {
-            low,
-            high,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Records a value; values outside the range are clamped to the edge bins.
-    pub fn record(&mut self, value: f64) {
-        let bins = self.counts.len();
-        let frac = (value - self.low) / (self.high - self.low);
-        let idx = ((frac * bins as f64).floor() as i64).clamp(0, bins as i64 - 1) as usize;
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of recorded values.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-}
-
-/// Summary statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct Summary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Median (50th percentile).
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-}
-
-impl Summary {
-    /// Computes summary statistics of `values`. Returns the default for an empty slice.
-    pub fn of(values: &[f64]) -> Summary {
-        if values.is_empty() {
-            return Summary::default();
-        }
-        let mut sorted: Vec<f64> = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let pct = |p: f64| -> f64 {
-            let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-            sorted[idx]
-        };
-        Summary {
-            count: values.len(),
-            mean: values.iter().sum::<f64>() / values.len() as f64,
-            min: sorted[0],
-            max: sorted[sorted.len() - 1],
-            p50: pct(0.5),
-            p95: pct(0.95),
-        }
-    }
-
-    /// Computes summary statistics over durations.
-    pub fn of_durations(values: &[SimDuration]) -> Summary {
-        let secs: Vec<f64> = values.iter().map(|d| d.as_secs()).collect();
-        Summary::of(&secs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,12 +133,11 @@ mod tests {
     #[test]
     fn time_series_crossing() {
         let mut ts = TimeSeries::new("acc");
-        ts.push(SimTime::from_secs(0.0), 10.0);
-        ts.push(SimTime::from_secs(100.0), 50.0);
-        ts.push(SimTime::from_secs(200.0), 75.0);
+        ts.push_xy(0.0, 10.0);
+        ts.push_xy(100.0, 50.0);
+        ts.push_xy(200.0, 75.0);
         assert_eq!(ts.first_crossing(70.0), Some(200.0));
         assert_eq!(ts.first_crossing(90.0), None);
-        assert_eq!(ts.last_value(), Some(75.0));
         assert_eq!(ts.len(), 3);
     }
 
@@ -274,36 +163,10 @@ mod tests {
             SimTime::from_secs(12.0),
         );
         assert_eq!(g.makespan(), 12.0);
-        assert_eq!(g.row_busy("LF1"), 8.0);
         assert_eq!(g.rows(), vec!["LF1".to_string(), "Top".to_string()]);
         let art = g.render_ascii(40);
         assert!(art.contains("LF1"));
         assert!(art.contains("Top"));
-    }
-
-    #[test]
-    fn histogram_clamps_outliers() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(-5.0);
-        h.record(5.0);
-        h.record(50.0);
-        assert_eq!(h.total(), 3);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[5], 1);
-        assert_eq!(h.counts()[9], 1);
-    }
-
-    #[test]
-    fn summary_percentiles() {
-        let values: Vec<f64> = (1..=100).map(|v| v as f64).collect();
-        let s = Summary::of(&values);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert!((s.mean - 50.5).abs() < 1e-9);
-        assert!((s.p50 - 50.0).abs() <= 1.0);
-        assert!((s.p95 - 95.0).abs() <= 1.0);
-        assert_eq!(Summary::of(&[]).count, 0);
     }
 
     #[test]

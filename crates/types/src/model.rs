@@ -4,7 +4,7 @@
 //! drive all data-plane costs: ResNet-18 (~44 MB), ResNet-34 (~83 MB) and
 //! ResNet-152 (~232 MB) (§4.1, §6.1). The reproduction keeps those byte sizes
 //! for every system-level cost even though the training substrate uses a much
-//! smaller synthetic model (see DESIGN.md §1).
+//! smaller synthetic model (the softmax-regression task of `lifl-fl`).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -12,7 +12,7 @@ ci: lint-lifl lint doc build test kernel-parity alloc faults test-scalar scale b
 
 # Repo invariants (unsafe containment, SAFETY comments, kernel parity,
 # panic freedom, fold determinism, no legacy runtime, justfile↔CI sync, no
-# dead `pub` in the engine crates) as machine-checked rules R1–R8.
+# dead `pub` in any crate) as machine-checked rules R1–R8.
 # `--list-rules` shows the catalog.
 lint-lifl:
     cargo run --release -p lifl-lint
