@@ -583,9 +583,13 @@ fn encode_params(
 }
 
 /// An update of codec `kind` with its one wire buffer checked out of `pool`
-/// and the descriptor written; the body goes straight behind it.
+/// and the descriptor written; the body goes straight behind it. A top-k
+/// buffer also has room for the selection's candidate run.
 fn checkout(kind: CodecKind, pool: &BufferPool, dim: u32, scale: f32, kept: u32) -> EncodedUpdate {
-    let body_bytes = kind.encoded_bytes(u64::from(dim) * 4) as usize;
+    let body_bytes = match kind {
+        CodecKind::TopK { .. } => kernels::topk_capacity(dim as usize, kept as usize),
+        _ => kind.encoded_bytes(u64::from(dim) * 4) as usize,
+    };
     let mut wire = PooledBuf::checkout(pool, HEADER + body_bytes);
     wire.as_mut_vec()
         .extend_from_slice(&descriptor(kind, dim, scale, kept));
@@ -630,7 +634,8 @@ fn quantizer(kind: CodecKind) -> Option<(f32, FeedbackAppend)> {
 /// ([`ErrorFeedback::take_job`]) so that it can run on any thread: the
 /// client's residual, moved out of the map, and the model still to be added
 /// into it. Its steps — [`FeedbackJob::compensate`] (sweep 1),
-/// [`CompensatedJob::finish`] (sweep 2) and [`ErrorFeedback::restore`] — are
+/// [`CompensatedJob::finish`] (sweep 2; for top-k, which selects in sweep 1,
+/// a fold-back over the kept pairs) and [`ErrorFeedback::restore`] — are
 /// the one encode behind [`ErrorFeedback::encode`] too. The only thing a job
 /// shares with other clients' jobs is the rounding stream, which it reads
 /// between its two sweeps ([`CompensatedJob::claim`]).
@@ -657,8 +662,10 @@ impl FeedbackJob<'_> {
 
     /// Sweep 1: adds the carried model into the residual and, for a
     /// quantizer, derives the scale in the same pass ([`kernels::add_max`]).
-    /// Top-k's add ([`kernels::axpy`]) is a finished sweep of its own, since
-    /// selection needs every compensated value before it emits a pair.
+    /// Top-k selects in the same pass too: the add is fused into the
+    /// selection's one full-length sweep (the collect of its candidate run,
+    /// see [`kernels::select_topk`]), so the wire form is written here and
+    /// [`CompensatedJob::finish`] only folds the kept pairs back out.
     pub fn compensate(self) -> CompensatedJob {
         let FeedbackJob {
             client,
@@ -678,16 +685,32 @@ impl FeedbackJob<'_> {
             None => (residual, None),
         };
         let values = sum.as_mut_slice();
-        let scale = match (quantizer(kind), addend.as_deref()) {
-            (Some((levels, _)), Some(addend)) => {
-                scale_for(kernels::add_max(values, addend.as_slice()), levels)
+        let addend = addend.as_deref().map(DenseModel::as_slice);
+        let (scale, selected) = match (quantizer(kind), kind) {
+            (Some((levels, _)), _) => {
+                let max_abs = match addend {
+                    Some(addend) => kernels::add_max(values, addend),
+                    None => kernels::max_abs_finite(values),
+                };
+                (scale_for(max_abs, levels), None)
             }
-            (Some((levels, _)), None) => tensor_scale(values, levels),
-            (None, Some(addend)) => {
-                kernels::axpy(values, addend.as_slice(), 1.0);
-                0.0
+            (None, CodecKind::TopK { permille }) => {
+                let dim = values.len() as u32;
+                let kept = CodecKind::top_k_kept(u64::from(dim), permille) as u32;
+                let mut encoded = checkout(kind, &pool, dim, 0.0, kept);
+                let out = encoded.wire.as_mut_vec();
+                match addend {
+                    Some(addend) => kernels::add_append_topk(values, addend, kept as usize, out),
+                    None => kernels::append_topk(values, kept as usize, out),
+                }
+                (0.0, Some(encoded))
             }
-            (None, None) => 0.0,
+            (None, _) => {
+                if let Some(addend) = addend {
+                    kernels::axpy(values, addend, 1.0);
+                }
+                (0.0, None)
+            }
         };
         CompensatedJob {
             client,
@@ -695,13 +718,14 @@ impl FeedbackJob<'_> {
             pool,
             residual: sum,
             scale,
+            selected,
         }
     }
 }
 
 /// A [`FeedbackJob`] after its first sweep: the compensated residual and,
 /// for a quantizer, the scale, which fixes how many rounding words the
-/// second sweep draws.
+/// second sweep draws, or for top-k the wire form already selected.
 #[derive(Debug)]
 pub struct CompensatedJob {
     client: ClientId,
@@ -709,6 +733,7 @@ pub struct CompensatedJob {
     pool: BufferPool,
     residual: DenseModel,
     scale: f32,
+    selected: Option<EncodedUpdate>,
 }
 
 impl CompensatedJob {
@@ -729,8 +754,8 @@ impl CompensatedJob {
     /// Sweep 2: writes the wire form behind the descriptor of a pooled
     /// buffer, drawing rounding words from `rng`, and leaves in the residual
     /// what the codec dropped — fused into the quantizer's pass
-    /// ([`kernels::feedback_append_u8`] / `_u4`), a fold-back over the kept
-    /// pairs for top-k.
+    /// ([`kernels::feedback_append_u8`] / `_u4`). Top-k selected in sweep 1,
+    /// so all that is left is a fold-back over the kept pairs.
     pub fn finish(self, rng: &mut StochasticRng) -> (EncodedUpdate, Residual) {
         let CompensatedJob {
             client,
@@ -738,17 +763,18 @@ impl CompensatedJob {
             pool,
             mut residual,
             scale,
+            selected,
         } = self;
         let values = residual.as_mut_slice();
-        let encoded = match quantizer(kind) {
-            Some((levels, feedback_append)) => {
+        let encoded = match (selected, quantizer(kind)) {
+            (None, Some((levels, feedback_append))) => {
                 let dim = values.len() as u32;
                 let mut encoded = checkout(kind, &pool, dim, scale, dim);
                 feedback_append(values, scale, levels, rng, encoded.wire.as_mut_vec());
                 encoded
             }
-            None => {
-                let encoded = encode_params(kind, &pool, rng, values);
+            (selected, _) => {
+                let encoded = selected.unwrap_or_else(|| encode_params(kind, &pool, rng, values));
                 encoded.view().fold_range_into(-1.0, 0, values);
                 encoded
             }
@@ -809,12 +835,13 @@ impl ErrorFeedback {
     /// it instead — and moves every later model in too, the stored residual
     /// added into it and released).
     ///
-    /// `TopK` keeps the separate steps — [`kernels::axpy`], top-k selection,
-    /// fold-back — because none of them can be fused away: selection needs
-    /// every compensated value before it can emit the first pair, so the add
-    /// must be a finished, DRAM-bound sweep of its own; the selection that
-    /// follows is two thirds of the encode; and the fold-back only touches
-    /// the kept 5 % of the elements.
+    /// A `TopK` update costs one full sweep: the add is fused into the
+    /// collect of the selection's candidate run ([`kernels::select_topk`]),
+    /// which writes the pair of every sum at or above a sampled lower bound
+    /// on the cut. The exact cut then runs over those ≈ 1.5 × `kept`
+    /// candidates alone, and the fold-back touches only the kept pairs:
+    /// 4 → 1 full-length sweeps against the separate add, two histograms
+    /// and compaction it replaced, with the same bytes and residual bits.
     ///
     /// # Errors
     /// Returns [`LiflError::DimensionMismatch`] if the client's model changes
@@ -1197,50 +1224,73 @@ mod tests {
     #[test]
     fn in_place_feedback_equals_the_copy_based_formula() {
         // The formula the in-place encoder replaced: compensate a copy of
-        // the model, encode the copy, store copy - decode(encoded).
+        // the model, encode the copy, store copy - decode(encoded). A
+        // quantizer's bytes come from its own plain encode; top-k's from
+        // the sort-based reference selection, folded back by hand.
         fn copy_based(
             codec: &mut UpdateCodec,
             residual: &mut Option<Vec<f32>>,
             model: &DenseModel,
-        ) -> EncodedUpdate {
+        ) -> Vec<u8> {
             let mut compensated = model.as_slice().to_vec();
             if let Some(residual) = residual {
                 for (c, r) in compensated.iter_mut().zip(residual.iter()) {
                     *c += r;
                 }
             }
-            let encoded = codec.encode_slice(&compensated);
-            encoded.view().fold_into(-1.0, &mut compensated).unwrap();
+            let wire = match codec.kind() {
+                CodecKind::TopK { permille } => {
+                    let dim = compensated.len();
+                    let kept = CodecKind::top_k_kept(dim as u64, permille) as usize;
+                    let body = kernels::proptests::reference_topk(&compensated, kept);
+                    for pair in body.chunks_exact(8) {
+                        let index = u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]);
+                        let value = f32::from_le_bytes([pair[4], pair[5], pair[6], pair[7]]);
+                        compensated[index as usize] -= value;
+                    }
+                    let mut wire = descriptor(codec.kind(), dim as u32, 0.0, kept as u32).to_vec();
+                    wire.extend_from_slice(&body);
+                    wire
+                }
+                _ => {
+                    let encoded = codec.encode_slice(&compensated);
+                    encoded.view().fold_into(-1.0, &mut compensated).unwrap();
+                    encoded.to_bytes()
+                }
+            };
             *residual = Some(compensated);
-            encoded
+            wire
         }
         let client = ClientId::new(3);
-        let rounds: Vec<DenseModel> = (0..3)
-            .map(|r| {
-                let values = (0..1001).map(|d| ((d * 37 + r * 11) % 101) as f32 * 0.013 - 0.65);
-                DenseModel::from_vec(values.collect())
-            })
-            .collect();
-        for kind in [
-            CodecKind::Uniform8,
-            CodecKind::Uniform4,
-            CodecKind::TopK { permille: 50 },
-        ] {
-            let mut feedback = ErrorFeedback::new(UpdateCodec::with_seed(kind, 99));
-            let mut reference_codec = UpdateCodec::with_seed(kind, 99);
-            let mut reference_residual = None;
-            for m in &rounds {
-                let encoded = feedback.encode(client, m).unwrap();
-                let expected = copy_based(&mut reference_codec, &mut reference_residual, m);
-                assert_eq!(encoded.to_bytes(), expected.to_bytes(), "{kind}");
-                let carried = feedback.residual(client).unwrap().as_slice();
-                let carried: Vec<u32> = carried.iter().map(|v| v.to_bits()).collect();
-                let expected: Vec<u32> = reference_residual
-                    .iter()
-                    .flatten()
-                    .map(|v| v.to_bits())
-                    .collect();
-                assert_eq!(carried, expected, "{kind}");
+        // 1001 elements, and 1 << 14, enough for top-k's candidate run.
+        for dim in [1001, 1 << 14] {
+            let rounds: Vec<DenseModel> = (0..3)
+                .map(|r| {
+                    let values = (0..dim).map(|d| ((d * 37 + r * 11) % 101) as f32 * 0.013 - 0.65);
+                    DenseModel::from_vec(values.collect())
+                })
+                .collect();
+            for kind in [
+                CodecKind::Uniform8,
+                CodecKind::Uniform4,
+                CodecKind::TopK { permille: 50 },
+            ] {
+                let mut feedback = ErrorFeedback::new(UpdateCodec::with_seed(kind, 99));
+                let mut reference_codec = UpdateCodec::with_seed(kind, 99);
+                let mut reference_residual = None;
+                for m in &rounds {
+                    let encoded = feedback.encode(client, m).unwrap();
+                    let expected = copy_based(&mut reference_codec, &mut reference_residual, m);
+                    assert_eq!(encoded.to_bytes(), expected, "{kind} dim {dim}");
+                    let carried = feedback.residual(client).unwrap().as_slice();
+                    let carried: Vec<u32> = carried.iter().map(|v| v.to_bits()).collect();
+                    let expected: Vec<u32> = reference_residual
+                        .iter()
+                        .flatten()
+                        .map(|v| v.to_bits())
+                        .collect();
+                    assert_eq!(carried, expected, "{kind} dim {dim}");
+                }
             }
         }
     }

@@ -60,7 +60,7 @@
 
 use core::arch::x86_64::*;
 
-use super::{scalar, StochasticRng, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2};
+use super::{scalar, Keys, StochasticRng, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2};
 
 /// Builds the sign-magnitude nibble lookup table in a register: lane `i`
 /// holds `scalar::NIBBLE_F32[i]` as an `i8`.
@@ -281,18 +281,26 @@ pub(super) unsafe fn decode_u4(out: &mut [f32], nibbles: &[u8], scale: f32) {
 }
 
 /// Safety: caller must have verified AVX2 support at runtime.
+///
+/// Either layout is read as `u32` words, eight to a load: a dense vector's
+/// words are all keys, a pair run's are index, key, index, key, …, so only
+/// its odd lanes are counted.
 // SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
 // `super` calls this only after `is_x86_feature_detected!("avx2")`, and the
-// 8-lane loads at `i` stay in bounds while `i + 8 <= n`.
+// 32-byte loads at word `i` stay in bounds while `i + 8 <= words`, `words`
+// being the whole `u32` words the slice holds.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn magnitude_histogram(
-    params: &[f32],
+    keys: Keys<'_>,
     prefix: u32,
     hi: u32,
     lo: u32,
     counts: &mut [u32; super::TOPK_BINS],
 ) {
-    let n = params.len();
+    let (base, words, key_lanes) = match keys {
+        Keys::Dense(params) => (params.as_ptr() as *const u8, params.len(), 0xFF),
+        Keys::Pairs(pairs) => (pairs.as_ptr(), pairs.len() / 8 * 2, 0xAA),
+    };
     let abs_mask = _mm256_set1_epi32(0x7FFF_FFFF);
     let bin_mask = _mm256_set1_epi32(((1u32 << (hi - lo)) - 1) as i32);
     let want = _mm256_set1_epi32(prefix as i32);
@@ -300,13 +308,13 @@ pub(super) unsafe fn magnitude_histogram(
     let lo_count = _mm_cvtsi32_si128(lo as i32);
     let mut bins = [0u32; 8];
     let mut i = 0usize;
-    while i + 8 <= n {
+    while i + 8 <= words {
         let m = _mm256_and_si256(
-            _mm256_loadu_si256(params.as_ptr().add(i) as *const __m256i),
+            _mm256_loadu_si256(base.add(4 * i) as *const __m256i),
             abs_mask,
         );
         let hit = _mm256_cmpeq_epi32(_mm256_srl_epi32(m, hi_count), want);
-        let mut lanes = _mm256_movemask_ps(_mm256_castsi256_ps(hit)) as u32;
+        let mut lanes = _mm256_movemask_ps(_mm256_castsi256_ps(hit)) as u32 & key_lanes;
         i += 8;
         // Below the first level almost no lane carries the prefix: skip.
         if lanes == 0 {
@@ -314,7 +322,8 @@ pub(super) unsafe fn magnitude_histogram(
         }
         let keys = _mm256_and_si256(_mm256_srl_epi32(m, lo_count), bin_mask);
         _mm256_storeu_si256(bins.as_mut_ptr() as *mut __m256i, keys);
-        // At the first level every lane carries the (empty) prefix.
+        // At the first level every lane of a dense vector carries the
+        // (empty) prefix.
         if lanes == 0xFF {
             for bin in bins {
                 counts[bin as usize] += 1;
@@ -326,7 +335,11 @@ pub(super) unsafe fn magnitude_histogram(
             lanes &= lanes - 1;
         }
     }
-    scalar::magnitude_histogram(&params[i..], prefix, hi, lo, counts);
+    let rest = match keys {
+        Keys::Dense(params) => Keys::Dense(&params[i..]),
+        Keys::Pairs(pairs) => Keys::Pairs(&pairs[4 * i..]),
+    };
+    scalar::magnitude_histogram(rest, prefix, hi, lo, counts);
 }
 
 /// `COMPRESS_LANES[mask]` lists the set bits of `mask`, lowest first, padded
@@ -349,13 +362,40 @@ static COMPRESS_LANES: [[u32; 8]; 256] = {
     table
 };
 
+/// Writes the wire pairs of the `keep` lanes of `x`, whose wire indices are
+/// `indices`, as one whole 64-byte block at `out`: the kept lanes moved to
+/// the front in lane order and interleaved with their indices. Returns the
+/// bytes of it that are pairs.
+///
+/// Safety: caller must have verified AVX2 support at runtime, and `out`
+/// must be valid for a 64-byte write.
+// SAFETY: `unsafe` for `target_feature(avx2)` and the raw stores, which
+// cover exactly the 64 bytes the caller vouches for.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn store_pairs(out: *mut u8, indices: __m256i, x: __m256i, keep: u32) -> usize {
+    let front = _mm256_loadu_si256(COMPRESS_LANES[keep as usize].as_ptr() as *const __m256i);
+    let index = _mm256_permutevar8x32_epi32(indices, front);
+    let value = _mm256_permutevar8x32_epi32(x, front);
+    // unpack interleaves within 128-bit halves; permute2x128 restores
+    // pair order 0..3 | 4..7 across them.
+    let low = _mm256_unpacklo_epi32(index, value);
+    let high = _mm256_unpackhi_epi32(index, value);
+    let out = out as *mut __m256i;
+    _mm256_storeu_si256(out, _mm256_permute2x128_si256::<0x20>(low, high));
+    _mm256_storeu_si256(out.add(1), _mm256_permute2x128_si256::<0x31>(low, high));
+    8 * keep.count_ones() as usize
+}
+
 /// Safety: caller must have verified AVX2 support at runtime.
 ///
 /// Branch-free per block: the kept lanes of 8 elements are moved to the
 /// front, interleaved with their indices into wire pairs, and stored as one
 /// whole 64-byte block; only `8 * kept lanes` of it become part of `body`.
-/// The block store needs [`super::TOPK_BODY_SLACK`] spare bytes past the last
-/// pair — without that room the rest of the sweep takes the scalar arm.
+/// A block is stored only while `body` holds at most `limit` bytes and has
+/// 64 spare bytes of capacity ([`super::TOPK_BODY_SLACK`]); past `limit`
+/// the sweep reports the overflow, and short of capacity the rest of it
+/// takes the scalar arm, which never grows `body` past `limit` either.
 // SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw block
 // stores; the dispatcher in `super` calls this only after
 // `is_x86_feature_detected!("avx2")`. The 8-lane loads at `i` stay in bounds
@@ -370,7 +410,8 @@ pub(super) unsafe fn compact_topk(
     threshold: u32,
     ties: usize,
     body: &mut Vec<u8>,
-) -> usize {
+    limit: usize,
+) -> Option<usize> {
     let n = params.len();
     let abs_mask = _mm256_set1_epi32(0x7FFF_FFFF);
     // Keys are at most 0x7FFF_FFFF, so the signed compares order them.
@@ -383,7 +424,7 @@ pub(super) unsafe fn compact_topk(
     let mut ties = ties;
     let mut len = body.len();
     let mut i = 0usize;
-    while i + 8 <= n && len + super::TOPK_BODY_SLACK <= body.capacity() {
+    while i + 8 <= n && len <= limit && len + super::TOPK_BODY_SLACK <= body.capacity() {
         let x = _mm256_loadu_si256(params.as_ptr().add(i) as *const __m256i);
         let m = _mm256_and_si256(x, abs_mask);
         let above = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(m, cut))) as u32;
@@ -395,22 +436,135 @@ pub(super) unsafe fn compact_topk(
             equal &= equal - 1;
             ties -= 1;
         }
-        let front = _mm256_loadu_si256(COMPRESS_LANES[keep as usize].as_ptr() as *const __m256i);
-        let index = _mm256_permutevar8x32_epi32(indices, front);
-        let value = _mm256_permutevar8x32_epi32(x, front);
-        // unpack interleaves within 128-bit halves; permute2x128 restores
-        // pair order 0..3 | 4..7 across them.
-        let low = _mm256_unpacklo_epi32(index, value);
-        let high = _mm256_unpackhi_epi32(index, value);
-        let out = body.as_mut_ptr().add(len) as *mut __m256i;
-        _mm256_storeu_si256(out, _mm256_permute2x128_si256::<0x20>(low, high));
-        _mm256_storeu_si256(out.add(1), _mm256_permute2x128_si256::<0x31>(low, high));
-        len += 8 * keep.count_ones() as usize;
+        len += store_pairs(body.as_mut_ptr().add(len), indices, x, keep);
         indices = _mm256_add_epi32(indices, eight);
         i += 8;
     }
     body.set_len(len);
-    scalar::compact_topk(&params[i..], first_index + i as u32, threshold, ties, body)
+    if len > limit {
+        return None;
+    }
+    scalar::compact_topk(
+        &params[i..],
+        first_index + i as u32,
+        threshold,
+        ties,
+        body,
+        limit,
+    )
+}
+
+/// Safety: caller must have verified AVX2 support at runtime; `src` must be
+/// at least as long as `acc`.
+///
+/// Per block of 8: one load of each operand, `acc + 1.0 * src` (the
+/// multiply and the add separate, NaN lanes blended to the canonical NaN),
+/// one store, then [`compact_topk`]'s block compaction of the sums against
+/// `threshold - 1`, which keeps every key at or above `threshold`. Once
+/// `body` would pass `limit`, the rest of the add is [`fold_sources`].
+// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw block
+// stores; the dispatcher in `super` calls this only after
+// `is_x86_feature_detected!("avx2")` with `src` at least as long as `acc`.
+// The 8-lane loads and the store at `i` stay in bounds while `i + 8 <= n`;
+// each 64-byte store at `len` is preceded by the loop's
+// `len + 64 <= body.capacity()` check; and `set_len(len)` only ever covers
+// bytes those stores initialised, as in [`compact_topk`].
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn add_compact_topk(
+    acc: &mut [f32],
+    src: &[f32],
+    first_index: u32,
+    threshold: u32,
+    body: &mut Vec<u8>,
+    limit: usize,
+) -> bool {
+    let n = acc.len();
+    let one = _mm256_set1_ps(1.0);
+    let nan = _mm256_set1_ps(f32::NAN);
+    let abs_mask = _mm256_set1_epi32(0x7FFF_FFFF);
+    // Keys are at most 0x7FFF_FFFF, so `threshold - 1` is at least -1 and
+    // the signed compare `m > threshold - 1` is `m >= threshold`.
+    let floor = _mm256_set1_epi32(threshold as i32 - 1);
+    let eight = _mm256_set1_epi32(8);
+    let mut indices = _mm256_add_epi32(
+        _mm256_set1_epi32(first_index as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    );
+    let mut len = body.len();
+    let mut i = 0usize;
+    while i + 8 <= n && len <= limit && len + super::TOPK_BODY_SLACK <= body.capacity() {
+        let a = _mm256_loadu_ps(acc.as_ptr().add(i));
+        let s = _mm256_loadu_ps(src.as_ptr().add(i));
+        // The multiply by one stays: it is what `axpy(1.0)` executes.
+        let sum = _mm256_add_ps(a, _mm256_mul_ps(one, s));
+        let sum = _mm256_blendv_ps(sum, nan, _mm256_cmp_ps::<_CMP_UNORD_Q>(sum, sum));
+        _mm256_storeu_ps(acc.as_mut_ptr().add(i), sum);
+        let x = _mm256_castps_si256(sum);
+        let m = _mm256_and_si256(x, abs_mask);
+        let keep = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(m, floor))) as u32;
+        len += store_pairs(body.as_mut_ptr().add(len), indices, x, keep);
+        indices = _mm256_add_epi32(indices, eight);
+        i += 8;
+    }
+    body.set_len(len);
+    if len > limit {
+        fold_sources::<1>(&mut acc[i..], &[super::le_bytes(&src[i..])], &[1.0]);
+        return false;
+    }
+    scalar::add_compact_topk(
+        &mut acc[i..],
+        &src[i..],
+        first_index + i as u32,
+        threshold,
+        body,
+        limit,
+    )
+}
+
+/// Safety: caller must have verified AVX2 support at runtime.
+///
+/// Four pairs per 32-byte load: the kept pairs (an index lane with its
+/// value lane) moved to the front and stored as one whole 32-byte block at
+/// the write position. That position never passes the read position, so a
+/// block only overwrites pairs already read.
+// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw accesses;
+// the dispatcher in `super` calls this only after
+// `is_x86_feature_detected!("avx2")`. The load at `at` and the store at
+// `out <= at` both stay inside the first `n` bytes while `at + 32 <= n`.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn compact_pairs(run: &mut [u8], threshold: u32, ties: usize) -> usize {
+    let n = run.len() / 8 * 8;
+    let base = run.as_mut_ptr();
+    let abs_mask = _mm256_set1_epi32(0x7FFF_FFFF);
+    // Keys are at most 0x7FFF_FFFF, so the signed compares order them.
+    let cut = _mm256_set1_epi32(threshold as i32);
+    let mut ties = ties;
+    let (mut at, mut out) = (0usize, 0usize);
+    while at + 32 <= n {
+        let x = _mm256_loadu_si256(base.add(at) as *const __m256i);
+        let m = _mm256_and_si256(x, abs_mask);
+        // Odd lanes hold the values.
+        let above = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(m, cut))) as u32;
+        let equal = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(m, cut))) as u32;
+        let (mut keep, mut equal) = (above & 0xAA, equal & 0xAA);
+        // The tie budget goes to the lowest pairs first, as in the scalar arm.
+        while equal != 0 && ties != 0 {
+            keep |= equal & equal.wrapping_neg();
+            equal &= equal - 1;
+            ties -= 1;
+        }
+        let lanes = keep | keep >> 1;
+        let front = _mm256_loadu_si256(COMPRESS_LANES[lanes as usize].as_ptr() as *const __m256i);
+        _mm256_storeu_si256(
+            base.add(out) as *mut __m256i,
+            _mm256_permutevar8x32_epi32(x, front),
+        );
+        out += 4 * lanes.count_ones() as usize;
+        at += 32;
+    }
+    let tail = scalar::compact_pairs(&mut run[at..], threshold, ties);
+    run.copy_within(at..at + tail, out);
+    out + tail
 }
 
 /// Safety: caller must have verified AVX2 support at runtime.

@@ -437,13 +437,45 @@ pub fn decode_topk(out: &mut [f32], pairs: &[u8]) {
 /// Bins of one top-k histogram level: a 12-bit slice of the magnitude key.
 const TOPK_BINS: usize = 4096;
 
-/// Spare capacity [`select_topk`] keeps past the `8 * kept` wire bytes: the
-/// AVX2 sweep stores whole 64-byte blocks.
+/// Spare capacity a top-k body keeps past the bytes it may hold: the AVX2
+/// sweeps store whole 64-byte blocks.
 const TOPK_BODY_SLACK: usize = 64;
 
 /// The radix levels `(hi, lo)` the 31-bit magnitude key is refined through:
 /// exponent plus four mantissa bits first, then the remaining mantissa.
 const TOPK_LEVELS: [(u32, u32); 3] = [(31, 19), (19, 7), (7, 0)];
+
+/// The candidate sample reads every `TOPK_SAMPLE_STRIDE`-th element. At 64
+/// a 2¹⁸-element model gives 4 096 samples, ≈ 205 of them above a 5 % cut,
+/// with a binomial spread of ≈ 14; reading them costs 11–18 µs of a
+/// 210–300 µs selection (hot, one vCPU of a shared Xeon).
+const TOPK_SAMPLE_STRIDE: usize = 64;
+
+/// `t_lo` is the sample's key at rank `expected + expected /
+/// TOPK_SAMPLE_MARGIN`: half as many again as the sample holds above the
+/// cut on average (≈ 102 past 205 at 5 % of 2¹⁸, seven spreads), for a run
+/// of ≈ 1.5 × `kept` candidates. There, by Chernoff bounds, a run comes up
+/// short with probability below 10⁻⁹ and outgrows its room below 10⁻⁵.
+const TOPK_SAMPLE_MARGIN: usize = 2;
+
+/// Most elements one sample holds (a 32 KiB stack array): past
+/// `TOPK_SAMPLE_STRIDE * TOPK_SAMPLE_MAX` elements (2 MiB models) the
+/// stride grows so the sample stays this size.
+const TOPK_SAMPLE_MAX: usize = 8192;
+
+/// The candidate run holds at most `TOPK_RUN_FACTOR * kept` pairs; a larger
+/// run is abandoned for the whole-vector cut. The margin aims at 1.5 ×
+/// `kept`, and 720 measured runs at 5 % of 2¹⁸ stayed within 1.33–1.72 ×.
+const TOPK_RUN_FACTOR: usize = 2;
+
+/// Where a top-k histogram reads its magnitude keys: a dense vector, one
+/// key per element, or a run of `(u32 index, f32 value)` wire pairs, one
+/// key per pair.
+#[derive(Clone, Copy)]
+enum Keys<'a> {
+    Dense(&'a [f32]),
+    Pairs(&'a [u8]),
+}
 
 /// Exact top-k sparsification: writes into `body` (cleared first) the
 /// little-endian `(u32 index, f32 value)` wire pairs of the `kept` largest
@@ -453,17 +485,45 @@ const TOPK_LEVELS: [(u32, u32); 3] = [(31, 19), (19, 7), (7, 0)];
 /// pattern of `|x|` — descending, then index ascending. On finite inputs that
 /// is magnitude descending with ties (`±0.0` included) going to the lower
 /// index. Non-finite values are not rejected here — that belongs to ingress
-/// validation (ROADMAP 4b) — but they cannot make the output ambiguous: as
-/// keys, infinities sort above every finite value and NaNs above infinities,
-/// so the result is deterministic and identical on both dispatch arms for
-/// every input.
+/// validation (ROADMAP item 2) — but they cannot make the output ambiguous:
+/// as keys, infinities sort above every finite value and NaNs above
+/// infinities, so the result is deterministic and identical on both dispatch
+/// arms for every input.
 ///
-/// No element is ever moved or sorted. A histogram over the top 12 key bits
-/// finds the bin holding the `kept`-th largest key, up to two more histograms
-/// restricted to that bin pin the key down to the last bit, and one
-/// compare-and-compact sweep in index order emits everything above that
-/// threshold key plus the lowest-index ties at it. Refinement stops as soon
-/// as the boundary bin is kept whole. `kept` is clamped to `params.len()`.
+/// No element is ever moved or sorted, and the model is swept once:
+///
+/// 1. **Sample.** Every 64th element is read into a 32 KiB stack array
+///    (past 2 MiB models the stride grows so the array stays that size). A
+///    sample of `n` holds `expected = ⌈kept · n / dim⌉` elements above the
+///    cut, give or take its binomial spread; its key at rank `expected +
+///    expected / 2` — the fixed margin — is `t_lo`, a lower bound on the
+///    cut's key with high probability.
+/// 2. **Collect.** One compare-and-compact sweep in index order writes the
+///    pair of every element whose key is at least `t_lo` into `body`: the
+///    candidate run, ≈ 1.5 × `kept` pairs.
+/// 3. **Cut.** A histogram over the top 12 key bits of the candidates finds
+///    the bin holding the `kept`-th largest key, up to two more histograms
+///    restricted to that bin pin it down to the last bit (refinement stops
+///    as soon as the boundary bin is kept whole), and the run is compacted
+///    forward in place to everything above that key plus the lowest-index
+///    ties at it. Every element the whole vector's selection keeps has a key
+///    at least the `kept`-th largest, which is at least `t_lo` whenever the
+///    run holds `kept` pairs — so the run contains the selection, in index
+///    order, and the output is the whole vector's byte for byte.
+/// 4. **Fallback.** A run shorter than `kept` (the sample's bound was too
+///    high), or one that would outgrow its fixed room of `2 * kept` pairs
+///    (too low), is dropped, and the same cut and compaction run over the
+///    whole vector — the candidate set "everything". So do vectors whose
+///    sample could reject nothing (`dim` < 64) and selections of more than
+///    a quarter of the vector, whose room would outgrow the dense model.
+///
+/// Measured on 720 selections of `kept` 13 107 from 2¹⁸-element bell-shaped
+/// updates (the `topk_sharded` benchmark's inputs, error feedback on): every
+/// run held the selection, with 17.4–22.5 k candidates (1.33–1.72 ×
+/// `kept`). The run path costs one full sweep where the whole-vector cut
+/// makes three — two histograms and the compaction — and four with error
+/// feedback's separate add, which the fused form folds into the collect.
+/// `kept` is clamped to `params.len()`.
 pub fn select_topk(params: &[f32], kept: usize, body: &mut Vec<u8>) {
     body.clear();
     append_topk(params, kept, body);
@@ -471,9 +531,41 @@ pub fn select_topk(params: &[f32], kept: usize, body: &mut Vec<u8>) {
 
 /// [`select_topk`] without the clear: the pairs are appended behind whatever
 /// `body` already holds (an update's descriptor, when the wire form is built
-/// in one buffer).
+/// in one buffer). `body` grows at most once, to the room the candidate
+/// run needs; a buffer checked out that large is never reallocated.
 pub fn append_topk(params: &[f32], kept: usize, body: &mut Vec<u8>) {
     append_topk_with(params, kept, body, simd_active());
+}
+
+/// The error-feedback form of [`append_topk`]: adds `src` into `acc`
+/// (`acc += 1.0 * src`, bit for bit [`axpy`]'s sums) and appends the top-k
+/// pairs of the sums, with the add fused into the collect sweep — so a
+/// compensate-and-select makes one full-length sweep over the model, not
+/// the four of an [`axpy`] followed by [`append_topk`]'s whole-vector cut.
+/// The sample computes the same sums at its positions first.
+pub(crate) fn add_append_topk(acc: &mut [f32], src: &[f32], kept: usize, body: &mut Vec<u8>) {
+    add_append_topk_with(acc, src, kept, body, simd_active());
+}
+
+/// Bytes [`append_topk`] may use behind a body's current length for the
+/// top-`kept` of `dim` elements: the candidate run's room when the sample
+/// path applies, the `8 * kept` wire bytes otherwise, plus the AVX2 slack.
+/// A buffer reserved this large is never reallocated by the selection.
+pub(crate) fn topk_capacity(dim: usize, kept: usize) -> usize {
+    let kept = kept.min(dim);
+    let pairs = if run_applies(dim, kept) {
+        TOPK_RUN_FACTOR * kept
+    } else {
+        kept
+    };
+    8 * pairs + TOPK_BODY_SLACK
+}
+
+/// Whether a top-`kept` of `dim` elements may collect a candidate run: its
+/// room, `TOPK_RUN_FACTOR * kept` pairs, is at most the dense model's bytes
+/// (`kept <= dim / 4`).
+fn run_applies(dim: usize, kept: usize) -> bool {
+    kept > 0 && 8 * TOPK_RUN_FACTOR * kept <= 4 * dim
 }
 
 fn append_topk_with(params: &[f32], kept: usize, body: &mut Vec<u8>, simd: bool) {
@@ -481,20 +573,110 @@ fn append_topk_with(params: &[f32], kept: usize, body: &mut Vec<u8>, simd: bool)
     if kept == 0 {
         return;
     }
-    body.reserve_exact(kept * 8 + TOPK_BODY_SLACK);
-    let (threshold, ties) = topk_cut(params, kept, simd);
-    compact_topk_with(params, threshold, ties, body, simd);
+    let (start, limit) = reserve_topk(body, params.len(), kept);
+    let floor = candidate_floor(params.len(), kept, |i| params[i], simd);
+    let collected = floor.is_some_and(|floor| {
+        compact_topk_with(params, floor, usize::MAX, body, limit, simd).is_some()
+    });
+    cut_topk(params, kept, start, collected, body, limit, simd);
 }
 
-/// The cut of an exact top-`kept` selection (`1 <= kept <= params.len()`):
-/// `(threshold, ties)` such that the selection is every element whose key
-/// exceeds `threshold` plus the first `ties` elements, in index order, at it.
-fn topk_cut(params: &[f32], kept: usize, simd: bool) -> (u32, usize) {
+fn add_append_topk_with(acc: &mut [f32], src: &[f32], kept: usize, body: &mut Vec<u8>, simd: bool) {
+    let src = &src[..acc.len()];
+    let kept = kept.min(acc.len());
+    let (start, limit) = reserve_topk(body, acc.len(), kept);
+    let sum = |i: usize| canonical(acc[i] + 1.0 * src[i]);
+    let collected = match candidate_floor(acc.len(), kept, sum, simd) {
+        Some(floor) => add_compact_topk_with(acc, src, floor, body, limit, simd),
+        None => {
+            axpy(acc, src, 1.0);
+            false
+        }
+    };
+    if kept > 0 {
+        cut_topk(acc, kept, start, collected, body, limit, simd);
+    }
+}
+
+/// Grows `body` to [`topk_capacity`] past its length; returns that length,
+/// where the pairs start, and the length the pairs may not take it past.
+fn reserve_topk(body: &mut Vec<u8>, dim: usize, kept: usize) -> (usize, usize) {
+    let (start, room) = (body.len(), topk_capacity(dim, kept));
+    body.reserve_exact(room);
+    (start, start + room - TOPK_BODY_SLACK)
+}
+
+/// `v`, or the canonical quiet NaN if `v` is a NaN — the sum [`axpy`] stores.
+fn canonical(v: f32) -> f32 {
+    if v.is_nan() {
+        f32::NAN
+    } else {
+        v
+    }
+}
+
+/// Step 1 of [`select_topk`]: `t_lo`, the key of rank `expected + expected
+/// / TOPK_SAMPLE_MARGIN` of a strided sample of the `dim` values `value`
+/// yields, or `None` when no run applies or the sample could not reject a
+/// single element.
+fn candidate_floor(
+    dim: usize,
+    kept: usize,
+    value: impl Fn(usize) -> f32,
+    simd: bool,
+) -> Option<u32> {
+    if !run_applies(dim, kept) {
+        return None;
+    }
+    let stride = TOPK_SAMPLE_STRIDE.max(dim.div_ceil(TOPK_SAMPLE_MAX));
+    let n = dim.div_ceil(stride);
+    let expected = (kept * n).div_ceil(dim);
+    let rank = expected + expected / TOPK_SAMPLE_MARGIN;
+    if rank >= n {
+        return None;
+    }
+    let mut sample = [0.0f32; TOPK_SAMPLE_MAX];
+    for (j, s) in sample[..n].iter_mut().enumerate() {
+        *s = value(j * stride);
+    }
+    Some(topk_cut(Keys::Dense(&sample[..n]), rank, simd).0)
+}
+
+/// Steps 3 and 4 of [`select_topk`], behind the candidate run collected at
+/// `body[start..]` (when `collected`) from `params`: the exact cut over the
+/// run if it holds at least `kept` pairs, over the whole of `params`
+/// otherwise.
+fn cut_topk(
+    params: &[f32],
+    kept: usize,
+    start: usize,
+    collected: bool,
+    body: &mut Vec<u8>,
+    limit: usize,
+    simd: bool,
+) {
+    if collected && body.len() - start >= 8 * kept {
+        let run = &mut body[start..];
+        let (threshold, ties) = topk_cut(Keys::Pairs(run), kept, simd);
+        let kept_bytes = compact_pairs_with(run, threshold, ties, simd);
+        body.truncate(start + kept_bytes);
+        return;
+    }
+    body.truncate(start);
+    let (threshold, ties) = topk_cut(Keys::Dense(params), kept, simd);
+    // Exactly `kept` pairs, which `limit` always has room for.
+    let _ = compact_topk_with(params, threshold, ties, body, limit, simd);
+}
+
+/// The cut of an exact top-`kept` selection over `keys` (`1 <= kept <=` the
+/// key count): `(threshold, ties)` such that the selection is every key
+/// above `threshold` plus the first `ties`, in order, at it.
+fn topk_cut(keys: Keys<'_>, kept: usize, simd: bool) -> (u32, usize) {
     let (mut prefix, mut ties) = (0u32, kept);
     for (hi, lo) in TOPK_LEVELS {
         let mut counts = [0u32; TOPK_BINS];
-        magnitude_histogram_with(params, prefix, hi, lo, &mut counts, simd);
-        // At least `ties` elements carry `prefix`, so the walk ends in range.
+        magnitude_histogram_with(keys, prefix, hi, lo, &mut counts, simd);
+        // At least `ties` keys carry `prefix`, so the walk ends in range.
         let mut bin = (1usize << (hi - lo)) - 1;
         while (counts[bin] as usize) < ties {
             ties -= counts[bin] as usize;
@@ -511,7 +693,7 @@ fn topk_cut(params: &[f32], kept: usize, simd: bool) -> (u32, usize) {
 }
 
 fn magnitude_histogram_with(
-    params: &[f32],
+    keys: Keys<'_>,
     prefix: u32,
     hi: u32,
     lo: u32,
@@ -521,24 +703,60 @@ fn magnitude_histogram_with(
     #[cfg(target_arch = "x86_64")]
     if simd {
         // SAFETY: `simd` is only true after runtime AVX2 detection.
-        unsafe { avx2::magnitude_histogram(params, prefix, hi, lo, counts) };
+        unsafe { avx2::magnitude_histogram(keys, prefix, hi, lo, counts) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = simd;
-    scalar::magnitude_histogram(params, prefix, hi, lo, counts);
+    scalar::magnitude_histogram(keys, prefix, hi, lo, counts);
 }
 
-fn compact_topk_with(params: &[f32], threshold: u32, ties: usize, body: &mut Vec<u8>, simd: bool) {
+fn compact_topk_with(
+    params: &[f32],
+    threshold: u32,
+    ties: usize,
+    body: &mut Vec<u8>,
+    limit: usize,
+    simd: bool,
+) -> Option<usize> {
     #[cfg(target_arch = "x86_64")]
     if simd {
         // SAFETY: `simd` is only true after runtime AVX2 detection.
-        unsafe { avx2::compact_topk(params, 0, threshold, ties, body) };
-        return;
+        return unsafe { avx2::compact_topk(params, 0, threshold, ties, body, limit) };
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = simd;
-    scalar::compact_topk(params, 0, threshold, ties, body);
+    scalar::compact_topk(params, 0, threshold, ties, body, limit)
+}
+
+fn compact_pairs_with(run: &mut [u8], threshold: u32, ties: usize, simd: bool) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        // SAFETY: `simd` is only true after runtime AVX2 detection.
+        return unsafe { avx2::compact_pairs(run, threshold, ties) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = simd;
+    scalar::compact_pairs(run, threshold, ties)
+}
+
+fn add_compact_topk_with(
+    acc: &mut [f32],
+    src: &[f32],
+    threshold: u32,
+    body: &mut Vec<u8>,
+    limit: usize,
+    simd: bool,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if simd {
+        // SAFETY: `simd` is only true after runtime AVX2 detection, and the
+        // caller cut `src` to `acc`'s length.
+        return unsafe { avx2::add_compact_topk(acc, src, 0, threshold, body, limit) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = simd;
+    scalar::add_compact_topk(acc, src, 0, threshold, body, limit)
 }
 
 // ---------------------------------------------------------------------------
@@ -944,7 +1162,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use super::*;
     use proptest::prelude::*;
 
@@ -1012,38 +1230,56 @@ mod proptests {
     /// subnormals, and neighbours of 1.0 that part only in the second
     /// (`0x80`) or third (`0x01`) histogram level.
     fn tied_params() -> impl Strategy<Value = Vec<f32>> {
-        let palette = [
-            0.0,
-            -0.0,
-            1.0,
-            -1.0,
-            f32::from_bits(0x3F80_0001),
-            -f32::from_bits(0x3F80_0080),
-            1e-40,
-            -1e-40,
-            3e-40,
-            0.5,
-        ];
-        proptest::collection::vec(0usize..palette.len(), 0..300)
-            .prop_map(move |picks| picks.into_iter().map(|p| palette[p]).collect())
+        proptest::collection::vec(0usize..TIED.len(), 0..300)
+            .prop_map(move |picks| picks.into_iter().map(|p| TIED[p]).collect())
     }
 
-    /// The top-k wire body as the encoder built it before `select_topk`:
-    /// every index ordered by the old comparator (`|x|` descending by float
-    /// compare, index ascending), the first `kept` emitted in index order.
-    fn reference_topk(params: &[f32], kept: usize) -> Vec<u8> {
-        let mut order: Vec<u32> = (0..params.len() as u32).collect();
-        order.sort_by(|a, b| {
-            params[*b as usize]
-                .abs()
-                .partial_cmp(&params[*a as usize].abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(b))
-        });
-        order.truncate(kept);
-        order.sort_unstable();
+    /// The magnitudes [`tied_params`] draws from.
+    const TIED: [f32; 10] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        f32::from_bits(0x3F80_0001),
+        -f32::from_bits(0x3F80_0080),
+        1e-40,
+        -1e-40,
+        3e-40,
+        0.5,
+    ];
+
+    /// [`tied_params`] at any length: `len` draws from [`TIED`].
+    fn long_tied_params(len: usize, seed: u64) -> Vec<f32> {
+        let mut words = vec![0u32; len];
+        StochasticRng::from_seed(seed).fill(&mut words);
+        words
+            .iter()
+            .map(|w| TIED[*w as usize % TIED.len()])
+            .collect()
+    }
+
+    /// The magnitude key the selection orders by.
+    fn key(x: f32) -> u32 {
+        x.to_bits() & 0x7FFF_FFFF
+    }
+
+    /// The top-k wire body from first principles: every index sorted by the
+    /// documented total order — magnitude key descending, index ascending —
+    /// and the first `kept` emitted in index order. On finite inputs that
+    /// is the encoder's order before `select_topk` (`|x|` descending by
+    /// float compare, index ascending).
+    pub(crate) fn reference_topk(params: &[f32], kept: usize) -> Vec<u8> {
+        let mut order: Vec<u64> = (0u64..)
+            .zip(params)
+            .map(|(index, x)| u64::from(!key(*x)) << 32 | index)
+            .collect();
+        if kept < order.len() {
+            order.select_nth_unstable(kept);
+        }
+        let mut chosen: Vec<u32> = order[..kept].iter().map(|o| *o as u32).collect();
+        chosen.sort_unstable();
         let mut body = Vec::new();
-        for index in order {
+        for index in chosen {
             body.extend_from_slice(&index.to_le_bytes());
             body.extend_from_slice(&params[index as usize].to_le_bytes());
         }
@@ -1060,28 +1296,65 @@ mod proptests {
         body.split_off(5)
     }
 
-    /// Scalar ≡ AVX2 ≡ the old comparator, byte for byte, at the edge values
-    /// of `kept` and at `pick` (any value; clamped like the kernel clamps).
-    fn check_topk_against_reference(params: &[f32], pick: usize) -> Result<(), String> {
+    /// The fused error-feedback selection on one arm, as [`topk_body`]:
+    /// the pairs, and `acc` after the add.
+    fn feedback_topk_body(
+        acc: &[f32],
+        src: &[f32],
+        kept: usize,
+        simd: bool,
+    ) -> (Vec<u8>, Vec<f32>) {
+        let mut sums = acc.to_vec();
+        let mut body = vec![0xAB; 5];
+        add_append_topk_with(&mut sums, src, kept, &mut body, simd);
+        assert_eq!(body[..5], [0xAB; 5], "append must not touch the prefix");
+        (body.split_off(5), sums)
+    }
+
+    /// Scalar ≡ AVX2 ≡ the sort-based reference, byte for byte, for every
+    /// `kept` in `kepts` (any value; clamped like the kernel clamps) — the
+    /// plain selection of `params`, and the fused one of `params + 1.0 *
+    /// src` against [`axpy`]'s sums and the reference selection of them.
+    fn check_topk(params: &[f32], src: &[f32], kepts: &[usize]) -> Result<(), String> {
         let len = params.len();
-        for kept in [0, 1, len.saturating_sub(1), len, len + 3, pick] {
+        let src = &src[..len];
+        let mut sums = params.to_vec();
+        fold_dense_le_n_with(&mut sums, &[le_bytes(src)], &[1.0], false);
+        for &kept in kepts {
             let expected = reference_topk(params, kept.min(len));
-            prop_assert_eq!(
-                &topk_body(params, kept, false),
-                &expected,
-                "scalar, kept {}",
-                kept
-            );
-            if avx2_testable() {
+            let expected_fused = reference_topk(&sums, kept.min(len));
+            for simd in arms() {
                 prop_assert_eq!(
-                    &topk_body(params, kept, true),
+                    &topk_body(params, kept, simd),
                     &expected,
-                    "avx2, kept {}",
+                    "simd {}, kept {}",
+                    simd,
                     kept
                 );
+                let (body, added) = feedback_topk_body(params, src, kept, simd);
+                prop_assert_eq!(
+                    &body,
+                    &expected_fused,
+                    "fused, simd {}, kept {}",
+                    simd,
+                    kept
+                );
+                prop_assert_eq!(bits(&added), bits(&sums), "fused sums, simd {}", simd);
             }
         }
         Ok(())
+    }
+
+    /// [`check_topk`] at the edge values of `kept` and at `pick`, with the
+    /// fused arm adding a `src` derived from `params`.
+    fn check_topk_against_reference(params: &[f32], pick: usize) -> Result<(), String> {
+        let len = params.len();
+        let src = long_params(len, len as u64);
+        check_topk(
+            params,
+            &src,
+            &[0, 1, len.saturating_sub(1), len, len + 3, pick],
+        )
     }
 
     /// The arms this process can run: scalar always, AVX2 when detected.
@@ -1554,6 +1827,27 @@ mod proptests {
         fn select_topk_matches_reference_under_ties(params in tied_params(), pick in 0usize..300) {
             check_topk_against_reference(&params, pick)?;
         }
+
+        /// Vectors long enough for a real sample (up to 20 000 elements,
+        /// 313 of them sampled): random values with NaN, infinite, signed
+        /// zero and subnormal lanes, or heavy ties, at any `kept` up to 30 %.
+        /// Most selections of up to a quarter take the candidate run; ties
+        /// overflow it; the rest fall back.
+        #[test]
+        fn select_topk_matches_reference_on_long_vectors(
+            len in 0usize..20_000,
+            seed in any::<u64>(),
+            tied in any::<bool>(),
+            permille in 1usize..300,
+        ) {
+            let params = if tied {
+                long_tied_params(len, seed)
+            } else {
+                long_params(len, seed)
+            };
+            let src = long_params(len, !seed);
+            check_topk(&params, &src, &[len * permille / 1000])?;
+        }
     }
 
     /// `fill_in_registers` against `fill`: the words and the position after.
@@ -1622,5 +1916,137 @@ mod proptests {
         assert_eq!(indices(&topk_body(&params, 2, false)), [1, 7]);
         assert_eq!(indices(&topk_body(&params, 3, false)), [1, 4, 7]);
         assert_eq!(indices(&topk_body(&params, 6, false)), [1, 3, 4, 6, 7, 10]);
+    }
+
+    /// Which way a selection of `kept` of `values` leaves its candidate run.
+    #[derive(Debug, PartialEq)]
+    enum Exit {
+        /// No sample is taken: the whole vector is the candidate set.
+        NoSample,
+        /// The run is shorter than `kept`: the sampled bound was too high.
+        Short,
+        /// The run outgrows its room: the sampled bound was too low.
+        Overflow,
+        /// The run holds the selection.
+        Run,
+    }
+
+    fn exit_of(values: &[f32], kept: usize) -> Exit {
+        let Some(floor) = candidate_floor(values.len(), kept, |i| values[i], false) else {
+            return Exit::NoSample;
+        };
+        let run = values.iter().filter(|x| key(**x) >= floor).count();
+        if run > TOPK_RUN_FACTOR * kept {
+            Exit::Overflow
+        } else if run < kept {
+            Exit::Short
+        } else {
+            Exit::Run
+        }
+    }
+
+    /// Hand-built layouts that force every exit of the candidate run, each
+    /// selected on both arms, plain and fused, against the reference.
+    #[test]
+    fn every_exit_of_the_candidate_run_selects_the_reference() {
+        const DIM: usize = 64 * 300 + 5; // dim % 8 != 0
+        let kept = DIM / 20;
+        let sampled = |i: usize| i.is_multiple_of(TOPK_SAMPLE_STRIDE);
+        let ramp = |i: usize| 1.0 + i as f32 * 1e-6;
+        let mut words = vec![0u32; DIM];
+        StochasticRng::from_seed(11).fill(&mut words);
+        // A third NaNs with every payload and sign, a third ±∞, a third
+        // finite.
+        let non_finite = words
+            .iter()
+            .map(|w| match w % 3 {
+                0 => f32::from_bits(0x7F80_0001 | (w & 0x807F_FFFF)),
+                1 => f32::from_bits(0x7F80_0000 | (w & 0x8000_0000)),
+                _ => (*w >> 8) as f32 * 1e-7,
+            })
+            .collect();
+        let layouts: Vec<(&str, Vec<f32>, usize, Exit)> = vec![
+            (
+                "large values only where unsampled",
+                (0..DIM)
+                    .map(|i| if sampled(i) { 1e-3 } else { ramp(i) })
+                    .collect(),
+                kept,
+                Exit::Overflow,
+            ),
+            (
+                "large values only where sampled",
+                (0..DIM)
+                    .map(|i| if sampled(i) { ramp(i) } else { 1e-3 })
+                    .collect(),
+                kept,
+                Exit::Short,
+            ),
+            (
+                "every key tied",
+                (0..DIM)
+                    .map(|i| if i % 3 == 0 { -0.5 } else { 0.5 })
+                    .collect(),
+                kept,
+                Exit::Overflow,
+            ),
+            ("NaN- and infinity-dense", non_finite, kept, Exit::Run),
+            ("random", long_params(DIM, 7), kept, Exit::Run),
+            ("kept 1", long_params(DIM, 8), 1, Exit::Overflow),
+            ("kept dim", long_params(DIM, 9), DIM, Exit::NoSample),
+        ];
+        let zeros = vec![0.0f32; DIM];
+        for (name, values, kept, exit) in layouts {
+            assert_eq!(exit_of(&values, kept), exit, "{name}");
+            // Adding zeros keeps every sum but a NaN's payload, so the fused
+            // selection meets the same exit on finite layouts.
+            check_topk(&values, &zeros, &[kept]).unwrap_or_else(|e| panic!("{name}: {e}"));
+            check_topk(&zeros, &values, &[kept]).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+        // Below one sample stride there is nothing to sample.
+        for dim in 1..TOPK_SAMPLE_STRIDE {
+            let values = long_params(dim, dim as u64);
+            for kept in [1, dim / 4, dim] {
+                assert_eq!(exit_of(&values, kept), Exit::NoSample, "dim {dim}");
+            }
+            check_topk(&values, &long_params(dim, !0), &[1, dim / 4, dim]).unwrap();
+        }
+    }
+
+    /// The collect sweeps never grow a body past `limit`: on both arms a
+    /// run that would outgrow it is reported with the body's buffer where
+    /// it was (nothing reallocated), and the fused add still covers every
+    /// element; a run that fits is the same on both arms.
+    #[test]
+    fn a_run_past_its_limit_is_reported_on_both_arms_without_a_reallocation() {
+        let params = long_params(1000, 3);
+        let src = long_params(1000, 4);
+        let mut sums = params.clone();
+        fold_dense_le_n_with(&mut sums, &[le_bytes(&src)], &[1.0], false);
+        let limit = 5 + 80;
+        let mut fitting = Vec::new();
+        for simd in arms() {
+            let mut body = Vec::with_capacity(limit + TOPK_BODY_SLACK);
+            body.extend_from_slice(&[0xAB; 5]);
+            let buffer = (body.as_ptr(), body.capacity());
+            let every = compact_topk_with(&params, 0, usize::MAX, &mut body, limit, simd);
+            assert_eq!(every, None, "simd {simd}");
+            assert_eq!((body.as_ptr(), body.capacity()), buffer, "simd {simd}");
+            body.truncate(5);
+            let mut acc = params.clone();
+            assert!(!add_compact_topk_with(
+                &mut acc, &src, 0, &mut body, limit, simd
+            ));
+            assert_eq!((body.as_ptr(), body.capacity()), buffer, "simd {simd}");
+            assert_eq!(bits(&acc), bits(&sums), "simd {simd}");
+            // The ten largest of a thousand distinct keys fit exactly.
+            let distinct: Vec<f32> = (0..1000).map(|i| i as f32).collect();
+            body.truncate(5);
+            let left = compact_topk_with(&distinct, key(990.0), usize::MAX, &mut body, limit, simd);
+            assert!(left.is_some(), "simd {simd}");
+            assert_eq!(body.len(), limit, "simd {simd}");
+            fitting.push(body);
+        }
+        assert!(fitting.windows(2).all(|w| w[0] == w[1]));
     }
 }

@@ -7,7 +7,7 @@
 //! parent module's docs explain which floating-point operations are safe to
 //! vectorise without changing results.
 
-use super::{StochasticRng, RAND_BLOCK};
+use super::{Keys, StochasticRng, RAND_BLOCK};
 
 /// `f32::from(nibble_to_i8(n))` for every sign-magnitude nibble, as a
 /// branch-free table for the scalar dequantize kernels (index 8, "negative
@@ -122,23 +122,32 @@ fn magnitude(x: f32) -> u32 {
     x.to_bits() & 0x7FFF_FFFF
 }
 
-/// One level of the top-k radix histogram: over the elements whose magnitude
-/// key `m` satisfies `m >> hi == prefix`, counts how many fall in each bin
+/// The magnitude key of the value of one `(u32 index, f32 value)` wire pair.
+#[inline]
+fn pair_key(pair: &[u8]) -> u32 {
+    u32::from_le_bytes([pair[4], pair[5], pair[6], pair[7]]) & 0x7FFF_FFFF
+}
+
+/// One level of the top-k radix histogram: over the keys whose magnitude
+/// `m` satisfies `m >> hi == prefix`, counts how many fall in each bin
 /// `(m >> lo) & ((1 << (hi - lo)) - 1)` — the next `hi - lo` (at most 12) key
 /// bits below the prefix. `counts` is added to, not cleared.
 pub(super) fn magnitude_histogram(
-    params: &[f32],
+    keys: Keys<'_>,
     prefix: u32,
     hi: u32,
     lo: u32,
     counts: &mut [u32; super::TOPK_BINS],
 ) {
     let bin_mask = (1u32 << (hi - lo)) - 1;
-    for x in params {
-        let m = magnitude(*x);
+    let mut count = |m: u32| {
         if m >> hi == prefix {
             counts[((m >> lo) & bin_mask) as usize] += 1;
         }
+    };
+    match keys {
+        Keys::Dense(params) => params.iter().for_each(|x| count(magnitude(*x))),
+        Keys::Pairs(pairs) => pairs.chunks_exact(8).for_each(|p| count(pair_key(p))),
     }
 }
 
@@ -146,27 +155,92 @@ pub(super) fn magnitude_histogram(
 /// `(u32 index, f32 value)` wire pair of every element whose magnitude key
 /// exceeds `threshold`, and of the first `ties` elements whose key equals it,
 /// in index order. `params[0]` has wire index `first_index`. Returns the tie
-/// budget left over.
+/// budget left over, or `None` when the pairs would take `body` past `limit`
+/// bytes: the sweep stops there and what it appended is unspecified. `body`
+/// never grows past `limit`, so a buffer reserved for it is never
+/// reallocated.
 pub(super) fn compact_topk(
     params: &[f32],
     first_index: u32,
     threshold: u32,
     ties: usize,
     body: &mut Vec<u8>,
-) -> usize {
+    limit: usize,
+) -> Option<usize> {
     let mut ties = ties;
     for (index, x) in (first_index..).zip(params) {
         let m = magnitude(*x);
         if m < threshold || (m == threshold && ties == 0) {
             continue;
         }
+        if body.len() + 8 > limit {
+            return None;
+        }
         if m == threshold {
             ties -= 1;
         }
-        body.extend_from_slice(&index.to_le_bytes());
-        body.extend_from_slice(&x.to_le_bytes());
+        push_pair(body, index, *x);
     }
-    ties
+    Some(ties)
+}
+
+fn push_pair(body: &mut Vec<u8>, index: u32, value: f32) {
+    body.extend_from_slice(&index.to_le_bytes());
+    body.extend_from_slice(&value.to_le_bytes());
+}
+
+/// The error-feedback collect: `acc += 1.0 * src` — the multiply by one,
+/// then the add, a NaN sum stored as the canonical quiet NaN, exactly as
+/// [`fold_dense_le_n`] does it — and, in the same sweep, the pair of every
+/// sum whose magnitude key is at least `threshold` appended to `body` in
+/// index order (`acc[0]` has wire index `first_index`): [`compact_topk`]
+/// of the sums with every tie kept. Returns `false` when the pairs would
+/// take `body` past `limit` bytes; collecting stops there (what it appended
+/// is unspecified) but the add still covers every element.
+pub(super) fn add_compact_topk(
+    acc: &mut [f32],
+    src: &[f32],
+    first_index: u32,
+    threshold: u32,
+    body: &mut Vec<u8>,
+    limit: usize,
+) -> bool {
+    let w = 1.0f32;
+    for i in 0..acc.len() {
+        let v = acc[i] + w * src[i];
+        let v = if v.is_nan() { f32::NAN } else { v };
+        acc[i] = v;
+        if magnitude(v) < threshold {
+            continue;
+        }
+        if body.len() + 8 > limit {
+            let rest = i + 1;
+            fold_dense_le_n(&mut acc[rest..], &[super::le_bytes(&src[rest..])], &[w]);
+            return false;
+        }
+        push_pair(body, first_index + i as u32, v);
+    }
+    true
+}
+
+/// Compacts a run of wire pairs forward in place to the pairs a cut keeps:
+/// every pair whose value's magnitude key exceeds `threshold` and the first
+/// `ties` pairs whose key equals it, in run order. Returns the bytes kept.
+pub(super) fn compact_pairs(run: &mut [u8], threshold: u32, ties: usize) -> usize {
+    let mut ties = ties;
+    let mut out = 0usize;
+    for at in (0..run.len() / 8 * 8).step_by(8) {
+        let mut pair = [0u8; 8];
+        pair.copy_from_slice(&run[at..at + 8]);
+        let m = pair_key(&pair);
+        // Branch-free: every pair is written at `out`, which only moves on
+        // past a kept one.
+        let tie = m == threshold && ties > 0;
+        ties -= usize::from(tie);
+        run[out..out + 8].copy_from_slice(&pair);
+        out += 8 * usize::from(m > threshold || tie);
+    }
+    out
 }
 
 /// Largest finite `|x|` in `params` (0 when there is none). Exact, so the

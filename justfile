@@ -8,7 +8,7 @@
 default: ci
 
 # Everything CI runs, in CI order.
-ci: lint-lifl lint doc build test kernel-parity alloc faults test-scalar scale bench-baseline-check benchmark-check smoke
+ci: lint-lifl lint doc build test kernel-parity alloc alloc-scalar faults test-scalar scale bench-baseline-check benchmark-check smoke
 
 # Repo invariants (unsafe containment, SAFETY comments, kernel parity,
 # panic freedom, fold determinism, no legacy runtime, justfile↔CI sync, no
@@ -46,6 +46,12 @@ kernel-parity:
 # its own process), so allocation regressions fail with a readable name.
 alloc:
     cargo test -p lifl-integration --test alloc
+
+# The allocation tier again on the scalar kernel arm: the scalar collect
+# sweep of top-k selection must keep the same capacity bound as the AVX2
+# one, so its candidate run never reallocates the pooled wire buffer.
+alloc-scalar:
+    LIFL_FORCE_SCALAR=1 cargo test -p lifl-integration --test alloc
 
 # The fault tier in its own named step: node kills at every round phase,
 # corruption injection and robust-aggregation divergence envelopes, so

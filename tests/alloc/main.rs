@@ -218,9 +218,11 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     );
     assert!(out.l2_norm() > 0.0);
 
-    // Phase 3: top-k encoding is equally allocation-free — selection needs
-    // no scratch, so the pooled encode body (1 MiB here) is all it touches,
-    // at the clients and at the interior re-encode alike.
+    // Phase 3: top-k encoding is equally allocation-free — selection's only
+    // scratch is its candidate run, collected in the pooled encode body it
+    // is then compacted into (checked out with room for 2 x kept pairs,
+    // 2 MiB here), so that body is all it touches, at the clients and at
+    // the interior re-encode alike, on either kernel arm.
     let topk_pool = BufferPool::new();
     let topk = CodecKind::TopK { permille: 250 };
     let topk_codec = UpdateCodec::with_seed(topk, 0x70CF).with_pool(topk_pool.clone());
