@@ -38,8 +38,6 @@ pub struct QueuedOffer {
     pub weight: u64,
     /// Whether `payload` is a codec-encoded wire string.
     pub encoded: bool,
-    /// Utility score snapshot at queue time (drain priority).
-    pub utility: f64,
     /// Global arrival sequence number (FIFO tiebreak and leaf routing).
     pub seq: u64,
 }
@@ -84,7 +82,6 @@ impl LeafQueue {
 #[derive(Debug)]
 pub struct AdmissionQueues {
     config: AdmissionConfig,
-    pool: BufferPool,
     queues: Vec<LeafQueue>,
     /// Oort-style utility score per client; absent clients score
     /// [`UNEXPLORED_UTILITY`].
@@ -102,7 +99,6 @@ impl AdmissionQueues {
             .collect();
         AdmissionQueues {
             config,
-            pool,
             queues,
             utilities: BTreeMap::new(),
             seq: 0,
@@ -140,7 +136,6 @@ impl AdmissionQueues {
         weight: u64,
         encoded: bool,
     ) -> AdmissionOutcome {
-        let utility = self.utility_of(client);
         let seq = self.seq;
         let leaf = (seq as usize) % self.queues.len();
         let Some(queue) = self.queues.get_mut(leaf) else {
@@ -155,7 +150,6 @@ impl AdmissionQueues {
             payload: stored,
             weight,
             encoded,
-            utility,
             seq,
         });
         let depth = queue.offers.len();
@@ -247,60 +241,6 @@ impl AdmissionQueues {
         removed
     }
 
-    /// Re-buckets every parked offer across `leaves` queues (fleet scaling
-    /// resized the tree). Offers re-route in arrival order; any that no
-    /// longer fit the new budgets are dropped.
-    pub fn resize(&mut self, leaves: usize) {
-        let mut parked: Vec<QueuedOffer> = Vec::new();
-        for queue in &mut self.queues {
-            while let Some(offer) = queue.offers.pop_front() {
-                queue.backlog.withdraw(offer.payload.len());
-                parked.push(offer);
-            }
-        }
-        parked.sort_by_key(|o| o.seq);
-        self.queues = (0..leaves.max(1))
-            .map(|_| LeafQueue::new(self.pool.clone(), &self.config))
-            .collect();
-        for (i, mut offer) in parked.into_iter().enumerate() {
-            let leaf = i % self.queues.len();
-            let Some(queue) = self.queues.get_mut(leaf) else {
-                continue;
-            };
-            if queue.backlog.would_admit(offer.payload.len()) {
-                // Re-charge the budgets for the surviving buffer; the bytes
-                // themselves stay where they are (no copy).
-                let placeholder = queue.backlog.try_store(&offer.payload);
-                if let Some(spare) = placeholder {
-                    // try_store copied into a fresh pool buffer; keep that
-                    // canonical copy and recycle the old one.
-                    let old = std::mem::replace(&mut offer.payload, spare);
-                    self.pool.checkin_bytes(old);
-                    queue.offers.push_back(offer);
-                    continue;
-                }
-            }
-            self.stats.dropped += 1;
-            self.pool.checkin_bytes(offer.payload);
-        }
-    }
-
-    /// Drops every parked offer (the backlog's rounds were discarded),
-    /// returning the buffers to the pool.
-    pub fn clear(&mut self) {
-        for queue in &mut self.queues {
-            while let Some(offer) = queue.offers.pop_front() {
-                self.stats.dropped += 1;
-                queue.backlog.release(offer.payload);
-            }
-        }
-    }
-
-    /// Occupancy of leaf queue `leaf` (0 for an out-of-range leaf).
-    pub fn depth(&self, leaf: usize) -> usize {
-        self.queues.get(leaf).map_or(0, |q| q.offers.len())
-    }
-
     /// Occupancy of every leaf queue, in leaf order.
     pub fn depths(&self) -> Vec<usize> {
         self.queues.iter().map(|q| q.offers.len()).collect()
@@ -317,16 +257,6 @@ impl AdmissionQueues {
             .iter()
             .map(|q| q.backlog.stats().used_bytes)
             .sum()
-    }
-
-    /// Whether any offer is parked.
-    pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.offers.is_empty())
-    }
-
-    /// Number of leaf queues.
-    pub fn leaves(&self) -> usize {
-        self.queues.len()
     }
 
     /// Lifetime counters.
@@ -391,7 +321,7 @@ mod tests {
             .map(|o| o.client.map_or(u64::MAX, |c| c.index()))
             .collect();
         assert_eq!(order, vec![2, 0, 3, 1]);
-        assert!(q.is_empty());
+        assert_eq!(q.total_queued(), 0);
         assert_eq!(q.stats().drained, 4);
         assert_eq!(q.total_bytes(), 0);
     }
@@ -407,39 +337,5 @@ mod tests {
         let survivor = q.take_best().expect("client 2 remains");
         assert_eq!(survivor.client, Some(ClientId::new(2)));
         assert_eq!(survivor.payload, vec![2u8; 4]);
-    }
-
-    #[test]
-    fn resize_rebuckets_in_arrival_order() {
-        let mut q = queues(8, 4096, 1);
-        for i in 0..6u64 {
-            q.offer(Some(ClientId::new(i)), &[i as u8; 4], 1, false);
-        }
-        q.resize(3);
-        assert_eq!(q.leaves(), 3);
-        assert_eq!(q.depths(), vec![2, 2, 2]);
-        // Payloads survived the re-bucketing intact.
-        let best = q.take_best().expect("offers survive");
-        assert_eq!(best.payload.len(), 4);
-        // Shrinking to tighter total budget drops the overflow.
-        let mut small = queues(1, 4096, 4);
-        for i in 0..4u64 {
-            small.offer(Some(ClientId::new(i)), &[0u8; 4], 1, false);
-        }
-        small.resize(2);
-        assert_eq!(small.total_queued(), 2, "2 leaves x 1 slot survive");
-        assert_eq!(small.stats().dropped, 2);
-    }
-
-    #[test]
-    fn clear_returns_buffers_to_the_pool() {
-        let pool = BufferPool::new();
-        let mut q = AdmissionQueues::new(AdmissionConfig::bounded(8, 4096), 2, pool.clone());
-        q.offer(None, &[0u8; 16], 1, false);
-        q.offer(None, &[0u8; 16], 1, false);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(pool.stats().idle_buffers, 2);
-        assert_eq!(q.stats().dropped, 2);
     }
 }

@@ -1,37 +1,24 @@
-//! The LIFL aggregator runtime: the step-based Recv → Agg → Send processing
-//! model of Appendix G, operating on object keys in shared memory.
+//! The LIFL aggregator runtime: the Recv → Agg → Send processing model of
+//! Appendix G, operating on object keys in shared memory.
 
 use lifl_fl::codec::{EncodedView, UpdateCodec};
 use lifl_fl::robust::PolicyFold;
 use lifl_shmem::queue::QueuedUpdate;
 use lifl_shmem::{InPlaceQueue, ObjectStore, SharedObject};
-use lifl_types::{AggregatorId, AggregatorRole, FoldPolicy, LiflError, Result, Topology};
-
-/// The step the runtime is currently in (Appendix G, Fig. 14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggregatorStep {
-    /// Waiting to receive / dequeue the next model update.
-    Recv,
-    /// Folding a dequeued update into the running aggregate.
-    Agg,
-    /// Publishing the aggregated update to the designated consumer.
-    Send,
-}
+use lifl_types::{AggregatorId, FoldPolicy, LiflError, Result, Topology};
 
 /// A single stateless aggregator runtime.
 ///
 /// The runtime is "homogenised" (§5.3): the same struct serves as leaf, middle
-/// or top aggregator — only its `role` and aggregation goal differ, so a warm
-/// instance can be promoted without restarting.
+/// or top aggregator — only its aggregation goal differs, so a warm instance
+/// serves any level after a re-arm, without restarting.
 #[derive(Debug)]
 pub struct AggregatorRuntime {
     id: AggregatorId,
-    role: AggregatorRole,
     goal: u64,
     store: ObjectStore,
     inbox: InPlaceQueue,
     accumulator: PolicyFold,
-    step: AggregatorStep,
     aggregated: u64,
     /// When set (and lossy), outgoing intermediates are re-encoded with this
     /// codec and stored compressed (the decode-fold-encode interior path).
@@ -46,7 +33,6 @@ impl AggregatorRuntime {
     /// Returns [`LiflError::InvalidAggregationGoal`] if `goal` is zero.
     pub fn new(
         id: AggregatorId,
-        role: AggregatorRole,
         goal: u64,
         store: ObjectStore,
         inbox: InPlaceQueue,
@@ -56,12 +42,10 @@ impl AggregatorRuntime {
         }
         Ok(AggregatorRuntime {
             id,
-            role,
             goal,
             store,
             inbox,
             accumulator: PolicyFold::default(),
-            step: AggregatorStep::Recv,
             aggregated: 0,
             codec: None,
         })
@@ -75,21 +59,19 @@ impl AggregatorRuntime {
     /// Returns [`LiflError::InvalidAggregationGoal`] if `goal` is zero.
     pub fn with_codec(
         id: AggregatorId,
-        role: AggregatorRole,
         goal: u64,
         store: ObjectStore,
         inbox: InPlaceQueue,
         codec: UpdateCodec,
     ) -> Result<Self> {
-        let mut runtime = Self::new(id, role, goal, store, inbox)?;
+        let mut runtime = Self::new(id, goal, store, inbox)?;
         runtime.codec = Some(codec);
         Ok(runtime)
     }
 
     /// Creates the runtime serving position (`level`, `index`) of an N-level
-    /// [`Topology`] tree: the role (level 0 = leaf, last level = top,
-    /// anything between = middle), the aggregation goal (the level's fan-in)
-    /// and the aggregator identity all derive from the tree position, so a
+    /// [`Topology`] tree: the aggregation goal (the level's fan-in) and the
+    /// aggregator identity both derive from the tree position, so a
     /// session can instantiate any tree without per-shape wiring code.
     ///
     /// # Errors
@@ -113,8 +95,8 @@ impl AggregatorRuntime {
     }
 
     /// The warm runtime serving level `level` of `topology` as `id` (the
-    /// position's identity inside whatever tree encloses it): role and goal
-    /// from the level, like [`AggregatorRuntime::for_level`]. A session keeps
+    /// position's identity inside whatever tree encloses it): its goal from
+    /// the level, like [`AggregatorRuntime::for_level`]. A session keeps
     /// one per position for its whole life and re-arms it every round.
     ///
     /// # Errors
@@ -127,14 +109,7 @@ impl AggregatorRuntime {
         inbox: InPlaceQueue,
         codec: UpdateCodec,
     ) -> Result<Self> {
-        let role = if level + 1 == topology.levels() {
-            AggregatorRole::Top
-        } else if level == 0 {
-            AggregatorRole::Leaf
-        } else {
-            AggregatorRole::Middle
-        };
-        Self::with_codec(id, role, topology.fan_in(level) as u64, store, inbox, codec)
+        Self::with_codec(id, topology.fan_in(level) as u64, store, inbox, codec)
     }
 
     /// Opens a round with aggregation goal `goal`: the runtime is left in
@@ -151,7 +126,6 @@ impl AggregatorRuntime {
         }
         self.goal = goal;
         self.aggregated = 0;
-        self.step = AggregatorStep::Recv;
         if let Some(codec) = &mut self.codec {
             codec.reseed(self.id.index());
         }
@@ -175,8 +149,8 @@ impl AggregatorRuntime {
     /// the whole-round benchmark's engine adapter compiles unchanged.
     pub fn set_shards(&mut self, _shards: usize) {}
 
-    /// Sets the fold policy this runtime aggregates with
-    /// (`LiflConfig.fold_policy`). [`FoldPolicy::FedAvg`] keeps the seed's
+    /// Sets the fold policy this runtime aggregates with, as its session's
+    /// builder was given it. [`FoldPolicy::FedAvg`] keeps the seed's
     /// eager constant-memory fold bit-exactly; robust policies buffer the
     /// round and compute a coordinate-wise statistic at send time.
     ///
@@ -192,51 +166,10 @@ impl AggregatorRuntime {
         self.replace_accumulator(policy)
     }
 
-    /// The fold policy in use.
-    pub fn policy(&self) -> FoldPolicy {
-        self.accumulator.policy()
-    }
-
-    /// The aggregator's identity.
-    pub fn id(&self) -> AggregatorId {
-        self.id
-    }
-
-    /// The current role.
-    pub fn role(&self) -> AggregatorRole {
-        self.role
-    }
-
-    /// Promotes the runtime to a higher role (opportunistic reuse, §5.3),
-    /// adopting a new aggregation goal. The runtime is stateless between
-    /// rounds, so it then opens a round exactly as a re-armed one does: any
-    /// half-folded accumulator goes home to the codec's pool and the codec
-    /// stream restarts at the position seed.
-    ///
-    /// # Errors
-    /// Returns [`LiflError::InvalidConfig`] for a top aggregator and
-    /// [`LiflError::InvalidAggregationGoal`] if `new_goal` is zero; either
-    /// way the runtime is left unchanged.
+    /// The aggregator's identity, for tests that check a station's wiring.
     #[cfg(test)]
-    pub(crate) fn promote(&mut self, new_goal: u64) -> Result<()> {
-        let Some(next) = self.role.promoted() else {
-            return Err(LiflError::InvalidConfig(
-                "top aggregator cannot be promoted further".to_string(),
-            ));
-        };
-        self.rearm(new_goal)?;
-        self.role = next;
-        Ok(())
-    }
-
-    /// The step the runtime is in.
-    pub fn step(&self) -> AggregatorStep {
-        self.step
-    }
-
-    /// Updates aggregated so far toward the goal.
-    pub fn aggregated(&self) -> u64 {
-        self.aggregated
+    pub(crate) fn id(&self) -> AggregatorId {
+        self.id
     }
 
     /// Whether the aggregation goal has been met.
@@ -252,10 +185,8 @@ impl AggregatorRuntime {
     /// Propagates object-store and dimension errors.
     pub fn poll(&mut self) -> Result<bool> {
         let Some(queued) = self.inbox.dequeue() else {
-            self.step = AggregatorStep::Recv;
             return Ok(false);
         };
-        self.step = AggregatorStep::Agg;
         let object = self.store.get(&queued.key)?;
         // Fused decode-fold straight off the shared-memory bytes: no
         // intermediate `DenseModel` (or payload copy) is materialised.
@@ -263,11 +194,6 @@ impl AggregatorRuntime {
         self.warm_accumulator(view.dim());
         self.accumulator.fold_encoded_view(&view, queued.weight)?;
         self.aggregated += 1;
-        if self.goal_met() {
-            self.step = AggregatorStep::Send;
-        } else {
-            self.step = AggregatorStep::Recv;
-        }
         Ok(true)
     }
 
@@ -294,18 +220,11 @@ impl AggregatorRuntime {
             }
         }
         if queued.is_empty() {
-            self.step = AggregatorStep::Recv;
             return Ok(0);
         }
-        self.step = AggregatorStep::Agg;
         match self.fold_drained(&queued) {
             Ok(folded) => {
                 self.aggregated += folded as u64;
-                if self.goal_met() {
-                    self.step = AggregatorStep::Send;
-                } else {
-                    self.step = AggregatorStep::Recv;
-                }
                 Ok(folded)
             }
             Err((corrupt, error)) => {
@@ -314,7 +233,6 @@ impl AggregatorRuntime {
                         self.inbox.enqueue(entry);
                     }
                 }
-                self.step = AggregatorStep::Recv;
                 Err(error)
             }
         }
@@ -389,7 +307,6 @@ impl AggregatorRuntime {
             }
         };
         self.aggregated = 0;
-        self.step = AggregatorStep::Recv;
         Ok(queued)
     }
 
@@ -457,21 +374,15 @@ mod tests {
     fn aggregates_to_goal_and_sends() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg = AggregatorRuntime::new(
-            AggregatorId::new(1),
-            AggregatorRole::Leaf,
-            2,
-            store.clone(),
-            inbox.clone(),
-        )
-        .unwrap();
-        assert_eq!(agg.step(), AggregatorStep::Recv);
+        let mut agg =
+            AggregatorRuntime::new(AggregatorId::new(1), 2, store.clone(), inbox.clone()).unwrap();
+        assert!(!agg.goal_met());
         queue_client_update(&store, &inbox, 1, &[2.0, 4.0], 1);
         queue_client_update(&store, &inbox, 2, &[4.0, 8.0], 3);
         assert!(agg.poll().unwrap());
-        assert_eq!(agg.step(), AggregatorStep::Recv);
+        assert!(!agg.goal_met());
         assert!(agg.poll().unwrap());
-        assert_eq!(agg.step(), AggregatorStep::Send);
+        assert!(agg.goal_met());
         let out = agg.send().unwrap();
         assert_eq!(out.weight, 4);
         let result = store.get(&out.key).unwrap().as_f32_vec();
@@ -483,9 +394,7 @@ mod tests {
     fn poll_without_updates_returns_false() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg =
-            AggregatorRuntime::new(AggregatorId::new(1), AggregatorRole::Leaf, 1, store, inbox)
-                .unwrap();
+        let mut agg = AggregatorRuntime::new(AggregatorId::new(1), 1, store, inbox).unwrap();
         assert!(!agg.poll().unwrap());
         assert!(agg.send().is_err());
         assert!(agg.run_to_completion().is_err());
@@ -495,23 +404,15 @@ mod tests {
     fn promotion_resets_state() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg = AggregatorRuntime::new(
-            AggregatorId::new(1),
-            AggregatorRole::Leaf,
-            1,
-            store.clone(),
-            inbox.clone(),
-        )
-        .unwrap();
+        let mut agg =
+            AggregatorRuntime::new(AggregatorId::new(1), 1, store.clone(), inbox.clone()).unwrap();
         queue_client_update(&store, &inbox, 1, &[1.0], 1);
         agg.run_to_completion().unwrap();
-        agg.promote(3).unwrap();
-        assert_eq!(agg.role(), AggregatorRole::Middle);
-        assert_eq!(agg.aggregated(), 0);
-        agg.promote(2).unwrap();
-        assert_eq!(agg.role(), AggregatorRole::Top);
-        assert!(agg.promote(2).is_err());
-        assert!(agg.promote(0).is_err());
+        // Promotion (§5.3) is a re-arm for the next level's goal.
+        agg.rearm(3).unwrap();
+        assert_eq!((agg.goal, agg.aggregated), (3, 0));
+        assert!(!agg.goal_met());
+        assert!(agg.rearm(0).is_err());
     }
 
     #[test]
@@ -523,7 +424,6 @@ mod tests {
         let pool = lifl_shmem::BufferPool::new();
         let mut agg = AggregatorRuntime::with_codec(
             AggregatorId::new(1),
-            AggregatorRole::Leaf,
             2,
             store.clone(),
             inbox.clone(),
@@ -536,7 +436,7 @@ mod tests {
             assert!(agg.poll().unwrap());
             if round == 1 {
                 // The half-folded accumulator must go home, not away.
-                agg.promote(2).unwrap();
+                agg.rearm(2).unwrap();
                 queue_client_update(&store, &inbox, 1, &[2.0, 4.0], 1);
                 assert!(agg.poll().unwrap());
             }
@@ -566,13 +466,14 @@ mod tests {
             )
         };
         let leaf = make(0, 11).unwrap();
-        assert_eq!(leaf.role(), AggregatorRole::Leaf);
-        assert_eq!(leaf.id(), AggregatorId::new(11));
+        assert_eq!((leaf.goal, leaf.id), (2, AggregatorId::new(11)));
         let middle = make(1, 3).unwrap();
-        assert_eq!(middle.role(), AggregatorRole::Middle);
-        assert_eq!(middle.id(), AggregatorId::new((1 << 32) | 3));
+        assert_eq!(
+            (middle.goal, middle.id),
+            (3, AggregatorId::new((1 << 32) | 3))
+        );
         let top = make(2, 0).unwrap();
-        assert_eq!(top.role(), AggregatorRole::Top);
+        assert_eq!((top.goal, top.id), (4, position_id(2, 0)));
         // Positions outside the tree are rejected.
         assert!(make(0, 12).is_err());
         assert!(make(1, 4).is_err());
@@ -589,7 +490,6 @@ mod tests {
         let pool = lifl_shmem::BufferPool::new();
         let mut agg = AggregatorRuntime::with_codec(
             AggregatorId::new(1),
-            AggregatorRole::Leaf,
             2,
             store.clone(),
             inbox.clone(),
@@ -641,7 +541,6 @@ mod tests {
         let pool = lifl_shmem::BufferPool::new();
         let mut agg = AggregatorRuntime::with_codec(
             AggregatorId::new(1),
-            AggregatorRole::Leaf,
             2,
             store.clone(),
             inbox.clone(),
@@ -697,7 +596,6 @@ mod tests {
             let inbox = InPlaceQueue::new();
             let mut agg = AggregatorRuntime::with_codec(
                 AggregatorId::new(1),
-                AggregatorRole::Leaf,
                 goal,
                 store.clone(),
                 inbox.clone(),
@@ -761,19 +659,13 @@ mod tests {
     fn drain_batch_stops_at_the_goal_like_eager_polling() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg = AggregatorRuntime::new(
-            AggregatorId::new(1),
-            AggregatorRole::Leaf,
-            2,
-            store.clone(),
-            inbox.clone(),
-        )
-        .unwrap();
+        let mut agg =
+            AggregatorRuntime::new(AggregatorId::new(1), 2, store.clone(), inbox.clone()).unwrap();
         for i in 0..5u64 {
             queue_client_update(&store, &inbox, i, &[i as f32, 1.0], 1);
         }
         assert_eq!(agg.drain_batch().unwrap(), 2);
-        assert_eq!(agg.step(), AggregatorStep::Send);
+        assert!(agg.goal_met());
         // The three updates beyond the goal survive for the next round.
         assert_eq!(inbox.len(), 3);
         let out = agg.send().unwrap();
@@ -787,21 +679,15 @@ mod tests {
     fn drain_batch_requeues_valid_updates_around_a_corrupt_one() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg = AggregatorRuntime::new(
-            AggregatorId::new(1),
-            AggregatorRole::Leaf,
-            3,
-            store.clone(),
-            inbox.clone(),
-        )
-        .unwrap();
+        let mut agg =
+            AggregatorRuntime::new(AggregatorId::new(1), 3, store.clone(), inbox.clone()).unwrap();
         queue_client_update(&store, &inbox, 0, &[1.0, 2.0], 1);
         let corrupt = store.put(vec![1u8, 2, 3]).unwrap();
         inbox.enqueue(QueuedUpdate::from_client(ClientId::new(1), corrupt).encoded());
         queue_client_update(&store, &inbox, 2, &[3.0, 4.0], 1);
         assert!(matches!(agg.drain_batch(), Err(LiflError::Codec(_))));
         // Nothing was folded; the two valid updates went back in order.
-        assert_eq!(agg.aggregated(), 0);
+        assert_eq!(agg.aggregated, 0);
         assert_eq!(inbox.len(), 2);
         assert_eq!(inbox.dequeue().unwrap().producer, Some(ClientId::new(0)));
         assert_eq!(inbox.dequeue().unwrap().producer, Some(ClientId::new(2)));
@@ -811,7 +697,6 @@ mod tests {
     fn drain_batch_on_empty_inbox_reports_starvation() {
         let mut agg = AggregatorRuntime::new(
             AggregatorId::new(1),
-            AggregatorRole::Leaf,
             1,
             ObjectStore::new(),
             InPlaceQueue::new(),
@@ -825,14 +710,8 @@ mod tests {
     fn corrupt_encoded_payload_is_an_error() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg = AggregatorRuntime::new(
-            AggregatorId::new(1),
-            AggregatorRole::Leaf,
-            1,
-            store.clone(),
-            inbox.clone(),
-        )
-        .unwrap();
+        let mut agg =
+            AggregatorRuntime::new(AggregatorId::new(1), 1, store.clone(), inbox.clone()).unwrap();
         let key = store.put(vec![1u8, 2, 3]).unwrap();
         inbox.enqueue(QueuedUpdate::from_client(ClientId::new(1), key).encoded());
         assert!(matches!(agg.poll(), Err(LiflError::Codec(_))));
@@ -842,16 +721,10 @@ mod tests {
     fn robust_policy_survives_an_adversarial_update() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg = AggregatorRuntime::new(
-            AggregatorId::new(1),
-            AggregatorRole::Leaf,
-            3,
-            store.clone(),
-            inbox.clone(),
-        )
-        .unwrap();
+        let mut agg =
+            AggregatorRuntime::new(AggregatorId::new(1), 3, store.clone(), inbox.clone()).unwrap();
         agg.set_policy(FoldPolicy::Median).unwrap();
-        assert_eq!(agg.policy(), FoldPolicy::Median);
+        assert_eq!(agg.accumulator.policy(), FoldPolicy::Median);
         queue_client_update(&store, &inbox, 0, &[1.0, 2.0], 1);
         queue_client_update(&store, &inbox, 1, &[3.0, 4.0], 1);
         // An adversary scales its update by 1e6 and claims a huge weight.
@@ -869,7 +742,6 @@ mod tests {
     fn zero_goal_rejected() {
         let err = AggregatorRuntime::new(
             AggregatorId::new(1),
-            AggregatorRole::Leaf,
             0,
             ObjectStore::new(),
             InPlaceQueue::new(),

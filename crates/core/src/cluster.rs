@@ -70,7 +70,6 @@ use placement::Placement;
 #[derive(Debug, Clone)]
 struct SessionTemplate {
     codec: CodecKind,
-    seed: u64,
     policy: FoldPolicy,
     pool: BufferPool,
     /// The one worker set every node session and the top run their stations
@@ -84,21 +83,13 @@ struct SessionTemplate {
 }
 
 impl SessionTemplate {
-    /// Builds the session driving `topology` on `node`, placed at
-    /// (`level_offset`, `branch`) of the global tree.
-    fn build(
-        &self,
-        topology: Topology,
-        node: usize,
-        level_offset: usize,
-        branch: usize,
-    ) -> Result<Session> {
+    /// Builds the session driving `topology`, placed at (`level_offset`,
+    /// `branch`) of the global tree.
+    fn build(&self, topology: Topology, level_offset: usize, branch: usize) -> Result<Session> {
         let mut builder = SessionBuilder::new()
             .topology(topology)
             .codec(self.codec)
-            .seed(self.seed)
             .fold_policy(self.policy)
-            .node(NodeId::new(node as u64))
             .tree_position(level_offset, branch)
             .pool(self.pool.clone())
             .workers(self.workers.clone());
@@ -110,22 +101,22 @@ impl SessionTemplate {
 }
 
 /// How every transfer of a cluster is priced: the paper-calibrated transport
-/// cost model, and the data plane a same-node hop crosses.
+/// cost model, with LIFL's shared-memory data plane on same-node hops.
 #[derive(Debug, Clone, Copy)]
 struct Pricing {
     cost: CostModel,
-    dataplane: DataPlaneKind,
 }
 
 impl Pricing {
     /// The modelled cost of moving `bytes` within a node (shared memory) or
     /// across the network.
     fn hop(&self, same_node: bool, bytes: u64) -> TransferCost {
-        self.cost.hop_transfer(same_node, self.dataplane, bytes)
+        let plane = DataPlaneKind::LiflSharedMemory;
+        self.cost.hop_transfer(same_node, plane, bytes)
     }
 }
 
-/// Builds a [`Cluster`]: the global tree, codec, seed, data plane and the
+/// Builds a [`Cluster`]: the global tree, codec, fold policy and the
 /// top-placement policy, with working defaults.
 ///
 /// ```
@@ -141,15 +132,13 @@ impl Pricing {
 ///     .unwrap();
 /// assert_eq!(cluster.nodes(), 4);
 /// assert_eq!(cluster.subtree().levels(), 2);
-/// assert_eq!(cluster.topology().total_updates(), 16);
+/// assert_eq!(cluster.round_capacity(), 16);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClusterBuilder {
     topology: Topology,
     codec: CodecKind,
-    seed: u64,
     placement: TopPlacement,
-    dataplane: DataPlaneKind,
     policy: FoldPolicy,
     faults: Option<FaultToleranceConfig>,
     admission: Option<AdmissionConfig>,
@@ -174,9 +163,7 @@ impl ClusterBuilder {
         ClusterBuilder {
             topology: Topology::default(),
             codec: CodecKind::Identity,
-            seed: 0x5EED,
             placement: TopPlacement::default(),
-            dataplane: DataPlaneKind::LiflSharedMemory,
             policy: FoldPolicy::FedAvg,
             faults: None,
             admission: None,
@@ -200,7 +187,7 @@ impl ClusterBuilder {
     /// Like the planner, the built tree covers *at least* `total_updates`:
     /// when the load does not divide evenly, per-node shares round up, and a
     /// round must still fill the tree exactly —
-    /// [`Cluster::drive`] aggregates `cluster.topology().total_updates()`
+    /// [`Cluster::drive`] aggregates `cluster.round_capacity()`
     /// updates, which may exceed the `total_updates` planned for (pad with
     /// real ingests, as the planner's under-filled leaves do).
     pub fn for_load(
@@ -243,14 +230,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Seeds the cluster-ingress error-feedback encoder (per-aggregator
-    /// codec streams derive from tree positions, exactly as in a single
-    /// session with the same seed).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Picks the policy deciding which node hosts the global top aggregator.
     /// The paper places it on the most loaded node so the largest
     /// intermediate never crosses machines — that live policy
@@ -260,13 +239,6 @@ impl ClusterBuilder {
     /// instead of a network transfer.
     pub fn placement(mut self, placement: TopPlacement) -> Self {
         self.placement = placement;
-        self
-    }
-
-    /// Sets the data plane same-node hops cross (remote hops always price as
-    /// network transfers).
-    pub fn dataplane(mut self, dataplane: DataPlaneKind) -> Self {
-        self.dataplane = dataplane;
         self
     }
 
@@ -313,11 +285,10 @@ impl ClusterBuilder {
     /// each node's observed admission-queue depth feeds a per-node
     /// [`FleetController`] control loop,
     /// and nodes whose desired leaf count changed get their subtree
-    /// re-split (grown or retired) before the next round's backlog drains —
-    /// each re-split priced as a warm-state network transfer. Decisions land
-    /// in [`ClusterReport::scaling`]. The controller runs on a synthetic
-    /// per-round clock, so the same arrival trace always produces the same
-    /// spawn/retire sequence.
+    /// re-split (grown or retired) before the next round's backlog drains.
+    /// Decisions land in [`ClusterReport::scaling`]. The controller runs on
+    /// a synthetic per-round clock, so the same arrival trace always
+    /// produces the same spawn/retire sequence.
     pub fn fleet_scaling(mut self, config: FleetConfig) -> Self {
         self.fleet = Some(config);
         self
@@ -361,7 +332,6 @@ impl ClusterBuilder {
         let pool = BufferPool::new();
         let sessions = SessionTemplate {
             codec: self.codec,
-            seed: self.seed,
             policy: self.policy,
             pool: pool.clone(),
             workers,
@@ -370,9 +340,9 @@ impl ClusterBuilder {
                 .is_some_and(|c| matches!(c.round_close, RoundClose::Quorum { .. })),
         };
         let children = (0..nodes)
-            .map(|k| sessions.build(subtree.clone(), k, 0, k))
+            .map(|k| sessions.build(subtree.clone(), 0, k))
             .collect::<Result<Vec<Session>>>()?;
-        let parent = sessions.build(Topology::flat(nodes), placement.top(), subtree.levels(), 0)?;
+        let parent = sessions.build(Topology::flat(nodes), subtree.levels(), 0)?;
         let faults = Faults::new(self.faults, nodes)?;
         let queues = self
             .admission
@@ -380,19 +350,12 @@ impl ClusterBuilder {
         let fleet = (self.fleet)
             .map(|config| FleetController::new(config, nodes))
             .transpose()?;
-        let ingress = Ingress::new(
-            self.codec,
-            self.seed,
-            pool,
-            queues,
-            sessions.workers.clone(),
-        );
+        let ingress = Ingress::new(self.codec, pool, queues, sessions.workers.clone());
         Ok(Cluster {
             topology: self.topology,
             subtree,
             pricing: Pricing {
                 cost: CostModel::paper_calibrated(),
-                dataplane: self.dataplane,
             },
             children,
             parent,
@@ -423,8 +386,6 @@ pub struct ClusterHop {
 /// What one node's subtree contributed to a driven cluster round.
 #[derive(Debug, Clone)]
 pub struct NodeRoundReport {
-    /// The node.
-    pub node: NodeId,
     /// The node store's statistics at the end of the round.
     pub store_stats: StoreStats,
     /// Data-plane payload bytes the node's leaf ingests occupied.
@@ -453,10 +414,6 @@ pub struct ClusterReport {
     pub replacement: Option<TopMove>,
     /// The top-hosting node store's statistics at the end of the round.
     pub top_store_stats: StoreStats,
-    /// Per-node admission-queue depths observed at the round boundary
-    /// (before the backlog drained into the next round; empty without an
-    /// admission configuration).
-    pub queue_depths: Vec<usize>,
     /// The fleet-scaling decisions applied at this round's boundary, in node
     /// order (empty without fleet scaling; holds a decision per node every
     /// round, resize or not, so traces are complete).
@@ -549,11 +506,6 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// The global tree this cluster aggregates over.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// The per-node subtree every child session drives.
     pub fn subtree(&self) -> &Topology {
         &self.subtree
@@ -579,11 +531,6 @@ impl Cluster {
     /// The scratch-buffer pool shared by every session's codecs.
     pub fn pool(&self) -> &BufferPool {
         &self.sessions.pool
-    }
-
-    /// The fold policy every aggregator in the cluster applies.
-    pub fn fold_policy(&self) -> FoldPolicy {
-        self.sessions.policy
     }
 
     /// Updates ingested into the current (not yet driven) round.
@@ -769,17 +716,6 @@ impl Cluster {
         self.ingress.record_utility(client, utility);
     }
 
-    /// The admission configuration, when the streaming path is enabled.
-    pub fn admission_config(&self) -> Option<&AdmissionConfig> {
-        self.ingress.config()
-    }
-
-    /// Occupancy of every per-node admission queue, in node order (empty
-    /// without an admission configuration).
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.ingress.depths()
-    }
-
     /// Total updates parked in the admission queues.
     pub fn queued_updates(&self) -> usize {
         self.ingress.queued()
@@ -839,10 +775,8 @@ impl Cluster {
         self.faults.commit(&top.update.model);
         self.placement.committed(top.update.model.dim());
         self.ingress.reset_round();
-        // The round boundary: observe queue depths, let the fleet controller
-        // re-split subtrees, then drain the backlog into the (possibly
-        // resized) fresh round.
-        let queue_depths = self.queue_depths();
+        // The round boundary: let the fleet controller re-split subtrees,
+        // then drain the backlog into the (possibly resized) fresh round.
         let scaling = self.scale_fleet();
         ingress::drain(self);
         Ok(ClusterReport {
@@ -853,7 +787,6 @@ impl Cluster {
             top_node: self.top_node(),
             replacement,
             top_store_stats: top.store_stats,
-            queue_depths,
             scaling,
         })
     }
@@ -915,7 +848,6 @@ impl Cluster {
     fn ship(&mut self, k: usize, export: WireExport) -> Result<(ClusterHop, NodeRoundReport)> {
         let (node, wire_bytes) = (NodeId::new(k as u64), export.wire_bytes());
         let report = NodeRoundReport {
-            node,
             store_stats: export.store_stats,
             ingress_wire_bytes: export.ingress_wire_bytes,
             updates_ingested: export.updates_ingested,
@@ -1078,7 +1010,6 @@ impl Cluster {
             top_node: self.top_node(),
             replacement,
             top_store_stats: top.store_stats,
-            queue_depths: Vec::new(),
             scaling: Vec::new(),
         })
     }
@@ -1346,7 +1277,7 @@ mod tests {
             .fold_policy(FoldPolicy::Median)
             .build()
             .unwrap();
-        assert_eq!(cluster.fold_policy(), FoldPolicy::Median);
+        assert_eq!(cluster.sessions.policy, FoldPolicy::Median);
     }
 
     #[test]
@@ -1518,7 +1449,6 @@ mod tests {
         {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
         }
-        assert!(recovery.transfer.latency > SimDuration::ZERO);
         let stats = cluster.fault_stats().unwrap();
         assert_eq!(stats.top_recoveries, 1);
         assert_eq!(stats.lost_updates, 8);
@@ -1668,8 +1598,6 @@ mod tests {
             *child = SessionBuilder::new()
                 .topology(subtree.clone())
                 .codec(cluster.sessions.codec)
-                .seed(cluster.sessions.seed)
-                .node(NodeId::new(k as u64))
                 .tree_position(0, k)
                 .pool(cluster.sessions.pool.clone())
                 .workers(cluster.sessions.workers.clone())
@@ -1791,9 +1719,7 @@ mod tests {
         assert_eq!(cluster.queued_updates(), 2);
         let report = cluster.drive().unwrap();
         assert_eq!(report.updates_ingested(), 8);
-        // The report captures the boundary's depths, then the backlog drains
-        // into the fresh round.
-        assert_eq!(report.queue_depths.iter().sum::<usize>(), 2);
+        // The backlog drained into the fresh round.
         assert_eq!(cluster.queued_updates(), 0);
         assert_eq!(cluster.pending_updates(), 2);
         cluster

@@ -14,7 +14,6 @@ use super::Cluster;
 use crate::heartbeat::HeartbeatMonitor;
 use crate::ingress;
 use crate::recovery::{RecoveryManager, RecoveryOutcome};
-use lifl_dataplane::TransferCost;
 use lifl_fl::DenseModel;
 use lifl_shmem::CheckpointStore;
 use lifl_types::{ClientId, LiflError, NodeId, Result, SimDuration, SimTime};
@@ -47,16 +46,12 @@ impl Default for FaultToleranceConfig {
 }
 
 /// A global-top recovery: the checkpoint restore performed after the node
-/// hosting the global top aggregator failed, plus the priced transfer that
-/// ships the checkpointed model to the replacement runtime.
+/// hosting the global top aggregator failed.
 #[derive(Debug, Clone)]
 pub struct TopRecovery {
     /// What was recovered and what was lost (see
     /// [`RecoveryManager::fail_and_recover`]).
     pub outcome: RecoveryOutcome,
-    /// The modelled cost of shipping the checkpointed model from the
-    /// persistent store to the replacement top host (a network transfer).
-    pub transfer: TransferCost,
 }
 
 /// Running totals of the failures a fault-tolerant cluster absorbed.
@@ -381,8 +376,7 @@ impl Cluster {
 
     /// A kill of the node hosting the global top: the whole round is lost
     /// (its partially folded top state died with the process) and the
-    /// replacement runtime restores the latest checkpoint, priced as a
-    /// network transfer from the persistent store.
+    /// replacement runtime restores the latest checkpoint.
     fn kill_top(&mut self, node: usize) -> LiflError {
         let lost = self.ingress.ingested();
         self.abort_round();
@@ -395,9 +389,7 @@ impl Cluster {
         };
         match t.recovery.fail_and_recover(t.clock) {
             Ok(outcome) => {
-                let bytes = (outcome.recovered_model.as_ref()).map_or(0, |m| m.dim() as u64 * 4);
-                let transfer = self.pricing.hop(false, bytes);
-                t.last_recovery = Some(TopRecovery { outcome, transfer });
+                t.last_recovery = Some(TopRecovery { outcome });
                 t.monitor.register(ClientId::new(node as u64), t.clock);
                 failure
             }

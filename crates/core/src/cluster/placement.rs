@@ -98,11 +98,6 @@ impl Placement {
         self.top
     }
 
-    /// Bytes of warm top state a handoff ships.
-    pub(super) fn warm_bytes(&self) -> u64 {
-        self.warm_bytes
-    }
-
     /// Records the round's committed global model of `dim` parameters: the
     /// warm state the next handoff ships.
     pub(super) fn committed(&mut self, dim: usize) {
@@ -145,11 +140,6 @@ impl Placement {
 }
 
 impl Cluster {
-    /// The placement policy deciding which node hosts the global top.
-    pub fn placement(&self) -> TopPlacement {
-        self.placement.policy
-    }
-
     /// The node currently hosting the global top aggregator.
     pub fn top_node(&self) -> NodeId {
         NodeId::new(self.placement.top as u64)

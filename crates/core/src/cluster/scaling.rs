@@ -6,29 +6,23 @@
 //! same spawn/retire sequence.
 
 use super::Cluster;
-use lifl_dataplane::TransferCost;
 use lifl_serverless::FleetDecision;
 use lifl_types::{Result, Topology};
 
 /// One fleet-scaling action applied at a round boundary: a node's subtree
-/// re-split to the controller's desired leaf count, priced as the warm-state
-/// transfer that moves aggregator state onto (or off) the node.
+/// re-split to the controller's desired leaf count.
 #[derive(Debug, Clone)]
 pub struct ScalingAction {
     /// The controller's decision (observed depth, current and desired
     /// leaves, panic state).
     pub decision: FleetDecision,
-    /// The modelled transport cost of re-splitting the subtree (zero bytes
-    /// before any round has produced warm state).
-    pub cost: TransferCost,
 }
 
 impl Cluster {
     /// Applies the KPA fleet decisions of one round boundary: every node
     /// whose desired leaf count changed gets its subtree re-split to a
     /// two-level tree of that many leaves at the node's existing leaf
-    /// fan-in, priced as a warm-state transfer per changed leaf. Returns one
-    /// action per node (resize or hold) so scaling traces are complete, and
+    /// fan-in. Returns one action per node (resize or hold) so scaling traces are complete, and
     /// none without fleet scaling.
     pub(super) fn scale_fleet(&mut self) -> Vec<ScalingAction> {
         let Some(fleet) = self.fleet.as_mut() else {
@@ -38,18 +32,15 @@ impl Cluster {
         depths.resize(self.children.len(), 0.0);
         let current = self.children.iter().map(|c| c.topology().leaves() as u32);
         let decisions = fleet.observe_round(&depths, &current.collect::<Vec<u32>>());
-        let warm_bytes = self.placement.warm_bytes();
         let mut actions = Vec::with_capacity(decisions.len());
         for decision in decisions {
-            let changed = (decision.spawned() + decision.retired()) as u64;
-            let cost = self.pricing.hop(false, changed * warm_bytes);
             if decision.is_resize() {
                 // A failed rebuild (impossible for in-bounds leaf counts)
                 // keeps the old subtree; the decision still lands in the
                 // trace so divergence is visible.
                 let _ = self.resize_node(decision.node, decision.desired_leaves as usize);
             }
-            actions.push(ScalingAction { decision, cost });
+            actions.push(ScalingAction { decision });
         }
         actions
     }
@@ -62,7 +53,7 @@ impl Cluster {
     pub(super) fn resize_node(&mut self, node: usize, desired_leaves: usize) -> Result<()> {
         let fan_in = self.children[node].topology().fan_in(0);
         let topology = Topology::two_level(desired_leaves.max(1), fan_in);
-        self.children[node] = self.sessions.build(topology, node, 0, node)?;
+        self.children[node] = self.sessions.build(topology, 0, node)?;
         Ok(())
     }
 }

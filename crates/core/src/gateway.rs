@@ -43,7 +43,6 @@ pub(crate) fn remote_dense_bytes(wire: &[u8], encoded: bool) -> Result<u64> {
 /// The per-node gateway.
 #[derive(Debug)]
 pub struct Gateway {
-    node: NodeId,
     store: ObjectStore,
     inboxes: BTreeMap<AggregatorId, InPlaceQueue>,
     /// Updates delivered so far: the arrival index an anonymous update is
@@ -53,20 +52,16 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Creates a gateway over the node's shared-memory store.
-    pub fn new(node: NodeId, store: ObjectStore) -> Self {
+    /// Creates a gateway over the node's shared-memory store. The gateway
+    /// does not read `_node`; the whole-round benchmark's engine adapter
+    /// passes it, so the argument stays.
+    pub fn new(_node: NodeId, store: ObjectStore) -> Self {
         Gateway {
-            node,
             store,
             inboxes: BTreeMap::new(),
             arrivals: 0,
             ingested_bytes: 0,
         }
-    }
-
-    /// The node this gateway serves.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Registers (or returns) the in-place queue feeding `aggregator`.
@@ -276,7 +271,6 @@ mod tests {
 
         let store = ObjectStore::new();
         let mut gw = Gateway::new(NodeId::new(0), store.clone());
-        assert_eq!(gw.node(), NodeId::new(0));
         let agg = AggregatorId::new(1);
         let inbox = gw.register_aggregator(agg);
         let mut expected_bytes = 0u64;

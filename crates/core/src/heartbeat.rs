@@ -68,16 +68,6 @@ impl HeartbeatMonitor {
         }
         failed
     }
-
-    /// Clients currently tracked (selected but not yet completed or failed).
-    pub fn tracked(&self) -> usize {
-        self.last_seen.len()
-    }
-
-    /// The keep-alive timeout.
-    pub fn timeout(&self) -> SimDuration {
-        self.timeout
-    }
 }
 
 /// Drop-out rates above this saturate instead of inflating the selection
@@ -128,10 +118,10 @@ mod tests {
         monitor.heartbeat(ClientId::new(2), SimTime::from_secs(25.0));
         let failed = monitor.failed_clients(SimTime::from_secs(40.0));
         assert_eq!(failed, vec![ClientId::new(1)]);
-        assert_eq!(monitor.tracked(), 2);
+        assert_eq!(monitor.last_seen.len(), 2);
         monitor.complete(ClientId::new(2));
-        assert_eq!(monitor.tracked(), 1);
-        assert_eq!(monitor.timeout().as_secs(), 30.0);
+        assert_eq!(monitor.last_seen.len(), 1);
+        assert_eq!(monitor.timeout.as_secs(), 30.0);
     }
 
     #[test]
@@ -155,7 +145,7 @@ mod tests {
         // take_failed evicts: the second take is empty, survivors stay.
         assert_eq!(monitor.take_failed(now), vec![ClientId::new(1)]);
         assert!(monitor.take_failed(now).is_empty());
-        assert_eq!(monitor.tracked(), 1);
+        assert_eq!(monitor.last_seen.len(), 1);
     }
 
     #[test]

@@ -296,12 +296,15 @@ fn weight_rule(total: u64, weight: u64) -> Result<u64> {
     (total.checked_add(weight)).ok_or(LiflError::InvalidAggregationGoal(weight))
 }
 
+/// Seed of every ingress's client-side error-feedback rounding stream (the
+/// value the pre-redesign codec path used).
+const SEED: u64 = 0x5EED;
+
 impl Ingress {
     /// An ingress whose encodes run on `workers`, with error feedback under
-    /// `kind` whose rounding stream starts at `seed`.
+    /// `kind` whose rounding stream starts at [`SEED`].
     pub(crate) fn new(
         kind: CodecKind,
-        seed: u64,
         pool: BufferPool,
         queues: Option<AdmissionQueues>,
         workers: Workers,
@@ -310,9 +313,9 @@ impl Ingress {
         // generator is never drawn from.
         Ingress {
             feedback: ErrorFeedback::new(
-                UpdateCodec::with_seed(kind, seed).with_pool(pool.clone()),
+                UpdateCodec::with_seed(kind, SEED).with_pool(pool.clone()),
             ),
-            stream: Turnstile::new(StochasticRng::from_seed(seed)),
+            stream: Turnstile::new(StochasticRng::from_seed(SEED)),
             workers,
             in_flight: VecDeque::new(),
             failure: None,
@@ -716,7 +719,7 @@ mod tests {
 
     fn ingress() -> Ingress {
         let workers = Workers::with_count(0);
-        Ingress::new(CodecKind::Identity, 0, BufferPool::new(), None, workers)
+        Ingress::new(CodecKind::Identity, BufferPool::new(), None, workers)
     }
 
     #[test]

@@ -63,14 +63,3 @@ pub mod recovery;
 pub mod session;
 mod stations;
 pub mod training;
-
-pub use admission::{AdmissionQueues, AdmissionStats, QueuedOffer};
-pub use aggregator::{AggregatorRuntime, AggregatorStep};
-pub use cluster::{
-    Cluster, ClusterBuilder, ClusterHop, ClusterReport, FaultStats, FaultToleranceConfig, NodeKill,
-    NodeRoundReport, TopMove, TopPlacement, TopRecovery,
-};
-pub use ewma::EwmaEstimator;
-pub use recovery::{RecoveryManager, RecoveryOutcome};
-pub use session::{Session, SessionBuilder, SessionReport, Update, WireExport};
-pub use training::{TrainingConfig, TrainingDriver, TrainingRound};

@@ -71,7 +71,6 @@ pub struct RecoveryManager {
     committed_versions: u64,
     last_checkpointed_version: Option<u64>,
     in_progress_updates: u64,
-    failures: u64,
 }
 
 impl RecoveryManager {
@@ -93,23 +92,12 @@ impl RecoveryManager {
             committed_versions: 0,
             last_checkpointed_version: None,
             in_progress_updates: 0,
-            failures: 0,
         })
     }
 
     /// The underlying checkpoint store (shared with the LIFL agent).
     pub fn store(&self) -> &CheckpointStore {
         &self.store
-    }
-
-    /// Number of committed global-model versions seen so far.
-    pub fn committed_versions(&self) -> u64 {
-        self.committed_versions
-    }
-
-    /// Number of failures handled.
-    pub fn failures(&self) -> u64 {
-        self.failures
     }
 
     /// Number of updates folded into the accumulator since the last commit.
@@ -147,7 +135,6 @@ impl RecoveryManager {
     /// # Errors
     /// Propagates deserialisation errors for a corrupt checkpoint.
     pub fn fail_and_recover(&mut self, now: SimTime) -> Result<RecoveryOutcome> {
-        self.failures += 1;
         let checkpoint = self.store.latest();
         let (recovered_model, recovered_round) = match &checkpoint {
             Some(cp) => (Some(model_from_bytes(&cp.data)?), Some(cp.round)),
@@ -204,7 +191,7 @@ mod tests {
         }
         assert_eq!(written, 2, "checkpoints at versions 3 and 6");
         assert_eq!(manager.store().len(), 2);
-        assert_eq!(manager.committed_versions(), 7);
+        assert_eq!(manager.committed_versions, 7);
     }
 
     #[test]
@@ -221,9 +208,8 @@ mod tests {
         assert_eq!(outcome.lost_versions, 1);
         assert_eq!(outcome.lost_in_progress_updates, 2);
         assert_eq!(outcome.ready_at, SimTime::from_secs(5.0));
-        assert_eq!(manager.failures(), 1);
         // Progress resumed from the checkpoint.
-        assert_eq!(manager.committed_versions(), 2);
+        assert_eq!(manager.committed_versions, 2);
         assert_eq!(manager.in_progress_updates(), 0);
     }
 
@@ -237,7 +223,7 @@ mod tests {
         assert!(outcome.recovered_round.is_none());
         assert_eq!(outcome.lost_versions, 1);
         assert_eq!(outcome.lost_in_progress_updates, 1);
-        assert_eq!(manager.committed_versions(), 0);
+        assert_eq!(manager.committed_versions, 0);
     }
 
     #[test]
@@ -247,7 +233,6 @@ mod tests {
         let first = manager.fail_and_recover(SimTime::from_secs(2.0)).unwrap();
         let second = manager.fail_and_recover(SimTime::from_secs(3.0)).unwrap();
         assert_eq!(first.recovered_model, second.recovered_model);
-        assert_eq!(manager.failures(), 2);
         assert_eq!(second.lost_versions, 0);
     }
 
@@ -329,7 +314,7 @@ mod proptests {
                         // Progress resumes from the checkpoint.
                         committed = checkpointed.unwrap_or(0);
                         folds_since_commit = 0;
-                        prop_assert_eq!(manager.committed_versions(), committed);
+                        prop_assert_eq!(manager.committed_versions, committed);
                         prop_assert_eq!(manager.in_progress_updates(), 0);
                     }
                 }

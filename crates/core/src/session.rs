@@ -43,12 +43,8 @@ use lifl_types::{
 
 pub use lifl_fl::update::Update;
 
-/// Default seed of the session's client-side error-feedback encoder (the
-/// value the pre-redesign codec path used).
-const DEFAULT_SEED: u64 = 0x5EED;
-
-/// Builds a [`Session`]: topology, codec, RNG seed and store/pool
-/// injection, with working defaults for all of them.
+/// Builds a [`Session`]: topology, codec, fold policy, tree position and
+/// store/pool injection, with working defaults for all of them.
 ///
 /// ```
 /// use lifl_core::session::SessionBuilder;
@@ -66,8 +62,6 @@ pub struct SessionBuilder {
     topology: Topology,
     codec: CodecKind,
     policy: FoldPolicy,
-    seed: u64,
-    node: NodeId,
     level_offset: usize,
     branch: usize,
     store: Option<ObjectStore>,
@@ -92,8 +86,6 @@ impl SessionBuilder {
             topology: Topology::default(),
             codec: CodecKind::Identity,
             policy: FoldPolicy::FedAvg,
-            seed: DEFAULT_SEED,
-            node: NodeId::new(0),
             level_offset: 0,
             branch: 0,
             store: None,
@@ -134,27 +126,13 @@ impl SessionBuilder {
     }
 
     /// Sets the fold policy every aggregator in the tree combines updates
-    /// with (`LiflConfig.fold_policy`). The default [`FoldPolicy::FedAvg`] is
-    /// bit-exact with the pre-policy path; robust policies compute a
-    /// coordinate-wise statistic per aggregator (each level's statistic runs
-    /// over that level's inputs — raw client updates at the leaves, child
-    /// intermediates above).
+    /// with; the session takes it here and from nowhere else. The default
+    /// [`FoldPolicy::FedAvg`] is bit-exact with the pre-policy path; robust
+    /// policies compute a coordinate-wise statistic per aggregator (each
+    /// level's statistic runs over that level's inputs — raw client updates
+    /// at the leaves, child intermediates above).
     pub fn fold_policy(mut self, policy: FoldPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Seeds the client-side error-feedback encoder's stochastic-rounding
-    /// stream (per-aggregator codec streams derive deterministically from the
-    /// tree position, so whole runs are reproducible).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the node identity of the session's gateway.
-    pub fn node(mut self, node: NodeId) -> Self {
-        self.node = node;
         self
     }
 
@@ -172,13 +150,12 @@ impl SessionBuilder {
     ///
     /// ```
     /// use lifl_core::session::SessionBuilder;
-    /// use lifl_types::{NodeId, Topology};
+    /// use lifl_types::Topology;
     ///
     /// // Node 1 of a cluster drives the second [2, 2] subtree of a global
     /// // [2, 2, 4] tree; a parent session at level 2 folds the node exports.
     /// let child = SessionBuilder::new()
     ///     .topology(Topology::new(vec![2, 2]).unwrap())
-    ///     .node(NodeId::new(1))
     ///     .tree_position(0, 1)
     ///     .build()
     ///     .unwrap();
@@ -261,7 +238,7 @@ impl SessionBuilder {
         let store = self.store.unwrap_or_default();
         let pool = self.pool.unwrap_or_default();
         let workers = self.workers.unwrap_or_else(Workers::new);
-        let mut gateway = Gateway::new(self.node, store.clone());
+        let mut gateway = Gateway::new(NodeId::default(), store.clone());
         let stations = Stations::new(
             &self.topology,
             (self.level_offset, self.branch),
@@ -281,9 +258,8 @@ impl SessionBuilder {
         Ok(Session {
             topology: self.topology,
             codec: self.codec,
-            policy: self.policy,
             store,
-            ingress: Ingress::new(self.codec, self.seed, pool.clone(), queues, workers),
+            ingress: Ingress::new(self.codec, pool.clone(), queues, workers),
             pool,
             gateway,
             stations,
@@ -374,7 +350,6 @@ impl WireExport {
 pub struct Session {
     topology: Topology,
     codec: CodecKind,
-    policy: FoldPolicy,
     store: ObjectStore,
     pool: BufferPool,
     gateway: Gateway,
@@ -414,16 +389,6 @@ impl Session {
     /// The tree this session aggregates over.
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// The wire codec in use.
-    pub fn codec(&self) -> CodecKind {
-        self.codec
-    }
-
-    /// The fold policy every aggregator in the tree combines updates with.
-    pub fn fold_policy(&self) -> FoldPolicy {
-        self.policy
     }
 
     /// The shared-memory store backing the session.
@@ -674,17 +639,6 @@ impl Session {
         stored
             .chain(self.ingress.in_flight_clients().map(Some))
             .collect()
-    }
-
-    /// The admission configuration, when the streaming path is enabled.
-    pub fn admission_config(&self) -> Option<&AdmissionConfig> {
-        self.ingress.config()
-    }
-
-    /// Occupancy of every per-leaf admission queue (empty without an
-    /// admission configuration).
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.ingress.depths()
     }
 
     /// Total updates parked in the admission queues.
@@ -1160,7 +1114,7 @@ mod tests {
             "rounds must not leak store objects"
         );
         // Error feedback accumulated residuals for the lossy codec.
-        assert_eq!(session.codec(), CodecKind::Uniform4);
+        assert_eq!(session.codec, CodecKind::Uniform4);
         assert!(session.store().stats().encoded_puts > 0);
         assert!(session.pool().stats().hits > 0, "codec scratch was pooled");
     }
@@ -1241,7 +1195,6 @@ mod tests {
                 .fold_policy(policy)
                 .build()
                 .unwrap();
-            assert_eq!(session.fold_policy(), policy);
             session
                 .ingest_all(batch.iter().cloned().map(Update::Dense))
                 .unwrap();
@@ -1293,7 +1246,7 @@ mod tests {
             AdmissionOutcome::Queued { depth: 1 }
         );
         assert_eq!(session.queued_updates(), 2);
-        assert_eq!(session.queue_depths(), vec![1, 1]);
+        assert_eq!(session.ingress.depths(), vec![1, 1]);
         session.drive().unwrap();
         // Driving opened the next round and drained the backlog into it.
         assert_eq!(session.pending_updates(), 2);
@@ -1988,7 +1941,6 @@ mod proptests {
                     let mut session = SessionBuilder::new()
                         .topology(topology.clone())
                         .codec(codec)
-                        .seed(seed)
                         .build()
                         .unwrap();
                     session

@@ -10,7 +10,7 @@
 //! stores, codecs, per-client error feedback and (for a cluster) priced
 //! inter-node hops all engaged. Because both tree backends apply the same
 //! ingress rules with the same seeds, the driver's loss/accuracy curve is
-//! **bit-exact** across them for every [`CodecKind`] (enforced by the
+//! **bit-exact** across them for every [`CodecKind`](lifl_types::CodecKind) (enforced by the
 //! `tests/it/driver.rs` tier), and matches the flat
 //! [`FlatFedAvg`](lifl_fl::FlatFedAvg) under a lossless codec.
 //!
@@ -38,9 +38,7 @@ use lifl_fl::staleness::{StalenessPolicy, StalenessTracker};
 use lifl_fl::trainer::{LocalTrainer, TrainerConfig};
 use lifl_fl::{Ingest, RoundAggregate, Update};
 use lifl_simcore::SimRng;
-use lifl_types::{
-    AdmissionOutcome, ClientId, CodecKind, LiflError, ModelKind, Result, SimDuration, SimTime,
-};
+use lifl_types::{AdmissionOutcome, ClientId, LiflError, ModelKind, Result, SimDuration, SimTime};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -288,11 +286,6 @@ impl<B: Ingest> TrainingDriver<B> {
     /// policy out-of-band load observations between rounds).
     pub fn backend_mut(&mut self) -> &mut B {
         &mut self.backend
-    }
-
-    /// The wire codec the backend applies at its ingress.
-    pub fn codec(&self) -> CodecKind {
-        self.backend.ingress_codec()
     }
 
     /// The current global model.
@@ -655,7 +648,7 @@ mod tests {
     use lifl_fl::client::ClientAvailability;
     use lifl_fl::dataset::DatasetConfig;
     use lifl_fl::population::PopulationConfig;
-    use lifl_types::Topology;
+    use lifl_types::{CodecKind, Topology};
 
     fn fixtures(seed: u64) -> (FederatedDataset, Population, SimRng) {
         let mut rng = SimRng::from_seed(seed);

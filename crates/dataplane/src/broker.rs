@@ -2,7 +2,8 @@
 //! component serverless FL systems insert between functions to hold routes
 //! and queue model updates.
 
-use lifl_types::{CpuCycles, SimDuration};
+use crate::metrics::CpuCycles;
+use lifl_types::SimDuration;
 
 /// Cost model of a message broker hop (publish + store + deliver).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -6,8 +6,10 @@
 //! Calibration targets come from the paper (Fig. 4, Fig. 7(a,b), §6.1) and
 //! are noted beside each constant.
 
+use crate::metrics::CpuCycles;
 use crate::pipeline::{DataPlaneKind, Pipeline, PipelineModels};
-use lifl_types::{CodecKind, CpuCycles, ModelKind, SimDuration, SystemKind};
+use crate::system::SystemKind;
+use lifl_types::{CodecKind, ModelKind, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// Effective wire seconds per MiB for inter-node transfers on the 10 GbE testbed

@@ -4,7 +4,8 @@
 //! writing the model update into shared memory, and the reverse on transmit.
 
 use crate::kernel_net::KernelNetModel;
-use lifl_types::{CpuCycles, SimDuration};
+use crate::metrics::CpuCycles;
+use lifl_types::SimDuration;
 
 /// Cost model of the gateway's receive (RX) and transmit (TX) paths.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -2,7 +2,8 @@
 //! kernel networking. Used by the serverful baseline (§6.1 "SF").
 
 use crate::kernel_net::KernelNetModel;
-use lifl_types::{CpuCycles, SimDuration};
+use crate::metrics::CpuCycles;
+use lifl_types::SimDuration;
 
 /// Cost model of a gRPC message exchange between two co-located or remote
 /// processes: protobuf (de)serialization plus two kernel-stack traversals.

@@ -1,7 +1,8 @@
 //! Kernel networking path model: protocol processing, copies and
 //! user/kernel boundary crossings (§2.3, §4.1).
 
-use lifl_types::{CpuCycles, SimDuration};
+use crate::metrics::CpuCycles;
+use lifl_types::SimDuration;
 
 /// Cost model for one traversal of the kernel TCP/IP stack on one side
 /// (either transmit or receive) for a payload of a given size.

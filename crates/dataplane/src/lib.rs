@@ -16,7 +16,8 @@
 //! [`cost::CostModel`] exposes everything the cluster simulator needs
 //! (transfer costs, aggregation compute, cold starts). `lifl-core`'s cluster
 //! prices its hops with the same model, and `lifl-serverless` takes its
-//! cold-start costs from it.
+//! cold-start costs from it. Costs are keyed by [`SystemKind`], the systems
+//! the evaluation compares, and priced in [`CpuCycles`].
 //!
 //! Calibration targets are taken from the paper itself (Fig. 4,
 //! Fig. 7(a,b), §6.1) and noted beside each constant.
@@ -29,9 +30,13 @@ pub mod cost;
 pub mod gateway;
 pub mod grpc;
 pub mod kernel_net;
+pub mod metrics;
 pub mod pipeline;
 pub mod sharedmem;
 pub mod sidecar;
+pub mod system;
 
 pub use cost::{update_wire_bytes, CostModel, TransferCost};
+pub use metrics::CpuCycles;
 pub use pipeline::{DataPlaneKind, HopCost, Pipeline, QueuingSetup};
+pub use system::SystemKind;

@@ -9,9 +9,10 @@ use crate::broker::BrokerModel;
 use crate::gateway::GatewayModel;
 use crate::grpc::GrpcChannelModel;
 use crate::kernel_net::KernelNetModel;
+use crate::metrics::CpuCycles;
 use crate::sharedmem::SharedMemoryModel;
 use crate::sidecar::ContainerSidecarModel;
-use lifl_types::{CpuCycles, SimDuration};
+use lifl_types::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// One hop of a data-plane pipeline.

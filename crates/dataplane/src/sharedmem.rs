@@ -1,6 +1,7 @@
 //! Shared-memory hop model: LIFL's intra-node zero-copy transfer (§4.1).
 
-use lifl_types::{CpuCycles, SimDuration};
+use crate::metrics::CpuCycles;
+use lifl_types::SimDuration;
 
 /// Cost model of one shared-memory hand-off between two co-located
 /// aggregators: the payload stays in place; only the 16-byte object key moves

@@ -1,7 +1,8 @@
 //! Container-based sidecar model (§2.3): an always-on proxy container that
 //! intercepts and forwards every message to/from a serverless function.
 
-use lifl_types::{CpuCycles, SimDuration};
+use crate::metrics::CpuCycles;
+use lifl_types::SimDuration;
 
 /// Cost model of a container sidecar on the datapath.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -8,8 +8,9 @@
 
 use crate::report::format_table;
 use lifl_core::ewma::EwmaEstimator;
+use lifl_sim::config::{ClusterConfig, LiflConfig, PlacementPolicy};
 use lifl_sim::platform::{LiflPlatform, PlatformProfile, RoundSpec};
-use lifl_types::{ClusterConfig, LiflConfig, ModelKind, PlacementPolicy, SimTime};
+use lifl_types::{ModelKind, SimTime};
 use serde::Serialize;
 
 /// One row of the EWMA-α sweep: how the estimator trades responsiveness

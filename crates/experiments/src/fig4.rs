@@ -4,10 +4,11 @@
 //! ResNet-152.
 
 use crate::report::format_table;
+use lifl_sim::config::ClusterConfig;
 use lifl_sim::no_hierarchy_profile;
 use lifl_sim::platform::{LiflPlatform, PlatformProfile, RoundSpec};
 use lifl_simcore::Gantt;
-use lifl_types::{ClusterConfig, ModelKind, SimTime};
+use lifl_types::{ModelKind, SimTime};
 use serde::Serialize;
 
 /// The Fig. 4 result.

@@ -7,9 +7,10 @@
 
 use crate::report::format_table;
 use lifl_dataplane::{CostModel, DataPlaneKind};
+use lifl_sim::config::{ClusterConfig, LiflConfig};
 use lifl_sim::platform::{LiflPlatform, RoundSpec};
 use lifl_simcore::Gantt;
-use lifl_types::{ClusterConfig, LiflConfig, ModelKind, SimTime};
+use lifl_types::{ModelKind, SimTime};
 use serde::Serialize;
 
 /// One row of Fig. 7(a)/(b).

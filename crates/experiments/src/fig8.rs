@@ -5,10 +5,10 @@
 //! nodes with MC_i = 20.
 
 use crate::report::format_table;
+use lifl_dataplane::SystemKind;
+use lifl_sim::config::{AggregationTiming, ClusterConfig, LiflConfig, PlacementPolicy};
 use lifl_sim::platform::{LiflPlatform, PlatformProfile, RoundSpec};
-use lifl_types::{
-    AggregationTiming, ClusterConfig, LiflConfig, ModelKind, PlacementPolicy, SimTime, SystemKind,
-};
+use lifl_types::{ModelKind, SimTime};
 use serde::Serialize;
 
 /// One cell of Fig. 8: a (configuration, load) pair.

@@ -10,11 +10,12 @@ use lifl_core::cluster::ClusterBuilder;
 use lifl_core::session::{SessionBuilder, Update};
 use lifl_fl::aggregate::ModelUpdate;
 use lifl_fl::DenseModel;
+use lifl_sim::config::{ClusterConfig, LiflConfig};
 use lifl_sim::platform::{LiflPlatform, PlatformProfile};
 use lifl_sim::{
     serverful_with_codec, serverless_with_codec, WorkloadDriver, WorkloadOutcome, WorkloadSetup,
 };
-use lifl_types::{ClientId, ClusterConfig, CodecKind, LiflConfig, ModelKind, Topology};
+use lifl_types::{ClientId, CodecKind, ModelKind, Topology};
 use serde::Serialize;
 
 /// Summary of one (workload, system) run.

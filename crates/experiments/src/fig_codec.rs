@@ -17,10 +17,11 @@ use lifl_fl::dataset::{DatasetConfig, FederatedDataset};
 use lifl_fl::population::{Population, PopulationConfig};
 use lifl_fl::trainer::TrainerConfig;
 use lifl_fl::FlatFedAvg;
+use lifl_sim::config::{ClusterConfig, LiflConfig};
 use lifl_sim::no_hierarchy_profile;
 use lifl_sim::platform::{LiflPlatform, PlatformProfile, RoundSpec};
 use lifl_simcore::SimRng;
-use lifl_types::{ClusterConfig, CodecKind, LiflConfig, ModelKind, SimTime};
+use lifl_types::{CodecKind, ModelKind, SimTime};
 use serde::Serialize;
 
 /// Updates in the default workload round (the Fig. 8 high-load point).

@@ -6,8 +6,9 @@
 
 use crate::report::format_table;
 use lifl_core::ewma::EwmaEstimator;
+use lifl_sim::config::PlacementPolicy;
 use lifl_sim::placement::{NodeCapacity, PlacementEngine};
-use lifl_types::{NodeId, PlacementPolicy};
+use lifl_types::NodeId;
 use serde::Serialize;
 use std::time::Instant;
 

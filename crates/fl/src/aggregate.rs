@@ -176,11 +176,6 @@ impl CumulativeFedAvg {
         self.updates_folded
     }
 
-    /// Total samples represented by the folded updates.
-    pub fn total_samples(&self) -> u64 {
-        self.total_samples
-    }
-
     /// Produces the aggregated model as an intermediate update, leaving the
     /// accumulator empty for reuse.
     ///
@@ -311,8 +306,10 @@ mod tests {
         let first = acc.finalize().unwrap();
         assert_eq!(first.samples, 4);
         assert_eq!(acc.updates_folded(), 0);
-        assert_eq!(acc.total_samples(), 0);
         assert!(acc.finalize().is_err());
+        // The next round's total starts from zero.
+        acc.fold(&update(2, vec![1.0], 3)).unwrap();
+        assert_eq!(acc.finalize().unwrap().samples, 3);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * **TopK** — magnitude sparsification; only the largest-magnitude
 //!   coordinates travel as `(index, value)` pairs, sorted by index. Which
 //!   ones is an exact selection under the total order documented at
-//!   [`kernels::select_topk`].
+//!   [`kernels::append_topk`].
 //!
 //! [`ErrorFeedback`] keeps a per-client residual (the part of each update the
 //! codec dropped) and folds it into the client's next transmission, the
@@ -115,18 +115,15 @@ pub struct EncodedUpdate {
 }
 
 impl EncodedUpdate {
-    /// The codec that produced this update.
-    pub fn codec(&self) -> CodecKind {
-        self.codec
-    }
-
     /// Number of parameters of the dense model this encodes.
     pub fn dim(&self) -> usize {
         self.dim as usize
     }
 
-    /// The per-tensor quantization scale (0 for `Identity` and `TopK`).
-    pub fn scale(&self) -> f32 {
+    /// The per-tensor quantization scale (0 for `Identity` and `TopK`): the
+    /// decode error bound lossy-codec tests compare against.
+    #[cfg(test)]
+    pub(crate) fn scale(&self) -> f32 {
         self.scale
     }
 
@@ -346,17 +343,6 @@ impl<'a> EncodedView<'a> {
     /// Number of parameters of the dense model this encodes.
     pub fn dim(&self) -> usize {
         self.dim as usize
-    }
-
-    /// The per-tensor quantization scale (0 for `Identity` and `TopK`).
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// Payload bytes behind this view (what [`EncodedUpdate::wire_bytes`]
-    /// reports for the owned form).
-    pub fn wire_bytes(&self) -> usize {
-        self.body.len()
     }
 
     /// Copies the view into an owned [`EncodedUpdate`].
@@ -664,7 +650,7 @@ impl FeedbackJob<'_> {
     /// quantizer, derives the scale in the same pass ([`kernels::add_max`]).
     /// Top-k selects in the same pass too: the add is fused into the
     /// selection's one full-length sweep (the collect of its candidate run,
-    /// see [`kernels::select_topk`]), so the wire form is written here and
+    /// see [`kernels::append_topk`]), so the wire form is written here and
     /// [`CompensatedJob::finish`] only folds the kept pairs back out.
     pub fn compensate(self) -> CompensatedJob {
         let FeedbackJob {
@@ -836,7 +822,7 @@ impl ErrorFeedback {
     /// added into it and released).
     ///
     /// A `TopK` update costs one full sweep: the add is fused into the
-    /// collect of the selection's candidate run ([`kernels::select_topk`]),
+    /// collect of the selection's candidate run ([`kernels::append_topk`]),
     /// which writes the pair of every sum at or above a sampled lower bound
     /// on the cut. The exact cut then runs over those ≈ 1.5 × `kept`
     /// candidates alone, and the fold-back touches only the kept pairs:
@@ -1051,12 +1037,12 @@ mod tests {
             }
             CodecKind::Uniform4 => {
                 let scale = tensor_scale(params, U4_LEVELS);
-                kernels::encode_u4(params, scale, U4_LEVELS, &mut rng, &mut body);
+                kernels::append_u4(params, scale, U4_LEVELS, &mut rng, &mut body);
                 (TAG_UNIFORM4, 0, scale, params.len())
             }
             CodecKind::TopK { permille } => {
                 let kept = CodecKind::top_k_kept(params.len() as u64, permille) as usize;
-                kernels::select_topk(params, kept, &mut body);
+                kernels::append_topk(params, kept, &mut body);
                 (TAG_TOPK, permille, 0.0, kept)
             }
         };

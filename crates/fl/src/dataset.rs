@@ -29,7 +29,6 @@ pub struct FederatedDataset {
     pub num_classes: usize,
     shards: Vec<Vec<Sample>>,
     test_set: Vec<Sample>,
-    class_centers: Vec<Vec<f32>>,
 }
 
 /// Configuration of the synthetic dataset generator.
@@ -111,7 +110,6 @@ impl FederatedDataset {
             num_classes: config.num_classes,
             shards,
             test_set,
-            class_centers,
         }
     }
 
@@ -142,11 +140,6 @@ impl FederatedDataset {
     /// A zero-initialised model of the right dimension.
     pub fn initial_model(&self) -> DenseModel {
         DenseModel::zeros(self.model_dim())
-    }
-
-    /// The class centers (exposed for tests that need a well-separated oracle).
-    pub fn class_centers(&self) -> &[Vec<f32>] {
-        &self.class_centers
     }
 }
 

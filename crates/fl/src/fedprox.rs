@@ -104,9 +104,12 @@ impl FedProxTrainer {
 
     /// Runs FedProx local training starting from `global`.
     ///
-    /// The proximal term is applied as an extra gradient `μ·(w − w_global)`
-    /// after each epoch of the base SGD pass (a standard mini-batch-level
-    /// approximation that keeps the base trainer unchanged); with μ = 0 the
+    /// The base trainer runs unchanged, then one shrink toward the global
+    /// model is applied to its output, once:
+    /// `w ← w − min(lr·μ·E, 1)·(w − w_global)` for `E` local epochs. This
+    /// is not FedProx's per-step proximal gradient, which interacts with the
+    /// data gradient at every step; ROADMAP item 22 decides whether the
+    /// term moves into the one trainer or this module goes. With μ = 0 the
     /// output is exactly the base trainer's output.
     pub fn train(
         &self,
@@ -117,7 +120,7 @@ impl FedProxTrainer {
         let (mut model, loss) = self.inner.train(global, shard, rng);
         if self.config.mu > 0.0 && !shard.is_empty() {
             // Pull the locally trained model back toward the global model:
-            // w ← w − lr·μ·(w − w_global), applied once per local epoch.
+            // w ← w − min(lr·μ·E, 1)·(w − w_global), applied once.
             let shrink = (self.config.learning_rate * self.config.mu).min(1.0)
                 * self.config.local_epochs.max(1) as f32;
             let shrink = shrink.min(1.0);

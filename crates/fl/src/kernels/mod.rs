@@ -477,9 +477,10 @@ enum Keys<'a> {
     Pairs(&'a [u8]),
 }
 
-/// Exact top-k sparsification: writes into `body` (cleared first) the
-/// little-endian `(u32 index, f32 value)` wire pairs of the `kept` largest
-/// elements of `params`, sorted by index.
+/// Exact top-k sparsification: appends to `body`, behind whatever it already
+/// holds (an update's descriptor, when the wire form is built in one
+/// buffer), the little-endian `(u32 index, f32 value)` wire pairs of the
+/// `kept` largest elements of `params`, sorted by index.
 ///
 /// "Largest" is a documented **total order**: the magnitude key — the bit
 /// pattern of `|x|` — descending, then index ascending. On finite inputs that
@@ -523,16 +524,9 @@ enum Keys<'a> {
 /// `kept`). The run path costs one full sweep where the whole-vector cut
 /// makes three — two histograms and the compaction — and four with error
 /// feedback's separate add, which the fused form folds into the collect.
-/// `kept` is clamped to `params.len()`.
-pub fn select_topk(params: &[f32], kept: usize, body: &mut Vec<u8>) {
-    body.clear();
-    append_topk(params, kept, body);
-}
-
-/// [`select_topk`] without the clear: the pairs are appended behind whatever
-/// `body` already holds (an update's descriptor, when the wire form is built
-/// in one buffer). `body` grows at most once, to the room the candidate
-/// run needs; a buffer checked out that large is never reallocated.
+/// `kept` is clamped to `params.len()`. `body` grows at most once, to the
+/// room the candidate run needs; a buffer checked out that large is never
+/// reallocated.
 pub fn append_topk(params: &[f32], kept: usize, body: &mut Vec<u8>) {
     append_topk_with(params, kept, body, simd_active());
 }
@@ -615,7 +609,7 @@ fn canonical(v: f32) -> f32 {
     }
 }
 
-/// Step 1 of [`select_topk`]: `t_lo`, the key of rank `expected + expected
+/// Step 1 of [`append_topk`]: `t_lo`, the key of rank `expected + expected
 /// / TOPK_SAMPLE_MARGIN` of a strided sample of the `dim` values `value`
 /// yields, or `None` when no run applies or the sample could not reject a
 /// single element.
@@ -642,7 +636,7 @@ fn candidate_floor(
     Some(topk_cut(Keys::Dense(&sample[..n]), rank, simd).0)
 }
 
-/// Steps 3 and 4 of [`select_topk`], behind the candidate run collected at
+/// Steps 3 and 4 of [`append_topk`], behind the candidate run collected at
 /// `body[start..]` (when `collected`) from `params`: the exact cut over the
 /// run if it holds at least `kept` pairs, over the whole of `params`
 /// otherwise.
@@ -889,22 +883,9 @@ fn encode_u8_with(
 }
 
 /// Quantizes `params` to packed `Uniform4` sign-magnitude nibbles (low
-/// nibble = even element) with stochastic rounding, writing into `body`
-/// (cleared and resized to `params.len().div_ceil(2)`). Same draw and
-/// bit-exactness contract as [`encode_u8`].
-pub fn encode_u4(
-    params: &[f32],
-    scale: f32,
-    levels: f32,
-    rng: &mut StochasticRng,
-    body: &mut Vec<u8>,
-) {
-    body.clear();
-    append_u4(params, scale, levels, rng, body);
-}
-
-/// [`encode_u4`] without the clear: the `params.len().div_ceil(2)` nibble
-/// bytes are appended behind whatever `body` already holds.
+/// nibble = even element) with stochastic rounding, appending the
+/// `params.len().div_ceil(2)` nibble bytes behind whatever `body` already
+/// holds. Same draw and bit-exactness contract as [`encode_u8`].
 pub fn append_u4(
     params: &[f32],
     scale: f32,
@@ -1120,7 +1101,8 @@ mod tests {
         let mut body = Vec::new();
         encode_u8(&params, 0.0, 127.0, &mut rng, &mut body);
         assert_eq!(body, vec![0u8; 3]);
-        encode_u4(&params, -1.0, 7.0, &mut rng, &mut body);
+        body.clear();
+        append_u4(&params, -1.0, 7.0, &mut rng, &mut body);
         assert_eq!(body, vec![0u8; 2]);
         let mut untouched = StochasticRng::from_seed(9);
         assert_eq!(rng.next_u64(), untouched.next_u64());
@@ -1266,7 +1248,7 @@ pub(crate) mod proptests {
     /// The top-k wire body from first principles: every index sorted by the
     /// documented total order — magnitude key descending, index ascending —
     /// and the first `kept` emitted in index order. On finite inputs that
-    /// is the encoder's order before `select_topk` (`|x|` descending by
+    /// is the encoder's order before `append_topk` (`|x|` descending by
     /// float compare, index ascending).
     pub(crate) fn reference_topk(params: &[f32], kept: usize) -> Vec<u8> {
         let mut order: Vec<u64> = (0u64..)

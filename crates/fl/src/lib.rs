@@ -54,16 +54,11 @@ pub mod trainer;
 pub mod update;
 
 pub use aggregate::{CumulativeFedAvg, ModelUpdate};
-pub use client::{Client, ClientAvailability};
-pub use codec::{EncodedUpdate, EncodedView, ErrorFeedback, UpdateCodec};
-pub use dataset::{FederatedDataset, Sample};
-pub use fedprox::{FedProxConfig, FedProxTrainer};
+pub use client::ClientAvailability;
+pub use codec::UpdateCodec;
+pub use dataset::FederatedDataset;
 pub use model::DenseModel;
 pub use population::{Population, PopulationConfig};
-pub use robust::{PolicyFold, RobustFold};
-pub use server_opt::{ServerOptConfig, ServerOptKind, ServerOptimizer};
 pub use sharded::ShardedFedAvg;
 pub use sink::{FlatFedAvg, Ingest, RoundAggregate};
-pub use staleness::{StalenessPolicy, StalenessTracker};
-pub use trainer::{LocalTrainer, TrainerConfig};
 pub use update::Update;

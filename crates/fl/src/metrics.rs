@@ -3,7 +3,7 @@
 
 use crate::dataset::Sample;
 use crate::model::DenseModel;
-use crate::trainer::{at_least, LocalTrainer};
+use crate::trainer::LocalTrainer;
 
 /// Top-1 accuracy (in percent) of `model` on `samples`.
 pub fn accuracy_percent(trainer: &LocalTrainer, model: &DenseModel, samples: &[Sample]) -> f64 {
@@ -44,23 +44,6 @@ pub fn accuracy_of_count(correct: usize, total: usize) -> f64 {
     100.0 * correct as f64 / total as f64
 }
 
-/// Average cross-entropy loss of `model` on `samples` (NaN for a model
-/// holding a NaN).
-pub fn cross_entropy(trainer: &LocalTrainer, model: &DenseModel, samples: &[Sample]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut lanes = trainer.lanes(model);
-    let total: f64 = samples
-        .iter()
-        .map(|s| {
-            let probs = lanes.probabilities(&s.features);
-            -(at_least(probs[s.label], 1e-7) as f64).ln()
-        })
-        .sum();
-    total / samples.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,7 +54,6 @@ mod tests {
         let trainer = LocalTrainer::new(2, 2, TrainerConfig::default());
         let model = DenseModel::zeros(trainer.model_dim());
         assert_eq!(accuracy_percent(&trainer, &model, &[]), 0.0);
-        assert_eq!(cross_entropy(&trainer, &model, &[]), 0.0);
     }
 
     #[test]
@@ -91,6 +73,5 @@ mod tests {
             },
         ];
         assert_eq!(accuracy_percent(&trainer, &model, &samples), 100.0);
-        assert!(cross_entropy(&trainer, &model, &samples) < 0.01);
     }
 }

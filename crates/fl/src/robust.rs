@@ -65,11 +65,6 @@ impl RobustFold {
         self.rows.len() as u64
     }
 
-    /// Total samples represented by the buffered updates.
-    pub fn total_samples(&self) -> u64 {
-        self.total_samples
-    }
-
     /// Buffers one update decoded from its zero-copy wire view (the decode
     /// runs on the dispatched [`crate::kernels`] arms like every other
     /// codec consumer).
@@ -189,14 +184,6 @@ impl PolicyFold {
         match self {
             PolicyFold::FedAvg(acc) => acc.updates_folded(),
             PolicyFold::Robust(robust) => robust.updates_folded(),
-        }
-    }
-
-    /// Total samples represented by the folded updates.
-    pub fn total_samples(&self) -> u64 {
-        match self {
-            PolicyFold::FedAvg(acc) => acc.total_samples(),
-            PolicyFold::Robust(robust) => robust.total_samples(),
         }
     }
 
@@ -348,10 +335,9 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(policy.updates_folded(), 5);
-        assert_eq!(policy.total_samples(), 15);
         let a = reference.finalize().unwrap();
         let b = policy.finalize().unwrap();
-        assert_eq!(a.samples, b.samples);
+        assert_eq!((a.samples, b.samples), (15, 15));
         for (x, y) in a.model.as_slice().iter().zip(b.model.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -378,7 +364,11 @@ mod tests {
             Err(LiflError::DimensionMismatch { .. })
         ));
         assert_eq!(policy.updates_folded(), 0);
-        assert_eq!(policy.total_samples(), 0);
+        // Nothing of either refused batch is counted: one later update is
+        // the whole round.
+        let view = EncodedView::identity_over(&payload);
+        policy.fold_encoded_view(&view, 1).unwrap();
+        assert_eq!(policy.finalize().unwrap().samples, 1);
     }
 
     #[test]
@@ -402,7 +392,6 @@ mod tests {
                 "{policy:?}"
             );
             assert_eq!(fold.updates_folded(), 1, "{policy:?}");
-            assert_eq!(fold.total_samples(), half, "{policy:?}");
             fold.fold_encoded_view(&view, 2).unwrap();
             let agg = fold.finalize().unwrap();
             assert_eq!(agg.samples, half + 2, "{policy:?}");

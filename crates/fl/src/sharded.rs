@@ -416,7 +416,7 @@ mod tests {
             Err(LiflError::InvalidAggregationGoal(views[1].1))
         );
         assert_eq!(acc.updates_folded(), 1);
-        assert_eq!(acc.total_samples(), updates[0].samples);
+        assert_eq!(acc.finalize().unwrap().samples, updates[0].samples);
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl FlatFedAvg {
             wire_bytes: 0,
         }
     }
-
-    /// The per-client error-feedback state (residuals persist across rounds).
-    pub fn feedback(&self) -> &ErrorFeedback {
-        &self.feedback
-    }
 }
 
 impl Ingest for FlatFedAvg {
@@ -199,13 +194,10 @@ mod tests {
             flat.ingest_update(update(3)).unwrap_err(),
             LiflError::RoundFull { capacity: 2 }
         );
-        let residual = flat.feedback().residual(ClientId::new(1)).cloned();
+        let residual = flat.feedback.residual(ClientId::new(1)).cloned();
         assert!(residual.is_some());
         flat.discard_round();
-        assert_eq!(
-            flat.feedback().residual(ClientId::new(1)).cloned(),
-            residual
-        );
+        assert_eq!(flat.feedback.residual(ClientId::new(1)).cloned(), residual);
         // The discarded round left nothing behind: the next one starts empty.
         flat.ingest_update(update(1)).unwrap();
         assert_eq!(flat.aggregate_round().unwrap().updates_ingested, 1);

@@ -15,9 +15,9 @@
 //! | R3   | `kernel-parity`     | every public fn in `kernels/scalar.rs` has a matching-signature AVX2 counterpart and a dispatch site in `kernels/mod.rs` |
 //! | R4   | `panic`             | no `unwrap()`/`expect(`/`panic!`/`todo!`/`unimplemented!` in non-test code of the hot-path crates |
 //! | R5   | `determinism`       | no `HashMap`/`HashSet`, `Instant::now` or `SystemTime` in the fold/aggregation modules |
-//! | R6   | `no-legacy-runtime` | the legacy runtime, the per-representation gateway doors, the payload-copying put path and the collapsed duplicates (`FlDriver`, `async_round`, `lifl_baselines`, `bench_ingest`, the simulator inside `lifl-core`) stay deleted, and no code of the engine crates (`types`, `shmem`, `fl`, `core`) but the station executor (`crates/core/src/stations.rs`) starts a thread |
+//! | R6   | `no-legacy-runtime` | the legacy runtime, the per-representation gateway doors, the payload-copying put path and the collapsed duplicates (`FlDriver`, `async_round`, `lifl_baselines`, `bench_ingest`, the simulator inside `lifl-core`) stay deleted, no code of the engine crates (`types`, `shmem`, `fl`, `core`) but the station executor (`crates/core/src/stations.rs`) starts a thread, and no non-test engine code names the simulator's types (`LiflConfig`, `CpuCycles`, ...) |
 //! | R7   | `ci-sync`           | the justfile `ci` recipe and `.github/workflows/ci.yml` run the same commands |
-//! | R8   | `dead-pub`          | every `pub` item of every crate's `src/` is named somewhere outside its own file's unit tests: the workspace, `tests/`, `examples/` or `benchmark/src` |
+//! | R8   | `dead-pub`          | every `pub` item of every crate's `src/` is named somewhere outside its own file's unit tests and outside a `pub use` re-export: the workspace, `tests/`, `examples/` or `benchmark/src` |
 //!
 //! Diagnostics are machine readable (`file:line: rule-id: message`) and the
 //! binary exits nonzero on any finding. A site with a genuine reason to break

@@ -858,6 +858,47 @@ fn thread_starts(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
     }
 }
 
+/// The paper simulator's configuration and accounting types, which left
+/// `lifl-types` for `lifl_sim::config` (the first six) and `lifl_dataplane`
+/// (`CpuCycles`, `SystemKind`). The engine takes its codec, fold policy and
+/// fan-ins as builder arguments and names none of them. `lifl-core`'s
+/// manifest still lists `lifl-dataplane` (ROADMAP item 4), so only this
+/// check keeps `lifl_dataplane::CpuCycles` out of engine code.
+const SIMULATOR_TYPES: [&str; 8] = [
+    "LiflConfig",
+    "ClusterConfig",
+    "NodeConfig",
+    "PlacementPolicy",
+    "AggregationTiming",
+    "RoundMetrics",
+    "CpuCycles",
+    "SystemKind",
+];
+
+/// R6's one-way-arrow half: the [`SIMULATOR_TYPES`] named by non-test code
+/// of the [`ENGINE_CRATES`].
+fn simulator_types(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
+    if !ENGINE_CRATES.iter().any(|c| f.rel.starts_with(c)) {
+        return;
+    }
+    for &i in code {
+        let t = &f.toks[i];
+        if t.kind == TokKind::Ident && !f.is_test(i) && SIMULATOR_TYPES.contains(&t.text.as_str()) {
+            out.push(finding(
+                f,
+                t.line,
+                Rule::LegacyRuntime,
+                format!(
+                    "`{}` is the paper simulator's type (`lifl_sim::config` or \
+                     `lifl_dataplane`); engine code takes its codec, fold policy and \
+                     fan-ins as builder arguments and never names it",
+                    t.text
+                ),
+            ));
+        }
+    }
+}
+
 /// R6's move-only half: the payload-copying calls of [`PAYLOAD_COPIES`] in
 /// non-test code of the [`MOVE_ONLY_FILES`].
 fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
@@ -895,9 +936,10 @@ fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
 /// `THREAD_MODULE`, and with it any `PRIVATE_WORKER_SET`) and the
 /// asynchronous stack beside the training driver
 /// (`RETIRED_WITH_ASYNC_DRIVER`) and the client re-send path of node
-/// failures (`RETIRED_WITH_FAULT_RESEND`) must stay deleted. Unlike the shell guard
-/// this replaces, the check runs on code tokens, so prose in comments and
-/// string literals can mention the old names freely.
+/// failures (`RETIRED_WITH_FAULT_RESEND`) must stay deleted, and non-test
+/// code of the `ENGINE_CRATES` names none of the `SIMULATOR_TYPES`. Unlike
+/// the shell guard this replaces, the check runs on code tokens, so prose
+/// in comments and string literals can mention the old names freely.
 pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for (file, message) in DELETED_FILES {
@@ -914,6 +956,7 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
         let code = code_indices(f);
         payload_copies(f, &code, &mut out);
         thread_starts(f, &code, &mut out);
+        simulator_types(f, &code, &mut out);
         for w in 0..code.len() {
             let t = &f.toks[code[w]];
             if t.kind != TokKind::Ident {
@@ -1040,6 +1083,26 @@ fn pub_item_name(f: &SourceFile, code: &[usize], w: usize) -> Option<usize> {
         .then_some(name)
 }
 
+/// Whether the code token `code[w]` opens a re-export: a `use` after `pub`
+/// or after a `pub(...)` restriction.
+fn opens_reexport(f: &SourceFile, code: &[usize], w: usize) -> bool {
+    let tok = |k: usize| &f.toks[code[k]];
+    if !tok(w).is_ident("use") || w == 0 {
+        return false;
+    }
+    let mut k = w - 1;
+    if tok(k).is_punct(")") {
+        while k > 0 && !tok(k).is_punct("(") {
+            k -= 1;
+        }
+        let Some(before) = k.checked_sub(1) else {
+            return false;
+        };
+        k = before;
+    }
+    tok(k).is_ident("pub")
+}
+
 /// Whether `rel` is a crate's own source (`crates/<name>/src/...`), the
 /// code R8 checks; a crate's `tests/` only count as users.
 fn is_crate_source(rel: &str) -> bool {
@@ -1050,10 +1113,11 @@ fn is_crate_source(rel: &str) -> bool {
 
 /// R8: every plain `pub` item (fn, type, trait, const, static, alias) in
 /// non-test code of every crate's `src/` must be named by a code token that
-/// is not a definition and not in its own file's unit tests, anywhere in the
-/// scanned workspace or in `references` (the benchmark, which compiles
-/// against the engine). Integration tests, examples and the benchmark count
-/// whole; another file's unit tests count too. An item only its own file's
+/// is not a definition, not part of a re-export (`pub use`, which only
+/// opens another path to the item) and not in its own file's unit tests,
+/// anywhere in the scanned workspace or in `references` (the benchmark,
+/// which compiles against the engine). Integration tests, examples and the
+/// benchmark count whole; another file's unit tests count too. An item only its own file's
 /// tests name is test scaffolding: delete it, gate it on `cfg(test)`, or say
 /// why it stays public with `lifl-lint: allow(dead-pub) — <why>`. The scan
 /// is by name, so it errs toward keeping: a name any other item shares is
@@ -1066,10 +1130,13 @@ pub fn dead_pub(files: &[SourceFile], references: &[SourceFile]) -> Vec<Finding>
         let code = code_indices(f);
         // Integration tests, examples and the benchmark are users whole.
         let user = !f.rel.starts_with("crates/");
+        // Inside a `pub use ...;`: its names are another path, not a use.
+        let mut reexport = false;
         for (w, &i) in code.iter().enumerate() {
             let t = &f.toks[i];
+            reexport = (reexport && !t.is_punct(";")) || opens_reexport(f, &code, w);
             let defined = w > 0 && ITEM_KEYWORDS.contains(&f.toks[code[w - 1]].text.as_str());
-            if t.kind == TokKind::Ident && !defined {
+            if t.kind == TokKind::Ident && !defined && !reexport {
                 let by = (!user && f.is_test(i)).then_some(f.rel.as_str());
                 uses.entry(&t.text).or_default().insert(by);
             }

@@ -19,6 +19,9 @@ pub(crate) fn internal() {}
 // lifl-lint: allow(dead-pub)
 pub const UNJUSTIFIED: u32 = 1;
 
+/// Only a re-export names it: another path to an item is not a use.
+pub struct ReexportedOnly;
+
 #[cfg(test)]
 mod tests {
     #[test]

@@ -302,6 +302,33 @@ fn r6_fail_flags_private_worker_sets_outside_the_station_executor() {
 }
 
 #[test]
+fn r6_fail_flags_simulator_types_in_engine_code() {
+    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
+    let named: Vec<&String> = found
+        .iter()
+        .filter(|f| f.contains("crates/core/src/pricing.rs"))
+        .collect();
+    // The import, the signature and the constructor; not the test module.
+    assert_eq!(named.len(), 5, "{found:#?}");
+    for (line, name) in [
+        (3, "`CpuCycles`"),
+        (3, "`SystemKind`"),
+        (5, "`LiflConfig`"),
+        (5, "`CpuCycles`"),
+        (6, "`CpuCycles`"),
+    ] {
+        assert!(
+            named
+                .iter()
+                .any(|f| f.contains(&format!("pricing.rs:{line}:"))
+                    && f.contains(name)
+                    && f.contains("the paper simulator's type")),
+            "{name} at line {line}: {found:#?}"
+        );
+    }
+}
+
+#[test]
 fn r6_pass_allows_prose_and_string_mentions() {
     assert_eq!(
         lint("r6_pass", &[Rule::LegacyRuntime]),
@@ -334,16 +361,18 @@ fn r7_pass_counts_agreed_commands() {
 fn r8_fail_flags_engine_items_only_their_own_tests_name() {
     let found = lint("r8_fail", &[Rule::DeadPub]);
     // `only_my_tests`, `Orphan`, `UNJUSTIFIED`, the unjustified marker's own
-    // diagnostic, and the simulator crate's `simulator_only` and `NAME`; the
-    // benchmark's and the integration test's items have users, and the
-    // pub(crate) item is never checked.
-    assert_eq!(found.len(), 6, "{found:#?}");
+    // diagnostic, `ReexportedOnly` (the simulator's `pub use` of it is
+    // another path, not a use), and the simulator crate's `simulator_only`
+    // and `NAME`; the benchmark's and the integration test's items have
+    // users, and the pub(crate) item is never checked.
+    assert_eq!(found.len(), 7, "{found:#?}");
     for (file, line, name) in [
         ("core", 10, "only_my_tests"),
         ("core", 13, "Orphan"),
         ("core", 20, "UNJUSTIFIED"),
-        ("sim", 5, "simulator_only"),
-        ("sim", 8, "NAME"),
+        ("core", 23, "ReexportedOnly"),
+        ("sim", 7, "simulator_only"),
+        ("sim", 10, "NAME"),
     ] {
         assert!(
             found

@@ -16,7 +16,8 @@
 use crate::function::FunctionSpec;
 use crate::instance::InstancePool;
 use lifl_dataplane::cost::StartupCost;
-use lifl_types::{SimDuration, SimTime, SystemKind};
+use lifl_dataplane::SystemKind;
+use lifl_types::{SimDuration, SimTime};
 
 /// How the chain's instances are brought up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

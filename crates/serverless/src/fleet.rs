@@ -117,11 +117,6 @@ impl FleetDecision {
         self.desired_leaves.saturating_sub(self.current_leaves)
     }
 
-    /// Leaves to remove (zero when holding or growing).
-    pub fn retired(&self) -> u32 {
-        self.current_leaves.saturating_sub(self.desired_leaves)
-    }
-
     /// Whether the decision changes the subtree at all.
     pub fn is_resize(&self) -> bool {
         self.desired_leaves != self.current_leaves

@@ -1,6 +1,7 @@
 //! Function specifications and instance lifecycle states.
 
-use lifl_types::{SimDuration, SystemKind};
+use lifl_dataplane::SystemKind;
+use lifl_types::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Static description of a serverless function (the aggregator function).

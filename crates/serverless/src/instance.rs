@@ -101,7 +101,7 @@ impl InstancePool {
 mod tests {
     use super::*;
     use lifl_dataplane::CostModel;
-    use lifl_types::SystemKind;
+    use lifl_dataplane::SystemKind;
 
     fn pool(system: SystemKind) -> InstancePool {
         InstancePool::new(

@@ -53,7 +53,6 @@ pub struct RevisionStats {
 /// A revision: a set of pods reconciled toward a desired replica count.
 #[derive(Debug, Clone)]
 pub struct Revision {
-    name: String,
     startup: StartupCost,
     termination_grace: SimDuration,
     pods: BTreeMap<InstanceId, Pod>,
@@ -63,20 +62,14 @@ pub struct Revision {
 
 impl Revision {
     /// Creates an empty revision.
-    pub fn new(name: impl Into<String>, startup: StartupCost) -> Self {
+    pub fn new(startup: StartupCost) -> Self {
         Revision {
-            name: name.into(),
             startup,
             termination_grace: SimDuration::from_secs(2.0),
             pods: BTreeMap::new(),
             next_id: 0,
             stats: RevisionStats::default(),
         }
-    }
-
-    /// The revision's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Scaling counters.
@@ -176,13 +169,10 @@ impl Revision {
 mod tests {
     use super::*;
     use lifl_dataplane::CostModel;
-    use lifl_types::SystemKind;
+    use lifl_dataplane::SystemKind;
 
     fn revision() -> Revision {
-        Revision::new(
-            "aggregator-00001",
-            CostModel::paper_calibrated().startup(SystemKind::Serverless),
-        )
+        Revision::new(CostModel::paper_calibrated().startup(SystemKind::Serverless))
     }
 
     #[test]
@@ -248,6 +238,5 @@ mod tests {
         rev.reconcile(SimTime::ZERO, 3);
         let ids: Vec<u64> = rev.pods.values().map(|p| p.id.index()).collect();
         assert_eq!(ids, vec![0, 1, 2]);
-        assert_eq!(rev.name(), "aggregator-00001");
     }
 }

@@ -96,16 +96,6 @@ impl PooledBacklog {
     pub fn stats(&self) -> BacklogStats {
         self.stats
     }
-
-    /// The slot budget.
-    pub fn max_slots(&self) -> usize {
-        self.max_slots
-    }
-
-    /// The byte budget.
-    pub fn max_bytes(&self) -> usize {
-        self.max_bytes
-    }
 }
 
 #[cfg(test)]
@@ -151,10 +141,13 @@ mod tests {
 
     #[test]
     fn budgets_are_visible() {
-        let backlog = PooledBacklog::new(BufferPool::new(), 3, 99);
-        assert_eq!(backlog.max_slots(), 3);
-        assert_eq!(backlog.max_bytes(), 99);
+        let mut backlog = PooledBacklog::new(BufferPool::new(), 3, 99);
         assert!(backlog.would_admit(99));
         assert!(!backlog.would_admit(100));
+        let held: Vec<_> = (0..3)
+            .map(|_| backlog.try_store(&[1u8]).expect("fits"))
+            .collect();
+        assert!(!backlog.would_admit(1), "three slots hold three buffers");
+        held.into_iter().for_each(|b| backlog.release(b));
     }
 }

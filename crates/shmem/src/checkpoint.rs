@@ -54,11 +54,6 @@ impl CheckpointStore {
         );
     }
 
-    /// Returns the checkpoint for `round`, if present.
-    pub fn load(&self, round: RoundId) -> Option<Checkpoint> {
-        self.inner.lock().checkpoints.get(&round.index()).cloned()
-    }
-
     /// Returns the most recent checkpoint, if any. Used for recovery after an
     /// aggregator failure: aggregators are stateless, so a new instance starts
     /// from the latest global model.
@@ -93,8 +88,8 @@ mod tests {
         store.save(RoundId::new(1), vec![1, 2, 3], SimTime::from_secs(5.0));
         store.save(RoundId::new(2), vec![4, 5], SimTime::from_secs(9.0));
         assert_eq!(store.len(), 2);
-        assert_eq!(store.load(RoundId::new(1)).unwrap().data, vec![1, 2, 3]);
-        assert!(store.load(RoundId::new(7)).is_none());
+        let latest = store.latest().unwrap();
+        assert_eq!((latest.round, latest.data), (RoundId::new(2), vec![4, 5]));
         assert_eq!(store.bytes_written(), 5);
     }
 
@@ -113,7 +108,7 @@ mod tests {
         store.save(RoundId::new(1), vec![0; 10], SimTime::ZERO);
         store.save(RoundId::new(1), vec![1; 20], SimTime::ZERO);
         assert_eq!(store.len(), 1);
-        assert_eq!(store.load(RoundId::new(1)).unwrap().data.len(), 20);
+        assert_eq!(store.latest().unwrap().data.len(), 20);
         assert_eq!(store.bytes_written(), 30);
     }
 }

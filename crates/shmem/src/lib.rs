@@ -41,9 +41,9 @@ pub mod pool;
 pub mod queue;
 pub mod store;
 
-pub use backlog::{BacklogStats, PooledBacklog};
+pub use backlog::PooledBacklog;
 pub use checkpoint::CheckpointStore;
-pub use object::{PayloadEncoding, SharedObject};
+pub use object::SharedObject;
 pub use pool::{BufferPool, PoolStats, PooledBuf};
 pub use queue::InPlaceQueue;
 pub use store::{ObjectStore, StoreStats};

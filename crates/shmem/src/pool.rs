@@ -201,21 +201,6 @@ impl BufferPool {
         drop(surplus);
     }
 
-    /// Drops every idle buffer (e.g. when the model dimension changes and the
-    /// resident capacities no longer fit the workload).
-    pub fn shrink(&self) {
-        let (f32s, bytes) = {
-            let mut inner = self.inner.lock();
-            inner.stats.idle_buffers = 0;
-            inner.stats.idle_bytes = 0;
-            (
-                std::mem::take(&mut inner.f32s.idle),
-                std::mem::take(&mut inner.bytes.idle),
-            )
-        };
-        drop((f32s, bytes));
-    }
-
     /// Current pool statistics.
     pub fn stats(&self) -> PoolStats {
         self.inner.lock().stats
@@ -411,17 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn shrink_empties_the_slab() {
-        let pool = BufferPool::new();
-        let buf = pool.checkout_f32(10);
-        pool.checkin_f32(buf);
-        assert_eq!(pool.stats().idle_buffers, 1);
-        pool.shrink();
-        assert_eq!(pool.stats().idle_buffers, 0);
-        assert_eq!(pool.stats().idle_bytes, 0);
-    }
-
-    #[test]
     fn pool_is_clone_shared() {
         let pool = BufferPool::new();
         let alias = pool.clone();
@@ -496,12 +470,12 @@ mod proptests {
 
     proptest! {
         /// Over any checkout/check-in sequence (pooled buffers coming back,
-        /// foreign buffers arriving, shrinks) the incrementally maintained
+        /// foreign buffers arriving) the incrementally maintained
         /// idle counters equal a recount of the idle lists, the pool never
         /// holds more than it handed out, and the peaks bound the present.
         #[test]
         fn incremental_stats_equal_recomputed_ones(
-            ops in proptest::collection::vec((0u8..7, 1usize..200), 1..120),
+            ops in proptest::collection::vec((0u8..6, 1usize..200), 1..120),
         ) {
             let pool = BufferPool::new();
             let mut out_f32: Vec<Vec<f32>> = Vec::new();
@@ -528,8 +502,7 @@ mod proptests {
                         }
                     }
                     4 => pool.checkin_f32(vec![0.0; size]),
-                    5 => pool.checkin_bytes(vec![0u8; size]),
-                    _ => pool.shrink(),
+                    _ => pool.checkin_bytes(vec![0u8; size]),
                 }
                 let stats = pool.stats();
                 prop_assert_eq!((stats.idle_buffers, stats.idle_bytes), pool.recounted());

@@ -55,8 +55,6 @@ impl QueuedUpdate {
 #[derive(Debug, Default)]
 struct QueueInner {
     fifo: VecDeque<QueuedUpdate>,
-    total_enqueued: u64,
-    total_dequeued: u64,
     peak_depth: usize,
 }
 
@@ -77,18 +75,12 @@ impl InPlaceQueue {
     pub fn enqueue(&self, update: QueuedUpdate) {
         let mut inner = self.inner.lock();
         inner.fifo.push_back(update);
-        inner.total_enqueued += 1;
         inner.peak_depth = inner.peak_depth.max(inner.fifo.len());
     }
 
     /// Dequeues the oldest update key, if any.
     pub fn dequeue(&self) -> Option<QueuedUpdate> {
-        let mut inner = self.inner.lock();
-        let item = inner.fifo.pop_front();
-        if item.is_some() {
-            inner.total_dequeued += 1;
-        }
-        item
+        self.inner.lock().fifo.pop_front()
     }
 
     /// Removes and returns the first queued update matching `pred`,
@@ -98,11 +90,7 @@ impl InPlaceQueue {
     pub fn remove_first(&self, pred: impl Fn(&QueuedUpdate) -> bool) -> Option<QueuedUpdate> {
         let mut inner = self.inner.lock();
         let pos = inner.fifo.iter().position(&pred)?;
-        let item = inner.fifo.remove(pos);
-        if item.is_some() {
-            inner.total_dequeued += 1;
-        }
-        item
+        inner.fifo.remove(pos)
     }
 
     /// Current queue depth.
@@ -118,16 +106,6 @@ impl InPlaceQueue {
     /// Highest depth the queue ever reached.
     pub fn peak_depth(&self) -> usize {
         self.inner.lock().peak_depth
-    }
-
-    /// Total updates enqueued over the queue's lifetime.
-    pub fn total_enqueued(&self) -> u64 {
-        self.inner.lock().total_enqueued
-    }
-
-    /// Total updates dequeued over the queue's lifetime.
-    pub fn total_dequeued(&self) -> u64 {
-        self.inner.lock().total_dequeued
     }
 }
 
@@ -164,8 +142,6 @@ mod tests {
         let first = q.dequeue().unwrap();
         assert_eq!(first.weight, 4);
         assert!(first.producer.is_none());
-        assert_eq!(q.total_enqueued(), 2);
-        assert_eq!(q.total_dequeued(), 1);
         assert!(!q.is_empty());
     }
 

@@ -1,19 +1,19 @@
-//! Cluster and platform configuration.
+//! The simulator's cluster and platform configuration, and the record of one
+//! simulated round.
 //!
-//! The defaults reproduce the paper's testbed (§6.1): 64-core nodes, 192 GB
-//! memory, 10 GbE NICs, a maximum service capacity of 20 model updates per
-//! node, EWMA α = 0.7, leaf fan-in I = 2 and a 2-minute hierarchy re-plan
-//! period.
+//! The engine (`lifl-core`) reads none of this: it takes its codec, fold
+//! policy and fan-ins as builder arguments. The defaults reproduce the
+//! paper's testbed (§6.1): 64-core nodes, 192 GB memory, 10 GbE NICs, a
+//! maximum service capacity of 20 model updates per node, EWMA α = 0.7,
+//! leaf fan-in I = 2 and a 2-minute hierarchy re-plan period.
 
-use crate::codec::CodecKind;
-use crate::fold::FoldPolicy;
-use crate::time::SimDuration;
+use lifl_types::{CodecKind, FoldPolicy, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// When aggregation is triggered relative to update arrival (Fig. 1, §2.1, §5.4).
 ///
 /// This is the paper simulator's eager/lazy ablation axis and nothing else:
-/// it selects how `lifl_sim::eager` times a simulated round
+/// it selects how [`crate::eager`] times a simulated round
 /// (`LiflConfig::timing`). The engine has no timing mode — a session or
 /// cluster folds a round when it is driven, and asynchronous training
 /// commits a version each time the backend's round fills.
@@ -84,13 +84,6 @@ impl Default for ClusterConfig {
     }
 }
 
-impl ClusterConfig {
-    /// Total service capacity of the cluster (sum of MC_i).
-    pub fn total_capacity(&self) -> u64 {
-        self.aggregation_nodes as u64 * self.node.max_service_capacity as u64
-    }
-}
-
 /// LIFL control-plane configuration (§5).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LiflConfig {
@@ -122,7 +115,7 @@ pub struct LiflConfig {
     /// Cap on every *interior* aggregator's fan-in when planning a node's
     /// subtree (§5.2 plans two levels; with a cap, heavily loaded nodes grow
     /// middle levels instead of one wide middle — see
-    /// [`Topology::for_load_capped`](crate::Topology::for_load_capped)).
+    /// [`Topology::for_load_capped`](lifl_types::Topology::for_load_capped)).
     /// `0` (the default) leaves interior fan-ins uncapped, reproducing the
     /// paper's two-level plans bit-exactly.
     pub max_interior_fan_in: u32,
@@ -169,41 +162,64 @@ impl LiflConfig {
         steps.push(("+1+2+3+4".to_string(), config));
         steps
     }
+}
 
-    /// Validates configuration invariants.
-    ///
-    /// # Errors
-    /// Returns an error string if α is outside `[0, 1]` or the leaf fan-in is zero.
-    pub fn validate(&self) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&self.ewma_alpha) {
-            return Err(format!(
-                "ewma_alpha must be in [0,1], got {}",
-                self.ewma_alpha
-            ));
+/// Metrics describing one completed aggregation round.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct RoundMetrics {
+    /// Round index.
+    pub round: u64,
+    /// Wall-clock time at which the round started (first update arrival).
+    pub started_at: SimTime,
+    /// Wall-clock time at which the global model was updated.
+    pub completed_at: SimTime,
+    /// Aggregation completion time: from first arrival to global-model update.
+    pub aggregation_completion_time: SimDuration,
+    /// Number of model updates aggregated (the aggregation goal n).
+    pub updates_aggregated: u64,
+    /// Number of aggregator instances created during the round (cold starts).
+    pub aggregators_created: u64,
+    /// Number of warm aggregator instances reused across levels.
+    pub aggregators_reused: u64,
+    /// Number of distinct worker nodes used.
+    pub nodes_used: u64,
+    /// Busy CPU time consumed by the aggregation service during the round.
+    pub cpu_time: SimDuration,
+    /// Bytes transferred across nodes during the round.
+    pub inter_node_bytes: u64,
+    /// Test accuracy of the global model after this round (if evaluated).
+    pub accuracy: Option<f64>,
+}
+
+impl RoundMetrics {
+    /// Creates an empty record for a round starting at `started_at`.
+    pub fn new(round: u64, started_at: SimTime) -> Self {
+        RoundMetrics {
+            round,
+            started_at,
+            completed_at: started_at,
+            aggregation_completion_time: SimDuration::ZERO,
+            updates_aggregated: 0,
+            aggregators_created: 0,
+            aggregators_reused: 0,
+            nodes_used: 0,
+            cpu_time: SimDuration::ZERO,
+            inter_node_bytes: 0,
+            accuracy: None,
         }
-        if self.leaf_fan_in == 0 {
-            return Err("leaf_fan_in must be at least 1".to_string());
-        }
-        if self.replan_period.as_secs() <= 0.0 {
-            return Err("replan_period must be positive".to_string());
-        }
-        if let CodecKind::TopK { permille } = self.codec {
-            if permille == 0 || permille > 1000 {
-                return Err(format!("TopK permille must be in 1..=1000, got {permille}"));
-            }
-        }
-        self.fold_policy.validate()?;
-        if self.aggregation_shards == 0 {
-            return Err("aggregation_shards must be at least 1".to_string());
-        }
-        Ok(())
+    }
+
+    /// Marks the round complete at `at`, recording the ACT.
+    pub fn complete(&mut self, at: SimTime) {
+        self.completed_at = at;
+        self.aggregation_completion_time = at.duration_since(self.started_at);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Topology;
+    use lifl_types::Topology;
 
     #[test]
     fn defaults_match_paper() {
@@ -219,7 +235,11 @@ mod tests {
         let node = NodeConfig::default();
         assert_eq!(node.cores, 64);
         assert_eq!(node.max_service_capacity, 20);
-        assert_eq!(ClusterConfig::default().total_capacity(), 100);
+        let cluster = ClusterConfig::default();
+        assert_eq!(
+            (cluster.aggregation_nodes, cluster.node.max_service_capacity),
+            (5, 20)
+        );
     }
 
     #[test]
@@ -234,32 +254,6 @@ mod tests {
         assert!(steps[3].1.reuse_runtimes);
         assert_eq!(steps[3].1.timing, AggregationTiming::Lazy);
         assert_eq!(steps[4].1.timing, AggregationTiming::Eager);
-    }
-
-    #[test]
-    fn validation_catches_bad_alpha() {
-        let mut cfg = LiflConfig {
-            ewma_alpha: 1.5,
-            ..LiflConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        cfg.ewma_alpha = 0.5;
-        cfg.leaf_fan_in = 0;
-        assert!(cfg.validate().is_err());
-        cfg.leaf_fan_in = 2;
-        assert!(cfg.validate().is_ok());
-        cfg.codec = CodecKind::TopK { permille: 0 };
-        assert!(cfg.validate().is_err());
-        cfg.codec = CodecKind::TopK { permille: 50 };
-        assert!(cfg.validate().is_ok());
-        cfg.fold_policy = FoldPolicy::TrimmedMean { trim_permille: 500 };
-        assert!(cfg.validate().is_err());
-        cfg.fold_policy = FoldPolicy::TrimmedMean { trim_permille: 100 };
-        assert!(cfg.validate().is_ok());
-        cfg.aggregation_shards = 0;
-        assert!(cfg.validate().is_err());
-        cfg.aggregation_shards = 8;
-        assert!(cfg.validate().is_ok());
     }
 
     #[test]
@@ -287,9 +281,17 @@ mod tests {
 
     #[test]
     fn config_serde_roundtrip() {
+        use serde::{Deserialize, Serialize};
         let cfg = LiflConfig::default();
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: LiflConfig = serde_json::from_str(&json).unwrap();
+        let back = LiflConfig::from_value(&cfg.to_value()).unwrap();
         assert_eq!(cfg, back);
+    }
+
+    #[test]
+    fn round_metrics_act() {
+        let mut m = RoundMetrics::new(3, SimTime::from_secs(10.0));
+        m.complete(SimTime::from_secs(15.5));
+        assert!((m.aggregation_completion_time.as_secs() - 5.5).abs() < 1e-12);
+        assert_eq!(m.round, 3);
     }
 }

@@ -3,10 +3,11 @@
 //! metric server's EWMA-smoothed queue estimates (§5.2). Placement itself is
 //! [`crate::placement`]'s, inside the simulated platform's rounds.
 
+use crate::config::LiflConfig;
 use crate::hierarchy::HierarchyPlan;
 use crate::metric_server::MetricServer;
 use lifl_core::ewma::EwmaEstimator;
-use lifl_types::{ClusterConfig, LiflConfig, NodeId, SimTime};
+use lifl_types::{NodeId, SimTime};
 use std::collections::HashMap;
 
 /// The cluster-wide coordinator.
@@ -21,9 +22,9 @@ pub struct LiflCoordinator {
 }
 
 impl LiflCoordinator {
-    /// Creates a coordinator for the cluster. It plans from the metric
-    /// server's reports alone, so `_cluster` is not read.
-    pub fn new(_cluster: ClusterConfig, config: LiflConfig) -> Self {
+    /// Creates a coordinator. It plans from the metric server's reports
+    /// alone, so it needs no cluster description.
+    pub fn new(config: LiflConfig) -> Self {
         LiflCoordinator {
             config,
             metric_server: MetricServer::new(),
@@ -76,7 +77,7 @@ mod tests {
 
     #[test]
     fn replan_cycle_and_plan_shape() {
-        let mut coordinator = LiflCoordinator::new(ClusterConfig::default(), LiflConfig::default());
+        let mut coordinator = LiflCoordinator::new(LiflConfig::default());
         assert!(coordinator.replan_due(SimTime::ZERO));
         for node in 0..3u64 {
             coordinator.metric_server_mut().report(

@@ -217,9 +217,9 @@ impl WorkloadDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ClusterConfig, LiflConfig};
     use crate::platform::LiflPlatform;
     use crate::systems;
-    use lifl_types::{ClusterConfig, LiflConfig};
 
     fn tiny_setup() -> WorkloadSetup {
         let mut setup = WorkloadSetup::resnet18(5);

@@ -8,7 +8,8 @@
 //!   arrives (and the aggregator is free), so arrival gaps are hidden.
 //! * **Lazy**: all `n` updates are queued first, then aggregated in one batch.
 
-use lifl_types::{AggregationTiming, SimDuration, SimTime};
+use crate::config::AggregationTiming;
+use lifl_types::{SimDuration, SimTime};
 
 /// When an aggregator finishes aggregating a set of inputs.
 ///

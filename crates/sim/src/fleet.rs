@@ -9,8 +9,9 @@
 //! speeds and maximum service capacities — plus the offline MC_i estimation
 //! procedure of Appendix E.
 
+use crate::config::NodeConfig;
 use crate::placement::NodeCapacity;
-use lifl_types::{LiflError, NodeConfig, NodeId, Result, SimDuration};
+use lifl_types::{LiflError, NodeId, Result, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// A fleet of (possibly heterogeneous) worker nodes available for aggregation.
@@ -123,8 +124,8 @@ pub fn estimate_max_capacity(base_exec_time: SimDuration, cores: u32, inflation_
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ClusterConfig, PlacementPolicy};
     use crate::placement::PlacementEngine;
-    use lifl_types::{ClusterConfig, PlacementPolicy};
 
     fn small_node(capacity: u32, cores: u32) -> NodeConfig {
         NodeConfig {
@@ -141,7 +142,7 @@ mod tests {
         let fleet = NodeFleet::heterogeneous(nodes).unwrap();
         assert_eq!(fleet.len(), 5);
         assert!(fleet.is_homogeneous());
-        assert_eq!(fleet.total_capacity(), cluster.total_capacity());
+        assert_eq!(fleet.total_capacity(), 5 * 20);
         assert_eq!(fleet.capacities().len(), 5);
         assert!(fleet.node(NodeId::new(0)).is_ok());
         assert!(fleet.node(NodeId::new(99)).is_err());
@@ -221,8 +222,8 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::config::PlacementPolicy;
     use crate::placement::PlacementEngine;
-    use lifl_types::PlacementPolicy;
     use proptest::prelude::*;
 
     fn arbitrary_fleet() -> impl Strategy<Value = NodeFleet> {

@@ -29,7 +29,8 @@
 //!
 //! ```
 //! use lifl_sim::platform::{LiflPlatform, RoundSpec};
-//! use lifl_types::{LiflConfig, ClusterConfig, ModelKind, SimTime};
+//! use lifl_sim::config::{ClusterConfig, LiflConfig};
+//! use lifl_types::{ModelKind, SimTime};
 //!
 //! let mut platform = LiflPlatform::new(ClusterConfig::default(), LiflConfig::default());
 //! let arrivals: Vec<SimTime> = (0..20).map(|i| SimTime::from_secs(i as f64)).collect();
@@ -41,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod agent;
+pub mod config;
 pub mod coordinator;
 pub mod driver;
 pub mod eager;

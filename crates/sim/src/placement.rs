@@ -6,7 +6,8 @@
 //! minimising inter-node transfers); WorstFit reproduces Knative's
 //! "least connection" spreading; FirstFit minimises search cost.
 
-use lifl_types::{LiflError, NodeId, PlacementPolicy, Result};
+use crate::config::PlacementPolicy;
+use lifl_types::{LiflError, NodeId, Result};
 
 /// Mutable view of one node's placement state during a round.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -205,7 +206,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use lifl_types::PlacementPolicy;
+    use crate::config::PlacementPolicy;
     use proptest::prelude::*;
 
     proptest! {

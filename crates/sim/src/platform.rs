@@ -11,16 +11,15 @@
 //! always-on provisioning) is captured by a [`PlatformProfile`] so the same
 //! engine also powers every baseline system.
 
+use crate::config::{AggregationTiming, ClusterConfig, LiflConfig, PlacementPolicy, RoundMetrics};
 use crate::eager;
 use crate::hierarchy::HierarchyPlan;
 use crate::placement::{NodeCapacity, PlacementEngine};
 use crate::system::AggregationSystem;
+use lifl_dataplane::SystemKind;
 use lifl_dataplane::{update_wire_bytes, CostModel, DataPlaneKind};
 use lifl_simcore::Gantt;
-use lifl_types::{
-    AggregationTiming, ClusterConfig, CodecKind, LiflConfig, ModelKind, NodeId, PlacementPolicy,
-    RoundMetrics, SimDuration, SimTime, SystemKind,
-};
+use lifl_types::{CodecKind, ModelKind, NodeId, SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// One aggregation round to simulate: the model being trained and the times at

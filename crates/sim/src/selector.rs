@@ -10,13 +10,14 @@
 //! followed by bin-packing of the selected clients onto the fleet's gateways,
 //! producing the per-node pending counts the hierarchy planner consumes.
 
+use crate::config::PlacementPolicy;
 use crate::fleet::NodeFleet;
 use crate::placement::PlacementEngine;
 use lifl_core::heartbeat::over_provisioned_selection;
 use lifl_fl::client::Client;
 use lifl_fl::selector::{select_clients, SelectionStrategy};
 use lifl_simcore::SimRng;
-use lifl_types::{ClientId, LiflError, ModelKind, NodeId, PlacementPolicy, Result};
+use lifl_types::{ClientId, LiflError, ModelKind, NodeId, Result};
 
 /// Configuration of the selector service.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,9 +155,9 @@ impl SelectorService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ClusterConfig, NodeConfig};
     use crate::hierarchy::HierarchyPlan;
     use lifl_fl::client::ClientAvailability;
-    use lifl_types::{ClusterConfig, NodeConfig};
 
     /// The paper's five identical nodes.
     fn paper_fleet() -> NodeFleet {

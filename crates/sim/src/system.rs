@@ -2,7 +2,7 @@
 //! experiment harness.
 
 use crate::platform::{RoundReport, RoundSpec};
-use lifl_types::SystemKind;
+use lifl_dataplane::SystemKind;
 
 /// An aggregation system that can execute FL rounds in the cluster simulator.
 ///

@@ -1,8 +1,10 @@
 //! Constructors for the baseline aggregation systems.
 
+use crate::config::{AggregationTiming, ClusterConfig, PlacementPolicy};
 use crate::platform::{LiflPlatform, PlatformProfile};
 use lifl_dataplane::DataPlaneKind;
-use lifl_types::{AggregationTiming, ClusterConfig, CodecKind, PlacementPolicy, SystemKind};
+use lifl_dataplane::SystemKind;
+use lifl_types::CodecKind;
 
 /// The serverful baseline (SF): always-on aggregators over gRPC (Fig. 2(a)).
 pub fn serverful(cluster: ClusterConfig) -> LiflPlatform {

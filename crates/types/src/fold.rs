@@ -5,8 +5,9 @@
 //! arbitrarily — lossy low-bit codecs only amplify the damage. [`FoldPolicy`]
 //! names the robust-statistics alternatives the fold can run instead; the
 //! actual fold implementations live in `lifl-fl::robust`, while this enum is
-//! the *configuration* vocabulary shared by `LiflConfig`, the session and
-//! cluster builders (`lifl-core`) and the fault-injection test tier.
+//! the *configuration* vocabulary shared by the session and cluster builders
+//! (`lifl-core`), the simulator's configuration (`lifl-sim`) and the
+//! fault-injection test tier.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -96,11 +96,6 @@ impl ObjectKey {
         b[8..].copy_from_slice(&lo.to_be_bytes());
         Self(b)
     }
-
-    /// Returns the raw bytes of the key.
-    pub fn as_bytes(&self) -> &[u8; 16] {
-        &self.0
-    }
 }
 
 impl fmt::Debug for ObjectKey {
@@ -148,9 +143,10 @@ mod tests {
     #[test]
     fn object_key_words_roundtrip() {
         let key = ObjectKey::from_words(0xDEAD_BEEF, 0x1234_5678);
-        let (hi, lo) = key.as_bytes().split_at(8);
-        assert_eq!(hi, 0xDEAD_BEEFu64.to_be_bytes());
-        assert_eq!(lo, 0x1234_5678u64.to_be_bytes());
+        let mut bytes = [0u8; 16];
+        bytes[..8].copy_from_slice(&0xDEAD_BEEFu64.to_be_bytes());
+        bytes[8..].copy_from_slice(&0x1234_5678u64.to_be_bytes());
+        assert_eq!(key, ObjectKey::from_bytes(bytes));
     }
 
     #[test]

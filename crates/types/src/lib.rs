@@ -1,9 +1,10 @@
 //! # lifl-types
 //!
-//! Common vocabulary shared by every crate in the LIFL reproduction: strongly
-//! typed identifiers, model specifications, aggregator roles, platform
-//! configuration, simulated time, resource-usage accounting and the common
-//! error type.
+//! The engine's vocabulary, shared by every crate in the LIFL reproduction:
+//! strongly typed identifiers, the paper's model sizes, aggregator roles,
+//! the wire codec, fold policy, admission and round-close rules, the
+//! aggregation tree's shape, simulated time and the common error type. The
+//! paper simulator's configuration lives in `lifl-sim`, not here.
 //!
 //! The types in this crate are deliberately small, `Copy` where possible, and
 //! free of behaviour beyond what is needed to keep invariants (for example
@@ -15,9 +16,9 @@
 //! use lifl_types::ids::NodeId;
 //!
 //! let node = NodeId::new(3);
-//! let spec = ModelKind::ResNet152.spec();
+//! let model = ModelKind::ResNet152;
 //! assert_eq!(node.index(), 3);
-//! assert!(spec.update_bytes > 200 * 1024 * 1024);
+//! assert!(model.update_bytes() > 200 * 1024 * 1024);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -25,11 +26,9 @@
 
 pub mod admission;
 pub mod codec;
-pub mod config;
 pub mod error;
 pub mod fold;
 pub mod ids;
-pub mod metrics;
 pub mod model;
 pub mod role;
 pub mod time;
@@ -37,12 +36,10 @@ pub mod topology;
 
 pub use admission::{AdmissionConfig, AdmissionOutcome, RoundClose};
 pub use codec::{CodecKind, WIRE_HEADER_BYTES};
-pub use config::{AggregationTiming, ClusterConfig, LiflConfig, NodeConfig, PlacementPolicy};
 pub use error::{LiflError, Result};
 pub use fold::FoldPolicy;
 pub use ids::{AggregatorId, ClientId, InstanceId, NodeId, ObjectKey, RoundId};
-pub use metrics::{CpuCycles, ResourceUsage, RoundMetrics};
-pub use model::{ModelKind, ModelSpec};
-pub use role::{AggregatorRole, SystemKind};
+pub use model::ModelKind;
+pub use role::AggregatorRole;
 pub use time::{SimDuration, SimTime};
 pub use topology::Topology;

@@ -29,18 +29,7 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
-    /// Returns the full specification for this model kind (allocates the
-    /// owned name; hot paths should prefer the direct accessors below).
-    pub fn spec(self) -> ModelSpec {
-        ModelSpec {
-            kind: self,
-            name: self.name().to_string(),
-            update_bytes: self.update_bytes(),
-            parameters: self.parameters(),
-        }
-    }
-
-    /// Human-readable name (no allocation).
+    /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {
             ModelKind::ResNet18 => "ResNet-18",
@@ -50,7 +39,7 @@ impl ModelKind {
         }
     }
 
-    /// Number of trainable parameters (no allocation).
+    /// Number of trainable parameters.
     pub fn parameters(self) -> u64 {
         match self {
             ModelKind::ResNet18 => 11_689_512,
@@ -60,7 +49,7 @@ impl ModelKind {
         }
     }
 
-    /// Serialized update size in bytes (no allocation).
+    /// Serialized update size in bytes.
     pub fn update_bytes(self) -> u64 {
         match self {
             ModelKind::ResNet18 => 44 * 1024 * 1024,
@@ -91,26 +80,6 @@ impl fmt::Display for ModelKind {
     }
 }
 
-/// Full specification of a model used as an FL workload.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ModelSpec {
-    /// The model family.
-    pub kind: ModelKind,
-    /// Human-readable name.
-    pub name: String,
-    /// Serialized model-update size in bytes.
-    pub update_bytes: u64,
-    /// Number of trainable parameters.
-    pub parameters: u64,
-}
-
-impl ModelSpec {
-    /// Update size in mebibytes.
-    pub fn update_mib(&self) -> f64 {
-        self.update_bytes as f64 / (1024.0 * 1024.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,9 +100,9 @@ mod tests {
 
     #[test]
     fn custom_model_derives_param_count() {
-        let spec = ModelKind::Custom { update_bytes: 400 }.spec();
-        assert_eq!(spec.parameters, 100);
-        assert_eq!(spec.name, "custom");
+        let custom = ModelKind::Custom { update_bytes: 400 };
+        assert_eq!(custom.parameters(), 100);
+        assert_eq!(custom.name(), "custom");
     }
 
     #[test]
@@ -142,11 +111,12 @@ mod tests {
     }
 
     #[test]
-    fn spec_serde_roundtrip_preserves_owned_name() {
-        let spec = ModelKind::ResNet34.spec();
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: ModelSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.name, "ResNet-34");
+    fn kind_serde_roundtrip_preserves_the_name() {
+        for kind in [ModelKind::ResNet34, ModelKind::Custom { update_bytes: 400 }] {
+            let json = serde_json::to_string(&kind).unwrap();
+            let back: ModelKind = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, kind);
+            assert_eq!(back.name(), kind.name());
+        }
     }
 }

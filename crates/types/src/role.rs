@@ -1,4 +1,4 @@
-//! Aggregator roles and system identities.
+//! Aggregator roles.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -18,27 +18,6 @@ pub enum AggregatorRole {
     Top,
 }
 
-impl AggregatorRole {
-    /// The role an instance is promoted to under opportunistic reuse (§5.3),
-    /// or `None` if it is already the top aggregator.
-    pub fn promoted(self) -> Option<AggregatorRole> {
-        match self {
-            AggregatorRole::Leaf => Some(AggregatorRole::Middle),
-            AggregatorRole::Middle => Some(AggregatorRole::Top),
-            AggregatorRole::Top => None,
-        }
-    }
-
-    /// Hierarchy level with leaves at 0.
-    pub fn level(self) -> u8 {
-        match self {
-            AggregatorRole::Leaf => 0,
-            AggregatorRole::Middle => 1,
-            AggregatorRole::Top => 2,
-        }
-    }
-}
-
 impl fmt::Display for AggregatorRole {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -50,74 +29,15 @@ impl fmt::Display for AggregatorRole {
     }
 }
 
-/// The systems compared in the evaluation (§6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SystemKind {
-    /// LIFL with its full data plane and orchestration.
-    Lifl,
-    /// Serverful system following Google's FL stack / PAPAYA (Fig. 2(a)), gRPC channels.
-    Serverful,
-    /// Serverless system following FedKeeper/AdaFed on Knative (Fig. 2(b)).
-    Serverless,
-    /// Serverless control plane with hierarchical aggregation and LIFL's data plane
-    /// but Knative "least connection" load balancing and lazy aggregation (Fig. 8 baseline).
-    SlHierarchical,
-    /// Monolithic serverful message-queuing setup (Fig. 5, Appendix F).
-    SfMono,
-    /// Microservice-based serverful setup with a message broker (Fig. 5, Appendix F).
-    SfMicro,
-    /// Basic serverless setup with broker + sidecar (Fig. 5, Appendix F).
-    SlBasic,
-}
-
-impl SystemKind {
-    /// Short label used in experiment tables (matches the paper's legends).
-    pub fn label(self) -> &'static str {
-        match self {
-            SystemKind::Lifl => "LIFL",
-            SystemKind::Serverful => "SF",
-            SystemKind::Serverless => "SL",
-            SystemKind::SlHierarchical => "SL-H",
-            SystemKind::SfMono => "SF-mono",
-            SystemKind::SfMicro => "SF-micro",
-            SystemKind::SlBasic => "SL-B",
-        }
-    }
-}
-
-impl fmt::Display for SystemKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn promotion_chain_terminates_at_top() {
-        assert_eq!(
-            AggregatorRole::Leaf.promoted(),
-            Some(AggregatorRole::Middle)
-        );
-        assert_eq!(AggregatorRole::Middle.promoted(), Some(AggregatorRole::Top));
-        assert_eq!(AggregatorRole::Top.promoted(), None);
-    }
-
-    #[test]
     fn levels_are_ordered() {
-        assert!(AggregatorRole::Leaf.level() < AggregatorRole::Middle.level());
-        assert!(AggregatorRole::Middle.level() < AggregatorRole::Top.level());
+        assert!(AggregatorRole::Leaf < AggregatorRole::Middle);
+        assert!(AggregatorRole::Middle < AggregatorRole::Top);
         assert!(AggregatorRole::Leaf < AggregatorRole::Top);
-    }
-
-    #[test]
-    fn labels_match_paper_legends() {
-        assert_eq!(SystemKind::Lifl.label(), "LIFL");
-        assert_eq!(SystemKind::Serverful.label(), "SF");
-        assert_eq!(SystemKind::Serverless.label(), "SL");
-        assert_eq!(SystemKind::SlHierarchical.label(), "SL-H");
     }
 
     #[test]

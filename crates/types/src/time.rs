@@ -36,24 +36,6 @@ impl SimTime {
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration::from_secs((self.0 - earlier.0).max(0.0))
     }
-
-    /// The later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl SimDuration {
@@ -83,15 +65,6 @@ impl SimDuration {
     /// Scales the duration by a non-negative factor.
     pub fn scaled(self, factor: f64) -> SimDuration {
         SimDuration::from_secs(self.0 * factor.max(0.0))
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 

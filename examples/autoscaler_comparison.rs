@@ -10,10 +10,11 @@
 
 use lifl_core::ewma::EwmaEstimator;
 use lifl_dataplane::CostModel;
+use lifl_dataplane::SystemKind;
 use lifl_serverless::chain::{ChainScaling, FunctionChain};
 use lifl_serverless::kpa::{KpaAutoscaler, KpaConfig};
 use lifl_sim::hierarchy::HierarchyPlan;
-use lifl_types::{NodeId, SimTime, SystemKind};
+use lifl_types::{NodeId, SimTime};
 
 fn main() {
     // A bursty arrival trace: quiet, a burst of 40 updates/min, quiet again.

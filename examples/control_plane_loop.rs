@@ -5,12 +5,13 @@
 //! Run with: `cargo run -p lifl-examples --example control_plane_loop`
 
 use lifl_sim::agent::LiflAgent;
+use lifl_sim::config::{ClusterConfig, LiflConfig};
 use lifl_sim::coordinator::LiflCoordinator;
-use lifl_types::{AggregatorId, ClusterConfig, LiflConfig, NodeId, SimDuration, SimTime};
+use lifl_types::{AggregatorId, NodeId, SimDuration, SimTime};
 
 fn main() {
     let cluster = ClusterConfig::default();
-    let mut coordinator = LiflCoordinator::new(cluster.clone(), LiflConfig::default());
+    let mut coordinator = LiflCoordinator::new(LiflConfig::default());
     let mut agents: Vec<LiflAgent> = (0..cluster.aggregation_nodes as u64)
         .map(|i| LiflAgent::new(NodeId::new(i)))
         .collect();

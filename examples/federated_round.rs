@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run -p lifl-examples --example federated_round`
 
+use lifl_sim::config::{ClusterConfig, LiflConfig};
 use lifl_sim::platform::LiflPlatform;
 use lifl_sim::{serverless, WorkloadDriver, WorkloadSetup};
-use lifl_types::{ClusterConfig, LiflConfig};
 
 fn main() {
     let mut setup = WorkloadSetup::resnet18(8);

@@ -6,11 +6,12 @@
 
 use lifl_fl::client::ClientAvailability;
 use lifl_fl::population::{Population, PopulationConfig};
+use lifl_sim::config::NodeConfig;
 use lifl_sim::fleet::{estimate_max_capacity, NodeFleet};
 use lifl_sim::hierarchy::HierarchyPlan;
 use lifl_sim::selector::{SelectorConfig, SelectorService};
 use lifl_simcore::SimRng;
-use lifl_types::{NodeConfig, SimDuration};
+use lifl_types::SimDuration;
 
 fn main() {
     // Three node classes: one big 64-core node and two smaller 16-core nodes.

@@ -3,8 +3,9 @@
 //!
 //! Run with: `cargo run -p lifl-examples --example placement_policies`
 
+use lifl_sim::config::{ClusterConfig, LiflConfig, PlacementPolicy};
 use lifl_sim::platform::{LiflPlatform, PlatformProfile, RoundSpec};
-use lifl_types::{ClusterConfig, LiflConfig, ModelKind, PlacementPolicy, SimTime};
+use lifl_types::{ModelKind, SimTime};
 
 fn main() {
     for updates in [20usize, 60, 100] {

@@ -5,8 +5,9 @@
 
 use lifl_core::session::{SessionBuilder, Update};
 use lifl_examples::demo_updates;
+use lifl_sim::config::{ClusterConfig, LiflConfig};
 use lifl_sim::platform::{LiflPlatform, RoundSpec};
-use lifl_types::{ClusterConfig, CodecKind, LiflConfig, ModelKind, SimTime, Topology};
+use lifl_types::{CodecKind, ModelKind, SimTime, Topology};
 
 fn main() {
     // 1. Real in-process aggregation over shared memory (Appendix G runtime):

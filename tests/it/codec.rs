@@ -11,11 +11,9 @@ use lifl_fl::aggregate::{fedavg, CumulativeFedAvg, ModelUpdate};
 use lifl_fl::codec::{EncodedUpdate, EncodedView, UpdateCodec};
 use lifl_fl::DenseModel;
 use lifl_shmem::{PoolStats, StoreStats};
+use lifl_sim::config::{ClusterConfig, LiflConfig};
 use lifl_sim::platform::{LiflPlatform, RoundSpec};
-use lifl_types::{
-    AdmissionOutcome, ClientId, ClusterConfig, CodecKind, LiflConfig, LiflError, ModelKind,
-    SimTime, Topology,
-};
+use lifl_types::{AdmissionOutcome, ClientId, CodecKind, LiflError, ModelKind, SimTime, Topology};
 
 fn updates(n: usize, dim: usize) -> Vec<ModelUpdate> {
     (0..n)

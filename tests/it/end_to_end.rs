@@ -1,9 +1,9 @@
 //! End-to-end: real FedAvg training combined with the LIFL cluster simulation.
 
+use lifl_sim::config::{ClusterConfig, LiflConfig};
 use lifl_sim::platform::LiflPlatform;
 use lifl_sim::AggregationSystem;
 use lifl_sim::{WorkloadDriver, WorkloadSetup};
-use lifl_types::{ClusterConfig, LiflConfig};
 
 fn tiny_setup(rounds: usize) -> WorkloadSetup {
     let mut setup = WorkloadSetup::resnet18(rounds);

@@ -11,11 +11,10 @@ use lifl_fl::staleness::StalenessPolicy;
 use lifl_fl::{
     ClientAvailability, DenseModel, Ingest, Population, PopulationConfig, RoundAggregate,
 };
+use lifl_sim::config::{ClusterConfig, LiflConfig};
 use lifl_sim::platform::{LiflPlatform, RoundSpec};
 use lifl_simcore::SimRng;
-use lifl_types::{
-    ClientId, ClusterConfig, CodecKind, LiflConfig, ModelKind, SimDuration, SimTime, Topology,
-};
+use lifl_types::{ClientId, CodecKind, ModelKind, SimDuration, SimTime, Topology};
 
 #[test]
 fn selection_strategies_feed_the_platform() {

@@ -3,8 +3,9 @@
 
 use lifl_shmem::ObjectStore;
 use lifl_sim::agent::LiflAgent;
+use lifl_sim::config::{ClusterConfig, LiflConfig};
 use lifl_sim::platform::{LiflPlatform, RoundSpec};
-use lifl_types::{ClusterConfig, LiflConfig, LiflError, ModelKind, NodeId, RoundId, SimTime};
+use lifl_types::{LiflError, ModelKind, NodeId, RoundId, SimTime};
 
 #[test]
 fn stateless_restart_recovers_from_checkpoint() {

@@ -1,10 +1,11 @@
 //! Consistency between placement, the hierarchy plan, the TAG and routing.
 
+use lifl_sim::config::PlacementPolicy;
 use lifl_sim::hierarchy::HierarchyPlan;
 use lifl_sim::placement::{NodeCapacity, PlacementEngine};
 use lifl_sim::tag::{Role, TopologyAbstractionGraph};
 use lifl_sim::RoutingTable;
-use lifl_types::{AggregatorId, AggregatorRole, NodeId, PlacementPolicy};
+use lifl_types::{AggregatorId, AggregatorRole, NodeId};
 
 #[test]
 fn placement_feeds_hierarchy_plan_and_routes() {

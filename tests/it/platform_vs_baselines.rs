@@ -3,9 +3,10 @@
 //! more nodes than SL-H for the same load.
 
 use lifl_integration::spread_arrivals;
+use lifl_sim::config::{ClusterConfig, LiflConfig};
 use lifl_sim::platform::{LiflPlatform, RoundSpec};
 use lifl_sim::{serverless, sl_hierarchical};
-use lifl_types::{ClusterConfig, LiflConfig, ModelKind, SimTime};
+use lifl_types::{ModelKind, SimTime};
 
 fn lifl() -> LiflPlatform {
     LiflPlatform::new(ClusterConfig::default(), LiflConfig::default())

@@ -5,24 +5,23 @@
 //! heterogeneous-fleet placement feeding the hierarchy planner.
 
 use lifl_dataplane::CostModel;
+use lifl_dataplane::SystemKind;
 use lifl_serverless::chain::{ChainScaling, FunctionChain};
 use lifl_serverless::kpa::{KpaAutoscaler, KpaConfig};
 use lifl_serverless::revision::Revision;
+use lifl_sim::config::{NodeConfig, PlacementPolicy};
 use lifl_sim::fleet::NodeFleet;
 use lifl_sim::gateway_scaler::{GatewayScaler, GatewayScalerConfig};
 use lifl_sim::hierarchy::HierarchyPlan;
 use lifl_sim::placement::PlacementEngine;
-use lifl_types::{ModelKind, NodeConfig, PlacementPolicy, SimTime, SystemKind};
+use lifl_types::{ModelKind, SimTime};
 
 #[test]
 fn kpa_plus_revision_track_a_bursty_fl_round() {
     // Arrival burst typical of a synchronous round with hibernating clients
     // (Fig. 10(a)): nothing, then a spike of concurrent updates, then nothing.
     let mut kpa = KpaAutoscaler::new(KpaConfig::default());
-    let mut revision = Revision::new(
-        "aggregator-rev-1",
-        CostModel::paper_calibrated().startup(SystemKind::Serverless),
-    );
+    let mut revision = Revision::new(CostModel::paper_calibrated().startup(SystemKind::Serverless));
     let mut peak_ready = 0u32;
     for second in 0..600u64 {
         let now = SimTime::from_secs(second as f64);

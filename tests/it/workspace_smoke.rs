@@ -2,8 +2,9 @@
 //! `lifl_sim` crate-level doc example with a named test, so the example
 //! contract holds even when doctests are skipped.
 
+use lifl_sim::config::{ClusterConfig, LiflConfig};
 use lifl_sim::platform::{LiflPlatform, RoundSpec};
-use lifl_types::{ClusterConfig, LiflConfig, ModelKind, SimTime};
+use lifl_types::{ModelKind, SimTime};
 
 #[test]
 fn doc_example_round_aggregates_all_twenty_arrivals() {
