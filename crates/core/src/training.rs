@@ -18,7 +18,12 @@
 //! over the same backends: [`TrainingDriver::run_async`] keeps clients
 //! training against whatever version they last pulled and commits a new
 //! global model every time the backend's round fills, so a version is a
-//! round and shares its ingress, fold, adoption and history.
+//! round and shares its ingress, fold, commit and history.
+//!
+//! An algorithm changes one of two points: the client step (FedProx's
+//! proximal μ, in [`TrainerConfig`]) or the server commit (a
+//! [`ServerOptimizer`], configured by [`TrainingConfig::server`]). Every
+//! round and every version commits through the optimizer at one place.
 //!
 //! A synchronous round decides who trains before anyone does, draws every
 //! trainee's epoch shuffles on the caller in participant order, trains them
@@ -34,6 +39,7 @@ use lifl_fl::dataset::FederatedDataset;
 use lifl_fl::metrics::{accuracy_of_count, accuracy_percent, correct_predictions};
 use lifl_fl::model::DenseModel;
 use lifl_fl::population::Population;
+use lifl_fl::server_opt::{ServerOptConfig, ServerOptimizer};
 use lifl_fl::staleness::{StalenessPolicy, StalenessTracker};
 use lifl_fl::trainer::{LocalTrainer, TrainerConfig};
 use lifl_fl::{Ingest, RoundAggregate, Update};
@@ -55,8 +61,16 @@ const ASYNC_MODEL: ModelKind = ModelKind::ResNet18;
 /// [`Ingest::ingress_codec`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingConfig {
-    /// Local-training configuration.
+    /// Local-training configuration: every client's step, FedProx's
+    /// proximal μ included ([`TrainerConfig::mu`]; `0.0` is plain local
+    /// SGD).
     pub trainer: TrainerConfig,
+    /// The server optimizer every round and every asynchronous version
+    /// commits through ([`ServerOptimizer::commit`]). The default, FedAvg
+    /// with η = 1, adopts the aggregate as the global model unchanged (a
+    /// move); every other rule steps the global toward it, FedAdagrad,
+    /// FedAdam and FedYogi with moments the driver keeps across rounds.
+    pub server: ServerOptConfig,
     /// Number of rounds [`TrainingDriver::run_all`] runs, and of versions
     /// [`TrainingDriver::run_async`] commits.
     pub rounds: usize,
@@ -90,6 +104,7 @@ impl Default for TrainingConfig {
     fn default() -> Self {
         TrainingConfig {
             trainer: TrainerConfig::default(),
+            server: ServerOptConfig::default(),
             rounds: 50,
             eval_every: 1,
             expected_dropout: 0.0,
@@ -176,7 +191,10 @@ struct Window {
 
 /// Runs synchronous multi-round FedAvg over any [`Ingest`] backend, and
 /// buffered asynchronous FedAvg over the same ones
-/// ([`TrainingDriver::run_async`]).
+/// ([`TrainingDriver::run_async`]). FedProx is the local step's μ
+/// ([`TrainerConfig::mu`]) and FedAdagrad, FedAdam and FedYogi are the
+/// commit ([`TrainingConfig::server`]), so every algorithm takes the same
+/// round.
 ///
 /// ```
 /// use lifl_core::session::SessionBuilder;
@@ -229,6 +247,8 @@ pub struct TrainingDriver<B: Ingest> {
     trainer: LocalTrainer,
     config: TrainingConfig,
     global: Arc<DenseModel>,
+    /// The one commit of every round and version.
+    optimizer: ServerOptimizer,
     history: Vec<TrainingRound>,
     stragglers: BTreeSet<ClientId>,
     staleness: StalenessTracker,
@@ -260,6 +280,7 @@ impl<B: Ingest> TrainingDriver<B> {
             trainer,
             config,
             global,
+            optimizer: ServerOptimizer::new(config.server),
             history: Vec::new(),
             stragglers: BTreeSet::new(),
             staleness: StalenessTracker::new(),
@@ -341,14 +362,17 @@ impl<B: Ingest> TrainingDriver<B> {
     /// round takes (all at once, on the worker set), ingest every update
     /// dense through the backend's ingress in participant order (the backend
     /// encodes at ingress under a lossy codec, with per-client error
-    /// feedback), aggregate the backend's tree, adopt the global aggregate
-    /// and optionally evaluate.
+    /// feedback), aggregate the backend's tree, commit the global aggregate
+    /// through the server optimizer and optionally evaluate.
     ///
     /// A fault-tolerant [`Cluster`](crate::cluster::Cluster) backend
     /// survives a child-node kill inside its own aggregation, so the round
     /// completes as if undisturbed.
     ///
     /// # Errors
+    /// Fails with [`LiflError::InvalidConfig`] before anyone is selected if
+    /// the trainer or server-optimizer configuration is invalid
+    /// ([`TrainerConfig::validate`], [`ServerOptConfig::validate`]).
     /// Fails if the selection cannot fill the backend's tree (exactly, under
     /// the default configuration; after straggler cut-off, under a positive
     /// [`TrainingConfig::expected_dropout`]), or on any backend
@@ -362,9 +386,10 @@ impl<B: Ingest> TrainingDriver<B> {
     /// global model before returning the error, so a re-run trains against
     /// the restored model.
     pub fn run_round(&mut self, rng: &mut SimRng) -> Result<TrainingRound> {
+        self.validate()?;
         let delivery = self.deliver_round(rng)?;
         let aggregate = self.aggregate()?;
-        Ok(self.adopt_round(aggregate, delivery))
+        self.adopt_round(aggregate, delivery)
     }
 
     /// Runs buffered asynchronous FedAvg (FedBuff; Fig. 11, §7 future work)
@@ -383,15 +408,18 @@ impl<B: Ingest> TrainingDriver<B> {
     /// the evaluation cadence cover versions too.
     ///
     /// # Errors
-    /// An invalid `staleness` policy, or the first ingest or aggregation
-    /// error, after which the backend's round is discarded (and a restored
-    /// checkpoint adopted, as in [`TrainingDriver::run_round`]); the
-    /// versions committed before it stay in the history.
+    /// An invalid `staleness` policy or configuration (as in
+    /// [`TrainingDriver::run_round`]), before anyone is selected, or the
+    /// first ingest or aggregation error, after which the backend's round
+    /// is discarded (and a restored checkpoint adopted, as in
+    /// [`TrainingDriver::run_round`]); the versions committed before it
+    /// stay in the history.
     pub fn run_async(
         &mut self,
         rng: &mut SimRng,
         staleness: StalenessPolicy,
     ) -> Result<Vec<AsyncCommit>> {
+        self.validate()?;
         staleness.validate()?;
         let goal = self.backend.round_capacity();
         let (version, target) = (self.history.len(), self.history.len() + self.config.rounds);
@@ -433,7 +461,7 @@ impl<B: Ingest> TrainingDriver<B> {
                 let mean_staleness = window.staleness_sum as f64 / goal as f64;
                 let aggregate = self.aggregate()?;
                 commits.push(AsyncCommit {
-                    round: self.adopt_round(aggregate, window.delivery),
+                    round: self.adopt_round(aggregate, window.delivery)?,
                     committed_at: now,
                     stale_updates: window.stale,
                     mean_staleness,
@@ -451,6 +479,14 @@ impl<B: Ingest> TrainingDriver<B> {
     /// discards it, and a round lost with its top host hands over the model
     /// the backend restored from its checkpoint, which replaces the
     /// driver's.
+    ///
+    /// The replacement is plain, not a commit, and the server optimizer
+    /// keeps its moments. A cluster checkpoints the aggregate it produced,
+    /// not the global the driver's optimizer stepped toward it, so under
+    /// FedAdagrad, FedAdam or FedYogi the restored model is that round's
+    /// aggregate. The next round's commit steps from it with the moments
+    /// every committed round left. Under the default FedAvg (η = 1) the two
+    /// are the same model.
     fn aggregate(&mut self) -> Result<RoundAggregate> {
         self.backend.aggregate_round().inspect_err(|error| {
             self.backend.discard_round();
@@ -597,11 +633,25 @@ impl<B: Ingest> TrainingDriver<B> {
         Ok(delivery)
     }
 
-    /// The second half of a round: adopt the backend's aggregate as the
-    /// global model, evaluate if this round is due, and record the outcome.
-    fn adopt_round(&mut self, aggregate: RoundAggregate, delivery: Delivery) -> TrainingRound {
+    /// The second half of a round, and the one commit point of
+    /// [`TrainingDriver::run_round`] and [`TrainingDriver::run_async`]:
+    /// commit the backend's aggregate through the server optimizer (a move
+    /// under the default FedAvg), evaluate if this round is due, and record
+    /// the outcome.
+    ///
+    /// # Errors
+    /// Fails if the aggregate's dimension is not the global model's; the
+    /// global model and the history are then untouched.
+    fn adopt_round(
+        &mut self,
+        aggregate: RoundAggregate,
+        delivery: Delivery,
+    ) -> Result<TrainingRound> {
         let round = self.history.len() + 1;
-        self.global = Arc::new(aggregate.update.model);
+        let global = self
+            .optimizer
+            .commit(&self.global, aggregate.update.model)?;
+        self.global = Arc::new(global);
         let accuracy = round
             .is_multiple_of(self.config.eval_every.max(1))
             .then(|| self.evaluate());
@@ -615,7 +665,15 @@ impl<B: Ingest> TrainingDriver<B> {
             queued: delivery.queued,
         };
         self.history.push(outcome.clone());
-        outcome
+        Ok(outcome)
+    }
+
+    /// The configuration checks of [`TrainingDriver::run_round`] and
+    /// [`TrainingDriver::run_async`]: the local trainer's (μ, learning rate)
+    /// and the server optimizer's (η, β, τ).
+    fn validate(&self) -> Result<()> {
+        self.config.trainer.validate()?;
+        self.config.server.validate()
     }
 
     /// Runs all configured rounds and returns the history.
@@ -893,6 +951,7 @@ mod tests {
                 batch_size: 16,
                 learning_rate: 0.05,
                 local_epochs: 2,
+                mu: 0.0,
             },
             rounds: versions,
             ..TrainingConfig::default()
@@ -1109,16 +1168,71 @@ mod tests {
         assert_eq!(rng.index(1_000_000_007), 137_070_512);
     }
 
+    /// Every configuration check runs before anyone is selected: the round
+    /// and the asynchronous run refuse a bad trainer or server optimizer
+    /// (and the run a bad staleness policy) with `InvalidConfig`, drawing
+    /// nothing and leaving history, staleness and backend untouched.
     #[test]
     fn invalid_configs_rejected() {
-        let (mut driver, mut rng) = async_setup(buffer(8, CodecKind::Identity), 1, 3);
+        let trainer = |mu, learning_rate| TrainingConfig {
+            trainer: TrainerConfig {
+                mu,
+                learning_rate,
+                ..TrainerConfig::default()
+            },
+            ..TrainingConfig::default()
+        };
+        let server = |learning_rate, beta1, beta2, tau| TrainingConfig {
+            server: ServerOptConfig {
+                learning_rate,
+                beta1,
+                beta2,
+                tau,
+                ..ServerOptConfig::for_kind(lifl_fl::server_opt::ServerOptKind::FedAdam)
+            },
+            ..TrainingConfig::default()
+        };
+        let poly = POLY;
         let flat = StalenessPolicy::Polynomial { exponent: 0.0 };
-        assert!(matches!(
-            driver.run_async(&mut rng, flat),
-            Err(LiflError::InvalidConfig(_))
-        ));
-        assert!(driver.history().is_empty());
-        assert_eq!(driver.staleness().count(), 0);
+        let table = [
+            ("negative mu", trainer(-0.1, 0.01), poly),
+            ("NaN mu", trainer(f32::NAN, 0.01), poly),
+            ("infinite mu", trainer(f32::INFINITY, 0.01), poly),
+            ("zero learning rate", trainer(0.0, 0.0), poly),
+            ("negative learning rate", trainer(0.0, -0.5), poly),
+            ("zero server rate", server(0.0, 0.9, 0.99, 1e-3), poly),
+            ("beta1 of one", server(0.1, 1.0, 0.99, 1e-3), poly),
+            ("negative beta2", server(0.1, 0.9, -0.1, 1e-3), poly),
+            ("zero tau", server(0.1, 0.9, 0.99, 0.0), poly),
+            ("flat staleness", TrainingConfig::default(), flat),
+        ];
+        for (case, config, staleness) in table {
+            let (dataset, population, mut rng) = async_fixtures(1);
+            let config = TrainingConfig {
+                rounds: 3,
+                ..config
+            };
+            let mut driver =
+                TrainingDriver::new(buffer(8, CodecKind::Identity), dataset, population, config);
+            let next = rng.clone().index(1_000_000_007);
+            if staleness == poly {
+                assert!(
+                    matches!(driver.run_round(&mut rng), Err(LiflError::InvalidConfig(_))),
+                    "{case}"
+                );
+            }
+            assert!(
+                matches!(
+                    driver.run_async(&mut rng, staleness),
+                    Err(LiflError::InvalidConfig(_))
+                ),
+                "{case}"
+            );
+            assert_eq!(rng.index(1_000_000_007), next, "{case}");
+            assert!(driver.history().is_empty(), "{case}");
+            assert_eq!(driver.staleness().count(), 0, "{case}");
+            assert_eq!(driver.backend().pending_updates(), 0, "{case}");
+        }
     }
 
     /// An error mid-run is returned, not swallowed, and the backend's round
@@ -1199,6 +1313,7 @@ mod tests {
                 batch_size: 16,
                 learning_rate: 0.05,
                 local_epochs: 2,
+                mu: 0.0,
             },
             ..TrainingConfig::default()
         }
@@ -1562,6 +1677,188 @@ mod tests {
                 );
                 assert_eq!(run, recorded(codec), "{codec} at {count} workers");
             }
+        }
+    }
+
+    /// The tier's local training with FedAdam as the server commit.
+    fn fedadam_config() -> TrainingConfig {
+        TrainingConfig {
+            server: ServerOptConfig::for_kind(lifl_fl::server_opt::ServerOptKind::FedAdam),
+            ..tier_config()
+        }
+    }
+
+    /// FedAdam commits the same bits over every backend at 0, 1 and 3
+    /// workers: a `[2, 2, 2]` session and the same tree as a two-node
+    /// cluster, under a lossless and a lossy codec, for rounds and for an
+    /// asynchronous run; and the flat backend and a flat session, its twin
+    /// under a lossless codec. FedAdam is not FedAvg's run.
+    #[test]
+    fn fedadam_commits_the_same_bits_over_every_backend_at_any_worker_count() {
+        use lifl_fl::FlatFedAvg;
+        fn rounds<B: Ingest>(
+            d: &mut TrainingDriver<B>,
+            rng: &mut SimRng,
+            _: usize,
+        ) -> Result<TrainingRound> {
+            d.run_round(rng)
+        }
+        /// One asynchronous run, as its last version.
+        fn versions<B: Ingest>(
+            d: &mut TrainingDriver<B>,
+            rng: &mut SimRng,
+            _: usize,
+        ) -> Result<TrainingRound> {
+            let commits = d.run_async(rng, POLY)?;
+            Ok(commits.last().expect("committed").round.clone())
+        }
+        for codec in [CodecKind::Identity, CodecKind::Uniform8] {
+            let mut runs = Vec::new();
+            for count in [0, 1, 3] {
+                let workers = Workers::with_count(count);
+                let session = tier_session(codec, &workers).build().unwrap();
+                let cluster = tier_cluster(codec).build_on(workers.clone()).unwrap();
+                let config = fedadam_config();
+                let over_session = tier_run(session, &workers, fixtures(42), config, 4, rounds);
+                let over_cluster = tier_run(cluster, &workers, fixtures(42), config, 4, rounds);
+                assert_eq!(over_session, over_cluster, "{codec} at {count} workers");
+                let session = tier_session(codec, &workers).build().unwrap();
+                let cluster = tier_cluster(codec).build_on(workers.clone()).unwrap();
+                let config = TrainingConfig {
+                    rounds: 3,
+                    ..config
+                };
+                assert_eq!(
+                    tier_run(session, &workers, fixtures(42), config, 1, versions),
+                    tier_run(cluster, &workers, fixtures(42), config, 1, versions),
+                    "async {codec} at {count} workers"
+                );
+                if codec == CodecKind::Identity {
+                    let flat_session = SessionBuilder::new()
+                        .topology(Topology::flat(8))
+                        .workers(workers.clone())
+                        .build()
+                        .unwrap();
+                    let flat = FlatFedAvg::new(8, codec);
+                    assert_eq!(
+                        tier_run(flat, &workers, fixtures(42), fedadam_config(), 4, rounds),
+                        tier_run(
+                            flat_session,
+                            &workers,
+                            fixtures(42),
+                            fedadam_config(),
+                            4,
+                            rounds
+                        ),
+                        "flat at {count} workers"
+                    );
+                }
+                runs.push(over_session);
+            }
+            assert!(runs.iter().all(|run| *run == runs[0]), "{codec}");
+            assert!(runs[0].0.iter().all(Option::is_some), "{codec}");
+            let fedavg = tier_run(
+                tier_session(codec, &Workers::with_count(0))
+                    .build()
+                    .unwrap(),
+                &Workers::with_count(0),
+                fixtures(42),
+                tier_config(),
+                4,
+                rounds,
+            );
+            assert_ne!(runs[0], fedavg, "{codec}");
+        }
+    }
+
+    /// A backend that keeps a copy of every aggregate it hands the driver.
+    struct Recording<B> {
+        backend: B,
+        aggregates: Vec<DenseModel>,
+    }
+
+    impl<B: Ingest> Ingest for Recording<B> {
+        fn ingest_update(&mut self, update: Update) -> Result<()> {
+            self.backend.ingest_update(update)
+        }
+
+        fn round_capacity(&self) -> usize {
+            self.backend.round_capacity()
+        }
+
+        fn ingress_codec(&self) -> CodecKind {
+            self.backend.ingress_codec()
+        }
+
+        fn aggregate_round(&mut self) -> Result<RoundAggregate> {
+            let round = self.backend.aggregate_round()?;
+            self.aggregates.push(round.update.model.clone());
+            Ok(round)
+        }
+
+        fn discard_round(&mut self) {
+            self.backend.discard_round();
+        }
+
+        fn take_recovered_model(&mut self) -> Option<DenseModel> {
+            self.backend.take_recovered_model()
+        }
+    }
+
+    /// A top kill under FedAdam: the cluster checkpointed the aggregate it
+    /// produced, not the global the optimizer stepped toward it, and the
+    /// driver adopts that checkpoint as a plain replacement while its
+    /// optimizer keeps the moments every committed round left. So the round
+    /// after the kill is a hand-fed optimizer's commit from the restored
+    /// aggregate — and not a fresh optimizer's.
+    #[test]
+    fn a_fedadam_top_kill_adopts_the_checkpointed_aggregate_and_keeps_the_moments() {
+        use crate::cluster::FaultToleranceConfig;
+        let config = fedadam_config();
+        for count in [0, 3] {
+            let workers = Workers::with_count(count);
+            let cluster = tier_cluster(CodecKind::Identity)
+                .fault_tolerance(FaultToleranceConfig {
+                    checkpoint_every: 1,
+                    ..FaultToleranceConfig::default()
+                })
+                .build_on(workers.clone())
+                .unwrap();
+            let (dataset, population, mut rng) = fixtures(42);
+            let initial = dataset.initial_model();
+            let backend = Recording {
+                backend: cluster,
+                aggregates: Vec::new(),
+            };
+            let mut driver = TrainingDriver::new(backend, dataset, population, config)
+                .on_workers(workers.clone());
+            driver.run_round(&mut rng).unwrap();
+            driver.run_round(&mut rng).unwrap();
+            let stepped = driver.global_model().clone();
+            let top = driver.backend().backend.top_node();
+            (driver.backend_mut().backend)
+                .schedule_node_failure(top, 0)
+                .unwrap();
+            let lost = driver.run_round(&mut rng);
+            assert!(
+                matches!(lost, Err(LiflError::AggregatorFailure { .. })),
+                "{lost:?}"
+            );
+            let [first, second] = driver.backend().aggregates.clone().try_into().unwrap();
+            assert_eq!(bits(driver.global_model()), bits(&second), "{count}");
+            assert_ne!(bits(&stepped), bits(&second), "{count}");
+            driver.run_round(&mut rng).unwrap();
+            let fourth = driver.backend().aggregates[2].clone();
+            let mut twin = ServerOptimizer::new(config.server);
+            let committed = twin.commit(&initial, first).unwrap();
+            let committed = twin.commit(&committed, second.clone()).unwrap();
+            assert_eq!(bits(&committed), bits(&stepped), "{count}");
+            let fresh = ServerOptimizer::new(config.server)
+                .commit(&second, fourth.clone())
+                .unwrap();
+            let resumed = twin.commit(&second, fourth).unwrap();
+            assert_eq!(bits(driver.global_model()), bits(&resumed), "{count}");
+            assert_ne!(bits(&resumed), bits(&fresh), "{count}");
         }
     }
 

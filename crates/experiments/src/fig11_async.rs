@@ -118,6 +118,7 @@ fn run_policy(policy: StalenessPolicy, label: &str, seed: u64) -> AsyncPolicyRow
             batch_size: 16,
             learning_rate: 0.05,
             local_epochs: 2,
+            mu: 0.0,
         },
         rounds: 15,
         ..TrainingConfig::default()

@@ -138,6 +138,7 @@ fn tta_driver(codec: CodecKind, rounds: usize) -> (TrainingDriver<FlatFedAvg>, S
                 batch_size: 16,
                 learning_rate: 0.05,
                 local_epochs: 2,
+                mu: 0.0,
             },
             rounds,
             ..TrainingConfig::default()

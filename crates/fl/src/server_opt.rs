@@ -2,17 +2,23 @@
 //!
 //! The paper's evaluation uses plain FedAvg (§6.2), but its related-work
 //! section points at the adaptive federated-optimization family (Reddi et
-//! al., 2020) as one of the algorithm-level directions LIFL is meant to be a
-//! substrate for. This module implements that family so a downstream user can
+//! al., "Adaptive Federated Optimization", ICLR 2021) as one of the
+//! algorithm-level directions LIFL is meant to be a substrate for. This
+//! module implements that family so a downstream user can
 //! swap the server update rule without touching the aggregation hierarchy:
 //! the hierarchy still produces a sample-weighted average of client models
 //! (via [`crate::aggregate::CumulativeFedAvg`]), and the server optimizer then
 //! decides how the global model moves toward that average.
 //!
-//! All optimizers operate on the *pseudo-gradient* `Δ = aggregate − global`:
+//! The optimizer is the training driver's commit
+//! (`lifl_core::training::TrainingConfig::server`): every round and every
+//! asynchronous version the driver adopts goes through
+//! [`ServerOptimizer::commit`]. All optimizers operate on the
+//! *pseudo-gradient* `Δ = aggregate − global`:
 //!
-//! * [`ServerOptKind::FedAvg`] — `global ← global + η·Δ` (η = 1 reproduces
-//!   vanilla FedAvg exactly).
+//! * [`ServerOptKind::FedAvg`] — `global ← global + η·Δ`. At η = 1 (the
+//!   default) the commit is a move: the aggregate becomes the global model
+//!   as it is, because `g + 1·(a − g)` is not bit-identical to `a`.
 //! * [`ServerOptKind::FedAdagrad`] — per-coordinate accumulated squared
 //!   pseudo-gradients.
 //! * [`ServerOptKind::FedAdam`] — first and second moments with bias-free
@@ -136,124 +142,113 @@ impl ServerOptConfig {
     }
 }
 
-/// Stateful server optimizer applied once per committed aggregate.
+/// Stateful server optimizer: the training driver's commit, applied once
+/// per aggregated round.
 #[derive(Debug, Clone)]
 pub struct ServerOptimizer {
     config: ServerOptConfig,
-    /// First moment m (FedAdam / FedYogi), lazily sized.
+    /// First moment m (FedAdam / FedYogi), sized at the first commit.
     momentum: Vec<f32>,
-    /// Second moment v (adaptive methods), lazily sized.
+    /// Second moment v (the adaptive kinds), sized at the first commit.
     second_moment: Vec<f32>,
-    steps: u64,
 }
 
 impl ServerOptimizer {
-    /// Creates an optimizer from a validated configuration.
-    ///
-    /// # Errors
-    /// Returns [`LiflError::InvalidConfig`] when the configuration is invalid.
-    pub fn new(config: ServerOptConfig) -> Result<Self> {
-        config.validate()?;
-        Ok(ServerOptimizer {
+    /// An optimizer for `config`. The configuration is the caller's to
+    /// check with [`ServerOptConfig::validate`]; the training driver runs
+    /// it before every round.
+    pub fn new(config: ServerOptConfig) -> Self {
+        ServerOptimizer {
             config,
             momentum: Vec::new(),
             second_moment: Vec::new(),
-            steps: 0,
-        })
-    }
-
-    /// Creates a vanilla-FedAvg optimizer (η = 1), which never fails.
-    pub fn fedavg() -> Self {
-        ServerOptimizer {
-            config: ServerOptConfig::default(),
-            momentum: Vec::new(),
-            second_moment: Vec::new(),
-            steps: 0,
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &ServerOptConfig {
-        &self.config
-    }
-
-    /// Number of server steps applied so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Applies one server step: moves `global` toward `aggregate` according to
-    /// the configured update rule. `aggregate` is the sample-weighted client
-    /// average produced by the aggregation hierarchy.
+    /// Commits one round: returns the next global model, `global` moved
+    /// toward `aggregate` (the sample-weighted client average the
+    /// aggregation hierarchy produced) by the configured update rule.
+    ///
+    /// Under FedAvg with η = 1 the aggregate *is* the next global model and
+    /// comes back as it went in: no arithmetic, no copy, no moments. Every
+    /// other rule writes the stepped global into the aggregate's buffer,
+    /// element by element, after reading that element's Δ, so no rule
+    /// allocates a model. Only the moments the rule reads are sized.
     ///
     /// # Errors
     /// Returns [`LiflError::DimensionMismatch`] when the aggregate's dimension
     /// differs from the global model's.
-    pub fn step(&mut self, global: &mut DenseModel, aggregate: &DenseModel) -> Result<()> {
+    pub fn commit(&mut self, global: &DenseModel, mut aggregate: DenseModel) -> Result<DenseModel> {
         if global.dim() != aggregate.dim() {
             return Err(LiflError::DimensionMismatch {
                 expected: global.dim(),
                 actual: aggregate.dim(),
             });
         }
-        let dim = global.dim();
-        if self.momentum.len() != dim {
-            self.momentum = vec![0.0; dim];
-            self.second_moment = vec![0.0; dim];
+        let ServerOptConfig {
+            kind,
+            learning_rate: lr,
+            beta1: b1,
+            beta2: b2,
+            tau,
+        } = self.config;
+        if kind == ServerOptKind::FedAvg && lr == 1.0 {
+            return Ok(aggregate);
         }
-        self.steps += 1;
-        let lr = self.config.learning_rate;
-        let b1 = self.config.beta1;
-        let b2 = self.config.beta2;
-        let tau = self.config.tau;
-        let params = global.as_mut_slice();
-        match self.config.kind {
+        let dim = global.dim();
+        if kind != ServerOptKind::FedAvg {
+            fresh_if_resized(&mut self.second_moment, dim);
+        }
+        if matches!(kind, ServerOptKind::FedAdam | ServerOptKind::FedYogi) {
+            fresh_if_resized(&mut self.momentum, dim);
+        }
+        let pairs = aggregate.as_mut_slice().iter_mut().zip(global.as_slice());
+        match kind {
             ServerOptKind::FedAvg => {
-                for (g, a) in params.iter_mut().zip(aggregate.as_slice()) {
-                    let delta = a - *g;
-                    *g += lr * delta;
+                for (a, g) in pairs {
+                    let delta = *a - g;
+                    *a = g + lr * delta;
                 }
             }
             ServerOptKind::FedAdagrad => {
-                for ((g, a), v) in params
-                    .iter_mut()
-                    .zip(aggregate.as_slice())
-                    .zip(self.second_moment.iter_mut())
-                {
-                    let delta = a - *g;
+                for ((a, g), v) in pairs.zip(self.second_moment.iter_mut()) {
+                    let delta = *a - g;
                     *v += delta * delta;
-                    *g += lr * delta / (v.sqrt() + tau);
+                    *a = g + lr * delta / (v.sqrt() + tau);
                 }
             }
             ServerOptKind::FedAdam => {
-                for (((g, a), m), v) in params
-                    .iter_mut()
-                    .zip(aggregate.as_slice())
+                for (((a, g), m), v) in pairs
                     .zip(self.momentum.iter_mut())
                     .zip(self.second_moment.iter_mut())
                 {
-                    let delta = a - *g;
+                    let delta = *a - g;
                     *m = b1 * *m + (1.0 - b1) * delta;
                     *v = b2 * *v + (1.0 - b2) * delta * delta;
-                    *g += lr * *m / (v.sqrt() + tau);
+                    *a = g + lr * *m / (v.sqrt() + tau);
                 }
             }
             ServerOptKind::FedYogi => {
-                for (((g, a), m), v) in params
-                    .iter_mut()
-                    .zip(aggregate.as_slice())
+                for (((a, g), m), v) in pairs
                     .zip(self.momentum.iter_mut())
                     .zip(self.second_moment.iter_mut())
                 {
-                    let delta = a - *g;
+                    let delta = *a - g;
                     let delta_sq = delta * delta;
                     *m = b1 * *m + (1.0 - b1) * delta;
                     *v -= (1.0 - b2) * delta_sq * (*v - delta_sq).signum();
-                    *g += lr * *m / (v.abs().sqrt() + tau);
+                    *a = g + lr * *m / (v.abs().sqrt() + tau);
                 }
             }
         }
-        Ok(())
+        Ok(aggregate)
+    }
+}
+
+/// Zero moments of `dim` entries, unless `moment` already has that many.
+fn fresh_if_resized(moment: &mut Vec<f32>, dim: usize) {
+    if moment.len() != dim {
+        *moment = vec![0.0; dim];
     }
 }
 
@@ -265,14 +260,51 @@ mod tests {
         DenseModel::from_vec(values.to_vec())
     }
 
+    /// One commit of `aggregate` onto `global`, in place.
+    fn step(opt: &mut ServerOptimizer, global: &mut DenseModel, aggregate: &DenseModel) {
+        *global = opt.commit(global, aggregate.clone()).unwrap();
+    }
+
     #[test]
     fn fedavg_with_unit_rate_reproduces_plain_averaging() {
         let mut global = model(&[0.0, 2.0, -4.0]);
         let aggregate = model(&[1.0, 1.0, 1.0]);
-        let mut opt = ServerOptimizer::fedavg();
-        opt.step(&mut global, &aggregate).unwrap();
+        let mut opt = ServerOptimizer::new(ServerOptConfig::default());
+        step(&mut opt, &mut global, &aggregate);
         assert_eq!(global.as_slice(), aggregate.as_slice());
-        assert_eq!(opt.steps(), 1);
+    }
+
+    /// No commit allocates a model: the next global comes back in the
+    /// aggregate's own buffer, and each rule sizes only the moments it
+    /// reads — the default FedAvg (η = 1) none. That default is a move, so
+    /// `-0.0` stays `-0.0` where `g + 1·(a − g)` would make it `+0.0`.
+    #[test]
+    fn every_commit_reuses_the_aggregates_buffer_and_sizes_only_the_moments_it_reads() {
+        let partial = ServerOptConfig {
+            learning_rate: 0.5,
+            ..ServerOptConfig::default()
+        };
+        for (config, momentum, second) in [
+            (ServerOptConfig::default(), 0, 0),
+            (partial, 0, 0),
+            (ServerOptConfig::for_kind(ServerOptKind::FedAdagrad), 0, 3),
+            (ServerOptConfig::for_kind(ServerOptKind::FedAdam), 3, 3),
+            (ServerOptConfig::for_kind(ServerOptKind::FedYogi), 3, 3),
+        ] {
+            let aggregate = model(&[-0.0, -1.0, 0.5]);
+            let buffer = aggregate.as_slice().as_ptr();
+            let mut opt = ServerOptimizer::new(config);
+            let next = opt.commit(&model(&[0.0; 3]), aggregate).unwrap();
+            assert_eq!(next.as_slice().as_ptr(), buffer, "{config:?}");
+            assert_eq!(
+                (opt.momentum.capacity(), opt.second_moment.capacity()),
+                (momentum, second),
+                "{config:?}"
+            );
+            if config == ServerOptConfig::default() {
+                assert_eq!(next.as_slice()[0].to_bits(), (-0.0f32).to_bits());
+            }
+        }
     }
 
     #[test]
@@ -282,9 +314,8 @@ mod tests {
         let mut opt = ServerOptimizer::new(ServerOptConfig {
             learning_rate: 0.5,
             ..ServerOptConfig::default()
-        })
-        .unwrap();
-        opt.step(&mut global, &aggregate).unwrap();
+        });
+        step(&mut opt, &mut global, &aggregate);
         assert_eq!(global.as_slice(), &[1.0, -1.0]);
     }
 
@@ -297,7 +328,7 @@ mod tests {
         ] {
             let mut global = model(&[0.0, 0.0, 0.0]);
             let aggregate = model(&[1.0, -1.0, 0.5]);
-            let mut opt = ServerOptimizer::new(ServerOptConfig::for_kind(kind)).unwrap();
+            let mut opt = ServerOptimizer::new(ServerOptConfig::for_kind(kind));
             let initial_dist: f32 = aggregate
                 .as_slice()
                 .iter()
@@ -305,7 +336,7 @@ mod tests {
                 .map(|(a, g)| (a - g).abs())
                 .sum();
             for _ in 0..50 {
-                opt.step(&mut global, &aggregate).unwrap();
+                step(&mut opt, &mut global, &aggregate);
             }
             let final_dist: f32 = aggregate
                 .as_slice()
@@ -326,11 +357,11 @@ mod tests {
         for kind in ServerOptKind::all() {
             let aggregate = model(&[0.3, -0.7, 1.1]);
             let mut global = aggregate.clone();
-            let mut opt = ServerOptimizer::new(ServerOptConfig::for_kind(kind)).unwrap();
+            let mut opt = ServerOptimizer::new(ServerOptConfig::for_kind(kind));
             // Warm the moments on a non-zero delta first, then converge.
             let mut far = model(&[5.0, 5.0, 5.0]);
-            opt.step(&mut far, &aggregate).unwrap();
-            opt.step(&mut global, &aggregate).unwrap();
+            step(&mut opt, &mut far, &aggregate);
+            step(&mut opt, &mut global, &aggregate);
             for (g, a) in global.as_slice().iter().zip(aggregate.as_slice()) {
                 assert!((g - a).abs() < 0.2, "{kind}: {g} vs {a}");
             }
@@ -339,11 +370,11 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_is_rejected() {
-        let mut global = model(&[0.0, 0.0]);
+        let global = model(&[0.0, 0.0]);
         let aggregate = model(&[1.0]);
-        let mut opt = ServerOptimizer::fedavg();
+        let mut opt = ServerOptimizer::new(ServerOptConfig::default());
         assert!(matches!(
-            opt.step(&mut global, &aggregate),
+            opt.commit(&global, aggregate),
             Err(LiflError::DimensionMismatch {
                 expected: 2,
                 actual: 1
@@ -353,20 +384,23 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        assert!(ServerOptimizer::new(ServerOptConfig {
+        assert!(ServerOptConfig {
             learning_rate: 0.0,
             ..ServerOptConfig::default()
-        })
+        }
+        .validate()
         .is_err());
-        assert!(ServerOptimizer::new(ServerOptConfig {
+        assert!(ServerOptConfig {
             beta1: 1.5,
             ..ServerOptConfig::default()
-        })
+        }
+        .validate()
         .is_err());
-        assert!(ServerOptimizer::new(ServerOptConfig {
+        assert!(ServerOptConfig {
             tau: -1.0,
             ..ServerOptConfig::default()
-        })
+        }
+        .validate()
         .is_err());
     }
 
@@ -407,14 +441,14 @@ mod proptests {
             (global_vec, agg_vec) in arbitrary_pair(),
             lr in 0.05f32..1.0,
         ) {
-            let mut global = DenseModel::from_vec(global_vec.clone());
+            let global = DenseModel::from_vec(global_vec.clone());
             let aggregate = DenseModel::from_vec(agg_vec.clone());
             let mut opt = ServerOptimizer::new(ServerOptConfig {
                 learning_rate: lr,
                 ..ServerOptConfig::default()
-            }).unwrap();
-            opt.step(&mut global, &aggregate).unwrap();
-            for ((before, after), target) in global_vec.iter().zip(global.as_slice()).zip(&agg_vec) {
+            });
+            let next = opt.commit(&global, aggregate).unwrap();
+            for ((before, after), target) in global_vec.iter().zip(next.as_slice()).zip(&agg_vec) {
                 let lo = before.min(*target) - 1e-5;
                 let hi = before.max(*target) + 1e-5;
                 prop_assert!(*after >= lo && *after <= hi,
@@ -431,9 +465,9 @@ mod proptests {
             for kind in [ServerOptKind::FedAdagrad, ServerOptKind::FedAdam, ServerOptKind::FedYogi] {
                 let mut global = DenseModel::from_vec(global_vec.clone());
                 let aggregate = DenseModel::from_vec(agg_vec.clone());
-                let mut opt = ServerOptimizer::new(ServerOptConfig::for_kind(kind)).unwrap();
+                let mut opt = ServerOptimizer::new(ServerOptConfig::for_kind(kind));
                 for _ in 0..5 {
-                    opt.step(&mut global, &aggregate).unwrap();
+                    global = opt.commit(&global, aggregate.clone()).unwrap();
                 }
                 for v in global.as_slice() {
                     prop_assert!(v.is_finite(), "{kind:?} produced non-finite parameter {v}");

@@ -740,6 +740,21 @@ const RETIRED_WITH_FAULT_RESEND: [(&str, &str); 3] = [
     ),
 ];
 
+/// Names retired when FedProx's proximal term moved into the one local
+/// trainer's step, with where each one's users go now.
+const RETIRED_WITH_FEDPROX_TRAINER: [(&str, &str); 2] = [
+    (
+        "FedProxTrainer",
+        "train with `LocalTrainer`, whose every mini-batch step applies the proximal \
+         term when `TrainerConfig::mu` is positive",
+    ),
+    (
+        "FedProxConfig",
+        "set `TrainerConfig::mu` (checked with the learning rate by \
+         `TrainerConfig::validate`)",
+    ),
+];
+
 /// The engine's data-plane files: every payload here is written once by its
 /// producer and *moved* into the store (PR 21), so the copying conveniences
 /// below have no business in their non-test code.
@@ -935,8 +950,9 @@ fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
 /// per-drive thread scope retired in PR 25 (`THREAD_STARTS` outside
 /// `THREAD_MODULE`, and with it any `PRIVATE_WORKER_SET`) and the
 /// asynchronous stack beside the training driver
-/// (`RETIRED_WITH_ASYNC_DRIVER`) and the client re-send path of node
-/// failures (`RETIRED_WITH_FAULT_RESEND`) must stay deleted, and non-test
+/// (`RETIRED_WITH_ASYNC_DRIVER`), the client re-send path of node
+/// failures (`RETIRED_WITH_FAULT_RESEND`) and the second local-SGD loop of
+/// FedProx (`RETIRED_WITH_FEDPROX_TRAINER`) must stay deleted, and non-test
 /// code of the `ENGINE_CRATES` names none of the `SIMULATOR_TYPES`. Unlike
 /// the shell guard this replaces, the check runs on code tokens, so prose
 /// in comments and string literals can mention the old names freely.
@@ -1016,6 +1032,18 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
                     format!(
                         "`{name}` was retired when a killed node began re-folding its \
                          round from the stored keys; {advice} (see MIGRATION.md)"
+                    ),
+                ));
+            } else if let Some((name, advice)) =
+                (RETIRED_WITH_FEDPROX_TRAINER.iter()).find(|(name, _)| t.text == *name)
+            {
+                out.push(finding(
+                    f,
+                    t.line,
+                    Rule::LegacyRuntime,
+                    format!(
+                        "`{name}` was retired when FedProx's proximal term moved into \
+                         the one local trainer; {advice} (see MIGRATION.md)"
                     ),
                 ));
             } else if t.text == "runtime"

@@ -251,6 +251,30 @@ fn r6_fail_flags_the_names_retired_with_the_fault_resend_path() {
 }
 
 #[test]
+fn r6_fail_flags_the_names_retired_with_the_fedprox_trainer() {
+    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
+    let retired: Vec<&String> = (found.iter())
+        .filter(|f| f.contains("crates/fl/src/trainer.rs:"))
+        .collect();
+    assert_eq!(retired.len(), 3, "{found:#?}");
+    for (line, name, advice) in [
+        (3, "`FedProxTrainer`", "`LocalTrainer`"),
+        (4, "`FedProxTrainer`", "`TrainerConfig::mu`"),
+        (4, "`FedProxConfig`", "`TrainerConfig::validate`"),
+    ] {
+        assert!(
+            retired.iter().any(|f| {
+                f.contains(&format!("crates/fl/src/trainer.rs:{line}:"))
+                    && f.contains(name)
+                    && f.contains("proximal term moved into the one local trainer")
+                    && f.contains(advice)
+            }),
+            "{name} at line {line}: {found:#?}"
+        );
+    }
+}
+
+#[test]
 fn r6_fail_flags_threads_started_outside_the_station_executor() {
     let found = lint("r6_fail", &[Rule::LegacyRuntime]);
     let starts: Vec<&String> = found

@@ -49,6 +49,7 @@ fn main() {
             batch_size: 16,
             learning_rate: 0.05,
             local_epochs: 2,
+            mu: 0.0,
         },
         rounds: 12,
         eval_every: 1,

@@ -95,16 +95,19 @@ bench-baseline-check:
 benchmark-check:
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- check BENCHMARK.json
 
-# CI smoke steps: the quickstart, cluster-federation, failure-recovery and
-# asynchronous-FL examples run end to end (cluster-federation and
-# failure-recovery assert bit-exactness inline: cluster against session, a
-# survived node kill against the undisturbed cluster; the asynchronous one
-# runs FedBuff on the training driver over a flat session).
+# CI smoke steps: the quickstart, cluster-federation, failure-recovery,
+# asynchronous-FL and server-optimizer examples run end to end
+# (cluster-federation, failure-recovery and server-optimizers assert
+# bit-exactness inline: cluster against session, a survived node kill
+# against the undisturbed cluster, FedAdam's commits over a cluster against
+# a session; the asynchronous one runs FedBuff on the training driver over a
+# flat session).
 smoke:
     cargo run --release -p lifl-examples --example quickstart
     cargo run --release -p lifl-examples --example cluster_federation
     cargo run --release -p lifl-examples --example failure_recovery
     cargo run --release -p lifl-examples --example async_federated_learning
+    cargo run --release -p lifl-examples --example server_optimizers
 
 # Run the multi-node cluster federation demo (sessions composed
 # gateway-to-gateway over Update::RemoteBytes, bit-exactness asserted inline).

@@ -1,5 +1,5 @@
 //! The explicit [`FoldPolicy::FedAvg`] path must be bit-exact with the
-//! default (pre-policy) fold for every `CodecKind` × shard count, over both
+//! default (pre-policy) fold for every `CodecKind`, over both
 //! the single-process session and the federated cluster: opting into the
 //! policy enum is free until a robust policy is actually selected.
 
@@ -14,46 +14,39 @@ fn topology() -> Topology {
     Topology::new(vec![2, 2, 2]).expect("topology")
 }
 
-/// Acceptance: for every codec in the ablation set and both shard counts,
-/// a session built with an explicit `FoldPolicy::FedAvg` produces the same
-/// model bits, sample count and wire accounting as a default-built session.
+/// Acceptance: for every codec in the ablation set, a session built with an
+/// explicit `FoldPolicy::FedAvg` produces the same model bits, sample count
+/// and wire accounting as a default-built session.
 #[test]
 fn explicit_fedavg_session_is_bit_exact_with_default() {
     let batch = updates(topology().total_updates(), DIM);
     for codec in CodecKind::ablation_set() {
-        for shards in [1usize, 4] {
-            let mut default_session = SessionBuilder::new()
-                .topology(topology())
-                .codec(codec)
-                .shards(shards)
-                .build()
+        let mut default_session = SessionBuilder::new()
+            .topology(topology())
+            .codec(codec)
+            .build()
+            .unwrap();
+        let mut explicit = SessionBuilder::new()
+            .topology(topology())
+            .codec(codec)
+            .fold_policy(FoldPolicy::FedAvg)
+            .build()
+            .unwrap();
+        for update in &batch {
+            default_session
+                .ingest(Update::Dense(update.clone()))
                 .unwrap();
-            let mut explicit = SessionBuilder::new()
-                .topology(topology())
-                .codec(codec)
-                .shards(shards)
-                .fold_policy(FoldPolicy::FedAvg)
-                .build()
-                .unwrap();
-            for update in &batch {
-                default_session
-                    .ingest(Update::Dense(update.clone()))
-                    .unwrap();
-                explicit.ingest(Update::Dense(update.clone())).unwrap();
-            }
-            let want = default_session.drive().unwrap();
-            let got = explicit.drive().unwrap();
-            assert_eq!(got.update.samples, want.update.samples);
-            assert_eq!(
-                got.ingress_wire_bytes, want.ingress_wire_bytes,
-                "{codec}/{shards}"
-            );
-            assert_bit_exact(
-                &got.update.model,
-                &want.update.model,
-                &format!("session {codec}/{shards}"),
-            );
+            explicit.ingest(Update::Dense(update.clone())).unwrap();
         }
+        let want = default_session.drive().unwrap();
+        let got = explicit.drive().unwrap();
+        assert_eq!(got.update.samples, want.update.samples);
+        assert_eq!(got.ingress_wire_bytes, want.ingress_wire_bytes, "{codec}");
+        assert_bit_exact(
+            &got.update.model,
+            &want.update.model,
+            &format!("session {codec}"),
+        );
     }
 }
 
@@ -64,39 +57,35 @@ fn explicit_fedavg_session_is_bit_exact_with_default() {
 fn explicit_fedavg_cluster_is_bit_exact_with_default() {
     let batch = updates(topology().total_updates(), DIM);
     for codec in CodecKind::ablation_set() {
-        for shards in [1usize, 4] {
-            let mut default_cluster = ClusterBuilder::new()
-                .topology(topology())
-                .codec(codec)
-                .shards(shards)
-                .build()
-                .unwrap();
-            let mut explicit = ClusterBuilder::new()
-                .topology(topology())
-                .codec(codec)
-                .shards(shards)
-                .fold_policy(FoldPolicy::FedAvg)
-                .build()
-                .unwrap();
-            default_cluster
-                .ingest_all(batch.iter().cloned().map(Update::Dense))
-                .unwrap();
-            explicit
-                .ingest_all(batch.iter().cloned().map(Update::Dense))
-                .unwrap();
-            let want = default_cluster.drive().unwrap();
-            let got = explicit.drive().unwrap();
-            assert_eq!(got.update.samples, want.update.samples);
-            assert_eq!(
-                got.inter_node_wire_bytes(),
-                want.inter_node_wire_bytes(),
-                "{codec}/{shards}"
-            );
-            assert_bit_exact(
-                &got.update.model,
-                &want.update.model,
-                &format!("cluster {codec}/{shards}"),
-            );
-        }
+        let mut default_cluster = ClusterBuilder::new()
+            .topology(topology())
+            .codec(codec)
+            .build()
+            .unwrap();
+        let mut explicit = ClusterBuilder::new()
+            .topology(topology())
+            .codec(codec)
+            .fold_policy(FoldPolicy::FedAvg)
+            .build()
+            .unwrap();
+        default_cluster
+            .ingest_all(batch.iter().cloned().map(Update::Dense))
+            .unwrap();
+        explicit
+            .ingest_all(batch.iter().cloned().map(Update::Dense))
+            .unwrap();
+        let want = default_cluster.drive().unwrap();
+        let got = explicit.drive().unwrap();
+        assert_eq!(got.update.samples, want.update.samples);
+        assert_eq!(
+            got.inter_node_wire_bytes(),
+            want.inter_node_wire_bytes(),
+            "{codec}"
+        );
+        assert_bit_exact(
+            &got.update.model,
+            &want.update.model,
+            &format!("cluster {codec}"),
+        );
     }
 }

@@ -59,6 +59,7 @@ fn driver(cluster: Cluster, seed: u64) -> (TrainingDriver<Cluster>, SimRng) {
                 batch_size: 16,
                 learning_rate: 0.05,
                 local_epochs: 2,
+                mu: 0.0,
             },
             rounds: 3,
             eval_every: 1,

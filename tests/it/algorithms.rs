@@ -1,23 +1,22 @@
 //! Cross-crate integration of the algorithm-level extensions with the
-//! aggregation substrate: server optimizers driving the synchronous round
-//! loop, FedProx updates flowing through hierarchical FedAvg, staleness
-//! weighting feeding the cumulative accumulator, and asynchronous training
-//! committing a version every `goal` updates.
+//! aggregation substrate: server optimizers as the training driver's commit,
+//! FedProx's proximal term in the driver's local step, staleness weighting
+//! feeding the cumulative accumulator, and asynchronous training committing
+//! a version every `goal` updates.
 
+use lifl_core::cluster::ClusterBuilder;
 use lifl_core::session::SessionBuilder;
 use lifl_core::training::{TrainingConfig, TrainingDriver};
 use lifl_fl::aggregate::{fedavg, CumulativeFedAvg, ModelUpdate};
 use lifl_fl::client::ClientAvailability;
 use lifl_fl::dataset::{DatasetConfig, FederatedDataset};
-use lifl_fl::fedprox::{FedProxConfig, FedProxTrainer};
-use lifl_fl::metrics::accuracy_percent;
 use lifl_fl::population::{Population, PopulationConfig};
-use lifl_fl::server_opt::{ServerOptConfig, ServerOptKind, ServerOptimizer};
+use lifl_fl::server_opt::{ServerOptConfig, ServerOptKind};
 use lifl_fl::staleness::StalenessPolicy;
-use lifl_fl::trainer::{LocalTrainer, TrainerConfig};
-use lifl_fl::DenseModel;
+use lifl_fl::trainer::TrainerConfig;
+use lifl_fl::{DenseModel, FlatFedAvg, Ingest};
 use lifl_simcore::SimRng;
-use lifl_types::{ClientId, Topology};
+use lifl_types::{ClientId, CodecKind, Topology};
 
 fn small_dataset(rng: &mut SimRng) -> FederatedDataset {
     FederatedDataset::generate(
@@ -34,48 +33,49 @@ fn small_dataset(rng: &mut SimRng) -> FederatedDataset {
     )
 }
 
-#[test]
-fn adaptive_server_optimizers_learn_through_the_round_loop() {
+/// The small workload with `active` participants a round, and the
+/// generator the driver runs on.
+fn small_workload(active: usize) -> (FederatedDataset, Population, SimRng) {
     let mut rng = SimRng::from_seed(31);
     let dataset = small_dataset(&mut rng);
     let population = Population::generate(
         PopulationConfig {
             total_clients: 30,
-            active_per_round: 10,
+            active_per_round: active,
             availability: ClientAvailability::AlwaysOn,
             mean_samples: 40,
             speed_spread: 0.3,
         },
         &mut rng,
     );
-    let trainer = LocalTrainer::new(
-        dataset.num_features,
-        dataset.num_classes,
-        TrainerConfig {
-            batch_size: 16,
-            learning_rate: 0.05,
-            local_epochs: 2,
-        },
-    );
+    (dataset, population, SimRng::from_seed(77))
+}
+
+/// Local SGD as the algorithm tests run it, with proximal coefficient `mu`.
+fn trainer(mu: f32) -> TrainerConfig {
+    TrainerConfig {
+        batch_size: 16,
+        learning_rate: 0.05,
+        local_epochs: 2,
+        mu,
+    }
+}
+
+#[test]
+fn adaptive_server_optimizers_learn_through_the_round_loop() {
     for kind in [ServerOptKind::FedAvg, ServerOptKind::FedAdam] {
-        let mut rng = SimRng::from_seed(77);
-        let mut optimizer = ServerOptimizer::new(ServerOptConfig::for_kind(kind)).unwrap();
-        let mut global = dataset.initial_model();
-        let initial = accuracy_percent(&trainer, &global, dataset.test_set());
-        for _ in 0..10 {
-            let participants = population.select_round(&mut rng);
-            let updates: Vec<ModelUpdate> = participants
-                .iter()
-                .map(|c| {
-                    let shard = dataset.shard(c.id);
-                    let (local, _) = trainer.train(&global, shard, &mut rng);
-                    ModelUpdate::from_client(c.id, local, shard.len().max(1) as u64)
-                })
-                .collect();
-            let aggregate = fedavg(&updates).unwrap();
-            optimizer.step(&mut global, &aggregate.model).unwrap();
-        }
-        let final_acc = accuracy_percent(&trainer, &global, dataset.test_set());
+        let (dataset, population, mut rng) = small_workload(10);
+        let config = TrainingConfig {
+            trainer: trainer(0.0),
+            server: ServerOptConfig::for_kind(kind),
+            rounds: 10,
+            ..TrainingConfig::default()
+        };
+        let backend = FlatFedAvg::new(10, CodecKind::Identity);
+        let mut driver = TrainingDriver::new(backend, dataset, population, config);
+        let initial = driver.evaluate();
+        driver.run_all(&mut rng).unwrap();
+        let final_acc = driver.evaluate();
         assert!(
             final_acc > initial + 15.0,
             "{kind}: accuracy should improve materially ({initial:.1} -> {final_acc:.1})"
@@ -83,37 +83,58 @@ fn adaptive_server_optimizers_learn_through_the_round_loop() {
     }
 }
 
-#[test]
-fn fedprox_updates_flow_through_hierarchical_fedavg() {
-    let mut rng = SimRng::from_seed(5);
-    let dataset = small_dataset(&mut rng);
-    let trainer = FedProxTrainer::new(
-        dataset.num_features,
-        dataset.num_classes,
-        FedProxConfig {
-            mu: 0.1,
-            learning_rate: 0.05,
-            local_epochs: 2,
-            batch_size: 16,
-        },
-    )
-    .unwrap();
-    let global = dataset.initial_model();
-    let updates: Vec<ModelUpdate> = (0..8u64)
-        .map(|c| {
-            let shard = dataset.shard(ClientId::new(c));
-            let (local, _) = trainer.train(&global, shard, &mut rng);
-            ModelUpdate::from_client(ClientId::new(c), local, shard.len().max(1) as u64)
-        })
+/// Three rounds of the small workload over `backend`: every round's loss
+/// bits and accuracy, and the global model's bits.
+fn proximal_run<B: Ingest>(backend: B, mu: f32) -> (Vec<(u64, f64)>, Vec<u32>) {
+    let (dataset, population, mut rng) = small_workload(8);
+    let config = TrainingConfig {
+        trainer: trainer(mu),
+        rounds: 3,
+        ..TrainingConfig::default()
+    };
+    let mut driver = TrainingDriver::new(backend, dataset, population, config);
+    let history = driver.run_all(&mut rng).unwrap();
+    let rounds = (history.iter())
+        .map(|r| (r.train_loss.to_bits(), r.accuracy.unwrap()))
         .collect();
-    // Hierarchical aggregation (two leaves + top) matches flat aggregation.
-    let flat = fedavg(&updates).unwrap();
-    let leaf_a = fedavg(&updates[..4]).unwrap();
-    let leaf_b = fedavg(&updates[4..]).unwrap();
-    let top = fedavg(&[leaf_a, leaf_b]).unwrap();
-    assert_eq!(flat.samples, top.samples);
-    for (x, y) in flat.model.as_slice().iter().zip(top.model.as_slice()) {
-        assert!((x - y).abs() < 1e-3, "{x} vs {y}");
+    let model = driver.global_model().as_slice();
+    (rounds, model.iter().map(|v| v.to_bits()).collect())
+}
+
+/// FedProx is the driver's local step, so its updates take every engine
+/// path: over the flat backend it is a flat session's run, and over a
+/// `[2, 2, 2]` session it is the same tree as a two-node cluster's run,
+/// bit for bit under a lossless and a lossy codec. The term is applied
+/// (μ > 0 is not μ = 0's run) and the run still learns.
+#[test]
+fn fedprox_trains_through_the_driver_over_every_backend() {
+    let mu = 0.1;
+    let flat = proximal_run(FlatFedAvg::new(8, CodecKind::Identity), mu);
+    let flat_session = SessionBuilder::new()
+        .topology(Topology::flat(8))
+        .build()
+        .unwrap();
+    assert_eq!(proximal_run(flat_session, mu), flat);
+    assert_ne!(
+        proximal_run(FlatFedAvg::new(8, CodecKind::Identity), 0.0),
+        flat
+    );
+    for codec in [CodecKind::Identity, CodecKind::Uniform8] {
+        let tree = || Topology::new(vec![2, 2, 2]).unwrap();
+        let session = SessionBuilder::new()
+            .topology(tree())
+            .codec(codec)
+            .build()
+            .unwrap();
+        let cluster = ClusterBuilder::new()
+            .topology(tree())
+            .codec(codec)
+            .build()
+            .unwrap();
+        let over_session = proximal_run(session, mu);
+        assert_eq!(proximal_run(cluster, mu), over_session, "{codec}");
+        let loss = |round: usize| f64::from_bits(over_session.0[round].0);
+        assert!(loss(2) < loss(0), "{codec}: {:?}", over_session.0);
     }
 }
 
@@ -165,9 +186,8 @@ fn algorithm_level_async_driver_matches_platform_async_semantics() {
         .unwrap();
     let config = TrainingConfig {
         trainer: TrainerConfig {
-            batch_size: 16,
-            learning_rate: 0.05,
             local_epochs: 1,
+            ..trainer(0.0)
         },
         rounds: 3,
         eval_every: 1,

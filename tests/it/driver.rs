@@ -1,7 +1,6 @@
 //! The multi-round training-driver tier: one `TrainingDriver` loop runs over
 //! any `Ingest` backend — a single-process `Session`, a federated `Cluster`
-//! or the flat `FlatFedAvg` — with bit-exact results for every codec × shard
-//! count, and live top placement re-places the global top between rounds
+//! or the flat `FlatFedAvg` — with bit-exact results for every codec, and live top placement re-places the global top between rounds
 //! without touching the aggregate. Asynchronous runs (`run_async`) are the
 //! same loop: over a flat session they are bit-exact with the flat backend.
 
@@ -53,20 +52,18 @@ fn fixtures(seed: u64) -> (FederatedDataset, Population, SimRng) {
     (dataset, population, rng)
 }
 
-fn session(codec: CodecKind, shards: usize) -> Session {
+fn session(codec: CodecKind) -> Session {
     SessionBuilder::new()
         .topology(topology())
         .codec(codec)
-        .shards(shards)
         .build()
         .expect("session")
 }
 
-fn cluster(codec: CodecKind, shards: usize) -> Cluster {
+fn cluster(codec: CodecKind) -> Cluster {
     ClusterBuilder::new()
         .topology(topology())
         .codec(codec)
-        .shards(shards)
         .build()
         .expect("cluster")
 }
@@ -82,6 +79,7 @@ fn run_driver<B: Ingest>(backend: B, seed: u64, rounds: usize) -> TrainingDriver
                 batch_size: 16,
                 learning_rate: 0.05,
                 local_epochs: 2,
+                mu: 0.0,
             },
             rounds,
             eval_every: 1,
@@ -94,45 +92,43 @@ fn run_driver<B: Ingest>(backend: B, seed: u64, rounds: usize) -> TrainingDriver
 
 /// Acceptance: the cluster-backed driver is **bit-exact** with the
 /// session-backed driver — same global model bits, same loss curve, same
-/// wire accounting — for every `CodecKind` × {1, 4} shards.
+/// wire accounting — for every `CodecKind`.
 #[test]
-fn cluster_driver_bit_exact_with_session_driver_for_every_codec_and_shards() {
+fn cluster_driver_bit_exact_with_session_driver_for_every_codec() {
     for codec in CodecKind::ablation_set() {
-        for shards in [1usize, 4] {
-            let over_session = run_driver(session(codec, shards), 42, 3);
-            let over_cluster = run_driver(cluster(codec, shards), 42, 3);
-            for (s, c) in over_session
-                .history()
-                .iter()
-                .zip(over_cluster.history().iter())
-            {
-                assert_eq!(s.round, c.round);
-                assert_eq!(s.updates, c.updates, "{codec}/{shards}");
-                assert_eq!(
-                    s.train_loss, c.train_loss,
-                    "{codec}/{shards} round {}: identical local training \
-                     must report identical loss",
-                    s.round
-                );
-                assert_eq!(
-                    s.ingress_wire_bytes, c.ingress_wire_bytes,
-                    "{codec}/{shards} round {}",
-                    s.round
-                );
-                assert_eq!(s.accuracy, c.accuracy, "{codec}/{shards} round {}", s.round);
-            }
-            for (a, b) in over_session
-                .global_model()
-                .as_slice()
-                .iter()
-                .zip(over_cluster.global_model().as_slice())
-            {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{codec}/{shards}: cluster driver diverged: {a} vs {b}"
-                );
-            }
+        let over_session = run_driver(session(codec), 42, 3);
+        let over_cluster = run_driver(cluster(codec), 42, 3);
+        for (s, c) in over_session
+            .history()
+            .iter()
+            .zip(over_cluster.history().iter())
+        {
+            assert_eq!(s.round, c.round);
+            assert_eq!(s.updates, c.updates, "{codec}");
+            assert_eq!(
+                s.train_loss, c.train_loss,
+                "{codec} round {}: identical local training \
+                 must report identical loss",
+                s.round
+            );
+            assert_eq!(
+                s.ingress_wire_bytes, c.ingress_wire_bytes,
+                "{codec} round {}",
+                s.round
+            );
+            assert_eq!(s.accuracy, c.accuracy, "{codec} round {}", s.round);
+        }
+        for (a, b) in over_session
+            .global_model()
+            .as_slice()
+            .iter()
+            .zip(over_cluster.global_model().as_slice())
+        {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{codec}: cluster driver diverged: {a} vs {b}"
+            );
         }
     }
 }
@@ -144,8 +140,8 @@ fn cluster_driver_bit_exact_with_session_driver_for_every_codec_and_shards() {
 #[test]
 fn lossy_cluster_driver_converges_identically_to_session_driver() {
     let rounds = 10;
-    let over_session = run_driver(session(CodecKind::Uniform8, 1), 7, rounds);
-    let over_cluster = run_driver(cluster(CodecKind::Uniform8, 1), 7, rounds);
+    let over_session = run_driver(session(CodecKind::Uniform8), 7, rounds);
+    let over_cluster = run_driver(cluster(CodecKind::Uniform8), 7, rounds);
     let session_curve: Vec<f64> = over_session
         .history()
         .iter()
@@ -268,6 +264,7 @@ fn flat_backend_is_bit_exact_with_a_flat_session_under_identity() {
             batch_size: 16,
             learning_rate: 0.05,
             local_epochs: 2,
+            mu: 0.0,
         },
         ..TrainingConfig::default()
     };
@@ -311,6 +308,7 @@ fn run_async<B: Ingest>(backend: B, versions: usize) -> (Vec<AsyncCommit>, Vec<u
             batch_size: 16,
             learning_rate: 0.05,
             local_epochs: 2,
+            mu: 0.0,
         },
         rounds: versions,
         ..TrainingConfig::default()
@@ -368,8 +366,8 @@ fn curve<B: Ingest>(driver: &TrainingDriver<B>) -> (Vec<(u64, f64)>, u64) {
 /// logit), before logits moved to class lanes over a transposed weight block.
 #[test]
 fn the_training_curve_is_the_row_major_trainers() {
-    let over_cluster = curve(&run_driver(cluster(CodecKind::Uniform8, 1), 42, 5));
-    let over_session = curve(&run_driver(session(CodecKind::Identity, 1), 42, 5));
+    let over_cluster = curve(&run_driver(cluster(CodecKind::Uniform8), 42, 5));
+    let over_session = curve(&run_driver(session(CodecKind::Identity), 42, 5));
     let cluster_rounds = vec![
         (4_608_562_285_415_642_012, 85.0),
         (4_607_479_344_048_292_771, 95.333_333_333_333_33),
@@ -426,6 +424,7 @@ mod flat_rounds {
                     batch_size: 16,
                     learning_rate: 0.05,
                     local_epochs: 2,
+                    mu: 0.0,
                 },
                 rounds: 15,
                 eval_every: 1,

