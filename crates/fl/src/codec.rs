@@ -593,12 +593,18 @@ fn tensor_scale(params: &[f32], levels: f32) -> f32 {
     scale_for(kernels::max_abs_finite(params), levels)
 }
 
-/// [`tensor_scale`] of a tensor whose largest finite magnitude is `max_abs`.
-fn scale_for(max_abs: f32, levels: f32) -> f32 {
-    if max_abs == 0.0 {
-        0.0
+/// [`tensor_scale`] of a tensor whose largest finite magnitude is `max_abs`:
+/// 0 — an all-zero body that draws nothing, so error feedback keeps the whole
+/// update in the residual — when the tensor is zero, and also when `1 /
+/// scale` overflows (`max_abs` below ≈ 3.7e-37 for `Uniform8`, ≈ 2.1e-38 for
+/// `Uniform4`), where every zero element would quantize as `0 · ∞ = NaN`,
+/// which the clamp sends to the top level.
+pub(crate) fn scale_for(max_abs: f32, levels: f32) -> f32 {
+    let scale = max_abs / levels;
+    if (1.0 / scale).is_finite() {
+        scale
     } else {
-        max_abs / levels
+        0.0
     }
 }
 
@@ -1185,6 +1191,47 @@ mod tests {
             let mut codec = UpdateCodec::new(kind);
             let decoded = codec.roundtrip(&DenseModel::zeros(9));
             assert_eq!(decoded.as_slice(), &[0.0f32; 9]);
+        }
+    }
+
+    /// Maxima on both sides of the boundary below which `1 / scale`
+    /// overflows (≈ 3.7e-37 for `Uniform8`, ≈ 2.1e-38 for `Uniform4`), plain
+    /// and with error feedback: zeros decode to 0, no sign flips, and the
+    /// residual holds exactly what was not sent — below both boundaries, the
+    /// whole update.
+    #[test]
+    fn tiny_maxima_encode_zeros_as_zero() {
+        let maxima = [
+            1e-36f32, 5e-37, 3e-37, 1e-37, 3e-38, 1e-38, 1e-39, 1e-40, 1e-42, 1e-44,
+        ];
+        for kind in [CodecKind::Uniform8, CodecKind::Uniform4] {
+            for max in maxima {
+                let values: Vec<f32> = (0..37)
+                    .map(|i| [0.0, max, -max, 0.0, 0.5 * max][i % 5])
+                    .collect();
+                let m = model(&values);
+                let plain = UpdateCodec::new(kind).encode(&m).decode();
+                let client = ClientId::new(1);
+                let mut feedback = ErrorFeedback::new(UpdateCodec::new(kind));
+                let sent = feedback.encode(client, &m).unwrap().decode();
+                let residual = feedback.residual(client).unwrap().as_slice();
+                let case = format!("{kind:?} max {max:e}");
+                for decoded in [plain.as_slice(), sent.as_slice()] {
+                    for (v, d) in values.iter().zip(decoded) {
+                        if *v == 0.0 {
+                            assert_eq!(d.to_bits(), 0.0f32.to_bits(), "{case}");
+                        }
+                        let flipped = *d != 0.0 && d.is_sign_negative() != v.is_sign_negative();
+                        assert!(!flipped, "{case}: {v:e} decoded as {d:e}");
+                    }
+                }
+                for ((v, d), r) in values.iter().zip(sent.as_slice()).zip(residual) {
+                    assert_eq!(r.to_bits(), (v - d).to_bits(), "{case}");
+                }
+                if max <= 1e-39 {
+                    assert!(sent.as_slice().iter().all(|d| *d == 0.0), "{case}");
+                }
+            }
         }
     }
 

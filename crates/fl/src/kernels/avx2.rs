@@ -47,16 +47,29 @@
 //!   high half of an odd last draw exactly once. The position afterwards is
 //!   `fill(len)`'s by construction.
 //!
+//! Three arms draw this one stream. The scalar arm stores it through `fill`;
+//! this arm mixes four draws per `draw8`; the `Uniform8` encoders'
+//! AVX-512 arm (`avx512.rs`) mixes eight per `draw16`, with one native
+//! `vpmullq` per 64-bit multiply where `mul64` needs three `vpmuludq`. Word
+//! `j` of a vector is stream word `j` past the vector's first in every arm,
+//! and every arm ends where `fill(len)` ends.
+//!
 //! **How to add a stochastic kernel:** write the scalar arm over
 //! `rng.fill(block)`; in the AVX2 arm take `first_counters(rng)` once, call
 //! `draw8` once per 8 elements *in element order*, `rng.skip(i / 2)` after
 //! the loop, and pass `rng` on to the scalar arm for the tail — never call
-//! `fill` or keep a word buffer here. Then add the kernel to
-//! `stochastic_kernels_draw_the_fill_stream` in the parent module's
-//! proptests, which checks the bytes and the generator's next words.
+//! `fill` or keep a word buffer here. An AVX-512 arm follows the same rule
+//! with `avx512.rs`'s `first_counters` and `draw16` per 16 elements, and
+//! needs its own dispatch arm in the parent module (lint R3 checks both).
+//! Then add the kernel to `stochastic_kernels_draw_the_fill_stream` and
+//! `encoders_match_bitwise` in the parent module's proptests, which run it
+//! on every arm the host runs and check the bytes, the residual bits and the
+//! generator's next words.
 //!
 //! All functions are `unsafe` because they require AVX2; the dispatcher in
-//! the parent module only calls them after `is_x86_feature_detected!`.
+//! the parent module only calls them after `is_x86_feature_detected!`, on
+//! the AVX2 arm and, for every kernel but the `Uniform8` encoders, on the
+//! AVX-512 arm too.
 
 use core::arch::x86_64::*;
 

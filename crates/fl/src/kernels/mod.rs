@@ -2,35 +2,39 @@
 //!
 //! # Dispatch strategy
 //!
-//! Every kernel has exactly two arms: a scalar reference in `scalar.rs`
-//! (the semantic ground truth) and an AVX2 implementation in `avx2.rs`
-//! (x86-64 only). Which arm runs is decided **once per process** by
-//! [`simd_active`]: the first call checks `is_x86_feature_detected!("avx2")`
-//! and the `LIFL_FORCE_SCALAR` environment variable, then caches the answer
-//! in a `OnceLock`, so steady-state dispatch is a single branch on a loaded
-//! boolean. Setting `LIFL_FORCE_SCALAR` to any value other than empty or `0`
-//! forces the scalar arm everywhere (CI runs the integration and fault tiers
-//! both ways).
+//! Every kernel has a scalar reference in `scalar.rs` (the semantic ground
+//! truth) and an AVX2 implementation in `avx2.rs` (x86-64 only); the
+//! `Uniform8` stochastic encoders have a third, 16-lane arm in `avx512.rs`.
+//! Which arm runs is decided **once per process**: the first dispatch
+//! checks the `LIFL_FORCE_SCALAR` environment variable and
+//! `is_x86_feature_detected!`, then caches the answer in a `OnceLock`, so
+//! steady-state dispatch is a branch on a loaded value. The widest arm the
+//! host runs wins: the AVX-512 arm when CPUID reports `avx2`, `avx512f` and
+//! `avx512dq` — AVX-512 for the `Uniform8` encoders, AVX2 for every other
+//! kernel — else the AVX2 arm when it reports `avx2`, else the scalar arm.
+//! Setting `LIFL_FORCE_SCALAR` to any value other than empty or `0` forces
+//! the scalar arm everywhere (CI runs the integration and fault tiers both
+//! ways). [`active_kernel_arm`] names the arm.
 //!
 //! # The scalar-reference rule
 //!
-//! The SIMD arm of every kernel must be **bit-exact** with its scalar
+//! Every vector arm of every kernel must be **bit-exact** with its scalar
 //! reference for all inputs — including NaN/infinity payloads and, for the
 //! stochastic encoders, the random stream: the same [`StochasticRng`] seed
-//! produces the same wire bytes on both arms and leaves the generator at the
+//! produces the same wire bytes on every arm and leaves the generator at the
 //! same position (the scalar arm draws through [`StochasticRng::fill`], the
-//! AVX2 arm computes the same words in registers). This is what lets the
+//! vector arms compute the same words in registers). This is what lets the
 //! session/cluster exactness tiers assert bit-identical aggregation results
 //! regardless of which arm a given host picks. The proptests at the bottom
-//! of this module run both arms in one process (the dispatch decision is
-//! bypassed via an explicit flag) and compare outputs bitwise across odd
-//! lengths, sub-lane remainders and non-finite inputs.
+//! of this module run every arm the host can run in one process (each
+//! private `*_with` dispatcher takes its arm explicitly) and compare outputs
+//! bitwise across odd lengths, sub-lane remainders and non-finite inputs.
 //!
 //! Bit-exactness is achievable because every kernel restricts itself to
 //! exactly-rounded elementwise IEEE-754 operations (multiply, add, subtract,
-//! floor, compare, min/max) in the same order on both arms — in particular
+//! floor, compare, min/max) in the same order on every arm — in particular
 //! FMA is never used, and divisions are hoisted into a single reciprocal
-//! computed identically by both arms. See `avx2.rs` for the instruction-level
+//! computed identically by every arm. See `avx2.rs` for the instruction-level
 //! argument. Which payload an add or multiply of two NaNs returns is left
 //! open, though: the hardware returns its first operand's, and the compiler
 //! may swap the operands of either arm. So the dense fold, whose weights,
@@ -44,17 +48,21 @@
 //! 2. Write the AVX2 arm in `avx2.rs` mirroring the scalar operation
 //!    sequence, and delegate the sub-lane-width tail to the scalar function.
 //! 3. Add a public wrapper here that validates slice lengths and calls a
-//!    private `*_with(..., simd: bool)` dispatcher.
-//! 4. Add a proptest below asserting bitwise equality of the two arms over
-//!    odd lengths and non-finite inputs.
+//!    private `*_with(..., arm: Arm)` dispatcher.
+//! 4. Add a proptest below asserting bitwise equality of the arms over odd
+//!    lengths and non-finite inputs.
 //!
 //! A kernel that consumes rounding words additionally follows "How to add a
 //! stochastic kernel" in `avx2.rs`: the scalar arm draws through `fill`, the
-//! AVX2 arm draws in registers, and both leave the generator where `fill` of
-//! the element count would.
+//! vector arms draw in registers, and every arm leaves the generator where
+//! `fill` of the element count would. An AVX-512 arm is added the same way,
+//! in `avx512.rs`, for a kernel whose AVX2 arm is bound by what AVX-512 adds
+//! (the `Uniform8` encoders: 64-bit multiplies).
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 mod scalar;
 
 use lifl_shmem::BufferPool;
@@ -66,7 +74,37 @@ use std::sync::OnceLock;
 /// boundaries, and small enough for a stack buffer.
 const RAND_BLOCK: usize = 4096;
 
-static SIMD_ACTIVE: OnceLock<bool> = OnceLock::new();
+/// Which implementation a kernel dispatch runs, narrowest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Arm {
+    /// The scalar reference, `scalar.rs`.
+    Scalar,
+    /// `avx2.rs` for every kernel.
+    Avx2,
+    /// `avx512.rs` for the `Uniform8` stochastic encoders, `avx2.rs` for
+    /// every other kernel.
+    Avx512,
+}
+
+impl Arm {
+    /// Whether the arm runs vector code, i.e. the host has AVX2.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    fn simd(self) -> bool {
+        self != Arm::Scalar
+    }
+
+    /// The arm's name in logs and benchmark reports.
+    fn name(self) -> &'static str {
+        match self {
+            Arm::Scalar => "scalar",
+            Arm::Avx2 => "avx2",
+            Arm::Avx512 => "avx512",
+        }
+    }
+}
+
+static ACTIVE_ARM: OnceLock<Arm> = OnceLock::new();
 
 /// True when `LIFL_FORCE_SCALAR` requests the scalar arm: set to anything
 /// except the empty string or `0`.
@@ -74,33 +112,41 @@ fn scalar_forced(value: Option<&str>) -> bool {
     matches!(value, Some(v) if !v.is_empty() && v != "0")
 }
 
-/// Whether the SIMD arms are in use. Decided once per process: AVX2 must be
-/// detected at runtime and `LIFL_FORCE_SCALAR` must not be set (to anything
-/// except empty or `0`).
-pub fn simd_active() -> bool {
-    *SIMD_ACTIVE.get_or_init(|| {
+/// The widest arm this host's CPU runs: every narrower arm runs too.
+fn widest_arm() -> Arm {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("avx2") {
+            return if has!("avx512f") && has!("avx512dq") {
+                Arm::Avx512
+            } else {
+                Arm::Avx2
+            };
+        }
+    }
+    Arm::Scalar
+}
+
+/// The arm every dispatch runs. Decided once per process: the scalar arm
+/// when `LIFL_FORCE_SCALAR` is set (to anything except empty or `0`), the
+/// widest arm the host runs otherwise.
+fn active_arm() -> Arm {
+    *ACTIVE_ARM.get_or_init(|| {
         let force = std::env::var("LIFL_FORCE_SCALAR").ok();
         if scalar_forced(force.as_deref()) {
-            return false;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
+            Arm::Scalar
+        } else {
+            widest_arm()
         }
     })
 }
 
-/// Human-readable name of the active arm, for logs and benchmark reports.
+/// Human-readable name of the active arm, for logs and benchmark reports:
+/// `"avx512"` while the 16-lane `Uniform8` encoders run, `"avx2"`, or
+/// `"scalar"`.
 pub fn active_kernel_arm() -> &'static str {
-    if simd_active() {
-        "avx2"
-    } else {
-        "scalar"
-    }
+    active_arm().name()
 }
 
 // ---------------------------------------------------------------------------
@@ -284,24 +330,24 @@ pub fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32]) {
         &mut acc[..n],
         &srcs[..count],
         &weights[..count],
-        simd_active(),
+        active_arm(),
     );
 }
 
 /// One pass over sources that each cover `4 * acc.len()` bytes, paired
 /// with as many weights (the AVX2 arm takes up to eight; more fold on the
 /// scalar arm).
-fn fold_dense_le_n_with(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32], simd: bool) {
+fn fold_dense_le_n_with(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32], arm: Arm) {
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection; the
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection; the
         // wrapper cut `acc` to what every source covers and paired the
         // weights.
         unsafe { avx2::fold_dense_le_n(acc, srcs, weights) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::fold_dense_le_n(acc, srcs, weights);
 }
 
@@ -314,18 +360,18 @@ pub fn fold_dense_le(acc: &mut [f32], body: &[u8], weight: f32) {
 /// Decode of a dense little-endian `f32` payload into `out`.
 pub fn decode_dense_le(out: &mut [f32], body: &[u8]) {
     let n = out.len().min(body.len() / 4);
-    decode_dense_le_with(&mut out[..n], &body[..4 * n], simd_active());
+    decode_dense_le_with(&mut out[..n], &body[..4 * n], active_arm());
 }
 
-fn decode_dense_le_with(out: &mut [f32], body: &[u8], simd: bool) {
+fn decode_dense_le_with(out: &mut [f32], body: &[u8], arm: Arm) {
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection.
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
         unsafe { avx2::decode_dense_le(out, body) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::decode_dense_le(out, body);
 }
 
@@ -333,36 +379,36 @@ fn decode_dense_le_with(out: &mut [f32], body: &[u8], simd: bool) {
 /// where `k` is the pre-multiplied `weight * scale`.
 pub fn fold_u8(acc: &mut [f32], levels: &[u8], k: f32) {
     let n = acc.len().min(levels.len());
-    fold_u8_with(&mut acc[..n], &levels[..n], k, simd_active());
+    fold_u8_with(&mut acc[..n], &levels[..n], k, active_arm());
 }
 
-fn fold_u8_with(acc: &mut [f32], levels: &[u8], k: f32, simd: bool) {
+fn fold_u8_with(acc: &mut [f32], levels: &[u8], k: f32, arm: Arm) {
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection.
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
         unsafe { avx2::fold_u8(acc, levels, k) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::fold_u8(acc, levels, k);
 }
 
 /// Dequantize of `Uniform8` levels: `out[i] = f32(levels[i] as i8) * scale`.
 pub fn decode_u8(out: &mut [f32], levels: &[u8], scale: f32) {
     let n = out.len().min(levels.len());
-    decode_u8_with(&mut out[..n], &levels[..n], scale, simd_active());
+    decode_u8_with(&mut out[..n], &levels[..n], scale, active_arm());
 }
 
-fn decode_u8_with(out: &mut [f32], levels: &[u8], scale: f32, simd: bool) {
+fn decode_u8_with(out: &mut [f32], levels: &[u8], scale: f32, arm: Arm) {
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection.
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
         unsafe { avx2::decode_u8(out, levels, scale) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::decode_u8(out, levels, scale);
 }
 
@@ -371,10 +417,10 @@ fn decode_u8_with(out: &mut [f32], levels: &[u8], scale: f32, simd: bool) {
 /// `acc.len()` elements beginning at that offset. An odd `start` peels one
 /// high nibble scalar-side, then both arms run even-aligned.
 pub fn fold_u4(acc: &mut [f32], body: &[u8], start: usize, k: f32) {
-    fold_u4_with(acc, body, start, k, simd_active());
+    fold_u4_with(acc, body, start, k, active_arm());
 }
 
-fn fold_u4_with(acc: &mut [f32], body: &[u8], start: usize, k: f32, simd: bool) {
+fn fold_u4_with(acc: &mut [f32], body: &[u8], start: usize, k: f32, arm: Arm) {
     if acc.is_empty() {
         return;
     }
@@ -388,31 +434,31 @@ fn fold_u4_with(acc: &mut [f32], body: &[u8], start: usize, k: f32, simd: bool) 
     let n = acc.len().min(nibbles.len().saturating_mul(2));
     let acc = &mut acc[..n];
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection.
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
         unsafe { avx2::fold_u4_aligned(acc, nibbles, k) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::fold_u4_aligned(acc, nibbles, k);
 }
 
 /// Dequantize of packed `Uniform4` nibbles (even-aligned) into `out`.
 pub fn decode_u4(out: &mut [f32], nibbles: &[u8], scale: f32) {
     let n = out.len().min(nibbles.len().saturating_mul(2));
-    decode_u4_with(&mut out[..n], nibbles, scale, simd_active());
+    decode_u4_with(&mut out[..n], nibbles, scale, active_arm());
 }
 
-fn decode_u4_with(out: &mut [f32], nibbles: &[u8], scale: f32, simd: bool) {
+fn decode_u4_with(out: &mut [f32], nibbles: &[u8], scale: f32, arm: Arm) {
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection.
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
         unsafe { avx2::decode_u4(out, nibbles, scale) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::decode_u4(out, nibbles, scale);
 }
 
@@ -528,7 +574,7 @@ enum Keys<'a> {
 /// room the candidate run needs; a buffer checked out that large is never
 /// reallocated.
 pub fn append_topk(params: &[f32], kept: usize, body: &mut Vec<u8>) {
-    append_topk_with(params, kept, body, simd_active());
+    append_topk_with(params, kept, body, active_arm());
 }
 
 /// The error-feedback form of [`append_topk`]: adds `src` into `acc`
@@ -538,7 +584,7 @@ pub fn append_topk(params: &[f32], kept: usize, body: &mut Vec<u8>) {
 /// the four of an [`axpy`] followed by [`append_topk`]'s whole-vector cut.
 /// The sample computes the same sums at its positions first.
 pub(crate) fn add_append_topk(acc: &mut [f32], src: &[f32], kept: usize, body: &mut Vec<u8>) {
-    add_append_topk_with(acc, src, kept, body, simd_active());
+    add_append_topk_with(acc, src, kept, body, active_arm());
 }
 
 /// Bytes [`append_topk`] may use behind a body's current length for the
@@ -562,33 +608,33 @@ fn run_applies(dim: usize, kept: usize) -> bool {
     kept > 0 && 8 * TOPK_RUN_FACTOR * kept <= 4 * dim
 }
 
-fn append_topk_with(params: &[f32], kept: usize, body: &mut Vec<u8>, simd: bool) {
+fn append_topk_with(params: &[f32], kept: usize, body: &mut Vec<u8>, arm: Arm) {
     let kept = kept.min(params.len());
     if kept == 0 {
         return;
     }
     let (start, limit) = reserve_topk(body, params.len(), kept);
-    let floor = candidate_floor(params.len(), kept, |i| params[i], simd);
+    let floor = candidate_floor(params.len(), kept, |i| params[i], arm);
     let collected = floor.is_some_and(|floor| {
-        compact_topk_with(params, floor, usize::MAX, body, limit, simd).is_some()
+        compact_topk_with(params, floor, usize::MAX, body, limit, arm).is_some()
     });
-    cut_topk(params, kept, start, collected, body, limit, simd);
+    cut_topk(params, kept, start, collected, body, limit, arm);
 }
 
-fn add_append_topk_with(acc: &mut [f32], src: &[f32], kept: usize, body: &mut Vec<u8>, simd: bool) {
+fn add_append_topk_with(acc: &mut [f32], src: &[f32], kept: usize, body: &mut Vec<u8>, arm: Arm) {
     let src = &src[..acc.len()];
     let kept = kept.min(acc.len());
     let (start, limit) = reserve_topk(body, acc.len(), kept);
     let sum = |i: usize| canonical(acc[i] + 1.0 * src[i]);
-    let collected = match candidate_floor(acc.len(), kept, sum, simd) {
-        Some(floor) => add_compact_topk_with(acc, src, floor, body, limit, simd),
+    let collected = match candidate_floor(acc.len(), kept, sum, arm) {
+        Some(floor) => add_compact_topk_with(acc, src, floor, body, limit, arm),
         None => {
             axpy(acc, src, 1.0);
             false
         }
     };
     if kept > 0 {
-        cut_topk(acc, kept, start, collected, body, limit, simd);
+        cut_topk(acc, kept, start, collected, body, limit, arm);
     }
 }
 
@@ -613,12 +659,7 @@ fn canonical(v: f32) -> f32 {
 /// / TOPK_SAMPLE_MARGIN` of a strided sample of the `dim` values `value`
 /// yields, or `None` when no run applies or the sample could not reject a
 /// single element.
-fn candidate_floor(
-    dim: usize,
-    kept: usize,
-    value: impl Fn(usize) -> f32,
-    simd: bool,
-) -> Option<u32> {
+fn candidate_floor(dim: usize, kept: usize, value: impl Fn(usize) -> f32, arm: Arm) -> Option<u32> {
     if !run_applies(dim, kept) {
         return None;
     }
@@ -633,7 +674,7 @@ fn candidate_floor(
     for (j, s) in sample[..n].iter_mut().enumerate() {
         *s = value(j * stride);
     }
-    Some(topk_cut(Keys::Dense(&sample[..n]), rank, simd).0)
+    Some(topk_cut(Keys::Dense(&sample[..n]), rank, arm).0)
 }
 
 /// Steps 3 and 4 of [`append_topk`], behind the candidate run collected at
@@ -647,29 +688,29 @@ fn cut_topk(
     collected: bool,
     body: &mut Vec<u8>,
     limit: usize,
-    simd: bool,
+    arm: Arm,
 ) {
     if collected && body.len() - start >= 8 * kept {
         let run = &mut body[start..];
-        let (threshold, ties) = topk_cut(Keys::Pairs(run), kept, simd);
-        let kept_bytes = compact_pairs_with(run, threshold, ties, simd);
+        let (threshold, ties) = topk_cut(Keys::Pairs(run), kept, arm);
+        let kept_bytes = compact_pairs_with(run, threshold, ties, arm);
         body.truncate(start + kept_bytes);
         return;
     }
     body.truncate(start);
-    let (threshold, ties) = topk_cut(Keys::Dense(params), kept, simd);
+    let (threshold, ties) = topk_cut(Keys::Dense(params), kept, arm);
     // Exactly `kept` pairs, which `limit` always has room for.
-    let _ = compact_topk_with(params, threshold, ties, body, limit, simd);
+    let _ = compact_topk_with(params, threshold, ties, body, limit, arm);
 }
 
 /// The cut of an exact top-`kept` selection over `keys` (`1 <= kept <=` the
 /// key count): `(threshold, ties)` such that the selection is every key
 /// above `threshold` plus the first `ties`, in order, at it.
-fn topk_cut(keys: Keys<'_>, kept: usize, simd: bool) -> (u32, usize) {
+fn topk_cut(keys: Keys<'_>, kept: usize, arm: Arm) -> (u32, usize) {
     let (mut prefix, mut ties) = (0u32, kept);
     for (hi, lo) in TOPK_LEVELS {
         let mut counts = [0u32; TOPK_BINS];
-        magnitude_histogram_with(keys, prefix, hi, lo, &mut counts, simd);
+        magnitude_histogram_with(keys, prefix, hi, lo, &mut counts, arm);
         // At least `ties` keys carry `prefix`, so the walk ends in range.
         let mut bin = (1usize << (hi - lo)) - 1;
         while (counts[bin] as usize) < ties {
@@ -692,16 +733,16 @@ fn magnitude_histogram_with(
     hi: u32,
     lo: u32,
     counts: &mut [u32; TOPK_BINS],
-    simd: bool,
+    arm: Arm,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection.
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
         unsafe { avx2::magnitude_histogram(keys, prefix, hi, lo, counts) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::magnitude_histogram(keys, prefix, hi, lo, counts);
 }
 
@@ -711,26 +752,26 @@ fn compact_topk_with(
     ties: usize,
     body: &mut Vec<u8>,
     limit: usize,
-    simd: bool,
+    arm: Arm,
 ) -> Option<usize> {
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection.
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
         return unsafe { avx2::compact_topk(params, 0, threshold, ties, body, limit) };
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::compact_topk(params, 0, threshold, ties, body, limit)
 }
 
-fn compact_pairs_with(run: &mut [u8], threshold: u32, ties: usize, simd: bool) -> usize {
+fn compact_pairs_with(run: &mut [u8], threshold: u32, ties: usize, arm: Arm) -> usize {
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection.
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
         return unsafe { avx2::compact_pairs(run, threshold, ties) };
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::compact_pairs(run, threshold, ties)
 }
 
@@ -740,16 +781,16 @@ fn add_compact_topk_with(
     threshold: u32,
     body: &mut Vec<u8>,
     limit: usize,
-    simd: bool,
+    arm: Arm,
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection, and the
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection, and the
         // caller cut `src` to `acc`'s length.
         return unsafe { avx2::add_compact_topk(acc, src, 0, threshold, body, limit) };
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::add_compact_topk(acc, src, 0, threshold, body, limit)
 }
 
@@ -778,17 +819,17 @@ pub fn axpy8(acc: &mut [f32], srcs: [&[f32]; 8], w: [f32; 8]) {
 /// quantization scales). Exact on both arms because `max` over non-negative
 /// finite values is order-independent.
 pub fn max_abs_finite(params: &[f32]) -> f32 {
-    max_abs_finite_with(params, simd_active())
+    max_abs_finite_with(params, active_arm())
 }
 
-fn max_abs_finite_with(params: &[f32], simd: bool) -> f32 {
+fn max_abs_finite_with(params: &[f32], arm: Arm) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection.
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
         return unsafe { avx2::max_abs_finite(params) };
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::max_abs_finite(params)
 }
 
@@ -800,18 +841,18 @@ fn max_abs_finite_with(params: &[f32], simd: bool) -> f32 {
 /// it again.
 pub fn add_max(acc: &mut [f32], src: &[f32]) -> f32 {
     let n = acc.len().min(src.len());
-    add_max_with(&mut acc[..n], &src[..n], simd_active())
+    add_max_with(&mut acc[..n], &src[..n], active_arm())
 }
 
-fn add_max_with(acc: &mut [f32], src: &[f32], simd: bool) -> f32 {
+fn add_max_with(acc: &mut [f32], src: &[f32], arm: Arm) -> f32 {
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection; the
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection; the
         // wrapper cut both slices to one length.
         return unsafe { avx2::add_max(acc, src) };
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::add_max(acc, src)
 }
 
@@ -822,9 +863,10 @@ fn add_max_with(acc: &mut [f32], src: &[f32], simd: bool) -> f32 {
 /// Quantizes `params` to `Uniform8` levels (one byte per element, two's
 /// complement in `[-levels, levels]`) with stochastic rounding, writing the
 /// wire body into `body` (cleared and resized). One rounding word per element
-/// is drawn from `rng` — in registers on the AVX2 arm, 8 lanes quantizing at
-/// a time, through [`StochasticRng::fill`] on the scalar arm; the same seed
-/// yields the same bytes and leaves the same generator position on both. A
+/// is drawn from `rng` — in registers on the vector arms, 16 lanes
+/// quantizing at a time on the AVX-512 arm and 8 on the AVX2 arm, through
+/// [`StochasticRng::fill`] on the scalar arm; the same seed yields the same
+/// bytes and leaves the same generator position on every arm. A
 /// non-positive `scale` produces an all-zero body without consuming `rng`.
 pub fn encode_u8(
     params: &[f32],
@@ -851,14 +893,7 @@ pub fn append_u8(
     if scale <= 0.0 {
         return;
     }
-    encode_u8_with(
-        params,
-        scale,
-        levels,
-        rng,
-        &mut body[start..],
-        simd_active(),
-    );
+    encode_u8_with(params, scale, levels, rng, &mut body[start..], active_arm());
 }
 
 fn encode_u8_with(
@@ -867,18 +902,28 @@ fn encode_u8_with(
     levels: f32,
     rng: &mut StochasticRng,
     body: &mut [u8],
-    simd: bool,
+    arm: Arm,
 ) {
     let inv = 1.0 / scale;
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection; `body`
-        // is sized to `params.len()` by the wrapper.
-        unsafe { avx2::encode_u8(params, inv, levels, rng, body) };
-        return;
+    match arm {
+        Arm::Avx512 => {
+            // SAFETY: `Arm::Avx512` is only chosen after runtime AVX2,
+            // AVX-512F and AVX-512DQ detection; `body` is sized to
+            // `params.len()` by the wrapper.
+            unsafe { avx512::encode_u8(params, inv, levels, rng, body) };
+            return;
+        }
+        Arm::Avx2 => {
+            // SAFETY: `Arm::Avx2` is only chosen after runtime AVX2
+            // detection; `body` is sized to `params.len()` by the wrapper.
+            unsafe { avx2::encode_u8(params, inv, levels, rng, body) };
+            return;
+        }
+        Arm::Scalar => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::encode_u8(params, inv, levels, rng, body);
 }
 
@@ -898,14 +943,7 @@ pub fn append_u4(
     if scale <= 0.0 {
         return;
     }
-    encode_u4_with(
-        params,
-        scale,
-        levels,
-        rng,
-        &mut body[start..],
-        simd_active(),
-    );
+    encode_u4_with(params, scale, levels, rng, &mut body[start..], active_arm());
 }
 
 fn encode_u4_with(
@@ -914,18 +952,18 @@ fn encode_u4_with(
     levels: f32,
     rng: &mut StochasticRng,
     body: &mut [u8],
-    simd: bool,
+    arm: Arm,
 ) {
     let inv = 1.0 / scale;
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection; `body`
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection; `body`
         // is sized to the packed nibble count by the wrapper.
         unsafe { avx2::encode_u4(params, inv, levels, rng, body) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::encode_u4(params, inv, levels, rng, body);
 }
 
@@ -969,7 +1007,7 @@ pub fn feedback_append_u8(
         levels,
         rng,
         &mut body[start..],
-        simd_active(),
+        active_arm(),
     );
 }
 
@@ -979,19 +1017,29 @@ fn feedback_u8_with(
     levels: f32,
     rng: &mut StochasticRng,
     body: &mut [u8],
-    simd: bool,
+    arm: Arm,
 ) {
     // `k` is `-1.0 * scale`, the factor `fold_into(-1.0, ..)` hands the fold.
     let (inv, k) = (1.0 / scale, -scale);
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection; `body`
-        // is sized to `residual.len()` by the wrapper.
-        unsafe { avx2::feedback_append_u8(residual, inv, k, levels, rng, body) };
-        return;
+    match arm {
+        Arm::Avx512 => {
+            // SAFETY: `Arm::Avx512` is only chosen after runtime AVX2,
+            // AVX-512F and AVX-512DQ detection; `body` is sized to
+            // `residual.len()` by the wrapper.
+            unsafe { avx512::feedback_append_u8(residual, inv, k, levels, rng, body) };
+            return;
+        }
+        Arm::Avx2 => {
+            // SAFETY: `Arm::Avx2` is only chosen after runtime AVX2
+            // detection; `body` is sized to `residual.len()` by the wrapper.
+            unsafe { avx2::feedback_append_u8(residual, inv, k, levels, rng, body) };
+            return;
+        }
+        Arm::Scalar => {}
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::feedback_append_u8(residual, inv, k, levels, rng, body);
 }
 
@@ -1016,7 +1064,7 @@ pub fn feedback_append_u4(
         levels,
         rng,
         &mut body[start..],
-        simd_active(),
+        active_arm(),
     );
 }
 
@@ -1026,19 +1074,19 @@ fn feedback_u4_with(
     levels: f32,
     rng: &mut StochasticRng,
     body: &mut [u8],
-    simd: bool,
+    arm: Arm,
 ) {
     // `k` is `-1.0 * scale`, the factor `fold_into(-1.0, ..)` hands the fold.
     let (inv, k) = (1.0 / scale, -scale);
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after runtime AVX2 detection; `body`
+    if arm.simd() {
+        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection; `body`
         // is sized to the packed nibble count by the wrapper.
         unsafe { avx2::feedback_append_u4(residual, inv, k, levels, rng, body) };
         return;
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = simd;
+    let _ = arm;
     scalar::feedback_append_u4(residual, inv, k, levels, rng, body);
 }
 
@@ -1058,10 +1106,30 @@ mod tests {
 
     #[test]
     fn simd_active_is_cached_and_consistent() {
-        let first = simd_active();
-        assert_eq!(first, simd_active());
-        let arm = active_kernel_arm();
-        assert_eq!(arm == "avx2", first);
+        let first = active_arm();
+        assert_eq!(first, active_arm());
+        assert_eq!(active_kernel_arm(), first.name());
+        assert!(first <= widest_arm());
+    }
+
+    /// The name reports the wide `Uniform8` encoder exactly when it runs:
+    /// `"avx512"` on a host whose CPUID reports AVX2, AVX-512F and AVX-512DQ
+    /// unless the scalar arm is forced. The benchmark's `kernels.arm` counts
+    /// every name but `"scalar"` as a vector arm, so it reads 1 there too.
+    #[test]
+    fn the_active_arm_is_the_widest_the_host_runs_unless_scalar_is_forced() {
+        let forced = scalar_forced(std::env::var("LIFL_FORCE_SCALAR").ok().as_deref());
+        let expected = if forced { Arm::Scalar } else { widest_arm() };
+        assert_eq!(active_arm(), expected);
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            let avx2 = has!("avx2") && !forced;
+            let wide = avx2 && has!("avx512f") && has!("avx512dq");
+            assert_eq!(active_kernel_arm() == "avx512", wide);
+            assert_eq!(active_kernel_arm() == "avx2", avx2 && !wide);
+        }
+        assert_eq!(active_kernel_arm() == "scalar", !active_arm().simd());
     }
 
     #[test]
@@ -1152,14 +1220,7 @@ pub(crate) mod proptests {
     /// cannot, the equivalence properties hold trivially and the tests
     /// return early.
     fn avx2_testable() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            std::arch::is_x86_feature_detected!("avx2")
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
-        }
+        widest_arm().simd()
     }
 
     /// f32 vectors seasoned with NaN, infinities and signed zeros; lengths
@@ -1271,24 +1332,19 @@ pub(crate) mod proptests {
     /// Runs the top-k selection on one arm behind a 5-byte prefix (an odd
     /// offset, as a descriptor-prefixed wire buffer would give it), checks
     /// the prefix survived and returns the pairs alone.
-    fn topk_body(params: &[f32], kept: usize, simd: bool) -> Vec<u8> {
+    fn topk_body(params: &[f32], kept: usize, arm: Arm) -> Vec<u8> {
         let mut body = vec![0xAB; 5];
-        append_topk_with(params, kept, &mut body, simd);
+        append_topk_with(params, kept, &mut body, arm);
         assert_eq!(body[..5], [0xAB; 5], "append must not touch the prefix");
         body.split_off(5)
     }
 
     /// The fused error-feedback selection on one arm, as [`topk_body`]:
     /// the pairs, and `acc` after the add.
-    fn feedback_topk_body(
-        acc: &[f32],
-        src: &[f32],
-        kept: usize,
-        simd: bool,
-    ) -> (Vec<u8>, Vec<f32>) {
+    fn feedback_topk_body(acc: &[f32], src: &[f32], kept: usize, arm: Arm) -> (Vec<u8>, Vec<f32>) {
         let mut sums = acc.to_vec();
         let mut body = vec![0xAB; 5];
-        add_append_topk_with(&mut sums, src, kept, &mut body, simd);
+        add_append_topk_with(&mut sums, src, kept, &mut body, arm);
         assert_eq!(body[..5], [0xAB; 5], "append must not touch the prefix");
         (body.split_off(5), sums)
     }
@@ -1301,27 +1357,27 @@ pub(crate) mod proptests {
         let len = params.len();
         let src = &src[..len];
         let mut sums = params.to_vec();
-        fold_dense_le_n_with(&mut sums, &[le_bytes(src)], &[1.0], false);
+        fold_dense_le_n_with(&mut sums, &[le_bytes(src)], &[1.0], Arm::Scalar);
         for &kept in kepts {
             let expected = reference_topk(params, kept.min(len));
             let expected_fused = reference_topk(&sums, kept.min(len));
-            for simd in arms() {
+            for arm in arms() {
                 prop_assert_eq!(
-                    &topk_body(params, kept, simd),
+                    &topk_body(params, kept, arm),
                     &expected,
-                    "simd {}, kept {}",
-                    simd,
+                    "arm {:?}, kept {}",
+                    arm,
                     kept
                 );
-                let (body, added) = feedback_topk_body(params, src, kept, simd);
+                let (body, added) = feedback_topk_body(params, src, kept, arm);
                 prop_assert_eq!(
                     &body,
                     &expected_fused,
-                    "fused, simd {}, kept {}",
-                    simd,
+                    "fused, arm {:?}, kept {}",
+                    arm,
                     kept
                 );
-                prop_assert_eq!(bits(&added), bits(&sums), "fused sums, simd {}", simd);
+                prop_assert_eq!(bits(&added), bits(&sums), "fused sums, arm {:?}", arm);
             }
         }
         Ok(())
@@ -1339,13 +1395,13 @@ pub(crate) mod proptests {
         )
     }
 
-    /// The arms this process can run: scalar always, AVX2 when detected.
-    fn arms() -> Vec<bool> {
-        if avx2_testable() {
-            vec![false, true]
-        } else {
-            vec![false]
-        }
+    /// The arms this process can run, narrowest first: scalar always, AVX2
+    /// and AVX-512 when the host's CPUID reports them.
+    fn arms() -> Vec<Arm> {
+        [Arm::Scalar, Arm::Avx2, Arm::Avx512]
+            .into_iter()
+            .filter(|arm| *arm <= widest_arm())
+            .collect()
     }
 
     /// A long deterministic vector with non-finite, signed-zero and
@@ -1439,25 +1495,25 @@ pub(crate) mod proptests {
             }
             let mut folded = params.to_vec();
             if wide {
-                fold_u8_with(&mut folded, &body, -scale, false);
+                fold_u8_with(&mut folded, &body, -scale, Arm::Scalar);
             } else {
-                fold_u4_with(&mut folded, &body, 0, -scale, false);
+                fold_u4_with(&mut folded, &body, 0, -scale, Arm::Scalar);
             }
-            for simd in arms() {
-                let arm = format!("levels {levels} simd {simd}");
+            for arm in arms() {
+                let label = format!("levels {levels} arm {arm:?}");
                 let mut rng = StochasticRng::from_seed(seed);
                 let mut plain = vec![0u8; body.len()];
                 if wide {
-                    encode_u8_with(params, scale, levels, &mut rng, &mut plain, simd);
+                    encode_u8_with(params, scale, levels, &mut rng, &mut plain, arm);
                 } else {
-                    encode_u4_with(params, scale, levels, &mut rng, &mut plain, simd);
+                    encode_u4_with(params, scale, levels, &mut rng, &mut plain, arm);
                 }
-                prop_assert_eq!(&plain, &body, "plain bytes, {}", arm);
+                prop_assert_eq!(&plain, &body, "plain bytes, {}", label);
                 prop_assert_eq!(
                     next_words(&rng),
                     next_words(&end),
                     "plain position, {}",
-                    arm
+                    label
                 );
 
                 let mut rng = StochasticRng::from_seed(seed);
@@ -1465,22 +1521,64 @@ pub(crate) mod proptests {
                 let mut wire = vec![0xABu8; 5 + body.len()];
                 let out = &mut wire[5..];
                 if wide {
-                    feedback_u8_with(&mut residual, scale, levels, &mut rng, out, simd);
+                    feedback_u8_with(&mut residual, scale, levels, &mut rng, out, arm);
                 } else {
-                    feedback_u4_with(&mut residual, scale, levels, &mut rng, out, simd);
+                    feedback_u4_with(&mut residual, scale, levels, &mut rng, out, arm);
                 }
                 prop_assert_eq!(wire[..5], [0xAB; 5], "the prefix is not touched");
-                prop_assert_eq!(&wire[5..], &body[..], "feedback bytes, {}", arm);
-                prop_assert_eq!(bits(&residual), bits(&folded), "residual, {}", arm);
+                prop_assert_eq!(&wire[5..], &body[..], "feedback bytes, {}", label);
+                prop_assert_eq!(bits(&residual), bits(&folded), "residual, {}", label);
                 prop_assert_eq!(
                     next_words(&rng),
                     next_words(&end),
                     "feedback position, {}",
-                    arm
+                    label
                 );
             }
         }
         Ok(())
+    }
+
+    /// The plain bytes and the generator's next words, then the feedback
+    /// bytes, the residual's bits and the generator's next words.
+    type Encoded = (Vec<u8>, [u32; 5], Vec<u8>, Vec<u32>, [u32; 5]);
+
+    /// What one arm's plain and feedback encoders of `levels` make of
+    /// `params` from `seed`, called through their `*_with` dispatchers.
+    fn encode_on(arm: Arm, params: &[f32], scale: f32, levels: f32, seed: u64) -> Encoded {
+        let bytes = if levels > 7.0 {
+            params.len()
+        } else {
+            params.len().div_ceil(2)
+        };
+        let mut rng = StochasticRng::from_seed(seed);
+        let mut plain = vec![0u8; bytes];
+        let mut feedback_rng = StochasticRng::from_seed(seed);
+        let mut wire = vec![0u8; bytes];
+        let mut residual = params.to_vec();
+        if levels > 7.0 {
+            encode_u8_with(params, scale, levels, &mut rng, &mut plain, arm);
+            feedback_u8_with(
+                &mut residual,
+                scale,
+                levels,
+                &mut feedback_rng,
+                &mut wire,
+                arm,
+            );
+        } else {
+            encode_u4_with(params, scale, levels, &mut rng, &mut plain, arm);
+            feedback_u4_with(
+                &mut residual,
+                scale,
+                levels,
+                &mut feedback_rng,
+                &mut wire,
+                arm,
+            );
+        }
+        let (plain_next, feedback_next) = (next_words(&rng), next_words(&feedback_rng));
+        (plain, plain_next, wire, bits(&residual), feedback_next)
     }
 
     /// `add_max` on one arm against the formula `acc += 1.0 * src` then
@@ -1493,12 +1591,12 @@ pub(crate) mod proptests {
         for (a, b) in expected.iter_mut().zip(src) {
             *a += w * b;
         }
-        let max = max_abs_finite_with(&expected, false);
-        for simd in arms() {
+        let max = max_abs_finite_with(&expected, Arm::Scalar);
+        for arm in arms() {
             let mut got = acc[..n].to_vec();
-            let got_max = add_max_with(&mut got, &src[..n], simd);
-            prop_assert_eq!(bits(&got), bits(&expected), "sums, simd {}", simd);
-            prop_assert_eq!(got_max.to_bits(), max.to_bits(), "max, simd {}", simd);
+            let got_max = add_max_with(&mut got, &src[..n], arm);
+            prop_assert_eq!(bits(&got), bits(&expected), "sums, arm {:?}", arm);
+            prop_assert_eq!(got_max.to_bits(), max.to_bits(), "max, arm {:?}", arm);
         }
         Ok(())
     }
@@ -1537,12 +1635,12 @@ pub(crate) mod proptests {
         for n in 1..=srcs.len() {
             let mut expected = acc.to_vec();
             for (src, w) in exact[..n].iter().zip(weights) {
-                fold_dense_le_n_with(&mut expected, &[src], &[*w], false);
+                fold_dense_le_n_with(&mut expected, &[src], &[*w], Arm::Scalar);
             }
-            for simd in arms() {
+            for arm in arms() {
                 let mut got = acc.to_vec();
-                fold_dense_le_n_with(&mut got, &exact[..n], &weights[..n], simd);
-                prop_assert_eq!(bits(&got), bits(&expected), "{} sources, simd {}", n, simd);
+                fold_dense_le_n_with(&mut got, &exact[..n], &weights[..n], arm);
+                prop_assert_eq!(bits(&got), bits(&expected), "{} sources, arm {:?}", n, arm);
             }
             let mut got = acc.to_vec();
             fold_dense_le_n(&mut got, &srcs[..n], &weights[..n]);
@@ -1605,13 +1703,13 @@ pub(crate) mod proptests {
             let n = acc.len().min(body.len() / 4);
             let mut a_scalar = acc.clone();
             let mut a_simd = acc.clone();
-            fold_dense_le_n_with(&mut a_scalar[..n], &[&body[..4 * n]], &[w], false);
-            fold_dense_le_n_with(&mut a_simd[..n], &[&body[..4 * n]], &[w], true);
+            fold_dense_le_n_with(&mut a_scalar[..n], &[&body[..4 * n]], &[w], Arm::Scalar);
+            fold_dense_le_n_with(&mut a_simd[..n], &[&body[..4 * n]], &[w], Arm::Avx2);
             prop_assert_eq!(bits(&a_scalar), bits(&a_simd));
             let mut d_scalar = vec![0.0f32; n];
             let mut d_simd = vec![1.0f32; n];
-            decode_dense_le_with(&mut d_scalar, &body[..4 * n], false);
-            decode_dense_le_with(&mut d_simd, &body[..4 * n], true);
+            decode_dense_le_with(&mut d_scalar, &body[..4 * n], Arm::Scalar);
+            decode_dense_le_with(&mut d_simd, &body[..4 * n], Arm::Avx2);
             prop_assert_eq!(bits(&d_scalar), bits(&d_simd));
         }
 
@@ -1624,13 +1722,13 @@ pub(crate) mod proptests {
             let n = acc.len().min(levels.len());
             let mut a_scalar = acc.clone();
             let mut a_simd = acc.clone();
-            fold_u8_with(&mut a_scalar[..n], &levels[..n], k, false);
-            fold_u8_with(&mut a_simd[..n], &levels[..n], k, true);
+            fold_u8_with(&mut a_scalar[..n], &levels[..n], k, Arm::Scalar);
+            fold_u8_with(&mut a_simd[..n], &levels[..n], k, Arm::Avx2);
             prop_assert_eq!(bits(&a_scalar), bits(&a_simd));
             let mut d_scalar = vec![0.0f32; n];
             let mut d_simd = vec![1.0f32; n];
-            decode_u8_with(&mut d_scalar, &levels[..n], k, false);
-            decode_u8_with(&mut d_simd, &levels[..n], k, true);
+            decode_u8_with(&mut d_scalar, &levels[..n], k, Arm::Scalar);
+            decode_u8_with(&mut d_simd, &levels[..n], k, Arm::Avx2);
             prop_assert_eq!(bits(&d_scalar), bits(&d_simd));
         }
 
@@ -1645,15 +1743,15 @@ pub(crate) mod proptests {
             let mut a_scalar = acc[..n].to_vec();
             let mut a_simd = a_scalar.clone();
             if start < capacity {
-                fold_u4_with(&mut a_scalar, &nibbles, start, k, false);
-                fold_u4_with(&mut a_simd, &nibbles, start, k, true);
+                fold_u4_with(&mut a_scalar, &nibbles, start, k, Arm::Scalar);
+                fold_u4_with(&mut a_simd, &nibbles, start, k, Arm::Avx2);
                 prop_assert_eq!(bits(&a_scalar), bits(&a_simd));
             }
             let m = acc.len().min(capacity);
             let mut d_scalar = vec![0.0f32; m];
             let mut d_simd = vec![1.0f32; m];
-            decode_u4_with(&mut d_scalar, &nibbles, k, false);
-            decode_u4_with(&mut d_simd, &nibbles, k, true);
+            decode_u4_with(&mut d_scalar, &nibbles, k, Arm::Scalar);
+            decode_u4_with(&mut d_simd, &nibbles, k, Arm::Avx2);
             prop_assert_eq!(bits(&d_scalar), bits(&d_simd));
         }
 
@@ -1722,42 +1820,33 @@ pub(crate) mod proptests {
             if !avx2_testable() {
                 return Ok(());
             }
-            let s = max_abs_finite_with(&params, false);
-            let v = max_abs_finite_with(&params, true);
+            let s = max_abs_finite_with(&params, Arm::Scalar);
+            let v = max_abs_finite_with(&params, Arm::Avx2);
             prop_assert_eq!(s.to_bits(), v.to_bits());
         }
 
-        /// Stochastic encoders: same seed produces the same wire bytes on
-        /// both arms (and twice on the same arm), for U8 and U4, across
-        /// non-finite inputs, tiny/huge scales and odd lengths.
+        /// Stochastic encoders: the same seed produces the same wire bytes,
+        /// residual bits and generator position on every arm the host runs
+        /// (and twice on the same arm), for U8 and U4, plain and feedback,
+        /// across NaN, ±∞, ±0, subnormal and huge lanes, zero, tiny and huge
+        /// scales and every length mod 16.
         #[test]
-        fn encoders_match_bitwise(params in arbitrary_params(), seed in 0u64..10_000, scale_tag in 0u8..4) {
-            if !avx2_testable() {
-                return Ok(());
-            }
+        fn encoders_match_bitwise(params in arbitrary_params(), seed in 0u64..10_000, scale_tag in 0u8..5) {
             let scale = match scale_tag {
                 0 => 1e-40f32, // subnormal: 1/scale overflows to infinity
                 1 => 1e30,
                 2 => 0.125,
+                3 => 0.0, // only the `*_with` dispatchers reach an arm with it
                 _ => 3.7,
             };
             for levels in [127.0f32, 7.0] {
-                let run = |simd: bool| {
-                    let mut rng = StochasticRng::from_seed(seed);
-                    let mut body = vec![0u8; params.len()];
-                    if levels > 7.0 {
-                        encode_u8_with(&params, scale, levels, &mut rng, &mut body, simd);
-                    } else {
-                        body.truncate(params.len().div_ceil(2));
-                        encode_u4_with(&params, scale, levels, &mut rng, &mut body, simd);
-                    }
-                    body
-                };
-                let scalar_bytes = run(false);
-                let simd_bytes = run(true);
-                let simd_again = run(true);
-                prop_assert_eq!(&scalar_bytes, &simd_bytes);
-                prop_assert_eq!(&simd_bytes, &simd_again);
+                let reference = encode_on(Arm::Scalar, &params, scale, levels, seed);
+                for arm in arms() {
+                    let encoded = encode_on(arm, &params, scale, levels, seed);
+                    prop_assert_eq!(&encoded, &reference, "levels {} arm {:?}", levels, arm);
+                    let again = encode_on(arm, &params, scale, levels, seed);
+                    prop_assert_eq!(&again, &encoded, "again, levels {} arm {:?}", levels, arm);
+                }
             }
         }
 
@@ -1832,33 +1921,119 @@ pub(crate) mod proptests {
         }
     }
 
-    /// `fill_in_registers` against `fill`: the words and the position after.
+    /// Each vector arm's `fill_in_registers` against `fill`: the words and
+    /// the position after.
     fn check_in_register_draws(seed: u64, len: usize) -> Result<(), String> {
         let mut reference = StochasticRng::from_seed(seed);
         let mut expected = vec![0u32; len];
         reference.fill(&mut expected);
         #[cfg(target_arch = "x86_64")]
-        if avx2_testable() {
+        for arm in arms() {
             let mut rng = StochasticRng::from_seed(seed);
             let mut words = vec![0u32; len];
-            // SAFETY: AVX2 was detected just above.
-            unsafe { avx2::fill_in_registers(&mut rng, &mut words) };
-            prop_assert_eq!(&words, &expected, "seed {:#x} len {}", seed, len);
-            prop_assert_eq!(next_words(&rng), next_words(&reference), "position");
+            match arm {
+                // SAFETY: `arms` lists `Arm::Avx2` only when AVX2 is detected.
+                Arm::Avx2 => unsafe { avx2::fill_in_registers(&mut rng, &mut words) },
+                // SAFETY: `arms` lists `Arm::Avx512` only when AVX-512F and
+                // AVX-512DQ are detected.
+                Arm::Avx512 => unsafe { avx512::fill_in_registers(&mut rng, &mut words) },
+                Arm::Scalar => continue,
+            }
+            prop_assert_eq!(
+                &words,
+                &expected,
+                "arm {:?} seed {:#x} len {}",
+                arm,
+                seed,
+                len
+            );
+            prop_assert_eq!(
+                next_words(&rng),
+                next_words(&reference),
+                "position, arm {:?}",
+                arm
+            );
         }
         Ok(())
     }
 
     /// The lengths where a block-at-a-time draw could go wrong: one short
-    /// of, at, and one past `RAND_BLOCK`, and an odd length spanning two
-    /// blocks (the half-draw is discarded once, at the very end).
+    /// of, at, and one past `RAND_BLOCK`, a 16-lane tail of every size but
+    /// 0 just past it, and odd lengths spanning two blocks (the half-draw is
+    /// discarded once, at the very end).
     #[test]
     fn stochastic_kernels_hold_around_the_block_length() {
-        for (len, seed) in [(4095, 1u64), (4096, 2), (4097, 3), (8191, u64::MAX - 4)] {
+        let past_the_block = (4098..4112).map(|len| (len, len as u64));
+        let lengths = [
+            (4095, 1u64),
+            (4096, 2),
+            (4097, 3),
+            (8191, u64::MAX - 4),
+            (8207, 9),
+        ];
+        for (len, seed) in lengths.into_iter().chain(past_the_block) {
             check_in_register_draws(seed, len).unwrap();
             let params = long_params(len, seed);
             check_stochastic_kernels(&params, 0.004, seed).unwrap();
             check_add_max(&params, &long_params(len, seed ^ 7)).unwrap();
+        }
+    }
+
+    /// The arms listed are every arm the host's CPUID reports, so on an
+    /// AVX-512 host every parity property above runs the 16-lane encoders.
+    #[test]
+    fn arms_list_every_arm_the_host_runs() {
+        let listed = arms();
+        assert_eq!(listed.first(), Some(&Arm::Scalar));
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            let wide = has!("avx2") && has!("avx512f") && has!("avx512dq");
+            assert_eq!(listed.contains(&Arm::Avx2), has!("avx2"));
+            assert_eq!(listed.contains(&Arm::Avx512), wide);
+        }
+    }
+
+    /// Tiny maxima across the boundary below which `1 / scale` overflows,
+    /// at the scale the codec derives for them: on every arm, zeros encode
+    /// as level 0, no sign flips, and the feedback residual is exactly what
+    /// was not sent. Below the boundary the scale is 0, which no arm sees:
+    /// the wrappers append zeros and draw nothing.
+    #[test]
+    fn tiny_maxima_keep_zeros_and_signs_on_every_arm() {
+        let maxima = [
+            1e-36f32, 5e-37, 3e-37, 1e-37, 3e-38, 1e-38, 1e-39, 1e-40, 1e-42, 1e-44,
+        ];
+        for levels in [127.0f32, 7.0] {
+            for max in maxima {
+                let params: Vec<f32> = (0..45)
+                    .map(|i| [0.0, max, -max, 0.0, 0.5 * max][i % 5])
+                    .collect();
+                let scale = crate::codec::scale_for(max, levels);
+                if scale == 0.0 {
+                    assert!(max < 4e-37, "levels {levels} max {max:e}");
+                    continue;
+                }
+                for arm in arms() {
+                    let case = format!("levels {levels} max {max:e} arm {arm:?}");
+                    let (plain, _, wire, residual, _) = encode_on(arm, &params, scale, levels, 1);
+                    assert_eq!(plain, wire, "{case}");
+                    let mut decoded = vec![0.0f32; params.len()];
+                    if levels > 7.0 {
+                        decode_u8_with(&mut decoded, &wire, scale, Arm::Scalar);
+                    } else {
+                        decode_u4_with(&mut decoded, &wire, scale, Arm::Scalar);
+                    }
+                    for ((v, d), r) in params.iter().zip(&decoded).zip(&residual) {
+                        if *v == 0.0 {
+                            assert_eq!(d.to_bits(), 0.0f32.to_bits(), "{case}");
+                        }
+                        let flipped = *d != 0.0 && d.is_sign_negative() != v.is_sign_negative();
+                        assert!(!flipped, "{case}: {v:e} decoded as {d:e}");
+                        assert_eq!(*r, (v - d).to_bits(), "{case}");
+                    }
+                }
+            }
         }
     }
 
@@ -1881,10 +2056,14 @@ pub(crate) mod proptests {
             f32::MAX,
         ];
         for kept in 0..=params.len() {
-            let scalar_body = topk_body(&params, kept, false);
+            let scalar_body = topk_body(&params, kept, Arm::Scalar);
             assert_eq!(scalar_body.len(), kept * 8);
             if avx2_testable() {
-                assert_eq!(topk_body(&params, kept, true), scalar_body, "kept {kept}");
+                assert_eq!(
+                    topk_body(&params, kept, Arm::Avx2),
+                    scalar_body,
+                    "kept {kept}"
+                );
             }
         }
         let indices = |body: &[u8]| -> Vec<u32> {
@@ -1894,10 +2073,13 @@ pub(crate) mod proptests {
         };
         // The payload-carrying NaN has the largest key, then the two default
         // NaNs (lower index first), then the infinities, then `f32::MAX`.
-        assert_eq!(indices(&topk_body(&params, 1, false)), [7]);
-        assert_eq!(indices(&topk_body(&params, 2, false)), [1, 7]);
-        assert_eq!(indices(&topk_body(&params, 3, false)), [1, 4, 7]);
-        assert_eq!(indices(&topk_body(&params, 6, false)), [1, 3, 4, 6, 7, 10]);
+        assert_eq!(indices(&topk_body(&params, 1, Arm::Scalar)), [7]);
+        assert_eq!(indices(&topk_body(&params, 2, Arm::Scalar)), [1, 7]);
+        assert_eq!(indices(&topk_body(&params, 3, Arm::Scalar)), [1, 4, 7]);
+        assert_eq!(
+            indices(&topk_body(&params, 6, Arm::Scalar)),
+            [1, 3, 4, 6, 7, 10]
+        );
     }
 
     /// Which way a selection of `kept` of `values` leaves its candidate run.
@@ -1914,7 +2096,7 @@ pub(crate) mod proptests {
     }
 
     fn exit_of(values: &[f32], kept: usize) -> Exit {
-        let Some(floor) = candidate_floor(values.len(), kept, |i| values[i], false) else {
+        let Some(floor) = candidate_floor(values.len(), kept, |i| values[i], Arm::Scalar) else {
             return Exit::NoSample;
         };
         let run = values.iter().filter(|x| key(**x) >= floor).count();
@@ -2004,29 +2186,29 @@ pub(crate) mod proptests {
         let params = long_params(1000, 3);
         let src = long_params(1000, 4);
         let mut sums = params.clone();
-        fold_dense_le_n_with(&mut sums, &[le_bytes(&src)], &[1.0], false);
+        fold_dense_le_n_with(&mut sums, &[le_bytes(&src)], &[1.0], Arm::Scalar);
         let limit = 5 + 80;
         let mut fitting = Vec::new();
-        for simd in arms() {
+        for arm in arms() {
             let mut body = Vec::with_capacity(limit + TOPK_BODY_SLACK);
             body.extend_from_slice(&[0xAB; 5]);
             let buffer = (body.as_ptr(), body.capacity());
-            let every = compact_topk_with(&params, 0, usize::MAX, &mut body, limit, simd);
-            assert_eq!(every, None, "simd {simd}");
-            assert_eq!((body.as_ptr(), body.capacity()), buffer, "simd {simd}");
+            let every = compact_topk_with(&params, 0, usize::MAX, &mut body, limit, arm);
+            assert_eq!(every, None, "arm {arm:?}");
+            assert_eq!((body.as_ptr(), body.capacity()), buffer, "arm {arm:?}");
             body.truncate(5);
             let mut acc = params.clone();
             assert!(!add_compact_topk_with(
-                &mut acc, &src, 0, &mut body, limit, simd
+                &mut acc, &src, 0, &mut body, limit, arm
             ));
-            assert_eq!((body.as_ptr(), body.capacity()), buffer, "simd {simd}");
-            assert_eq!(bits(&acc), bits(&sums), "simd {simd}");
+            assert_eq!((body.as_ptr(), body.capacity()), buffer, "arm {arm:?}");
+            assert_eq!(bits(&acc), bits(&sums), "arm {arm:?}");
             // The ten largest of a thousand distinct keys fit exactly.
             let distinct: Vec<f32> = (0..1000).map(|i| i as f32).collect();
             body.truncate(5);
-            let left = compact_topk_with(&distinct, key(990.0), usize::MAX, &mut body, limit, simd);
-            assert!(left.is_some(), "simd {simd}");
-            assert_eq!(body.len(), limit, "simd {simd}");
+            let left = compact_topk_with(&distinct, key(990.0), usize::MAX, &mut body, limit, arm);
+            assert!(left.is_some(), "arm {arm:?}");
+            assert_eq!(body.len(), limit, "arm {arm:?}");
             fitting.push(body);
         }
         assert!(fitting.windows(2).all(|w| w[0] == w[1]));

@@ -1,9 +1,9 @@
 //! Scalar reference implementations of every kernel.
 //!
 //! These functions *define* the semantics of the kernel layer: the AVX2 arms
-//! in `super::avx2` must reproduce them bit-for-bit (asserted by the
-//! proptests in the parent module), and `LIFL_FORCE_SCALAR=1` routes every
-//! dispatch here at runtime. Keep them simple and obviously correct; the
+//! in `super::avx2` and the AVX-512 ones in `super::avx512` must reproduce
+//! them bit-for-bit (asserted by the proptests in the parent module), and
+//! `LIFL_FORCE_SCALAR=1` routes every dispatch here at runtime. Keep them simple and obviously correct; the
 //! parent module's docs explain which floating-point operations are safe to
 //! vectorise without changing results.
 
@@ -271,11 +271,12 @@ pub(super) fn add_max(acc: &mut [f32], src: &[f32]) -> f32 {
 /// `[-levels, levels]` using the 24 high bits of the random word `w` as the
 /// rounding threshold; non-finite values map to level 0. The exact operation
 /// sequence here (multiply, floor, subtract, compare, add, min/max clamp,
-/// truncating convert) is what the AVX2 arm mirrors instruction for
+/// truncating convert) is what the vector arms mirror instruction for
 /// instruction — every step is exactly rounded, so the arms agree bitwise.
 #[inline]
 // lifl-lint: allow(kernel-parity) — per-element helper; its vector
-// counterpart is the 8-lane `avx2::quantize8`, checked via encode_u8/u4.
+// counterparts are the 8-lane `avx2::quantize8` and the 16-lane
+// `avx512::quantize16`, checked via encode_u8/u4.
 pub(super) fn quantize_one(v: f32, inv: f32, levels: f32, w: u32) -> i32 {
     if !v.is_finite() {
         return 0;
@@ -291,7 +292,7 @@ pub(super) fn quantize_one(v: f32, inv: f32, levels: f32, w: u32) -> i32 {
 /// The rounding words — one per element — are drawn from `rng` a block at a
 /// time through [`StochasticRng::fill`]: this loop *is* the definition of
 /// which word rounds which element and of where the generator stands
-/// afterwards, and the AVX2 arm's in-register draws reproduce it.
+/// afterwards, and the vector arms' in-register draws reproduce it.
 pub(super) fn encode_u8(
     params: &[f32],
     inv: f32,

@@ -276,6 +276,9 @@ struct FnSig {
 /// drift; conversely, every public fn in `avx2.rs` must have a scalar
 /// reference. Scalar-only kernels (sparse scatters that gain nothing from
 /// SIMD) opt out per-fn with `lifl-lint: allow(kernel-parity) — <why>`.
+/// `kernels/avx512.rs`, where it exists, holds a third arm for a few
+/// kernels: every public fn there needs a same-signature scalar twin and an
+/// `avx512::name` dispatch site in `mod.rs`.
 pub fn kernel_parity(files: &[SourceFile]) -> Vec<Finding> {
     let scalar = files
         .iter()
@@ -350,6 +353,34 @@ pub fn kernel_parity(files: &[SourceFile]) -> Vec<Finding> {
                 ),
             ));
         }
+    }
+    let avx512 = files
+        .iter()
+        .find(|f| f.rel == format!("{KERNELS_DIR}avx512.rs"));
+    let Some(avx512) = avx512 else {
+        return out; // no third arm in this tree
+    };
+    for w in parse_fns(avx512).iter().filter(|w| w.is_pub) {
+        let message = match scalar_fns.iter().find(|s| s.name == w.name) {
+            None => format!(
+                "public AVX-512 kernel `{}` has no scalar reference in \
+                 kernels/scalar.rs; the scalar arm defines the semantics and \
+                 must exist first",
+                w.name
+            ),
+            Some(s) if s.params != w.params || s.ret != w.ret => format!(
+                "kernel `{}` signatures drifted between arms: scalar `({}) {}` \
+                 vs avx512 `({}) {}`",
+                w.name, s.params, s.ret, w.params, w.ret
+            ),
+            Some(_) if !refs.contains(&("avx512".to_string(), w.name.clone())) => format!(
+                "kernel `{}` has no `avx512::{}` dispatch site in kernels/mod.rs: \
+                 every arm must be reachable from the dispatcher",
+                w.name, w.name
+            ),
+            Some(_) => continue,
+        };
+        out.push(finding(avx512, w.line, Rule::KernelParity, message));
     }
     out
 }
@@ -512,13 +543,16 @@ fn normalize_params(toks: &[Tok], param_code: &[usize]) -> String {
     types.join(", ")
 }
 
-/// `(arm, fn)` pairs referenced as `scalar::f` / `avx2::f` in non-test code.
+/// `(arm, fn)` pairs referenced as `scalar::f` / `avx2::f` / `avx512::f` in
+/// non-test code.
 fn dispatch_refs(f: &SourceFile) -> BTreeSet<(String, String)> {
     let code = code_indices(f);
     let mut out = BTreeSet::new();
     for w in 0..code.len().saturating_sub(3) {
         let t = |k: usize| &f.toks[code[w + k]];
-        if (t(0).is_ident("scalar") || t(0).is_ident("avx2"))
+        if ["scalar", "avx2", "avx512"]
+            .iter()
+            .any(|arm| t(0).is_ident(arm))
             && t(1).is_punct(":")
             && t(2).is_punct(":")
             && t(3).kind == TokKind::Ident

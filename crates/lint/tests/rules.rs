@@ -73,6 +73,24 @@ fn r3_fail_flags_orphan_drift_missing_dispatch_and_reverse_orphan() {
 }
 
 #[test]
+fn r3_avx512_fail_flags_orphan_drift_and_missing_dispatch_of_the_third_arm() {
+    let found = lint("r3_avx512_fail", &[Rule::KernelParity]);
+    // `encode` has its twin and all three dispatch sites; the scalar/AVX2
+    // pairs are all in order, so every finding is about `avx512.rs`.
+    assert_eq!(found.len(), 3, "{found:#?}");
+    assert!(found.iter().all(|f| f.contains("kernels/avx512.rs")));
+    assert!(found
+        .iter()
+        .any(|f| f.contains("AVX-512 kernel `extra` has no scalar reference")));
+    assert!(found.iter().any(
+        |f| f.contains("`drifted` signatures drifted between arms") && f.contains("vs avx512")
+    ));
+    assert!(found
+        .iter()
+        .any(|f| f.contains("`undispatched` has no `avx512::undispatched` dispatch site")));
+}
+
+#[test]
 fn r3_pass_accepts_parity_and_allowed_scalar_only_kernels() {
     assert_eq!(lint("r3_pass", &[Rule::KernelParity]), Vec::<String>::new());
 }

@@ -36,9 +36,9 @@ build:
 test:
     cargo test -q
 
-# The kernel-parity tier at depth: every scalar ≡ AVX2 property of
-# `lifl-fl`'s kernels (both arms run in one process, so one run covers
-# them) at 1024 cases instead of the default 64.
+# The kernel-parity tier at depth: every scalar ≡ AVX2 ≡ AVX-512 property
+# of `lifl-fl`'s kernels at 1024 cases instead of the default 64. Every arm
+# the host runs is exercised in one process, so one run covers them all.
 kernel-parity:
     PROPTEST_CASES=1024 cargo test -p lifl-fl --lib kernels::
 
