@@ -59,17 +59,19 @@
 //! `draw8` once per 8 elements *in element order*, `rng.skip(i / 2)` after
 //! the loop, and pass `rng` on to the scalar arm for the tail — never call
 //! `fill` or keep a word buffer here. An AVX-512 arm follows the same rule
-//! with `avx512.rs`'s `first_counters` and `draw16` per 16 elements, and
-//! needs its own dispatch arm in the parent module (lint R3 checks both).
-//! Then add the kernel to `stochastic_kernels_draw_the_fill_stream` and
+//! with `avx512.rs`'s `first_counters` and `draw16` per 16 elements. Add
+//! the kernel as a field of the parent module's `Kernels` and an entry in
+//! each table (an AVX-512 arm as an entry of `AVX512`): the compiler
+//! rejects a table without it or an entry of another signature. Then add
+//! the kernel to `stochastic_kernels_draw_the_fill_stream` and
 //! `encoders_match_bitwise` in the parent module's proptests, which run it
 //! on every arm the host runs and check the bytes, the residual bits and the
 //! generator's next words.
 //!
-//! All functions are `unsafe` because they require AVX2; the dispatcher in
-//! the parent module only calls them after `is_x86_feature_detected!`, on
-//! the AVX2 arm and, for every kernel but the `Uniform8` encoders, on the
-//! AVX-512 arm too.
+//! All functions are `unsafe` because they require AVX2. The parent
+//! module's `AVX2` table holds every kernel here, and its `AVX512` table
+//! every one but the `Uniform8` encoders; a table is only reached after
+//! `is_x86_feature_detected!` reported its features.
 
 use core::arch::x86_64::*;
 

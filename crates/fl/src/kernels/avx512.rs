@@ -37,9 +37,10 @@
 //!   discards the high half of an odd last draw exactly once. The position
 //!   afterwards is `fill(len)`'s by construction.
 //!
-//! All functions are `unsafe` because they require AVX-512F and AVX-512DQ;
-//! the dispatcher in the parent module only picks this arm after
-//! `is_x86_feature_detected!` reported both, and AVX2.
+//! All functions are `unsafe` because they require AVX-512F and AVX-512DQ.
+//! They are entries of the parent module's `AVX512` table (the rest of
+//! which is `AVX2`'s), reached only after `is_x86_feature_detected!`
+//! reported both, and AVX2.
 
 use core::arch::x86_64::*;
 

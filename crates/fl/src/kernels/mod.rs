@@ -5,16 +5,17 @@
 //! Every kernel has a scalar reference in `scalar.rs` (the semantic ground
 //! truth) and an AVX2 implementation in `avx2.rs` (x86-64 only); the
 //! `Uniform8` stochastic encoders have a third, 16-lane arm in `avx512.rs`.
-//! Which arm runs is decided **once per process**: the first dispatch
-//! checks the `LIFL_FORCE_SCALAR` environment variable and
-//! `is_x86_feature_detected!`, then caches the answer in a `OnceLock`, so
-//! steady-state dispatch is a branch on a loaded value. The widest arm the
-//! host runs wins: the AVX-512 arm when CPUID reports `avx2`, `avx512f` and
-//! `avx512dq` — AVX-512 for the `Uniform8` encoders, AVX2 for every other
-//! kernel — else the AVX2 arm when it reports `avx2`, else the scalar arm.
-//! Setting `LIFL_FORCE_SCALAR` to any value other than empty or `0` forces
-//! the scalar arm everywhere (CI runs the integration and fault tiers both
-//! ways). [`active_kernel_arm`] names the arm.
+//! Each arm is one `Kernels` table, a function pointer per kernel:
+//! `SCALAR`, `AVX2` (x86-64 only), and `AVX512`, which is `AVX2` with the
+//! two `Uniform8` encoders replaced. Which table runs is decided **once per
+//! process**: the first call checks the `LIFL_FORCE_SCALAR` environment
+//! variable and `is_x86_feature_detected!`, then caches a reference to the
+//! table in a `OnceLock`, so steady-state dispatch is one indirect call
+//! through a loaded pointer. The widest table the host runs wins: `AVX512`
+//! when CPUID reports `avx2`, `avx512f` and `avx512dq`, else `AVX2` when it
+//! reports `avx2`, else `SCALAR`. Setting `LIFL_FORCE_SCALAR` to any value
+//! other than empty or `0` forces `SCALAR` (CI runs the integration and
+//! fault tiers both ways). [`active_kernel_arm`] names the table.
 //!
 //! # The scalar-reference rule
 //!
@@ -26,9 +27,9 @@
 //! vector arms compute the same words in registers). This is what lets the
 //! session/cluster exactness tiers assert bit-identical aggregation results
 //! regardless of which arm a given host picks. The proptests at the bottom
-//! of this module run every arm the host can run in one process (each
-//! private `*_with` dispatcher takes its arm explicitly) and compare outputs
-//! bitwise across odd lengths, sub-lane remainders and non-finite inputs.
+//! of this module call every table the host can run in one process and
+//! compare outputs bitwise across odd lengths, sub-lane remainders and
+//! non-finite inputs.
 //!
 //! Bit-exactness is achievable because every kernel restricts itself to
 //! exactly-rounded elementwise IEEE-754 operations (multiply, add, subtract,
@@ -47,17 +48,26 @@
 //!    elementwise operations if a vector arm is planned.
 //! 2. Write the AVX2 arm in `avx2.rs` mirroring the scalar operation
 //!    sequence, and delegate the sub-lane-width tail to the scalar function.
-//! 3. Add a public wrapper here that validates slice lengths and calls a
-//!    private `*_with(..., arm: Arm)` dispatcher.
-//! 4. Add a proptest below asserting bitwise equality of the arms over odd
-//!    lengths and non-finite inputs.
+//! 3. Add a field to `Kernels`, then one entry per table: `SCALAR` and
+//!    `AVX2` (`AVX512` takes `AVX2`'s unless it names its own). The compiler
+//!    names what is missing: a table without the entry (E0063), an entry
+//!    whose signature drifted (E0308), an arm function no table holds
+//!    (`function is never used`) and a field no entry point calls (`field
+//!    is never read`).
+//! 4. Add a public wrapper here that cuts the slices to their common prefix
+//!    and calls `(active().field)(..)`.
+//! 5. Add a proptest below running the field of every table in `arms()`
+//!    against the scalar reference, bitwise, over odd lengths and non-finite
+//!    inputs. Two entries of one signature swapped in a table compile; this
+//!    test is what catches them.
 //!
 //! A kernel that consumes rounding words additionally follows "How to add a
 //! stochastic kernel" in `avx2.rs`: the scalar arm draws through `fill`, the
 //! vector arms draw in registers, and every arm leaves the generator where
 //! `fill` of the element count would. An AVX-512 arm is added the same way,
-//! in `avx512.rs`, for a kernel whose AVX2 arm is bound by what AVX-512 adds
-//! (the `Uniform8` encoders: 64-bit multiplies).
+//! in `avx512.rs` and as an entry of `AVX512`, for a kernel whose AVX2 arm
+//! is bound by what AVX-512 adds (the `Uniform8` encoders: 64-bit
+//! multiplies).
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -74,37 +84,118 @@ use std::sync::OnceLock;
 /// boundaries, and small enough for a stack buffer.
 const RAND_BLOCK: usize = 4096;
 
-/// Which implementation a kernel dispatch runs, narrowest first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-enum Arm {
-    /// The scalar reference, `scalar.rs`.
-    Scalar,
-    /// `avx2.rs` for every kernel.
-    Avx2,
-    /// `avx512.rs` for the `Uniform8` stochastic encoders, `avx2.rs` for
-    /// every other kernel.
-    Avx512,
+/// One arm of every kernel that differs by arm: a function pointer per
+/// kernel, and the arm's name in logs and benchmark reports.
+///
+/// # Safety
+///
+/// Every entry is `unsafe` to call. The table must be one the host runs:
+/// [`active`] and the proptests' `arms()` are the only ways to a table, and
+/// both hand one out only after CPUID reported its features. The arguments
+/// must meet the entry's length contract (its `SAFETY` comment), which the
+/// vector arms rely on for their raw loads and stores.
+// Each field spells out its kernel's signature, which every table's entry
+// must match exactly.
+#[allow(clippy::type_complexity)]
+struct Kernels {
+    /// `"scalar"`, `"avx2"` or `"avx512"`.
+    name: &'static str,
+    // SAFETY: sources and weights pair up, every source covering
+    // `4 * acc.len()` bytes.
+    fold_dense_le_n: unsafe fn(&mut [f32], &[&[u8]], &[f32]),
+    // SAFETY: the body covers `4 * out.len()` bytes.
+    decode_dense_le: unsafe fn(&mut [f32], &[u8]),
+    // SAFETY: the levels cover `acc.len()` bytes.
+    fold_u8: unsafe fn(&mut [f32], &[u8], f32),
+    // SAFETY: the levels cover `out.len()` bytes.
+    decode_u8: unsafe fn(&mut [f32], &[u8], f32),
+    // SAFETY: element `j` of `acc` is nibble `j` of the nibbles, which
+    // cover `acc.len()` nibbles.
+    fold_u4_aligned: unsafe fn(&mut [f32], &[u8], f32),
+    // SAFETY: the nibbles cover `out.len()` nibbles.
+    decode_u4: unsafe fn(&mut [f32], &[u8], f32),
+    // SAFETY: the CPU features alone.
+    magnitude_histogram: unsafe fn(Keys<'_>, u32, u32, u32, &mut [u32; TOPK_BINS]),
+    // SAFETY: the CPU features alone; the vector arm checks `body`'s
+    // capacity itself.
+    compact_topk: unsafe fn(&[f32], u32, u32, usize, &mut Vec<u8>, usize) -> Option<usize>,
+    // SAFETY: the CPU features alone.
+    compact_pairs: unsafe fn(&mut [u8], u32, usize) -> usize,
+    // SAFETY: `src` is at least as long as `acc`.
+    add_compact_topk: unsafe fn(&mut [f32], &[f32], u32, u32, &mut Vec<u8>, usize) -> bool,
+    // SAFETY: the CPU features alone.
+    max_abs_finite: unsafe fn(&[f32]) -> f32,
+    // SAFETY: `src` is at least as long as `acc`.
+    add_max: unsafe fn(&mut [f32], &[f32]) -> f32,
+    // SAFETY: of `(params, 1 / scale, levels, rng, body)`, `body` holds
+    // `params.len()` bytes.
+    encode_u8: unsafe fn(&[f32], f32, f32, &mut StochasticRng, &mut [u8]),
+    // SAFETY: as `encode_u8`, `body` holding `params.len().div_ceil(2)`
+    // bytes.
+    encode_u4: unsafe fn(&[f32], f32, f32, &mut StochasticRng, &mut [u8]),
+    // SAFETY: of `(residual, 1 / scale, -scale, levels, rng, body)`, `body`
+    // holds `residual.len()` bytes.
+    feedback_append_u8: unsafe fn(&mut [f32], f32, f32, f32, &mut StochasticRng, &mut [u8]),
+    // SAFETY: as `feedback_append_u8`, `body` holding
+    // `residual.len().div_ceil(2)` bytes.
+    feedback_append_u4: unsafe fn(&mut [f32], f32, f32, f32, &mut StochasticRng, &mut [u8]),
 }
 
-impl Arm {
-    /// Whether the arm runs vector code, i.e. the host has AVX2.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    fn simd(self) -> bool {
-        self != Arm::Scalar
-    }
+/// The scalar references, `scalar.rs`: every host runs them.
+static SCALAR: Kernels = Kernels {
+    name: "scalar",
+    fold_dense_le_n: scalar::fold_dense_le_n,
+    decode_dense_le: scalar::decode_dense_le,
+    fold_u8: scalar::fold_u8,
+    decode_u8: scalar::decode_u8,
+    fold_u4_aligned: scalar::fold_u4_aligned,
+    decode_u4: scalar::decode_u4,
+    magnitude_histogram: scalar::magnitude_histogram,
+    compact_topk: scalar::compact_topk,
+    compact_pairs: scalar::compact_pairs,
+    add_compact_topk: scalar::add_compact_topk,
+    max_abs_finite: scalar::max_abs_finite,
+    add_max: scalar::add_max,
+    encode_u8: scalar::encode_u8,
+    encode_u4: scalar::encode_u4,
+    feedback_append_u8: scalar::feedback_append_u8,
+    feedback_append_u4: scalar::feedback_append_u4,
+};
 
-    /// The arm's name in logs and benchmark reports.
-    fn name(self) -> &'static str {
-        match self {
-            Arm::Scalar => "scalar",
-            Arm::Avx2 => "avx2",
-            Arm::Avx512 => "avx512",
-        }
-    }
-}
+/// `avx2.rs` for every kernel: hosts whose CPUID reports `avx2`.
+#[cfg(target_arch = "x86_64")]
+static AVX2: Kernels = Kernels {
+    name: "avx2",
+    fold_dense_le_n: avx2::fold_dense_le_n,
+    decode_dense_le: avx2::decode_dense_le,
+    fold_u8: avx2::fold_u8,
+    decode_u8: avx2::decode_u8,
+    fold_u4_aligned: avx2::fold_u4_aligned,
+    decode_u4: avx2::decode_u4,
+    magnitude_histogram: avx2::magnitude_histogram,
+    compact_topk: avx2::compact_topk,
+    compact_pairs: avx2::compact_pairs,
+    add_compact_topk: avx2::add_compact_topk,
+    max_abs_finite: avx2::max_abs_finite,
+    add_max: avx2::add_max,
+    encode_u8: avx2::encode_u8,
+    encode_u4: avx2::encode_u4,
+    feedback_append_u8: avx2::feedback_append_u8,
+    feedback_append_u4: avx2::feedback_append_u4,
+};
 
-static ACTIVE_ARM: OnceLock<Arm> = OnceLock::new();
+/// `avx512.rs` for the `Uniform8` stochastic encoders, `avx2.rs` for every
+/// other kernel: hosts whose CPUID reports `avx2`, `avx512f` and
+/// `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+static AVX512: Kernels = Kernels {
+    name: "avx512",
+    encode_u8: avx512::encode_u8,
+    feedback_append_u8: avx512::feedback_append_u8,
+    ..AVX2
+};
+
+static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
 
 /// True when `LIFL_FORCE_SCALAR` requests the scalar arm: set to anything
 /// except the empty string or `0`.
@@ -112,32 +203,32 @@ fn scalar_forced(value: Option<&str>) -> bool {
     matches!(value, Some(v) if !v.is_empty() && v != "0")
 }
 
-/// The widest arm this host's CPU runs: every narrower arm runs too.
-fn widest_arm() -> Arm {
+/// The widest table this host's CPU runs: it runs every narrower one too.
+fn widest() -> &'static Kernels {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::is_x86_feature_detected as has;
         if has!("avx2") {
             return if has!("avx512f") && has!("avx512dq") {
-                Arm::Avx512
+                &AVX512
             } else {
-                Arm::Avx2
+                &AVX2
             };
         }
     }
-    Arm::Scalar
+    &SCALAR
 }
 
-/// The arm every dispatch runs. Decided once per process: the scalar arm
-/// when `LIFL_FORCE_SCALAR` is set (to anything except empty or `0`), the
-/// widest arm the host runs otherwise.
-fn active_arm() -> Arm {
-    *ACTIVE_ARM.get_or_init(|| {
+/// The table every kernel call goes through. Decided once per process:
+/// `SCALAR` when `LIFL_FORCE_SCALAR` is set (to anything except empty or
+/// `0`), the widest table the host runs otherwise.
+fn active() -> &'static Kernels {
+    ACTIVE.get_or_init(|| {
         let force = std::env::var("LIFL_FORCE_SCALAR").ok();
         if scalar_forced(force.as_deref()) {
-            Arm::Scalar
+            &SCALAR
         } else {
-            widest_arm()
+            widest()
         }
     })
 }
@@ -146,7 +237,7 @@ fn active_arm() -> Arm {
 /// `"avx512"` while the 16-lane `Uniform8` encoders run, `"avx2"`, or
 /// `"scalar"`.
 pub fn active_kernel_arm() -> &'static str {
-    active_arm().name()
+    active().name
 }
 
 // ---------------------------------------------------------------------------
@@ -326,29 +417,9 @@ impl AsRef<[u8]> for DenseLe {
 pub fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32]) {
     let count = srcs.len().min(weights.len());
     let n = srcs.iter().fold(acc.len(), |n, src| n.min(src.len() / 4));
-    fold_dense_le_n_with(
-        &mut acc[..n],
-        &srcs[..count],
-        &weights[..count],
-        active_arm(),
-    );
-}
-
-/// One pass over sources that each cover `4 * acc.len()` bytes, paired
-/// with as many weights (the AVX2 arm takes up to eight; more fold on the
-/// scalar arm).
-fn fold_dense_le_n_with(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32], arm: Arm) {
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection; the
-        // wrapper cut `acc` to what every source covers and paired the
-        // weights.
-        unsafe { avx2::fold_dense_le_n(acc, srcs, weights) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::fold_dense_le_n(acc, srcs, weights);
+    // SAFETY: the active table passed its CPUID check; `acc` is cut to what
+    // every source covers and the weights are paired with the sources.
+    unsafe { (active().fold_dense_le_n)(&mut acc[..n], &srcs[..count], &weights[..count]) };
 }
 
 /// Fused fold of one dense little-endian `f32` payload, `acc += weight *
@@ -360,118 +431,82 @@ pub fn fold_dense_le(acc: &mut [f32], body: &[u8], weight: f32) {
 /// Decode of a dense little-endian `f32` payload into `out`.
 pub fn decode_dense_le(out: &mut [f32], body: &[u8]) {
     let n = out.len().min(body.len() / 4);
-    decode_dense_le_with(&mut out[..n], &body[..4 * n], active_arm());
-}
-
-fn decode_dense_le_with(out: &mut [f32], body: &[u8], arm: Arm) {
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
-        unsafe { avx2::decode_dense_le(out, body) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::decode_dense_le(out, body);
+    // SAFETY: the active table passed its CPUID check; `body` is cut to
+    // `4 * n` bytes for `n` outputs.
+    unsafe { (active().decode_dense_le)(&mut out[..n], &body[..4 * n]) };
 }
 
 /// Fused fold of `Uniform8` levels: `acc[i] += f32(levels[i] as i8) * k`,
 /// where `k` is the pre-multiplied `weight * scale`.
 pub fn fold_u8(acc: &mut [f32], levels: &[u8], k: f32) {
     let n = acc.len().min(levels.len());
-    fold_u8_with(&mut acc[..n], &levels[..n], k, active_arm());
-}
-
-fn fold_u8_with(acc: &mut [f32], levels: &[u8], k: f32, arm: Arm) {
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
-        unsafe { avx2::fold_u8(acc, levels, k) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::fold_u8(acc, levels, k);
+    // SAFETY: the active table passed its CPUID check; both slices are cut
+    // to one length.
+    unsafe { (active().fold_u8)(&mut acc[..n], &levels[..n], k) };
 }
 
 /// Dequantize of `Uniform8` levels: `out[i] = f32(levels[i] as i8) * scale`.
 pub fn decode_u8(out: &mut [f32], levels: &[u8], scale: f32) {
     let n = out.len().min(levels.len());
-    decode_u8_with(&mut out[..n], &levels[..n], scale, active_arm());
-}
-
-fn decode_u8_with(out: &mut [f32], levels: &[u8], scale: f32, arm: Arm) {
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
-        unsafe { avx2::decode_u8(out, levels, scale) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::decode_u8(out, levels, scale);
+    // SAFETY: the active table passed its CPUID check; both slices are cut
+    // to one length.
+    unsafe { (active().decode_u8)(&mut out[..n], &levels[..n], scale) };
 }
 
 /// Fused fold of packed `Uniform4` nibbles starting at element offset
 /// `start` within `body` (low nibble first within each byte): folds
-/// `acc.len()` elements beginning at that offset. An odd `start` peels one
-/// high nibble scalar-side, then both arms run even-aligned.
+/// `acc.len()` elements beginning at that offset, and nothing past the end
+/// of `body`. An odd `start` peels one high nibble scalar-side, then every
+/// arm runs even-aligned.
 pub fn fold_u4(acc: &mut [f32], body: &[u8], start: usize, k: f32) {
-    fold_u4_with(acc, body, start, k, active_arm());
+    let (acc, nibbles) = align_u4(acc, body, start, k);
+    // SAFETY: the active table passed its CPUID check; `align_u4` cut `acc`
+    // to the nibbles it returns, element `j` being nibble `j`.
+    unsafe { (active().fold_u4_aligned)(acc, nibbles, k) };
 }
 
-fn fold_u4_with(acc: &mut [f32], body: &[u8], start: usize, k: f32, arm: Arm) {
-    if acc.is_empty() {
-        return;
-    }
-    let (acc, start) = if start % 2 == 1 {
-        acc[0] += scalar::NIBBLE_F32[(body[start / 2] >> 4) as usize] * k;
-        (&mut acc[1..], start + 1)
-    } else {
-        (acc, start)
+/// The part of [`fold_u4`] before the vector arm: at an odd `start`, folds
+/// the high nibble of byte `start / 2` into `acc[0]`, then returns the
+/// rest of `acc`, cut to the nibbles left in `body`, and those nibbles,
+/// element `j` of the one being nibble `j` of the other.
+fn align_u4<'a>(
+    acc: &'a mut [f32],
+    body: &'a [u8],
+    start: usize,
+    k: f32,
+) -> (&'a mut [f32], &'a [u8]) {
+    let nibbles = body.get(start / 2..).unwrap_or_default();
+    let (acc, nibbles) = match (start % 2, acc, nibbles) {
+        (1, [first, rest @ ..], [byte, tail @ ..]) => {
+            *first += scalar::NIBBLE_F32[(byte >> 4) as usize] * k;
+            (rest, tail)
+        }
+        // Already even-aligned, or nothing of `acc` or `body` left.
+        (_, acc, nibbles) => (acc, nibbles),
     };
-    let nibbles = &body[start / 2..];
     let n = acc.len().min(nibbles.len().saturating_mul(2));
-    let acc = &mut acc[..n];
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
-        unsafe { avx2::fold_u4_aligned(acc, nibbles, k) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::fold_u4_aligned(acc, nibbles, k);
+    (&mut acc[..n], nibbles)
 }
 
 /// Dequantize of packed `Uniform4` nibbles (even-aligned) into `out`.
 pub fn decode_u4(out: &mut [f32], nibbles: &[u8], scale: f32) {
     let n = out.len().min(nibbles.len().saturating_mul(2));
-    decode_u4_with(&mut out[..n], nibbles, scale, active_arm());
-}
-
-fn decode_u4_with(out: &mut [f32], nibbles: &[u8], scale: f32, arm: Arm) {
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
-        unsafe { avx2::decode_u4(out, nibbles, scale) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::decode_u4(out, nibbles, scale);
+    // SAFETY: the active table passed its CPUID check; `out` is cut to the
+    // nibbles there are.
+    unsafe { (active().decode_u4)(&mut out[..n], nibbles, scale) };
 }
 
 /// Fold of `TopK` `(u32 index, f32 value)` pairs whose index falls in
 /// `[start, end)` into `acc` (indexed relative to `start`). A sparse scatter
-/// gains nothing from vectorization, so both dispatch arms share the scalar
-/// routine; it lives here so every codec fold goes through one layer.
+/// gains nothing from vectorization, so every arm runs the scalar routine
+/// and no table holds it; it lives here so every codec fold goes through
+/// one layer.
 pub fn fold_topk(acc: &mut [f32], pairs: &[u8], start: usize, end: usize, weight: f32) {
     scalar::fold_topk(acc, pairs, start, end, weight);
 }
 
-/// Decode of `TopK` pairs into `out` (zero-filled first). Scalar on both
-/// arms, like [`fold_topk`].
+/// Decode of `TopK` pairs into `out` (zero-filled first). Scalar on every
+/// arm, like [`fold_topk`].
 pub fn decode_topk(out: &mut [f32], pairs: &[u8]) {
     scalar::decode_topk(out, pairs);
 }
@@ -574,7 +609,7 @@ enum Keys<'a> {
 /// room the candidate run needs; a buffer checked out that large is never
 /// reallocated.
 pub fn append_topk(params: &[f32], kept: usize, body: &mut Vec<u8>) {
-    append_topk_with(params, kept, body, active_arm());
+    active().append_topk(params, kept, body);
 }
 
 /// The error-feedback form of [`append_topk`]: adds `src` into `acc`
@@ -584,7 +619,7 @@ pub fn append_topk(params: &[f32], kept: usize, body: &mut Vec<u8>) {
 /// the four of an [`axpy`] followed by [`append_topk`]'s whole-vector cut.
 /// The sample computes the same sums at its positions first.
 pub(crate) fn add_append_topk(acc: &mut [f32], src: &[f32], kept: usize, body: &mut Vec<u8>) {
-    add_append_topk_with(acc, src, kept, body, active_arm());
+    active().add_append_topk(acc, src, kept, body);
 }
 
 /// Bytes [`append_topk`] may use behind a body's current length for the
@@ -608,36 +643,6 @@ fn run_applies(dim: usize, kept: usize) -> bool {
     kept > 0 && 8 * TOPK_RUN_FACTOR * kept <= 4 * dim
 }
 
-fn append_topk_with(params: &[f32], kept: usize, body: &mut Vec<u8>, arm: Arm) {
-    let kept = kept.min(params.len());
-    if kept == 0 {
-        return;
-    }
-    let (start, limit) = reserve_topk(body, params.len(), kept);
-    let floor = candidate_floor(params.len(), kept, |i| params[i], arm);
-    let collected = floor.is_some_and(|floor| {
-        compact_topk_with(params, floor, usize::MAX, body, limit, arm).is_some()
-    });
-    cut_topk(params, kept, start, collected, body, limit, arm);
-}
-
-fn add_append_topk_with(acc: &mut [f32], src: &[f32], kept: usize, body: &mut Vec<u8>, arm: Arm) {
-    let src = &src[..acc.len()];
-    let kept = kept.min(acc.len());
-    let (start, limit) = reserve_topk(body, acc.len(), kept);
-    let sum = |i: usize| canonical(acc[i] + 1.0 * src[i]);
-    let collected = match candidate_floor(acc.len(), kept, sum, arm) {
-        Some(floor) => add_compact_topk_with(acc, src, floor, body, limit, arm),
-        None => {
-            axpy(acc, src, 1.0);
-            false
-        }
-    };
-    if kept > 0 {
-        cut_topk(acc, kept, start, collected, body, limit, arm);
-    }
-}
-
 /// Grows `body` to [`topk_capacity`] past its length; returns that length,
 /// where the pairs start, and the length the pairs may not take it past.
 fn reserve_topk(body: &mut Vec<u8>, dim: usize, kept: usize) -> (usize, usize) {
@@ -655,143 +660,122 @@ fn canonical(v: f32) -> f32 {
     }
 }
 
-/// Step 1 of [`append_topk`]: `t_lo`, the key of rank `expected + expected
-/// / TOPK_SAMPLE_MARGIN` of a strided sample of the `dim` values `value`
-/// yields, or `None` when no run applies or the sample could not reject a
-/// single element.
-fn candidate_floor(dim: usize, kept: usize, value: impl Fn(usize) -> f32, arm: Arm) -> Option<u32> {
-    if !run_applies(dim, kept) {
-        return None;
-    }
-    let stride = TOPK_SAMPLE_STRIDE.max(dim.div_ceil(TOPK_SAMPLE_MAX));
-    let n = dim.div_ceil(stride);
-    let expected = (kept * n).div_ceil(dim);
-    let rank = expected + expected / TOPK_SAMPLE_MARGIN;
-    if rank >= n {
-        return None;
-    }
-    let mut sample = [0.0f32; TOPK_SAMPLE_MAX];
-    for (j, s) in sample[..n].iter_mut().enumerate() {
-        *s = value(j * stride);
-    }
-    Some(topk_cut(Keys::Dense(&sample[..n]), rank, arm).0)
-}
-
-/// Steps 3 and 4 of [`append_topk`], behind the candidate run collected at
-/// `body[start..]` (when `collected`) from `params`: the exact cut over the
-/// run if it holds at least `kept` pairs, over the whole of `params`
-/// otherwise.
-fn cut_topk(
-    params: &[f32],
-    kept: usize,
-    start: usize,
-    collected: bool,
-    body: &mut Vec<u8>,
-    limit: usize,
-    arm: Arm,
-) {
-    if collected && body.len() - start >= 8 * kept {
-        let run = &mut body[start..];
-        let (threshold, ties) = topk_cut(Keys::Pairs(run), kept, arm);
-        let kept_bytes = compact_pairs_with(run, threshold, ties, arm);
-        body.truncate(start + kept_bytes);
-        return;
-    }
-    body.truncate(start);
-    let (threshold, ties) = topk_cut(Keys::Dense(params), kept, arm);
-    // Exactly `kept` pairs, which `limit` always has room for.
-    let _ = compact_topk_with(params, threshold, ties, body, limit, arm);
-}
-
-/// The cut of an exact top-`kept` selection over `keys` (`1 <= kept <=` the
-/// key count): `(threshold, ties)` such that the selection is every key
-/// above `threshold` plus the first `ties`, in order, at it.
-fn topk_cut(keys: Keys<'_>, kept: usize, arm: Arm) -> (u32, usize) {
-    let (mut prefix, mut ties) = (0u32, kept);
-    for (hi, lo) in TOPK_LEVELS {
-        let mut counts = [0u32; TOPK_BINS];
-        magnitude_histogram_with(keys, prefix, hi, lo, &mut counts, arm);
-        // At least `ties` keys carry `prefix`, so the walk ends in range.
-        let mut bin = (1usize << (hi - lo)) - 1;
-        while (counts[bin] as usize) < ties {
-            ties -= counts[bin] as usize;
-            bin -= 1;
+/// The composed top-k selection, each step on this table's kernels.
+impl Kernels {
+    /// [`append_topk`].
+    fn append_topk(&self, params: &[f32], kept: usize, body: &mut Vec<u8>) {
+        let kept = kept.min(params.len());
+        if kept == 0 {
+            return;
         }
-        prefix = (prefix << (hi - lo)) | bin as u32;
-        if counts[bin] as usize == ties {
-            // The whole bin is kept: its lowest key is the threshold, and
-            // every element at that key goes too.
-            return (prefix << lo, usize::MAX);
+        let (start, limit) = reserve_topk(body, params.len(), kept);
+        let floor = self.candidate_floor(params.len(), kept, |i| params[i]);
+        // SAFETY: `self` passed its CPUID check (see [`Kernels`]).
+        let collected = floor.is_some_and(|floor| unsafe {
+            (self.compact_topk)(params, 0, floor, usize::MAX, body, limit).is_some()
+        });
+        self.cut_topk(params, kept, start, collected, body, limit);
+    }
+
+    /// [`add_append_topk`].
+    fn add_append_topk(&self, acc: &mut [f32], src: &[f32], kept: usize, body: &mut Vec<u8>) {
+        let src = &src[..acc.len()];
+        let kept = kept.min(acc.len());
+        let (start, limit) = reserve_topk(body, acc.len(), kept);
+        let sum = |i: usize| canonical(acc[i] + 1.0 * src[i]);
+        let collected = match self.candidate_floor(acc.len(), kept, sum) {
+            // SAFETY: `self` passed its CPUID check (see [`Kernels`]), and
+            // `src` is cut to `acc`'s length.
+            Some(floor) => unsafe { (self.add_compact_topk)(acc, src, 0, floor, body, limit) },
+            None => {
+                axpy(acc, src, 1.0);
+                false
+            }
+        };
+        if kept > 0 {
+            self.cut_topk(acc, kept, start, collected, body, limit);
         }
     }
-    (prefix, ties)
-}
 
-fn magnitude_histogram_with(
-    keys: Keys<'_>,
-    prefix: u32,
-    hi: u32,
-    lo: u32,
-    counts: &mut [u32; TOPK_BINS],
-    arm: Arm,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
-        unsafe { avx2::magnitude_histogram(keys, prefix, hi, lo, counts) };
-        return;
+    /// Step 1 of [`append_topk`]: `t_lo`, the key of rank `expected +
+    /// expected / TOPK_SAMPLE_MARGIN` of a strided sample of the `dim`
+    /// values `value` yields, or `None` when no run applies or the sample
+    /// could not reject a single element.
+    fn candidate_floor(
+        &self,
+        dim: usize,
+        kept: usize,
+        value: impl Fn(usize) -> f32,
+    ) -> Option<u32> {
+        if !run_applies(dim, kept) {
+            return None;
+        }
+        let stride = TOPK_SAMPLE_STRIDE.max(dim.div_ceil(TOPK_SAMPLE_MAX));
+        let n = dim.div_ceil(stride);
+        let expected = (kept * n).div_ceil(dim);
+        let rank = expected + expected / TOPK_SAMPLE_MARGIN;
+        if rank >= n {
+            return None;
+        }
+        let mut sample = [0.0f32; TOPK_SAMPLE_MAX];
+        for (j, s) in sample[..n].iter_mut().enumerate() {
+            *s = value(j * stride);
+        }
+        Some(self.topk_cut(Keys::Dense(&sample[..n]), rank).0)
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::magnitude_histogram(keys, prefix, hi, lo, counts);
-}
 
-fn compact_topk_with(
-    params: &[f32],
-    threshold: u32,
-    ties: usize,
-    body: &mut Vec<u8>,
-    limit: usize,
-    arm: Arm,
-) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
-        return unsafe { avx2::compact_topk(params, 0, threshold, ties, body, limit) };
+    /// Steps 3 and 4 of [`append_topk`], behind the candidate run collected
+    /// at `body[start..]` (when `collected`) from `params`: the exact cut
+    /// over the run if it holds at least `kept` pairs, over the whole of
+    /// `params` otherwise.
+    fn cut_topk(
+        &self,
+        params: &[f32],
+        kept: usize,
+        start: usize,
+        collected: bool,
+        body: &mut Vec<u8>,
+        limit: usize,
+    ) {
+        if collected && body.len() - start >= 8 * kept {
+            let run = &mut body[start..];
+            let (threshold, ties) = self.topk_cut(Keys::Pairs(run), kept);
+            // SAFETY: `self` passed its CPUID check (see [`Kernels`]).
+            let kept_bytes = unsafe { (self.compact_pairs)(run, threshold, ties) };
+            body.truncate(start + kept_bytes);
+            return;
+        }
+        body.truncate(start);
+        let (threshold, ties) = self.topk_cut(Keys::Dense(params), kept);
+        // Exactly `kept` pairs, which `limit` always has room for.
+        // SAFETY: `self` passed its CPUID check (see [`Kernels`]).
+        let _ = unsafe { (self.compact_topk)(params, 0, threshold, ties, body, limit) };
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::compact_topk(params, 0, threshold, ties, body, limit)
-}
 
-fn compact_pairs_with(run: &mut [u8], threshold: u32, ties: usize, arm: Arm) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
-        return unsafe { avx2::compact_pairs(run, threshold, ties) };
+    /// The cut of an exact top-`kept` selection over `keys` (`1 <= kept <=`
+    /// the key count): `(threshold, ties)` such that the selection is every
+    /// key above `threshold` plus the first `ties`, in order, at it.
+    fn topk_cut(&self, keys: Keys<'_>, kept: usize) -> (u32, usize) {
+        let (mut prefix, mut ties) = (0u32, kept);
+        for (hi, lo) in TOPK_LEVELS {
+            let mut counts = [0u32; TOPK_BINS];
+            // SAFETY: `self` passed its CPUID check (see [`Kernels`]).
+            unsafe { (self.magnitude_histogram)(keys, prefix, hi, lo, &mut counts) };
+            // At least `ties` keys carry `prefix`, so the walk ends in range.
+            let mut bin = (1usize << (hi - lo)) - 1;
+            while (counts[bin] as usize) < ties {
+                ties -= counts[bin] as usize;
+                bin -= 1;
+            }
+            prefix = (prefix << (hi - lo)) | bin as u32;
+            if counts[bin] as usize == ties {
+                // The whole bin is kept: its lowest key is the threshold, and
+                // every element at that key goes too.
+                return (prefix << lo, usize::MAX);
+            }
+        }
+        (prefix, ties)
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::compact_pairs(run, threshold, ties)
-}
-
-fn add_compact_topk_with(
-    acc: &mut [f32],
-    src: &[f32],
-    threshold: u32,
-    body: &mut Vec<u8>,
-    limit: usize,
-    arm: Arm,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection, and the
-        // caller cut `src` to `acc`'s length.
-        return unsafe { avx2::add_compact_topk(acc, src, 0, threshold, body, limit) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::add_compact_topk(acc, src, 0, threshold, body, limit)
 }
 
 // ---------------------------------------------------------------------------
@@ -819,18 +803,8 @@ pub fn axpy8(acc: &mut [f32], srcs: [&[f32]; 8], w: [f32; 8]) {
 /// quantization scales). Exact on both arms because `max` over non-negative
 /// finite values is order-independent.
 pub fn max_abs_finite(params: &[f32]) -> f32 {
-    max_abs_finite_with(params, active_arm())
-}
-
-fn max_abs_finite_with(params: &[f32], arm: Arm) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection.
-        return unsafe { avx2::max_abs_finite(params) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::max_abs_finite(params)
+    // SAFETY: the active table passed its CPUID check.
+    unsafe { (active().max_abs_finite)(params) }
 }
 
 /// `acc += 1.0 * src` over the common prefix — the same multiply-then-add,
@@ -841,19 +815,9 @@ fn max_abs_finite_with(params: &[f32], arm: Arm) -> f32 {
 /// it again.
 pub fn add_max(acc: &mut [f32], src: &[f32]) -> f32 {
     let n = acc.len().min(src.len());
-    add_max_with(&mut acc[..n], &src[..n], active_arm())
-}
-
-fn add_max_with(acc: &mut [f32], src: &[f32], arm: Arm) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection; the
-        // wrapper cut both slices to one length.
-        return unsafe { avx2::add_max(acc, src) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::add_max(acc, src)
+    // SAFETY: the active table passed its CPUID check; both slices are cut
+    // to one length.
+    unsafe { (active().add_max)(&mut acc[..n], &src[..n]) }
 }
 
 // ---------------------------------------------------------------------------
@@ -893,38 +857,10 @@ pub fn append_u8(
     if scale <= 0.0 {
         return;
     }
-    encode_u8_with(params, scale, levels, rng, &mut body[start..], active_arm());
-}
-
-fn encode_u8_with(
-    params: &[f32],
-    scale: f32,
-    levels: f32,
-    rng: &mut StochasticRng,
-    body: &mut [u8],
-    arm: Arm,
-) {
-    let inv = 1.0 / scale;
-    #[cfg(target_arch = "x86_64")]
-    match arm {
-        Arm::Avx512 => {
-            // SAFETY: `Arm::Avx512` is only chosen after runtime AVX2,
-            // AVX-512F and AVX-512DQ detection; `body` is sized to
-            // `params.len()` by the wrapper.
-            unsafe { avx512::encode_u8(params, inv, levels, rng, body) };
-            return;
-        }
-        Arm::Avx2 => {
-            // SAFETY: `Arm::Avx2` is only chosen after runtime AVX2
-            // detection; `body` is sized to `params.len()` by the wrapper.
-            unsafe { avx2::encode_u8(params, inv, levels, rng, body) };
-            return;
-        }
-        Arm::Scalar => {}
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::encode_u8(params, inv, levels, rng, body);
+    let body = &mut body[start..];
+    // SAFETY: the active table passed its CPUID check; `body` holds
+    // `params.len()` bytes.
+    unsafe { (active().encode_u8)(params, 1.0 / scale, levels, rng, body) };
 }
 
 /// Quantizes `params` to packed `Uniform4` sign-magnitude nibbles (low
@@ -943,28 +879,10 @@ pub fn append_u4(
     if scale <= 0.0 {
         return;
     }
-    encode_u4_with(params, scale, levels, rng, &mut body[start..], active_arm());
-}
-
-fn encode_u4_with(
-    params: &[f32],
-    scale: f32,
-    levels: f32,
-    rng: &mut StochasticRng,
-    body: &mut [u8],
-    arm: Arm,
-) {
-    let inv = 1.0 / scale;
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection; `body`
-        // is sized to the packed nibble count by the wrapper.
-        unsafe { avx2::encode_u4(params, inv, levels, rng, body) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::encode_u4(params, inv, levels, rng, body);
+    let body = &mut body[start..];
+    // SAFETY: the active table passed its CPUID check; `body` holds the
+    // packed nibble count.
+    unsafe { (active().encode_u4)(params, 1.0 / scale, levels, rng, body) };
 }
 
 // ---------------------------------------------------------------------------
@@ -1001,46 +919,12 @@ pub fn feedback_append_u8(
     if scale <= 0.0 {
         return;
     }
-    feedback_u8_with(
-        residual,
-        scale,
-        levels,
-        rng,
-        &mut body[start..],
-        active_arm(),
-    );
-}
-
-fn feedback_u8_with(
-    residual: &mut [f32],
-    scale: f32,
-    levels: f32,
-    rng: &mut StochasticRng,
-    body: &mut [u8],
-    arm: Arm,
-) {
+    let body = &mut body[start..];
     // `k` is `-1.0 * scale`, the factor `fold_into(-1.0, ..)` hands the fold.
     let (inv, k) = (1.0 / scale, -scale);
-    #[cfg(target_arch = "x86_64")]
-    match arm {
-        Arm::Avx512 => {
-            // SAFETY: `Arm::Avx512` is only chosen after runtime AVX2,
-            // AVX-512F and AVX-512DQ detection; `body` is sized to
-            // `residual.len()` by the wrapper.
-            unsafe { avx512::feedback_append_u8(residual, inv, k, levels, rng, body) };
-            return;
-        }
-        Arm::Avx2 => {
-            // SAFETY: `Arm::Avx2` is only chosen after runtime AVX2
-            // detection; `body` is sized to `residual.len()` by the wrapper.
-            unsafe { avx2::feedback_append_u8(residual, inv, k, levels, rng, body) };
-            return;
-        }
-        Arm::Scalar => {}
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::feedback_append_u8(residual, inv, k, levels, rng, body);
+    // SAFETY: the active table passed its CPUID check; `body` holds
+    // `residual.len()` bytes.
+    unsafe { (active().feedback_append_u8)(residual, inv, k, levels, rng, body) };
 }
 
 /// [`append_u4`] over an error-feedback residual with the fold-back fused in,
@@ -1058,36 +942,12 @@ pub fn feedback_append_u4(
     if scale <= 0.0 {
         return;
     }
-    feedback_u4_with(
-        residual,
-        scale,
-        levels,
-        rng,
-        &mut body[start..],
-        active_arm(),
-    );
-}
-
-fn feedback_u4_with(
-    residual: &mut [f32],
-    scale: f32,
-    levels: f32,
-    rng: &mut StochasticRng,
-    body: &mut [u8],
-    arm: Arm,
-) {
+    let body = &mut body[start..];
     // `k` is `-1.0 * scale`, the factor `fold_into(-1.0, ..)` hands the fold.
     let (inv, k) = (1.0 / scale, -scale);
-    #[cfg(target_arch = "x86_64")]
-    if arm.simd() {
-        // SAFETY: a vector `arm` is only chosen after runtime AVX2 detection; `body`
-        // is sized to the packed nibble count by the wrapper.
-        unsafe { avx2::feedback_append_u4(residual, inv, k, levels, rng, body) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = arm;
-    scalar::feedback_append_u4(residual, inv, k, levels, rng, body);
+    // SAFETY: the active table passed its CPUID check; `body` holds the
+    // packed nibble count.
+    unsafe { (active().feedback_append_u4)(residual, inv, k, levels, rng, body) };
 }
 
 #[cfg(test)]
@@ -1106,10 +966,10 @@ mod tests {
 
     #[test]
     fn simd_active_is_cached_and_consistent() {
-        let first = active_arm();
-        assert_eq!(first, active_arm());
-        assert_eq!(active_kernel_arm(), first.name());
-        assert!(first <= widest_arm());
+        let first = active();
+        assert!(std::ptr::eq(first, active()));
+        assert_eq!(active_kernel_arm(), first.name);
+        assert!(proptests::arms().iter().any(|k| std::ptr::eq(*k, first)));
     }
 
     /// The name reports the wide `Uniform8` encoder exactly when it runs:
@@ -1119,8 +979,8 @@ mod tests {
     #[test]
     fn the_active_arm_is_the_widest_the_host_runs_unless_scalar_is_forced() {
         let forced = scalar_forced(std::env::var("LIFL_FORCE_SCALAR").ok().as_deref());
-        let expected = if forced { Arm::Scalar } else { widest_arm() };
-        assert_eq!(active_arm(), expected);
+        let expected = if forced { &SCALAR } else { widest() };
+        assert!(std::ptr::eq(active(), expected));
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected as has;
@@ -1129,7 +989,10 @@ mod tests {
             assert_eq!(active_kernel_arm() == "avx512", wide);
             assert_eq!(active_kernel_arm() == "avx2", avx2 && !wide);
         }
-        assert_eq!(active_kernel_arm() == "scalar", !active_arm().simd());
+        assert_eq!(
+            active_kernel_arm() == "scalar",
+            std::ptr::eq(active(), &SCALAR)
+        );
     }
 
     #[test]
@@ -1160,6 +1023,21 @@ mod tests {
         }
         // Nibble 8 ("negative zero") decodes to +0.0.
         assert_eq!(scalar::NIBBLE_F32[8].to_bits(), 0.0f32.to_bits());
+    }
+
+    /// `fold_u4` folds nothing past the end of its body, as `fold_u8` and
+    /// `decode_u4` touch nothing past theirs: an odd start with no byte
+    /// left and a start past the body fold nothing, and a body shorter
+    /// than `acc` folds the nibbles it holds.
+    #[test]
+    fn fold_u4_folds_nothing_past_the_body() {
+        let mut acc = [0.0f32];
+        fold_u4(&mut acc, &[], 1, 1.0);
+        fold_u4(&mut acc, &[0], 4, 1.0);
+        assert_eq!(acc, [0.0]);
+        let mut acc = [0.0f32; 4];
+        fold_u4(&mut acc, &[0x21, 0x43], 1, 1.0);
+        assert_eq!(acc, [2.0, 3.0, 4.0, 0.0]);
     }
 
     #[test]
@@ -1215,13 +1093,6 @@ mod tests {
 pub(crate) mod proptests {
     use super::*;
     use proptest::prelude::*;
-
-    /// Whether the AVX2 arm can be exercised in this process; when it
-    /// cannot, the equivalence properties hold trivially and the tests
-    /// return early.
-    fn avx2_testable() -> bool {
-        widest_arm().simd()
-    }
 
     /// f32 vectors seasoned with NaN, infinities and signed zeros; lengths
     /// sweep 0..130 so every vector-width remainder (1..15) is covered.
@@ -1329,22 +1200,27 @@ pub(crate) mod proptests {
         body
     }
 
-    /// Runs the top-k selection on one arm behind a 5-byte prefix (an odd
-    /// offset, as a descriptor-prefixed wire buffer would give it), checks
-    /// the prefix survived and returns the pairs alone.
-    fn topk_body(params: &[f32], kept: usize, arm: Arm) -> Vec<u8> {
+    /// Runs the top-k selection on one table behind a 5-byte prefix (an
+    /// odd offset, as a descriptor-prefixed wire buffer would give it),
+    /// checks the prefix survived and returns the pairs alone.
+    fn topk_body(params: &[f32], kept: usize, arm: &Kernels) -> Vec<u8> {
         let mut body = vec![0xAB; 5];
-        append_topk_with(params, kept, &mut body, arm);
+        arm.append_topk(params, kept, &mut body);
         assert_eq!(body[..5], [0xAB; 5], "append must not touch the prefix");
         body.split_off(5)
     }
 
-    /// The fused error-feedback selection on one arm, as [`topk_body`]:
+    /// The fused error-feedback selection on one table, as [`topk_body`]:
     /// the pairs, and `acc` after the add.
-    fn feedback_topk_body(acc: &[f32], src: &[f32], kept: usize, arm: Arm) -> (Vec<u8>, Vec<f32>) {
+    fn feedback_topk_body(
+        acc: &[f32],
+        src: &[f32],
+        kept: usize,
+        arm: &Kernels,
+    ) -> (Vec<u8>, Vec<f32>) {
         let mut sums = acc.to_vec();
         let mut body = vec![0xAB; 5];
-        add_append_topk_with(&mut sums, src, kept, &mut body, arm);
+        arm.add_append_topk(&mut sums, src, kept, &mut body);
         assert_eq!(body[..5], [0xAB; 5], "append must not touch the prefix");
         (body.split_off(5), sums)
     }
@@ -1357,7 +1233,7 @@ pub(crate) mod proptests {
         let len = params.len();
         let src = &src[..len];
         let mut sums = params.to_vec();
-        fold_dense_le_n_with(&mut sums, &[le_bytes(src)], &[1.0], Arm::Scalar);
+        scalar::fold_dense_le_n(&mut sums, &[le_bytes(src)], &[1.0]);
         for &kept in kepts {
             let expected = reference_topk(params, kept.min(len));
             let expected_fused = reference_topk(&sums, kept.min(len));
@@ -1365,19 +1241,19 @@ pub(crate) mod proptests {
                 prop_assert_eq!(
                     &topk_body(params, kept, arm),
                     &expected,
-                    "arm {:?}, kept {}",
-                    arm,
+                    "arm {}, kept {}",
+                    arm.name,
                     kept
                 );
                 let (body, added) = feedback_topk_body(params, src, kept, arm);
                 prop_assert_eq!(
                     &body,
                     &expected_fused,
-                    "fused, arm {:?}, kept {}",
-                    arm,
+                    "fused, arm {}, kept {}",
+                    arm.name,
                     kept
                 );
-                prop_assert_eq!(bits(&added), bits(&sums), "fused sums, arm {:?}", arm);
+                prop_assert_eq!(bits(&added), bits(&sums), "fused sums, arm {}", arm.name);
             }
         }
         Ok(())
@@ -1395,13 +1271,23 @@ pub(crate) mod proptests {
         )
     }
 
-    /// The arms this process can run, narrowest first: scalar always, AVX2
-    /// and AVX-512 when the host's CPUID reports them.
-    fn arms() -> Vec<Arm> {
-        [Arm::Scalar, Arm::Avx2, Arm::Avx512]
-            .into_iter()
-            .filter(|arm| *arm <= widest_arm())
-            .collect()
+    /// The tables this process can run, narrowest first: `SCALAR` always,
+    /// `AVX2` and `AVX512` when the host's CPUID reports them. A host runs
+    /// every table narrower than its widest, so they are a prefix of all.
+    pub(super) fn arms() -> Vec<&'static Kernels> {
+        let all = [
+            &SCALAR,
+            #[cfg(target_arch = "x86_64")]
+            &AVX2,
+            #[cfg(target_arch = "x86_64")]
+            &AVX512,
+        ];
+        let widest = widest();
+        let count = all
+            .iter()
+            .take_while(|k| !std::ptr::eq(**k, widest))
+            .count();
+        all[..=count].to_vec()
     }
 
     /// A long deterministic vector with non-finite, signed-zero and
@@ -1495,19 +1381,22 @@ pub(crate) mod proptests {
             }
             let mut folded = params.to_vec();
             if wide {
-                fold_u8_with(&mut folded, &body, -scale, Arm::Scalar);
+                scalar::fold_u8(&mut folded, &body, -scale);
             } else {
-                fold_u4_with(&mut folded, &body, 0, -scale, Arm::Scalar);
+                scalar::fold_u4_aligned(&mut folded, &body, -scale);
             }
             for arm in arms() {
-                let label = format!("levels {levels} arm {arm:?}");
+                let label = format!("levels {levels} arm {}", arm.name);
+                let (encode, feedback) = if wide {
+                    (arm.encode_u8, arm.feedback_append_u8)
+                } else {
+                    (arm.encode_u4, arm.feedback_append_u4)
+                };
                 let mut rng = StochasticRng::from_seed(seed);
                 let mut plain = vec![0u8; body.len()];
-                if wide {
-                    encode_u8_with(params, scale, levels, &mut rng, &mut plain, arm);
-                } else {
-                    encode_u4_with(params, scale, levels, &mut rng, &mut plain, arm);
-                }
+                // SAFETY: `arms` lists only tables the host runs; `plain`
+                // holds the encoded bytes of `params`.
+                unsafe { encode(params, 1.0 / scale, levels, &mut rng, &mut plain) };
                 prop_assert_eq!(&plain, &body, "plain bytes, {}", label);
                 prop_assert_eq!(
                     next_words(&rng),
@@ -1520,11 +1409,9 @@ pub(crate) mod proptests {
                 let mut residual = params.to_vec();
                 let mut wire = vec![0xABu8; 5 + body.len()];
                 let out = &mut wire[5..];
-                if wide {
-                    feedback_u8_with(&mut residual, scale, levels, &mut rng, out, arm);
-                } else {
-                    feedback_u4_with(&mut residual, scale, levels, &mut rng, out, arm);
-                }
+                // SAFETY: `arms` lists only tables the host runs; `out` holds
+                // the encoded bytes of `residual`.
+                unsafe { feedback(&mut residual, 1.0 / scale, -scale, levels, &mut rng, out) };
                 prop_assert_eq!(wire[..5], [0xAB; 5], "the prefix is not touched");
                 prop_assert_eq!(&wire[5..], &body[..], "feedback bytes, {}", label);
                 prop_assert_eq!(bits(&residual), bits(&folded), "residual, {}", label);
@@ -1543,39 +1430,31 @@ pub(crate) mod proptests {
     /// bytes, the residual's bits and the generator's next words.
     type Encoded = (Vec<u8>, [u32; 5], Vec<u8>, Vec<u32>, [u32; 5]);
 
-    /// What one arm's plain and feedback encoders of `levels` make of
-    /// `params` from `seed`, called through their `*_with` dispatchers.
-    fn encode_on(arm: Arm, params: &[f32], scale: f32, levels: f32, seed: u64) -> Encoded {
-        let bytes = if levels > 7.0 {
-            params.len()
+    /// What one table's plain and feedback encoders of `levels` make of
+    /// `params` from `seed`. They are called directly, with no wrapper in
+    /// front, so a non-positive scale reaches the arm too.
+    fn encode_on(arm: &Kernels, params: &[f32], scale: f32, levels: f32, seed: u64) -> Encoded {
+        let (bytes, encode, feedback) = if levels > 7.0 {
+            (params.len(), arm.encode_u8, arm.feedback_append_u8)
         } else {
-            params.len().div_ceil(2)
+            (
+                params.len().div_ceil(2),
+                arm.encode_u4,
+                arm.feedback_append_u4,
+            )
         };
         let mut rng = StochasticRng::from_seed(seed);
         let mut plain = vec![0u8; bytes];
         let mut feedback_rng = StochasticRng::from_seed(seed);
         let mut wire = vec![0u8; bytes];
         let mut residual = params.to_vec();
-        if levels > 7.0 {
-            encode_u8_with(params, scale, levels, &mut rng, &mut plain, arm);
-            feedback_u8_with(
-                &mut residual,
-                scale,
-                levels,
-                &mut feedback_rng,
-                &mut wire,
-                arm,
-            );
-        } else {
-            encode_u4_with(params, scale, levels, &mut rng, &mut plain, arm);
-            feedback_u4_with(
-                &mut residual,
-                scale,
-                levels,
-                &mut feedback_rng,
-                &mut wire,
-                arm,
-            );
+        let (inv, k) = (1.0 / scale, -scale);
+        // SAFETY: every caller passes `SCALAR` or a table from `arms`, which
+        // lists only tables the host runs; `plain` and `wire` hold the
+        // encoded bytes.
+        unsafe {
+            encode(params, inv, levels, &mut rng, &mut plain);
+            feedback(&mut residual, inv, k, levels, &mut feedback_rng, &mut wire);
         }
         let (plain_next, feedback_next) = (next_words(&rng), next_words(&feedback_rng));
         (plain, plain_next, wire, bits(&residual), feedback_next)
@@ -1591,12 +1470,14 @@ pub(crate) mod proptests {
         for (a, b) in expected.iter_mut().zip(src) {
             *a += w * b;
         }
-        let max = max_abs_finite_with(&expected, Arm::Scalar);
+        let max = scalar::max_abs_finite(&expected);
         for arm in arms() {
             let mut got = acc[..n].to_vec();
-            let got_max = add_max_with(&mut got, &src[..n], arm);
-            prop_assert_eq!(bits(&got), bits(&expected), "sums, arm {:?}", arm);
-            prop_assert_eq!(got_max.to_bits(), max.to_bits(), "max, arm {:?}", arm);
+            // SAFETY: `arms` lists only tables the host runs; both slices
+            // hold `n` elements.
+            let got_max = unsafe { (arm.add_max)(&mut got, &src[..n]) };
+            prop_assert_eq!(bits(&got), bits(&expected), "sums, arm {}", arm.name);
+            prop_assert_eq!(got_max.to_bits(), max.to_bits(), "max, arm {}", arm.name);
         }
         Ok(())
     }
@@ -1635,12 +1516,20 @@ pub(crate) mod proptests {
         for n in 1..=srcs.len() {
             let mut expected = acc.to_vec();
             for (src, w) in exact[..n].iter().zip(weights) {
-                fold_dense_le_n_with(&mut expected, &[src], &[*w], Arm::Scalar);
+                scalar::fold_dense_le_n(&mut expected, &[src], &[*w]);
             }
             for arm in arms() {
                 let mut got = acc.to_vec();
-                fold_dense_le_n_with(&mut got, &exact[..n], &weights[..n], arm);
-                prop_assert_eq!(bits(&got), bits(&expected), "{} sources, arm {:?}", n, arm);
+                // SAFETY: `arms` lists only tables the host runs; every
+                // source covers `4 * len` bytes and has a weight.
+                unsafe { (arm.fold_dense_le_n)(&mut got, &exact[..n], &weights[..n]) };
+                prop_assert_eq!(
+                    bits(&got),
+                    bits(&expected),
+                    "{} sources, arm {}",
+                    n,
+                    arm.name
+                );
             }
             let mut got = acc.to_vec();
             fold_dense_le_n(&mut got, &srcs[..n], &weights[..n]);
@@ -1694,65 +1583,78 @@ pub(crate) mod proptests {
             prop_assert_eq!(owned.as_ref().as_ptr(), ptr, "the owner views, never copies");
         }
 
-        /// Dense fold and decode: AVX2 output is bit-identical to scalar.
+        /// Dense fold and decode: every table's output is bit-identical to
+        /// scalar.
         #[test]
         fn dense_kernels_match(acc in arbitrary_params(), body in arbitrary_bytes(520), w in -3.0f32..3.0) {
-            if !avx2_testable() {
-                return Ok(());
-            }
             let n = acc.len().min(body.len() / 4);
             let mut a_scalar = acc.clone();
-            let mut a_simd = acc.clone();
-            fold_dense_le_n_with(&mut a_scalar[..n], &[&body[..4 * n]], &[w], Arm::Scalar);
-            fold_dense_le_n_with(&mut a_simd[..n], &[&body[..4 * n]], &[w], Arm::Avx2);
-            prop_assert_eq!(bits(&a_scalar), bits(&a_simd));
+            scalar::fold_dense_le_n(&mut a_scalar[..n], &[&body[..4 * n]], &[w]);
             let mut d_scalar = vec![0.0f32; n];
-            let mut d_simd = vec![1.0f32; n];
-            decode_dense_le_with(&mut d_scalar, &body[..4 * n], Arm::Scalar);
-            decode_dense_le_with(&mut d_simd, &body[..4 * n], Arm::Avx2);
-            prop_assert_eq!(bits(&d_scalar), bits(&d_simd));
+            scalar::decode_dense_le(&mut d_scalar, &body[..4 * n]);
+            for arm in arms() {
+                let mut a_simd = acc.clone();
+                let mut d_simd = vec![1.0f32; n];
+                // SAFETY: `arms` lists only tables the host runs; the body
+                // covers `4 * n` bytes.
+                unsafe {
+                    (arm.fold_dense_le_n)(&mut a_simd[..n], &[&body[..4 * n]], &[w]);
+                    (arm.decode_dense_le)(&mut d_simd, &body[..4 * n]);
+                }
+                prop_assert_eq!(bits(&a_scalar), bits(&a_simd), "fold, arm {}", arm.name);
+                prop_assert_eq!(bits(&d_scalar), bits(&d_simd), "decode, arm {}", arm.name);
+            }
         }
 
-        /// Uniform8 fold and decode: AVX2 output is bit-identical to scalar.
+        /// Uniform8 fold and decode: every table's output is bit-identical
+        /// to scalar.
         #[test]
         fn u8_kernels_match(acc in arbitrary_params(), levels in arbitrary_bytes(130), k in -3.0f32..3.0) {
-            if !avx2_testable() {
-                return Ok(());
-            }
             let n = acc.len().min(levels.len());
             let mut a_scalar = acc.clone();
-            let mut a_simd = acc.clone();
-            fold_u8_with(&mut a_scalar[..n], &levels[..n], k, Arm::Scalar);
-            fold_u8_with(&mut a_simd[..n], &levels[..n], k, Arm::Avx2);
-            prop_assert_eq!(bits(&a_scalar), bits(&a_simd));
+            scalar::fold_u8(&mut a_scalar[..n], &levels[..n], k);
             let mut d_scalar = vec![0.0f32; n];
-            let mut d_simd = vec![1.0f32; n];
-            decode_u8_with(&mut d_scalar, &levels[..n], k, Arm::Scalar);
-            decode_u8_with(&mut d_simd, &levels[..n], k, Arm::Avx2);
-            prop_assert_eq!(bits(&d_scalar), bits(&d_simd));
+            scalar::decode_u8(&mut d_scalar, &levels[..n], k);
+            for arm in arms() {
+                let mut a_simd = acc.clone();
+                let mut d_simd = vec![1.0f32; n];
+                // SAFETY: `arms` lists only tables the host runs; the levels
+                // cover `n` elements.
+                unsafe {
+                    (arm.fold_u8)(&mut a_simd[..n], &levels[..n], k);
+                    (arm.decode_u8)(&mut d_simd, &levels[..n], k);
+                }
+                prop_assert_eq!(bits(&a_scalar), bits(&a_simd), "fold, arm {}", arm.name);
+                prop_assert_eq!(bits(&d_scalar), bits(&d_simd), "decode, arm {}", arm.name);
+            }
         }
 
-        /// Uniform4 fold (both start parities) and decode: bit-identical.
+        /// Uniform4 fold (both start parities, through [`fold_u4`]'s
+        /// alignment) and decode: every table bit-identical to scalar.
         #[test]
         fn u4_kernels_match(acc in arbitrary_params(), nibbles in arbitrary_bytes(70), start in 0usize..9, k in -3.0f32..3.0) {
-            if !avx2_testable() {
-                return Ok(());
-            }
             let capacity = nibbles.len() * 2;
             let n = acc.len().min(capacity.saturating_sub(start));
             let mut a_scalar = acc[..n].to_vec();
-            let mut a_simd = a_scalar.clone();
-            if start < capacity {
-                fold_u4_with(&mut a_scalar, &nibbles, start, k, Arm::Scalar);
-                fold_u4_with(&mut a_simd, &nibbles, start, k, Arm::Avx2);
-                prop_assert_eq!(bits(&a_scalar), bits(&a_simd));
-            }
+            let (rest, aligned) = align_u4(&mut a_scalar, &nibbles, start, k);
+            scalar::fold_u4_aligned(rest, aligned, k);
             let m = acc.len().min(capacity);
             let mut d_scalar = vec![0.0f32; m];
-            let mut d_simd = vec![1.0f32; m];
-            decode_u4_with(&mut d_scalar, &nibbles, k, Arm::Scalar);
-            decode_u4_with(&mut d_simd, &nibbles, k, Arm::Avx2);
-            prop_assert_eq!(bits(&d_scalar), bits(&d_simd));
+            scalar::decode_u4(&mut d_scalar, &nibbles, k);
+            for arm in arms() {
+                let mut a_simd = acc[..n].to_vec();
+                let (rest, aligned) = align_u4(&mut a_simd, &nibbles, start, k);
+                let mut d_simd = vec![1.0f32; m];
+                // SAFETY: `arms` lists only tables the host runs; `align_u4`
+                // cut `rest` to `aligned`'s nibbles, and the nibbles cover
+                // `m` elements.
+                unsafe {
+                    (arm.fold_u4_aligned)(rest, aligned, k);
+                    (arm.decode_u4)(&mut d_simd, &nibbles, k);
+                }
+                prop_assert_eq!(bits(&a_scalar), bits(&a_simd), "fold, arm {}", arm.name);
+                prop_assert_eq!(bits(&d_scalar), bits(&d_simd), "decode, arm {}", arm.name);
+            }
         }
 
         /// axpy / axpy8, the `f32` entry points over `fold_dense_le_n`, on
@@ -1813,16 +1715,16 @@ pub(crate) mod proptests {
             check_fold_dense_le_n(&acc, seed, &offsets, &weights)?;
         }
 
-        /// Scale derivation: AVX2 max-abs-over-finite matches scalar exactly
-        /// even with NaN/inf lanes.
+        /// Scale derivation: every table's max-abs-over-finite matches
+        /// scalar exactly even with NaN/inf lanes.
         #[test]
         fn max_abs_finite_matches(params in arbitrary_params()) {
-            if !avx2_testable() {
-                return Ok(());
+            let s = scalar::max_abs_finite(&params);
+            for arm in arms() {
+                // SAFETY: `arms` lists only tables the host runs.
+                let v = unsafe { (arm.max_abs_finite)(&params) };
+                prop_assert_eq!(s.to_bits(), v.to_bits(), "arm {}", arm.name);
             }
-            let s = max_abs_finite_with(&params, Arm::Scalar);
-            let v = max_abs_finite_with(&params, Arm::Avx2);
-            prop_assert_eq!(s.to_bits(), v.to_bits());
         }
 
         /// Stochastic encoders: the same seed produces the same wire bytes,
@@ -1836,16 +1738,16 @@ pub(crate) mod proptests {
                 0 => 1e-40f32, // subnormal: 1/scale overflows to infinity
                 1 => 1e30,
                 2 => 0.125,
-                3 => 0.0, // only the `*_with` dispatchers reach an arm with it
+                3 => 0.0, // only a direct table call reaches an arm with it
                 _ => 3.7,
             };
             for levels in [127.0f32, 7.0] {
-                let reference = encode_on(Arm::Scalar, &params, scale, levels, seed);
+                let reference = encode_on(&SCALAR, &params, scale, levels, seed);
                 for arm in arms() {
                     let encoded = encode_on(arm, &params, scale, levels, seed);
-                    prop_assert_eq!(&encoded, &reference, "levels {} arm {:?}", levels, arm);
+                    prop_assert_eq!(&encoded, &reference, "levels {} arm {}", levels, arm.name);
                     let again = encode_on(arm, &params, scale, levels, seed);
-                    prop_assert_eq!(&again, &encoded, "again, levels {} arm {:?}", levels, arm);
+                    prop_assert_eq!(&again, &encoded, "again, levels {} arm {}", levels, arm.name);
                 }
             }
         }
@@ -1931,27 +1833,27 @@ pub(crate) mod proptests {
         for arm in arms() {
             let mut rng = StochasticRng::from_seed(seed);
             let mut words = vec![0u32; len];
-            match arm {
-                // SAFETY: `arms` lists `Arm::Avx2` only when AVX2 is detected.
-                Arm::Avx2 => unsafe { avx2::fill_in_registers(&mut rng, &mut words) },
-                // SAFETY: `arms` lists `Arm::Avx512` only when AVX-512F and
+            match arm.name {
+                // SAFETY: `arms` lists `AVX2` only when AVX2 is detected.
+                "avx2" => unsafe { avx2::fill_in_registers(&mut rng, &mut words) },
+                // SAFETY: `arms` lists `AVX512` only when AVX-512F and
                 // AVX-512DQ are detected.
-                Arm::Avx512 => unsafe { avx512::fill_in_registers(&mut rng, &mut words) },
-                Arm::Scalar => continue,
+                "avx512" => unsafe { avx512::fill_in_registers(&mut rng, &mut words) },
+                _ => continue,
             }
             prop_assert_eq!(
                 &words,
                 &expected,
-                "arm {:?} seed {:#x} len {}",
-                arm,
+                "arm {} seed {:#x} len {}",
+                arm.name,
                 seed,
                 len
             );
             prop_assert_eq!(
                 next_words(&rng),
                 next_words(&reference),
-                "position, arm {:?}",
-                arm
+                "position, arm {}",
+                arm.name
             );
         }
         Ok(())
@@ -1984,13 +1886,14 @@ pub(crate) mod proptests {
     #[test]
     fn arms_list_every_arm_the_host_runs() {
         let listed = arms();
-        assert_eq!(listed.first(), Some(&Arm::Scalar));
+        assert!(std::ptr::eq(listed[0], &SCALAR));
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected as has;
             let wide = has!("avx2") && has!("avx512f") && has!("avx512dq");
-            assert_eq!(listed.contains(&Arm::Avx2), has!("avx2"));
-            assert_eq!(listed.contains(&Arm::Avx512), wide);
+            let lists = |table: &Kernels| listed.iter().any(|k| std::ptr::eq(*k, table));
+            assert_eq!(lists(&AVX2), has!("avx2"));
+            assert_eq!(lists(&AVX512), wide);
         }
     }
 
@@ -2015,14 +1918,14 @@ pub(crate) mod proptests {
                     continue;
                 }
                 for arm in arms() {
-                    let case = format!("levels {levels} max {max:e} arm {arm:?}");
+                    let case = format!("levels {levels} max {max:e} arm {}", arm.name);
                     let (plain, _, wire, residual, _) = encode_on(arm, &params, scale, levels, 1);
                     assert_eq!(plain, wire, "{case}");
                     let mut decoded = vec![0.0f32; params.len()];
                     if levels > 7.0 {
-                        decode_u8_with(&mut decoded, &wire, scale, Arm::Scalar);
+                        scalar::decode_u8(&mut decoded, &wire, scale);
                     } else {
-                        decode_u4_with(&mut decoded, &wire, scale, Arm::Scalar);
+                        scalar::decode_u4(&mut decoded, &wire, scale);
                     }
                     for ((v, d), r) in params.iter().zip(&decoded).zip(&residual) {
                         if *v == 0.0 {
@@ -2056,13 +1959,14 @@ pub(crate) mod proptests {
             f32::MAX,
         ];
         for kept in 0..=params.len() {
-            let scalar_body = topk_body(&params, kept, Arm::Scalar);
+            let scalar_body = topk_body(&params, kept, &SCALAR);
             assert_eq!(scalar_body.len(), kept * 8);
-            if avx2_testable() {
+            for arm in arms() {
                 assert_eq!(
-                    topk_body(&params, kept, Arm::Avx2),
+                    topk_body(&params, kept, arm),
                     scalar_body,
-                    "kept {kept}"
+                    "kept {kept} arm {}",
+                    arm.name
                 );
             }
         }
@@ -2073,11 +1977,11 @@ pub(crate) mod proptests {
         };
         // The payload-carrying NaN has the largest key, then the two default
         // NaNs (lower index first), then the infinities, then `f32::MAX`.
-        assert_eq!(indices(&topk_body(&params, 1, Arm::Scalar)), [7]);
-        assert_eq!(indices(&topk_body(&params, 2, Arm::Scalar)), [1, 7]);
-        assert_eq!(indices(&topk_body(&params, 3, Arm::Scalar)), [1, 4, 7]);
+        assert_eq!(indices(&topk_body(&params, 1, &SCALAR)), [7]);
+        assert_eq!(indices(&topk_body(&params, 2, &SCALAR)), [1, 7]);
+        assert_eq!(indices(&topk_body(&params, 3, &SCALAR)), [1, 4, 7]);
         assert_eq!(
-            indices(&topk_body(&params, 6, Arm::Scalar)),
+            indices(&topk_body(&params, 6, &SCALAR)),
             [1, 3, 4, 6, 7, 10]
         );
     }
@@ -2096,7 +2000,7 @@ pub(crate) mod proptests {
     }
 
     fn exit_of(values: &[f32], kept: usize) -> Exit {
-        let Some(floor) = candidate_floor(values.len(), kept, |i| values[i], Arm::Scalar) else {
+        let Some(floor) = SCALAR.candidate_floor(values.len(), kept, |i| values[i]) else {
             return Exit::NoSample;
         };
         let run = values.iter().filter(|x| key(**x) >= floor).count();
@@ -2186,29 +2090,34 @@ pub(crate) mod proptests {
         let params = long_params(1000, 3);
         let src = long_params(1000, 4);
         let mut sums = params.clone();
-        fold_dense_le_n_with(&mut sums, &[le_bytes(&src)], &[1.0], Arm::Scalar);
+        scalar::fold_dense_le_n(&mut sums, &[le_bytes(&src)], &[1.0]);
         let limit = 5 + 80;
+        let distinct: Vec<f32> = (0..1000).map(|i| i as f32).collect();
         let mut fitting = Vec::new();
         for arm in arms() {
+            let name = arm.name;
             let mut body = Vec::with_capacity(limit + TOPK_BODY_SLACK);
             body.extend_from_slice(&[0xAB; 5]);
             let buffer = (body.as_ptr(), body.capacity());
-            let every = compact_topk_with(&params, 0, usize::MAX, &mut body, limit, arm);
-            assert_eq!(every, None, "arm {arm:?}");
-            assert_eq!((body.as_ptr(), body.capacity()), buffer, "arm {arm:?}");
+            let compact = arm.compact_topk;
+            // SAFETY: `arms` lists only tables the host runs.
+            let every = unsafe { compact(&params, 0, 0, usize::MAX, &mut body, limit) };
+            assert_eq!(every, None, "arm {name}");
+            assert_eq!((body.as_ptr(), body.capacity()), buffer, "arm {name}");
             body.truncate(5);
             let mut acc = params.clone();
-            assert!(!add_compact_topk_with(
-                &mut acc, &src, 0, &mut body, limit, arm
-            ));
-            assert_eq!((body.as_ptr(), body.capacity()), buffer, "arm {arm:?}");
-            assert_eq!(bits(&acc), bits(&sums), "arm {arm:?}");
+            // SAFETY: as above, and `src` is as long as `acc`.
+            let added = unsafe { (arm.add_compact_topk)(&mut acc, &src, 0, 0, &mut body, limit) };
+            assert!(!added, "arm {name}");
+            assert_eq!((body.as_ptr(), body.capacity()), buffer, "arm {name}");
+            assert_eq!(bits(&acc), bits(&sums), "arm {name}");
             // The ten largest of a thousand distinct keys fit exactly.
-            let distinct: Vec<f32> = (0..1000).map(|i| i as f32).collect();
             body.truncate(5);
-            let left = compact_topk_with(&distinct, key(990.0), usize::MAX, &mut body, limit, arm);
-            assert!(left.is_some(), "arm {arm:?}");
-            assert_eq!(body.len(), limit, "arm {arm:?}");
+            let cut = key(990.0);
+            // SAFETY: as above.
+            let left = unsafe { compact(&distinct, 0, cut, usize::MAX, &mut body, limit) };
+            assert!(left.is_some(), "arm {name}");
+            assert_eq!(body.len(), limit, "arm {name}");
             fitting.push(body);
         }
         assert!(fitting.windows(2).all(|w| w[0] == w[1]));

@@ -3,8 +3,9 @@
 //! These functions *define* the semantics of the kernel layer: the AVX2 arms
 //! in `super::avx2` and the AVX-512 ones in `super::avx512` must reproduce
 //! them bit-for-bit (asserted by the proptests in the parent module), and
-//! `LIFL_FORCE_SCALAR=1` routes every dispatch here at runtime. Keep them simple and obviously correct; the
-//! parent module's docs explain which floating-point operations are safe to
+//! `LIFL_FORCE_SCALAR=1` makes their table, `SCALAR`, the one every call
+//! goes through. Keep them simple and obviously correct; the parent
+//! module's docs explain which floating-point operations are safe to
 //! vectorise without changing results.
 
 use super::{Keys, StochasticRng, RAND_BLOCK};
@@ -87,9 +88,8 @@ pub(super) fn decode_u4(out: &mut [f32], nibbles: &[u8], scale: f32) {
 }
 
 /// Fold of `TopK` `(index, value)` pairs restricted to `[start, end)`;
-/// inherently a scatter, so both dispatch arms run this routine.
-// lifl-lint: allow(kernel-parity) — index-driven scatter; AVX2 has no
-// useful scatter, so the dispatcher routes both arms here by design.
+/// inherently a scatter, which AVX2 has no useful instruction for, so every
+/// arm runs this routine and no kernel table holds it.
 pub(super) fn fold_topk(acc: &mut [f32], pairs: &[u8], start: usize, end: usize, weight: f32) {
     for pair in pairs.chunks_exact(8) {
         let index = u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]) as usize;
@@ -100,9 +100,8 @@ pub(super) fn fold_topk(acc: &mut [f32], pairs: &[u8], start: usize, end: usize,
     }
 }
 
-/// Decode of `TopK` `(index, value)` pairs into a zeroed `out`.
-// lifl-lint: allow(kernel-parity) — index-driven scatter; AVX2 has no
-// useful scatter, so the dispatcher routes both arms here by design.
+/// Decode of `TopK` `(index, value)` pairs into a zeroed `out`; a scatter
+/// every arm runs, like [`fold_topk`].
 pub(super) fn decode_topk(out: &mut [f32], pairs: &[u8]) {
     out.fill(0.0);
     for pair in pairs.chunks_exact(8) {
@@ -273,10 +272,9 @@ pub(super) fn add_max(acc: &mut [f32], src: &[f32]) -> f32 {
 /// sequence here (multiply, floor, subtract, compare, add, min/max clamp,
 /// truncating convert) is what the vector arms mirror instruction for
 /// instruction — every step is exactly rounded, so the arms agree bitwise.
+/// Its vector counterparts are the 8-lane `avx2::quantize8` and the 16-lane
+/// `avx512::quantize16`, checked through the encoders.
 #[inline]
-// lifl-lint: allow(kernel-parity) — per-element helper; its vector
-// counterparts are the 8-lane `avx2::quantize8` and the 16-lane
-// `avx512::quantize16`, checked via encode_u8/u4.
 pub(super) fn quantize_one(v: f32, inv: f32, levels: f32, w: u32) -> i32 {
     if !v.is_finite() {
         return 0;
@@ -331,10 +329,10 @@ pub(super) fn feedback_append_u8(
     }
 }
 
-/// Maps a quantized level in `[-7, 7]` to a sign-magnitude nibble.
+/// Maps a quantized level in `[-7, 7]` to a sign-magnitude nibble. Its
+/// vector counterpart is the 8-lane `avx2::nibble8`, checked through
+/// `encode_u4`.
 #[inline]
-// lifl-lint: allow(kernel-parity) — per-element helper; its vector
-// counterpart is the 8-lane `avx2::nibble8`, checked via encode_u4.
 pub(super) fn nibble(level: i32) -> u8 {
     let magnitude = level.unsigned_abs().min(7) as u8;
     if level < 0 {

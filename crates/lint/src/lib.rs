@@ -2,17 +2,17 @@
 //!
 //! Workspace static analysis that machine-enforces the repo's load-bearing
 //! invariants. PR 8 relaxed `forbid(unsafe_code)` to land AVX2 kernels, and
-//! since then the safety story (unsafe confined to `crates/fl/src/kernels/`),
-//! the kernel-arm parity story (scalar and AVX2 arms never drift), and the
-//! determinism story (bit-exact folds across backends) were enforced only by
-//! convention and review. This crate checks them as named, individually
-//! testable rules on every commit:
+//! since then the safety story (unsafe confined to `crates/fl/src/kernels/`)
+//! and the determinism story (bit-exact folds across backends) were enforced
+//! only by convention and review. This crate checks them as named,
+//! individually testable rules on every commit. R3 is retired: that every
+//! kernel arm has every kernel, with one signature, is the compiler's to
+//! check, each arm being one table of the kernel layer's `Kernels` struct.
 //!
 //! | rule | name                | invariant                                               |
 //! |------|---------------------|---------------------------------------------------------|
 //! | R1   | `unsafe`            | `unsafe` only under `crates/fl/src/kernels/`; every crate root carries `#![forbid(unsafe_code)]` or `#![deny(unsafe_code)]` |
 //! | R2   | `safety-comment`    | every `unsafe fn` / `unsafe {` / `unsafe impl` is immediately preceded by a `// SAFETY:` comment |
-//! | R3   | `kernel-parity`     | every public fn in `kernels/scalar.rs` has a matching-signature AVX2 counterpart and a dispatch site in `kernels/mod.rs` |
 //! | R4   | `panic`             | no `unwrap()`/`expect(`/`panic!`/`todo!`/`unimplemented!` in non-test code of the hot-path crates |
 //! | R5   | `determinism`       | no `HashMap`/`HashSet`, `Instant::now` or `SystemTime` in the fold/aggregation modules |
 //! | R6   | `no-legacy-runtime` | the legacy runtime, the per-representation gateway doors, the payload-copying put path and the collapsed duplicates (`FlDriver`, `async_round`, `lifl_baselines`, `bench_ingest`, the simulator inside `lifl-core`, `FedProxTrainer`) stay deleted, no code of the engine crates (`types`, `shmem`, `fl`, `core`) but the station executor (`crates/core/src/stations.rs`) starts a thread, and no non-test engine code names the simulator's types (`LiflConfig`, `CpuCycles`, ...) |
@@ -52,8 +52,6 @@ pub enum Rule {
     UnsafeContainment,
     /// R2: `// SAFETY:` comments on every unsafe site.
     SafetyComment,
-    /// R3: scalar/AVX2 kernel-arm parity.
-    KernelParity,
     /// R4: panic freedom on the hot-path crates.
     Panic,
     /// R5: determinism of the fold/aggregation modules.
@@ -73,10 +71,9 @@ pub enum Rule {
 
 impl Rule {
     /// Every enforceable rule, in catalog order.
-    pub const ALL: [Rule; 8] = [
+    pub const ALL: [Rule; 7] = [
         Rule::UnsafeContainment,
         Rule::SafetyComment,
-        Rule::KernelParity,
         Rule::Panic,
         Rule::Determinism,
         Rule::LegacyRuntime,
@@ -89,7 +86,6 @@ impl Rule {
         match self {
             Rule::UnsafeContainment => "R1-unsafe",
             Rule::SafetyComment => "R2-safety-comment",
-            Rule::KernelParity => "R3-kernel-parity",
             Rule::Panic => "R4-panic",
             Rule::Determinism => "R5-determinism",
             Rule::LegacyRuntime => "R6-no-legacy-runtime",
@@ -104,7 +100,6 @@ impl Rule {
         match self {
             Rule::UnsafeContainment => "unsafe",
             Rule::SafetyComment => "safety-comment",
-            Rule::KernelParity => "kernel-parity",
             Rule::Panic => "panic",
             Rule::Determinism => "determinism",
             Rule::LegacyRuntime => "no-legacy-runtime",
@@ -119,7 +114,6 @@ impl Rule {
         match self {
             Rule::UnsafeContainment => "R1",
             Rule::SafetyComment => "R2",
-            Rule::KernelParity => "R3",
             Rule::Panic => "R4",
             Rule::Determinism => "R5",
             Rule::LegacyRuntime => "R6",
@@ -263,7 +257,6 @@ pub fn run(root: &Path, selected: &[Rule]) -> io::Result<Report> {
         match rule {
             Rule::UnsafeContainment => findings.extend(rules::unsafe_containment(&files)),
             Rule::SafetyComment => findings.extend(rules::safety_comments(&files)),
-            Rule::KernelParity => findings.extend(rules::kernel_parity(&files)),
             Rule::Panic => findings.extend(rules::panic_freedom(&files)),
             Rule::Determinism => findings.extend(rules::determinism(&files)),
             Rule::LegacyRuntime => findings.extend(rules::legacy_runtime(root, &files)),

@@ -1,5 +1,5 @@
-//! The token-level rules R1–R6 and R8 (R7 lives in [`crate::sync`] because it
-//! reads the justfile and CI workflow rather than Rust sources).
+//! The token-level rules R1, R2, R4–R6 and R8 (R7 lives in [`crate::sync`]
+//! because it reads the justfile and CI workflow rather than Rust sources).
 
 use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
@@ -252,316 +252,6 @@ fn has_safety_comment(f: &SourceFile, line: u32) -> bool {
         }
     }
     false
-}
-
-// ---------------------------------------------------------------------------
-// R3: kernel-arm parity.
-// ---------------------------------------------------------------------------
-
-/// A function signature parsed from a kernels file.
-#[derive(Debug)]
-struct FnSig {
-    name: String,
-    line: u32,
-    /// Comma-joined parameter *types* (names stripped).
-    params: String,
-    /// Return-type tokens after `)`, joined (empty for unit).
-    ret: String,
-    is_pub: bool,
-}
-
-/// R3: every public fn in `kernels/scalar.rs` must have a matching-signature
-/// counterpart in `kernels/avx2.rs` and a dispatch site (`scalar::name` and
-/// `avx2::name` references) in `kernels/mod.rs`, so an arm can never silently
-/// drift; conversely, every public fn in `avx2.rs` must have a scalar
-/// reference. Scalar-only kernels (sparse scatters that gain nothing from
-/// SIMD) opt out per-fn with `lifl-lint: allow(kernel-parity) — <why>`.
-/// `kernels/avx512.rs`, where it exists, holds a third arm for a few
-/// kernels: every public fn there needs a same-signature scalar twin and an
-/// `avx512::name` dispatch site in `mod.rs`.
-pub fn kernel_parity(files: &[SourceFile]) -> Vec<Finding> {
-    let scalar = files
-        .iter()
-        .find(|f| f.rel == format!("{KERNELS_DIR}scalar.rs"));
-    let avx2 = files
-        .iter()
-        .find(|f| f.rel == format!("{KERNELS_DIR}avx2.rs"));
-    let dispatch = files
-        .iter()
-        .find(|f| f.rel == format!("{KERNELS_DIR}mod.rs"));
-    let (Some(scalar), Some(avx2), Some(dispatch)) = (scalar, avx2, dispatch) else {
-        return Vec::new(); // no kernel layer in this tree: nothing to check
-    };
-    let scalar_fns = parse_fns(scalar);
-    let avx2_fns = parse_fns(avx2);
-    let refs = dispatch_refs(dispatch);
-    let mut out = Vec::new();
-    for s in scalar_fns.iter().filter(|s| s.is_pub) {
-        let counterpart = avx2_fns.iter().find(|a| a.name == s.name);
-        match counterpart {
-            None => out.push(finding(
-                scalar,
-                s.line,
-                Rule::KernelParity,
-                format!(
-                    "public scalar kernel `{}` has no AVX2 counterpart in \
-                     kernels/avx2.rs; add one (bit-exact, scalar tail) or mark \
-                     the scalar fn `lifl-lint: allow(kernel-parity) — <why>`",
-                    s.name
-                ),
-            )),
-            Some(a) if a.params != s.params || a.ret != s.ret => out.push(finding(
-                scalar,
-                s.line,
-                Rule::KernelParity,
-                format!(
-                    "kernel `{}` signatures drifted between arms: scalar \
-                     `({}) {}` vs avx2 `({}) {}`",
-                    s.name, s.params, s.ret, a.params, a.ret
-                ),
-            )),
-            Some(_) => {
-                for arm in ["scalar", "avx2"] {
-                    if !refs.contains(&(arm.to_string(), s.name.clone())) {
-                        out.push(finding(
-                            scalar,
-                            s.line,
-                            Rule::KernelParity,
-                            format!(
-                                "kernel `{}` has no `{arm}::{}` dispatch site in \
-                                 kernels/mod.rs: both arms must be reachable from \
-                                 the dispatcher",
-                                s.name, s.name
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    for a in avx2_fns.iter().filter(|a| a.is_pub) {
-        if !scalar_fns.iter().any(|s| s.name == a.name) {
-            out.push(finding(
-                avx2,
-                a.line,
-                Rule::KernelParity,
-                format!(
-                    "public AVX2 kernel `{}` has no scalar reference in \
-                     kernels/scalar.rs; the scalar arm defines the semantics \
-                     and must exist first",
-                    a.name
-                ),
-            ));
-        }
-    }
-    let avx512 = files
-        .iter()
-        .find(|f| f.rel == format!("{KERNELS_DIR}avx512.rs"));
-    let Some(avx512) = avx512 else {
-        return out; // no third arm in this tree
-    };
-    for w in parse_fns(avx512).iter().filter(|w| w.is_pub) {
-        let message = match scalar_fns.iter().find(|s| s.name == w.name) {
-            None => format!(
-                "public AVX-512 kernel `{}` has no scalar reference in \
-                 kernels/scalar.rs; the scalar arm defines the semantics and \
-                 must exist first",
-                w.name
-            ),
-            Some(s) if s.params != w.params || s.ret != w.ret => format!(
-                "kernel `{}` signatures drifted between arms: scalar `({}) {}` \
-                 vs avx512 `({}) {}`",
-                w.name, s.params, s.ret, w.params, w.ret
-            ),
-            Some(_) if !refs.contains(&("avx512".to_string(), w.name.clone())) => format!(
-                "kernel `{}` has no `avx512::{}` dispatch site in kernels/mod.rs: \
-                 every arm must be reachable from the dispatcher",
-                w.name, w.name
-            ),
-            Some(_) => continue,
-        };
-        out.push(finding(avx512, w.line, Rule::KernelParity, message));
-    }
-    out
-}
-
-/// Parses top-level (non-test) `fn` items of a file into signatures.
-fn parse_fns(f: &SourceFile) -> Vec<FnSig> {
-    let code = code_indices(f);
-    let mut out = Vec::new();
-    let mut k = 0usize;
-    while k < code.len() {
-        let idx = code[k];
-        if !f.toks[idx].is_ident("fn") || f.is_test(idx) {
-            k += 1;
-            continue;
-        }
-        // `fn` in a function-pointer type has no following ident.
-        let Some(name_tok) = code.get(k + 1).map(|&i| &f.toks[i]) else {
-            break;
-        };
-        if name_tok.kind != TokKind::Ident {
-            k += 1;
-            continue;
-        }
-        let name = name_tok.text.clone();
-        let mut m = k + 2;
-        // Skip a generics list `<...>` between name and params.
-        if m < code.len() && f.toks[code[m]].is_punct("<") {
-            let mut depth = 0i64;
-            while m < code.len() {
-                if f.toks[code[m]].is_punct("<") {
-                    depth += 1;
-                } else if f.toks[code[m]].is_punct(">") {
-                    depth -= 1;
-                    if depth == 0 {
-                        m += 1;
-                        break;
-                    }
-                }
-                m += 1;
-            }
-        }
-        if m >= code.len() || !f.toks[code[m]].is_punct("(") {
-            k += 1;
-            continue;
-        }
-        let open = m;
-        let mut depth = 0i64;
-        let mut close = open;
-        for (j, &i) in code.iter().enumerate().skip(open) {
-            if f.toks[i].is_punct("(") {
-                depth += 1;
-            } else if f.toks[i].is_punct(")") {
-                depth -= 1;
-                if depth == 0 {
-                    close = j;
-                    break;
-                }
-            }
-        }
-        let params = normalize_params(&f.toks, &code[open + 1..close]);
-        let mut ret = Vec::new();
-        for &i in &code[close + 1..] {
-            let t = &f.toks[i];
-            if t.is_punct("{") || t.is_punct(";") || t.is_ident("where") {
-                break;
-            }
-            ret.push(t.text.clone());
-        }
-        out.push(FnSig {
-            name,
-            line: f.toks[idx].line,
-            params,
-            ret: ret.join(" "),
-            is_pub: fn_is_pub(&f.toks, &code, k),
-        });
-        k = close + 1;
-    }
-    out
-}
-
-/// Whether the `fn` at `code[at]` has `pub` visibility (any form: `pub`,
-/// `pub(super)`, `pub(crate)`, ...), looking back over qualifiers.
-fn fn_is_pub(toks: &[Tok], code: &[usize], at: usize) -> bool {
-    let mut j = at;
-    while j > 0 {
-        j -= 1;
-        let t = &toks[code[j]];
-        match t.text.as_str() {
-            "unsafe" | "const" | "async" | "extern" => continue,
-            _ if t.kind == TokKind::Str => continue, // extern "C"
-            ")" => {
-                // Possibly `pub(...)`: walk back to the `(` and check.
-                let mut depth = 1i64;
-                while j > 0 && depth > 0 {
-                    j -= 1;
-                    if toks[code[j]].is_punct(")") {
-                        depth += 1;
-                    } else if toks[code[j]].is_punct("(") {
-                        depth -= 1;
-                    }
-                }
-                return j > 0 && toks[code[j - 1]].is_ident("pub");
-            }
-            "pub" => return true,
-            _ => return false,
-        }
-    }
-    false
-}
-
-/// Joins the parameter tokens into a canonical comma-separated list of
-/// parameter *types*: per top-level-comma segment, everything after the first
-/// top-level `:` (so renaming a parameter is not drift, retyping it is).
-fn normalize_params(toks: &[Tok], param_code: &[usize]) -> String {
-    let mut segments: Vec<Vec<String>> = vec![Vec::new()];
-    let mut depth = 0i64;
-    for &i in param_code {
-        let t = &toks[i];
-        match t.text.as_str() {
-            "(" | "[" | "{" | "<" => depth += 1,
-            ")" | "]" | "}" | ">" => depth -= 1,
-            "," if depth == 0 => {
-                segments.push(Vec::new());
-                continue;
-            }
-            _ => {}
-        }
-        if let Some(last) = segments.last_mut() {
-            last.push(t.text.clone());
-        }
-    }
-    let types: Vec<String> = segments
-        .into_iter()
-        .filter(|s| !s.is_empty())
-        .map(|seg| {
-            let mut d = 0i64;
-            let mut colon = None;
-            for (k, t) in seg.iter().enumerate() {
-                match t.as_str() {
-                    "(" | "[" | "{" | "<" => d += 1,
-                    ")" | "]" | "}" | ">" => d -= 1,
-                    ":" if d == 0 => {
-                        // `::` is two tokens; only a lone `:` separates a name.
-                        let double = seg.get(k + 1).map(String::as_str) == Some(":")
-                            || (k > 0 && seg[k - 1] == ":");
-                        if !double {
-                            colon = Some(k);
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            match colon {
-                Some(k) => seg[k + 1..].join(" "),
-                None => seg.join(" "), // e.g. `&self`
-            }
-        })
-        .collect();
-    types.join(", ")
-}
-
-/// `(arm, fn)` pairs referenced as `scalar::f` / `avx2::f` / `avx512::f` in
-/// non-test code.
-fn dispatch_refs(f: &SourceFile) -> BTreeSet<(String, String)> {
-    let code = code_indices(f);
-    let mut out = BTreeSet::new();
-    for w in 0..code.len().saturating_sub(3) {
-        let t = |k: usize| &f.toks[code[w + k]];
-        if ["scalar", "avx2", "avx512"]
-            .iter()
-            .any(|arm| t(0).is_ident(arm))
-            && t(1).is_punct(":")
-            && t(2).is_punct(":")
-            && t(3).kind == TokKind::Ident
-            && !f.is_test(code[w])
-        {
-            out.insert((t(0).text.clone(), t(3).text.clone()));
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------

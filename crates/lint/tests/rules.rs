@@ -53,49 +53,6 @@ fn r2_pass_accepts_comment_runs_and_attributes_between() {
 }
 
 #[test]
-fn r3_fail_flags_orphan_drift_missing_dispatch_and_reverse_orphan() {
-    let found = lint("r3_fail", &[Rule::KernelParity]);
-    // `undispatched` counts twice: neither the scalar:: nor the avx2::
-    // reference exists in mod.rs.
-    assert_eq!(found.len(), 5, "{found:#?}");
-    assert!(found
-        .iter()
-        .any(|f| f.contains("`orphan` has no AVX2 counterpart")));
-    assert!(found
-        .iter()
-        .any(|f| f.contains("`drifted` signatures drifted between arms")));
-    assert!(found.iter().any(|f| f
-        .contains("`undispatched` has no `scalar::undispatched` dispatch site")
-        || f.contains("`undispatched` has no `avx2::undispatched` dispatch site")));
-    assert!(found
-        .iter()
-        .any(|f| f.contains("AVX2 kernel `extra` has no scalar reference")));
-}
-
-#[test]
-fn r3_avx512_fail_flags_orphan_drift_and_missing_dispatch_of_the_third_arm() {
-    let found = lint("r3_avx512_fail", &[Rule::KernelParity]);
-    // `encode` has its twin and all three dispatch sites; the scalar/AVX2
-    // pairs are all in order, so every finding is about `avx512.rs`.
-    assert_eq!(found.len(), 3, "{found:#?}");
-    assert!(found.iter().all(|f| f.contains("kernels/avx512.rs")));
-    assert!(found
-        .iter()
-        .any(|f| f.contains("AVX-512 kernel `extra` has no scalar reference")));
-    assert!(found.iter().any(
-        |f| f.contains("`drifted` signatures drifted between arms") && f.contains("vs avx512")
-    ));
-    assert!(found
-        .iter()
-        .any(|f| f.contains("`undispatched` has no `avx512::undispatched` dispatch site")));
-}
-
-#[test]
-fn r3_pass_accepts_parity_and_allowed_scalar_only_kernels() {
-    assert_eq!(lint("r3_pass", &[Rule::KernelParity]), Vec::<String>::new());
-}
-
-#[test]
 fn r4_fail_flags_live_panics_and_unjustified_marker_but_not_tests() {
     let found = lint("r4_fail", &[Rule::Panic]);
     // unwrap + expect + todo! + the unjustified marker's own diagnostic +

@@ -10,9 +10,10 @@ default: ci
 # Everything CI runs, in CI order.
 ci: lint-lifl lint doc build test kernel-parity alloc alloc-scalar faults test-scalar scale bench-baseline-check benchmark-check smoke
 
-# Repo invariants (unsafe containment, SAFETY comments, kernel parity,
-# panic freedom, fold determinism, no legacy runtime, justfile↔CI sync, no
-# dead `pub` in any crate) as machine-checked rules R1–R8.
+# Repo invariants (unsafe containment, SAFETY comments, panic freedom, fold
+# determinism, no legacy runtime, justfile↔CI sync, no dead `pub` in any
+# crate) as machine-checked rules R1, R2 and R4–R8; kernel-arm parity is
+# the compiler's, through the kernel layer's `Kernels` tables.
 # `--list-rules` shows the catalog.
 lint-lifl:
     cargo run --release -p lifl-lint
