@@ -20,22 +20,27 @@ pub struct AggregatorRuntime {
     inbox: InPlaceQueue,
     accumulator: PolicyFold,
     aggregated: u64,
-    /// When set (and lossy), outgoing intermediates are re-encoded with this
-    /// codec and stored compressed (the decode-fold-encode interior path).
-    codec: Option<UpdateCodec>,
+    /// The codec outgoing intermediates travel through: a lossy one
+    /// re-encodes them and stores them compressed (the decode-fold-encode
+    /// interior path). Its pool lends the accumulator.
+    codec: UpdateCodec,
 }
 
 impl AggregatorRuntime {
     /// Creates a runtime with the given aggregation goal (§2.1), reading
-    /// updates from `inbox` and payloads from `store`.
+    /// updates from `inbox` and payloads from `store`, whose outgoing
+    /// intermediates travel through `codec`. Incoming updates are decoded
+    /// from whatever representation their queue entry declares, so mixed
+    /// (dense + encoded) inboxes are fine.
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidAggregationGoal`] if `goal` is zero.
-    pub fn new(
+    fn new(
         id: AggregatorId,
         goal: u64,
         store: ObjectStore,
         inbox: InPlaceQueue,
+        codec: UpdateCodec,
     ) -> Result<Self> {
         if goal == 0 {
             return Err(LiflError::InvalidAggregationGoal(0));
@@ -47,26 +52,8 @@ impl AggregatorRuntime {
             inbox,
             accumulator: PolicyFold::default(),
             aggregated: 0,
-            codec: None,
+            codec,
         })
-    }
-
-    /// Creates a runtime whose outgoing intermediates travel through `codec`.
-    /// Incoming updates are decoded from whatever representation their queue
-    /// entry declares, so mixed (dense + encoded) inboxes are fine.
-    ///
-    /// # Errors
-    /// Returns [`LiflError::InvalidAggregationGoal`] if `goal` is zero.
-    pub fn with_codec(
-        id: AggregatorId,
-        goal: u64,
-        store: ObjectStore,
-        inbox: InPlaceQueue,
-        codec: UpdateCodec,
-    ) -> Result<Self> {
-        let mut runtime = Self::new(id, goal, store, inbox)?;
-        runtime.codec = Some(codec);
-        Ok(runtime)
     }
 
     /// Creates the runtime serving position (`level`, `index`) of an N-level
@@ -109,7 +96,7 @@ impl AggregatorRuntime {
         inbox: InPlaceQueue,
         codec: UpdateCodec,
     ) -> Result<Self> {
-        Self::with_codec(id, topology.fan_in(level) as u64, store, inbox, codec)
+        Self::new(id, topology.fan_in(level) as u64, store, inbox, codec)
     }
 
     /// Opens a round with aggregation goal `goal`: the runtime is left in
@@ -126,9 +113,7 @@ impl AggregatorRuntime {
         }
         self.goal = goal;
         self.aggregated = 0;
-        if let Some(codec) = &mut self.codec {
-            codec.reseed(self.id.index());
-        }
+        self.codec.reseed(self.id.index());
         self.replace_accumulator(self.accumulator.policy())
     }
 
@@ -137,9 +122,7 @@ impl AggregatorRuntime {
     /// goes home to the codec's pool, not away.
     fn replace_accumulator(&mut self, policy: FoldPolicy) -> Result<()> {
         let fresh = PolicyFold::new(policy)?;
-        if let Some(codec) = &self.codec {
-            self.accumulator.release_to(codec.pool());
-        }
+        self.accumulator.release_to(self.codec.pool());
         self.accumulator = fresh;
         Ok(())
     }
@@ -264,14 +247,12 @@ impl AggregatorRuntime {
         Ok(views.len())
     }
 
-    /// Draws the round's accumulator from the codec's pool when the runtime
-    /// has one and the accumulator holds no buffer yet: in steady state that
-    /// is the vector a previous round's `send` moved into the store, come
-    /// home when the object was recycled.
+    /// Draws the round's accumulator from the codec's pool when the
+    /// accumulator holds no buffer yet: in steady state that is the vector a
+    /// previous round's `send` moved into the store, come home when the
+    /// object was recycled.
     fn warm_accumulator(&mut self, dim: usize) {
-        if let Some(codec) = &self.codec {
-            self.accumulator.warm_from(codec.pool(), dim);
-        }
+        self.accumulator.warm_from(self.codec.pool(), dim);
     }
 
     /// Runs the Send step: finalises the aggregate, moves it into shared
@@ -289,22 +270,16 @@ impl AggregatorRuntime {
             return Err(LiflError::InvalidAggregationGoal(self.aggregated));
         }
         let result = self.accumulator.finalize()?;
-        let queued = match &mut self.codec {
-            Some(codec) if !codec.kind().is_lossless() => {
-                let encoded = codec.encode(&result.model);
-                codec.pool().checkin_f32(result.model.into_vec());
-                let dense_bytes = encoded.dense_bytes();
-                let key = self.store.put_encoded(encoded.into_wire(), dense_bytes)?;
-                QueuedUpdate::intermediate(key, result.samples).encoded()
-            }
-            Some(codec) => {
-                let wire = result.model.into_pooled_wire(codec.pool());
-                QueuedUpdate::intermediate(self.store.put(wire)?, result.samples)
-            }
-            None => {
-                let key = self.store.put(result.model.into_wire())?;
-                QueuedUpdate::intermediate(key, result.samples)
-            }
+        let codec = &mut self.codec;
+        let queued = if codec.kind().is_lossless() {
+            let wire = result.model.into_pooled_wire(codec.pool());
+            QueuedUpdate::intermediate(self.store.put(wire)?, result.samples)
+        } else {
+            let encoded = codec.encode(&result.model);
+            codec.pool().checkin_f32(result.model.into_vec());
+            let dense_bytes = encoded.dense_bytes();
+            let key = self.store.put_encoded(encoded.into_wire(), dense_bytes)?;
+            QueuedUpdate::intermediate(key, result.samples).encoded()
         };
         self.aggregated = 0;
         Ok(queued)
@@ -355,7 +330,17 @@ fn payload_view<'a>(object: &'a SharedObject, queued: &QueuedUpdate) -> Result<E
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lifl_types::ClientId;
+    use lifl_types::{ClientId, CodecKind};
+
+    /// A runtime with goal `goal` whose intermediates stay dense.
+    fn identity_runtime(
+        goal: u64,
+        store: ObjectStore,
+        inbox: InPlaceQueue,
+    ) -> Result<AggregatorRuntime> {
+        let codec = UpdateCodec::new(CodecKind::Identity);
+        AggregatorRuntime::new(AggregatorId::new(1), goal, store, inbox, codec)
+    }
 
     fn queue_client_update(
         store: &ObjectStore,
@@ -374,8 +359,7 @@ mod tests {
     fn aggregates_to_goal_and_sends() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg =
-            AggregatorRuntime::new(AggregatorId::new(1), 2, store.clone(), inbox.clone()).unwrap();
+        let mut agg = identity_runtime(2, store.clone(), inbox.clone()).unwrap();
         assert!(!agg.goal_met());
         queue_client_update(&store, &inbox, 1, &[2.0, 4.0], 1);
         queue_client_update(&store, &inbox, 2, &[4.0, 8.0], 3);
@@ -394,7 +378,7 @@ mod tests {
     fn poll_without_updates_returns_false() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg = AggregatorRuntime::new(AggregatorId::new(1), 1, store, inbox).unwrap();
+        let mut agg = identity_runtime(1, store, inbox).unwrap();
         assert!(!agg.poll().unwrap());
         assert!(agg.send().is_err());
         assert!(agg.run_to_completion().is_err());
@@ -404,8 +388,7 @@ mod tests {
     fn promotion_resets_state() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg =
-            AggregatorRuntime::new(AggregatorId::new(1), 1, store.clone(), inbox.clone()).unwrap();
+        let mut agg = identity_runtime(1, store.clone(), inbox.clone()).unwrap();
         queue_client_update(&store, &inbox, 1, &[1.0], 1);
         agg.run_to_completion().unwrap();
         // Promotion (§5.3) is a re-arm for the next level's goal.
@@ -417,12 +400,10 @@ mod tests {
 
     #[test]
     fn promotion_mid_round_hands_the_accumulator_back_to_the_pool() {
-        use lifl_types::CodecKind;
-
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
         let pool = lifl_shmem::BufferPool::new();
-        let mut agg = AggregatorRuntime::with_codec(
+        let mut agg = AggregatorRuntime::new(
             AggregatorId::new(1),
             2,
             store.clone(),
@@ -452,8 +433,6 @@ mod tests {
 
     #[test]
     fn for_level_derives_role_goal_and_identity_from_topology() {
-        use lifl_types::CodecKind;
-
         let topology = Topology::new(vec![2, 3, 4]).unwrap();
         let make = |level: usize, index: usize| {
             AggregatorRuntime::for_level(
@@ -483,12 +462,10 @@ mod tests {
     #[test]
     fn codec_runtime_decodes_folds_and_reencodes() {
         use lifl_fl::DenseModel;
-        use lifl_types::CodecKind;
-
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
         let pool = lifl_shmem::BufferPool::new();
-        let mut agg = AggregatorRuntime::with_codec(
+        let mut agg = AggregatorRuntime::new(
             AggregatorId::new(1),
             2,
             store.clone(),
@@ -534,12 +511,10 @@ mod tests {
 
     #[test]
     fn a_lossless_runtime_folds_every_round_into_the_same_pooled_accumulator() {
-        use lifl_types::CodecKind;
-
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
         let pool = lifl_shmem::BufferPool::new();
-        let mut agg = AggregatorRuntime::with_codec(
+        let mut agg = AggregatorRuntime::new(
             AggregatorId::new(1),
             2,
             store.clone(),
@@ -578,8 +553,6 @@ mod tests {
     #[test]
     fn drain_batch_is_bit_identical_to_eager_polling() {
         use lifl_fl::DenseModel;
-        use lifl_types::CodecKind;
-
         let dim = 9000;
         let values = |i: usize| -> Vec<f32> {
             (0..dim)
@@ -594,7 +567,7 @@ mod tests {
         let run = |kind: CodecKind, policy: FoldPolicy, goal: u64, shards: Option<usize>| {
             let store = ObjectStore::new();
             let inbox = InPlaceQueue::new();
-            let mut agg = AggregatorRuntime::with_codec(
+            let mut agg = AggregatorRuntime::new(
                 AggregatorId::new(1),
                 goal,
                 store.clone(),
@@ -659,8 +632,7 @@ mod tests {
     fn drain_batch_stops_at_the_goal_like_eager_polling() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg =
-            AggregatorRuntime::new(AggregatorId::new(1), 2, store.clone(), inbox.clone()).unwrap();
+        let mut agg = identity_runtime(2, store.clone(), inbox.clone()).unwrap();
         for i in 0..5u64 {
             queue_client_update(&store, &inbox, i, &[i as f32, 1.0], 1);
         }
@@ -679,8 +651,7 @@ mod tests {
     fn drain_batch_requeues_valid_updates_around_a_corrupt_one() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg =
-            AggregatorRuntime::new(AggregatorId::new(1), 3, store.clone(), inbox.clone()).unwrap();
+        let mut agg = identity_runtime(3, store.clone(), inbox.clone()).unwrap();
         queue_client_update(&store, &inbox, 0, &[1.0, 2.0], 1);
         let corrupt = store.put(vec![1u8, 2, 3]).unwrap();
         inbox.enqueue(QueuedUpdate::from_client(ClientId::new(1), corrupt).encoded());
@@ -695,13 +666,7 @@ mod tests {
 
     #[test]
     fn drain_batch_on_empty_inbox_reports_starvation() {
-        let mut agg = AggregatorRuntime::new(
-            AggregatorId::new(1),
-            1,
-            ObjectStore::new(),
-            InPlaceQueue::new(),
-        )
-        .unwrap();
+        let mut agg = identity_runtime(1, ObjectStore::new(), InPlaceQueue::new()).unwrap();
         assert_eq!(agg.drain_batch().unwrap(), 0);
         assert!(agg.run_to_completion().is_err());
     }
@@ -710,8 +675,7 @@ mod tests {
     fn corrupt_encoded_payload_is_an_error() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg =
-            AggregatorRuntime::new(AggregatorId::new(1), 1, store.clone(), inbox.clone()).unwrap();
+        let mut agg = identity_runtime(1, store.clone(), inbox.clone()).unwrap();
         let key = store.put(vec![1u8, 2, 3]).unwrap();
         inbox.enqueue(QueuedUpdate::from_client(ClientId::new(1), key).encoded());
         assert!(matches!(agg.poll(), Err(LiflError::Codec(_))));
@@ -721,8 +685,7 @@ mod tests {
     fn robust_policy_survives_an_adversarial_update() {
         let store = ObjectStore::new();
         let inbox = InPlaceQueue::new();
-        let mut agg =
-            AggregatorRuntime::new(AggregatorId::new(1), 3, store.clone(), inbox.clone()).unwrap();
+        let mut agg = identity_runtime(3, store.clone(), inbox.clone()).unwrap();
         agg.set_policy(FoldPolicy::Median).unwrap();
         assert_eq!(agg.accumulator.policy(), FoldPolicy::Median);
         queue_client_update(&store, &inbox, 0, &[1.0, 2.0], 1);
@@ -740,12 +703,7 @@ mod tests {
 
     #[test]
     fn zero_goal_rejected() {
-        let err = AggregatorRuntime::new(
-            AggregatorId::new(1),
-            0,
-            ObjectStore::new(),
-            InPlaceQueue::new(),
-        );
+        let err = identity_runtime(0, ObjectStore::new(), InPlaceQueue::new());
         assert!(err.is_err());
     }
 }

@@ -40,11 +40,10 @@ impl HeartbeatMonitor {
     /// Clients whose last heartbeat is older than the timeout at `now`.
     ///
     /// This is a non-destructive peek: a client reported here is reported
-    /// again on every later poll until it heartbeats, completes or is taken
-    /// with [`HeartbeatMonitor::take_failed`]. Reactive callers act on each
-    /// failure exactly once: they take them all, or — when acting on one can
-    /// fail, as the cluster's failure detector does — [`complete`] each one
-    /// as they act on it, so the rest are reported again.
+    /// again on every later poll until it heartbeats or completes. Reactive
+    /// callers act on each failure exactly once by [`complete`]-ing each one
+    /// as they act on it — when acting on one can fail, as the cluster's
+    /// failure detector's can, the rest are reported again.
     ///
     /// [`complete`]: HeartbeatMonitor::complete
     pub fn failed_clients(&self, now: SimTime) -> Vec<ClientId> {
@@ -55,17 +54,6 @@ impl HeartbeatMonitor {
             .map(|(client, _)| *client)
             .collect();
         failed.sort();
-        failed
-    }
-
-    /// Like [`HeartbeatMonitor::failed_clients`], but evicts the reported
-    /// clients from the monitor so every failure is reported exactly once —
-    /// the semantics reactive consumers need (report, act, never re-act).
-    pub fn take_failed(&mut self, now: SimTime) -> Vec<ClientId> {
-        let failed = self.failed_clients(now);
-        for client in &failed {
-            self.last_seen.remove(client);
-        }
         failed
     }
 }
@@ -133,7 +121,7 @@ mod tests {
     }
 
     #[test]
-    fn take_failed_reports_each_failure_exactly_once() {
+    fn failed_clients_re_reports_until_completed() {
         let mut monitor = HeartbeatMonitor::new(SimDuration::from_secs(30.0));
         monitor.register(ClientId::new(1), SimTime::ZERO);
         monitor.register(ClientId::new(2), SimTime::ZERO);
@@ -142,9 +130,9 @@ mod tests {
         let now = SimTime::from_secs(40.0);
         assert_eq!(monitor.failed_clients(now), vec![ClientId::new(1)]);
         assert_eq!(monitor.failed_clients(now), vec![ClientId::new(1)]);
-        // take_failed evicts: the second take is empty, survivors stay.
-        assert_eq!(monitor.take_failed(now), vec![ClientId::new(1)]);
-        assert!(monitor.take_failed(now).is_empty());
+        // Completing the one acted on ends its reports; survivors stay.
+        monitor.complete(ClientId::new(1));
+        assert!(monitor.failed_clients(now).is_empty());
         assert_eq!(monitor.last_seen.len(), 1);
     }
 

@@ -789,11 +789,8 @@ impl Session {
         let object = self.store.get(&result.key)?;
         let model = if result.encoded {
             // The one remaining full-decode site: parse the header in place
-            // and dequantize straight into the output buffer (no body copy).
-            let view = EncodedView::parse(object.as_slice())?;
-            let mut out = vec![0.0f32; view.dim()];
-            view.decode_into(&mut out)?;
-            DenseModel::from_vec(out)
+            // and decode straight into the output buffer (no body copy).
+            EncodedView::parse(object.as_slice())?.decode()
         } else {
             DenseModel::from_vec(object.as_f32_vec())
         };

@@ -32,7 +32,7 @@
 //! participant order. The result is the one-client-at-a-time loop's, bit for
 //! bit, at any worker count.
 
-use crate::heartbeat::{over_provisioned_selection, HeartbeatMonitor};
+use crate::heartbeat::over_provisioned_selection;
 use crate::stations::Workers;
 use lifl_fl::client::Client;
 use lifl_fl::dataset::FederatedDataset;
@@ -44,7 +44,7 @@ use lifl_fl::staleness::{StalenessPolicy, StalenessTracker};
 use lifl_fl::trainer::{LocalTrainer, TrainerConfig};
 use lifl_fl::{Ingest, RoundAggregate, Update};
 use lifl_simcore::SimRng;
-use lifl_types::{AdmissionOutcome, ClientId, LiflError, ModelKind, Result, SimDuration, SimTime};
+use lifl_types::{AdmissionOutcome, ClientId, LiflError, ModelKind, Result, SimTime};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -80,13 +80,9 @@ pub struct TrainingConfig {
     /// over-provisioning). At the default `0.0` every round must *exactly*
     /// fill the backend tree, as before. A positive rate relaxes that check:
     /// the selection should be over-provisioned per
-    /// [`over_provisioned_selection`], stragglers are cut off at
-    /// [`TrainingConfig::straggler_timeout`], and surplus deliveries beyond
-    /// the tree stay idle as spares.
+    /// [`over_provisioned_selection`], stragglers are cut off, and surplus
+    /// deliveries beyond the tree stay idle as spares.
     pub expected_dropout: f64,
-    /// How long the round waits for a selected client before cutting it off
-    /// as a straggler (only consulted when `expected_dropout > 0`).
-    pub straggler_timeout: SimDuration,
     /// Routes every delivery through the backend's streaming ingress
     /// ([`Ingest::try_ingest`]) instead of the strict one: the round trains
     /// *every* selected participant, surplus deliveries park in the
@@ -108,7 +104,6 @@ impl Default for TrainingConfig {
             rounds: 50,
             eval_every: 1,
             expected_dropout: 0.0,
-            straggler_timeout: SimDuration::from_secs(60.0),
             streaming: false,
         }
     }
@@ -127,8 +122,9 @@ pub struct TrainingRound {
     pub train_loss: f64,
     /// Data-plane payload bytes the round's ingests occupied in wire form.
     pub ingress_wire_bytes: u64,
-    /// Selected clients cut off as stragglers at the round's timeout
-    /// (always zero under the exact-fill default configuration).
+    /// Selected clients cut off as stragglers: those neither excused as
+    /// spares, admitted nor parked (always zero under the exact-fill
+    /// default configuration).
     pub dropped: u64,
     /// Deliveries the backend parked in its bounded admission queues for
     /// the *next* round (always zero outside
@@ -291,7 +287,8 @@ impl<B: Ingest> TrainingDriver<B> {
     /// Marks a client as a straggler for the *next* round (a fault-injection
     /// hook): if selected, it trains nothing and never reports, so the round
     /// must absorb its absence — over-provisioned configurations cut it off
-    /// at the straggler timeout; the exact-fill default fails the round.
+    /// and fill the round from the spares; the exact-fill default fails the
+    /// round.
     /// Marks are consumed by the next round attempt.
     #[cfg(test)]
     pub(crate) fn mark_straggler(&mut self, client: ClientId) {
@@ -538,23 +535,18 @@ impl<B: Ingest> TrainingDriver<B> {
                 participants.len()
             )));
         }
-        // Keep-alive bookkeeping: every participant registers at round
-        // start; deliveries complete, released spares are excused, and
-        // whoever is left at the timeout is a cut-off straggler.
-        let round_start = SimTime::ZERO;
-        let mut monitor = HeartbeatMonitor::new(self.config.straggler_timeout);
-        for client in &participants {
-            monitor.register(client.id, round_start);
-        }
+        // Every participant is pending until it is excused as a spare,
+        // admitted or parked; whoever is left is a cut-off straggler.
+        let mut pending: BTreeSet<ClientId> = participants.iter().map(|c| c.id).collect();
         // Decide: who trains, before anyone does. Outside streaming the tree
         // takes the first `capacity` participants that report, and every
         // later one is an idle spare (an ingest either admits or fails the
         // round); under streaming everyone who reports trains. Stragglers
-        // never report and are cut off at the timeout below.
+        // never report and stay pending.
         let mut trainees = Vec::new();
         for client in &participants {
             if !self.config.streaming && trainees.len() == capacity {
-                monitor.complete(client.id);
+                pending.remove(&client.id);
             } else if !stragglers.contains(&client.id) {
                 trainees.push(client.id);
             }
@@ -602,17 +594,17 @@ impl<B: Ingest> TrainingDriver<B> {
             self.workers.run_waiting();
             match outcome {
                 Ok(AdmissionOutcome::Admitted) => {
-                    monitor.complete(client);
+                    pending.remove(&client);
                     delivered += 1;
                 }
                 Ok(AdmissionOutcome::Queued { .. }) => {
                     // Parked for the next round; not a straggler.
-                    monitor.complete(client);
+                    pending.remove(&client);
                     delivery.queued += 1;
                 }
                 Ok(AdmissionOutcome::Rejected { .. }) => {
                     // Queue budget exhausted: the delivery is turned
-                    // away and the client is cut off at the timeout.
+                    // away and the client is cut off.
                 }
                 Err(error) => {
                     self.backend.discard_round();
@@ -620,13 +612,12 @@ impl<B: Ingest> TrainingDriver<B> {
                 }
             }
         }
-        let cutoff = round_start + self.config.straggler_timeout + SimDuration::from_secs(1.0);
-        delivery.dropped = monitor.take_failed(cutoff).len() as u64;
+        delivery.dropped = pending.len() as u64;
         if !self.config.streaming && delivered < capacity {
             self.backend.discard_round();
             return Err(LiflError::InvalidConfig(format!(
-                "only {delivered} of {capacity} updates arrived before the \
-                 straggler timeout ({} clients cut off)",
+                "only {delivered} of {capacity} updates arrived ({} clients \
+                 cut off as stragglers)",
                 delivery.dropped
             )));
         }

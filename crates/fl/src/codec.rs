@@ -34,12 +34,16 @@
 //! an identity view over dense bytes — meets that contract, so no fold
 //! checks it again.
 //!
-//! The per-codec encode, decode and fused decode-fold inner loops all live in
-//! [`crate::kernels`], which dispatches between an AVX2 arm and a bit-exact
-//! scalar reference at runtime; this module owns the wire format, scale
-//! derivation and buffer management around those kernels. There is exactly
-//! one decode routine per codec — [`EncodedUpdate::decode_into`] and
-//! [`EncodedView::decode_into`] both resolve to it.
+//! The per-codec encode and fused decode-fold inner loops all live in
+//! [`crate::kernels`], which dispatches between its vector arms and a
+//! bit-exact scalar reference at runtime; this module owns the wire format,
+//! scale derivation and buffer management around those kernels. Decode is
+//! the fold into zeros: [`EncodedView::decode`] and
+//! [`EncodedView::decode_into`] fold a quantized view at weight 1 into a
+//! zeroed buffer (`0.0 + level * (1.0 * scale)`, the same bits as `level *
+//! scale` except that a `-0.0` product decodes as `+0.0`, which no encoder
+//! writes), copy an `Identity` view and scatter a `TopK` one, so a codec
+//! needs encode and fold kernels and no decode kernel of its own.
 
 use crate::kernels;
 use crate::kernels::StochasticRng;
@@ -359,18 +363,16 @@ impl<'a> EncodedView<'a> {
         }
     }
 
-    /// Reconstructs the dense model this view encodes (allocating).
+    /// Reconstructs the dense model this view encodes (allocating): the
+    /// decode onto a fresh zeroed buffer, which needs no fill of its own.
     pub fn decode(&self) -> DenseModel {
         let mut out = vec![0.0f32; self.dim as usize];
-        self.decode_into(&mut out)
-            // lifl-lint: allow(panic) — `out` is sized to `dim` on the
-            // previous line, the only failure `decode_into` has.
-            .expect("freshly sized buffer matches dim");
+        self.decode_onto_zeros(&mut out);
         DenseModel::from_vec(out)
     }
 
     /// Dequantizes into `out` without allocating, bit-exactly reproducing
-    /// [`EncodedView::decode`].
+    /// [`EncodedView::decode`]: `out` is zero-filled, then decoded onto.
     ///
     /// # Errors
     /// Returns [`LiflError::DimensionMismatch`] if `out.len() != self.dim()`.
@@ -381,13 +383,20 @@ impl<'a> EncodedView<'a> {
                 actual: out.len(),
             });
         }
+        out.fill(0.0);
+        self.decode_onto_zeros(out);
+        Ok(())
+    }
+
+    /// Writes the decoded update into `out`, which holds `dim` zeros: an
+    /// `Identity` body is copied and a `TopK` one scattered, every kept bit
+    /// as it is; a quantized body is folded in at weight 1.
+    fn decode_onto_zeros(&self, out: &mut [f32]) {
         match self.codec {
             CodecKind::Identity => kernels::decode_dense_le(out, self.body),
-            CodecKind::Uniform8 => kernels::decode_u8(out, self.body, self.scale),
-            CodecKind::Uniform4 => kernels::decode_u4(out, self.body, self.scale),
             CodecKind::TopK { .. } => kernels::decode_topk(out, self.body),
+            CodecKind::Uniform8 | CodecKind::Uniform4 => self.fold_range_into(1.0, 0, out),
         }
-        Ok(())
     }
 
     /// Fused decode-fold: adds `weight * decode(self)` into `acc` in a single
@@ -1191,6 +1200,42 @@ mod tests {
             let mut codec = UpdateCodec::new(kind);
             let decoded = codec.roundtrip(&DenseModel::zeros(9));
             assert_eq!(decoded.as_slice(), &[0.0f32; 9]);
+        }
+    }
+
+    /// Decode is the fold into zeros, so a wire no encoder writes — negative
+    /// levels at scale 0 — decodes them to `+0.0`, where `level * scale`
+    /// is `-0.0`; a kept `-0.0` of a top-k or identity body stays `-0.0`.
+    #[test]
+    fn negative_levels_at_scale_zero_decode_to_positive_zero() {
+        let cases = [
+            (CodecKind::Uniform8, vec![0xFF, 0x81, 0x00]),
+            (CodecKind::Uniform4, vec![0x9F, 0x08]),
+        ];
+        for (kind, body) in cases {
+            let mut wire = descriptor(kind, 3, 0.0, 3).to_vec();
+            wire.extend_from_slice(&body);
+            let view = EncodedView::parse(&wire).unwrap();
+            let mut out = [f32::NAN; 3];
+            view.decode_into(&mut out).unwrap();
+            for decoded in [view.decode().as_slice(), &out] {
+                let bits: Vec<u32> = decoded.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(bits, [0; 3], "{kind}");
+            }
+        }
+        let kind = CodecKind::TopK { permille: 1000 };
+        let mut wire = descriptor(kind, 1, 0.0, 1).to_vec();
+        wire.extend_from_slice(&[0, 0, 0, 0]);
+        wire.extend_from_slice(&(-0.0f32).to_le_bytes());
+        let signed = [-0.0f32];
+        for view in [
+            EncodedView::parse(&wire).unwrap(),
+            EncodedView::identity_over(kernels::le_bytes(&signed)),
+        ] {
+            let mut out = [f32::NAN];
+            view.decode_into(&mut out).unwrap();
+            assert_eq!(out[0].to_bits(), (-0.0f32).to_bits(), "{}", view.codec());
+            assert_eq!(view.decode().as_slice()[0].to_bits(), (-0.0f32).to_bits());
         }
     }
 

@@ -197,16 +197,6 @@ unsafe fn fold_sources<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], weights:
 // `super` calls this only after `is_x86_feature_detected!("avx2")`, and all
 // loads/stores stay inside the slice bounds checked by the loop condition.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn decode_dense_le(out: &mut [f32], body: &[u8]) {
-    // Little-endian f32 payloads are a straight byte copy on x86.
-    std::ptr::copy_nonoverlapping(body.as_ptr(), out.as_mut_ptr() as *mut u8, 4 * out.len());
-}
-
-/// Safety: caller must have verified AVX2 support at runtime.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
-// `super` calls this only after `is_x86_feature_detected!("avx2")`, and all
-// loads/stores stay inside the slice bounds checked by the loop condition.
-#[target_feature(enable = "avx2")]
 pub(super) unsafe fn fold_u8(acc: &mut [f32], levels: &[u8], k: f32) {
     let n = acc.len();
     let kv = _mm256_set1_ps(k);
@@ -222,24 +212,6 @@ pub(super) unsafe fn fold_u8(acc: &mut [f32], levels: &[u8], k: f32) {
         i += 8;
     }
     scalar::fold_u8(&mut acc[i..], &levels[i..], k);
-}
-
-/// Safety: caller must have verified AVX2 support at runtime.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
-// `super` calls this only after `is_x86_feature_detected!("avx2")`, and all
-// loads/stores stay inside the slice bounds checked by the loop condition.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn decode_u8(out: &mut [f32], levels: &[u8], scale: f32) {
-    let n = out.len();
-    let sv = _mm256_set1_ps(scale);
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let b = _mm_loadl_epi64(levels.as_ptr().add(i) as *const __m128i);
-        let v = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b));
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(v, sv));
-        i += 8;
-    }
-    scalar::decode_u8(&mut out[i..], &levels[i..], scale);
 }
 
 /// Safety: caller must have verified AVX2 support at runtime. `acc` element
@@ -272,27 +244,6 @@ pub(super) unsafe fn fold_u4_aligned(acc: &mut [f32], nibbles: &[u8], k: f32) {
         i += 16;
     }
     scalar::fold_u4_aligned(&mut acc[i..], &nibbles[i / 2..], k);
-}
-
-/// Safety: caller must have verified AVX2 support at runtime.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
-// `super` calls this only after `is_x86_feature_detected!("avx2")`, and all
-// loads/stores stay inside the slice bounds checked by the loop condition.
-#[target_feature(enable = "avx2")]
-pub(super) unsafe fn decode_u4(out: &mut [f32], nibbles: &[u8], scale: f32) {
-    let n = out.len();
-    let sv = _mm256_set1_ps(scale);
-    let mut i = 0usize;
-    while i + 16 <= n {
-        let bytes = _mm_loadl_epi64(nibbles.as_ptr().add(i / 2) as *const __m128i);
-        let levels = unpack_nibbles(bytes);
-        let v0 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(levels));
-        let v1 = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(_mm_srli_si128::<8>(levels)));
-        _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(v0, sv));
-        _mm256_storeu_ps(out.as_mut_ptr().add(i + 8), _mm256_mul_ps(v1, sv));
-        i += 16;
-    }
-    scalar::decode_u4(&mut out[i..], &nibbles[i / 2..], scale);
 }
 
 /// Safety: caller must have verified AVX2 support at runtime.

@@ -11,7 +11,7 @@
 use super::{Keys, StochasticRng, RAND_BLOCK};
 
 /// `f32::from(nibble_to_i8(n))` for every sign-magnitude nibble, as a
-/// branch-free table for the scalar dequantize kernels (index 8, "negative
+/// branch-free table for the scalar `Uniform4` fold (index 8, "negative
 /// zero", decodes to `0.0`). The AVX2 arm holds the same table in a register
 /// and looks it up with an in-register byte shuffle.
 pub(super) const NIBBLE_F32: [f32; 16] = [
@@ -35,7 +35,7 @@ pub(super) fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32]) 
     }
 }
 
-/// Decode of a dense little-endian `f32` payload.
+/// Copy of a dense little-endian `f32` payload, every bit pattern kept.
 pub(super) fn decode_dense_le(out: &mut [f32], body: &[u8]) {
     for (o, c) in out.iter_mut().zip(body.chunks_exact(4)) {
         *o = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -46,13 +46,6 @@ pub(super) fn decode_dense_le(out: &mut [f32], body: &[u8]) {
 pub(super) fn fold_u8(acc: &mut [f32], levels: &[u8], k: f32) {
     for (a, b) in acc.iter_mut().zip(levels) {
         *a += f32::from(*b as i8) * k;
-    }
-}
-
-/// Dequantize of `Uniform8` levels: `out[i] = f32(levels[i] as i8) * scale`.
-pub(super) fn decode_u8(out: &mut [f32], levels: &[u8], scale: f32) {
-    for (o, b) in out.iter_mut().zip(levels) {
-        *o = f32::from(*b as i8) * scale;
     }
 }
 
@@ -72,23 +65,8 @@ pub(super) fn fold_u4_aligned(acc: &mut [f32], nibbles: &[u8], k: f32) {
     }
 }
 
-/// Dequantize of even-aligned packed `Uniform4` nibbles into `out`.
-pub(super) fn decode_u4(out: &mut [f32], nibbles: &[u8], scale: f32) {
-    let n = out.len();
-    let mut j = 0usize;
-    while j + 1 < n {
-        let byte = nibbles[j / 2];
-        out[j] = NIBBLE_F32[(byte & 0x0F) as usize] * scale;
-        out[j + 1] = NIBBLE_F32[(byte >> 4) as usize] * scale;
-        j += 2;
-    }
-    if j < n {
-        out[j] = NIBBLE_F32[(nibbles[j / 2] & 0x0F) as usize] * scale;
-    }
-}
-
-/// Fold of `TopK` `(index, value)` pairs restricted to `[start, end)`;
-/// inherently a scatter, which AVX2 has no useful instruction for, so every
+/// Fold of `TopK` `(index, value)` pairs restricted to `[start, end)`, where
+/// `end - start` is at most `acc.len()`; inherently a scatter, which AVX2 has no useful instruction for, so every
 /// arm runs this routine and no kernel table holds it.
 pub(super) fn fold_topk(acc: &mut [f32], pairs: &[u8], start: usize, end: usize, weight: f32) {
     for pair in pairs.chunks_exact(8) {
@@ -100,10 +78,9 @@ pub(super) fn fold_topk(acc: &mut [f32], pairs: &[u8], start: usize, end: usize,
     }
 }
 
-/// Decode of `TopK` `(index, value)` pairs into a zeroed `out`; a scatter
-/// every arm runs, like [`fold_topk`].
+/// Scatter of `TopK` `(index, value)` pairs into `out`, which holds zeros;
+/// every arm runs it, like [`fold_topk`].
 pub(super) fn decode_topk(out: &mut [f32], pairs: &[u8]) {
-    out.fill(0.0);
     for pair in pairs.chunks_exact(8) {
         let index = u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]) as usize;
         if index < out.len() {
