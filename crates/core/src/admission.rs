@@ -13,7 +13,8 @@
 //! object is recycled.
 //!
 //! Everything here is deterministic (covered by `lifl-lint` R5): offers are
-//! sequence-numbered, utilities live in a [`BTreeMap`], and drain order is a
+//! sequence-numbered, utilities live in a [`BTreeMap`] (bounded by the queue
+//! budget, evicted in record order), and drain order is a
 //! total order over `(utility, seq)`, so the same offer trace always admits
 //! the same clients in the same order.
 
@@ -24,6 +25,20 @@ use std::collections::{BTreeMap, VecDeque};
 /// Utility assigned to a client that has never reported feedback: Oort's
 /// optimistic prior, so unexplored clients are not starved.
 const UNEXPLORED_UTILITY: f64 = 1.0;
+
+/// How many client utility scores the queues keep per slot of their total
+/// budget (the queue count times `AdmissionConfig::queue_slots`).
+///
+/// A score only matters while its client has an offer parked, and at most
+/// one total budget of offers is parked at once, so one score per slot
+/// would cover every parked offer if clients reported feedback just before
+/// parking. They report it rounds earlier, and a queue turns over once per
+/// round, so eight budgets keep a score alive for several rounds of churn.
+/// The map is then bounded by configuration, not by the number of clients
+/// ever scored. When it is full, the least recently recorded client is
+/// evicted, in record order; an evicted client scores
+/// [`UNEXPLORED_UTILITY`], as a never-scored one does.
+const UTILITIES_PER_SLOT: usize = 8;
 
 /// One parked offer: a client update in wire form, waiting for the next
 /// round to open.
@@ -83,9 +98,16 @@ impl LeafQueue {
 pub struct AdmissionQueues {
     config: AdmissionConfig,
     queues: Vec<LeafQueue>,
-    /// Oort-style utility score per client; absent clients score
-    /// [`UNEXPLORED_UTILITY`].
-    utilities: BTreeMap<ClientId, f64>,
+    /// Oort-style utility score per client, with the stamp of its last
+    /// record; absent clients score [`UNEXPLORED_UTILITY`]. At most
+    /// `max_utilities` entries.
+    utilities: BTreeMap<ClientId, (f64, u64)>,
+    /// The scored clients by record stamp, oldest first: eviction order.
+    recorded: BTreeMap<u64, ClientId>,
+    /// Record stamps handed out so far.
+    records: u64,
+    /// [`UTILITIES_PER_SLOT`] times the queues' total slot budget.
+    max_utilities: usize,
     seq: u64,
     stats: AdmissionStats,
 }
@@ -94,13 +116,17 @@ impl AdmissionQueues {
     /// Creates one bounded queue per leaf, all drawing payload buffers from
     /// `pool`.
     pub fn new(config: AdmissionConfig, leaves: usize, pool: BufferPool) -> AdmissionQueues {
-        let queues = (0..leaves.max(1))
+        let queues: Vec<LeafQueue> = (0..leaves.max(1))
             .map(|_| LeafQueue::new(pool.clone(), &config))
             .collect();
+        let slots = queues.len().saturating_mul(config.queue_slots);
         AdmissionQueues {
             config,
             queues,
             utilities: BTreeMap::new(),
+            recorded: BTreeMap::new(),
+            records: 0,
+            max_utilities: UTILITIES_PER_SLOT.saturating_mul(slots),
             seq: 0,
             stats: AdmissionStats::default(),
         }
@@ -112,16 +138,28 @@ impl AdmissionQueues {
     }
 
     /// Records a client's Oort utility score (√samples × loss shape,
-    /// computed by the selector); it decides drain priority from now on.
+    /// computed by the selector); it decides drain priority from now on, or
+    /// until the bound on kept scores evicts it (the least recently recorded
+    /// client goes first, and then scores as a never-scored one).
     pub fn record_utility(&mut self, client: ClientId, utility: f64) {
-        self.utilities.insert(client, utility);
+        let stamp = self.records;
+        self.records += 1;
+        if let Some((_, previous)) = self.utilities.insert(client, (utility, stamp)) {
+            self.recorded.remove(&previous);
+        }
+        self.recorded.insert(stamp, client);
+        if self.utilities.len() > self.max_utilities {
+            if let Some((_, oldest)) = self.recorded.pop_first() {
+                self.utilities.remove(&oldest);
+            }
+        }
     }
 
     /// The drain priority an offer from `client` would queue with.
     pub fn utility_of(&self, client: Option<ClientId>) -> f64 {
         client
-            .and_then(|c| self.utilities.get(&c).copied())
-            .unwrap_or(UNEXPLORED_UTILITY)
+            .and_then(|c| self.utilities.get(&c))
+            .map_or(UNEXPLORED_UTILITY, |&(utility, _)| utility)
     }
 
     /// Parks one offer in its leaf queue (leaf `seq % leaves`). Returns
@@ -324,6 +362,37 @@ mod tests {
         assert_eq!(q.total_queued(), 0);
         assert_eq!(q.stats().drained, 4);
         assert_eq!(q.total_bytes(), 0);
+    }
+
+    /// Past the bound the least recently recorded client is evicted and
+    /// drains like one never scored; a re-recorded client counts as recent.
+    #[test]
+    fn utilities_evict_the_least_recently_recorded_client() {
+        // 2 queues of 2 slots: 8 × 4 = 32 scores.
+        let mut q = queues(2, 4096, 2);
+        let bound = UTILITIES_PER_SLOT * 2 * 2;
+        for c in 0..bound as u64 {
+            q.record_utility(ClientId::new(c), 2.0 + c as f64);
+        }
+        // Client 0 reports again, so client 1 is now the oldest record.
+        q.record_utility(ClientId::new(0), 50.0);
+        q.record_utility(ClientId::new(100), 0.5);
+        assert_eq!(q.utilities.len(), bound);
+        assert_eq!(q.recorded.len(), bound);
+        assert_eq!(q.utility_of(Some(ClientId::new(1))), UNEXPLORED_UTILITY);
+        assert_eq!(q.utility_of(Some(ClientId::new(0))), 50.0);
+        assert_eq!(q.utility_of(Some(ClientId::new(2))), 4.0);
+        // Evicted client 1 ties never-scored client 200 and drains in
+        // arrival order behind the survivors, which keep theirs.
+        for c in [1, 2, 200, 0] {
+            assert!(q
+                .offer(Some(ClientId::new(c)), &[c as u8; 4], 1, false)
+                .is_queued());
+        }
+        let order: Vec<u64> = std::iter::from_fn(|| q.take_best())
+            .map(|o| o.client.map_or(u64::MAX, |c| c.index()))
+            .collect();
+        assert_eq!(order, vec![0, 2, 1, 200]);
     }
 
     #[test]

@@ -36,9 +36,10 @@
 //! * `placement` — live top placement (§5.2): the top moves to the node
 //!   with the highest EWMA load estimate at every round boundary
 //!   ([`TopPlacement`]);
-//! * `faults` — node kills, keep-alive heartbeats and checkpointed top
-//!   recovery (§3): a killed node restarts and re-delivers its round from
-//!   the stored keys ([`FaultToleranceConfig`]);
+//! * `faults` — node kills and the only fault state (§3): each node's last
+//!   keep-alive and the latest checkpoint a top kill restores
+//!   ([`Cluster::checkpoint`]); a killed child node restarts and
+//!   re-delivers its round from the stored keys ([`FaultToleranceConfig`]);
 //! * `scaling` — KPA fleet scaling: node subtrees re-split at round
 //!   boundaries ([`ScalingAction`]).
 
@@ -46,7 +47,7 @@ mod faults;
 mod placement;
 mod scaling;
 
-pub use faults::{FaultStats, FaultToleranceConfig, NodeKill, TopRecovery};
+pub use faults::{FaultStats, FaultToleranceConfig, NodeKill, RecoveryOutcome};
 pub use placement::{TopMove, TopPlacement};
 pub use scaling::ScalingAction;
 
@@ -256,8 +257,8 @@ impl ClusterBuilder {
     /// Enables the cluster's failure-handling machinery (§3): per-node
     /// keep-alive heartbeats, a child [`Session`] killable mid-round
     /// ([`Cluster::inject_node_failure`] /
-    /// [`Cluster::schedule_node_failure`]), and checkpoint-based recovery of
-    /// the global top through a [`RecoveryManager`](crate::recovery::RecoveryManager).
+    /// [`Cluster::schedule_node_failure`]), and recovery of the global top
+    /// from the latest checkpoint ([`Cluster::checkpoint`]).
     /// A killed node's round survives: the node restarts and re-delivers it
     /// from the keys its store holds, and a drive the kill struck re-plans,
     /// shipping only the hops that never arrived. Without this, nothing can
@@ -836,9 +837,12 @@ impl Cluster {
                 hops.push(hop);
                 nodes.push(node);
             }
-            match kill {
-                Some(victim) => self.kill_node(victim)?,
-                None => return Ok((self.parent.drive()?, hops, nodes)),
+            let Some(victim) = kill else {
+                return Ok((self.parent.drive()?, hops, nodes));
+            };
+            if self.kill_node(victim).top_host {
+                let node = victim as u64;
+                return Err(LiflError::AggregatorFailure { node });
             }
         }
     }
@@ -952,7 +956,7 @@ impl lifl_fl::Ingest for Cluster {
 
     /// The checkpoint a top-host kill restored ([`Cluster::take_recovery`]).
     fn take_recovered_model(&mut self) -> Option<lifl_fl::DenseModel> {
-        self.take_recovery()?.outcome.recovered_model
+        self.take_recovery()?.recovered_model
     }
 }
 
@@ -1291,7 +1295,7 @@ mod tests {
             .is_err());
         assert!(cluster.take_recovery().is_none());
         assert!(cluster.fault_stats().is_none());
-        assert!(cluster.checkpoint_store().is_none());
+        assert!(cluster.checkpoint().is_none());
     }
 
     #[test]
@@ -1408,8 +1412,6 @@ mod tests {
 
     #[test]
     fn top_host_kill_restores_the_latest_checkpoint() {
-        use crate::recovery::model_from_bytes;
-
         let mut cluster = ClusterBuilder::new()
             .topology(Topology::new(vec![2, 2, 2]).unwrap())
             .fault_tolerance(FaultToleranceConfig {
@@ -1433,15 +1435,11 @@ mod tests {
         assert!(kill.top_host);
         assert_eq!(kill.lost_updates, 8);
         let recovery = cluster.take_recovery().expect("a recovery happened");
-        let recovered = recovery.outcome.recovered_model.expect("checkpointed");
-        // The restore is bit-exact with the checkpointed bytes, which are
-        // bit-exact with the committed round-1 model.
-        let latest = cluster
-            .checkpoint_store()
-            .unwrap()
-            .latest()
-            .expect("round 1 checkpointed");
-        assert_eq!(model_from_bytes(&latest.data).unwrap(), recovered);
+        let recovered = recovery.recovered_model.expect("checkpointed");
+        // The restore is bit-exact with the checkpoint, which is bit-exact
+        // with the committed round-1 model.
+        let (_, latest) = cluster.checkpoint().expect("round 1 checkpointed");
+        assert_eq!(*latest, recovered);
         for (a, b) in recovered
             .as_slice()
             .iter()
@@ -2019,41 +2017,6 @@ mod tests {
         assert_eq!(round(&mut cluster).top_node, NodeId::new(1));
         cluster.observe_node_load(NodeId::new(0), 1000.0);
         assert_eq!(round(&mut cluster).top_node, NodeId::new(0));
-    }
-
-    #[test]
-    fn detect_failed_nodes_loses_no_overdue_node_behind_a_failed_kill() {
-        let mut cluster = ClusterBuilder::new()
-            .topology(Topology::new(vec![2, 2, 2]).unwrap())
-            .fault_tolerance(FaultToleranceConfig::default())
-            .build()
-            .unwrap();
-        cluster
-            .ingest_all(updates(8, 16).into_iter().map(Update::Dense))
-            .unwrap();
-        cluster.drive().unwrap();
-        // A torn checkpoint at a later round: the top host's restore fails.
-        let store = cluster.checkpoint_store().unwrap();
-        store.save(lifl_types::RoundId::new(9), vec![1u8, 2, 3], SimTime::ZERO);
-        cluster
-            .ingest_all(updates(8, 16).into_iter().map(Update::Dense))
-            .unwrap();
-        // Nodes 0 (the top host) and 1 have both been silent since start.
-        assert_eq!(cluster.top_node(), NodeId::new(0));
-        let now = SimTime::from_secs(40.0);
-        assert!(matches!(
-            cluster.detect_failed_nodes(now),
-            Err(LiflError::DimensionMismatch { .. })
-        ));
-        // Node 1 was killed then, or the next call reports it.
-        let killed = cluster.fault_stats().unwrap().node_restarts == 1;
-        let next = cluster.detect_failed_nodes(now).unwrap();
-        let reported = next.iter().any(|kill| kill.node == NodeId::new(1));
-        assert!(
-            killed != reported,
-            "node 1 lost: killed {killed}, next {next:?}"
-        );
-        assert!(cluster.detect_failed_nodes(now).unwrap().is_empty());
     }
 
     /// A restarted node re-delivers every update of its round, whatever

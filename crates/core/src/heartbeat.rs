@@ -1,62 +1,12 @@
-//! Client failure detection via keep-alive heartbeats and over-provisioning
-//! (§3: "LIFL detects client failures with keep-alive heartbeats and enhances
-//! resilience by over-provisioning the number of clients").
+//! Client over-provisioning (§3: "LIFL detects client failures with
+//! keep-alive heartbeats and enhances resilience by over-provisioning the
+//! number of clients"). The keep-alive half is the cluster's: each node's
+//! last heartbeat lives with the rest of the fault state in
+//! `cluster::faults` ([`Cluster::detect_failed_nodes`]).
+//!
+//! [`Cluster::detect_failed_nodes`]: crate::cluster::Cluster::detect_failed_nodes
 
-use lifl_types::{ClientId, LiflError, Result, SimDuration, SimTime};
-use std::collections::HashMap;
-
-/// Tracks the last heartbeat of every selected client and flags the ones whose
-/// heartbeat is older than the timeout.
-#[derive(Debug, Clone)]
-pub struct HeartbeatMonitor {
-    timeout: SimDuration,
-    last_seen: HashMap<ClientId, SimTime>,
-}
-
-impl HeartbeatMonitor {
-    /// Creates a monitor with the given keep-alive timeout.
-    pub fn new(timeout: SimDuration) -> Self {
-        HeartbeatMonitor {
-            timeout,
-            last_seen: HashMap::new(),
-        }
-    }
-
-    /// Registers a client at selection time (its first implicit heartbeat).
-    pub fn register(&mut self, client: ClientId, now: SimTime) {
-        self.last_seen.insert(client, now);
-    }
-
-    /// Records a heartbeat from a client. Unknown clients are registered.
-    pub fn heartbeat(&mut self, client: ClientId, now: SimTime) {
-        self.last_seen.insert(client, now);
-    }
-
-    /// Removes a client (for example once its update arrived).
-    pub fn complete(&mut self, client: ClientId) {
-        self.last_seen.remove(&client);
-    }
-
-    /// Clients whose last heartbeat is older than the timeout at `now`.
-    ///
-    /// This is a non-destructive peek: a client reported here is reported
-    /// again on every later poll until it heartbeats or completes. Reactive
-    /// callers act on each failure exactly once by [`complete`]-ing each one
-    /// as they act on it — when acting on one can fail, as the cluster's
-    /// failure detector's can, the rest are reported again.
-    ///
-    /// [`complete`]: HeartbeatMonitor::complete
-    pub fn failed_clients(&self, now: SimTime) -> Vec<ClientId> {
-        let mut failed: Vec<ClientId> = self
-            .last_seen
-            .iter()
-            .filter(|(_, seen)| now.duration_since(**seen) > self.timeout)
-            .map(|(client, _)| *client)
-            .collect();
-        failed.sort();
-        failed
-    }
-}
+use lifl_types::{LiflError, Result};
 
 /// Drop-out rates above this saturate instead of inflating the selection
 /// without bound (a 20x over-provisioning factor); rates outside `[0, 1)` are
@@ -97,44 +47,6 @@ pub fn over_provisioned_selection(goal: u64, expected_dropout_rate: f64) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn detects_silent_clients() {
-        let mut monitor = HeartbeatMonitor::new(SimDuration::from_secs(30.0));
-        monitor.register(ClientId::new(1), SimTime::from_secs(0.0));
-        monitor.register(ClientId::new(2), SimTime::from_secs(0.0));
-        monitor.heartbeat(ClientId::new(2), SimTime::from_secs(25.0));
-        let failed = monitor.failed_clients(SimTime::from_secs(40.0));
-        assert_eq!(failed, vec![ClientId::new(1)]);
-        assert_eq!(monitor.last_seen.len(), 2);
-        monitor.complete(ClientId::new(2));
-        assert_eq!(monitor.last_seen.len(), 1);
-        assert_eq!(monitor.timeout.as_secs(), 30.0);
-    }
-
-    #[test]
-    fn completed_clients_are_never_reported_failed() {
-        let mut monitor = HeartbeatMonitor::new(SimDuration::from_secs(10.0));
-        monitor.register(ClientId::new(7), SimTime::ZERO);
-        monitor.complete(ClientId::new(7));
-        assert!(monitor.failed_clients(SimTime::from_secs(100.0)).is_empty());
-    }
-
-    #[test]
-    fn failed_clients_re_reports_until_completed() {
-        let mut monitor = HeartbeatMonitor::new(SimDuration::from_secs(30.0));
-        monitor.register(ClientId::new(1), SimTime::ZERO);
-        monitor.register(ClientId::new(2), SimTime::ZERO);
-        monitor.heartbeat(ClientId::new(2), SimTime::from_secs(50.0));
-        // failed_clients is a peek: polling twice re-reports.
-        let now = SimTime::from_secs(40.0);
-        assert_eq!(monitor.failed_clients(now), vec![ClientId::new(1)]);
-        assert_eq!(monitor.failed_clients(now), vec![ClientId::new(1)]);
-        // Completing the one acted on ends its reports; survivors stay.
-        monitor.complete(ClientId::new(1));
-        assert!(monitor.failed_clients(now).is_empty());
-        assert_eq!(monitor.last_seen.len(), 1);
-    }
 
     #[test]
     fn over_provisioning_covers_dropout() {

@@ -19,8 +19,10 @@
 //!   single-session round, every hop priced through the `lifl-dataplane`
 //!   cost models, its global top hosted by live placement driven by the
 //!   §5.2 EWMA load estimate ([`ewma`]),
-//! * keep-alive **failure detection** ([`heartbeat`]) and checkpointed
-//!   **recovery** ([`recovery`]), and
+//! * **failure handling** (§3): node kills, keep-alive heartbeats and
+//!   recovery from the latest checkpoint, all owned by the cluster
+//!   ([`cluster::FaultToleranceConfig`]), and client over-provisioning
+//!   ([`heartbeat`]), and
 //! * the backend-generic **multi-round training driver** ([`training`]):
 //!   one FedAvg loop over any `Ingest` backend — session, cluster or
 //!   `lifl_fl::sink::FlatFedAvg` — with bit-exact results across backends.
@@ -59,7 +61,6 @@ pub mod ewma;
 pub mod gateway;
 pub mod heartbeat;
 mod ingress;
-pub mod recovery;
 pub mod session;
 mod stations;
 pub mod training;

@@ -1720,6 +1720,52 @@ mod tests {
         );
     }
 
+    /// Past the utility bound (8 scores per queue slot) the least recently
+    /// recorded client is evicted: it drains exactly like a client never
+    /// scored, the survivors keep their order, at every worker count.
+    #[test]
+    fn an_evicted_utility_drains_like_a_never_scored_client() {
+        let run = |workers: usize, score_the_evicted: bool| {
+            let batch = updates(8, 8);
+            let mut session = SessionBuilder::new()
+                .two_level(2, 2)
+                .admission(AdmissionConfig::bounded(2, 1 << 20))
+                .workers(Workers::with_count(workers))
+                .build()
+                .unwrap();
+            // 2 queues × 2 slots × 8 = 32 scores: the fillers push client
+            // 4's hot score out, then 6 and 5 push the oldest fillers out.
+            if score_the_evicted {
+                session.record_client_utility(ClientId::new(4), 9.0);
+            }
+            for filler in 100..132 {
+                session.record_client_utility(ClientId::new(filler), 0.5);
+            }
+            session.record_client_utility(ClientId::new(6), 3.0);
+            session.record_client_utility(ClientId::new(5), 0.1);
+            for u in &batch[..4] {
+                session.ingest(Update::Dense(u.clone())).unwrap();
+            }
+            for u in &batch[4..8] {
+                let outcome = session.try_ingest(Update::Dense(u.clone())).unwrap();
+                assert!(outcome.is_queued());
+            }
+            let bits = |model: &DenseModel| -> Vec<u32> {
+                model.as_slice().iter().map(|v| v.to_bits()).collect()
+            };
+            let first = bits(&session.drive().unwrap().update.model);
+            let drained = session.round_clients();
+            (drained, first, bits(&session.drive().unwrap().update.model))
+        };
+        let expected = run(0, false);
+        let order = [6, 4, 7, 5].map(|c| Some(ClientId::new(c))).to_vec();
+        assert_eq!(expected.0, order);
+        for workers in [0, 1, 3] {
+            assert_eq!(run(workers, true), expected, "{workers} workers");
+            assert_eq!(run(workers, false), expected, "{workers} workers");
+        }
+    }
+
     #[test]
     fn quorum_round_closes_partial_and_matches_flat_fedavg() {
         let batch = updates(3, 16);

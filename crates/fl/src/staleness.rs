@@ -92,10 +92,14 @@ impl std::fmt::Display for StalenessPolicy {
     }
 }
 
-/// Tracks staleness statistics across an asynchronous run.
+/// Tracks staleness statistics across an asynchronous run in four running
+/// counters, so it stays the same size however long the run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StalenessTracker {
-    observations: Vec<u64>,
+    count: usize,
+    stale: usize,
+    sum: u64,
+    max: u64,
 }
 
 impl StalenessTracker {
@@ -106,30 +110,33 @@ impl StalenessTracker {
 
     /// Records the staleness of one accepted update.
     pub fn record(&mut self, tau: u64) {
-        self.observations.push(tau);
+        self.count += 1;
+        self.stale += usize::from(tau > 0);
+        self.sum += tau;
+        self.max = self.max.max(tau);
     }
 
     /// Number of updates observed.
     pub fn count(&self) -> usize {
-        self.observations.len()
+        self.count
     }
 
     /// Number of stale updates (τ > 0).
     pub fn stale_count(&self) -> usize {
-        self.observations.iter().filter(|t| **t > 0).count()
+        self.stale
     }
 
     /// Mean staleness, 0 when nothing has been recorded.
     pub fn mean(&self) -> f64 {
-        if self.observations.is_empty() {
+        if self.count == 0 {
             return 0.0;
         }
-        self.observations.iter().sum::<u64>() as f64 / self.observations.len() as f64
+        self.sum as f64 / self.count as f64
     }
 
     /// Maximum staleness observed, 0 when nothing has been recorded.
     pub fn max(&self) -> u64 {
-        self.observations.iter().copied().max().unwrap_or(0)
+        self.max
     }
 }
 
@@ -216,6 +223,35 @@ mod tests {
         assert_eq!(tracker.stale_count(), 2);
         assert!((tracker.mean() - 1.5).abs() < 1e-12);
         assert_eq!(tracker.max(), 4);
+    }
+
+    /// The counters answer exactly what the whole τ stream would: a seeded
+    /// stream checked against a reference that keeps every observation.
+    #[test]
+    fn tracker_counters_match_the_kept_stream() {
+        let mut rng = lifl_simcore::SimRng::from_seed(0x57A1E);
+        let (mut tracker, mut kept) = (StalenessTracker::new(), Vec::new());
+        for step in 0..2_000 {
+            // Mostly fresh or slightly stale, with an occasional straggler.
+            let tau = match rng.index(10) {
+                0..=3 => 0,
+                9 => rng.index(1_000) as u64,
+                _ => rng.index(8) as u64,
+            };
+            tracker.record(tau);
+            kept.push(tau);
+            if step % 97 == 0 || step == 1_999 {
+                assert_eq!(tracker.count(), kept.len());
+                assert_eq!(
+                    tracker.stale_count(),
+                    kept.iter().filter(|t| **t > 0).count()
+                );
+                let mean = kept.iter().sum::<u64>() as f64 / kept.len() as f64;
+                assert_eq!(tracker.mean().to_bits(), mean.to_bits());
+                assert_eq!(tracker.max(), kept.iter().copied().max().unwrap_or(0));
+            }
+        }
+        assert!(tracker.max() > 8, "the stream reached its stragglers");
     }
 
     #[test]

@@ -479,6 +479,45 @@ const RETIRED_WITH_FEDPROX_TRAINER: [(&str, &str); 2] = [
     ),
 ];
 
+/// Names retired when the cluster's `faults` module became the one owner of
+/// fault state, keeping only the latest checkpoint, with where each one's
+/// users go now.
+const RETIRED_WITH_FAULT_STATE: [(&str, &str); 7] = [
+    (
+        "RecoveryManager",
+        "enable `ClusterBuilder::fault_tolerance`; the cluster commits, checkpoints \
+         and recovers its global top itself",
+    ),
+    (
+        "model_to_bytes",
+        "a checkpoint is the committed `DenseModel`, copied into one reused buffer \
+         with no byte round trip; read it with `Cluster::checkpoint`",
+    ),
+    (
+        "model_from_bytes",
+        "a restore hands the checkpointed `DenseModel` over as \
+         `RecoveryOutcome::recovered_model`",
+    ),
+    (
+        "HeartbeatMonitor",
+        "each node's last keep-alive lives in the cluster: `Cluster::node_heartbeat` \
+         and `Cluster::detect_failed_nodes`",
+    ),
+    (
+        "CheckpointStore",
+        "the cluster keeps its latest checkpoint (`Cluster::checkpoint`); the \
+         simulator's agent keeps its own (`LiflAgent::latest_checkpoint`)",
+    ),
+    (
+        "checkpoint_store",
+        "call `Cluster::checkpoint`, which returns the latest `(RoundId, &DenseModel)`",
+    ),
+    (
+        "TopRecovery",
+        "`Cluster::take_recovery` returns the `RecoveryOutcome` itself",
+    ),
+];
+
 /// The engine's data-plane files: every payload here is written once by its
 /// producer and *moved* into the store (PR 21), so the copying conveniences
 /// below have no business in their non-test code.
@@ -675,8 +714,9 @@ fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
 /// `THREAD_MODULE`, and with it any `PRIVATE_WORKER_SET`) and the
 /// asynchronous stack beside the training driver
 /// (`RETIRED_WITH_ASYNC_DRIVER`), the client re-send path of node
-/// failures (`RETIRED_WITH_FAULT_RESEND`) and the second local-SGD loop of
-/// FedProx (`RETIRED_WITH_FEDPROX_TRAINER`) must stay deleted, and non-test
+/// failures (`RETIRED_WITH_FAULT_RESEND`), the second local-SGD loop of
+/// FedProx (`RETIRED_WITH_FEDPROX_TRAINER`) and the fault state beside the
+/// cluster's (`RETIRED_WITH_FAULT_STATE`) must stay deleted, and non-test
 /// code of the `ENGINE_CRATES` names none of the `SIMULATOR_TYPES`. Unlike
 /// the shell guard this replaces, the check runs on code tokens, so prose
 /// in comments and string literals can mention the old names freely.
@@ -768,6 +808,18 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
                     format!(
                         "`{name}` was retired when FedProx's proximal term moved into \
                          the one local trainer; {advice} (see MIGRATION.md)"
+                    ),
+                ));
+            } else if let Some((name, advice)) =
+                (RETIRED_WITH_FAULT_STATE.iter()).find(|(name, _)| t.text == *name)
+            {
+                out.push(finding(
+                    f,
+                    t.line,
+                    Rule::LegacyRuntime,
+                    format!(
+                        "`{name}` was retired when the cluster became the one owner of \
+                         fault state; {advice} (see MIGRATION.md)"
                     ),
                 ));
             } else if t.text == "runtime"

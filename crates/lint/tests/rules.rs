@@ -328,6 +328,35 @@ fn r6_fail_flags_simulator_types_in_engine_code() {
 }
 
 #[test]
+fn r6_fail_flags_the_names_retired_with_the_fault_state() {
+    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
+    let retired: Vec<&String> = (found.iter())
+        .filter(|f| f.contains("crates/core/src/cluster/faults.rs:"))
+        .collect();
+    assert_eq!(retired.len(), 8, "{found:#?}");
+    for (line, name, advice) in [
+        (3, "`RecoveryManager`", "`ClusterBuilder::fault_tolerance`"),
+        (3, "`HeartbeatMonitor`", "`Cluster::node_heartbeat`"),
+        (3, "`TopRecovery`", "returns the `RecoveryOutcome` itself"),
+        (4, "`CheckpointStore`", "`LiflAgent::latest_checkpoint`"),
+        (4, "`checkpoint_store`", "`(RoundId, &DenseModel)`"),
+        (5, "`model_to_bytes`", "no byte round trip"),
+        (6, "`model_from_bytes`", "::recovered_model`"),
+        (7, "`TopRecovery`", "`Cluster::take_recovery`"),
+    ] {
+        assert!(
+            retired.iter().any(|f| {
+                f.contains(&format!("crates/core/src/cluster/faults.rs:{line}:"))
+                    && f.contains(name)
+                    && f.contains("the one owner of fault state")
+                    && f.contains(advice)
+            }),
+            "{name} at line {line}: {found:#?}"
+        );
+    }
+}
+
+#[test]
 fn r6_pass_allows_prose_and_string_mentions() {
     assert_eq!(
         lint("r6_pass", &[Rule::LegacyRuntime]),

@@ -12,8 +12,6 @@
 //! * [`queue::InPlaceQueue`] implements the gateway's in-place message queue:
 //!   a FIFO of object keys, so enqueueing a 232 MB ResNet-152 update costs a
 //!   16-byte key push instead of a copy.
-//! * [`checkpoint::CheckpointStore`] emulates the external persistent storage
-//!   service the LIFL agent checkpoints global models to (Appendix B).
 //! * [`pool::BufferPool`] keeps model-sized scratch buffers alive between
 //!   uses so the codec/fold hot path runs at zero steady-state heap growth;
 //!   a [`pool::PooledBuf`] moved into the store returns to its pool when the
@@ -35,14 +33,12 @@
 #![warn(missing_docs)]
 
 pub mod backlog;
-pub mod checkpoint;
 pub mod object;
 pub mod pool;
 pub mod queue;
 pub mod store;
 
 pub use backlog::PooledBacklog;
-pub use checkpoint::CheckpointStore;
 pub use object::SharedObject;
 pub use pool::{BufferPool, PoolStats, PooledBuf};
 pub use queue::InPlaceQueue;

@@ -4,7 +4,6 @@
 
 use crate::metric_server::NodeLoad;
 use lifl_ebpf::MetricsMap;
-use lifl_shmem::CheckpointStore;
 use lifl_types::{NodeId, RoundId, SimDuration, SimTime};
 
 /// The per-node agent.
@@ -12,7 +11,12 @@ use lifl_types::{NodeId, RoundId, SimDuration, SimTime};
 pub struct LiflAgent {
     node: NodeId,
     metrics: MetricsMap,
-    checkpoints: CheckpointStore,
+    /// The latest checkpoint written to external storage: its round and
+    /// the serialised model. Only the latest is kept; recovery reads
+    /// nothing older.
+    checkpoint: Option<(RoundId, Vec<u8>)>,
+    /// Checkpoint bytes written over the agent's lifetime.
+    checkpoint_bytes: u64,
     updates_seen: u64,
     window_start: SimTime,
 }
@@ -23,7 +27,8 @@ impl LiflAgent {
         LiflAgent {
             node,
             metrics: MetricsMap::new(),
-            checkpoints: CheckpointStore::new(),
+            checkpoint: None,
+            checkpoint_bytes: 0,
             updates_seen: 0,
             window_start: SimTime::ZERO,
         }
@@ -71,14 +76,23 @@ impl LiflAgent {
     }
 
     /// Checkpoints the global model asynchronously (Appendix B): the write is
-    /// recorded but adds nothing to the aggregation critical path.
-    pub fn checkpoint(&self, round: RoundId, model_bytes: Vec<u8>, now: SimTime) {
-        self.checkpoints.save(round, model_bytes, now);
+    /// counted but adds nothing to the aggregation critical path. It
+    /// replaces the kept checkpoint unless that one is of a later round.
+    pub fn checkpoint(&mut self, round: RoundId, model_bytes: Vec<u8>) {
+        self.checkpoint_bytes += model_bytes.len() as u64;
+        if (self.checkpoint.as_ref()).is_none_or(|(latest, _)| round >= *latest) {
+            self.checkpoint = Some((round, model_bytes));
+        }
     }
 
-    /// The checkpoint store (external persistent storage emulation).
-    pub fn checkpoints(&self) -> &CheckpointStore {
-        &self.checkpoints
+    /// The latest checkpoint: the one a replacement aggregator resumes from.
+    pub fn latest_checkpoint(&self) -> Option<(RoundId, &[u8])> {
+        (self.checkpoint.as_ref()).map(|(round, bytes)| (*round, bytes.as_slice()))
+    }
+
+    /// Checkpoint bytes written over the agent's lifetime.
+    pub fn checkpoint_bytes_written(&self) -> u64 {
+        self.checkpoint_bytes
     }
 }
 
@@ -113,9 +127,50 @@ mod tests {
 
     #[test]
     fn checkpointing_is_recorded() {
-        let agent = LiflAgent::new(NodeId::new(0));
-        agent.checkpoint(RoundId::new(3), vec![1, 2, 3], SimTime::from_secs(9.0));
-        assert_eq!(agent.checkpoints().len(), 1);
-        assert_eq!(agent.checkpoints().latest().unwrap().round, RoundId::new(3));
+        let mut agent = LiflAgent::new(NodeId::new(0));
+        agent.checkpoint(RoundId::new(3), vec![1, 2, 3]);
+        assert_eq!(
+            agent.latest_checkpoint(),
+            Some((RoundId::new(3), &[1, 2, 3][..]))
+        );
+        assert_eq!(agent.checkpoint_bytes_written(), 3);
+    }
+
+    #[test]
+    fn checkpoint_save_and_load() {
+        let mut agent = LiflAgent::new(NodeId::new(0));
+        assert!(agent.latest_checkpoint().is_none());
+        agent.checkpoint(RoundId::new(1), vec![1, 2, 3]);
+        agent.checkpoint(RoundId::new(2), vec![4, 5]);
+        assert_eq!(
+            agent.latest_checkpoint(),
+            Some((RoundId::new(2), &[4, 5][..]))
+        );
+        assert_eq!(agent.checkpoint_bytes_written(), 5);
+    }
+
+    #[test]
+    fn latest_checkpoint_is_the_highest_round() {
+        let mut agent = LiflAgent::new(NodeId::new(0));
+        agent.checkpoint(RoundId::new(3), vec![3]);
+        agent.checkpoint(RoundId::new(10), vec![10]);
+        agent.checkpoint(RoundId::new(7), vec![7]);
+        assert_eq!(
+            agent.latest_checkpoint(),
+            Some((RoundId::new(10), &[10][..]))
+        );
+        assert_eq!(agent.checkpoint_bytes_written(), 3);
+    }
+
+    #[test]
+    fn checkpoint_overwrites_the_same_round() {
+        let mut agent = LiflAgent::new(NodeId::new(0));
+        agent.checkpoint(RoundId::new(1), vec![0; 10]);
+        agent.checkpoint(RoundId::new(1), vec![1; 20]);
+        assert_eq!(
+            agent.latest_checkpoint(),
+            Some((RoundId::new(1), &[1; 20][..]))
+        );
+        assert_eq!(agent.checkpoint_bytes_written(), 30);
     }
 }

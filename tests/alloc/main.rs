@@ -799,4 +799,40 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         assert_eq!((stats.node_restarts, stats.deduped_hops), (rounds, rounds));
         assert_eq!(stats.lost_updates, 4 * rounds);
     }
+
+    // Phase 11: a checkpoint every round, with every node heartbeating. The
+    // first checkpoint (in the warm-up) takes the one model-sized buffer the
+    // cluster keeps; every later one copies into it, so a measured round
+    // allocates nothing model-sized but the model `drive()` returns.
+    for codec in [CodecKind::Identity, CodecKind::Uniform8] {
+        let mut cluster = ClusterBuilder::new()
+            .topology(Topology::new(vec![2, 2, 2]).expect("topology"))
+            .codec(codec)
+            .fault_tolerance(FaultToleranceConfig {
+                checkpoint_every: 1,
+                ..FaultToleranceConfig::default()
+            })
+            .build()
+            .expect("fault-tolerant cluster");
+        let checkpointed_round =
+            |cluster: &mut lifl_core::cluster::Cluster, round, now: f64| -> u64 {
+                let now = lifl_types::SimTime::from_secs(now);
+                for node in 0..2 {
+                    (cluster.node_heartbeat(NodeId::new(node), now)).expect("heartbeat");
+                }
+                cluster_round(cluster, round)
+            };
+        for round in cluster_rounds(WARM_UP, 8) {
+            checkpointed_round(&mut cluster, round, 1.0);
+        }
+        for (k, round) in cluster_rounds(MEASURED, 8).into_iter().enumerate() {
+            assert_eq!(
+                checkpointed_round(&mut cluster, round, 2.0 + k as f64),
+                1,
+                "{codec}: a checkpoint after the first must allocate nothing model-sized"
+            );
+        }
+        let (checkpoint, _) = cluster.checkpoint().expect("checkpointed");
+        assert_eq!(checkpoint.index(), (WARM_UP + MEASURED) as u64);
+    }
 }

@@ -162,7 +162,7 @@ fn run_plan(script: Script) -> Plan {
             Ok(report) => break report,
             Err(LiflError::AggregatorFailure { node }) => {
                 attempts.push((node, u64::MAX));
-                let outcome = cluster.take_recovery().expect("a restore").outcome;
+                let outcome = cluster.take_recovery().expect("a restore");
                 let model = outcome.recovered_model.expect("round 1 checkpointed");
                 restored.push((fingerprint(&model), outcome.lost_in_progress_updates));
                 offer(&mut cluster);

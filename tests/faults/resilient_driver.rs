@@ -6,7 +6,6 @@
 
 use crate::util::assert_bit_exact;
 use lifl_core::cluster::{Cluster, ClusterBuilder, FaultToleranceConfig};
-use lifl_core::recovery::model_from_bytes;
 use lifl_core::training::{TrainingConfig, TrainingDriver};
 use lifl_fl::client::ClientAvailability;
 use lifl_fl::dataset::{DatasetConfig, FederatedDataset};
@@ -125,7 +124,7 @@ fn child_kill_mid_round_recovers_bit_exact_from_cached_updates() {
 }
 
 /// Acceptance: a top-host kill loses the in-flight round but the driver
-/// adopts the latest checkpoint — bit-exact with both the checkpointed bytes
+/// adopts the latest checkpoint — bit-exact with both the checkpointed model
 /// and the previous committed round — and keeps training from it.
 #[test]
 fn top_kill_restores_the_drivers_global_model_from_the_checkpoint() {
@@ -144,17 +143,8 @@ fn top_kill_restores_the_drivers_global_model_from_the_checkpoint() {
     // The driver's global model was rolled back to the checkpoint, which is
     // the committed round-1 model bit-for-bit.
     assert_bit_exact(driver.global_model(), &committed, "restored checkpoint");
-    let latest = driver
-        .backend()
-        .checkpoint_store()
-        .unwrap()
-        .latest()
-        .expect("round 1 was checkpointed");
-    assert_bit_exact(
-        &model_from_bytes(&latest.data).unwrap(),
-        &committed,
-        "checkpointed bytes",
-    );
+    let (_, latest) = (driver.backend().checkpoint()).expect("round 1 was checkpointed");
+    assert_bit_exact(latest, &committed, "checkpointed model");
     assert_eq!(driver.backend().fault_stats().unwrap().top_recoveries, 1);
     // Re-running the round against the restored model succeeds.
     let rerun = driver.run_round(&mut rng).unwrap();

@@ -2,7 +2,7 @@
 //! asynchronous aggregation (Fig. 11 / future work) and heartbeat-based
 //! failure handling, combined with the core platform.
 
-use lifl_core::heartbeat::{over_provisioned_selection, HeartbeatMonitor};
+use lifl_core::heartbeat::over_provisioned_selection;
 use lifl_core::session::{Session, SessionBuilder, Update};
 use lifl_core::training::{TrainingConfig, TrainingDriver};
 use lifl_fl::dataset::{DatasetConfig, FederatedDataset};
@@ -167,23 +167,24 @@ fn asynchronous_aggregation_advances_versions_under_streaming_updates() {
 
 #[test]
 fn heartbeats_plus_overprovisioning_keep_the_round_on_goal() {
-    // Select enough clients that, after drop-outs flagged by the heartbeat
-    // monitor, the aggregation goal is still met.
+    // Select enough clients that, after drop-outs flagged by overdue
+    // keep-alive heartbeats, the aggregation goal is still met.
     let goal = 20u64;
     let selected = over_provisioned_selection(goal, 0.2).unwrap();
     assert!(selected > goal);
 
-    let mut monitor = HeartbeatMonitor::new(SimDuration::from_secs(60.0));
-    for i in 0..selected {
-        monitor.register(ClientId::new(i), SimTime::ZERO);
-    }
-    // 20% of clients go silent; the rest heartbeat and deliver.
+    // Every selected client's last keep-alive: 20% go silent after
+    // selection; the rest heartbeat and deliver.
+    let timeout = SimDuration::from_secs(60.0);
     let silent = (selected as f64 * 0.2) as u64;
-    for i in silent..selected {
-        monitor.heartbeat(ClientId::new(i), SimTime::from_secs(90.0));
-    }
-    let failed = monitor.failed_clients(SimTime::from_secs(120.0));
-    assert_eq!(failed.len() as u64, silent);
+    let last_seen: Vec<SimTime> = (0..selected)
+        .map(|i| SimTime::from_secs(if i < silent { 0.0 } else { 90.0 }))
+        .collect();
+    let now = SimTime::from_secs(120.0);
+    let failed = (last_seen.iter())
+        .filter(|seen| now.duration_since(**seen) > timeout)
+        .count();
+    assert_eq!(failed as u64, silent);
 
     let delivered = selected - silent;
     assert!(

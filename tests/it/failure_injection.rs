@@ -12,12 +12,14 @@ fn stateless_restart_recovers_from_checkpoint() {
     // The agent checkpoints the global model; a "crashed" aggregator is
     // replaced by a new one that resumes from the latest checkpoint
     // (aggregators hold no other state, §3 / Appendix B).
-    let agent = LiflAgent::new(NodeId::new(0));
-    agent.checkpoint(RoundId::new(5), vec![1, 2, 3, 4], SimTime::from_secs(50.0));
-    agent.checkpoint(RoundId::new(6), vec![9, 9], SimTime::from_secs(60.0));
-    let recovered = agent.checkpoints().latest().expect("checkpoint");
-    assert_eq!(recovered.round, RoundId::new(6));
-    assert_eq!(recovered.data, vec![9, 9]);
+    let mut agent = LiflAgent::new(NodeId::new(0));
+    agent.checkpoint(RoundId::new(5), vec![1, 2, 3, 4]);
+    agent.checkpoint(RoundId::new(6), vec![9, 9]);
+    let (round, data) = agent.latest_checkpoint().expect("checkpoint");
+    assert_eq!(round, RoundId::new(6));
+    assert_eq!(data, [9, 9]);
+    // Only the latest checkpoint is kept; every write is counted.
+    assert_eq!(agent.checkpoint_bytes_written(), 6);
 }
 
 #[test]

@@ -12,6 +12,10 @@
 //! compared); the full 1M-client round runs when `LIFL_SCALE_FULL=1` — the
 //! dedicated `just scale` / CI step sets it.
 //!
+//! Memory is flat in the round count too: a fault-tolerant cluster that
+//! checkpoints every round and hears every node's heartbeat every round keeps
+//! one checkpoint, so 10× the rounds stay within 1.1× the peak.
+//!
 //! The tier also proves the KPA autoscaling acceptance end to end: under a
 //! sustained arrival spike the fleet-scaled cluster grows leaf aggregators
 //! and keeps draining, while the fixed-tree baseline's queue depth diverges
@@ -21,12 +25,12 @@
 // `unsafe`; this live-byte high-water shim is the sanctioned unsafe site of
 // this tier and only delegates to the system allocator.
 
-use lifl_core::cluster::ClusterBuilder;
+use lifl_core::cluster::{Cluster, ClusterBuilder, FaultToleranceConfig};
 use lifl_core::session::{Session, SessionBuilder, Update};
 use lifl_fl::aggregate::ModelUpdate;
 use lifl_fl::DenseModel;
 use lifl_serverless::FleetConfig;
-use lifl_types::{AdmissionConfig, ClientId, Topology};
+use lifl_types::{AdmissionConfig, ClientId, CodecKind, NodeId, SimTime, Topology};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -203,6 +207,66 @@ fn streaming_ingress_memory_is_flat_in_the_client_count() {
             "million-client peak not flat: 10k -> {peak_10k} bytes, 1M -> {peak_1m} bytes"
         );
     }
+}
+
+/// 64 KiB per model: a checkpoint kept per round would be visible beside
+/// the cluster's working set.
+const CHECKPOINT_DIM: usize = 1 << 14;
+
+/// `rounds` rounds of a fault-tolerant [2, 2, 2] `Uniform8` cluster that
+/// checkpoints every round, with both nodes heartbeating before each one.
+/// Returns the peak of live heap bytes over the cluster's whole life.
+fn fault_tolerant_peak(rounds: u64) -> u64 {
+    let baseline = reset_peak();
+    let mut cluster: Cluster = ClusterBuilder::new()
+        .topology(Topology::new(vec![2, 2, 2]).unwrap())
+        .codec(CodecKind::Uniform8)
+        .fault_tolerance(FaultToleranceConfig {
+            checkpoint_every: 1,
+            ..FaultToleranceConfig::default()
+        })
+        .build()
+        .expect("fault-tolerant cluster");
+    for round in 0..rounds {
+        let now = SimTime::from_secs(round as f64);
+        for node in 0..2 {
+            cluster.node_heartbeat(NodeId::new(node), now).unwrap();
+        }
+        for client in 0..8u64 {
+            let values: Vec<f32> = (0..CHECKPOINT_DIM)
+                .map(|d| ((d as u64 * 13 + client * 7 + round) % 101) as f32 * 0.02 - 1.0)
+                .collect();
+            let update = ModelUpdate::from_client(
+                ClientId::new(client),
+                DenseModel::from_vec(values),
+                client + 1,
+            );
+            assert!(cluster
+                .try_ingest(Update::Dense(update))
+                .unwrap()
+                .is_admitted());
+        }
+        cluster.drive().expect("drive");
+    }
+    let (checkpoint, _) = cluster.checkpoint().expect("checkpointed");
+    assert_eq!(checkpoint.index(), rounds);
+    let peak = peak_over(baseline);
+    drop(cluster);
+    peak
+}
+
+#[test]
+fn fault_tolerant_cluster_memory_is_flat_in_the_round_count() {
+    let _guard = SERIAL.lock().expect("serial");
+    // Warm-up sizes the process-wide one-offs outside the measurement.
+    fault_tolerant_peak(4);
+    let peak_1x = fault_tolerant_peak(8);
+    let peak_10x = fault_tolerant_peak(80);
+    assert!(peak_1x > 0);
+    assert!(
+        peak_10x * 10 <= peak_1x * 11,
+        "peak grew with the round count: 8 rounds -> {peak_1x} bytes, 80 rounds -> {peak_10x} bytes"
+    );
 }
 
 #[test]
