@@ -20,10 +20,12 @@ pub struct AggregatorRuntime {
     inbox: InPlaceQueue,
     accumulator: PolicyFold,
     aggregated: u64,
-    /// The codec outgoing intermediates travel through: a lossy one
-    /// re-encodes them and stores them compressed (the decode-fold-encode
-    /// interior path). Its pool lends the accumulator.
+    /// The codec an encoded output travels through. Its pool lends the
+    /// accumulator and takes every dense output back.
     codec: UpdateCodec,
+    /// Whether `send` encodes under a lossy codec: always for a replay
+    /// runtime, for a station as its re-arm says.
+    encodes: bool,
 }
 
 impl AggregatorRuntime {
@@ -31,11 +33,12 @@ impl AggregatorRuntime {
     /// updates from `inbox` and payloads from `store`, whose outgoing
     /// intermediates travel through `codec`. Incoming updates are decoded
     /// from whatever representation their queue entry declares, so mixed
-    /// (dense + encoded) inboxes are fine.
+    /// (dense + encoded) inboxes are fine. A session keeps one per tree
+    /// position for its whole life and re-arms it every round.
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidAggregationGoal`] if `goal` is zero.
-    fn new(
+    pub(crate) fn new(
         id: AggregatorId,
         goal: u64,
         store: ObjectStore,
@@ -52,6 +55,7 @@ impl AggregatorRuntime {
             inbox,
             accumulator: PolicyFold::default(),
             aggregated: 0,
+            encodes: !codec.kind().is_lossless(),
             codec,
         })
     }
@@ -77,43 +81,29 @@ impl AggregatorRuntime {
                 "aggregator position (level {level}, index {index}) outside {topology}"
             )));
         }
-        let id = position_id(level, index);
-        Self::station(topology, level, id, store, inbox, codec)
+        let (id, goal) = (position_id(level, index), topology.fan_in(level) as u64);
+        Self::new(id, goal, store, inbox, codec)
     }
 
-    /// The warm runtime serving level `level` of `topology` as `id` (the
-    /// position's identity inside whatever tree encloses it): its goal from
-    /// the level, like [`AggregatorRuntime::for_level`]. A session keeps
-    /// one per position for its whole life and re-arms it every round.
-    ///
-    /// # Errors
-    /// Returns [`LiflError::InvalidAggregationGoal`] for a zero fan-in.
-    pub(crate) fn station(
-        topology: &Topology,
-        level: usize,
-        id: AggregatorId,
-        store: ObjectStore,
-        inbox: InPlaceQueue,
-        codec: UpdateCodec,
-    ) -> Result<Self> {
-        Self::new(id, topology.fan_in(level) as u64, store, inbox, codec)
-    }
-
-    /// Opens a round with aggregation goal `goal`: the runtime is left in
-    /// exactly the state a freshly built one is in — empty accumulator under
-    /// the same policy, nothing aggregated, and its codec stream restarted at
-    /// the position seed (the aggregator id) — whatever the previous round
-    /// left behind, a failed or panicked one included.
+    /// Opens a round with aggregation goal `goal`, its output encoded under
+    /// a lossy codec only if `encodes`: the runtime is left in exactly the
+    /// state a freshly built one is in — empty accumulator under the same
+    /// policy, nothing aggregated, and an encoding runtime's codec stream
+    /// restarted at the position seed (the aggregator id) — whatever the
+    /// previous round left behind, a failed or panicked one included.
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidAggregationGoal`] if `goal` is zero.
-    pub(crate) fn rearm(&mut self, goal: u64) -> Result<()> {
+    pub(crate) fn rearm(&mut self, goal: u64, encodes: bool) -> Result<()> {
         if goal == 0 {
             return Err(LiflError::InvalidAggregationGoal(0));
         }
         self.goal = goal;
         self.aggregated = 0;
-        self.codec.reseed(self.id.index());
+        self.encodes = encodes && !self.codec.kind().is_lossless();
+        if self.encodes {
+            self.codec.reseed(self.id.index());
+        }
         self.replace_accumulator(self.accumulator.policy())
     }
 
@@ -257,11 +247,11 @@ impl AggregatorRuntime {
 
     /// Runs the Send step: finalises the aggregate, moves it into shared
     /// memory and returns the queue entry to hand to the consumer. The
-    /// finalised model's own vector (or, under a lossy codec, the one pooled
-    /// buffer it was re-encoded into) becomes the stored object; a pooled
-    /// buffer returns to the codec's pool when the object is recycled, or at
-    /// once if the store refuses it, and so does the accumulator a lossy
-    /// codec has finished reading.
+    /// finalised model's own vector (or, if the runtime encodes, the one
+    /// pooled buffer it was encoded into) becomes the stored object; a
+    /// pooled buffer returns to the codec's pool when the object is
+    /// recycled, or at once if the store refuses it, and so does the
+    /// accumulator an encode has finished reading.
     ///
     /// # Errors
     /// Returns an error if the goal has not been met or the store is full.
@@ -271,7 +261,7 @@ impl AggregatorRuntime {
         }
         let result = self.accumulator.finalize()?;
         let codec = &mut self.codec;
-        let queued = if codec.kind().is_lossless() {
+        let queued = if !self.encodes {
             let wire = result.model.into_pooled_wire(codec.pool());
             QueuedUpdate::intermediate(self.store.put(wire)?, result.samples)
         } else {
@@ -392,10 +382,10 @@ mod tests {
         queue_client_update(&store, &inbox, 1, &[1.0], 1);
         agg.run_to_completion().unwrap();
         // Promotion (§5.3) is a re-arm for the next level's goal.
-        agg.rearm(3).unwrap();
+        agg.rearm(3, false).unwrap();
         assert_eq!((agg.goal, agg.aggregated), (3, 0));
         assert!(!agg.goal_met());
-        assert!(agg.rearm(0).is_err());
+        assert!(agg.rearm(0, false).is_err());
     }
 
     #[test]
@@ -412,12 +402,12 @@ mod tests {
         )
         .unwrap();
         for round in 0..3u64 {
-            agg.rearm(2).unwrap();
+            agg.rearm(2, false).unwrap();
             queue_client_update(&store, &inbox, 1, &[2.0, 4.0], 1);
             assert!(agg.poll().unwrap());
             if round == 1 {
                 // The half-folded accumulator must go home, not away.
-                agg.rearm(2).unwrap();
+                agg.rearm(2, false).unwrap();
                 queue_client_update(&store, &inbox, 1, &[2.0, 4.0], 1);
                 assert!(agg.poll().unwrap());
             }
@@ -489,14 +479,14 @@ mod tests {
         agg.poll().unwrap();
         agg.poll().unwrap();
         let out = agg.send().unwrap();
-        assert!(out.encoded, "interior output must stay compressed");
+        assert!(out.encoded, "a replay runtime encodes every output");
         assert_eq!(out.weight, 4);
         let object = store.get(&out.key).unwrap();
         let decoded = EncodedView::parse(object.as_slice()).unwrap().decode();
         // Weighted mean is 3.5 * (1 + d/32), within quantization error.
         assert!((decoded.as_slice()[0] - 3.5).abs() < 0.3);
         assert!((decoded.as_slice()[63] - 3.5 * (1.0 + 63.0 / 32.0)).abs() < 0.3);
-        // The re-encode buffer *is* the stored object (wire form at offset
+        // The encode buffer *is* the stored object (wire form at offset
         // 0, nothing copied): it is out of the pool while the object lives
         // and comes home for the next send when the store recycles it. The
         // accumulator is home already — the encode was its last reader.

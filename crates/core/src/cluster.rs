@@ -398,7 +398,7 @@ pub struct NodeRoundReport {
 /// Everything a driven cluster round produced.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    /// The aggregated global model (decoded once, at the global top).
+    /// The aggregated global model: the global top's dense accumulator.
     pub update: ModelUpdate,
     /// The global tree the round ran over.
     pub topology: Topology,
@@ -1587,6 +1587,66 @@ mod tests {
         assert!(cluster.pool().stats().idle_buffers > idle_before);
     }
 
+    /// Under a lossy codec a station encodes its output only if its parent
+    /// is the global top: the node tops of an [8, 4, 4] cluster (its hops)
+    /// and of the single session over the same tree, the leaves of an
+    /// [8, 4] session, and nothing in a flat session, whose one station is
+    /// the top. A session driven to wire encodes its top alone, the export
+    /// the global top folds. A store counts every encoded put: what is not
+    /// a client's ingress encode or a hop's arrival at the top is an
+    /// encoded `send`.
+    #[test]
+    fn only_outputs_bound_for_the_global_top_are_encoded() {
+        const ROUNDS: u64 = 3;
+        let rounds_of = |session: &mut Session, to_wire: bool| {
+            let capacity = session.topology().total_updates();
+            for _ in 0..ROUNDS {
+                for update in updates(capacity, 16) {
+                    session.ingest(Update::Dense(update)).unwrap();
+                }
+                if to_wire {
+                    session.drive_to_wire().unwrap();
+                } else {
+                    session.drive().unwrap();
+                }
+            }
+            session.store().stats().encoded_puts - ROUNDS * capacity as u64
+        };
+        for codec in [CodecKind::Uniform8, CodecKind::TopK { permille: 250 }] {
+            let mut cluster = ClusterBuilder::new()
+                .topology(Topology::new(vec![8, 4, 4]).unwrap())
+                .codec(codec)
+                .build()
+                .unwrap();
+            let mut puts = 0;
+            for _ in 0..ROUNDS {
+                let round = updates(128, 16).into_iter().map(Update::Dense);
+                cluster.ingest_all(round).unwrap();
+                let report = cluster.drive().unwrap();
+                let nodes = report.nodes.iter().map(|n| n.store_stats.encoded_puts);
+                puts = nodes.sum::<u64>() + report.top_store_stats.encoded_puts;
+            }
+            // Per round: 128 ingress encodes and 4 hop arrivals.
+            let sends = puts - ROUNDS * (128 + 4);
+            assert_eq!(sends, 4 * ROUNDS, "{codec}: [8, 4, 4] cluster");
+            for (fan_in, to_wire, per_round) in [
+                (vec![8, 4], false, 4),
+                (vec![8, 4, 4], false, 4),
+                (vec![8], false, 0),
+                (vec![8, 4], true, 1),
+            ] {
+                let mut session = SessionBuilder::new()
+                    .topology(Topology::new(fan_in.clone()).unwrap())
+                    .codec(codec)
+                    .build()
+                    .unwrap();
+                let sends = rounds_of(&mut session, to_wire);
+                let case = format!("{codec}: {fan_in:?} session, to wire {to_wire}");
+                assert_eq!(sends, per_round * ROUNDS, "{case}");
+            }
+        }
+    }
+
     /// Rebuilds every node session of `cluster` over a store capped at
     /// `capacity` bytes (same tree position, codec and shared pool), so a
     /// test can make a node's store refuse a payload.
@@ -1607,15 +1667,18 @@ mod tests {
 
     #[test]
     fn a_refused_ingress_encode_leaves_the_cluster_pool_as_it_was() {
-        // Node stores with room for a driven [2, 2] round of 64-parameter
-        // encoded objects (seven of 80 bytes), not for a 1 024-parameter one.
+        // Node stores with room for a driven [2, 2] round of 64 parameters,
+        // not for a 1 024-parameter offer (1 040 encoded bytes): four
+        // encoded client updates (4 x 80 bytes), two dense leaf
+        // intermediates (2 x 256) and the node top's encoded export (80)
+        // are 912 bytes, the smallest cap the round fits.
         let build = || {
             let mut cluster = ClusterBuilder::new()
                 .topology(Topology::new(vec![2, 2, 2]).unwrap())
                 .codec(CodecKind::Uniform8)
                 .build()
                 .unwrap();
-            cap_node_stores(&mut cluster, 600);
+            cap_node_stores(&mut cluster, 912);
             cluster
         };
         let (mut cluster, mut control) = (build(), build());

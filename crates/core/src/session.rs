@@ -32,7 +32,7 @@ use crate::gateway::Gateway;
 use crate::ingress::{self, Backend, Ingress, Target};
 use crate::stations::{Stations, Tree, Workers};
 use lifl_fl::aggregate::ModelUpdate;
-use lifl_fl::codec::{EncodedView, UpdateCodec};
+use lifl_fl::codec::UpdateCodec;
 use lifl_fl::DenseModel;
 use lifl_shmem::queue::QueuedUpdate;
 use lifl_shmem::{BufferPool, ObjectStore, StoreStats};
@@ -110,8 +110,9 @@ impl SessionBuilder {
     }
 
     /// Sets the wire codec every update travels with. Lossy codecs encode
-    /// dense ingests with per-client error feedback and re-encode every
-    /// interior intermediate; `Identity` is bit-exact with the dense path.
+    /// dense ingests with per-client error feedback and the intermediates
+    /// that cross to the global top; every other intermediate stays dense
+    /// in shared memory. `Identity` is bit-exact with the dense path.
     pub fn codec(mut self, codec: CodecKind) -> Self {
         self.codec = codec;
         self
@@ -141,7 +142,9 @@ impl SessionBuilder {
     /// level-`level_offset` layer, so every aggregator identity — and with
     /// it the deterministic per-position codec stream — matches what a
     /// single session over the whole tree would use at the same position.
-    /// This is what makes a multi-node round composed over
+    /// Under a lossy codec only a station whose parent is the global top
+    /// encodes: this session's top when driven to wire, the level below it
+    /// when driven. This is what makes a multi-node round composed over
     /// [`Update::RemoteBytes`] bit-exact with its single-session equivalent
     /// (see [`crate::cluster::ClusterBuilder`], which wires this up).
     ///
@@ -672,16 +675,17 @@ impl Session {
     /// reset to an empty round.
     pub fn drive(&mut self) -> Result<SessionReport> {
         self.open()?;
-        let top = self.run_tree();
-        let report = top
-            .and_then(|top| self.decode(top))
-            .map(|(model, weight)| SessionReport {
-                update: ModelUpdate::intermediate(model, weight),
+        // The global top never encodes: the model is its dense output.
+        let report = self.run_tree(false).and_then(|top| {
+            let model = DenseModel::from_vec(self.store.get(&top.key)?.as_f32_vec());
+            Ok(SessionReport {
+                update: ModelUpdate::intermediate(model, top.weight),
                 store_stats: self.store.stats(),
                 ingress_wire_bytes: self.ingress_wire_bytes,
                 updates_ingested: self.ingress.ingested(),
                 topology: self.topology.clone(),
-            });
+            })
+        });
         self.close();
         report
     }
@@ -695,19 +699,25 @@ impl Session {
 
     /// An opened round's tree, as a forest drive runs it
     /// ([`Stations::run`]): a full round runs every position, a partial
-    /// (quorum) one only those with something to aggregate.
-    fn tree(&mut self) -> Tree<'_> {
-        let full = !self.has_room();
+    /// (quorum) one only those with something to aggregate. The global top
+    /// is the session's top on a drive, its parent's on a drive to wire.
+    fn tree(&mut self, to_wire: bool) -> Tree<'_> {
+        let (full, top) = (!self.has_room(), self.topology.levels() - 1);
         Tree {
             stations: &self.stations,
             full,
+            encoding_level: if to_wire {
+                Some(top)
+            } else {
+                top.checked_sub(1)
+            },
             round_keys: &mut self.round_keys,
         }
     }
 
     /// Runs the opened round's tree as a forest of one.
-    fn run_tree(&mut self) -> Result<QueuedUpdate> {
-        let top = Stations::run(&mut [self.tree()]).pop();
+    fn run_tree(&mut self, to_wire: bool) -> Result<QueuedUpdate> {
+        let top = Stations::run(&mut [self.tree(to_wire)]).pop();
         top.unwrap_or_else(|| Err(LiflError::Simulation("the tree did not run".to_string())))
     }
 
@@ -730,7 +740,7 @@ impl Session {
         let opened: Vec<Result<()>> = sessions.iter_mut().map(|session| session.open()).collect();
         let mut forest: Vec<Tree<'_>> = (sessions.iter_mut().zip(&opened))
             .filter(|(_, open)| open.is_ok())
-            .map(|(session, _)| session.tree())
+            .map(|(session, _)| session.tree(true))
             .collect();
         let mut tops = Stations::run(&mut forest).into_iter();
         (sessions.iter_mut().zip(opened))
@@ -764,7 +774,7 @@ impl Session {
     /// Same conditions as [`Session::drive`].
     pub fn drive_to_wire(&mut self) -> Result<WireExport> {
         self.open()?;
-        let top = self.run_tree();
+        let top = self.run_tree(true);
         self.export(top)
     }
 
@@ -782,19 +792,6 @@ impl Session {
         });
         self.close();
         export
-    }
-
-    /// Decodes the top's intermediate into the model a drive returns.
-    fn decode(&self, result: QueuedUpdate) -> Result<(DenseModel, u64)> {
-        let object = self.store.get(&result.key)?;
-        let model = if result.encoded {
-            // The one remaining full-decode site: parse the header in place
-            // and decode straight into the output buffer (no body copy).
-            EncodedView::parse(object.as_slice())?.decode()
-        } else {
-            DenseModel::from_vec(object.as_f32_vec())
-        };
-        Ok((model, result.weight))
     }
 
     /// Discards the current (not yet driven) round: every ingested update is
@@ -1417,9 +1414,11 @@ mod tests {
         // into the session pool on the way out of `try_ingest`, and nothing
         // at the ingress ever checks a buffer out — 4 more idle buffers a
         // round, forever (40 after ten rounds, 200 after fifty).
+        // No workers: the two leaves never overlap, so the count is exact.
         let mut session = SessionBuilder::new()
             .two_level(2, 2)
             .codec(CodecKind::Uniform8)
+            .workers(Workers::with_count(0))
             .build()
             .unwrap();
         let batch = updates(4, 256);
@@ -1437,14 +1436,14 @@ mod tests {
             session.drive().unwrap();
             idle.push(session.pool().stats().idle_buffers);
         }
-        // The pool holds what the session itself checks out — the three
-        // aggregators' re-encode buffers and their accumulators (a lossy
-        // `send` returns its accumulator at once, so the top reuses a
-        // leaf's and there are two only if both leaves ever overlapped) —
-        // and not one buffer more.
-        assert!(idle.windows(2).all(|w| w[0] <= w[1]), "{idle:?}");
-        assert!((4..=5).contains(&idle[49]), "pool grew: {idle:?}");
-        assert_eq!(session.pool().stats().peak_idle_buffers, idle[49]);
+        // The pool holds what the session itself checks out — the two
+        // leaves' encode buffers (their parent is the global top, so they
+        // encode) and one accumulator: each leaf's encode hands its
+        // accumulator back at once, and the top, which never encodes,
+        // keeps the same vector as its dense output until the round's
+        // objects are recycled — and not one buffer more.
+        assert!(idle.iter().all(|n| *n == 3), "pool grew: {idle:?}");
+        assert_eq!(session.pool().stats().peak_idle_buffers, 3);
     }
 
     #[test]

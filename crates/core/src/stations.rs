@@ -4,8 +4,9 @@
 //! A [`Stations`] holds one [`AggregatorRuntime`] per position of a
 //! session's tree for the session's whole life. Each reads its own inbox
 //! (level 0 reads the gateway's) and is re-armed at every round with that
-//! round's goal, its codec stream restarted at the position seed — the state
-//! a freshly built runtime would have — so warm reuse changes no bit.
+//! round's goal — the state a freshly built runtime would have — so warm
+//! reuse changes no bit. Intermediates stay dense in shared memory: only a
+//! station whose parent is the global top encodes ([`Tree::encoding_level`]).
 //!
 //! A level runs as a claim counter over its stations on [`Workers`]: the
 //! calling thread claims and folds stations itself while the parked workers
@@ -558,6 +559,9 @@ pub(crate) struct Stations {
 pub(crate) struct Tree<'a> {
     pub(crate) stations: &'a Stations,
     pub(crate) full: bool,
+    /// The level whose outputs a lossy codec encodes: the one whose parent
+    /// is the global top, if the tree holds one.
+    pub(crate) encoding_level: Option<usize>,
     pub(crate) round_keys: &'a mut Vec<ObjectKey>,
 }
 
@@ -566,8 +570,8 @@ impl Stations {
     /// `(level_offset, branch)` of the enclosing tree (see
     /// [`crate::session::SessionBuilder::tree_position`]): identities are
     /// the enclosing tree's, leaf inboxes are registered with `gateway`
-    /// under them, interior stations own theirs, and every runtime encodes
-    /// through a clone of `codec` and folds with `policy`.
+    /// under them, interior stations own theirs, and every runtime holds a
+    /// clone of `codec` and folds with `policy`.
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidConfig`] for an invalid fold policy.
@@ -595,15 +599,9 @@ impl Stations {
                 } else {
                     InPlaceQueue::new()
                 };
-                let store = gateway.store().clone();
-                let mut runtime = AggregatorRuntime::station(
-                    topology,
-                    level,
-                    id,
-                    store,
-                    inbox.clone(),
-                    codec.clone(),
-                )?;
+                let (goal, store) = (topology.fan_in(level) as u64, gateway.store().clone());
+                let mut runtime =
+                    AggregatorRuntime::new(id, goal, store, inbox.clone(), codec.clone())?;
                 runtime.set_policy(policy)?;
                 inboxes.push(inbox);
                 runtimes.push(Mutex::new(runtime));
@@ -617,7 +615,7 @@ impl Stations {
     }
 
     /// The identity of position (`level`, `index`) in the enclosing tree:
-    /// the gateway target of a leaf, and every station's codec seed.
+    /// the gateway target of a leaf, and an encoding station's codec seed.
     pub(crate) fn id(&self, level: usize, index: usize) -> AggregatorId {
         let (level_offset, branch) = self.place;
         position_id(
@@ -641,7 +639,7 @@ impl Stations {
     /// intermediate's key to its own `round_keys`, those of a failed level's
     /// survivors included; a tree whose level failed stops there with the
     /// level's first error, and the others run on. So a station sees the
-    /// same inbox, goal and codec seed whatever else shares its level, and a
+    /// same inbox, goal and encode rule whatever else shares its level, and a
     /// tree's result does not depend on which thread ran which station, or
     /// on what else is in the forest.
     ///
@@ -677,16 +675,17 @@ impl Stations {
                         inbox.len()
                     };
                     if goal > 0 {
-                        armed.push((Arc::clone(&stations.runtimes), index, goal as u64));
+                        let encodes = tree.encoding_level == Some(level);
+                        armed.push((Arc::clone(&stations.runtimes), index, goal as u64, encodes));
                         *count += 1;
                     }
                 }
             }
             let mut results = workers
                 .run(armed.len(), move |k| {
-                    let (runtimes, index, goal) = &armed[k];
+                    let (runtimes, index, goal, encodes) = &armed[k];
                     let mut runtime = lock(&runtimes[*index]);
-                    runtime.rearm(*goal)?;
+                    runtime.rearm(*goal, *encodes)?;
                     Ok((*index, runtime.run_to_completion()?))
                 })
                 .into_iter();

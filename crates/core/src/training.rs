@@ -1374,12 +1374,12 @@ mod tests {
             (
                 [
                     (4_608_562_285_415_642_012, 85.0),
-                    (4_607_479_344_048_292_771, 95.333_333_333_333_33),
-                    (4_606_486_208_434_270_898, 99.0),
-                    (4_604_560_073_398_317_644, 100.0),
-                    (4_603_797_807_146_419_713, 98.666_666_666_666_67),
+                    (4_607_482_614_161_511_318, 94.333_333_333_333_33),
+                    (4_606_491_531_706_157_415, 98.666_666_666_666_67),
+                    (4_604_564_794_063_230_331, 99.666_666_666_666_67),
+                    (4_603_788_864_745_226_600, 98.0),
                 ],
-                4_608_363_320_522_766_025,
+                3_747_509_144_199_736_891,
             )
         };
         let rounds = (rounds.iter())
@@ -1533,17 +1533,7 @@ mod tests {
         let recorded = |codec| -> Run {
             let identity = codec == CodecKind::Identity;
             let rounds = vec![
-                Some((
-                    8,
-                    0,
-                    2,
-                    4_608_176_045_555_237_074,
-                    if identity {
-                        91.333_333_333_333_33
-                    } else {
-                        90.666_666_666_666_67
-                    },
-                )),
+                Some((8, 0, 2, 4_608_176_045_555_237_074, 91.333_333_333_333_33)),
                 Some((
                     8,
                     0,
@@ -1551,12 +1541,12 @@ mod tests {
                     if identity {
                         4_605_631_687_407_882_890
                     } else {
-                        4_605_629_176_638_833_056
+                        4_605_631_755_982_048_402
                     },
                     if identity {
                         96.333_333_333_333_33
                     } else {
-                        96.0
+                        96.666_666_666_666_67
                     },
                 )),
                 Some((
@@ -1566,15 +1556,19 @@ mod tests {
                     if identity {
                         4_604_450_415_025_746_631
                     } else {
-                        4_604_450_458_806_889_766
+                        4_604_449_826_548_223_999
                     },
-                    84.333_333_333_333_33,
+                    if identity {
+                        84.333_333_333_333_33
+                    } else {
+                        84.666_666_666_666_67
+                    },
                 )),
             ];
             let fingerprint = if identity {
                 3_200_472_312_565_110_265
             } else {
-                4_792_152_253_880_534_447
+                15_561_618_846_923_016_891
             };
             (rounds, fingerprint, 508_978_108)
         };
@@ -1620,7 +1614,7 @@ mod tests {
                     if identity {
                         4_606_280_891_515_763_638
                     } else {
-                        4_606_279_613_579_736_778
+                        4_606_286_640_645_340_457
                     },
                     99.666_666_666_666_67,
                 )),
@@ -1632,7 +1626,7 @@ mod tests {
                     if identity {
                         4_605_059_380_406_086_045
                     } else {
-                        4_605_062_239_737_676_703
+                        4_605_064_800_652_325_643
                     },
                     99.666_666_666_666_67,
                 )),
@@ -1640,7 +1634,7 @@ mod tests {
             let fingerprint = if identity {
                 11_235_456_787_736_010_049
             } else {
-                4_498_080_235_499_747_907
+                16_664_287_932_617_017_737
             };
             (rounds, fingerprint, 340_911_727)
         };

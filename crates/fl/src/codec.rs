@@ -420,13 +420,16 @@ impl<'a> EncodedView<'a> {
         Ok(())
     }
 
-    /// The little-endian `f32` payload of an `Identity` view from element
-    /// `start` on (empty past the end), for a fold that takes several dense
-    /// views at once ([`kernels::fold_dense_le_n`]); `None` for every other
-    /// codec.
-    pub(crate) fn dense_from(&self, start: usize) -> Option<&'a [u8]> {
+    /// The payload of the view from element `start` on (empty past the
+    /// end) and the factor its fold weight is scaled by, for a fold that
+    /// takes several views of one codec at once: an `Identity` view's
+    /// little-endian `f32`s at factor 1 ([`kernels::fold_dense_le_n`]), a
+    /// `Uniform8` view's levels at its scale ([`kernels::fold_u8_n`]);
+    /// `None` for every other codec.
+    pub(crate) fn source_from(&self, start: usize) -> Option<(&'a [u8], f32)> {
         match self.codec {
-            CodecKind::Identity => Some(self.body.get(start * 4..).unwrap_or_default()),
+            CodecKind::Identity => Some((self.body.get(start * 4..).unwrap_or_default(), 1.0)),
+            CodecKind::Uniform8 => Some((self.body.get(start..).unwrap_or_default(), self.scale)),
             _ => None,
         }
     }

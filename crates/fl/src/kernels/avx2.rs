@@ -192,26 +192,75 @@ unsafe fn fold_sources<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], weights:
     scalar::fold_dense_le_n(&mut acc[i..], &tails, &weights[..N]);
 }
 
-/// Safety: caller must have verified AVX2 support at runtime.
+/// Safety: caller must have verified AVX2 support at runtime; `srcs` and
+/// `ks` hold the same number of entries, and every source at least
+/// `acc.len()` levels.
 // SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
-// `super` calls this only after `is_x86_feature_detected!("avx2")`, and all
-// loads/stores stay inside the slice bounds checked by the loop condition.
+// `super` calls this only after `is_x86_feature_detected!("avx2")`, with
+// `acc` cut so that every source covers `acc.len()` levels, which is what
+// `fold_levels` needs. A count past eight falls through to the scalar arm.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn fold_u8(acc: &mut [f32], levels: &[u8], k: f32) {
+pub(super) unsafe fn fold_u8_n(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32]) {
+    match srcs.len() {
+        1 => fold_levels::<1>(acc, srcs, ks),
+        2 => fold_levels::<2>(acc, srcs, ks),
+        3 => fold_levels::<3>(acc, srcs, ks),
+        4 => fold_levels::<4>(acc, srcs, ks),
+        5 => fold_levels::<5>(acc, srcs, ks),
+        6 => fold_levels::<6>(acc, srcs, ks),
+        7 => fold_levels::<7>(acc, srcs, ks),
+        8 => fold_levels::<8>(acc, srcs, ks),
+        _ => scalar::fold_u8_n(acc, srcs, ks),
+    }
+}
+
+/// [`fold_u8_n`] over exactly `N` sources: per 8 lanes, one accumulator
+/// load, `N` chained `v + level_k * k_k` in source order (the multiply and
+/// the add separate, as the scalar arm does them) and one store; the
+/// sub-vector tail goes to the scalar arm. There is no NaN rewrite, unlike
+/// the dense fold: a level is never NaN, so while every factor is finite an
+/// add has at most one NaN operand, whose payload both arms return. An
+/// infinite factor (a parsed view's scale is finite, but `weight * scale`
+/// can overflow) makes 0 · ∞ = NaN at a level-0 lane; where that meets a
+/// NaN accumulator lane the sum is NaN on every arm, its payload unpinned.
+///
+/// Safety: caller must have verified AVX2 support at runtime; `srcs` and
+/// `ks` hold at least `N` entries, and every source at least `acc.len()`
+/// levels.
+// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw loads and
+// stores. The 8-lane accumulator load/store at `i` and each source's 8-byte
+// load at `i` stay in bounds because the loop runs only while
+// `i + 8 <= acc.len()`, and every source covers `acc.len()` levels (the
+// caller's contract).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn fold_levels<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32]) {
     let n = acc.len();
-    let kv = _mm256_set1_ps(k);
+    let mut k = [_mm256_setzero_ps(); N];
+    for (slot, kk) in k.iter_mut().zip(ks) {
+        *slot = _mm256_set1_ps(*kk);
+    }
+    let mut from = [std::ptr::null::<u8>(); N];
+    for (slot, src) in from.iter_mut().zip(srcs) {
+        *slot = src.as_ptr();
+    }
+    let out = acc.as_mut_ptr();
     let mut i = 0usize;
     while i + 8 <= n {
-        let b = _mm_loadl_epi64(levels.as_ptr().add(i) as *const __m128i);
-        let v = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b));
-        let a = _mm256_loadu_ps(acc.as_ptr().add(i));
-        _mm256_storeu_ps(
-            acc.as_mut_ptr().add(i),
-            _mm256_add_ps(a, _mm256_mul_ps(v, kv)),
-        );
+        let mut v = _mm256_loadu_ps(out.add(i));
+        for (src, kk) in from.iter().zip(k) {
+            let b = _mm_loadl_epi64(src.add(i).cast::<__m128i>());
+            let level = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b));
+            v = _mm256_add_ps(v, _mm256_mul_ps(level, kk));
+        }
+        _mm256_storeu_ps(out.add(i), v);
         i += 8;
     }
-    scalar::fold_u8(&mut acc[i..], &levels[i..], k);
+    let mut tails: [&[u8]; N] = [&[]; N];
+    for (tail, src) in tails.iter_mut().zip(srcs) {
+        *tail = &src[i..];
+    }
+    scalar::fold_u8_n(&mut acc[i..], &tails, &ks[..N]);
 }
 
 /// Safety: caller must have verified AVX2 support at runtime. `acc` element
@@ -705,7 +754,7 @@ unsafe fn quantize8(v: __m256, inv: __m256, hi: __m256, lo: __m256, w: __m256i) 
 /// `n` elements at `values` into `out`, drawing their rounding words in
 /// registers, and returns how many elements that was; `rng` is left past
 /// exactly their draws. With `FEEDBACK`, each element is also replaced by what
-/// the quantizer dropped of it, `v + f32(level) * k` — [`fold_u8`]'s
+/// the quantizer dropped of it, `v + f32(level) * k` — [`fold_u8_n`]'s
 /// expression over the level just stored.
 ///
 /// Safety: caller must have verified AVX2 support at runtime; `values` must
@@ -745,7 +794,7 @@ unsafe fn quantize_u8<const FEEDBACK: bool>(
         let p8 = _mm_packs_epi16(p16, p16);
         _mm_storel_epi64(out.as_mut_ptr().add(i) as *mut __m128i, p8);
         if FEEDBACK {
-            // `f32(level)` is what `fold_u8` reads back out of the byte.
+            // `f32(level)` is what `fold_u8_n` reads back out of the byte.
             let kept = _mm256_mul_ps(_mm256_cvtepi32_ps(li), kv);
             _mm256_storeu_ps(values.add(i), _mm256_add_ps(v, kept));
         }

@@ -28,8 +28,19 @@
 //! * **the 64-bit multiplies are exact.** `_mm512_mullo_epi64` (`vpmullq`,
 //!   AVX512DQ) keeps the low 64 bits of each 64 × 64-bit product, which is
 //!   `a * b mod 2^64` — exactly `u64::wrapping_mul`. One instruction replaces
-//!   the three 32 × 32-bit multiplies AVX2's `mul64` assembles it from, and
-//!   those multiplies were what bounded the AVX2 loop.
+//!   the three 32 × 32-bit multiplies, shifts and adds AVX2's `mul64`
+//!   assembles it from, over twice the lanes.
+//!
+//! Why the arm pays differs by core, so it is kept on measurement, not on
+//! an instruction count. Where `vpmullq` is one µop (the AMD EPYC this arm
+//! was first measured on) the draws' multiplies were what bounded the AVX2
+//! loop, and the arm halved `quant_cluster` ingest. Where it decodes into
+//! several µops (Intel cores), the multiplies cost about what AVX2's do per
+//! lane, and the gain comes from 16 lanes per step instead: on one vCPU of
+//! a KVM Intel Xeon (family 6, model 207) a hot 1 MiB `encode_u8` took
+//! ≈ 310–415 µs here against ≈ 430–550 µs on the AVX2 arm (medians of 41
+//! calls, two runs). A host where the arm measures slower than AVX2 is a
+//! reason to drop its table entries, not to keep them.
 //! * **the tail rule.** The loop consumes whole groups of 16 words, i.e.
 //!   whole draws. Stopped at element `i`, it moves the generator on by
 //!   `i / 2` draws (`StochasticRng::skip`) and hands the rest — fewer than
@@ -137,7 +148,7 @@ unsafe fn quantize16(v: __m512, inv: __m512, hi: __m512, lo: __m512, w: __m512i)
 /// `out`, drawing their rounding words in registers, and returns how many
 /// elements that was; `rng` is left past exactly their draws. With
 /// `FEEDBACK`, each element is also replaced by what the quantizer dropped
-/// of it, `v + f32(level) * k` — `fold_u8`'s expression over the level just
+/// of it, `v + f32(level) * k` — `fold_u8_n`'s expression over the level just
 /// stored.
 ///
 /// Safety: caller must have verified AVX-512F and AVX-512DQ support at
@@ -172,7 +183,7 @@ unsafe fn quantize_u8<const FEEDBACK: bool>(
         // the low byte of each i32 level is exactly the scalar `as u8`.
         _mm_storeu_si128(out.as_mut_ptr().add(i).cast(), _mm512_cvtsepi32_epi8(li));
         if FEEDBACK {
-            // `f32(level)` is what `fold_u8` reads back out of the byte.
+            // `f32(level)` is what `fold_u8_n` reads back out of the byte.
             let kept = _mm512_mul_ps(_mm512_cvtepi32_ps(li), kv);
             _mm512_storeu_ps(values.add(i), _mm512_add_ps(v, kept));
         }

@@ -115,8 +115,9 @@ struct Kernels {
     // SAFETY: sources and weights pair up, every source covering
     // `4 * acc.len()` bytes.
     fold_dense_le_n: unsafe fn(&mut [f32], &[&[u8]], &[f32]),
-    // SAFETY: the levels cover `acc.len()` bytes.
-    fold_u8: unsafe fn(&mut [f32], &[u8], f32),
+    // SAFETY: sources and factors pair up, every source covering
+    // `acc.len()` levels.
+    fold_u8_n: unsafe fn(&mut [f32], &[&[u8]], &[f32]),
     // SAFETY: element `j` of `acc` is nibble `j` of the nibbles, which
     // cover `acc.len()` nibbles.
     fold_u4_aligned: unsafe fn(&mut [f32], &[u8], f32),
@@ -151,7 +152,7 @@ struct Kernels {
 static SCALAR: Kernels = Kernels {
     name: "scalar",
     fold_dense_le_n: scalar::fold_dense_le_n,
-    fold_u8: scalar::fold_u8,
+    fold_u8_n: scalar::fold_u8_n,
     fold_u4_aligned: scalar::fold_u4_aligned,
     magnitude_histogram: scalar::magnitude_histogram,
     compact_topk: scalar::compact_topk,
@@ -170,7 +171,7 @@ static SCALAR: Kernels = Kernels {
 static AVX2: Kernels = Kernels {
     name: "avx2",
     fold_dense_le_n: avx2::fold_dense_le_n,
-    fold_u8: avx2::fold_u8,
+    fold_u8_n: avx2::fold_u8_n,
     fold_u4_aligned: avx2::fold_u4_aligned,
     magnitude_histogram: avx2::magnitude_histogram,
     compact_topk: avx2::compact_topk,
@@ -436,13 +437,31 @@ pub fn decode_dense_le(out: &mut [f32], body: &[u8]) {
     scalar::decode_dense_le(out, body);
 }
 
+/// Fused fold of `Uniform8` level sources over their common prefix with
+/// `acc`: `acc[i] += f32(l_0[i] as i8) * k_0 + f32(l_1[i] as i8) * k_1 + …`,
+/// source `k` scaled by `ks[k]`, the pre-multiplied `weight * scale`
+/// (sources past the shorter of the two lists are ignored).
+///
+/// Each element of `acc` is loaded once and stored once, the adds chained
+/// in source order in between, so the result is, bit for bit, that of
+/// folding each source in turn ([`fold_u8`] once per source), on either
+/// arm — but for the payload of a NaN accumulator lane an infinite factor
+/// reaches, which is unpinned. The AVX2 arm takes up to eight sources per call (more fold on the
+/// scalar arm); the station fold hands it each run of up to eight
+/// consecutive `Uniform8` views.
+pub fn fold_u8_n(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32]) {
+    let count = srcs.len().min(ks.len());
+    let n = srcs.iter().fold(acc.len(), |n, src| n.min(src.len()));
+    // SAFETY: the active table passed its CPUID check; `acc` is cut to what
+    // every source covers and the factors are paired with the sources.
+    unsafe { (active().fold_u8_n)(&mut acc[..n], &srcs[..count], &ks[..count]) };
+}
+
 /// Fused fold of `Uniform8` levels: `acc[i] += f32(levels[i] as i8) * k`,
-/// where `k` is the pre-multiplied `weight * scale`.
+/// where `k` is the pre-multiplied `weight * scale`: [`fold_u8_n`] with one
+/// source.
 pub fn fold_u8(acc: &mut [f32], levels: &[u8], k: f32) {
-    let n = acc.len().min(levels.len());
-    // SAFETY: the active table passed its CPUID check; both slices are cut
-    // to one length.
-    unsafe { (active().fold_u8)(&mut acc[..n], &levels[..n], k) };
+    fold_u8_n(acc, &[levels], &[k]);
 }
 
 /// Fused fold of packed `Uniform4` nibbles starting at element offset
@@ -1098,7 +1117,7 @@ mod tests {
             // SAFETY: `arms` lists only tables the host runs; the levels
             // cover `len` elements and the nibbles `2 * len`.
             unsafe {
-                (arm.fold_u8)(&mut u8_decoded, body, 1.0 * scale);
+                (arm.fold_u8_n)(&mut u8_decoded, &[body], &[1.0 * scale]);
                 (arm.fold_u4_aligned)(&mut u4_decoded, body, 1.0 * scale);
             }
             let (u8_levels, u4_levels) = (
@@ -1136,7 +1155,7 @@ mod tests {
             // SAFETY: `arms` lists only tables the host runs; the levels
             // cover three elements and the nibbles six.
             unsafe {
-                (arm.fold_u8)(&mut u8_decoded, &negative, 1.0 * 0.0);
+                (arm.fold_u8_n)(&mut u8_decoded, &[&negative], &[1.0 * 0.0]);
                 (arm.fold_u4_aligned)(&mut u4_decoded, &[0x99, 0xFF, 0x9F], 1.0 * 0.0);
             }
             assert_eq!(bits(&u8_decoded), [0; 3], "arm {}", arm.name);
@@ -1505,7 +1524,7 @@ pub(crate) mod proptests {
             }
             let mut folded = params.to_vec();
             if wide {
-                scalar::fold_u8(&mut folded, &body, -scale);
+                scalar::fold_u8_n(&mut folded, &[&body], &[-scale]);
             } else {
                 scalar::fold_u4_aligned(&mut folded, &body, -scale);
             }
@@ -1602,6 +1621,96 @@ pub(crate) mod proptests {
             let got_max = unsafe { (arm.add_max)(&mut got, &src[..n]) };
             prop_assert_eq!(bits(&got), bits(&expected), "sums, arm {}", arm.name);
             prop_assert_eq!(got_max.to_bits(), max.to_bits(), "max, arm {}", arm.name);
+        }
+        Ok(())
+    }
+
+    /// The `Uniform8` fold as it was written before it took several sources:
+    /// `acc[i] += f32(levels[i] as i8) * k`, one source per pass.
+    fn fold_u8_formula(acc: &mut [f32], levels: &[u8], k: f32) {
+        for (a, b) in acc.iter_mut().zip(levels) {
+            *a += f32::from(*b as i8) * k;
+        }
+    }
+
+    /// `k`, or — by `tag` — a factor the station fold can hand a `Uniform8`
+    /// source: ±0.0, a negative, a subnormal, a huge or an infinite one. A
+    /// factor is `weight * scale` of a parsed view: the scale is finite, so
+    /// the factor is never NaN, but a large weight can overflow it to ±∞.
+    fn u8_factor(tag: u8, k: f32) -> f32 {
+        match tag {
+            0 => 0.0,
+            1 => -0.0,
+            2 => -k.abs() - 1.0,
+            3 => k * 1e-40,
+            4 => k * 1e30,
+            5 => f32::INFINITY,
+            6 => f32::NEG_INFINITY,
+            _ => k,
+        }
+    }
+
+    /// Eight level sources of `acc.len()` (and a few more) levels from
+    /// `seed`, every seventh of them level 0, each behind `offsets[k]` filler
+    /// bytes: for every count in 1..=8, every table and the wrapper (handed
+    /// the longer sources) fold the bits the formula folds one source at a
+    /// time (with an infinite factor, a NaN lane of `acc` only as a NaN).
+    fn check_fold_u8_n(
+        acc: &[f32],
+        seed: u64,
+        offsets: &[usize],
+        ks: &[f32],
+    ) -> Result<(), String> {
+        let len = acc.len();
+        let buffers: Vec<Vec<u8>> = (offsets.iter().enumerate())
+            .map(|(k, offset)| {
+                let mut words = vec![0u32; len + k];
+                StochasticRng::from_seed(seed.wrapping_add(k as u64)).fill(&mut words);
+                let mut bytes = vec![0xA5u8; *offset];
+                let level = |(i, w): (usize, &u32)| if (i + k) % 7 == 0 { 0 } else { *w as u8 };
+                bytes.extend(words.iter().enumerate().map(level));
+                bytes
+            })
+            .collect();
+        let srcs: Vec<&[u8]> = (buffers.iter().zip(offsets))
+            .map(|(bytes, offset)| &bytes[*offset..])
+            .collect();
+        let exact: Vec<&[u8]> = srcs.iter().map(|src| &src[..len]).collect();
+        // Where an infinite factor meets a level-0 lane (0 · ∞ = NaN) that
+        // already holds a NaN, the add has two NaN operands, and which
+        // payload it keeps is the operand order the compiler picked. Every
+        // other NaN is the one 0 · ∞ or ∞ − ∞ makes, so only a NaN lane of
+        // `acc` can differ — and only in its payload.
+        let infinite = !ks.iter().all(|k| k.is_finite());
+        let compare = |v: &[f32]| -> Vec<u32> {
+            (v.iter().zip(acc))
+                .map(|(x, a)| {
+                    let loose = infinite && a.is_nan() && x.is_nan();
+                    if loose { f32::NAN } else { *x }.to_bits()
+                })
+                .collect()
+        };
+        for n in 1..=srcs.len() {
+            let mut expected = acc.to_vec();
+            for (src, k) in exact[..n].iter().zip(ks) {
+                fold_u8_formula(&mut expected, src, *k);
+            }
+            for arm in arms() {
+                let mut got = acc.to_vec();
+                // SAFETY: `arms` lists only tables the host runs; every
+                // source covers `len` levels and has a factor.
+                unsafe { (arm.fold_u8_n)(&mut got, &exact[..n], &ks[..n]) };
+                prop_assert_eq!(
+                    compare(&got),
+                    compare(&expected),
+                    "{} sources, arm {}",
+                    n,
+                    arm.name
+                );
+            }
+            let mut got = acc.to_vec();
+            fold_u8_n(&mut got, &srcs[..n], &ks[..n]);
+            prop_assert_eq!(compare(&got), compare(&expected), "{} sources, wrapper", n);
         }
         Ok(())
     }
@@ -1722,19 +1831,38 @@ pub(crate) mod proptests {
             }
         }
 
-        /// Uniform8 fold: every table's output is bit-identical to scalar.
+        /// Uniform8 fold: every table's output is bit-identical to the
+        /// single-source formula.
         #[test]
         fn u8_kernels_match(acc in arbitrary_params(), levels in arbitrary_bytes(130), k in -3.0f32..3.0) {
             let n = acc.len().min(levels.len());
-            let mut a_scalar = acc.clone();
-            scalar::fold_u8(&mut a_scalar[..n], &levels[..n], k);
+            let mut a_formula = acc.clone();
+            fold_u8_formula(&mut a_formula[..n], &levels[..n], k);
             for arm in arms() {
                 let mut a_simd = acc.clone();
                 // SAFETY: `arms` lists only tables the host runs; the levels
                 // cover `n` elements.
-                unsafe { (arm.fold_u8)(&mut a_simd[..n], &levels[..n], k) };
-                prop_assert_eq!(bits(&a_scalar), bits(&a_simd), "fold, arm {}", arm.name);
+                unsafe { (arm.fold_u8_n)(&mut a_simd[..n], &[&levels[..n]], &[k]) };
+                prop_assert_eq!(bits(&a_formula), bits(&a_simd), "fold, arm {}", arm.name);
             }
+        }
+
+        /// `fold_u8_n` on every table, and its wrapper over longer sources,
+        /// ≡ one single-source fold per source in turn (the old `fold_u8`
+        /// formula), bit for bit, for 1..=8 sources, over every sub-vector
+        /// tail, sources at byte offsets off any 32-byte boundary, NaN, ±∞
+        /// and −0.0 in the accumulator, and factors of 0, ±0, negative,
+        /// subnormal, huge and infinite magnitude (with an infinite one, a
+        /// NaN accumulator lane compares as a NaN).
+        #[test]
+        fn fold_u8_n_is_sequential_single_source_folds(
+            acc in arbitrary_params(),
+            seed in any::<u64>(),
+            offsets in proptest::collection::vec(0usize..32, 8..=8),
+            ks in proptest::collection::vec((0u8..12, -3.0f32..3.0), 8..=8),
+        ) {
+            let ks: Vec<f32> = ks.into_iter().map(|(tag, k)| u8_factor(tag, k)).collect();
+            check_fold_u8_n(&acc, seed, &offsets, &ks)?;
         }
 
         /// Uniform4 fold (both start parities, through [`fold_u4`]'s
@@ -1980,6 +2108,34 @@ pub(crate) mod proptests {
         }
     }
 
+    /// `fold_u8_n` ≡ sequential single-source folds at every length up to
+    /// 70, around the station fold's 2 048-element block and at a 2¹⁸
+    /// model, for every source count, with NaN, ±∞, −0.0 and subnormal
+    /// accumulator lanes, factors of 0, −0.0, negative, subnormal and
+    /// ordinary size, and ±∞ factors over level-0 lanes (a NaN accumulator
+    /// lane then compared as a NaN).
+    #[test]
+    fn fold_u8_n_is_sequential_single_source_folds_at_every_dim() {
+        let finite = [0.0f32, -0.75, 1e-40, -0.0, 2.5, -3e-39, 0.125, -1.0];
+        let infinite = [
+            0.5f32,
+            f32::INFINITY,
+            -0.0,
+            f32::NEG_INFINITY,
+            1e-40,
+            -2.0,
+            0.0,
+            3.0,
+        ];
+        let offsets = [0, 1, 3, 7, 8, 13, 31, 16];
+        for dim in (0..=70).chain([2047, 2048, 2049, 1 << 18]) {
+            let acc = long_params(dim, 0);
+            for ks in [&finite, &infinite] {
+                check_fold_u8_n(&acc, dim as u64, &offsets, ks).unwrap();
+            }
+        }
+    }
+
     /// The arms listed are every arm the host's CPUID reports, so on an
     /// AVX-512 host every parity property above runs the 16-lane encoders.
     #[test]
@@ -2023,7 +2179,7 @@ pub(crate) mod proptests {
                     // Decoded as the codec decodes: folded into zeros.
                     let mut decoded = vec![0.0f32; params.len()];
                     if levels > 7.0 {
-                        scalar::fold_u8(&mut decoded, &wire, 1.0 * scale);
+                        scalar::fold_u8_n(&mut decoded, &[&wire], &[1.0 * scale]);
                     } else {
                         scalar::fold_u4_aligned(&mut decoded, &wire, 1.0 * scale);
                     }

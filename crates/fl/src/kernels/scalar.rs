@@ -42,10 +42,18 @@ pub(super) fn decode_dense_le(out: &mut [f32], body: &[u8]) {
     }
 }
 
-/// Fused fold of `Uniform8` levels: `acc[i] += f32(levels[i] as i8) * k`.
-pub(super) fn fold_u8(acc: &mut [f32], levels: &[u8], k: f32) {
-    for (a, b) in acc.iter_mut().zip(levels) {
-        *a += f32::from(*b as i8) * k;
+/// Fused fold of `Uniform8` level sources, one accumulator load and store
+/// per element: `acc[i] = (acc[i] + f32(l_0[i] as i8) * k_0) + … `, the adds
+/// chained in source order — so the result is bit-identical to one
+/// single-source fold per source in turn. Every source holds at least
+/// `acc.len()` levels; sources and factors pair up in order.
+pub(super) fn fold_u8_n(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32]) {
+    for (i, a) in acc.iter_mut().enumerate() {
+        let mut v = *a;
+        for (src, k) in srcs.iter().zip(ks) {
+            v += f32::from(src[i] as i8) * k;
+        }
+        *a = v;
     }
 }
 
@@ -287,7 +295,7 @@ pub(super) fn encode_u8(
 
 /// [`encode_u8`] of an error-feedback residual with the fold-back fused in,
 /// a block at a time: the block is quantized into `out`, then what was kept
-/// is folded back out of it with [`fold_u8`] (`k` is `-1.0 * scale`), so the
+/// is folded back out of it with [`fold_u8_n`] (`k` is `-1.0 * scale`), so the
 /// residual is walked once, while it is cache-resident.
 pub(super) fn feedback_append_u8(
     residual: &mut [f32],
@@ -302,7 +310,7 @@ pub(super) fn feedback_append_u8(
         .zip(out.chunks_mut(RAND_BLOCK))
     {
         encode_u8(r, inv, levels, rng, o);
-        fold_u8(r, o, k);
+        fold_u8_n(r, &[o], &[k]);
     }
 }
 

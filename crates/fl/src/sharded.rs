@@ -11,11 +11,15 @@
 //!   per update, cutting memory traffic from `(2N + N)·dim·4` bytes to
 //!   `(2 + N)·dim·4` for an N-update batch.
 //! * **Multi-source passes** — inside a block, each run of up to eight
-//!   consecutive dense (`Identity`) views folds in one kernel call
-//!   ([`kernels::fold_dense_le_n`]) that loads and stores every accumulator
-//!   element once, the views' adds chained in batch order. For N dense
-//!   views the block makes `⌈N/8⌉` load/store passes instead of `N`; a
-//!   quantized view still makes a pass of its own.
+//!   consecutive views of one codec folds in one kernel call that loads and
+//!   stores every accumulator element once, the views' adds chained in
+//!   batch order: dense (`Identity`) views through
+//!   [`kernels::fold_dense_le_n`], `Uniform8` views through
+//!   [`kernels::fold_u8_n`]. For N such views the block makes `⌈N/8⌉`
+//!   load/store passes instead of `N`; a `Uniform4` view still makes a pass
+//!   of its own. A run that is one such group — at most eight views, all
+//!   `Identity` or all `Uniform8` — is one pass already, so it is not
+//!   blocked: it streams over the whole vector.
 //!
 //! The fold runs on the calling thread only: a station's parallelism is the
 //! level it belongs to, whose stations the session's worker set folds side
@@ -42,9 +46,28 @@ use crate::kernels;
 use crate::model::DenseModel;
 use lifl_types::{CodecKind, LiflError, Result};
 
-/// Elements per cache block (8 KiB of `f32`: the block of the accumulator
-/// and the matching slice of one update together fit comfortably in L1).
+/// Elements per cache block of a run that takes more than one accumulator
+/// pass (8 KiB of `f32`: the block of the accumulator and the matching slice
+/// of one update together fit comfortably in L1).
+///
+/// A run that is one multi-source group — at most [`MAX_SOURCES`] views of
+/// one codec, `Identity` or `Uniform8` — is not blocked at all: it is one
+/// accumulator pass either way, and blocks only cut each source stream into
+/// pieces. Any other run (one holding a `Uniform4` view, or views of both
+/// codecs) makes several passes, and stays blocked so that they reuse an
+/// L1-resident block instead of each streaming the whole accumulator. Measured on one vCPU of a KVM Intel Xeon (family 6, model 207,
+/// 2 MiB L2), eight cold 256 KiB `Uniform8` views into a zeroed 2¹⁸-element
+/// accumulator took ≈ 950–1 020 µs as eight single-source folds, ≈ 460–530 µs
+/// as one fused call per 2 048-element block and ≈ 450–515 µs as one fused
+/// call over the whole vector (medians of two runs of five; the same bits
+/// each time). End to end the unblocked pass read `quant_cluster` `act_ms`
+/// 4.69 against 4.79 ms blocked, and `dense_session`, whose leaves fold
+/// eight 4 MiB dense views, ≈ 5 % lower than the blocked parent (four
+/// alternating pairs each).
 const BLOCK_ELEMS: usize = 2048;
+
+/// Most views one multi-source kernel call folds on its vector arm.
+const MAX_SOURCES: usize = 8;
 
 impl CumulativeFedAvg {
     /// Folds a batch of `(view, samples)` pairs cache-blocked, with the
@@ -96,8 +119,19 @@ impl CumulativeFedAvg {
             }
             let run = &updates[next..];
             let run = &run[..run.iter().take_while(|(view, _)| !is_topk(view)).count()];
-            for (index, block) in sum.chunks_mut(BLOCK_ELEMS).enumerate() {
-                fold_block(run, index * BLOCK_ELEMS, block);
+            // A run that is one group is one pass: nothing to keep cached.
+            let codec = run[0].0.codec();
+            let one_group = run.len() <= MAX_SOURCES
+                && run
+                    .iter()
+                    .all(|(view, _)| view.codec() == codec && view.source_from(0).is_some());
+            let block = if one_group {
+                sum.len().max(1)
+            } else {
+                BLOCK_ELEMS
+            };
+            for (index, chunk) in sum.chunks_mut(block).enumerate() {
+                fold_block(run, index * block, chunk);
             }
             next += run.len();
         }
@@ -109,27 +143,35 @@ impl CumulativeFedAvg {
 
 /// Folds `run` — views of any codec but `TopK` — into `block`, the
 /// accumulator's elements from `at` on, in batch order: each group of up to
-/// eight consecutive `Identity` views in one accumulator pass
-/// ([`kernels::fold_dense_le_n`]), every other view in a pass of its own.
+/// [`MAX_SOURCES`] consecutive views of one multi-source codec in one
+/// accumulator pass (`Identity` through [`kernels::fold_dense_le_n`],
+/// `Uniform8` through [`kernels::fold_u8_n`]), every other view in a pass of
+/// its own.
 fn fold_block(run: &[(EncodedView<'_>, u64)], at: usize, block: &mut [f32]) {
     let mut rest = run;
     while let Some((view, samples)) = rest.first() {
-        let mut srcs: [&[u8]; 8] = [&[]; 8];
-        let mut weights = [0.0f32; 8];
-        let mut dense = 0;
+        let codec = view.codec();
+        let mut srcs: [&[u8]; MAX_SOURCES] = [&[]; MAX_SOURCES];
+        let mut weights = [0.0f32; MAX_SOURCES];
+        let mut grouped = 0;
         for ((view, samples), (src, weight)) in rest.iter().zip(srcs.iter_mut().zip(&mut weights)) {
-            let Some(bytes) = view.dense_from(at) else {
+            let Some((bytes, factor)) = view.source_from(at).filter(|_| view.codec() == codec)
+            else {
                 break;
             };
-            (*src, *weight) = (bytes, *samples as f32);
-            dense += 1;
+            (*src, *weight) = (bytes, *samples as f32 * factor);
+            grouped += 1;
         }
-        let folded = if dense == 0 {
+        let (srcs, weights) = (&srcs[..grouped], &weights[..grouped]);
+        let folded = if grouped == 0 {
             view.fold_range_into(*samples as f32, at, block);
             1
+        } else if codec == CodecKind::Uniform8 {
+            kernels::fold_u8_n(block, srcs, weights);
+            grouped
         } else {
-            kernels::fold_dense_le_n(block, &srcs[..dense], &weights[..dense]);
-            dense
+            kernels::fold_dense_le_n(block, srcs, weights);
+            grouped
         };
         rest = &rest[folded..];
     }
@@ -323,6 +365,49 @@ mod tests {
             views.push((sparse.view(), updates[23].samples));
             views.extend_from_slice(&dense[24..]);
             assert_eq!(views.len(), 33);
+            assert_eq!(
+                folded_as_batch(dim, &views),
+                folded_sequentially(dim, &views),
+                "dim {dim}"
+            );
+        }
+    }
+
+    #[test]
+    fn uniform8_groups_across_blocks_and_codecs_fold_the_sequential_bits() {
+        // A blocked run of 11 `Uniform8` views (groups of 8 and 3) and 2
+        // dense ones; a `TopK` view; a blocked run of 9 `Uniform8` views, a
+        // `Uniform4` view that ends their group of 1 and 2 more; a `TopK`
+        // view; a short blocked run of 3 `Uniform8` and 2 dense views; a
+        // `TopK` view; a short run of 2 `Uniform4` views and 1 `Uniform8`
+        // one; a `TopK` view; then an unblocked run of 4 `Uniform8` views.
+        let kinds: Vec<CodecKind> = [
+            (CodecKind::Uniform8, 11),
+            (CodecKind::Identity, 2),
+            (CodecKind::TopK { permille: 50 }, 1),
+            (CodecKind::Uniform8, 9),
+            (CodecKind::Uniform4, 1),
+            (CodecKind::Uniform8, 2),
+            (CodecKind::TopK { permille: 50 }, 1),
+            (CodecKind::Uniform8, 3),
+            (CodecKind::Identity, 2),
+            (CodecKind::TopK { permille: 50 }, 1),
+            (CodecKind::Uniform4, 2),
+            (CodecKind::Uniform8, 1),
+            (CodecKind::TopK { permille: 50 }, 1),
+            (CodecKind::Uniform8, 4),
+        ]
+        .into_iter()
+        .flat_map(|(kind, count)| std::iter::repeat_n(kind, count))
+        .collect();
+        for dim in [70usize, 2047, 2048, 2049, 10_000] {
+            let updates = batch(kinds.len(), dim);
+            let encoded: Vec<_> = (kinds.iter().zip(&updates))
+                .map(|(kind, u)| UpdateCodec::new(*kind).encode(&u.model))
+                .collect();
+            let views: Vec<_> = (encoded.iter().zip(&updates))
+                .map(|(e, u)| (e.view(), u.samples))
+                .collect();
             assert_eq!(
                 folded_as_batch(dim, &views),
                 folded_sequentially(dim, &views),

@@ -1,7 +1,8 @@
 //! A slab of reusable scratch buffers for the aggregation hot path.
 //!
-//! Every interior aggregator in LIFL decodes, folds and re-encodes model
-//! updates continuously; allocating a fresh model-sized `Vec` per update puts
+//! Every aggregator in LIFL folds model updates into an accumulator and
+//! hands its output on (encoded, where it crosses to the global top)
+//! continuously; allocating a fresh model-sized `Vec` per update puts
 //! the allocator on the Recv+Agg critical path (§5.4). [`BufferPool`] keeps
 //! checked-in `Vec<f32>` / `Vec<u8>` buffers alive between uses so a
 //! steady-state round performs **zero** model-sized heap allocations after
