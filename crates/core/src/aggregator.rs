@@ -231,16 +231,22 @@ impl AggregatorRuntime {
         if let Some((first, _)) = views.first() {
             self.warm_accumulator(first.dim());
         }
-        self.accumulator
-            .fold_encoded_batch(&views)
-            .map_err(|e| (None, e))?;
+        // The batch that meets the goal may store the average from its last
+        // pass, so `send` finds the sum scaled already.
+        let folded = if self.aggregated + views.len() as u64 >= self.goal {
+            self.accumulator.fold_closing_batch(&views)
+        } else {
+            self.accumulator.fold_encoded_batch(&views)
+        };
+        folded.map_err(|e| (None, e))?;
         Ok(views.len())
     }
 
     /// Draws the round's accumulator from the codec's pool when the
     /// accumulator holds no buffer yet: in steady state that is the vector a
     /// previous round's `send` moved into the store, come home when the
-    /// object was recycled.
+    /// object was recycled, still holding that round's average — the next
+    /// fold writes over it without reading it.
     fn warm_accumulator(&mut self, dim: usize) {
         self.accumulator.warm_from(self.codec.pool(), dim);
     }
@@ -252,6 +258,14 @@ impl AggregatorRuntime {
     /// pooled buffer returns to the codec's pool when the object is
     /// recycled, or at once if the store refuses it, and so does the
     /// accumulator an encode has finished reading.
+    ///
+    /// The runtime knows its goal, so the drained batch that met it was
+    /// folded as the closing batch: when that batch's last pass was the one
+    /// pass over every element it stored the average, and finalising here
+    /// writes nothing (see `CumulativeFedAvg::fold_closing_batch`); a round
+    /// met by [`AggregatorRuntime::poll`], blocked or `TopK`-last, or under a
+    /// robust policy, is scaled here as before — the same bits either way.
+    /// A station's accumulator is therefore written once per round.
     ///
     /// # Errors
     /// Returns an error if the goal has not been met or the store is full.

@@ -57,6 +57,26 @@ pub struct CumulativeFedAvg {
     pub(crate) weighted_sum: DenseModel,
     pub(crate) total_samples: u64,
     pub(crate) updates_folded: u64,
+    /// What `weighted_sum`'s buffer holds.
+    pub(crate) held: Held,
+}
+
+/// What the buffer behind a [`CumulativeFedAvg`]'s sum holds. Each element
+/// of a round's sum is multiplied by the round's factor exactly once, after
+/// its last add: by the closing batch's pass ([`Held::Average`]) or else by
+/// [`CumulativeFedAvg::finalize`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum Held {
+    /// The running weighted sum: zeros before the first fold.
+    #[default]
+    Sum,
+    /// Nothing yet: a pooled buffer as an earlier round left it. The
+    /// round's first accumulator pass writes every element without reading
+    /// one; a fold that reads the sum zero-fills it first, once.
+    Stale,
+    /// The round's average: the batch that completed the round stored it
+    /// already scaled, so the sum takes no further fold.
+    Average,
 }
 
 impl CumulativeFedAvg {
@@ -66,18 +86,42 @@ impl CumulativeFedAvg {
             weighted_sum: DenseModel::zeros(dim),
             total_samples: 0,
             updates_folded: 0,
+            held: Held::Sum,
         }
     }
 
     /// Backs an accumulator that holds no buffer yet (fresh, or emptied by
     /// [`CumulativeFedAvg::finalize`]) with one checked out of `pool`, so
     /// the first fold of a round writes into memory a previous round already
-    /// touched instead of allocating. The fold starts from the zeros
-    /// [`lifl_shmem::BufferPool::checkout_f32`] guarantees, whatever the
-    /// buffer held before. A no-op once a buffer is in place.
+    /// touched instead of allocating. The buffer comes back holding whatever
+    /// it held ([`lifl_shmem::BufferPool::checkout_f32`]), and nothing zeroes
+    /// it here: the round's first batch pass starts every element from zeros
+    /// held in registers and writes it without reading it, and a fold that
+    /// must read the sum (a single-view fold, a `TopK` scatter first in its
+    /// batch) zero-fills it first, once. A no-op once a buffer is in place.
     pub fn warm_from(&mut self, pool: &lifl_shmem::BufferPool, dim: usize) {
         if self.weighted_sum.is_empty() && dim > 0 {
             self.weighted_sum = DenseModel::from_vec(pool.checkout_f32(dim));
+            self.held = Held::Stale;
+        }
+    }
+
+    /// Refuses a fold into an accumulator whose round a closing batch
+    /// already averaged ([`CumulativeFedAvg::fold_closing_batch`]): the sum
+    /// it would add to is gone.
+    pub(crate) fn check_open(&self) -> Result<()> {
+        match self.held {
+            Held::Average => Err(LiflError::InvalidAggregationGoal(self.updates_folded)),
+            Held::Sum | Held::Stale => Ok(()),
+        }
+    }
+
+    /// Readies the sum for a fold that reads it: a stale buffer is
+    /// zero-filled here, once.
+    fn zero_stale(&mut self) {
+        if self.held == Held::Stale {
+            self.weighted_sum.as_mut_slice().fill(0.0);
+            self.held = Held::Sum;
         }
     }
 
@@ -96,9 +140,11 @@ impl CumulativeFedAvg {
     /// # Errors
     /// Returns [`LiflError::DimensionMismatch`] on a dimension mismatch and
     /// [`LiflError::InvalidAggregationGoal`] for an update carrying zero
-    /// samples or samples that would overflow the folded `u64` total, before
-    /// any state changes.
+    /// samples or samples that would overflow the folded `u64` total, or
+    /// into a round a closing batch already averaged, before any state
+    /// changes.
     pub fn fold(&mut self, update: &ModelUpdate) -> Result<()> {
+        self.check_open()?;
         let total = add_samples(self.total_samples, update.samples)?;
         if self.weighted_sum.is_empty() {
             self.weighted_sum = DenseModel::zeros(update.model.dim());
@@ -109,6 +155,7 @@ impl CumulativeFedAvg {
                 actual: update.model.dim(),
             });
         }
+        self.zero_stale();
         self.weighted_sum
             .axpy(update.samples as f32, &update.model)?;
         self.total_samples = total;
@@ -134,10 +181,12 @@ impl CumulativeFedAvg {
     /// # Errors
     /// Same conditions as [`CumulativeFedAvg::fold`].
     pub fn fold_encoded_view(&mut self, view: &EncodedView<'_>, samples: u64) -> Result<()> {
+        self.check_open()?;
         let total = add_samples(self.total_samples, samples)?;
         if self.weighted_sum.is_empty() {
             self.weighted_sum = DenseModel::zeros(view.dim());
         }
+        self.zero_stale();
         view.fold_into(samples as f32, self.weighted_sum.as_mut_slice())?;
         self.total_samples = total;
         self.updates_folded += 1;
@@ -177,7 +226,12 @@ impl CumulativeFedAvg {
     }
 
     /// Produces the aggregated model as an intermediate update, leaving the
-    /// accumulator empty for reuse.
+    /// accumulator empty for reuse. The sum is scaled by `1 / total` here
+    /// only when no closing batch stored it scaled already
+    /// ([`CumulativeFedAvg::fold_closing_batch`]): a round folded one view
+    /// at a time, one whose last batch made several passes (a blocked run,
+    /// or a `TopK` view last), or one no batch closed. Either way every
+    /// element is multiplied by the same factor once, after its last add.
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidAggregationGoal`] if nothing has been folded.
@@ -186,7 +240,9 @@ impl CumulativeFedAvg {
             return Err(LiflError::InvalidAggregationGoal(self.updates_folded));
         }
         let mut model = std::mem::take(&mut self.weighted_sum);
-        model.scale(1.0 / self.total_samples as f32);
+        if std::mem::take(&mut self.held) != Held::Average {
+            model.scale(1.0 / self.total_samples as f32);
+        }
         let samples = self.total_samples;
         self.total_samples = 0;
         self.updates_folded = 0;
@@ -194,9 +250,10 @@ impl CumulativeFedAvg {
     }
 
     /// Allocation-free [`CumulativeFedAvg::finalize`]: writes the aggregated
-    /// model into `out` (resizing it only if the dimension changed), zeroes
-    /// the accumulator *in place* so the next round reuses its allocation,
-    /// and returns the total sample count.
+    /// model into `out` (resizing it only if the dimension changed) and
+    /// keeps the accumulator's buffer, stale, so the next round reuses its
+    /// allocation and its first pass writes it without reading it; returns
+    /// the total sample count.
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidAggregationGoal`] if nothing has been folded.
@@ -204,10 +261,11 @@ impl CumulativeFedAvg {
         if self.updates_folded == 0 || self.total_samples == 0 {
             return Err(LiflError::InvalidAggregationGoal(self.updates_folded));
         }
-        let inv = 1.0 / self.total_samples as f32;
         out.copy_from_slice(self.weighted_sum.as_slice());
-        out.scale(inv);
-        self.weighted_sum.as_mut_slice().fill(0.0);
+        if self.held != Held::Average {
+            out.scale(1.0 / self.total_samples as f32);
+        }
+        self.held = Held::Stale;
         let samples = self.total_samples;
         self.total_samples = 0;
         self.updates_folded = 0;
@@ -336,6 +394,63 @@ mod tests {
             u.model.as_slice().iter().map(|v| v.to_bits()).collect()
         };
         assert_eq!(bits(&warmed), bits(&fresh));
+    }
+
+    /// `drain_into` leaves the buffer stale rather than zeroing it: a next
+    /// round folded by batch (its first pass writes without reading) or one
+    /// update at a time (which zero-fills first) gets the bits a fresh
+    /// accumulator gets, round after round.
+    #[test]
+    fn a_drained_accumulator_folds_the_next_round_like_a_fresh_one() {
+        let dim = 2100;
+        let rounds: Vec<Vec<ModelUpdate>> = (0..3u64)
+            .map(|r| {
+                (0..4u64)
+                    .map(|i| {
+                        let values = (0..dim)
+                            .map(|d| ((d as u64 * 7 + i * 31 + r) % 89) as f32 * 0.02 - 0.9);
+                        update(i, values.collect(), i + r + 1)
+                    })
+                    .collect()
+            })
+            .collect();
+        let bits =
+            |m: &DenseModel| -> Vec<u32> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let pool = lifl_shmem::BufferPool::new();
+        let mut dirty = pool.checkout_f32(dim);
+        dirty.fill(f32::NAN);
+        pool.checkin_f32(dirty);
+        let mut acc = CumulativeFedAvg::default();
+        acc.warm_from(&pool, dim);
+        let mut out = DenseModel::zeros(dim);
+        for (round, updates) in rounds.iter().enumerate() {
+            let views: Vec<_> = updates
+                .iter()
+                .map(|u| {
+                    (
+                        EncodedView::identity_over(crate::kernels::le_bytes(u.model.as_slice())),
+                        u.samples,
+                    )
+                })
+                .collect();
+            if round == 1 {
+                for u in updates {
+                    acc.fold(u).unwrap();
+                }
+            } else {
+                acc.fold_closing_batch(&views).unwrap();
+            }
+            assert_eq!(
+                acc.drain_into(&mut out).unwrap(),
+                fedavg(updates).unwrap().samples
+            );
+            assert_eq!(acc.held, Held::Stale, "round {round}");
+            assert_eq!(
+                bits(&out),
+                bits(&fedavg(updates).unwrap().model),
+                "round {round}"
+            );
+        }
     }
 
     #[test]

@@ -75,7 +75,8 @@
 
 use core::arch::x86_64::*;
 
-use super::{scalar, Keys, StochasticRng, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2};
+use super::{scalar, Keys, Pass, StochasticRng, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2};
+use std::mem::MaybeUninit;
 
 /// Builds the sign-magnitude nibble lookup table in a register: lane `i`
 /// holds `scalar::NIBBLE_F32[i]` as an `i8`.
@@ -110,24 +111,25 @@ unsafe fn unpack_nibbles(bytes: __m128i) -> __m128i {
 // `acc` cut so that every source covers `4 * acc.len()` bytes, which is what
 // `fold_sources` needs. A count past eight falls through to the scalar arm.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32]) {
+pub(super) unsafe fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32], pass: Pass) {
     match srcs.len() {
-        1 => fold_sources::<1>(acc, srcs, weights),
-        2 => fold_sources::<2>(acc, srcs, weights),
-        3 => fold_sources::<3>(acc, srcs, weights),
-        4 => fold_sources::<4>(acc, srcs, weights),
-        5 => fold_sources::<5>(acc, srcs, weights),
-        6 => fold_sources::<6>(acc, srcs, weights),
-        7 => fold_sources::<7>(acc, srcs, weights),
-        8 => fold_sources::<8>(acc, srcs, weights),
-        _ => scalar::fold_dense_le_n(acc, srcs, weights),
+        1 => fold_sources::<1>(acc, srcs, weights, pass),
+        2 => fold_sources::<2>(acc, srcs, weights, pass),
+        3 => fold_sources::<3>(acc, srcs, weights, pass),
+        4 => fold_sources::<4>(acc, srcs, weights, pass),
+        5 => fold_sources::<5>(acc, srcs, weights, pass),
+        6 => fold_sources::<6>(acc, srcs, weights, pass),
+        7 => fold_sources::<7>(acc, srcs, weights, pass),
+        8 => fold_sources::<8>(acc, srcs, weights, pass),
+        _ => scalar::fold_dense_le_n(acc, srcs, weights, pass),
     }
 }
 
 /// [`fold_dense_le_n`] over exactly `N` sources: per 8 lanes, one
-/// accumulator load, `N` chained `v + w_k * s_k` in source order (the
-/// multiply and the add separate, as the scalar arm does them) and one
-/// store; the sub-vector tail goes to the scalar arm.
+/// accumulator load (on a fresh pass, a zeroed register instead), `N`
+/// chained `v + w_k * s_k` in source order (the multiply and the add
+/// separate, as the scalar arm does them), the pass's scale multiplied in if
+/// it has one, and one store; the sub-vector tail goes to the scalar arm.
 ///
 /// A NaN sum must end up as the canonical NaN: which payload it carries
 /// depends on operand order, and the compiler treats `addps`/`mulps` as
@@ -148,7 +150,12 @@ pub(super) unsafe fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &
 // `4 * acc.len()` bytes (the caller's contract).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn fold_sources<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32]) {
+unsafe fn fold_sources<const N: usize>(
+    acc: &mut [f32],
+    srcs: &[&[u8]],
+    weights: &[f32],
+    pass: Pass,
+) {
     let n = acc.len();
     let mut w = [_mm256_setzero_ps(); N];
     for (slot, wk) in w.iter_mut().zip(weights) {
@@ -158,12 +165,20 @@ unsafe fn fold_sources<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], weights:
     for (slot, src) in from.iter_mut().zip(srcs) {
         *slot = src.as_ptr().cast();
     }
+    let scale = _mm256_set1_ps(pass.scale.unwrap_or(1.0));
     let out = acc.as_mut_ptr();
     // The 8 lanes at `i`: folded, stored, and returned for the NaN check.
     let fold8 = |i: usize| {
-        let mut v = _mm256_loadu_ps(out.add(i));
+        let mut v = if pass.fresh {
+            _mm256_setzero_ps()
+        } else {
+            _mm256_loadu_ps(out.add(i))
+        };
         for (src, wk) in from.iter().zip(w) {
             v = _mm256_add_ps(v, _mm256_mul_ps(wk, _mm256_loadu_ps(src.add(i))));
+        }
+        if pass.scale.is_some() {
+            v = _mm256_mul_ps(v, scale);
         }
         _mm256_storeu_ps(out.add(i), v);
         v
@@ -189,7 +204,7 @@ unsafe fn fold_sources<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], weights:
     for (tail, src) in tails.iter_mut().zip(srcs) {
         *tail = &src[4 * i..];
     }
-    scalar::fold_dense_le_n(&mut acc[i..], &tails, &weights[..N]);
+    scalar::fold_dense_le_n(&mut acc[i..], &tails, &weights[..N], pass);
 }
 
 /// Safety: caller must have verified AVX2 support at runtime; `srcs` and
@@ -200,29 +215,32 @@ unsafe fn fold_sources<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], weights:
 // `acc` cut so that every source covers `acc.len()` levels, which is what
 // `fold_levels` needs. A count past eight falls through to the scalar arm.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn fold_u8_n(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32]) {
+pub(super) unsafe fn fold_u8_n(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32], pass: Pass) {
     match srcs.len() {
-        1 => fold_levels::<1>(acc, srcs, ks),
-        2 => fold_levels::<2>(acc, srcs, ks),
-        3 => fold_levels::<3>(acc, srcs, ks),
-        4 => fold_levels::<4>(acc, srcs, ks),
-        5 => fold_levels::<5>(acc, srcs, ks),
-        6 => fold_levels::<6>(acc, srcs, ks),
-        7 => fold_levels::<7>(acc, srcs, ks),
-        8 => fold_levels::<8>(acc, srcs, ks),
-        _ => scalar::fold_u8_n(acc, srcs, ks),
+        1 => fold_levels::<1>(acc, srcs, ks, pass),
+        2 => fold_levels::<2>(acc, srcs, ks, pass),
+        3 => fold_levels::<3>(acc, srcs, ks, pass),
+        4 => fold_levels::<4>(acc, srcs, ks, pass),
+        5 => fold_levels::<5>(acc, srcs, ks, pass),
+        6 => fold_levels::<6>(acc, srcs, ks, pass),
+        7 => fold_levels::<7>(acc, srcs, ks, pass),
+        8 => fold_levels::<8>(acc, srcs, ks, pass),
+        _ => scalar::fold_u8_n(acc, srcs, ks, pass),
     }
 }
 
 /// [`fold_u8_n`] over exactly `N` sources: per 8 lanes, one accumulator
-/// load, `N` chained `v + level_k * k_k` in source order (the multiply and
-/// the add separate, as the scalar arm does them) and one store; the
-/// sub-vector tail goes to the scalar arm. There is no NaN rewrite, unlike
-/// the dense fold: a level is never NaN, so while every factor is finite an
-/// add has at most one NaN operand, whose payload both arms return. An
-/// infinite factor (a parsed view's scale is finite, but `weight * scale`
-/// can overflow) makes 0 · ∞ = NaN at a level-0 lane; where that meets a
-/// NaN accumulator lane the sum is NaN on every arm, its payload unpinned.
+/// load (on a fresh pass, a zeroed register instead), `N` chained
+/// `v + level_k * k_k` in source order (the multiply and the add separate,
+/// as the scalar arm does them), the pass's scale multiplied in if it has
+/// one, and one store; the sub-vector tail goes to the scalar arm. There is
+/// no NaN rewrite, unlike the dense fold: a level is never NaN, so while
+/// every factor is finite an add has at most one NaN operand, whose payload
+/// both arms return. An infinite factor (a parsed view's scale is finite,
+/// but `weight * scale` can overflow) makes 0 · ∞ = NaN at a level-0 lane;
+/// where that meets a NaN accumulator lane the sum is NaN on every arm, its
+/// payload unpinned. A fresh pass loads no accumulator lane, so from zeros
+/// every NaN is the one 0 · ∞ or ∞ − ∞ makes and every bit is pinned.
 ///
 /// Safety: caller must have verified AVX2 support at runtime; `srcs` and
 /// `ks` hold at least `N` entries, and every source at least `acc.len()`
@@ -234,7 +252,7 @@ pub(super) unsafe fn fold_u8_n(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32]) {
 // caller's contract).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn fold_levels<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32]) {
+unsafe fn fold_levels<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32], pass: Pass) {
     let n = acc.len();
     let mut k = [_mm256_setzero_ps(); N];
     for (slot, kk) in k.iter_mut().zip(ks) {
@@ -244,14 +262,22 @@ unsafe fn fold_levels<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32
     for (slot, src) in from.iter_mut().zip(srcs) {
         *slot = src.as_ptr();
     }
+    let scale = _mm256_set1_ps(pass.scale.unwrap_or(1.0));
     let out = acc.as_mut_ptr();
     let mut i = 0usize;
     while i + 8 <= n {
-        let mut v = _mm256_loadu_ps(out.add(i));
+        let mut v = if pass.fresh {
+            _mm256_setzero_ps()
+        } else {
+            _mm256_loadu_ps(out.add(i))
+        };
         for (src, kk) in from.iter().zip(k) {
             let b = _mm_loadl_epi64(src.add(i).cast::<__m128i>());
             let level = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(b));
             v = _mm256_add_ps(v, _mm256_mul_ps(level, kk));
+        }
+        if pass.scale.is_some() {
+            v = _mm256_mul_ps(v, scale);
         }
         _mm256_storeu_ps(out.add(i), v);
         i += 8;
@@ -260,7 +286,7 @@ unsafe fn fold_levels<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32
     for (tail, src) in tails.iter_mut().zip(srcs) {
         *tail = &src[i..];
     }
-    scalar::fold_u8_n(&mut acc[i..], &tails, &ks[..N]);
+    scalar::fold_u8_n(&mut acc[i..], &tails, &ks[..N], pass);
 }
 
 /// Safety: caller must have verified AVX2 support at runtime. `acc` element
@@ -523,7 +549,12 @@ pub(super) unsafe fn add_compact_topk(
     }
     body.set_len(len);
     if len > limit {
-        fold_sources::<1>(&mut acc[i..], &[super::le_bytes(&src[i..])], &[1.0]);
+        fold_sources::<1>(
+            &mut acc[i..],
+            &[super::le_bytes(&src[i..])],
+            &[1.0],
+            Pass::ADD,
+        );
         return false;
     }
     scalar::add_compact_topk(
@@ -774,7 +805,7 @@ unsafe fn quantize_u8<const FEEDBACK: bool>(
     k: f32,
     levels: f32,
     rng: &mut StochasticRng,
-    out: &mut [u8],
+    out: &mut [MaybeUninit<u8>],
 ) -> usize {
     let invv = _mm256_set1_ps(inv);
     let kv = _mm256_set1_ps(k);
@@ -792,7 +823,7 @@ unsafe fn quantize_u8<const FEEDBACK: bool>(
             _mm256_extracti128_si256::<1>(li),
         );
         let p8 = _mm_packs_epi16(p16, p16);
-        _mm_storel_epi64(out.as_mut_ptr().add(i) as *mut __m128i, p8);
+        _mm_storel_epi64(out.as_mut_ptr().add(i).cast::<__m128i>(), p8);
         if FEEDBACK {
             // `f32(level)` is what `fold_u8_n` reads back out of the byte.
             let kept = _mm256_mul_ps(_mm256_cvtepi32_ps(li), kv);
@@ -815,7 +846,7 @@ pub(super) unsafe fn encode_u8(
     inv: f32,
     levels: f32,
     rng: &mut StochasticRng,
-    out: &mut [u8],
+    out: &mut [MaybeUninit<u8>],
 ) {
     let values = params.as_ptr().cast_mut();
     let i = quantize_u8::<false>(values, params.len(), inv, 0.0, levels, rng, out);
@@ -834,7 +865,7 @@ pub(super) unsafe fn feedback_append_u8(
     k: f32,
     levels: f32,
     rng: &mut StochasticRng,
-    out: &mut [u8],
+    out: &mut [MaybeUninit<u8>],
 ) {
     let values = residual.as_mut_ptr();
     let i = quantize_u8::<true>(values, residual.len(), inv, k, levels, rng, out);
@@ -875,7 +906,7 @@ unsafe fn quantize_u4<const FEEDBACK: bool>(
     k: f32,
     levels: f32,
     rng: &mut StochasticRng,
-    out: &mut [u8],
+    out: &mut [MaybeUninit<u8>],
 ) -> usize {
     let invv = _mm256_set1_ps(inv);
     let kv = _mm256_set1_ps(k);
@@ -905,7 +936,7 @@ unsafe fn quantize_u4<const FEEDBACK: bool>(
         let ba = _mm_madd_epi16(pa, pair_mul);
         let bb = _mm_madd_epi16(pb, pair_mul);
         let t8 = _mm_packus_epi16(_mm_packs_epi32(ba, bb), _mm_setzero_si128());
-        _mm_storel_epi64(out.as_mut_ptr().add(i / 2) as *mut __m128i, t8);
+        _mm_storel_epi64(out.as_mut_ptr().add(i / 2).cast::<__m128i>(), t8);
         if FEEDBACK {
             let kept_a = _mm256_mul_ps(_mm256_cvtepi32_ps(la), kv);
             let kept_b = _mm256_mul_ps(_mm256_cvtepi32_ps(lb), kv);
@@ -930,7 +961,7 @@ pub(super) unsafe fn encode_u4(
     inv: f32,
     levels: f32,
     rng: &mut StochasticRng,
-    out: &mut [u8],
+    out: &mut [MaybeUninit<u8>],
 ) {
     let values = params.as_ptr().cast_mut();
     let i = quantize_u4::<false>(values, params.len(), inv, 0.0, levels, rng, out);
@@ -950,7 +981,7 @@ pub(super) unsafe fn feedback_append_u4(
     k: f32,
     levels: f32,
     rng: &mut StochasticRng,
-    out: &mut [u8],
+    out: &mut [MaybeUninit<u8>],
 ) {
     let values = residual.as_mut_ptr();
     let i = quantize_u4::<true>(values, residual.len(), inv, k, levels, rng, out);

@@ -56,6 +56,7 @@
 use core::arch::x86_64::*;
 
 use super::{scalar, StochasticRng, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2};
+use std::mem::MaybeUninit;
 
 /// The counters of the next eight draws of `rng`: `state + {1, …, 8} *
 /// gamma`, one per `u64` lane, in draw order.
@@ -168,7 +169,7 @@ unsafe fn quantize_u8<const FEEDBACK: bool>(
     k: f32,
     levels: f32,
     rng: &mut StochasticRng,
-    out: &mut [u8],
+    out: &mut [MaybeUninit<u8>],
 ) -> usize {
     let invv = _mm512_set1_ps(inv);
     let kv = _mm512_set1_ps(k);
@@ -205,7 +206,7 @@ pub(super) unsafe fn encode_u8(
     inv: f32,
     levels: f32,
     rng: &mut StochasticRng,
-    out: &mut [u8],
+    out: &mut [MaybeUninit<u8>],
 ) {
     let values = params.as_ptr().cast_mut();
     let i = quantize_u8::<false>(values, params.len(), inv, 0.0, levels, rng, out);
@@ -225,7 +226,7 @@ pub(super) unsafe fn feedback_append_u8(
     k: f32,
     levels: f32,
     rng: &mut StochasticRng,
-    out: &mut [u8],
+    out: &mut [MaybeUninit<u8>],
 ) {
     let values = residual.as_mut_ptr();
     let i = quantize_u8::<true>(values, residual.len(), inv, k, levels, rng, out);

@@ -88,6 +88,7 @@ mod avx512;
 mod scalar;
 
 use lifl_shmem::BufferPool;
+use std::mem::MaybeUninit;
 use std::sync::OnceLock;
 
 /// Number of elements whose random rounding words the scalar arm of the
@@ -114,10 +115,10 @@ struct Kernels {
     name: &'static str,
     // SAFETY: sources and weights pair up, every source covering
     // `4 * acc.len()` bytes.
-    fold_dense_le_n: unsafe fn(&mut [f32], &[&[u8]], &[f32]),
+    fold_dense_le_n: unsafe fn(&mut [f32], &[&[u8]], &[f32], Pass),
     // SAFETY: sources and factors pair up, every source covering
     // `acc.len()` levels.
-    fold_u8_n: unsafe fn(&mut [f32], &[&[u8]], &[f32]),
+    fold_u8_n: unsafe fn(&mut [f32], &[&[u8]], &[f32], Pass),
     // SAFETY: element `j` of `acc` is nibble `j` of the nibbles, which
     // cover `acc.len()` nibbles.
     fold_u4_aligned: unsafe fn(&mut [f32], &[u8], f32),
@@ -135,18 +136,25 @@ struct Kernels {
     // SAFETY: `src` is at least as long as `acc`.
     add_max: unsafe fn(&mut [f32], &[f32]) -> f32,
     // SAFETY: of `(params, 1 / scale, levels, rng, body)`, `body` holds
-    // `params.len()` bytes.
-    encode_u8: unsafe fn(&[f32], f32, f32, &mut StochasticRng, &mut [u8]),
+    // `params.len()` bytes, which the arm writes every one of without
+    // reading any.
+    encode_u8: unsafe fn(&[f32], f32, f32, &mut StochasticRng, &mut Spare),
     // SAFETY: as `encode_u8`, `body` holding `params.len().div_ceil(2)`
     // bytes.
-    encode_u4: unsafe fn(&[f32], f32, f32, &mut StochasticRng, &mut [u8]),
+    encode_u4: unsafe fn(&[f32], f32, f32, &mut StochasticRng, &mut Spare),
     // SAFETY: of `(residual, 1 / scale, -scale, levels, rng, body)`, `body`
-    // holds `residual.len()` bytes.
-    feedback_append_u8: unsafe fn(&mut [f32], f32, f32, f32, &mut StochasticRng, &mut [u8]),
+    // holds `residual.len()` bytes, which the arm writes every one of
+    // before it reads any.
+    feedback_append_u8: unsafe fn(&mut [f32], f32, f32, f32, &mut StochasticRng, &mut Spare),
     // SAFETY: as `feedback_append_u8`, `body` holding
     // `residual.len().div_ceil(2)` bytes.
-    feedback_append_u4: unsafe fn(&mut [f32], f32, f32, f32, &mut StochasticRng, &mut [u8]),
+    feedback_append_u4: unsafe fn(&mut [f32], f32, f32, f32, &mut StochasticRng, &mut Spare),
 }
+
+/// The spare capacity of a wire body, as a stochastic encoder arm is handed
+/// it: bytes nobody zero-filled, which the arm writes every one of before it
+/// reads any.
+type Spare = [MaybeUninit<u8>];
 
 /// The scalar references, `scalar.rs`: every host runs them.
 static SCALAR: Kernels = Kernels {
@@ -403,30 +411,71 @@ impl AsRef<[u8]> for DenseLe {
 // Fused dequantize-axpy folds.
 // ---------------------------------------------------------------------------
 
+/// What one accumulator pass of [`fold_dense_le_n`] or [`fold_u8_n`] does
+/// besides its adds: where every lane starts, and whether it is scaled
+/// before it is stored. Both choices are made inside the one loop of each
+/// arm; [`Pass::ADD`] is the plain load-add-store fold.
+///
+/// A station writes its accumulator once per round this way: its first pass
+/// starts from zeros held in registers instead of a zero-filled buffer, and
+/// the pass that completes the round stores the average instead of leaving
+/// `DenseModel::scale` another walk over the sum.
+#[derive(Debug, Clone, Copy)]
+pub struct Pass {
+    /// The accumulator holds nothing yet (a pooled buffer keeps whatever an
+    /// earlier round left in it): every lane starts from `+0.0` in a register
+    /// and is never loaded. `+0.0 + w * s` is the very add a zero-filled
+    /// accumulator gets, so every bit is the same, and a `-0.0` product
+    /// still becomes `+0.0`.
+    pub fresh: bool,
+    /// The round's factor `1.0 / total as f32`, multiplied into every lane
+    /// after its last add and before the store: the multiply
+    /// `DenseModel::scale` applies after the last add, bit for bit.
+    pub scale: Option<f32>,
+}
+
+impl Pass {
+    /// Load every lane, add, store: a pass into a sum some earlier pass
+    /// wrote, which is not the round's last.
+    pub const ADD: Pass = Pass {
+        fresh: false,
+        scale: None,
+    };
+}
+
 /// Fused fold of dense little-endian `f32` payloads over their common prefix
 /// with `acc`: `acc += w_0 * s_0 + w_1 * s_1 + …`, source `k` weighted by
-/// `weights[k]` (sources past the shorter of the two lists are ignored).
+/// `weights[k]` (sources past the shorter of the two lists are ignored),
+/// each lane starting and ending as `pass` says.
 ///
-/// Each element of `acc` is loaded once and stored once, the adds chained in
-/// source order in between, and a NaN sum is stored as [`f32::NAN`] — so the
-/// result is, bit for bit, that of folding each source in turn
-/// ([`fold_dense_le`] once per source), on either arm. The AVX2 arm takes up
-/// to eight sources per call (more fold on the scalar arm). This is the
-/// one dense fold kernel: the station fold hands it up to eight consecutive
-/// dense views per accumulator block, and [`fold_dense_le`], [`axpy`] and
-/// [`axpy8`] are its one- and eight-source cases.
-pub fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32]) {
+/// Each element of `acc` is loaded once (never, on a fresh pass) and stored
+/// once, the adds chained in source order in between, and a NaN sum is
+/// stored as [`f32::NAN`] — so the result is, bit for bit, that of folding
+/// each source in turn ([`fold_dense_le`] once per source) into the
+/// accumulator (into zeros, on a fresh pass) and then, with a scale,
+/// multiplying every element by it, on either arm. On a fresh pass the
+/// elements past the common prefix are zeroed, so nothing the buffer held
+/// before survives. The AVX2 arm takes up to eight sources per call (more
+/// fold on the scalar arm). This is the one dense fold kernel: the station
+/// fold hands it up to eight consecutive dense views per accumulator block,
+/// and [`fold_dense_le`], [`axpy`] and [`axpy8`] are its one- and
+/// eight-source [`Pass::ADD`] cases.
+pub fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32], pass: Pass) {
     let count = srcs.len().min(weights.len());
     let n = srcs.iter().fold(acc.len(), |n, src| n.min(src.len() / 4));
+    let (acc, rest) = acc.split_at_mut(n);
     // SAFETY: the active table passed its CPUID check; `acc` is cut to what
     // every source covers and the weights are paired with the sources.
-    unsafe { (active().fold_dense_le_n)(&mut acc[..n], &srcs[..count], &weights[..count]) };
+    unsafe { (active().fold_dense_le_n)(acc, &srcs[..count], &weights[..count], pass) };
+    if pass.fresh {
+        rest.fill(0.0);
+    }
 }
 
 /// Fused fold of one dense little-endian `f32` payload, `acc += weight *
 /// body` over the common prefix: [`fold_dense_le_n`] with one source.
 pub fn fold_dense_le(acc: &mut [f32], body: &[u8], weight: f32) {
-    fold_dense_le_n(acc, &[body], &[weight]);
+    fold_dense_le_n(acc, &[body], &[weight], Pass::ADD);
 }
 
 /// Copy of a dense little-endian `f32` payload into `out` over their common
@@ -440,28 +489,36 @@ pub fn decode_dense_le(out: &mut [f32], body: &[u8]) {
 /// Fused fold of `Uniform8` level sources over their common prefix with
 /// `acc`: `acc[i] += f32(l_0[i] as i8) * k_0 + f32(l_1[i] as i8) * k_1 + …`,
 /// source `k` scaled by `ks[k]`, the pre-multiplied `weight * scale`
-/// (sources past the shorter of the two lists are ignored).
+/// (sources past the shorter of the two lists are ignored), each lane
+/// starting and ending as `pass` says.
 ///
-/// Each element of `acc` is loaded once and stored once, the adds chained
-/// in source order in between, so the result is, bit for bit, that of
-/// folding each source in turn ([`fold_u8`] once per source), on either
-/// arm — but for the payload of a NaN accumulator lane an infinite factor
-/// reaches, which is unpinned. The AVX2 arm takes up to eight sources per call (more fold on the
-/// scalar arm); the station fold hands it each run of up to eight
-/// consecutive `Uniform8` views.
-pub fn fold_u8_n(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32]) {
+/// Each element of `acc` is loaded once (never, on a fresh pass) and stored
+/// once, the adds chained in source order in between, so the result is, bit
+/// for bit, that of folding each source in turn ([`fold_u8`] once per
+/// source) into the accumulator (into zeros, on a fresh pass) and then, with
+/// a scale, multiplying every element by it, on either arm — but for the
+/// payload of a NaN accumulator lane an infinite factor reaches, which is
+/// unpinned (a fresh pass loads no such lane). On a fresh pass the elements
+/// past the common prefix are zeroed. The AVX2 arm takes up to eight sources
+/// per call (more fold on the scalar arm); the station fold hands it each
+/// run of up to eight consecutive `Uniform8` views.
+pub fn fold_u8_n(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32], pass: Pass) {
     let count = srcs.len().min(ks.len());
     let n = srcs.iter().fold(acc.len(), |n, src| n.min(src.len()));
+    let (acc, rest) = acc.split_at_mut(n);
     // SAFETY: the active table passed its CPUID check; `acc` is cut to what
     // every source covers and the factors are paired with the sources.
-    unsafe { (active().fold_u8_n)(&mut acc[..n], &srcs[..count], &ks[..count]) };
+    unsafe { (active().fold_u8_n)(acc, &srcs[..count], &ks[..count], pass) };
+    if pass.fresh {
+        rest.fill(0.0);
+    }
 }
 
 /// Fused fold of `Uniform8` levels: `acc[i] += f32(levels[i] as i8) * k`,
 /// where `k` is the pre-multiplied `weight * scale`: [`fold_u8_n`] with one
 /// source.
 pub fn fold_u8(acc: &mut [f32], levels: &[u8], k: f32) {
-    fold_u8_n(acc, &[levels], &[k]);
+    fold_u8_n(acc, &[levels], &[k], Pass::ADD);
 }
 
 /// Fused fold of packed `Uniform4` nibbles starting at element offset
@@ -792,7 +849,7 @@ impl Kernels {
 /// `acc += w * src`, elementwise over the common prefix: [`fold_dense_le_n`]
 /// with one source, viewed in place as its little-endian bytes.
 pub fn axpy(acc: &mut [f32], src: &[f32], w: f32) {
-    fold_dense_le_n(acc, &[le_bytes(src)], &[w]);
+    fold_dense_le_n(acc, &[le_bytes(src)], &[w], Pass::ADD);
 }
 
 /// Eight-source fold over the common prefix of `acc` and every source,
@@ -802,7 +859,7 @@ pub fn axpy(acc: &mut [f32], src: &[f32], w: f32) {
 /// whole-round benchmark times this entry point as the kernel layer's
 /// dense-throughput reference (`kernels.axpy8_gbps`).
 pub fn axpy8(acc: &mut [f32], srcs: [&[f32]; 8], w: [f32; 8]) {
-    fold_dense_le_n(acc, &srcs.map(le_bytes), &w);
+    fold_dense_le_n(acc, &srcs.map(le_bytes), &w, Pass::ADD);
 }
 
 /// Largest finite `|x|` in `params`, or 0 when there is none (used to derive
@@ -832,8 +889,8 @@ pub fn add_max(acc: &mut [f32], src: &[f32]) -> f32 {
 
 /// Quantizes `params` to `Uniform8` levels (one byte per element, two's
 /// complement in `[-levels, levels]`) with stochastic rounding, writing the
-/// wire body into `body` (cleared and resized). One rounding word per element
-/// is drawn from `rng` — in registers on the vector arms, 16 lanes
+/// wire body into `body` (cleared, then written once). One rounding word per
+/// element is drawn from `rng` — in registers on the vector arms, 16 lanes
 /// quantizing at a time on the AVX-512 arm and 8 on the AVX2 arm, through
 /// [`StochasticRng::fill`] on the scalar arm; the same seed yields the same
 /// bytes and leaves the same generator position on every arm. A
@@ -850,7 +907,9 @@ pub fn encode_u8(
 }
 
 /// [`encode_u8`] without the clear: the `params.len()` level bytes are
-/// appended behind whatever `body` already holds.
+/// appended behind whatever `body` already holds, written straight into its
+/// spare capacity — never zero-filled first — so a pooled body is written
+/// once. Only a non-positive `scale` appends zeros.
 pub fn append_u8(
     params: &[f32],
     scale: f32,
@@ -858,21 +917,22 @@ pub fn append_u8(
     rng: &mut StochasticRng,
     body: &mut Vec<u8>,
 ) {
-    let start = body.len();
-    body.resize(start + params.len(), 0);
+    let n = params.len();
     if scale <= 0.0 {
+        body.resize(body.len() + n, 0);
         return;
     }
-    let body = &mut body[start..];
-    // SAFETY: the active table passed its CPUID check; `body` holds
-    // `params.len()` bytes.
-    unsafe { (active().encode_u8)(params, 1.0 / scale, levels, rng, body) };
+    let encode = active().encode_u8;
+    // SAFETY: the active table passed its CPUID check, and its `encode_u8`
+    // writes every one of the `params.len()` bytes it is handed.
+    unsafe { append_written(body, n, |out| encode(params, 1.0 / scale, levels, rng, out)) };
 }
 
 /// Quantizes `params` to packed `Uniform4` sign-magnitude nibbles (low
 /// nibble = even element) with stochastic rounding, appending the
 /// `params.len().div_ceil(2)` nibble bytes behind whatever `body` already
-/// holds. Same draw and bit-exactness contract as [`encode_u8`].
+/// holds, written once, as [`append_u8`] writes. Same draw and bit-exactness
+/// contract as [`encode_u8`].
 pub fn append_u4(
     params: &[f32],
     scale: f32,
@@ -880,15 +940,34 @@ pub fn append_u4(
     rng: &mut StochasticRng,
     body: &mut Vec<u8>,
 ) {
-    let start = body.len();
-    body.resize(start + params.len().div_ceil(2), 0);
+    let n = params.len().div_ceil(2);
     if scale <= 0.0 {
+        body.resize(body.len() + n, 0);
         return;
     }
-    let body = &mut body[start..];
-    // SAFETY: the active table passed its CPUID check; `body` holds the
-    // packed nibble count.
-    unsafe { (active().encode_u4)(params, 1.0 / scale, levels, rng, body) };
+    let encode = active().encode_u4;
+    // SAFETY: the active table passed its CPUID check, and its `encode_u4`
+    // writes every one of the packed nibble bytes it is handed.
+    unsafe { append_written(body, n, |out| encode(params, 1.0 / scale, levels, rng, out)) };
+}
+
+/// Appends `n` bytes behind what `body` holds, as `write` writes them into
+/// the body's spare capacity: the bytes are stored once, by the encoder,
+/// with no zero-fill before it.
+///
+/// # Safety
+///
+/// `write` must initialise every byte of the slice it is handed (it may not
+/// read one it has not written).
+// SAFETY: `set_len` relies on the caller's `write` having initialised all
+// `n` bytes it was handed; `reserve` provides the room.
+unsafe fn append_written(body: &mut Vec<u8>, n: usize, write: impl FnOnce(&mut [MaybeUninit<u8>])) {
+    body.reserve(n);
+    let start = body.len();
+    write(&mut body.spare_capacity_mut()[..n]);
+    // SAFETY: `reserve` made room for `n` bytes past `start`, and `write`
+    // initialised every one of them (the caller's contract).
+    unsafe { body.set_len(start + n) };
 }
 
 // ---------------------------------------------------------------------------
@@ -907,7 +986,8 @@ pub(crate) fn feedback_draws(len: usize, scale: f32) -> u64 {
 
 /// [`append_u8`] over an error-feedback residual, with the fold-back fused
 /// into the same sweep: appends the level bytes of `residual` behind whatever
-/// `body` holds and leaves in `residual` what the quantizer dropped,
+/// `body` holds — written once, into its spare capacity — and leaves in
+/// `residual` what the quantizer dropped,
 /// `residual[i] += f32(level) * (-1.0 * scale)` — the expression, bit for
 /// bit, that [`fold_u8`] with `k = -1.0 * scale` evaluates over the appended
 /// bytes. Same words drawn, same generator position afterwards. A
@@ -920,17 +1000,18 @@ pub fn feedback_append_u8(
     rng: &mut StochasticRng,
     body: &mut Vec<u8>,
 ) {
-    let start = body.len();
-    body.resize(start + residual.len(), 0);
+    let n = residual.len();
     if scale <= 0.0 {
+        body.resize(body.len() + n, 0);
         return;
     }
-    let body = &mut body[start..];
     // `k` is `-1.0 * scale`, the factor `fold_into(-1.0, ..)` hands the fold.
     let (inv, k) = (1.0 / scale, -scale);
-    // SAFETY: the active table passed its CPUID check; `body` holds
-    // `residual.len()` bytes.
-    unsafe { (active().feedback_append_u8)(residual, inv, k, levels, rng, body) };
+    let encode = active().feedback_append_u8;
+    // SAFETY: the active table passed its CPUID check, and its
+    // `feedback_append_u8` writes every one of the `residual.len()` bytes it
+    // is handed before reading any.
+    unsafe { append_written(body, n, |out| encode(residual, inv, k, levels, rng, out)) };
 }
 
 /// [`append_u4`] over an error-feedback residual with the fold-back fused in,
@@ -943,17 +1024,18 @@ pub fn feedback_append_u4(
     rng: &mut StochasticRng,
     body: &mut Vec<u8>,
 ) {
-    let start = body.len();
-    body.resize(start + residual.len().div_ceil(2), 0);
+    let n = residual.len().div_ceil(2);
     if scale <= 0.0 {
+        body.resize(body.len() + n, 0);
         return;
     }
-    let body = &mut body[start..];
     // `k` is `-1.0 * scale`, the factor `fold_into(-1.0, ..)` hands the fold.
     let (inv, k) = (1.0 / scale, -scale);
-    // SAFETY: the active table passed its CPUID check; `body` holds the
-    // packed nibble count.
-    unsafe { (active().feedback_append_u4)(residual, inv, k, levels, rng, body) };
+    let encode = active().feedback_append_u4;
+    // SAFETY: the active table passed its CPUID check, and its
+    // `feedback_append_u4` writes every one of the packed nibble bytes it is
+    // handed before reading any.
+    unsafe { append_written(body, n, |out| encode(residual, inv, k, levels, rng, out)) };
 }
 
 #[cfg(test)]
@@ -1117,7 +1199,7 @@ mod tests {
             // SAFETY: `arms` lists only tables the host runs; the levels
             // cover `len` elements and the nibbles `2 * len`.
             unsafe {
-                (arm.fold_u8_n)(&mut u8_decoded, &[body], &[1.0 * scale]);
+                (arm.fold_u8_n)(&mut u8_decoded, &[body], &[1.0 * scale], Pass::ADD);
                 (arm.fold_u4_aligned)(&mut u4_decoded, body, 1.0 * scale);
             }
             let (u8_levels, u4_levels) = (
@@ -1155,7 +1237,7 @@ mod tests {
             // SAFETY: `arms` lists only tables the host runs; the levels
             // cover three elements and the nibbles six.
             unsafe {
-                (arm.fold_u8_n)(&mut u8_decoded, &[&negative], &[1.0 * 0.0]);
+                (arm.fold_u8_n)(&mut u8_decoded, &[&negative], &[1.0 * 0.0], Pass::ADD);
                 (arm.fold_u4_aligned)(&mut u4_decoded, &[0x99, 0xFF, 0x9F], 1.0 * 0.0);
             }
             assert_eq!(bits(&u8_decoded), [0; 3], "arm {}", arm.name);
@@ -1376,7 +1458,7 @@ pub(crate) mod proptests {
         let len = params.len();
         let src = &src[..len];
         let mut sums = params.to_vec();
-        scalar::fold_dense_le_n(&mut sums, &[le_bytes(src)], &[1.0]);
+        scalar::fold_dense_le_n(&mut sums, &[le_bytes(src)], &[1.0], Pass::ADD);
         for &kept in kepts {
             let expected = reference_topk(params, kept.min(len));
             let expected_fused = reference_topk(&sums, kept.min(len));
@@ -1524,7 +1606,7 @@ pub(crate) mod proptests {
             }
             let mut folded = params.to_vec();
             if wide {
-                scalar::fold_u8_n(&mut folded, &[&body], &[-scale]);
+                scalar::fold_u8_n(&mut folded, &[&body], &[-scale], Pass::ADD);
             } else {
                 scalar::fold_u4_aligned(&mut folded, &body, -scale);
             }
@@ -1536,10 +1618,14 @@ pub(crate) mod proptests {
                     (arm.encode_u4, arm.feedback_append_u4)
                 };
                 let mut rng = StochasticRng::from_seed(seed);
-                let mut plain = vec![0u8; body.len()];
-                // SAFETY: `arms` lists only tables the host runs; `plain`
-                // holds the encoded bytes of `params`.
-                unsafe { encode(params, 1.0 / scale, levels, &mut rng, &mut plain) };
+                let mut plain = Vec::new();
+                // SAFETY: `arms` lists only tables the host runs, and the arm
+                // writes every one of the encoded bytes of `params`.
+                unsafe {
+                    append_written(&mut plain, body.len(), |out| {
+                        encode(params, 1.0 / scale, levels, &mut rng, out)
+                    })
+                };
                 prop_assert_eq!(&plain, &body, "plain bytes, {}", label);
                 prop_assert_eq!(
                     next_words(&rng),
@@ -1550,11 +1636,14 @@ pub(crate) mod proptests {
 
                 let mut rng = StochasticRng::from_seed(seed);
                 let mut residual = params.to_vec();
-                let mut wire = vec![0xABu8; 5 + body.len()];
-                let out = &mut wire[5..];
-                // SAFETY: `arms` lists only tables the host runs; `out` holds
-                // the encoded bytes of `residual`.
-                unsafe { feedback(&mut residual, 1.0 / scale, -scale, levels, &mut rng, out) };
+                let mut wire = vec![0xABu8; 5];
+                // SAFETY: `arms` lists only tables the host runs, and the arm
+                // writes every one of the encoded bytes of `residual`.
+                unsafe {
+                    append_written(&mut wire, body.len(), |out| {
+                        feedback(&mut residual, 1.0 / scale, -scale, levels, &mut rng, out)
+                    })
+                };
                 prop_assert_eq!(wire[..5], [0xAB; 5], "the prefix is not touched");
                 prop_assert_eq!(&wire[5..], &body[..], "feedback bytes, {}", label);
                 prop_assert_eq!(bits(&residual), bits(&folded), "residual, {}", label);
@@ -1587,17 +1676,21 @@ pub(crate) mod proptests {
             )
         };
         let mut rng = StochasticRng::from_seed(seed);
-        let mut plain = vec![0u8; bytes];
+        let mut plain = Vec::new();
         let mut feedback_rng = StochasticRng::from_seed(seed);
-        let mut wire = vec![0u8; bytes];
+        let mut wire = Vec::new();
         let mut residual = params.to_vec();
         let (inv, k) = (1.0 / scale, -scale);
         // SAFETY: every caller passes `SCALAR` or a table from `arms`, which
-        // lists only tables the host runs; `plain` and `wire` hold the
-        // encoded bytes.
+        // lists only tables the host runs, and each arm writes every one of
+        // the encoded bytes.
         unsafe {
-            encode(params, inv, levels, &mut rng, &mut plain);
-            feedback(&mut residual, inv, k, levels, &mut feedback_rng, &mut wire);
+            append_written(&mut plain, bytes, |out| {
+                encode(params, inv, levels, &mut rng, out)
+            });
+            append_written(&mut wire, bytes, |out| {
+                feedback(&mut residual, inv, k, levels, &mut feedback_rng, out)
+            });
         }
         let (plain_next, feedback_next) = (next_words(&rng), next_words(&feedback_rng));
         (plain, plain_next, wire, bits(&residual), feedback_next)
@@ -1699,7 +1792,7 @@ pub(crate) mod proptests {
                 let mut got = acc.to_vec();
                 // SAFETY: `arms` lists only tables the host runs; every
                 // source covers `len` levels and has a factor.
-                unsafe { (arm.fold_u8_n)(&mut got, &exact[..n], &ks[..n]) };
+                unsafe { (arm.fold_u8_n)(&mut got, &exact[..n], &ks[..n], Pass::ADD) };
                 prop_assert_eq!(
                     compare(&got),
                     compare(&expected),
@@ -1709,7 +1802,7 @@ pub(crate) mod proptests {
                 );
             }
             let mut got = acc.to_vec();
-            fold_u8_n(&mut got, &srcs[..n], &ks[..n]);
+            fold_u8_n(&mut got, &srcs[..n], &ks[..n], Pass::ADD);
             prop_assert_eq!(compare(&got), compare(&expected), "{} sources, wrapper", n);
         }
         Ok(())
@@ -1749,13 +1842,13 @@ pub(crate) mod proptests {
         for n in 1..=srcs.len() {
             let mut expected = acc.to_vec();
             for (src, w) in exact[..n].iter().zip(weights) {
-                scalar::fold_dense_le_n(&mut expected, &[src], &[*w]);
+                scalar::fold_dense_le_n(&mut expected, &[src], &[*w], Pass::ADD);
             }
             for arm in arms() {
                 let mut got = acc.to_vec();
                 // SAFETY: `arms` lists only tables the host runs; every
                 // source covers `4 * len` bytes and has a weight.
-                unsafe { (arm.fold_dense_le_n)(&mut got, &exact[..n], &weights[..n]) };
+                unsafe { (arm.fold_dense_le_n)(&mut got, &exact[..n], &weights[..n], Pass::ADD) };
                 prop_assert_eq!(
                     bits(&got),
                     bits(&expected),
@@ -1765,10 +1858,233 @@ pub(crate) mod proptests {
                 );
             }
             let mut got = acc.to_vec();
-            fold_dense_le_n(&mut got, &srcs[..n], &weights[..n]);
+            fold_dense_le_n(&mut got, &srcs[..n], &weights[..n], Pass::ADD);
             prop_assert_eq!(bits(&got), bits(&expected), "{} sources, wrapper", n);
         }
         Ok(())
+    }
+
+    /// NaN garbage of `len` elements, as a pooled buffer an earlier round
+    /// may have left it: quiet and signalling NaNs of assorted payloads and
+    /// both signs.
+    fn nan_garbage(len: usize, seed: u64) -> Vec<f32> {
+        let mut words = vec![0u32; len];
+        StochasticRng::from_seed(seed ^ 0xD1E7).fill(&mut words);
+        let nan = |w: &u32| f32::from_bits(0x7F80_0001 | (w & 0x803F_FFFF) | ((w & 1) << 22));
+        words.iter().map(nan).collect()
+    }
+
+    /// The fresh passes of both multi-source folds against the oracle a
+    /// zero-filled accumulator gives: for every count in 1..=8, on every
+    /// table and through the wrapper (handed sources longer than `acc`), a
+    /// fresh pass — storing the sums, and storing them times `scale` — into
+    /// NaN garbage of `len` elements leaves exactly the bits of zeros folded
+    /// one single-source fold per source in turn, then (with the scale)
+    /// `DenseModel::scale`. A pass that stores the scale over a sum an
+    /// earlier pass wrote (a closing batch that is not the round's first) is
+    /// checked the same way from a finite prior sum. Dense source `k` holds
+    /// `len + k` seasoned values (NaN, ±∞, ±0.0, huge and subnormal among
+    /// them) under weight `ws[k]`; level source `k` holds `len + k` levels,
+    /// every seventh 0, under factor `ks[k]` (±0, negative, subnormal or ±∞
+    /// among them): from zeros or a finite sum, every NaN a level fold makes
+    /// is the one 0 · ∞ or ∞ − ∞ makes, so no payload is left open and every
+    /// bit is compared.
+    fn check_fresh_passes(
+        len: usize,
+        seed: u64,
+        ws: &[f32],
+        ks: &[f32],
+        scale: f32,
+    ) -> Result<(), String> {
+        let words = |k: usize| {
+            let mut words = vec![0u32; len + k];
+            StochasticRng::from_seed(seed.wrapping_add(k as u64)).fill(&mut words);
+            words
+        };
+        let dense: Vec<Vec<u8>> = (0..ws.len())
+            .map(|k| {
+                let value = |w: &u32| seasoned((w & 15) as u8, (w >> 8) as f32 / 65_536.0 - 128.0);
+                words(k)
+                    .iter()
+                    .flat_map(|w| value(w).to_le_bytes())
+                    .collect()
+            })
+            .collect();
+        let levels: Vec<Vec<u8>> = (0..ks.len())
+            .map(|k| {
+                let level = |(i, w): (usize, &u32)| if (i + k) % 7 == 0 { 0 } else { *w as u8 };
+                words(k).iter().enumerate().map(level).collect()
+            })
+            .collect();
+        let garbage = nan_garbage(len, seed);
+        let prior: Vec<f32> = words(99)[..len]
+            .iter()
+            .map(|w| match w % 11 {
+                0 => -0.0,
+                1 => 1e-40,
+                _ => (w >> 8) as f32 / 65_536.0 - 128.0,
+            })
+            .collect();
+        type Wrapper = fn(&mut [f32], &[&[u8]], &[f32], Pass);
+        for is_dense in [true, false] {
+            let (kind, buffers, factors, width) = match is_dense {
+                true => ("dense", &dense, ws, 4),
+                false => ("levels", &levels, ks, 1),
+            };
+            let table = |arm: &Kernels| match is_dense {
+                true => arm.fold_dense_le_n,
+                false => arm.fold_u8_n,
+            };
+            let wrapper: Wrapper = match is_dense {
+                true => fold_dense_le_n,
+                false => fold_u8_n,
+            };
+            let longer: Vec<&[u8]> = buffers.iter().map(|b| b.as_slice()).collect();
+            let exact: Vec<&[u8]> = longer.iter().map(|b| &b[..width * len]).collect();
+            let (mut summed, mut on_prior) = (vec![0.0f32; len], prior.clone());
+            for n in 1..=buffers.len().min(factors.len()) {
+                let (src, f) = (exact[n - 1], factors[n - 1]);
+                for sum in [&mut summed, &mut on_prior] {
+                    if width == 4 {
+                        scalar::fold_dense_le_n(sum, &[src], &[f], Pass::ADD);
+                    } else {
+                        fold_u8_formula(sum, src, f);
+                    }
+                }
+                let (longer, exact) = (&longer[..n], &exact[..n]);
+                let scaled = |sum: &[f32]| {
+                    let mut averaged = crate::model::DenseModel::from_vec(sum.to_vec());
+                    averaged.scale(scale);
+                    bits(averaged.as_slice())
+                };
+                let oracles = [
+                    (true, None, bits(&summed)),
+                    (true, Some(scale), scaled(&summed)),
+                    (false, Some(scale), scaled(&on_prior)),
+                ];
+                for (fresh, stored, expected) in oracles {
+                    let pass = Pass {
+                        fresh,
+                        scale: stored,
+                    };
+                    let start = if fresh { &garbage } else { &prior };
+                    for arm in arms() {
+                        let mut got = start.clone();
+                        // SAFETY: `arms` lists only tables the host runs;
+                        // every source covers `len` elements and has a factor.
+                        unsafe { table(arm)(&mut got, exact, &factors[..n], pass) };
+                        prop_assert_eq!(
+                            bits(&got),
+                            expected.clone(),
+                            "{} {} sources, fresh {} scale {:?}, arm {}",
+                            kind,
+                            n,
+                            fresh,
+                            stored,
+                            arm.name
+                        );
+                    }
+                    let mut got = start.clone();
+                    wrapper(&mut got, longer, &factors[..n], pass);
+                    prop_assert_eq!(
+                        bits(&got),
+                        expected,
+                        "{} {} sources, fresh {} scale {:?}, wrapper",
+                        kind,
+                        n,
+                        fresh,
+                        stored
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A fresh pass whose sources cover less than the accumulator still
+    /// leaves nothing of what the buffer held: the rest is zeroed.
+    #[test]
+    fn a_fresh_pass_zeroes_what_its_sources_do_not_cover() {
+        let short = le_bytes(&[1.5f32, -2.0]).to_vec();
+        let pass = Pass {
+            fresh: true,
+            scale: Some(0.5),
+        };
+        let mut acc = nan_garbage(5, 1);
+        fold_dense_le_n(&mut acc, &[&short], &[2.0], pass);
+        assert_eq!(bits(&acc), bits(&[1.5, -2.0, 0.0, 0.0, 0.0]));
+        let mut acc = nan_garbage(5, 2);
+        fold_u8_n(&mut acc, &[&[3u8, 0xFE]], &[0.25], pass);
+        assert_eq!(bits(&acc), bits(&[0.375, -0.25, 0.0, 0.0, 0.0]));
+    }
+
+    /// [`check_fresh_passes`] at every length up to 70, around the station
+    /// fold's 2 048-element block and at a 2¹⁸ model, with finite weights
+    /// and factors and with infinite factors, under a round's factor
+    /// `1 / total`.
+    #[test]
+    fn fresh_passes_fold_the_zero_filled_bits_at_every_dim() {
+        let ws = [0.5f32, -3.0, 1e-40, 7.0, 1e30, -0.0, 0.125, 2.0];
+        let finite = [0.0f32, -0.75, 1e-40, -0.0, 2.5, -3e-39, 0.125, -1.0];
+        let infinite = [
+            0.5f32,
+            f32::INFINITY,
+            -0.0,
+            f32::NEG_INFINITY,
+            1e-40,
+            -2.0,
+            0.0,
+            3.0,
+        ];
+        for dim in (0..=70).chain([2047, 2048, 2049, 1 << 18]) {
+            for ks in [&finite, &infinite] {
+                let scale = 1.0 / (dim as u64 * 7 + 3) as f32;
+                check_fresh_passes(dim, dim as u64, &ws, ks, scale).unwrap();
+            }
+        }
+    }
+
+    /// The quantizers write every byte of the body they append: into a
+    /// dirty pooled body (its capacity full of `0xAA`, as an earlier round
+    /// left it) they write the bytes they write into a fresh one, behind the
+    /// same prefix, and leave the residual and the generator where they
+    /// leave them — at a zero, a subnormal and an ordinary scale, over odd
+    /// and even lengths (an odd `Uniform4` length ends on a half byte).
+    #[test]
+    fn quantizers_write_a_dirty_body_as_they_write_a_fresh_one() {
+        type Plain = fn(&[f32], f32, f32, &mut StochasticRng, &mut Vec<u8>);
+        type Feedback = fn(&mut [f32], f32, f32, &mut StochasticRng, &mut Vec<u8>);
+        let plain: [(f32, Plain); 2] = [(127.0, append_u8), (7.0, append_u4)];
+        let feedback: [(f32, Feedback); 2] =
+            [(127.0, feedback_append_u8), (7.0, feedback_append_u4)];
+        let dirty = || {
+            let mut body = vec![0xAAu8; 5000];
+            body.truncate(3);
+            body
+        };
+        for len in [0usize, 1, 15, 16, 17, 33, 4095, 4097] {
+            let params = long_params(len, len as u64);
+            for scale in [0.0f32, 1e-40, 0.004] {
+                for ((levels, plain), (_, feedback)) in plain.into_iter().zip(feedback) {
+                    let case = format!("len {len} scale {scale:e} levels {levels}");
+                    let encode = |mut body: Vec<u8>| {
+                        let mut rng = StochasticRng::from_seed(len as u64);
+                        plain(&params, scale, levels, &mut rng, &mut body);
+                        (body, next_words(&rng))
+                    };
+                    let (fresh, dirtied) = (encode(vec![0xAA; 3]), encode(dirty()));
+                    assert_eq!(fresh, dirtied, "plain, {case}");
+                    let encode = |mut body: Vec<u8>| {
+                        let mut rng = StochasticRng::from_seed(len as u64);
+                        let mut residual = params.clone();
+                        feedback(&mut residual, scale, levels, &mut rng, &mut body);
+                        (body, bits(&residual), next_words(&rng))
+                    };
+                    let (fresh, dirtied) = (encode(vec![0xAA; 3]), encode(dirty()));
+                    assert_eq!(fresh, dirtied, "feedback, {case}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1821,12 +2137,12 @@ pub(crate) mod proptests {
         fn dense_kernels_match(acc in arbitrary_params(), body in arbitrary_bytes(520), w in -3.0f32..3.0) {
             let n = acc.len().min(body.len() / 4);
             let mut a_scalar = acc.clone();
-            scalar::fold_dense_le_n(&mut a_scalar[..n], &[&body[..4 * n]], &[w]);
+            scalar::fold_dense_le_n(&mut a_scalar[..n], &[&body[..4 * n]], &[w], Pass::ADD);
             for arm in arms() {
                 let mut a_simd = acc.clone();
                 // SAFETY: `arms` lists only tables the host runs; the body
                 // covers `4 * n` bytes.
-                unsafe { (arm.fold_dense_le_n)(&mut a_simd[..n], &[&body[..4 * n]], &[w]) };
+                unsafe { (arm.fold_dense_le_n)(&mut a_simd[..n], &[&body[..4 * n]], &[w], Pass::ADD) };
                 prop_assert_eq!(bits(&a_scalar), bits(&a_simd), "fold, arm {}", arm.name);
             }
         }
@@ -1842,7 +2158,7 @@ pub(crate) mod proptests {
                 let mut a_simd = acc.clone();
                 // SAFETY: `arms` lists only tables the host runs; the levels
                 // cover `n` elements.
-                unsafe { (arm.fold_u8_n)(&mut a_simd[..n], &[&levels[..n]], &[k]) };
+                unsafe { (arm.fold_u8_n)(&mut a_simd[..n], &[&levels[..n]], &[k], Pass::ADD) };
                 prop_assert_eq!(bits(&a_formula), bits(&a_simd), "fold, arm {}", arm.name);
             }
         }
@@ -1940,6 +2256,22 @@ pub(crate) mod proptests {
         ) {
             let weights: Vec<f32> = weights.into_iter().map(|(tag, w)| seasoned(tag, w)).collect();
             check_fold_dense_le_n(&acc, seed, &offsets, &weights)?;
+        }
+
+        /// Fresh passes ≡ zeros, sequential folds, then `DenseModel::scale`
+        /// ([`check_fresh_passes`]) over random seasoned sources, weights
+        /// and factors (infinite ones among them) and any round total.
+        #[test]
+        fn fresh_passes_fold_the_zero_filled_bits(
+            len in 0usize..130,
+            seed in any::<u64>(),
+            ws in proptest::collection::vec((0u8..10, -3.0f32..3.0), 8..=8),
+            ks in proptest::collection::vec((0u8..12, -3.0f32..3.0), 8..=8),
+            total in 1u64..u64::MAX,
+        ) {
+            let ws: Vec<f32> = ws.into_iter().map(|(tag, w)| seasoned(tag, w)).collect();
+            let ks: Vec<f32> = ks.into_iter().map(|(tag, k)| u8_factor(tag, k)).collect();
+            check_fresh_passes(len, seed, &ws, &ks, 1.0 / total as f32)?;
         }
 
         /// Scale derivation: every table's max-abs-over-finite matches
@@ -2179,7 +2511,7 @@ pub(crate) mod proptests {
                     // Decoded as the codec decodes: folded into zeros.
                     let mut decoded = vec![0.0f32; params.len()];
                     if levels > 7.0 {
-                        scalar::fold_u8_n(&mut decoded, &[&wire], &[1.0 * scale]);
+                        scalar::fold_u8_n(&mut decoded, &[&wire], &[1.0 * scale], Pass::ADD);
                     } else {
                         scalar::fold_u4_aligned(&mut decoded, &wire, 1.0 * scale);
                     }
@@ -2346,7 +2678,7 @@ pub(crate) mod proptests {
         let params = long_params(1000, 3);
         let src = long_params(1000, 4);
         let mut sums = params.clone();
-        scalar::fold_dense_le_n(&mut sums, &[le_bytes(&src)], &[1.0]);
+        scalar::fold_dense_le_n(&mut sums, &[le_bytes(&src)], &[1.0], Pass::ADD);
         let limit = 5 + 80;
         let distinct: Vec<f32> = (0..1000).map(|i| i as f32).collect();
         let mut fitting = Vec::new();

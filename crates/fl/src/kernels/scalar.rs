@@ -8,7 +8,8 @@
 //! module's docs explain which floating-point operations are safe to
 //! vectorise without changing results.
 
-use super::{Keys, StochasticRng, RAND_BLOCK};
+use super::{Keys, Pass, StochasticRng, RAND_BLOCK};
+use std::mem::MaybeUninit;
 
 /// `f32::from(nibble_to_i8(n))` for every sign-magnitude nibble, as a
 /// branch-free table for the scalar `Uniform4` fold (index 8, "negative
@@ -18,18 +19,23 @@ pub(super) const NIBBLE_F32: [f32; 16] = [
     0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0,
 ];
 
-/// Fused fold of dense little-endian `f32` payloads, one accumulator load and
-/// store per element: `acc[i] = (acc[i] + w_0 * s_0[i]) + w_1 * s_1[i] + …`,
-/// the adds chained in source order, and a NaN sum stored as the canonical
-/// quiet NaN ([`f32::NAN`]) — so the result is bit-identical to one
-/// single-source fold per source in turn. Every source holds at least
-/// `4 * acc.len()` bytes; sources and weights pair up in order.
-pub(super) fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32]) {
+/// Fused fold of dense little-endian `f32` payloads, one accumulator load
+/// (none, on a fresh pass, which starts from `+0.0`) and one store per
+/// element: `acc[i] = (acc[i] + w_0 * s_0[i]) + w_1 * s_1[i] + …`, the adds
+/// chained in source order, multiplied by the pass's scale if it has one,
+/// and a NaN result stored as the canonical quiet NaN ([`f32::NAN`]) — so
+/// the result is bit-identical to one single-source fold per source in turn
+/// followed by the scale. Every source holds at least `4 * acc.len()`
+/// bytes; sources and weights pair up in order.
+pub(super) fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32], pass: Pass) {
     for (i, a) in acc.iter_mut().enumerate() {
         let at = 4 * i;
-        let mut v = *a;
+        let mut v = if pass.fresh { 0.0 } else { *a };
         for (src, w) in srcs.iter().zip(weights) {
             v += w * f32::from_le_bytes([src[at], src[at + 1], src[at + 2], src[at + 3]]);
+        }
+        if let Some(scale) = pass.scale {
+            v *= scale;
         }
         *a = if v.is_nan() { f32::NAN } else { v };
     }
@@ -42,16 +48,21 @@ pub(super) fn decode_dense_le(out: &mut [f32], body: &[u8]) {
     }
 }
 
-/// Fused fold of `Uniform8` level sources, one accumulator load and store
-/// per element: `acc[i] = (acc[i] + f32(l_0[i] as i8) * k_0) + … `, the adds
-/// chained in source order — so the result is bit-identical to one
-/// single-source fold per source in turn. Every source holds at least
-/// `acc.len()` levels; sources and factors pair up in order.
-pub(super) fn fold_u8_n(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32]) {
+/// Fused fold of `Uniform8` level sources, one accumulator load (none, on a
+/// fresh pass, which starts from `+0.0`) and one store per element:
+/// `acc[i] = (acc[i] + f32(l_0[i] as i8) * k_0) + … `, the adds chained in
+/// source order and multiplied by the pass's scale if it has one — so the
+/// result is bit-identical to one single-source fold per source in turn
+/// followed by the scale. Every source holds at least `acc.len()` levels;
+/// sources and factors pair up in order.
+pub(super) fn fold_u8_n(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32], pass: Pass) {
     for (i, a) in acc.iter_mut().enumerate() {
-        let mut v = *a;
+        let mut v = if pass.fresh { 0.0 } else { *a };
         for (src, k) in srcs.iter().zip(ks) {
             v += f32::from(src[i] as i8) * k;
+        }
+        if let Some(scale) = pass.scale {
+            v *= scale;
         }
         *a = v;
     }
@@ -199,7 +210,12 @@ pub(super) fn add_compact_topk(
         }
         if body.len() + 8 > limit {
             let rest = i + 1;
-            fold_dense_le_n(&mut acc[rest..], &[super::le_bytes(&src[rest..])], &[w]);
+            fold_dense_le_n(
+                &mut acc[rest..],
+                &[super::le_bytes(&src[rest..])],
+                &[w],
+                Pass::ADD,
+            );
             return false;
         }
         push_pair(body, first_index + i as u32, v);
@@ -271,24 +287,25 @@ pub(super) fn quantize_one(v: f32, inv: f32, levels: f32, w: u32) -> i32 {
     (f + up).min(levels).max(-levels) as i32
 }
 
-/// `Uniform8` quantization of `params` into `out` (one byte per element).
-/// The rounding words — one per element — are drawn from `rng` a block at a
-/// time through [`StochasticRng::fill`]: this loop *is* the definition of
-/// which word rounds which element and of where the generator stands
-/// afterwards, and the vector arms' in-register draws reproduce it.
+/// `Uniform8` quantization of `params` into `out` (one byte per element,
+/// every byte of `out` written and none read). The rounding words — one per
+/// element — are drawn from `rng` a block at a time through
+/// [`StochasticRng::fill`]: this loop *is* the definition of which word
+/// rounds which element and of where the generator stands afterwards, and
+/// the vector arms' in-register draws reproduce it.
 pub(super) fn encode_u8(
     params: &[f32],
     inv: f32,
     levels: f32,
     rng: &mut StochasticRng,
-    out: &mut [u8],
+    out: &mut [MaybeUninit<u8>],
 ) {
     let mut rand = [0u32; RAND_BLOCK];
     for (p, o) in params.chunks(RAND_BLOCK).zip(out.chunks_mut(RAND_BLOCK)) {
         let words = &mut rand[..p.len()];
         rng.fill(words);
         for ((o, v), w) in o.iter_mut().zip(p).zip(words.iter()) {
-            *o = quantize_one(*v, inv, levels, *w) as u8;
+            o.write(quantize_one(*v, inv, levels, *w) as u8);
         }
     }
 }
@@ -303,14 +320,17 @@ pub(super) fn feedback_append_u8(
     k: f32,
     levels: f32,
     rng: &mut StochasticRng,
-    out: &mut [u8],
+    out: &mut [MaybeUninit<u8>],
 ) {
     for (r, o) in residual
         .chunks_mut(RAND_BLOCK)
         .zip(out.chunks_mut(RAND_BLOCK))
     {
         encode_u8(r, inv, levels, rng, o);
-        fold_u8_n(r, &[o], &[k]);
+        // SAFETY: `encode_u8` wrote every byte of `o` (`o` is as long as
+        // `r`, both cut from blocks of equal length).
+        let levels = unsafe { o.assume_init_ref() };
+        fold_u8_n(r, &[levels], &[k], Pass::ADD);
     }
 }
 
@@ -328,14 +348,14 @@ pub(super) fn nibble(level: i32) -> u8 {
 }
 
 /// `Uniform4` quantization of `params` into packed nibbles (low nibble =
-/// even element), drawing one rounding word per element from `rng` exactly
-/// as [`encode_u8`] does.
+/// even element, every byte of `out` written and none read), drawing one
+/// rounding word per element from `rng` exactly as [`encode_u8`] does.
 pub(super) fn encode_u4(
     params: &[f32],
     inv: f32,
     levels: f32,
     rng: &mut StochasticRng,
-    out: &mut [u8],
+    out: &mut [MaybeUninit<u8>],
 ) {
     let mut rand = [0u32; RAND_BLOCK];
     // RAND_BLOCK is even, so each output chunk covers whole input pairs and
@@ -354,7 +374,7 @@ pub(super) fn encode_u4(
             } else {
                 0
             };
-            *o = low | (high << 4);
+            o.write(low | (high << 4));
         }
     }
 }
@@ -367,13 +387,16 @@ pub(super) fn feedback_append_u4(
     k: f32,
     levels: f32,
     rng: &mut StochasticRng,
-    out: &mut [u8],
+    out: &mut [MaybeUninit<u8>],
 ) {
     for (r, o) in residual
         .chunks_mut(RAND_BLOCK)
         .zip(out.chunks_mut(RAND_BLOCK / 2))
     {
         encode_u4(r, inv, levels, rng, o);
-        fold_u4_aligned(r, o, k);
+        // SAFETY: `encode_u4` wrote every byte of `o`, the packed nibbles of
+        // `r` (a block is even, so only the last chunk can be odd).
+        let nibbles = unsafe { o.assume_init_ref() };
+        fold_u4_aligned(r, nibbles, k);
     }
 }

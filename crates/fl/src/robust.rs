@@ -229,6 +229,20 @@ impl PolicyFold {
         }
     }
 
+    /// Folds the drained batch that completes the round: the FedAvg arm
+    /// through [`CumulativeFedAvg::fold_closing_batch`], whose last pass may
+    /// store the average so that [`PolicyFold::finalize`] does not walk the
+    /// sum again; robust arms buffer it like any other batch.
+    ///
+    /// # Errors
+    /// As [`PolicyFold::fold_encoded_batch`].
+    pub fn fold_closing_batch(&mut self, views: &[(EncodedView<'_>, u64)]) -> Result<()> {
+        match self {
+            PolicyFold::FedAvg(acc) => acc.fold_closing_batch(views),
+            PolicyFold::Robust(robust) => robust.fold_encoded_batch(views),
+        }
+    }
+
     /// Finalizes the round's aggregate, leaving the accumulator empty for
     /// reuse.
     ///

@@ -25,6 +25,19 @@
 //! level it belongs to, whose stations the session's worker set folds side
 //! by side.
 //!
+//! **One write per round.** A station's accumulator is written once: a
+//! pooled buffer comes back holding whatever an earlier round left in it,
+//! and the batch's first pass over each element starts from zeros held in
+//! registers ([`kernels::Pass::fresh`]) instead of loading it; the batch that
+//! completes the round ([`CumulativeFedAvg::fold_closing_batch`]), when its
+//! last run is one group, stores every element already multiplied by
+//! `1 / total` ([`kernels::Pass::scale`]), so `finalize` does not walk it
+//! again. A fold that must read the accumulator — a `TopK` view first in its
+//! batch, a view that folds alone first in its block — zero-fills what it
+//! reads first, once. Each element is multiplied by the round's factor
+//! exactly once, after its last add, so every bit is the zero-filled
+//! accumulator's.
+//!
 //! **Determinism:** within every element, updates are folded in batch order —
 //! exactly the order the one-at-a-time fold uses. Results are therefore
 //! bit-identical run-to-run *and* bit-identical to the sequential fold.
@@ -40,9 +53,9 @@
 //! [`ShardedFedAvg`] forwards to the batch fold; it exists only so the
 //! whole-round benchmark's engine adapter compiles unchanged.
 
-use crate::aggregate::{add_samples, CumulativeFedAvg};
+use crate::aggregate::{add_samples, CumulativeFedAvg, Held};
 use crate::codec::EncodedView;
-use crate::kernels;
+use crate::kernels::{self, Pass};
 use crate::model::DenseModel;
 use lifl_types::{CodecKind, LiflError, Result};
 
@@ -74,17 +87,44 @@ impl CumulativeFedAvg {
     /// fused decode-fold kernels, on the calling thread; dense payloads join
     /// the same batch wrapped by [`EncodedView::identity_over`]. Every bit of
     /// the result is the one [`CumulativeFedAvg::fold_encoded_view`] gives
-    /// the same views in batch order.
+    /// the same views in batch order. Into a stale pooled buffer
+    /// ([`CumulativeFedAvg::warm_from`]) the batch's first pass starts from
+    /// zeros held in registers and writes every element without reading it.
     ///
     /// # Errors
     /// Returns [`LiflError::DimensionMismatch`] or
-    /// [`LiflError::InvalidAggregationGoal`] (a zero-sample update, or one
-    /// whose samples would overflow the folded total) before any state is
-    /// mutated; the batch is all-or-nothing.
+    /// [`LiflError::InvalidAggregationGoal`] (a zero-sample update, one
+    /// whose samples would overflow the folded total, or a round a closing
+    /// batch already averaged) before any state is mutated; the batch is
+    /// all-or-nothing.
     pub fn fold_encoded_batch(&mut self, updates: &[(EncodedView<'_>, u64)]) -> Result<()> {
+        self.fold_batch(updates, false)
+    }
+
+    /// [`CumulativeFedAvg::fold_encoded_batch`] for the batch that completes
+    /// the round: when its last accumulator pass is the only one over every
+    /// element — a last run that is one group of at most eight `Identity`
+    /// or `Uniform8` views, so not blocked — that pass multiplies each lane
+    /// by `1.0 / total as f32` before the store, the multiply
+    /// [`CumulativeFedAvg::finalize`] would make afterwards, and `finalize`
+    /// then hands the average out without walking it again. The accumulator
+    /// takes no further fold until it is finalized. Otherwise this is
+    /// `fold_encoded_batch` and `finalize` scales. The bits are the same
+    /// either way.
+    ///
+    /// # Errors
+    /// Exactly those of [`CumulativeFedAvg::fold_encoded_batch`].
+    pub fn fold_closing_batch(&mut self, updates: &[(EncodedView<'_>, u64)]) -> Result<()> {
+        self.fold_batch(updates, true)
+    }
+
+    /// The batch fold, storing the average from a closing batch's one last
+    /// pass when `closes`.
+    fn fold_batch(&mut self, updates: &[(EncodedView<'_>, u64)], closes: bool) -> Result<()> {
         let Some((first, _)) = updates.first() else {
             return Ok(());
         };
+        self.check_open()?;
         let dim = first.dim();
         if self.weighted_sum.is_empty() {
             self.weighted_sum = DenseModel::zeros(dim);
@@ -109,32 +149,46 @@ impl CumulativeFedAvg {
         // update folds into the whole accumulator at once, and each run of
         // other updates between two of them is cache-blocked.
         let is_topk = |view: &EncodedView<'_>| matches!(view.codec(), CodecKind::TopK { .. });
+        let mut fresh = self.held == Held::Stale;
+        let mut averaged = false;
         let sum = self.weighted_sum.as_mut_slice();
         let mut next = 0;
         while let Some((view, samples)) = updates.get(next) {
             if is_topk(view) {
+                // A scatter reads the sum: a stale one is zeroed first.
+                if fresh {
+                    sum.fill(0.0);
+                    fresh = false;
+                }
                 view.fold_range_into(*samples as f32, 0, sum);
+                averaged = false;
                 next += 1;
                 continue;
             }
             let run = &updates[next..];
             let run = &run[..run.iter().take_while(|(view, _)| !is_topk(view)).count()];
-            // A run that is one group is one pass: nothing to keep cached.
+            next += run.len();
+            // A run that is one group is one pass: nothing to keep cached,
+            // and, ending a closing batch, the last add of every element.
             let codec = run[0].0.codec();
             let one_group = run.len() <= MAX_SOURCES
                 && run
                     .iter()
                     .all(|(view, _)| view.codec() == codec && view.source_from(0).is_some());
-            let block = if one_group {
-                sum.len().max(1)
+            if one_group {
+                let scale = (closes && next == updates.len()).then(|| 1.0 / total as f32);
+                let folded = fold_group(run, 0, sum, Pass { fresh, scale });
+                debug_assert_eq!(folded, run.len(), "a one-group run is one pass");
+                averaged = scale.is_some();
             } else {
-                BLOCK_ELEMS
-            };
-            for (index, chunk) in sum.chunks_mut(block).enumerate() {
-                fold_block(run, index * block, chunk);
+                for (index, chunk) in sum.chunks_mut(BLOCK_ELEMS).enumerate() {
+                    fold_block(run, index * BLOCK_ELEMS, chunk, fresh);
+                }
+                averaged = false;
             }
-            next += run.len();
+            fresh = false;
         }
+        self.held = if averaged { Held::Average } else { Held::Sum };
         self.total_samples = total;
         self.updates_folded += updates.len() as u64;
         Ok(())
@@ -144,37 +198,58 @@ impl CumulativeFedAvg {
 /// Folds `run` — views of any codec but `TopK` — into `block`, the
 /// accumulator's elements from `at` on, in batch order: each group of up to
 /// [`MAX_SOURCES`] consecutive views of one multi-source codec in one
-/// accumulator pass (`Identity` through [`kernels::fold_dense_le_n`],
-/// `Uniform8` through [`kernels::fold_u8_n`]), every other view in a pass of
-/// its own.
-fn fold_block(run: &[(EncodedView<'_>, u64)], at: usize, block: &mut [f32]) {
+/// accumulator pass ([`fold_group`]), every other view in a pass of its own.
+/// A `fresh` block holds nothing yet: its first pass starts from zeros in
+/// registers, or, if that pass is a single view's, which reads the block,
+/// the block is zero-filled first.
+fn fold_block(run: &[(EncodedView<'_>, u64)], at: usize, block: &mut [f32], fresh: bool) {
+    let mut pass = Pass { fresh, scale: None };
     let mut rest = run;
     while let Some((view, samples)) = rest.first() {
-        let codec = view.codec();
-        let mut srcs: [&[u8]; MAX_SOURCES] = [&[]; MAX_SOURCES];
-        let mut weights = [0.0f32; MAX_SOURCES];
-        let mut grouped = 0;
-        for ((view, samples), (src, weight)) in rest.iter().zip(srcs.iter_mut().zip(&mut weights)) {
-            let Some((bytes, factor)) = view.source_from(at).filter(|_| view.codec() == codec)
-            else {
-                break;
-            };
-            (*src, *weight) = (bytes, *samples as f32 * factor);
-            grouped += 1;
-        }
-        let (srcs, weights) = (&srcs[..grouped], &weights[..grouped]);
-        let folded = if grouped == 0 {
+        let mut folded = fold_group(rest, at, block, pass);
+        if folded == 0 {
+            if pass.fresh {
+                block.fill(0.0);
+            }
             view.fold_range_into(*samples as f32, at, block);
-            1
-        } else if codec == CodecKind::Uniform8 {
-            kernels::fold_u8_n(block, srcs, weights);
-            grouped
-        } else {
-            kernels::fold_dense_le_n(block, srcs, weights);
-            grouped
-        };
+            folded = 1;
+        }
+        pass.fresh = false;
         rest = &rest[folded..];
     }
+}
+
+/// Folds the longest group at the front of `rest` — up to [`MAX_SOURCES`]
+/// consecutive views of its first view's codec, `Identity` through
+/// [`kernels::fold_dense_le_n`] or `Uniform8` through [`kernels::fold_u8_n`]
+/// — into `block` (the accumulator's elements from `at` on) in one
+/// accumulator pass as `pass` says, and returns how many views that was: 0
+/// when the first view's codec has no multi-source kernel.
+fn fold_group(rest: &[(EncodedView<'_>, u64)], at: usize, block: &mut [f32], pass: Pass) -> usize {
+    let Some((first, _)) = rest.first() else {
+        return 0;
+    };
+    let codec = first.codec();
+    let mut srcs: [&[u8]; MAX_SOURCES] = [&[]; MAX_SOURCES];
+    let mut weights = [0.0f32; MAX_SOURCES];
+    let mut grouped = 0;
+    for ((view, samples), (src, weight)) in rest.iter().zip(srcs.iter_mut().zip(&mut weights)) {
+        let Some((bytes, factor)) = view.source_from(at).filter(|_| view.codec() == codec) else {
+            break;
+        };
+        (*src, *weight) = (bytes, *samples as f32 * factor);
+        grouped += 1;
+    }
+    if grouped == 0 {
+        return 0;
+    }
+    let (srcs, weights) = (&srcs[..grouped], &weights[..grouped]);
+    if codec == CodecKind::Uniform8 {
+        kernels::fold_u8_n(block, srcs, weights, pass);
+    } else {
+        kernels::fold_dense_le_n(block, srcs, weights, pass);
+    }
+    grouped
 }
 
 /// A [`CumulativeFedAvg`] that only batch-folds, kept because the
@@ -204,7 +279,7 @@ impl ShardedFedAvg {
 mod tests {
     use super::*;
     use crate::aggregate::ModelUpdate;
-    use crate::codec::UpdateCodec;
+    use crate::codec::{EncodedUpdate, UpdateCodec};
     use lifl_types::{ClientId, CodecKind};
 
     /// Dense updates as the identity views a station folds them through.
@@ -416,6 +491,173 @@ mod tests {
         }
     }
 
+    /// A pool whose one idle `f32` buffer holds NaN garbage past `dim`
+    /// elements, as an earlier round's accumulator comes home to it.
+    pub(super) fn dirty_pool(dim: usize, seed: u32) -> lifl_shmem::BufferPool {
+        let pool = lifl_shmem::BufferPool::new();
+        let mut dirty = pool.checkout_f32(dim + 5);
+        for (i, v) in dirty.iter_mut().enumerate() {
+            let payload = (i as u32).wrapping_mul(2_654_435_761).wrapping_add(seed);
+            *v = f32::from_bits(0x7F80_0001 | (payload & 0x803F_FFFF));
+        }
+        pool.checkin_f32(dirty);
+        pool
+    }
+
+    /// A station's round over `views` cut into batches at `cuts`: an
+    /// accumulator warmed from `pool`, the first `eager` views folded one
+    /// at a time (as `AggregatorRuntime::poll` folds), the rest batch by
+    /// batch with the last as the closing batch (as `drain_batch` folds up
+    /// to the goal), then `finalize`. Returns the bits and what the buffer
+    /// held before `finalize`.
+    pub(super) fn station_bits(
+        dim: usize,
+        views: &[(EncodedView<'_>, u64)],
+        eager: usize,
+        cuts: &[usize],
+        pool: &lifl_shmem::BufferPool,
+    ) -> (Vec<u32>, Held) {
+        let mut acc = CumulativeFedAvg::default();
+        acc.warm_from(pool, dim);
+        for (view, samples) in &views[..eager] {
+            acc.fold_encoded_view(view, *samples).unwrap();
+        }
+        let mut bounds: Vec<usize> = cuts
+            .iter()
+            .map(|c| (*c).clamp(eager, views.len()))
+            .collect();
+        bounds.extend([eager, views.len()]);
+        bounds.sort_unstable();
+        bounds.dedup();
+        for (i, pair) in bounds.windows(2).enumerate() {
+            let batch = &views[pair[0]..pair[1]];
+            if i + 2 == bounds.len() {
+                acc.fold_closing_batch(batch).unwrap();
+            } else {
+                acc.fold_encoded_batch(batch).unwrap();
+            }
+        }
+        assert_eq!(acc.updates_folded(), views.len() as u64);
+        let held = acc.held;
+        let model = acc.finalize().unwrap().model;
+        (model.as_slice().iter().map(|v| v.to_bits()).collect(), held)
+    }
+
+    /// `updates` encoded under `kinds`, one kind per update in turn.
+    fn encoded(kinds: &[CodecKind], updates: &[ModelUpdate]) -> Vec<EncodedUpdate> {
+        (kinds.iter().cycle().zip(updates))
+            .map(|(kind, u)| UpdateCodec::new(*kind).encode(&u.model))
+            .collect()
+    }
+
+    #[test]
+    fn a_station_folds_a_dirty_pooled_accumulator_to_the_zero_filled_bits() {
+        let topk = CodecKind::TopK { permille: 50 };
+        let (id, u8, u4) = (
+            CodecKind::Identity,
+            CodecKind::Uniform8,
+            CodecKind::Uniform4,
+        );
+        // Each batch shape, and whether one closing batch of it stores the
+        // average from its last pass.
+        let shapes: [(&[CodecKind], usize, bool); 9] = [
+            (&[id], 8, true),
+            (&[u8], 5, true),
+            (&[id], 11, false),
+            (&[u8, u8, u8, id, id], 5, false),
+            (&[topk, id, id, id, id], 5, true),
+            (&[id, id, id, id, topk], 5, false),
+            (&[u4], 3, false),
+            (&[u4, u8, u8], 3, false),
+            (&[u8, topk, u4, id, u8, u8, topk, u8, u8, u8], 10, true),
+        ];
+        for dim in [1usize, 70, 2047, 2048, 2049, 10_000] {
+            for (kinds, count, averages) in shapes {
+                let updates = batch(count, dim);
+                let encoded = encoded(&kinds[..count.min(kinds.len())], &updates);
+                let views: Vec<_> = (encoded.iter().zip(&updates))
+                    .map(|(e, u)| (e.view(), u.samples))
+                    .collect();
+                let expected = folded_sequentially(dim, &views);
+                let case = format!("dim {dim}, {kinds:?} x {count}");
+                // One batch, closing.
+                let pool = dirty_pool(dim, dim as u32);
+                let (bits, held) = station_bits(dim, &views, 0, &[], &pool);
+                assert_eq!(pool.stats().hits, 1, "{case}: the dirty buffer was reused");
+                assert_eq!(bits, expected, "{case}: one batch");
+                let want = if averages { Held::Average } else { Held::Sum };
+                assert_eq!(held, want, "{case}: what the closing pass stored");
+                // Several batches, the first eager views polled one at a
+                // time, and every view polled.
+                for (eager, cuts) in [
+                    (0, &[1, 3][..]),
+                    (0, &[count / 2][..]),
+                    (1, &[2][..]),
+                    (2, &[][..]),
+                ] {
+                    let pool = dirty_pool(dim, eager as u32);
+                    let (bits, _) = station_bits(dim, &views, eager.min(count), cuts, &pool);
+                    assert_eq!(bits, expected, "{case}: {eager} eager, cut at {cuts:?}");
+                }
+                let pool = dirty_pool(dim, 7);
+                let (bits, held) = station_bits(dim, &views, count, &[], &pool);
+                assert_eq!(
+                    (bits, held),
+                    (expected, Held::Sum),
+                    "{case}: every view polled"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_round_that_fails_mid_fold_leaves_its_buffer_to_fold_the_next_round_exactly() {
+        let dim = 3000;
+        let updates = batch(6, dim);
+        let views = identity_views(&updates);
+        let expected = folded_sequentially(dim, &views);
+        let pool = dirty_pool(dim, 1);
+        let mut failed = CumulativeFedAvg::default();
+        failed.warm_from(&pool, dim);
+        failed.fold_encoded_batch(&views[..3]).unwrap();
+        let short = batch(1, dim - 1);
+        let bad = [views[3], (identity_views(&short)[0].0, 1)];
+        assert!(matches!(
+            failed.fold_closing_batch(&bad),
+            Err(LiflError::DimensionMismatch { .. })
+        ));
+        failed.release_to(&pool);
+        assert_eq!(
+            pool.stats().idle_buffers,
+            1,
+            "the half-folded sum went home"
+        );
+        let (bits, held) = station_bits(dim, &views, 0, &[], &pool);
+        assert_eq!(pool.stats().hits, 2, "and came back out for the next round");
+        assert_eq!((bits, held), (expected, Held::Average));
+    }
+
+    #[test]
+    fn an_averaged_accumulator_takes_no_further_fold() {
+        let updates = batch(3, 64);
+        let views = identity_views(&updates);
+        let mut acc = CumulativeFedAvg::new(64);
+        acc.fold_closing_batch(&views[..2]).unwrap();
+        assert_eq!(acc.held, Held::Average);
+        let closed = Err(LiflError::InvalidAggregationGoal(2));
+        assert_eq!(acc.fold_encoded_batch(&views[2..]), closed);
+        assert_eq!(acc.fold_encoded_view(&views[2].0, 1), closed);
+        assert_eq!(acc.fold(&updates[2]), closed);
+        assert_eq!(acc.updates_folded(), 2);
+        let expected = folded_sequentially(64, &views[..2]);
+        let model = acc.finalize().unwrap().model;
+        let bits: Vec<u32> = model.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, expected);
+        // A finalized accumulator opens the next round.
+        acc.fold_closing_batch(&views[2..]).unwrap();
+        assert_eq!(acc.finalize().unwrap().samples, updates[2].samples);
+    }
+
     #[test]
     fn unsorted_and_duplicate_topk_payloads_are_refused_before_the_fold() {
         // Binary search on either payload would hand a block the wrong
@@ -599,6 +841,49 @@ mod proptests {
                 let tolerance = 1e-5f32 * c.abs().max(1.0);
                 prop_assert!((a - c).abs() <= tolerance, "{} vs sequential {}", a, c);
             }
+        }
+
+        /// A station's round into a dirty pooled accumulator — any mix of
+        /// codecs, any number of views folded one at a time first, the rest
+        /// in batches cut anywhere, the last folded as the closing batch —
+        /// finalizes to exactly the bits of a zero-filled accumulator
+        /// folding the same views one at a time and scaling in `finalize`.
+        #[test]
+        fn a_dirty_station_round_folds_the_zero_filled_bits(
+            updates in arbitrary_batch(),
+            kinds in proptest::collection::vec(0u8..4, 1..=12),
+            extra in 0usize..10,
+            eager in 0usize..4,
+            cuts in proptest::collection::vec(0usize..20, 0..4),
+            garbage in any::<u32>(),
+        ) {
+            let dim = updates[0].model.dim();
+            let mut updates = updates;
+            for i in 0..extra {
+                let mut more = updates[i % updates.len()].clone();
+                more.samples = i as u64 + 1;
+                updates.push(more);
+            }
+            let encoded: Vec<_> = (kinds.iter().cycle().zip(&updates))
+                .map(|(kind, u)| {
+                    let kind = match kind {
+                        0 => CodecKind::Identity,
+                        1 => CodecKind::Uniform8,
+                        2 => CodecKind::Uniform4,
+                        _ => CodecKind::TopK { permille: 100 },
+                    };
+                    UpdateCodec::new(kind).encode(&u.model)
+                })
+                .collect();
+            let views: Vec<_> = (encoded.iter().zip(&updates)).map(|(e, u)| (e.view(), u.samples)).collect();
+            let mut reference = CumulativeFedAvg::new(dim);
+            for (view, samples) in &views {
+                reference.fold_encoded_view(view, *samples).unwrap();
+            }
+            let expected: Vec<u32> = reference.finalize().unwrap().model.as_slice().iter().map(|v| v.to_bits()).collect();
+            let pool = super::tests::dirty_pool(dim, garbage);
+            let (bits, _) = super::tests::station_bits(dim, &views, eager.min(views.len()), &cuts, &pool);
+            prop_assert_eq!(bits, expected);
         }
 
         /// Fused encoded batch folding equals decode-then-fold bit-exactly for

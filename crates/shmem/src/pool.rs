@@ -150,19 +150,23 @@ impl BufferPool {
         Self::default()
     }
 
-    /// Checks out an `f32` buffer of exactly `len` elements, every one `0.0`
-    /// — a reused buffer is zero-filled first, whatever was checked in. That
-    /// is a contract, not a detail: an accumulator drawn from the pool
-    /// (`CumulativeFedAvg::warm_from` in `lifl-fl`) starts its round from
-    /// these zeros. Reuses a pooled buffer when one with sufficient capacity
-    /// exists; allocates otherwise.
+    /// Checks out an `f32` buffer of exactly `len` elements. A reused buffer
+    /// comes back holding whatever it held when it was checked in — cut to
+    /// `len`, or padded with `0.0` past its old length — and is not
+    /// zero-filled; a miss comes back all `0.0`. That is a contract, not a
+    /// detail: an accumulator drawn from the pool
+    /// (`CumulativeFedAvg::warm_from` in `lifl-fl`) treats the buffer as
+    /// holding nothing, and its round's first pass writes every element
+    /// without reading one, so a reused buffer is written once per round.
+    /// Reuses a pooled buffer when one with sufficient capacity exists;
+    /// allocates otherwise.
     pub fn checkout_f32(&self, len: usize) -> Vec<f32> {
         let mut buf = {
             let mut guard = self.inner.lock();
             let inner = &mut *guard;
             inner.f32s.checkout(len, &mut inner.stats)
         };
-        buf.clear();
+        buf.truncate(len);
         buf.resize(len, 0.0);
         buf
     }
@@ -332,22 +336,27 @@ mod tests {
     }
 
     #[test]
-    fn a_dirty_f32_buffer_comes_back_out_zeroed() {
+    fn a_dirty_f32_buffer_comes_back_out_as_it_was_and_a_miss_zeroed() {
         let pool = BufferPool::new();
-        let mut buf = pool.checkout_f32(96);
+        let fresh = pool.checkout_f32(96);
+        assert!(fresh.iter().all(|v| v.to_bits() == 0), "a miss is zeroed");
+        let mut buf = fresh;
         buf.fill(f32::NAN);
         buf.push(7.5);
         let ptr = buf.as_ptr();
         pool.checkin_f32(buf);
-        for len in [64, 97] {
-            let again = pool.checkout_f32(len);
-            assert_eq!(again.as_ptr(), ptr, "the same allocation");
-            assert!(
-                again.iter().all(|v| v.to_bits() == 0),
-                "{len} elements: {again:?}"
-            );
-            pool.checkin_f32(again);
-        }
+        // Cut to the length asked for, nothing zeroed.
+        let again = pool.checkout_f32(64);
+        assert_eq!(again.as_ptr(), ptr, "the same allocation");
+        assert_eq!(again.len(), 64);
+        assert!(again.iter().all(|v| v.is_nan()), "{again:?}");
+        pool.checkin_f32(again);
+        // Past the length it was checked in at, padded with zeros.
+        let again = pool.checkout_f32(97);
+        assert_eq!(again.as_ptr(), ptr, "the same allocation");
+        assert_eq!(again.len(), 97);
+        assert!(again[..64].iter().all(|v| v.is_nan()), "{again:?}");
+        assert!(again[64..].iter().all(|v| v.to_bits() == 0), "{again:?}");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use lifl_core::session::{SessionBuilder, Update};
 use lifl_fl::aggregate::ModelUpdate;
 use lifl_fl::codec::UpdateCodec;
 use lifl_fl::DenseModel;
+use lifl_shmem::BufferPool;
 use lifl_types::{ClientId, CodecKind, Topology};
 
 fn updates(n: usize, dim: usize) -> Vec<ModelUpdate> {
@@ -105,6 +106,79 @@ fn multi_round_lossy_cluster_stays_bit_exact() {
         {
             assert_eq!(a.to_bits(), b.to_bits(), "round {round} diverged");
         }
+    }
+}
+
+/// Garbage an earlier round could have left in `pool`'s idle buffers: `f32`
+/// buffers of NaN (accumulators come home holding a round's average) and
+/// byte buffers whose capacity is all `0xAA` (encode bodies).
+fn dirty(pool: &BufferPool, dim: usize) {
+    let floats: Vec<Vec<f32>> = (0..8).map(|_| pool.checkout_f32(dim)).collect();
+    let bytes: Vec<Vec<u8>> = (0..8).map(|_| pool.checkout_bytes(4 * dim + 64)).collect();
+    for mut f in floats {
+        f.fill(f32::NAN);
+        pool.checkin_f32(f);
+    }
+    for mut b in bytes {
+        b.resize(b.capacity(), 0xAA);
+        pool.checkin_bytes(b);
+    }
+}
+
+/// Pooled buffers are not zero-filled when they come back out: a session
+/// and a cluster whose pools start full of garbage fold every round to the
+/// bits a session on a clean pool folds, under every codec.
+#[test]
+fn session_and_cluster_on_a_dirty_pool_match_a_clean_session() {
+    let topology = Topology::new(vec![2, 2, 2]).expect("topology");
+    let dim = 2100;
+    let batch = updates(topology.total_updates(), dim);
+    for codec in CodecKind::ablation_set() {
+        let session = |pool: BufferPool| {
+            SessionBuilder::new()
+                .topology(topology.clone())
+                .codec(codec)
+                .pool(pool)
+                .build()
+                .expect("session")
+        };
+        let mut clean = session(BufferPool::new());
+        let dirty_pool = BufferPool::new();
+        dirty(&dirty_pool, dim);
+        let mut dirtied = session(dirty_pool);
+        let mut cluster = ClusterBuilder::new()
+            .topology(topology.clone())
+            .codec(codec)
+            .build()
+            .expect("cluster");
+        dirty(cluster.pool(), dim);
+        for round in 0..3 {
+            let bits = |update: &ModelUpdate| -> Vec<u32> {
+                update
+                    .model
+                    .as_slice()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            let mut driven = Vec::new();
+            for session in [&mut clean, &mut dirtied] {
+                session
+                    .ingest_all(batch.iter().cloned().map(Update::Dense))
+                    .expect("session ingest");
+                driven.push(bits(&session.drive().expect("session drive").update));
+            }
+            cluster
+                .ingest_all(batch.iter().cloned().map(Update::Dense))
+                .expect("cluster ingest");
+            driven.push(bits(&cluster.drive().expect("cluster drive").update));
+            assert_eq!(driven[1], driven[0], "{codec} round {round}: dirty session");
+            assert_eq!(driven[2], driven[0], "{codec} round {round}: dirty cluster");
+        }
+        assert!(
+            dirtied.pool().stats().hits > 0,
+            "{codec}: the garbage was reused"
+        );
     }
 }
 
