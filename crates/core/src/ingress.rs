@@ -18,7 +18,11 @@
 //!   overflow that total is refused (and a parked one dropped at drain)
 //!   instead of wrapping it and scaling every folded value wrongly, and an
 //!   update that leaves the round gives its weight back. On a cluster the
-//!   cluster's ingress keeps the total, since it is round-wide.
+//!   cluster's ingress keeps the total, since it is round-wide. An encoded
+//!   offer (an `Encoded` update or encoded remote bytes) whose
+//!   quantized levels would fold at a factor `weight · scale` that is not
+//!   finite is refused too; a dense offer the ingress encodes itself finds
+//!   its scale only in its encode, after it was admitted.
 //! * **route** — a vacancy opened by mid-round churn first, then the
 //!   round-robin cursor; committed when the slot took the update, rolled
 //!   back when it did not.
@@ -57,7 +61,7 @@ use crate::admission::{AdmissionQueues, AdmissionStats};
 use crate::gateway::remote_dense_bytes;
 use crate::stations::{Job, Turn, Turnstile, Workers};
 use lifl_fl::codec::{
-    descriptor_dim, EncodedUpdate, ErrorFeedback, FeedbackJob, Residual, UpdateCodec,
+    descriptor_dim, EncodedUpdate, EncodedView, ErrorFeedback, FeedbackJob, Residual, UpdateCodec,
 };
 use lifl_fl::kernels::{le_bytes, StochasticRng};
 use lifl_fl::update::Update;
@@ -130,8 +134,9 @@ pub(crate) struct Target {
 /// here; its encode runs on the workers and lands in offer order.
 ///
 /// # Errors
-/// Store refusals, a zero weight, malformed remote bytes and a dimension
-/// other than the round's, before anything is counted, parked or encoded.
+/// Store refusals, a zero weight, malformed remote bytes, an encoded offer
+/// whose fold factor is not finite and a dimension other than the round's,
+/// before anything is counted, parked or encoded.
 pub(crate) fn offer(backend: &mut impl Backend, update: Update) -> Result<AdmissionOutcome> {
     if !backend.has_room() {
         settle(backend);
@@ -296,6 +301,21 @@ fn weight_rule(total: u64, weight: u64) -> Result<u64> {
     (total.checked_add(weight)).ok_or(LiflError::InvalidAggregationGoal(weight))
 }
 
+/// The factor rule: a quantized view folds every level at `weight as f32 *
+/// scale`, which overflows to ±∞ for a large weight and scale although both
+/// are valid, and an infinite factor turns a level-0 lane into 0 · ∞ = NaN
+/// — poisoning every station it is folded into. So an encoded offer whose
+/// factor is not finite is refused, at the cost of one multiply. Returns
+/// the view.
+fn factor_rule(view: EncodedView<'_>, weight: u64) -> Result<EncodedView<'_>> {
+    match view.level_factor(weight) {
+        Some(factor) if !factor.is_finite() => Err(LiflError::Codec(format!(
+            "fold factor {factor} of weight {weight} and the view's scale is not finite"
+        ))),
+        _ => Ok(view),
+    }
+}
+
 /// Seed of every ingress's client-side error-feedback rounding stream (the
 /// value the pre-redesign codec path used).
 const SEED: u64 = 0x5EED;
@@ -347,22 +367,27 @@ impl Ingress {
     /// # Errors
     /// Returns [`LiflError::InvalidAggregationGoal`] for a zero weight or one
     /// that would overflow the round's total, [`LiflError::Codec`] for
-    /// malformed remote bytes and [`LiflError::DimensionMismatch`] for a
-    /// dimension other than the round's.
+    /// malformed remote bytes or an encoded offer whose fold factor is not
+    /// finite, and [`LiflError::DimensionMismatch`] for a dimension other
+    /// than the round's.
     fn normalise(&self, update: Update) -> Result<(Normalised, usize)> {
         if update.weight() == 0 {
             // A zero weight would fail the round's fold after it was admitted.
             return Err(LiflError::InvalidAggregationGoal(0));
         }
-        weight_rule(self.weight, update.weight())?;
+        let weight = update.weight();
+        weight_rule(self.weight, weight)?;
         // The dimension, from what the offer already holds: remote bytes
         // state theirs in the wire contract they are validated against.
         let dim = match &update {
             Update::Dense(dense) => dense.model.dim(),
-            Update::Encoded { update, .. } => update.dim(),
-            Update::RemoteBytes { wire, encoded, .. } => {
-                (remote_dense_bytes(wire, *encoded)? / 4) as usize
-            }
+            Update::Encoded { update, .. } => factor_rule(update.view(), weight)?.dim(),
+            Update::RemoteBytes {
+                wire,
+                encoded: true,
+                ..
+            } => factor_rule(EncodedView::parse(wire)?, weight)?.dim(),
+            Update::RemoteBytes { wire, .. } => (remote_dense_bytes(wire, false)? / 4) as usize,
         };
         let dim = dim_rule(self.dim, dim)?;
         let fallback = ClientId::new(self.lifetime);
@@ -716,6 +741,7 @@ impl Ingress {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lifl_types::Topology;
 
     fn ingress() -> Ingress {
         let workers = Workers::with_count(0);
@@ -757,5 +783,122 @@ mod tests {
         let route = ingress.route(0);
         ingress.settle(route, false);
         assert_eq!((ingress.ingested, ingress.cursor), (0, 0));
+    }
+
+    /// The two doors, as the factor-rule test drives them.
+    trait Door {
+        fn offer(&mut self, update: Update) -> Result<AdmissionOutcome>;
+        fn pending(&self) -> u64;
+        /// Drives the round: the aggregate's weight and bits.
+        fn round(&mut self) -> (u64, Vec<u32>);
+    }
+
+    fn bits(update: &lifl_fl::ModelUpdate) -> (u64, Vec<u32>) {
+        let model = update.model.as_slice();
+        (update.samples, model.iter().map(|v| v.to_bits()).collect())
+    }
+
+    impl Door for crate::session::Session {
+        fn offer(&mut self, update: Update) -> Result<AdmissionOutcome> {
+            self.try_ingest(update)
+        }
+        fn pending(&self) -> u64 {
+            self.pending_updates()
+        }
+        fn round(&mut self) -> (u64, Vec<u32>) {
+            bits(&self.drive().unwrap().update)
+        }
+    }
+
+    impl Door for crate::cluster::Cluster {
+        fn offer(&mut self, update: Update) -> Result<AdmissionOutcome> {
+            self.try_ingest(update)
+        }
+        fn pending(&self) -> u64 {
+            self.pending_updates()
+        }
+        fn round(&mut self) -> (u64, Vec<u32>) {
+            bits(&self.drive().unwrap().update)
+        }
+    }
+
+    /// Eight honest dense updates of round `round`.
+    fn honest(round: usize) -> Vec<Update> {
+        (0..8)
+            .map(|i| {
+                let values =
+                    (0..16).map(|d| ((i * 31 + d * 7 + round * 5) % 89) as f32 * 0.02 - 0.9);
+                Update::dense(
+                    ClientId::new(i as u64),
+                    DenseModel::from_vec(values.collect()),
+                    i as u64 + 1,
+                )
+            })
+            .collect()
+    }
+
+    /// An overflowing-factor `Uniform8` view — a finite scale of ≈ 1e30 at
+    /// a weight of 2⁴⁰, whose product is +∞ — offered as an `Encoded`
+    /// update and as encoded remote bytes mid-round, is refused by `make`'s
+    /// door with nothing counted, and that round and the next drive to the
+    /// bits of a twin that never saw it, at 0, 1 and 3 workers.
+    fn an_overflowing_factor_is_refused<D: Door>(make: impl Fn(Workers) -> D) {
+        let huge = DenseModel::from_vec((0..16).map(|d| 1.27e32 - d as f32 * 1e30).collect());
+        let view = UpdateCodec::new(CodecKind::Uniform8).encode(&huge);
+        let weight = 1u64 << 40;
+        assert_eq!(view.view().level_factor(weight), Some(f32::INFINITY));
+        assert!(view.view().level_factor(1).is_some_and(f32::is_finite));
+        for workers in [0, 1, 3] {
+            let mut twin = make(Workers::with_count(workers));
+            let mut door = make(Workers::with_count(workers));
+            for round in 0..2 {
+                let updates = honest(round);
+                for update in &updates {
+                    assert!(twin.offer(update.clone()).unwrap().is_admitted());
+                }
+                for (i, update) in updates.into_iter().enumerate() {
+                    if round == 0 && i == 3 {
+                        let pending = door.pending();
+                        for offer in [
+                            Update::encoded(ClientId::new(40), view.clone(), weight),
+                            Update::remote_bytes(view.wire().to_vec(), weight, true),
+                        ] {
+                            let refused = door.offer(offer).unwrap_err();
+                            assert!(matches!(refused, LiflError::Codec(_)), "{refused}");
+                            assert_eq!(door.pending(), pending);
+                        }
+                    }
+                    assert!(door.offer(update).unwrap().is_admitted());
+                }
+                assert_eq!(
+                    door.round(),
+                    twin.round(),
+                    "round {round}, {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_session_refuses_an_overflowing_fold_factor() {
+        an_overflowing_factor_is_refused(|workers| {
+            crate::session::SessionBuilder::new()
+                .topology(Topology::new(vec![2, 2, 2]).unwrap())
+                .codec(CodecKind::Uniform8)
+                .workers(workers)
+                .build()
+                .unwrap()
+        });
+    }
+
+    #[test]
+    fn a_cluster_refuses_an_overflowing_fold_factor() {
+        an_overflowing_factor_is_refused(|workers| {
+            crate::cluster::ClusterBuilder::new()
+                .topology(Topology::new(vec![2, 2, 2]).unwrap())
+                .codec(CodecKind::Uniform8)
+                .build_on(workers)
+                .unwrap()
+        });
     }
 }

@@ -349,6 +349,19 @@ impl<'a> EncodedView<'a> {
         self.dim as usize
     }
 
+    /// The factor a fold of this view at `weight` samples multiplies each
+    /// quantized level by, `weight as f32 * scale` — what every fold of a
+    /// `Uniform8` or `Uniform4` view computes — or `None` for `Identity` and
+    /// `TopK`, which fold their values at the weight itself. [`parse`]
+    /// checks that the scale is finite, but the product can still overflow
+    /// to ±∞.
+    ///
+    /// [`parse`]: EncodedView::parse
+    pub fn level_factor(&self, weight: u64) -> Option<f32> {
+        let quantized = matches!(self.codec, CodecKind::Uniform8 | CodecKind::Uniform4);
+        quantized.then_some(weight as f32 * self.scale)
+    }
+
     /// Copies the view into an owned [`EncodedUpdate`].
     pub fn to_update(&self) -> EncodedUpdate {
         let mut wire = Vec::with_capacity(HEADER + self.body.len());

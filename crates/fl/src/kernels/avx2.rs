@@ -239,7 +239,9 @@ pub(super) unsafe fn fold_u8_n(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32], pass
 /// both arms return. An infinite factor (a parsed view's scale is finite,
 /// but `weight * scale` can overflow) makes 0 · ∞ = NaN at a level-0 lane;
 /// where that meets a NaN accumulator lane the sum is NaN on every arm, its
-/// payload unpinned. A fresh pass loads no accumulator lane, so from zeros
+/// payload unpinned. The engine's doors refuse such a factor on an offer
+/// that arrives encoded; a dense offer the ingress encodes itself can still
+/// bring one. A fresh pass loads no accumulator lane, so from zeros
 /// every NaN is the one 0 · ∞ or ∞ − ∞ makes and every bit is pinned.
 ///
 /// Safety: caller must have verified AVX2 support at runtime; `srcs` and
@@ -986,4 +988,182 @@ pub(super) unsafe fn feedback_append_u4(
     let values = residual.as_mut_ptr();
     let i = quantize_u4::<true>(values, residual.len(), inv, k, levels, rng, out);
     scalar::feedback_append_u4(&mut residual[i..], inv, k, levels, rng, &mut out[i / 2..]);
+}
+
+/// Safety: caller must have verified AVX2 support at runtime; `wt` holds
+/// `x.len()` rows of `out.len()`.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
+// `super` calls this only after `is_x86_feature_detected!("avx2")`, with
+// `wt` cut to `x.len() * out.len()` elements, which is what `logits_from`
+// needs.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn logits(wt: &[f32], x: &[f32], out: &mut [f32]) {
+    logits_from(wt, x, out, 0);
+}
+
+/// [`logits`] of the class lanes from `c` on: tiles of up to 64 lanes
+/// ([`logit_tile`]), then the sub-vector tail on the scalar arm. The
+/// AVX-512 arm hands it the lanes its 16-lane tiles leave.
+///
+/// Safety: caller must have verified AVX2 support at runtime; `wt` holds
+/// `x.len()` rows of `out.len()`, and `c <= out.len()`.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; every tile starts at
+// or after `c` and ends at or before `out.len()`, which with `wt`'s rows of
+// `out.len()` is what `logit_tile` needs.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn logits_from(wt: &[f32], x: &[f32], out: &mut [f32], mut c: usize) {
+    let kp = out.len();
+    while c + 64 <= kp {
+        logit_tile::<8>(wt, x, out, c);
+        c += 64;
+    }
+    match (kp - c) / 8 {
+        1 => logit_tile::<1>(wt, x, out, c),
+        2 => logit_tile::<2>(wt, x, out, c),
+        3 => logit_tile::<3>(wt, x, out, c),
+        4 => logit_tile::<4>(wt, x, out, c),
+        5 => logit_tile::<5>(wt, x, out, c),
+        6 => logit_tile::<6>(wt, x, out, c),
+        7 => logit_tile::<7>(wt, x, out, c),
+        _ => {}
+    }
+    c += (kp - c) / 8 * 8;
+    scalar::logits_from(wt, x, out, c);
+}
+
+/// The `8 * V` class lanes from `c` of [`logits`]: `V` accumulators start
+/// at `-0.0` and stay in registers for the whole feature loop, each feature
+/// adding `w * x` (the multiply and the add separate, as the scalar arm does
+/// them) to every lane, so each lane's chain of adds runs in feature order,
+/// and one store per accumulator at the end.
+///
+/// Safety: caller must have verified AVX2 support at runtime; `wt` holds
+/// `x.len()` rows of `out.len()`, and `c + 8 * V <= out.len()`.
+// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw loads and
+// stores. Row `j`'s load at `j * kp + c + 8 * v` ends at or before
+// `j * kp + c + 8 * V <= (j + 1) * kp <= wt.len()`, and the stores at
+// `c + 8 * v` end at or before `c + 8 * V <= out.len()` (the caller's
+// contract).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn logit_tile<const V: usize>(wt: &[f32], x: &[f32], out: &mut [f32], c: usize) {
+    let kp = out.len();
+    let mut acc = [_mm256_set1_ps(-0.0); V];
+    for (j, xj) in x.iter().enumerate() {
+        let xj = _mm256_set1_ps(*xj);
+        let row = wt.as_ptr().add(j * kp + c);
+        for (v, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_add_ps(*a, _mm256_mul_ps(_mm256_loadu_ps(row.add(8 * v)), xj));
+        }
+    }
+    let to = out.as_mut_ptr().add(c);
+    for (v, a) in acc.iter().enumerate() {
+        _mm256_storeu_ps(to.add(8 * v), *a);
+    }
+}
+
+/// Safety: caller must have verified AVX2 support at runtime; `bias` is not
+/// empty, `weights.len()` is a multiple of `bias.len()`, and `err` holds
+/// `xs.len()` rows of `stride >= bias.len()`.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
+// `super` calls this only after `is_x86_feature_detected!("avx2")`. A batch
+// with a sample shorter than the `f` features goes to the scalar arm, so
+// every sample covers `f`, which is what `gradient_from` needs.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn outer_accumulate(
+    weights: &mut [f32],
+    bias: &mut [f32],
+    err: &[f32],
+    stride: usize,
+    xs: &[&[f32]],
+) {
+    let f = weights.len() / bias.len();
+    if xs.iter().any(|x| x.len() < f) {
+        return scalar::outer_accumulate(weights, bias, err, stride, xs);
+    }
+    scalar::bias_row(bias, err, stride, xs.len());
+    gradient_from(weights, bias.len(), err, stride, xs, 0);
+}
+
+/// [`outer_accumulate`]'s weight rows over the features from `j` on: tiles
+/// of up to 64 features ([`gradient_tile`]), every class's tile of one
+/// feature range before the next range, so the batch's slice of features
+/// stays in L1 across the classes; then the sub-vector tail on the scalar
+/// arm. The AVX-512 arm hands it the features its 64-feature tiles leave.
+///
+/// Safety: caller must have verified AVX2 support at runtime; `weights`
+/// holds `classes` rows of `f`, every sample covers `f`, `err` holds
+/// `xs.len()` rows of `stride >= classes`, and `j <= f`.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; every tile starts at
+// or after `j` and ends at or before `f`, which is what `gradient_tile`
+// needs.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn gradient_from(
+    weights: &mut [f32],
+    classes: usize,
+    err: &[f32],
+    stride: usize,
+    xs: &[&[f32]],
+    mut j: usize,
+) {
+    let f = weights.len() / classes;
+    while j + 64 <= f {
+        for c in 0..classes {
+            gradient_tile::<8>(weights, f, c, j, err, stride, xs);
+        }
+        j += 64;
+    }
+    for c in 0..classes {
+        match (f - j) / 8 {
+            1 => gradient_tile::<1>(weights, f, c, j, err, stride, xs),
+            2 => gradient_tile::<2>(weights, f, c, j, err, stride, xs),
+            3 => gradient_tile::<3>(weights, f, c, j, err, stride, xs),
+            4 => gradient_tile::<4>(weights, f, c, j, err, stride, xs),
+            5 => gradient_tile::<5>(weights, f, c, j, err, stride, xs),
+            6 => gradient_tile::<6>(weights, f, c, j, err, stride, xs),
+            7 => gradient_tile::<7>(weights, f, c, j, err, stride, xs),
+            _ => {}
+        }
+    }
+    j += (f - j) / 8 * 8;
+    scalar::outer_columns(weights, classes, err, stride, xs, j);
+}
+
+/// Class `c`'s `8 * V` features from `j` of [`outer_accumulate`]: `V`
+/// accumulators start at `+0.0` and stay in registers across the batch,
+/// each sample adding `err * x` (the multiply and the add separate, as the
+/// scalar arm does them) to every lane, so each element's chain of adds
+/// runs in sample order, and one store per accumulator at the end.
+///
+/// Safety: caller must have verified AVX2 support at runtime; `weights`
+/// holds rows of `f`, every sample covers `f`, `j + 8 * V <= f`, and `err`
+/// holds `xs.len()` rows of `stride > c`.
+// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw loads and
+// stores. Each sample's loads at `j + 8 * v` end at or before
+// `j + 8 * V <= f <= x.len()`, and the stores at `c * f + j + 8 * v` end at
+// or before `(c + 1) * f <= weights.len()` (the caller's contract); `err`
+// is read through bounds-checked indexing.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn gradient_tile<const V: usize>(
+    weights: &mut [f32],
+    f: usize,
+    c: usize,
+    j: usize,
+    err: &[f32],
+    stride: usize,
+    xs: &[&[f32]],
+) {
+    let mut acc = [_mm256_setzero_ps(); V];
+    for (s, x) in xs.iter().enumerate() {
+        let e = _mm256_set1_ps(err[s * stride + c]);
+        let from = x.as_ptr().add(j);
+        for (v, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_add_ps(*a, _mm256_mul_ps(e, _mm256_loadu_ps(from.add(8 * v))));
+        }
+    }
+    let to = weights.as_mut_ptr().add(c * f + j);
+    for (v, a) in acc.iter().enumerate() {
+        _mm256_storeu_ps(to.add(8 * v), *a);
+    }
 }

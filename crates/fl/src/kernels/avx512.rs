@@ -1,8 +1,14 @@
-//! AVX-512 implementations of the `Uniform8` stochastic encoders.
+//! AVX-512 implementations of the `Uniform8` stochastic encoders and of the
+//! local trainer's two passes.
 //!
-//! Only [`encode_u8`] and [`feedback_append_u8`] live here: every other
-//! kernel stays on `super::avx2` on an AVX-512 host, `Uniform4` included.
-//! Both functions are bit-exact with their counterparts in
+//! Only [`encode_u8`], [`feedback_append_u8`], [`logits`] and
+//! [`outer_accumulate`] live here: every other kernel stays on
+//! `super::avx2` on an AVX-512 host, `Uniform4` included. The trainer's
+//! passes are `avx2.rs`'s register tiles sixteen lanes wide, multiply then
+//! add in the same per-element order, and hand what their tiles leave to
+//! the AVX2 arm; see "The trainer's passes" below.
+//!
+//! The two encoders are bit-exact with their counterparts in
 //! [`super::scalar`] for every input, for the reasons `avx2.rs` gives for
 //! its 8-lane loop, which this 16-lane one mirrors operation for operation:
 //! multiply, floor (`_mm512_roundscale_ps` rounding toward −∞), subtract,
@@ -48,14 +54,28 @@
 //!   discards the high half of an odd last draw exactly once. The position
 //!   afterwards is `fill(len)`'s by construction.
 //!
-//! All functions are `unsafe` because they require AVX-512F and AVX-512DQ.
+//! # The trainer's passes
+//!
+//! [`logits`] holds a tile of 64 class lanes in four zmm accumulators for
+//! the whole feature loop; [`outer_accumulate`] holds two classes' 64
+//! features in eight, so each sample's four feature vectors are loaded
+//! once for both classes. Each lane still adds its terms in feature (or
+//! sample) order, one multiply and one add per term, so the results are
+//! the scalar arm's bit for bit, NaN payloads aside. On the same KVM Intel
+//! Xeon (model 207), a 50-round federated training benchmark of 128
+//! features and 62 classes (`train_cluster`, seed 1, 8 alternating pairs)
+//! ran its rounds in a median 8.70 ms with these arms against 9.95 ms with
+//! `AVX512` taking both passes from AVX2, −12.6 %, faster in every pair.
+//!
+//! All functions are `unsafe` because they require AVX-512F and AVX-512DQ
+//! (and the trainer's passes AVX2, for the lanes their tiles leave).
 //! They are entries of the parent module's `AVX512` table (the rest of
 //! which is `AVX2`'s), reached only after `is_x86_feature_detected!`
 //! reported both, and AVX2.
 
 use core::arch::x86_64::*;
 
-use super::{scalar, StochasticRng, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2};
+use super::{avx2, scalar, StochasticRng, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2};
 use std::mem::MaybeUninit;
 
 /// The counters of the next eight draws of `rng`: `state + {1, …, 8} *
@@ -231,4 +251,146 @@ pub(super) unsafe fn feedback_append_u8(
     let values = residual.as_mut_ptr();
     let i = quantize_u8::<true>(values, residual.len(), inv, k, levels, rng, out);
     scalar::feedback_append_u8(&mut residual[i..], inv, k, levels, rng, &mut out[i..]);
+}
+
+/// Safety: caller must have verified AVX-512F, AVX-512DQ and AVX2 support
+/// at runtime; `wt` holds `x.len()` rows of `out.len()`.
+// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)`; the
+// dispatcher in `super` calls this only after `is_x86_feature_detected!`
+// reported both and AVX2, with `wt` cut to `x.len() * out.len()` elements.
+// Every tile starts at or after 0 and ends at or before `out.len()`, which
+// is what `logit_tile` needs, and the lanes they leave go to the AVX2 arm
+// under the same contract.
+#[target_feature(enable = "avx512f,avx512dq")]
+pub(super) unsafe fn logits(wt: &[f32], x: &[f32], out: &mut [f32]) {
+    let kp = out.len();
+    let mut c = 0usize;
+    while c + 64 <= kp {
+        logit_tile::<4>(wt, x, out, c);
+        c += 64;
+    }
+    match (kp - c) / 16 {
+        1 => logit_tile::<1>(wt, x, out, c),
+        2 => logit_tile::<2>(wt, x, out, c),
+        3 => logit_tile::<3>(wt, x, out, c),
+        _ => {}
+    }
+    c += (kp - c) / 16 * 16;
+    avx2::logits_from(wt, x, out, c);
+}
+
+/// The `16 * V` class lanes from `c` of [`logits`], `avx2::logit_tile`
+/// sixteen lanes wide: `V` accumulators from `-0.0` in registers for the
+/// whole feature loop, `w * x` multiplied then added, one store each.
+///
+/// Safety: caller must have verified AVX-512F support at runtime; `wt`
+/// holds `x.len()` rows of `out.len()`, and `c + 16 * V <= out.len()`.
+// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)` and the
+// raw loads and stores. Row `j`'s load at `j * kp + c + 16 * v` ends at or
+// before `j * kp + c + 16 * V <= (j + 1) * kp <= wt.len()`, and the stores
+// at `c + 16 * v` end at or before `c + 16 * V <= out.len()` (the caller's
+// contract).
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn logit_tile<const V: usize>(wt: &[f32], x: &[f32], out: &mut [f32], c: usize) {
+    let kp = out.len();
+    let mut acc = [_mm512_set1_ps(-0.0); V];
+    for (j, xj) in x.iter().enumerate() {
+        let xj = _mm512_set1_ps(*xj);
+        let row = wt.as_ptr().add(j * kp + c);
+        for (v, a) in acc.iter_mut().enumerate() {
+            *a = _mm512_add_ps(*a, _mm512_mul_ps(_mm512_loadu_ps(row.add(16 * v)), xj));
+        }
+    }
+    let to = out.as_mut_ptr().add(c);
+    for (v, a) in acc.iter().enumerate() {
+        _mm512_storeu_ps(to.add(16 * v), *a);
+    }
+}
+
+/// Safety: caller must have verified AVX-512F, AVX-512DQ and AVX2 support
+/// at runtime; `bias` is not empty, `weights.len()` is a multiple of
+/// `bias.len()`, and `err` holds `xs.len()` rows of `stride >= bias.len()`.
+// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)`; the
+// dispatcher in `super` calls this only after `is_x86_feature_detected!`
+// reported both and AVX2. A batch with a sample shorter than the `f`
+// features goes to the scalar arm, so every sample covers `f`; every tile
+// ends at or before `f`, and row `c + 1` of a pair exists, which is what
+// `gradient_tile` needs; the features left go to the AVX2 arm under the
+// same contract.
+#[target_feature(enable = "avx512f,avx512dq")]
+pub(super) unsafe fn outer_accumulate(
+    weights: &mut [f32],
+    bias: &mut [f32],
+    err: &[f32],
+    stride: usize,
+    xs: &[&[f32]],
+) {
+    let classes = bias.len();
+    let f = weights.len() / classes;
+    if xs.iter().any(|x| x.len() < f) {
+        return scalar::outer_accumulate(weights, bias, err, stride, xs);
+    }
+    scalar::bias_row(bias, err, stride, xs.len());
+    let mut j = 0usize;
+    while j + 64 <= f {
+        let mut c = 0usize;
+        while c + 2 <= classes {
+            gradient_tile::<2>(weights, f, c, j, err, stride, xs);
+            c += 2;
+        }
+        if c < classes {
+            gradient_tile::<1>(weights, f, c, j, err, stride, xs);
+        }
+        j += 64;
+    }
+    avx2::gradient_from(weights, classes, err, stride, xs, j);
+}
+
+/// Classes `c..c + C`'s 64 features from `j` of [`outer_accumulate`]:
+/// `4 * C` accumulators from `+0.0` in registers across the batch, each
+/// sample's four feature vectors loaded once and `err * x` multiplied then
+/// added into every class's row, so each element's chain of adds runs in
+/// sample order; one store each.
+///
+/// Safety: caller must have verified AVX-512F support at runtime; `weights`
+/// holds rows of `f`, every sample covers `f`, `j + 64 <= f`, and `err`
+/// holds `xs.len()` rows of `stride >= c + C`, `c + C` rows existing.
+// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)` and the
+// raw loads and stores. Each sample's loads at `j + 16 * v` end at or
+// before `j + 64 <= f <= x.len()`, and the stores at
+// `(c + r) * f + j + 16 * v` end at or before `(c + C) * f <=
+// weights.len()` (the caller's contract); `err` is read through
+// bounds-checked indexing.
+#[inline]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn gradient_tile<const C: usize>(
+    weights: &mut [f32],
+    f: usize,
+    c: usize,
+    j: usize,
+    err: &[f32],
+    stride: usize,
+    xs: &[&[f32]],
+) {
+    let mut acc = [[_mm512_setzero_ps(); 4]; C];
+    for (s, x) in xs.iter().enumerate() {
+        let from = x.as_ptr().add(j);
+        let mut x = [_mm512_setzero_ps(); 4];
+        for (v, x) in x.iter_mut().enumerate() {
+            *x = _mm512_loadu_ps(from.add(16 * v));
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let e = _mm512_set1_ps(err[s * stride + c + r]);
+            for (a, x) in row.iter_mut().zip(x) {
+                *a = _mm512_add_ps(*a, _mm512_mul_ps(e, x));
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        let to = weights.as_mut_ptr().add((c + r) * f + j);
+        for (v, a) in row.iter().enumerate() {
+            _mm512_storeu_ps(to.add(16 * v), *a);
+        }
+    }
 }

@@ -1,13 +1,20 @@
-//! Runtime-dispatched SIMD kernels for the codec and aggregation hot paths.
+//! Runtime-dispatched SIMD kernels for the codec, aggregation and local
+//! training hot paths. Training is two passes of softmax regression,
+//! `logits` per sample and `outer_accumulate` (the gradient) per
+//! mini-batch, each keeping its output tile in registers across its
+//! reduction loop; every element is summed in the row-major trainer's
+//! order, multiply then add, so the trainer's bits are the same on every
+//! arm.
 //!
 //! # Dispatch strategy
 //!
 //! Every kernel has a scalar reference in `scalar.rs` (the semantic ground
 //! truth) and an AVX2 implementation in `avx2.rs` (x86-64 only); the
-//! `Uniform8` stochastic encoders have a third, 16-lane arm in `avx512.rs`.
-//! Each arm is one `Kernels` table, a function pointer per kernel:
-//! `SCALAR`, `AVX2` (x86-64 only), and `AVX512`, which is `AVX2` with the
-//! two `Uniform8` encoders replaced. Which table runs is decided **once per
+//! `Uniform8` stochastic encoders and the trainer's two passes have a
+//! third, 16-lane arm in `avx512.rs`. Each arm is one `Kernels` table, a
+//! function pointer per kernel: `SCALAR`, `AVX2` (x86-64 only), and
+//! `AVX512`, which is `AVX2` with those four kernels replaced. Which table
+//! runs is decided **once per
 //! process**: the first call checks the `LIFL_FORCE_SCALAR` environment
 //! variable and `is_x86_feature_detected!`, then caches a reference to the
 //! table in a `OnceLock`, so steady-state dispatch is one indirect call
@@ -49,7 +56,9 @@
 //! open, though: the hardware returns its first operand's, and the compiler
 //! may swap the operands of either arm. So the dense fold, whose weights,
 //! sources and accumulator can all be NaN, stores every NaN it produces as
-//! the canonical quiet NaN ([`f32::NAN`]) on both arms.
+//! the canonical quiet NaN ([`f32::NAN`]) on both arms. The trainer's
+//! passes leave a NaN's payload open instead: nothing reads it, and their
+//! parity tests compare a NaN lane as NaN.
 //!
 //! # How to add a kernel
 //!
@@ -79,7 +88,9 @@
 //! `fill` of the element count would. An AVX-512 arm is added the same way,
 //! in `avx512.rs` and as an entry of `AVX512`, for a kernel whose AVX2 arm
 //! is bound by what AVX-512 adds (the `Uniform8` encoders: 64-bit
-//! multiplies).
+//! multiplies; the trainer's passes: twice the lanes per load, and twice
+//! the registers to hold a gradient tile of two classes) — and only when it
+//! measures faster than AVX2 on the host.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -149,6 +160,12 @@ struct Kernels {
     // SAFETY: as `feedback_append_u8`, `body` holding
     // `residual.len().div_ceil(2)` bytes.
     feedback_append_u4: unsafe fn(&mut [f32], f32, f32, f32, &mut StochasticRng, &mut Spare),
+    // SAFETY: of `(wt, x, out)`, `wt` holds `x.len()` rows of `out.len()`.
+    logits: unsafe fn(&[f32], &[f32], &mut [f32]),
+    // SAFETY: of `(weights, bias, err, stride, xs)`, `bias` is not empty,
+    // `weights.len()` is a multiple of `bias.len()`, and `err` holds
+    // `xs.len()` rows of `stride >= bias.len()`.
+    outer_accumulate: unsafe fn(&mut [f32], &mut [f32], &[f32], usize, &[&[f32]]),
 }
 
 /// The spare capacity of a wire body, as a stochastic encoder arm is handed
@@ -172,6 +189,8 @@ static SCALAR: Kernels = Kernels {
     encode_u4: scalar::encode_u4,
     feedback_append_u8: scalar::feedback_append_u8,
     feedback_append_u4: scalar::feedback_append_u4,
+    logits: scalar::logits,
+    outer_accumulate: scalar::outer_accumulate,
 };
 
 /// `avx2.rs` for every kernel: hosts whose CPUID reports `avx2`.
@@ -191,16 +210,20 @@ static AVX2: Kernels = Kernels {
     encode_u4: avx2::encode_u4,
     feedback_append_u8: avx2::feedback_append_u8,
     feedback_append_u4: avx2::feedback_append_u4,
+    logits: avx2::logits,
+    outer_accumulate: avx2::outer_accumulate,
 };
 
-/// `avx512.rs` for the `Uniform8` stochastic encoders, `avx2.rs` for every
-/// other kernel: hosts whose CPUID reports `avx2`, `avx512f` and
-/// `avx512dq`.
+/// `avx512.rs` for the `Uniform8` stochastic encoders and the trainer's two
+/// passes, `avx2.rs` for every other kernel: hosts whose CPUID reports
+/// `avx2`, `avx512f` and `avx512dq`.
 #[cfg(target_arch = "x86_64")]
 static AVX512: Kernels = Kernels {
     name: "avx512",
     encode_u8: avx512::encode_u8,
     feedback_append_u8: avx512::feedback_append_u8,
+    logits: avx512::logits,
+    outer_accumulate: avx512::outer_accumulate,
     ..AVX2
 };
 
@@ -243,8 +266,8 @@ fn active() -> &'static Kernels {
 }
 
 /// Human-readable name of the active arm, for logs and benchmark reports:
-/// `"avx512"` while the 16-lane `Uniform8` encoders run, `"avx2"`, or
-/// `"scalar"`.
+/// `"avx512"` while the 16-lane `Uniform8` encoders and trainer passes run,
+/// `"avx2"`, or `"scalar"`.
 pub fn active_kernel_arm() -> &'static str {
     active().name
 }
@@ -881,6 +904,66 @@ pub fn add_max(acc: &mut [f32], src: &[f32]) -> f32 {
     // SAFETY: the active table passed its CPUID check; both slices are cut
     // to one length.
     unsafe { (active().add_max)(&mut acc[..n], &src[..n]) }
+}
+
+// ---------------------------------------------------------------------------
+// Softmax regression: the local trainer's two passes.
+// ---------------------------------------------------------------------------
+
+/// The lane width a transposed weight block pads its class rows to: the
+/// trainer stores `W` as `features` rows of `classes.next_multiple_of(8)`
+/// lanes, the padding zero, so every [`logits`] tile of the vector arms is
+/// whole.
+pub(crate) const CLASS_LANES: usize = 8;
+
+/// Class logits of one sample over a transposed weight block `wt` of
+/// `kp = out.len()` lanes per row: `out[c] = -0.0 + Σ_j wt[j·kp + c]·x[j]`
+/// for every lane `c`, the products added in feature order over the common
+/// prefix of `x` and `wt`'s rows. Each lane is one chain of adds the
+/// compiler may not reassociate; the vector arms hold a tile of lanes in
+/// registers for the whole feature loop and advance its chains side by
+/// side, multiply then add, never FMA — so every arm's logit is the
+/// row-major `Σ_j W[c][j]·x[j]` bit for bit. A NaN logit's payload is not
+/// pinned (the arms may commute a multiply's operands); the parity tests
+/// compare NaN lanes as NaN.
+pub(crate) fn logits(wt: &[f32], x: &[f32], out: &mut [f32]) {
+    let Some(rows) = wt.len().checked_div(out.len()) else {
+        return;
+    };
+    let f = x.len().min(rows);
+    // SAFETY: the active table passed its CPUID check; `wt` is cut to `f`
+    // rows of `out.len()`, `x` to `f` features.
+    unsafe { (active().logits)(&wt[..f * out.len()], &x[..f], out) }
+}
+
+/// The gradient of one softmax-regression mini-batch, written fresh (nothing
+/// is read from `weights` or `bias`): for every class `c < k = bias.len()`
+/// and feature `j < f = weights.len() / k`,
+/// `weights[c·f + j] = +0.0 + Σ_s err[s·stride + c]·x_s[j]` and
+/// `bias[c] = +0.0 + Σ_s err[s·stride + c]`, the terms added in sample
+/// order — the per-sample `grad += err ⊗ x` loop's bits, one outer product
+/// per sample. The samples are the common prefix of `xs` and `err`'s rows;
+/// a sample shorter than `f` adds nothing to the features it lacks. The
+/// vector arms hold a 64-feature tile of one class (two on AVX-512) in
+/// registers across the batch, multiply then add, never FMA; a NaN's
+/// payload is not pinned, as in [`logits`].
+pub(crate) fn outer_accumulate(
+    weights: &mut [f32],
+    bias: &mut [f32],
+    err: &[f32],
+    stride: usize,
+    xs: &[&[f32]],
+) {
+    let k = bias.len();
+    if k == 0 || stride < k {
+        return;
+    }
+    let samples = xs.len().min(err.len() / stride);
+    let f = weights.len() / k;
+    // SAFETY: the active table passed its CPUID check; `bias` is not empty,
+    // `weights` is cut to `k` rows of `f`, and `err` covers `samples` rows
+    // of `stride >= k`.
+    unsafe { (active().outer_accumulate)(&mut weights[..k * f], bias, err, stride, &xs[..samples]) }
 }
 
 // ---------------------------------------------------------------------------
@@ -2709,5 +2792,205 @@ pub(crate) mod proptests {
             fitting.push(body);
         }
         assert!(fitting.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    // -----------------------------------------------------------------
+    // The trainer's two passes.
+    // -----------------------------------------------------------------
+
+    /// The class counts, feature counts and lane widths the trainer's
+    /// passes are checked at: around a vector, a 64-lane tile and the
+    /// benchmark's 62 classes of 128 features.
+    const CLASSES: [usize; 8] = [1, 7, 8, 9, 62, 64, 65, 130];
+    const FEATURES: [usize; 7] = [1, 3, 63, 64, 65, 128, 129];
+    /// How rarely [`sprinkled`] values are non-finite, zero or subnormal:
+    /// never, one in 5, one in 97, one in 4096.
+    const RARE: [u32; 4] = [0, 5, 97, 4096];
+
+    /// `len` values in `[-2, 2)` from `seed`, one in `rare` of them (none
+    /// when `rare` is 0) replaced by NaN, ±∞, −0.0, +0.0 or a subnormal.
+    fn sprinkled(len: usize, seed: u64, rare: u32) -> Vec<f32> {
+        let mut words = vec![0u32; len];
+        StochasticRng::from_seed(seed).fill(&mut words);
+        let value = |w: &u32| {
+            let v = (w >> 8) as f32 / (1u32 << 22) as f32 - 2.0;
+            if rare == 0 || !w.is_multiple_of(rare) {
+                return v;
+            }
+            match (w >> 4) % 6 {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 => -0.0,
+                4 => 0.0,
+                _ => v * 1e-40,
+            }
+        };
+        words.iter().map(value).collect()
+    }
+
+    /// `a` and `b` bit for bit, except that a NaN matches any NaN: the
+    /// trainer's passes pin no NaN payload (see [`logits`]).
+    fn same_bits_or_nan(a: &[f32], b: &[f32]) -> Result<(), String> {
+        prop_assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            let same = x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+            prop_assert!(same, "element {}: {:?} vs {:?}", i, x, y);
+        }
+        Ok(())
+    }
+
+    /// `logits` on every arm ≡ the scalar reference over a transposed block
+    /// of `classes` lanes per row, padded to [`CLASS_LANES`] or not, into
+    /// an output full of NaN garbage.
+    fn check_logits(
+        classes: usize,
+        f: usize,
+        padded: bool,
+        seed: u64,
+        rare: u32,
+    ) -> Result<(), String> {
+        let kp = if padded {
+            classes.next_multiple_of(CLASS_LANES)
+        } else {
+            classes
+        };
+        let wt = sprinkled(f * kp, seed, rare);
+        let x = sprinkled(f, seed ^ 0xF00D, rare);
+        let mut expected = vec![f32::NAN; kp];
+        scalar::logits(&wt, &x, &mut expected);
+        for arm in arms() {
+            let mut out = vec![f32::NAN; kp];
+            // SAFETY: `arms` lists only tables the host runs; `wt` holds
+            // `x.len()` rows of `out.len()`.
+            unsafe { (arm.logits)(&wt, &x, &mut out) };
+            same_bits_or_nan(&out, &expected)
+                .map_err(|e| format!("logits, arm {}: {e}", arm.name))?;
+        }
+        Ok(())
+    }
+
+    /// `outer_accumulate` on every arm ≡ the scalar reference over a batch
+    /// of `batch` samples — the last one short of features when `short` —
+    /// whose error rows have `classes` lanes, padded or not, into gradient
+    /// buffers full of NaN garbage.
+    fn check_outer_accumulate(
+        classes: usize,
+        f: usize,
+        batch: usize,
+        (padded, short): (bool, bool),
+        seed: u64,
+        rare: u32,
+    ) -> Result<(), String> {
+        let stride = if padded {
+            classes.next_multiple_of(CLASS_LANES)
+        } else {
+            classes
+        };
+        let err = sprinkled(batch * stride, seed, rare);
+        let mut samples: Vec<Vec<f32>> = (0..batch)
+            .map(|s| sprinkled(f, seed ^ (s as u64 + 1) << 32, rare))
+            .collect();
+        if short {
+            samples[batch - 1].truncate(f / 2);
+        }
+        let xs: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
+        let (mut weights, mut bias) = (vec![f32::NAN; classes * f], vec![f32::NAN; classes]);
+        scalar::outer_accumulate(&mut weights, &mut bias, &err, stride, &xs);
+        for arm in arms() {
+            let (mut w, mut b) = (vec![f32::NAN; classes * f], vec![f32::NAN; classes]);
+            // SAFETY: `arms` lists only tables the host runs; `bias` is not
+            // empty, `w` holds `classes` rows of `f`, and `err` holds
+            // `xs.len()` rows of `stride >= classes`.
+            unsafe { (arm.outer_accumulate)(&mut w, &mut b, &err, stride, &xs) };
+            same_bits_or_nan(&w, &weights)
+                .map_err(|e| format!("weights, arm {}: {e}", arm.name))?;
+            same_bits_or_nan(&b, &bias).map_err(|e| format!("bias, arm {}: {e}", arm.name))?;
+        }
+        Ok(())
+    }
+
+    /// The reference passes are the sums they are documented as, element by
+    /// element: each logit `-0.0 + Σ_j` in feature order, each gradient
+    /// element and bias `+0.0 + Σ_s` in sample order, a short sample adding
+    /// nothing past its end.
+    #[test]
+    fn the_reference_passes_are_their_sums_in_order() {
+        let (classes, f, batch) = (9usize, 65, 5);
+        let kp = classes.next_multiple_of(CLASS_LANES);
+        let wt = sprinkled(f * kp, 3, 40);
+        let x = sprinkled(f, 4, 40);
+        let mut out = vec![f32::NAN; kp];
+        scalar::logits(&wt, &x, &mut out);
+        for (c, logit) in out.iter().enumerate() {
+            let sum = (0..f).fold(-0.0f32, |acc, j| acc + wt[j * kp + c] * x[j]);
+            assert_eq!(logit.to_bits(), sum.to_bits(), "lane {c}");
+        }
+        let err = sprinkled(batch * kp, 5, 0);
+        let mut samples: Vec<Vec<f32>> =
+            (0..batch as u64).map(|s| sprinkled(f, 6 + s, 0)).collect();
+        samples[2].truncate(10);
+        let xs: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
+        let (mut weights, mut bias) = (vec![f32::NAN; classes * f], vec![f32::NAN; classes]);
+        scalar::outer_accumulate(&mut weights, &mut bias, &err, kp, &xs);
+        for c in 0..classes {
+            let b = (0..batch).fold(0.0f32, |acc, s| acc + err[s * kp + c]);
+            assert_eq!(bias[c].to_bits(), b.to_bits(), "bias {c}");
+            for j in 0..f {
+                let terms = (0..batch).filter(|&s| j < xs[s].len());
+                let g = terms.fold(0.0f32, |acc, s| acc + err[s * kp + c] * xs[s][j]);
+                assert_eq!(
+                    weights[c * f + j].to_bits(),
+                    g.to_bits(),
+                    "class {c} feature {j}"
+                );
+            }
+        }
+    }
+
+    /// Every class count against every feature count, once each, on every
+    /// arm, with and without non-finite values.
+    #[test]
+    fn the_trainer_passes_match_at_every_listed_shape() {
+        for (i, (&classes, &f)) in CLASSES
+            .iter()
+            .flat_map(|k| FEATURES.iter().map(move |f| (k, f)))
+            .enumerate()
+        {
+            let seed = i as u64;
+            for rare in [0, 17] {
+                check_logits(classes, f, true, seed, rare).unwrap();
+                check_outer_accumulate(classes, f, 1 + i % 33, (true, false), seed, rare).unwrap();
+            }
+        }
+    }
+
+    proptest! {
+        /// `logits`: every table's lanes ≡ the scalar reference, NaN lanes
+        /// compared as NaN, over the listed class and feature counts, padded
+        /// and unpadded rows, and no, rare or frequent non-finite values.
+        #[test]
+        fn logits_match_on_every_arm(
+            (ki, fi, padded) in (0..CLASSES.len(), 0..FEATURES.len(), any::<bool>()),
+            seed in any::<u64>(),
+            rare in 0..RARE.len(),
+        ) {
+            check_logits(CLASSES[ki], FEATURES[fi], padded, seed, RARE[rare])?;
+        }
+
+        /// `outer_accumulate`: every table's gradient and bias ≡ the scalar
+        /// reference, NaN lanes compared as NaN, over the listed class and
+        /// feature counts, batches of 1 to 33 samples (the last one short
+        /// of features in some), padded and unpadded error rows, and no,
+        /// rare or frequent non-finite values.
+        #[test]
+        fn outer_accumulate_matches_on_every_arm(
+            (ki, fi, batch) in (0..CLASSES.len(), 0..FEATURES.len(), 1usize..=33),
+            shape in (any::<bool>(), any::<bool>()),
+            seed in any::<u64>(),
+            rare in 0..RARE.len(),
+        ) {
+            check_outer_accumulate(CLASSES[ki], FEATURES[fi], batch, shape, seed, RARE[rare])?;
+        }
     }
 }

@@ -400,3 +400,81 @@ pub(super) fn feedback_append_u4(
         fold_u4_aligned(r, nibbles, k);
     }
 }
+
+/// Class logits of one sample over a transposed weight block: `out[c] =
+/// -0.0 + Σ_j wt[j·kp + c]·x[j]` for every class lane `c < kp =
+/// out.len()`, the products added in feature order — [`logits_from`] from
+/// lane 0. `wt` holds `x.len()` rows of `kp`.
+pub(super) fn logits(wt: &[f32], x: &[f32], out: &mut [f32]) {
+    logits_from(wt, x, out, 0);
+}
+
+/// [`logits`] of the class lanes from `from` on, the vector arms' tail:
+/// feature-outer, lane-inner, each lane one chain of adds from `-0.0` (the
+/// identity `Sum for f32` starts from) in feature order.
+pub(super) fn logits_from(wt: &[f32], x: &[f32], out: &mut [f32], from: usize) {
+    let kp = out.len();
+    let out = &mut out[from..];
+    out.fill(-0.0);
+    for (j, x) in x.iter().enumerate() {
+        let row = &wt[j * kp + from..(j + 1) * kp];
+        for (acc, w) in out.iter_mut().zip(row) {
+            *acc += w * x;
+        }
+    }
+}
+
+/// The gradient of one mini-batch of softmax regression, written fresh:
+/// `weights[c·f + j] = +0.0 + Σ_s err[s·stride + c]·x_s[j]` and `bias[c] =
+/// +0.0 + Σ_s err[s·stride + c]` for every class `c < bias.len()` and
+/// feature `j < f = weights.len() / bias.len()`, the terms added in sample
+/// order. A sample shorter than `f` adds no term to the features it lacks.
+/// `err` holds `xs.len()` rows of `stride ≥ bias.len()`.
+pub(super) fn outer_accumulate(
+    weights: &mut [f32],
+    bias: &mut [f32],
+    err: &[f32],
+    stride: usize,
+    xs: &[&[f32]],
+) {
+    bias_row(bias, err, stride, xs.len());
+    outer_columns(weights, bias.len(), err, stride, xs, 0);
+}
+
+/// `bias[c] = +0.0 + Σ_s err[s·stride + c]` over the first `samples` rows,
+/// in sample order: [`outer_accumulate`]'s bias row, which every arm runs.
+pub(super) fn bias_row(bias: &mut [f32], err: &[f32], stride: usize, samples: usize) {
+    bias.fill(0.0);
+    for row in err.chunks_exact(stride).take(samples) {
+        for (b, e) in bias.iter_mut().zip(row) {
+            *b += e;
+        }
+    }
+}
+
+/// [`outer_accumulate`]'s weight rows over the features from `from` on,
+/// the vector arms' tail: class-outer, then sample order, each row's
+/// columns one vectorizable add.
+pub(super) fn outer_columns(
+    weights: &mut [f32],
+    classes: usize,
+    err: &[f32],
+    stride: usize,
+    xs: &[&[f32]],
+    from: usize,
+) {
+    let f = weights.len().checked_div(classes).unwrap_or(0);
+    if f == 0 {
+        return;
+    }
+    for (c, row) in weights.chunks_exact_mut(f).enumerate() {
+        let row = &mut row[from..];
+        row.fill(0.0);
+        for (s, x) in xs.iter().enumerate() {
+            let e = err[s * stride + c];
+            for (g, x) in row.iter_mut().zip(x.get(from..).unwrap_or_default()) {
+                *g += e * x;
+            }
+        }
+    }
+}

@@ -1,5 +1,8 @@
 //! Model-quality metrics, on the trainer's class-lane logits path: the
-//! model's weight block is transposed once per call, not once per sample.
+//! model's weight block is transposed once per call, not once per sample,
+//! and every test sample's logits are one `kernels::logits` call.
+//!
+//! `kernels::logits`: crate::kernels
 
 use crate::dataset::Sample;
 use crate::model::DenseModel;

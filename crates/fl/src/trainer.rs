@@ -6,21 +6,29 @@
 //! A model is `[W (classes × features) | b (classes)]`, flattened row-major
 //! into a [`DenseModel`]. Logit `c` of a sample `x` is `b[c] + Σ_j W[c][j]·x[j]`,
 //! its products summed in feature order starting from `-0.0` (the identity
-//! `Sum for f32` starts from) and the bias added last. Each class is one chain
-//! of dependent f32 adds that the compiler may not reassociate, so walking `W`
-//! row by row runs the chains one after another at add latency.
+//! `Sum for f32` starts from) and the bias added last; the gradient of a
+//! mini-batch is `Σ_s err_s ⊗ x_s`, each element summed in sample order from
+//! `+0.0`, with `err_s = p_s − onehot(label_s)`. Each of those sums is one
+//! chain of dependent f32 adds that the compiler may not reassociate.
 //!
-//! The logits path therefore transposes `W` into a block `wt[j·classes + c]`
-//! and runs the feature loop outermost and the class loop innermost. Every
-//! class still adds its products in feature order from `-0.0`, so every
-//! logit — and with it every probability, gradient, loss, model and
-//! accuracy — is bit-identical to the row-major sum; only the independent
-//! chains now advance side by side, and the inner loop vectorizes. The model
-//! changes only at the end of a mini-batch, so [`LocalTrainer::train`]
-//! transposes once per batch and an evaluation
-//! ([`accuracy_percent`](crate::metrics::accuracy_percent)) once per call. The
-//! transposed block, the probabilities and the gradient are allocated once
-//! per `train` or evaluation call.
+//! A mini-batch therefore runs as two register-blocked passes, both
+//! [`kernels`] table entries. [`LocalTrainer::train_ordered`] transposes `W`
+//! into class lanes, `wt[j·kp + c]` with `kp` the class count rounded up to
+//! `kernels::CLASS_LANES`, once per batch (the model changes only at a
+//! batch's end). Then, per sample, `kernels::logits` keeps a tile of class
+//! lanes in registers for the whole feature loop, so the class chains
+//! advance side by side; the bias is added, the softmax taken and the
+//! sample's loss term and error row written. Once per batch,
+//! `kernels::outer_accumulate` keeps each class's 64-feature tile of the
+//! gradient in registers across the batch's samples, and sums the bias row
+//! over the error rows alone. Every element is summed in the order the
+//! row-major trainer sums it — one dot product per class, one
+//! `grad += err ⊗ x` per sample — and every arm multiplies then adds and
+//! never uses FMA, so every logit, probability, gradient, loss, model and
+//! accuracy is bit-identical to the row-major trainer's, on every arm. An
+//! evaluation ([`accuracy_percent`](crate::metrics::accuracy_percent)) runs
+//! the same logits pass over one transpose per call. The lanes, the error
+//! rows and the gradient are allocated once per `train` or evaluation call.
 //!
 //! # Drawing apart from training
 //!
@@ -49,6 +57,7 @@
 //! instead of a finite one.
 
 use crate::dataset::Sample;
+use crate::kernels;
 use crate::model::DenseModel;
 use lifl_simcore::SimRng;
 use lifl_types::{LiflError, Result};
@@ -105,9 +114,10 @@ impl TrainerConfig {
 ///
 /// The model layout is `[W (classes x features) | b (classes)]`, flattened
 /// row-major into a [`DenseModel`]. Logits are computed in class lanes over
-/// a transposed copy of `W`, taken once per mini-batch, with every class
-/// summing its products in feature order (see the [module docs](self)), so
-/// the results are bit-identical to one row-major dot product per class.
+/// a transposed copy of `W`, taken once per mini-batch, and the gradient in
+/// one pass per mini-batch, every element summed in the row-major order
+/// (see the [module docs](self)), so the results are bit-identical to one
+/// row-major dot product per class and one gradient update per sample.
 #[derive(Debug, Clone)]
 pub struct LocalTrainer {
     num_features: usize,
@@ -176,15 +186,14 @@ impl LocalTrainer {
         if shard.is_empty() {
             return (model, 0.0);
         }
-        let mut lanes = ClassLanes::new(self.num_features, self.num_classes);
-        let mut grad = vec![0.0f32; model.dim()];
+        let batch_size = self.config.batch_size.max(1);
+        let mut step = Step::new(self, model.dim(), batch_size.min(shard.len()));
         let mut last_loss = 0.0;
         for order in orders {
             let mut epoch_loss = 0.0f64;
             let mut batches = 0.0f64;
-            for batch in order.chunks(self.config.batch_size.max(1)) {
-                epoch_loss +=
-                    self.sgd_step(&mut lanes, &mut grad, &mut model, global, shard, batch);
+            for batch in order.chunks(batch_size) {
+                epoch_loss += self.sgd_step(&mut step, &mut model, global, shard, batch);
                 batches += 1.0;
             }
             last_loss = epoch_loss / batches.max(1.0);
@@ -206,37 +215,42 @@ impl LocalTrainer {
     }
 
     /// One mini-batch: re-transposes `model` (the previous batch changed
-    /// it), accumulates the batch's gradient into `grad` and applies it,
-    /// with the proximal term toward `global` unless μ = 0.
-    fn sgd_step(
+    /// it), turns each sample's logits into its probabilities, loss term
+    /// and error row, accumulates the batch's gradient in one
+    /// [`kernels::outer_accumulate`] call and applies it, with the proximal
+    /// term toward `global` unless μ = 0.
+    fn sgd_step<'a>(
         &self,
-        lanes: &mut ClassLanes,
-        grad: &mut [f32],
+        step: &mut Step<'a>,
         model: &mut DenseModel,
         global: &DenseModel,
-        shard: &[Sample],
+        shard: &'a [Sample],
         batch: &[usize],
     ) -> f64 {
-        let f = self.num_features;
-        let k = self.num_classes;
         let lr = self.config.learning_rate;
         let scale = lr / batch.len() as f32;
         let mut loss = 0.0f64;
+        let Step {
+            lanes,
+            err,
+            xs,
+            grad,
+        } = step;
+        let kp = lanes.padded;
         lanes.load(model);
-        grad.fill(0.0);
-        for &idx in batch {
+        xs.clear();
+        for (s, &idx) in batch.iter().enumerate() {
             let sample = &shard[idx];
-            let probs = lanes.probabilities(&sample.features);
+            let row = &mut err[s * kp..(s + 1) * kp];
+            let probs = class_probabilities(&lanes.wt, &lanes.bias, &sample.features, row);
             loss -= (at_least(probs[sample.label], 1e-7) as f64).ln();
-            for (c, p) in probs.iter().enumerate() {
-                let err = p - if c == sample.label { 1.0 } else { 0.0 };
-                let row = &mut grad[c * f..(c + 1) * f];
-                for (g, x) in row.iter_mut().zip(&sample.features) {
-                    *g += err * x;
-                }
-                grad[k * f + c] += err;
+            for (c, p) in probs.iter_mut().enumerate() {
+                *p -= if c == sample.label { 1.0 } else { 0.0 };
             }
+            xs.push(&sample.features);
         }
+        let (weights, bias) = grad.split_at_mut(self.num_classes * self.num_features);
+        kernels::outer_accumulate(weights, bias, err, kp, xs);
         let params = model.as_mut_slice();
         let mu = self.config.mu;
         if mu == 0.0 {
@@ -253,13 +267,38 @@ impl LocalTrainer {
     }
 }
 
+/// What one [`LocalTrainer::train_ordered`] call reuses across its
+/// mini-batches: the class lanes, one row of `padded` lanes per sample of a
+/// batch (its logits, then its probabilities, then its error `p − onehot`),
+/// the batch's feature vectors and the gradient.
+struct Step<'a> {
+    lanes: ClassLanes,
+    err: Vec<f32>,
+    xs: Vec<&'a [f32]>,
+    grad: Vec<f32>,
+}
+
+impl Step<'_> {
+    fn new(trainer: &LocalTrainer, dim: usize, batch: usize) -> Self {
+        let lanes = ClassLanes::new(trainer.num_features, trainer.num_classes);
+        Step {
+            err: vec![0.0; batch * lanes.padded],
+            lanes,
+            xs: Vec::with_capacity(batch),
+            grad: vec![0.0; dim],
+        }
+    }
+}
+
 /// One model's logits path in class lanes: `W` transposed into
-/// `wt[j * classes + c]`, the bias, and the probability buffer the current
-/// sample's logits are turned into in place.
+/// `wt[j * padded + c]` (`padded` is the class count rounded up to
+/// [`kernels::CLASS_LANES`], the padding lanes zero), the bias, and the row
+/// an evaluation turns each sample's logits into probabilities in.
 #[derive(Debug)]
 pub(crate) struct ClassLanes {
     features: usize,
     classes: usize,
+    padded: usize,
     wt: Vec<f32>,
     bias: Vec<f32>,
     probs: Vec<f32>,
@@ -267,45 +306,53 @@ pub(crate) struct ClassLanes {
 
 impl ClassLanes {
     fn new(features: usize, classes: usize) -> Self {
+        let padded = classes.next_multiple_of(kernels::CLASS_LANES);
         ClassLanes {
             features,
             classes,
-            wt: vec![0.0; classes * features],
+            padded,
+            wt: vec![0.0; padded * features],
             bias: vec![0.0; classes],
-            probs: vec![0.0; classes],
+            probs: vec![0.0; padded],
         }
     }
 
     /// Transposes `model`'s weight block into the lanes and copies its bias.
     fn load(&mut self, model: &DenseModel) {
-        let (f, k) = (self.features, self.classes);
+        let (f, k, kp) = (self.features, self.classes, self.padded);
         let params = model.as_slice();
         for c in 0..k {
             for j in 0..f {
-                self.wt[j * k + c] = params[c * f + j];
+                self.wt[j * kp + c] = params[c * f + j];
             }
         }
         self.bias.copy_from_slice(&params[k * f..k * f + k]);
     }
 
-    /// Class probabilities of one sample under the loaded model. Every class
-    /// sums `W[c][j]·x[j]` in feature order from `-0.0`, then adds its bias,
-    /// exactly as the row-major `bias + row·x` does (an f32 add commutes).
+    /// Class probabilities of one sample under the loaded model.
     pub(crate) fn probabilities(&mut self, features: &[f32]) -> &[f32] {
-        let k = self.classes;
-        let logits = &mut self.probs;
-        logits.fill(-0.0);
-        for (j, x) in features.iter().take(self.features).enumerate() {
-            for (acc, w) in logits.iter_mut().zip(&self.wt[j * k..(j + 1) * k]) {
-                *acc += w * x;
-            }
-        }
-        for (logit, b) in logits.iter_mut().zip(&self.bias) {
-            *logit += b;
-        }
-        softmax(logits);
-        logits
+        class_probabilities(&self.wt, &self.bias, features, &mut self.probs)
     }
+}
+
+/// The class probabilities of one sample, in the first `bias.len()` lanes of
+/// `row`: [`kernels::logits`] over the transposed block `wt` — every class
+/// summing `W[c][j]·x[j]` in feature order from `-0.0` — then the bias added
+/// and the softmax taken, exactly as the row-major `bias + row·x` does (an
+/// f32 add commutes).
+fn class_probabilities<'r>(
+    wt: &[f32],
+    bias: &[f32],
+    features: &[f32],
+    row: &'r mut [f32],
+) -> &'r mut [f32] {
+    kernels::logits(wt, features, row);
+    let logits = &mut row[..bias.len()];
+    for (logit, b) in logits.iter_mut().zip(bias) {
+        *logit += b;
+    }
+    softmax(logits);
+    logits
 }
 
 /// `value` floored at `floor`, a NaN kept NaN (`f32::max` would return
@@ -560,14 +607,31 @@ mod tests {
         shard: &[Sample],
         rng: &mut SimRng,
     ) -> (DenseModel, f64) {
+        if shard.is_empty() {
+            return (global.clone(), 0.0);
+        }
+        let mut order: Vec<usize> = (0..shard.len()).collect();
+        let orders: Vec<Vec<usize>> = (0..t.config.local_epochs.max(1))
+            .map(|_| {
+                rng.shuffle(&mut order);
+                order.clone()
+            })
+            .collect();
+        reference_train_ordered(t, global, shard, &orders)
+    }
+
+    fn reference_train_ordered(
+        t: &LocalTrainer,
+        global: &DenseModel,
+        shard: &[Sample],
+        orders: &[Vec<usize>],
+    ) -> (DenseModel, f64) {
         let mut model = global.clone();
         if shard.is_empty() {
             return (model, 0.0);
         }
-        let mut order: Vec<usize> = (0..shard.len()).collect();
         let mut last_loss = 0.0;
-        for _ in 0..t.config.local_epochs.max(1) {
-            rng.shuffle(&mut order);
+        for order in orders {
             let mut epoch_loss = 0.0f64;
             let mut batches = 0.0f64;
             for batch in order.chunks(t.config.batch_size.max(1)) {
@@ -677,6 +741,43 @@ mod tests {
             let accuracy = accuracy_percent(&trainer, &model, &tests);
             let expected_accuracy = reference_accuracy(&trainer, &model, &tests);
             prop_assert_eq!(accuracy.to_bits(), expected_accuracy.to_bits());
+        }
+
+        /// The batched step — one `logits` call per sample, one
+        /// `outer_accumulate` call per mini-batch — is the row-major oracle's
+        /// per-sample gradient loop, bit for bit: every model bit and the
+        /// loss, at μ = 0 and at μ > 0, over class and feature counts around
+        /// the lane width and the 64-lane tile, shards whose last batch is
+        /// partial (a remainder of 1 to `batch - 1` samples), whole, or the
+        /// whole shard, and an empty shard, trained from given orders.
+        #[test]
+        fn batched_steps_are_the_row_major_oracle_bit_for_bit(
+            (ki, fi) in (0usize..8, 0usize..7),
+            (batch_size, batches, rest) in (1usize..=33, 0usize..3, 0usize..33),
+            (epochs, lr, mu) in (1usize..=2, 0.01f32..1.0, 0.01f32..2.0),
+            seed in any::<u64>(),
+        ) {
+            let (k, f) = ([1, 7, 8, 9, 62, 64, 65, 130][ki], [1, 3, 63, 64, 65, 128, 129][fi]);
+            let n = batches * batch_size + rest % batch_size;
+            let mut rng = SimRng::from_seed(seed);
+            let shard = samples(&mut rng, n, f, k);
+            for mu in [0.0, mu] {
+                let trainer = LocalTrainer::new(
+                    f,
+                    k,
+                    TrainerConfig { batch_size, learning_rate: lr, local_epochs: epochs, mu },
+                );
+                let global = DenseModel::from_vec(
+                    (0..trainer.model_dim()).map(|_| rng.normal(0.0, 0.5) as f32).collect(),
+                );
+                let orders = trainer.shuffles(n, &mut rng);
+                prop_assert_eq!(orders.is_empty(), n == 0);
+                let (model, loss) = trainer.train_ordered(&global, &shard, &orders);
+                let (expected, expected_loss) =
+                    reference_train_ordered(&trainer, &global, &shard, &orders);
+                assert_same_bits(model.as_slice(), expected.as_slice())?;
+                prop_assert_eq!(loss.to_bits(), expected_loss.to_bits(), "{} vs {}", loss, expected_loss);
+            }
         }
     }
 }

@@ -38,13 +38,15 @@ test:
     cargo test -q
 
 # The kernel-parity tier at depth: every scalar ≡ AVX2 ≡ AVX-512 property
-# of `lifl-fl`'s kernels at 1024 cases instead of the default 64, and the
-# station-level folds built on them (`sharded::`, `aggregate::`: a round
-# into a dirty pooled accumulator, batched, eager or both, ≡ a zero-filled
-# one). Every arm the host runs is exercised in one process, so one run
-# covers them all.
+# of `lifl-fl`'s kernels at 1024 cases instead of the default 64, and what
+# is built on them: the station-level folds (`sharded::`, `aggregate::`: a
+# round into a dirty pooled accumulator, batched, eager or both, ≡ a
+# zero-filled one) and the local trainer and its evaluation (`trainer::`,
+# `metrics::`: the batched logits and gradient passes ≡ the row-major
+# trainer, every model, loss and accuracy bit). Every arm the host runs is
+# exercised in one process, so one run covers them all.
 kernel-parity:
-    PROPTEST_CASES=1024 cargo test -p lifl-fl --lib -- kernels:: sharded:: aggregate::
+    PROPTEST_CASES=1024 cargo test -p lifl-fl --lib -- kernels:: sharded:: aggregate:: trainer:: metrics::
 
 # The allocation tier in its own named step (a counting global allocator in
 # its own process), so allocation regressions fail with a readable name.

@@ -465,7 +465,8 @@ fn offer_all(door: &mut impl Door, updates: &[ModelUpdate]) {
     }
 }
 
-/// Every hostile offer — each bad wire as encoded remote bytes, ragged and
+/// Every hostile offer — each bad wire as encoded remote bytes, a
+/// `Uniform8` wire whose fold factor `weight · scale` overflows, ragged and
 /// empty dense remote bytes, and a zero weight and a dimension other than
 /// the round's in every `Update` form — is refused by `door` with nothing
 /// counted, stored or drawn from the pool, and the rest of the round is bit
@@ -489,6 +490,11 @@ fn hostile_offers_leave_no_trace<D: Door>(make: impl Fn() -> D) {
         .map(|(name, wire)| (name.to_string(), Update::remote_bytes(wire, 3, true), None))
         .collect();
     offers.extend([
+        (
+            "overflowing fold factor".into(),
+            Update::remote_bytes(uniform8(1e30), 1 << 40, true),
+            None,
+        ),
         (
             "ragged dense bytes".into(),
             Update::remote_bytes(vec![0u8; 9], 3, false),
