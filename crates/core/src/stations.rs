@@ -8,12 +8,18 @@
 //! reuse changes no bit. Intermediates stay dense in shared memory: only a
 //! station whose parent is the global top encodes ([`Tree::encoding_level`]).
 //!
-//! A level runs as a claim counter over its stations on [`Workers`]: the
-//! calling thread claims and folds stations itself while the parked workers
-//! it woke claim the rest. Each output lands in its station's slot and is
-//! handed upward in child-index order, so the result does not depend on
-//! which thread ran which station, or on whether a worker woke at all — a
-//! late worker only means the caller did more of the level. Several trees
+//! Every level — a tree level's stations, a driver's trainees, an
+//! evaluation's chunks — runs through one runner,
+//! [`Workers::run_in_order`]: a claim counter over its indices that the
+//! calling thread claims from beside the parked workers it woke. Each
+//! outcome lands in its index's slot and is handed to the caller's
+//! consumer in index order as soon as it and every earlier one are done
+//! ([`Workers::run`] is the consumer that collects), so the result does not
+//! depend on which thread ran which index, or on whether a worker woke at
+//! all — a late worker only means the caller did more of the level. While
+//! the next outcome is not ready the caller claims an index, else runs a
+//! waiting job, else parks; so a driver ingests (and encodes) each trained
+//! update while its workers train the next ones. Several trees
 //! on one worker set — a cluster's node subtrees — run as one forest
 //! ([`Stations::run`]): level ℓ of every tree is one claim set, so a round
 //! wakes the workers once per tree depth, not once per level per tree. This
@@ -41,6 +47,7 @@ use lifl_shmem::queue::QueuedUpdate;
 use lifl_shmem::InPlaceQueue;
 use lifl_types::{AggregatorId, FoldPolicy, LiflError, ObjectKey, Result, Topology};
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -113,13 +120,52 @@ impl Workers {
 
     /// Runs `job` once for every index in `0..len` — the calling thread
     /// claims indices beside the workers it wakes — and returns each index's
-    /// outcome in index order. A panicking job yields
-    /// [`LiflError::Simulation`] in its slot; the thread that ran it goes on
-    /// serving.
+    /// outcome in index order: [`Workers::run_in_order`] with a consumer
+    /// that collects. A panicking job yields [`LiflError::Simulation`] in
+    /// its slot; the thread that ran it goes on serving.
     pub(crate) fn run<T, F>(&self, len: usize, job: F) -> Vec<Result<T>>
     where
         T: Send + 'static,
         F: Fn(usize) -> Result<T> + Send + Sync + 'static,
+    {
+        let mut outputs = Vec::with_capacity(len);
+        let Ok(()) = self.run_in_order(len, job, |output| {
+            outputs.push(output);
+            Ok::<(), Infallible>(())
+        });
+        outputs
+    }
+
+    /// Runs `job` once for every index in `0..len` as one level, and hands
+    /// each index's outcome to `consume` on the calling thread, in index
+    /// order, as soon as that index and every earlier one are done. A
+    /// panicking job yields [`LiflError::Simulation`] as its outcome.
+    ///
+    /// The workers it wakes and the caller claim indices from one counter.
+    /// Until the next outcome is ready, the caller claims an index itself;
+    /// with none left to claim, it runs the oldest waiting job
+    /// ([`Workers::submit`]); with none of those either, it parks on the
+    /// slots' condvar until that outcome's thread fills it — it never
+    /// spins. So with no workers job *k* runs and is consumed before job
+    /// *k + 1* starts, and with workers whatever `consume` does (and the
+    /// jobs it queues) runs beside the jobs still training or folding. The
+    /// level returns once every outcome is consumed and no job waits, so a
+    /// job `consume` queued has run, or is running on a worker.
+    ///
+    /// # Errors
+    /// The first error `consume` returns. The level stops there: nobody
+    /// claims another index, the indices already running finish unread, and
+    /// the error comes back at once.
+    pub(crate) fn run_in_order<T, F, C, E>(
+        &self,
+        len: usize,
+        job: F,
+        mut consume: C,
+    ) -> std::result::Result<(), E>
+    where
+        T: Send + 'static,
+        F: Fn(usize) -> Result<T> + Send + Sync + 'static,
+        C: FnMut(Result<T>) -> std::result::Result<(), E>,
     {
         let level = Arc::new(Level {
             job,
@@ -127,20 +173,49 @@ impl Workers {
             next: AtomicUsize::new(0),
             slots: Mutex::new(Slots {
                 outputs: (0..len).map(|_| None).collect(),
-                filled: 0,
+                awaited: None,
             }),
-            all_filled: Condvar::new(),
+            filled: Condvar::new(),
         });
         let published = len > 1
             && self
                 .set
                 .publish(Arc::clone(&level) as Arc<dyn Claim>, len - 1);
-        level.claim_all();
-        let outputs = level.collect();
+        let consumed = (0..len).try_for_each(|index| consume(self.outcome(&level, index)));
+        if consumed.is_err() {
+            // Past `len`: every later claim, the caller's and the workers',
+            // finds nothing left.
+            level.next.fetch_max(len, Ordering::Relaxed);
+        }
         if published {
             lock(&self.set.board.state).level = None;
         }
-        outputs
+        consumed?;
+        self.run_waiting();
+        Ok(())
+    }
+
+    /// Index `index`'s outcome, once some thread has filled its slot. Until
+    /// then the caller claims an index, or else runs the oldest waiting job,
+    /// or else parks: every index is claimed by then, and a claimed index
+    /// always fills its slot (a panic included), so the wait ends.
+    fn outcome<T, F>(&self, level: &Level<T, F>, index: usize) -> Result<T>
+    where
+        Level<T, F>: Claim,
+    {
+        loop {
+            if let Some(output) = level.take(index) {
+                return output;
+            }
+            if level.claim_one() {
+                continue;
+            }
+            let waiting = lock(&self.set.board.state).jobs.pop_front();
+            match waiting {
+                Some(task) => task(),
+                None => level.park_until_filled(index),
+            }
+        }
     }
 
     /// Queues `job` behind every job already waiting and returns the handle
@@ -455,7 +530,7 @@ impl Board {
                 }
             };
             match work {
-                Work::Level(level) => level.claim_all(),
+                Work::Level(level) => while level.claim_one() {},
                 Work::Job(task) => task(),
             }
         }
@@ -464,8 +539,9 @@ impl Board {
 
 /// A level as the workers see it.
 trait Claim: Send + Sync {
-    /// Claims and runs indices until every one has been claimed.
-    fn claim_all(&self);
+    /// Claims the next index and runs it into its slot; false once every
+    /// index has been claimed.
+    fn claim_one(&self) -> bool;
 }
 
 /// One level: the job, the claim counter over its `len` indices and one
@@ -475,63 +551,57 @@ struct Level<T, F> {
     len: usize,
     next: AtomicUsize,
     slots: Mutex<Slots<T>>,
-    all_filled: Condvar,
+    filled: Condvar,
 }
 
 struct Slots<T> {
     outputs: Vec<Option<Result<T>>>,
-    filled: usize,
+    /// The index the caller is parked on, if it is.
+    awaited: Option<usize>,
 }
 
 impl<T: Send, F: Fn(usize) -> Result<T> + Send + Sync> Claim for Level<T, F> {
-    fn claim_all(&self) {
-        loop {
-            // `Relaxed` suffices: a claim publishes no data. The job reached
-            // this thread through the board's mutex, and outputs go back
-            // through the slots' mutex.
-            let index = self.next.fetch_add(1, Ordering::Relaxed);
-            if index >= self.len {
-                return;
-            }
-            let output =
-                catch_unwind(AssertUnwindSafe(|| (self.job)(index))).unwrap_or_else(|_| {
-                    Err(LiflError::Simulation(
-                        "aggregator thread panicked".to_string(),
-                    ))
-                });
-            let mut slots = lock(&self.slots);
-            if let Some(slot) = slots.outputs.get_mut(index) {
-                *slot = Some(output);
-            }
-            slots.filled += 1;
-            if slots.filled == self.len {
-                self.all_filled.notify_all();
-            }
+    fn claim_one(&self) -> bool {
+        // `Relaxed` suffices: a claim publishes no data. The job reached
+        // this thread through the board's mutex, and outputs go back
+        // through the slots' mutex.
+        let index = self.next.fetch_add(1, Ordering::Relaxed);
+        if index >= self.len {
+            return false;
         }
+        let output = catch_unwind(AssertUnwindSafe(|| (self.job)(index))).unwrap_or_else(|_| {
+            Err(LiflError::Simulation(
+                "aggregator thread panicked".to_string(),
+            ))
+        });
+        let mut slots = lock(&self.slots);
+        if let Some(slot) = slots.outputs.get_mut(index) {
+            *slot = Some(output);
+        }
+        if slots.awaited == Some(index) {
+            self.filled.notify_one();
+        }
+        true
     }
 }
 
 impl<T, F> Level<T, F> {
-    /// Waits until every slot is filled and takes the outputs in index
-    /// order. Every claimed index fills its slot (a panic included), and the
-    /// caller has claimed whatever nobody else did, so the wait ends.
-    fn collect(&self) -> Vec<Result<T>> {
+    /// Index `index`'s outcome, if its slot is filled and not yet taken.
+    fn take(&self, index: usize) -> Option<Result<T>> {
+        lock(&self.slots).outputs.get_mut(index)?.take()
+    }
+
+    /// Parks the calling thread until index `index`'s slot is filled.
+    fn park_until_filled(&self, index: usize) {
         let mut slots = lock(&self.slots);
-        while slots.filled < self.len {
+        while slots.outputs.get(index).is_some_and(Option::is_none) {
+            slots.awaited = Some(index);
             slots = self
-                .all_filled
+                .filled
                 .wait(slots)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        slots
-            .outputs
-            .drain(..)
-            .map(|output| {
-                output.unwrap_or_else(|| {
-                    Err(LiflError::Simulation("station left no output".to_string()))
-                })
-            })
-            .collect()
+        slots.awaited = None;
     }
 }
 
@@ -1339,6 +1409,141 @@ mod tests {
             assert!(lock(&workers.set.board.state).jobs.is_empty());
             let outputs: Vec<usize> = jobs.into_iter().map(|j| workers.join(j).unwrap()).collect();
             assert_eq!(outputs, (1..=16).collect::<Vec<_>>());
+        }
+    }
+
+    /// A job that takes longer the more `i % 5` is: work, not sleep, so
+    /// the claims finish out of order on any thread count.
+    fn uneven(i: usize) -> Result<usize> {
+        let mut x = i as u64;
+        for _ in 0..(i % 5) * 20_000 {
+            x = std::hint::black_box(x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1));
+        }
+        std::hint::black_box(x);
+        Ok(i)
+    }
+
+    #[test]
+    fn every_index_is_consumed_once_in_index_order() {
+        for count in [0, 1, 3] {
+            let workers = Workers::with_count(count);
+            for len in [0, 1, 2, 7, 64] {
+                let mut consumed = Vec::new();
+                let Ok(()) = workers.run_in_order(len, uneven, |outcome| {
+                    consumed.push(outcome.unwrap());
+                    Ok::<(), Infallible>(())
+                });
+                assert_eq!(consumed, (0..len).collect::<Vec<_>>(), "{count} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_arrives_as_a_typed_error_and_later_indices_still_arrive() {
+        for count in [0, 1, 3] {
+            let workers = Workers::with_count(count);
+            let mut consumed = Vec::new();
+            let Ok(()) = workers.run_in_order(
+                9,
+                |i| {
+                    if i == 2 {
+                        panic!("job {i} blew up");
+                    }
+                    uneven(i)
+                },
+                |outcome| {
+                    consumed.push(outcome);
+                    Ok::<(), Infallible>(())
+                },
+            );
+            let mut expected: Vec<Result<usize>> = (0..9).map(Ok).collect();
+            expected[2] = Err(LiflError::Simulation(
+                "aggregator thread panicked".to_string(),
+            ));
+            assert_eq!(consumed, expected, "{count} workers");
+        }
+    }
+
+    #[test]
+    fn with_no_workers_each_outcome_is_consumed_before_the_next_job_starts() {
+        let workers = Workers::with_count(0);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let jobs = Arc::clone(&log);
+        let Ok(()) = workers.run_in_order(
+            4,
+            move |i| {
+                lock(&jobs).push(format!("job {i}"));
+                Ok(i)
+            },
+            |outcome| {
+                lock(&log).push(format!("consume {}", outcome.unwrap()));
+                Ok::<(), Infallible>(())
+            },
+        );
+        let expected: Vec<String> = (0..4)
+            .flat_map(|i| [format!("job {i}"), format!("consume {i}")])
+            .collect();
+        assert_eq!(*lock(&log), expected);
+    }
+
+    #[test]
+    fn a_job_the_consumer_queues_runs_before_the_level_returns() {
+        for count in [0, 1, 3] {
+            let workers = Workers::with_count(count);
+            let mut queued = Vec::new();
+            let Ok(()) = workers.run_in_order(8, uneven, |outcome| {
+                let i = outcome.unwrap();
+                queued.push(workers.submit(move || i * i));
+                Ok::<(), Infallible>(())
+            });
+            // Every queued job ran on the caller or was claimed by a worker:
+            // none is left waiting.
+            assert!(lock(&workers.set.board.state).jobs.is_empty(), "{count}");
+            if count == 0 {
+                assert!(queued.iter().all(Job::is_done));
+            }
+            let squares: Vec<usize> = queued
+                .into_iter()
+                .map(|j| workers.join(j).unwrap())
+                .collect();
+            assert_eq!(
+                squares,
+                (0..8).map(|i| i * i).collect::<Vec<_>>(),
+                "{count}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_consumer_error_stops_the_level_and_comes_back_at_once() {
+        use std::sync::atomic::AtomicBool;
+        for count in [0, 1, 3] {
+            let workers = Workers::with_count(count);
+            let stop = Arc::new(AtomicBool::new(false));
+            let late = Arc::new(AtomicUsize::new(0));
+            let (seen, counted) = (Arc::clone(&stop), Arc::clone(&late));
+            let mut consumed = 0;
+            let stopped = workers.run_in_order(
+                64,
+                move |i| {
+                    if seen.load(Ordering::SeqCst) {
+                        counted.fetch_add(1, Ordering::SeqCst);
+                    }
+                    uneven(i)
+                },
+                |outcome| {
+                    consumed += 1;
+                    if outcome.unwrap() == 3 {
+                        stop.store(true, Ordering::SeqCst);
+                        return Err("stop");
+                    }
+                    Ok(())
+                },
+            );
+            assert_eq!((stopped, consumed), (Err("stop"), 4), "{count}");
+            // Only an index a worker claimed just before the stop can start
+            // after it: at most one per worker, and none on the caller.
+            assert!(late.load(Ordering::SeqCst) <= count, "{count}");
         }
     }
 

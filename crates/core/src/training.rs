@@ -26,11 +26,13 @@
 //! round and every version commits through the optimizer at one place.
 //!
 //! A synchronous round decides who trains before anyone does, draws every
-//! trainee's epoch shuffles on the caller in participant order, trains them
-//! all as one level on the process's shared worker set — the one the backend
-//! runs its stations and ingress encodes on — and ingests the updates in
-//! participant order. The result is the one-client-at-a-time loop's, bit for
-//! bit, at any worker count.
+//! trainee's epoch shuffles on the caller in participant order, and trains
+//! them all as one level on the process's shared worker set — the one the
+//! backend runs its stations and ingress encodes on — ingesting each update
+//! in participant order as soon as it and every earlier trainee are
+//! trained, so the ingress's encodes run beside the training rather than
+//! after it. The result is the one-client-at-a-time loop's, bit for bit, at
+//! any worker count.
 
 use crate::heartbeat::over_provisioned_selection;
 use crate::stations::Workers;
@@ -357,10 +359,11 @@ impl<B: Ingest> TrainingDriver<B> {
 
     /// Runs one synchronous round: select participants, train the ones the
     /// round takes (all at once, on the worker set), ingest every update
-    /// dense through the backend's ingress in participant order (the backend
-    /// encodes at ingress under a lossy codec, with per-client error
-    /// feedback), aggregate the backend's tree, commit the global aggregate
-    /// through the server optimizer and optionally evaluate.
+    /// dense through the backend's ingress in participant order as it is
+    /// trained (the backend encodes at ingress under a lossy codec, with
+    /// per-client error feedback), aggregate the backend's tree, commit the
+    /// global aggregate through the server optimizer and optionally
+    /// evaluate.
     ///
     /// A fault-tolerant [`Cluster`](crate::cluster::Cluster) backend
     /// survives a child-node kill inside its own aggregation, so the round
@@ -496,15 +499,21 @@ impl<B: Ingest> TrainingDriver<B> {
     }
 
     /// The first half of a round: select participants, decide who trains,
-    /// draw every trainee's shuffles in participant order, train them all as
-    /// one level on the worker set, then deliver every update through the
-    /// backend's ingress in participant order — the sequence of updates,
-    /// losses and draws the one-client-at-a-time loop produced, because any
-    /// ingest error ended that loop and so never changed who trained.
+    /// draw every trainee's shuffles in participant order, then train them
+    /// all as one level on the worker set ([`Workers::run_in_order`]) and
+    /// deliver each update through the backend's ingress as soon as it and
+    /// every earlier trainee are trained — in participant order, `loss_sum`
+    /// added in that order: the sequence of updates, losses and draws the
+    /// one-client-at-a-time loop produced, because any ingest error ended
+    /// that loop and so never changed who trained. After each offer the
+    /// caller runs the encode it queued ([`Workers::run_waiting`]), so no
+    /// offer finds a backlog to encode inline.
     ///
     /// # Errors
-    /// Fails if the selection cannot fill the backend's tree or an ingest
-    /// fails; the backend's round is discarded either way.
+    /// Fails if the selection cannot fill the backend's tree, a trainee
+    /// fails or an ingest fails; the level then stops claiming trainees and
+    /// the backend's round is discarded, with the generator where a
+    /// successful round leaves it.
     fn deliver_round(&mut self, rng: &mut SimRng) -> Result<Delivery> {
         let participants = self.population.select_round(rng);
         let capacity = self.backend.round_capacity();
@@ -556,61 +565,61 @@ impl<B: Ingest> TrainingDriver<B> {
         let jobs: Vec<(ClientId, Vec<Vec<usize>>)> = (trainees.into_iter())
             .map(|id| (id, self.trainer.shuffles(self.dataset.shard(id).len(), rng)))
             .collect();
-        // Train: every trainee as one level on the worker set.
+        // Train every trainee as one level on the worker set, and ingest each
+        // update in participant order as soon as it and every earlier one
+        // are trained: the caller offers (and encodes) while the workers
+        // train on.
         let (dataset, global, trainer) = (
             Arc::clone(&self.dataset),
             Arc::clone(&self.global),
             self.trainer.clone(),
         );
-        let trained = self.workers.run(jobs.len(), move |k| {
+        let len = jobs.len();
+        let train = move |k: usize| {
             let (client, orders) = &jobs[k];
             let (local, loss) = trainer.train_ordered(&global, dataset.shard(*client), orders);
             Ok((*client, local, loss))
-        });
-        // Ingest, in participant order.
+        };
         let mut delivery = Delivery::default();
         let mut delivered = 0usize;
-        for result in trained {
-            let (client, local, loss) = match result {
-                Ok(trained) => trained,
-                Err(error) => {
-                    self.backend.discard_round();
-                    return Err(error);
-                }
-            };
+        let (backend, workers, streaming) =
+            (&mut self.backend, &self.workers, self.config.streaming);
+        let ingested = workers.run_in_order(len, train, |trained| {
+            let (client, local, loss) = trained?;
             delivery.loss_sum += loss;
             delivery.trained += 1;
             let samples = self.dataset.shard(client).len().max(1) as u64;
             let update = Update::dense(client, local, samples);
-            let outcome = if self.config.streaming {
-                self.backend.try_ingest(update)
+            let outcome = if streaming {
+                backend.try_ingest(update)
             } else {
-                self.backend
+                backend
                     .ingest_update(update)
                     .map(|()| AdmissionOutcome::Admitted)
             };
-            // Offers come back to back now: run the encode this one queued
-            // here, so that the next offer finds no backlog to run inline.
-            self.workers.run_waiting();
-            match outcome {
-                Ok(AdmissionOutcome::Admitted) => {
+            // Run the encode this offer queued here and now, so that the
+            // next offer finds no backlog to run inline.
+            workers.run_waiting();
+            match outcome? {
+                AdmissionOutcome::Admitted => {
                     pending.remove(&client);
                     delivered += 1;
                 }
-                Ok(AdmissionOutcome::Queued { .. }) => {
+                AdmissionOutcome::Queued { .. } => {
                     // Parked for the next round; not a straggler.
                     pending.remove(&client);
                     delivery.queued += 1;
                 }
-                Ok(AdmissionOutcome::Rejected { .. }) => {
-                    // Queue budget exhausted: the delivery is turned
-                    // away and the client is cut off.
-                }
-                Err(error) => {
-                    self.backend.discard_round();
-                    return Err(error);
+                AdmissionOutcome::Rejected { .. } => {
+                    // Queue budget exhausted: the delivery is turned away
+                    // and the client is cut off.
                 }
             }
+            Ok(())
+        });
+        if let Err(error) = ingested {
+            self.backend.discard_round();
+            return Err(error);
         }
         delivery.dropped = pending.len() as u64;
         if !self.config.streaming && delivered < capacity {
@@ -1849,44 +1858,50 @@ mod tests {
 
     /// A synchronous round whose ingest fails mid-round — a filler leaves the
     /// store room for three of the round's eight updates — returns the
-    /// error, discards the round and leaves the driver reusable. Its
-    /// trainees were decided, and their shuffles drawn, before anyone
-    /// trained, so it drew exactly what the same round draws when it
-    /// succeeds (the one-client-at-a-time loop stopped drawing at the
-    /// failing client).
+    /// error, discards the round and leaves the driver reusable, whether
+    /// the caller trains alone or beside 1 or 3 workers (which stop
+    /// claiming trainees at the failure). Its trainees were decided, and
+    /// their shuffles drawn, before anyone trained, so it drew exactly what
+    /// the same round draws when it succeeds (the one-client-at-a-time loop
+    /// stopped drawing at the failing client).
     #[test]
     fn a_failed_ingest_discards_the_round_and_leaves_the_driver_reusable() {
         const CAPACITY: u64 = 1 << 16;
-        let store = lifl_shmem::ObjectStore::with_capacity(CAPACITY);
-        let backend = SessionBuilder::new()
-            .topology(Topology::new(vec![2, 2, 2]).unwrap())
-            .store(store.clone())
-            .build()
-            .unwrap();
-        let (dataset, population, mut rng) = fixtures(42);
-        let mut driver = TrainingDriver::new(backend, dataset, population, tier_config());
-        let filler = store.put(vec![0u8; CAPACITY as usize - 1_000]).unwrap();
-        let outcome = driver.run_round(&mut rng);
-        assert!(
-            matches!(outcome, Err(LiflError::OutOfSharedMemory { .. })),
-            "{outcome:?}"
-        );
-        assert_eq!(driver.backend().pending_updates(), 0);
-        assert!(driver.history().is_empty());
-        let (dataset, population, mut twin_rng) = fixtures(42);
-        let mut twin = TrainingDriver::new(
-            session(CodecKind::Identity),
-            dataset,
-            population,
-            tier_config(),
-        );
-        twin.run_round(&mut twin_rng).unwrap();
-        let next = rng.clone().index(1_000_000_007);
-        assert_eq!(next, twin_rng.index(1_000_000_007));
-        assert_eq!(next, 796_631_696);
-        // With the filler gone the driver's next round goes through.
-        store.recycle(&filler).unwrap();
-        let round = driver.run_round(&mut rng).unwrap();
-        assert_eq!((round.round, round.updates), (1, 8));
+        for count in [0, 1, 3] {
+            let workers = Workers::with_count(count);
+            let store = lifl_shmem::ObjectStore::with_capacity(CAPACITY);
+            let backend = SessionBuilder::new()
+                .topology(Topology::new(vec![2, 2, 2]).unwrap())
+                .store(store.clone())
+                .workers(workers.clone())
+                .build()
+                .unwrap();
+            let (dataset, population, mut rng) = fixtures(42);
+            let mut driver = TrainingDriver::new(backend, dataset, population, tier_config())
+                .on_workers(workers.clone());
+            let filler = store.put(vec![0u8; CAPACITY as usize - 1_000]).unwrap();
+            let outcome = driver.run_round(&mut rng);
+            assert!(
+                matches!(outcome, Err(LiflError::OutOfSharedMemory { .. })),
+                "{outcome:?} at {count} workers"
+            );
+            assert_eq!(driver.backend().pending_updates(), 0, "{count}");
+            assert!(driver.history().is_empty(), "{count}");
+            let (dataset, population, mut twin_rng) = fixtures(42);
+            let mut twin = TrainingDriver::new(
+                session(CodecKind::Identity),
+                dataset,
+                population,
+                tier_config(),
+            );
+            twin.run_round(&mut twin_rng).unwrap();
+            let next = rng.clone().index(1_000_000_007);
+            assert_eq!(next, twin_rng.index(1_000_000_007), "{count}");
+            assert_eq!(next, 796_631_696, "{count}");
+            // With the filler gone the driver's next round goes through.
+            store.recycle(&filler).unwrap();
+            let round = driver.run_round(&mut rng).unwrap();
+            assert_eq!((round.round, round.updates), (1, 8), "{count}");
+        }
     }
 }

@@ -1598,6 +1598,26 @@ pub(crate) mod proptests {
         all[..=count].to_vec()
     }
 
+    /// Every table's name and its [`logits`] of `x` over the transposed
+    /// block `wt` of `kp` lanes per row, for tests outside this module.
+    pub(crate) fn logits_on_every_arm(
+        wt: &[f32],
+        x: &[f32],
+        kp: usize,
+    ) -> Vec<(&'static str, Vec<f32>)> {
+        let f = x.len().min(wt.len() / kp.max(1));
+        arms()
+            .into_iter()
+            .map(|arm| {
+                let mut out = vec![f32::NAN; kp];
+                // SAFETY: `arms` lists only tables the host runs; `wt` is cut
+                // to `f` rows of `out.len()`, `x` to `f` features.
+                unsafe { (arm.logits)(&wt[..f * kp], &x[..f], &mut out) };
+                (arm.name, out)
+            })
+            .collect()
+    }
+
     /// A long deterministic vector with non-finite, signed-zero and
     /// subnormal lanes sprinkled in, for the lengths around `RAND_BLOCK`.
     fn long_params(len: usize, seed: u64) -> Vec<f32> {

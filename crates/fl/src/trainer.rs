@@ -330,17 +330,30 @@ impl ClassLanes {
     }
 
     /// Class probabilities of one sample under the loaded model.
+    #[cfg(test)]
     pub(crate) fn probabilities(&mut self, features: &[f32]) -> &[f32] {
         class_probabilities(&self.wt, &self.bias, features, &mut self.probs)
     }
+
+    /// The class one sample is predicted as under the loaded model: the
+    /// argmax of its softmax probabilities, bit for bit, read off the
+    /// logits wherever [`predicted_class`] shows that exact.
+    pub(crate) fn predicted(&mut self, features: &[f32]) -> usize {
+        predicted_class(class_logits(
+            &self.wt,
+            &self.bias,
+            features,
+            &mut self.probs,
+        ))
+    }
 }
 
-/// The class probabilities of one sample, in the first `bias.len()` lanes of
-/// `row`: [`kernels::logits`] over the transposed block `wt` — every class
-/// summing `W[c][j]·x[j]` in feature order from `-0.0` — then the bias added
-/// and the softmax taken, exactly as the row-major `bias + row·x` does (an
-/// f32 add commutes).
-fn class_probabilities<'r>(
+/// The class logits of one sample plus their bias, in the first
+/// `bias.len()` lanes of `row`: [`kernels::logits`] over the transposed
+/// block `wt` — every class summing `W[c][j]·x[j]` in feature order from
+/// `-0.0` — then the bias added, exactly as the row-major `bias + row·x`
+/// does (an f32 add commutes).
+fn class_logits<'r>(
     wt: &[f32],
     bias: &[f32],
     features: &[f32],
@@ -351,8 +364,71 @@ fn class_probabilities<'r>(
     for (logit, b) in logits.iter_mut().zip(bias) {
         *logit += b;
     }
+    logits
+}
+
+/// The class probabilities of one sample, in the first `bias.len()` lanes of
+/// `row`: [`class_logits`], then the softmax taken.
+fn class_probabilities<'r>(
+    wt: &[f32],
+    bias: &[f32],
+    features: &[f32],
+    row: &'r mut [f32],
+) -> &'r mut [f32] {
+    let logits = class_logits(wt, bias, features, row);
     softmax(logits);
     logits
+}
+
+/// The largest gap below the top logit that the softmax may round to a
+/// tie: 2⁻²¹ (see [`predicted_class`]).
+const NEAR_TIE: f32 = 1.0 / 2_097_152.0;
+
+/// The argmax of the softmax of `logits` — the last class of the largest
+/// probability, which `max_by` keeps of a tie — read off the logits
+/// wherever that is exact, and through the softmax (in place) wherever it
+/// is not.
+///
+/// Let `m` be the largest logit and `a` the last class that has it. If no
+/// logit is NaN, `m` is finite and every class after `a` has a logit below
+/// `m − 2⁻²¹` (compared in f32: a logit below the rounded bound is below
+/// the exact one), the argmax is `a`:
+/// - the softmax subtracts `m`: `a`'s exponential is `expf(0) = 1`, and
+///   every other class's is `expf(x)` of some `x ≤ 0`, so at most 1 (`expf`
+///   is monotone); the sum is then finite and at least 1;
+/// - a class after `a` has `l − m < −2⁻²¹`, and rounding is monotone, so
+///   its f32 `x` is at most `−2⁻²¹`: `e^{−2⁻²¹}` lies about 8 ulps below
+///   1.0 (an ulp below 1.0 is 2⁻²⁴), and libm's `expf`, within an ulp,
+///   leaves it at least 4 ulps below;
+/// - every probability is its exponential divided by the same sum, and a
+///   rounded division by one positive number is monotone: no class can
+///   pass `a`, one before `a` can at most tie it (`max_by` keeps `a`), and
+///   one after `a` sits a relative 2⁻²² — at least two ulps of any normal
+///   f32 — below it before rounding, so it cannot round to a tie.
+///
+/// Anything else — a NaN, an infinite top logit, a later class within
+/// 2⁻²¹ of the top — takes the softmax and `max_by`, as every evaluation
+/// did before.
+pub(crate) fn predicted_class(logits: &mut [f32]) -> usize {
+    let (mut top, mut last_top) = (f32::NEG_INFINITY, 0);
+    let (mut after_top, mut nan) = (f32::NEG_INFINITY, false);
+    for (class, &logit) in logits.iter().enumerate() {
+        if logit >= top {
+            (top, last_top, after_top) = (logit, class, f32::NEG_INFINITY);
+        } else {
+            after_top = after_top.max(logit);
+            nan |= logit.is_nan();
+        }
+    }
+    if !nan && top.is_finite() && after_top < top - NEAR_TIE {
+        return last_top;
+    }
+    softmax(logits);
+    logits
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .map_or(0, |(class, _)| class)
 }
 
 /// `value` floored at `floor`, a NaN kept NaN (`f32::max` would return

@@ -43,8 +43,10 @@ test:
 # round into a dirty pooled accumulator, batched, eager or both, ≡ a
 # zero-filled one) and the local trainer and its evaluation (`trainer::`,
 # `metrics::`: the batched logits and gradient passes ≡ the row-major
-# trainer, every model, loss and accuracy bit). Every arm the host runs is
-# exercised in one process, so one run covers them all.
+# trainer, every model, loss and accuracy bit, and the evaluation's logit
+# argmax ≡ the softmax argmax on every arm, near ties, NaN and ±∞
+# included). Every arm the host runs is exercised in one process, so one
+# run covers them all.
 kernel-parity:
     PROPTEST_CASES=1024 cargo test -p lifl-fl --lib -- kernels:: sharded:: aggregate:: trainer:: metrics::
 
