@@ -4,8 +4,9 @@
 //! [`super::scalar`]. That property is engineered, not incidental:
 //!
 //! * only exactly-rounded IEEE-754 operations are used (multiply, add,
-//!   subtract, floor, compare, min/max) — never FMA, which would contract
-//!   the separate multiply and add the scalar arm performs;
+//!   subtract, divide, floor, compare, min/max), and FMA only in the f64
+//!   steps of `expf` (see "The softmax" below) — nowhere else, as it would
+//!   contract a separate multiply and add the scalar arm performs;
 //! * `_mm256_min_ps`/`_mm256_max_ps` return their **second** operand when
 //!   either input is NaN, matching `f32::min`/`f32::max` with a NaN `self`,
 //!   so the clamp `max(min(x, hi), lo)` agrees with the scalar
@@ -18,6 +19,25 @@
 //!
 //! Each kernel handles the vector-width remainder by delegating the tail to
 //! the scalar reference, so odd lengths take the same path in both arms.
+//!
+//! # The softmax and the class-lane transpose
+//!
+//! [`softmax_rows`] is `super::expf` in f64 lanes. `exp4` widens four f32
+//! lanes and runs glibc's FMA form of it — the two fused multiply-adds
+//! that split `x·32/ln 2` into `k` and `r`, a gather of `T[k mod 32]`, the
+//! three fused multiply-adds of the cubic, one multiply, one f32 rounding.
+//! The scalar main path forms the same `r` exactly and the rest unfused,
+//! and the exhaustive `expf` test finds the two equal for every
+//! `|x| < 88`; `exp8` then recomputes any lane of `|x| ≥ 88` or NaN through
+//! the scalar special path, as the scalar arm branches. Per row the max is
+//! an 8-lane `max` from −∞ that skips NaN, the divide is exact, and the sum
+//! is the scalar chain (`scalar::row_sums` runs eight rows' chains side by
+//! side). A row's partial vector at the end goes through masked loads and
+//! stores. [`class_lanes`] transposes 8 classes × 8 features at a time in
+//! registers (unpack, shuffle, lane permute: every bit pattern moves
+//! unchanged); a partial block of classes is transposed from zeros, which
+//! the padding lanes already hold, and the features past the last whole
+//! block are copied one at a time.
 //!
 //! # Counter-mode draws
 //!
@@ -68,14 +88,18 @@
 //! on every arm the host runs and check the bytes, the residual bits and the
 //! generator's next words.
 //!
-//! All functions are `unsafe` because they require AVX2. The parent
-//! module's `AVX2` table holds every kernel here, and its `AVX512` table
-//! every one but the `Uniform8` encoders; a table is only reached after
+//! All functions are `unsafe` because they require AVX2 (the softmax also
+//! FMA). The parent module's `AVX2` table holds every kernel here, and its
+//! `AVX512` table every one but the `Uniform8` encoders and the trainer's
+//! two passes; a table is only reached after
 //! `is_x86_feature_detected!` reported its features.
 
 use core::arch::x86_64::*;
 
-use super::{scalar, Keys, Pass, StochasticRng, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2};
+use super::{
+    scalar, Keys, Pass, StochasticRng, EXP_INV_LN2_N, EXP_POLY, EXP_SHIFT, EXP_SPECIAL_ABS,
+    EXP_TABLE, SPLITMIX_GAMMA, SPLITMIX_MUL1, SPLITMIX_MUL2,
+};
 use std::mem::MaybeUninit;
 
 /// Builds the sign-magnitude nibble lookup table in a register: lane `i`
@@ -1165,5 +1189,232 @@ unsafe fn gradient_tile<const V: usize>(
     let to = weights.as_mut_ptr().add(c * f + j);
     for (v, a) in acc.iter().enumerate() {
         _mm256_storeu_ps(to.add(8 * v), *a);
+    }
+}
+
+/// Safety: caller must have verified AVX2 and FMA support at runtime;
+/// `rows.len()` is a multiple of `stride >= classes`.
+// SAFETY: `unsafe` solely for `target_feature(avx2, fma)`; the dispatcher
+// in `super` calls this only after `is_x86_feature_detected!` reported
+// both. Each row handed to `exp_below_max` and `divide_row` is cut to its
+// first `classes` lanes, which is what they need.
+#[target_feature(enable = "avx2,fma")]
+pub(super) unsafe fn softmax_rows(rows: &mut [f32], classes: usize, stride: usize) {
+    let mut sums = [-0.0f32; 8];
+    for group in rows.chunks_mut(8 * stride) {
+        for row in group.chunks_exact_mut(stride) {
+            exp_below_max(&mut row[..classes]);
+        }
+        scalar::row_sums(group, classes, stride, &mut sums);
+        for (row, sum) in group.chunks_exact_mut(stride).zip(sums) {
+            divide_row(&mut row[..classes], sum);
+        }
+    }
+}
+
+/// The lanes of `0..8` below `tail` as an all-ones mask, the rest zero: the
+/// partial vector at a row's end.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; pure register
+// arithmetic with no memory access, gated by the dispatcher's CPUID check.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn lanes_below(tail: usize) -> __m256i {
+    _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(tail as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    )
+}
+
+/// `row[c] = expf(row[c] − max)` for every lane, `max` the row's largest
+/// value with NaN ignored: 8-lane `max` from −∞ (`_mm256_max_ps` returns
+/// its second operand, the running max, when the loaded lane is NaN; the
+/// sign of a zero max cannot show, as `l − ±0` is `l` or a zero and
+/// `expf(±0)` is 1), then [`exp8`] of each vector, the partial vector at
+/// the end through masked loads and stores.
+// SAFETY: `unsafe` for `target_feature(avx2, fma)` and the raw accesses.
+// The vectors at `c + 8 <= row.len()` are in bounds, and the masked load
+// and store of the tail touch only the lanes below `row.len() - full`.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp_below_max(row: &mut [f32]) {
+    let full = row.len() / 8 * 8;
+    let mask = lanes_below(row.len() - full);
+    let p = row.as_mut_ptr();
+    let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
+    let mut max = neg_inf;
+    for c in (0..full).step_by(8) {
+        max = _mm256_max_ps(_mm256_loadu_ps(p.add(c)), max);
+    }
+    let tail = _mm256_maskload_ps(p.add(full), mask);
+    max = _mm256_max_ps(
+        _mm256_blendv_ps(neg_inf, tail, _mm256_castsi256_ps(mask)),
+        max,
+    );
+    let half = _mm_max_ps(_mm256_castps256_ps128(max), _mm256_extractf128_ps::<1>(max));
+    let half = _mm_max_ps(half, _mm_movehl_ps(half, half));
+    let max = _mm256_set1_ps(_mm_cvtss_f32(_mm_max_ss(half, _mm_movehdup_ps(half))));
+    for c in (0..full).step_by(8) {
+        _mm256_storeu_ps(
+            p.add(c),
+            exp8(_mm256_sub_ps(_mm256_loadu_ps(p.add(c)), max)),
+        );
+    }
+    _mm256_maskstore_ps(p.add(full), mask, exp8(_mm256_sub_ps(tail, max)));
+}
+
+/// `row[c] /= sum` for every lane, one exactly rounded divide each.
+// SAFETY: `unsafe` for `target_feature(avx2)` and the raw accesses, which
+// stay inside `row` as in `exp_below_max`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn divide_row(row: &mut [f32], sum: f32) {
+    let full = row.len() / 8 * 8;
+    let mask = lanes_below(row.len() - full);
+    let p = row.as_mut_ptr();
+    let sum = _mm256_set1_ps(sum);
+    for c in (0..full).step_by(8) {
+        _mm256_storeu_ps(p.add(c), _mm256_div_ps(_mm256_loadu_ps(p.add(c)), sum));
+    }
+    let tail = _mm256_maskload_ps(p.add(full), mask);
+    _mm256_maskstore_ps(p.add(full), mask, _mm256_div_ps(tail, sum));
+}
+
+/// [`super::expf`] of eight lanes: [`exp4`] of each half, then every lane
+/// whose `|x|` is at least 88 or NaN recomputed by
+/// [`super::expf_special`], as the scalar arm branches.
+// SAFETY: `unsafe` solely for `target_feature(avx2, fma)`; register
+// arithmetic and two stack arrays, gated by the dispatcher's CPUID check.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp8(x: __m256) -> __m256 {
+    let e = _mm256_set_m128(
+        exp4(_mm256_extractf128_ps::<1>(x)),
+        exp4(_mm256_castps256_ps128(x)),
+    );
+    let abs = _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(0x7fff_ffff));
+    let special = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(EXP_SPECIAL_ABS as i32 - 1));
+    let special = _mm256_movemask_ps(_mm256_castsi256_ps(special));
+    if special == 0 {
+        return e;
+    }
+    let (mut xs, mut es) = ([0.0f32; 8], [0.0f32; 8]);
+    _mm256_storeu_ps(xs.as_mut_ptr(), x);
+    _mm256_storeu_ps(es.as_mut_ptr(), e);
+    for (lane, (e, x)) in es.iter_mut().zip(xs).enumerate() {
+        if special >> lane & 1 != 0 {
+            *e = super::expf_special(x);
+        }
+    }
+    _mm256_loadu_ps(es.as_ptr())
+}
+
+/// [`super::expf`]'s main path on four lanes in f64, the scalar arm's
+/// operations one for one: `kd = fma(x, 32/ln 2, SHIFT)`, `ki = bits(kd)`,
+/// `r = fma(x, 32/ln 2, −(kd − SHIFT))`, `s = from_bits(T[ki mod 32] +
+/// (ki << 47))` (a gather), `y = fma(fma(r, C0, C1), r·r, fma(r, C2, 1))`,
+/// and `y·s` rounded to f32 once (`_mm256_cvtpd_ps` rounds to nearest, as
+/// `as f32` does). Only right for `|x| < 88`, and the large inputs
+/// `expf_special` hands back; other lanes give garbage that `exp8`
+/// replaces.
+// SAFETY: `unsafe` for `target_feature(avx2, fma)` and the gather, whose
+// indices are masked into `0..32`, inside `EXP_TABLE`.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp4(x: __m128) -> __m128 {
+    let [c0, c1, c2] = EXP_POLY;
+    let xd = _mm256_cvtps_pd(x);
+    let inv_ln2_n = _mm256_set1_pd(EXP_INV_LN2_N);
+    let shift = _mm256_set1_pd(EXP_SHIFT);
+    let kd = _mm256_fmadd_pd(xd, inv_ln2_n, shift);
+    let ki = _mm256_castpd_si256(kd);
+    let r = _mm256_fmsub_pd(xd, inv_ln2_n, _mm256_sub_pd(kd, shift));
+    let index = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+    let t = _mm256_i64gather_epi64::<8>(EXP_TABLE.as_ptr().cast(), index);
+    let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+    let p = _mm256_fmadd_pd(r, _mm256_set1_pd(c0), _mm256_set1_pd(c1));
+    let q = _mm256_fmadd_pd(r, _mm256_set1_pd(c2), _mm256_set1_pd(1.0));
+    let y = _mm256_fmadd_pd(p, _mm256_mul_pd(r, r), q);
+    _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
+}
+
+/// Safety: caller must have verified AVX2 support at runtime; `features` is
+/// not zero, `w` holds `k` rows of `features` and `wt` `features` rows of
+/// `kp >= k.next_multiple_of(8)` lanes, lanes `k..kp` zero.
+// SAFETY: `unsafe` for `target_feature(avx2)` and the raw accesses. Block
+// `(c, j)` loads rows `c..c + rows` (`c + rows <= k`) at features `j..j + 8`
+// (`j + 8 <= f`), inside `w`, and stores features `j..j + 8`' lanes
+// `c..c + 8`, inside `wt` as `c + 8 <= k.next_multiple_of(8) <= kp`; the
+// missing rows of a partial block are zeros, which lanes past `k` already
+// hold. The features past the last whole block are copied by indexing.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn class_lanes(w: &[f32], features: usize, wt: &mut [f32]) {
+    let f = features;
+    let (k, kp) = (w.len() / f, wt.len() / f);
+    let whole = f / 8 * 8;
+    for c in (0..k).step_by(8) {
+        let rows = (k - c).min(8);
+        for j in (0..whole).step_by(8) {
+            let mut block = [_mm256_setzero_ps(); 8];
+            for (i, row) in block.iter_mut().enumerate().take(rows) {
+                *row = _mm256_loadu_ps(w.as_ptr().add((c + i) * f + j));
+            }
+            for (i, lanes) in transpose8(block).into_iter().enumerate() {
+                _mm256_storeu_ps(wt.as_mut_ptr().add((j + i) * kp + c), lanes);
+            }
+        }
+        for i in 0..rows {
+            for j in whole..f {
+                wt[j * kp + c + i] = w[(c + i) * f + j];
+            }
+        }
+    }
+}
+
+/// The 8 × 8 transpose of `rows`: lane `i` of output `j` is lane `j` of
+/// input `i`. Shuffles only, so every bit pattern moves unchanged.
+// SAFETY: `unsafe` solely for `target_feature(avx2)`; pure register
+// arithmetic with no memory access, gated by the dispatcher's CPUID check.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose8(rows: [__m256; 8]) -> [__m256; 8] {
+    let [r0, r1, r2, r3, r4, r5, r6, r7] = rows;
+    // Pairs of rows interleaved: (a0 b0 a1 b1 | a4 b4 a5 b5) and the rest.
+    let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+    let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+    let (t4, t5) = (_mm256_unpacklo_ps(r4, r5), _mm256_unpackhi_ps(r4, r5));
+    let (t6, t7) = (_mm256_unpacklo_ps(r6, r7), _mm256_unpackhi_ps(r6, r7));
+    // Quads: (a0 b0 c0 d0 | a4 b4 c4 d4) and the rest.
+    let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    // Halves joined: column j of the block.
+    [
+        _mm256_permute2f128_ps::<0x20>(s0, s4),
+        _mm256_permute2f128_ps::<0x20>(s1, s5),
+        _mm256_permute2f128_ps::<0x20>(s2, s6),
+        _mm256_permute2f128_ps::<0x20>(s3, s7),
+        _mm256_permute2f128_ps::<0x31>(s0, s4),
+        _mm256_permute2f128_ps::<0x31>(s1, s5),
+        _mm256_permute2f128_ps::<0x31>(s2, s6),
+        _mm256_permute2f128_ps::<0x31>(s3, s7),
+    ]
+}
+
+/// [`exp8`] over `xs` in place, eight lanes at a time (a partial vector at
+/// the end is left as it is): the vector exponential, for the exhaustive
+/// `expf` test.
+// SAFETY: `unsafe` for `target_feature(avx2, fma)` and the raw accesses,
+// each of eight lanes of one whole chunk; the test calls it only on a host
+// whose `arms()` list this arm.
+#[cfg(test)]
+#[target_feature(enable = "avx2,fma")]
+pub(super) unsafe fn expf_lanes(xs: &mut [f32]) {
+    for chunk in xs.chunks_exact_mut(8) {
+        _mm256_storeu_ps(chunk.as_mut_ptr(), exp8(_mm256_loadu_ps(chunk.as_ptr())));
     }
 }

@@ -3,10 +3,11 @@
 //!
 //! Only [`encode_u8`], [`feedback_append_u8`], [`logits`] and
 //! [`outer_accumulate`] live here: every other kernel stays on
-//! `super::avx2` on an AVX-512 host, `Uniform4` included. The trainer's
-//! passes are `avx2.rs`'s register tiles sixteen lanes wide, multiply then
-//! add in the same per-element order, and hand what their tiles leave to
-//! the AVX2 arm; see "The trainer's passes" below.
+//! `super::avx2` on an AVX-512 host, `Uniform4`, the softmax and the
+//! class-lane transpose included. The trainer's passes are `avx2.rs`'s
+//! register tiles sixteen lanes wide, multiply then add in the same
+//! per-element order, and hand what their tiles leave to the AVX2 arm; see
+//! "The trainer's passes" below.
 //!
 //! The two encoders are bit-exact with their counterparts in
 //! [`super::scalar`] for every input, for the reasons `avx2.rs` gives for
@@ -71,7 +72,7 @@
 //! (and the trainer's passes AVX2, for the lanes their tiles leave).
 //! They are entries of the parent module's `AVX512` table (the rest of
 //! which is `AVX2`'s), reached only after `is_x86_feature_detected!`
-//! reported both, and AVX2.
+//! reported both, AVX2 and FMA.
 
 use core::arch::x86_64::*;
 

@@ -1,10 +1,12 @@
 //! Runtime-dispatched SIMD kernels for the codec, aggregation and local
-//! training hot paths. Training is two passes of softmax regression,
-//! `logits` per sample and `outer_accumulate` (the gradient) per
-//! mini-batch, each keeping its output tile in registers across its
-//! reduction loop; every element is summed in the row-major trainer's
-//! order, multiply then add, so the trainer's bits are the same on every
-//! arm.
+//! training hot paths. A mini-batch of softmax regression is four kernels:
+//! `class_lanes` (the weight block transposed, 8 × 8 register blocks),
+//! `logits` per sample and `outer_accumulate` (the gradient) per batch, each
+//! keeping its output tile in registers across its reduction loop, and
+//! `softmax_rows` over the batch's logit rows, on an in-repo `expf`. Every
+//! element is summed in the row-major trainer's order, multiply then add,
+//! and every exponential is `expf`'s bits, so the trainer's bits are the
+//! same on every arm.
 //!
 //! # Dispatch strategy
 //!
@@ -14,13 +16,13 @@
 //! third, 16-lane arm in `avx512.rs`. Each arm is one `Kernels` table, a
 //! function pointer per kernel: `SCALAR`, `AVX2` (x86-64 only), and
 //! `AVX512`, which is `AVX2` with those four kernels replaced. Which table
-//! runs is decided **once per
-//! process**: the first call checks the `LIFL_FORCE_SCALAR` environment
-//! variable and `is_x86_feature_detected!`, then caches a reference to the
-//! table in a `OnceLock`, so steady-state dispatch is one indirect call
-//! through a loaded pointer. The widest table the host runs wins: `AVX512`
-//! when CPUID reports `avx2`, `avx512f` and `avx512dq`, else `AVX2` when it
-//! reports `avx2`, else `SCALAR`. Setting `LIFL_FORCE_SCALAR` to any value
+//! runs is decided **once per process**: the first call checks the
+//! `LIFL_FORCE_SCALAR` environment variable and `is_x86_feature_detected!`,
+//! then caches a reference to the table in a `OnceLock`, so steady-state
+//! dispatch is one indirect call through a loaded pointer. The widest table
+//! the host runs wins: `AVX512` when CPUID reports `avx2`, `fma`, `avx512f`
+//! and `avx512dq`, else `AVX2` when it reports `avx2` and `fma` (the
+//! softmax's exponential fuses its multiply-adds), else `SCALAR`. Setting `LIFL_FORCE_SCALAR` to any value
 //! other than empty or `0` forces `SCALAR` (CI runs the integration and
 //! fault tiers both ways). [`active_kernel_arm`] names the table.
 //!
@@ -49,16 +51,21 @@
 //!
 //! Bit-exactness is achievable because every kernel restricts itself to
 //! exactly-rounded elementwise IEEE-754 operations (multiply, add, subtract,
-//! floor, compare, min/max) in the same order on every arm — in particular
-//! FMA is never used, and divisions are hoisted into a single reciprocal
-//! computed identically by every arm. See `avx2.rs` for the instruction-level
+//! divide, floor, compare, min/max, and the fused multiply-add) in the same
+//! order on every arm. A fused multiply-add is one rounding and a multiply
+//! then add is two, so an arm multiplies then adds wherever the scalar
+//! reference does. The one exception is `expf`'s f64 steps, which the AVX2
+//! arm fuses as glibc does while the scalar `expf` reaches the same bits
+//! unfused (its rustdoc says how; an exhaustive test checks it). The
+//! codec's divisions are hoisted into a single reciprocal computed
+//! identically by every arm. See `avx2.rs` for the instruction-level
 //! argument. Which payload an add or multiply of two NaNs returns is left
 //! open, though: the hardware returns its first operand's, and the compiler
-//! may swap the operands of either arm. So the dense fold, whose weights,
-//! sources and accumulator can all be NaN, stores every NaN it produces as
-//! the canonical quiet NaN ([`f32::NAN`]) on both arms. The trainer's
-//! passes leave a NaN's payload open instead: nothing reads it, and their
-//! parity tests compare a NaN lane as NaN.
+//! may swap the operands of either arm. So the dense fold, whose weights, sources and
+//! accumulator can all be NaN, stores every NaN it produces as the
+//! canonical quiet NaN ([`f32::NAN`]) on both arms. The trainer's kernels
+//! leave a NaN's payload open instead: nothing reads it, and their parity
+//! tests compare a NaN lane as NaN.
 //!
 //! # How to add a kernel
 //!
@@ -80,7 +87,10 @@
 //!    test is what catches them.
 //!
 //! A new codec adds its encode and fold arms this way, and no decode arm:
-//! the codec layer decodes it by folding into zeros.
+//! the codec layer decodes it by folding into zeros. A kernel that needs an
+//! exponential calls `expf` on the scalar arm and the vector form of it
+//! (`exp8` in `avx2.rs`), never libm's `f32::exp`, whose bits differ by
+//! host.
 //!
 //! A kernel that consumes rounding words additionally follows "How to add a
 //! stochastic kernel" in `avx2.rs`: the scalar arm draws through `fill`, the
@@ -90,7 +100,7 @@
 //! is bound by what AVX-512 adds (the `Uniform8` encoders: 64-bit
 //! multiplies; the trainer's passes: twice the lanes per load, and twice
 //! the registers to hold a gradient tile of two classes) — and only when it
-//! measures faster than AVX2 on the host.
+//! measures faster than AVX2 end to end on the host.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -166,6 +176,13 @@ struct Kernels {
     // `weights.len()` is a multiple of `bias.len()`, and `err` holds
     // `xs.len()` rows of `stride >= bias.len()`.
     outer_accumulate: unsafe fn(&mut [f32], &mut [f32], &[f32], usize, &[&[f32]]),
+    // SAFETY: of `(rows, classes, stride)`, `rows.len()` is a multiple of
+    // `stride >= classes`.
+    softmax_rows: unsafe fn(&mut [f32], usize, usize),
+    // SAFETY: of `(w, features, wt)`, `features` is not zero, `w` holds `k`
+    // rows of `features` and `wt` `features` rows of `kp >=
+    // k.next_multiple_of(CLASS_LANES)` lanes, lanes `k..kp` zero.
+    class_lanes: unsafe fn(&[f32], usize, &mut [f32]),
 }
 
 /// The spare capacity of a wire body, as a stochastic encoder arm is handed
@@ -191,9 +208,11 @@ static SCALAR: Kernels = Kernels {
     feedback_append_u4: scalar::feedback_append_u4,
     logits: scalar::logits,
     outer_accumulate: scalar::outer_accumulate,
+    softmax_rows: scalar::softmax_rows,
+    class_lanes: scalar::class_lanes,
 };
 
-/// `avx2.rs` for every kernel: hosts whose CPUID reports `avx2`.
+/// `avx2.rs` for every kernel: hosts whose CPUID reports `avx2` and `fma`.
 #[cfg(target_arch = "x86_64")]
 static AVX2: Kernels = Kernels {
     name: "avx2",
@@ -212,11 +231,13 @@ static AVX2: Kernels = Kernels {
     feedback_append_u4: avx2::feedback_append_u4,
     logits: avx2::logits,
     outer_accumulate: avx2::outer_accumulate,
+    softmax_rows: avx2::softmax_rows,
+    class_lanes: avx2::class_lanes,
 };
 
 /// `avx512.rs` for the `Uniform8` stochastic encoders and the trainer's two
-/// passes, `avx2.rs` for every other kernel: hosts whose CPUID reports
-/// `avx2`, `avx512f` and `avx512dq`.
+/// passes, `avx2.rs` for every other kernel: hosts whose
+/// CPUID reports `avx2`, `fma`, `avx512f` and `avx512dq`.
 #[cfg(target_arch = "x86_64")]
 static AVX512: Kernels = Kernels {
     name: "avx512",
@@ -236,11 +257,13 @@ fn scalar_forced(value: Option<&str>) -> bool {
 }
 
 /// The widest table this host's CPU runs: it runs every narrower one too.
+/// `AVX2` (and so `AVX512`, built on it) needs `fma` beside `avx2`: its
+/// [`softmax_rows`] arm runs [`expf`]'s fused multiply-adds.
 fn widest() -> &'static Kernels {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::is_x86_feature_detected as has;
-        if has!("avx2") {
+        if has!("avx2") && has!("fma") {
             return if has!("avx512f") && has!("avx512dq") {
                 &AVX512
             } else {
@@ -907,7 +930,7 @@ pub fn add_max(acc: &mut [f32], src: &[f32]) -> f32 {
 }
 
 // ---------------------------------------------------------------------------
-// Softmax regression: the local trainer's two passes.
+// Softmax regression: the local trainer's kernels.
 // ---------------------------------------------------------------------------
 
 /// The lane width a transposed weight block pads its class rows to: the
@@ -964,6 +987,177 @@ pub(crate) fn outer_accumulate(
     // `weights` is cut to `k` rows of `f`, and `err` covers `samples` rows
     // of `stride >= k`.
     unsafe { (active().outer_accumulate)(&mut weights[..k * f], bias, err, stride, &xs[..samples]) }
+}
+
+/// The softmax of every row in place: for each `stride`-lane row of `rows`
+/// (a trailing partial row is left alone), over its first `classes` lanes,
+/// `p[c] = e[c] / sum` with `e[c] = expf(l[c] − max)`, `max` the row's
+/// largest logit with NaN ignored (the `f32::max` fold from −∞) and `sum`
+/// one chain of adds in class order from `-0.0` (the identity `Sum for f32`
+/// starts from). The row's largest logit contributes `expf(0) = 1`, so the
+/// sum is at least 1 — or NaN, which then reaches every probability. Lanes
+/// `classes..stride` are not touched. Every arm computes [`expf`]'s bits
+/// (the vector arms in f64 lanes, a special input on the scalar path) and
+/// divides by the sum exactly; the vector arms advance several rows' sum
+/// chains side by side. A NaN's payload is not pinned, as in [`logits`].
+pub(crate) fn softmax_rows(rows: &mut [f32], classes: usize, stride: usize) {
+    if classes == 0 || stride < classes {
+        return;
+    }
+    let whole = rows.len() / stride * stride;
+    // SAFETY: the active table passed its CPUID check; `rows` is cut to
+    // whole rows of `stride >= classes`.
+    unsafe { (active().softmax_rows)(&mut rows[..whole], classes, stride) }
+}
+
+/// `w`'s `k × features` row-major weight block transposed into class lanes:
+/// `wt[j·kp + c] = w[c·features + j]` for every class `c < k` and feature
+/// `j`, with `k = w.len() / features` and `kp = wt.len() / features`. Lanes
+/// `k..kp` of every row must be zero and stay zero; a block whose `kp` is
+/// below `k.next_multiple_of(CLASS_LANES)`, or that has no features, is
+/// left as it is. The vector arms transpose 8 × 8 register blocks, the
+/// last partial block of classes from a zero-padded one.
+pub(crate) fn class_lanes(w: &[f32], features: usize, wt: &mut [f32]) {
+    let (Some(k), Some(kp)) = (
+        w.len().checked_div(features),
+        wt.len().checked_div(features),
+    ) else {
+        return;
+    };
+    if kp < k.next_multiple_of(CLASS_LANES) {
+        return;
+    }
+    // SAFETY: the active table passed its CPUID check; `features` is not
+    // zero, `w` is cut to `k` rows of `features` and `wt` to `features`
+    // rows of `kp >= k.next_multiple_of(CLASS_LANES)`.
+    unsafe { (active().class_lanes)(&w[..k * features], features, &mut wt[..kp * features]) }
+}
+
+// ---------------------------------------------------------------------------
+// The exponential: glibc's `expf`, in its FMA form.
+// ---------------------------------------------------------------------------
+
+/// `bits(2^(i/32)) − (i << 47)` for `i` in `0..32`: `2^(k/32)` is
+/// `from_bits(EXP_TABLE[k mod 32] + (k << 47))` for every integer `k` of
+/// [`expf`]'s range (the shift puts `k div 32` in the exponent field, and
+/// the table takes back the `k mod 32` it also adds). Each `2^(i/32)` is
+/// correctly rounded; the words are glibc's `__exp2f_data.tab`.
+pub(super) const EXP_TABLE: [u64; 32] = [
+    0x3ff0000000000000,
+    0x3fefd9b0d3158574,
+    0x3fefb5586cf9890f,
+    0x3fef9301d0125b51,
+    0x3fef72b83c7d517b,
+    0x3fef54873168b9aa,
+    0x3fef387a6e756238,
+    0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb,
+    0x3feedea64c123422,
+    0x3feece086061892d,
+    0x3feebfdad5362a27,
+    0x3feeb42b569d4f82,
+    0x3feeab07dd485429,
+    0x3feea47eb03a5585,
+    0x3feea09e667f3bcd,
+    0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187,
+    0x3feea589994cce13,
+    0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5,
+    0x3feec49182a3f090,
+    0x3feed503b23e255d,
+    0x3feee89f995ad3ad,
+    0x3feeff76f2fb5e47,
+    0x3fef199bdd85529c,
+    0x3fef3720dcef9069,
+    0x3fef5818dcfba487,
+    0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da,
+    0x3fefd0765b6e4540,
+];
+
+/// `32 / ln 2`: `x · EXP_INV_LN2_N = k + r`, `k` an integer, `|r| ≤ 1/2`.
+pub(super) const EXP_INV_LN2_N: f64 = f64::from_bits(0x40471547652b82fe);
+/// `1.5 · 2^52`: added to a double of magnitude below `2^51`, it rounds it
+/// to an integer (ties to even) held in the low mantissa bits.
+pub(super) const EXP_SHIFT: f64 = f64::from_bits(0x4338000000000000);
+/// `2^(r/32) ≈ ((C0·r + C1)·r² + (C2·r + 1))` on `|r| ≤ 1/2`.
+pub(super) const EXP_POLY: [f64; 3] = [
+    f64::from_bits(0x3ebc6af84b912394),
+    f64::from_bits(0x3f2ebfce50fac4f3),
+    f64::from_bits(0x3f962e42ff0c52d6),
+];
+/// [`EXP_INV_LN2_N`] cut after its 26th significant bit. It and
+/// [`EXP_INV_LN2_N_LO`] times an f32 are exact in f64, which is how the
+/// scalar [`expf`] rounds `r` once without a fused multiply-add.
+const EXP_INV_LN2_N_HI: f64 = f64::from_bits(0x4047154760000000);
+/// The rest of [`EXP_INV_LN2_N`] below [`EXP_INV_LN2_N_HI`]: 27 bits.
+const EXP_INV_LN2_N_LO: f64 = f64::from_bits(0x3ea4ae0bf8000000);
+/// The bits of `88.0`: an `|x|` at or above it (or a NaN) takes
+/// [`expf_special`].
+pub(super) const EXP_SPECIAL_ABS: u32 = 0x42b0_0000;
+
+/// `e^x` in f32, bit for bit what glibc ≥ 2.28's `expf` returns where it
+/// runs its FMA build (`__expf_fma`, x86-64 hosts with FMA; the algorithm is
+/// ARM's optimized-routines `math/expf.c`): `x·32/ln 2` split into an
+/// integer `k` and `r`, then `2^(k/32)` from [`EXP_TABLE`] times a cubic in
+/// `r`, all in f64, rounded to f32 once. Every kernel arm gives these bits —
+/// the AVX2 arm in f64 lanes with glibc's five fused multiply-adds — so a
+/// softmax is the same on every host, whatever its libm does.
+///
+/// This scalar form fuses nothing, so it costs no libm `fma` call on a
+/// build without `+fma`. The one fused step whose rounding shows in the
+/// output is `r = x·32/ln 2 − k`; it is formed exactly (see `expf_main`)
+/// and rounded once, as the fused form rounds it. `k` and the cubic are
+/// multiply then add: `expf_matches_libm_on_every_input` (ignored; run by
+/// hand) checks over all 2³² inputs that this gives the host libm's bits
+/// and the AVX2 arm's, with no exception.
+pub(crate) fn expf(x: f32) -> f32 {
+    if x.to_bits() & 0x7fff_ffff >= EXP_SPECIAL_ABS {
+        return expf_special(x);
+    }
+    expf_main(x)
+}
+
+/// [`expf`]'s main path, for `|x| < 88` and the large inputs
+/// [`expf_special`] hands back.
+fn expf_main(x: f32) -> f32 {
+    let xd = f64::from(x);
+    let kd = xd * EXP_INV_LN2_N + EXP_SHIFT;
+    let ki = kd.to_bits();
+    let kd = kd - EXP_SHIFT;
+    // `xd · HI` and `xd · LO` are exact (24 + 26 and 24 + 27 bits), and so
+    // is `xd · HI − kd`: it is `xd · HI` where `kd` is 0, and where `kd` is
+    // not, `|x| > 2⁻⁷` makes `xd · HI` a multiple of 2⁻⁵⁰ within 1 of the
+    // integer `kd`. The one rounding left is the fused form's.
+    let r = (xd * EXP_INV_LN2_N_HI - kd) + xd * EXP_INV_LN2_N_LO;
+    let s = f64::from_bits(EXP_TABLE[(ki % 32) as usize].wrapping_add(ki << 47));
+    let [c0, c1, c2] = EXP_POLY;
+    let y = (c0 * r + c1) * (r * r) + (c2 * r + 1.0);
+    (y * s) as f32
+}
+
+/// [`expf`] of `|x| ≥ 88` or a NaN: `−∞ → +0`, a NaN → `x + x`, above
+/// `ln(2^128)` → `+∞`, below `ln(2^−150)` → `+0`, below `ln(2^−149)` →
+/// `2^−149` (glibc's underflow results), and the main path for the rest.
+pub(super) fn expf_special(x: f32) -> f32 {
+    if x == f32::NEG_INFINITY {
+        return 0.0;
+    }
+    if x.is_nan() || x == f32::INFINITY {
+        return x + x;
+    }
+    if x > f32::from_bits(0x42b1_7217) {
+        return f32::INFINITY;
+    }
+    if x < f32::from_bits(0xc2cf_f1b4) {
+        return 0.0;
+    }
+    if x < f32::from_bits(0xc2ce_8ecf) {
+        return f32::from_bits(1);
+    }
+    expf_main(x)
 }
 
 // ---------------------------------------------------------------------------
@@ -1126,6 +1320,149 @@ mod tests {
     use super::proptests::{arms, bits};
     use super::*;
     use proptest::prelude::*;
+
+    /// `expf`'s bits where its branches meet, recorded from glibc 2.36's
+    /// `expf` (its FMA build) and pinned here, so they hold whatever the
+    /// host's libm does: ±0, ±∞, subnormals, ±88 (where the special path
+    /// starts), the overflow and both underflow thresholds with their
+    /// neighbours, `−2⁻²¹`, ±1 and `−63.0994` (the one input of `[−104, 0]`
+    /// whose bits change if `r` is rounded twice); every NaN stays NaN; and
+    /// every 64th from 0 down to −104 lies within an ulp of the f64
+    /// exponential and hashes (FNV-1a over the bits) to the recorded value.
+    #[test]
+    fn expf_pins_its_bits_at_the_edges() {
+        const EDGES: [(u32, u32); 27] = [
+            (0x0000_0000, 0x3f80_0000),
+            (0x8000_0000, 0x3f80_0000),
+            (0x7f80_0000, 0x7f80_0000),
+            (0xff80_0000, 0x0000_0000),
+            (0x0000_0001, 0x3f80_0000),
+            (0x007f_ffff, 0x3f80_0000),
+            (0x8000_0001, 0x3f80_0000),
+            (0x807f_ffff, 0x3f80_0000),
+            (0x0080_0000, 0x3f80_0000),
+            (0x8080_0000, 0x3f80_0000),
+            (0x42af_ffff, 0x7ef8_823b),
+            (0x42b0_0000, 0x7ef8_82b7),
+            (0xc2af_ffff, 0x0041_ede5),
+            (0xc2b0_0000, 0x0041_edc4),
+            (0x42b1_7216, 0x7f7f_ff04),
+            (0x42b1_7217, 0x7f7f_ff84),
+            (0x42b1_7218, 0x7f80_0000),
+            (0xc2ce_8ece, 0x0000_0001),
+            (0xc2ce_8ecf, 0x0000_0001),
+            (0xc2ce_8ed0, 0x0000_0001),
+            (0xc2cf_f1b3, 0x0000_0001),
+            (0xc2cf_f1b4, 0x0000_0001),
+            (0xc2cf_f1b5, 0x0000_0000),
+            (0xb500_0000, 0x3f7f_fff8),
+            (0x3f80_0000, 0x402d_f854),
+            (0xbf80_0000, 0x3ebc_5ab2),
+            (0xc27c_65d9, 0x11fa_2993),
+        ];
+        for (x, e) in EDGES {
+            let x = f32::from_bits(x);
+            assert_eq!(expf(x).to_bits(), e, "expf({x:e})");
+        }
+        for nan in [
+            0x7fc0_0000u32,
+            0xffc0_0000,
+            0x7f80_0001,
+            0xff80_0001,
+            0x7fff_ffff,
+        ] {
+            assert!(expf(f32::from_bits(nan)).is_nan(), "expf({nan:#x})");
+        }
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..=104 * 64 {
+            let x = -(i as f32) / 64.0;
+            let e = expf(x);
+            let ulp = f64::from(f32::from_bits(e.to_bits() + 1)) - f64::from(e);
+            let exact = f64::from(x).exp();
+            assert!(
+                (f64::from(e) - exact).abs() <= ulp,
+                "expf({x}) = {e:e}, e^x = {exact:e}"
+            );
+            hash = (hash ^ u64::from(e.to_bits())).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(hash, 0x0996_7be1_167e_4f8c);
+    }
+
+    /// Every f32 input: `expf` is the host libm's `expf` bit for bit (NaN as
+    /// NaN), and so is the AVX2 arm's vector exponential where the host runs
+    /// it;
+    /// and on `x ≤ 0` it is non-increasing and at most 1.0, with
+    /// `expf(−2⁻²¹)` at least 4 ulps below 1.0 — the premises
+    /// `trainer::predicted_class` rests on. Ignored: it needs a libm whose
+    /// `expf` is glibc ≥ 2.28's FMA build (x86-64 with FMA), and takes about
+    /// a minute in release:
+    /// `cargo test --release -p lifl-fl --lib -- --ignored expf_matches_libm_on_every_input`.
+    #[test]
+    #[ignore = "2^32 inputs against the host's libm; run by hand in release"]
+    fn expf_matches_libm_on_every_input() {
+        // SAFETY: the vector exponential needs only the AVX2 arm's CPU
+        // features, and is taken only when `arms()` lists that arm.
+        type Lanes = unsafe fn(&mut [f32]);
+        #[cfg(target_arch = "x86_64")]
+        let vector: Option<Lanes> = arms()
+            .iter()
+            .any(|arm| arm.name == "avx2")
+            .then_some(avx2::expf_lanes);
+        #[cfg(not(target_arch = "x86_64"))]
+        let vector: Option<Lanes> = None;
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let count = |from: u64, to: u64| {
+            let mut mismatches = 0u64;
+            let mut block = vec![0.0f32; 4096];
+            for start in (from..to).step_by(block.len()) {
+                let xs: Vec<f32> = (start..start + block.len() as u64)
+                    .map(|bits| f32::from_bits(bits as u32))
+                    .collect();
+                let libm: Vec<f32> = xs.iter().map(|x| x.exp()).collect();
+                mismatches += xs
+                    .iter()
+                    .zip(&libm)
+                    .filter(|(x, e)| !same(expf(**x), **e))
+                    .count() as u64;
+                if let Some(lanes) = vector {
+                    block.copy_from_slice(&xs);
+                    // SAFETY: `arms` listed the arm, so the host runs it.
+                    unsafe { lanes(&mut block) };
+                    let wrong = block
+                        .iter()
+                        .zip(&libm)
+                        .filter(|(v, e)| !same(**v, **e))
+                        .count();
+                    assert_eq!(wrong, 0, "avx2 from {start:#x}");
+                }
+            }
+            mismatches
+        };
+        let mismatches: u64 = std::thread::scope(|scope| {
+            let halves = [(0, 1 << 31), (1 << 31, 1 << 32)].map(|(from, to)| {
+                let count = &count;
+                scope.spawn(move || count(from, to))
+            });
+            halves.into_iter().map(|half| half.join().unwrap()).sum()
+        });
+        assert_eq!(mismatches, 0);
+        let mut previous = expf(-0.0);
+        assert_eq!(previous, 1.0);
+        for bits in 0x8000_0001u32..=0xff80_0000 {
+            let e = expf(f32::from_bits(bits));
+            assert!(
+                e <= previous && e <= 1.0,
+                "expf({:e})",
+                f32::from_bits(bits)
+            );
+            previous = e;
+        }
+        let near_tie = expf(-1.0 / 2_097_152.0);
+        assert!(
+            near_tie <= 1.0 - 4.0 / 16_777_216.0,
+            "expf(-2^-21) = {near_tie}"
+        );
+    }
 
     #[test]
     fn scalar_force_parsing() {
@@ -2571,8 +2908,9 @@ pub(crate) mod proptests {
         }
     }
 
-    /// The arms listed are every arm the host's CPUID reports, so on an
-    /// AVX-512 host every parity property above runs the 16-lane encoders.
+    /// The arms listed are every arm the host's CPUID reports — `AVX2` only
+    /// with `fma` beside `avx2`, `AVX512` only on top of it — so on an
+    /// AVX-512 host every parity property above runs the 16-lane kernels.
     #[test]
     fn arms_list_every_arm_the_host_runs() {
         let listed = arms();
@@ -2580,9 +2918,10 @@ pub(crate) mod proptests {
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected as has;
-            let wide = has!("avx2") && has!("avx512f") && has!("avx512dq");
+            let avx2 = has!("avx2") && has!("fma");
+            let wide = avx2 && has!("avx512f") && has!("avx512dq");
             let lists = |table: &Kernels| listed.iter().any(|k| std::ptr::eq(*k, table));
-            assert_eq!(lists(&AVX2), has!("avx2"));
+            assert_eq!(lists(&AVX2), avx2);
             assert_eq!(lists(&AVX512), wide);
         }
     }
@@ -2826,6 +3165,31 @@ pub(crate) mod proptests {
     /// How rarely [`sprinkled`] values are non-finite, zero or subnormal:
     /// never, one in 5, one in 97, one in 4096.
     const RARE: [u32; 4] = [0, 5, 97, 4096];
+    /// What [`check_softmax_rows`] scales its `[-2, 2)` logits by: spreads
+    /// within, around and far past `expf`'s 88 of range.
+    const SPREADS: [f32; 3] = [1.0, 40.0, 150.0];
+    /// Logits whose exponentials sit where `expf`'s paths meet, all so small
+    /// that beside a top logit of 0 the row sums to exactly 1 and each
+    /// probability is its exponential: `−63.0994`, the one input of
+    /// `[−104, 0]` whose exponential changes if `r = x·32/ln 2 − k` is
+    /// rounded twice; −88 (where the special path starts), `ln(2^−149)` and
+    /// `ln(2^−150)` (glibc's underflow thresholds) with their neighbours;
+    /// the subnormal edge `ln(2^−126)`; a deep underflow; and −∞.
+    const EDGE_LOGITS: [u32; 13] = [
+        0xc27c_65d9,
+        0xc2af_ffff,
+        0xc2b0_0000,
+        0xc2b0_0001,
+        0xc2ce_8ece,
+        0xc2ce_8ecf,
+        0xc2ce_8ed0,
+        0xc2cf_f1b3,
+        0xc2cf_f1b4,
+        0xc2cf_f1b5,
+        0xc2ae_ac50,
+        0xf149_f2ca,
+        0xff80_0000,
+    ];
 
     /// `len` values in `[-2, 2)` from `seed`, one in `rare` of them (none
     /// when `rare` is 0) replaced by NaN, ±∞, −0.0, +0.0 or a subnormal.
@@ -2886,6 +3250,83 @@ pub(crate) mod proptests {
             unsafe { (arm.logits)(&wt, &x, &mut out) };
             same_bits_or_nan(&out, &expected)
                 .map_err(|e| format!("logits, arm {}: {e}", arm.name))?;
+        }
+        Ok(())
+    }
+
+    /// `softmax_rows` on every arm ≡ the scalar reference over `rows` rows of
+    /// `classes` lanes, padded to [`CLASS_LANES`] or not, with logits
+    /// [`sprinkled`] and scaled by `spread` (past 88 the row's exponentials
+    /// reach the special lanes: underflow to 2⁻¹⁴⁹ and to zero), or, with
+    /// `edges`, a top logit of 0 followed by [`EDGE_LOGITS`]; the lanes past
+    /// `classes` hold values no arm may touch.
+    fn check_softmax_rows(
+        classes: usize,
+        rows: usize,
+        (padded, edges): (bool, bool),
+        (spread, seed, rare): (f32, u64, u32),
+    ) -> Result<(), String> {
+        let stride = if padded {
+            classes.next_multiple_of(CLASS_LANES)
+        } else {
+            classes
+        };
+        let mut logits: Vec<f32> = sprinkled(rows * stride, seed, rare)
+            .into_iter()
+            .map(|l| l * spread)
+            .collect();
+        if edges {
+            for (r, row) in logits.chunks_exact_mut(stride).enumerate() {
+                row[0] = 0.0;
+                for (c, l) in row[..classes].iter_mut().enumerate().skip(1) {
+                    let at = (c - 1 + r).wrapping_add(seed as usize) % EDGE_LOGITS.len();
+                    *l = f32::from_bits(EDGE_LOGITS[at]);
+                }
+            }
+        }
+        let mut expected = logits.clone();
+        scalar::softmax_rows(&mut expected, classes, stride);
+        for (i, (p, l)) in expected.iter().zip(&logits).enumerate() {
+            if i % stride >= classes {
+                prop_assert_eq!(p.to_bits(), l.to_bits(), "padding lane {}", i);
+            }
+        }
+        for arm in arms() {
+            let mut out = logits.clone();
+            // SAFETY: `arms` lists only tables the host runs; `out` holds
+            // `rows` whole rows of `stride >= classes`.
+            unsafe { (arm.softmax_rows)(&mut out, classes, stride) };
+            same_bits_or_nan(&out, &expected)
+                .map_err(|e| format!("softmax_rows, arm {}: {e}", arm.name))?;
+        }
+        Ok(())
+    }
+
+    /// `class_lanes` on every arm ≡ the scalar reference ≡ the transpose it
+    /// is documented as, bit for bit, NaN payloads included: `classes`
+    /// [`sprinkled`] rows of `f` features into lanes padded to
+    /// [`CLASS_LANES`] that start as NaN garbage, the padding lanes zero.
+    fn check_class_lanes(classes: usize, f: usize, seed: u64, rare: u32) -> Result<(), String> {
+        let kp = classes.next_multiple_of(CLASS_LANES);
+        let w = sprinkled(classes * f, seed, rare);
+        let garbage = f32::from_bits(0x7fc0_dead);
+        let start: Vec<f32> = (0..f * kp)
+            .map(|i| if i % kp < classes { garbage } else { 0.0 })
+            .collect();
+        let mut expected = start.clone();
+        scalar::class_lanes(&w, f, &mut expected);
+        for (i, lane) in expected.iter().enumerate() {
+            let (j, c) = (i / kp, i % kp);
+            let want = if c < classes { w[c * f + j] } else { 0.0 };
+            prop_assert_eq!(lane.to_bits(), want.to_bits(), "feature {} lane {}", j, c);
+        }
+        for arm in arms() {
+            let mut wt = start.clone();
+            // SAFETY: `arms` lists only tables the host runs; `f` is not
+            // zero, `w` holds `classes` rows of `f`, and `wt` `f` rows of
+            // `kp` lanes, the padding lanes zero.
+            unsafe { (arm.class_lanes)(&w, f, &mut wt) };
+            prop_assert_eq!(bits(&wt), bits(&expected), "class_lanes, arm {}", arm.name);
         }
         Ok(())
     }
@@ -2981,6 +3422,11 @@ pub(crate) mod proptests {
             for rare in [0, 17] {
                 check_logits(classes, f, true, seed, rare).unwrap();
                 check_outer_accumulate(classes, f, 1 + i % 33, (true, false), seed, rare).unwrap();
+                check_class_lanes(classes, f, seed, rare).unwrap();
+                let spread = SPREADS[i % SPREADS.len()];
+                let rows = 1 + i % 33;
+                check_softmax_rows(classes, rows, (true, i % 2 == 0), (spread, seed, rare))
+                    .unwrap();
             }
         }
     }
@@ -3011,6 +3457,34 @@ pub(crate) mod proptests {
             rare in 0..RARE.len(),
         ) {
             check_outer_accumulate(CLASSES[ki], FEATURES[fi], batch, shape, seed, RARE[rare])?;
+        }
+
+        /// `softmax_rows`: every table's probabilities ≡ the scalar
+        /// reference, NaN lanes compared as NaN, over the listed class
+        /// counts, 1 to 33 rows, padded and unpadded rows (the padding
+        /// untouched), logit spreads within and past `expf`'s range, rows of
+        /// edge logits, and no, rare or frequent NaN, ±∞, ±0.0 and
+        /// subnormal logits.
+        #[test]
+        fn softmax_rows_match_on_every_arm(
+            (ki, rows, shape) in (0..CLASSES.len(), 1usize..=33, (any::<bool>(), any::<bool>())),
+            (spread, rare) in (0..SPREADS.len(), 0..RARE.len()),
+            seed in any::<u64>(),
+        ) {
+            check_softmax_rows(CLASSES[ki], rows, shape, (SPREADS[spread], seed, RARE[rare]))?;
+        }
+
+        /// `class_lanes`: every table's lanes ≡ the scalar transpose, bit for
+        /// bit, over the listed class and feature counts (whole and partial
+        /// 8 × 8 blocks of both), with no, rare or frequent non-finite
+        /// weights.
+        #[test]
+        fn class_lanes_match_on_every_arm(
+            (ki, fi) in (0..CLASSES.len(), 0..FEATURES.len()),
+            seed in any::<u64>(),
+            rare in 0..RARE.len(),
+        ) {
+            check_class_lanes(CLASSES[ki], FEATURES[fi], seed, RARE[rare])?;
         }
     }
 }

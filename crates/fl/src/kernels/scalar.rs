@@ -8,7 +8,7 @@
 //! module's docs explain which floating-point operations are safe to
 //! vectorise without changing results.
 
-use super::{Keys, Pass, StochasticRng, RAND_BLOCK};
+use super::{expf, Keys, Pass, StochasticRng, RAND_BLOCK};
 use std::mem::MaybeUninit;
 
 /// `f32::from(nibble_to_i8(n))` for every sign-magnitude nibble, as a
@@ -475,6 +475,53 @@ pub(super) fn outer_columns(
             for (g, x) in row.iter_mut().zip(x.get(from..).unwrap_or_default()) {
                 *g += e * x;
             }
+        }
+    }
+}
+
+/// The softmax of every `stride`-lane row of `rows` over its first
+/// `classes` lanes, one row at a time: the `f32::max` fold from −∞ (NaN
+/// ignored), [`expf`] of each `l − max`, the sum in class order from
+/// `-0.0`, and each exponential divided by it. `rows.len()` is a multiple
+/// of `stride >= classes`.
+pub(super) fn softmax_rows(rows: &mut [f32], classes: usize, stride: usize) {
+    for row in rows.chunks_exact_mut(stride) {
+        let row = &mut row[..classes];
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        for l in row.iter_mut() {
+            *l = expf(*l - max);
+        }
+        let sum = row.iter().fold(-0.0, |sum, e| sum + e);
+        for e in row.iter_mut() {
+            *e /= sum;
+        }
+    }
+}
+
+/// `wt[j·kp + c] = w[c·features + j]` for every class `c < k = w.len() /
+/// features` and feature `j`, `kp = wt.len() / features`: one strided store
+/// per weight. Lanes `k..kp` are not written.
+pub(super) fn class_lanes(w: &[f32], features: usize, wt: &mut [f32]) {
+    let kp = wt.len() / features;
+    for (c, row) in w.chunks_exact(features).enumerate() {
+        for (j, &weight) in row.iter().enumerate() {
+            wt[j * kp + c] = weight;
+        }
+    }
+}
+
+/// The sums of the rows of `group` (at most 8 rows of `stride`) over their
+/// first `classes` lanes, into `sums`: each one chain of adds in class order
+/// from `-0.0`, as [`softmax_rows`] sums a row, the eight chains advancing
+/// side by side (a row past the group's end repeats its last, and its sum
+/// is not read). The vector arms' softmax sums its rows through it.
+pub(super) fn row_sums(group: &[f32], classes: usize, stride: usize, sums: &mut [f32; 8]) {
+    let last = (group.len() / stride).saturating_sub(1);
+    let starts: [usize; 8] = std::array::from_fn(|r| r.min(last) * stride);
+    *sums = [-0.0; 8];
+    for c in 0..classes {
+        for (sum, start) in sums.iter_mut().zip(starts) {
+            *sum += group[start + c];
         }
     }
 }

@@ -43,6 +43,7 @@ pub fn accuracy_of_count(correct: usize, total: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels;
     use crate::kernels::proptests::logits_on_every_arm;
     use crate::kernels::CLASS_LANES;
     use crate::trainer::{predicted_class, TrainerConfig};
@@ -53,7 +54,7 @@ mod tests {
     /// softmax, then the last class of the largest probability.
     fn softmax_argmax(logits: &[f32]) -> usize {
         let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = logits.iter().map(|l| (l - max).exp()).collect();
+        let exps: Vec<f32> = logits.iter().map(|l| kernels::expf(l - max)).collect();
         let sum: f32 = exps.iter().sum();
         let probs: Vec<f32> = exps.iter().map(|e| e / sum).collect();
         probs

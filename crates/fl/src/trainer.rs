@@ -11,23 +11,30 @@
 //! `+0.0`, with `err_s = p_s − onehot(label_s)`. Each of those sums is one
 //! chain of dependent f32 adds that the compiler may not reassociate.
 //!
-//! A mini-batch therefore runs as two register-blocked passes, both
-//! [`kernels`] table entries. [`LocalTrainer::train_ordered`] transposes `W`
-//! into class lanes, `wt[j·kp + c]` with `kp` the class count rounded up to
+//! A mini-batch therefore runs as four [`kernels`] table entries, each in
+//! registers. [`LocalTrainer::train_ordered`] transposes `W` into class
+//! lanes, `wt[j·kp + c]` with `kp` the class count rounded up to
 //! `kernels::CLASS_LANES`, once per batch (the model changes only at a
-//! batch's end). Then, per sample, `kernels::logits` keeps a tile of class
-//! lanes in registers for the whole feature loop, so the class chains
-//! advance side by side; the bias is added, the softmax taken and the
-//! sample's loss term and error row written. Once per batch,
+//! batch's end), 8 × 8 blocks at a time (`kernels::class_lanes`). Then, per
+//! sample, `kernels::logits` keeps a tile of class lanes in registers for
+//! the whole feature loop, so the class chains advance side by side, and
+//! the bias is added, into the sample's row of the batch. One
+//! `kernels::softmax_rows` call turns every row into probabilities — the
+//! row's max, `kernels::expf` of each `l − max` (glibc's `expf` bits, in
+//! f64 vector lanes), the sum in class order, the divide — and a loop takes
+//! each sample's loss term and writes its error row. Once per batch,
 //! `kernels::outer_accumulate` keeps each class's 64-feature tile of the
 //! gradient in registers across the batch's samples, and sums the bias row
 //! over the error rows alone. Every element is summed in the order the
 //! row-major trainer sums it — one dot product per class, one
-//! `grad += err ⊗ x` per sample — and every arm multiplies then adds and
-//! never uses FMA, so every logit, probability, gradient, loss, model and
-//! accuracy is bit-identical to the row-major trainer's, on every arm. An
-//! evaluation ([`accuracy_percent`](crate::metrics::accuracy_percent)) runs
-//! the same logits pass over one transpose per call. The lanes, the error
+//! `grad += err ⊗ x` per sample — every arm multiplies then adds where the
+//! reference does, and `expf` gives the same bits on every arm (the vector
+//! one fuses its f64 steps, the scalar one forms the fused rounding
+//! exactly), so every logit, probability, gradient, loss, model and
+//! accuracy is bit-identical to the row-major trainer's, on every arm and
+//! every host. An evaluation
+//! ([`accuracy_percent`](crate::metrics::accuracy_percent)) runs the same
+//! logits pass over one transpose per call. The lanes, the logit and error
 //! rows and the gradient are allocated once per `train` or evaluation call.
 //!
 //! # Drawing apart from training
@@ -215,8 +222,9 @@ impl LocalTrainer {
     }
 
     /// One mini-batch: re-transposes `model` (the previous batch changed
-    /// it), turns each sample's logits into its probabilities, loss term
-    /// and error row, accumulates the batch's gradient in one
+    /// it), writes each sample's logits, turns them into probabilities in
+    /// one [`kernels::softmax_rows`] call and those into loss terms and
+    /// error rows, accumulates the batch's gradient in one
     /// [`kernels::outer_accumulate`] call and applies it, with the proximal
     /// term toward `global` unless μ = 0.
     fn sgd_step<'a>(
@@ -236,20 +244,23 @@ impl LocalTrainer {
             xs,
             grad,
         } = step;
-        let kp = lanes.padded;
+        let (k, kp) = (self.num_classes, lanes.padded);
         lanes.load(model);
         xs.clear();
-        for (s, &idx) in batch.iter().enumerate() {
+        let rows = &mut err[..batch.len() * kp];
+        for (&idx, row) in batch.iter().zip(rows.chunks_exact_mut(kp)) {
             let sample = &shard[idx];
-            let row = &mut err[s * kp..(s + 1) * kp];
-            let probs = class_probabilities(&lanes.wt, &lanes.bias, &sample.features, row);
-            loss -= (at_least(probs[sample.label], 1e-7) as f64).ln();
-            for (c, p) in probs.iter_mut().enumerate() {
-                *p -= if c == sample.label { 1.0 } else { 0.0 };
-            }
+            class_logits(&lanes.wt, &lanes.bias, &sample.features, row);
             xs.push(&sample.features);
         }
-        let (weights, bias) = grad.split_at_mut(self.num_classes * self.num_features);
+        kernels::softmax_rows(rows, k, kp);
+        for (&idx, row) in batch.iter().zip(rows.chunks_exact_mut(kp)) {
+            // `p − onehot`: only the label's lane changes (`p − 0.0` is `p`).
+            let p = &mut row[shard[idx].label];
+            loss -= (at_least(*p, 1e-7) as f64).ln();
+            *p -= 1.0;
+        }
+        let (weights, bias) = grad.split_at_mut(k * self.num_features);
         kernels::outer_accumulate(weights, bias, err, kp, xs);
         let params = model.as_mut_slice();
         let mu = self.config.mu;
@@ -317,22 +328,21 @@ impl ClassLanes {
         }
     }
 
-    /// Transposes `model`'s weight block into the lanes and copies its bias.
+    /// Transposes `model`'s weight block into the lanes
+    /// ([`kernels::class_lanes`]) and copies its bias.
     fn load(&mut self, model: &DenseModel) {
-        let (f, k, kp) = (self.features, self.classes, self.padded);
+        let (f, k) = (self.features, self.classes);
         let params = model.as_slice();
-        for c in 0..k {
-            for j in 0..f {
-                self.wt[j * kp + c] = params[c * f + j];
-            }
-        }
+        kernels::class_lanes(&params[..k * f], f, &mut self.wt);
         self.bias.copy_from_slice(&params[k * f..k * f + k]);
     }
 
     /// Class probabilities of one sample under the loaded model.
     #[cfg(test)]
     pub(crate) fn probabilities(&mut self, features: &[f32]) -> &[f32] {
-        class_probabilities(&self.wt, &self.bias, features, &mut self.probs)
+        let logits = class_logits(&self.wt, &self.bias, features, &mut self.probs);
+        softmax(logits);
+        logits
     }
 
     /// The class one sample is predicted as under the loaded model: the
@@ -367,19 +377,6 @@ fn class_logits<'r>(
     logits
 }
 
-/// The class probabilities of one sample, in the first `bias.len()` lanes of
-/// `row`: [`class_logits`], then the softmax taken.
-fn class_probabilities<'r>(
-    wt: &[f32],
-    bias: &[f32],
-    features: &[f32],
-    row: &'r mut [f32],
-) -> &'r mut [f32] {
-    let logits = class_logits(wt, bias, features, row);
-    softmax(logits);
-    logits
-}
-
 /// The largest gap below the top logit that the softmax may round to a
 /// tie: 2⁻²¹ (see [`predicted_class`]).
 const NEAR_TIE: f32 = 1.0 / 2_097_152.0;
@@ -394,12 +391,14 @@ const NEAR_TIE: f32 = 1.0 / 2_097_152.0;
 /// `m − 2⁻²¹` (compared in f32: a logit below the rounded bound is below
 /// the exact one), the argmax is `a`:
 /// - the softmax subtracts `m`: `a`'s exponential is `expf(0) = 1`, and
-///   every other class's is `expf(x)` of some `x ≤ 0`, so at most 1 (`expf`
-///   is monotone); the sum is then finite and at least 1;
+///   every other class's is `expf(x)` of some `x ≤ 0`, so at most 1
+///   ([`kernels::expf`] is monotone and at most 1 on `x ≤ 0`); the sum is
+///   then finite and at least 1;
 /// - a class after `a` has `l − m < −2⁻²¹`, and rounding is monotone, so
 ///   its f32 `x` is at most `−2⁻²¹`: `e^{−2⁻²¹}` lies about 8 ulps below
-///   1.0 (an ulp below 1.0 is 2⁻²⁴), and libm's `expf`, within an ulp,
-///   leaves it at least 4 ulps below;
+///   1.0 (an ulp below 1.0 is 2⁻²⁴), and [`kernels::expf`] leaves it at
+///   least 4 ulps below (`kernels::tests::expf_matches_libm_on_every_input`
+///   checks all three premises over every input);
 /// - every probability is its exponential divided by the same sum, and a
 ///   rounded division by one positive number is monotone: no class can
 ///   pass `a`, one before `a` can at most tie it (`max_by` keeps `a`), and
@@ -441,17 +440,9 @@ pub(crate) fn at_least(value: f32, floor: f32) -> f32 {
     }
 }
 
-/// Softmax in place. The largest logit contributes `exp(0) = 1`, so the
-/// normaliser is at least 1 — or NaN, which then reaches every probability.
+/// The softmax of one row of logits in place ([`kernels::softmax_rows`]).
 fn softmax(logits: &mut [f32]) {
-    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    for l in logits.iter_mut() {
-        *l = (*l - max).exp();
-    }
-    let sum: f32 = logits.iter().sum();
-    for e in logits.iter_mut() {
-        *e /= sum;
-    }
+    kernels::softmax_rows(logits, logits.len(), logits.len());
 }
 
 #[cfg(test)]
@@ -618,7 +609,7 @@ mod tests {
 
     fn reference_softmax(logits: &[f32]) -> Vec<f32> {
         let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = logits.iter().map(|l| (l - max).exp()).collect();
+        let exps: Vec<f32> = logits.iter().map(|l| kernels::expf(l - max)).collect();
         let sum: f32 = exps.iter().sum::<f32>().max(1e-12);
         exps.iter().map(|e| e / sum).collect()
     }
