@@ -85,16 +85,18 @@ impl AggregatorRuntime {
         Self::new(id, goal, store, inbox, codec)
     }
 
-    /// Opens a round with aggregation goal `goal`, its output encoded under
-    /// a lossy codec only if `encodes`: the runtime is left in exactly the
-    /// state a freshly built one is in — empty accumulator under the same
-    /// policy, nothing aggregated, and an encoding runtime's codec stream
-    /// restarted at the position seed (the aggregator id) — whatever the
-    /// previous round left behind, a failed or panicked one included.
+    /// Opens round `round` (the backend's count of closed rounds) with
+    /// aggregation goal `goal`, its output encoded under a lossy codec only
+    /// if `encodes`: the runtime is left in exactly the state a freshly built
+    /// one armed at `round` is in — empty accumulator under the same policy,
+    /// nothing aggregated, and an encoding runtime's codec stream keyed by
+    /// (position, `round`), so no two rounds of a station repeat its
+    /// rounding words — whatever the previous round left behind, a failed
+    /// or panicked one included.
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidAggregationGoal`] if `goal` is zero.
-    pub(crate) fn rearm(&mut self, goal: u64, encodes: bool) -> Result<()> {
+    pub(crate) fn rearm(&mut self, goal: u64, encodes: bool, round: u64) -> Result<()> {
         if goal == 0 {
             return Err(LiflError::InvalidAggregationGoal(0));
         }
@@ -102,7 +104,7 @@ impl AggregatorRuntime {
         self.aggregated = 0;
         self.encodes = encodes && !self.codec.kind().is_lossless();
         if self.encodes {
-            self.codec.reseed(self.id.index());
+            self.codec.reseed(&[self.id.index(), round]);
         }
         self.replace_accumulator(self.accumulator.policy())
     }
@@ -396,10 +398,10 @@ mod tests {
         queue_client_update(&store, &inbox, 1, &[1.0], 1);
         agg.run_to_completion().unwrap();
         // Promotion (§5.3) is a re-arm for the next level's goal.
-        agg.rearm(3, false).unwrap();
+        agg.rearm(3, false, 0).unwrap();
         assert_eq!((agg.goal, agg.aggregated), (3, 0));
         assert!(!agg.goal_met());
-        assert!(agg.rearm(0, false).is_err());
+        assert!(agg.rearm(0, false, 0).is_err());
     }
 
     #[test]
@@ -416,12 +418,12 @@ mod tests {
         )
         .unwrap();
         for round in 0..3u64 {
-            agg.rearm(2, false).unwrap();
+            agg.rearm(2, false, round).unwrap();
             queue_client_update(&store, &inbox, 1, &[2.0, 4.0], 1);
             assert!(agg.poll().unwrap());
             if round == 1 {
                 // The half-folded accumulator must go home, not away.
-                agg.rearm(2, false).unwrap();
+                agg.rearm(2, false, round).unwrap();
                 queue_client_update(&store, &inbox, 1, &[2.0, 4.0], 1);
                 assert!(agg.poll().unwrap());
             }
@@ -461,6 +463,32 @@ mod tests {
         assert!(make(0, 12).is_err());
         assert!(make(1, 4).is_err());
         assert!(make(3, 0).is_err());
+    }
+
+    /// A warm encoding station's round `r` is a fresh station's armed at
+    /// `r`: its rounding words come from (position, round) alone, whatever
+    /// rounds it ran before. Two rounds of one station never share them.
+    #[test]
+    fn a_warm_stations_round_is_a_fresh_stations_armed_at_that_round() {
+        let store = ObjectStore::new();
+        let values: Vec<f32> = (0..257).map(|d| (d % 19) as f32 * 0.11 - 1.0).collect();
+        let runtime = || {
+            let (codec, inbox) = (UpdateCodec::new(CodecKind::Uniform8), InPlaceQueue::new());
+            AggregatorRuntime::new(position_id(1, 3), 1, store.clone(), inbox, codec).unwrap()
+        };
+        let run = |agg: &mut AggregatorRuntime, round: u64| -> Vec<u8> {
+            agg.rearm(1, true, round).unwrap();
+            queue_client_update(&store, &agg.inbox, 0, &values, 1);
+            let out = agg.run_to_completion().unwrap();
+            assert!(out.encoded);
+            let wire = store.get(&out.key).unwrap().as_slice().to_vec();
+            store.recycle(&out.key).unwrap();
+            wire
+        };
+        let mut warm = runtime();
+        let rounds: Vec<Vec<u8>> = (0..4).map(|round| run(&mut warm, round)).collect();
+        assert_eq!(run(&mut runtime(), 3), rounds[3]);
+        assert_ne!(rounds[2], rounds[3], "a round repeated its rounding words");
     }
 
     #[test]

@@ -365,6 +365,7 @@ impl ClusterBuilder {
             placement,
             faults,
             fleet,
+            rounds: 0,
         })
     }
 }
@@ -504,6 +505,12 @@ pub struct Cluster {
     /// The KPA fleet controller re-splitting node subtrees at round
     /// boundaries, when fleet scaling is enabled (driven by `scaling`).
     fleet: Option<FleetController>,
+    /// Rounds closed by a drive — to an output or to a failure, a top kill
+    /// included — over the cluster's life: the index every node's hop
+    /// encode of the open round is keyed by. A killed child's round is
+    /// resumed within its drive and keeps it, so it draws the words the
+    /// undisturbed round would have, and no two driven rounds share one.
+    rounds: u64,
 }
 
 impl Cluster {
@@ -641,7 +648,7 @@ impl Cluster {
     /// Fails only on store/codec errors and a zero weight, exactly as
     /// [`Session::try_ingest`]; a full round is an outcome, not an error. A
     /// failed offer counts nothing toward the round, parks nothing and
-    /// touches nothing — no residual, no rounding-stream position, no pool
+    /// touches nothing — no residual, no client's encode count, no pool
     /// buffer: a lossy offer is refused from its encoded size before it is
     /// encoded.
     pub fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
@@ -772,7 +779,9 @@ impl Cluster {
         self.validate_round()?;
         let loads = self.children.iter().map(Session::pending_updates);
         let replacement = self.placement.place(loads, self.pricing);
-        let (top, hops, nodes) = self.drive_hops().inspect_err(|_| self.abort_round())?;
+        let driven = self.drive_hops();
+        self.rounds += 1;
+        let (top, hops, nodes) = driven.inspect_err(|_| self.abort_round())?;
         self.faults.commit(&top.update.model);
         self.placement.committed(top.update.model.dim());
         self.ingress.reset_round();
@@ -820,7 +829,7 @@ impl Cluster {
                 .filter(|(k, _)| steps.contains(&(*k, true)))
                 .map(|(_, child)| child)
                 .collect();
-            let mut exports = Session::drive_forest_to_wire(&mut planned).into_iter();
+            let mut exports = Session::drive_forest_to_wire(&mut planned, self.rounds).into_iter();
             for (k, ships) in steps {
                 // Dedup: a node whose intermediate already reached the
                 // global top in an earlier pass never re-ships (or
@@ -997,13 +1006,15 @@ impl Cluster {
             if self.children[k].pending_updates() == 0 && self.sessions.quorum {
                 continue;
             }
-            let export = self.children[k].drive_to_wire()?;
+            let export = Session::drive_forest_to_wire(&mut [&mut self.children[k]], self.rounds);
+            let export = export.into_iter().next().expect("one node, one export")?;
             let (hop, node) = self.ship(k, export)?;
             hops.push(hop);
             nodes.push(node);
         }
         let top = self.parent.drive()?;
         self.ingress.reset_round();
+        self.rounds += 1;
         self.placement.committed(top.update.model.dim());
         ingress::drain(self);
         Ok(ClusterReport {
@@ -1697,8 +1708,8 @@ mod tests {
             assert_eq!(cluster.ingress.residual_bits(outsider), None);
             assert_eq!(cluster.pool().stats(), control.pool().stats());
         }
-        // Nor did the refusals move the rounding stream: the next round is
-        // the control's, bit for bit.
+        // Nor did the refusals move any client's encode count: the next
+        // round is the control's, bit for bit.
         let round = |cluster: &mut Cluster| {
             cluster
                 .ingest_all(updates(8, 64).into_iter().map(Update::Dense))

@@ -34,17 +34,18 @@
 //!   [`Workers`]; its result is committed — put into the store, queued for
 //!   the slot, its residual put back — strictly in offer order, so keys,
 //!   inbox order, store accounting and every fold see the sequence an
-//!   inline encode would have produced. The encodes share one rounding
-//!   stream, handed from job to job in offer order ([`Turnstile`]) between
-//!   their two sweeps: how far each one moves it is known only once its
-//!   first sweep has found the scale (a zero scale draws nothing). Every
-//!   other update, and every other operation on the backend, settles the
-//!   in-flight encodes first ([`settle`]).
+//!   inline encode would have produced. The encodes share nothing: each
+//!   draws its rounding words from its own key — (the ingress seed, its
+//!   client, that client's encode count), stamped when its job is taken —
+//!   so they finish in any order on any thread, a failed one costs no
+//!   other its bytes or its residual, and no two encodes of one ingress
+//!   draw the same words. Every other update, and every other operation on
+//!   the backend, settles the in-flight encodes first ([`settle`]).
 //! * **park** — the normalised update's wire form, borrowed in place, is
 //!   copied once into a pooled backlog buffer of the bounded
 //!   [`AdmissionQueues`]; drained, that buffer *is* the stored object. A
 //!   lossy offer's fit is decided from its wire length before it is encoded,
-//!   so an offer turned away touches no residual and no stream position.
+//!   so an offer turned away touches no residual and no encode count.
 //!
 //! Updates travel by value from here on: `admit` hands the normalised update
 //! to the store, which keeps its buffer. Nobody has to return anything — a
@@ -59,11 +60,11 @@
 
 use crate::admission::{AdmissionQueues, AdmissionStats};
 use crate::gateway::remote_dense_bytes;
-use crate::stations::{Job, Turn, Turnstile, Workers};
+use crate::stations::{Job, Workers};
 use lifl_fl::codec::{
-    descriptor_dim, EncodedUpdate, EncodedView, ErrorFeedback, FeedbackJob, Residual, UpdateCodec,
+    descriptor_dim, EncodedUpdate, EncodedView, ErrorFeedback, Residual, UpdateCodec,
 };
-use lifl_fl::kernels::{le_bytes, StochasticRng};
+use lifl_fl::kernels::le_bytes;
 use lifl_fl::update::Update;
 use lifl_fl::DenseModel;
 use lifl_shmem::{BufferPool, PooledBuf};
@@ -72,7 +73,6 @@ use lifl_types::{
     WIRE_HEADER_BYTES,
 };
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// What a backend without admission queues answers to an offer it has no
 /// room for: nothing will drain, so there is nothing to wait for.
@@ -228,21 +228,7 @@ struct InFlight {
     samples: u64,
     /// Bytes the encoded form will occupy in the store.
     stored: u64,
-    job: Job<Result<(EncodedUpdate, Residual)>>,
-}
-
-/// A client's encode, on whichever thread runs it: the first sweep, the
-/// stream turn (skipped by top-k, which draws nothing), the second sweep.
-fn encode(
-    job: FeedbackJob<'static>,
-    turn: Option<Turn<StochasticRng>>,
-) -> Result<(EncodedUpdate, Residual)> {
-    let job = job.compensate();
-    let mut rng = match turn {
-        Some(turn) => turn.take(|stream| job.claim(stream))?,
-        None => StochasticRng::from_seed(0),
-    };
-    Ok(job.finish(&mut rng))
+    job: Job<(EncodedUpdate, Residual)>,
 }
 
 /// The ingress state of one backend: codec feedback and the encodes in
@@ -251,9 +237,6 @@ fn encode(
 #[derive(Debug)]
 pub(crate) struct Ingress {
     feedback: ErrorFeedback,
-    /// The rounding stream every encode draws from, handed on in offer
-    /// order.
-    stream: Arc<Turnstile<StochasticRng>>,
     workers: Workers,
     /// Deferred encodes, oldest first: committed in this order.
     in_flight: VecDeque<InFlight>,
@@ -316,26 +299,23 @@ fn factor_rule(view: EncodedView<'_>, weight: u64) -> Result<EncodedView<'_>> {
     }
 }
 
-/// Seed of every ingress's client-side error-feedback rounding stream (the
-/// value the pre-redesign codec path used).
+/// Seed of every ingress's client-side error feedback: the first word of
+/// each encode's key.
 const SEED: u64 = 0x5EED;
 
 impl Ingress {
     /// An ingress whose encodes run on `workers`, with error feedback under
-    /// `kind` whose rounding stream starts at [`SEED`].
+    /// `kind` whose encodes are keyed from [`SEED`].
     pub(crate) fn new(
         kind: CodecKind,
         pool: BufferPool,
         queues: Option<AdmissionQueues>,
         workers: Workers,
     ) -> Ingress {
-        // Every encode claims its place in `stream`; the feedback's own
-        // generator is never drawn from.
         Ingress {
             feedback: ErrorFeedback::new(
                 UpdateCodec::with_seed(kind, SEED).with_pool(pool.clone()),
             ),
-            stream: Turnstile::new(StochasticRng::from_seed(SEED)),
             workers,
             in_flight: VecDeque::new(),
             failure: None,
@@ -427,24 +407,13 @@ impl Ingress {
         WIRE_HEADER_BYTES + self.feedback.kind().encoded_bytes(dense)
     }
 
-    /// Takes the offer's residual out and gives its encode the next place
-    /// in the stream order (top-k draws nothing, so it takes none): the
-    /// encode, ready to run on any thread.
-    fn job(
-        &mut self,
-        offer: LossyOffer,
-    ) -> impl FnOnce() -> Result<(EncodedUpdate, Residual)> + Send + 'static {
-        let job = self.feedback.take_job(offer.client, offer.model);
-        let turn = job.draws_rounding_words().then(|| self.stream.ticket());
-        move || encode(job, turn)
-    }
-
-    /// Starts `offer`'s encode on the workers, routed to `target`, its
-    /// `stored` bytes counted as in flight until it is committed.
+    /// Takes the offer's residual out, its encode keyed, and starts the
+    /// encode on the workers, routed to `target`, its `stored` bytes counted
+    /// as in flight until it is committed.
     fn defer(&mut self, offer: LossyOffer, target: Target, stored: u64) {
         let (client, samples) = (offer.client, offer.samples);
-        let job = self.job(offer);
-        let job = self.workers.submit(job);
+        let job = self.feedback.take_job(offer.client, offer.model);
+        let job = self.workers.submit(move || job.compensate().finish());
         self.in_flight.push_back(InFlight {
             target,
             client,
@@ -490,16 +459,10 @@ impl Ingress {
             job,
             ..
         } = self.in_flight.pop_front()?;
-        let encoded = self.workers.join(job).and_then(|encoded| encoded);
-        let update = encoded.map(|(encoded, residual)| {
+        let update = self.workers.join(job).map(|(encoded, residual)| {
             self.feedback.restore(residual);
             Update::encoded(client, encoded, samples)
         });
-        if self.in_flight.is_empty() {
-            // Every job has run: a turn a failed job left untaken no longer
-            // blocks anyone.
-            self.stream.reopen();
-        }
         Some((target, update))
     }
 
@@ -589,7 +552,7 @@ impl Ingress {
     /// the offer is turned away untouched (no encode, no residual change).
     /// A lossy dense offer is encoded — here, on the calling thread, after
     /// the backend settled — only once its wire length is known to fit, so
-    /// a rejected one touches no residual, stream position or pool.
+    /// a rejected one touches no residual, encode count or pool.
     ///
     /// The wire form is borrowed where it lies (a dense model through its
     /// little-endian view, an encoded update through its one buffer), so the
@@ -612,10 +575,8 @@ impl Ingress {
                         return Ok(queues.refuse());
                     }
                 }
-                let (client, samples) = (offer.client, offer.samples);
-                let (encoded, residual) = self.job(offer)()?;
-                self.feedback.restore(residual);
-                Update::encoded(client, encoded, samples)
+                self.feedback
+                    .encode_update(offer.client, offer.model, offer.samples)
             }
         };
         let Some(queues) = self.queues.as_mut() else {
@@ -681,16 +642,19 @@ impl Ingress {
         Some(residual.as_slice().iter().map(|v| v.to_bits()).collect())
     }
 
-    /// Defers a job that panics in place of an encode routed to `target`,
+    /// Defers `client`'s encode of `model`, routed to `target`, as a job
+    /// that panics after its first sweep — holding the client's residual —
     /// for the failure-path tests.
     #[cfg(test)]
-    pub(crate) fn defer_panicking(&mut self, target: Target) {
-        let job = self
-            .workers
-            .submit(|| -> Result<(EncodedUpdate, Residual)> { panic!("ingress encode blew up") });
+    pub(crate) fn defer_panicking(&mut self, target: Target, client: ClientId, model: DenseModel) {
+        let job = self.feedback.take_job(client, model);
+        let job = self.workers.submit(move || -> (EncodedUpdate, Residual) {
+            let _compensated = job.compensate();
+            panic!("ingress encode blew up")
+        });
         self.in_flight.push_back(InFlight {
             target,
-            client: ClientId::new(u64::MAX),
+            client,
             samples: 1,
             stored: 0,
             job,

@@ -270,6 +270,7 @@ impl SessionBuilder {
             ingress_wire_bytes: 0,
             round_keys: Vec::new(),
             round_entries: Vec::new(),
+            rounds: 0,
         })
     }
 }
@@ -375,6 +376,12 @@ pub struct Session {
     /// churn needs to reclaim a departed client's slot, and what a restarted
     /// runtime re-delivers.
     round_entries: Vec<RoundEntry>,
+    /// Rounds closed by a drive — to an output or to a failure — over the
+    /// session's life: the index of the open round, which keys an encoding
+    /// station's rounding words. A restart or a discard leaves it: neither
+    /// ran a station, so no two driven rounds share an index, and a
+    /// restarted round draws the words the undisturbed one would have.
+    rounds: u64,
 }
 
 /// Per-ingest bookkeeping: enough to reclaim one client's slot mid-round,
@@ -488,8 +495,8 @@ impl Session {
     /// nothing and touches nothing: a lossy offer's encoded size is a
     /// function of codec and dimension alone, so the store refuses it —
     /// counting every encode still in flight — before it is encoded, and the
-    /// client's residual, the rounding stream and the scratch pool stay
-    /// exactly as they were.
+    /// client's residual and encode count and the scratch pool stay exactly
+    /// as they were.
     pub fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
         ingress::offer(self, update)
     }
@@ -676,7 +683,7 @@ impl Session {
     pub fn drive(&mut self) -> Result<SessionReport> {
         self.open()?;
         // The global top never encodes: the model is its dense output.
-        let report = self.run_tree(false).and_then(|top| {
+        let report = self.run_tree(false, self.rounds).and_then(|top| {
             let model = DenseModel::from_vec(self.store.get(&top.key)?.as_f32_vec());
             Ok(SessionReport {
                 update: ModelUpdate::intermediate(model, top.weight),
@@ -701,7 +708,8 @@ impl Session {
     /// ([`Stations::run`]): a full round runs every position, a partial
     /// (quorum) one only those with something to aggregate. The global top
     /// is the session's top on a drive, its parent's on a drive to wire.
-    fn tree(&mut self, to_wire: bool) -> Tree<'_> {
+    /// The round is `round` (see [`Session::drive_forest_to_wire`]).
+    fn tree(&mut self, to_wire: bool, round: u64) -> Tree<'_> {
         let (full, top) = (!self.has_room(), self.topology.levels() - 1);
         Tree {
             stations: &self.stations,
@@ -711,13 +719,14 @@ impl Session {
             } else {
                 top.checked_sub(1)
             },
+            round,
             round_keys: &mut self.round_keys,
         }
     }
 
     /// Runs the opened round's tree as a forest of one.
-    fn run_tree(&mut self, to_wire: bool) -> Result<QueuedUpdate> {
-        let top = Stations::run(&mut [self.tree(to_wire)]).pop();
+    fn run_tree(&mut self, to_wire: bool, round: u64) -> Result<QueuedUpdate> {
+        let top = Stations::run(&mut [self.tree(to_wire, round)]).pop();
         top.unwrap_or_else(|| Err(LiflError::Simulation("the tree did not run".to_string())))
     }
 
@@ -727,6 +736,7 @@ impl Session {
     /// clients winning admission in utility order.
     fn close(&mut self) {
         self.reset_round();
+        self.rounds += 1;
         ingress::drain(self);
     }
 
@@ -735,12 +745,18 @@ impl Session {
     /// ([`Stations::run`]): each session is opened, the opened trees run
     /// level by level together, and each is closed to its export. Returns
     /// each session's outcome in order, exactly what
-    /// [`Session::drive_to_wire`] on each in turn returns.
-    pub(crate) fn drive_forest_to_wire(sessions: &mut [&mut Session]) -> Vec<Result<WireExport>> {
+    /// [`Session::drive_to_wire`] on each in turn returns when its own round
+    /// index is `round`: a cluster hands every node the cluster's count of
+    /// driven rounds, so a node's keys do not depend on which rounds reached
+    /// it (a quorum round can skip a node).
+    pub(crate) fn drive_forest_to_wire(
+        sessions: &mut [&mut Session],
+        round: u64,
+    ) -> Vec<Result<WireExport>> {
         let opened: Vec<Result<()>> = sessions.iter_mut().map(|session| session.open()).collect();
         let mut forest: Vec<Tree<'_>> = (sessions.iter_mut().zip(&opened))
             .filter(|(_, open)| open.is_ok())
-            .map(|(session, _)| session.tree(true))
+            .map(|(session, _)| session.tree(true, round))
             .collect();
         let mut tops = Stations::run(&mut forest).into_iter();
         (sessions.iter_mut().zip(opened))
@@ -774,7 +790,7 @@ impl Session {
     /// Same conditions as [`Session::drive`].
     pub fn drive_to_wire(&mut self) -> Result<WireExport> {
         self.open()?;
-        let top = self.run_tree(true);
+        let top = self.run_tree(true, self.rounds);
         self.export(top)
     }
 
@@ -1489,7 +1505,7 @@ mod tests {
             assert_eq!(session.ingress.residual_bits(client), residual);
             assert_eq!(session.pool().stats(), pool);
         }
-        // Nor did the refusals move the rounding stream: the client's next
+        // Nor did the refusals move the client's encode count: its next
         // admitted update is the control's, bit for bit, on the first leaf.
         let next = |session: &mut Session| {
             session.discard_round();
@@ -1508,33 +1524,62 @@ mod tests {
         );
     }
 
+    /// A failed encode is its own: it sits between real offers, and every
+    /// other offer's encode still completes and puts back the residual a
+    /// twin that never saw the failure holds, bit for bit — each encode
+    /// draws from its own key, so none waits on, or shifts with, another.
     #[test]
     fn a_panicking_ingress_encode_fails_the_drive_and_the_workers_serve_on() {
-        let offers = |session: &mut Session, n: usize| {
-            for update in updates(n, 64) {
-                session.try_ingest(Update::Dense(update)).unwrap();
-            }
+        let all = updates(4, 64);
+        let offer = |session: &mut Session, update: &ModelUpdate| {
+            session.try_ingest(Update::Dense(update.clone())).unwrap();
         };
-        let mut session = SessionBuilder::new()
-            .two_level(2, 2)
-            .codec(CodecKind::Uniform8)
-            .workers(Workers::with_count(1))
-            .build()
-            .unwrap();
-        // Three real encodes and, in the fourth slot, a job that panics.
-        offers(&mut session, 3);
-        let slot = Backend::reserve(&mut session, ClientId::new(99), 0).unwrap();
-        session.ingress.defer_panicking(slot);
-        assert_eq!(
-            session.drive().unwrap_err(),
-            LiflError::Simulation("ingress job panicked".to_string())
-        );
-        // The failed round is discarded, nothing leaks, and the next round
-        // runs on the same worker set.
-        assert_eq!(session.pending_updates(), 0);
-        assert_eq!(session.store().stats().live_objects, 0);
-        offers(&mut session, 4);
-        assert_eq!(session.drive().unwrap().updates_ingested, 4);
+        for count in [0, 1, 3] {
+            let build = || {
+                SessionBuilder::new()
+                    .two_level(2, 2)
+                    .codec(CodecKind::Uniform8)
+                    .workers(Workers::with_count(count))
+                    .build()
+                    .unwrap()
+            };
+            let (mut session, mut twin) = (build(), build());
+            // Two real encodes, a job that panics holding client 99's
+            // residual, then a third real encode.
+            offer(&mut session, &all[0]);
+            offer(&mut session, &all[1]);
+            let (poisoned, model) = (ClientId::new(99), DenseModel::from_vec(vec![0.5; 64]));
+            let slot = Backend::reserve(&mut session, poisoned, 0).unwrap();
+            session.ingress.defer_panicking(slot, poisoned, model);
+            offer(&mut session, &all[2]);
+            for update in &all[..3] {
+                offer(&mut twin, update);
+            }
+            assert_eq!(
+                session.drive().unwrap_err(),
+                LiflError::Simulation("ingress job panicked".to_string()),
+                "{count} workers"
+            );
+            twin.discard_round();
+            for update in &all[..3] {
+                let client = update.client.unwrap();
+                let residual = session.ingress.residual_bits(client);
+                assert!(residual.is_some(), "{client:?} at {count} workers");
+                assert_eq!(
+                    residual,
+                    twin.ingress.residual_bits(client),
+                    "{count} workers"
+                );
+            }
+            // The failed round is discarded, nothing leaks, and the next
+            // round runs on the same worker set.
+            assert_eq!(session.pending_updates(), 0);
+            assert_eq!(session.store().stats().live_objects, 0);
+            for update in &all {
+                offer(&mut session, update);
+            }
+            assert_eq!(session.drive().unwrap().updates_ingested, 4);
+        }
     }
 
     #[test]

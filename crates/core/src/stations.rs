@@ -30,9 +30,9 @@
 //! ingress's error-feedback encodes ([`Workers::submit`]). Workers claim the
 //! oldest; the submitting thread runs the oldest itself whenever more jobs
 //! wait than there are workers, so with no workers every job runs inline,
-//! and no bound exists beyond the worker count. A [`Turnstile`] hands one
-//! value from job to job in submission order — the rounding stream the
-//! encodes share.
+//! and no bound exists beyond the worker count. Jobs share nothing but
+//! the FIFO: each encode draws its rounding words from its own key, so
+//! jobs need no order among themselves.
 //!
 //! A process runs one such set at a time ([`Workers::new`]): every session,
 //! cluster and training driver built while it lives shares it, and the last
@@ -316,111 +316,6 @@ impl<T> fmt::Debug for Job<T> {
     }
 }
 
-/// An in-order hand-off of one value between jobs that run on any thread:
-/// the job holding turn *k* gets the value only after turn *k − 1* passed it
-/// on. Turns are handed out by [`Turnstile::ticket`], in the order the
-/// submitting thread asks for them; since jobs are claimed oldest first, a
-/// turn only ever waits on a turn some thread is already running — briefly,
-/// yielding its CPU, as [`Workers::join`] waits.
-pub(crate) struct Turnstile<S> {
-    gate: Mutex<Gate<S>>,
-}
-
-struct Gate<S> {
-    value: S,
-    /// Turns handed out so far.
-    issued: u64,
-    /// The turn that may take the value next.
-    next: u64,
-    /// A turn was dropped untaken (its job panicked, or never ran): every
-    /// turn behind it fails until [`Turnstile::reopen`].
-    broken: bool,
-}
-
-impl<S> Turnstile<S> {
-    pub(crate) fn new(value: S) -> Arc<Self> {
-        Arc::new(Turnstile {
-            gate: Mutex::new(Gate {
-                value,
-                issued: 0,
-                next: 0,
-                broken: false,
-            }),
-        })
-    }
-
-    /// The next turn.
-    pub(crate) fn ticket(self: &Arc<Self>) -> Turn<S> {
-        let mut gate = lock(&self.gate);
-        let number = gate.issued;
-        gate.issued += 1;
-        Turn {
-            turnstile: Arc::clone(self),
-            number,
-            taken: false,
-        }
-    }
-
-    /// Clears a broken gate once no turn is outstanding: the next ticket's
-    /// turn is the next one.
-    pub(crate) fn reopen(&self) {
-        let mut gate = lock(&self.gate);
-        gate.next = gate.issued;
-        gate.broken = false;
-    }
-}
-
-impl<S> fmt::Debug for Turnstile<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let gate = lock(&self.gate);
-        f.debug_struct("Turnstile")
-            .field("issued", &gate.issued)
-            .field("next", &gate.next)
-            .finish()
-    }
-}
-
-/// One turn at a [`Turnstile`]. Dropped untaken, it breaks the gate rather
-/// than leave the turns behind it waiting forever.
-pub(crate) struct Turn<S> {
-    turnstile: Arc<Turnstile<S>>,
-    number: u64,
-    taken: bool,
-}
-
-impl<S> Turn<S> {
-    /// Waits for this turn, lets `take` have the value, then passes it on.
-    ///
-    /// # Errors
-    /// [`LiflError::Simulation`] if an earlier turn was dropped untaken.
-    pub(crate) fn take<R>(mut self, take: impl FnOnce(&mut S) -> R) -> Result<R> {
-        loop {
-            let mut gate = lock(&self.turnstile.gate);
-            if gate.broken {
-                return Err(LiflError::Simulation(
-                    "an earlier ingress encode failed".to_string(),
-                ));
-            }
-            if gate.next == self.number {
-                let out = take(&mut gate.value);
-                gate.next += 1;
-                self.taken = true;
-                return Ok(out);
-            }
-            drop(gate);
-            thread::yield_now();
-        }
-    }
-}
-
-impl<S> Drop for Turn<S> {
-    fn drop(&mut self) {
-        if !self.taken {
-            lock(&self.turnstile.gate).broken = true;
-        }
-    }
-}
-
 /// The threads behind [`Workers`] and the board they wait on.
 struct WorkerSet {
     count: usize,
@@ -632,6 +527,9 @@ pub(crate) struct Tree<'a> {
     /// The level whose outputs a lossy codec encodes: the one whose parent
     /// is the global top, if the tree holds one.
     pub(crate) encoding_level: Option<usize>,
+    /// The round's index, the backend's count of closed rounds: with its
+    /// position, the key an encoding station draws its rounding words from.
+    pub(crate) round: u64,
     pub(crate) round_keys: &'a mut Vec<ObjectKey>,
 }
 
@@ -685,7 +583,8 @@ impl Stations {
     }
 
     /// The identity of position (`level`, `index`) in the enclosing tree:
-    /// the gateway target of a leaf, and an encoding station's codec seed.
+    /// the gateway target of a leaf, and the first word of an encoding
+    /// station's key.
     pub(crate) fn id(&self, level: usize, index: usize) -> AggregatorId {
         let (level_offset, branch) = self.place;
         position_id(
@@ -746,16 +645,17 @@ impl Stations {
                     };
                     if goal > 0 {
                         let encodes = tree.encoding_level == Some(level);
-                        armed.push((Arc::clone(&stations.runtimes), index, goal as u64, encodes));
+                        let (goal, runtimes) = (goal as u64, Arc::clone(&stations.runtimes));
+                        armed.push((runtimes, index, goal, encodes, tree.round));
                         *count += 1;
                     }
                 }
             }
             let mut results = workers
                 .run(armed.len(), move |k| {
-                    let (runtimes, index, goal, encodes) = &armed[k];
+                    let (runtimes, index, goal, encodes, round) = &armed[k];
                     let mut runtime = lock(&runtimes[*index]);
-                    runtime.rearm(*goal, *encodes)?;
+                    runtime.rearm(*goal, *encodes, *round)?;
                     Ok((*index, runtime.run_to_completion()?))
                 })
                 .into_iter();
@@ -1363,29 +1263,6 @@ mod tests {
             // The same threads serve on; with none, the caller ran it all.
             assert_eq!(workers.set.threads.get().map(Vec::len), Some(count));
         }
-    }
-
-    #[test]
-    fn a_turnstile_hands_its_value_on_in_ticket_order() {
-        let workers = Workers::with_count(3);
-        let gate = Turnstile::new(Vec::new());
-        let jobs: Vec<Job<Result<()>>> = (0..12)
-            .map(|k| {
-                let turn = gate.ticket();
-                workers.submit(move || turn.take(|seen: &mut Vec<usize>| seen.push(k)))
-            })
-            .collect();
-        for job in jobs {
-            workers.join(job).unwrap().unwrap();
-        }
-        assert_eq!(lock(&gate.gate).value, (0..12).collect::<Vec<_>>());
-        // A turn dropped untaken fails the turns behind it — nobody waits
-        // forever — until the gate is reopened.
-        let (dropped, behind) = (gate.ticket(), gate.ticket());
-        drop(dropped);
-        assert!(behind.take(|_| ()).is_err());
-        gate.reopen();
-        assert_eq!(gate.ticket().take(|seen| seen.len()), Ok(12));
     }
 
     /// `Workers::new` hands out the one set some handle still holds, and a

@@ -1382,13 +1382,13 @@ mod tests {
         } else {
             (
                 [
-                    (4_608_562_285_415_642_012, 85.0),
-                    (4_607_482_614_161_511_318, 94.333_333_333_333_33),
-                    (4_606_491_531_706_157_415, 98.666_666_666_666_67),
-                    (4_604_564_794_063_230_331, 99.666_666_666_666_67),
-                    (4_603_788_864_745_226_600, 98.0),
+                    (4_608_562_285_415_642_012, 84.666_666_666_666_67),
+                    (4_607_485_461_204_734_888, 95.333_333_333_333_33),
+                    (4_606_491_307_411_292_446, 98.666_666_666_666_67),
+                    (4_604_562_463_843_551_595, 99.666_666_666_666_67),
+                    (4_603_788_883_675_645_600, 98.0),
                 ],
-                3_747_509_144_199_736_891,
+                12_873_225_807_761_787_677,
             )
         };
         let rounds = (rounds.iter())
@@ -1536,13 +1536,24 @@ mod tests {
     /// Streaming rounds of ten deliveries into an 8-update tree with a
     /// one-deep queue per leaf: the surplus parks while there is room and is
     /// turned away (and cut off) once there is none. Every round, model and
-    /// draw below was recorded from the one-client-at-a-time loop.
+    /// draw below was recorded from the one-client-at-a-time loop; the
+    /// `Uniform8` ones were re-recorded when encodes became keyed.
     #[test]
     fn every_worker_count_streams_the_recorded_surplus() {
         let recorded = |codec| -> Run {
             let identity = codec == CodecKind::Identity;
             let rounds = vec![
-                Some((8, 0, 2, 4_608_176_045_555_237_074, 91.333_333_333_333_33)),
+                Some((
+                    8,
+                    0,
+                    2,
+                    4_608_176_045_555_237_074,
+                    if identity {
+                        91.333_333_333_333_33
+                    } else {
+                        91.0
+                    },
+                )),
                 Some((
                     8,
                     0,
@@ -1550,12 +1561,12 @@ mod tests {
                     if identity {
                         4_605_631_687_407_882_890
                     } else {
-                        4_605_631_755_982_048_402
+                        4_605_628_331_659_355_619
                     },
                     if identity {
                         96.333_333_333_333_33
                     } else {
-                        96.666_666_666_666_67
+                        96.0
                     },
                 )),
                 Some((
@@ -1565,19 +1576,15 @@ mod tests {
                     if identity {
                         4_604_450_415_025_746_631
                     } else {
-                        4_604_449_826_548_223_999
+                        4_604_443_924_148_223_982
                     },
-                    if identity {
-                        84.333_333_333_333_33
-                    } else {
-                        84.666_666_666_666_67
-                    },
+                    84.333_333_333_333_33,
                 )),
             ];
             let fingerprint = if identity {
                 3_200_472_312_565_110_265
             } else {
-                15_561_618_846_923_016_891
+                4_828_864_096_407_475_321
             };
             (rounds, fingerprint, 508_978_108)
         };
@@ -1609,7 +1616,8 @@ mod tests {
     /// two stragglers cut off and replaced by the spares, a clean round,
     /// three stragglers that exhaust the spares and fail the round, and a
     /// straggler among the idle spares. Every round, model and draw below
-    /// was recorded from the one-client-at-a-time loop.
+    /// was recorded from the one-client-at-a-time loop; the `Uniform8` ones
+    /// were re-recorded when encodes became keyed.
     #[test]
     fn every_worker_count_cuts_off_the_recorded_stragglers() {
         let recorded = |codec| -> Run {
@@ -1623,7 +1631,7 @@ mod tests {
                     if identity {
                         4_606_280_891_515_763_638
                     } else {
-                        4_606_286_640_645_340_457
+                        4_606_284_079_471_360_080
                     },
                     99.666_666_666_666_67,
                 )),
@@ -1635,7 +1643,7 @@ mod tests {
                     if identity {
                         4_605_059_380_406_086_045
                     } else {
-                        4_605_064_800_652_325_643
+                        4_605_059_109_033_535_254
                     },
                     99.666_666_666_666_67,
                 )),
@@ -1643,7 +1651,7 @@ mod tests {
             let fingerprint = if identity {
                 11_235_456_787_736_010_049
             } else {
-                16_664_287_932_617_017_737
+                1_206_965_859_170_204_301
             };
             (rounds, fingerprint, 340_911_727)
         };

@@ -491,6 +491,9 @@ impl<'a> EncodedView<'a> {
 #[derive(Debug, Clone)]
 pub struct UpdateCodec {
     kind: CodecKind,
+    /// The seed the codec was built with: the first word of every
+    /// error-feedback encode's key ([`ErrorFeedback::take_job`]).
+    seed: u64,
     rng: StochasticRng,
     pool: BufferPool,
 }
@@ -505,6 +508,7 @@ impl UpdateCodec {
     pub fn with_seed(kind: CodecKind, seed: u64) -> Self {
         UpdateCodec {
             kind,
+            seed,
             rng: StochasticRng::from_seed(seed),
             pool: BufferPool::new(),
         }
@@ -518,11 +522,13 @@ impl UpdateCodec {
         self
     }
 
-    /// Restarts the stochastic-rounding stream at `seed`: the codec then
-    /// encodes exactly as a fresh `with_seed(kind, seed)` codec over the same
-    /// pool would.
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = StochasticRng::from_seed(seed);
+    /// Restarts the stochastic-rounding stream at the generator keyed by
+    /// `key` ([`StochasticRng::keyed`]): what an encoding station does at
+    /// every re-arm with its (position, round) key, so that no two rounds
+    /// of one station draw the same words. Error-feedback keys still start
+    /// from the seed the codec was built with.
+    pub fn reseed(&mut self, key: &[u64]) {
+        self.rng = StochasticRng::keyed(key);
     }
 
     /// The scratch slab this codec draws from — where an aggregator that
@@ -653,14 +659,18 @@ fn quantizer(kind: CodecKind) -> Option<(f32, FeedbackAppend)> {
 /// into it. Its steps — [`FeedbackJob::compensate`] (sweep 1),
 /// [`CompensatedJob::finish`] (sweep 2; for top-k, which selects in sweep 1,
 /// a fold-back over the kept pairs) and [`ErrorFeedback::restore`] — are
-/// the one encode behind [`ErrorFeedback::encode`] too. The only thing a job
-/// shares with other clients' jobs is the rounding stream, which it reads
-/// between its two sweeps ([`CompensatedJob::claim`]).
+/// the one encode behind [`ErrorFeedback::encode`] too. A job shares nothing
+/// with other clients' jobs: its rounding words come from its own key,
+/// stamped when it was taken, so jobs finish in any order on any thread
+/// and write the same bytes.
 #[derive(Debug)]
 pub struct FeedbackJob<'a> {
     client: ClientId,
     kind: CodecKind,
     pool: BufferPool,
+    /// The generator keyed by (codec seed, client, the client's encode
+    /// count) that sweep 2 draws from.
+    rng: StochasticRng,
     residual: DenseModel,
     /// The model still to be added into a stored residual; `None` when the
     /// model is the residual already (a client's first, or reshaped, model).
@@ -668,15 +678,6 @@ pub struct FeedbackJob<'a> {
 }
 
 impl FeedbackJob<'_> {
-    /// Whether the encode draws from the shared rounding stream. Every
-    /// stochastic quantizer does, so its place in the stream's order is
-    /// fixed when the job is taken — even though how many words it draws is
-    /// known only after [`FeedbackJob::compensate`] (none at a zero scale).
-    /// Top-k never draws.
-    pub fn draws_rounding_words(&self) -> bool {
-        quantizer(self.kind).is_some()
-    }
-
     /// Sweep 1: adds the carried model into the residual and, for a
     /// quantizer, derives the scale in the same pass ([`kernels::add_max`]).
     /// Top-k selects in the same pass too: the add is fused into the
@@ -688,6 +689,7 @@ impl FeedbackJob<'_> {
             client,
             kind,
             pool,
+            rng,
             residual,
             carried,
         } = self;
@@ -733,6 +735,7 @@ impl FeedbackJob<'_> {
             client,
             kind,
             pool,
+            rng,
             residual: sum,
             scale,
             selected,
@@ -741,43 +744,31 @@ impl FeedbackJob<'_> {
 }
 
 /// A [`FeedbackJob`] after its first sweep: the compensated residual and,
-/// for a quantizer, the scale, which fixes how many rounding words the
-/// second sweep draws, or for top-k the wire form already selected.
+/// for a quantizer, the scale, or for top-k the wire form already selected.
 #[derive(Debug)]
 pub struct CompensatedJob {
     client: ClientId,
     kind: CodecKind,
     pool: BufferPool,
+    rng: StochasticRng,
     residual: DenseModel,
     scale: f32,
     selected: Option<EncodedUpdate>,
 }
 
 impl CompensatedJob {
-    /// Claims this encode's share of the rounding stream in O(1): returns
-    /// the generator position its words start at and moves `stream` past
-    /// every one of them — `dim.div_ceil(2)` draws, none at a zero scale or
-    /// for top-k. Jobs that claim in the order they were taken each start
-    /// where a sequential encode would have, so [`CompensatedJob::finish`]
-    /// from the claimed position writes the same bytes.
-    pub fn claim(&self, stream: &mut StochasticRng) -> StochasticRng {
-        let start = stream.clone();
-        if quantizer(self.kind).is_some() {
-            stream.skip(kernels::feedback_draws(self.residual.dim(), self.scale));
-        }
-        start
-    }
-
     /// Sweep 2: writes the wire form behind the descriptor of a pooled
-    /// buffer, drawing rounding words from `rng`, and leaves in the residual
-    /// what the codec dropped — fused into the quantizer's pass
-    /// ([`kernels::feedback_append_u8`] / `_u4`). Top-k selected in sweep 1,
-    /// so all that is left is a fold-back over the kept pairs.
-    pub fn finish(self, rng: &mut StochasticRng) -> (EncodedUpdate, Residual) {
+    /// buffer, drawing rounding words from the job's own keyed generator,
+    /// and leaves in the residual what the codec dropped — fused into the
+    /// quantizer's pass ([`kernels::feedback_append_u8`] / `_u4`). Top-k
+    /// selected in sweep 1, so all that is left is a fold-back over the kept
+    /// pairs.
+    pub fn finish(self) -> (EncodedUpdate, Residual) {
         let CompensatedJob {
             client,
             kind,
             pool,
+            mut rng,
             mut residual,
             scale,
             selected,
@@ -787,11 +778,12 @@ impl CompensatedJob {
             (None, Some((levels, feedback_append))) => {
                 let dim = values.len() as u32;
                 let mut encoded = checkout(kind, &pool, dim, scale, dim);
-                feedback_append(values, scale, levels, rng, encoded.wire.as_mut_vec());
+                feedback_append(values, scale, levels, &mut rng, encoded.wire.as_mut_vec());
                 encoded
             }
             (selected, _) => {
-                let encoded = selected.unwrap_or_else(|| encode_params(kind, &pool, rng, values));
+                let encoded =
+                    selected.unwrap_or_else(|| encode_params(kind, &pool, &mut rng, values));
                 encoded.view().fold_range_into(-1.0, 0, values);
                 encoded
             }
@@ -819,7 +811,18 @@ pub struct Residual {
 #[derive(Debug, Clone)]
 pub struct ErrorFeedback {
     codec: UpdateCodec,
-    residuals: BTreeMap<ClientId, DenseModel>,
+    clients: BTreeMap<ClientId, ClientState>,
+}
+
+/// What error feedback keeps for one client.
+#[derive(Debug, Clone, Default)]
+struct ClientState {
+    /// The residual, out with a job while its encode runs.
+    residual: Option<DenseModel>,
+    /// Encodes taken so far: the last word of the next encode's key. Kept
+    /// while a job holds the residual and when a reshape drops it, so no
+    /// two encodes of one client share a key.
+    encodes: u64,
 }
 
 impl ErrorFeedback {
@@ -827,7 +830,7 @@ impl ErrorFeedback {
     pub fn new(codec: UpdateCodec) -> Self {
         ErrorFeedback {
             codec,
-            residuals: BTreeMap::new(),
+            clients: BTreeMap::new(),
         }
     }
 
@@ -864,7 +867,7 @@ impl ErrorFeedback {
     /// Returns [`LiflError::DimensionMismatch`] if the client's model changes
     /// dimension between rounds; the stored residual is left as it was.
     pub fn encode(&mut self, client: ClientId, model: &DenseModel) -> Result<EncodedUpdate> {
-        if let Some(stored) = self.residuals.get(&client) {
+        if let Some(stored) = self.residual(client) {
             if stored.dim() != model.dim() {
                 return Err(LiflError::DimensionMismatch {
                     expected: stored.dim(),
@@ -877,15 +880,14 @@ impl ErrorFeedback {
 
     /// The one encode path behind [`ErrorFeedback::encode`] (which lends the
     /// model) and [`ErrorFeedback::encode_update`] (which gives it away, so a
-    /// first model *becomes* the residual): a job's three steps run in
-    /// place, drawing straight from this feedback's own stream.
+    /// first model *becomes* the residual): a job's three steps, run in
+    /// place.
     fn compensate(&mut self, client: ClientId, model: Cow<'_, DenseModel>) -> EncodedUpdate {
         if self.kind().is_lossless() {
             // Nothing is dropped, so there is no residual to carry.
             return self.codec.encode(&model);
         }
-        let job = self.take(client, model).compensate();
-        let (encoded, residual) = job.finish(&mut self.codec.rng);
+        let (encoded, residual) = self.take(client, model).compensate().finish();
         self.restore(residual);
         encoded
     }
@@ -895,9 +897,13 @@ impl ErrorFeedback {
     /// and hands it, with `model`, to a job that owns everything the encode
     /// touches. A stored residual of another shape is dropped, as
     /// [`ErrorFeedback::encode_update`] drops it. `encode_update` is exactly
-    /// this, [`FeedbackJob::compensate`], [`CompensatedJob::finish`] from
-    /// this feedback's own stream, and `restore`; a job that runs elsewhere
-    /// claims its stream position instead ([`CompensatedJob::claim`]).
+    /// this, [`FeedbackJob::compensate`], [`CompensatedJob::finish`] and
+    /// `restore`, run in place.
+    ///
+    /// The job's rounding words are stamped here: its generator is keyed by
+    /// (the codec's seed, `client`, the number of encodes taken for
+    /// `client` before this one). So the bytes depend on nothing another
+    /// client offers, and on no thread or finishing order.
     ///
     /// Under a lossless codec nothing is dropped, so nothing is taken: the
     /// job encodes `model` as it is and `restore` keeps nothing
@@ -908,7 +914,10 @@ impl ErrorFeedback {
 
     /// [`ErrorFeedback::take_job`] over a lent or owned model.
     fn take<'a>(&mut self, client: ClientId, model: Cow<'a, DenseModel>) -> FeedbackJob<'a> {
-        let (residual, carried) = match self.residuals.remove(&client) {
+        let entry = self.clients.entry(client).or_default();
+        let rng = StochasticRng::keyed(&[self.codec.seed, client.index(), entry.encodes]);
+        entry.encodes += 1;
+        let (residual, carried) = match entry.residual.take() {
             Some(stored) if stored.dim() == model.dim() => (stored, Some(model)),
             // A first model — or one of a new shape, whose stale residual
             // goes — is the residual already.
@@ -918,6 +927,7 @@ impl ErrorFeedback {
             client,
             kind: self.kind(),
             pool: self.codec.pool.clone(),
+            rng,
             residual,
             carried,
         }
@@ -927,7 +937,7 @@ impl ErrorFeedback {
     /// under a lossless codec).
     pub fn restore(&mut self, residual: Residual) {
         if !self.kind().is_lossless() {
-            self.residuals.insert(residual.client, residual.model);
+            self.clients.entry(residual.client).or_default().residual = Some(residual.model);
         }
     }
 
@@ -964,7 +974,7 @@ impl ErrorFeedback {
 
     /// The residual currently stored for `client`, if any.
     pub fn residual(&self, client: ClientId) -> Option<&DenseModel> {
-        self.residuals.get(&client)
+        self.clients.get(&client)?.residual.as_ref()
     }
 }
 
@@ -1319,8 +1329,9 @@ mod tests {
     fn in_place_feedback_equals_the_copy_based_formula() {
         // The formula the in-place encoder replaced: compensate a copy of
         // the model, encode the copy, store copy - decode(encoded). A
-        // quantizer's bytes come from its own plain encode; top-k's from
-        // the sort-based reference selection, folded back by hand.
+        // quantizer's bytes come from its own plain encode, keyed as the
+        // client's encode is; top-k's from the sort-based reference
+        // selection, folded back by hand.
         fn copy_based(
             codec: &mut UpdateCodec,
             residual: &mut Option<Vec<f32>>,
@@ -1372,7 +1383,9 @@ mod tests {
                 let mut feedback = ErrorFeedback::new(UpdateCodec::with_seed(kind, 99));
                 let mut reference_codec = UpdateCodec::with_seed(kind, 99);
                 let mut reference_residual = None;
-                for m in &rounds {
+                for (t, m) in (0u64..).zip(&rounds) {
+                    // Encode `t` of `client` draws from its own key.
+                    reference_codec.reseed(&[99, client.index(), t]);
                     let encoded = feedback.encode(client, m).unwrap();
                     let expected = copy_based(&mut reference_codec, &mut reference_residual, m);
                     assert_eq!(encoded.to_bytes(), expected, "{kind} dim {dim}");
@@ -1390,9 +1403,9 @@ mod tests {
     }
 
     #[test]
-    fn jobs_run_out_of_order_but_claimed_in_order_match_the_sequential_encode() {
+    fn jobs_finished_in_reverse_order_match_the_sequential_encode() {
         // Client 2 sends an all-zero model on its first round: a zero scale,
-        // so its encode draws nothing and the stream must not move for it.
+        // so its encode draws nothing — and no other client's words move.
         let rounds: Vec<Vec<DenseModel>> = (0..3)
             .map(|r| {
                 (0..5)
@@ -1416,7 +1429,8 @@ mod tests {
         ] {
             let mut sequential = ErrorFeedback::new(UpdateCodec::with_seed(kind, 21));
             let mut deferred = ErrorFeedback::new(UpdateCodec::with_seed(kind, 21));
-            let mut stream = StochasticRng::from_seed(21);
+            // Sees client 3's offers only: a key depends on nobody else's.
+            let mut alone = ErrorFeedback::new(UpdateCodec::with_seed(kind, 21));
             for round in &rounds {
                 let clients = (0..round.len() as u64).map(ClientId::new);
                 let expected: Vec<Vec<u8>> = clients
@@ -1424,30 +1438,29 @@ mod tests {
                     .zip(round)
                     .map(|(c, m)| sequential.encode(c, m).unwrap().to_bytes())
                     .collect();
-                // Take in offer order; run the first sweeps last-first; claim
-                // in offer order; finish last-first again.
+                let three = alone.encode(ClientId::new(3), &round[3]).unwrap();
+                assert_eq!(three.to_bytes(), expected[3], "{kind}");
+                // Take in offer order; run the first sweeps last-first, then
+                // the second sweeps first-first, then restore last-first.
                 let jobs: Vec<FeedbackJob> = clients
                     .clone()
                     .zip(round)
                     .map(|(c, m)| deferred.take_job(c, m.clone()))
                     .collect();
-                assert!(jobs.iter().all(
-                    |j| j.draws_rounding_words() == (kind != CodecKind::TopK { permille: 50 })
-                ));
                 let mut compensated: Vec<CompensatedJob> = jobs
                     .into_iter()
                     .rev()
                     .map(FeedbackJob::compensate)
                     .collect();
                 compensated.reverse();
-                let starts: Vec<StochasticRng> =
-                    compensated.iter().map(|j| j.claim(&mut stream)).collect();
-                let mut got: Vec<Vec<u8>> = compensated
+                let finished: Vec<(EncodedUpdate, Residual)> = compensated
                     .into_iter()
-                    .zip(starts)
+                    .map(CompensatedJob::finish)
+                    .collect();
+                let mut got: Vec<Vec<u8>> = finished
+                    .into_iter()
                     .rev()
-                    .map(|(job, mut start)| {
-                        let (encoded, residual) = job.finish(&mut start);
+                    .map(|(encoded, residual)| {
                         deferred.restore(residual);
                         encoded.to_bytes()
                     })
@@ -1521,6 +1534,118 @@ mod tests {
         sum.scale(1.0 / rounds as f32);
         for (a, b) in m.as_slice().iter().zip(sum.as_slice()) {
             assert!((a - b).abs() < 0.02, "time-average {b} far from {a}");
+        }
+    }
+
+    /// The stochastic quantizers are unbiased: over `K` keys, the mean of
+    /// the decodes of one fixed vector is the vector, within 5σ at every
+    /// coordinate.
+    ///
+    /// A coordinate `x = s·(L + f)`, with `L` an integer level and `f` its
+    /// fractional level in [0, 1), quantizes to `L + 1` when its rounding
+    /// word's 24 high bits, read as a fraction, fall below `f` — with
+    /// probability exactly `f` here, since `f` is a multiple of 1/16 and the
+    /// scale `s` a power of two, so `x / s` is exact — and to `L` otherwise.
+    /// The decode `s·L` or `s·(L + 1)` has mean `x` and variance
+    /// `s²·f(1 − f)`, so the mean of `K` decodes under independent keys has
+    /// σ² = s²·f(1 − f)/`K`: a coordinate at `f = 0` decodes exactly, and a
+    /// floor in place of the rounding misses by `s·f`, which exceeds 5σ for
+    /// every `f > 0` once `K > 25·(1 − f)/f` (375 at `f` = 1/16).
+    #[test]
+    fn keyed_stochastic_rounding_is_unbiased() {
+        const KEYS: u64 = 1024;
+        let s = 0.125f32;
+        for (kind, levels) in [(CodecKind::Uniform8, 127i32), (CodecKind::Uniform4, 7)] {
+            // The first coordinate sits on the outermost level and pins the
+            // scale at `s`; the rest span 16 fractional levels at five
+            // integer levels of both signs.
+            let mut x = vec![levels as f32 * s];
+            let mut fractions = vec![0.0f64];
+            for base in [1 - levels, -3, 0, 2, levels - 2] {
+                for sixteenths in 0..16 {
+                    let f = f64::from(sixteenths) / 16.0;
+                    x.push((f64::from(base) + f) as f32 * s);
+                    fractions.push(f);
+                }
+            }
+            let mut codec = UpdateCodec::with_seed(kind, 0);
+            let mut sum = vec![0.0f64; x.len()];
+            for key in 0..KEYS {
+                codec.reseed(&[0xB1A5, key]);
+                let encoded = codec.encode_slice(&x);
+                assert_eq!(encoded.scale(), s, "{kind}");
+                for (acc, v) in sum.iter_mut().zip(encoded.decode().as_slice()) {
+                    *acc += f64::from(*v);
+                }
+            }
+            for ((total, &x), &f) in sum.iter().zip(&x).zip(&fractions) {
+                let mean = total / KEYS as f64;
+                let sigma = f64::from(s) * (f * (1.0 - f) / KEYS as f64).sqrt();
+                let miss = (mean - f64::from(x)).abs();
+                assert!(
+                    miss <= 5.0 * sigma,
+                    "{kind}: x {x} (f {f}) mean {mean}, 5σ {}",
+                    5.0 * sigma
+                );
+            }
+        }
+    }
+
+    /// Error feedback loses nothing: every round, what the codec sent plus
+    /// what it kept equals what there was to send, `decoded_t + residual_t
+    /// = residual_{t−1} + model_t`, and so, over `T` rounds, `Σ decoded_t +
+    /// residual_T = Σ model_t`.
+    ///
+    /// The bound is two f32 roundings. The compensated sum `c = r + m` is
+    /// rounded once, `|c − (r + m)| ≤ u·|r + m|` with `u = 2^-24`. A
+    /// quantizer then stores `fl(c − d)` where `d = fl(level·s)` is exactly
+    /// what the decode yields (the fold-back multiplies the level by `−s`,
+    /// the same product negated), so `|residual_t − (c − d)| ≤ u·|c − d| ≤
+    /// u·|residual_t|/(1 − u)`. Top-k keeps `c` exactly or zeroes it. So
+    /// `|d + residual_t − (r + m)| ≤ 2^-23·(|r + m| + |residual_t|)`, and
+    /// the sum over `T` rounds is off by at most the sum of those bounds.
+    #[test]
+    fn error_feedback_conserves_every_update() {
+        const ROUNDS: usize = 8;
+        const DIM: usize = 300;
+        let client = ClientId::new(5);
+        for kind in [
+            CodecKind::Uniform8,
+            CodecKind::Uniform4,
+            CodecKind::TopK { permille: 100 },
+        ] {
+            let mut feedback = ErrorFeedback::new(UpdateCodec::with_seed(kind, 3));
+            let mut previous = vec![0.0f64; DIM];
+            let (mut drift, mut slack) = (vec![0.0f64; DIM], vec![0.0f64; DIM]);
+            for t in 0..ROUNDS {
+                let m: Vec<f32> = (0..DIM)
+                    .map(|d| ((d * 29 + t * 13) % 83) as f32 * 0.031 - 1.3)
+                    .collect();
+                let decoded = feedback.encode(client, &model(&m)).unwrap().decode();
+                let residual = feedback.residual(client).unwrap().as_slice();
+                for i in 0..DIM {
+                    let (d, r) = (f64::from(decoded.as_slice()[i]), f64::from(residual[i]));
+                    let owed = previous[i] + f64::from(m[i]);
+                    let bound = (owed.abs() + r.abs()) * 2f64.powi(-23);
+                    assert!(
+                        (d + r - owed).abs() <= bound,
+                        "{kind} round {t} element {i}"
+                    );
+                    drift[i] += d - f64::from(m[i]);
+                    slack[i] += bound;
+                    previous[i] = r;
+                }
+            }
+            for i in 0..DIM {
+                // Σ decoded − Σ model + residual_T, against the summed bounds
+                // (and the f64 sums' own rounding).
+                let off = (drift[i] + previous[i]).abs();
+                assert!(
+                    off <= slack[i] + 1e-12,
+                    "{kind} element {i}: {off} > {}",
+                    slack[i]
+                );
+            }
         }
     }
 }

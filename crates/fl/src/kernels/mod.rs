@@ -328,11 +328,17 @@ const SPLITMIX_MUL2: u64 = 0x94D0_49BB_1331_11EB;
 ///
 /// A stochastic encode at a non-positive scale draws nothing at all (see
 /// [`feedback_append_u8`]): an all-zero compensated update leaves the
-/// generator where it found it. So how far one error-feedback encode moves
-/// the stream is known only after its first sweep has derived the scale,
-/// never at offer time — which is why an ingress that runs encodes
-/// concurrently hands the stream from one encode to the next in offer
-/// order instead of reserving fixed windows of it.
+/// generator where it found it.
+///
+/// # Keyed streams
+///
+/// The engine's encodes share no stream: each starts a fresh generator at
+/// [`StochasticRng::keyed`] of its own key — a client encode at (codec
+/// seed, client, that client's encode count), a station encode at
+/// (position, round) — fixed when the encode is created. So encodes run
+/// on any thread in any order write the same bytes, and no two encodes of
+/// one ingress or one station share a key (Salmon et al.,
+/// "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
 #[derive(Debug, Clone)]
 pub struct StochasticRng {
     state: u64,
@@ -344,22 +350,30 @@ impl StochasticRng {
         StochasticRng { state: seed }
     }
 
+    /// The generator keyed by `key`: its start is splitmix64's mix chained
+    /// over the key's words in order, so it depends on every word and on
+    /// their order, and keys that differ only in their last word never
+    /// share a start (the mix is a bijection). Two distinct keys' streams
+    /// of `n` draws overlap with probability about `2n / 2^64`.
+    pub fn keyed(key: &[u64]) -> Self {
+        let state = key.iter().fold(
+            0,
+            |h: u64, &word| mix(h.wrapping_add(SPLITMIX_GAMMA) ^ word),
+        );
+        StochasticRng { state }
+    }
+
     #[inline]
     fn next_u64(&mut self) -> u64 {
         // splitmix64: a full-period mix of an additive counter. Cheap,
         // statistically solid for rounding thresholds, and trivially
         // deterministic across arms.
         self.state = self.state.wrapping_add(SPLITMIX_GAMMA);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(SPLITMIX_MUL1);
-        z = (z ^ (z >> 27)).wrapping_mul(SPLITMIX_MUL2);
-        z ^ (z >> 31)
+        mix(self.state)
     }
 
     /// Moves the generator past `draws` 64-bit draws without computing them:
-    /// how an arm that drew in registers leaves the position `fill` defines,
-    /// and how an error-feedback encode claims its share of the stream
-    /// before drawing it.
+    /// how an arm that drew in registers leaves the position `fill` defines.
     pub(crate) fn skip(&mut self, draws: u64) {
         self.state = self.state.wrapping_add(SPLITMIX_GAMMA.wrapping_mul(draws));
     }
@@ -379,6 +393,14 @@ impl StochasticRng {
             *tail = self.next_u64() as u32;
         }
     }
+}
+
+/// splitmix64's output mix: a bijection on `u64`.
+#[inline]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(SPLITMIX_MUL1);
+    z = (z ^ (z >> 27)).wrapping_mul(SPLITMIX_MUL2);
+    z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------------------
@@ -1251,16 +1273,6 @@ unsafe fn append_written(body: &mut Vec<u8>, n: usize, write: impl FnOnce(&mut [
 // Fused error-feedback encoders.
 // ---------------------------------------------------------------------------
 
-/// The 64-bit draws [`feedback_append_u8`] / [`feedback_append_u4`] take
-/// from the generator for `len` elements at `scale`: one rounding word per
-/// element, so `len.div_ceil(2)` draws, and none at a non-positive scale.
-pub(crate) fn feedback_draws(len: usize, scale: f32) -> u64 {
-    if scale <= 0.0 {
-        return 0;
-    }
-    len.div_ceil(2) as u64
-}
-
 /// [`append_u8`] over an error-feedback residual, with the fold-back fused
 /// into the same sweep: appends the level bytes of `residual` behind whatever
 /// `body` holds — written once, into its spare capacity — and leaves in
@@ -1697,27 +1709,6 @@ mod tests {
         assert_eq!(body, vec![0u8; 2]);
         let mut untouched = StochasticRng::from_seed(9);
         assert_eq!(rng.next_u64(), untouched.next_u64());
-    }
-
-    #[test]
-    fn feedback_draws_is_where_the_encoders_leave_the_stream() {
-        type Append = fn(&mut [f32], f32, f32, &mut StochasticRng, &mut Vec<u8>);
-        let encoders: [(f32, Append); 2] = [(127.0, feedback_append_u8), (7.0, feedback_append_u4)];
-        for len in [0usize, 1, 7, 64, 1001] {
-            // A zero (or negative) scale draws nothing; a positive one draws
-            // a word per element, whichever arm runs.
-            for scale in [0.0f32, -1.0, 0.25] {
-                for (levels, append) in encoders {
-                    let mut residual: Vec<f32> =
-                        (0..len).map(|i| (i % 13) as f32 * 0.1 - 0.6).collect();
-                    let mut drawn = StochasticRng::from_seed(5);
-                    append(&mut residual, scale, levels, &mut drawn, &mut Vec::new());
-                    let mut skipped = StochasticRng::from_seed(5);
-                    skipped.skip(feedback_draws(len, scale));
-                    assert_eq!(drawn.state, skipped.state, "{len} elements at {scale}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -2923,6 +2914,37 @@ pub(crate) mod proptests {
             let lists = |table: &Kernels| listed.iter().any(|k| std::ptr::eq(*k, table));
             assert_eq!(lists(&AVX2), avx2);
             assert_eq!(lists(&AVX512), wide);
+        }
+    }
+
+    /// A keyed generator is a generator like any other: the encodes the
+    /// engine keys — a client's (seed, client, encode count), a station's
+    /// (position, round) — write the same bytes, residual and generator
+    /// position on every arm, and distinct keys draw distinct words.
+    #[test]
+    fn keyed_encodes_match_on_every_arm() {
+        let params: Vec<f32> = (0..1001).map(|i| (i % 37) as f32 * 0.07 - 1.2).collect();
+        let keys: [&[u64]; 4] = [&[0x5EED, 7, 0], &[0x5EED, 7, 1], &[0x5EED, 8, 0], &[3, 41]];
+        let mut seen = Vec::new();
+        for key in keys {
+            let seed = StochasticRng::keyed(key).state;
+            for levels in [127.0f32, 7.0] {
+                let scale = 1.32 / levels;
+                let reference = encode_on(&SCALAR, &params, scale, levels, seed);
+                for arm in arms() {
+                    let encoded = encode_on(arm, &params, scale, levels, seed);
+                    assert_eq!(
+                        encoded, reference,
+                        "{key:?} levels {levels} arm {}",
+                        arm.name
+                    );
+                }
+                assert!(
+                    !seen.contains(&reference.0),
+                    "{key:?} repeats another key's bytes"
+                );
+                seen.push(reference.0);
+            }
         }
     }
 

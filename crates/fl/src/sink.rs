@@ -107,8 +107,8 @@ pub trait Ingest {
 /// same lossless round: it is the reference the driver tier
 /// (`tests/it/driver.rs`) compares every tree backend against, so it must
 /// not share their store, stations or ingress, and under a lossy codec its
-/// rounding stream starts at the codec's default seed (`0xC0DEC`) where a
-/// session's starts at `0x5EED`, so the two are different runs there.
+/// encodes are keyed from the codec's default seed (`0xC0DEC`) where a
+/// session's are keyed from `0x5EED`, so the two are different runs there.
 #[derive(Debug, Clone)]
 pub struct FlatFedAvg {
     capacity: usize,

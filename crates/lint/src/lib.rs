@@ -15,7 +15,7 @@
 //! | R2   | `safety-comment`    | every `unsafe fn` / `unsafe {` / `unsafe impl` is immediately preceded by a `// SAFETY:` comment |
 //! | R4   | `panic`             | no `unwrap()`/`expect(`/`panic!`/`todo!`/`unimplemented!` in non-test code of the hot-path crates |
 //! | R5   | `determinism`       | no `HashMap`/`HashSet`, `Instant::now` or `SystemTime` in the fold/aggregation modules |
-//! | R6   | `no-legacy-runtime` | the legacy runtime, the per-representation gateway doors, the payload-copying put path and the collapsed duplicates (`FlDriver`, `async_round`, `lifl_baselines`, `bench_ingest`, the simulator inside `lifl-core`, `FedProxTrainer`, the fault state beside the cluster's: `RecoveryManager`, `HeartbeatMonitor`, `CheckpointStore`) stay deleted, no code of the engine crates (`types`, `shmem`, `fl`, `core`) but the station executor (`crates/core/src/stations.rs`) starts a thread, and no non-test engine code names the simulator's types (`LiflConfig`, `CpuCycles`, ...) |
+//! | R6   | `no-legacy-runtime` | the legacy runtime, the per-representation gateway doors, the payload-copying put path and the collapsed duplicates (`FlDriver`, `async_round`, `lifl_baselines`, `bench_ingest`, the simulator inside `lifl-core`, `FedProxTrainer`, the fault state beside the cluster's: `RecoveryManager`, `HeartbeatMonitor`, `CheckpointStore`, the shared rounding stream: `Turnstile`, `feedback_draws`, `draws_rounding_words`) stay deleted, no code of the engine crates (`types`, `shmem`, `fl`, `core`) but the station executor (`crates/core/src/stations.rs`) starts a thread, and no non-test engine code names the simulator's types (`LiflConfig`, `CpuCycles`, ...) |
 //! | R7   | `ci-sync`           | the justfile `ci` recipe and `.github/workflows/ci.yml` run the same commands |
 //! | R8   | `dead-pub`          | every `pub` item of every crate's `src/` is named somewhere outside its own file's unit tests and outside a `pub use` re-export: the workspace, `tests/`, `examples/` or `benchmark/src` |
 //!

@@ -518,6 +518,27 @@ const RETIRED_WITH_FAULT_STATE: [(&str, &str); 7] = [
     ),
 ];
 
+/// Names retired when every encode began drawing its rounding words from its
+/// own key instead of from a stream shared in offer order, with where each
+/// one's users go now.
+const RETIRED_WITH_KEYED_ROUNDING: [(&str, &str); 3] = [
+    (
+        "Turnstile",
+        "encodes share no stream, so nothing hands one on in order: each draws \
+         from `StochasticRng::keyed` of its own key",
+    ),
+    (
+        "feedback_draws",
+        "no encode claims a share of a stream: `CompensatedJob::finish` draws from \
+         the generator its job was keyed with",
+    ),
+    (
+        "draws_rounding_words",
+        "every job is keyed when `ErrorFeedback::take_job` takes it; finish it with \
+         `compensate().finish()` on any thread, in any order",
+    ),
+];
+
 /// The engine's data-plane files: every payload here is written once by its
 /// producer and *moved* into the store (PR 21), so the copying conveniences
 /// below have no business in their non-test code.
@@ -715,9 +736,11 @@ fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
 /// asynchronous stack beside the training driver
 /// (`RETIRED_WITH_ASYNC_DRIVER`), the client re-send path of node
 /// failures (`RETIRED_WITH_FAULT_RESEND`), the second local-SGD loop of
-/// FedProx (`RETIRED_WITH_FEDPROX_TRAINER`) and the fault state beside the
-/// cluster's (`RETIRED_WITH_FAULT_STATE`) must stay deleted, and non-test
-/// code of the `ENGINE_CRATES` names none of the `SIMULATOR_TYPES`. Unlike
+/// FedProx (`RETIRED_WITH_FEDPROX_TRAINER`), the fault state beside the
+/// cluster's (`RETIRED_WITH_FAULT_STATE`) and the rounding stream the
+/// ingress encodes shared (`RETIRED_WITH_KEYED_ROUNDING`) must stay
+/// deleted, and non-test code of the `ENGINE_CRATES` names none of the
+/// `SIMULATOR_TYPES`. Unlike
 /// the shell guard this replaces, the check runs on code tokens, so prose
 /// in comments and string literals can mention the old names freely.
 pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
@@ -820,6 +843,18 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
                     format!(
                         "`{name}` was retired when the cluster became the one owner of \
                          fault state; {advice} (see MIGRATION.md)"
+                    ),
+                ));
+            } else if let Some((name, advice)) =
+                (RETIRED_WITH_KEYED_ROUNDING.iter()).find(|(name, _)| t.text == *name)
+            {
+                out.push(finding(
+                    f,
+                    t.line,
+                    Rule::LegacyRuntime,
+                    format!(
+                        "`{name}` was retired when every encode began drawing its \
+                         rounding words from its own key; {advice} (see MIGRATION.md)"
                     ),
                 ));
             } else if t.text == "runtime"

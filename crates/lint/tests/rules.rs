@@ -357,6 +357,30 @@ fn r6_fail_flags_the_names_retired_with_the_fault_state() {
 }
 
 #[test]
+fn r6_fail_flags_the_names_retired_with_keyed_rounding() {
+    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
+    let retired: Vec<&String> = (found.iter())
+        .filter(|f| f.contains("crates/core/src/ingress.rs:"))
+        .collect();
+    assert_eq!(retired.len(), 3, "{found:#?}");
+    for (line, name, advice) in [
+        (3, "`Turnstile`", "`StochasticRng::keyed`"),
+        (4, "`draws_rounding_words`", "`ErrorFeedback::take_job`"),
+        (5, "`feedback_draws`", "`CompensatedJob::finish`"),
+    ] {
+        assert!(
+            retired.iter().any(|f| {
+                f.contains(&format!("crates/core/src/ingress.rs:{line}:"))
+                    && f.contains(name)
+                    && f.contains("rounding words from its own key")
+                    && f.contains(advice)
+            }),
+            "{name} at line {line}: {found:#?}"
+        );
+    }
+}
+
+#[test]
 fn r6_pass_allows_prose_and_string_mentions() {
     assert_eq!(
         lint("r6_pass", &[Rule::LegacyRuntime]),

@@ -72,8 +72,7 @@ faults:
 # full end-to-end coverage on every CI run; `lifl-fl`'s own tests first, so
 # the dispatcher-level paths (`ErrorFeedback::encode`, `encode_slice`, the
 # three-round oracle) run on the reference arm too, then `lifl-core`'s, so
-# the deferred-encode equivalence proves the scalar arm's stream positions
-# under the in-order hand-off.
+# the deferred-encode equivalence proves the scalar arm's keyed encodes too.
 test-scalar:
     LIFL_FORCE_SCALAR=1 cargo test -p lifl-fl
     LIFL_FORCE_SCALAR=1 cargo test -p lifl-core

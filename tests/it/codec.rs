@@ -436,25 +436,33 @@ impl Door for Cluster {
 }
 
 /// Eight clients, two leaves of two per node, two nodes, quantized at the
-/// ingress: residuals, the rounding stream and the pool are all in play.
+/// ingress: residuals, the rounding keys and the pool are all in play.
 fn topology() -> Topology {
     Topology::new(vec![2, 2, 2]).expect("topology")
 }
 
-fn session_door() -> Session {
+fn session_of(codec: CodecKind) -> Session {
     SessionBuilder::new()
         .topology(topology())
-        .codec(CodecKind::Uniform8)
+        .codec(codec)
         .build()
         .expect("session")
 }
 
-fn cluster_door() -> Cluster {
+fn cluster_of(codec: CodecKind) -> Cluster {
     ClusterBuilder::new()
         .topology(topology())
-        .codec(CodecKind::Uniform8)
+        .codec(codec)
         .build()
         .expect("cluster")
+}
+
+fn session_door() -> Session {
+    session_of(CodecKind::Uniform8)
+}
+
+fn cluster_door() -> Cluster {
+    cluster_of(CodecKind::Uniform8)
 }
 
 /// Offers `updates` densely, each of which must be admitted.
@@ -689,4 +697,74 @@ fn a_departed_weight_is_given_back_to_a_session() {
 #[test]
 fn a_departed_weight_is_given_back_to_a_cluster() {
     a_departed_weight_is_given_back(cluster_door);
+}
+
+/// A station that encodes the same input round after round dithers it
+/// afresh every round, so its decodes average to the input: `R` rounds of
+/// the same eight `Uniform8` offers (encoded once, so every leaf folds the
+/// same bytes each round) through a backend whose two encoding stations —
+/// a session's level below its top, a cluster's node tops on the hop — feed
+/// the dense global top, against the same rounds under `Identity`, where
+/// nothing is re-quantized.
+///
+/// The bound: station `l` re-quantizes its output `x_l` at scale `s_l =
+/// max|x_l| / 127 ≤ M / 127`, `M` the largest decoded input (a weighted
+/// mean is no larger than its inputs), and a coordinate's decode has
+/// variance `s_l²·f(1 − f) ≤ s_l² / 4`. The global model is `Σ_l (w_l / W)
+/// · decode_l`, so with a fresh key every round the mean of `R` models has
+/// σ ≤ `M / 254 · √(Σ_l (w_l / W)² / R) ≤ M / (254·√R)`; each coordinate
+/// must lie within 5σ of the `Identity` model, plus `M · 2^-20` for the
+/// fold's own f32 roundings. A station that repeated its rounding words
+/// every round would average to one round's dither, which misses by up to
+/// `s_l` — far outside 5σ once `R` is in the hundreds.
+fn a_station_dithers_afresh_every_round<D: Door>(make: impl Fn(CodecKind) -> D, what: &str) {
+    const ROUNDS: u32 = 1024;
+    let mut codec = UpdateCodec::with_seed(CodecKind::Uniform8, 17);
+    let offers: Vec<(ClientId, EncodedUpdate, u64)> = updates(8, 64)
+        .into_iter()
+        .map(|u| {
+            (
+                u.client.expect("attributed"),
+                codec.encode(&u.model),
+                u.samples,
+            )
+        })
+        .collect();
+    let largest = (offers.iter())
+        .flat_map(|(_, encoded, _)| encoded.decode().as_slice().to_vec())
+        .fold(0.0f32, |max, v| max.max(v.abs()));
+    let round = |door: &mut D| -> Vec<f32> {
+        for (client, encoded, samples) in &offers {
+            let update = Update::encoded(*client, encoded.clone(), *samples);
+            assert!(door.offer(update).expect("offer").is_admitted());
+        }
+        door.round().1.into_iter().map(f32::from_bits).collect()
+    };
+    let exact = round(&mut make(CodecKind::Identity));
+    let mut quantized = make(CodecKind::Uniform8);
+    let mut sum = vec![0.0f64; exact.len()];
+    for _ in 0..ROUNDS {
+        for (acc, v) in sum.iter_mut().zip(round(&mut quantized)) {
+            *acc += f64::from(v);
+        }
+    }
+    let m = f64::from(largest);
+    let bound = 5.0 * m / (254.0 * f64::from(ROUNDS).sqrt()) + m * 2f64.powi(-20);
+    for (i, (total, exact)) in sum.iter().zip(&exact).enumerate() {
+        let miss = (total / f64::from(ROUNDS) - f64::from(*exact)).abs();
+        assert!(
+            miss <= bound,
+            "{what} element {i}: mean misses by {miss} > {bound}"
+        );
+    }
+}
+
+#[test]
+fn a_sessions_level_below_its_top_dithers_afresh_every_round() {
+    a_station_dithers_afresh_every_round(session_of, "session");
+}
+
+#[test]
+fn a_clusters_node_tops_dither_afresh_every_round() {
+    a_station_dithers_afresh_every_round(cluster_of, "cluster");
 }
