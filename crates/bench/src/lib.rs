@@ -8,5 +8,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the kernel baseline times the engine's passes on the wall clock"
+)]
 
 pub mod baseline;

@@ -12,7 +12,8 @@
 //! backlog buffer becomes the stored object and returns to the pool when the
 //! object is recycled.
 //!
-//! Everything here is deterministic (covered by `lifl-lint` R5): offers are
+//! Everything here is deterministic (no hash order or wall clock reaches it:
+//! clippy's `disallowed_types`/`disallowed_methods`): offers are
 //! sequence-numbered, utilities live in a [`BTreeMap`] (bounded by the queue
 //! budget, evicted in record order), and drain order is a
 //! total order over `(utility, seq)`, so the same offer trace always admits

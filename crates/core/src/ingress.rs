@@ -55,7 +55,8 @@
 //!
 //! A slot is a leaf aggregator for a session and a node for a cluster; the
 //! backends supply only what differs ([`Backend`]). The state is
-//! deterministic (covered by `lifl-lint` R5): the same offer trace always
+//! deterministic (clippy's `disallowed_types`/`disallowed_methods` keep hash
+//! order and wall clocks out): the same offer trace always
 //! lands the same updates on the same slots, whichever thread encoded them.
 
 use crate::admission::{AdmissionQueues, AdmissionStats};

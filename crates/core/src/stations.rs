@@ -96,14 +96,22 @@ impl Workers {
             return Workers { set };
         }
         let cpus = thread::available_parallelism().map_or(1, |n| n.get());
-        let workers = Self::with_count(cpus - 1);
+        let workers = Self::sized(cpus - 1);
         *shared = Arc::downgrade(&workers.set);
         workers
     }
 
     /// A private set of exactly `count` workers (0: the caller runs every
-    /// station), shared with nobody it is not handed to.
+    /// station), shared with nobody it is not handed to. Only tests choose
+    /// a worker count: engine code takes the shared set or the one it is
+    /// handed, so a driver's training and its backend's encodes share one
+    /// set of threads.
+    #[cfg(test)]
     pub(crate) fn with_count(count: usize) -> Self {
+        Self::sized(count)
+    }
+
+    fn sized(count: usize) -> Self {
         Workers {
             set: Arc::new(WorkerSet {
                 count,
@@ -325,6 +333,10 @@ struct WorkerSet {
 
 impl WorkerSet {
     /// The worker threads, spawned on first use.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the station executor is the one place the engine starts threads"
+    )]
     fn threads(&self) -> &[JoinHandle<()>] {
         self.threads.get_or_init(|| {
             (0..self.count)

@@ -17,6 +17,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "a BPF hash map is a hash map: the emulated maps are read by key, and nothing here folds"
+)]
 
 pub mod map;
 pub mod metrics_map;

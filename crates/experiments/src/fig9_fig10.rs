@@ -314,7 +314,7 @@ pub fn format(comparison: &WorkloadComparison) -> String {
         })
         .collect();
     let mut out = format!(
-        "Fig. 9: time/cost to {:.0}% accuracy (synthetic workload; see DESIGN.md)\n",
+        "Fig. 9: time/cost to {:.0}% accuracy (synthetic workload; see lifl-fl's crate docs)\n",
         comparison.target_accuracy
     );
     out.push_str(&format_table(

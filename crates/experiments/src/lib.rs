@@ -9,6 +9,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the orchestration-overhead experiment measures wall-clock time"
+)]
 
 pub mod ablation;
 pub mod fig11_async;

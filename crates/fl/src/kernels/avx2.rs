@@ -104,8 +104,11 @@ use std::mem::MaybeUninit;
 
 /// Builds the sign-magnitude nibble lookup table in a register: lane `i`
 /// holds `scalar::NIBBLE_F32[i]` as an `i8`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; only reachable from
-// kernels that the dispatcher gates behind `is_x86_feature_detected!`.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx2)`; only reachable from
+/// kernels that the dispatcher gates behind `is_x86_feature_detected!`.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn nibble_table() -> __m128i {
@@ -115,8 +118,11 @@ unsafe fn nibble_table() -> __m128i {
 /// Expands 8 packed nibble bytes into 16 sign-extended `i8` level values in
 /// element order (low nibble first), using an in-register shuffle instead of
 /// the scalar 16-entry table lookup.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; pure register
-// arithmetic with no memory access, gated by the dispatcher's CPUID check.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx2)`; pure register
+/// arithmetic with no memory access, gated by the dispatcher's CPUID check.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn unpack_nibbles(bytes: __m128i) -> __m128i {
@@ -127,13 +133,16 @@ unsafe fn unpack_nibbles(bytes: __m128i) -> __m128i {
     _mm_shuffle_epi8(nibble_table(), _mm_unpacklo_epi8(lo, hi))
 }
 
-/// Safety: caller must have verified AVX2 support at runtime; `srcs` and
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `srcs` and
 /// `weights` hold the same number of entries, and every source at least
 /// `4 * acc.len()` bytes.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
-// `super` calls this only after `is_x86_feature_detected!("avx2")`, with
-// `acc` cut so that every source covers `4 * acc.len()` bytes, which is what
-// `fold_sources` needs. A count past eight falls through to the scalar arm.
+///
+/// `unsafe` solely for `target_feature(avx2)`; the dispatcher in
+/// `super` calls this only after `is_x86_feature_detected!("avx2")`, with
+/// `acc` cut so that every source covers `4 * acc.len()` bytes, which is what
+/// `fold_sources` needs. A count past eight falls through to the scalar arm.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &[f32], pass: Pass) {
     match srcs.len() {
@@ -163,15 +172,18 @@ pub(super) unsafe fn fold_dense_le_n(acc: &mut [f32], srcs: &[&[u8]], weights: &
 /// `cmpunord` per two vectors, true where either is NaN — and a call that
 /// produced one rewrites its NaNs afterwards.
 ///
-/// Safety: caller must have verified AVX2 support at runtime; `srcs` and
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `srcs` and
 /// `weights` hold at least `N` entries, and every source at least
 /// `4 * acc.len()` bytes.
-// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw loads and
-// stores. `out` is taken from the exclusive borrow of `acc` and is not used
-// once `acc` is borrowed again; the 8-lane accumulator load/store at `i` and
-// each source's 32-byte load at byte `4 * i` stay in bounds because `fold8`
-// is only called with `i + 8 <= acc.len()`, and every source covers
-// `4 * acc.len()` bytes (the caller's contract).
+///
+/// `unsafe` solely for `target_feature(avx2)` and the raw loads and
+/// stores. `out` is taken from the exclusive borrow of `acc` and is not used
+/// once `acc` is borrowed again; the 8-lane accumulator load/store at `i` and
+/// each source's 32-byte load at byte `4 * i` stay in bounds because `fold8`
+/// is only called with `i + 8 <= acc.len()`, and every source covers
+/// `4 * acc.len()` bytes (the caller's contract).
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn fold_sources<const N: usize>(
@@ -231,13 +243,16 @@ unsafe fn fold_sources<const N: usize>(
     scalar::fold_dense_le_n(&mut acc[i..], &tails, &weights[..N], pass);
 }
 
-/// Safety: caller must have verified AVX2 support at runtime; `srcs` and
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `srcs` and
 /// `ks` hold the same number of entries, and every source at least
 /// `acc.len()` levels.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
-// `super` calls this only after `is_x86_feature_detected!("avx2")`, with
-// `acc` cut so that every source covers `acc.len()` levels, which is what
-// `fold_levels` needs. A count past eight falls through to the scalar arm.
+///
+/// `unsafe` solely for `target_feature(avx2)`; the dispatcher in
+/// `super` calls this only after `is_x86_feature_detected!("avx2")`, with
+/// `acc` cut so that every source covers `acc.len()` levels, which is what
+/// `fold_levels` needs. A count past eight falls through to the scalar arm.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn fold_u8_n(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32], pass: Pass) {
     match srcs.len() {
@@ -268,14 +283,17 @@ pub(super) unsafe fn fold_u8_n(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32], pass
 /// bring one. A fresh pass loads no accumulator lane, so from zeros
 /// every NaN is the one 0 · ∞ or ∞ − ∞ makes and every bit is pinned.
 ///
-/// Safety: caller must have verified AVX2 support at runtime; `srcs` and
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `srcs` and
 /// `ks` hold at least `N` entries, and every source at least `acc.len()`
 /// levels.
-// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw loads and
-// stores. The 8-lane accumulator load/store at `i` and each source's 8-byte
-// load at `i` stay in bounds because the loop runs only while
-// `i + 8 <= acc.len()`, and every source covers `acc.len()` levels (the
-// caller's contract).
+///
+/// `unsafe` solely for `target_feature(avx2)` and the raw loads and
+/// stores. The 8-lane accumulator load/store at `i` and each source's 8-byte
+/// load at `i` stay in bounds because the loop runs only while
+/// `i + 8 <= acc.len()`, and every source covers `acc.len()` levels (the
+/// caller's contract).
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn fold_levels<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32], pass: Pass) {
@@ -315,13 +333,16 @@ unsafe fn fold_levels<const N: usize>(acc: &mut [f32], srcs: &[&[u8]], ks: &[f32
     scalar::fold_u8_n(&mut acc[i..], &tails, &ks[..N], pass);
 }
 
-/// Safety: caller must have verified AVX2 support at runtime. `acc` element
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime. `acc` element
 /// `j` must correspond to nibble `j` of `nibbles` (even alignment; the
 /// dispatcher peels an odd start before calling).
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
-// AVX2 first, and the loop reads `nibbles[i/2..i/2+8]` / writes
-// `acc[i..i+16]` only while `i + 16 <= acc.len()`, which the documented
-// even-alignment contract keeps inside both slices.
+///
+/// `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
+/// AVX2 first, and the loop reads `nibbles[i/2..i/2+8]` / writes
+/// `acc[i..i+16]` only while `i + 16 <= acc.len()`, which the documented
+/// even-alignment contract keeps inside both slices.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn fold_u4_aligned(acc: &mut [f32], nibbles: &[u8], k: f32) {
     let n = acc.len();
@@ -347,15 +368,18 @@ pub(super) unsafe fn fold_u4_aligned(acc: &mut [f32], nibbles: &[u8], k: f32) {
     scalar::fold_u4_aligned(&mut acc[i..], &nibbles[i / 2..], k);
 }
 
-/// Safety: caller must have verified AVX2 support at runtime.
-///
 /// Either layout is read as `u32` words, eight to a load: a dense vector's
 /// words are all keys, a pair run's are index, key, index, key, …, so only
 /// its odd lanes are counted.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
-// `super` calls this only after `is_x86_feature_detected!("avx2")`, and the
-// 32-byte loads at word `i` stay in bounds while `i + 8 <= words`, `words`
-// being the whole `u32` words the slice holds.
+///
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime.
+///
+/// `unsafe` solely for `target_feature(avx2)`; the dispatcher in
+/// `super` calls this only after `is_x86_feature_detected!("avx2")`, and the
+/// 32-byte loads at word `i` stay in bounds while `i + 8 <= words`, `words`
+/// being the whole `u32` words the slice holds.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn magnitude_histogram(
     keys: Keys<'_>,
@@ -434,10 +458,13 @@ static COMPRESS_LANES: [[u32; 8]; 256] = {
 /// the front in lane order and interleaved with their indices. Returns the
 /// bytes of it that are pairs.
 ///
-/// Safety: caller must have verified AVX2 support at runtime, and `out`
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime, and `out`
 /// must be valid for a 64-byte write.
-// SAFETY: `unsafe` for `target_feature(avx2)` and the raw stores, which
-// cover exactly the 64 bytes the caller vouches for.
+///
+/// `unsafe` for `target_feature(avx2)` and the raw stores, which
+/// cover exactly the 64 bytes the caller vouches for.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn store_pairs(out: *mut u8, indices: __m256i, x: __m256i, keep: u32) -> usize {
@@ -454,8 +481,6 @@ unsafe fn store_pairs(out: *mut u8, indices: __m256i, x: __m256i, keep: u32) -> 
     8 * keep.count_ones() as usize
 }
 
-/// Safety: caller must have verified AVX2 support at runtime.
-///
 /// Branch-free per block: the kept lanes of 8 elements are moved to the
 /// front, interleaved with their indices into wire pairs, and stored as one
 /// whole 64-byte block; only `8 * kept lanes` of it become part of `body`.
@@ -463,13 +488,18 @@ unsafe fn store_pairs(out: *mut u8, indices: __m256i, x: __m256i, keep: u32) -> 
 /// 64 spare bytes of capacity ([`super::TOPK_BODY_SLACK`]); past `limit`
 /// the sweep reports the overflow, and short of capacity the rest of it
 /// takes the scalar arm, which never grows `body` past `limit` either.
-// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw block
-// stores; the dispatcher in `super` calls this only after
-// `is_x86_feature_detected!("avx2")`. The 8-lane loads at `i` stay in bounds
-// while `i + 8 <= n`; each 64-byte store at `len` is preceded by the loop's
-// `len + 64 <= body.capacity()` check; and `set_len(len)` only ever covers
-// bytes those stores initialised, because `len` advances by at most 64 per
-// store, and the bytes before `body.len()` were initialised by the caller.
+///
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime.
+///
+/// `unsafe` solely for `target_feature(avx2)` and the raw block
+/// stores; the dispatcher in `super` calls this only after
+/// `is_x86_feature_detected!("avx2")`. The 8-lane loads at `i` stay in bounds
+/// while `i + 8 <= n`; each 64-byte store at `len` is preceded by the loop's
+/// `len + 64 <= body.capacity()` check; and `set_len(len)` only ever covers
+/// bytes those stores initialised, because `len` advances by at most 64 per
+/// store, and the bytes before `body.len()` were initialised by the caller.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn compact_topk(
     params: &[f32],
@@ -521,21 +551,24 @@ pub(super) unsafe fn compact_topk(
     )
 }
 
-/// Safety: caller must have verified AVX2 support at runtime; `src` must be
-/// at least as long as `acc`.
-///
 /// Per block of 8: one load of each operand, `acc + 1.0 * src` (the
 /// multiply and the add separate, NaN lanes blended to the canonical NaN),
 /// one store, then [`compact_topk`]'s block compaction of the sums against
 /// `threshold - 1`, which keeps every key at or above `threshold`. Once
 /// `body` would pass `limit`, the rest of the add is [`fold_sources`].
-// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw block
-// stores; the dispatcher in `super` calls this only after
-// `is_x86_feature_detected!("avx2")` with `src` at least as long as `acc`.
-// The 8-lane loads and the store at `i` stay in bounds while `i + 8 <= n`;
-// each 64-byte store at `len` is preceded by the loop's
-// `len + 64 <= body.capacity()` check; and `set_len(len)` only ever covers
-// bytes those stores initialised, as in [`compact_topk`].
+///
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `src` must be
+/// at least as long as `acc`.
+///
+/// `unsafe` solely for `target_feature(avx2)` and the raw block
+/// stores; the dispatcher in `super` calls this only after
+/// `is_x86_feature_detected!("avx2")` with `src` at least as long as `acc`.
+/// The 8-lane loads and the store at `i` stay in bounds while `i + 8 <= n`;
+/// each 64-byte store at `len` is preceded by the loop's
+/// `len + 64 <= body.capacity()` check; and `set_len(len)` only ever covers
+/// bytes those stores initialised, as in [`compact_topk`].
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn add_compact_topk(
     acc: &mut [f32],
@@ -593,16 +626,19 @@ pub(super) unsafe fn add_compact_topk(
     )
 }
 
-/// Safety: caller must have verified AVX2 support at runtime.
-///
 /// Four pairs per 32-byte load: the kept pairs (an index lane with its
 /// value lane) moved to the front and stored as one whole 32-byte block at
 /// the write position. That position never passes the read position, so a
 /// block only overwrites pairs already read.
-// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw accesses;
-// the dispatcher in `super` calls this only after
-// `is_x86_feature_detected!("avx2")`. The load at `at` and the store at
-// `out <= at` both stay inside the first `n` bytes while `at + 32 <= n`.
+///
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime.
+///
+/// `unsafe` solely for `target_feature(avx2)` and the raw accesses;
+/// the dispatcher in `super` calls this only after
+/// `is_x86_feature_detected!("avx2")`. The load at `at` and the store at
+/// `out <= at` both stay inside the first `n` bytes while `at + 32 <= n`.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn compact_pairs(run: &mut [u8], threshold: u32, ties: usize) -> usize {
     let n = run.len() / 8 * 8;
@@ -639,10 +675,13 @@ pub(super) unsafe fn compact_pairs(run: &mut [u8], threshold: u32, ties: usize) 
     out + tail
 }
 
-/// Safety: caller must have verified AVX2 support at runtime.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
-// `super` calls this only after `is_x86_feature_detected!("avx2")`, and all
-// loads/stores stay inside the slice bounds checked by the loop condition.
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime.
+///
+/// `unsafe` solely for `target_feature(avx2)`; the dispatcher in
+/// `super` calls this only after `is_x86_feature_detected!("avx2")`, and all
+/// loads/stores stay inside the slice bounds checked by the loop condition.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn max_abs_finite(params: &[f32]) -> f32 {
     let n = params.len();
@@ -665,12 +704,15 @@ pub(super) unsafe fn max_abs_finite(params: &[f32]) -> f32 {
     best.max(scalar::max_abs_finite(&params[i..]))
 }
 
-/// Safety: caller must have verified AVX2 support at runtime; `src` must be
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `src` must be
 /// at least as long as `acc`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
-// `super` calls this only after `is_x86_feature_detected!("avx2")` with both
-// slices cut to one length, so the loads/stores at `i..i+8` stay in bounds
-// while `i + 8 <= n`.
+///
+/// `unsafe` solely for `target_feature(avx2)`; the dispatcher in
+/// `super` calls this only after `is_x86_feature_detected!("avx2")` with both
+/// slices cut to one length, so the loads/stores at `i..i+8` stay in bounds
+/// while `i + 8 <= n`.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn add_max(acc: &mut [f32], src: &[f32]) -> f32 {
     let n = acc.len();
@@ -701,8 +743,11 @@ pub(super) unsafe fn add_max(acc: &mut [f32], src: &[f32]) -> f32 {
 
 /// `a * b mod 2^64` in each `u64` lane, for a constant `b` whose high halves
 /// the caller passes pre-shifted as `b_hi`. Exact: see "Counter-mode draws".
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; pure register
-// arithmetic with no memory access, gated by the dispatcher's CPUID check.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx2)`; pure register
+/// arithmetic with no memory access, gated by the dispatcher's CPUID check.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn mul64(a: __m256i, b: __m256i, b_hi: __m256i) -> __m256i {
@@ -715,8 +760,11 @@ unsafe fn mul64(a: __m256i, b: __m256i, b_hi: __m256i) -> __m256i {
 
 /// The counters of the next four draws of `rng`: `state + {1, 2, 3, 4} *
 /// gamma`, one per `u64` lane, in draw order.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; pure register
-// arithmetic with no memory access, gated by the dispatcher's CPUID check.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx2)`; pure register
+/// arithmetic with no memory access, gated by the dispatcher's CPUID check.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn first_counters(rng: &StochasticRng) -> __m256i {
@@ -736,8 +784,11 @@ unsafe fn first_counters(rng: &StochasticRng) -> __m256i {
 /// draws mixed in registers, `u32` lane `j` being the `j`-th word
 /// [`StochasticRng::fill`] would store — and `counters` stepped four draws
 /// on.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; pure register
-// arithmetic with no memory access, gated by the dispatcher's CPUID check.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx2)`; pure register
+/// arithmetic with no memory access, gated by the dispatcher's CPUID check.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn draw8(counters: &mut __m256i) -> __m256i {
@@ -760,9 +811,12 @@ unsafe fn draw8(counters: &mut __m256i) -> __m256i {
 /// can compare the two streams word for word: whole groups of eight words
 /// from [`draw8`], the remainder — with the generator — from `fill` itself,
 /// exactly as the encoders split their elements.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the test calls this
-// only after `is_x86_feature_detected!("avx2")`, and the 8-word stores at
-// `i` stay in bounds while `i + 8 <= words.len()`.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx2)`; the test calls this
+/// only after `is_x86_feature_detected!("avx2")`, and the 8-word stores at
+/// `i` stay in bounds while `i + 8 <= words.len()`.
 #[cfg(test)]
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn fill_in_registers(rng: &mut StochasticRng, words: &mut [u32]) {
@@ -783,8 +837,11 @@ pub(super) unsafe fn fill_in_registers(rng: &mut StochasticRng, words: &mut [u32
 /// sequence (multiply, floor, subtract, compare against the 24-bit random
 /// fraction, add, min/max clamp, convert), with non-finite lanes zeroed by an
 /// integer mask instead of a branch.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; pure register
-// arithmetic with no memory access, gated by the dispatcher's CPUID check.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx2)`; pure register
+/// arithmetic with no memory access, gated by the dispatcher's CPUID check.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn quantize8(v: __m256, inv: __m256, hi: __m256, lo: __m256, w: __m256i) -> __m256i {
@@ -814,15 +871,18 @@ unsafe fn quantize8(v: __m256, inv: __m256, hi: __m256, lo: __m256, w: __m256i) 
 /// the quantizer dropped of it, `v + f32(level) * k` — [`fold_u8_n`]'s
 /// expression over the level just stored.
 ///
-/// Safety: caller must have verified AVX2 support at runtime; `values` must
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `values` must
 /// be valid for reads of `n` elements — and for writes, when `FEEDBACK` — and
 /// `out` at least `n` bytes long.
-// SAFETY: `unsafe` for `target_feature(avx2)` and the raw element pointer,
-// which lets the plain and feedback encoders share this body: the two
-// wrappers below derive it from a slice of `n` elements (a `&mut` one when
-// `FEEDBACK`; nothing is written through it otherwise), and the loads, the
-// stores and the 8-byte level stores at `i` stay inside `n` while
-// `i + 8 <= n`.
+///
+/// `unsafe` for `target_feature(avx2)` and the raw element pointer,
+/// which lets the plain and feedback encoders share this body: the two
+/// wrappers below derive it from a slice of `n` elements (a `&mut` one when
+/// `FEEDBACK`; nothing is written through it otherwise), and the loads, the
+/// stores and the 8-byte level stores at `i` stay inside `n` while
+/// `i + 8 <= n`.
 #[target_feature(enable = "avx2")]
 unsafe fn quantize_u8<const FEEDBACK: bool>(
     values: *mut f32,
@@ -861,11 +921,14 @@ unsafe fn quantize_u8<const FEEDBACK: bool>(
     i
 }
 
-/// Safety: caller must have verified AVX2 support at runtime; `out` must be
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `out` must be
 /// at least as long as `params`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
-// AVX2 first and sizes `out` to `params.len()`; `quantize_u8::<false>` only
-// reads through the pointer, which covers `params`.
+///
+/// `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
+/// AVX2 first and sizes `out` to `params.len()`; `quantize_u8::<false>` only
+/// reads through the pointer, which covers `params`.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn encode_u8(
     params: &[f32],
@@ -879,11 +942,14 @@ pub(super) unsafe fn encode_u8(
     scalar::encode_u8(&params[i..], inv, levels, rng, &mut out[i..]);
 }
 
-/// Safety: caller must have verified AVX2 support at runtime; `out` must be
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `out` must be
 /// at least as long as `residual`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
-// AVX2 first and sizes `out` to `residual.len()`; the pointer comes from the
-// exclusive borrow of `residual`, so `quantize_u8::<true>` may write it.
+///
+/// `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
+/// AVX2 first and sizes `out` to `residual.len()`; the pointer comes from the
+/// exclusive borrow of `residual`, so `quantize_u8::<true>` may write it.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn feedback_append_u8(
     residual: &mut [f32],
@@ -900,8 +966,11 @@ pub(super) unsafe fn feedback_append_u8(
 
 /// Maps 8 signed levels in `[-7, 7]` to sign-magnitude nibbles:
 /// `|level| | (sign << 3)`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; pure register
-// arithmetic with no memory access, gated by the dispatcher's CPUID check.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx2)`; pure register
+/// arithmetic with no memory access, gated by the dispatcher's CPUID check.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn nibble8(levels: __m256i) -> __m256i {
@@ -916,14 +985,17 @@ unsafe fn nibble8(levels: __m256i) -> __m256i {
 /// `v + f32(level) * k` — [`fold_u4_aligned`]'s expression, the nibble of an
 /// integral level decoding back to exactly that level.
 ///
-/// Safety: caller must have verified AVX2 support at runtime; `values` must
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `values` must
 /// be valid for reads of `n` elements — and for writes, when `FEEDBACK` — and
 /// `out` at least `n.div_ceil(2)` bytes long.
-// SAFETY: `unsafe` for `target_feature(avx2)` and the raw element pointer
-// shared by the plain and feedback encoders: the two wrappers below derive
-// it from a slice of `n` elements (a `&mut` one when `FEEDBACK`; nothing is
-// written through it otherwise), and the reads and writes at `i..i+16` and
-// the 8-byte store at `i/2` stay in bounds while `i + 16 <= n`.
+///
+/// `unsafe` for `target_feature(avx2)` and the raw element pointer
+/// shared by the plain and feedback encoders: the two wrappers below derive
+/// it from a slice of `n` elements (a `&mut` one when `FEEDBACK`; nothing is
+/// written through it otherwise), and the reads and writes at `i..i+16` and
+/// the 8-byte store at `i/2` stay in bounds while `i + 16 <= n`.
 #[target_feature(enable = "avx2")]
 unsafe fn quantize_u4<const FEEDBACK: bool>(
     values: *mut f32,
@@ -975,12 +1047,15 @@ unsafe fn quantize_u4<const FEEDBACK: bool>(
     i
 }
 
-/// Safety: caller must have verified AVX2 support at runtime; `out` must be
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `out` must be
 /// at least `params.len()/2` rounded up.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
-// AVX2 first and sizes `out` to the packed nibble count;
-// `quantize_u4::<false>` only reads through the pointer, which covers
-// `params`.
+///
+/// `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
+/// AVX2 first and sizes `out` to the packed nibble count;
+/// `quantize_u4::<false>` only reads through the pointer, which covers
+/// `params`.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn encode_u4(
     params: &[f32],
@@ -994,12 +1069,15 @@ pub(super) unsafe fn encode_u4(
     scalar::encode_u4(&params[i..], inv, levels, rng, &mut out[i / 2..]);
 }
 
-/// Safety: caller must have verified AVX2 support at runtime; `out` must be
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `out` must be
 /// at least `residual.len()/2` rounded up.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
-// AVX2 first and sizes `out` to the packed nibble count; the pointer comes
-// from the exclusive borrow of `residual`, so `quantize_u4::<true>` may
-// write it.
+///
+/// `unsafe` solely for `target_feature(avx2)`; the dispatcher checks
+/// AVX2 first and sizes `out` to the packed nibble count; the pointer comes
+/// from the exclusive borrow of `residual`, so `quantize_u4::<true>` may
+/// write it.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn feedback_append_u4(
     residual: &mut [f32],
@@ -1014,12 +1092,15 @@ pub(super) unsafe fn feedback_append_u4(
     scalar::feedback_append_u4(&mut residual[i..], inv, k, levels, rng, &mut out[i / 2..]);
 }
 
-/// Safety: caller must have verified AVX2 support at runtime; `wt` holds
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `wt` holds
 /// `x.len()` rows of `out.len()`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
-// `super` calls this only after `is_x86_feature_detected!("avx2")`, with
-// `wt` cut to `x.len() * out.len()` elements, which is what `logits_from`
-// needs.
+///
+/// `unsafe` solely for `target_feature(avx2)`; the dispatcher in
+/// `super` calls this only after `is_x86_feature_detected!("avx2")`, with
+/// `wt` cut to `x.len() * out.len()` elements, which is what `logits_from`
+/// needs.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn logits(wt: &[f32], x: &[f32], out: &mut [f32]) {
     logits_from(wt, x, out, 0);
@@ -1029,11 +1110,14 @@ pub(super) unsafe fn logits(wt: &[f32], x: &[f32], out: &mut [f32]) {
 /// ([`logit_tile`]), then the sub-vector tail on the scalar arm. The
 /// AVX-512 arm hands it the lanes its 16-lane tiles leave.
 ///
-/// Safety: caller must have verified AVX2 support at runtime; `wt` holds
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `wt` holds
 /// `x.len()` rows of `out.len()`, and `c <= out.len()`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; every tile starts at
-// or after `c` and ends at or before `out.len()`, which with `wt`'s rows of
-// `out.len()` is what `logit_tile` needs.
+///
+/// `unsafe` solely for `target_feature(avx2)`; every tile starts at
+/// or after `c` and ends at or before `out.len()`, which with `wt`'s rows of
+/// `out.len()` is what `logit_tile` needs.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn logits_from(wt: &[f32], x: &[f32], out: &mut [f32], mut c: usize) {
     let kp = out.len();
@@ -1061,13 +1145,16 @@ pub(super) unsafe fn logits_from(wt: &[f32], x: &[f32], out: &mut [f32], mut c: 
 /// them) to every lane, so each lane's chain of adds runs in feature order,
 /// and one store per accumulator at the end.
 ///
-/// Safety: caller must have verified AVX2 support at runtime; `wt` holds
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `wt` holds
 /// `x.len()` rows of `out.len()`, and `c + 8 * V <= out.len()`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw loads and
-// stores. Row `j`'s load at `j * kp + c + 8 * v` ends at or before
-// `j * kp + c + 8 * V <= (j + 1) * kp <= wt.len()`, and the stores at
-// `c + 8 * v` end at or before `c + 8 * V <= out.len()` (the caller's
-// contract).
+///
+/// `unsafe` solely for `target_feature(avx2)` and the raw loads and
+/// stores. Row `j`'s load at `j * kp + c + 8 * v` ends at or before
+/// `j * kp + c + 8 * V <= (j + 1) * kp <= wt.len()`, and the stores at
+/// `c + 8 * v` end at or before `c + 8 * V <= out.len()` (the caller's
+/// contract).
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn logit_tile<const V: usize>(wt: &[f32], x: &[f32], out: &mut [f32], c: usize) {
@@ -1086,13 +1173,16 @@ unsafe fn logit_tile<const V: usize>(wt: &[f32], x: &[f32], out: &mut [f32], c: 
     }
 }
 
-/// Safety: caller must have verified AVX2 support at runtime; `bias` is not
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `bias` is not
 /// empty, `weights.len()` is a multiple of `bias.len()`, and `err` holds
 /// `xs.len()` rows of `stride >= bias.len()`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; the dispatcher in
-// `super` calls this only after `is_x86_feature_detected!("avx2")`. A batch
-// with a sample shorter than the `f` features goes to the scalar arm, so
-// every sample covers `f`, which is what `gradient_from` needs.
+///
+/// `unsafe` solely for `target_feature(avx2)`; the dispatcher in
+/// `super` calls this only after `is_x86_feature_detected!("avx2")`. A batch
+/// with a sample shorter than the `f` features goes to the scalar arm, so
+/// every sample covers `f`, which is what `gradient_from` needs.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn outer_accumulate(
     weights: &mut [f32],
@@ -1115,12 +1205,15 @@ pub(super) unsafe fn outer_accumulate(
 /// stays in L1 across the classes; then the sub-vector tail on the scalar
 /// arm. The AVX-512 arm hands it the features its 64-feature tiles leave.
 ///
-/// Safety: caller must have verified AVX2 support at runtime; `weights`
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `weights`
 /// holds `classes` rows of `f`, every sample covers `f`, `err` holds
 /// `xs.len()` rows of `stride >= classes`, and `j <= f`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; every tile starts at
-// or after `j` and ends at or before `f`, which is what `gradient_tile`
-// needs.
+///
+/// `unsafe` solely for `target_feature(avx2)`; every tile starts at
+/// or after `j` and ends at or before `f`, which is what `gradient_tile`
+/// needs.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn gradient_from(
     weights: &mut [f32],
@@ -1159,14 +1252,17 @@ pub(super) unsafe fn gradient_from(
 /// scalar arm does them) to every lane, so each element's chain of adds
 /// runs in sample order, and one store per accumulator at the end.
 ///
-/// Safety: caller must have verified AVX2 support at runtime; `weights`
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `weights`
 /// holds rows of `f`, every sample covers `f`, `j + 8 * V <= f`, and `err`
 /// holds `xs.len()` rows of `stride > c`.
-// SAFETY: `unsafe` solely for `target_feature(avx2)` and the raw loads and
-// stores. Each sample's loads at `j + 8 * v` end at or before
-// `j + 8 * V <= f <= x.len()`, and the stores at `c * f + j + 8 * v` end at
-// or before `(c + 1) * f <= weights.len()` (the caller's contract); `err`
-// is read through bounds-checked indexing.
+///
+/// `unsafe` solely for `target_feature(avx2)` and the raw loads and
+/// stores. Each sample's loads at `j + 8 * v` end at or before
+/// `j + 8 * V <= f <= x.len()`, and the stores at `c * f + j + 8 * v` end at
+/// or before `(c + 1) * f <= weights.len()` (the caller's contract); `err`
+/// is read through bounds-checked indexing.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn gradient_tile<const V: usize>(
@@ -1192,12 +1288,15 @@ unsafe fn gradient_tile<const V: usize>(
     }
 }
 
-/// Safety: caller must have verified AVX2 and FMA support at runtime;
+/// # Safety
+///
+/// Caller must have verified AVX2 and FMA support at runtime;
 /// `rows.len()` is a multiple of `stride >= classes`.
-// SAFETY: `unsafe` solely for `target_feature(avx2, fma)`; the dispatcher
-// in `super` calls this only after `is_x86_feature_detected!` reported
-// both. Each row handed to `exp_below_max` and `divide_row` is cut to its
-// first `classes` lanes, which is what they need.
+///
+/// `unsafe` solely for `target_feature(avx2, fma)`; the dispatcher
+/// in `super` calls this only after `is_x86_feature_detected!` reported
+/// both. Each row handed to `exp_below_max` and `divide_row` is cut to its
+/// first `classes` lanes, which is what they need.
 #[target_feature(enable = "avx2,fma")]
 pub(super) unsafe fn softmax_rows(rows: &mut [f32], classes: usize, stride: usize) {
     let mut sums = [-0.0f32; 8];
@@ -1214,8 +1313,11 @@ pub(super) unsafe fn softmax_rows(rows: &mut [f32], classes: usize, stride: usiz
 
 /// The lanes of `0..8` below `tail` as an all-ones mask, the rest zero: the
 /// partial vector at a row's end.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; pure register
-// arithmetic with no memory access, gated by the dispatcher's CPUID check.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx2)`; pure register
+/// arithmetic with no memory access, gated by the dispatcher's CPUID check.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn lanes_below(tail: usize) -> __m256i {
@@ -1231,9 +1333,12 @@ unsafe fn lanes_below(tail: usize) -> __m256i {
 /// sign of a zero max cannot show, as `l − ±0` is `l` or a zero and
 /// `expf(±0)` is 1), then [`exp8`] of each vector, the partial vector at
 /// the end through masked loads and stores.
-// SAFETY: `unsafe` for `target_feature(avx2, fma)` and the raw accesses.
-// The vectors at `c + 8 <= row.len()` are in bounds, and the masked load
-// and store of the tail touch only the lanes below `row.len() - full`.
+///
+/// # Safety
+///
+/// `unsafe` for `target_feature(avx2, fma)` and the raw accesses.
+/// The vectors at `c + 8 <= row.len()` are in bounds, and the masked load
+/// and store of the tail touch only the lanes below `row.len() - full`.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn exp_below_max(row: &mut [f32]) {
@@ -1263,8 +1368,11 @@ unsafe fn exp_below_max(row: &mut [f32]) {
 }
 
 /// `row[c] /= sum` for every lane, one exactly rounded divide each.
-// SAFETY: `unsafe` for `target_feature(avx2)` and the raw accesses, which
-// stay inside `row` as in `exp_below_max`.
+///
+/// # Safety
+///
+/// `unsafe` for `target_feature(avx2)` and the raw accesses, which
+/// stay inside `row` as in `exp_below_max`.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn divide_row(row: &mut [f32], sum: f32) {
@@ -1282,8 +1390,11 @@ unsafe fn divide_row(row: &mut [f32], sum: f32) {
 /// [`super::expf`] of eight lanes: [`exp4`] of each half, then every lane
 /// whose `|x|` is at least 88 or NaN recomputed by
 /// [`super::expf_special`], as the scalar arm branches.
-// SAFETY: `unsafe` solely for `target_feature(avx2, fma)`; register
-// arithmetic and two stack arrays, gated by the dispatcher's CPUID check.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx2, fma)`; register
+/// arithmetic and two stack arrays, gated by the dispatcher's CPUID check.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn exp8(x: __m256) -> __m256 {
@@ -1316,8 +1427,11 @@ unsafe fn exp8(x: __m256) -> __m256 {
 /// `as f32` does). Only right for `|x| < 88`, and the large inputs
 /// `expf_special` hands back; other lanes give garbage that `exp8`
 /// replaces.
-// SAFETY: `unsafe` for `target_feature(avx2, fma)` and the gather, whose
-// indices are masked into `0..32`, inside `EXP_TABLE`.
+///
+/// # Safety
+///
+/// `unsafe` for `target_feature(avx2, fma)` and the gather, whose
+/// indices are masked into `0..32`, inside `EXP_TABLE`.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn exp4(x: __m128) -> __m128 {
@@ -1337,15 +1451,18 @@ unsafe fn exp4(x: __m128) -> __m128 {
     _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
 }
 
-/// Safety: caller must have verified AVX2 support at runtime; `features` is
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime; `features` is
 /// not zero, `w` holds `k` rows of `features` and `wt` `features` rows of
 /// `kp >= k.next_multiple_of(8)` lanes, lanes `k..kp` zero.
-// SAFETY: `unsafe` for `target_feature(avx2)` and the raw accesses. Block
-// `(c, j)` loads rows `c..c + rows` (`c + rows <= k`) at features `j..j + 8`
-// (`j + 8 <= f`), inside `w`, and stores features `j..j + 8`' lanes
-// `c..c + 8`, inside `wt` as `c + 8 <= k.next_multiple_of(8) <= kp`; the
-// missing rows of a partial block are zeros, which lanes past `k` already
-// hold. The features past the last whole block are copied by indexing.
+///
+/// `unsafe` for `target_feature(avx2)` and the raw accesses. Block
+/// `(c, j)` loads rows `c..c + rows` (`c + rows <= k`) at features `j..j + 8`
+/// (`j + 8 <= f`), inside `w`, and stores features `j..j + 8`' lanes
+/// `c..c + 8`, inside `wt` as `c + 8 <= k.next_multiple_of(8) <= kp`; the
+/// missing rows of a partial block are zeros, which lanes past `k` already
+/// hold. The features past the last whole block are copied by indexing.
 #[target_feature(enable = "avx2")]
 pub(super) unsafe fn class_lanes(w: &[f32], features: usize, wt: &mut [f32]) {
     let f = features;
@@ -1372,8 +1489,11 @@ pub(super) unsafe fn class_lanes(w: &[f32], features: usize, wt: &mut [f32]) {
 
 /// The 8 × 8 transpose of `rows`: lane `i` of output `j` is lane `j` of
 /// input `i`. Shuffles only, so every bit pattern moves unchanged.
-// SAFETY: `unsafe` solely for `target_feature(avx2)`; pure register
-// arithmetic with no memory access, gated by the dispatcher's CPUID check.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx2)`; pure register
+/// arithmetic with no memory access, gated by the dispatcher's CPUID check.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn transpose8(rows: [__m256; 8]) -> [__m256; 8] {
@@ -1408,9 +1528,12 @@ unsafe fn transpose8(rows: [__m256; 8]) -> [__m256; 8] {
 /// [`exp8`] over `xs` in place, eight lanes at a time (a partial vector at
 /// the end is left as it is): the vector exponential, for the exhaustive
 /// `expf` test.
-// SAFETY: `unsafe` for `target_feature(avx2, fma)` and the raw accesses,
-// each of eight lanes of one whole chunk; the test calls it only on a host
-// whose `arms()` list this arm.
+///
+/// # Safety
+///
+/// `unsafe` for `target_feature(avx2, fma)` and the raw accesses,
+/// each of eight lanes of one whole chunk; the test calls it only on a host
+/// whose `arms()` list this arm.
 #[cfg(test)]
 #[target_feature(enable = "avx2,fma")]
 pub(super) unsafe fn expf_lanes(xs: &mut [f32]) {

@@ -81,9 +81,12 @@ use std::mem::MaybeUninit;
 
 /// The counters of the next eight draws of `rng`: `state + {1, …, 8} *
 /// gamma`, one per `u64` lane, in draw order.
-// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)`; pure
-// register arithmetic with no memory access, gated by the dispatcher's
-// CPUID check.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx512f, avx512dq)`; pure
+/// register arithmetic with no memory access, gated by the dispatcher's
+/// CPUID check.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq")]
 unsafe fn first_counters(rng: &StochasticRng) -> __m512i {
@@ -98,9 +101,12 @@ unsafe fn first_counters(rng: &StochasticRng) -> __m512i {
 /// splitmix64 draws mixed in registers, `u32` lane `j` being the `j`-th word
 /// [`StochasticRng::fill`] would store — and `counters` stepped eight draws
 /// on.
-// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)`; pure
-// register arithmetic with no memory access, gated by the dispatcher's
-// CPUID check.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx512f, avx512dq)`; pure
+/// register arithmetic with no memory access, gated by the dispatcher's
+/// CPUID check.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq")]
 unsafe fn draw16(counters: &mut __m512i) -> __m512i {
@@ -121,9 +127,12 @@ unsafe fn draw16(counters: &mut __m512i) -> __m512i {
 /// can compare the two streams word for word: whole groups of sixteen words
 /// from [`draw16`], the remainder — with the generator — from `fill` itself,
 /// exactly as the encoders split their elements.
-// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)`; the test
-// calls this only on a host whose CPUID reports both, and the 16-word
-// stores at `i` stay in bounds while `i + 16 <= words.len()`.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx512f, avx512dq)`; the test
+/// calls this only on a host whose CPUID reports both, and the 16-word
+/// stores at `i` stay in bounds while `i + 16 <= words.len()`.
 #[cfg(test)]
 #[target_feature(enable = "avx512f,avx512dq")]
 pub(super) unsafe fn fill_in_registers(rng: &mut StochasticRng, words: &mut [u32]) {
@@ -139,9 +148,12 @@ pub(super) unsafe fn fill_in_registers(rng: &mut StochasticRng, words: &mut [u32
 
 /// Vector counterpart of [`scalar::quantize_one`] for 16 lanes: the level of
 /// each lane of `v` as an `i32`, non-finite lanes 0.
-// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)`; pure
-// register arithmetic with no memory access, gated by the dispatcher's
-// CPUID check.
+///
+/// # Safety
+///
+/// `unsafe` solely for `target_feature(avx512f, avx512dq)`; pure
+/// register arithmetic with no memory access, gated by the dispatcher's
+/// CPUID check.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq")]
 unsafe fn quantize16(v: __m512, inv: __m512, hi: __m512, lo: __m512, w: __m512i) -> __m512i {
@@ -173,15 +185,18 @@ unsafe fn quantize16(v: __m512, inv: __m512, hi: __m512, lo: __m512, w: __m512i)
 /// of it, `v + f32(level) * k` — `fold_u8_n`'s expression over the level just
 /// stored.
 ///
-/// Safety: caller must have verified AVX-512F and AVX-512DQ support at
+/// # Safety
+///
+/// Caller must have verified AVX-512F and AVX-512DQ support at
 /// runtime; `values` must be valid for reads of `n` elements — and for
 /// writes, when `FEEDBACK` — and `out` at least `n` bytes long.
-// SAFETY: `unsafe` for `target_feature(avx512f, avx512dq)` and the raw
-// element pointer, which lets the plain and feedback encoders share this
-// body: the two wrappers below derive it from a slice of `n` elements (a
-// `&mut` one when `FEEDBACK`; nothing is written through it otherwise), and
-// the 16-lane loads and stores and the 16-byte level stores at `i` stay
-// inside `n` while `i + 16 <= n`.
+///
+/// `unsafe` for `target_feature(avx512f, avx512dq)` and the raw
+/// element pointer, which lets the plain and feedback encoders share this
+/// body: the two wrappers below derive it from a slice of `n` elements (a
+/// `&mut` one when `FEEDBACK`; nothing is written through it otherwise), and
+/// the 16-lane loads and stores and the 16-byte level stores at `i` stay
+/// inside `n` while `i + 16 <= n`.
 #[target_feature(enable = "avx512f,avx512dq")]
 unsafe fn quantize_u8<const FEEDBACK: bool>(
     values: *mut f32,
@@ -215,12 +230,15 @@ unsafe fn quantize_u8<const FEEDBACK: bool>(
     i
 }
 
-/// Safety: caller must have verified AVX-512F and AVX-512DQ support at
+/// # Safety
+///
+/// Caller must have verified AVX-512F and AVX-512DQ support at
 /// runtime; `out` must be at least as long as `params`.
-// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)`; the
-// dispatcher checks both first and sizes `out` to `params.len()`;
-// `quantize_u8::<false>` only reads through the pointer, which covers
-// `params`.
+///
+/// `unsafe` solely for `target_feature(avx512f, avx512dq)`; the
+/// dispatcher checks both first and sizes `out` to `params.len()`;
+/// `quantize_u8::<false>` only reads through the pointer, which covers
+/// `params`.
 #[target_feature(enable = "avx512f,avx512dq")]
 pub(super) unsafe fn encode_u8(
     params: &[f32],
@@ -234,12 +252,15 @@ pub(super) unsafe fn encode_u8(
     scalar::encode_u8(&params[i..], inv, levels, rng, &mut out[i..]);
 }
 
-/// Safety: caller must have verified AVX-512F and AVX-512DQ support at
+/// # Safety
+///
+/// Caller must have verified AVX-512F and AVX-512DQ support at
 /// runtime; `out` must be at least as long as `residual`.
-// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)`; the
-// dispatcher checks both first and sizes `out` to `residual.len()`; the
-// pointer comes from the exclusive borrow of `residual`, so
-// `quantize_u8::<true>` may write it.
+///
+/// `unsafe` solely for `target_feature(avx512f, avx512dq)`; the
+/// dispatcher checks both first and sizes `out` to `residual.len()`; the
+/// pointer comes from the exclusive borrow of `residual`, so
+/// `quantize_u8::<true>` may write it.
 #[target_feature(enable = "avx512f,avx512dq")]
 pub(super) unsafe fn feedback_append_u8(
     residual: &mut [f32],
@@ -254,14 +275,17 @@ pub(super) unsafe fn feedback_append_u8(
     scalar::feedback_append_u8(&mut residual[i..], inv, k, levels, rng, &mut out[i..]);
 }
 
-/// Safety: caller must have verified AVX-512F, AVX-512DQ and AVX2 support
+/// # Safety
+///
+/// Caller must have verified AVX-512F, AVX-512DQ and AVX2 support
 /// at runtime; `wt` holds `x.len()` rows of `out.len()`.
-// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)`; the
-// dispatcher in `super` calls this only after `is_x86_feature_detected!`
-// reported both and AVX2, with `wt` cut to `x.len() * out.len()` elements.
-// Every tile starts at or after 0 and ends at or before `out.len()`, which
-// is what `logit_tile` needs, and the lanes they leave go to the AVX2 arm
-// under the same contract.
+///
+/// `unsafe` solely for `target_feature(avx512f, avx512dq)`; the
+/// dispatcher in `super` calls this only after `is_x86_feature_detected!`
+/// reported both and AVX2, with `wt` cut to `x.len() * out.len()` elements.
+/// Every tile starts at or after 0 and ends at or before `out.len()`, which
+/// is what `logit_tile` needs, and the lanes they leave go to the AVX2 arm
+/// under the same contract.
 #[target_feature(enable = "avx512f,avx512dq")]
 pub(super) unsafe fn logits(wt: &[f32], x: &[f32], out: &mut [f32]) {
     let kp = out.len();
@@ -284,13 +308,16 @@ pub(super) unsafe fn logits(wt: &[f32], x: &[f32], out: &mut [f32]) {
 /// sixteen lanes wide: `V` accumulators from `-0.0` in registers for the
 /// whole feature loop, `w * x` multiplied then added, one store each.
 ///
-/// Safety: caller must have verified AVX-512F support at runtime; `wt`
+/// # Safety
+///
+/// Caller must have verified AVX-512F support at runtime; `wt`
 /// holds `x.len()` rows of `out.len()`, and `c + 16 * V <= out.len()`.
-// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)` and the
-// raw loads and stores. Row `j`'s load at `j * kp + c + 16 * v` ends at or
-// before `j * kp + c + 16 * V <= (j + 1) * kp <= wt.len()`, and the stores
-// at `c + 16 * v` end at or before `c + 16 * V <= out.len()` (the caller's
-// contract).
+///
+/// `unsafe` solely for `target_feature(avx512f, avx512dq)` and the
+/// raw loads and stores. Row `j`'s load at `j * kp + c + 16 * v` ends at or
+/// before `j * kp + c + 16 * V <= (j + 1) * kp <= wt.len()`, and the stores
+/// at `c + 16 * v` end at or before `c + 16 * V <= out.len()` (the caller's
+/// contract).
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq")]
 unsafe fn logit_tile<const V: usize>(wt: &[f32], x: &[f32], out: &mut [f32], c: usize) {
@@ -309,16 +336,19 @@ unsafe fn logit_tile<const V: usize>(wt: &[f32], x: &[f32], out: &mut [f32], c: 
     }
 }
 
-/// Safety: caller must have verified AVX-512F, AVX-512DQ and AVX2 support
+/// # Safety
+///
+/// Caller must have verified AVX-512F, AVX-512DQ and AVX2 support
 /// at runtime; `bias` is not empty, `weights.len()` is a multiple of
 /// `bias.len()`, and `err` holds `xs.len()` rows of `stride >= bias.len()`.
-// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)`; the
-// dispatcher in `super` calls this only after `is_x86_feature_detected!`
-// reported both and AVX2. A batch with a sample shorter than the `f`
-// features goes to the scalar arm, so every sample covers `f`; every tile
-// ends at or before `f`, and row `c + 1` of a pair exists, which is what
-// `gradient_tile` needs; the features left go to the AVX2 arm under the
-// same contract.
+///
+/// `unsafe` solely for `target_feature(avx512f, avx512dq)`; the
+/// dispatcher in `super` calls this only after `is_x86_feature_detected!`
+/// reported both and AVX2. A batch with a sample shorter than the `f`
+/// features goes to the scalar arm, so every sample covers `f`; every tile
+/// ends at or before `f`, and row `c + 1` of a pair exists, which is what
+/// `gradient_tile` needs; the features left go to the AVX2 arm under the
+/// same contract.
 #[target_feature(enable = "avx512f,avx512dq")]
 pub(super) unsafe fn outer_accumulate(
     weights: &mut [f32],
@@ -354,15 +384,18 @@ pub(super) unsafe fn outer_accumulate(
 /// added into every class's row, so each element's chain of adds runs in
 /// sample order; one store each.
 ///
-/// Safety: caller must have verified AVX-512F support at runtime; `weights`
+/// # Safety
+///
+/// Caller must have verified AVX-512F support at runtime; `weights`
 /// holds rows of `f`, every sample covers `f`, `j + 64 <= f`, and `err`
 /// holds `xs.len()` rows of `stride >= c + C`, `c + C` rows existing.
-// SAFETY: `unsafe` solely for `target_feature(avx512f, avx512dq)` and the
-// raw loads and stores. Each sample's loads at `j + 16 * v` end at or
-// before `j + 64 <= f <= x.len()`, and the stores at
-// `(c + r) * f + j + 16 * v` end at or before `(c + C) * f <=
-// weights.len()` (the caller's contract); `err` is read through
-// bounds-checked indexing.
+///
+/// `unsafe` solely for `target_feature(avx512f, avx512dq)` and the
+/// raw loads and stores. Each sample's loads at `j + 16 * v` end at or
+/// before `j + 64 <= f <= x.len()`, and the stores at
+/// `(c + r) * f + j + 16 * v` end at or before `(c + C) * f <=
+/// weights.len()` (the caller's contract); `err` is read through
+/// bounds-checked indexing.
 #[inline]
 #[target_feature(enable = "avx512f,avx512dq")]
 unsafe fn gradient_tile<const C: usize>(

@@ -35,6 +35,19 @@
 // intrinsics behind a scoped allow; everything else stays unsafe-free.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::redundant_clone
+    )
+)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod aggregate;
 pub mod client;

@@ -1,23 +1,26 @@
 //! # lifl-lint
 //!
-//! Workspace static analysis that machine-enforces the repo's load-bearing
-//! invariants. PR 8 relaxed `forbid(unsafe_code)` to land AVX2 kernels, and
-//! since then the safety story (unsafe confined to `crates/fl/src/kernels/`)
-//! and the determinism story (bit-exact folds across backends) were enforced
-//! only by convention and review. This crate checks them as named,
-//! individually testable rules on every commit. R3 is retired: that every
-//! kernel arm has every kernel, with one signature, is the compiler's to
-//! check, each arm being one table of the kernel layer's `Kernels` struct.
+//! Workspace static analysis for the invariants no compiler states. Every
+//! check rustc or clippy can say is theirs: `unsafe` blocks carry a
+//! `// SAFETY:` comment and kernel `unsafe fn`s a `# Safety` section
+//! (`clippy::undocumented_unsafe_blocks`, `clippy::missing_safety_doc`),
+//! the hot-path crates do not panic (`clippy::unwrap_used` and friends), no
+//! crate under `crates/` iterates a hash collection, reads a wall clock or
+//! starts a thread without an `#[expect]` that says why (`crates/clippy.toml`'s
+//! `disallowed-types` and `disallowed-methods`), and only tests build a
+//! private worker set (`Workers::with_count` is `#[cfg(test)]`). What is
+//! left here is a name, a path or a token scope:
 //!
 //! | rule | name                | invariant                                               |
 //! |------|---------------------|---------------------------------------------------------|
 //! | R1   | `unsafe`            | `unsafe` only under `crates/fl/src/kernels/`; every crate root carries `#![forbid(unsafe_code)]` or `#![deny(unsafe_code)]` |
-//! | R2   | `safety-comment`    | every `unsafe fn` / `unsafe {` / `unsafe impl` is immediately preceded by a `// SAFETY:` comment |
-//! | R4   | `panic`             | no `unwrap()`/`expect(`/`panic!`/`todo!`/`unimplemented!` in non-test code of the hot-path crates |
-//! | R5   | `determinism`       | no `HashMap`/`HashSet`, `Instant::now` or `SystemTime` in the fold/aggregation modules |
-//! | R6   | `no-legacy-runtime` | the legacy runtime, the per-representation gateway doors, the payload-copying put path and the collapsed duplicates (`FlDriver`, `async_round`, `lifl_baselines`, `bench_ingest`, the simulator inside `lifl-core`, `FedProxTrainer`, the fault state beside the cluster's: `RecoveryManager`, `HeartbeatMonitor`, `CheckpointStore`, the shared rounding stream: `Turnstile`, `feedback_draws`, `draws_rounding_words`) stay deleted, no code of the engine crates (`types`, `shmem`, `fl`, `core`) but the station executor (`crates/core/src/stations.rs`) starts a thread, and no non-test engine code names the simulator's types (`LiflConfig`, `CpuCycles`, ...) |
-//! | R7   | `ci-sync`           | the justfile `ci` recipe and `.github/workflows/ci.yml` run the same commands |
+//! | R6   | `no-legacy-runtime` | the legacy runtime, the per-representation gateway doors, the payload-copying put path and the collapsed duplicates (`FlDriver`, `async_round`, `lifl_baselines`, `bench_ingest`, the simulator inside `lifl-core`, `FedProxTrainer`, the fault state beside the cluster's: `RecoveryManager`, `HeartbeatMonitor`, `CheckpointStore`, the shared rounding stream: `Turnstile`, `feedback_draws`, `draws_rounding_words`) stay deleted, and no non-test engine code names the simulator's types (`LiflConfig`, `CpuCycles`, ...) |
 //! | R8   | `dead-pub`          | every `pub` item of every crate's `src/` is named somewhere outside its own file's unit tests and outside a `pub use` re-export: the workspace, `tests/`, `examples/` or `benchmark/src` |
+//!
+//! R1 stays a token scan because rustc's `unsafe_code` lint reaches bin,
+//! test and example roots only through a per-manifest opt-in. R2, R4 and R5
+//! moved to clippy, R3 to the kernel layer's `Kernels` tables, and R7 went
+//! with the justfile it compared.
 //!
 //! Diagnostics are machine readable (`file:line: rule-id: message`) and the
 //! binary exits nonzero on any finding. A site with a genuine reason to break
@@ -25,18 +28,21 @@
 //! (or `allow-file(<rule>)` for a whole file); a marker without a
 //! justification is itself a finding.
 //!
+//! The binary's `ci` subcommand ([`ci`]) lists or runs the `run:` commands
+//! of `.github/workflows/ci.yml`, the one list of the repo's checks.
+//!
 //! There is no `syn` offline, so the rules run over a real token-level lexer
 //! ([`lexer`]) that understands comments, strings, raw strings and nesting —
-//! a `"unsafe"` inside a string literal is never a finding, and an `unwrap()`
-//! inside a doc comment is never code.
+//! a `"unsafe"` inside a string literal is never a finding, and a retired
+//! name inside a doc comment is never code.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod ci;
 pub mod lexer;
 pub mod rules;
 pub mod source;
-pub mod sync;
 
 use source::SourceFile;
 use std::fmt;
@@ -50,19 +56,10 @@ use std::path::{Path, PathBuf};
 pub enum Rule {
     /// R1: `unsafe` containment.
     UnsafeContainment,
-    /// R2: `// SAFETY:` comments on every unsafe site.
-    SafetyComment,
-    /// R4: panic freedom on the hot-path crates.
-    Panic,
-    /// R5: determinism of the fold/aggregation modules.
-    Determinism,
     /// R6: the legacy runtime, the deleted gateway doors, the copying put
-    /// path and the duplicates collapsed in PR 24 stay deleted, and the
-    /// engine starts threads, and sizes worker sets, in its station executor
-    /// only.
+    /// path and the retired names stay deleted, and engine code names none
+    /// of the simulator's types.
     LegacyRuntime,
-    /// R7: justfile ↔ ci.yml command sync.
-    CiSync,
     /// R8: no `pub` item of any crate that only its own file's tests use.
     DeadPub,
     /// Malformed `lifl-lint: allow(...)` markers (not individually runnable).
@@ -71,25 +68,13 @@ pub enum Rule {
 
 impl Rule {
     /// Every enforceable rule, in catalog order.
-    pub const ALL: [Rule; 7] = [
-        Rule::UnsafeContainment,
-        Rule::SafetyComment,
-        Rule::Panic,
-        Rule::Determinism,
-        Rule::LegacyRuntime,
-        Rule::CiSync,
-        Rule::DeadPub,
-    ];
+    pub const ALL: [Rule; 3] = [Rule::UnsafeContainment, Rule::LegacyRuntime, Rule::DeadPub];
 
-    /// Stable diagnostic identifier, e.g. `R4-panic`.
+    /// Stable diagnostic identifier, e.g. `R8-dead-pub`.
     pub fn id(self) -> &'static str {
         match self {
             Rule::UnsafeContainment => "R1-unsafe",
-            Rule::SafetyComment => "R2-safety-comment",
-            Rule::Panic => "R4-panic",
-            Rule::Determinism => "R5-determinism",
             Rule::LegacyRuntime => "R6-no-legacy-runtime",
-            Rule::CiSync => "R7-ci-sync",
             Rule::DeadPub => "R8-dead-pub",
             Rule::Marker => "allow-marker",
         }
@@ -99,11 +84,7 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::UnsafeContainment => "unsafe",
-            Rule::SafetyComment => "safety-comment",
-            Rule::Panic => "panic",
-            Rule::Determinism => "determinism",
             Rule::LegacyRuntime => "no-legacy-runtime",
-            Rule::CiSync => "ci-sync",
             Rule::DeadPub => "dead-pub",
             Rule::Marker => "allow-marker",
         }
@@ -113,11 +94,7 @@ impl Rule {
     pub fn code(self) -> &'static str {
         match self {
             Rule::UnsafeContainment => "R1",
-            Rule::SafetyComment => "R2",
-            Rule::Panic => "R4",
-            Rule::Determinism => "R5",
             Rule::LegacyRuntime => "R6",
-            Rule::CiSync => "R7",
             Rule::DeadPub => "R8",
             Rule::Marker => "allow-marker",
         }
@@ -174,9 +151,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// When R7 ran clean, the number of commands the justfile and ci.yml
-    /// agree on (the old `check_ci_sync.sh` reported this count).
-    pub ci_sync_commands: Option<usize>,
 }
 
 /// Directories under the workspace root that are scanned for `.rs` sources.
@@ -252,19 +226,10 @@ pub fn run(root: &Path, selected: &[Rule]) -> io::Result<Report> {
     for f in &files {
         findings.extend(f.marker_findings());
     }
-    let mut ci_sync_commands = None;
     for rule in selected {
         match rule {
             Rule::UnsafeContainment => findings.extend(rules::unsafe_containment(&files)),
-            Rule::SafetyComment => findings.extend(rules::safety_comments(&files)),
-            Rule::Panic => findings.extend(rules::panic_freedom(&files)),
-            Rule::Determinism => findings.extend(rules::determinism(&files)),
             Rule::LegacyRuntime => findings.extend(rules::legacy_runtime(root, &files)),
-            Rule::CiSync => {
-                let (sync_findings, count) = sync::ci_sync(root);
-                findings.extend(sync_findings);
-                ci_sync_commands = count;
-            }
             Rule::DeadPub => {
                 let references = load(root, &REFERENCE_ROOTS)?;
                 findings.extend(rules::dead_pub(&files, &references));
@@ -285,7 +250,6 @@ pub fn run(root: &Path, selected: &[Rule]) -> io::Result<Report> {
     Ok(Report {
         findings,
         files_scanned: files.len(),
-        ci_sync_commands,
     })
 }
 

@@ -1,5 +1,4 @@
-//! The token-level rules R1, R2, R4–R6 and R8 (R7 lives in [`crate::sync`]
-//! because it reads the justfile and CI workflow rather than Rust sources).
+//! The token-level rules R1, R6 and R8.
 
 use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
@@ -9,43 +8,6 @@ use std::path::Path;
 
 /// The one directory where `unsafe` is sanctioned: the SIMD kernel layer.
 pub const KERNELS_DIR: &str = "crates/fl/src/kernels/";
-
-/// Crates whose non-test code must be panic-free (R4): the aggregation hot
-/// path from the type layer up through the session/cluster runtime.
-pub const HOT_PATH_CRATES: [&str; 5] = [
-    "crates/types/src/",
-    "crates/shmem/src/",
-    "crates/dataplane/src/",
-    "crates/fl/src/",
-    "crates/core/src/",
-];
-
-/// Modules whose bit-exact determinism the `it`/`faults` tiers prove (R5):
-/// the fold kernels, everything that routes updates into them, and the local
-/// trainer and metrics whose losses, models and accuracies the driver tier
-/// pins. Entries ending in `/` cover a directory.
-pub const FOLD_MODULES: [&str; 20] = [
-    "crates/types/src/fold.rs",
-    "crates/fl/src/aggregate.rs",
-    "crates/fl/src/sharded.rs",
-    "crates/fl/src/robust.rs",
-    "crates/fl/src/update.rs",
-    "crates/fl/src/codec.rs",
-    "crates/fl/src/kernels/",
-    "crates/fl/src/trainer.rs",
-    "crates/fl/src/metrics.rs",
-    "crates/core/src/session.rs",
-    "crates/core/src/cluster.rs",
-    "crates/core/src/cluster/",
-    "crates/core/src/training.rs",
-    "crates/core/src/gateway.rs",
-    "crates/core/src/aggregator.rs",
-    "crates/core/src/admission.rs",
-    "crates/core/src/ingress.rs",
-    "crates/core/src/stations.rs",
-    "crates/serverless/src/fleet.rs",
-    "crates/shmem/src/backlog.rs",
-];
 
 fn finding(f: &SourceFile, line: u32, rule: Rule, message: String) -> Finding {
     Finding {
@@ -168,228 +130,8 @@ fn attr_target_is_mod_kernels(toks: &[Tok], code: &[usize], from: usize) -> bool
 }
 
 // ---------------------------------------------------------------------------
-// R2: SAFETY comments.
-// ---------------------------------------------------------------------------
-
-/// R2: every `unsafe fn`, `unsafe {` block, `unsafe impl` and `unsafe trait`
-/// must be immediately preceded by a `// SAFETY:` comment stating the
-/// precondition the site relies on. Attribute and doc-comment lines between
-/// the comment and the `unsafe` token are skipped (`#[target_feature]` sits
-/// between them in the kernels); blank lines and code lines are not.
-pub fn safety_comments(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in files {
-        for (i, t) in f.toks.iter().enumerate() {
-            if !(t.kind == TokKind::Ident && t.text == "unsafe") {
-                continue;
-            }
-            let construct = f.toks[i + 1..]
-                .iter()
-                .find(|n| n.is_code())
-                .map(|n| match n.text.as_str() {
-                    "fn" => "`unsafe fn`",
-                    "impl" => "`unsafe impl`",
-                    "trait" => "`unsafe trait`",
-                    _ => "`unsafe` block",
-                })
-                .unwrap_or("`unsafe`");
-            if !has_safety_comment(f, t.line) {
-                out.push(finding(
-                    f,
-                    t.line,
-                    Rule::SafetyComment,
-                    format!(
-                        "{construct} without an immediately preceding `// SAFETY:` \
-                         comment stating the precondition it relies on"
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Scans upward from the line above `line`, skipping doc-comment and
-/// attribute lines; accepts when the contiguous run of plain `//` lines found
-/// there contains one starting with `SAFETY:`.
-fn has_safety_comment(f: &SourceFile, line: u32) -> bool {
-    // Same-line block comment form: `/* SAFETY: ... */ unsafe { ... }`.
-    if let Some(text) = f.lines.get(line as usize - 1) {
-        if let (Some(c), Some(u)) = (text.find("SAFETY:"), text.find("unsafe")) {
-            if c < u {
-                return true;
-            }
-        }
-    }
-    let mut l = line as usize - 1; // index of the line above, 1-based
-    while l >= 1 {
-        let text = f.lines[l - 1].trim_start();
-        if text.starts_with("///") || text.starts_with("//!") {
-            l -= 1; // doc comment: skip
-        } else if text.starts_with("#[") || text.starts_with("#![") {
-            l -= 1; // attribute: skip
-        } else if let Some(comment) = text.strip_prefix("//") {
-            // Plain comment run: walk it upward looking for the SAFETY tag.
-            if comment.trim_start().starts_with("SAFETY:") {
-                return true;
-            }
-            l -= 1;
-            while l >= 1 {
-                let above = f.lines[l - 1].trim_start();
-                match above.strip_prefix("//") {
-                    Some(c) if !above.starts_with("///") && !above.starts_with("//!") => {
-                        if c.trim_start().starts_with("SAFETY:") {
-                            return true;
-                        }
-                        l -= 1;
-                    }
-                    _ => return false,
-                }
-            }
-            return false;
-        } else {
-            return false; // code or blank line: not "immediately preceding"
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// R4: panic freedom.
-// ---------------------------------------------------------------------------
-
-/// R4: no `.unwrap()`, `.expect(`, `panic!`, `todo!` or `unimplemented!` in
-/// non-test code of the hot-path crates. Genuine invariants that cannot be
-/// expressed as `Result` justify themselves inline with
-/// `lifl-lint: allow(panic) — <why>`.
-pub fn panic_freedom(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in files {
-        if !HOT_PATH_CRATES.iter().any(|p| f.rel.starts_with(p)) {
-            continue;
-        }
-        let code = code_indices(f);
-        for w in 0..code.len() {
-            let idx = code[w];
-            if f.is_test(idx) {
-                continue;
-            }
-            let t = &f.toks[idx];
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            let next_is = |text: &str| code.get(w + 1).is_some_and(|&n| f.toks[n].is_punct(text));
-            let prev_is_dot = w > 0 && f.toks[code[w - 1]].is_punct(".");
-            let what = match t.text.as_str() {
-                "unwrap" | "expect" if prev_is_dot && next_is("(") => {
-                    format!("`.{}()`", t.text)
-                }
-                "panic" | "todo" | "unimplemented" if next_is("!") => {
-                    format!("`{}!`", t.text)
-                }
-                _ => continue,
-            };
-            out.push(finding(
-                f,
-                t.line,
-                Rule::Panic,
-                format!(
-                    "{what} in a hot-path crate: return a `lifl_types::error` \
-                     Result on fallible paths, or justify the invariant with \
-                     `lifl-lint: allow(panic) — <why>`"
-                ),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// R5: determinism of the fold modules.
-// ---------------------------------------------------------------------------
-
-/// R5: the fold/aggregation modules must not use `HashMap`/`HashSet` (their
-/// iteration order is seeded per process — `BTreeMap`/`BTreeSet` iterate
-/// deterministically), nor read wall clocks (`Instant::now`, `SystemTime`),
-/// because the `it`/`faults` tiers prove these modules bit-exact across
-/// backends, shard counts and processes.
-pub fn determinism(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in files {
-        let scoped = FOLD_MODULES.iter().any(|m| {
-            if let Some(dir) = m.strip_suffix('/') {
-                f.rel.starts_with(dir) && f.rel[dir.len()..].starts_with('/')
-            } else {
-                f.rel == *m
-            }
-        });
-        if !scoped {
-            continue;
-        }
-        let code = code_indices(f);
-        for w in 0..code.len() {
-            let idx = code[w];
-            if f.is_test(idx) {
-                continue;
-            }
-            let t = &f.toks[idx];
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            match t.text.as_str() {
-                "HashMap" | "HashSet" => out.push(finding(
-                    f,
-                    t.line,
-                    Rule::Determinism,
-                    format!(
-                        "`{}` in a deterministic fold module: iteration order is \
-                         per-process random; use `BTreeMap`/`BTreeSet`, or justify \
-                         keyed-only access with `lifl-lint: allow(determinism) — <why>`",
-                        t.text
-                    ),
-                )),
-                "Instant"
-                    if code.get(w + 1).is_some_and(|&a| f.toks[a].is_punct(":"))
-                        && code.get(w + 2).is_some_and(|&a| f.toks[a].is_punct(":"))
-                        && code.get(w + 3).is_some_and(|&a| f.toks[a].is_ident("now")) =>
-                {
-                    out.push(finding(
-                        f,
-                        t.line,
-                        Rule::Determinism,
-                        "`Instant::now` in a deterministic fold module: wall-clock \
-                         reads make folds irreproducible; thread simulated time in \
-                         instead"
-                            .to_string(),
-                    ))
-                }
-                "SystemTime" => out.push(finding(
-                    f,
-                    t.line,
-                    Rule::Determinism,
-                    "`SystemTime` in a deterministic fold module: wall-clock reads \
-                     make folds irreproducible; thread simulated time in instead"
-                        .to_string(),
-                )),
-                _ => {}
-            }
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
 // R6: the legacy runtime stays deleted.
 // ---------------------------------------------------------------------------
-
-/// The representation-specific gateway doors PR 12 folded into the one
-/// polymorphic `Gateway::ingest`.
-const DELETED_GATEWAY_DOORS: [&str; 4] = [
-    "ingest_client_update",
-    "ingest_encoded_update",
-    "ingest_remote_encoded",
-    "ingest_remote_update",
-];
 
 /// Files whose deletion must stick, with the PR that deleted them and where
 /// their content went.
@@ -406,134 +148,145 @@ const DELETED_FILES: [(&str, &str); 2] = [
     ),
 ];
 
-/// Names PR 24 retired when the second round loop, the second async buffer,
-/// the baselines crate and the superseded ingest harness were deleted, with
-/// where each one's users go now.
-const RETIRED_IN_PR24: [(&str, &str); 5] = [
+// Why each group of `RETIRED` names went.
+const GATEWAY_DOORS: &str = "is one of the per-representation gateway doors deleted in PR 12";
+const PR24: &str = "was retired in PR 24";
+const ASYNC_DRIVER: &str = "was retired when asynchronous FL moved onto the training driver";
+const FAULT_RESEND: &str =
+    "was retired when a killed node began re-folding its round from the stored keys";
+const FEDPROX_TRAINER: &str =
+    "was retired when FedProx's proximal term moved into the one local trainer";
+const FAULT_STATE: &str = "was retired when the cluster became the one owner of fault state";
+const KEYED_ROUNDING: &str =
+    "was retired when every encode began drawing its rounding words from its own key";
+
+/// What a [`GATEWAY_DOORS`] name's users call now.
+const INGEST: &str = "go through `Gateway::ingest`";
+/// What an [`ASYNC_DRIVER`] name's users call now.
+const RUN_ASYNC: &str = "call `TrainingDriver::run_async`, which takes the `StalenessPolicy` \
+     and returns an `AsyncCommit` per version";
+
+/// Names that stay deleted: the name, why it went, and what to use instead.
+const RETIRED: [(&str, &str, &str); 29] = [
+    ("ingest_client_update", GATEWAY_DOORS, INGEST),
+    ("ingest_encoded_update", GATEWAY_DOORS, INGEST),
+    ("ingest_remote_encoded", GATEWAY_DOORS, INGEST),
+    ("ingest_remote_update", GATEWAY_DOORS, INGEST),
     (
         "FlDriver",
+        PR24,
         "run `TrainingDriver` over the flat `lifl_fl::FlatFedAvg` backend",
     ),
     (
         "FlDriverConfig",
+        PR24,
         "use `TrainingConfig`; the codec belongs to the `FlatFedAvg` backend",
     ),
     (
         "async_round",
+        PR24,
         "asynchronous FL is `TrainingDriver::run_async`",
     ),
     (
         "lifl_baselines",
+        PR24,
         "the baseline profiles and `WorkloadDriver` live in `lifl_sim`",
     ),
     (
         "bench_ingest",
+        PR24,
         "`benchmark/`'s `stream_burst` workload measures the streaming ingress",
     ),
-];
-
-/// Names retired when asynchronous FL moved onto the one training driver:
-/// its own aggregator, driver, config and outcome went, and a version
-/// became a round of the backend `TrainingDriver::run_async` drives.
-const RETIRED_WITH_ASYNC_DRIVER: [&str; 5] = [
-    "async_driver",
-    "AsyncAggregator",
-    "AsyncFlDriver",
-    "AsyncDriverConfig",
-    "AsyncVersionOutcome",
-];
-
-/// Names retired when a killed node began re-folding its round from the
-/// stored keys: a child kill is no drive error and nothing is re-sent, with
-/// where each one's users go now.
-const RETIRED_WITH_FAULT_RESEND: [(&str, &str); 3] = [
+    ("async_driver", ASYNC_DRIVER, RUN_ASYNC),
+    ("AsyncAggregator", ASYNC_DRIVER, RUN_ASYNC),
+    ("AsyncFlDriver", ASYNC_DRIVER, RUN_ASYNC),
+    ("AsyncDriverConfig", ASYNC_DRIVER, RUN_ASYNC),
+    ("AsyncVersionOutcome", ASYNC_DRIVER, RUN_ASYNC),
     (
         "run_round_resilient",
+        FAULT_RESEND,
         "call `TrainingDriver::run_round`, which survives a child kill and adopts a \
          restored checkpoint after a top kill",
     ),
     (
         "take_lost_clients",
+        FAULT_RESEND,
         "nothing is lost to re-send: the restarted node re-delivers its round from \
          the stored keys (`NodeKill::lost_updates` and `FaultStats` count them)",
     ),
     (
         "NodeFailure",
+        FAULT_RESEND,
         "`Cluster::drive` restarts a killed child node and completes the round; only \
          a top-host kill fails it, with `AggregatorFailure`",
     ),
-];
-
-/// Names retired when FedProx's proximal term moved into the one local
-/// trainer's step, with where each one's users go now.
-const RETIRED_WITH_FEDPROX_TRAINER: [(&str, &str); 2] = [
     (
         "FedProxTrainer",
+        FEDPROX_TRAINER,
         "train with `LocalTrainer`, whose every mini-batch step applies the proximal \
          term when `TrainerConfig::mu` is positive",
     ),
     (
         "FedProxConfig",
+        FEDPROX_TRAINER,
         "set `TrainerConfig::mu` (checked with the learning rate by \
          `TrainerConfig::validate`)",
     ),
-];
-
-/// Names retired when the cluster's `faults` module became the one owner of
-/// fault state, keeping only the latest checkpoint, with where each one's
-/// users go now.
-const RETIRED_WITH_FAULT_STATE: [(&str, &str); 7] = [
     (
         "RecoveryManager",
+        FAULT_STATE,
         "enable `ClusterBuilder::fault_tolerance`; the cluster commits, checkpoints \
          and recovers its global top itself",
     ),
     (
         "model_to_bytes",
+        FAULT_STATE,
         "a checkpoint is the committed `DenseModel`, copied into one reused buffer \
          with no byte round trip; read it with `Cluster::checkpoint`",
     ),
     (
         "model_from_bytes",
+        FAULT_STATE,
         "a restore hands the checkpointed `DenseModel` over as \
          `RecoveryOutcome::recovered_model`",
     ),
     (
         "HeartbeatMonitor",
+        FAULT_STATE,
         "each node's last keep-alive lives in the cluster: `Cluster::node_heartbeat` \
          and `Cluster::detect_failed_nodes`",
     ),
     (
         "CheckpointStore",
+        FAULT_STATE,
         "the cluster keeps its latest checkpoint (`Cluster::checkpoint`); the \
          simulator's agent keeps its own (`LiflAgent::latest_checkpoint`)",
     ),
     (
         "checkpoint_store",
+        FAULT_STATE,
         "call `Cluster::checkpoint`, which returns the latest `(RoundId, &DenseModel)`",
     ),
     (
         "TopRecovery",
+        FAULT_STATE,
         "`Cluster::take_recovery` returns the `RecoveryOutcome` itself",
     ),
-];
-
-/// Names retired when every encode began drawing its rounding words from its
-/// own key instead of from a stream shared in offer order, with where each
-/// one's users go now.
-const RETIRED_WITH_KEYED_ROUNDING: [(&str, &str); 3] = [
     (
         "Turnstile",
+        KEYED_ROUNDING,
         "encodes share no stream, so nothing hands one on in order: each draws \
          from `StochasticRng::keyed` of its own key",
     ),
     (
         "feedback_draws",
+        KEYED_ROUNDING,
         "no encode claims a share of a stream: `CompensatedJob::finish` draws from \
          the generator its job was keyed with",
     ),
     (
         "draws_rounding_words",
+        KEYED_ROUNDING,
         "every job is keyed when `ErrorFeedback::take_job` takes it; finish it with \
          `compensate().finish()` on any thread, in any order",
     ),
@@ -575,27 +328,12 @@ const PAYLOAD_COPIES: [(&[&str], &str); 4] = [
     ),
 ];
 
-/// The engine crates, where only [`THREAD_MODULE`] may start a thread (R6).
+/// The engine crates, whose non-test code names no simulator type (R6).
 pub const ENGINE_CRATES: [&str; 4] = [
     "crates/types/src/",
     "crates/shmem/src/",
     "crates/fl/src/",
     "crates/core/src/",
-];
-
-/// The one module of the [`ENGINE_CRATES`] that may start a thread: a
-/// session's stations run on its session-lifetime worker set, never on
-/// threads started per round, and a station's fold runs on the thread that
-/// claimed it.
-pub const THREAD_MODULE: &str = "crates/core/src/stations.rs";
-
-/// Thread starts, as code-token sequences (`::` lexes as two `:`): a scope,
-/// a bare spawn, and a `Builder` in either spelling.
-const THREAD_STARTS: [&[&str]; 4] = [
-    &["thread", ":", ":", "scope"],
-    &["thread", ":", ":", "spawn"],
-    &["thread", ":", ":", "Builder"],
-    &["Builder", ":", ":", "spawn"],
 ];
 
 /// Whether the code tokens from `code[w]` on spell `pattern`.
@@ -606,55 +344,6 @@ fn spells(f: &SourceFile, code: &[usize], w: usize, pattern: &[&str]) -> bool {
             matches!(t.kind, TokKind::Ident | TokKind::Punct) && t.text == *text
         })
     })
-}
-
-/// A private worker set, as code tokens. Engine code outside
-/// [`THREAD_MODULE`] takes the process's shared set (`Workers::new`) or the
-/// one it is handed, so a training driver and its backend always run on one
-/// set of threads; only tests choose a worker count.
-const PRIVATE_WORKER_SET: &[&str] = &["Workers", ":", ":", "with_count"];
-
-/// R6's one-thread-site half: the [`THREAD_STARTS`] and the
-/// [`PRIVATE_WORKER_SET`]s in non-test code of the [`ENGINE_CRATES`] outside
-/// [`THREAD_MODULE`].
-fn thread_starts(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
-    let engine = ENGINE_CRATES.iter().any(|c| f.rel.starts_with(c));
-    if !engine || f.rel == THREAD_MODULE {
-        return;
-    }
-    for w in 0..code.len() {
-        if f.is_test(code[w]) {
-            continue;
-        }
-        if spells(f, code, w, PRIVATE_WORKER_SET) {
-            out.push(finding(
-                f,
-                f.toks[code[w]].line,
-                Rule::LegacyRuntime,
-                format!(
-                    "`Workers::with_count` builds a private worker set outside \
-                     {THREAD_MODULE}: engine code takes the process's shared set \
-                     (`Workers::new`) or the one it is handed, so a driver's \
-                     training and its backend's encodes share one set of threads"
-                ),
-            ));
-        }
-        for pattern in THREAD_STARTS {
-            if spells(f, code, w, pattern) {
-                out.push(finding(
-                    f,
-                    f.toks[code[w]].line,
-                    Rule::LegacyRuntime,
-                    format!(
-                        "`{}` starts a thread outside {THREAD_MODULE}: the per-drive \
-                         thread scope was retired in PR 25; run the work on the \
-                         session's `Workers`",
-                        pattern.concat()
-                    ),
-                ));
-            }
-        }
-    }
 }
 
 /// The paper simulator's configuration and accounting types, which left
@@ -726,23 +415,12 @@ fn payload_copies(f: &SourceFile, code: &[usize], out: &mut Vec<Finding>) {
 
 /// R6: the legacy runtime deleted in PR 6 (`crates/core/src/runtime.rs`, the
 /// `run_hierarchical*` entry points and their `#[allow(deprecated)]` escape
-/// hatches), the per-representation gateway doors deleted in PR 12
-/// (`DELETED_GATEWAY_DOORS`), the copying put path deleted in PR 21
-/// (`PAYLOAD_COPIES` in non-test code of `MOVE_ONLY_FILES`), the
-/// duplicates collapsed in PR 24 (`RETIRED_IN_PR24`, and the simulator's
-/// `crates/core/src/platform.rs` among the `DELETED_FILES`), the
-/// per-drive thread scope retired in PR 25 (`THREAD_STARTS` outside
-/// `THREAD_MODULE`, and with it any `PRIVATE_WORKER_SET`) and the
-/// asynchronous stack beside the training driver
-/// (`RETIRED_WITH_ASYNC_DRIVER`), the client re-send path of node
-/// failures (`RETIRED_WITH_FAULT_RESEND`), the second local-SGD loop of
-/// FedProx (`RETIRED_WITH_FEDPROX_TRAINER`), the fault state beside the
-/// cluster's (`RETIRED_WITH_FAULT_STATE`) and the rounding stream the
-/// ingress encodes shared (`RETIRED_WITH_KEYED_ROUNDING`) must stay
-/// deleted, and non-test code of the `ENGINE_CRATES` names none of the
-/// `SIMULATOR_TYPES`. Unlike
-/// the shell guard this replaces, the check runs on code tokens, so prose
-/// in comments and string literals can mention the old names freely.
+/// hatches), the simulator's `crates/core/src/platform.rs` (both among the
+/// `DELETED_FILES`), the copying put path deleted in PR 21 (`PAYLOAD_COPIES`
+/// in non-test code of `MOVE_ONLY_FILES`) and every `RETIRED` name must
+/// stay deleted, and non-test code of the `ENGINE_CRATES` names none of the
+/// `SIMULATOR_TYPES`. The check runs on code tokens, so prose in comments
+/// and string literals can mention the old names freely.
 pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for (file, message) in DELETED_FILES {
@@ -758,7 +436,6 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
     for f in files {
         let code = code_indices(f);
         payload_copies(f, &code, &mut out);
-        thread_starts(f, &code, &mut out);
         simulator_types(f, &code, &mut out);
         for w in 0..code.len() {
             let t = &f.toks[code[w]];
@@ -776,86 +453,14 @@ pub fn legacy_runtime(root: &Path, files: &[SourceFile]) -> Vec<Finding> {
                         t.text
                     ),
                 ));
-            } else if DELETED_GATEWAY_DOORS.contains(&t.text.as_str()) {
-                out.push(finding(
-                    f,
-                    t.line,
-                    Rule::LegacyRuntime,
-                    format!(
-                        "`{}` is one of the per-representation gateway doors deleted \
-                         in PR 12; go through `Gateway::ingest` (see MIGRATION.md)",
-                        t.text
-                    ),
-                ));
-            } else if let Some((name, advice)) =
-                RETIRED_IN_PR24.iter().find(|(name, _)| t.text == *name)
+            } else if let Some((name, why, instead)) =
+                RETIRED.iter().find(|(name, ..)| t.text == *name)
             {
                 out.push(finding(
                     f,
                     t.line,
                     Rule::LegacyRuntime,
-                    format!("`{name}` was retired in PR 24; {advice} (see MIGRATION.md)"),
-                ));
-            } else if RETIRED_WITH_ASYNC_DRIVER.contains(&t.text.as_str()) {
-                out.push(finding(
-                    f,
-                    t.line,
-                    Rule::LegacyRuntime,
-                    format!(
-                        "`{}` was retired when asynchronous FL moved onto the training \
-                         driver; call `TrainingDriver::run_async`, which takes the \
-                         `StalenessPolicy` and returns an `AsyncCommit` per version \
-                         (see MIGRATION.md)",
-                        t.text
-                    ),
-                ));
-            } else if let Some((name, advice)) =
-                (RETIRED_WITH_FAULT_RESEND.iter()).find(|(name, _)| t.text == *name)
-            {
-                out.push(finding(
-                    f,
-                    t.line,
-                    Rule::LegacyRuntime,
-                    format!(
-                        "`{name}` was retired when a killed node began re-folding its \
-                         round from the stored keys; {advice} (see MIGRATION.md)"
-                    ),
-                ));
-            } else if let Some((name, advice)) =
-                (RETIRED_WITH_FEDPROX_TRAINER.iter()).find(|(name, _)| t.text == *name)
-            {
-                out.push(finding(
-                    f,
-                    t.line,
-                    Rule::LegacyRuntime,
-                    format!(
-                        "`{name}` was retired when FedProx's proximal term moved into \
-                         the one local trainer; {advice} (see MIGRATION.md)"
-                    ),
-                ));
-            } else if let Some((name, advice)) =
-                (RETIRED_WITH_FAULT_STATE.iter()).find(|(name, _)| t.text == *name)
-            {
-                out.push(finding(
-                    f,
-                    t.line,
-                    Rule::LegacyRuntime,
-                    format!(
-                        "`{name}` was retired when the cluster became the one owner of \
-                         fault state; {advice} (see MIGRATION.md)"
-                    ),
-                ));
-            } else if let Some((name, advice)) =
-                (RETIRED_WITH_KEYED_ROUNDING.iter()).find(|(name, _)| t.text == *name)
-            {
-                out.push(finding(
-                    f,
-                    t.line,
-                    Rule::LegacyRuntime,
-                    format!(
-                        "`{name}` was retired when every encode began drawing its \
-                         rounding words from its own key; {advice} (see MIGRATION.md)"
-                    ),
+                    format!("`{name}` {why}; {instead} (see MIGRATION.md)"),
                 ));
             } else if t.text == "runtime"
                 && code.get(w + 1).is_some_and(|&a| f.toks[a].is_punct(":"))

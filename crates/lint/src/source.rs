@@ -31,8 +31,6 @@ pub struct AllowMarker {
 pub struct SourceFile {
     /// Path relative to the workspace root, with forward slashes.
     pub rel: String,
-    /// Raw source lines (for line-shape checks like R2's comment scan).
-    pub lines: Vec<String>,
     /// Full token stream, comments included.
     pub toks: Vec<Tok>,
     /// `test_mask[i]` is true when token `i` sits inside a `#[cfg(test)]` or
@@ -46,12 +44,10 @@ impl SourceFile {
     /// Lexes `text` and computes the derived facts.
     pub fn new(rel: String, text: &str) -> SourceFile {
         let toks = lex(text);
-        let lines = text.lines().map(str::to_string).collect();
         let test_mask = compute_test_mask(&toks);
         let allows = parse_allow_markers(&toks);
         SourceFile {
             rel,
-            lines,
             toks,
             test_mask,
             allows,
@@ -210,7 +206,7 @@ fn item_end(toks: &[Tok], code: &[usize], from: usize) -> Option<usize> {
 /// Extracts allow markers from plain (non-doc) comment tokens. Grammar:
 /// `lifl-lint: allow(<rule>) <sep> <justification>` or
 /// `lifl-lint: allow-file(<rule>) <sep> <justification>`, where `<rule>` is a
-/// rule name (`panic`) or code (`R4`) and `<sep>` is optional punctuation.
+/// rule name (`dead-pub`) or code (`R8`) and `<sep>` is optional punctuation.
 /// Doc comments are exempt so prose can *describe* the marker syntax (as this
 /// very comment does) without being parsed as a marker.
 fn parse_allow_markers(toks: &[Tok]) -> Vec<AllowMarker> {
@@ -326,18 +322,18 @@ mod tests {
     #[test]
     fn line_marker_applies_to_next_code_line() {
         let f = file(
-            "// lifl-lint: allow(panic) — justified reason\n\
-             foo.unwrap();\nbar.unwrap();\n",
+            "// lifl-lint: allow(dead-pub) — justified reason\n\
+             pub fn a() {}\npub fn b() {}\n",
         );
-        assert!(f.allowed(Rule::Panic, 2));
-        assert!(!f.allowed(Rule::Panic, 3));
+        assert!(f.allowed(Rule::DeadPub, 2));
+        assert!(!f.allowed(Rule::DeadPub, 3));
         assert!(f.marker_findings().is_empty());
     }
 
     #[test]
     fn marker_without_justification_is_reported() {
-        let f = file("// lifl-lint: allow(panic)\nfoo.unwrap();\n");
-        assert!(!f.allowed(Rule::Panic, 2));
+        let f = file("// lifl-lint: allow(dead-pub)\npub fn a() {}\n");
+        assert!(!f.allowed(Rule::DeadPub, 2));
         let findings = f.marker_findings();
         assert_eq!(findings.len(), 1);
         assert!(findings[0].message.contains("no justification"));
@@ -362,7 +358,7 @@ mod tests {
 
     #[test]
     fn rule_codes_work_as_marker_names() {
-        let f = file("// lifl-lint: allow(R4) — reason\nx.unwrap();\n");
-        assert!(f.allowed(Rule::Panic, 2));
+        let f = file("// lifl-lint: allow(R8) — reason\npub fn a() {}\n");
+        assert!(f.allowed(Rule::DeadPub, 2));
     }
 }

@@ -37,85 +37,6 @@ fn r1_pass_is_clean() {
 }
 
 #[test]
-fn r2_fail_flags_uncommented_unsafe_fn_and_block() {
-    let found = lint("r2_fail", &[Rule::SafetyComment]);
-    assert_eq!(found.len(), 2, "{found:#?}");
-    assert!(found[0].contains("`unsafe fn` without an immediately preceding"));
-    assert!(found[1].contains("`unsafe` block without an immediately preceding"));
-}
-
-#[test]
-fn r2_pass_accepts_comment_runs_and_attributes_between() {
-    assert_eq!(
-        lint("r2_pass", &[Rule::SafetyComment]),
-        Vec::<String>::new()
-    );
-}
-
-#[test]
-fn r4_fail_flags_live_panics_and_unjustified_marker_but_not_tests() {
-    let found = lint("r4_fail", &[Rule::Panic]);
-    // unwrap + expect + todo! + the unjustified marker's own diagnostic +
-    // the unwrap the unjustified marker fails to suppress; the #[cfg(test)]
-    // unwrap is never a finding.
-    assert_eq!(found.len(), 5, "{found:#?}");
-    assert!(found
-        .iter()
-        .any(|f| f.contains("`.unwrap()`") && f.contains(":2:")));
-    assert!(found
-        .iter()
-        .any(|f| f.contains("`.expect()`") && f.contains(":6:")));
-    assert!(found.iter().any(|f| f.contains("`todo!`")));
-    assert!(found
-        .iter()
-        .any(|f| f.contains("allow-marker") && f.contains("no justification")));
-    assert!(
-        !found.iter().any(|f| f.contains(":23:")),
-        "test code flagged"
-    );
-}
-
-#[test]
-fn r4_pass_accepts_results_justified_allows_and_test_code() {
-    assert_eq!(lint("r4_pass", &[Rule::Panic]), Vec::<String>::new());
-}
-
-#[test]
-fn r5_fail_flags_hash_collections_and_clocks() {
-    let found = lint("r5_fail", &[Rule::Determinism]);
-    // HashMap x2 (use + signature), HashSet x2, Instant::now, SystemTime x2
-    // (use + call) — the `use std::time::Instant` line alone is not a
-    // finding, only `Instant::now`.
-    assert!(found.len() >= 5, "{found:#?}");
-    assert!(found.iter().any(|f| f.contains("`HashMap`")));
-    assert!(found.iter().any(|f| f.contains("`HashSet`")));
-    assert!(found.iter().any(|f| f.contains("`Instant::now`")));
-    assert!(found.iter().any(|f| f.contains("`SystemTime`")));
-}
-
-#[test]
-fn r5_fail_covers_the_local_trainer_and_metrics() {
-    let found = lint("r5_fail", &[Rule::Determinism]);
-    assert!(
-        found
-            .iter()
-            .any(|f| f.contains("crates/fl/src/trainer.rs:3:") && f.contains("`HashMap`")),
-        "{found:#?}"
-    );
-    assert!(
-        found
-            .iter()
-            .any(|f| f.contains("crates/fl/src/metrics.rs:4:") && f.contains("`Instant::now`")),
-        "{found:#?}"
-    );
-}
-
-#[test]
-fn r5_pass_accepts_btree_and_test_hash() {
-    assert_eq!(lint("r5_pass", &[Rule::Determinism]), Vec::<String>::new());
-}
-
-#[test]
 fn r6_fail_flags_file_path_call_and_deprecated_allow() {
     let found = lint("r6_fail", &[Rule::LegacyRuntime]);
     assert!(found.len() >= 4, "{found:#?}");
@@ -250,57 +171,6 @@ fn r6_fail_flags_the_names_retired_with_the_fedprox_trainer() {
 }
 
 #[test]
-fn r6_fail_flags_threads_started_outside_the_station_executor() {
-    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
-    let starts: Vec<&String> = found
-        .iter()
-        .filter(|f| f.contains("crates/core/src/cluster.rs") && f.contains("retired in PR 25"))
-        .collect();
-    assert_eq!(starts.len(), 4, "{found:#?}");
-    for (line, token) in [
-        (4, "`thread::scope`"),
-        (7, "`thread::spawn`"),
-        (8, "`thread::Builder`"),
-        (9, "`Builder::spawn`"),
-    ] {
-        assert!(
-            starts
-                .iter()
-                .any(|f| f.contains(&format!("cluster.rs:{line}:")) && f.contains(token)),
-            "{token} at line {line}: {found:#?}"
-        );
-    }
-}
-
-#[test]
-fn r6_fail_flags_threads_started_in_any_engine_crate() {
-    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
-    let starts: Vec<&String> = found
-        .iter()
-        .filter(|f| f.contains("crates/fl/src/sharded.rs"))
-        .collect();
-    assert_eq!(starts.len(), 1, "{found:#?}");
-    assert!(
-        starts[0].contains("sharded.rs:4:") && starts[0].contains("`thread::scope`"),
-        "{found:#?}"
-    );
-}
-
-#[test]
-fn r6_fail_flags_private_worker_sets_outside_the_station_executor() {
-    let found = lint("r6_fail", &[Rule::LegacyRuntime]);
-    let private: Vec<&String> = found
-        .iter()
-        .filter(|f| f.contains("`Workers::with_count` builds a private worker set"))
-        .collect();
-    assert_eq!(private.len(), 1, "{found:#?}");
-    assert!(
-        private[0].contains("crates/core/src/training.rs:4:"),
-        "{found:#?}"
-    );
-}
-
-#[test]
 fn r6_fail_flags_simulator_types_in_engine_code() {
     let found = lint("r6_fail", &[Rule::LegacyRuntime]);
     let named: Vec<&String> = found
@@ -389,27 +259,6 @@ fn r6_pass_allows_prose_and_string_mentions() {
 }
 
 #[test]
-fn r7_fail_flags_drift_in_both_directions() {
-    let found = lint("r7_fail", &[Rule::CiSync]);
-    assert_eq!(found.len(), 2, "{found:#?}");
-    assert!(found.iter().any(|f| {
-        f.contains(".github/workflows/ci.yml")
-            && f.contains("cargo doc --no-deps")
-            && f.contains("no recipe reachable")
-    }));
-    assert!(found.iter().any(|f| {
-        f.contains("justfile") && f.contains("only-local") && f.contains("no ci.yml step")
-    }));
-}
-
-#[test]
-fn r7_pass_counts_agreed_commands() {
-    let report = run(&fixture("r7_pass"), &[Rule::CiSync]).expect("fixture scans");
-    assert!(report.findings.is_empty(), "{:#?}", report.findings);
-    assert_eq!(report.ci_sync_commands, Some(3));
-}
-
-#[test]
 fn r8_fail_flags_engine_items_only_their_own_tests_name() {
     let found = lint("r8_fail", &[Rule::DeadPub]);
     // `only_my_tests`, `Orphan`, `UNJUSTIFIED`, the unjustified marker's own
@@ -447,11 +296,12 @@ fn r8_pass_counts_sibling_crates_tests_the_benchmark_and_other_files_tests() {
 
 #[test]
 fn rule_selection_runs_only_selected_rules() {
-    // r1_fail also has no SAFETY comment on its unsafe block; selecting only
-    // R2 must not surface the R1 findings.
-    let found = lint("r1_fail", &[Rule::SafetyComment]);
+    // r1_fail's `pub fn` also has no user; selecting only R8 must surface
+    // that finding and not the R1 ones.
+    let found = lint("r1_fail", &[Rule::DeadPub]);
+    assert!(!found.is_empty(), "{found:#?}");
     assert!(
-        found.iter().all(|f| f.contains("R2-safety-comment")),
+        found.iter().all(|f| f.contains("R8-dead-pub")),
         "{found:#?}"
     );
 }

@@ -3,7 +3,6 @@
 use crate::function::{FunctionSpec, InstanceState};
 use lifl_dataplane::cost::StartupCost;
 use lifl_types::{InstanceId, SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// The result of acquiring an instance for a piece of work.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,20 +25,25 @@ struct Instance {
 
 /// A per-node pool of function instances.
 #[derive(Debug, Clone)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the instances are looked up by id; the warm pick is the minimum id, not iteration order"
+)]
 pub struct InstancePool {
     spec: FunctionSpec,
     startup: StartupCost,
-    instances: HashMap<InstanceId, Instance>,
+    instances: std::collections::HashMap<InstanceId, Instance>,
     next_id: u64,
 }
 
 impl InstancePool {
     /// Creates an empty pool for `spec` with the given start-up cost model.
+    #[expect(clippy::disallowed_types, reason = "builds the instance map by id")]
     pub fn new(spec: FunctionSpec, startup: StartupCost) -> Self {
         InstancePool {
             spec,
             startup,
-            instances: HashMap::new(),
+            instances: std::collections::HashMap::new(),
             next_id: 0,
         }
     }

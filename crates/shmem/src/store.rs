@@ -4,7 +4,6 @@ use crate::object::{ArcObject, SharedObject};
 use lifl_types::{LiflError, ObjectKey, Result};
 use parking_lot::Mutex;
 use rand::RngCore;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Counters describing the state of an [`ObjectStore`].
@@ -52,8 +51,15 @@ fn refusal(stats: &StoreStats, pending: u64, size: u64) -> Result<()> {
     Ok(())
 }
 
+/// The store's objects, by key.
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed-only access: no result depends on the iteration order"
+)]
+type Objects = std::collections::HashMap<ObjectKey, ArcObject>;
+
 struct Inner {
-    objects: HashMap<ObjectKey, ArcObject>,
+    objects: Objects,
     stats: StoreStats,
     rng: rand::rngs::StdRng,
 }
@@ -98,7 +104,7 @@ impl ObjectStore {
         use rand::SeedableRng;
         ObjectStore {
             inner: Arc::new(Mutex::new(Inner {
-                objects: HashMap::new(),
+                objects: Objects::new(),
                 stats: StoreStats {
                     capacity_bytes,
                     ..StoreStats::default()

@@ -23,6 +23,18 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::redundant_clone
+    )
+)]
+#![cfg_attr(test, allow(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod admission;
 pub mod codec;

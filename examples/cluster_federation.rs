@@ -5,8 +5,7 @@
 //! multi-round run where live EWMA placement moves the global top onto the
 //! most-loaded node without changing a single aggregate bit.
 //!
-//! Run with: `cargo run -p lifl-examples --example cluster_federation`
-//! (or `just cluster-demo`).
+//! Run with: `cargo run -p lifl-examples --example cluster_federation`.
 
 use lifl_core::cluster::{ClusterBuilder, TopPlacement};
 use lifl_core::session::{SessionBuilder, Update};

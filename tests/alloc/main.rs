@@ -14,6 +14,8 @@
 // `unsafe`; this counting shim is the one sanctioned unsafe site outside
 // the kernel layer and only delegates to the system allocator.
 
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
+
 use lifl_fl::aggregate::CumulativeFedAvg;
 use lifl_fl::codec::{EncodedView, ErrorFeedback, UpdateCodec};
 use lifl_fl::{kernels, DenseModel, ModelUpdate};

@@ -10,7 +10,7 @@
 //!
 //! The default `cargo test -q` run is the 10k-client smoke (1k vs 10k peaks
 //! compared); the full 1M-client round runs when `LIFL_SCALE_FULL=1` — the
-//! dedicated `just scale` / CI step sets it.
+//! scale tier's own CI step sets it.
 //!
 //! Memory is flat in the round count too: a fault-tolerant cluster that
 //! checkpoints every round and hears every node's heartbeat every round keeps
@@ -24,6 +24,8 @@
 // lifl-lint: allow-file(unsafe) — implementing `GlobalAlloc` requires
 // `unsafe`; this live-byte high-water shim is the sanctioned unsafe site of
 // this tier and only delegates to the system allocator.
+
+#![deny(clippy::undocumented_unsafe_blocks, clippy::missing_safety_doc)]
 
 use lifl_core::cluster::{Cluster, ClusterBuilder, FaultToleranceConfig};
 use lifl_core::session::{Session, SessionBuilder, Update};
@@ -198,7 +200,7 @@ fn streaming_ingress_memory_is_flat_in_the_client_count() {
         "peak grew with the client count: 1k -> {peak_1k} bytes, 10k -> {peak_10k} bytes"
     );
 
-    // The full million-client round (the dedicated `just scale` CI step).
+    // The full million-client round (the scale tier's own CI step).
     if std::env::var_os("LIFL_SCALE_FULL").is_some() {
         let (peak_1m, aggregated_1m) = measured_peak(1_000_000);
         assert_eq!(aggregated_1m, 1_000_000);
