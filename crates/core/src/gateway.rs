@@ -8,14 +8,14 @@
 //!
 //! The payload is written once, by whoever produced it, and **moved** into
 //! the store: a dense model's `Vec<f32>` becomes the stored object
-//! (`DenseModel::into_wire`), an encoded update's one wire buffer does
-//! (`EncodedUpdate::into_wire`), arriving `Bytes` stay the handle they are.
-//! Nothing model-sized is copied here.
+//! (`DenseModel::into_pooled_wire`, homed on the gateway's pool), an encoded
+//! update's one wire buffer does (`EncodedUpdate::into_wire`), arriving
+//! `Bytes` stay the handle they are. Nothing model-sized is copied here.
 
 use lifl_fl::codec::EncodedView;
 use lifl_fl::update::Update;
 use lifl_shmem::queue::QueuedUpdate;
-use lifl_shmem::{InPlaceQueue, ObjectStore};
+use lifl_shmem::{BufferPool, InPlaceQueue, ObjectStore};
 use lifl_types::{AggregatorId, ClientId, LiflError, NodeId, Result};
 use std::collections::BTreeMap;
 
@@ -44,6 +44,12 @@ pub(crate) fn remote_dense_bytes(wire: &[u8], encoded: bool) -> Result<u64> {
 #[derive(Debug)]
 pub struct Gateway {
     store: ObjectStore,
+    /// Where a client's dense vector goes when its object is recycled: the
+    /// session's pool, which keeps it only while a checkout of its own is
+    /// unmatched (the model a drive handed out) and frees it otherwise. A
+    /// gateway built alone has a pool of its own that nothing is checked out
+    /// of, so every such vector is freed.
+    pool: BufferPool,
     inboxes: BTreeMap<AggregatorId, InPlaceQueue>,
     /// Updates delivered so far: the arrival index an anonymous update is
     /// attributed to.
@@ -58,10 +64,17 @@ impl Gateway {
     pub fn new(_node: NodeId, store: ObjectStore) -> Self {
         Gateway {
             store,
+            pool: BufferPool::new(),
             inboxes: BTreeMap::new(),
             arrivals: 0,
             ingested_bytes: 0,
         }
+    }
+
+    /// Homes the dense vectors this gateway stores on `pool` (a session's).
+    pub(crate) fn with_pool(mut self, pool: BufferPool) -> Self {
+        self.pool = pool;
+        self
     }
 
     /// Registers (or returns) the in-place queue feeding `aggregator`.
@@ -123,7 +136,7 @@ impl Gateway {
             Update::Dense(dense) => {
                 let stored_bytes = dense.byte_size();
                 (
-                    self.store.put(dense.model.into_wire())?,
+                    self.store.put(dense.model.into_pooled_wire(&self.pool))?,
                     stored_bytes,
                     false,
                 )

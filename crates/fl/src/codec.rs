@@ -696,15 +696,17 @@ impl FeedbackJob<'_> {
         // The sum lands in a buffer the job owns outright: an owned model
         // takes the stored residual in and becomes the residual, releasing
         // the older buffer rather than the freshly offered one (whose free
-        // can hand the top of the heap back mid-round); a lent model is
-        // added into the stored residual. Addition commutes: same bits.
-        let (mut sum, addend) = match carried {
-            Some(Cow::Owned(model)) => (model, Some(Cow::Owned(residual))),
-            lent @ Some(Cow::Borrowed(_)) => (residual, lent),
-            None => (residual, None),
+        // can hand the top of the heap back mid-round) to the pool, where it
+        // pays for an `f32` checkout still out (the model a drive handed
+        // its caller) or is freed; a lent model is added into the stored
+        // residual. Addition commutes: same bits.
+        let (mut sum, lent, older) = match carried {
+            Some(Cow::Owned(model)) => (model, None, Some(residual)),
+            Some(Cow::Borrowed(model)) => (residual, Some(model), None),
+            None => (residual, None, None),
         };
         let values = sum.as_mut_slice();
-        let addend = addend.as_deref().map(DenseModel::as_slice);
+        let addend = lent.or(older.as_ref()).map(DenseModel::as_slice);
         let (scale, selected) = match (quantizer(kind), kind) {
             (Some((levels, _)), _) => {
                 let max_abs = match addend {
@@ -731,6 +733,9 @@ impl FeedbackJob<'_> {
                 (0.0, None)
             }
         };
+        if let Some(older) = older {
+            pool.checkin_f32(older.into_vec());
+        }
         CompensatedJob {
             client,
             kind,
@@ -1323,6 +1328,58 @@ mod tests {
         let mut lossless = ErrorFeedback::new(UpdateCodec::new(CodecKind::Identity));
         lossless.encode(client, &m).unwrap();
         assert!(lossless.residual(client).is_none());
+    }
+
+    #[test]
+    fn a_released_residual_settles_an_owed_checkout_and_is_freed_otherwise() {
+        const DIM: usize = 256;
+        for kind in [
+            CodecKind::Uniform8,
+            CodecKind::Uniform4,
+            CodecKind::TopK { permille: 50 },
+        ] {
+            let pool = BufferPool::new();
+            let codec = UpdateCodec::with_seed(kind, 5).with_pool(pool.clone());
+            let mut feedback = ErrorFeedback::new(codec);
+            let client = ClientId::new(1);
+            // An owned offer: the model becomes the residual and the older
+            // residual, if any, is released. Returns the released buffer's
+            // address.
+            let mut offer = |round: usize| {
+                let older = (feedback.residual(client)).map(|r| r.as_slice().as_ptr());
+                let values = (0..DIM).map(|d| ((d + round) % 17) as f32 * 0.1 - 0.8);
+                let model = DenseModel::from_vec(values.collect());
+                let update = feedback.encode_update(client, model, 1);
+                feedback.recycle_update(update);
+                older
+            };
+            // A first model is the residual already; its encode body is
+            // the pool's one idle buffer from then on.
+            assert_eq!(offer(0), None);
+            let idle = pool.stats().idle_buffers;
+            // Nothing owed: every released residual is freed.
+            for round in 1..4 {
+                assert!(offer(round).is_some());
+                assert_eq!(pool.stats().idle_buffers, idle, "{kind} {round}");
+            }
+            // One checkout owed (a model handed out and never returned):
+            // the next released residual settles it, and is the buffer the
+            // next checkout gets.
+            drop(pool.checkout_f32(DIM));
+            let released = offer(4).unwrap();
+            assert_eq!(pool.stats().idle_buffers, idle + 1, "{kind}");
+            let hits = pool.stats().hits;
+            let again = pool.checkout_f32(DIM);
+            assert_eq!((again.as_ptr(), pool.stats().hits), (released, hits + 1));
+            // Back in by hand, nothing is owed again: the pool keeps that
+            // one buffer and no later residual adds to it.
+            pool.checkin_f32(again);
+            for round in 5..8 {
+                offer(round);
+                assert_eq!(pool.stats().idle_buffers, idle + 1, "{kind} {round}");
+            }
+            assert_eq!(pool.stats().peak_idle_buffers, idle + 1, "{kind}");
+        }
     }
 
     #[test]

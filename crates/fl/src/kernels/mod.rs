@@ -433,12 +433,15 @@ pub fn le_bytes(values: &[f32]) -> &[u8] {
 /// A dense parameter vector owned as its little-endian wire bytes: the owner
 /// a model is **moved** into the shared-memory store behind
 /// (`Bytes::from_owner(DenseLe::new(values))`), so the stored object *is* the
-/// vector its producer wrote — no encode pass, no second buffer. A vector a
-/// client handed over is freed when the store recycles the object and the
-/// last handle is gone; one the engine checked out of a [`BufferPool`]
-/// ([`DenseLe::pooled`] — an aggregator's accumulator) is checked back in
-/// there instead, on whichever thread that happens, so the next round's
-/// accumulator is the same warm memory and not a fresh page-faulting one.
+/// vector its producer wrote — no encode pass, no second buffer. An owner
+/// made by [`DenseLe::new`] frees its vector when the store recycles the
+/// object and the last handle is gone. One made by [`DenseLe::pooled`] — an
+/// aggregator's accumulator, or a client's vector a session's gateway
+/// stored — is checked in to its [`BufferPool`] instead, on whichever thread
+/// that happens: an accumulator comes home, so the next round's is the same
+/// warm memory and not a fresh page-faulting one, and a client's vector is
+/// kept only while the pool is owed a buffer (the model a drive handed out)
+/// and freed otherwise.
 #[derive(Debug)]
 pub struct DenseLe {
     values: Vec<f32>,
@@ -451,8 +454,9 @@ impl DenseLe {
         DenseLe { values, home: None }
     }
 
-    /// Takes ownership of a vector checked out of `pool`; dropping the owner
-    /// checks it back in.
+    /// Takes ownership of `values`; dropping the owner checks them in to
+    /// `pool`, which keeps them if it is owed a buffer and frees them
+    /// otherwise (its conservation rule).
     pub fn pooled(values: Vec<f32>, pool: &BufferPool) -> Self {
         DenseLe {
             values,

@@ -57,9 +57,10 @@ impl DenseModel {
         bytes::Bytes::from_owner(crate::kernels::DenseLe::new(self.params))
     }
 
-    /// [`DenseModel::into_wire`] for a model whose vector was checked out of
-    /// `pool` (an aggregator's accumulator): dropping the last clone of the
-    /// handle checks the vector back in instead of freeing it.
+    /// [`DenseModel::into_wire`] homed on `pool`: dropping the last clone of
+    /// the handle checks the vector in there instead of freeing it — an
+    /// aggregator's accumulator comes home, and a client's vector stays
+    /// if the pool is owed a buffer.
     pub fn into_pooled_wire(self, pool: &lifl_shmem::BufferPool) -> bytes::Bytes {
         bytes::Bytes::from_owner(crate::kernels::DenseLe::pooled(self.params, pool))
     }

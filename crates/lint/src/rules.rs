@@ -309,7 +309,7 @@ const MOVE_ONLY_FILES: [&str; 8] = [
 /// Calls that copy a whole payload, as code-token sequences, with what to do
 /// instead. Scoped to [`MOVE_ONLY_FILES`]; everywhere else they stay the
 /// conveniences they are.
-const PAYLOAD_COPIES: [(&[&str], &str); 4] = [
+const PAYLOAD_COPIES: [(&[&str], &str); 5] = [
     (
         &[".", "to_bytes", "(", ")"],
         "`.to_bytes()` serializes a second buffer; borrow `wire()` or move `into_wire()`",
@@ -325,6 +325,11 @@ const PAYLOAD_COPIES: [(&[&str], &str); 4] = [
     (
         &["update", ".", "clone", "(", ")"],
         "`update.clone()` copies the payload; hand the update over by value",
+    ),
+    (
+        &[".", "as_f32_vec", "(", ")"],
+        "`.as_f32_vec()` copies a stored model into a fresh vector; decode it into a \
+         pooled one (`BufferPool::checkout_f32` + `kernels::decode_dense_le`)",
     ),
 ];
 

@@ -1,9 +1,10 @@
-//! Payload copies on the engine's move-only path: each of these was deleted
-//! in PR 21 and must not come back in non-test code.
+//! Payload copies on the engine's move-only path: none may come back in
+//! non-test code.
 
 pub fn admit(store: &Store, update: &Update, encoded: &Encoded) {
     let _ = store.put_f32(update.values());
     let _ = store.put_encoded(encoded.to_bytes(), 0);
     let _ = Object::encode_f32(update.values());
     forward(update.clone());
+    let _ = store.get(key).as_f32_vec();
 }

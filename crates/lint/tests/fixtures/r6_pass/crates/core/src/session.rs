@@ -20,5 +20,6 @@ mod tests {
         let key = store().put_f32(&[1.0]);
         let wire = encoded().to_bytes();
         let again = update.clone();
+        let model = store().get(key).as_f32_vec();
     }
 }

@@ -64,12 +64,13 @@ fn r6_fail_flags_payload_copies_on_the_move_only_path() {
         .iter()
         .filter(|f| f.contains("crates/core/src/session.rs") && f.contains("deleted in PR 21"))
         .collect();
-    assert_eq!(copies.len(), 4, "{found:#?}");
+    assert_eq!(copies.len(), 5, "{found:#?}");
     for (line, token) in [
         (5, "`put_f32(`"),
         (6, "`.to_bytes()`"),
         (7, "`encode_f32(`"),
         (8, "`update.clone()`"),
+        (9, "`.as_f32_vec()`"),
     ] {
         assert!(
             copies
@@ -130,9 +131,9 @@ fn r6_fail_flags_the_names_retired_with_the_async_driver() {
 fn r6_fail_flags_the_names_retired_with_the_fault_resend_path() {
     let found = lint("r6_fail", &[Rule::LegacyRuntime]);
     for (line, name, advice) in [
-        (9, "`run_round_resilient`", "`TrainingDriver::run_round`"),
-        (10, "`NodeFailure`", "`AggregatorFailure`"),
-        (10, "`take_lost_clients`", "re-delivers its round"),
+        (4, "`run_round_resilient`", "`TrainingDriver::run_round`"),
+        (5, "`NodeFailure`", "`AggregatorFailure`"),
+        (5, "`take_lost_clients`", "re-delivers its round"),
     ] {
         assert!(
             found.iter().any(|f| {

@@ -1,22 +1,34 @@
-//! A slab of reusable scratch buffers for the aggregation hot path.
+//! A slab of reusable buffers for the aggregation hot path.
 //!
 //! Every aggregator in LIFL folds model updates into an accumulator and
-//! hands its output on (encoded, where it crosses to the global top)
-//! continuously; allocating a fresh model-sized `Vec` per update puts
-//! the allocator on the Recv+Agg critical path (§5.4). [`BufferPool`] keeps
-//! checked-in `Vec<f32>` / `Vec<u8>` buffers alive between uses so a
-//! steady-state round performs **zero** model-sized heap allocations after
-//! warm-up: the codec draws its encode bodies from the pool, ingress and
-//! admission draw their wire buffers, and decode sites draw their
-//! dequantization scratch.
+//! hands its output on continuously; a fresh model-sized `Vec` per update
+//! puts the allocator, and the kernel's page faults behind it, on the
+//! Recv+Agg critical path (§5.4). [`BufferPool`] keeps checked-in
+//! `Vec<f32>` / `Vec<u8>` buffers alive between uses, so a steady-state
+//! session or cluster round makes **zero** model-sized heap allocations
+//! once warm. What the engine draws from it:
 //!
-//! The pool is deliberately simple — a LIFO stack per element type, behind one
-//! mutex, shared by `Clone` (an `Arc` bump) like [`crate::ObjectStore`]. A
-//! checkout *moves* the buffer out (no lifetime coupling to the pool), so a
-//! buffer can be embedded in an `EncodedUpdate`, shipped across a queue, and
-//! checked back in by whoever retires it — or wrapped in a [`PooledBuf`],
-//! which checks itself back in when dropped, so a payload moved into the
-//! object store comes home when the store recycles it.
+//! * `f32`: each tree position's accumulator, and the global model a
+//!   session's `drive()` copies the top's output into and hands its caller;
+//! * bytes: encode bodies, ingress wire buffers and parked offers.
+//!
+//! A checkout *moves* the buffer out (no lifetime coupling to the pool), so
+//! a buffer can be embedded in an `EncodedUpdate`, moved into the object
+//! store, or handed to a caller for good. It comes home through its owner's
+//! drop ([`PooledBuf`]; `lifl_fl::kernels::DenseLe::pooled` for `f32`) when
+//! the store recycles the object, or through an explicit check-in.
+//!
+//! A buffer that never comes home — the model a drive handed out — leaves
+//! its checkout unmatched, and the **conservation rule** turns that into a
+//! debt the round's retired buffers pay: the pool takes back any check-in,
+//! whoever allocated it, while a checkout of that element type is
+//! unmatched, and drops every other. So a client's dense vector, which the
+//! store recycles behind `DenseLe::pooled`, or the older residual an
+//! error-feedback encode releases, stands in for the model, and nothing
+//! foreign can grow the pool past what it handed out.
+//!
+//! The pool is deliberately simple — a LIFO stack per element type, behind
+//! one mutex, shared by `Clone` (an `Arc` bump) like [`crate::ObjectStore`].
 
 use parking_lot::Mutex;
 use std::sync::Arc;

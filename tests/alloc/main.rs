@@ -1,8 +1,11 @@
 //! Allocation-counting tier: proves the buffer-pooled aggregation hot path
 //! runs at **zero model-sized heap allocations** per steady-state round, and
-//! that a whole session round does too — ingest, store puts, every
-//! aggregator position's accumulator, `send`, park and drain included; the
-//! model `drive()` hands its caller is the one allocation left.
+//! that a whole session or cluster round does too — ingest, store puts,
+//! every aggregator position's accumulator, `send`, park, drain and the
+//! model `drive()` hands its caller included. That model is checked out of
+//! the pool, and the round's retired buffers pay the pool back for it: a
+//! client's dense vector when its object is recycled, or the older residual
+//! a lossy encode releases.
 //!
 //! A counting [`GlobalAlloc`] shim wraps the system allocator and counts
 //! every allocation (and growing reallocation) of at least
@@ -324,8 +327,9 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     // backlog buffer that the drain moves into the store, and each
     // aggregator position's accumulator is the pooled vector a previous
     // round's `send` moved into the store, home again since the recycle —
-    // so a steady-state round allocates nothing model-sized. `drive()` adds
-    // the one model it returns; `drive_to_wire()` adds nothing.
+    // so a steady-state round allocates nothing model-sized. The model
+    // `drive()` returns is checked out of the pool too, and the next round's
+    // retired buffers pay for it, so once warm a drive adds nothing either.
     use lifl_core::session::{Session, SessionBuilder};
     use lifl_types::AdmissionConfig;
 
@@ -376,19 +380,22 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
                  nothing model-sized, accumulators included"
             );
         }
-        // A lossy drive encodes at other positions than a drive to wire:
-        // the leaves, whose parent is then the global top, not the top. The
-        // pool holds one encode buffer (the top's), so the first such round
-        // checks out one more for the second leaf; from then on a drive adds
-        // exactly the model it returns.
-        let leaf_encode_buffer = u64::from(codec == CodecKind::Uniform8);
-        for (k, round) in rounds(2).into_iter().enumerate() {
+        // The first drive allocates one buffer. Under Identity it is the
+        // model: the pool holds the three accumulators, all out while the
+        // top's output is read. A lossy drive encodes at other positions
+        // than a drive to wire — the leaves, whose parent is then the global
+        // top, not the top — whose accumulators go home at once, so the
+        // model is a hit and the buffer is a second leaf's encode buffer
+        // (the pool held one, the top's). From then on the round's retired
+        // buffers pay back the model each drive hands out — the newest
+        // client vector recycled under Identity, a client's older residual
+        // under Uniform8 — and a drive allocates nothing model-sized.
+        for (k, round) in rounds(1 + MEASURED).into_iter().enumerate() {
             let (allocs, _) = round_allocs(&mut session, round, &to_model);
             assert_eq!(
                 allocs,
-                if k == 0 { 1 + leaf_encode_buffer } else { 1 },
-                "{codec}: drive() adds the model it returns, and a leaf \
-                 encode buffer on the first lossy drive"
+                u64::from(k == 0),
+                "{codec}: drive() {k} must allocate nothing model-sized once warm"
             );
         }
         assert_eq!(session.store().stats().live_objects, 0);
@@ -426,7 +433,11 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
             assert_eq!(session.pool().stats().misses, stats.misses);
         } else {
             let stats = session.pool().stats();
-            assert_eq!(stats.misses, POSITIONS, "the accumulators: {stats:?}");
+            assert_eq!(
+                stats.misses,
+                POSITIONS + 1,
+                "the accumulators and the model: {stats:?}"
+            );
         }
     }
 
@@ -694,13 +705,14 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     // path, with model-sized updates. Each offer only routes and counts its
     // update; the error-feedback encode runs as a job on the cluster's
     // worker set (or inline, when more jobs wait than there are workers)
-    // and lands in offer order. The round allocates nothing model-sized but
-    // the model `drive()` returns, and runs on exactly the threads the first
-    // round left — the same ids, the same names. Only the node tops encode;
-    // the leaves' dense intermediates come home to the pool when the store
-    // recycles them, so after the warm-up the pool neither misses nor
-    // raises its high-water mark: what the dense intermediates add to
-    // resident memory is bounded, not a leak.
+    // and lands in offer order. The round allocates nothing model-sized —
+    // the model `drive()` returns is the pool's, paid back by the first
+    // older residual the next round's encodes release — and runs on exactly
+    // the threads the first round left — the same ids, the same names. Only
+    // the node tops encode; the leaves' dense intermediates come home to the
+    // pool when the store recycles them, so after the warm-up the pool
+    // neither misses nor raises its high-water mark: what the dense
+    // intermediates add to resident memory is bounded, not a leak.
     let before = threads();
     let mut cluster = ClusterBuilder::new()
         .topology(Topology::new(vec![2, 2, 2]).expect("topology"))
@@ -735,12 +747,16 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     }
     let warm = settled(workers(&before) + per_set, "one more worker set");
     let warm_pool = cluster.pool().stats();
-    assert_eq!(warm_pool.idle_buffers as u64, warm_pool.misses, "all home");
+    assert_eq!(
+        warm_pool.idle_buffers as u64,
+        warm_pool.misses - 1,
+        "all home but the returned model"
+    );
     for round in cluster_rounds(MEASURED, 8) {
         assert_eq!(
             cluster_round(&mut cluster, round),
-            1,
-            "deferred encodes + drive() must allocate only the returned model"
+            0,
+            "deferred encodes + drive() must allocate nothing model-sized"
         );
         assert_eq!(threads(), warm, "a deferred round changed the threads");
         let pool = cluster.pool().stats();
@@ -761,8 +777,8 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     // [2, 2] subtree is re-split to three leaves at the first round
     // boundary, on the cluster's worker set. The first round of the new
     // shape sizes its new positions' accumulators; from the next one on,
-    // the node subtrees' one-forest drive is back to the one model it
-    // returns, on exactly the threads the first round left.
+    // the node subtrees' one-forest drive allocates nothing model-sized
+    // again, on exactly the threads the first round left.
     let mut fleet = ClusterBuilder::new()
         .topology(Topology::new(vec![2, 2, 2]).expect("topology"))
         .codec(CodecKind::Uniform8)
@@ -780,8 +796,8 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     for round in cluster_rounds(MEASURED, 12) {
         assert_eq!(
             cluster_round(&mut fleet, round),
-            1,
-            "a re-split fleet's drive must allocate only the returned model"
+            0,
+            "a re-split fleet's drive must allocate nothing model-sized"
         );
         assert_eq!(threads(), warm, "a re-split changed the threads");
     }
@@ -792,8 +808,7 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     // fault-tolerant cluster. The killed node restarts by re-delivering the
     // keys its store already holds, and the same drive re-plans and
     // completes: nothing is copied, cached, re-sent or re-encoded, so the
-    // round allocates nothing model-sized but the model `drive()` returns —
-    // exactly an undisturbed round. (The checkpoint period is out of reach,
+    // round allocates nothing model-sized — exactly an undisturbed round. (The checkpoint period is out of reach,
     // so no checkpoint copy falls into the measured rounds.)
     for codec in [CodecKind::Identity, CodecKind::Uniform8] {
         let mut cluster = ClusterBuilder::new()
@@ -817,9 +832,9 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         for round in cluster_rounds(MEASURED, 8) {
             assert_eq!(
                 kill_round(&mut cluster, round),
-                1,
+                0,
                 "{codec}: a killed node's restart and the re-planned drive must \
-                 allocate only the returned model"
+                 allocate nothing model-sized"
             );
         }
         let stats = cluster.fault_stats().expect("fault tolerance is on");
@@ -831,7 +846,7 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     // Phase 11: a checkpoint every round, with every node heartbeating. The
     // first checkpoint (in the warm-up) takes the one model-sized buffer the
     // cluster keeps; every later one copies into it, so a measured round
-    // allocates nothing model-sized but the model `drive()` returns.
+    // allocates nothing model-sized.
     for codec in [CodecKind::Identity, CodecKind::Uniform8] {
         let mut cluster = ClusterBuilder::new()
             .topology(Topology::new(vec![2, 2, 2]).expect("topology"))
@@ -856,7 +871,7 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         for (k, round) in cluster_rounds(MEASURED, 8).into_iter().enumerate() {
             assert_eq!(
                 checkpointed_round(&mut cluster, round, 2.0 + k as f64),
-                1,
+                0,
                 "{codec}: a checkpoint after the first must allocate nothing model-sized"
             );
         }
