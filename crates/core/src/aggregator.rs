@@ -1,8 +1,10 @@
 //! The LIFL aggregator runtime: the Recv → Agg → Send processing model of
 //! Appendix G, operating on object keys in shared memory.
 
-use lifl_fl::codec::{EncodedView, UpdateCodec};
+use lifl_fl::codec::{EncodedView, OwnedView, UpdateCodec};
 use lifl_fl::robust::PolicyFold;
+use lifl_fl::sharded::BatchPlan;
+use lifl_fl::ModelUpdate;
 use lifl_shmem::queue::QueuedUpdate;
 use lifl_shmem::{InPlaceQueue, ObjectStore, SharedObject};
 use lifl_types::{AggregatorId, FoldPolicy, LiflError, Result, Topology};
@@ -165,7 +167,7 @@ impl AggregatorRuntime {
         let object = self.store.get(&queued.key)?;
         // Fused decode-fold straight off the shared-memory bytes: no
         // intermediate `DenseModel` (or payload copy) is materialised.
-        let view = payload_view(&object, &queued)?;
+        let view = EncodedView::of(object.as_slice(), queued.encoded)?;
         self.warm_accumulator(view.dim());
         self.accumulator.fold_encoded_view(&view, queued.weight)?;
         self.aggregated += 1;
@@ -186,14 +188,7 @@ impl AggregatorRuntime {
     /// dropped, exactly as a failed [`AggregatorRuntime::poll`] drops it) is
     /// re-enqueued in order.
     pub fn drain_batch(&mut self) -> Result<usize> {
-        let remaining = self.goal.saturating_sub(self.aggregated) as usize;
-        let mut queued = Vec::with_capacity(remaining);
-        while queued.len() < remaining {
-            match self.inbox.dequeue() {
-                Some(entry) => queued.push(entry),
-                None => break,
-            }
-        }
+        let queued = self.drain(self.goal.saturating_sub(self.aggregated) as usize);
         if queued.is_empty() {
             return Ok(0);
         }
@@ -202,39 +197,62 @@ impl AggregatorRuntime {
                 self.aggregated += folded as u64;
                 Ok(folded)
             }
-            Err((corrupt, error)) => {
-                for (i, entry) in queued.into_iter().enumerate() {
-                    if Some(i) != corrupt {
-                        self.inbox.enqueue(entry);
-                    }
-                }
-                Err(error)
-            }
+            Err((corrupt, error)) => Err(self.requeue(queued, corrupt, error)),
         }
     }
 
-    /// Folds a drained batch all-or-nothing; on failure reports which entry
-    /// (if any single one) was at fault so the caller can drop just it.
-    fn fold_drained(
-        &mut self,
-        queued: &[QueuedUpdate],
-    ) -> std::result::Result<usize, (Option<usize>, LiflError)> {
+    /// Dequeues up to `count` updates, oldest first.
+    fn drain(&self, count: usize) -> Vec<QueuedUpdate> {
+        let mut queued = Vec::with_capacity(count);
+        while queued.len() < count {
+            match self.inbox.dequeue() {
+                Some(entry) => queued.push(entry),
+                None => break,
+            }
+        }
+        queued
+    }
+
+    /// Puts a refused batch back in order, all but its `corrupt` entry (if
+    /// any single one was at fault), and returns the refusal.
+    fn requeue(
+        &self,
+        queued: Vec<QueuedUpdate>,
+        corrupt: Option<usize>,
+        error: LiflError,
+    ) -> LiflError {
+        for (i, entry) in queued.into_iter().enumerate() {
+            if Some(i) != corrupt {
+                self.inbox.enqueue(entry);
+            }
+        }
+        error
+    }
+
+    /// The store object of every entry of a drained batch; on failure,
+    /// which entry was at fault.
+    fn objects(&self, queued: &[QueuedUpdate]) -> Drained<Vec<SharedObject>> {
         let mut objects = Vec::with_capacity(queued.len());
         for (i, entry) in queued.iter().enumerate() {
             objects.push(self.store.get(&entry.key).map_err(|e| (Some(i), e))?);
         }
+        Ok(objects)
+    }
+
+    /// Folds a drained batch all-or-nothing; on failure reports which entry
+    /// (if any single one) was at fault so the caller can drop just it.
+    fn fold_drained(&mut self, queued: &[QueuedUpdate]) -> Drained<usize> {
+        let objects = self.objects(queued)?;
         let mut views = Vec::with_capacity(queued.len());
         for (i, (object, entry)) in objects.iter().zip(queued).enumerate() {
-            views.push((
-                payload_view(object, entry).map_err(|e| (Some(i), e))?,
-                entry.weight,
-            ));
+            let view = EncodedView::of(object.as_slice(), entry.encoded);
+            views.push((view.map_err(|e| (Some(i), e))?, entry.weight));
         }
         if let Some((first, _)) = views.first() {
             self.warm_accumulator(first.dim());
         }
-        // The batch that meets the goal may store the average from its last
-        // pass, so `send` finds the sum scaled already.
+        // The batch that meets the goal stores the average, so `send` finds
+        // the sum scaled already.
         let folded = if self.aggregated + views.len() as u64 >= self.goal {
             self.accumulator.fold_closing_batch(&views)
         } else {
@@ -242,6 +260,64 @@ impl AggregatorRuntime {
         };
         folded.map_err(|e| (None, e))?;
         Ok(views.len())
+    }
+
+    /// Drains the batch that meets the goal and makes every check
+    /// [`AggregatorRuntime::drain_batch`] makes, parsing each payload once,
+    /// but folds nothing: returns the batch, ready to be folded by element
+    /// range on any thread ([`Prepared::fold_range`]), and the warm
+    /// accumulator's buffer, lent out for those ranges until
+    /// [`AggregatorRuntime::commit`] takes it back. `None`, with nothing
+    /// drained, when the round is not one FedAvg batch: a robust policy
+    /// buffers whole rows, and an inbox short of the goal starves as
+    /// [`AggregatorRuntime::run_to_completion`] reports it.
+    ///
+    /// # Errors
+    /// Those of [`AggregatorRuntime::drain_batch`], which leave the inbox
+    /// as it leaves it.
+    pub(crate) fn prepare(&mut self) -> Result<Option<(Prepared, Vec<f32>)>> {
+        let remaining = self.goal.saturating_sub(self.aggregated) as usize;
+        let fedavg = self.accumulator.fedavg_mut().is_some();
+        if !fedavg || remaining == 0 || self.inbox.len() < remaining {
+            return Ok(None);
+        }
+        let queued = self.drain(remaining);
+        match self.check_drained(&queued) {
+            Ok(prepared) => Ok(Some(prepared)),
+            Err((corrupt, error)) => Err(self.requeue(queued, corrupt, error)),
+        }
+    }
+
+    /// [`AggregatorRuntime::prepare`]'s checks on a drained closing batch.
+    fn check_drained(&mut self, queued: &[QueuedUpdate]) -> Drained<(Prepared, Vec<f32>)> {
+        let mut payloads = Vec::with_capacity(queued.len());
+        for (i, (object, entry)) in self.objects(queued)?.into_iter().zip(queued).enumerate() {
+            let payload = OwnedView::new(object, entry.encoded);
+            payloads.push((payload.map_err(|e| (Some(i), e))?, entry.weight));
+        }
+        let views: Vec<_> = payloads.iter().map(|(p, w)| (p.view(), *w)).collect();
+        if let Some((first, _)) = views.first() {
+            self.warm_accumulator(first.dim());
+        }
+        let Some(acc) = self.accumulator.fedavg_mut() else {
+            let policy = self.accumulator.policy();
+            let error = format!("{policy:?} does not fold by element range");
+            return Err((None, LiflError::InvalidConfig(error)));
+        };
+        let (plan, sum) = acc.open_batch(&views, true).map_err(|e| (None, e))?;
+        Ok((Prepared { payloads, plan }, sum))
+    }
+
+    /// Takes back the buffer [`AggregatorRuntime::prepare`] lent out, every
+    /// range of `plan`'s batch folded into it, and counts the batch.
+    pub(crate) fn commit(&mut self, plan: BatchPlan, sum: Vec<f32>) {
+        match self.accumulator.fedavg_mut() {
+            Some(acc) => {
+                acc.commit_batch(plan, sum);
+                self.aggregated += plan.updates();
+            }
+            None => self.codec.pool().checkin_f32(sum),
+        }
     }
 
     /// Draws the round's accumulator from the codec's pool when the
@@ -262,12 +338,11 @@ impl AggregatorRuntime {
     /// accumulator an encode has finished reading.
     ///
     /// The runtime knows its goal, so the drained batch that met it was
-    /// folded as the closing batch: when that batch's last pass was the one
-    /// pass over every element it stored the average, and finalising here
-    /// writes nothing (see `CumulativeFedAvg::fold_closing_batch`); a round
-    /// met by [`AggregatorRuntime::poll`], blocked or `TopK`-last, or under a
-    /// robust policy, is scaled here as before — the same bits either way.
-    /// A station's accumulator is therefore written once per round.
+    /// folded as the closing batch, which stored the average, and
+    /// finalising here writes nothing (see
+    /// `CumulativeFedAvg::fold_closing_batch`); a round met by
+    /// [`AggregatorRuntime::poll`], or under a robust policy, is scaled
+    /// here as before — the same bits either way.
     ///
     /// # Errors
     /// Returns an error if the goal has not been met or the store is full.
@@ -302,6 +377,22 @@ impl AggregatorRuntime {
     /// [`AggregatorRuntime::send`], and reports starvation when the inbox
     /// runs dry before the goal.
     pub fn run_to_completion(&mut self) -> Result<QueuedUpdate> {
+        self.drain_to_goal()?;
+        self.send()
+    }
+
+    /// [`AggregatorRuntime::run_to_completion`] ending in
+    /// [`AggregatorRuntime::complete`]: a station's whole round.
+    ///
+    /// # Errors
+    /// Those of [`AggregatorRuntime::run_to_completion`].
+    pub(crate) fn run_round(&mut self, keeps: bool) -> Result<Output> {
+        self.drain_to_goal()?;
+        self.complete(keeps)
+    }
+
+    /// Drains batches until the goal is met.
+    fn drain_to_goal(&mut self) -> Result<()> {
         while !self.goal_met() {
             if self.drain_batch()? == 0 {
                 return Err(LiflError::Simulation(format!(
@@ -310,7 +401,63 @@ impl AggregatorRuntime {
                 )));
             }
         }
-        self.send()
+        Ok(())
+    }
+
+    /// A met round's last step: [`AggregatorRuntime::send`], or, when the
+    /// station `keeps` its output — the global top of a drive — the
+    /// finalized accumulator itself, handed out as the model and stored
+    /// nowhere.
+    ///
+    /// # Errors
+    /// Those of [`AggregatorRuntime::send`].
+    pub(crate) fn complete(&mut self, keeps: bool) -> Result<Output> {
+        if !keeps {
+            return self.send().map(Output::Stored);
+        }
+        if !self.goal_met() {
+            return Err(LiflError::InvalidAggregationGoal(self.aggregated));
+        }
+        let model = self.accumulator.finalize()?;
+        self.aggregated = 0;
+        Ok(Output::Model(model))
+    }
+}
+
+/// What a station's round hands on ([`AggregatorRuntime::complete`]).
+#[derive(Debug)]
+pub(crate) enum Output {
+    /// The output stored, and the entry that queues it for the parent.
+    Stored(QueuedUpdate),
+    /// The global top's finalized accumulator: the model.
+    Model(ModelUpdate),
+}
+
+/// A drained batch's outcome: on failure, the entry at fault (if any single
+/// one was) and the error.
+type Drained<T> = std::result::Result<T, (Option<usize>, LiflError)>;
+
+/// A station's closing batch, drained and checked on the calling thread
+/// ([`AggregatorRuntime::prepare`]) and folded by element range on any
+/// thread: its payloads, each parsed once and held with its bytes, and the
+/// plan the checks produced.
+#[derive(Debug)]
+pub(crate) struct Prepared {
+    payloads: Vec<(OwnedView, u64)>,
+    plan: BatchPlan,
+}
+
+impl Prepared {
+    /// The checked batch's plan: its range cuts and its commit.
+    pub(crate) fn plan(&self) -> BatchPlan {
+        self.plan
+    }
+
+    /// Folds the batch into `range`, the accumulator's elements from `at`
+    /// on ([`BatchPlan::fold_range`]).
+    pub(crate) fn fold_range(&self, at: usize, range: &mut [f32]) {
+        let views: Vec<_> = self.payloads.iter().map(|(p, w)| (p.view(), *w)).collect();
+        self.plan.fold_range(&views, at, range);
     }
 }
 
@@ -320,17 +467,6 @@ impl AggregatorRuntime {
 /// so routing ids always match aggregator identities.
 pub(crate) fn position_id(level: usize, index: usize) -> AggregatorId {
     AggregatorId::new(((level as u64) << 32) | index as u64)
-}
-
-/// A zero-copy fused-fold view over a queued payload: encoded payloads parse
-/// their self-describing header in place; dense payloads fold through the
-/// bit-exact `Identity` kernel.
-fn payload_view<'a>(object: &'a SharedObject, queued: &QueuedUpdate) -> Result<EncodedView<'a>> {
-    if queued.encoded {
-        EncodedView::parse(object.as_slice())
-    } else {
-        Ok(EncodedView::identity_over(object.as_slice()))
-    }
 }
 
 #[cfg(test)]

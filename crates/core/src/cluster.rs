@@ -1757,13 +1757,13 @@ mod tests {
         // drew six accumulators: both nodes' subtrees run as one forest, so
         // each level's stations fold side by side and only the global top,
         // which runs once both node rounds closed, found one back in the
-        // pool — one hit. The model the drive handed out is a second; the
-        // client vectors the round recycled stand in for it, so six are
-        // idle now.
+        // pool — the one hit. The top handed that accumulator out as the
+        // model; the client vectors the round recycled stand in for it, so
+        // six are idle now.
         let pool = cluster.pool().stats();
-        assert_eq!((pool.idle_buffers, pool.hits), (1 + 6, 2));
+        assert_eq!((pool.idle_buffers, pool.hits), (1 + 6, 1));
         let again = cluster.pool().checkout_bytes(256);
-        assert_eq!(cluster.pool().stats().hits, 2 + 1);
+        assert_eq!(cluster.pool().stats().hits, 1 + 1);
         cluster.pool().checkin_bytes(again);
         cluster.discard_round();
         assert_eq!(cluster.pool().stats().idle_buffers, 2 + 6);

@@ -28,12 +28,12 @@
 #![deny(missing_docs)]
 
 use crate::admission::AdmissionQueues;
+use crate::aggregator::Output;
 use crate::gateway::Gateway;
 use crate::ingress::{self, Backend, Ingress, Target};
 use crate::stations::{Stations, Tree, Workers};
 use lifl_fl::aggregate::ModelUpdate;
 use lifl_fl::codec::UpdateCodec;
-use lifl_fl::{kernels, DenseModel};
 use lifl_shmem::queue::QueuedUpdate;
 use lifl_shmem::{BufferPool, ObjectStore, StoreStats};
 use lifl_types::{
@@ -280,9 +280,9 @@ impl SessionBuilder {
 /// through the store.
 #[derive(Debug, Clone)]
 pub struct SessionReport {
-    /// The aggregated global model (decoded to dense parameters), in a
-    /// buffer checked out of the session's pool: its capacity may exceed
-    /// its length.
+    /// The aggregated global model: the global top's finalized accumulator,
+    /// a buffer checked out of the session's pool, never stored or copied.
+    /// Its capacity may exceed its length.
     pub update: ModelUpdate,
     /// Object-store statistics at the end of the round (encoded puts, real
     /// and dense-equivalent bytes).
@@ -673,7 +673,10 @@ impl Session {
     /// handed to the next level in child-index order (not completion order),
     /// so results are bit-identical run-to-run whichever thread ran which
     /// station — and, for `Identity`, bit-identical to the seed two-level
-    /// path. No thread is started per round.
+    /// path. A level of one station — the top — folds by element range on
+    /// every thread. No thread is started
+    /// per round. The global top stores nothing: its finalized accumulator
+    /// is the model returned.
     ///
     /// # Errors
     /// Fails if the ingested updates do not exactly fill the tree
@@ -684,16 +687,17 @@ impl Session {
     /// reset to an empty round.
     pub fn drive(&mut self) -> Result<SessionReport> {
         self.open()?;
-        // The global top never encodes: the model is its dense output,
-        // copied into warm pooled memory (see `Session::reset_round` for
-        // what pays the pool back).
+        // The global top never encodes and stores nothing: the model is its
+        // finalized accumulator, warm pooled memory (see
+        // `Session::reset_round` for what pays the pool back).
         let report = self.run_tree(false, self.rounds).and_then(|top| {
-            let object = self.store.get(&top.key)?;
-            let mut values = self.pool.checkout_f32(object.len() / 4);
-            kernels::decode_dense_le(&mut values, object.as_slice());
-            let model = DenseModel::from_vec(values);
+            let Output::Model(update) = top else {
+                return Err(LiflError::Simulation(
+                    "the top stored its output".to_string(),
+                ));
+            };
             Ok(SessionReport {
-                update: ModelUpdate::intermediate(model, top.weight),
+                update,
                 store_stats: self.store.stats(),
                 ingress_wire_bytes: self.ingress_wire_bytes,
                 updates_ingested: self.ingress.ingested(),
@@ -727,12 +731,13 @@ impl Session {
                 top.checked_sub(1)
             },
             round,
+            keeps_top: !to_wire,
             round_keys: &mut self.round_keys,
         }
     }
 
     /// Runs the opened round's tree as a forest of one.
-    fn run_tree(&mut self, to_wire: bool, round: u64) -> Result<QueuedUpdate> {
+    fn run_tree(&mut self, to_wire: bool, round: u64) -> Result<Output> {
         let top = Stations::run(&mut [self.tree(to_wire, round)]).pop();
         top.unwrap_or_else(|| Err(LiflError::Simulation("the tree did not run".to_string())))
     }
@@ -787,7 +792,7 @@ impl Session {
     /// Drives the configured tree to completion like [`Session::drive`], but
     /// exports the merged update as codec-tagged wire bytes instead of
     /// decoding it — the transmit half of a cluster hop. No intermediate
-    /// [`DenseModel`] is materialised: the returned [`Update::RemoteBytes`]
+    /// [`DenseModel`](lifl_fl::DenseModel) is materialised: the returned [`Update::RemoteBytes`]
     /// shares the store's top-intermediate buffer (the store's objects are
     /// immutable, so the handle stays valid after the round's objects are
     /// recycled), and the parent gateway ingests it after one in-place
@@ -803,8 +808,11 @@ impl Session {
 
     /// The close step of a drive to wire: the top's intermediate as a
     /// zero-copy export, then [`Session::close`].
-    fn export(&mut self, top: Result<QueuedUpdate>) -> Result<WireExport> {
-        let export = top.and_then(|result| {
+    fn export(&mut self, top: Result<Output>) -> Result<WireExport> {
+        let export = top.and_then(|top| {
+            let Output::Stored(result) = top else {
+                return Err(LiflError::Simulation("the top kept its output".to_string()));
+            };
             let object = self.store.get(&result.key)?;
             Ok(WireExport {
                 update: Update::remote_bytes(object.bytes(), result.weight, result.encoded),
@@ -963,6 +971,7 @@ impl lifl_fl::Ingest for Session {
 mod tests {
     use super::*;
     use lifl_fl::aggregate::fedavg;
+    use lifl_fl::DenseModel;
     use lifl_types::SimDuration;
 
     fn updates(n: usize, dim: usize) -> Vec<ModelUpdate> {
@@ -1470,12 +1479,11 @@ mod tests {
         }
         // The pool holds what the session itself checks out — the two
         // leaves' encode buffers (their parent is the global top, so they
-        // encode) and one accumulator: each leaf's encode hands its
-        // accumulator back at once, and the top, which never encodes,
-        // keeps the same vector as its dense output until the round's
-        // objects are recycled — and not one buffer more.
-        assert!(idle.iter().all(|n| *n == 3), "pool grew: {idle:?}");
-        assert_eq!(session.pool().stats().peak_idle_buffers, 3);
+        // encode) — and not one buffer more. Each leaf's encode hands its
+        // accumulator back at once, and the top folds into that same vector
+        // and hands it out as the model.
+        assert!(idle.iter().all(|n| *n == 2), "pool grew: {idle:?}");
+        assert_eq!(session.pool().stats().peak_idle_buffers, 2);
     }
 
     #[test]
@@ -1632,18 +1640,18 @@ mod tests {
         assert_eq!((stats.queued, stats.drained, stats.dropped), (2, 1, 1));
         // The refused backlog buffer is home — the next checkout of its
         // size is a hit — while the admitted one is the stored object. The
-        // other four idle buffers are the driven round's three accumulators
-        // and the newest client vector, which paid for the model the drive
-        // checked out and handed over.
+        // other three idle buffers are the driven round's two leaf
+        // accumulators and the newest client vector, which paid for the
+        // top's accumulator the drive handed over as the model.
         let pool = session.pool().stats();
-        assert_eq!((pool.idle_buffers, pool.hits), (1 + 4, 0));
+        assert_eq!((pool.idle_buffers, pool.hits), (1 + 3, 0));
         let again = session.pool().checkout_bytes(256);
         assert!(again.capacity() >= 256);
         assert_eq!(session.pool().stats().hits, 1);
         session.pool().checkin_bytes(again);
         // …and comes home too once its round is over.
         session.discard_round();
-        assert_eq!(session.pool().stats().idle_buffers, 2 + 4);
+        assert_eq!(session.pool().stats().idle_buffers, 2 + 3);
     }
 
     #[test]
@@ -1945,32 +1953,47 @@ mod tests {
         assert!(!session.depart_client(ClientId::new(77)));
     }
 
-    /// A drive's steps with the top's output copied out as it used to be,
-    /// by `as_f32_vec` into a fresh vector.
-    fn drive_by_copy(session: &mut Session) -> Vec<f32> {
-        session.open().unwrap();
-        let top = session.run_tree(false, session.rounds).unwrap();
-        let model = session.store.get(&top.key).unwrap().as_f32_vec();
-        session.close();
-        model
+    #[test]
+    fn a_dense_session_shaped_drive_stores_its_clients_and_leaves_but_not_its_top() {
+        let mut session = SessionBuilder::new()
+            .topology(Topology::new(vec![8, 4]).unwrap())
+            .build()
+            .unwrap();
+        for round in 1..=3 {
+            session
+                .ingest_all(updates(32, 16).into_iter().map(Update::Dense))
+                .unwrap();
+            let report = session.drive().unwrap();
+            // 32 client payloads and 4 leaf outputs a round; the top's output
+            // is the model, stored nowhere (37 puts while it was stored).
+            assert_eq!(report.store_stats.total_puts, 36 * round);
+            assert_eq!(session.store().stats().live_objects, 0);
+        }
     }
 
     #[test]
     fn the_model_a_drive_hands_out_is_the_top_output_on_a_cold_and_a_warm_pool() {
+        // Big enough that the top's fold splits into ranges beside one
+        // worker, whatever the codec (its accumulator alone is two ranges).
+        let dim = 2 * lifl_fl::sharded::SPLIT_RANGE_BYTES / 4 + 3;
         for codec in [
             CodecKind::Identity,
             CodecKind::Uniform8,
             CodecKind::TopK { permille: 100 },
         ] {
-            let build = || {
+            let build = |workers: usize| {
                 let builder = SessionBuilder::new().two_level(2, 2).codec(codec);
-                builder.workers(Workers::with_count(0)).build().unwrap()
+                builder
+                    .workers(Workers::with_count(workers))
+                    .build()
+                    .unwrap()
             };
-            let (mut session, mut twin) = (build(), build());
+            // The caller alone never splits a level.
+            let (mut session, mut twin) = (build(1), build(0));
             for round in 0..4 {
                 // Every round's clients send other values, so a warm buffer
                 // holds what an earlier round left in it.
-                let batch = updates(4 + round, 64).split_off(round);
+                let batch = updates(4 + round, dim).split_off(round);
                 let ingest = |s: &mut Session| {
                     s.ingest_all(batch.iter().cloned().map(Update::Dense))
                         .unwrap()
@@ -1978,12 +2001,15 @@ mod tests {
                 ingest(&mut session);
                 ingest(&mut twin);
                 let misses = session.pool().stats().misses;
-                let model = session.drive().unwrap().update.model.into_vec();
-                let copied = drive_by_copy(&mut twin);
+                let report = session.drive().unwrap();
+                // The top's output is stored nowhere: 4 clients, 2 leaves.
+                assert_eq!(report.store_stats.total_puts, 6 * (round as u64 + 1));
+                let model = report.update.model.into_vec();
+                let alone = twin.drive().unwrap().update.model.into_vec();
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&model), bits(&copied), "{codec} {round}");
+                assert!(bits(&model) == bits(&alone), "{codec} {round}");
                 // Round 0 starts from an empty pool; from round 2 on every
-                // checkout, the model's included, is served warm.
+                // checkout, the top's accumulator included, is served warm.
                 if round == 0 {
                     assert!(session.pool().stats().misses > misses, "{codec}");
                 } else if round >= 2 {
@@ -1998,6 +2024,7 @@ mod tests {
 mod proptests {
     use super::*;
     use lifl_fl::aggregate::CumulativeFedAvg;
+    use lifl_fl::DenseModel;
     use proptest::prelude::*;
 
     /// The seed two-level fold semantics, restated from first principles:

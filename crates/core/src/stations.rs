@@ -16,7 +16,10 @@
 //! consumer in index order as soon as it and every earlier one are done
 //! ([`Workers::run`] is the consumer that collects), so the result does not
 //! depend on which thread ran which index, or on whether a worker woke at
-//! all — a late worker only means the caller did more of the level. While
+//! all — a late worker only means the caller did more of the level. A tree
+//! level of one station claims element ranges of its fold instead
+//! ([`Stations::run`]), so the top of a tree is folded on every thread too.
+//! While
 //! the next outcome is not ready the caller claims an index, else runs a
 //! waiting job, else parks; so a driver ingests (and encodes) each trained
 //! update while its workers train the next ones. Several trees
@@ -40,10 +43,10 @@
 //! backend's stations and encodes take turns on the same threads instead of
 //! two sets contending for the same CPUs.
 
-use crate::aggregator::{position_id, AggregatorRuntime};
+use crate::aggregator::{position_id, AggregatorRuntime, Output};
 use crate::gateway::Gateway;
 use lifl_fl::codec::UpdateCodec;
-use lifl_shmem::queue::QueuedUpdate;
+use lifl_fl::kernels::Lent;
 use lifl_shmem::InPlaceQueue;
 use lifl_types::{AggregatorId, FoldPolicy, LiflError, ObjectKey, Result, Topology};
 use std::collections::VecDeque;
@@ -63,8 +66,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// A handle on a set of parked worker threads; clones share the set, which
 /// is joined when the last handle drops. The threads are spawned at the
-/// first level with two or more stations and park on a condvar between
-/// levels, so an idle set costs no CPU.
+/// first level of two or more claims and park on a condvar between levels,
+/// so an idle set costs no CPU.
 ///
 /// A process has one live set of its own ([`Workers::new`]): every session,
 /// cluster and training driver built while some handle on it lives gets
@@ -476,11 +479,8 @@ impl<T: Send, F: Fn(usize) -> Result<T> + Send + Sync> Claim for Level<T, F> {
         if index >= self.len {
             return false;
         }
-        let output = catch_unwind(AssertUnwindSafe(|| (self.job)(index))).unwrap_or_else(|_| {
-            Err(LiflError::Simulation(
-                "aggregator thread panicked".to_string(),
-            ))
-        });
+        let output = catch_unwind(AssertUnwindSafe(|| (self.job)(index)))
+            .unwrap_or_else(|_| Err(station_panicked()));
         let mut slots = lock(&self.slots);
         if let Some(slot) = slots.outputs.get_mut(index) {
             *slot = Some(output);
@@ -542,6 +542,9 @@ pub(crate) struct Tree<'a> {
     /// The round's index, the backend's count of closed rounds: with its
     /// position, the key an encoding station draws its rounding words from.
     pub(crate) round: u64,
+    /// Whether the tree's top is the global top of a drive, which hands its
+    /// finalized accumulator out as the model and stores nothing.
+    pub(crate) keeps_top: bool,
     pub(crate) round_keys: &'a mut Vec<ObjectKey>,
 }
 
@@ -612,30 +615,35 @@ impl Stations {
 
     /// Runs a forest — trees that share one worker set, a session's own tree
     /// alone or every node subtree of a cluster — level by level over what
-    /// the inboxes hold, and returns each tree's top output in tree order.
+    /// the inboxes hold, and returns each tree's top output in tree order:
+    /// the model itself for a tree that keeps its top ([`Tree::keeps_top`]),
+    /// a stored output otherwise.
     ///
     /// Level ℓ of every tree that has one runs as **one** claim set on the
-    /// first tree's workers, indexed in (tree, station) order. Each tree
+    /// first tree's workers, indexed in (tree, station) order: one station
+    /// per index, except that a level of one station splits its FedAvg fold
+    /// into element ranges ([`run_split`]), so every thread folds the top of
+    /// a tree. Each tree
     /// hands its outputs to its own parents in child order and pushes every
-    /// intermediate's key to its own `round_keys`, those of a failed level's
-    /// survivors included; a tree whose level failed stops there with the
-    /// level's first error, and the others run on. So a station sees the
-    /// same inbox, goal and encode rule whatever else shares its level, and a
-    /// tree's result does not depend on which thread ran which station, or
-    /// on what else is in the forest.
+    /// stored intermediate's key to its own `round_keys`, those of a failed
+    /// level's survivors included; a tree whose level failed stops there
+    /// with the level's first error, and the others run on. So a station
+    /// sees the same inbox, goal and encode rule whatever else shares its
+    /// level, and a tree's result does not depend on which thread ran which
+    /// station or range, or on what else is in the forest.
     ///
     /// A full round runs every station to its fan-in. A partial (quorum)
     /// round runs only the stations whose inbox holds something, each to
     /// what it holds, so parents fold only the children that produced
     /// output, in child order; on a full round the two coincide, so
     /// exact-fill results stay bit-exact.
-    pub(crate) fn run(forest: &mut [Tree<'_>]) -> Vec<Result<QueuedUpdate>> {
+    pub(crate) fn run(forest: &mut [Tree<'_>]) -> Vec<Result<Output>> {
         let Some(workers) = forest.first().map(|tree| tree.stations.workers.clone()) else {
             return Vec::new();
         };
         let depth = forest.iter().map(|tree| tree.stations.levels.len());
         let depth = depth.max().unwrap_or(0);
-        let mut tops: Vec<Option<Result<QueuedUpdate>>> = forest.iter().map(|_| None).collect();
+        let mut tops: Vec<Option<Result<Output>>> = forest.iter().map(|_| None).collect();
         // Stations each tree put in the current level's claim set.
         let mut armed_per_tree = vec![0; forest.len()];
         for level in 0..depth {
@@ -649,6 +657,7 @@ impl Stations {
                 else {
                     continue;
                 };
+                let is_top = level + 1 == tree.stations.levels.len();
                 for (index, inbox) in stations.inboxes.iter().enumerate() {
                     let goal = if tree.full {
                         tree.stations.topology.fan_in(level)
@@ -656,21 +665,20 @@ impl Stations {
                         inbox.len()
                     };
                     if goal > 0 {
-                        let encodes = tree.encoding_level == Some(level);
-                        let (goal, runtimes) = (goal as u64, Arc::clone(&stations.runtimes));
-                        armed.push((runtimes, index, goal, encodes, tree.round));
+                        armed.push(Armed {
+                            runtimes: Arc::clone(&stations.runtimes),
+                            index,
+                            goal: goal as u64,
+                            encodes: tree.encoding_level == Some(level),
+                            round: tree.round,
+                            keeps: is_top && tree.keeps_top,
+                        });
                         *count += 1;
                     }
                 }
             }
-            let mut results = workers
-                .run(armed.len(), move |k| {
-                    let (runtimes, index, goal, encodes, round) = &armed[k];
-                    let mut runtime = lock(&runtimes[*index]);
-                    runtime.rearm(*goal, *encodes, *round)?;
-                    Ok((*index, runtime.run_to_completion()?))
-                })
-                .into_iter();
+            let armed: Arc<[Armed]> = armed.into();
+            let mut results = run_level(&workers, &armed).into_iter().zip(armed.iter());
             for ((tree, top), count) in forest.iter_mut().zip(&mut tops).zip(&armed_per_tree) {
                 if top.is_some() || level >= tree.stations.levels.len() {
                     continue;
@@ -679,21 +687,24 @@ impl Stations {
                     .map(|parents| (parents, tree.stations.topology.fan_in(level + 1)));
                 let mut first_error = None;
                 let mut output_of_top = None;
-                for result in results.by_ref().take(*count) {
+                for (result, station) in results.by_ref().take(*count) {
                     match result {
-                        Ok((index, output)) => {
+                        Ok(Output::Stored(output)) => {
                             tree.round_keys.push(output.key);
                             match parents {
                                 // Parent j consumes children j·f .. (j+1)·f,
                                 // in child order.
                                 Some((parents, fan_in)) => {
-                                    if let Some(inbox) = parents.inboxes.get(index / fan_in) {
+                                    let inbox = parents.inboxes.get(station.index / fan_in);
+                                    if let Some(inbox) = inbox {
                                         inbox.enqueue(output);
                                     }
                                 }
-                                None => output_of_top = Some(output),
+                                None => output_of_top = Some(Output::Stored(output)),
                             }
                         }
+                        // Only a tree's top keeps its output.
+                        Ok(model) => output_of_top = Some(model),
                         Err(error) => {
                             first_error.get_or_insert(error);
                         }
@@ -726,6 +737,112 @@ impl Stations {
     }
 }
 
+/// One station of a level's claim set: where its warm runtime is and how
+/// the round arms it.
+struct Armed {
+    runtimes: Arc<[Mutex<AggregatorRuntime>]>,
+    index: usize,
+    goal: u64,
+    encodes: bool,
+    round: u64,
+    /// The station is the global top of a drive: it hands its finalized
+    /// accumulator out instead of storing it.
+    keeps: bool,
+}
+
+impl Armed {
+    fn runtime(&self) -> MutexGuard<'_, AggregatorRuntime> {
+        lock(&self.runtimes[self.index])
+    }
+
+    /// Re-arms the station for the round.
+    fn rearm(&self, runtime: &mut AggregatorRuntime) -> Result<()> {
+        runtime.rearm(self.goal, self.encodes, self.round)
+    }
+}
+
+/// Runs one level of `armed` stations and returns each station's output in
+/// claim order: one claim per station, which re-arms, drains, folds and
+/// sends it. A lone station with threads to spare — the top of a tree —
+/// runs as [`run_split`] instead, under the claims' panic rule: a panic is
+/// its [`LiflError::Simulation`] outcome.
+fn run_level(workers: &Workers, armed: &Arc<[Armed]>) -> Vec<Result<Output>> {
+    if let [station] = &armed[..] {
+        if workers.parallelism() > 1 {
+            let output = catch_unwind(AssertUnwindSafe(|| run_split(workers, station)));
+            return vec![output.unwrap_or_else(|_| Err(station_panicked()))];
+        }
+    }
+    let level = Arc::clone(armed);
+    workers.run(armed.len(), move |k| {
+        let station = &level[k];
+        let mut runtime = station.runtime();
+        station.rearm(&mut runtime)?;
+        runtime.run_round(station.keeps)
+    })
+}
+
+/// The outcome of a station, or a level claim, that panicked.
+fn station_panicked() -> LiflError {
+    LiflError::Simulation("aggregator thread panicked".to_string())
+}
+
+/// A lone station run so that every thread folds it. The caller prepares
+/// it once — re-arm, drain, parse every payload, warm the accumulator and
+/// make every check ([`AggregatorRuntime::prepare`]) — and lends the
+/// accumulator's buffer out in [`lifl_fl::sharded::BatchPlan::ranges`]
+/// ranges; one claim set folds them, the caller claiming whatever a late
+/// worker does not, and the caller then takes the buffer back, commits and
+/// sends once. A fold of one range runs right here and claims nothing; a
+/// station that does not fold as one FedAvg batch runs its whole round
+/// here. A range's bits do not depend on where the cuts fall or which
+/// thread folded it, so the result is a whole-station fold's bit for bit.
+///
+/// Only a one-station level splits: a level of several stations is one
+/// claim per station even when they are fewer than the threads, since no
+/// measured workload runs such a level on a host with threads to spare.
+fn run_split(workers: &Workers, station: &Armed) -> Result<Output> {
+    let mut runtime = station.runtime();
+    station.rearm(&mut runtime)?;
+    let Some((prepared, mut sum)) = runtime.prepare()? else {
+        return runtime.run_round(station.keeps);
+    };
+    let plan = prepared.plan();
+    let ranges = plan.ranges(workers.parallelism());
+    let failed = if ranges == 1 {
+        prepared.fold_range(0, &mut sum);
+        None
+    } else {
+        let (lent, leases) = Lent::lend(sum, &plan.cuts(ranges));
+        let prepared = Arc::new(prepared);
+        // A claim takes its pair out and drops both before it returns, so
+        // once the level is done the caller holds the payloads alone and
+        // every lease is home.
+        let slots: Arc<[_]> = (leases.into_iter())
+            .map(|lease| Mutex::new(Some((Arc::clone(&prepared), lease))))
+            .collect();
+        let folded = workers.run(slots.len(), move |k| {
+            let taken = lock(&slots[k]).take();
+            if let Some((prepared, mut lease)) = taken {
+                prepared.fold_range(lease.start(), lease.as_mut_slice());
+            }
+            Ok(())
+        });
+        // The last handle on the payloads: they go home here.
+        drop(prepared);
+        sum = lent.reclaim().map_err(|_| {
+            LiflError::Simulation("a station's accumulator is still lent out".to_string())
+        })?;
+        folded.into_iter().find_map(Result::err)
+    };
+    // A failed range's half-folded buffer goes home at the next re-arm.
+    runtime.commit(plan, sum);
+    match failed {
+        Some(error) => Err(error),
+        None => runtime.complete(station.keeps),
+    }
+}
+
 #[cfg(test)]
 impl Stations {
     /// Every station's identity, level by level, after checking that its
@@ -739,7 +856,10 @@ impl Stations {
                 assert_eq!(lock(runtime).id(), id);
                 if level == 0 {
                     let registered = gateway.register_aggregator(id);
-                    registered.enqueue(QueuedUpdate::intermediate(ObjectKey::from_words(0, 0), 1));
+                    registered.enqueue(lifl_shmem::queue::QueuedUpdate::intermediate(
+                        ObjectKey::from_words(0, 0),
+                        1,
+                    ));
                     assert_eq!(stations.inboxes[index].len(), 1, "{id} reads another inbox");
                     registered.dequeue();
                 }
@@ -818,77 +938,78 @@ mod tests {
         store: lifl_shmem::StoreStats,
     }
 
-    /// Three rounds on one session over `workers` workers: a full round with
-    /// a departed client refilled from the backlog, a quorum round exported
-    /// as wire bytes, and a plain full round.
-    fn three_rounds(workers: usize, topology: &Topology, codec: CodecKind) -> Vec<Outcome> {
-        use crate::session::{SessionBuilder, Update};
-        use lifl_fl::DenseModel;
+    /// Client `c`'s `dim` parameters.
+    fn client_values(c: usize, dim: usize) -> lifl_fl::DenseModel {
+        let values = (0..dim).map(|d| ((c * 37 + d * 11) % 101) as f32 * 0.03 - 1.4);
+        lifl_fl::DenseModel::from_vec(values.collect())
+    }
+
+    /// Four rounds of `client(c)`'s updates on one session over `workers`
+    /// workers: a full round with a departed client refilled from the
+    /// backlog, a quorum round exported as wire bytes, a quorum round driven
+    /// to the model, and a full round exported as wire bytes. Parking is
+    /// budgeted for four updates of `dim` parameters.
+    fn four_rounds(
+        workers: usize,
+        topology: &Topology,
+        codec: CodecKind,
+        dim: usize,
+        client: &dyn Fn(usize) -> crate::session::Update,
+    ) -> Vec<Outcome> {
+        use crate::session::SessionBuilder;
         use lifl_types::{AdmissionConfig, ClientId};
 
         let total = topology.total_updates();
         let mut session = SessionBuilder::new()
             .topology(topology.clone())
             .codec(codec)
-            .admission(AdmissionConfig::bounded(4, 1 << 20).with_quorum(total as u32 - 1))
+            .admission(AdmissionConfig::bounded(4, 4 * dim * 4).with_quorum(total as u32 - 1))
             .workers(Workers::with_count(workers))
             .build()
             .unwrap();
         let offer = |session: &mut crate::session::Session, clients: std::ops::Range<usize>| {
             for c in clients {
-                let values = (0..32)
-                    .map(|d| ((c * 37 + d * 11) % 101) as f32 * 0.03 - 1.4)
-                    .collect();
-                let update = Update::dense(
-                    ClientId::new(c as u64),
-                    DenseModel::from_vec(values),
-                    1 + c as u64 % 7,
-                );
-                session.try_ingest(update).unwrap();
+                session.try_ingest(client(c)).unwrap();
+            }
+        };
+        let drive = |session: &mut crate::session::Session| {
+            let report = session.drive().unwrap();
+            Outcome {
+                bytes: report
+                    .update
+                    .model
+                    .as_slice()
+                    .iter()
+                    .flat_map(|v| v.to_le_bytes())
+                    .collect(),
+                weight: report.update.samples,
+                ingress_wire_bytes: report.ingress_wire_bytes,
+                store: report.store_stats,
+            }
+        };
+        let export = |session: &mut crate::session::Session| {
+            let export = session.drive_to_wire().unwrap();
+            let crate::session::Update::RemoteBytes { wire, weight, .. } = &export.update else {
+                panic!("a session exports wire bytes");
+            };
+            Outcome {
+                bytes: wire.to_vec(),
+                weight: *weight,
+                ingress_wire_bytes: export.ingress_wire_bytes,
+                store: export.store_stats,
             }
         };
         let mut outcomes = Vec::new();
         offer(&mut session, 0..total + 2);
         assert!(session.depart_client(ClientId::new(1)));
-        let report = session.drive().unwrap();
-        outcomes.push(Outcome {
-            bytes: report
-                .update
-                .model
-                .as_slice()
-                .iter()
-                .flat_map(|v| v.to_le_bytes())
-                .collect(),
-            weight: report.update.samples,
-            ingress_wire_bytes: report.ingress_wire_bytes,
-            store: report.store_stats,
-        });
+        outcomes.push(drive(&mut session));
         // One parked offer drained into this round; one short of full.
         offer(&mut session, 1000..1000 + total - 2);
-        let export = session.drive_to_wire().unwrap();
-        let crate::session::Update::RemoteBytes { wire, weight, .. } = &export.update else {
-            panic!("a session exports wire bytes");
-        };
-        outcomes.push(Outcome {
-            bytes: wire.to_vec(),
-            weight: *weight,
-            ingress_wire_bytes: export.ingress_wire_bytes,
-            store: export.store_stats,
-        });
-        offer(&mut session, 2000..2000 + total);
-        let report = session.drive().unwrap();
-        outcomes.push(Outcome {
-            bytes: report
-                .update
-                .model
-                .as_slice()
-                .iter()
-                .flat_map(|v| v.to_le_bytes())
-                .collect(),
-            weight: report.update.samples,
-            ingress_wire_bytes: report.ingress_wire_bytes,
-            store: report.store_stats,
-        });
+        outcomes.push(export(&mut session));
+        offer(&mut session, 2000..2000 + total - 1);
+        outcomes.push(drive(&mut session));
+        offer(&mut session, 3000..3000 + total);
+        outcomes.push(export(&mut session));
         outcomes
     }
 
@@ -905,13 +1026,67 @@ mod tests {
             CodecKind::Uniform4,
             CodecKind::TopK { permille: 250 },
         ];
+        let dense = |c: usize| {
+            let client = lifl_types::ClientId::new(c as u64);
+            crate::session::Update::dense(client, client_values(c, 32), 1 + c as u64 % 7)
+        };
         for topology in &topologies {
             for codec in codecs {
-                let caller_only = three_rounds(0, topology, codec);
+                let caller_only = four_rounds(0, topology, codec, 32, &dense);
                 for workers in [1, 3] {
                     assert_eq!(
-                        three_rounds(workers, topology, codec),
+                        four_rounds(workers, topology, codec, 32, &dense),
                         caller_only,
+                        "{topology} {codec}: {workers} workers diverged from the caller alone"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A dimension at which every fold of an `[8, 4]` top splits into at
+    /// least 3 ranges beside 3 workers — it folds at least 6 bytes an
+    /// element (a 4-byte accumulator and four views of at least half a
+    /// byte: `Uniform4` leaf outputs), so 3 ranges'
+    /// [`lifl_fl::sharded::SPLIT_RANGE_BYTES`] — and the last range is a
+    /// ragged odd tail (cuts fall on multiples of 16 elements).
+    const SPLIT_DIM: usize = 3 * lifl_fl::sharded::SPLIT_RANGE_BYTES / 6 + 7;
+
+    /// The worker count at split sizes: 1 worker splits every top in two and
+    /// 3 split an `[8, 4]` top into 3 or 4 ranges, while the two leaves of
+    /// `[2, 2]` stay one claim each beside 4 threads; the caller alone (0
+    /// workers) never splits a level. Every bit of every round is the
+    /// caller's. Clients send one of 8 updates, made once (encoded once
+    /// under a lossy codec), so the rounds' time goes to the folds.
+    #[test]
+    fn a_split_level_never_changes_a_bit() {
+        let topologies = [
+            Topology::new(vec![8, 4]).unwrap(),
+            Topology::new(vec![2, 2]).unwrap(),
+        ];
+        let codecs = [
+            CodecKind::Identity,
+            CodecKind::Uniform8,
+            CodecKind::Uniform4,
+            CodecKind::TopK { permille: 250 },
+        ];
+        let models: Vec<_> = (0..8).map(|c| client_values(c, SPLIT_DIM)).collect();
+        for codec in codecs {
+            let mut encoder = lifl_fl::codec::UpdateCodec::new(codec);
+            let encoded: Vec<_> = models.iter().map(|m| encoder.encode(m)).collect();
+            let client = |c: usize| {
+                let (id, weight) = (lifl_types::ClientId::new(c as u64), 1 + c as u64 % 7);
+                if codec.is_lossless() {
+                    crate::session::Update::dense(id, models[c % 8].clone(), weight)
+                } else {
+                    crate::session::Update::encoded(id, encoded[c % 8].clone(), weight)
+                }
+            };
+            for topology in &topologies {
+                let caller_only = four_rounds(0, topology, codec, SPLIT_DIM, &client);
+                for workers in [1, 3] {
+                    assert!(
+                        four_rounds(workers, topology, codec, SPLIT_DIM, &client) == caller_only,
                         "{topology} {codec}: {workers} workers diverged from the caller alone"
                     );
                 }
@@ -1157,9 +1332,10 @@ mod tests {
         node_stores: Vec<lifl_shmem::StoreStats>,
     }
 
-    /// Four rounds on a cluster of `topology` — node `resplit.0` re-split
-    /// to `resplit.1` leaves first, when given — over `workers` workers,
-    /// driven as one forest or, for the `twin`, one node at a time: a full
+    /// Four rounds of `dim`-parameter updates on a cluster of `topology` —
+    /// node `resplit.0` re-split to `resplit.1` leaves first, when given —
+    /// over `workers` workers, driven as one forest or, for the `twin`, one
+    /// node at a time: a full
     /// round with a departure refilled from the backlog, a partial quorum
     /// round, a three-update round that leaves every node but the first
     /// empty, and a full round. Returns each round, then every residual.
@@ -1167,7 +1343,7 @@ mod tests {
         topology: &Topology,
         resplit: Option<(usize, usize)>,
         codec: CodecKind,
-        workers: usize,
+        (workers, dim): (usize, usize),
         twin: bool,
     ) -> (Vec<Shipped>, Vec<Option<Vec<u32>>>) {
         use lifl_types::{AdmissionConfig, ClientId};
@@ -1175,7 +1351,7 @@ mod tests {
         let mut cluster = crate::cluster::ClusterBuilder::new()
             .topology(topology.clone())
             .codec(codec)
-            .admission(AdmissionConfig::bounded(4, 1 << 20).with_quorum(3))
+            .admission(AdmissionConfig::bounded(4, 4 * dim * 4).with_quorum(3))
             .build_on(Workers::with_count(workers))
             .unwrap();
         if let Some((node, leaves)) = resplit {
@@ -1193,7 +1369,7 @@ mod tests {
         for (round, (offers, departs)) in rounds.into_iter().enumerate() {
             for client in offers {
                 cluster
-                    .try_ingest(dense(client, round as u64, DEFERRED_DIM))
+                    .try_ingest(dense(client, round as u64, dim))
                     .unwrap();
                 clients.push(client);
             }
@@ -1234,29 +1410,63 @@ mod tests {
     #[test]
     fn a_forest_drive_never_changes_a_bit() {
         let shapes = [
-            (Topology::new(vec![8, 4, 4]).unwrap(), None),
+            (Topology::new(vec![8, 4, 4]).unwrap(), None, DEFERRED_DIM),
             // Node 1's [2, 2, 2] subtree re-split to a two-level one: the
             // forest's trees differ in depth.
-            (Topology::new(vec![2, 2, 2, 2]).unwrap(), Some((1, 3))),
+            (
+                Topology::new(vec![2, 2, 2, 2]).unwrap(),
+                Some((1, 3)),
+                DEFERRED_DIM,
+            ),
+            // At split sizes: beside 3 workers the cluster top folds two
+            // hops as 3 ranges, while the forest's level of two node tops
+            // runs one claim per top; the caller alone splits nothing.
+            (Topology::new(vec![2, 2, 2]).unwrap(), None, SPLIT_DIM),
         ];
         let codecs = [
             CodecKind::Identity,
             CodecKind::Uniform8,
             CodecKind::TopK { permille: 250 },
         ];
-        for (topology, resplit) in &shapes {
+        for (topology, resplit, dim) in &shapes {
             for codec in codecs {
-                let twin = forest_rounds(topology, *resplit, codec, 0, true);
-                assert_eq!(twin.0[2].hops.matches("ClusterHop").count(), 1);
+                let twin = forest_rounds(topology, *resplit, codec, (0, *dim), true);
+                // Three updates fill one node of the small-dimension shapes.
+                if *dim == DEFERRED_DIM {
+                    assert_eq!(twin.0[2].hops.matches("ClusterHop").count(), 1);
+                }
                 for workers in [0, 1, 3] {
-                    assert_eq!(
-                        forest_rounds(topology, *resplit, codec, workers, false),
-                        twin,
+                    assert!(
+                        forest_rounds(topology, *resplit, codec, (workers, *dim), false) == twin,
                         "{topology} {codec} re-split {resplit:?}: {workers} workers' forest \
                          diverged from driving one node at a time"
                     );
                 }
             }
+        }
+    }
+
+    /// A lone station runs on the caller when threads are to spare
+    /// ([`run_split`]), under a claim's panic rule: a panic anywhere in its
+    /// round is the level's typed error, whatever the worker count.
+    #[test]
+    fn a_panicking_lone_station_is_a_typed_error() {
+        for count in [0, 1, 3] {
+            let workers = Workers::with_count(count);
+            // No runtime at index 0: looking the station up panics.
+            let armed: Arc<[Armed]> = Arc::new([Armed {
+                runtimes: Arc::new([]),
+                index: 0,
+                goal: 1,
+                encodes: false,
+                round: 0,
+                keeps: true,
+            }]);
+            let outputs = run_level(&workers, &armed);
+            assert!(
+                matches!(&outputs[..], [Err(error)] if *error == station_panicked()),
+                "{count} workers: {outputs:?}"
+            );
         }
     }
 

@@ -229,9 +229,8 @@ impl CumulativeFedAvg {
     /// accumulator empty for reuse. The sum is scaled by `1 / total` here
     /// only when no closing batch stored it scaled already
     /// ([`CumulativeFedAvg::fold_closing_batch`]): a round folded one view
-    /// at a time, one whose last batch made several passes (a blocked run,
-    /// or a `TopK` view last), or one no batch closed. Either way every
-    /// element is multiplied by the same factor once, after its last add.
+    /// at a time, or one no batch closed. Either way every element is
+    /// multiplied by the same factor once, after its last add.
     ///
     /// # Errors
     /// Returns [`LiflError::InvalidAggregationGoal`] if nothing has been folded.

@@ -325,6 +325,19 @@ impl<'a> EncodedView<'a> {
         })
     }
 
+    /// The view of a stored payload: [`EncodedView::parse`]d if `encoded`,
+    /// else [`EncodedView::identity_over`] its dense little-endian `f32`s.
+    ///
+    /// # Errors
+    /// Those of [`EncodedView::parse`].
+    pub fn of(payload: &'a [u8], encoded: bool) -> Result<Self> {
+        if encoded {
+            Self::parse(payload)
+        } else {
+            Ok(Self::identity_over(payload))
+        }
+    }
+
     /// Wraps a headerless dense little-endian `f32` payload (the pre-codec
     /// `ObjectStore::put_f32` representation) as an `Identity` view, so dense
     /// and encoded payloads share one fused fold path.
@@ -481,6 +494,65 @@ impl<'a> EncodedView<'a> {
                 let range = pairs[first..first + count].as_flattened();
                 kernels::fold_topk(acc, range, start, end, weight);
             }
+        }
+    }
+
+    /// The payload bytes a fold of the whole view reads.
+    pub(crate) fn payload_bytes(&self) -> usize {
+        self.body.len()
+    }
+}
+
+/// A stored payload parsed once and held together with its store object,
+/// so that folds on other threads — which cannot borrow the object the
+/// parse read — can view it again without parsing it again (a `TopK` parse
+/// checks every index).
+#[derive(Debug)]
+pub struct OwnedView {
+    object: lifl_shmem::SharedObject,
+    codec: CodecKind,
+    dim: u32,
+    scale: f32,
+    kept: u32,
+    /// Where the view's body starts in the object: after the descriptor of
+    /// an encoded payload, at 0 of a dense one.
+    offset: usize,
+    len: usize,
+}
+
+impl OwnedView {
+    /// Views `object`'s bytes as [`EncodedView::of`] does.
+    ///
+    /// # Errors
+    /// Those of [`EncodedView::parse`].
+    pub fn new(object: lifl_shmem::SharedObject, encoded: bool) -> Result<Self> {
+        let view = EncodedView::of(object.as_slice(), encoded)?;
+        let offset = if encoded { HEADER } else { 0 };
+        let (codec, dim, scale, kept, len) =
+            (view.codec, view.dim, view.scale, view.kept, view.body.len());
+        Ok(OwnedView {
+            object,
+            codec,
+            dim,
+            scale,
+            kept,
+            offset,
+            len,
+        })
+    }
+
+    /// The parsed view over the held object.
+    pub fn view(&self) -> EncodedView<'_> {
+        let body = self
+            .object
+            .as_slice()
+            .get(self.offset..self.offset + self.len);
+        EncodedView {
+            codec: self.codec,
+            dim: self.dim,
+            scale: self.scale,
+            kept: self.kept,
+            body: body.unwrap_or_default(),
         }
     }
 }

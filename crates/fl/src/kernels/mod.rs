@@ -106,7 +106,10 @@
 mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
+mod lend;
 mod scalar;
+
+pub use lend::{Lent, RangeLease};
 
 use lifl_shmem::BufferPool;
 use std::mem::MaybeUninit;
@@ -492,6 +495,15 @@ impl AsRef<[u8]> for DenseLe {
 /// starts from zeros held in registers instead of a zero-filled buffer, and
 /// the pass that completes the round stores the average instead of leaving
 /// `DenseModel::scale` another walk over the sum.
+///
+/// A fresh pass still stores with plain stores, so each accumulator line is
+/// read once before it is overwritten (write-allocate). Non-temporal stores
+/// would skip that read but send the sum past the caches its next-level
+/// reader reads it from; in a kernel-only replay of a `dense_session` round
+/// on two vCPUs (KVM Intel Xeon, family 6, model 207) the leaf level with
+/// non-temporal fresh stores read 3.78–3.86 ms against 3.82–3.89 ms with
+/// plain ones over repeated runs: no resolved gain, so the arms keep plain
+/// stores.
 #[derive(Debug, Clone, Copy)]
 pub struct Pass {
     /// The accumulator holds nothing yet (a pooled buffer keeps whatever an
@@ -1286,6 +1298,15 @@ unsafe fn append_written(body: &mut Vec<u8>, n: usize, write: impl FnOnce(&mut [
 /// bytes. Same words drawn, same generator position afterwards. A
 /// non-positive `scale` appends zeros, leaves `residual` as it is and
 /// consumes nothing from `rng`.
+///
+/// A `quant_cluster` encode (2¹⁸ elements) spends ≈ 136 µs in the first
+/// sweep (the add and the max, memory-bound) and ≈ 107 µs in this one, and
+/// encodes take ≈ 31 ms of CPU a round. A cold kernel probe on 1 or 2
+/// threads (KVM Intel Xeon, family 6, model 207) resolved no gain from
+/// reshaping them: this kernel read 191–225 µs an encode, a read-only first
+/// sweep with the add fused into this one 194–198 µs, and this sweep of one
+/// client software-pipelined with the first sweep of the next 175–198 µs —
+/// what ingest near its memory-traffic floor predicts.
 pub fn feedback_append_u8(
     residual: &mut [f32],
     scale: f32,

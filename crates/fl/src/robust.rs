@@ -187,6 +187,16 @@ impl PolicyFold {
         }
     }
 
+    /// The FedAvg accumulator, whose batch fold can be split by element
+    /// range ([`CumulativeFedAvg::open_batch`]); `None` under a robust
+    /// policy, which buffers whole rows.
+    pub fn fedavg_mut(&mut self) -> Option<&mut CumulativeFedAvg> {
+        match self {
+            PolicyFold::FedAvg(acc) => Some(acc),
+            PolicyFold::Robust(_) => None,
+        }
+    }
+
     /// Backs the FedAvg accumulator with a `pool` buffer when it holds none
     /// (see [`CumulativeFedAvg::warm_from`]); robust policies buffer whole
     /// updates instead of accumulating and ignore it.
@@ -230,9 +240,9 @@ impl PolicyFold {
     }
 
     /// Folds the drained batch that completes the round: the FedAvg arm
-    /// through [`CumulativeFedAvg::fold_closing_batch`], whose last pass may
-    /// store the average so that [`PolicyFold::finalize`] does not walk the
-    /// sum again; robust arms buffer it like any other batch.
+    /// through [`CumulativeFedAvg::fold_closing_batch`], which stores the
+    /// average so that [`PolicyFold::finalize`] does not walk the sum again;
+    /// robust arms buffer it like any other batch.
     ///
     /// # Errors
     /// As [`PolicyFold::fold_encoded_batch`].

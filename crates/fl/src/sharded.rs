@@ -21,22 +21,32 @@
 //!   `Identity` or all `Uniform8` — is one pass already, so it is not
 //!   blocked: it streams over the whole vector.
 //!
-//! The fold runs on the calling thread only: a station's parallelism is the
-//! level it belongs to, whose stations the session's worker set folds side
-//! by side.
+//! **Check, fold by range, commit.** A batch fold is three steps:
+//! [`CumulativeFedAvg::open_batch`] makes every check (the batch is
+//! all-or-nothing) and lends the accumulator's buffer out,
+//! [`BatchPlan::fold_range`] folds any element range of it, and
+//! [`CumulativeFedAvg::commit_batch`] takes the buffer back and counts the
+//! batch. Within every element the adds, and a closing batch's multiply,
+//! are the same whatever the range cuts, so ranges folded on different
+//! threads give the one-range fold's bits. [`CumulativeFedAvg::fold_encoded_batch`]
+//! is the one-range case on the calling thread. A station level of one
+//! station (a tree's top) cuts its fold into ranges of at least
+//! [`SPLIT_RANGE_BYTES`] ([`BatchPlan::ranges`]) and folds them on every
+//! thread of the session's worker set; any other level folds each station
+//! whole, side by side.
 //!
 //! **One write per round.** A station's accumulator is written once: a
 //! pooled buffer comes back holding whatever an earlier round left in it,
 //! and the batch's first pass over each element starts from zeros held in
 //! registers ([`kernels::Pass::fresh`]) instead of loading it; the batch that
-//! completes the round ([`CumulativeFedAvg::fold_closing_batch`]), when its
-//! last run is one group, stores every element already multiplied by
-//! `1 / total` ([`kernels::Pass::scale`]), so `finalize` does not walk it
-//! again. A fold that must read the accumulator — a `TopK` view first in its
-//! batch, a view that folds alone first in its block — zero-fills what it
-//! reads first, once. Each element is multiplied by the round's factor
-//! exactly once, after its last add, so every bit is the zero-filled
-//! accumulator's.
+//! completes the round ([`CumulativeFedAvg::fold_closing_batch`]) multiplies
+//! every element by `1 / total` right after its last add — in that pass
+//! when the last run is one group ([`kernels::Pass::scale`]), else over each
+//! block or range it just folded — so `finalize` does not walk it again. A
+//! fold that must read the accumulator — a `TopK` view first in its batch,
+//! a view that folds alone first in its block — zero-fills what it reads
+//! first, once. Each element is multiplied by the round's factor exactly
+//! once, after its last add, so every bit is the zero-filled accumulator's.
 //!
 //! **Determinism:** within every element, updates are folded in batch order —
 //! exactly the order the one-at-a-time fold uses. Results are therefore
@@ -48,7 +58,7 @@
 //! view over its little-endian bytes ([`EncodedView::identity_over`], with
 //! [`crate::kernels::le_bytes`] for an `f32` slice). A sparse `TopK` update
 //! is not cache-blocked — it touches a few percent of each block — but folds
-//! into the whole accumulator at its place in the batch.
+//! into the whole range at its place in the batch.
 //!
 //! [`ShardedFedAvg`] forwards to the batch fold; it exists only so the
 //! whole-round benchmark's engine adapter compiles unchanged.
@@ -82,6 +92,56 @@ const BLOCK_ELEMS: usize = 2048;
 /// Most views one multi-source kernel call folds on its vector arm.
 const MAX_SOURCES: usize = 8;
 
+/// Elements a range cut of a split fold is a multiple of: one 64-byte cache
+/// line of `f32`, so every range but the last spans whole lines' worth of
+/// elements. The accumulator's buffer is only `f32`-aligned, so a cut may
+/// still fall inside a line: two threads share at most that one line per
+/// cut.
+const RANGE_ALIGN: usize = 16;
+
+/// Fewest bytes one range of a split fold reads and writes: its share of
+/// the accumulator and of every view's payload ([`BatchPlan::ranges`]).
+///
+/// A split range costs a parked worker's wake-up (the claim set is published
+/// on a condvar) and, for the range the worker folds, sources another core
+/// wrote. Measured on two vCPUs of a KVM Intel Xeon (family 6, model 207,
+/// 2 MiB L2, AVX-512 arm): a one-station level folding four views, right
+/// after a 300 µs two-claim level (as a tree's top runs right after its
+/// leaves), as one range on the caller against two ranges beside one
+/// worker, medians of 200 each — `Uniform8` views, 1 MiB of accumulator
+/// and sources: 30.9 against 27.5 µs; 2 MiB: 60.2 against 48.9 µs; 8 MiB:
+/// 315 against 155 µs; `Identity` views, 1.25 MiB: 20.9 against 28.2 µs;
+/// 2.5 MiB: 46.7 against 33.5 µs; 20 MiB: 663 against 329 µs. The probe
+/// folds cache-warm sources; end to end, `quant_cluster`'s cluster top
+/// (2 MiB: a 1 MiB accumulator and four 256 KiB `Uniform8` views) split in
+/// two read `act_ms` 2.357 against 2.327 ms whole (medians of 6 alternating
+/// pairs of 10 s runs, split faster in 2), so a range must carry more than
+/// 1 MiB. At 2 MiB that top, `topk_sharded`'s (≈ 1.4 MiB), `stream_burst`'s
+/// (272 KiB) and `train_cluster`'s (≈ 64 KiB) stay whole, and
+/// `dense_session`'s (20 MiB) splits across every thread.
+pub const SPLIT_RANGE_BYTES: usize = 2 << 20;
+
+/// A batch [`CumulativeFedAvg::open_batch`] checked: every weight and
+/// dimension passed and nothing is folded yet. Each element range of the
+/// lent buffer is folded by one [`BatchPlan::fold_range`] call — on any
+/// thread, in any order, the ranges disjoint and together covering the
+/// vector — and then [`CumulativeFedAvg::commit_batch`] counts the batch.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchPlan {
+    dim: usize,
+    /// The buffer holds nothing yet: the first pass over each element
+    /// writes it without reading it.
+    fresh: bool,
+    /// A closing batch's factor, `1 / total`, multiplied into every element
+    /// after its last add.
+    scale: Option<f32>,
+    total: u64,
+    count: u64,
+    /// What the whole fold reads and writes: the accumulator once and every
+    /// view's payload.
+    bytes: usize,
+}
+
 impl CumulativeFedAvg {
     /// Folds a batch of `(view, samples)` pairs cache-blocked, with the
     /// fused decode-fold kernels, on the calling thread; dense payloads join
@@ -102,15 +162,14 @@ impl CumulativeFedAvg {
     }
 
     /// [`CumulativeFedAvg::fold_encoded_batch`] for the batch that completes
-    /// the round: when its last accumulator pass is the only one over every
-    /// element — a last run that is one group of at most eight `Identity`
-    /// or `Uniform8` views, so not blocked — that pass multiplies each lane
-    /// by `1.0 / total as f32` before the store, the multiply
-    /// [`CumulativeFedAvg::finalize`] would make afterwards, and `finalize`
-    /// then hands the average out without walking it again. The accumulator
-    /// takes no further fold until it is finalized. Otherwise this is
-    /// `fold_encoded_batch` and `finalize` scales. The bits are the same
-    /// either way.
+    /// the round: each element is multiplied by `1.0 / total as f32` right
+    /// after its last add — the multiply [`CumulativeFedAvg::finalize`]
+    /// would make afterwards — inside the last pass when the batch's last
+    /// run is one group of at most eight `Identity` or `Uniform8` views,
+    /// else over each block (or `TopK`-folded range) once its adds are done.
+    /// `finalize` then hands the average out without walking it again, and
+    /// the accumulator takes no further fold until it is finalized. The
+    /// bits are those of scaling in `finalize`.
     ///
     /// # Errors
     /// Exactly those of [`CumulativeFedAvg::fold_encoded_batch`].
@@ -118,11 +177,62 @@ impl CumulativeFedAvg {
         self.fold_batch(updates, true)
     }
 
-    /// The batch fold, storing the average from a closing batch's one last
-    /// pass when `closes`.
+    /// The batch fold as its one range, on the calling thread; a closing
+    /// batch (`closes`) stores the average.
     fn fold_batch(&mut self, updates: &[(EncodedView<'_>, u64)], closes: bool) -> Result<()> {
+        let plan = self.check_batch(updates, closes)?;
+        plan.fold_range(updates, 0, self.weighted_sum.as_mut_slice());
+        self.commit(plan);
+        Ok(())
+    }
+
+    /// Checks a batch for [`CumulativeFedAvg::fold_encoded_batch`] (or, if
+    /// `closes`, [`CumulativeFedAvg::fold_closing_batch`]) without folding
+    /// it, and lends the accumulator's buffer out — sized to the batch's
+    /// dimension, as the fold would size it — for the batch's ranges to be
+    /// folded into ([`BatchPlan::fold_range`]). Hand it back with
+    /// [`CumulativeFedAvg::commit_batch`]; until then the accumulator holds
+    /// no buffer.
+    ///
+    /// # Errors
+    /// Exactly those of [`CumulativeFedAvg::fold_encoded_batch`], with the
+    /// accumulator untouched.
+    pub fn open_batch(
+        &mut self,
+        updates: &[(EncodedView<'_>, u64)],
+        closes: bool,
+    ) -> Result<(BatchPlan, Vec<f32>)> {
+        let plan = self.check_batch(updates, closes)?;
+        Ok((plan, std::mem::take(&mut self.weighted_sum).into_vec()))
+    }
+
+    /// Takes back the buffer [`CumulativeFedAvg::open_batch`] lent out,
+    /// every range of it folded by `plan`, and counts the batch.
+    pub fn commit_batch(&mut self, plan: BatchPlan, sum: Vec<f32>) {
+        self.weighted_sum = DenseModel::from_vec(sum);
+        self.commit(plan);
+    }
+
+    /// The batch's plan, once every check passed: the round is open, every
+    /// view has the accumulator's dimension (an empty accumulator takes the
+    /// batch's) and every weight adds to the total without overflow.
+    fn check_batch(
+        &mut self,
+        updates: &[(EncodedView<'_>, u64)],
+        closes: bool,
+    ) -> Result<BatchPlan> {
         let Some((first, _)) = updates.first() else {
-            return Ok(());
+            let dim = self.weighted_sum.dim();
+            let (total, bytes) = (self.total_samples, dim * 4);
+            let (fresh, scale, count) = (false, None, 0);
+            return Ok(BatchPlan {
+                dim,
+                fresh,
+                scale,
+                total,
+                count,
+                bytes,
+            });
         };
         self.check_open()?;
         let dim = first.dim();
@@ -135,7 +245,7 @@ impl CumulativeFedAvg {
                 actual: dim,
             });
         }
-        let mut total = self.total_samples;
+        let (mut total, mut bytes) = (self.total_samples, dim * 4);
         for (view, samples) in updates {
             total = add_samples(total, *samples)?;
             if view.dim() != dim {
@@ -144,30 +254,87 @@ impl CumulativeFedAvg {
                     actual: view.dim(),
                 });
             }
+            bytes += view.payload_bytes();
         }
-        // Within every element the adds happen in batch order: a `TopK`
-        // update folds into the whole accumulator at once, and each run of
-        // other updates between two of them is cache-blocked.
+        Ok(BatchPlan {
+            dim,
+            fresh: self.held == Held::Stale,
+            scale: closes.then(|| 1.0 / total as f32),
+            total,
+            count: updates.len() as u64,
+            bytes,
+        })
+    }
+
+    /// Counts a batch whose every range is folded.
+    fn commit(&mut self, plan: BatchPlan) {
+        if plan.count == 0 {
+            return;
+        }
+        self.held = if plan.scale.is_some() {
+            Held::Average
+        } else {
+            Held::Sum
+        };
+        self.total_samples = plan.total;
+        self.updates_folded += plan.count;
+    }
+}
+
+impl BatchPlan {
+    /// How many updates the batch folds.
+    pub fn updates(&self) -> u64 {
+        self.count
+    }
+
+    /// Into how many ranges the batch's fold splits when at most `most`
+    /// threads can take one: as many as give each range at least
+    /// [`SPLIT_RANGE_BYTES`] of what the fold reads and writes, at least
+    /// one and at most `most`.
+    pub fn ranges(&self, most: usize) -> usize {
+        (self.bytes / SPLIT_RANGE_BYTES).clamp(1, most.max(1))
+    }
+
+    /// The cut points of `ranges` even ranges of the batch's elements (what
+    /// [`crate::kernels::Lent::lend`] takes), each a multiple of 16
+    /// elements (one cache line of `f32`), so that two ranges share at most
+    /// the one cache line a cut falls in; the last range takes the ragged
+    /// tail.
+    pub fn cuts(&self, ranges: usize) -> Vec<usize> {
+        let ranges = ranges.max(1);
+        (1..ranges)
+            .map(|k| self.dim * k / ranges / RANGE_ALIGN * RANGE_ALIGN)
+            .collect()
+    }
+
+    /// Folds `updates` — the batch this plan checked, in the same order —
+    /// into `range`, the accumulator's elements from `at` on, in batch order
+    /// within every element: each `TopK` view alone (zero-filling a fresh
+    /// range first, since a scatter reads it), and each run of other views
+    /// between two of them in one pass if it is one group, else
+    /// cache-blocked. A closing batch then multiplies each element by its
+    /// factor after the element's last add: inside a one-group last pass,
+    /// else over each block, or over the range after a `TopK` last.
+    pub fn fold_range(&self, updates: &[(EncodedView<'_>, u64)], at: usize, range: &mut [f32]) {
         let is_topk = |view: &EncodedView<'_>| matches!(view.codec(), CodecKind::TopK { .. });
-        let mut fresh = self.held == Held::Stale;
-        let mut averaged = false;
-        let sum = self.weighted_sum.as_mut_slice();
+        let mut fresh = self.fresh;
         let mut next = 0;
         while let Some((view, samples)) = updates.get(next) {
             if is_topk(view) {
+                next += 1;
                 // A scatter reads the sum: a stale one is zeroed first.
                 if fresh {
-                    sum.fill(0.0);
+                    range.fill(0.0);
                     fresh = false;
                 }
-                view.fold_range_into(*samples as f32, 0, sum);
-                averaged = false;
-                next += 1;
+                view.fold_range_into(*samples as f32, at, range);
+                scale_range(range, self.scale.filter(|_| next == updates.len()));
                 continue;
             }
             let run = &updates[next..];
             let run = &run[..run.iter().take_while(|(view, _)| !is_topk(view)).count()];
             next += run.len();
+            let scale = self.scale.filter(|_| next == updates.len());
             // A run that is one group is one pass: nothing to keep cached,
             // and, ending a closing batch, the last add of every element.
             let codec = run[0].0.codec();
@@ -176,22 +343,25 @@ impl CumulativeFedAvg {
                     .iter()
                     .all(|(view, _)| view.codec() == codec && view.source_from(0).is_some());
             if one_group {
-                let scale = (closes && next == updates.len()).then(|| 1.0 / total as f32);
-                let folded = fold_group(run, 0, sum, Pass { fresh, scale });
+                let folded = fold_group(run, at, range, Pass { fresh, scale });
                 debug_assert_eq!(folded, run.len(), "a one-group run is one pass");
-                averaged = scale.is_some();
             } else {
-                for (index, chunk) in sum.chunks_mut(BLOCK_ELEMS).enumerate() {
-                    fold_block(run, index * BLOCK_ELEMS, chunk, fresh);
+                for (index, block) in range.chunks_mut(BLOCK_ELEMS).enumerate() {
+                    fold_block(run, at + index * BLOCK_ELEMS, block, Pass { fresh, scale });
                 }
-                averaged = false;
             }
             fresh = false;
         }
-        self.held = if averaged { Held::Average } else { Held::Sum };
-        self.total_samples = total;
-        self.updates_folded += updates.len() as u64;
-        Ok(())
+    }
+}
+
+/// Multiplies every element by a closing batch's factor, if there is one:
+/// `DenseModel::scale`'s multiply, element by element.
+fn scale_range(range: &mut [f32], factor: Option<f32>) {
+    if let Some(factor) = factor {
+        for v in range {
+            *v *= factor;
+        }
     }
 }
 
@@ -199,24 +369,26 @@ impl CumulativeFedAvg {
 /// accumulator's elements from `at` on, in batch order: each group of up to
 /// [`MAX_SOURCES`] consecutive views of one multi-source codec in one
 /// accumulator pass ([`fold_group`]), every other view in a pass of its own.
-/// A `fresh` block holds nothing yet: its first pass starts from zeros in
-/// registers, or, if that pass is a single view's, which reads the block,
-/// the block is zero-filled first.
-fn fold_block(run: &[(EncodedView<'_>, u64)], at: usize, block: &mut [f32], fresh: bool) {
-    let mut pass = Pass { fresh, scale: None };
+/// A `pass.fresh` block holds nothing yet: its first pass starts from zeros
+/// in registers, or, if that pass is a single view's, which reads the block,
+/// the block is zero-filled first. A `pass.scale` is multiplied into every
+/// element once the block's passes are done.
+fn fold_block(run: &[(EncodedView<'_>, u64)], at: usize, block: &mut [f32], pass: Pass) {
+    let mut fresh = pass.fresh;
     let mut rest = run;
     while let Some((view, samples)) = rest.first() {
-        let mut folded = fold_group(rest, at, block, pass);
+        let mut folded = fold_group(rest, at, block, Pass { fresh, scale: None });
         if folded == 0 {
-            if pass.fresh {
+            if fresh {
                 block.fill(0.0);
             }
             view.fold_range_into(*samples as f32, at, block);
             folded = 1;
         }
-        pass.fresh = false;
+        fresh = false;
         rest = &rest[folded..];
     }
+    scale_range(block, pass.scale);
 }
 
 /// Folds the longest group at the front of `rest` — up to [`MAX_SOURCES`]
@@ -543,6 +715,34 @@ mod tests {
         (model.as_slice().iter().map(|v| v.to_bits()).collect(), held)
     }
 
+    /// A station's round whose views after the first `eager` (folded one at
+    /// a time) fold as one closing batch cut into ranges at `cuts`, each
+    /// range folded on its own, last range first, into an accumulator
+    /// warmed from `pool`; returns the finalized bits.
+    pub(super) fn split_station_bits(
+        dim: usize,
+        views: &[(EncodedView<'_>, u64)],
+        eager: usize,
+        cuts: &[usize],
+        pool: &lifl_shmem::BufferPool,
+    ) -> Vec<u32> {
+        let mut acc = CumulativeFedAvg::default();
+        acc.warm_from(pool, dim);
+        for (view, samples) in &views[..eager] {
+            acc.fold_encoded_view(view, *samples).unwrap();
+        }
+        let batch = &views[eager..];
+        let (plan, sum) = acc.open_batch(batch, true).unwrap();
+        let (lent, leases) = kernels::Lent::lend(sum, cuts);
+        for mut lease in leases.into_iter().rev() {
+            plan.fold_range(batch, lease.start(), lease.as_mut_slice());
+        }
+        acc.commit_batch(plan, lent.reclaim().unwrap());
+        assert_eq!(acc.updates_folded(), views.len() as u64);
+        let model = acc.finalize().unwrap().model;
+        model.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     /// `updates` encoded under `kinds`, one kind per update in turn.
     fn encoded(kinds: &[CodecKind], updates: &[ModelUpdate]) -> Vec<EncodedUpdate> {
         (kinds.iter().cycle().zip(updates))
@@ -558,21 +758,21 @@ mod tests {
             CodecKind::Uniform8,
             CodecKind::Uniform4,
         );
-        // Each batch shape, and whether one closing batch of it stores the
-        // average from its last pass.
-        let shapes: [(&[CodecKind], usize, bool); 9] = [
-            (&[id], 8, true),
-            (&[u8], 5, true),
-            (&[id], 11, false),
-            (&[u8, u8, u8, id, id], 5, false),
-            (&[topk, id, id, id, id], 5, true),
-            (&[id, id, id, id, topk], 5, false),
-            (&[u4], 3, false),
-            (&[u4, u8, u8], 3, false),
-            (&[u8, topk, u4, id, u8, u8, topk, u8, u8, u8], 10, true),
+        // Each batch shape: one group, a blocked run, `TopK` first and
+        // last, `Uniform4` alone and mixed.
+        let shapes: [(&[CodecKind], usize); 9] = [
+            (&[id], 8),
+            (&[u8], 5),
+            (&[id], 11),
+            (&[u8, u8, u8, id, id], 5),
+            (&[topk, id, id, id, id], 5),
+            (&[id, id, id, id, topk], 5),
+            (&[u4], 3),
+            (&[u4, u8, u8], 3),
+            (&[u8, topk, u4, id, u8, u8, topk, u8, u8, u8], 10),
         ];
         for dim in [1usize, 70, 2047, 2048, 2049, 10_000] {
-            for (kinds, count, averages) in shapes {
+            for (kinds, count) in shapes {
                 let updates = batch(count, dim);
                 let encoded = encoded(&kinds[..count.min(kinds.len())], &updates);
                 let views: Vec<_> = (encoded.iter().zip(&updates))
@@ -585,8 +785,19 @@ mod tests {
                 let (bits, held) = station_bits(dim, &views, 0, &[], &pool);
                 assert_eq!(pool.stats().hits, 1, "{case}: the dirty buffer was reused");
                 assert_eq!(bits, expected, "{case}: one batch");
-                let want = if averages { Held::Average } else { Held::Sum };
-                assert_eq!(held, want, "{case}: what the closing pass stored");
+                assert_eq!(held, Held::Average, "{case}: the closing batch averaged");
+                // The same closing batch folded as ranges, one element, odd
+                // and block-crossing cuts included.
+                for cuts in [
+                    &[][..],
+                    &[1][..],
+                    &[dim / 2][..],
+                    &[1, 3, 2049, dim - 1][..],
+                ] {
+                    let pool = dirty_pool(dim, 3);
+                    let bits = split_station_bits(dim, &views, 0, cuts, &pool);
+                    assert_eq!(bits, expected, "{case}: ranges cut at {cuts:?}");
+                }
                 // Several batches, the first eager views polled one at a
                 // time, and every view polled.
                 for (eager, cuts) in [
@@ -845,7 +1056,8 @@ mod proptests {
 
         /// A station's round into a dirty pooled accumulator — any mix of
         /// codecs, any number of views folded one at a time first, the rest
-        /// in batches cut anywhere, the last folded as the closing batch —
+        /// in batches cut anywhere, the last folded as the closing batch, or
+        /// as one closing batch split into element ranges cut anywhere —
         /// finalizes to exactly the bits of a zero-filled accumulator
         /// folding the same views one at a time and scaling in `finalize`.
         #[test]
@@ -855,6 +1067,7 @@ mod proptests {
             extra in 0usize..10,
             eager in 0usize..4,
             cuts in proptest::collection::vec(0usize..20, 0..4),
+            ranges in proptest::collection::vec(0usize..610, 0..5),
             garbage in any::<u32>(),
         ) {
             let dim = updates[0].model.dim();
@@ -883,7 +1096,12 @@ mod proptests {
             let expected: Vec<u32> = reference.finalize().unwrap().model.as_slice().iter().map(|v| v.to_bits()).collect();
             let pool = super::tests::dirty_pool(dim, garbage);
             let (bits, _) = super::tests::station_bits(dim, &views, eager.min(views.len()), &cuts, &pool);
-            prop_assert_eq!(bits, expected);
+            prop_assert_eq!(&bits, &expected);
+            // The closing batch folded as ranges cut anywhere (unsorted and
+            // past-the-end cuts are read as the tiling they can mean).
+            let pool = super::tests::dirty_pool(dim, !garbage);
+            let split = super::tests::split_station_bits(dim, &views, eager.min(views.len()), &ranges, &pool);
+            prop_assert_eq!(split, expected);
         }
 
         /// Fused encoded batch folding equals decode-then-fold bit-exactly for

@@ -295,7 +295,7 @@ const RETIRED: [(&str, &str, &str); 29] = [
 /// The engine's data-plane files: every payload here is written once by its
 /// producer and *moved* into the store (PR 21), so the copying conveniences
 /// below have no business in their non-test code.
-const MOVE_ONLY_FILES: [&str; 8] = [
+const MOVE_ONLY_FILES: [&str; 9] = [
     "crates/core/src/gateway.rs",
     "crates/core/src/ingress.rs",
     "crates/core/src/session.rs",
@@ -304,12 +304,13 @@ const MOVE_ONLY_FILES: [&str; 8] = [
     "crates/core/src/cluster/placement.rs",
     "crates/core/src/cluster/scaling.rs",
     "crates/core/src/aggregator.rs",
+    "crates/core/src/stations.rs",
 ];
 
 /// Calls that copy a whole payload, as code-token sequences, with what to do
 /// instead. Scoped to [`MOVE_ONLY_FILES`]; everywhere else they stay the
 /// conveniences they are.
-const PAYLOAD_COPIES: [(&[&str], &str); 5] = [
+const PAYLOAD_COPIES: [(&[&str], &str); 6] = [
     (
         &[".", "to_bytes", "(", ")"],
         "`.to_bytes()` serializes a second buffer; borrow `wire()` or move `into_wire()`",
@@ -328,8 +329,13 @@ const PAYLOAD_COPIES: [(&[&str], &str); 5] = [
     ),
     (
         &[".", "as_f32_vec", "(", ")"],
-        "`.as_f32_vec()` copies a stored model into a fresh vector; decode it into a \
-         pooled one (`BufferPool::checkout_f32` + `kernels::decode_dense_le`)",
+        "`.as_f32_vec()` copies a stored model into a fresh vector; hand the buffer that \
+         holds it over instead (a drive hands out the global top's finalized accumulator)",
+    ),
+    (
+        &["decode_dense_le", "("],
+        "`decode_dense_le(` copies a stored model element by element; hand the buffer that \
+         holds it over instead (a drive hands out the global top's finalized accumulator)",
     ),
 ];
 

@@ -7,4 +7,5 @@ pub fn admit(store: &Store, update: &Update, encoded: &Encoded) {
     let _ = Object::encode_f32(update.values());
     forward(update.clone());
     let _ = store.get(key).as_f32_vec();
+    kernels::decode_dense_le(&mut model, store.get(key).as_slice());
 }

@@ -64,13 +64,14 @@ fn r6_fail_flags_payload_copies_on_the_move_only_path() {
         .iter()
         .filter(|f| f.contains("crates/core/src/session.rs") && f.contains("deleted in PR 21"))
         .collect();
-    assert_eq!(copies.len(), 5, "{found:#?}");
+    assert_eq!(copies.len(), 6, "{found:#?}");
     for (line, token) in [
         (5, "`put_f32(`"),
         (6, "`.to_bytes()`"),
         (7, "`encode_f32(`"),
         (8, "`update.clone()`"),
         (9, "`.as_f32_vec()`"),
+        (10, "`decode_dense_le(`"),
     ] {
         assert!(
             copies

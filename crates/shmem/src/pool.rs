@@ -8,8 +8,8 @@
 //! session or cluster round makes **zero** model-sized heap allocations
 //! once warm. What the engine draws from it:
 //!
-//! * `f32`: each tree position's accumulator, and the global model a
-//!   session's `drive()` copies the top's output into and hands its caller;
+//! * `f32`: each tree position's accumulator — the global top's is the
+//!   model a session's `drive()` hands its caller;
 //! * bytes: encode bodies, ingress wire buffers and parked offers.
 //!
 //! A checkout *moves* the buffer out (no lifetime coupling to the pool), so

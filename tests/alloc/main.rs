@@ -328,8 +328,11 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     // aggregator position's accumulator is the pooled vector a previous
     // round's `send` moved into the store, home again since the recycle —
     // so a steady-state round allocates nothing model-sized. The model
-    // `drive()` returns is checked out of the pool too, and the next round's
-    // retired buffers pay for it, so once warm a drive adds nothing either.
+    // `drive()` returns is the global top's pooled accumulator itself, and
+    // the next round's retired buffers pay for it, so a warm drive adds
+    // nothing either. At 2^19 elements a two-leaf top folds 6 MiB, so on a
+    // host with a second CPU its fold splits into element ranges, and the
+    // split allocates nothing model-sized.
     use lifl_core::session::{Session, SessionBuilder};
     use lifl_types::AdmissionConfig;
 
@@ -380,21 +383,19 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
                  nothing model-sized, accumulators included"
             );
         }
-        // The first drive allocates one buffer. Under Identity it is the
-        // model: the pool holds the three accumulators, all out while the
-        // top's output is read. A lossy drive encodes at other positions
-        // than a drive to wire — the leaves, whose parent is then the global
-        // top, not the top — whose accumulators go home at once, so the
-        // model is a hit and the buffer is a second leaf's encode buffer
-        // (the pool held one, the top's). From then on the round's retired
-        // buffers pay back the model each drive hands out — the newest
-        // client vector recycled under Identity, a client's older residual
-        // under Uniform8 — and a drive allocates nothing model-sized.
+        // Under Identity no drive allocates: the model is the top's
+        // accumulator, a hit, and the round's newest client vector pays it
+        // back. The first lossy drive allocates one buffer: it encodes at
+        // other positions than a drive to wire — the leaves, whose parent is
+        // then the global top, not the top — so the buffer is a second
+        // leaf's encode buffer (the pool held one, the top's). From then on
+        // a client's older residual pays back the model each drive hands
+        // out, and a drive allocates nothing model-sized.
         for (k, round) in rounds(1 + MEASURED).into_iter().enumerate() {
             let (allocs, _) = round_allocs(&mut session, round, &to_model);
             assert_eq!(
                 allocs,
-                u64::from(k == 0),
+                u64::from(k == 0 && codec != CodecKind::Identity),
                 "{codec}: drive() {k} must allocate nothing model-sized once warm"
             );
         }
@@ -434,9 +435,8 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
         } else {
             let stats = session.pool().stats();
             assert_eq!(
-                stats.misses,
-                POSITIONS + 1,
-                "the accumulators and the model: {stats:?}"
+                stats.misses, POSITIONS,
+                "the accumulators, the top's the model: {stats:?}"
             );
         }
     }
