@@ -47,6 +47,7 @@ use crate::aggregator::{position_id, AggregatorRuntime, Output};
 use crate::gateway::Gateway;
 use lifl_fl::codec::UpdateCodec;
 use lifl_fl::kernels::Lent;
+use lifl_fl::sharded::SPLIT_RANGE_BYTES;
 use lifl_shmem::InPlaceQueue;
 use lifl_types::{AggregatorId, FoldPolicy, LiflError, ObjectKey, Result, Topology};
 use std::collections::VecDeque;
@@ -114,10 +115,22 @@ impl Workers {
         Self::sized(count)
     }
 
+    /// This private set, splitting a lone station's fold into ranges of at
+    /// least `floor` bytes instead of [`SPLIT_RANGE_BYTES`]: a test splits
+    /// folds of test-sized models. Only tests choose the floor.
+    #[cfg(test)]
+    pub(crate) fn with_split_floor(mut self, floor: usize) -> Self {
+        let set = Arc::get_mut(&mut self.set).expect("a private set nobody else holds");
+        set.split_floor = floor;
+        self
+    }
+
     fn sized(count: usize) -> Self {
         Workers {
             set: Arc::new(WorkerSet {
                 count,
+                #[cfg(test)]
+                split_floor: SPLIT_RANGE_BYTES,
                 board: Arc::new(Board::default()),
                 threads: OnceLock::new(),
             }),
@@ -127,6 +140,19 @@ impl Workers {
     /// The threads a level runs on: the workers and the caller.
     pub(crate) fn parallelism(&self) -> usize {
         self.set.count + 1
+    }
+
+    /// Fewest bytes one range of a split fold reads and writes.
+    #[cfg(not(test))]
+    fn split_floor(&self) -> usize {
+        SPLIT_RANGE_BYTES
+    }
+
+    /// Fewest bytes one range of a split fold reads and writes: this set's
+    /// floor ([`Workers::with_split_floor`]).
+    #[cfg(test)]
+    fn split_floor(&self) -> usize {
+        self.set.split_floor
     }
 
     /// Runs `job` once for every index in `0..len` — the calling thread
@@ -330,6 +356,8 @@ impl<T> fmt::Debug for Job<T> {
 /// The threads behind [`Workers`] and the board they wait on.
 struct WorkerSet {
     count: usize,
+    #[cfg(test)]
+    split_floor: usize,
     board: Arc<Board>,
     threads: OnceLock<Vec<JoinHandle<()>>>,
 }
@@ -808,7 +836,7 @@ fn run_split(workers: &Workers, station: &Armed) -> Result<Output> {
         return runtime.run_round(station.keeps);
     };
     let plan = prepared.plan();
-    let ranges = plan.ranges(workers.parallelism());
+    let ranges = plan.ranges(workers.parallelism(), workers.split_floor());
     let failed = if ranges == 1 {
         prepared.fold_range(0, &mut sum);
         None
@@ -945,10 +973,11 @@ mod tests {
     }
 
     /// Four rounds of `client(c)`'s updates on one session over `workers`
-    /// workers: a full round with a departed client refilled from the
-    /// backlog, a quorum round exported as wire bytes, a quorum round driven
-    /// to the model, and a full round exported as wire bytes. Parking is
-    /// budgeted for four updates of `dim` parameters.
+    /// workers, which split a lone station's fold into ranges of at least
+    /// [`SPLIT_FLOOR`] bytes: a full round with a departed client refilled
+    /// from the backlog, a quorum round exported as wire bytes, a quorum
+    /// round driven to the model, and a full round exported as wire bytes.
+    /// Parking is budgeted for four updates of `dim` parameters.
     fn four_rounds(
         workers: usize,
         topology: &Topology,
@@ -964,7 +993,7 @@ mod tests {
             .topology(topology.clone())
             .codec(codec)
             .admission(AdmissionConfig::bounded(4, 4 * dim * 4).with_quorum(total as u32 - 1))
-            .workers(Workers::with_count(workers))
+            .workers(Workers::with_count(workers).with_split_floor(SPLIT_FLOOR))
             .build()
             .unwrap();
         let offer = |session: &mut crate::session::Session, clients: std::ops::Range<usize>| {
@@ -1044,13 +1073,19 @@ mod tests {
         }
     }
 
+    /// The fewest bytes a range of a split fold carries in the split tests
+    /// ([`Workers::with_split_floor`]): the engine's [`SPLIT_RANGE_BYTES`]
+    /// scaled down, so that the tests split folds of a small model. The
+    /// small-dimension shapes beside them never split.
+    const SPLIT_FLOOR: usize = SPLIT_RANGE_BYTES / 32;
+
     /// A dimension at which every fold of an `[8, 4]` top splits into at
     /// least 3 ranges beside 3 workers — it folds at least 6 bytes an
     /// element (a 4-byte accumulator and four views of at least half a
-    /// byte: `Uniform4` leaf outputs), so 3 ranges'
-    /// [`lifl_fl::sharded::SPLIT_RANGE_BYTES`] — and the last range is a
-    /// ragged odd tail (cuts fall on multiples of 16 elements).
-    const SPLIT_DIM: usize = 3 * lifl_fl::sharded::SPLIT_RANGE_BYTES / 6 + 7;
+    /// byte: `Uniform4` leaf outputs), so 3 ranges' [`SPLIT_FLOOR`] — and
+    /// the last range is a ragged odd tail (cuts fall on multiples of 16
+    /// elements).
+    const SPLIT_DIM: usize = 3 * SPLIT_FLOOR / 6 + 7;
 
     /// The worker count at split sizes: 1 worker splits every top in two and
     /// 3 split an `[8, 4]` top into 3 or 4 ranges, while the two leaves of
@@ -1334,8 +1369,8 @@ mod tests {
 
     /// Four rounds of `dim`-parameter updates on a cluster of `topology` —
     /// node `resplit.0` re-split to `resplit.1` leaves first, when given —
-    /// over `workers` workers, driven as one forest or, for the `twin`, one
-    /// node at a time: a full
+    /// over `workers` workers splitting at [`SPLIT_FLOOR`], driven as one
+    /// forest or, for the `twin`, one node at a time: a full
     /// round with a departure refilled from the backlog, a partial quorum
     /// round, a three-update round that leaves every node but the first
     /// empty, and a full round. Returns each round, then every residual.
@@ -1352,7 +1387,7 @@ mod tests {
             .topology(topology.clone())
             .codec(codec)
             .admission(AdmissionConfig::bounded(4, 4 * dim * 4).with_quorum(3))
-            .build_on(Workers::with_count(workers))
+            .build_on(Workers::with_count(workers).with_split_floor(SPLIT_FLOOR))
             .unwrap();
         if let Some((node, leaves)) = resplit {
             cluster.resplit(node, leaves);

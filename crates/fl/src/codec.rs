@@ -119,11 +119,6 @@ pub struct EncodedUpdate {
 }
 
 impl EncodedUpdate {
-    /// Number of parameters of the dense model this encodes.
-    pub fn dim(&self) -> usize {
-        self.dim as usize
-    }
-
     /// The per-tensor quantization scale (0 for `Identity` and `TopK`): the
     /// decode error bound lossy-codec tests compare against.
     #[cfg(test)]
@@ -1133,7 +1128,7 @@ mod tests {
             let parsed = EncodedUpdate::from_bytes(&encoded.to_bytes()).unwrap();
             assert_eq!(parsed, encoded);
             assert_eq!(parsed.decode(), encoded.decode());
-            assert_eq!(descriptor_dim(encoded.wire()), parsed.dim());
+            assert_eq!(descriptor_dim(encoded.wire()), m.dim());
         }
         assert_eq!(descriptor_dim(&[1, 2]), 0);
     }
@@ -1639,7 +1634,7 @@ mod tests {
         let Update::Encoded { update, .. } = update else {
             panic!("lossy codecs travel encoded");
         };
-        assert_eq!(update.dim(), 5);
+        assert_eq!(update.dense_bytes(), 5 * 4);
         assert_eq!(feedback.residual(client).unwrap().dim(), 5);
         assert_eq!(bits_of(&feedback, bystander), bystander_before, "kept");
         let fresh = UpdateCodec::new(CodecKind::Uniform4).encode(&wider);

@@ -435,44 +435,35 @@ pub fn le_bytes(values: &[f32]) -> &[u8] {
 
 /// A dense parameter vector owned as its little-endian wire bytes: the owner
 /// a model is **moved** into the shared-memory store behind
-/// (`Bytes::from_owner(DenseLe::new(values))`), so the stored object *is* the
-/// vector its producer wrote — no encode pass, no second buffer. An owner
-/// made by [`DenseLe::new`] frees its vector when the store recycles the
-/// object and the last handle is gone. One made by [`DenseLe::pooled`] — an
-/// aggregator's accumulator, or a client's vector a session's gateway
-/// stored — is checked in to its [`BufferPool`] instead, on whichever thread
-/// that happens: an accumulator comes home, so the next round's is the same
-/// warm memory and not a fresh page-faulting one, and a client's vector is
-/// kept only while the pool is owed a buffer (the model a drive handed out)
-/// and freed otherwise.
+/// (`Bytes::from_owner(DenseLe::pooled(values, pool))`), so the stored object
+/// *is* the vector its producer wrote — no encode pass, no second buffer.
+/// When the store recycles the object and the last handle is gone, the
+/// vector is checked in to its [`BufferPool`], on whichever thread that
+/// happens: an aggregator's accumulator comes home, so the next round's is
+/// the same warm memory and not a fresh page-faulting one, and a client's
+/// vector a session's gateway stored is kept only while the pool is owed a
+/// buffer (the model a drive handed out) and freed otherwise.
 #[derive(Debug)]
 pub struct DenseLe {
     values: Vec<f32>,
-    home: Option<BufferPool>,
+    home: BufferPool,
 }
 
 impl DenseLe {
-    /// Takes ownership of `values`; dropping the owner frees them.
-    pub fn new(values: Vec<f32>) -> Self {
-        DenseLe { values, home: None }
-    }
-
     /// Takes ownership of `values`; dropping the owner checks them in to
     /// `pool`, which keeps them if it is owed a buffer and frees them
     /// otherwise (its conservation rule).
     pub fn pooled(values: Vec<f32>, pool: &BufferPool) -> Self {
         DenseLe {
             values,
-            home: Some(pool.clone()),
+            home: pool.clone(),
         }
     }
 }
 
 impl Drop for DenseLe {
     fn drop(&mut self) {
-        if let Some(pool) = self.home.take() {
-            pool.checkin_f32(std::mem::take(&mut self.values));
-        }
+        self.home.checkin_f32(std::mem::take(&mut self.values));
     }
 }
 
@@ -2556,9 +2547,12 @@ pub(crate) mod proptests {
         assert_eq!(pool.stats().idle_buffers, 1);
         let again = pool.checkout_f32(64);
         assert_eq!(again.as_ptr(), address);
-        // An unpooled owner frees its vector and leaves the pool alone.
-        drop(DenseLe::new(vec![1.0; 64]));
-        assert_eq!(pool.stats().idle_buffers, 0);
+        // A vector the pool is not owed is freed: with every checkout home,
+        // a foreign vector's owner leaves the pool as it was.
+        pool.checkin_f32(again);
+        assert_eq!(pool.stats().idle_buffers, 1);
+        drop(DenseLe::pooled(vec![1.0; 64], &pool));
+        assert_eq!(pool.stats().idle_buffers, 1);
     }
 
     proptest! {
@@ -2583,7 +2577,7 @@ pub(crate) mod proptests {
             let expected: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
             prop_assert_eq!(le_bytes(&values), expected.as_slice());
             let ptr = values.as_ptr().cast::<u8>();
-            let owned = DenseLe::new(values);
+            let owned = DenseLe::pooled(values, &BufferPool::new());
             prop_assert_eq!(owned.as_ref(), expected.as_slice());
             prop_assert_eq!(owned.as_ref().as_ptr(), ptr, "the owner views, never copies");
         }

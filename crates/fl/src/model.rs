@@ -50,17 +50,12 @@ impl DenseModel {
 
     /// Moves the model out as its headerless little-endian wire bytes — no
     /// copy: the handle *is* the parameter vector (behind
-    /// [`DenseLe`](crate::kernels::DenseLe)), freed when the last clone of
-    /// the handle is dropped. The dense counterpart of
+    /// [`DenseLe`](crate::kernels::DenseLe)), homed on `pool`. Dropping the
+    /// last clone of the handle checks the vector in there — an
+    /// aggregator's accumulator comes home, and a client's vector stays if
+    /// the pool is owed a buffer and is freed otherwise. The dense
+    /// counterpart of
     /// [`EncodedUpdate::into_wire`](crate::codec::EncodedUpdate::into_wire).
-    pub fn into_wire(self) -> bytes::Bytes {
-        bytes::Bytes::from_owner(crate::kernels::DenseLe::new(self.params))
-    }
-
-    /// [`DenseModel::into_wire`] homed on `pool`: dropping the last clone of
-    /// the handle checks the vector in there instead of freeing it — an
-    /// aggregator's accumulator comes home, and a client's vector stays
-    /// if the pool is owed a buffer.
     pub fn into_pooled_wire(self, pool: &lifl_shmem::BufferPool) -> bytes::Bytes {
         bytes::Bytes::from_owner(crate::kernels::DenseLe::pooled(self.params, pool))
     }

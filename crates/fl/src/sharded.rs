@@ -288,11 +288,11 @@ impl BatchPlan {
     }
 
     /// Into how many ranges the batch's fold splits when at most `most`
-    /// threads can take one: as many as give each range at least
-    /// [`SPLIT_RANGE_BYTES`] of what the fold reads and writes, at least
-    /// one and at most `most`.
-    pub fn ranges(&self, most: usize) -> usize {
-        (self.bytes / SPLIT_RANGE_BYTES).clamp(1, most.max(1))
+    /// threads can take one: as many as give each range at least `floor`
+    /// bytes of what the fold reads and writes ([`SPLIT_RANGE_BYTES`] in
+    /// the engine), at least one and at most `most`.
+    pub fn ranges(&self, most: usize, floor: usize) -> usize {
+        (self.bytes / floor.max(1)).clamp(1, most.max(1))
     }
 
     /// The cut points of `ranges` even ranges of the batch's elements (what

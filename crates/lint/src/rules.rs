@@ -317,7 +317,7 @@ const PAYLOAD_COPIES: [(&[&str], &str); 6] = [
     ),
     (
         &["put_f32", "("],
-        "`put_f32(` re-encodes the model into a fresh buffer; move the model in with `into_wire()`",
+        "`put_f32(` re-encodes the model into a fresh buffer; move the model in with `into_pooled_wire(pool)`",
     ),
     (
         &["encode_f32", "("],

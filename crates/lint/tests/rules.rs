@@ -67,6 +67,7 @@ fn r6_fail_flags_payload_copies_on_the_move_only_path() {
     assert_eq!(copies.len(), 6, "{found:#?}");
     for (line, token) in [
         (5, "`put_f32(`"),
+        (5, "`into_pooled_wire(pool)`"),
         (6, "`.to_bytes()`"),
         (7, "`encode_f32(`"),
         (8, "`update.clone()`"),

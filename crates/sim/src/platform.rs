@@ -697,6 +697,61 @@ mod tests {
         );
     }
 
+    /// The cascading cold start of §2.3: a serverless round starts each
+    /// aggregator when its first input arrives, so a three-level round
+    /// (leaves, the node's middle, the top) is ready level by level, one
+    /// cold start after another. LIFL starts its runtimes at round start and
+    /// promotes them up the tree, so the same round's top is ready sooner.
+    #[test]
+    fn reactive_cold_starts_cascade_level_by_level() {
+        let cluster = ClusterConfig {
+            aggregation_nodes: 1,
+            ..ClusterConfig::default()
+        };
+        let spec = RoundSpec::simultaneous(ModelKind::ResNet18, 8, SimTime::ZERO);
+        // When the first aggregator of the rows matching `level` starts.
+        let start = |report: &RoundReport, level: &dyn Fn(&str) -> bool| {
+            (report.gantt.segments.iter())
+                .filter(|s| s.task == "Agg." && level(&s.row))
+                .map(|s| s.start)
+                .fold(f64::INFINITY, f64::min)
+        };
+        let leaf = |row: &str| row.contains("-LF");
+        let middle = |row: &str| row.contains("-MID");
+        let top = |row: &str| row == "Top";
+
+        let cold = CostModel::paper_calibrated()
+            .startup(SystemKind::Serverless)
+            .cold_start
+            .as_secs();
+        let serverless = LiflPlatform::with_profile(PlatformProfile::serverless(cluster.clone()))
+            .run_round(&spec);
+        // Four leaves and a middle on the node, then the top: three levels.
+        let three_levels = |report: &RoundReport| {
+            let node = report.plan.on_node(NodeId::new(0)).expect("one node");
+            node.leaves() == 4 && node.middle()
+        };
+        assert!(three_levels(&serverless), "{:?}", serverless.plan);
+        assert_eq!(serverless.metrics.aggregators_created, 4 + 1 + 1);
+        let (sl_leaf, sl_middle, sl_top) = (
+            start(&serverless, &leaf),
+            start(&serverless, &middle),
+            start(&serverless, &top),
+        );
+        assert!(sl_leaf >= cold, "leaves ready at {sl_leaf}");
+        assert!(sl_middle - sl_leaf >= cold, "{sl_leaf} -> {sl_middle}");
+        assert!(sl_top - sl_middle >= cold, "{sl_middle} -> {sl_top}");
+
+        let lifl = LiflPlatform::new(cluster, LiflConfig::default()).run_round(&spec);
+        assert!(three_levels(&lifl), "{:?}", lifl.plan);
+        let lifl_top = start(&lifl, &top);
+        assert!(lifl_top < sl_top, "LIFL {lifl_top} vs serverless {sl_top}");
+        assert!(
+            lifl.metrics.aggregation_completion_time
+                < serverless.metrics.aggregation_completion_time
+        );
+    }
+
     #[test]
     fn warm_instances_survive_rounds_for_lifl_only() {
         let spec = RoundSpec::simultaneous(ModelKind::ResNet152, 20, SimTime::ZERO);

@@ -1,7 +1,7 @@
 //! Strongly-typed identifiers used throughout the platform.
 //!
 //! Every entity that the control plane reasons about (worker nodes,
-//! aggregators, clients, rounds, function instances, shared-memory objects)
+//! aggregators, clients, rounds, shared-memory objects)
 //! has its own newtype identifier so that, for example, a [`ClientId`] can
 //! never be accidentally used where a [`NodeId`] is expected
 //! (paper §5, Appendix A).
@@ -68,11 +68,6 @@ index_id!(
     /// Identifier of a global-model round.
     RoundId,
     "round"
-);
-index_id!(
-    /// Identifier of a concrete function instance (a warm or cold runtime).
-    InstanceId,
-    "inst"
 );
 
 /// Key addressing an immutable object in the shared-memory object store.

@@ -50,7 +50,7 @@ pub use admission::{AdmissionConfig, AdmissionOutcome, RoundClose};
 pub use codec::{CodecKind, WIRE_HEADER_BYTES};
 pub use error::{LiflError, Result};
 pub use fold::FoldPolicy;
-pub use ids::{AggregatorId, ClientId, InstanceId, NodeId, ObjectKey, RoundId};
+pub use ids::{AggregatorId, ClientId, NodeId, ObjectKey, RoundId};
 pub use model::ModelKind;
 pub use role::AggregatorRole;
 pub use time::{SimDuration, SimTime};
