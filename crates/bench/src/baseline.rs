@@ -9,8 +9,10 @@
 //! report (`BENCH_aggregation.json` at the repo root) that is committed, so
 //! this and every future perf PR has a before/after record.
 //!
-//! Regenerate with `just bench-baseline`; CI runs the `--quick` mode and
-//! validates the committed file's schema (`just bench-baseline-check`).
+//! Regenerate with `cargo run --release -p lifl-bench --bin bench_baseline`;
+//! CI runs the `--quick` mode (`-- --quick --out target/bench_quick.json`)
+//! and validates the committed file's schema
+//! (`-- --check BENCH_aggregation.json`).
 
 use lifl_fl::aggregate::{CumulativeFedAvg, ModelUpdate};
 use lifl_fl::codec::{EncodedView, ErrorFeedback, UpdateCodec};
@@ -145,7 +147,8 @@ pub fn check_report(json: &str) -> Result<BaselineReport, String> {
         serde_json::from_str(json).map_err(|e| format!("unparseable baseline report: {e:?}"))?;
     if report.schema != SCHEMA {
         return Err(format!(
-            "stale baseline schema {:?} (current is {SCHEMA:?}); regenerate with `just bench-baseline`",
+            "stale baseline schema {:?} (current is {SCHEMA:?}); regenerate with \
+             `cargo run --release -p lifl-bench --bin bench_baseline`",
             report.schema
         ));
     }

@@ -39,7 +39,10 @@ fn main() -> ExitCode {
             Ok(json) => json,
             Err(e) => {
                 eprintln!("error: baseline report {path:?} is missing or unreadable: {e}");
-                eprintln!("hint: regenerate it with `just bench-baseline` and commit it");
+                eprintln!(
+                    "hint: regenerate it with `cargo run --release -p lifl-bench --bin \
+                     bench_baseline` and commit it"
+                );
                 return ExitCode::FAILURE;
             }
         };

@@ -938,10 +938,6 @@ impl lifl_fl::Ingest for Cluster {
         self.ingest(update)
     }
 
-    fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
-        Cluster::try_ingest(self, update)
-    }
-
     fn round_capacity(&self) -> usize {
         Cluster::round_capacity(self)
     }
@@ -1800,6 +1796,70 @@ mod tests {
             .ingest_all(updates(6, 16).into_iter().map(Update::Dense))
             .unwrap();
         assert_eq!(cluster.drive().unwrap().updates_ingested(), 8);
+    }
+
+    /// A child node killed while it holds an update drained from the
+    /// previous round's backlog: the restarted node re-delivers that update
+    /// from its stored key — not the newer model its client offered since —
+    /// and every round is the undisturbed cluster's, bit for bit, under a
+    /// lossless and a lossy codec. Every round of the 4-update `[2, 1, 2]`
+    /// cluster, with a one-deep queue per node, ends with two offers parked
+    /// that drain into the next round, and round 2's first two offers are
+    /// newer models of the two clients whose round-1 updates drained.
+    #[test]
+    fn a_child_kill_keeps_the_update_drained_from_the_backlog() {
+        let offer = |client: u64, round: u64| {
+            let values = (0..16)
+                .map(|d| ((client * 31 + round * 17 + d * 5) % 97) as f32 * 0.04 - 1.9)
+                .collect();
+            Update::Dense(ModelUpdate::from_client(
+                ClientId::new(client),
+                DenseModel::from_vec(values),
+                client + round + 1,
+            ))
+        };
+        let offers: [&[u64]; 3] = [&[0, 1, 2, 3, 4, 5], &[4, 5, 6, 7], &[8, 9, 10, 11]];
+        for codec in [CodecKind::Identity, CodecKind::Uniform8] {
+            let run = |faults: bool| {
+                let mut builder = ClusterBuilder::new()
+                    .topology(Topology::new(vec![2, 1, 2]).unwrap())
+                    .codec(codec)
+                    .admission(AdmissionConfig::bounded(1, 1 << 20));
+                if faults {
+                    builder = builder.fault_tolerance(FaultToleranceConfig::default());
+                }
+                let mut cluster = builder.build_on(Workers::with_count(1)).unwrap();
+                let mut rounds = Vec::new();
+                for (round, clients) in offers.iter().enumerate() {
+                    for &client in *clients {
+                        let outcome = cluster.try_ingest(offer(client, round as u64)).unwrap();
+                        assert!(!outcome.is_rejected(), "{codec}: client {client}");
+                    }
+                    assert_eq!(cluster.queued_updates(), 2, "{codec}: round {round}");
+                    if round == 1 {
+                        // Node 1 holds client 5's update drained from round
+                        // 1's backlog, then client 5's newer model.
+                        let held = cluster.node_sessions()[1].round_clients();
+                        assert_eq!(held, [Some(ClientId::new(5)); 2], "{codec}");
+                        if faults {
+                            cluster.schedule_node_failure(NodeId::new(1), 1).unwrap();
+                        }
+                    }
+                    let report = cluster.drive().unwrap();
+                    let model = report.update.model.as_slice();
+                    let bits: Vec<u32> = model.iter().map(|v| v.to_bits()).collect();
+                    rounds.push((report.updates_ingested(), report.update.samples, bits));
+                }
+                if faults {
+                    let stats = cluster.fault_stats().unwrap();
+                    assert_eq!((stats.node_restarts, stats.lost_updates), (1, 2), "{codec}");
+                }
+                rounds
+            };
+            let killed = run(true);
+            assert!(killed.iter().all(|(updates, ..)| *updates == 4), "{codec}");
+            assert_eq!(killed, run(false), "{codec}");
+        }
     }
 
     #[test]

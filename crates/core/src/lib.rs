@@ -21,8 +21,8 @@
 //!   §5.2 EWMA load estimate ([`ewma`]),
 //! * **failure handling** (§3): node kills, keep-alive heartbeats and
 //!   recovery from the latest checkpoint, all owned by the cluster
-//!   ([`cluster::FaultToleranceConfig`]), and client over-provisioning
-//!   ([`heartbeat`]), and
+//!   ([`cluster::FaultToleranceConfig`]); client over-provisioning is the
+//!   selector's (`lifl_sim::selector`), and
 //! * the backend-generic **multi-round training driver** ([`training`]):
 //!   one FedAvg loop over any `Ingest` backend — session, cluster or
 //!   `lifl_fl::sink::FlatFedAvg` — with bit-exact results across backends.
@@ -71,7 +71,6 @@ pub mod aggregator;
 pub mod cluster;
 pub mod ewma;
 pub mod gateway;
-pub mod heartbeat;
 mod ingress;
 pub mod session;
 mod stations;

@@ -941,10 +941,6 @@ impl lifl_fl::Ingest for Session {
         self.ingest(update)
     }
 
-    fn try_ingest(&mut self, update: Update) -> Result<lifl_types::AdmissionOutcome> {
-        Session::try_ingest(self, update)
-    }
-
     fn round_capacity(&self) -> usize {
         self.topology.total_updates()
     }

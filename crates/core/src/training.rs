@@ -25,16 +25,17 @@
 //! [`ServerOptimizer`], configured by [`TrainingConfig::server`]). Every
 //! round and every version commits through the optimizer at one place.
 //!
-//! A synchronous round decides who trains before anyone does, draws every
-//! trainee's epoch shuffles on the caller in participant order, and trains
-//! them all as one level on the process's shared worker set — the one the
-//! backend runs its stations and ingress encodes on — ingesting each update
-//! in participant order as soon as it and every earlier trainee are
-//! trained, so the ingress's encodes run beside the training rather than
-//! after it. The result is the one-client-at-a-time loop's, bit for bit, at
-//! any worker count.
+//! A synchronous round selects exactly the backend's round capacity, draws
+//! every participant's epoch shuffles on the caller in participant order,
+//! and trains them all as one level on the process's shared worker set —
+//! the one the backend runs its stations and ingress encodes on —
+//! ingesting each update in participant order as soon as it and every
+//! earlier participant are trained, so the ingress's encodes run beside the
+//! training rather than after it. The result is the one-client-at-a-time
+//! loop's, bit for bit, at any worker count. Over-provisioning the
+//! selection is the selector's business (`lifl_sim::selector`), and parking
+//! overflow the ingress's (`Session::try_ingest`, `Cluster::try_ingest`).
 
-use crate::heartbeat::over_provisioned_selection;
 use crate::stations::Workers;
 use lifl_fl::client::Client;
 use lifl_fl::dataset::FederatedDataset;
@@ -46,8 +47,7 @@ use lifl_fl::staleness::{StalenessPolicy, StalenessTracker};
 use lifl_fl::trainer::{LocalTrainer, TrainerConfig};
 use lifl_fl::{Ingest, RoundAggregate, Update};
 use lifl_simcore::SimRng;
-use lifl_types::{AdmissionOutcome, ClientId, LiflError, ModelKind, Result, SimTime};
-use std::collections::BTreeSet;
+use lifl_types::{ClientId, LiflError, ModelKind, Result, SimTime};
 use std::sync::Arc;
 
 /// The workload an asynchronous run prices each client's local training
@@ -78,24 +78,6 @@ pub struct TrainingConfig {
     pub rounds: usize,
     /// Evaluate accuracy every this many rounds (1 = every round).
     pub eval_every: usize,
-    /// Expected fraction of selected clients that drop out mid-round (§3
-    /// over-provisioning). At the default `0.0` every round must *exactly*
-    /// fill the backend tree, as before. A positive rate relaxes that check:
-    /// the selection should be over-provisioned per
-    /// [`over_provisioned_selection`], stragglers are cut off, and surplus
-    /// deliveries beyond the tree stay idle as spares.
-    pub expected_dropout: f64,
-    /// Routes every delivery through the backend's streaming ingress
-    /// ([`Ingest::try_ingest`]) instead of the strict one: the round trains
-    /// *every* selected participant, surplus deliveries park in the
-    /// backend's bounded admission queues (counted in
-    /// [`TrainingRound::queued`], drained into the next round by the
-    /// backend) and deliveries the queue budget turns away are cut off as
-    /// stragglers. The round closes by the backend's configured rule —
-    /// exact fill, or a quorum under
-    /// [`RoundClose::Quorum`](lifl_types::RoundClose) — so the selection no
-    /// longer has to match [`Ingest::round_capacity`] exactly.
-    pub streaming: bool,
 }
 
 impl Default for TrainingConfig {
@@ -105,8 +87,6 @@ impl Default for TrainingConfig {
             server: ServerOptConfig::default(),
             rounds: 50,
             eval_every: 1,
-            expected_dropout: 0.0,
-            streaming: false,
         }
     }
 }
@@ -124,14 +104,6 @@ pub struct TrainingRound {
     pub train_loss: f64,
     /// Data-plane payload bytes the round's ingests occupied in wire form.
     pub ingress_wire_bytes: u64,
-    /// Selected clients cut off as stragglers: those neither excused as
-    /// spares, admitted nor parked (always zero under the exact-fill
-    /// default configuration).
-    pub dropped: u64,
-    /// Deliveries the backend parked in its bounded admission queues for
-    /// the *next* round (always zero outside
-    /// [`TrainingConfig::streaming`] mode).
-    pub queued: u64,
 }
 
 /// What the first half of a round (select → train → deliver) hands to the
@@ -140,8 +112,6 @@ pub struct TrainingRound {
 struct Delivery {
     loss_sum: f64,
     trained: usize,
-    dropped: u64,
-    queued: u64,
 }
 
 /// One global version an asynchronous run committed.
@@ -248,7 +218,6 @@ pub struct TrainingDriver<B: Ingest> {
     /// The one commit of every round and version.
     optimizer: ServerOptimizer,
     history: Vec<TrainingRound>,
-    stragglers: BTreeSet<ClientId>,
     staleness: StalenessTracker,
     /// The process's shared worker set — the one the backend runs its
     /// stations and encodes on, when it was built on the shared set — that
@@ -280,21 +249,9 @@ impl<B: Ingest> TrainingDriver<B> {
             global,
             optimizer: ServerOptimizer::new(config.server),
             history: Vec::new(),
-            stragglers: BTreeSet::new(),
             staleness: StalenessTracker::new(),
             workers: Workers::new(),
         }
-    }
-
-    /// Marks a client as a straggler for the *next* round (a fault-injection
-    /// hook): if selected, it trains nothing and never reports, so the round
-    /// must absorb its absence — over-provisioned configurations cut it off
-    /// and fill the round from the spares; the exact-fill default fails the
-    /// round.
-    /// Marks are consumed by the next round attempt.
-    #[cfg(test)]
-    pub(crate) fn mark_straggler(&mut self, client: ClientId) {
-        self.stragglers.insert(client);
     }
 
     /// The aggregation backend the driver ingests into.
@@ -357,13 +314,12 @@ impl<B: Ingest> TrainingDriver<B> {
             .collect()
     }
 
-    /// Runs one synchronous round: select participants, train the ones the
-    /// round takes (all at once, on the worker set), ingest every update
-    /// dense through the backend's ingress in participant order as it is
-    /// trained (the backend encodes at ingress under a lossy codec, with
-    /// per-client error feedback), aggregate the backend's tree, commit the
-    /// global aggregate through the server optimizer and optionally
-    /// evaluate.
+    /// Runs one synchronous round: select participants, train them all at
+    /// once on the worker set, ingest every update dense through the
+    /// backend's ingress in participant order as it is trained (the backend
+    /// encodes at ingress under a lossy codec, with per-client error
+    /// feedback), aggregate the backend's tree, commit the global aggregate
+    /// through the server optimizer and optionally evaluate.
     ///
     /// A fault-tolerant [`Cluster`](crate::cluster::Cluster) backend
     /// survives a child-node kill inside its own aggregation, so the round
@@ -373,18 +329,16 @@ impl<B: Ingest> TrainingDriver<B> {
     /// Fails with [`LiflError::InvalidConfig`] before anyone is selected if
     /// the trainer or server-optimizer configuration is invalid
     /// ([`TrainerConfig::validate`], [`ServerOptConfig::validate`]).
-    /// Fails if the selection cannot fill the backend's tree (exactly, under
-    /// the default configuration; after straggler cut-off, under a positive
-    /// [`TrainingConfig::expected_dropout`]), or on any backend
-    /// ingest/aggregation error. The backend's round is discarded on
-    /// *every* failure path — including an aggregation failure — so the
-    /// driver stays reusable. A round that fails at an ingest has drawn
-    /// from `rng` exactly what a successful one draws. A backend that lost
-    /// the round with its top host ([`LiflError::AggregatorFailure`]) and
-    /// restored its latest checkpoint hands the checkpointed model over
-    /// ([`Ingest::take_recovered_model`]), and the driver adopts it as its
-    /// global model before returning the error, so a re-run trains against
-    /// the restored model.
+    /// Fails if the selection is not exactly the backend's
+    /// [`Ingest::round_capacity`], or on any backend ingest/aggregation
+    /// error. The backend's round is discarded on *every* failure path —
+    /// including an aggregation failure — so the driver stays reusable. A
+    /// round that fails at an ingest has drawn from `rng` exactly what a
+    /// successful one draws. A backend that lost the round with its top host
+    /// ([`LiflError::AggregatorFailure`]) and restored its latest checkpoint
+    /// hands the checkpointed model over ([`Ingest::take_recovered_model`]),
+    /// and the driver adopts it as its global model before returning the
+    /// error, so a re-run trains against the restored model.
     pub fn run_round(&mut self, rng: &mut SimRng) -> Result<TrainingRound> {
         self.validate()?;
         let delivery = self.deliver_round(rng)?;
@@ -498,77 +452,44 @@ impl<B: Ingest> TrainingDriver<B> {
         })
     }
 
-    /// The first half of a round: select participants, decide who trains,
-    /// draw every trainee's shuffles in participant order, then train them
-    /// all as one level on the worker set ([`Workers::run_in_order`]) and
-    /// deliver each update through the backend's ingress as soon as it and
-    /// every earlier trainee are trained — in participant order, `loss_sum`
+    /// The first half of a round: select participants, draw every
+    /// participant's shuffles in participant order, then train them all as
+    /// one level on the worker set ([`Workers::run_in_order`]) and deliver
+    /// each update through the backend's ingress as soon as it and every
+    /// earlier participant are trained — in participant order, `loss_sum`
     /// added in that order: the sequence of updates, losses and draws the
     /// one-client-at-a-time loop produced, because any ingest error ended
-    /// that loop and so never changed who trained. After each offer the
+    /// that loop and so never changed who trained. After each ingest the
     /// caller runs the encode it queued ([`Workers::run_waiting`]), so no
-    /// offer finds a backlog to encode inline.
+    /// ingest finds a backlog to encode inline.
     ///
     /// # Errors
-    /// Fails if the selection cannot fill the backend's tree, a trainee
-    /// fails or an ingest fails; the level then stops claiming trainees and
-    /// the backend's round is discarded, with the generator where a
-    /// successful round leaves it.
+    /// Fails if the selection is not the backend's round capacity, a
+    /// participant fails to train or an ingest fails; the level then stops
+    /// claiming participants and the backend's round is discarded, with the
+    /// generator where a successful round leaves it.
     fn deliver_round(&mut self, rng: &mut SimRng) -> Result<Delivery> {
         let participants = self.population.select_round(rng);
         let capacity = self.backend.round_capacity();
-        let stragglers = std::mem::take(&mut self.stragglers);
-        if self.config.streaming {
-            // Streaming ingress: the backend's admission queues absorb any
-            // surplus and its close rule (exact or quorum) decides whether
-            // the round can drive — no selection-size precondition here.
-        } else if self.config.expected_dropout > 0.0 {
-            // Over-provisioned selection (§3): the rate must be valid, and
-            // the exact-fill check relaxes to "at least a full tree" — the
-            // spares are the selection's business; a drop-out too many fails
-            // the round once the stragglers are cut off.
-            let target = over_provisioned_selection(capacity as u64, self.config.expected_dropout)?;
-            if participants.len() < capacity {
-                return Err(LiflError::InvalidConfig(format!(
-                    "round selected {} participants, fewer than the \
-                     {capacity}-update tree takes even if none drops out (an \
-                     expected dropout of {} asks for {target})",
-                    participants.len(),
-                    self.config.expected_dropout
-                )));
-            }
-        } else if participants.len() != capacity {
+        if participants.len() != capacity {
             return Err(LiflError::InvalidConfig(format!(
                 "round selected {} participants but the backend tree \
                  aggregates exactly {capacity}",
                 participants.len()
             )));
         }
-        // Every participant is pending until it is excused as a spare,
-        // admitted or parked; whoever is left is a cut-off straggler.
-        let mut pending: BTreeSet<ClientId> = participants.iter().map(|c| c.id).collect();
-        // Decide: who trains, before anyone does. Outside streaming the tree
-        // takes the first `capacity` participants that report, and every
-        // later one is an idle spare (an ingest either admits or fails the
-        // round); under streaming everyone who reports trains. Stragglers
-        // never report and stay pending.
-        let mut trainees = Vec::new();
-        for client in &participants {
-            if !self.config.streaming && trainees.len() == capacity {
-                pending.remove(&client.id);
-            } else if !stragglers.contains(&client.id) {
-                trainees.push(client.id);
-            }
-        }
-        // Draw: every trainee's epoch shuffles, on the caller, in
+        // Draw: every participant's epoch shuffles, on the caller, in
         // participant order — the order the generator always served them in.
-        let jobs: Vec<(ClientId, Vec<Vec<usize>>)> = (trainees.into_iter())
-            .map(|id| (id, self.trainer.shuffles(self.dataset.shard(id).len(), rng)))
+        let jobs: Vec<(ClientId, Vec<Vec<usize>>)> = (participants.iter())
+            .map(|client| {
+                let shard = self.dataset.shard(client.id);
+                (client.id, self.trainer.shuffles(shard.len(), rng))
+            })
             .collect();
-        // Train every trainee as one level on the worker set, and ingest each
-        // update in participant order as soon as it and every earlier one
-        // are trained: the caller offers (and encodes) while the workers
-        // train on.
+        // Train every participant as one level on the worker set, and ingest
+        // each update in participant order as soon as it and every earlier
+        // one are trained: the caller ingests (and encodes) while the
+        // workers train on.
         let (dataset, global, trainer) = (
             Arc::clone(&self.dataset),
             Arc::clone(&self.global),
@@ -581,54 +502,21 @@ impl<B: Ingest> TrainingDriver<B> {
             Ok((*client, local, loss))
         };
         let mut delivery = Delivery::default();
-        let mut delivered = 0usize;
-        let (backend, workers, streaming) =
-            (&mut self.backend, &self.workers, self.config.streaming);
+        let (backend, workers) = (&mut self.backend, &self.workers);
         let ingested = workers.run_in_order(len, train, |trained| {
             let (client, local, loss) = trained?;
             delivery.loss_sum += loss;
             delivery.trained += 1;
             let samples = self.dataset.shard(client).len().max(1) as u64;
-            let update = Update::dense(client, local, samples);
-            let outcome = if streaming {
-                backend.try_ingest(update)
-            } else {
-                backend
-                    .ingest_update(update)
-                    .map(|()| AdmissionOutcome::Admitted)
-            };
-            // Run the encode this offer queued here and now, so that the
-            // next offer finds no backlog to run inline.
+            let ingested = backend.ingest_update(Update::dense(client, local, samples));
+            // Run the encode this ingest queued here and now, so that the
+            // next ingest finds no backlog to run inline.
             workers.run_waiting();
-            match outcome? {
-                AdmissionOutcome::Admitted => {
-                    pending.remove(&client);
-                    delivered += 1;
-                }
-                AdmissionOutcome::Queued { .. } => {
-                    // Parked for the next round; not a straggler.
-                    pending.remove(&client);
-                    delivery.queued += 1;
-                }
-                AdmissionOutcome::Rejected { .. } => {
-                    // Queue budget exhausted: the delivery is turned away
-                    // and the client is cut off.
-                }
-            }
-            Ok(())
+            ingested
         });
         if let Err(error) = ingested {
             self.backend.discard_round();
             return Err(error);
-        }
-        delivery.dropped = pending.len() as u64;
-        if !self.config.streaming && delivered < capacity {
-            self.backend.discard_round();
-            return Err(LiflError::InvalidConfig(format!(
-                "only {delivered} of {capacity} updates arrived ({} clients \
-                 cut off as stragglers)",
-                delivery.dropped
-            )));
         }
         Ok(delivery)
     }
@@ -661,8 +549,6 @@ impl<B: Ingest> TrainingDriver<B> {
             accuracy,
             train_loss: delivery.loss_sum / delivery.trained.max(1) as f64,
             ingress_wire_bytes: aggregate.ingress_wire_bytes,
-            dropped: delivery.dropped,
-            queued: delivery.queued,
         };
         self.history.push(outcome.clone());
         Ok(outcome)
@@ -821,92 +707,6 @@ mod tests {
         let outcome = driver.run_round(&mut rng).unwrap();
         assert_eq!(outcome.round, 1);
         assert_eq!(outcome.updates, 8);
-    }
-
-    #[test]
-    fn stragglers_are_cut_off_and_spares_fill_the_round() {
-        let (dataset, _, mut rng) = fixtures(11);
-        // All 10 clients participate every round: 2 spares over the 8-update
-        // tree, covering the expected 20% dropout.
-        let population = Population::generate(
-            PopulationConfig {
-                total_clients: 10,
-                active_per_round: 10,
-                availability: ClientAvailability::AlwaysOn,
-                mean_samples: 40,
-                speed_spread: 0.3,
-            },
-            &mut rng,
-        );
-        let mut driver = TrainingDriver::new(
-            session(lifl_types::CodecKind::Identity),
-            dataset,
-            population,
-            TrainingConfig {
-                expected_dropout: 0.2,
-                ..TrainingConfig::default()
-            },
-        );
-        driver.mark_straggler(lifl_types::ClientId::new(0));
-        driver.mark_straggler(lifl_types::ClientId::new(3));
-        let outcome = driver.run_round(&mut rng).unwrap();
-        assert_eq!(outcome.updates, 8, "spares filled the cut-off slots");
-        assert_eq!(outcome.dropped, 2, "both stragglers were cut off");
-        // Straggler marks are consumed: the next round is clean.
-        let outcome = driver.run_round(&mut rng).unwrap();
-        assert_eq!(outcome.dropped, 0);
-
-        // Too many stragglers exhaust the spares: the round fails loudly
-        // and the driver stays reusable.
-        for id in [1u64, 2, 4] {
-            driver.mark_straggler(lifl_types::ClientId::new(id));
-        }
-        assert!(driver.run_round(&mut rng).is_err());
-        assert_eq!(driver.backend().pending_updates(), 0);
-        assert!(driver.run_round(&mut rng).is_ok());
-    }
-
-    #[test]
-    fn streaming_driver_parks_surplus_in_the_admission_queue() {
-        let (dataset, _, mut rng) = fixtures(5);
-        // 10 deliveries per round against an 8-update tree: without the
-        // streaming ingress this selection can never drive (see
-        // `capacity_mismatch_is_an_error_and_keeps_the_driver_reusable`);
-        // with it, the surplus parks in the backend's bounded queues.
-        let population = Population::generate(
-            PopulationConfig {
-                total_clients: 24,
-                active_per_round: 10,
-                availability: ClientAvailability::AlwaysOn,
-                mean_samples: 40,
-                speed_spread: 0.3,
-            },
-            &mut rng,
-        );
-        let backend = SessionBuilder::new()
-            .topology(Topology::new(vec![2, 2, 2]).unwrap())
-            .admission(lifl_types::AdmissionConfig::bounded(4, 1 << 20))
-            .build()
-            .unwrap();
-        let mut driver = TrainingDriver::new(
-            backend,
-            dataset,
-            population,
-            TrainingConfig {
-                streaming: true,
-                ..TrainingConfig::default()
-            },
-        );
-        let outcome = driver.run_round(&mut rng).unwrap();
-        assert_eq!(outcome.updates, 8, "the round closed at the tree's fill");
-        assert_eq!(outcome.queued, 2, "the two surplus deliveries parked");
-        assert_eq!(outcome.dropped, 0);
-        // The parked deliveries drained into the next round, so round 2
-        // admits two fewer of its own selection and parks the rest.
-        assert_eq!(driver.backend().pending_updates(), 2);
-        let outcome = driver.run_round(&mut rng).unwrap();
-        assert_eq!(outcome.updates, 8);
-        assert_eq!(outcome.queued, 4);
     }
 
     /// The asynchronous workload: 40 hibernating clients, 16 of them
@@ -1293,14 +1093,15 @@ mod tests {
     }
 
     // ---------------------------------------------------------------------
-    // The worker-count tier: a round's trainees train as one level, so every
-    // path through `deliver_round` must be the one-client-at-a-time loop's,
-    // bit for bit, whether the caller trains alone or beside 1 or 3 workers.
+    // The worker-count tier: a round's participants train as one level, so
+    // every path through `deliver_round` must be the one-client-at-a-time
+    // loop's, bit for bit, whether the caller trains alone or beside 1 or 3
+    // workers.
     // ---------------------------------------------------------------------
 
-    /// One round as the tier compares it — updates, drops, parks, loss bits
-    /// and accuracy — or `None` for a round that failed.
-    type Round = Option<(u64, u64, u64, u64, f64)>;
+    /// One round as the tier compares it — updates, loss bits and accuracy
+    /// — or `None` for a round that failed.
+    type Round = Option<(u64, u64, f64)>;
 
     /// What a run leaves: its rounds, the global model's FNV-1a fingerprint
     /// and the generator's next draw.
@@ -1335,13 +1136,7 @@ mod tests {
             .map(|k| {
                 let r = round(&mut driver, &mut rng, k).ok()?;
                 let accuracy = r.accuracy.unwrap_or(f64::NAN);
-                Some((
-                    r.updates,
-                    r.dropped,
-                    r.queued,
-                    r.train_loss.to_bits(),
-                    accuracy,
-                ))
+                Some((r.updates, r.train_loss.to_bits(), accuracy))
             })
             .collect();
         let fingerprint = (driver.global_model().as_slice().iter())
@@ -1392,7 +1187,7 @@ mod tests {
             )
         };
         let rounds = (rounds.iter())
-            .map(|&(loss, accuracy)| Some((8, 0, 0, loss, accuracy)))
+            .map(|&(loss, accuracy)| Some((8, loss, accuracy)))
             .collect();
         (rounds, fingerprint, 180_344_594)
     }
@@ -1463,221 +1258,6 @@ mod tests {
                     |d, rng, _| d.run_round(rng),
                 );
                 assert_eq!(run, pinned_curve(codec), "{codec} at {count} workers");
-            }
-        }
-    }
-
-    /// A streaming round whose node is killed while it holds an update
-    /// drained from the previous round's backlog: the restarted node
-    /// re-delivers that update — not the client's newer model — and the run
-    /// is the undisturbed cluster's, round for round, bit for bit.
-    #[test]
-    fn a_streaming_child_kill_keeps_the_drained_update() {
-        use crate::cluster::FaultToleranceConfig;
-        let config = TrainingConfig {
-            streaming: true,
-            ..tier_config()
-        };
-        for codec in [CodecKind::Identity, CodecKind::Uniform8] {
-            let run = |faults: bool| {
-                let workers = Workers::with_count(1);
-                let mut builder = crate::cluster::ClusterBuilder::new()
-                    .topology(Topology::new(vec![2, 1, 2]).unwrap())
-                    .codec(codec)
-                    .admission(lifl_types::AdmissionConfig::bounded(1, 1 << 20));
-                if faults {
-                    builder = builder.fault_tolerance(FaultToleranceConfig::default());
-                }
-                let cluster = builder.build_on(workers.clone()).unwrap();
-                tier_run(
-                    cluster,
-                    &workers,
-                    ten_active(5, 24),
-                    config,
-                    3,
-                    |d, rng, k| {
-                        if faults && k == 1 {
-                            // Node 1 holds the client drained from round 1's
-                            // backlog when it dies, after node 0's hop.
-                            let node = lifl_types::NodeId::new(1);
-                            d.backend_mut().schedule_node_failure(node, 1).unwrap();
-                        }
-                        let round = d.run_round(rng);
-                        if faults && k == 1 {
-                            let stats = d.backend().fault_stats().unwrap();
-                            assert_eq!((stats.node_restarts, stats.lost_updates), (1, 2));
-                        }
-                        round
-                    },
-                )
-            };
-            let killed = run(true);
-            assert!(killed.0.iter().all(Option::is_some), "{codec}: {killed:?}");
-            assert_eq!(killed, run(false), "{codec}");
-        }
-    }
-
-    /// The fixtures with ten participants a round out of `total` clients.
-    fn ten_active(seed: u64, total: usize) -> (FederatedDataset, Population, SimRng) {
-        let (dataset, _, mut rng) = fixtures(seed);
-        let population = Population::generate(
-            PopulationConfig {
-                total_clients: total,
-                active_per_round: 10,
-                availability: ClientAvailability::AlwaysOn,
-                mean_samples: 40,
-                speed_spread: 0.3,
-            },
-            &mut rng,
-        );
-        (dataset, population, rng)
-    }
-
-    /// Streaming rounds of ten deliveries into an 8-update tree with a
-    /// one-deep queue per leaf: the surplus parks while there is room and is
-    /// turned away (and cut off) once there is none. Every round, model and
-    /// draw below was recorded from the one-client-at-a-time loop; the
-    /// `Uniform8` ones were re-recorded when encodes became keyed.
-    #[test]
-    fn every_worker_count_streams_the_recorded_surplus() {
-        let recorded = |codec| -> Run {
-            let identity = codec == CodecKind::Identity;
-            let rounds = vec![
-                Some((
-                    8,
-                    0,
-                    2,
-                    4_608_176_045_555_237_074,
-                    if identity {
-                        91.333_333_333_333_33
-                    } else {
-                        91.0
-                    },
-                )),
-                Some((
-                    8,
-                    0,
-                    4,
-                    if identity {
-                        4_605_631_687_407_882_890
-                    } else {
-                        4_605_628_331_659_355_619
-                    },
-                    if identity {
-                        96.333_333_333_333_33
-                    } else {
-                        96.0
-                    },
-                )),
-                Some((
-                    8,
-                    2,
-                    4,
-                    if identity {
-                        4_604_450_415_025_746_631
-                    } else {
-                        4_604_443_924_148_223_982
-                    },
-                    84.333_333_333_333_33,
-                )),
-            ];
-            let fingerprint = if identity {
-                3_200_472_312_565_110_265
-            } else {
-                4_828_864_096_407_475_321
-            };
-            (rounds, fingerprint, 508_978_108)
-        };
-        let config = TrainingConfig {
-            streaming: true,
-            ..tier_config()
-        };
-        for codec in [CodecKind::Identity, CodecKind::Uniform8] {
-            for count in [0, 1, 3] {
-                let workers = Workers::with_count(count);
-                let session = tier_session(codec, &workers)
-                    .admission(lifl_types::AdmissionConfig::bounded(1, 1 << 20))
-                    .build()
-                    .unwrap();
-                let run = tier_run(
-                    session,
-                    &workers,
-                    ten_active(5, 24),
-                    config,
-                    3,
-                    |d, rng, _| d.run_round(rng),
-                );
-                assert_eq!(run, recorded(codec), "{codec} at {count} workers");
-            }
-        }
-    }
-
-    /// Over-provisioned rounds of ten participants for an 8-update tree:
-    /// two stragglers cut off and replaced by the spares, a clean round,
-    /// three stragglers that exhaust the spares and fail the round, and a
-    /// straggler among the idle spares. Every round, model and draw below
-    /// was recorded from the one-client-at-a-time loop; the `Uniform8` ones
-    /// were re-recorded when encodes became keyed.
-    #[test]
-    fn every_worker_count_cuts_off_the_recorded_stragglers() {
-        let recorded = |codec| -> Run {
-            let identity = codec == CodecKind::Identity;
-            let rounds = vec![
-                Some((8, 2, 0, 4_608_027_115_007_069_635, 99.0)),
-                Some((
-                    8,
-                    0,
-                    0,
-                    if identity {
-                        4_606_280_891_515_763_638
-                    } else {
-                        4_606_284_079_471_360_080
-                    },
-                    99.666_666_666_666_67,
-                )),
-                None,
-                Some((
-                    8,
-                    0,
-                    0,
-                    if identity {
-                        4_605_059_380_406_086_045
-                    } else {
-                        4_605_059_109_033_535_254
-                    },
-                    99.666_666_666_666_67,
-                )),
-            ];
-            let fingerprint = if identity {
-                11_235_456_787_736_010_049
-            } else {
-                1_206_965_859_170_204_301
-            };
-            (rounds, fingerprint, 340_911_727)
-        };
-        let config = TrainingConfig {
-            expected_dropout: 0.2,
-            ..tier_config()
-        };
-        let marks: [&[u64]; 4] = [&[0, 3], &[], &[1, 2, 4], &[9]];
-        for codec in [CodecKind::Identity, CodecKind::Uniform8] {
-            for count in [0, 1, 3] {
-                let workers = Workers::with_count(count);
-                let cluster = tier_cluster(codec).build_on(workers.clone()).unwrap();
-                let run = tier_run(
-                    cluster,
-                    &workers,
-                    ten_active(11, 10),
-                    config,
-                    4,
-                    |d, rng, k| {
-                        for &id in marks[k] {
-                            d.mark_straggler(ClientId::new(id));
-                        }
-                        d.run_round(rng)
-                    },
-                );
-                assert_eq!(run, recorded(codec), "{codec} at {count} workers");
             }
         }
     }
@@ -1868,8 +1448,8 @@ mod tests {
     /// store room for three of the round's eight updates — returns the
     /// error, discards the round and leaves the driver reusable, whether
     /// the caller trains alone or beside 1 or 3 workers (which stop
-    /// claiming trainees at the failure). Its trainees were decided, and
-    /// their shuffles drawn, before anyone trained, so it drew exactly what
+    /// claiming participants at the failure). Every participant's shuffles
+    /// were drawn before anyone trained, so it drew exactly what
     /// the same round draws when it succeeds (the one-client-at-a-time loop
     /// stopped drawing at the failing client).
     #[test]

@@ -2,6 +2,7 @@
 //! number of simultaneously active clients per round (§6.2).
 
 use crate::client::{Client, ClientAvailability};
+use crate::selector::uniform_sample;
 use lifl_simcore::SimRng;
 use lifl_types::ClientId;
 
@@ -99,13 +100,7 @@ impl Population {
     /// Selects the clients participating in one round, uniformly at random
     /// without replacement (the selector's diversity role, §2.2).
     pub fn select_round(&self, rng: &mut SimRng) -> Vec<Client> {
-        let mut indices: Vec<usize> = (0..self.clients.len()).collect();
-        rng.shuffle(&mut indices);
-        indices
-            .into_iter()
-            .take(self.active_per_round.min(self.clients.len()))
-            .map(|i| self.clients[i].clone())
-            .collect()
+        uniform_sample(&self.clients, self.active_per_round, rng)
     }
 }
 

@@ -36,15 +36,7 @@ pub fn select_clients(
 ) -> Vec<Client> {
     let count = count.min(pool.len());
     match strategy {
-        SelectionStrategy::UniformRandom => {
-            let mut indices: Vec<usize> = (0..pool.len()).collect();
-            rng.shuffle(&mut indices);
-            indices
-                .into_iter()
-                .take(count)
-                .map(|i| pool[i].clone())
-                .collect()
-        }
+        SelectionStrategy::UniformRandom => uniform_sample(pool, count, rng),
         SelectionStrategy::DataSizeWeighted => {
             // Weighted sampling without replacement via the exponential-sort trick:
             // key = u^(1/w); take the largest keys.
@@ -78,6 +70,20 @@ pub fn select_clients(
                 .collect()
         }
     }
+}
+
+/// Up to `count` clients of `pool`, uniformly at random without
+/// replacement: one shuffle of every index, then its first `count`. The one
+/// uniform draw behind [`select_clients`] and
+/// [`Population::select_round`](crate::population::Population::select_round).
+pub(crate) fn uniform_sample(pool: &[Client], count: usize, rng: &mut SimRng) -> Vec<Client> {
+    let mut indices: Vec<usize> = (0..pool.len()).collect();
+    rng.shuffle(&mut indices);
+    indices
+        .into_iter()
+        .take(count.min(pool.len()))
+        .map(|i| pool[i].clone())
+        .collect()
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use crate::aggregate::{CumulativeFedAvg, ModelUpdate};
 use crate::codec::{ErrorFeedback, UpdateCodec};
 use crate::model::DenseModel;
 use crate::update::Update;
-use lifl_types::{AdmissionOutcome, CodecKind, LiflError, Result};
+use lifl_types::{CodecKind, LiflError, Result};
 
 /// What one aggregated round produced, in backend-agnostic form.
 #[derive(Debug, Clone)]
@@ -37,6 +37,11 @@ pub struct RoundAggregate {
 /// returns (or the round is discarded), the next round's ingests begin
 /// immediately, and any per-client codec state (error-feedback residuals)
 /// persists across rounds.
+///
+/// Typed backpressure is not part of the contract: a backend with bounded
+/// admission queues offers it beside the trait (`Session::try_ingest` and
+/// `Cluster::try_ingest` in `lifl-core` park a full round's overflow for the
+/// next one).
 pub trait Ingest {
     /// Accepts one update into the current round, in whatever representation
     /// it arrived.
@@ -46,27 +51,6 @@ pub trait Ingest {
     /// if the round is already full, or on any store/codec error. A failed
     /// ingest counts nothing toward the round.
     fn ingest_update(&mut self, update: Update) -> Result<()>;
-
-    /// Offers one update under admission control, answering with typed
-    /// backpressure instead of an error when the round is full.
-    ///
-    /// The default implementation has no backlog: it admits while the round
-    /// has room and rejects (with a zero retry hint) once it is full, so
-    /// unbounded backends keep their legacy semantics. Bounded backends
-    /// override this to park overflow in their admission queues.
-    ///
-    /// # Errors
-    /// Fails only on store/codec errors; a full round is an outcome, not an
-    /// error.
-    fn try_ingest(&mut self, update: Update) -> Result<AdmissionOutcome> {
-        match self.ingest_update(update) {
-            Ok(()) => Ok(AdmissionOutcome::Admitted),
-            Err(LiflError::RoundFull { .. }) => Ok(AdmissionOutcome::Rejected {
-                retry_after: lifl_types::SimDuration::ZERO,
-            }),
-            Err(e) => Err(e),
-        }
-    }
 
     /// Updates one round aggregates (the capacity of the backend's tree).
     fn round_capacity(&self) -> usize;

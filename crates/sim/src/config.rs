@@ -7,7 +7,7 @@
 //! maximum service capacity of 20 model updates per node, EWMA α = 0.7,
 //! leaf fan-in I = 2 and a 2-minute hierarchy re-plan period.
 
-use lifl_types::{CodecKind, FoldPolicy, SimDuration, SimTime};
+use lifl_types::{CodecKind, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// When aggregation is triggered relative to update arrival (Fig. 1, §2.1, §5.4).
@@ -103,10 +103,6 @@ pub struct LiflConfig {
     pub hierarchy_planning: bool,
     /// The model-update codec every update travels the data plane with.
     pub codec: CodecKind,
-    /// How every aggregator folds the updates of one round ([`FoldPolicy`]):
-    /// sample-weighted FedAvg (the default, bit-exact with the pre-policy
-    /// path) or a robust coordinate-wise statistic.
-    pub fold_policy: FoldPolicy,
     /// Parameter-vector shards the paper simulator (`lifl-sim`) models an
     /// aggregator's fold as split across. Only the simulator reads it: the
     /// engine folds every station's batch on the thread that claimed the
@@ -132,7 +128,6 @@ impl Default for LiflConfig {
             reuse_runtimes: true,
             hierarchy_planning: true,
             codec: CodecKind::Identity,
-            fold_policy: FoldPolicy::FedAvg,
             aggregation_shards: 1,
             max_interior_fan_in: 0,
         }
@@ -230,7 +225,6 @@ mod tests {
         assert_eq!(cfg.placement, PlacementPolicy::BestFit);
         assert_eq!(cfg.timing, AggregationTiming::Eager);
         assert_eq!(cfg.codec, CodecKind::Identity);
-        assert_eq!(cfg.fold_policy, FoldPolicy::FedAvg);
         assert_eq!(cfg.aggregation_shards, 1);
         let node = NodeConfig::default();
         assert_eq!(node.cores, 64);

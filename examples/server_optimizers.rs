@@ -63,7 +63,6 @@ fn train<B: Ingest>(backend: B, kind: ServerOptKind) -> ((f64, f64), Vec<u32>) {
         server: ServerOptConfig::for_kind(kind),
         rounds: ROUNDS,
         eval_every: 1,
-        ..TrainingConfig::default()
     };
     let mut driver = TrainingDriver::new(backend, dataset, population, config);
     driver.run_all(&mut rng).expect("rounds drive");

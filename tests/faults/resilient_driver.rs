@@ -100,7 +100,6 @@ fn child_kill_mid_round_recovers_bit_exact_from_cached_updates() {
         .unwrap();
     let round = resilient.run_round(&mut rng).unwrap();
     assert_eq!(round.updates, 8);
-    assert_eq!(round.dropped, 0);
     let stats = resilient.backend().fault_stats().unwrap();
     assert_eq!(stats.node_restarts, 1);
     assert_eq!(stats.deduped_hops, 1);

@@ -2,7 +2,6 @@
 //! asynchronous aggregation (Fig. 11 / future work) and heartbeat-based
 //! failure handling, combined with the core platform.
 
-use lifl_core::heartbeat::over_provisioned_selection;
 use lifl_core::session::{Session, SessionBuilder, Update};
 use lifl_core::training::{TrainingConfig, TrainingDriver};
 use lifl_fl::dataset::{DatasetConfig, FederatedDataset};
@@ -13,6 +12,7 @@ use lifl_fl::{
 };
 use lifl_sim::config::{ClusterConfig, LiflConfig};
 use lifl_sim::platform::{LiflPlatform, RoundSpec};
+use lifl_sim::selector::over_provisioned_selection;
 use lifl_simcore::SimRng;
 use lifl_types::{ClientId, CodecKind, ModelKind, SimDuration, SimTime, Topology};
 
