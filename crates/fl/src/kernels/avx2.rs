@@ -368,9 +368,29 @@ pub(super) unsafe fn fold_u4_aligned(acc: &mut [f32], nibbles: &[u8], k: f32) {
     scalar::fold_u4_aligned(&mut acc[i..], &nibbles[i / 2..], k);
 }
 
-/// Either layout is read as `u32` words, eight to a load: a dense vector's
-/// words are all keys, a pair run's are index, key, index, key, …, so only
-/// its odd lanes are counted.
+/// Where the `u32` words of `keys` start, how many whole words it holds,
+/// and the lanes of an eight-word load that hold keys: a dense vector's or
+/// a gathered bin's words are all keys, a pair run's are index, key, index,
+/// key, …, so only its odd lanes are.
+fn key_words(keys: Keys<'_>) -> (*const u8, usize, u32) {
+    match keys {
+        Keys::Dense(params) => (params.as_ptr() as *const u8, params.len(), 0xFF),
+        Keys::Pairs(pairs) => (pairs.as_ptr(), pairs.len() / 8 * 2, 0xAA),
+        Keys::Bin(keys) => (keys.as_ptr() as *const u8, keys.len(), 0xFF),
+    }
+}
+
+/// The keys of `keys` from word `i` on ([`key_words`]; `i` even for a
+/// pair run).
+fn keys_from(keys: Keys<'_>, i: usize) -> Keys<'_> {
+    match keys {
+        Keys::Dense(params) => Keys::Dense(&params[i..]),
+        Keys::Pairs(pairs) => Keys::Pairs(&pairs[4 * i..]),
+        Keys::Bin(keys) => Keys::Bin(&keys[i..]),
+    }
+}
+
+/// Every layout is read as `u32` words, eight to a load ([`key_words`]).
 ///
 /// # Safety
 ///
@@ -388,10 +408,7 @@ pub(super) unsafe fn magnitude_histogram(
     lo: u32,
     counts: &mut [u32; super::TOPK_BINS],
 ) {
-    let (base, words, key_lanes) = match keys {
-        Keys::Dense(params) => (params.as_ptr() as *const u8, params.len(), 0xFF),
-        Keys::Pairs(pairs) => (pairs.as_ptr(), pairs.len() / 8 * 2, 0xAA),
-    };
+    let (base, words, key_lanes) = key_words(keys);
     let abs_mask = _mm256_set1_epi32(0x7FFF_FFFF);
     let bin_mask = _mm256_set1_epi32(((1u32 << (hi - lo)) - 1) as i32);
     let want = _mm256_set1_epi32(prefix as i32);
@@ -426,11 +443,7 @@ pub(super) unsafe fn magnitude_histogram(
             lanes &= lanes - 1;
         }
     }
-    let rest = match keys {
-        Keys::Dense(params) => Keys::Dense(&params[i..]),
-        Keys::Pairs(pairs) => Keys::Pairs(&pairs[4 * i..]),
-    };
-    scalar::magnitude_histogram(rest, prefix, hi, lo, counts);
+    scalar::magnitude_histogram(keys_from(keys, i), prefix, hi, lo, counts);
 }
 
 /// `COMPRESS_LANES[mask]` lists the set bits of `mask`, lowest first, padded
@@ -452,6 +465,46 @@ static COMPRESS_LANES: [[u32; 8]; 256] = {
     }
     table
 };
+
+/// Branch-free per load of eight words: the key lanes that carry `prefix`
+/// are moved to the front in lane order ([`COMPRESS_LANES`]) and stored as
+/// one whole 8-word block at the next free word of `out`, which moves on
+/// by the keys gathered. Blocks are stored while `out` has 8 words to
+/// spare; the rest takes the scalar arm.
+///
+/// # Safety
+///
+/// Caller must have verified AVX2 support at runtime.
+///
+/// `unsafe` solely for `target_feature(avx2)` and the raw accesses; the
+/// dispatcher in `super` calls this only after
+/// `is_x86_feature_detected!("avx2")`. The 32-byte loads at word `i` stay
+/// in bounds while `i + 8 <= words`, and the 32-byte store at word `n` of
+/// `out` while `n + 8 <= out.len()`, which the loop checks.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn gather_bin(keys: Keys<'_>, prefix: u32, hi: u32, out: &mut [u32]) -> usize {
+    let (base, words, key_lanes) = key_words(keys);
+    let abs_mask = _mm256_set1_epi32(0x7FFF_FFFF);
+    let want = _mm256_set1_epi32(prefix as i32);
+    let hi_count = _mm_cvtsi32_si128(hi as i32);
+    let (mut i, mut n) = (0usize, 0usize);
+    while i + 8 <= words && n + 8 <= out.len() {
+        let m = _mm256_and_si256(
+            _mm256_loadu_si256(base.add(4 * i) as *const __m256i),
+            abs_mask,
+        );
+        let hit = _mm256_cmpeq_epi32(_mm256_srl_epi32(m, hi_count), want);
+        let lanes = _mm256_movemask_ps(_mm256_castsi256_ps(hit)) as u32 & key_lanes;
+        let front = _mm256_loadu_si256(COMPRESS_LANES[lanes as usize].as_ptr() as *const __m256i);
+        _mm256_storeu_si256(
+            out.as_mut_ptr().add(n) as *mut __m256i,
+            _mm256_permutevar8x32_epi32(m, front),
+        );
+        n += lanes.count_ones() as usize;
+        i += 8;
+    }
+    n + scalar::gather_bin(keys_from(keys, i), prefix, hi, &mut out[n..])
+}
 
 /// Writes the wire pairs of the `keep` lanes of `x`, whose wire indices are
 /// `indices`, as one whole 64-byte block at `out`: the kept lanes moved to

@@ -113,6 +113,7 @@ pub use lend::{Lent, RangeLease};
 
 use lifl_shmem::BufferPool;
 use std::mem::MaybeUninit;
+use std::ops::ControlFlow;
 use std::sync::OnceLock;
 
 /// Number of elements whose random rounding words the scalar arm of the
@@ -148,6 +149,8 @@ struct Kernels {
     fold_u4_aligned: unsafe fn(&mut [f32], &[u8], f32),
     // SAFETY: the CPU features alone.
     magnitude_histogram: unsafe fn(Keys<'_>, u32, u32, u32, &mut [u32; TOPK_BINS]),
+    // SAFETY: the CPU features alone.
+    gather_bin: unsafe fn(Keys<'_>, u32, u32, &mut [u32]) -> usize,
     // SAFETY: the CPU features alone; the vector arm checks `body`'s
     // capacity itself.
     compact_topk: unsafe fn(&[f32], u32, u32, usize, &mut Vec<u8>, usize) -> Option<usize>,
@@ -200,6 +203,7 @@ static SCALAR: Kernels = Kernels {
     fold_u8_n: scalar::fold_u8_n,
     fold_u4_aligned: scalar::fold_u4_aligned,
     magnitude_histogram: scalar::magnitude_histogram,
+    gather_bin: scalar::gather_bin,
     compact_topk: scalar::compact_topk,
     compact_pairs: scalar::compact_pairs,
     add_compact_topk: scalar::add_compact_topk,
@@ -223,6 +227,7 @@ static AVX2: Kernels = Kernels {
     fold_u8_n: avx2::fold_u8_n,
     fold_u4_aligned: avx2::fold_u4_aligned,
     magnitude_histogram: avx2::magnitude_histogram,
+    gather_bin: avx2::gather_bin,
     compact_topk: avx2::compact_topk,
     compact_pairs: avx2::compact_pairs,
     add_compact_topk: avx2::add_compact_topk,
@@ -665,17 +670,34 @@ const TOPK_BODY_SLACK: usize = 64;
 /// exponent plus four mantissa bits first, then the remaining mantissa.
 const TOPK_LEVELS: [(u32, u32); 3] = [(31, 19), (19, 7), (7, 0)];
 
-/// The candidate sample reads every `TOPK_SAMPLE_STRIDE`-th element. At 64
-/// a 2¹⁸-element model gives 4 096 samples, ≈ 205 of them above a 5 % cut,
-/// with a binomial spread of ≈ 14; reading them costs 11–18 µs of a
-/// 210–300 µs selection (hot, one vCPU of a shared Xeon).
+/// The candidate sample takes one element in `TOPK_SAMPLE_STRIDE`, read as
+/// whole lines of [`TOPK_SAMPLE_LINE`] contiguous elements
+/// ([`topk_sample_position`]). At 64 a 2¹⁸-element model gives 4 096
+/// samples from 256 lines, ≈ 205 of them above a 5 % cut, with a binomial
+/// spread of ≈ 14 when the values do not depend on their position. Cold —
+/// the `topk_sharded` benchmark's inputs, 64 clients' models and residuals
+/// cycled, one thread of a KVM Intel Xeon (family 6, model 207), AVX-512
+/// arm — reading it took ≈ 40 µs of a ≈ 225 µs encode at one element per
+/// line, and ≈ 17 µs by whole lines: a miss per line, not per element.
 const TOPK_SAMPLE_STRIDE: usize = 64;
+
+/// Contiguous elements the sample reads from each line it visits: the 64
+/// bytes of one cache line of `f32`s (a line may straddle two when the
+/// vector does not start on one).
+const TOPK_SAMPLE_LINE: usize = 16;
 
 /// `t_lo` is the sample's key at rank `expected + expected /
 /// TOPK_SAMPLE_MARGIN`: half as many again as the sample holds above the
 /// cut on average (≈ 102 past 205 at 5 % of 2¹⁸, seven spreads), for a run
-/// of ≈ 1.5 × `kept` candidates. There, by Chernoff bounds, a run comes up
-/// short with probability below 10⁻⁹ and outgrows its room below 10⁻⁵.
+/// of ≈ 1.5 × `kept` candidates. When values do not depend on their
+/// position, any `n` sampled positions are `n` independent draws, lines or
+/// not, and by Chernoff bounds a run comes up short with probability below
+/// 10⁻⁹ and outgrows its room below 10⁻⁵. Values whose scale moves line by
+/// line make the lines the draws (256, not 4 096): on the layered inputs of
+/// the parity tier (a power-of-two scale per line and per 1 024 elements,
+/// 2⁻¹⁰ to 2¹⁰ together), 400 selections of 5 % of 2¹⁸ fell back 12 times
+/// (none with one element per line), and of 1 % 131 times (1). A fallback
+/// costs the whole-vector cut, never a byte of the output.
 const TOPK_SAMPLE_MARGIN: usize = 2;
 
 /// Most elements one sample holds (a 32 KiB stack array): past
@@ -685,16 +707,59 @@ const TOPK_SAMPLE_MAX: usize = 8192;
 
 /// The candidate run holds at most `TOPK_RUN_FACTOR * kept` pairs; a larger
 /// run is abandoned for the whole-vector cut. The margin aims at 1.5 ×
-/// `kept`, and 720 measured runs at 5 % of 2¹⁸ stayed within 1.33–1.72 ×.
+/// `kept`, and 1 024 measured runs at 5 % of 2¹⁸ stayed within 1.24–1.75 ×
+/// ([`append_topk`]).
 const TOPK_RUN_FACTOR: usize = 2;
 
+/// Most keys the cut gathers out of its first level's boundary bin into a
+/// stack array (64 KiB), to refine over them instead of over every key; a
+/// larger bin is refined in place. Error feedback piles the sums up just
+/// under the cut, so on the `topk_sharded` benchmark's inputs (`kept`
+/// 13 107 of 2¹⁸, 1 024 selections in steady state) the boundary bin held
+/// 4.5–13.8 k keys of a ≈ 19.7 k-pair run, and refining in place read the
+/// whole run at two more levels (≈ 40 µs for the branchy second alone).
+const TOPK_GATHER_MAX: usize = 16 * 1024;
+
+/// Spare words behind a gathered bin: the vector gathers store whole
+/// 8-word blocks.
+const TOPK_GATHER_SLACK: usize = 8;
+
+/// The sample of a `dim`-element vector: `(n, stride)`, `n` elements, one
+/// in `stride`. Element `j` of it is at [`topk_sample_position`]`(stride,
+/// j)`.
+fn topk_sample(dim: usize) -> (usize, usize) {
+    let stride = TOPK_SAMPLE_STRIDE.max(dim.div_ceil(TOPK_SAMPLE_MAX));
+    (dim.div_ceil(stride), stride)
+}
+
+/// Where element `j` of a sample of one in `stride` sits: run `j /
+/// TOPK_SAMPLE_LINE` of [`TOPK_SAMPLE_LINE`] contiguous elements, one run
+/// every `TOPK_SAMPLE_LINE * stride` elements. It is at most `j * stride`,
+/// so a sample of `dim.div_ceil(stride)` stays inside the vector.
+fn topk_sample_position(stride: usize, j: usize) -> usize {
+    j / TOPK_SAMPLE_LINE * TOPK_SAMPLE_LINE * stride + j % TOPK_SAMPLE_LINE
+}
+
 /// Where a top-k histogram reads its magnitude keys: a dense vector, one
-/// key per element, or a run of `(u32 index, f32 value)` wire pairs, one
-/// key per pair.
+/// key per element, a run of `(u32 index, f32 value)` wire pairs, one key
+/// per pair, or keys the cut already gathered, one per word.
 #[derive(Clone, Copy)]
 enum Keys<'a> {
     Dense(&'a [f32]),
     Pairs(&'a [u8]),
+    Bin(&'a [u32]),
+}
+
+#[cfg(test)]
+impl Keys<'_> {
+    /// The keys there are.
+    fn len(self) -> usize {
+        match self {
+            Keys::Dense(params) => params.len(),
+            Keys::Pairs(pairs) => pairs.len() / 8,
+            Keys::Bin(keys) => keys.len(),
+        }
+    }
 }
 
 /// Exact top-k sparsification: appends to `body`, behind whatever it already
@@ -713,24 +778,28 @@ enum Keys<'a> {
 ///
 /// No element is ever moved or sorted, and the model is swept once:
 ///
-/// 1. **Sample.** Every 64th element is read into a 32 KiB stack array
-///    (past 2 MiB models the stride grows so the array stays that size). A
-///    sample of `n` holds `expected = ⌈kept · n / dim⌉` elements above the
-///    cut, give or take its binomial spread; its key at rank `expected +
-///    expected / 2` — the fixed margin — is `t_lo`, a lower bound on the
-///    cut's key with high probability.
+/// 1. **Sample.** One element in 64 is read into a 32 KiB stack array, as
+///    the 16 contiguous elements (one cache line) at the start of every
+///    1 024 (`topk_sample_position`; past 2 MiB models the stride grows so
+///    the array stays that size). A sample of `n` holds `expected = ⌈kept ·
+///    n / dim⌉` elements above the cut, give or take its spread; its key at
+///    rank `expected + expected / 2` — the fixed margin — is `t_lo`, a lower
+///    bound on the cut's key with high probability.
 /// 2. **Collect.** One compare-and-compact sweep in index order writes the
 ///    pair of every element whose key is at least `t_lo` into `body`: the
 ///    candidate run, ≈ 1.5 × `kept` pairs.
 /// 3. **Cut.** A histogram over the top 12 key bits of the candidates finds
-///    the bin holding the `kept`-th largest key, up to two more histograms
-///    restricted to that bin pin it down to the last bit (refinement stops
-///    as soon as the boundary bin is kept whole), and the run is compacted
-///    forward in place to everything above that key plus the lowest-index
-///    ties at it. Every element the whole vector's selection keeps has a key
-///    at least the `kept`-th largest, which is at least `t_lo` whenever the
-///    run holds `kept` pairs — so the run contains the selection, in index
-///    order, and the output is the whole vector's byte for byte.
+///    the bin holding the `kept`-th largest key. The keys of that bin are
+///    gathered into a 64 KiB stack array in one branch-free pass, and up to
+///    two more histograms over them alone pin the key down to the last bit
+///    (refinement stops as soon as the boundary bin is kept whole; a bin of
+///    more than 16 Ki keys is refined in place over the run).
+///    The run is then compacted forward in place to everything above that
+///    key plus the lowest-index ties at it. Every element the whole
+///    vector's selection keeps has a key at least the `kept`-th largest,
+///    which is at least `t_lo` whenever the run holds `kept` pairs — so the
+///    run contains the selection, in index order, and the output is the
+///    whole vector's byte for byte.
 /// 4. **Fallback.** A run shorter than `kept` (the sample's bound was too
 ///    high), or one that would outgrow its fixed room of `2 * kept` pairs
 ///    (too low), is dropped, and the same cut and compaction run over the
@@ -738,15 +807,20 @@ enum Keys<'a> {
 ///    sample could reject nothing (`dim` < 64) and selections of more than
 ///    a quarter of the vector, whose room would outgrow the dense model.
 ///
-/// Measured on 720 selections of `kept` 13 107 from 2¹⁸-element bell-shaped
-/// updates (the `topk_sharded` benchmark's inputs, error feedback on): every
-/// run held the selection, with 17.4–22.5 k candidates (1.33–1.72 ×
-/// `kept`). The run path costs one full sweep where the whole-vector cut
-/// makes three — two histograms and the compaction — and four with error
-/// feedback's separate add, which the fused form folds into the collect.
-/// `kept` is clamped to `params.len()`. `body` grows at most once, to the
-/// room the candidate run needs; a buffer checked out that large is never
-/// reallocated.
+/// Measured on 1 024 selections of `kept` 13 107 from 2¹⁸-element
+/// bell-shaped updates (the `topk_sharded` benchmark's inputs, error
+/// feedback on, 64 clients in steady state): every run held the selection,
+/// with 16.3–23.0 k candidates (1.24–1.75 × `kept`). Cold, per encode, on
+/// one thread of a KVM Intel Xeon (family 6, model 207), AVX-512 arm:
+/// sample 40 → 17 µs (one element per line → whole lines), collect ≈ 100 µs either way (the memory sweep, with error
+/// feedback's add), cut 63 → 34 µs (three histograms over the run → one,
+/// the gather and two over the boundary bin), compaction ≈ 10 µs and the
+/// codec's fold-back of the kept pairs ≈ 13 µs. The run path costs one
+/// full sweep where the whole-vector cut makes three — two histograms and
+/// the compaction — and four with error feedback's separate add, which the
+/// fused form folds into the collect. `kept` is clamped to `params.len()`.
+/// `body` grows at most once, to the room the candidate run needs; a
+/// buffer checked out that large is never reallocated.
 pub fn append_topk(params: &[f32], kept: usize, body: &mut Vec<u8>) {
     active().append_topk(params, kept, body);
 }
@@ -837,9 +911,9 @@ impl Kernels {
     }
 
     /// Step 1 of [`append_topk`]: `t_lo`, the key of rank `expected +
-    /// expected / TOPK_SAMPLE_MARGIN` of a strided sample of the `dim`
-    /// values `value` yields, or `None` when no run applies or the sample
-    /// could not reject a single element.
+    /// expected / TOPK_SAMPLE_MARGIN` of the sample ([`topk_sample`]) of
+    /// the `dim` values `value` yields, or `None` when no run applies or
+    /// the sample could not reject a single element.
     fn candidate_floor(
         &self,
         dim: usize,
@@ -849,8 +923,7 @@ impl Kernels {
         if !run_applies(dim, kept) {
             return None;
         }
-        let stride = TOPK_SAMPLE_STRIDE.max(dim.div_ceil(TOPK_SAMPLE_MAX));
-        let n = dim.div_ceil(stride);
+        let (n, stride) = topk_sample(dim);
         let expected = (kept * n).div_ceil(dim);
         let rank = expected + expected / TOPK_SAMPLE_MARGIN;
         if rank >= n {
@@ -858,7 +931,7 @@ impl Kernels {
         }
         let mut sample = [0.0f32; TOPK_SAMPLE_MAX];
         for (j, s) in sample[..n].iter_mut().enumerate() {
-            *s = value(j * stride);
+            *s = value(topk_sample_position(stride, j));
         }
         Some(self.topk_cut(Keys::Dense(&sample[..n]), rank).0)
     }
@@ -894,27 +967,91 @@ impl Kernels {
     /// The cut of an exact top-`kept` selection over `keys` (`1 <= kept <=`
     /// the key count): `(threshold, ties)` such that the selection is every
     /// key above `threshold` plus the first `ties`, in order, at it.
+    ///
+    /// The first level reads every key; unless that settles the cut, the
+    /// keys of its boundary bin are gathered (a second read of `keys`, no
+    /// branch per key on the vector arms) and the later levels read only
+    /// them. A bin of more than [`TOPK_GATHER_MAX`] keys is refined in
+    /// place, every level reading every key. The levels count the same
+    /// keys either way, so the cut is the same.
     fn topk_cut(&self, keys: Keys<'_>, kept: usize) -> (u32, usize) {
-        let (mut prefix, mut ties) = (0u32, kept);
-        for (hi, lo) in TOPK_LEVELS {
-            let mut counts = [0u32; TOPK_BINS];
-            // SAFETY: `self` passed its CPUID check (see [`Kernels`]).
-            unsafe { (self.magnitude_histogram)(keys, prefix, hi, lo, &mut counts) };
-            // At least `ties` keys carry `prefix`, so the walk ends in range.
-            let mut bin = (1usize << (hi - lo)) - 1;
-            while (counts[bin] as usize) < ties {
-                ties -= counts[bin] as usize;
-                bin -= 1;
-            }
-            prefix = (prefix << (hi - lo)) | bin as u32;
-            if counts[bin] as usize == ties {
-                // The whole bin is kept: its lowest key is the threshold, and
-                // every element at that key goes too.
-                return (prefix << lo, usize::MAX);
+        let [first, ref refinements @ ..] = TOPK_LEVELS;
+        let mut cut = (0u32, kept);
+        let carried = match self.cut_level(keys, first, &mut cut) {
+            ControlFlow::Continue(carried) => carried,
+            ControlFlow::Break(done) => return done,
+        };
+        if carried > TOPK_GATHER_MAX {
+            return self.refine_cut(keys, refinements, cut);
+        }
+        let mut bin = [0u32; TOPK_GATHER_MAX + TOPK_GATHER_SLACK];
+        tally_cut_reads(keys);
+        // SAFETY: `self` passed its CPUID check (see [`Kernels`]). `bin`
+        // has room for the `carried` keys that carry the prefix and the
+        // slack, so every one is gathered.
+        let gathered = unsafe { (self.gather_bin)(keys, cut.0, first.1, &mut bin) };
+        self.refine_cut(Keys::Bin(&bin[..gathered]), refinements, cut)
+    }
+
+    /// The levels of [`topk_cut`](Self::topk_cut) after the first, over
+    /// `keys`, from `cut`.
+    fn refine_cut(
+        &self,
+        keys: Keys<'_>,
+        levels: &[(u32, u32)],
+        mut cut: (u32, usize),
+    ) -> (u32, usize) {
+        for &level in levels {
+            if let ControlFlow::Break(done) = self.cut_level(keys, level, &mut cut) {
+                return done;
             }
         }
-        (prefix, ties)
+        cut
     }
+
+    /// One histogram level `(hi, lo)` of a cut standing at `(prefix, ties)`:
+    /// narrows it to the bin holding the boundary and continues with the
+    /// number of keys in that bin, or breaks with the cut when the whole
+    /// bin is kept.
+    fn cut_level(
+        &self,
+        keys: Keys<'_>,
+        (hi, lo): (u32, u32),
+        (prefix, ties): &mut (u32, usize),
+    ) -> ControlFlow<(u32, usize), usize> {
+        let mut counts = [0u32; TOPK_BINS];
+        tally_cut_reads(keys);
+        // SAFETY: `self` passed its CPUID check (see [`Kernels`]).
+        unsafe { (self.magnitude_histogram)(keys, *prefix, hi, lo, &mut counts) };
+        // At least `ties` keys carry `prefix`, so the walk ends in range.
+        let mut bin = (1usize << (hi - lo)) - 1;
+        while (counts[bin] as usize) < *ties {
+            *ties -= counts[bin] as usize;
+            bin -= 1;
+        }
+        *prefix = (*prefix << (hi - lo)) | bin as u32;
+        if counts[bin] as usize == *ties {
+            // The whole bin is kept: its lowest key is the threshold, and
+            // every element at that key goes too.
+            return ControlFlow::Break((*prefix << lo, usize::MAX));
+        }
+        ControlFlow::Continue(counts[bin] as usize)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Keys the top-k cuts of this thread have read, gathers included: a
+    /// clock-free count of the cut's work.
+    static CUT_READS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Counts one read of `keys` by a top-k cut (in test builds).
+fn tally_cut_reads(keys: Keys<'_>) {
+    #[cfg(test)]
+    CUT_READS.with(|reads| reads.set(reads.get() + keys.len()));
+    #[cfg(not(test))]
+    let _ = keys;
 }
 
 // ---------------------------------------------------------------------------
@@ -1822,6 +1959,37 @@ pub(crate) mod proptests {
             .iter()
             .map(|w| TIED[*w as usize % TIED.len()])
             .collect()
+    }
+
+    /// Uniform values in ±0.5 whose scales come in layers: each run of
+    /// [`TOPK_SAMPLE_LINE`] elements (a sampled line) and each run of 1 024
+    /// has its own power-of-two scale, 2⁻⁵ to 2⁵, so an element's scale is
+    /// 2⁻¹⁰ to 2¹⁰ and the values of one line are not independent.
+    fn layered_params(len: usize, seed: u64) -> Vec<f32> {
+        let (lines, blocks) = (len.div_ceil(TOPK_SAMPLE_LINE), len.div_ceil(1024));
+        let mut words = vec![0u32; len + lines + blocks];
+        StochasticRng::from_seed(seed ^ 0x1A7E).fill(&mut words);
+        let (values, scales) = words.split_at(len);
+        let (line_scales, block_scales) = scales.split_at(lines);
+        let scale = |w: u32| 2f32.powi((w % 11) as i32 - 5);
+        let value = |(i, w): (usize, &u32)| {
+            ((*w >> 8) as f32 * (1.0 / 16_777_216.0) - 0.5)
+                * scale(line_scales[i / TOPK_SAMPLE_LINE])
+                * scale(block_scales[i / 1024])
+        };
+        values.iter().enumerate().map(value).collect()
+    }
+
+    /// `len` values shaped like the `topk_sharded` benchmark's client
+    /// models: the centred sum of four 16-bit uniforms, about ±0.35.
+    fn bell_params(len: usize, seed: u64) -> Vec<f32> {
+        let mut words = vec![0u32; 2 * len];
+        StochasticRng::from_seed(seed).fill(&mut words);
+        let bell = |w: &[u32]| {
+            let sum = (w[0] & 0xFFFF) + (w[0] >> 16) + (w[1] & 0xFFFF) + (w[1] >> 16);
+            (sum as f32 - 131_070.0) * (0.1 / 37_837.0)
+        };
+        words.chunks_exact(2).map(bell).collect()
     }
 
     /// The magnitude key the selection orders by.
@@ -2811,21 +2979,23 @@ pub(crate) mod proptests {
         }
 
         /// Vectors long enough for a real sample (up to 20 000 elements,
-        /// 313 of them sampled): random values with NaN, infinite, signed
-        /// zero and subnormal lanes, or heavy ties, at any `kept` up to 30 %.
-        /// Most selections of up to a quarter take the candidate run; ties
-        /// overflow it; the rest fall back.
+        /// 313 of them sampled from 20 lines): random values with NaN,
+        /// infinite, signed zero and subnormal lanes, heavy ties, or
+        /// layered scales that make a sampled line's values move together
+        /// ([`layered_params`]), at any `kept` up to 30 %. Most selections
+        /// of up to a quarter take the candidate run; ties overflow it; the
+        /// rest fall back.
         #[test]
         fn select_topk_matches_reference_on_long_vectors(
             len in 0usize..20_000,
             seed in any::<u64>(),
-            tied in any::<bool>(),
+            shape in 0u8..3,
             permille in 1usize..300,
         ) {
-            let params = if tied {
-                long_tied_params(len, seed)
-            } else {
-                long_params(len, seed)
+            let params = match shape {
+                0 => long_params(len, seed),
+                1 => long_tied_params(len, seed),
+                _ => layered_params(len, seed),
             };
             let src = long_params(len, !seed);
             check_topk(&params, &src, &[len * permille / 1000])?;
@@ -3085,12 +3255,20 @@ pub(crate) mod proptests {
     }
 
     /// Hand-built layouts that force every exit of the candidate run, each
-    /// selected on both arms, plain and fused, against the reference.
+    /// selected on both arms, plain and fused, against the reference. The
+    /// sampled and unsampled positions are the ones the code reads
+    /// ([`topk_sample_position`]).
     #[test]
     fn every_exit_of_the_candidate_run_selects_the_reference() {
         const DIM: usize = 64 * 300 + 5; // dim % 8 != 0
         let kept = DIM / 20;
-        let sampled = |i: usize| i.is_multiple_of(TOPK_SAMPLE_STRIDE);
+        let (n, stride) = topk_sample(DIM);
+        let mut in_sample = vec![false; DIM];
+        for j in 0..n {
+            in_sample[topk_sample_position(stride, j)] = true;
+        }
+        assert_eq!(in_sample.iter().filter(|s| **s).count(), n);
+        let sampled = |i: usize| in_sample[i];
         let ramp = |i: usize| 1.0 + i as f32 * 1e-6;
         let mut words = vec![0u32; DIM];
         StochasticRng::from_seed(11).fill(&mut words);
@@ -3150,6 +3328,96 @@ pub(crate) mod proptests {
             }
             check_topk(&values, &long_params(dim, !0), &[1, dim / 4, dim]).unwrap();
         }
+    }
+
+    /// The candidate run the plain selection of `kept` of `values`
+    /// collects, or `None` when it takes no sample.
+    fn candidate_run(values: &[f32], kept: usize) -> Option<Vec<u8>> {
+        let floor = SCALAR.candidate_floor(values.len(), kept, |i| values[i])?;
+        let mut run = Vec::new();
+        let (_, limit) = reserve_topk(&mut run, values.len(), kept);
+        scalar::compact_topk(values, 0, floor, usize::MAX, &mut run, limit)?;
+        Some(run)
+    }
+
+    /// The keys in the boundary bin of the first level of a cut of `kept`
+    /// over `keys`, or `None` when that level settles the cut.
+    fn first_bin(keys: Keys<'_>, kept: usize) -> Option<usize> {
+        match SCALAR.cut_level(keys, TOPK_LEVELS[0], &mut (0, kept)) {
+            ControlFlow::Continue(carried) => Some(carried),
+            ControlFlow::Break(_) => None,
+        }
+    }
+
+    /// The cut's work, counted in keys read rather than timed: on a
+    /// seeded 2¹⁸-element bell-shaped input at `kept` 13 107 (5 %), the
+    /// in-place levels read the candidate run three times; the cut reads it
+    /// twice — the first histogram and the gather of its boundary bin —
+    /// and then the bin's keys once per level. The count and the cut are
+    /// the same on every arm, and the same cut as in place.
+    #[test]
+    fn the_cut_reads_its_run_for_one_histogram_and_one_gather() {
+        const DIM: usize = 1 << 18;
+        let kept = 13_107;
+        let values = bell_params(DIM, 1);
+        let run = candidate_run(&values, kept).expect("a sample");
+        let pairs = run.len() / 8;
+        let bin = first_bin(Keys::Pairs(&run), kept).expect("a boundary bin");
+        let reads = |cut: &dyn Fn() -> (u32, usize)| {
+            CUT_READS.with(|reads| reads.set(0));
+            let cut = cut();
+            (cut, CUT_READS.with(|reads| reads.get()))
+        };
+        let (in_place, in_place_reads) = reads(&|| {
+            let mut cut = (0, kept);
+            let _ = SCALAR.cut_level(Keys::Pairs(&run), TOPK_LEVELS[0], &mut cut);
+            SCALAR.refine_cut(Keys::Pairs(&run), &TOPK_LEVELS[1..], cut)
+        });
+        assert_eq!((pairs, bin), (19_942, 2_740));
+        assert_eq!(in_place_reads, 3 * pairs);
+        for arm in arms() {
+            let (cut, cut_reads) = reads(&|| arm.topk_cut(Keys::Pairs(&run), kept));
+            assert_eq!(cut, in_place, "arm {}", arm.name);
+            assert_eq!(cut_reads, 2 * pairs + 2 * bin, "arm {}", arm.name);
+        }
+        let mut body = run.clone();
+        // SAFETY: `SCALAR` runs on every host.
+        let kept_bytes = unsafe { (SCALAR.compact_pairs)(&mut body, in_place.0, in_place.1) };
+        body.truncate(kept_bytes);
+        assert_eq!(body, reference_topk(&values, kept));
+    }
+
+    /// Inputs shaped like the `topk_sharded` benchmark's, error feedback on:
+    /// two clients' bell-shaped 2¹⁸-element models at `kept` 13 107, each
+    /// residual carrying what its selections dropped, for 24 selections
+    /// each. The sums pile up below the cut, so the first level's boundary
+    /// bin holds thousands of keys; every selection still takes the
+    /// candidate run and gathers its bin.
+    #[test]
+    fn benchmark_shaped_feedback_takes_the_run_and_gathers_the_bin() {
+        const DIM: usize = 1 << 18;
+        let kept = 13_107;
+        let mut bins = Vec::new();
+        for client in 0..2 {
+            let model = bell_params(DIM, client);
+            let mut residual = vec![0.0f32; DIM];
+            for round in 0..24 {
+                let mut sums = model.clone();
+                let mut body = Vec::new();
+                add_append_topk(&mut sums, &residual, kept, &mut body);
+                assert_eq!(
+                    exit_of(&sums, kept),
+                    Exit::Run,
+                    "client {client} round {round}"
+                );
+                let run = candidate_run(&sums, kept).expect("a sample");
+                bins.extend(first_bin(Keys::Pairs(&run), kept));
+                fold_topk(&mut sums, &body, 0, usize::MAX, -1.0);
+                residual = sums;
+            }
+        }
+        assert!(bins.iter().all(|bin| *bin <= TOPK_GATHER_MAX), "{bins:?}");
+        assert!(bins.iter().any(|bin| *bin > 4096), "{bins:?}");
     }
 
     /// The collect sweeps never grow a body past `limit`: on both arms a

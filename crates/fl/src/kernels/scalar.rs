@@ -143,7 +143,28 @@ pub(super) fn magnitude_histogram(
     match keys {
         Keys::Dense(params) => params.iter().for_each(|x| count(magnitude(*x))),
         Keys::Pairs(pairs) => pairs.chunks_exact(8).for_each(|p| count(pair_key(p))),
+        Keys::Bin(keys) => keys.iter().for_each(|m| count(*m)),
     }
+}
+
+/// Gathers, in order, the magnitude keys `m` of `keys` with `m >> hi ==
+/// prefix` into `out`, and returns how many it gathered: all of them when
+/// `out` has a word to spare. Branch-free: every key is written at the next
+/// free word, which only moves on past a gathered one.
+pub(super) fn gather_bin(keys: Keys<'_>, prefix: u32, hi: u32, out: &mut [u32]) -> usize {
+    let mut n = 0usize;
+    let mut gather = |m: u32| {
+        if let Some(word) = out.get_mut(n) {
+            *word = m;
+            n += usize::from(m >> hi == prefix);
+        }
+    };
+    match keys {
+        Keys::Dense(params) => params.iter().for_each(|x| gather(magnitude(*x))),
+        Keys::Pairs(pairs) => pairs.chunks_exact(8).for_each(|p| gather(pair_key(p))),
+        Keys::Bin(keys) => keys.iter().for_each(|m| gather(*m)),
+    }
+    n
 }
 
 /// The top-k compare-and-compact sweep: appends the little-endian

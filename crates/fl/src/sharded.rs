@@ -116,7 +116,9 @@ const RANGE_ALIGN: usize = 16;
 /// (2 MiB: a 1 MiB accumulator and four 256 KiB `Uniform8` views) split in
 /// two read `act_ms` 2.357 against 2.327 ms whole (medians of 6 alternating
 /// pairs of 10 s runs, split faster in 2), so a range must carry more than
-/// 1 MiB. At 2 MiB that top, `topk_sharded`'s (≈ 1.4 MiB), `stream_burst`'s
+/// 1 MiB. At 2 MiB that top, `topk_sharded`'s (≈ 3.4 MiB: its closing batch
+/// of four `TopK` views zero-fills, scatters into and scales a 1 MiB
+/// accumulator, [`BatchPlan::ranges`]), `stream_burst`'s
 /// (272 KiB) and `train_cluster`'s (≈ 64 KiB) stay whole, and
 /// `dense_session`'s (20 MiB) splits across every thread.
 pub const SPLIT_RANGE_BYTES: usize = 2 << 20;
@@ -137,8 +139,9 @@ pub struct BatchPlan {
     scale: Option<f32>,
     total: u64,
     count: u64,
-    /// What the whole fold reads and writes: the accumulator once and every
-    /// view's payload.
+    /// What the whole fold reads and writes: the accumulator once per pass
+    /// the fold makes over it ([`accumulator_passes`]) and every view's
+    /// payload.
     bytes: usize,
 }
 
@@ -245,7 +248,9 @@ impl CumulativeFedAvg {
                 actual: dim,
             });
         }
-        let (mut total, mut bytes) = (self.total_samples, dim * 4);
+        let fresh = self.held == Held::Stale;
+        let passes = accumulator_passes(updates, fresh, closes);
+        let (mut total, mut bytes) = (self.total_samples, passes * dim * 4);
         for (view, samples) in updates {
             total = add_samples(total, *samples)?;
             if view.dim() != dim {
@@ -258,7 +263,7 @@ impl CumulativeFedAvg {
         }
         Ok(BatchPlan {
             dim,
-            fresh: self.held == Held::Stale,
+            fresh,
             scale: closes.then(|| 1.0 / total as f32),
             total,
             count: updates.len() as u64,
@@ -316,7 +321,6 @@ impl BatchPlan {
     /// factor after the element's last add: inside a one-group last pass,
     /// else over each block, or over the range after a `TopK` last.
     pub fn fold_range(&self, updates: &[(EncodedView<'_>, u64)], at: usize, range: &mut [f32]) {
-        let is_topk = |view: &EncodedView<'_>| matches!(view.codec(), CodecKind::TopK { .. });
         let mut fresh = self.fresh;
         let mut next = 0;
         while let Some((view, samples)) = updates.get(next) {
@@ -353,6 +357,29 @@ impl BatchPlan {
             fresh = false;
         }
     }
+}
+
+/// Whether `view` folds as a sparse scatter rather than a dense pass.
+fn is_topk(view: &EncodedView<'_>) -> bool {
+    matches!(view.codec(), CodecKind::TopK { .. })
+}
+
+/// The passes [`BatchPlan::fold_range`] makes over the accumulator for
+/// `updates` (at least one): one per run of consecutive views of other
+/// codecs (one group, or cache-blocked so that its passes share a block in
+/// L1), one per run of consecutive `TopK` views (scatters, counted as one
+/// sweep of the lines they hit), the zero-fill before a `TopK` view that
+/// opens a `fresh` batch, and the scale after one that ends a `closes`
+/// batch.
+fn accumulator_passes(updates: &[(EncodedView<'_>, u64)], fresh: bool, closes: bool) -> usize {
+    let topk = |(view, _): &(EncodedView<'_>, u64)| is_topk(view);
+    let runs = 1 + updates
+        .windows(2)
+        .filter(|w| topk(&w[0]) != topk(&w[1]))
+        .count();
+    let zero_fill = fresh && updates.first().is_some_and(topk);
+    let scale = closes && updates.last().is_some_and(topk);
+    runs + usize::from(zero_fill) + usize::from(scale)
 }
 
 /// Multiplies every element by a closing batch's factor, if there is one:
@@ -591,6 +618,48 @@ mod tests {
             folded_as_batch(dim, &views),
             folded_sequentially(dim, &views)
         );
+    }
+
+    /// A split counts the accumulator once per pass the fold makes: a
+    /// fresh closing batch of two `TopK` views zero-fills it, scatters into
+    /// it and scales it — three passes — and reads both payloads.
+    #[test]
+    fn a_topk_closing_batch_counts_each_of_its_accumulator_passes() {
+        let dim = 24;
+        let first = topk_wire(24, 167, &[(7, 1.5), (8, -2.25), (9, 0.75), (12, 3.5)]);
+        let second = topk_wire(24, 167, &[(0, -0.5), (11, 1.25), (13, -4.0), (23, 2.0)]);
+        let dense = vec![0.5f32; dim];
+        let (topk_a, topk_b, identity) = (
+            EncodedView::parse(&first).unwrap(),
+            EncodedView::parse(&second).unwrap(),
+            EncodedView::identity_over(kernels::le_bytes(&dense)),
+        );
+        let bytes = |views: &[EncodedView<'_>], fresh: bool, closes: bool| {
+            let views: Vec<_> = views.iter().map(|v| (*v, 1)).collect();
+            let mut acc = CumulativeFedAvg::default();
+            if fresh {
+                acc.warm_from(&dirty_pool(dim, 1), dim);
+            }
+            acc.open_batch(&views, closes).unwrap().0.bytes
+        };
+        // 24 elements of `f32` per pass, 4 pairs of 8 bytes per `TopK` view.
+        let (pass, pairs) = (24 * 4, 4 * 8);
+        assert_eq!(bytes(&[topk_a, topk_b], true, true), 3 * pass + 2 * pairs);
+        assert_eq!(bytes(&[topk_a, topk_b], true, false), 2 * pass + 2 * pairs);
+        assert_eq!(bytes(&[topk_a, topk_b], false, true), 2 * pass + 2 * pairs);
+        assert_eq!(bytes(&[topk_a, topk_b], false, false), pass + 2 * pairs);
+        assert_eq!(
+            bytes(&[topk_a, identity], true, true),
+            3 * pass + pairs + pass
+        );
+        assert_eq!(bytes(&[identity, identity], true, true), pass + 2 * pass);
+        // So the two-`TopK` batch (352 bytes) splits in two at a floor of
+        // 176, where counting the accumulator once (160 bytes) kept it whole.
+        let views = [(topk_a, 1), (topk_b, 1)];
+        let mut acc = CumulativeFedAvg::default();
+        acc.warm_from(&dirty_pool(dim, 1), dim);
+        let plan = acc.open_batch(&views, true).unwrap().0;
+        assert_eq!((plan.ranges(4, 176), plan.ranges(4, 353)), (2, 1));
     }
 
     #[test]
