@@ -26,8 +26,8 @@
 //! on one worker set — a cluster's node subtrees — run as one forest
 //! ([`Stations::run`]): level ℓ of every tree is one claim set, so a round
 //! wakes the workers once per tree depth, not once per level per tree. This
-//! module is the only place in the engine that starts a thread
-//! (`lifl-lint` R6).
+//! module is the only place in the engine that starts a thread (clippy's
+//! `disallowed-methods` in `crates/clippy.toml`).
 //!
 //! Beside its levels a worker set keeps a FIFO of owned jobs — the
 //! ingress's error-feedback encodes ([`Workers::submit`]). Workers claim the
