@@ -3,14 +3,16 @@
 //! When a round is full, `Session::try_ingest` / `Cluster::try_ingest` park
 //! the offered update here (through the park rule of `crate::ingress`)
 //! instead of erroring: each leaf aggregator owns a bounded queue whose slot
-//! and byte budgets are enforced by a pool-backed [`PooledBacklog`], so a
-//! million clients hammering a full round cost O(queue caps) memory, never
-//! O(clients). When the next round opens, queued
-//! offers are drained in Oort-utility order — the highest-utility clients
-//! win admission under pressure, ties broken by arrival order — and their
-//! payloads move into the shared-memory store without a copy: the pooled
-//! backlog buffer becomes the stored object and returns to the pool when the
-//! object is recycled.
+//! and byte budgets are enforced by a [`PooledBacklog`], so a million
+//! clients hammering a full round cost O(queue caps) memory, never
+//! O(clients). A parked update keeps the buffer it was offered in — a dense
+//! model its client's vector, an encoded update its one wire buffer —
+//! charged at its wire length; only remote bytes, which may be a window on
+//! foreign memory, are copied into a pooled backlog buffer. When the next
+//! round opens, queued offers are drained in Oort-utility order — the
+//! highest-utility clients win admission under pressure, ties broken by
+//! arrival order — and each moves into the shared-memory store as it
+//! parked, without a copy.
 //!
 //! Everything here is deterministic (no hash order or wall clock reaches it:
 //! clippy's `disallowed_types`/`disallowed_methods`): offers are
@@ -19,6 +21,7 @@
 //! total order over `(utility, seq)`, so the same offer trace always admits
 //! the same clients in the same order.
 
+use lifl_fl::update::Update;
 use lifl_shmem::{BufferPool, PooledBacklog};
 use lifl_types::{AdmissionConfig, AdmissionOutcome, ClientId};
 use std::collections::{BTreeMap, VecDeque};
@@ -41,21 +44,53 @@ const UNEXPLORED_UTILITY: f64 = 1.0;
 /// [`UNEXPLORED_UTILITY`], as a never-scored one does.
 const UTILITIES_PER_SLOT: usize = 8;
 
-/// One parked offer: a client update in wire form, waiting for the next
-/// round to open.
+/// One parked offer, waiting for the next round to open: either an update
+/// the engine's ingress parked in the buffer it was offered in, or wire
+/// bytes copied into a pooled backlog buffer ([`AdmissionQueues::offer`]).
 #[derive(Debug)]
 pub struct QueuedOffer {
     /// Producing client, when known (`None` for anonymous remote bytes).
     pub client: Option<ClientId>,
-    /// Wire-form payload: headerless little-endian `f32` bytes when
-    /// `encoded` is false, a self-describing encoded wire string otherwise.
+    /// Wire-form payload of an offer copied in as bytes: headerless
+    /// little-endian `f32` bytes when `encoded` is false, a self-describing
+    /// encoded wire string otherwise. Empty (and unallocated) when `update`
+    /// holds the offer.
     pub payload: Vec<u8>,
+    /// The update as it was parked, in the buffer it was offered in (a
+    /// `Dense` or `Encoded` update); `None` for an offer copied in as bytes.
+    pub update: Option<Update>,
     /// Fold weight (training samples).
     pub weight: u64,
-    /// Whether `payload` is a codec-encoded wire string.
+    /// Whether the offer is codec-encoded.
     pub encoded: bool,
     /// Global arrival sequence number (FIFO tiebreak and leaf routing).
     pub seq: u64,
+}
+
+impl QueuedOffer {
+    /// The wire length the offer is charged at: the copied payload's, or
+    /// that of the held update's wire form (little-endian `f32` bytes of a
+    /// dense model, `[descriptor | body]` of an encoded update).
+    fn wire_len(&self) -> usize {
+        self.update.as_ref().map_or(self.payload.len(), held_len)
+    }
+}
+
+/// The wire length of an update held in its own buffer.
+fn held_len(update: &Update) -> usize {
+    match update {
+        Update::Dense(dense) => dense.model.dim() * 4,
+        Update::Encoded { update, .. } => update.wire().len(),
+        Update::RemoteBytes { wire, .. } => wire.len(),
+    }
+}
+
+/// One parked offer's place in the drain order.
+#[derive(Debug, Clone, Copy)]
+struct Ranked {
+    utility: f64,
+    seq: u64,
+    leaf: usize,
 }
 
 /// Lifetime counters for one [`AdmissionQueues`] instance.
@@ -110,6 +145,15 @@ pub struct AdmissionQueues {
     /// [`UTILITIES_PER_SLOT`] times the queues' total slot budget.
     max_utilities: usize,
     seq: u64,
+    /// Parked offers across all queues.
+    queued: usize,
+    /// Parked payload bytes (wire lengths) across all queues.
+    bytes: usize,
+    /// The parked offers in drain order, best last, while `ranked`; an
+    /// offer, a recorded score or a removed offer clears `ranked`, and the
+    /// next [`AdmissionQueues::take_best`] ranks every parked offer again.
+    order: Vec<Ranked>,
+    ranked: bool,
     stats: AdmissionStats,
 }
 
@@ -129,6 +173,10 @@ impl AdmissionQueues {
             records: 0,
             max_utilities: UTILITIES_PER_SLOT.saturating_mul(slots),
             seq: 0,
+            queued: 0,
+            bytes: 0,
+            order: Vec::new(),
+            ranked: false,
             stats: AdmissionStats::default(),
         }
     }
@@ -154,6 +202,7 @@ impl AdmissionQueues {
                 self.utilities.remove(&oldest);
             }
         }
+        self.ranked = false;
     }
 
     /// The drain priority an offer from `client` would queue with.
@@ -163,7 +212,8 @@ impl AdmissionQueues {
             .map_or(UNEXPLORED_UTILITY, |&(utility, _)| utility)
     }
 
-    /// Parks one offer in its leaf queue (leaf `seq % leaves`). Returns
+    /// Parks one offer in its leaf queue (leaf `seq % leaves`), copying its
+    /// wire-form `payload` into a pooled backlog buffer. Returns
     /// `Queued{depth}` with the queue's occupancy after the push, or
     /// `Rejected{retry_after}` when the leaf's slot or byte budget is
     /// exhausted. Never returns `Admitted` — admission into an open round is
@@ -175,26 +225,88 @@ impl AdmissionQueues {
         weight: u64,
         encoded: bool,
     ) -> AdmissionOutcome {
-        let seq = self.seq;
-        let leaf = (seq as usize) % self.queues.len();
+        let leaf = self.next_leaf();
+        let stored = self
+            .queues
+            .get_mut(leaf)
+            .and_then(|queue| queue.backlog.try_store(payload));
+        let Some(payload) = stored else {
+            return self.refuse();
+        };
+        self.push(
+            leaf,
+            QueuedOffer {
+                client,
+                payload,
+                update: None,
+                weight,
+                encoded,
+                seq: self.seq,
+            },
+        )
+    }
+
+    /// Parks a normalised update in its leaf queue, as
+    /// [`AdmissionQueues::offer`] parks bytes, but in the buffer it was
+    /// offered in: a dense update keeps its client's vector and an encoded
+    /// one its wire buffer, charged at the wire length with no copy. Remote
+    /// bytes are the exception: they are copied into a pooled backlog
+    /// buffer (as [`AdmissionQueues::offer`] does), because their `Bytes`
+    /// may be a window on a larger foreign allocation that the byte budget
+    /// would not bound. A refused update is dropped, which sends an encoded
+    /// one's pooled buffer home.
+    pub(crate) fn park(&mut self, update: Update) -> AdmissionOutcome {
+        let encoded = match &update {
+            Update::Dense(_) => false,
+            Update::Encoded { .. } => true,
+            Update::RemoteBytes {
+                wire,
+                weight,
+                encoded,
+            } => return self.offer(None, wire, *weight, *encoded),
+        };
+        let leaf = self.next_leaf();
+        let len = held_len(&update);
+        let charged = self
+            .queues
+            .get_mut(leaf)
+            .is_some_and(|queue| queue.backlog.try_charge(len));
+        if !charged {
+            return self.refuse();
+        }
+        self.push(
+            leaf,
+            QueuedOffer {
+                client: update.client(),
+                payload: Vec::new(),
+                weight: update.weight(),
+                update: Some(update),
+                encoded,
+                seq: self.seq,
+            },
+        )
+    }
+
+    /// The leaf queue the next offer routes to.
+    fn next_leaf(&self) -> usize {
+        (self.seq as usize) % self.queues.len()
+    }
+
+    /// Appends an offer already charged to `leaf`'s backlog and books it.
+    fn push(&mut self, leaf: usize, offer: QueuedOffer) -> AdmissionOutcome {
+        let len = offer.wire_len();
         let Some(queue) = self.queues.get_mut(leaf) else {
             return self.refuse();
         };
-        let Some(stored) = queue.backlog.try_store(payload) else {
-            return self.refuse();
-        };
-        self.seq += 1;
-        queue.offers.push_back(QueuedOffer {
-            client,
-            payload: stored,
-            weight,
-            encoded,
-            seq,
-        });
+        queue.offers.push_back(offer);
         let depth = queue.offers.len();
+        self.seq += 1;
+        self.queued += 1;
+        self.bytes += len;
+        self.ranked = false;
         self.stats.queued += 1;
-        self.stats.peak_queued = self.stats.peak_queued.max(self.total_queued());
-        self.stats.peak_bytes = self.stats.peak_bytes.max(self.total_bytes());
+        self.stats.peak_queued = self.stats.peak_queued.max(self.queued);
+        self.stats.peak_bytes = self.stats.peak_bytes.max(self.bytes);
         AdmissionOutcome::Queued { depth }
     }
 
@@ -203,9 +315,8 @@ impl AdmissionQueues {
     /// makes, taken before the payload exists (a lossy offer is encoded
     /// only once it is known to fit).
     pub(crate) fn would_queue(&self, len: usize) -> bool {
-        let leaf = (self.seq as usize) % self.queues.len();
         self.queues
-            .get(leaf)
+            .get(self.next_leaf())
             .is_some_and(|queue| queue.backlog.would_admit(len))
     }
 
@@ -224,9 +335,60 @@ impl AdmissionQueues {
     /// `(utility, -seq)`, so higher utility wins and ties go to the earliest
     /// arrival. Utilities are read from the live score map at drain time, so
     /// a score recorded while an offer was parked still decides its
-    /// priority. The offer's budget charge is withdrawn (its payload is
+    /// priority: the first take after an offer, a recorded score or a
+    /// removed offer ranks every parked offer once, and the takes after it
+    /// pop that order. The offer's budget charge is withdrawn (its payload is
     /// about to move into the object store, not back to the pool).
     pub fn take_best(&mut self) -> Option<QueuedOffer> {
+        if !self.ranked {
+            self.rank();
+        }
+        let Ranked { leaf, seq, .. } = self.order.pop()?;
+        // A leaf's offers stay in arrival order.
+        let queue = self.queues.get(leaf)?;
+        let at = queue.offers.binary_search_by_key(&seq, |o| o.seq).ok()?;
+        self.remove_taken(leaf, at)
+    }
+
+    /// Ranks every parked offer into `order`, best last: ascending by
+    /// utility, and among equal utilities by descending arrival.
+    fn rank(&mut self) {
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        for (leaf, queue) in self.queues.iter().enumerate() {
+            order.extend(queue.offers.iter().map(|offer| Ranked {
+                utility: self.utility_of(offer.client),
+                seq: offer.seq,
+                leaf,
+            }));
+        }
+        order.sort_unstable_by(|a, b| {
+            a.utility
+                .total_cmp(&b.utility)
+                .then_with(|| b.seq.cmp(&a.seq))
+        });
+        self.order = order;
+        self.ranked = true;
+    }
+
+    /// Removes the offer at `at` in `leaf`'s queue as drained, withdrawing
+    /// its budget charge.
+    fn remove_taken(&mut self, leaf: usize, at: usize) -> Option<QueuedOffer> {
+        let queue = self.queues.get_mut(leaf)?;
+        let offer = queue.offers.remove(at)?;
+        let len = offer.wire_len();
+        queue.backlog.withdraw(len);
+        self.queued -= 1;
+        self.bytes -= len;
+        self.stats.drained += 1;
+        Some(offer)
+    }
+
+    /// [`AdmissionQueues::take_best`] as it was first written — a scan of
+    /// every parked offer per take, one score lookup each — kept as the
+    /// oracle of the ranked drain.
+    #[cfg(test)]
+    fn take_best_by_scan(&mut self) -> Option<QueuedOffer> {
         let mut best: Option<(usize, usize, f64)> = None;
         for (qi, queue) in self.queues.iter().enumerate() {
             for (oi, offer) in queue.offers.iter().enumerate() {
@@ -248,16 +410,14 @@ impl AdmissionQueues {
             }
         }
         let (qi, oi, _) = best?;
-        let queue = self.queues.get_mut(qi)?;
-        let offer = queue.offers.remove(oi)?;
-        queue.backlog.withdraw(offer.payload.len());
-        self.stats.drained += 1;
-        Some(offer)
+        self.ranked = false;
+        self.remove_taken(qi, oi)
     }
 
     /// Reclassifies the offer [`AdmissionQueues::take_best`] just handed out
     /// as dropped rather than drained: it failed to enter a round. (Its
-    /// buffer travels behind a pool-returning owner and is already home.)
+    /// buffer went with the refused update, as a refused direct offer's
+    /// does: a pooled one is already home.)
     pub(crate) fn drop_taken(&mut self) {
         self.stats.drained = self.stats.drained.saturating_sub(1);
         self.stats.dropped += 1;
@@ -271,10 +431,20 @@ impl AdmissionQueues {
         for queue in &mut self.queues {
             while let Some(pos) = queue.offers.iter().position(|o| o.client == Some(client)) {
                 if let Some(offer) = queue.offers.remove(pos) {
-                    queue.backlog.release(offer.payload);
+                    let len = offer.wire_len();
+                    match offer.update {
+                        // The held update goes with its own buffer.
+                        Some(_) => queue.backlog.withdraw(len),
+                        None => queue.backlog.release(offer.payload),
+                    }
+                    self.bytes -= len;
                     removed += 1;
                 }
             }
+        }
+        self.queued -= removed;
+        if removed > 0 {
+            self.ranked = false;
         }
         self.stats.dropped += removed as u64;
         removed
@@ -287,15 +457,7 @@ impl AdmissionQueues {
 
     /// Total parked offers across all queues.
     pub fn total_queued(&self) -> usize {
-        self.queues.iter().map(|q| q.offers.len()).sum()
-    }
-
-    /// Total parked payload bytes across all queues.
-    pub fn total_bytes(&self) -> usize {
-        self.queues
-            .iter()
-            .map(|q| q.backlog.stats().used_bytes)
-            .sum()
+        self.queued
     }
 
     /// Lifetime counters.
@@ -332,7 +494,7 @@ mod tests {
         }
         assert_eq!(q.depths(), vec![2, 2]);
         assert_eq!(q.total_queued(), 4);
-        assert_eq!(q.total_bytes(), 32);
+        assert_eq!(q.bytes, 32);
     }
 
     #[test]
@@ -362,7 +524,26 @@ mod tests {
         assert_eq!(order, vec![2, 0, 3, 1]);
         assert_eq!(q.total_queued(), 0);
         assert_eq!(q.stats().drained, 4);
-        assert_eq!(q.total_bytes(), 0);
+        assert_eq!(q.bytes, 0);
+    }
+
+    /// The drain is ranked once, but a score recorded or a client removed
+    /// mid-drain still decides what the drain takes next.
+    #[test]
+    fn a_score_or_a_removal_mid_drain_reranks() {
+        let mut q = queues(8, 4096, 2);
+        for c in 0..4u64 {
+            q.offer(Some(ClientId::new(c)), &[c as u8; 4], 1, false);
+        }
+        let next = |q: &mut AdmissionQueues| q.take_best().and_then(|o| o.client);
+        // Every client unexplored: arrival order.
+        assert_eq!(next(&mut q), Some(ClientId::new(0)));
+        q.record_utility(ClientId::new(3), 2.0);
+        assert_eq!(next(&mut q), Some(ClientId::new(3)));
+        assert_eq!(q.remove_client(ClientId::new(1)), 1);
+        assert_eq!(next(&mut q), Some(ClientId::new(2)));
+        assert_eq!(next(&mut q), None);
+        assert_eq!(q.stats().drained, 3);
     }
 
     /// Past the bound the least recently recorded client is evicted and
@@ -407,5 +588,96 @@ mod tests {
         let survivor = q.take_best().expect("client 2 remains");
         assert_eq!(survivor.client, Some(ClientId::new(2)));
         assert_eq!(survivor.payload, vec![2u8; 4]);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use lifl_fl::DenseModel;
+    use proptest::prelude::*;
+
+    /// What one offer or drain step observes: the offer's outcome, or the
+    /// `(client, seq, wire length)` of each offer taken.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Offered(AdmissionOutcome),
+        Taken(Vec<(Option<ClientId>, u64, usize)>),
+        Removed(usize),
+    }
+
+    /// Takes up to `count` offers from `q` with `take`.
+    fn drain(
+        q: &mut AdmissionQueues,
+        count: usize,
+        take: fn(&mut AdmissionQueues) -> Option<QueuedOffer>,
+    ) -> Vec<(Option<ClientId>, u64, usize)> {
+        std::iter::from_fn(|| take(q))
+            .take(count)
+            .map(|o| (o.client, o.seq, o.wire_len()))
+            .collect()
+    }
+
+    /// Applies one generated operation to `q`, draining with `take`.
+    fn step(
+        q: &mut AdmissionQueues,
+        (kind, client, param): (u8, u64, usize),
+        take: fn(&mut AdmissionQueues) -> Option<QueuedOffer>,
+    ) -> Option<Seen> {
+        // Client 11 stands for anonymous remote bytes.
+        let id = (client != 11).then(|| ClientId::new(client));
+        match kind {
+            0 | 1 => Some(Seen::Offered(q.offer(
+                id,
+                &vec![client as u8; param + 1],
+                1,
+                false,
+            ))),
+            2 | 3 => {
+                let model = DenseModel::from_vec(vec![0.5; param / 4 + 1]);
+                let update = Update::dense(ClientId::new(client), model, 2);
+                Some(Seen::Offered(q.park(update)))
+            }
+            4 | 5 => {
+                // Few distinct scores, so equal utilities are common.
+                q.record_utility(ClientId::new(client), [0.5, 1.0, 2.0, 1.0][param % 4]);
+                None
+            }
+            6 => Some(Seen::Removed(q.remove_client(ClientId::new(client)))),
+            _ => Some(Seen::Taken(drain(q, param % 6, take))),
+        }
+    }
+
+    proptest! {
+        /// The ranked drain takes exactly the offers, in exactly the order,
+        /// that a scan of every parked offer per take does, across offers
+        /// copied and held, equal utilities, scores recorded (and evicted)
+        /// while offers are parked, removals and partial drains — and keeps
+        /// the same counters.
+        #[test]
+        fn the_ranked_drain_is_the_scan(
+            (leaves, slots, bytes) in (1usize..4, 1usize..6, 16usize..512),
+            ops in proptest::collection::vec((0u8..9, 0u64..12, 0usize..40), 1..160),
+        ) {
+            let config = AdmissionConfig::bounded(slots, bytes);
+            let mut ranked = AdmissionQueues::new(config, leaves, BufferPool::new());
+            let mut scan = AdmissionQueues::new(config, leaves, BufferPool::new());
+            for op in ops {
+                prop_assert_eq!(
+                    step(&mut ranked, op, AdmissionQueues::take_best),
+                    step(&mut scan, op, AdmissionQueues::take_best_by_scan)
+                );
+                prop_assert_eq!(ranked.stats(), scan.stats());
+                prop_assert_eq!(ranked.depths(), scan.depths());
+                prop_assert_eq!(ranked.total_queued(), scan.total_queued());
+                prop_assert_eq!(ranked.bytes, scan.bytes);
+            }
+            prop_assert_eq!(
+                drain(&mut ranked, usize::MAX, AdmissionQueues::take_best),
+                drain(&mut scan, usize::MAX, AdmissionQueues::take_best_by_scan)
+            );
+            prop_assert_eq!(ranked.stats(), scan.stats());
+            prop_assert_eq!(ranked.bytes, 0);
+        }
     }
 }

@@ -41,11 +41,14 @@
 //!   other its bytes or its residual, and no two encodes of one ingress
 //!   draw the same words. Every other update, and every other operation on
 //!   the backend, settles the in-flight encodes first ([`settle`]).
-//! * **park** — the normalised update's wire form, borrowed in place, is
-//!   copied once into a pooled backlog buffer of the bounded
-//!   [`AdmissionQueues`]; drained, that buffer *is* the stored object. A
-//!   lossy offer's fit is decided from its wire length before it is encoded,
-//!   so an offer turned away touches no residual and no encode count.
+//! * **park** — the normalised update moves by value into the bounded
+//!   [`AdmissionQueues`], in the buffer it was offered in (a dense model its
+//!   client's vector, an encoded update its one wire buffer), charged at its
+//!   wire length; remote bytes alone are copied, once, into a pooled backlog
+//!   buffer. Drained, the update is the one that parked and takes the same
+//!   `admit` a direct offer takes. A lossy offer's fit is decided from its
+//!   wire length before it is encoded, so an offer turned away touches no
+//!   residual and no encode count.
 //!
 //! Updates travel by value from here on: `admit` hands the normalised update
 //! to the store, which keeps its buffer. Nobody has to return anything — a
@@ -65,7 +68,6 @@ use crate::stations::{Job, Workers};
 use lifl_fl::codec::{
     descriptor_dim, EncodedUpdate, EncodedView, ErrorFeedback, Residual, UpdateCodec,
 };
-use lifl_fl::kernels::le_bytes;
 use lifl_fl::update::Update;
 use lifl_fl::DenseModel;
 use lifl_shmem::{BufferPool, PooledBuf};
@@ -555,10 +557,11 @@ impl Ingress {
     /// the backend settled — only once its wire length is known to fit, so
     /// a rejected one touches no residual, encode count or pool.
     ///
-    /// The wire form is borrowed where it lies (a dense model through its
-    /// little-endian view, an encoded update through its one buffer), so the
-    /// queues' copy into a pooled backlog buffer is the only one and nothing
-    /// is allocated; the normalised update is dropped on the way out, which
+    /// The normalised update moves into the queues by value
+    /// ([`AdmissionQueues::park`]): a dense one keeps its client's vector
+    /// and an encoded one (offered, or encoded here) its one wire buffer, so
+    /// nothing is copied or allocated. Remote bytes are the one form copied,
+    /// into a pooled backlog buffer. A refused update is dropped, which
     /// returns an ingress-encoded buffer to the pool.
     ///
     /// # Errors
@@ -580,49 +583,46 @@ impl Ingress {
                     .encode_update(offer.client, offer.model, offer.samples)
             }
         };
-        let Some(queues) = self.queues.as_mut() else {
-            return Ok(NO_BACKLOG);
-        };
-        Ok(match &update {
-            Update::Dense(dense) => {
-                let wire = le_bytes(dense.model.as_slice());
-                queues.offer(dense.client, wire, dense.samples, false)
-            }
-            Update::Encoded {
-                client,
-                update: encoded,
-                samples,
-            } => queues.offer(*client, encoded.wire(), *samples, true),
-            Update::RemoteBytes {
-                wire,
-                weight,
-                encoded,
-            } => queues.offer(None, wire, *weight, *encoded),
+        Ok(match self.queues.as_mut() {
+            Some(queues) => queues.park(update),
+            None => NO_BACKLOG,
         })
     }
 
     /// Takes the best parked offer (utility desc, arrival asc) for the
-    /// backend's `admit`: its pooled backlog buffer moves into remote-bytes
-    /// form behind the pool-returning owner — so the drained buffer *is* the
-    /// object the store will hold, and comes home when that object is
-    /// recycled — and its producer and dimension ride alongside. The
-    /// payload was normalised before it was parked, so it is not checked
-    /// again here: its dimension is read, not parsed, and [`drain`] holds it
-    /// to the round's, which may have been pinned since.
+    /// backend's `admit`, with its producer and dimension alongside. A held
+    /// update comes back as it parked, in the buffer it was offered in, and
+    /// flows on exactly as a direct ingest would. Copied remote bytes move
+    /// into remote-bytes form behind the pool-returning owner — so the
+    /// backlog buffer *is* the object the store will hold, and comes home
+    /// when that object is recycled. The offer was normalised before it was
+    /// parked, so it is not checked again here: its dimension is read, not
+    /// parsed, and [`drain`] holds it to the round's, which may have been
+    /// pinned since.
     fn take_parked(&mut self) -> Option<(Update, Option<ClientId>, usize)> {
         let offer = self.queues.as_mut()?.take_best()?;
-        let dim = match offer.encoded {
-            true => descriptor_dim(&offer.payload),
-            false => offer.payload.len() / 4,
+        let update = match offer.update {
+            Some(update) => update,
+            None => {
+                let wire = bytes::Bytes::from_owner(PooledBuf::adopt(offer.payload, &self.pool));
+                Update::remote_bytes(wire, offer.weight, offer.encoded)
+            }
         };
-        let wire = bytes::Bytes::from_owner(PooledBuf::adopt(offer.payload, &self.pool));
-        let update = Update::remote_bytes(wire, offer.weight, offer.encoded);
+        let dim = match &update {
+            Update::Dense(dense) => dense.model.dim(),
+            Update::Encoded { update, .. } => descriptor_dim(update.wire()),
+            Update::RemoteBytes { wire, encoded, .. } => match encoded {
+                true => descriptor_dim(wire),
+                false => wire.len() / 4,
+            },
+        };
         Some((update, offer.client, dim))
     }
 
     /// Records that the offer [`Ingress::take_parked`] handed out was not
     /// admitted after all: it counts as dropped, not drained. Its buffer
-    /// needs no attention — the refused store dropped it back into the pool.
+    /// needs no attention — the refused store dropped it, as it drops a
+    /// refused direct offer's, so a pooled one is back in the pool.
     fn drop_parked(&mut self) {
         if let Some(queues) = self.queues.as_mut() {
             queues.drop_taken();
@@ -750,12 +750,16 @@ mod tests {
         assert_eq!((ingress.ingested, ingress.cursor), (0, 0));
     }
 
-    /// The two doors, as the factor-rule test drives them.
+    /// The two doors, as the factor-rule and park tests drive them.
     trait Door {
         fn offer(&mut self, update: Update) -> Result<AdmissionOutcome>;
         fn pending(&self) -> u64;
         /// Drives the round: the aggregate's weight and bits.
         fn round(&mut self) -> (u64, Vec<u32>);
+        fn pool(&self) -> &BufferPool;
+        fn depart(&mut self, client: ClientId) -> bool;
+        /// Settles, then where every stored update of the open round starts.
+        fn stored_ptrs(&mut self) -> Vec<*const u8>;
     }
 
     fn bits(update: &lifl_fl::ModelUpdate) -> (u64, Vec<u32>) {
@@ -773,6 +777,15 @@ mod tests {
         fn round(&mut self) -> (u64, Vec<u32>) {
             bits(&self.drive().unwrap().update)
         }
+        fn pool(&self) -> &BufferPool {
+            crate::session::Session::pool(self)
+        }
+        fn depart(&mut self, client: ClientId) -> bool {
+            self.depart_client(client)
+        }
+        fn stored_ptrs(&mut self) -> Vec<*const u8> {
+            crate::session::Session::stored_ptrs(self)
+        }
     }
 
     impl Door for crate::cluster::Cluster {
@@ -784,6 +797,15 @@ mod tests {
         }
         fn round(&mut self) -> (u64, Vec<u32>) {
             bits(&self.drive().unwrap().update)
+        }
+        fn pool(&self) -> &BufferPool {
+            crate::cluster::Cluster::pool(self)
+        }
+        fn depart(&mut self, client: ClientId) -> bool {
+            self.depart_client(client)
+        }
+        fn stored_ptrs(&mut self) -> Vec<*const u8> {
+            crate::cluster::Cluster::stored_ptrs(self)
         }
     }
 
@@ -842,6 +864,71 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Pool checkouts so far, hits and misses.
+    fn checkouts(pool: &BufferPool) -> u64 {
+        let stats = pool.stats();
+        stats.hits + stats.misses
+    }
+
+    /// An offer to `make`'s full round parks in the buffer it came in, and
+    /// the drain a departure starts stores that buffer: a dense offer's
+    /// vector is the stored object (the same data pointer) and parking it
+    /// checks out no pool buffer; a lossy park checks out exactly one, its
+    /// encode, and its drain none. At 0, 1 and 3 workers.
+    fn a_parked_offer_keeps_the_buffer_it_came_in<D: Door>(make: impl Fn(Workers, CodecKind) -> D) {
+        let lossy = [CodecKind::Uniform8, CodecKind::TopK { permille: 250 }];
+        for codec in std::iter::once(CodecKind::Identity).chain(lossy) {
+            for workers in [0, 1, 3] {
+                let at = format!("{codec}, {workers} workers");
+                let mut door = make(Workers::with_count(workers), codec);
+                for update in honest(0) {
+                    assert!(door.offer(update).unwrap().is_admitted(), "{at}");
+                }
+                // Settles the round's encodes: what follows counts the park.
+                door.stored_ptrs();
+                let model = DenseModel::from_vec((0..16).map(|d| d as f32 * 0.1).collect());
+                let vector = model.as_slice().as_ptr().cast::<u8>();
+                let before = checkouts(door.pool());
+                let offer = Update::dense(ClientId::new(30), model, 2);
+                assert!(door.offer(offer).unwrap().is_queued(), "{at}");
+                let parked = checkouts(door.pool());
+                assert_eq!(parked - before, u64::from(!codec.is_lossless()), "{at}");
+                assert!(door.depart(ClientId::new(0)), "{at}");
+                let stored = door.stored_ptrs();
+                assert_eq!(door.pending(), 8, "{at}: the drain refilled the slot");
+                assert_eq!(checkouts(door.pool()), parked, "{at}: the drain copied");
+                if codec.is_lossless() {
+                    assert!(stored.contains(&vector), "{at}: not the offered vector");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_session_parks_an_offer_in_the_buffer_it_came_in() {
+        a_parked_offer_keeps_the_buffer_it_came_in(|workers, codec| {
+            crate::session::SessionBuilder::new()
+                .topology(Topology::new(vec![2, 2, 2]).unwrap())
+                .codec(codec)
+                .admission(AdmissionConfig::bounded(4, 1 << 20))
+                .workers(workers)
+                .build()
+                .unwrap()
+        });
+    }
+
+    #[test]
+    fn a_cluster_parks_an_offer_in_the_buffer_it_came_in() {
+        a_parked_offer_keeps_the_buffer_it_came_in(|workers, codec| {
+            crate::cluster::ClusterBuilder::new()
+                .topology(Topology::new(vec![2, 2, 2]).unwrap())
+                .codec(codec)
+                .admission(AdmissionConfig::bounded(4, 1 << 20))
+                .build_on(workers)
+                .unwrap()
+        });
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Bounded, pool-backed payload storage for the admission backlog.
 //!
-//! When a round is full, `try_ingest` parks the offered update's payload
-//! bytes until the next round opens. Parked payloads are the one place the
-//! streaming ingress could grow with client count, so [`PooledBacklog`]
-//! enforces hard slot and byte budgets: a store either succeeds within the
-//! caps or is refused, and every buffer is checked out of (and returned to)
-//! a shared [`BufferPool`] so steady-state churn through the backlog reuses
-//! the same slab instead of allocating per client.
+//! When a round is full, `try_ingest` parks the offered update until the
+//! next round opens. Parked payloads are the one place the streaming ingress
+//! could grow with client count, so [`PooledBacklog`] enforces hard slot and
+//! byte budgets: a payload is either charged within the caps or refused. A
+//! payload that already owns its buffer is charged at its wire length and
+//! kept where it is ([`PooledBacklog::try_charge`]); one that must be copied
+//! is copied into a buffer checked out of (and returned to) a shared
+//! [`BufferPool`] ([`PooledBacklog::try_store`]), so steady-state churn
+//! through the backlog reuses the same slab instead of allocating per
+//! client.
 
 use crate::pool::BufferPool;
 
@@ -32,7 +35,9 @@ pub struct BacklogStats {
 ///
 /// The backlog only accounts bytes and slots; callers keep the returned
 /// buffers (typically inside a queued-offer struct) and hand them back via
-/// [`PooledBacklog::release`] when the offer is drained or dropped.
+/// [`PooledBacklog::release`] when the offer is dropped, or release the
+/// charge alone via [`PooledBacklog::withdraw`] when it is drained or was
+/// only charged.
 #[derive(Debug)]
 pub struct PooledBacklog {
     pool: BufferPool,
@@ -59,21 +64,32 @@ impl PooledBacklog {
             && self.stats.used_bytes.saturating_add(len) <= self.max_bytes
     }
 
+    /// Charges a payload of `len` bytes that stays in the buffer it came in
+    /// against the budgets, without copying it or checking a buffer out.
+    /// Returns `false` (and counts a refusal) when either budget would be
+    /// exceeded; the charge is released by [`PooledBacklog::withdraw`].
+    pub fn try_charge(&mut self, len: usize) -> bool {
+        if !self.would_admit(len) {
+            self.stats.total_refused += 1;
+            return false;
+        }
+        self.stats.used_slots += 1;
+        self.stats.used_bytes += len;
+        self.stats.peak_slots = self.stats.peak_slots.max(self.stats.used_slots);
+        self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.used_bytes);
+        self.stats.total_stored += 1;
+        true
+    }
+
     /// Copies `payload` into a pool-backed buffer and charges it against the
     /// budgets. Returns `None` (and counts a refusal) when either budget
     /// would be exceeded.
     pub fn try_store(&mut self, payload: &[u8]) -> Option<Vec<u8>> {
-        if !self.would_admit(payload.len()) {
-            self.stats.total_refused += 1;
+        if !self.try_charge(payload.len()) {
             return None;
         }
         let mut buf = self.pool.checkout_bytes(payload.len());
         buf.extend_from_slice(payload);
-        self.stats.used_slots += 1;
-        self.stats.used_bytes += payload.len();
-        self.stats.peak_slots = self.stats.peak_slots.max(self.stats.used_slots);
-        self.stats.peak_bytes = self.stats.peak_bytes.max(self.stats.used_bytes);
-        self.stats.total_stored += 1;
         Some(buf)
     }
 
@@ -84,9 +100,10 @@ impl PooledBacklog {
         self.pool.checkin_bytes(buf);
     }
 
-    /// Releases the budget charge of a buffer of `len` bytes that left the
-    /// backlog for good — e.g. a drained offer whose payload moved into the
-    /// shared-memory object store — without returning it to the pool.
+    /// Releases the budget charge of a payload of `len` bytes that left the
+    /// backlog for good — a held payload ([`PooledBacklog::try_charge`]), or
+    /// a drained offer whose payload moved into the shared-memory object
+    /// store — without returning anything to the pool.
     pub fn withdraw(&mut self, len: usize) {
         self.stats.used_slots = self.stats.used_slots.saturating_sub(1);
         self.stats.used_bytes = self.stats.used_bytes.saturating_sub(len);
@@ -137,6 +154,26 @@ mod tests {
         assert_eq!(b.as_ptr(), ptr, "second store reused the slab");
         assert_eq!(pool.stats().hits, 1);
         backlog.release(b);
+    }
+
+    /// A held payload is charged against the same budgets as a stored one,
+    /// at its length, and touches no pool buffer.
+    #[test]
+    fn a_charged_payload_takes_its_budget_and_no_buffer() {
+        let pool = BufferPool::new();
+        let mut backlog = PooledBacklog::new(pool.clone(), 2, 100);
+        assert!(backlog.try_charge(60));
+        assert!(!backlog.try_charge(41), "byte budget");
+        let stored = backlog.try_store(&[1u8; 40]).expect("fits");
+        assert!(!backlog.try_charge(0), "slot budget");
+        let stats = backlog.stats();
+        assert_eq!((stats.used_slots, stats.used_bytes), (2, 100));
+        assert_eq!((stats.total_stored, stats.total_refused), (2, 2));
+        assert_eq!(pool.stats().misses, 1, "only the copy checked a buffer out");
+        backlog.withdraw(60);
+        backlog.release(stored);
+        assert_eq!(backlog.stats().used_slots, 0);
+        assert_eq!(backlog.stats().used_bytes, 0);
     }
 
     #[test]

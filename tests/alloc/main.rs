@@ -9,7 +9,8 @@
 //!
 //! A counting [`GlobalAlloc`] shim wraps the system allocator and counts
 //! every allocation (and growing reallocation) of at least
-//! [`MODEL_SIZED_BYTES`]. The tier lives in its own test binary so no
+//! [`MODEL_SIZED_BYTES`], and every allocation of any size, which the park
+//! phase holds at zero. The tier lives in its own test binary so no
 //! unrelated test's allocations can pollute the counters; the one test is
 //! `#[test]`-single so the counter observes exactly the round loop.
 
@@ -33,15 +34,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const MODEL_SIZED_BYTES: usize = 256 * 1024;
 
 static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static ALL_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAllocator;
 
 // SAFETY: delegates every operation unchanged to the system allocator; the
-// only addition is a relaxed atomic counter bump on large requests.
+// only additions are relaxed atomic counter bumps.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: same contract as `System::alloc`; the caller's `Layout`
     // obligations pass through unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
         if layout.size() >= MODEL_SIZED_BYTES {
             LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
@@ -58,6 +61,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: same contract as `System::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
         if layout.size() >= MODEL_SIZED_BYTES {
             LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
@@ -67,6 +71,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: same contract as `System::realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if new_size > layout.size() {
+            ALL_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
         if new_size >= MODEL_SIZED_BYTES {
             LARGE_ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
@@ -80,6 +87,11 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 fn model_sized_allocs() -> u64 {
     LARGE_ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Allocations (and growing reallocations) of any size so far.
+fn all_allocs() -> u64 {
+    ALL_ALLOCS.load(Ordering::Relaxed)
 }
 
 /// One steady-state aggregation round over the pooled hot path: every client
@@ -323,8 +335,8 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     // Phases 5-7: whole sessions, puts included. The payload is written
     // once by its producer and moved — a dense model's vector becomes the
     // stored object, an encoded update's pooled buffer does, `send` moves
-    // the finalised model, a parked update is copied once into a pooled
-    // backlog buffer that the drain moves into the store, and each
+    // the finalised model, a parked update keeps the buffer it was offered
+    // in and the drain moves that into the store, and each
     // aggregator position's accumulator is the pooled vector a previous
     // round's `send` moved into the store, home again since the recycle —
     // so a steady-state round allocates nothing model-sized. The model
@@ -444,8 +456,8 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     // Phase 7: bounded admission. Once the backlog is primed every round's
     // offers find the round already full (the previous drive drained four
     // parked updates into it) and park; the drive folds the drained round and
-    // drains the next. Park is one copy into a pooled backlog buffer, drain
-    // moves that buffer into the store.
+    // drains the next. A parked dense update keeps its client's vector, and
+    // the drain moves that vector into the store as a direct offer would.
     let mut session = SessionBuilder::new()
         .two_level(2, 2)
         .admission(AdmissionConfig::bounded(4, 4 * DIM * 4))
@@ -472,10 +484,55 @@ fn steady_state_rounds_make_zero_model_sized_allocations() {
     assert!(admission.drained >= 4 * MEASURED as u64);
     let stats = session.pool().stats();
     assert_eq!(
-        stats.misses,
-        8 + POSITIONS,
-        "4 parked + 4 stored backlog buffers, one accumulator per position: {stats:?}"
+        stats.misses, POSITIONS,
+        "no backlog buffer, one accumulator per position: {stats:?}"
     );
+
+    // Phase 7b: a burst of parks allocates nothing at all (beside phase 7's
+    // session, whose worker set it shares). Sixteen 16 KiB
+    // dense offers a burst, as many as the round takes, all find the round
+    // full (the previous drive drained sixteen into it), so every one parks
+    // in its own vector: the park charges its wire length and pushes it on a
+    // leaf queue warm from the bursts before. The drive then folds the
+    // drained round and drains the next burst into a fresh one.
+    const BURST_DIM: usize = 4096;
+    let mut bursts = SessionBuilder::new()
+        .two_level(4, 4)
+        .admission(AdmissionConfig::bounded(8, 8 * BURST_DIM * 4))
+        .build()
+        .expect("burst session");
+    let burst = |round: u64| -> Vec<Update> {
+        (0..16u64)
+            .map(|c| {
+                let values = (0..BURST_DIM).map(|d| ((d as u64 + c * 7 + round) % 31) as f32);
+                Update::dense(ClientId::new(c), DenseModel::from_vec(values.collect()), 1)
+            })
+            .collect()
+    };
+    for update in burst(0) {
+        assert!(bursts.try_ingest(update).expect("prime").is_admitted());
+    }
+    for round in 1..=(WARM_UP + MEASURED) as u64 {
+        let offers = burst(round);
+        let (allocs, pool) = (all_allocs(), bursts.pool().stats());
+        for update in offers {
+            assert!(bursts.try_ingest(update).expect("park").is_queued());
+        }
+        if round > WARM_UP as u64 {
+            assert_eq!(
+                all_allocs() - allocs,
+                0,
+                "burst {round}: a dense park moves the update in and allocates nothing"
+            );
+            assert_eq!(bursts.pool().stats(), pool, "no backlog buffer checked out");
+        }
+        assert_eq!(bursts.queued_updates(), 16);
+        to_wire(&mut bursts);
+        assert_eq!(bursts.pending_updates(), 16, "the drain filled the round");
+    }
+    let admission = bursts.admission_stats();
+    assert_eq!(admission.rejected + admission.dropped, 0);
+    drop(bursts);
 
     // Phase 8: no thread per round, and one worker set per process. Stations
     // run on a worker set that lives as long as whoever holds it — every
